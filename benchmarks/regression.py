@@ -109,6 +109,32 @@ def replication_round_kernels() -> dict:
     }
 
 
+def headline_scale_kernels() -> dict:
+    """The two PS stages of the paper-headline round at its real width.
+
+    ``sync-alie-wide`` in ``benchmarks/e2e`` (Ramanujan K=25, q=5 colluding
+    adversaries, the 256x256 MLP's d=94,218 parameters) spends its round in
+    the lazy vote over one shared payload and in the coordinate-wise median
+    of the 25 winners; these kernels time exactly those two calls.
+    """
+    assignment = RamanujanAssignment(m=5, s=5).assignment
+    dim = 94_218
+    rng = np.random.default_rng(9)
+    honest = rng.standard_normal((assignment.num_files, dim))
+    workers = assignment.worker_slot_matrix()
+    files, slots = np.nonzero(np.isin(workers, (0, 6, 12, 18, 24)))
+    tensor = VoteTensor.from_honest(assignment, honest)
+    tensor.write_slots(files, slots, rng.standard_normal(dim))
+    median = CoordinateWiseMedian()
+
+    return {
+        "majority_vote_lazy_shared_payload_f25_r5_d94k": lambda: majority_vote_votetensor(
+            tensor, 0.0
+        ),
+        "coordinate_median_25x94k": lambda: median(honest),
+    }
+
+
 def event_round_kernels() -> dict:
     """Event-engine PS loop at the paper's K=25 scale (f=25, r=5, d≈11k).
 
@@ -229,8 +255,8 @@ def adaptive_attack_kernels() -> dict:
     ``apply_tensor`` write, then the ByzShield aggregate.  ``constant`` is
     the paper's fixed-payload baseline; the others are the adaptive zoo,
     whose closed-form searches (Fang's λ ladder, min-max's γ bisection) must
-    stay within 1.5x of the constant round — the gate
-    :func:`adaptive_attack_gate` enforces on every non-smoke run.
+    stay within :data:`ADAPTIVE_VS_CONSTANT_LIMIT` of the constant round — the
+    gate :func:`adaptive_attack_gate` enforces on every non-smoke run.
     """
     from repro.attacks.base import AttackContext
     from repro.attacks.registry import create_attack
@@ -273,8 +299,13 @@ def adaptive_attack_kernels() -> dict:
 
 
 #: Largest allowed slowdown of any adaptive-attack round vs the constant
-#: baseline round (same tensor build + aggregate, trivial payload).
-ADAPTIVE_VS_CONSTANT_LIMIT = 1.5
+#: baseline round (same tensor build + aggregate, trivial payload).  It was
+#: 1.5x while the constant round cost 7.8 ms.  Storing a colluding payload
+#: once took that round to ~2.5 ms and every adaptive round down with it
+#: (fang-median 11.1 -> 5.5 ms), but the searches' own cost did not move
+#: (fang ~3 ms), so the same searches now read 2.1-2.3x, and up to 2.8x on a
+#: noisy run of this sandbox.
+ADAPTIVE_VS_CONSTANT_LIMIT = 3.0
 
 
 def adaptive_attack_gate(results: dict) -> list:
@@ -287,7 +318,7 @@ def adaptive_attack_gate(results: dict) -> list:
         ratio = entry["min_s"] / baseline
         marker = ""
         if ratio > ADAPTIVE_VS_CONSTANT_LIMIT:
-            marker = f"  <-- exceeds {ADAPTIVE_VS_CONSTANT_LIMIT:.1f}x limit"
+            marker = f"  <-- exceeds {ADAPTIVE_VS_CONSTANT_LIMIT:.2f}x limit"
             violations.append((name, ratio))
         print(f"adaptive round cost vs constant: {name:48s} {ratio:5.2f}x{marker}")
     return violations
@@ -337,6 +368,7 @@ def build_kernels() -> dict:
         "bulyan_25x20k": lambda: bulyan(votes),
     }
     kernels.update(replication_round_kernels())
+    kernels.update(headline_scale_kernels())
     kernels.update(event_round_kernels())
     kernels.update(hierarchical_vote_kernels())
     kernels.update(gradient_engine_kernels())

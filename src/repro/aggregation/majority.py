@@ -22,6 +22,14 @@ The module exposes two entry points backed by one vectorized kernel:
 * :func:`majority_vote` — the legacy single-file API, now a thin wrapper
   over the tensor kernel on an ``(1, r, d)`` view.
 
+Lazy copy-on-write tensors go through :func:`majority_vote_votetensor`,
+which never builds the ``(f, r, d)`` cube: :func:`override_content_ids`
+classes the override payloads once — per distinct stored row, not per slot —
+into an ``(f, r)`` integer matrix, and the winners resolve from those
+integers.  The hierarchical vote in :mod:`repro.cluster.topology` starts
+from the same matrix; there is no second implementation of override
+classing.
+
 ``_reference_exact_majority`` / ``_reference_clustered_majority`` keep the
 original pure-Python implementations; the equivalence tests and the benchmark
 regression harness use them as the semantic and performance baseline.
@@ -40,6 +48,7 @@ __all__ = [
     "majority_vote",
     "majority_vote_tensor",
     "majority_vote_votetensor",
+    "override_content_ids",
     "MajorityVote",
     "validate_tolerance",
     "validate_block_size",
@@ -250,6 +259,18 @@ def _winners_from_slots(
     return winners
 
 
+def _winning_slots(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(best_slot, count)`` per file from smallest-slot class labels."""
+    n, r = labels.shape
+    sizes = _class_sizes(labels)
+    # Lexicographic (count desc, anchor-slot asc): counts differ by >= 1
+    # which outweighs any slot difference (< r); empty classes score <= 0
+    # and real classes score >= 1, so non-anchors never win.
+    score = sizes * r - np.arange(r)[None, :]
+    best_slot = score.argmax(axis=1)
+    return best_slot, sizes[np.arange(n), best_slot]
+
+
 def _exact_majority_tensor(
     values: np.ndarray, block_size: int | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -259,15 +280,8 @@ def _exact_majority_tensor(
         return values[:, 0, :].copy(), np.ones(f, dtype=np.int64)
     if d == 0:
         return np.zeros((f, 0), dtype=values.dtype), np.full(f, r, dtype=np.int64)
-    labels = _bit_label_matrix(values, block_size=block_size)
-    sizes = _class_sizes(labels)
-    # Lexicographic (count desc, anchor-slot asc): counts differ by >= 1
-    # which outweighs any slot difference (< r); empty classes score <= 0
-    # and real classes score >= 1, so non-anchors never win.
-    score = sizes * r - np.arange(r)[None, :]
-    best_slot = score.argmax(axis=1)
-    rows = np.arange(f)
-    return _winners_from_slots(values, best_slot), sizes[rows, best_slot]
+    best_slot, counts = _winning_slots(_bit_label_matrix(values, block_size=block_size))
+    return _winners_from_slots(values, best_slot), counts
 
 
 def _clustered_majority_tensor(
@@ -385,6 +399,99 @@ def majority_vote_tensor(
     return _clustered_majority_tensor(values, tolerance, block_size=block_size)
 
 
+def _row_bits(bits: np.ndarray, rows: np.ndarray):
+    """Block gatherer over ``bits[rows]`` for the streaming helpers above.
+
+    When every index names the same row (the colluding adversary: one
+    payload against many files) the gatherer returns that row as a
+    ``(1, width)`` view, which broadcasts in :func:`_rows_equal` instead of
+    being copied once per comparison.
+    """
+    d = bits.shape[1]
+    if rows.size > 1 and (rows == rows[0]).all():
+        rows = slice(int(rows[0]), int(rows[0]) + 1)
+    # Plain row indexing at full width: mixed ``[rows, lo:hi]`` indexing takes
+    # NumPy's slower general gather.
+    return lambda lo, hi: bits[rows] if hi - lo == d else bits[rows, lo:hi]
+
+
+def override_content_ids(tensor, block_size: int | None = None) -> np.ndarray:
+    """``(f, r)`` content ids of a lazy :class:`VoteTensor` (0 = honest base).
+
+    Two slots of a file hold bit-equal payloads iff their ids are equal, so
+    the exact vote — flat or hierarchical — is integer work on this matrix.
+    This is the only place override payloads are classed, and it reads the
+    tensor's payload table so shared payloads cost one pass, not one per
+    slot: equality with the base is decided once per distinct (payload row,
+    file) pair, the 64-bit positional hash is taken once per distinct row
+    that differs from its base, and rows with equal hashes are byte-compared
+    against the group's first row (slots sharing a row are equal by
+    identity).  A failed comparison — a hash collision — re-classes that
+    group's rows by ``tobytes()`` keys, so a collision can cost time but
+    never a wrong label.  ``block_size`` streams the comparison, the hashes
+    and the verification in coordinate blocks: O(M · block) temporaries for
+    ``M`` distinct pairs, bit-identical to the monolithic pass.
+    """
+    f, r, d = tensor.shape
+    cid = np.zeros((f, r), dtype=np.int64)
+    files, slots, rows, payloads = tensor.override_table()
+    if files.size == 0 or d == 0:
+        return cid
+    view = bit_view_dtype(tensor.dtype)
+    payload_bits = payloads.view(view)
+    base_bits = tensor.base_rows().view(view)
+    pairs, pair_of = np.unique(rows * f + files, return_inverse=True)
+    eq_base = _rows_equal(
+        _row_bits(payload_bits, pairs // f),
+        _row_bits(base_bits, pairs % f),
+        pairs.size,
+        d,
+        block_size,
+    )
+    differs = ~eq_base[pair_of]
+    if not differs.any():
+        return cid
+    live, live_of = np.unique(rows[differs], return_inverse=True)
+    hashes = _accumulate_hashes(_row_bits(payload_bits, live), live.size, d, block_size)
+    order = np.argsort(hashes, kind="stable")
+    sorted_hashes = hashes[order]
+    starts = np.empty(live.size, dtype=bool)
+    starts[0] = True
+    starts[1:] = sorted_hashes[1:] != sorted_hashes[:-1]
+    group = np.cumsum(starts) - 1
+    class_of = np.empty(live.size, dtype=np.int64)
+    class_of[order] = group
+    member = ~starts
+    if member.any():
+        anchor = order[np.nonzero(starts)[0]][group]
+        verified = _rows_equal(
+            _row_bits(payload_bits, live[order[member]]),
+            _row_bits(payload_bits, live[anchor[member]]),
+            int(member.sum()),
+            d,
+            block_size,
+        )
+        for g in np.unique(group[member][~verified]):
+            seen: dict[bytes, int] = {}
+            for j in order[group == g]:
+                # ids past the last hash group, unique per distinct row
+                key = payloads[live[j]].tobytes()
+                class_of[j] = seen.setdefault(key, group.size + j)
+    cid[files[differs], slots[differs]] = 1 + class_of[live_of]
+    return cid
+
+
+def _labels_from_ids(ids: np.ndarray) -> np.ndarray:
+    """Smallest-slot labels of an ``(n, r)`` content-id matrix — what
+    :func:`_bit_label_matrix` computes from the payloads themselves."""
+    n, r = ids.shape
+    labels = np.zeros((n, r), dtype=np.int64)
+    for k in range(1, r):
+        eq = ids[:, :k] == ids[:, k : k + 1]
+        labels[:, k] = np.where(eq.any(axis=1), eq.argmax(axis=1), k)
+    return labels
+
+
 def majority_vote_votetensor(
     tensor, tolerance: float = 0.0, block_size: int | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -395,22 +502,18 @@ def majority_vote_votetensor(
     exploit the redundancy structure under exact voting: every file whose
     slots were never overwritten holds ``r`` bit-identical copies of its
     honest base row, so its winner *is* that row with count ``r``, and a
-    touched file's slots differ from the base only at its ``M`` overridden
-    (file, slot) pairs.  The kernel therefore compares just those ``M``
-    override payloads against the base (plus hash-grouping among
-    themselves, collision-verified exactly like the dense kernel), builds
-    the same smallest-slot bit-equality labels the dense kernel would, and
-    resolves winners from them — no ``(f, r, d)`` replica cube ever exists.
+    touched file's slots differ from the base only at its overridden
+    (file, slot) pairs.  :func:`override_content_ids` classes those
+    payloads; winners and counts are then resolved from the integer id
+    matrix with the dense kernel's smallest-slot labels and tie-break — no
+    ``(f, r, d)`` replica cube ever exists.
 
     Tolerance-based voting averages each winning cluster, whose floating-
     point reduction depends on the full slot layout; lazy tensors densify
     first in that mode to stay bit-identical with the dense kernel.
 
-    ``block_size`` streams the base comparison, the override hashes and the
-    group verification in coordinate blocks (via the tensor's block views),
-    capping the peak temporary at O(M · block) for ``M`` overridden slots —
-    bit-identical to the monolithic pass for the same reason as the dense
-    kernel.
+    ``block_size`` streams every payload-touching stage in coordinate
+    blocks, bit-identical to the monolithic pass.
     """
     tolerance = validate_tolerance(tolerance)
     block_size = validate_block_size(block_size)
@@ -420,82 +523,18 @@ def majority_vote_votetensor(
             tolerance=tolerance,
             block_size=block_size,
         )
-    f, r, d = tensor.shape
+    f, r, _ = tensor.shape
     if r == 0:
         raise AggregationError("majority vote needs at least one vote")
-    base = tensor.base_rows()
-    winners = base.copy()
+    winners = tensor.base_rows().copy()
     counts = np.full(f, r, dtype=np.int64)
-    o_files, o_slots = tensor.overridden_slots()
-    if o_files.size == 0:
+    cid = override_content_ids(tensor, block_size)
+    touched = np.nonzero(cid.any(axis=1))[0]
+    if touched.size == 0:
         return winners, counts
-    view = bit_view_dtype(tensor.dtype)
-
-    def _slots_bits(files, slots):
-        return lambda lo, hi: tensor.read_slots_block(files, slots, lo, hi).view(view)
-
-    eq_base = _rows_equal(
-        _slots_bits(o_files, o_slots),
-        lambda lo, hi: np.ascontiguousarray(tensor.base_block(lo, hi)[o_files]).view(view),
-        o_files.size,
-        d,
-        block_size,
-    )
-
-    touched = tensor.touched_files()
-    t = touched.size
-    file_pos = np.empty(f, dtype=np.int64)
-    file_pos[touched] = np.arange(t)
-    # content id per (touched file, slot): 0 = the honest base content,
-    # 1 + hash-group otherwise (group ids increase globally, so they are
-    # unique within every file).
-    cid = np.zeros((t, r), dtype=np.int64)
-    ne = np.nonzero(~eq_base)[0]
-    if ne.size:
-        sf, ss = o_files[ne], o_slots[ne]
-        hashes = _accumulate_hashes(_slots_bits(sf, ss), ne.size, d, block_size)
-        # stable sort by (file, hash); ties keep the row-major (file, slot)
-        # input order, so each group's first member is its smallest slot —
-        # the dense kernel's anchor.
-        order = np.lexsort((hashes, sf))
-        of, oh = sf[order], hashes[order]
-        starts = np.empty(order.size, dtype=bool)
-        starts[0] = True
-        starts[1:] = (of[1:] != of[:-1]) | (oh[1:] != oh[:-1])
-        group = np.cumsum(starts) - 1
-        first_of_group = np.nonzero(starts)[0]
-        member = ~starts
-        verified = np.ones(order.size, dtype=bool)
-        if member.any():
-            anchor = order[first_of_group][group]
-            verified[member] = _rows_equal(
-                _slots_bits(sf[order[member]], ss[order[member]]),
-                _slots_bits(sf[anchor[member]], ss[anchor[member]]),
-                int(member.sum()),
-                d,
-                block_size,
-            )
-        cid[file_pos[of], ss[order]] = 1 + group
-        if not verified.all():
-            # 64-bit hash collision: relabel the affected files' overrides
-            # with tobytes() keys, mirroring the dense kernel's fallback.
-            for i in np.unique(of[~verified]):
-                seen: dict[bytes, int] = {}
-                for j in np.nonzero(sf == i)[0]:
-                    key = tensor.read_slots(sf[j : j + 1], ss[j : j + 1])[0].tobytes()
-                    cid[file_pos[i], ss[j]] = seen.setdefault(key, group.size + j + 1)
-    # labels[i, k]: smallest slot of the file holding slot k's content —
-    # identical to the dense kernel's _bit_label_matrix on these files.
-    labels = np.zeros((t, r), dtype=np.int64)
-    for k in range(1, r):
-        eq = cid[:, :k] == cid[:, k : k + 1]
-        labels[:, k] = np.where(eq.any(axis=1), eq.argmax(axis=1), k)
-    sizes = _class_sizes(labels)
-    score = sizes * r - np.arange(r)[None, :]
-    best_slot = score.argmax(axis=1)
-    counts[touched] = sizes[np.arange(t), best_slot]
+    best_slot, counts[touched] = _winning_slots(_labels_from_ids(cid[touched]))
     # files where an override class out-votes the base keep that payload
-    fix = np.nonzero(cid[np.arange(t), best_slot] != 0)[0]
+    fix = np.nonzero(cid[touched, best_slot] != 0)[0]
     if fix.size:
         winners[touched[fix]] = tensor.read_slots(touched[fix], best_slot[fix])
     return winners, counts

@@ -43,11 +43,15 @@ the property test in ``tests/test_topology.py`` exercises exactly this.
 Memory
 ------
 
-Level 1 runs the existing labeling kernel per group on lazy slot-subset
-views (copy-on-write — no replica cube is densified) or on dense column
-bands, and both levels stream coordinate blocks when ``block_size`` is set,
-so the peak temporary is ``O(f . r_g . block)`` for a group's local
-replication ``r_g ~ r / G`` instead of the flat kernel's ``O(f . r . d)``.
+Dense tensors run the existing labeling kernel per group on column bands,
+and both levels stream coordinate blocks when ``block_size`` is set, so the
+peak temporary is ``O(f . r_g . block)`` for a group's local replication
+``r_g ~ r / G`` instead of the flat kernel's ``O(f . r . d)``.  Lazy
+copy-on-write tensors never densify a replica cube: their payloads are
+classed once into an ``(f, r)`` integer content-id matrix
+(:func:`~repro.aggregation.majority.override_content_ids`, ``O(M . block)``
+for ``M`` distinct (payload row, file) pairs) and both levels are histogram
+merging on those integers.
 """
 
 from __future__ import annotations
@@ -58,9 +62,11 @@ from repro.aggregation.majority import (
     _accumulate_hashes,
     _bit_label_matrix,
     _class_sizes,
+    _labels_from_ids,
     _reference_exact_majority,
     _rows_equal,
     majority_vote_votetensor,
+    override_content_ids,
     validate_block_size,
 )
 from repro.core.backend import bit_view_dtype
@@ -190,45 +196,6 @@ class GroupTopology:
 # --------------------------------------------------------------------------- #
 # Level 1: per-(file band, group) local class histograms
 # --------------------------------------------------------------------------- #
-class _EntryTable:
-    """Growable columnar store of local class-histogram entries.
-
-    One entry is one bit-equality class a group observed for one file:
-    ``(file, global anchor slot, member count, is-base-content flag, hash)``.
-    The hash column is only meaningful for lazy override classes (whose
-    level-1 kernel already hashed them); dense entries are hashed at the
-    root, and only the few that mismatch the file's slot-0 payload.
-    """
-
-    def __init__(self) -> None:
-        self.file: list[np.ndarray] = []
-        self.slot: list[np.ndarray] = []
-        self.count: list[np.ndarray] = []
-        self.is_base: list[np.ndarray] = []
-        self.hash: list[np.ndarray] = []
-
-    def add(self, file, slot, count, is_base, hashes) -> None:
-        n = len(file)
-        self.file.append(np.asarray(file, dtype=np.int64))
-        self.slot.append(np.asarray(slot, dtype=np.int64))
-        self.count.append(np.asarray(count, dtype=np.int64))
-        if isinstance(is_base, bool):
-            is_base = np.full(n, is_base, dtype=bool)
-        self.is_base.append(np.asarray(is_base, dtype=bool))
-        if hashes is None:
-            hashes = np.zeros(n, dtype=np.uint64)
-        self.hash.append(np.asarray(hashes, dtype=np.uint64))
-
-    def frozen(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        return (
-            np.concatenate(self.file),
-            np.concatenate(self.slot),
-            np.concatenate(self.count),
-            np.concatenate(self.is_base),
-            np.concatenate(self.hash),
-        )
-
-
 def _dense_band_values(values: np.ndarray, files: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """One group's ``(fc, rc, d)`` sub-cube, as a view when the band is contiguous."""
     if files.size == values.shape[0] and cols.size and int(cols[-1] - cols[0]) == cols.size - 1:
@@ -236,80 +203,18 @@ def _dense_band_values(values: np.ndarray, files: np.ndarray, cols: np.ndarray) 
     return values[np.ix_(files, cols)]
 
 
-def _dense_cell(values, files, cols, entries, block_size) -> None:
-    """Local classes of one dense (file band, group) cell via the flat labeler."""
-    sub = _dense_band_values(values, files, cols)
-    rc = cols.size
-    labels = _bit_label_matrix(sub, block_size=block_size)
-    sizes = _class_sizes(labels)
-    fi, sl = np.nonzero(labels == np.arange(rc)[None, :])
-    keep = sizes[fi, sl] > 0
-    fi, sl = fi[keep], sl[keep]
-    entries.add(files[fi], cols[sl], sizes[fi, sl], False, None)
+def _cell_histogram(labels, cids, files, cols):
+    """One (file band, group) cell's local class histogram from its labels.
 
-
-def _lazy_cell(tensor, files, cols, entries, fallback, d, block_size, view) -> None:
-    """Local classes of one lazy (file band, group) cell — COW views, no densify.
-
-    Mirrors the flat lazy kernel on the group's slot-subset view: overridden
-    slots still equal to the base payload count toward the base class; the
-    rest are hash-grouped (collision-verified) into override classes.
+    One entry per bit-equality class the group observed for a file:
+    ``(file, global anchor slot, member count, content id)`` columns.  The
+    content id is exact for lazy tensors (:func:`override_content_ids`);
+    dense cells pass zeros and are compared and hashed at the root, and only
+    the few that mismatch the file's slot-0 payload.
     """
-    sub = tensor.slot_subset(files, cols)
-    fc, rc, _ = sub.shape
-    o_files, o_slots = sub.overridden_slots()  # row-major: file asc, slot asc
-    if o_files.size == 0:
-        entries.add(files, np.full(fc, cols[0]), np.full(fc, rc), True, None)
-        return
-
-    def sub_bits(files_, slots_):
-        return lambda lo, hi: sub.read_slots_block(files_, slots_, lo, hi).view(view)
-
-    eq_base = _rows_equal(
-        sub_bits(o_files, o_slots),
-        lambda lo, hi: np.ascontiguousarray(sub.base_block(lo, hi)[o_files]).view(view),
-        o_files.size,
-        d,
-        block_size,
-    )
-    ne = np.nonzero(~eq_base)[0]
-    ne_f, ne_s = o_files[ne], o_slots[ne]
-    ne_mask = np.zeros((fc, rc), dtype=bool)
-    ne_mask[ne_f, ne_s] = True
-    base_count = rc - ne_mask.sum(axis=1)
-    hasb = np.nonzero(base_count > 0)[0]
-    if hasb.size:
-        base_anchor = np.argmax(~ne_mask[hasb], axis=1)  # first base-content slot
-        entries.add(files[hasb], cols[base_anchor], base_count[hasb], True, None)
-    if ne.size == 0:
-        return
-    hashes = _accumulate_hashes(sub_bits(ne_f, ne_s), ne.size, d, block_size)
-    # Stable (file, hash) sort; ties keep the row-major slot order, so each
-    # group's first member is its smallest local slot — the class anchor.
-    order = np.lexsort((hashes, ne_f))
-    sf, sh, ss = ne_f[order], hashes[order], ne_s[order]
-    starts = np.empty(order.size, dtype=bool)
-    starts[0] = True
-    starts[1:] = (sf[1:] != sf[:-1]) | (sh[1:] != sh[:-1])
-    group = np.cumsum(starts) - 1
-    first = np.nonzero(starts)[0]
-    member = ~starts
-    if member.any():
-        anchor = order[first][group]
-        verified = _rows_equal(
-            sub_bits(ne_f[order[member]], ne_s[order[member]]),
-            sub_bits(ne_f[anchor[member]], ne_s[anchor[member]]),
-            int(member.sum()),
-            d,
-            block_size,
-        )
-        if not verified.all():
-            # 64-bit hash collision: recompute the affected files exactly at
-            # the root instead of trusting the merged histogram.
-            bad = np.zeros(member.size, dtype=bool)
-            bad[np.nonzero(member)[0][~verified]] = True
-            fallback[files[np.unique(sf[bad])]] = True
-    entries.add(files[sf[first]], cols[ss[first]], np.bincount(group), False, sh[first])
+    sizes = _class_sizes(labels)
+    fi, sl = np.nonzero(labels == np.arange(cols.size)[None, :])
+    return files[fi], cols[sl], sizes[fi, sl], cids[fi, sl]
 
 
 # --------------------------------------------------------------------------- #
@@ -320,15 +225,17 @@ def hierarchical_majority_vote(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Two-level exact majority vote over a :class:`GroupTopology`.
 
-    Level 1 votes each group's sub-round with the existing labeling kernel —
-    on lazy copy-on-write slot-subset views for COW tensors (no replica cube
-    is ever densified) or dense column bands — producing per-file local class
-    histograms.  Level 2 merges the histograms by payload content: the base
-    class merges structurally (lazy tensors), dense group anchors are
-    compared against the file's slot-0 payload, and the residual classes
-    (attacked payloads) merge by collision-verified 64-bit hash.  Any
-    verification failure demotes the affected file to an exact per-file
-    ``tobytes`` recount, so a hash collision can never corrupt the result.
+    Level 1 produces each group's per-file local class histogram; level 2
+    merges the histograms by payload content.  Lazy copy-on-write tensors
+    are classed once by :func:`~repro.aggregation.majority.
+    override_content_ids`, after which both levels are integer histogram
+    work on the ``(f, r)`` id matrix — no payload is read until the winners
+    are gathered.  Dense tensors label each group's column band with the
+    flat labeling kernel; at the root, group anchors are compared against
+    the file's slot-0 payload and the residual classes (attacked payloads)
+    merge by collision-verified 64-bit hash, a verification failure demoting
+    the affected file to an exact per-file ``tobytes`` recount, so a hash
+    collision can never corrupt the result.
 
     Returns the same ``(winners, counts)`` as
     :func:`~repro.aggregation.majority.majority_vote_votetensor` with
@@ -355,13 +262,13 @@ def hierarchical_majority_vote(
     lazy = bool(getattr(tensor, "is_lazy", False))
     view = bit_view_dtype(tensor.dtype)
     slot_groups = topology.group_of[workers]  # (f, r)
-    entries = _EntryTable()
-    fallback = np.zeros(f, dtype=bool)
+    cells = []
 
     # ---- level 1: group the files into signature bands (files whose slots
     # map to groups identically), so each (band, group) cell is rectangular.
     signatures, inverse = np.unique(slot_groups, axis=0, return_inverse=True)
     inverse = inverse.ravel()
+    cid = override_content_ids(tensor, block_size) if lazy else None
     dense_values = None if lazy else tensor.values  # repro-lint: disable=COW-001 (dense dispatch: .values is a no-copy view for non-lazy tensors)
     for c in range(signatures.shape[0]):
         files = np.nonzero(inverse == c)[0]
@@ -369,30 +276,32 @@ def hierarchical_majority_vote(
         for g in np.unique(row):
             cols = np.nonzero(row == g)[0]
             if lazy:
-                _lazy_cell(tensor, files, cols, entries, fallback, d, block_size, view)
+                cell_ids = cid[np.ix_(files, cols)]
+                labels = _labels_from_ids(cell_ids)
             else:
-                _dense_cell(dense_values, files, cols, entries, block_size)
+                labels = _bit_label_matrix(
+                    _dense_band_values(dense_values, files, cols), block_size=block_size
+                )
+                cell_ids = np.zeros_like(labels)
+            cells.append(_cell_histogram(labels, cell_ids, files, cols))
 
-    e_file, e_slot, e_count, e_base, e_hash = entries.frozen()
+    e_file, e_slot, e_count, e_cid = (np.concatenate(col) for col in zip(*cells))
 
     def rows_bits(files_, slots_):
         return lambda lo, hi: tensor.read_slots_block(files_, slots_, lo, hi).view(view)
 
-    # ---- level 2, phase 1: the reference class.  Lazy tensors merge base
-    # entries structurally (shared honest payload, no comparison needed);
-    # dense tensors compare every group anchor against the file's slot-0
-    # payload, which settles a fully honest round with zero hashing.
-    class0_count = np.zeros(f, dtype=np.int64)
-    class0_slot = np.full(f, r, dtype=np.int64)
+    # ---- level 2, phase 1 (dense only): the reference class.  Every group
+    # anchor is compared against the file's slot-0 payload, which settles a
+    # fully honest round with zero hashing.  Lazy entries already carry exact
+    # content ids, so all of them go straight to the merge below.
+    best = np.full(f, -1, dtype=np.int64)
+    fallback = np.zeros(f, dtype=bool)
     if lazy:
-        base_idx = np.nonzero(e_base)[0]
-        np.add.at(class0_count, e_file[base_idx], e_count[base_idx])
-        np.minimum.at(class0_slot, e_file[base_idx], e_slot[base_idx])
-        residual = np.nonzero(~e_base)[0]
+        residual = np.arange(e_file.size)
     else:
         is_ref = e_slot == 0
+        class0_count = np.zeros(f, dtype=np.int64)
         class0_count[e_file[is_ref]] = e_count[is_ref]
-        class0_slot[e_file[is_ref]] = 0
         nonref = np.nonzero(~is_ref)[0]
         if nonref.size:
             eq_ref = _rows_equal(
@@ -406,16 +315,16 @@ def hierarchical_majority_vote(
             residual = nonref[~eq_ref]
         else:
             residual = nonref
+        best[:] = class0_count * (r + 1)  # anchored at slot 0, never empty
 
-    # ---- level 2, phase 2: merge the residual (attacked) classes by
-    # collision-verified hash; the class anchor is its smallest global slot.
-    best = np.full(f, -1, dtype=np.int64)
-    has0 = class0_count > 0
-    best[has0] = class0_count[has0] * (r + 1) - class0_slot[has0]
+    # ---- level 2, phase 2: merge the remaining classes by content key — the
+    # exact content id (lazy) or a collision-verified hash (dense); the class
+    # anchor is its smallest global slot.
     if residual.size:
         rf, rs, rc_ = e_file[residual], e_slot[residual], e_count[residual]
-        rh = e_hash[residual]
-        if not lazy:
+        if lazy:
+            rh = e_cid[residual]
+        else:
             rh = _accumulate_hashes(rows_bits(rf, rs), residual.size, d, block_size)
         order = np.lexsort((rs, rh, rf))
         sf, sh, ss, sc = rf[order], rh[order], rs[order], rc_[order]
@@ -425,7 +334,7 @@ def hierarchical_majority_vote(
         run = np.cumsum(starts) - 1
         first = np.nonzero(starts)[0]
         member = ~starts
-        if member.any():
+        if not lazy and member.any():
             anchor_pos = first[run]
             verified = _rows_equal(
                 rows_bits(sf[member], ss[member]),

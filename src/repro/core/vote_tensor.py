@@ -22,16 +22,25 @@ Honest replicas of a file are bit-identical by construction (the paper's
 exact-voting premise), so the round's ``(f, r, d)`` tensor carries only
 ``f`` distinct rows until an attack or fault rewrites a slot.
 :meth:`VoteTensor.from_honest` therefore builds a *lazy* tensor: one shared
-``(f, d)`` base matrix plus a per-(file, slot) override store that
-materializes rows only when they are actually written
-(:meth:`write_slots` / :meth:`set_vote` and friends).  A clean round — and
-the ``q = 0`` iterations of any attacked run — never copies a single
-replica.  Consumers that need the full dense cube can still read
-:attr:`values`; doing so materializes the tensor **once** and permanently
-switches it to dense mode so subsequent in-place writes through the array
-are never lost.  The vectorized majority kernel instead uses
-:meth:`touched_files` / :meth:`materialize_files` to densify only the files
-an adversary actually touched.
+``(f, d)`` base matrix plus a *payload table* — a store of written rows and
+an ``(f, r)`` map from slot to row id (``-1`` = the honest base).  A clean
+round — and the ``q = 0`` iterations of any attacked run — never copies a
+single replica.
+
+The paper's adversary colludes: every Byzantine worker returns the same
+crafted vector.  A write whose payload broadcasts over the selection (a
+scalar or one ``(d,)`` vector — what the colluding attacks and
+:meth:`zero_slots` pass) therefore stores **one** row and points every
+selected slot at it.  The aliasing rule that makes this safe: a stored row
+is never written again.  Every write — shared, per-slot ``(m, d)``, or the
+read-modify-write mutators — takes fresh rows and repoints the slots, so
+mutating one slot can never change what another slot reads.
+:meth:`override_table` exposes the table read-only; the exact-voting kernel
+uses it to compare and hash each distinct payload row once.
+
+Consumers that need the full dense cube can still read :attr:`values`;
+doing so materializes the tensor **once** and permanently switches it to
+dense mode so subsequent in-place writes through the array are never lost.
 
 Adapters (:meth:`VoteTensor.from_file_votes` / :meth:`VoteTensor.to_file_votes`)
 convert between the tensor and the legacy representation so existing
@@ -75,7 +84,8 @@ class VoteTensor:
         "_base",
         "_slot_map",
         "_store",
-        "_num_overrides",
+        "_num_rows",
+        "_read_only",
     )
 
     def __init__(
@@ -102,7 +112,8 @@ class VoteTensor:
         self._base: np.ndarray | None = None
         self._slot_map: np.ndarray | None = None
         self._store: np.ndarray | None = None
-        self._num_overrides = 0
+        self._num_rows = 0
+        self._read_only = False
 
     def _check_workers(self) -> None:
         workers = self.workers
@@ -163,16 +174,31 @@ class VoteTensor:
 
     @property
     def num_overridden_slots(self) -> int:
-        """How many (file, slot) rows have been materialized by writes.
+        """How many (file, slot) pairs read a written payload, not the base.
 
-        Always 0 for dense tensors; for lazy tensors this counts the
-        copy-on-write rows an attack/fault actually allocated — the ``q = 0``
-        fast path keeps it at zero for the whole round.
+        Always 0 for dense tensors; for lazy tensors this counts the slots an
+        attack/fault rewrote — the ``q = 0`` fast path keeps it at zero for
+        the whole round.  Slots that share one stored row each count; see
+        :attr:`num_override_rows` for what is actually allocated.
         """
         if self._dense is not None:
             return 0
         assert self._slot_map is not None
         return int((self._slot_map >= 0).sum())
+
+    @property
+    def num_override_rows(self) -> int:
+        """Payload rows allocated by writes (0 for dense tensors).
+
+        A payload shared by ``m`` slots is one row; rows orphaned by a later
+        write to the same slot still count — they stay allocated.
+        """
+        return 0 if self._dense is not None else self._num_rows
+
+    @property
+    def override_nbytes(self) -> int:
+        """Bytes held by the allocated payload rows (0 for dense tensors)."""
+        return self.num_override_rows * self.dim * self.dtype.itemsize
 
     @property
     def values(self) -> np.ndarray:
@@ -200,7 +226,8 @@ class VoteTensor:
         self._base = None
         self._slot_map = None
         self._store = None
-        self._num_overrides = 0
+        self._num_rows = 0
+        self._read_only = False
 
     # -- constructors --------------------------------------------------------
     @classmethod
@@ -233,7 +260,8 @@ class VoteTensor:
         tensor._base = matrix
         tensor._slot_map = np.full(workers.shape, -1, dtype=np.int64)
         tensor._store = np.empty((0, matrix.shape[1]), dtype=matrix.dtype)
-        tensor._num_overrides = 0
+        tensor._num_rows = 0
+        tensor._read_only = False
         return tensor
 
     @classmethod
@@ -300,24 +328,27 @@ class VoteTensor:
         return out
 
     # -- slot access (copy-on-write aware) -----------------------------------
-    def _override_rows(self, files: np.ndarray, slots: np.ndarray) -> np.ndarray:
-        """Store indices of the given lazy slots, allocating rows for new ones."""
-        assert self._slot_map is not None and self._store is not None
-        idx = self._slot_map[files, slots]
-        fresh = idx < 0
-        if fresh.any():
-            count = int(fresh.sum())
-            needed = self._num_overrides + count
-            if needed > self._store.shape[0]:
-                capacity = max(needed, 2 * self._store.shape[0], 8)
-                grown = np.empty((capacity, self.dim), dtype=self._store.dtype)
-                grown[: self._num_overrides] = self._store[: self._num_overrides]
-                self._store = grown
-            new_idx = np.arange(self._num_overrides, needed, dtype=np.int64)
-            self._slot_map[files[fresh], slots[fresh]] = new_idx
-            self._num_overrides = needed
-            idx = self._slot_map[files, slots]
-        return idx
+    def _fresh_rows(self, count: int) -> np.ndarray:
+        """Row ids of ``count`` newly allocated (uninitialized) payload rows.
+
+        Rows are append-only: a stored row is never handed out twice, which
+        is what lets any number of slots reference it.
+        """
+        assert self._store is not None
+        if self._read_only:
+            raise ConfigurationError(
+                "lazy subsets are read-only: they share the parent's payload "
+                "store; write through the parent tensor"
+            )
+        needed = self._num_rows + count
+        if needed > self._store.shape[0]:
+            capacity = max(needed, 2 * self._store.shape[0], 8)
+            grown = np.empty((capacity, self.dim), dtype=self._store.dtype)
+            grown[: self._num_rows] = self._store[: self._num_rows]
+            self._store = grown
+        ids = np.arange(self._num_rows, needed, dtype=np.int64)
+        self._num_rows = needed
+        return ids
 
     def write_slots(self, files, slots, rows) -> None:
         """Overwrite the given (file, slot) votes — the vectorized attack path.
@@ -325,8 +356,9 @@ class VoteTensor:
         ``rows`` broadcasts against the ``(m, d)`` selection: a scalar fills
         every coordinate, a ``(d,)`` vector is written to every selected
         slot, an ``(m, d)`` matrix writes one row per slot.  On a lazy
-        tensor only the selected slots are materialized (copy-on-write);
-        the shared honest base is never touched.
+        tensor a broadcast payload is stored once and shared by all selected
+        slots; per-slot matrices take one fresh row each.  Stored rows are
+        never rewritten and the shared honest base is never touched.
         """
         files = np.asarray(files, dtype=np.int64).ravel()
         slots = np.asarray(slots, dtype=np.int64).ravel()
@@ -335,24 +367,16 @@ class VoteTensor:
         if self._dense is not None:
             self._dense[files, slots] = rows
             return
-        assert self._store is not None
-        idx = self._override_rows(files, slots)
-        self._store[idx] = rows
+        assert self._store is not None and self._slot_map is not None
+        rows = np.asarray(rows)
+        shared = rows.ndim < 2 or rows.shape[0] == 1
+        ids = self._fresh_rows(1 if shared else files.size)
+        self._store[ids] = rows
+        self._slot_map[files, slots] = ids
 
     def read_slots(self, files, slots) -> np.ndarray:
         """The ``(m, d)`` payloads of the given (file, slot) pairs (a copy)."""
-        files = np.asarray(files, dtype=np.int64).ravel()
-        slots = np.asarray(slots, dtype=np.int64).ravel()
-        if self._dense is not None:
-            return self._dense[files, slots]
-        assert self._base is not None and self._slot_map is not None
-        out = self._base[files]
-        idx = self._slot_map[files, slots]
-        overridden = idx >= 0
-        if overridden.any():
-            assert self._store is not None
-            out[overridden] = self._store[idx[overridden]]
-        return out
+        return self.read_slots_block(files, slots, 0, self.dim)
 
     def add_to_slots(self, files, slots, rows) -> None:
         """Add ``rows`` to the given slots (read-modify-write, COW aware)."""
@@ -390,41 +414,41 @@ class VoteTensor:
         """
         if self._dense is not None:
             return self._dense[:, slot, :]
-        assert self._base is not None and self._slot_map is not None
-        idx = self._slot_map[:, slot]
-        overridden = idx >= 0
-        if not overridden.any():
-            view = self._base.view()
-            view.setflags(write=False)
-            return view
-        assert self._store is not None
-        out = self._base.copy()
-        out[overridden] = self._store[idx[overridden]]
-        return out
+        assert self._slot_map is not None
+        if not (self._slot_map[:, slot] >= 0).any():
+            return self.base_rows()
+        files = np.arange(self.num_files, dtype=np.int64)
+        return self.read_slots(files, np.full_like(files, slot))
 
-    def overridden_slots(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(files, slots)`` of every copy-on-write override, row-major order.
+    def override_table(
+        self,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The payload table: ``(files, slots, row_ids, payload_rows)``.
 
-        Only defined for lazy tensors: the pairs an attack or fault actually
-        wrote, sorted by (file, slot).  The exact-voting kernel uses this to
-        vote the touched files against the shared base without ever
-        materializing their replicas.
+        Only defined for lazy tensors.  ``files`` / ``slots`` list every
+        overridden (file, slot) pair in row-major order, ``row_ids[j]`` is
+        the row of ``payload_rows`` pair ``j`` reads, and ``payload_rows`` is
+        a read-only view of the store.  Slots written with one shared payload
+        carry the same row id, so the exact-voting kernel compares and
+        hashes each distinct row once — without materializing any replica.
         """
         if self._dense is not None:
             raise ConfigurationError(
-                "overridden_slots() is only defined for lazy (copy-on-write) "
+                "override_table() is only defined for lazy (copy-on-write) "
                 "tensors"
             )
-        assert self._slot_map is not None
+        assert self._slot_map is not None and self._store is not None
         files, slots = np.nonzero(self._slot_map >= 0)
-        return files, slots
+        payload_rows = self._store[: self._num_rows]
+        payload_rows.setflags(write=False)
+        return files, slots, self._slot_map[files, slots], payload_rows
 
     def touched_files(self) -> np.ndarray:
         """Sorted file indices with at least one overridden slot.
 
         Dense tensors report every file (any slot may have been written
-        through :attr:`values`); the majority kernel only calls this on lazy
-        tensors, where it bounds the work to the attacked/faulted files.
+        through :attr:`values`); on lazy tensors these are exactly the
+        attacked/faulted files.
         """
         if self._dense is not None:
             return np.arange(self.num_files, dtype=np.int64)
@@ -436,14 +460,9 @@ class VoteTensor:
         files = np.asarray(files, dtype=np.int64).ravel()
         if self._dense is not None:
             return self._dense[files]
-        assert self._base is not None and self._slot_map is not None
-        sub = np.repeat(self._base[files][:, None, :], self.replication, axis=1)
-        idx = self._slot_map[files]
-        fi, sl = np.nonzero(idx >= 0)
-        if fi.size:
-            assert self._store is not None
-            sub[fi, sl] = self._store[idx[fi, sl]]
-        return sub
+        r = self.replication
+        rows = self.read_slots(np.repeat(files, r), np.tile(np.arange(r), files.size))
+        return rows.reshape(files.size, r, self.dim)
 
     def base_rows(self) -> np.ndarray:
         """Read-only view of the shared honest base (lazy tensors only)."""
@@ -476,19 +495,32 @@ class VoteTensor:
 
         The blockwise counterpart of :meth:`read_slots`: only columns
         ``[lo, hi)`` of each selected row are gathered, so peak memory is
-        O(m · block) no matter how large ``d`` grows.
+        O(m · block) no matter how large ``d`` grows.  Every row is gathered
+        once, from where it lives (the payload store or the base).
         """
         files = np.asarray(files, dtype=np.int64).ravel()
         slots = np.asarray(slots, dtype=np.int64).ravel()
+        full_width = lo <= 0 and hi >= self.dim
         if self._dense is not None:
+            if full_width:
+                return self._dense[files, slots]
             return self._dense[files, slots, lo:hi]
         assert self._base is not None and self._slot_map is not None
-        out = self._base[files, lo:hi]
+        assert self._store is not None
+        # Plain row indexing at full width: mixed ``[rows, lo:hi]`` indexing
+        # takes NumPy's slower general gather.
+        base = self._base if full_width else self._base[:, lo:hi]
         idx = self._slot_map[files, slots]
         overridden = idx >= 0
-        if overridden.any():
-            assert self._store is not None
-            out[overridden] = self._store[idx[overridden], lo:hi]
+        if not overridden.any():
+            return base[files]
+        store = self._store if full_width else self._store[:, lo:hi]
+        if overridden.all():
+            return store[idx]
+        out = np.empty((files.size, base.shape[1]), dtype=base.dtype)
+        honest = ~overridden
+        out[honest] = base[files[honest]]
+        out[overridden] = store[idx[overridden]]
         return out
 
     def slot_subset(self, files, slots) -> "VoteTensor":
@@ -499,8 +531,9 @@ class VoteTensor:
         subset shares the override store and only gathers the selected base
         rows and slot-map entries, so no replica cube is ever built.  The
         hierarchical topology uses this to hand each group its local
-        sub-VoteTensor without densifying.  Lazy subsets share the parent's
-        override store and are meant to be read (voted over), not written.
+        sub-VoteTensor without densifying.  A lazy subset is read-only:
+        writing through it would allocate rows in a store the parent also
+        allocates from, so every write raises :class:`ConfigurationError`.
         """
         files = np.asarray(files, dtype=np.int64).ravel()
         slots = np.asarray(slots, dtype=np.int64).ravel()
@@ -520,7 +553,8 @@ class VoteTensor:
         sub._base = self._base if all_files else np.ascontiguousarray(self._base[files])
         sub._slot_map = np.ascontiguousarray(self._slot_map[np.ix_(files, slots)])
         sub._store = self._store
-        sub._num_overrides = self._num_overrides
+        sub._num_rows = self._num_rows
+        sub._read_only = True
         return sub
 
     # -- mutation ------------------------------------------------------------
@@ -572,8 +606,9 @@ class VoteTensor:
         clone._dense = None
         clone._base = self._base
         clone._slot_map = self._slot_map.copy()
-        clone._store = self._store[: self._num_overrides].copy()
-        clone._num_overrides = self._num_overrides
+        clone._store = self._store[: self._num_rows].copy()
+        clone._num_rows = self._num_rows
+        clone._read_only = False
         return clone
 
     def __repr__(self) -> str:  # pragma: no cover - trivial

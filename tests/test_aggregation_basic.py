@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.aggregation.mean import MeanAggregator
 from repro.aggregation.median import CoordinateWiseMedian
@@ -32,6 +34,35 @@ def test_median_matches_numpy():
     rng = np.random.default_rng(1)
     votes = rng.standard_normal((7, 10))
     assert np.allclose(CoordinateWiseMedian()(votes), np.median(votes, axis=0))
+
+
+#: values whose order statistics are delicate: signed zeros, duplicates and
+#: the +-1e30 magnitudes Aggregator.__call__ clamps non-finite entries to
+_MEDIAN_ALPHABET = (0.0, -0.0, 1.0, 1.0, -1.0, 0.5, 1e30, -1e30, np.inf, -np.inf, np.nan)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 12),
+    d=st.sampled_from([1, 7, 4097]),
+    dtype=st.sampled_from([np.float32, np.float64]),
+    alphabet_share=st.sampled_from([0.0, 0.5, 1.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_median_equals_numpy_byte_for_byte(n, d, dtype, alphabet_share, seed):
+    rng = np.random.default_rng(seed)
+    votes = rng.standard_normal((n, d))
+    from_alphabet = rng.random((n, d)) < alphabet_share
+    votes[from_alphabet] = rng.choice(_MEDIAN_ALPHABET, size=int(from_alphabet.sum()))
+    votes = votes.astype(dtype)
+    clamped = np.nan_to_num(votes, nan=0.0, posinf=1e30, neginf=-1e30)
+    expected = np.median(clamped, axis=0)
+    before = votes.copy()
+    for layout in (votes, np.asfortranarray(votes)):
+        result = CoordinateWiseMedian()(layout)
+        assert result.dtype == expected.dtype
+        assert result.tobytes() == expected.tobytes()
+    assert votes.tobytes() == before.tobytes()  # the input is never partitioned in place
 
 
 def test_median_is_robust_to_single_outlier():

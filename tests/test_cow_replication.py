@@ -382,3 +382,141 @@ def test_lazy_majority_survives_hash_collisions(monkeypatch, mols_assignment):
         dw, dc = majority_vote_tensor(dense_values)
         np.testing.assert_array_equal(lw, dw)
         np.testing.assert_array_equal(lc, dc)
+
+
+# --------------------------------------------------------------------------- #
+# Payload table: shared rows, the aliasing rule, content classes
+# --------------------------------------------------------------------------- #
+def test_shared_payload_allocates_one_row(mols_assignment):
+    lazy, dense, _ = make_pair(mols_assignment, seed=4)
+    files = np.array([0, 3, 3, 9], dtype=np.int64)
+    slots = np.array([1, 0, 2, 1], dtype=np.int64)
+    payload = np.arange(DIM, dtype=np.float64)
+    for tensor in (lazy, dense):
+        tensor.write_slots(files, slots, payload)
+    assert lazy.num_overridden_slots == 4  # slots, not rows
+    assert lazy.num_override_rows == 1
+    assert lazy.override_nbytes == DIM * 8
+    _, _, row_ids, rows = lazy.override_table()
+    assert row_ids.tolist() == [0, 0, 0, 0]
+    assert not rows.flags.writeable
+    assert_tensors_identical(lazy, dense)
+    # a scalar fill is one row too; an (m, d) matrix is one row per slot
+    lazy.zero_slots([5, 6], [0, 0])
+    assert lazy.num_override_rows == 2
+    lazy.write_slots([7, 8], [0, 0], np.ones((2, DIM)))
+    assert lazy.num_override_rows == 4
+    assert lazy.num_overridden_slots == 8
+    assert (dense.num_override_rows, dense.override_nbytes) == (0, 0)
+
+
+@pytest.mark.parametrize("mutator", ["scale_slots", "add_to_slots", "set_vote"])
+def test_mutating_one_shared_slot_leaves_the_others_untouched(mols_assignment, mutator):
+    """The CorruptionInjector path after a colluding attack: one of m slots
+    sharing a stored row is rewritten; the other m - 1 must not change."""
+    lazy, dense, _ = make_pair(mols_assignment, seed=6)
+    files = np.array([1, 2, 4, 4], dtype=np.int64)
+    slots = np.array([0, 1, 0, 2], dtype=np.int64)
+    payload = np.random.default_rng(8).standard_normal(DIM)
+    for tensor in (lazy, dense):
+        tensor.write_slots(files, slots, payload)
+        if mutator == "scale_slots":
+            tensor.scale_slots([2], [1], -3.0)
+        elif mutator == "add_to_slots":
+            tensor.add_to_slots([2], [1], np.full(DIM, 0.25))
+        else:
+            tensor.set_vote(2, int(tensor.workers[2, 1]), np.full(DIM, 9.0))
+    others = lazy.read_slots(files[[0, 2, 3]], slots[[0, 2, 3]])
+    assert all(np.array_equal(row, payload) for row in others)
+    assert not np.array_equal(lazy.read_slots([2], [1])[0], payload)
+    assert_tensors_identical(lazy, dense)
+
+
+def test_lazy_subset_is_read_only(mols_assignment):
+    """Regression: a write through a lazy subset used to land in the parent's
+    store, where the parent's next allocation overwrote it."""
+    lazy, _, matrix = make_pair(mols_assignment, seed=5)
+    lazy.write_slots([0], [0], 1.0)
+    sub = lazy.slot_subset(np.arange(lazy.num_files), np.array([0, 1]))
+    for write in (
+        lambda: sub.write_slots([3], [1], 5.0),
+        lambda: sub.zero_slots([3], [1]),
+        lambda: sub.scale_slots([3], [1], 2.0),
+        lambda: sub.add_to_slots([3], [1], 1.0),
+        lambda: sub.set_vote(3, int(sub.workers[3, 1]), np.zeros(DIM)),
+    ):
+        with pytest.raises(ConfigurationError, match="read-only"):
+            write()
+    lazy.write_slots([4], [2], 7.0)
+    assert np.array_equal(sub.read_slots([3], [1])[0], matrix[3])
+    assert np.all(sub.read_slots([0], [0]) == 1.0)
+    # a dense subset is an independent copy and stays writable
+    lazy.values
+    dense_sub = lazy.slot_subset(np.arange(lazy.num_files), np.array([0, 1]))
+    dense_sub.write_slots([3], [1], 5.0)
+    assert np.array_equal(lazy.read_slots([3], [1])[0], matrix[3])
+
+
+def test_block_reads_gather_each_row_from_where_it_lives(mols_assignment):
+    lazy, dense, _ = make_pair(mols_assignment, seed=9)
+    for tensor in (lazy, dense):
+        tensor.write_slots([2, 5], [0, 1], np.full(DIM, 4.0))
+        tensor.write_slots([5], [2], np.arange(DIM, dtype=np.float64))
+    files = np.array([5, 2, 5, 0, 2, 5], dtype=np.int64)  # base and store mixed
+    slots = np.array([2, 0, 1, 1, 2, 0], dtype=np.int64)
+    for sel in (slice(None), slice(0, 2), slice(3, 4)):  # mixed / all store / all base
+        for lo, hi in ((0, DIM), (2, 5), (DIM - 1, DIM)):
+            got = lazy.read_slots_block(files[sel], slots[sel], lo, hi)
+            want = dense.read_slots_block(files[sel], slots[sel], lo, hi)
+            assert np.array_equal(got, want)
+    assert np.array_equal(lazy.read_slots(files, slots), dense.read_slots(files, slots))
+    assert np.array_equal(lazy.materialize_files([5, 0]), dense.materialize_files([5, 0]))
+
+
+def test_separately_written_equal_rows_land_in_one_class(mols_assignment):
+    from repro.aggregation.majority import majority_vote_votetensor, override_content_ids
+
+    lazy, _, matrix = make_pair(mols_assignment, seed=12)
+    lazy.zero_slots([3], [0])
+    lazy.zero_slots([3], [2])  # a second, separately stored all-zero row
+    lazy.write_slots([6], [1], matrix[6])  # an override equal to its base
+    assert lazy.num_override_rows == 3
+    cid = override_content_ids(lazy)
+    assert cid[3, 0] == cid[3, 2] != 0
+    assert cid[3, 1] == 0 and not cid[6].any()
+    assert np.count_nonzero(cid) == 2
+    winners, counts = majority_vote_votetensor(lazy)
+    assert counts[3] == 2 and not winners[3].any()
+    assert counts[6] == 3 and np.array_equal(winners[6], matrix[6])
+
+
+@pytest.mark.parametrize("block_size", [None, 3])
+def test_forced_hash_collision_with_shared_and_distinct_rows(
+    monkeypatch, mols_assignment, block_size
+):
+    """All hashes equal: rows sharing storage, distinct rows with equal bytes
+    and distinct rows with different bytes must still be classed exactly."""
+    from repro.aggregation import majority as majority_module
+    from repro.aggregation.majority import (
+        majority_vote_tensor,
+        majority_vote_votetensor,
+        override_content_ids,
+    )
+
+    monkeypatch.setitem(majority_module._HASH_WEIGHTS, DIM, np.zeros(DIM, dtype=np.uint64))
+    lazy, _, _ = make_pair(mols_assignment, seed=13)
+    a, b = np.full(DIM, 1.5), np.full(DIM, -2.5)
+    lazy.write_slots([0, 0, 1], [0, 1, 0], a)  # one shared row, colliding slots share it
+    lazy.write_slots([1], [1], a.copy())  # same bytes, its own row
+    lazy.write_slots([0, 2], [2, 0], b)  # different bytes, same (forced) hash
+    lazy.write_slots([2], [1], b + 1.0)
+    cid = override_content_ids(lazy, block_size)
+    assert cid[0, 0] == cid[0, 1] == cid[1, 0] == cid[1, 1] != 0
+    assert cid[0, 2] == cid[2, 0] != 0
+    assert len({int(cid[0, 0]), int(cid[0, 2]), int(cid[2, 1]), 0}) == 4
+    dense_values = lazy.materialize_files(np.arange(lazy.num_files))
+    lw, lc = majority_vote_votetensor(lazy, block_size=block_size)
+    dw, dc = majority_vote_tensor(dense_values)
+    np.testing.assert_array_equal(lw, dw)
+    np.testing.assert_array_equal(lc, dc)
+    assert lc[0] == 2 and np.array_equal(lw[0], a)

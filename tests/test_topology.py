@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.aggregation.majority import majority_vote_votetensor
+from repro.aggregation.majority import majority_vote_tensor, majority_vote_votetensor
 from repro.aggregation.median import CoordinateWiseMedian
 from repro.assignment.frc import FRCAssignment
 from repro.assignment.mols import MOLSAssignment
@@ -44,6 +44,28 @@ def make_round(assignment, byzantine_workers=(), seed=0, dense=False, dim=DIM):
         tensor.values  # materializes; drops the COW structure
         assert not tensor.is_lazy
     return tensor, honest
+
+
+def make_interned_round(assignment, byzantine_workers, rng, dim=200):
+    """An attacked round whose overrides share stored rows (a lazy tensor).
+
+    One colluding payload across every Byzantine slot, a second payload
+    shared by the first two adversaries (written later, so it orphans part
+    of the first), a crash-style ``zero_slots`` over one worker's slots, one
+    override equal to its base row and one per-slot noise row.
+    """
+    honest = rng.standard_normal((assignment.num_files, dim))
+    tensor = VoteTensor.from_honest(assignment, honest)
+    workers = tensor.workers
+    files, slots = np.nonzero(np.isin(workers, byzantine_workers))
+    tensor.write_slots(files, slots, rng.standard_normal(dim))
+    files2, slots2 = np.nonzero(np.isin(workers, byzantine_workers[:2]))
+    tensor.write_slots(files2[::2], slots2[::2], np.full(dim, -0.0))
+    crashed, crashed_slots = np.nonzero(workers == byzantine_workers[-1])
+    tensor.zero_slots(crashed[:3], crashed_slots[:3])
+    tensor.write_slots(files[:1], slots[:1], honest[files[0]])
+    tensor.add_to_slots(files[-1:], slots[-1:], rng.standard_normal(dim))
+    return tensor
 
 
 # --------------------------------------------------------------------------- #
@@ -132,6 +154,33 @@ class TestHierarchicalBitIdentity:
             hier_w, hier_c = hierarchical_majority_vote(tensor, topo)
             assert np.array_equal(hier_w, flat_w)
             assert np.array_equal(hier_c, flat_c)
+
+    @pytest.mark.parametrize("scheme_name,make", SCHEMES, ids=[s[0] for s in SCHEMES])
+    @pytest.mark.parametrize("block_size", [None, 64])
+    @pytest.mark.parametrize("num_groups", [2, 3, 5])
+    def test_interned_payloads_match_flat_and_dense(
+        self, scheme_name, make, block_size, num_groups
+    ):
+        """Colluding (shared-row) overrides: flat ≡ hierarchical ≡ dense kernel."""
+        assignment = make()
+        topo = GroupTopology(assignment.num_workers, num_groups)
+        for trial in range(4):
+            rng = np.random.default_rng(77 * num_groups + trial)
+            q = int(rng.integers(2, assignment.num_workers // 2 + 1))
+            byz = rng.choice(assignment.num_workers, size=q, replace=False)
+            tensor = make_interned_round(assignment, byz, rng)
+            assert tensor.is_lazy
+            row_ids = tensor.override_table()[2]
+            # FRC workers hold one file each: too few slots to share a row
+            assert scheme_name == "frc" or np.unique(row_ids).size < row_ids.size
+            dense_w, dense_c = majority_vote_tensor(
+                tensor.materialize_files(np.arange(tensor.num_files))
+            )
+            flat_w, flat_c = majority_vote_votetensor(tensor, 0.0, block_size=block_size)
+            hier_w, hier_c = hierarchical_majority_vote(tensor, topo, block_size=block_size)
+            for winners, counts in ((flat_w, flat_c), (hier_w, hier_c)):
+                assert np.array_equal(winners, dense_w)
+                assert np.array_equal(counts, dense_c)
 
     @pytest.mark.parametrize("block_size", [1, 7, 10**6])
     def test_blockwise_matches_monolithic(self, mols_assignment, block_size):

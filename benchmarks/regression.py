@@ -35,11 +35,7 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from repro.aggregation.bulyan import BulyanAggregator
 from repro.aggregation.krum import MultiKrumAggregator
-from repro.aggregation.majority import (
-    _reference_exact_majority,
-    majority_vote_tensor,
-    majority_vote_votetensor,
-)
+from repro.aggregation.majority import majority_vote_tensor, majority_vote_votetensor
 from repro.aggregation.median import CoordinateWiseMedian
 from repro.assignment.ramanujan import RamanujanAssignment
 from repro.cluster.events import AsyncRuntime, EventDrivenRound, base_arrival_times
@@ -170,9 +166,10 @@ def hierarchical_vote_kernels() -> dict:
     all files share one group signature), d=20k coordinates, with a colluding
     payload in 12 of the corrupted files' copies.  All four kernels produce
     bit-identical (winners, counts); they differ in wall-clock and peak
-    memory — the hierarchical kernels label 8 workers per group at a time and
-    the blockwise variants stream 4096-coordinate blocks, so the O(f.r.d)
-    comparison temporary of the flat monolithic kernel never materializes.
+    memory — the hierarchical kernels merge per-group (8 workers) histograms
+    of the content-id matrix, and the blockwise variants stream
+    4096-coordinate blocks, so the O(f.r.d) comparison temporary of the
+    monolithic labeling never materializes.
     """
     f, r, dim = 16, 64, 20_000
     rng = np.random.default_rng(7)
@@ -264,7 +261,6 @@ def adaptive_attack_kernels() -> dict:
     assignment = RamanujanAssignment(m=5, s=5).assignment
     dim = 11_274  # match the replication kernels' MLP-sized gradients
     honest = np.random.default_rng(11).standard_normal((assignment.num_files, dim))
-    gradients = {i: honest[i] for i in range(honest.shape[0])}
     byzantine = tuple(range(5))  # q=5 of K=25
     pipeline = ByzShieldPipeline(assignment, validate=False)
 
@@ -274,10 +270,9 @@ def adaptive_attack_kernels() -> dict:
         context = AttackContext(
             assignment=assignment,
             byzantine_workers=byzantine,
-            honest_file_gradients=gradients,
+            honest_matrix=honest,
             iteration=0,
             rng=np.random.default_rng(13),
-            honest_matrix=honest,
         )
         attack.apply_tensor(context, tensor)
         return pipeline.aggregate_tensor(tensor)
@@ -341,7 +336,6 @@ def build_kernels() -> dict:
     pipeline_tensor = VoteTensor.from_honest(
         assignment, np.random.default_rng(1).standard_normal((assignment.num_files, 10_000))
     )
-    pipeline_votes = pipeline_tensor.to_file_votes()
 
     kernels = {
         "majority_vote_tensor_exact_f25_r5_d10k": lambda: majority_vote_tensor(
@@ -353,15 +347,8 @@ def build_kernels() -> dict:
         "dtype_float32_majority_exact_f25_r5_d10k": lambda: majority_vote_tensor(
             round_tensor_f32
         ),
-        "majority_vote_legacy_per_file_f25_r5_d10k": lambda: [
-            _reference_exact_majority(round_tensor[i])
-            for i in range(round_tensor.shape[0])
-        ],
         "byzshield_aggregate_tensor_f25_r5_d10k": lambda: pipeline.aggregate_tensor(
             pipeline_tensor
-        ),
-        "byzshield_aggregate_dict_f25_r5_d10k": lambda: pipeline.aggregate(
-            pipeline_votes
         ),
         "coordinate_median_25x20k": lambda: median(votes),
         "multi_krum_25x20k": lambda: krum(votes),
@@ -427,13 +414,10 @@ def compare_to_baseline(results: dict, baseline_path: pathlib.Path, tolerance: f
 
 
 def report_speedups(results: dict) -> None:
-    """Print the vectorized-vs-legacy headline ratios of the snapshot."""
-    tensor = results["majority_vote_tensor_exact_f25_r5_d10k"]["min_s"]
-    legacy = results["majority_vote_legacy_per_file_f25_r5_d10k"]["min_s"]
-    print(f"\nvectorized majority vote speedup vs legacy loop: {legacy / tensor:.2f}x")
+    """Print the headline ratios of the snapshot."""
     cow = results["replication_cow_round_f25_r5_d11k"]["min_s"]
     dense = results["replication_materialized_round_f25_r5_d11k"]["min_s"]
-    print(f"copy-on-write replication speedup vs materialized: {dense / cow:.2f}x")
+    print(f"\ncopy-on-write replication speedup vs materialized: {dense / cow:.2f}x")
     cow32 = results["dtype_float32_cow_round_f25_r5_d11k"]["min_s"]
     dense32 = results["dtype_float32_materialized_round_f25_r5_d11k"]["min_s"]
     print(

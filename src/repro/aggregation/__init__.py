@@ -16,11 +16,7 @@ from repro.aggregation.base import Aggregator
 from repro.aggregation.bulyan import BulyanAggregator
 from repro.aggregation.geometric_median import GeometricMedianAggregator
 from repro.aggregation.krum import KrumAggregator, MultiKrumAggregator
-from repro.aggregation.majority import (
-    MajorityVote,
-    majority_vote,
-    majority_vote_tensor,
-)
+from repro.aggregation.majority import majority_vote_tensor
 from repro.aggregation.mean import MeanAggregator
 from repro.aggregation.median import CoordinateWiseMedian
 from repro.aggregation.median_of_means import MedianOfMeansAggregator
@@ -45,8 +41,6 @@ __all__ = [
     "GeometricMedianAggregator",
     "SignSGDMajorityAggregator",
     "AurorAggregator",
-    "MajorityVote",
-    "majority_vote",
     "majority_vote_tensor",
     "available_aggregators",
     "create_aggregator",

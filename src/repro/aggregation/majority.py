@@ -7,32 +7,29 @@ paper's implementation note), so exact-equality voting suffices; a tolerance
 is supported for robustness against floating-point jitter, implemented by
 greedy leader clustering of votes whose distance is below the tolerance.
 
-The module exposes two entry points backed by one vectorized kernel:
+:func:`majority_vote_tensor` votes all ``f`` files of a round at once from
+an ``(f, r, d)`` array, without per-file Python loops.  Both voting modes
+start from a shared bit-equality *label matrix*: one vectorized anchor sweep
+comparing every slot to its file's slot 0 (which alone settles a fully
+honest round), plus 64-bit positional hashing of the few slots that mismatch
+their anchor, each group verified against its first member so a hash
+collision can never corrupt the result.  Exact voting resolves winners
+directly from the tiny ``(f, r)`` label matrix; tolerance voting runs greedy
+leader clustering over the per-file *unique* values only (typically one or
+two classes instead of ``r`` slots).
 
-* :func:`majority_vote_tensor` — votes all ``f`` files of a round at once
-  from an ``(f, r, d)`` tensor, without per-file Python loops.  Both voting
-  modes start from a shared bit-equality *label matrix*: one vectorized
-  anchor sweep comparing every slot to its file's slot 0 (which alone settles
-  a fully honest round), plus 64-bit positional hashing of the few slots that
-  mismatch their anchor, each group verified against its first member so a
-  hash collision can never corrupt the result.  Exact voting resolves
-  winners directly from the tiny ``(f, r)`` label matrix; tolerance voting
-  runs greedy leader clustering over the per-file *unique* values only
-  (typically one or two classes instead of ``r`` slots).
-* :func:`majority_vote` — the legacy single-file API, now a thin wrapper
-  over the tensor kernel on an ``(1, r, d)`` view.
+The pipelines enter through :func:`majority_vote_votetensor`.  For a lazy
+copy-on-write tensor it never builds the ``(f, r, d)`` cube:
+:func:`override_content_ids` classes the override payloads once — per
+distinct stored row, not per slot — into an ``(f, r)`` integer matrix, and
+the winners resolve from those integers.  The hierarchical vote in
+:mod:`repro.cluster.topology` starts from the same matrix (a dense tensor's
+label matrix serves as its ids); there is no second implementation of
+payload classing.
 
-Lazy copy-on-write tensors go through :func:`majority_vote_votetensor`,
-which never builds the ``(f, r, d)`` cube: :func:`override_content_ids`
-classes the override payloads once — per distinct stored row, not per slot —
-into an ``(f, r)`` integer matrix, and the winners resolve from those
-integers.  The hierarchical vote in :mod:`repro.cluster.topology` starts
-from the same matrix; there is no second implementation of override
-classing.
-
-``_reference_exact_majority`` / ``_reference_clustered_majority`` keep the
-original pure-Python implementations; the equivalence tests and the benchmark
-regression harness use them as the semantic and performance baseline.
+``_reference_exact_majority`` / ``_reference_clustered_majority`` are the
+pure-Python single-file oracles the kernels are tested and benchmarked
+against.
 """
 
 from __future__ import annotations
@@ -41,15 +38,13 @@ import numpy as np
 
 from repro.core.backend import bit_view_dtype, ensure_float
 from repro.exceptions import AggregationError
-from repro.utils.arrays import block_ranges, stack_vectors
+from repro.utils.arrays import block_ranges
 from repro.utils.rng import as_generator
 
 __all__ = [
-    "majority_vote",
     "majority_vote_tensor",
     "majority_vote_votetensor",
     "override_content_ids",
-    "MajorityVote",
     "validate_tolerance",
     "validate_block_size",
 ]
@@ -79,8 +74,8 @@ _block_ranges = block_ranges
 
 
 # --------------------------------------------------------------------------- #
-# Reference (legacy) single-file implementations — kept as the baseline the
-# vectorized kernel is tested and benchmarked against.
+# Reference single-file implementations — the oracles the vectorized kernel
+# is tested and benchmarked against.
 # --------------------------------------------------------------------------- #
 def _reference_exact_majority(matrix: np.ndarray) -> tuple[np.ndarray, int]:
     """Majority by exact byte equality; returns (winner, count)."""
@@ -415,13 +410,19 @@ def _row_bits(bits: np.ndarray, rows: np.ndarray):
     return lambda lo, hi: bits[rows] if hi - lo == d else bits[rows, lo:hi]
 
 
+def _dense_values(tensor) -> np.ndarray:
+    """The vote kernels' one densification point (see the two callers)."""
+    return tensor.values  # repro-lint: disable=COW-001 (no-copy view of a dense tensor; a lazy one densifies only for tolerance voting, whose cluster means need the full slot layout)
+
+
 def override_content_ids(tensor, block_size: int | None = None) -> np.ndarray:
-    """``(f, r)`` content ids of a lazy :class:`VoteTensor` (0 = honest base).
+    """``(f, r)`` content ids of a :class:`VoteTensor`'s slots.
 
     Two slots of a file hold bit-equal payloads iff their ids are equal, so
     the exact vote — flat or hierarchical — is integer work on this matrix.
-    This is the only place override payloads are classed, and it reads the
-    tensor's payload table so shared payloads cost one pass, not one per
+    A dense tensor's ids are its smallest-equal-slot labels
+    (:func:`_bit_label_matrix`).  A lazy tensor's ids (0 = honest base) come
+    from its payload table, so shared payloads cost one pass, not one per
     slot: equality with the base is decided once per distinct (payload row,
     file) pair, the 64-bit positional hash is taken once per distinct row
     that differs from its base, and rows with equal hashes are byte-compared
@@ -432,6 +433,8 @@ def override_content_ids(tensor, block_size: int | None = None) -> np.ndarray:
     and the verification in coordinate blocks: O(M · block) temporaries for
     ``M`` distinct pairs, bit-identical to the monolithic pass.
     """
+    if not tensor.is_lazy:
+        return _bit_label_matrix(_dense_values(tensor), block_size=block_size)
     f, r, d = tensor.shape
     cid = np.zeros((f, r), dtype=np.int64)
     files, slots, rows, payloads = tensor.override_table()
@@ -517,11 +520,9 @@ def majority_vote_votetensor(
     """
     tolerance = validate_tolerance(tolerance)
     block_size = validate_block_size(block_size)
-    if not getattr(tensor, "is_lazy", False) or tolerance != 0.0:
+    if not tensor.is_lazy or tolerance != 0.0:
         return majority_vote_tensor(
-            tensor.values,  # repro-lint: disable=COW-001 (dense fallback: .values is a no-copy view for non-lazy tensors)
-            tolerance=tolerance,
-            block_size=block_size,
+            _dense_values(tensor), tolerance=tolerance, block_size=block_size
         )
     f, r, _ = tensor.shape
     if r == 0:
@@ -538,46 +539,3 @@ def majority_vote_votetensor(
     if fix.size:
         winners[touched[fix]] = tensor.read_slots(touched[fix], best_slot[fix])
     return winners, counts
-
-
-def majority_vote(votes, tolerance: float = 0.0) -> tuple[np.ndarray, int]:
-    """Return ``(winning gradient, vote count)`` among the replicated copies.
-
-    Parameters
-    ----------
-    votes:
-        The ``r`` gradients returned for one file (sequence of vectors or an
-        ``(r, d)`` matrix).
-    tolerance:
-        Zero (default) selects exact-equality voting; a positive value groups
-        votes within Euclidean distance ``tolerance`` of a cluster
-        representative and returns the mean of the winning cluster.
-    """
-    matrix = votes if isinstance(votes, np.ndarray) and votes.ndim == 2 else stack_vectors(votes)
-    matrix = ensure_float(matrix)
-    if matrix.shape[0] == 0:
-        raise AggregationError("majority vote needs at least one vote")
-    winners, counts = majority_vote_tensor(matrix[None, :, :], tolerance=tolerance)
-    return winners[0], int(counts[0])
-
-
-class MajorityVote:
-    """Callable wrapper around :func:`majority_vote` returning only the gradient."""
-
-    def __init__(self, tolerance: float = 0.0) -> None:
-        self.tolerance = validate_tolerance(tolerance)
-
-    def __call__(self, votes) -> np.ndarray:
-        winner, _ = majority_vote(votes, tolerance=self.tolerance)
-        return winner
-
-    def with_count(self, votes) -> tuple[np.ndarray, int]:
-        """Return both the winning gradient and how many votes it received."""
-        return majority_vote(votes, tolerance=self.tolerance)
-
-    def tensor(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Vote all files of an ``(f, r, d)`` tensor at this tolerance."""
-        return majority_vote_tensor(values, tolerance=self.tolerance)
-
-    def __repr__(self) -> str:  # pragma: no cover - trivial
-        return f"MajorityVote(tolerance={self.tolerance})"

@@ -23,8 +23,7 @@ coefficients, the median under insertion is a ``searchsorted`` lookup into
 presorted honest values and the trimmed mean a prefix-sum expression.  That
 keeps a full adaptive round within a small factor of a constant-attack
 round (gated in ``benchmarks/regression.py``), and makes every attack here
-fully deterministic: no RNG is consumed, so the vectorized
-``apply_tensor`` path is trivially stream-identical to the dict adapter.
+fully deterministic: no RNG is consumed.
 """
 
 from __future__ import annotations
@@ -67,26 +66,7 @@ def _pairwise_sq_distances(matrix: np.ndarray) -> np.ndarray:
     return pair
 
 
-class _CollusivePayloadAttack(Attack):
-    """Shared plumbing: one crafted vector written to every Byzantine cell."""
-
-    def __init__(self) -> None:
-        self._crafted: np.ndarray | None = None
-
-    def craft(self, context: AttackContext, worker: int, file: int) -> np.ndarray:
-        if self._crafted is None:
-            raise AttackError("prepare() was not called before craft()")
-        return self._crafted.copy()
-
-    def apply_tensor(self, context: AttackContext, tensor) -> None:
-        if context.num_byzantine == 0:
-            return
-        self.prepare(context)
-        files, slots = np.nonzero(tensor.byzantine_mask)
-        tensor.write_slots(files, slots, self._crafted)
-
-
-class FangAdaptiveAttack(_CollusivePayloadAttack):
+class FangAdaptiveAttack(Attack):
     """Defense-aware payload search in the style of Fang et al. (2020).
 
     Parameters
@@ -120,7 +100,6 @@ class FangAdaptiveAttack(_CollusivePayloadAttack):
         trim: int | None = None,
         rtol: float = 0.05,
     ) -> None:
-        super().__init__()
         if defense not in self.DEFENSES:
             raise AttackError(
                 f"unknown defense {defense!r}; expected one of {self.DEFENSES}"
@@ -141,18 +120,16 @@ class FangAdaptiveAttack(_CollusivePayloadAttack):
         self.trim = None if trim is None else int(trim)
         self.rtol = float(rtol)
 
-    def prepare(self, context: AttackContext) -> None:
+    def payload(self, context: AttackContext) -> np.ndarray:
         honest = np.asarray(context.stacked_honest_gradients(), dtype=DEFAULT_DTYPE)
         mu = honest.mean(axis=0)
         if context.num_byzantine == 0:
-            self._crafted = mu.copy()
-            return
+            return mu
         corrupted = _corrupted_file_indices(context)
         sign = np.where(mu >= 0.0, 1.0, -1.0)
         if self.defense == "krum":
-            self._crafted = self._krum_payload(honest, corrupted, mu, sign)
-        else:
-            self._crafted = self._coordinate_payload(honest, corrupted, mu, sign)
+            return self._krum_payload(honest, corrupted, mu, sign)
+        return self._coordinate_payload(honest, corrupted, mu, sign)
 
     # -- Krum: halving search for the largest λ whose payload is selected --
 
@@ -271,13 +248,13 @@ class FangAdaptiveAttack(_CollusivePayloadAttack):
         k = int(corrupted.size)
         uncorrupted = np.setdiff1d(np.arange(f), corrupted)
         reference = honest[uncorrupted] if uncorrupted.size else honest
-        ref = np.ascontiguousarray(reference.T)  # (d, n_ref)
+        ref = np.array(reference.T, order="C")  # (d, n_ref), always a copy: sorted in place
         ref.sort(axis=1)
         n_ref = ref.shape[1]
         low = np.ascontiguousarray(ref[:, 0])
         high = np.ascontiguousarray(ref[:, -1])
         spread = np.maximum(high - low, 1e-12)
-        hon = np.ascontiguousarray(honest.T)
+        hon = np.array(honest.T, order="C")
         hon.sort(axis=1)
         mid_low, mid_high = (f - 1) // 2, f // 2
         baseline = 0.5 * (hon[:, mid_low] + hon[:, mid_high])
@@ -397,7 +374,7 @@ class FangAdaptiveAttack(_CollusivePayloadAttack):
         return (first + second + count * payload) / (n - 2 * trim)
 
 
-class _OptimizedDeviationAttack(_CollusivePayloadAttack):
+class _OptimizedDeviationAttack(Attack):
     """Shared bisection harness for the AGR-agnostic min-max/min-sum pair.
 
     The payload is ``µ + γ·u`` for a fixed perturbation direction ``u``;
@@ -414,7 +391,6 @@ class _OptimizedDeviationAttack(_CollusivePayloadAttack):
         gamma_init: float = 10.0,
         num_steps: int = 10,
     ) -> None:
-        super().__init__()
         if direction not in self.DIRECTIONS:
             raise AttackError(
                 f"unknown direction {direction!r}; expected one of {self.DIRECTIONS}"
@@ -447,7 +423,7 @@ class _OptimizedDeviationAttack(_CollusivePayloadAttack):
     ) -> bool:
         raise NotImplementedError
 
-    def prepare(self, context: AttackContext) -> None:
+    def payload(self, context: AttackContext) -> np.ndarray:
         honest = np.asarray(context.stacked_honest_gradients(), dtype=DEFAULT_DTYPE)
         mu = honest.mean(axis=0)
         u = self._perturbation(honest, mu)
@@ -467,7 +443,7 @@ class _OptimizedDeviationAttack(_CollusivePayloadAttack):
             else:
                 gamma = max(gamma - step, 0.0)
             step /= 2.0
-        self._crafted = mu + gamma_accepted * u
+        return mu + gamma_accepted * u
 
 
 class MinMaxAttack(_OptimizedDeviationAttack):

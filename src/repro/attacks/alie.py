@@ -72,9 +72,8 @@ class ALIEAttack(Attack):
             raise AttackError(f"z must be a non-negative finite value, got {z}")
         self.z = None if z is None else float(z)
         self.negative_direction = bool(negative_direction)
-        self._crafted: np.ndarray | None = None
 
-    def prepare(self, context: AttackContext) -> None:
+    def payload(self, context: AttackContext) -> np.ndarray:
         honest = context.stacked_honest_gradients()
         mean = honest.mean(axis=0)
         std = honest.std(axis=0)
@@ -87,16 +86,4 @@ class ALIEAttack(Attack):
             # worker counts keeps the classic ALIE calibration.
             z = alie_z_max(context.assignment.num_workers, context.num_byzantine)
         direction = -1.0 if self.negative_direction else 1.0
-        self._crafted = mean + direction * z * std
-
-    def craft(self, context: AttackContext, worker: int, file: int) -> np.ndarray:
-        if self._crafted is None:
-            raise AttackError("prepare() was not called before craft()")
-        return self._crafted.copy()
-
-    def apply_tensor(self, context: AttackContext, tensor) -> None:
-        if context.num_byzantine == 0:
-            return
-        self.prepare(context)
-        files, slots = np.nonzero(tensor.byzantine_mask)
-        tensor.write_slots(files, slots, self._crafted)
+        return mean + direction * z * std

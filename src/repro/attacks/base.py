@@ -10,13 +10,10 @@ gradient statistics it distorts.
 
 from __future__ import annotations
 
-import abc
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.backend import ensure_float
-from repro.exceptions import AttackError
 from repro.graphs.bipartite import BipartiteAssignment
 from repro.utils.rng import as_generator
 
@@ -24,14 +21,13 @@ __all__ = ["AttackContext", "Attack", "byzantine_write_order"]
 
 
 def byzantine_write_order(context: "AttackContext", tensor) -> tuple[np.ndarray, np.ndarray]:
-    """``(files, slots)`` of the Byzantine slots in the adapter's write order.
+    """``(files, slots)`` of the Byzantine slots in per-slot write order.
 
-    The dict-based :meth:`Attack.apply` adapter iterates Byzantine workers in
-    context order and, within a worker, its files in assignment order.
-    Stochastic attacks that vectorize :meth:`Attack.apply_tensor` must consume
-    their RNG stream in exactly that order to stay bit-identical with the
-    adapter, so they draw one stacked ``(m, d)`` sample and scatter it with
-    the pair list returned here.
+    The order is: Byzantine workers in context order and, within a worker,
+    its files in assignment order.  Attacks that draw one payload per slot
+    (the noise attacks) draw a stacked ``(m, d)`` sample and scatter it with
+    the pair list returned here; the golden traces pin this order, because
+    it fixes which slot receives which part of the round's RNG stream.
     """
     files_list: list[int] = []
     workers_list: list[int] = []
@@ -56,9 +52,9 @@ class AttackContext:
         The worker/file assignment graph.
     byzantine_workers:
         Identities of the compromised workers this iteration.
-    honest_file_gradients:
-        The true gradient of every file, keyed by file index (what honest
-        workers would return).
+    honest_matrix:
+        The true gradient of every file stacked into an ``(f, d)`` matrix in
+        file order (what honest workers would return).
     iteration:
         Zero-based training iteration (attacks may vary over time).
     rng:
@@ -66,18 +62,13 @@ class AttackContext:
         per-round derived generator; the default (a fixed-seed generator,
         never fresh OS entropy) only exists so hand-built contexts in tests
         are reproducible too.
-    honest_matrix:
-        Optional ``(f, d)`` stacked view of the honest gradients (file order).
-        Provided by the tensor round path so vectorized attacks avoid
-        re-stacking the per-file dict.
     """
 
     assignment: BipartiteAssignment
     byzantine_workers: tuple[int, ...]
-    honest_file_gradients: dict[int, np.ndarray]
+    honest_matrix: np.ndarray
     iteration: int = 0
     rng: np.random.Generator = field(default_factory=lambda: as_generator(0))
-    honest_matrix: np.ndarray | None = None
 
     @property
     def num_byzantine(self) -> int:
@@ -87,76 +78,51 @@ class AttackContext:
     @property
     def gradient_dim(self) -> int:
         """Dimensionality ``d`` of the model gradients."""
-        if not self.honest_file_gradients:
-            raise AttackError("attack context has no honest gradients")
-        return int(next(iter(self.honest_file_gradients.values())).size)
+        return int(self.honest_matrix.shape[1])
 
     def stacked_honest_gradients(self) -> np.ndarray:
-        """All true file gradients stacked into an ``(f, d)`` matrix (file order).
+        """The ``(f, d)`` honest gradient matrix as a read-only view.
 
-        The result must be treated as read-only: on the tensor path it is a
-        view of the simulator's ground-truth matrix (enforced via the
-        writeable flag), so attacks must derive payloads into fresh arrays.
+        It is the simulator's ground-truth matrix (writes are blocked via
+        the writeable flag), so attacks must derive payloads into fresh
+        arrays.
         """
-        if self.honest_matrix is not None:
-            view = self.honest_matrix.view()
-            view.setflags(write=False)
-            return view
-        files = sorted(self.honest_file_gradients)
-        return np.vstack([self.honest_file_gradients[i].ravel() for i in files])
+        view = self.honest_matrix.view()
+        view.setflags(write=False)
+        return view
 
 
-class Attack(abc.ABC):
+class Attack:
     """A rule producing the adversarial vectors of the Byzantine workers.
 
-    :meth:`apply` returns ``{(worker, file): vector}`` for every Byzantine
-    worker and every file assigned to it; the simulator substitutes these for
-    the honest gradients before anything reaches the PS.
+    The paper's adversary colludes: every Byzantine worker returns the same
+    crafted vector.  Such an attack defines one method, :meth:`payload`, and
+    inherits :meth:`apply_tensor`, which writes that payload into every
+    compromised slot.  An attack that sends a different vector per slot
+    (reversed gradient, the noise attacks) overrides :meth:`apply_tensor`
+    instead.
     """
 
     attack_name: str = "abstract"
 
-    @abc.abstractmethod
-    def craft(self, context: AttackContext, worker: int, file: int) -> np.ndarray:
-        """Adversarial vector returned by ``worker`` for ``file``."""
-
-    def prepare(self, context: AttackContext) -> None:
-        """Hook called once per iteration before any :meth:`craft` call.
-
-        Collusion-based attacks (ALIE) compute their shared statistics here.
-        """
-
-    def apply(self, context: AttackContext) -> dict[tuple[int, int], np.ndarray]:
-        """All adversarial returns of this iteration."""
-        if context.num_byzantine == 0:
-            return {}
-        self.prepare(context)
-        crafted: dict[tuple[int, int], np.ndarray] = {}
-        for worker in context.byzantine_workers:
-            for file in context.assignment.files_of_worker(worker):
-                vector = ensure_float(self.craft(context, worker, file)).ravel()
-                expected = context.gradient_dim
-                if vector.size != expected:
-                    raise AttackError(
-                        f"attack produced a vector of size {vector.size}, expected {expected}"
-                    )
-                crafted[(worker, file)] = vector
-        return crafted
+    def payload(self, context: AttackContext) -> "float | np.ndarray":
+        """The one vector every Byzantine worker sends: a scalar or ``(d,)``."""
+        raise NotImplementedError(
+            f"{type(self).__name__} defines neither payload() nor apply_tensor()"
+        )
 
     def apply_tensor(self, context: AttackContext, tensor) -> None:
         """Write this iteration's adversarial payloads into a vote tensor.
 
         ``tensor`` is a :class:`~repro.core.vote_tensor.VoteTensor` whose
-        ``byzantine_mask`` already marks the compromised slots.  The default
-        adapter delegates to the dict-based :meth:`apply` and scatters the
-        payloads, so every legacy attack works on the tensor path unchanged
-        (and bit-identically).  Attacks whose payloads are expressible as
-        tensor slices (constant, reversed gradient, ALIE) override this with
-        a vectorized write; stochastic attacks should only override it if
-        they can reproduce :meth:`apply`'s RNG consumption order exactly.
+        ``byzantine_mask`` already marks the compromised slots.  Writes go
+        through the slot API, so a lazy tensor stays lazy and one shared
+        payload is stored once.
         """
-        for (worker, file), payload in self.apply(context).items():
-            tensor.set_vote(file, worker, payload)
+        if context.num_byzantine == 0:
+            return
+        files, slots = np.nonzero(tensor.byzantine_mask)
+        tensor.write_slots(files, slots, self.payload(context))
 
     def __repr__(self) -> str:  # pragma: no cover - trivial
         return f"{type(self).__name__}()"

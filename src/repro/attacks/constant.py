@@ -12,7 +12,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.attacks.base import Attack, AttackContext
-from repro.core.backend import DEFAULT_DTYPE
 from repro.exceptions import AttackError
 
 __all__ = ["ConstantAttack"]
@@ -35,11 +34,5 @@ class ConstantAttack(Attack):
             raise AttackError(f"value must be finite, got {value}")
         self.value = float(value)
 
-    def craft(self, context: AttackContext, worker: int, file: int) -> np.ndarray:
-        return np.full(context.gradient_dim, self.value, dtype=DEFAULT_DTYPE)
-
-    def apply_tensor(self, context: AttackContext, tensor) -> None:
-        if context.num_byzantine == 0:
-            return
-        files, slots = np.nonzero(tensor.byzantine_mask)
-        tensor.write_slots(files, slots, self.value)
+    def payload(self, context: AttackContext) -> float:
+        return self.value

@@ -35,20 +35,6 @@ class InnerProductManipulationAttack(Attack):
         if not np.isfinite(epsilon) or epsilon <= 0:
             raise AttackError(f"epsilon must be positive and finite, got {epsilon}")
         self.epsilon = float(epsilon)
-        self._crafted: np.ndarray | None = None
 
-    def prepare(self, context: AttackContext) -> None:
-        honest = context.stacked_honest_gradients()
-        self._crafted = -self.epsilon * honest.mean(axis=0)
-
-    def craft(self, context: AttackContext, worker: int, file: int) -> np.ndarray:
-        if self._crafted is None:
-            raise AttackError("prepare() was not called before craft()")
-        return self._crafted.copy()
-
-    def apply_tensor(self, context: AttackContext, tensor) -> None:
-        if context.num_byzantine == 0:
-            return
-        self.prepare(context)
-        files, slots = np.nonzero(tensor.byzantine_mask)
-        tensor.write_slots(files, slots, self._crafted)
+    def payload(self, context: AttackContext) -> np.ndarray:
+        return -self.epsilon * context.stacked_honest_gradients().mean(axis=0)

@@ -37,19 +37,11 @@ class GaussianNoiseAttack(Attack):
         self.sigma = float(sigma)
         self.around_true_gradient = bool(around_true_gradient)
 
-    def craft(self, context: AttackContext, worker: int, file: int) -> np.ndarray:
-        noise = context.rng.standard_normal(context.gradient_dim) * self.sigma
-        if self.around_true_gradient:
-            return context.honest_file_gradients[file] + noise
-        return noise
-
     def apply_tensor(self, context: AttackContext, tensor) -> None:
-        # Vectorized: one stacked (m, d) draw fills the RNG stream exactly as
-        # m successive (d,) draws do, so writing it in the adapter's
-        # worker-then-file order stays bit-identical to the dict path.
+        # One stacked (m, d) draw, row j going to the j-th slot of
+        # byzantine_write_order (worker, then file).
         if context.num_byzantine == 0:
             return
-        self.prepare(context)
         files, slots = byzantine_write_order(context, tensor)
         payload = context.rng.standard_normal((files.size, tensor.dim)) * self.sigma
         if self.around_true_gradient:
@@ -69,16 +61,10 @@ class UniformRandomAttack(Attack):
             )
         self.magnitude = float(magnitude)
 
-    def craft(self, context: AttackContext, worker: int, file: int) -> np.ndarray:
-        return context.rng.uniform(
-            -self.magnitude, self.magnitude, size=context.gradient_dim
-        )
-
     def apply_tensor(self, context: AttackContext, tensor) -> None:
-        # Same stream-order argument as GaussianNoiseAttack.apply_tensor.
+        # Same draw and write order as GaussianNoiseAttack.apply_tensor.
         if context.num_byzantine == 0:
             return
-        self.prepare(context)
         files, slots = byzantine_write_order(context, tensor)
         payload = context.rng.uniform(
             -self.magnitude, self.magnitude, size=(files.size, tensor.dim)

@@ -34,10 +34,6 @@ class ReversedGradientAttack(Attack):
             raise AttackError(f"scale must be positive and finite, got {scale}")
         self.scale = float(scale)
 
-    def craft(self, context: AttackContext, worker: int, file: int) -> np.ndarray:
-        true_gradient = context.honest_file_gradients[file]
-        return -self.scale * true_gradient
-
     def apply_tensor(self, context: AttackContext, tensor) -> None:
         if context.num_byzantine == 0:
             return

@@ -38,22 +38,9 @@ class SignFlipAttack(Attack):
                 f"magnitude must be positive and finite, got {magnitude}"
             )
         self.magnitude = float(magnitude)
-        self._crafted: np.ndarray | None = None
 
-    def prepare(self, context: AttackContext) -> None:
+    def payload(self, context: AttackContext) -> np.ndarray:
         mean = context.stacked_honest_gradients().mean(axis=0)
         # sign(µ) with sign(0) := +1, so the payload is ±magnitude everywhere.
         flipped = np.where(mean >= 0.0, -self.magnitude, self.magnitude)
-        self._crafted = flipped.astype(DEFAULT_DTYPE, copy=False)
-
-    def craft(self, context: AttackContext, worker: int, file: int) -> np.ndarray:
-        if self._crafted is None:
-            raise AttackError("prepare() was not called before craft()")
-        return self._crafted.copy()
-
-    def apply_tensor(self, context: AttackContext, tensor) -> None:
-        if context.num_byzantine == 0:
-            return
-        self.prepare(context)
-        files, slots = np.nonzero(tensor.byzantine_mask)
-        tensor.write_slots(files, slots, self._crafted)
+        return flipped.astype(DEFAULT_DTYPE, copy=False)

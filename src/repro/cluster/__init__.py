@@ -8,7 +8,7 @@ explicit cost model so the per-iteration time breakdown of Figure 12 can be
 reproduced.
 """
 
-from repro.cluster.messages import GradientMessage, RoundResult, TensorRoundResult
+from repro.cluster.messages import TensorRoundResult
 from repro.cluster.server import ParameterServer
 from repro.cluster.simulator import TrainingCluster
 from repro.cluster.timing import CostModel, IterationTiming, estimate_iteration_timing
@@ -16,8 +16,6 @@ from repro.cluster.topology import GroupTopology, hierarchical_majority_vote
 from repro.cluster.worker import WorkerPool
 
 __all__ = [
-    "GradientMessage",
-    "RoundResult",
     "TensorRoundResult",
     "WorkerPool",
     "ParameterServer",

@@ -1,90 +1,24 @@
-"""Message types exchanged between workers and the parameter server."""
+"""What one simulated round hands from the workers to the parameter server."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.cluster.faults import FaultEvent
 from repro.core.vote_tensor import VoteTensor
 
-__all__ = ["GradientMessage", "RoundResult", "TensorRoundResult"]
-
-
-@dataclass(frozen=True)
-class GradientMessage:
-    """One worker's return for one file (paper notation ``ĝ^{(j)}_{t,i}``).
-
-    Attributes
-    ----------
-    worker:
-        Sender worker index ``j``.
-    file:
-        File index ``i`` this gradient claims to correspond to.
-    gradient:
-        The returned vector (honest gradient or adversarial payload).
-    is_byzantine:
-        Bookkeeping flag recorded by the simulator (the PS never sees it);
-        used by tests and diagnostics only.
-    arrival_time:
-        Simulated arrival time at the PS (seconds since the round's
-        broadcast), stamped by the event-driven runtime; ``None`` on the
-        synchronous path, ``inf`` for messages that were never sent
-        (crashed / timed-out workers).
-    """
-
-    worker: int
-    file: int
-    gradient: np.ndarray
-    is_byzantine: bool = False
-    arrival_time: float | None = None
-
-
-@dataclass
-class RoundResult:
-    """Everything produced by one simulated training round.
-
-    Attributes
-    ----------
-    file_votes:
-        ``{file: {worker: gradient}}`` — the PS-side view of the returns.
-    honest_file_gradients:
-        The true per-file gradients (ground truth for analysis).
-    byzantine_workers:
-        The compromised workers of this round.
-    distorted_files:
-        Files whose majority vote is corrupted this round (those where at
-        least ``r'`` copies were Byzantine).
-    messages:
-        Flat list of all gradient messages (with bookkeeping flags).
-    mean_file_loss:
-        Average training loss over the files of the round's batch.
-    """
-
-    file_votes: dict[int, dict[int, np.ndarray]]
-    honest_file_gradients: dict[int, np.ndarray]
-    byzantine_workers: tuple[int, ...]
-    distorted_files: tuple[int, ...]
-    messages: list[GradientMessage] = field(default_factory=list)
-    mean_file_loss: float = float("nan")
-
-    @property
-    def distortion_fraction(self) -> float:
-        """Realized ``ε̂`` of the round (corrupted files / total files)."""
-        total = len(self.file_votes)
-        return len(self.distorted_files) / total if total else 0.0
+__all__ = ["TensorRoundResult"]
 
 
 @dataclass
 class TensorRoundResult:
-    """One simulated round in the contiguous :class:`VoteTensor` representation.
+    """Everything produced by one simulated training round.
 
-    This is the fast-path analogue of :class:`RoundResult`: instead of the
-    ``{file: {worker: gradient}}`` dict and a flat message list it carries the
-    packed ``(f, r, d)`` tensor, the ``(f, d)`` ground-truth matrix and the
-    ``(f,)`` loss vector.  :meth:`to_round_result` materializes the legacy
-    representation on demand (analysis, diagnostics, tests).
+    Carries the packed ``(f, r, d)`` :class:`VoteTensor` the PS aggregates,
+    plus the ground truth the experiments need: the ``(f, d)`` honest
+    gradient matrix, the ``(f,)`` loss vector and the realized distortion.
 
     Attributes
     ----------
@@ -104,10 +38,10 @@ class TensorRoundResult:
         Benign faults injected this round (stragglers, dropout, corruption),
         plus the event runtime's ``"late"`` rejections.
     round_time:
-        Simulated round duration in seconds.  Synchronous rounds use the
-        legacy model (slowest surviving worker; 0 when no straggler model is
-        active); event-driven rounds report the engine clock at round close
-        (last quorum-satisfying arrival, else the deadline).
+        Simulated round duration in seconds.  Synchronous rounds take the
+        slowest surviving worker (0 when no straggler model is active);
+        event-driven rounds report the engine clock at round close (last
+        quorum-satisfying arrival, else the deadline).
     arrivals:
         Event runtime only: ``(f, r)`` simulated arrival time of each
         message (``inf`` = never sent); ``None`` on the synchronous path.
@@ -144,38 +78,3 @@ class TensorRoundResult:
         """Realized ``ε̂`` of the round (corrupted files / total files)."""
         total = self.vote_tensor.num_files
         return len(self.distorted_files) / total if total else 0.0
-
-    def to_round_result(self) -> RoundResult:
-        """Materialize the legacy dict-of-dicts :class:`RoundResult`."""
-        file_votes = self.vote_tensor.to_file_votes()
-        byzantine = set(self.byzantine_workers)
-        messages = [
-            GradientMessage(
-                worker=worker,
-                file=file_index,
-                gradient=gradient,
-                is_byzantine=worker in byzantine,
-                arrival_time=(
-                    None
-                    if self.arrivals is None
-                    else float(
-                        self.arrivals[
-                            file_index, self.vote_tensor.slot_of(file_index, worker)
-                        ]
-                    )
-                ),
-            )
-            for file_index, votes in file_votes.items()
-            for worker, gradient in votes.items()
-        ]
-        honest = {
-            i: self.honest_matrix[i] for i in range(self.honest_matrix.shape[0])
-        }
-        return RoundResult(
-            file_votes=file_votes,
-            honest_file_gradients=honest,
-            byzantine_workers=self.byzantine_workers,
-            distorted_files=self.distorted_files,
-            messages=messages,
-            mean_file_loss=self.mean_file_loss,
-        )

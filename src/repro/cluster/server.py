@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.backend import ensure_float
-from repro.core.pipelines import AggregationPipeline, FileVotes
+from repro.core.pipelines import AggregationPipeline
 from repro.core.vote_tensor import VoteTensor
 from repro.exceptions import TrainingError
 from repro.nn.optim import SGD
@@ -58,14 +58,10 @@ class ParameterServer:
         """Parameters sent to the workers at the start of an iteration."""
         return self.params
 
-    def aggregate(self, file_votes: FileVotes) -> np.ndarray:
-        """Run the aggregation pipeline without updating the model."""
-        return self.pipeline.aggregate(file_votes)
-
     def aggregate_tensor(
         self, tensor: VoteTensor, arrived: np.ndarray | None = None
     ) -> np.ndarray:
-        """Run the aggregation pipeline on the packed tensor (hot path).
+        """Run the aggregation pipeline without updating the model.
 
         ``arrived`` is the event runtime's partial-aggregation mask — the
         ``(f, r)`` copies the PS accepted before its deadline/quorum cutoff;
@@ -87,17 +83,13 @@ class ParameterServer:
         self.iteration += 1
         return gradient
 
-    def update(self, file_votes: FileVotes) -> np.ndarray:
+    def update_tensor(
+        self, tensor: VoteTensor, arrived: np.ndarray | None = None
+    ) -> np.ndarray:
         """Aggregate the returns and take one optimizer step.
 
         Returns the aggregated gradient used for the update.
         """
-        return self._apply_gradient(self.aggregate(file_votes))
-
-    def update_tensor(
-        self, tensor: VoteTensor, arrived: np.ndarray | None = None
-    ) -> np.ndarray:
-        """Tensor analogue of :meth:`update` (same step, packed returns)."""
         return self._apply_gradient(self.aggregate_tensor(tensor, arrived))
 
     def state_digest(self) -> str:

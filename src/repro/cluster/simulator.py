@@ -2,8 +2,9 @@
 
 :class:`TrainingCluster` binds together the assignment graph, the worker pool,
 the Byzantine selector and the attack, and produces for each round the
-``file_votes`` structure the parameter server aggregates, along with ground
-truth needed by the experiments (true gradients, realized distortion).
+:class:`~repro.core.vote_tensor.VoteTensor` the parameter server aggregates,
+along with ground truth needed by the experiments (true gradients, realized
+distortion).
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from repro.cluster.faults import (
     arrival_perturbations,
     round_duration,
 )
-from repro.cluster.messages import GradientMessage, RoundResult, TensorRoundResult
+from repro.cluster.messages import TensorRoundResult
 from repro.cluster.worker import WorkerPool
 from repro.core.backend import DEFAULT_DTYPE
 from repro.core.distortion import distorted_files
@@ -56,7 +57,7 @@ class TrainingCluster:
         Base seed for per-round randomness (attack noise, random selection).
     fault_injectors:
         Benign fault models applied to each round's vote tensor after the
-        attack (tensor path only).  Each injector receives its own derived
+        attack.  Each injector receives its own derived
         RNG stream every round, independent of the selector/attack stream,
         so adding or removing an injector never changes the adversary's
         randomness (and vice versa).
@@ -173,13 +174,13 @@ class TrainingCluster:
             return ()
         return tuple(int(i) for i in distorted_files(self.assignment, byzantine))
 
-    def run_round(
+    def run_round_tensor(
         self,
         params: np.ndarray,
         file_data: dict[int, tuple[np.ndarray, np.ndarray]],
         iteration: int,
-    ) -> RoundResult:
-        """Simulate one iteration's worker computations and attack.
+    ) -> TensorRoundResult:
+        """Simulate one iteration's worker computations, attack and faults.
 
         Parameters
         ----------
@@ -189,64 +190,6 @@ class TrainingCluster:
             ``{file: (inputs, labels)}`` for this round's batch partition.
         iteration:
             Zero-based iteration index (drives per-round seeds and selectors).
-        """
-        if self.fault_injectors:
-            raise TrainingError(
-                "fault injection is only supported on the tensor round path; "
-                "use run_round_tensor"
-            )
-        if self.runtime is not None:
-            raise TrainingError(
-                "the event-driven runtime is only supported on the tensor "
-                "round path; use run_round_tensor"
-            )
-        rng = self._round_rng(iteration)
-        file_votes, honest, losses = self.worker_pool.honest_returns(params, file_data)
-
-        byzantine = self._select_byzantine(iteration, rng)
-        if byzantine:
-            context = AttackContext(
-                assignment=self.assignment,
-                byzantine_workers=byzantine,
-                honest_file_gradients=honest,
-                iteration=iteration,
-                rng=rng,
-            )
-            for (worker, file_index), payload in self.attack.apply(context).items():
-                file_votes[file_index][worker] = payload
-
-        messages = [
-            GradientMessage(
-                worker=worker,
-                file=file_index,
-                gradient=gradient,
-                is_byzantine=worker in byzantine,
-            )
-            for file_index, votes in file_votes.items()
-            for worker, gradient in votes.items()
-        ]
-        mean_loss = float(np.mean(list(losses.values()))) if losses else float("nan")
-        return RoundResult(
-            file_votes=file_votes,
-            honest_file_gradients=honest,
-            byzantine_workers=byzantine,
-            distorted_files=self._corrupted_files(byzantine),
-            messages=messages,
-            mean_file_loss=mean_loss,
-        )
-
-    def run_round_tensor(
-        self,
-        params: np.ndarray,
-        file_data: dict[int, tuple[np.ndarray, np.ndarray]],
-        iteration: int,
-    ) -> TensorRoundResult:
-        """Tensor-path analogue of :meth:`run_round` (the trainer's hot path).
-
-        Produces the same round — bit-identical votes, same RNG consumption
-        order — packed as a :class:`~repro.core.vote_tensor.VoteTensor`
-        instead of the dict-of-dicts, skipping the per-edge Python loops of
-        the legacy representation.
         """
         rng = self._round_rng(iteration)
         tensor, honest_matrix, losses = self.worker_pool.honest_returns_tensor(
@@ -259,12 +202,9 @@ class TrainingCluster:
             context = AttackContext(
                 assignment=self.assignment,
                 byzantine_workers=byzantine,
-                honest_file_gradients={
-                    i: honest_matrix[i] for i in range(honest_matrix.shape[0])
-                },
+                honest_matrix=honest_matrix,
                 iteration=iteration,
                 rng=rng,
-                honest_matrix=honest_matrix,
             )
             self.attack.apply_tensor(context, tensor)
 

@@ -43,15 +43,12 @@ the property test in ``tests/test_topology.py`` exercises exactly this.
 Memory
 ------
 
-Dense tensors run the existing labeling kernel per group on column bands,
-and both levels stream coordinate blocks when ``block_size`` is set, so the
-peak temporary is ``O(f . r_g . block)`` for a group's local replication
-``r_g ~ r / G`` instead of the flat kernel's ``O(f . r . d)``.  Lazy
-copy-on-write tensors never densify a replica cube: their payloads are
-classed once into an ``(f, r)`` integer content-id matrix
-(:func:`~repro.aggregation.majority.override_content_ids`, ``O(M . block)``
-for ``M`` distinct (payload row, file) pairs) and both levels are histogram
-merging on those integers.
+The payloads are classed once into an ``(f, r)`` integer content-id matrix
+(:func:`~repro.aggregation.majority.override_content_ids`) and both levels
+are histogram merging on those integers.  Lazy copy-on-write tensors never
+densify a replica cube: classing costs ``O(M . block)`` for ``M`` distinct
+(payload row, file) pairs.  A dense tensor is labeled by the flat kernel's
+anchor sweep, ``O(f . r . block)`` when ``block_size`` streams it.
 """
 
 from __future__ import annotations
@@ -59,17 +56,12 @@ from __future__ import annotations
 import numpy as np
 
 from repro.aggregation.majority import (
-    _accumulate_hashes,
-    _bit_label_matrix,
     _class_sizes,
     _labels_from_ids,
-    _reference_exact_majority,
-    _rows_equal,
     majority_vote_votetensor,
     override_content_ids,
     validate_block_size,
 )
-from repro.core.backend import bit_view_dtype
 from repro.exceptions import AggregationError, ConfigurationError
 
 __all__ = ["GroupTopology", "hierarchical_majority_vote"]
@@ -196,25 +188,16 @@ class GroupTopology:
 # --------------------------------------------------------------------------- #
 # Level 1: per-(file band, group) local class histograms
 # --------------------------------------------------------------------------- #
-def _dense_band_values(values: np.ndarray, files: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """One group's ``(fc, rc, d)`` sub-cube, as a view when the band is contiguous."""
-    if files.size == values.shape[0] and cols.size and int(cols[-1] - cols[0]) == cols.size - 1:
-        return values[:, int(cols[0]) : int(cols[0]) + cols.size, :]
-    return values[np.ix_(files, cols)]
-
-
-def _cell_histogram(labels, cids, files, cols):
-    """One (file band, group) cell's local class histogram from its labels.
+def _cell_histogram(ids, files, cols):
+    """One (file band, group) cell's local class histogram from its ids.
 
     One entry per bit-equality class the group observed for a file:
-    ``(file, global anchor slot, member count, content id)`` columns.  The
-    content id is exact for lazy tensors (:func:`override_content_ids`);
-    dense cells pass zeros and are compared and hashed at the root, and only
-    the few that mismatch the file's slot-0 payload.
+    ``(file, global anchor slot, member count, content id)`` columns.
     """
+    labels = _labels_from_ids(ids)
     sizes = _class_sizes(labels)
     fi, sl = np.nonzero(labels == np.arange(cols.size)[None, :])
-    return files[fi], cols[sl], sizes[fi, sl], cids[fi, sl]
+    return files[fi], cols[sl], sizes[fi, sl], ids[fi, sl]
 
 
 # --------------------------------------------------------------------------- #
@@ -225,23 +208,18 @@ def hierarchical_majority_vote(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Two-level exact majority vote over a :class:`GroupTopology`.
 
-    Level 1 produces each group's per-file local class histogram; level 2
-    merges the histograms by payload content.  Lazy copy-on-write tensors
-    are classed once by :func:`~repro.aggregation.majority.
-    override_content_ids`, after which both levels are integer histogram
-    work on the ``(f, r)`` id matrix — no payload is read until the winners
-    are gathered.  Dense tensors label each group's column band with the
-    flat labeling kernel; at the root, group anchors are compared against
-    the file's slot-0 payload and the residual classes (attacked payloads)
-    merge by collision-verified 64-bit hash, a verification failure demoting
-    the affected file to an exact per-file ``tobytes`` recount, so a hash
-    collision can never corrupt the result.
+    The tensor's payloads are classed once into the ``(f, r)`` content-id
+    matrix (:func:`~repro.aggregation.majority.override_content_ids`, lazy
+    or dense).  Level 1 produces each group's per-file local class
+    histogram from its columns of that matrix; level 2 merges the
+    histograms by content id.  Both levels are integer work — no payload is
+    read until the winners are gathered.
 
     Returns the same ``(winners, counts)`` as
     :func:`~repro.aggregation.majority.majority_vote_votetensor` with
     ``tolerance=0`` — bit-identical, by the class-decomposition argument in
-    the module docstring.  ``block_size`` streams every payload-touching
-    stage in coordinate blocks (see the flat kernels).
+    the module docstring.  ``block_size`` streams the payload classing in
+    coordinate blocks (see the flat kernels).
     """
     block_size = validate_block_size(block_size)
     f, r, d = tensor.shape
@@ -259,110 +237,36 @@ def hierarchical_majority_vote(
         # Degenerate shapes: one group (or one slot) is the flat vote.
         return majority_vote_votetensor(tensor, 0.0, block_size=block_size)
 
-    lazy = bool(getattr(tensor, "is_lazy", False))
-    view = bit_view_dtype(tensor.dtype)
+    ids = override_content_ids(tensor, block_size)
     slot_groups = topology.group_of[workers]  # (f, r)
-    cells = []
 
     # ---- level 1: group the files into signature bands (files whose slots
     # map to groups identically), so each (band, group) cell is rectangular.
     signatures, inverse = np.unique(slot_groups, axis=0, return_inverse=True)
     inverse = inverse.ravel()
-    cid = override_content_ids(tensor, block_size) if lazy else None
-    dense_values = None if lazy else tensor.values  # repro-lint: disable=COW-001 (dense dispatch: .values is a no-copy view for non-lazy tensors)
+    cells = []
     for c in range(signatures.shape[0]):
         files = np.nonzero(inverse == c)[0]
         row = signatures[c]
         for g in np.unique(row):
             cols = np.nonzero(row == g)[0]
-            if lazy:
-                cell_ids = cid[np.ix_(files, cols)]
-                labels = _labels_from_ids(cell_ids)
-            else:
-                labels = _bit_label_matrix(
-                    _dense_band_values(dense_values, files, cols), block_size=block_size
-                )
-                cell_ids = np.zeros_like(labels)
-            cells.append(_cell_histogram(labels, cell_ids, files, cols))
+            cells.append(_cell_histogram(ids[np.ix_(files, cols)], files, cols))
+    e_file, e_slot, e_count, e_id = (np.concatenate(col) for col in zip(*cells))
 
-    e_file, e_slot, e_count, e_cid = (np.concatenate(col) for col in zip(*cells))
-
-    def rows_bits(files_, slots_):
-        return lambda lo, hi: tensor.read_slots_block(files_, slots_, lo, hi).view(view)
-
-    # ---- level 2, phase 1 (dense only): the reference class.  Every group
-    # anchor is compared against the file's slot-0 payload, which settles a
-    # fully honest round with zero hashing.  Lazy entries already carry exact
-    # content ids, so all of them go straight to the merge below.
+    # ---- level 2: merge the group classes by (file, content id); a merged
+    # class is anchored at its smallest global slot.
+    order = np.lexsort((e_slot, e_id, e_file))
+    sf, si, ss, sc = e_file[order], e_id[order], e_slot[order], e_count[order]
+    starts = np.empty(order.size, dtype=bool)
+    starts[0] = True
+    starts[1:] = (sf[1:] != sf[:-1]) | (si[1:] != si[:-1])
+    first = np.nonzero(starts)[0]
+    run_count = np.bincount(np.cumsum(starts) - 1, weights=sc).astype(np.int64)
     best = np.full(f, -1, dtype=np.int64)
-    fallback = np.zeros(f, dtype=bool)
-    if lazy:
-        residual = np.arange(e_file.size)
-    else:
-        is_ref = e_slot == 0
-        class0_count = np.zeros(f, dtype=np.int64)
-        class0_count[e_file[is_ref]] = e_count[is_ref]
-        nonref = np.nonzero(~is_ref)[0]
-        if nonref.size:
-            eq_ref = _rows_equal(
-                rows_bits(e_file[nonref], e_slot[nonref]),
-                rows_bits(e_file[nonref], np.zeros(nonref.size, dtype=np.int64)),
-                nonref.size,
-                d,
-                block_size,
-            )
-            np.add.at(class0_count, e_file[nonref[eq_ref]], e_count[nonref[eq_ref]])
-            residual = nonref[~eq_ref]
-        else:
-            residual = nonref
-        best[:] = class0_count * (r + 1)  # anchored at slot 0, never empty
-
-    # ---- level 2, phase 2: merge the remaining classes by content key — the
-    # exact content id (lazy) or a collision-verified hash (dense); the class
-    # anchor is its smallest global slot.
-    if residual.size:
-        rf, rs, rc_ = e_file[residual], e_slot[residual], e_count[residual]
-        if lazy:
-            rh = e_cid[residual]
-        else:
-            rh = _accumulate_hashes(rows_bits(rf, rs), residual.size, d, block_size)
-        order = np.lexsort((rs, rh, rf))
-        sf, sh, ss, sc = rf[order], rh[order], rs[order], rc_[order]
-        starts = np.empty(order.size, dtype=bool)
-        starts[0] = True
-        starts[1:] = (sf[1:] != sf[:-1]) | (sh[1:] != sh[:-1])
-        run = np.cumsum(starts) - 1
-        first = np.nonzero(starts)[0]
-        member = ~starts
-        if not lazy and member.any():
-            anchor_pos = first[run]
-            verified = _rows_equal(
-                rows_bits(sf[member], ss[member]),
-                rows_bits(sf[anchor_pos[member]], ss[anchor_pos[member]]),
-                int(member.sum()),
-                d,
-                block_size,
-            )
-            if not verified.all():
-                bad = np.zeros(member.size, dtype=bool)
-                bad[np.nonzero(member)[0][~verified]] = True
-                fallback[np.unique(sf[bad])] = True
-        run_count = np.bincount(run, weights=sc).astype(np.int64)
-        run_file, run_slot = sf[first], ss[first]
-        np.maximum.at(best, run_file, run_count * (r + 1) - run_slot)
+    np.maximum.at(best, sf[first], run_count * (r + 1) - ss[first])
 
     # ---- winner resolution: largest class, smallest slot on ties —
     # the flat kernel's exact tie-break, recovered from the packed score.
     win_count = (best + r) // (r + 1)
     win_slot = win_count * (r + 1) - best
-    winners = tensor.read_slots(np.arange(f), win_slot)
-    counts = win_count
-
-    fb = np.nonzero(fallback)[0]
-    if fb.size:
-        mats = tensor.materialize_files(fb)
-        for pos, i in enumerate(fb):
-            winner, count = _reference_exact_majority(mats[pos])
-            winners[i] = winner
-            counts[i] = count
-    return winners, counts
+    return tensor.read_slots(np.arange(f), win_slot), win_count

@@ -3,17 +3,11 @@
 In the real system every worker independently computes the gradient of each
 file it is assigned.  Honest workers assigned the same file return
 bit-identical gradients (the paper relies on this for exact-equality majority
-voting), so the simulator computes each file gradient once and hands copies to
-the assigned workers — ``shared_computation=True`` — unless a test explicitly
-asks for per-worker recomputation.
-
-Two round representations are produced: the legacy ``file_votes``
-dict-of-dicts (:meth:`WorkerPool.honest_returns`) and the contiguous
-:class:`~repro.core.vote_tensor.VoteTensor`
-(:meth:`WorkerPool.honest_returns_tensor`), which computes all ``f`` file
-gradients into one ``(f, d)`` matrix — through the oracle's batched entry
-point when it provides one — and broadcasts it into the assigned slots
-without per-file Python loops.
+voting), so the simulator computes each file gradient once — all ``f`` of
+them into one ``(f, d)`` matrix, through the oracle's batched entry point
+when it provides one — and :meth:`WorkerPool.honest_returns_tensor`
+replicates it into the assigned slots of a lazy
+:class:`~repro.core.vote_tensor.VoteTensor` without copying a replica.
 """
 
 from __future__ import annotations
@@ -48,37 +42,22 @@ class WorkerPool:
         samples at the given parameters.  If the oracle exposes a ``batched``
         method (see :meth:`ModelGradientComputer.batched`), the tensor path
         uses it to compute all file gradients in one stacked call.
-    shared_computation:
-        Compute every file gradient once and share it among the file's
-        workers (default, exploits determinism); when False every worker
-        recomputes its own copy, which is slower but validates determinism.
     compressor:
         Optional uplink compressor applied to each file gradient before it
         is (conceptually) transmitted to the PS.  Compression happens once
         per file, so all of a file's copies stay bit-identical and exact
         majority voting keeps working; the honest ground-truth matrix and
-        losses are reported *uncompressed*.  Requires
-        ``shared_computation=True``: in per-worker recomputation mode a
-        stateful (stochastic) compressor would compress each copy
-        differently, silently breaking the bit-identical-copies invariant.
+        losses are reported *uncompressed*.
     """
 
     def __init__(
         self,
         assignment: BipartiteAssignment,
         gradient_fn: GradientFn,
-        shared_computation: bool = True,
         compressor: "Compressor | None" = None,
     ) -> None:
-        if compressor is not None and not shared_computation:
-            raise TrainingError(
-                "uplink compression requires shared_computation=True; "
-                "per-worker recomputation would compress each copy of a file "
-                "independently and break exact majority voting"
-            )
         self.assignment = assignment
         self.gradient_fn = gradient_fn
-        self.shared_computation = bool(shared_computation)
         self.compressor = compressor
 
     def _transmitted(self, matrix: np.ndarray) -> np.ndarray:
@@ -129,65 +108,18 @@ class WorkerPool:
         assert gradients is not None  # assignments always have >= 1 file
         return gradients, losses
 
-    def compute_file_gradients(
-        self,
-        params: np.ndarray,
-        file_data: dict[int, tuple[np.ndarray, np.ndarray]],
-    ) -> tuple[dict[int, np.ndarray], dict[int, float]]:
-        """True gradient and loss of every file at the given parameters."""
-        matrix, losses = self.compute_file_gradient_matrix(params, file_data)
-        gradients = {i: matrix[i] for i in range(self.assignment.num_files)}
-        return gradients, {i: float(losses[i]) for i in range(len(losses))}
-
-    def honest_returns(
-        self,
-        params: np.ndarray,
-        file_data: dict[int, tuple[np.ndarray, np.ndarray]],
-    ) -> tuple[dict[int, dict[int, np.ndarray]], dict[int, np.ndarray], dict[int, float]]:
-        """Compute what every (worker, file) pair would return if all were honest.
-
-        Returns ``(file_votes, honest_file_gradients, file_losses)`` where
-        ``file_votes[i][j]`` is worker ``j``'s copy of file ``i``'s gradient.
-        """
-        matrix, loss_vector = self.compute_file_gradient_matrix(params, file_data)
-        honest = {i: matrix[i] for i in range(self.assignment.num_files)}
-        losses = {i: float(loss_vector[i]) for i in range(len(loss_vector))}
-        transmitted = self._transmitted(matrix)
-        file_votes: dict[int, dict[int, np.ndarray]] = {}
-        for file_index in range(self.assignment.num_files):
-            votes: dict[int, np.ndarray] = {}
-            for worker in self.assignment.workers_of_file(file_index):
-                if self.shared_computation:
-                    votes[worker] = transmitted[file_index]
-                else:
-                    # compressor is None here (enforced by the constructor).
-                    inputs, labels = file_data[file_index]
-                    gradient, _ = self.gradient_fn(params, inputs, labels)
-                    votes[worker] = ensure_float(gradient).ravel()
-            file_votes[file_index] = votes
-        return file_votes, honest, losses
-
     def honest_returns_tensor(
         self,
         params: np.ndarray,
         file_data: dict[int, tuple[np.ndarray, np.ndarray]],
     ) -> tuple[VoteTensor, np.ndarray, np.ndarray]:
-        """Tensor analogue of :meth:`honest_returns`.
+        """What every (worker, file) pair returns when all are honest.
 
         Returns ``(tensor, honest_matrix, file_losses)`` with the honest
-        gradients broadcast into every assigned ``(file, slot)`` of the
+        gradients replicated into every assigned ``(file, slot)`` of the
         ``(f, r, d)`` tensor, the ``(f, d)`` ground-truth matrix and the
         ``(f,)`` per-file losses.
         """
-        if not self.shared_computation:
-            # Per-worker recomputation is a validation mode; route it through
-            # the dict path and pack the result.
-            file_votes, honest, losses = self.honest_returns(params, file_data)
-            f = self.assignment.num_files
-            matrix = np.vstack([honest[i] for i in range(f)])
-            loss_vector = np.array([losses[i] for i in range(f)], dtype=DEFAULT_DTYPE)
-            tensor = VoteTensor.from_file_votes(self.assignment, file_votes)
-            return tensor, matrix, loss_vector
         matrix, losses = self.compute_file_gradient_matrix(params, file_data)
         tensor = VoteTensor.from_honest(self.assignment, self._transmitted(matrix))
         return tensor, matrix, losses

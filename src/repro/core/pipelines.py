@@ -1,10 +1,12 @@
 """Gradient-aggregation pipelines evaluated in the paper.
 
-A *pipeline* turns the raw per-(worker, file) gradients returned to the PS in
-one iteration into the single gradient used for the model update.  The
-returned gradients are represented as ``file_votes``: a mapping
-``{file_index: {worker_index: gradient}}`` containing exactly the copies the
-assignment graph prescribes.
+A *pipeline* turns the per-(worker, file) gradients returned to the PS in
+one iteration — a :class:`~repro.core.vote_tensor.VoteTensor` holding
+exactly the copies the assignment graph prescribes — into the single
+gradient used for the model update: validate the slot layout, majority-vote
+every file, reduce the winners.  The base class owns that sequence; a
+concrete pipeline contributes its constructor checks and its post-vote
+reducer.
 
 Pipelines implemented:
 
@@ -23,50 +25,28 @@ Pipelines implemented:
 
 from __future__ import annotations
 
-from typing import Mapping
-
 import numpy as np
 
 from repro.aggregation.base import Aggregator
 from repro.aggregation.majority import (
-    MajorityVote,
+    majority_vote_tensor,
     majority_vote_votetensor,
     validate_block_size,
+    validate_tolerance,
 )
 from repro.aggregation.mean import MeanAggregator
 from repro.aggregation.median import CoordinateWiseMedian
 from repro.core.vote_tensor import VoteTensor
 from repro.exceptions import AggregationError, ConfigurationError
 from repro.graphs.bipartite import BipartiteAssignment
-from repro.utils.arrays import stack_vectors
 
 __all__ = [
-    "FileVotes",
     "AggregationPipeline",
     "ByzShieldPipeline",
     "DetoxPipeline",
     "DracoPipeline",
     "VanillaPipeline",
 ]
-
-#: type alias for the per-iteration returns: file index -> worker index -> gradient
-FileVotes = Mapping[int, Mapping[int, np.ndarray]]
-
-
-def _validate_file_votes(assignment: BipartiteAssignment, file_votes: FileVotes) -> None:
-    """Check the votes cover every file with exactly its assigned workers."""
-    if len(file_votes) != assignment.num_files:
-        raise AggregationError(
-            f"expected votes for {assignment.num_files} files, got {len(file_votes)}"
-        )
-    for file_index, votes in file_votes.items():
-        expected = set(assignment.workers_of_file(int(file_index)))
-        got = set(int(w) for w in votes)
-        if expected != got:
-            raise AggregationError(
-                f"file {file_index}: votes came from workers {sorted(got)} but the "
-                f"assignment expects {sorted(expected)}"
-            )
 
 
 def _validate_vote_tensor(expected: np.ndarray, tensor: VoteTensor) -> None:
@@ -78,15 +58,6 @@ def _validate_vote_tensor(expected: np.ndarray, tensor: VoteTensor) -> None:
             f"vote tensor slot layout {tensor.workers.shape} does not match "
             f"the assignment ({expected.shape[0]} files x {expected.shape[1]} "
             "replicas)"
-        )
-
-
-def _check_topology_vote(topology, vote_tolerance: float) -> None:
-    """Hierarchical voting is exact-equality only (histograms merge by content)."""
-    if topology is not None and vote_tolerance > 0:
-        raise ConfigurationError(
-            "hierarchical aggregation supports exact voting only; a group "
-            f"topology cannot be combined with vote_tolerance={vote_tolerance}"
         )
 
 
@@ -102,14 +73,14 @@ def _checked_arrival_mask(tensor: VoteTensor, arrived: np.ndarray) -> np.ndarray
 
 
 class AggregationPipeline:
-    """Base class: defines the pipeline interface and shared vote handling.
+    """Base class: validate the slot layout, vote every file, reduce the winners.
 
     Parameters
     ----------
     assignment:
         Worker/file assignment graph the votes must conform to.
     validate:
-        Whether :meth:`aggregate` verifies that the votes match the
+        Whether :meth:`aggregate_tensor` verifies that the votes match the
         assignment (disable in tight loops once the driver is trusted).
     topology:
         Optional :class:`~repro.cluster.topology.GroupTopology`.  Voting
@@ -122,6 +93,9 @@ class AggregationPipeline:
         Optional coordinate-block width streamed through the majority-vote
         kernels (flat or hierarchical), capping their peak temporaries at
         ``O(rows . block)`` while staying bit-identical.
+    vote_tolerance:
+        Majority-vote tolerance (0 = exact byte equality; a positive value
+        clusters votes within that Euclidean distance).
     """
 
     pipeline_name = "abstract"
@@ -132,15 +106,23 @@ class AggregationPipeline:
         validate: bool = True,
         topology=None,
         block_size: int | None = None,
+        vote_tolerance: float = 0.0,
     ) -> None:
         self.assignment = assignment
         self.validate = bool(validate)
         self.topology = topology
         self.block_size = validate_block_size(block_size)
+        self.vote_tolerance = validate_tolerance(vote_tolerance)
         if topology is not None and topology.num_workers != assignment.num_workers:
             raise ConfigurationError(
                 f"topology spans {topology.num_workers} workers but the "
                 f"assignment has {assignment.num_workers}"
+            )
+        if topology is not None and self.vote_tolerance > 0:
+            # Hierarchical voting merges histograms by content: exact only.
+            raise ConfigurationError(
+                "hierarchical aggregation supports exact voting only; a group "
+                f"topology cannot be combined with vote_tolerance={vote_tolerance}"
             )
         self._expected_slots: np.ndarray | None = None
 
@@ -155,19 +137,10 @@ class AggregationPipeline:
         return self._expected_slots
 
     # -- interface -------------------------------------------------------------
-    def aggregate(self, file_votes: FileVotes) -> np.ndarray:
-        """Aggregate one iteration's returned gradients into an update direction."""
-        if self.validate:
-            _validate_file_votes(self.assignment, file_votes)
-        return self._aggregate(file_votes)
-
     def aggregate_tensor(
         self, tensor: VoteTensor, arrived: np.ndarray | None = None
     ) -> np.ndarray:
-        """Aggregate one iteration's returns from the packed tensor (hot path).
-
-        Produces a result bit-identical to :meth:`aggregate` on the
-        equivalent ``file_votes`` dict, without per-file Python loops.
+        """Aggregate one iteration's returns into an update direction.
 
         ``arrived`` enables the event runtime's *partial aggregation* mode:
         an ``(f, r)`` bool mask of the copies the PS actually accepted this
@@ -182,50 +155,35 @@ class AggregationPipeline:
             _validate_vote_tensor(self._expected_slot_matrix(), tensor)
         if arrived is not None:
             arrived = _checked_arrival_mask(tensor, arrived)
-        return self._aggregate_tensor(tensor, arrived)
+        return self._reduce(self.post_vote_matrix(tensor, arrived))
 
-    def _aggregate(self, file_votes: FileVotes) -> np.ndarray:
-        raise NotImplementedError
-
-    def _aggregate_tensor(
-        self, tensor: VoteTensor, arrived: np.ndarray | None
-    ) -> np.ndarray:
+    def _reduce(self, voted: np.ndarray) -> np.ndarray:
+        """The pipeline's post-vote reducer: ``(n, d)`` winners -> ``(d,)``."""
         raise NotImplementedError
 
     def post_vote_matrix(
         self, tensor: VoteTensor, arrived: np.ndarray | None = None
     ) -> np.ndarray:
-        """The ``(n, d)`` matrix the second-stage aggregator sees.
+        """The ``(n, d)`` matrix the post-vote reducer sees.
 
-        For voting pipelines these are the per-file majority winners; for the
-        vanilla pipeline the raw worker gradients.  Scenario traces digest
-        this matrix per round to pin the voting stage independently of the
-        robust aggregation that follows.  ``arrived`` applies the partial-
-        aggregation mask (see :meth:`aggregate_tensor`).  Every concrete
-        pipeline must override this explicitly.
-        """
-        raise NotImplementedError
-
-    def _majority_matrix(
-        self,
-        tensor: VoteTensor,
-        voter: MajorityVote,
-        arrived: np.ndarray | None = None,
-    ) -> np.ndarray:
-        """Shared post-vote matrix of the majority-voting pipelines.
+        For voting pipelines these are the per-file majority winners; the
+        vanilla pipeline overrides this with the raw worker gradients.
+        Scenario traces digest this matrix per round to pin the voting stage
+        independently of the robust aggregation that follows.
 
         Without a mask every slot votes (the synchronous semantics).  With a
-        partial-aggregation mask, files whose copies all arrived keep the
-        vectorized winner; each incomplete file is re-voted over its arrived
-        copies only, and a file with no arrivals contributes a zero winner —
-        the same "missing = zero gradient" convention the fault injectors
-        use, so the robust stage sees a consistent shape every round.
+        partial-aggregation mask (see :meth:`aggregate_tensor`), files whose
+        copies all arrived keep the vectorized winner; each incomplete file
+        is re-voted over its arrived copies only, and a file with no
+        arrivals contributes a zero winner — the same "missing = zero
+        gradient" convention the fault injectors use, so the robust stage
+        sees a consistent shape every round.
 
         With a group topology the complete files vote hierarchically (per
         group, then a root histogram merge — bit-identical to the flat
-        kernel, so the incomplete-file re-vote below stays valid unchanged).
+        kernel, so the incomplete-file re-vote stays valid unchanged).
         """
-        if self.topology is not None and voter.tolerance == 0.0:
+        if self.topology is not None:
             # Imported lazily: repro.cluster pulls in this module at import
             # time, so a top-level import would be circular.
             from repro.cluster.topology import hierarchical_majority_vote
@@ -235,7 +193,7 @@ class AggregationPipeline:
             )
         else:
             winners, _ = majority_vote_votetensor(
-                tensor, voter.tolerance, block_size=self.block_size
+                tensor, self.vote_tolerance, block_size=self.block_size
             )
         if arrived is None:
             return winners
@@ -248,20 +206,10 @@ class AggregationPipeline:
             if slots.size == 0:
                 winners[i] = 0.0
             else:
-                winners[i] = voter(sub[pos, slots])
+                winners[i] = majority_vote_tensor(
+                    sub[pos, slots][None], self.vote_tolerance
+                )[0][0]
         return winners
-
-    # -- helpers -----------------------------------------------------------------
-    def _voted_file_gradients(
-        self, file_votes: FileVotes, voter: MajorityVote
-    ) -> np.ndarray:
-        """Majority-vote every file and stack the winners into an ``(f, d)`` matrix."""
-        winners = []
-        for file_index in range(self.assignment.num_files):
-            votes = file_votes[file_index]
-            ordered = [votes[w] for w in sorted(votes)]
-            winners.append(voter(ordered))
-        return stack_vectors(winners)
 
     def describe(self) -> dict[str, str]:
         """Short description used in experiment reports."""
@@ -292,7 +240,7 @@ class ByzShieldPipeline(AggregationPipeline):
         Robust rule applied to the ``f`` voted gradients; the paper uses
         coordinate-wise median, but Bulyan / Multi-Krum are supported too.
     vote_tolerance:
-        Tolerance forwarded to :class:`MajorityVote` (0 = exact equality).
+        Majority-vote tolerance (0 = exact equality).
     """
 
     pipeline_name = "byzshield"
@@ -306,9 +254,12 @@ class ByzShieldPipeline(AggregationPipeline):
         topology=None,
         block_size: int | None = None,
     ) -> None:
-        _check_topology_vote(topology, vote_tolerance)
         super().__init__(
-            assignment, validate=validate, topology=topology, block_size=block_size
+            assignment,
+            validate=validate,
+            topology=topology,
+            block_size=block_size,
+            vote_tolerance=vote_tolerance,
         )
         if assignment.replication % 2 == 0:
             raise ConfigurationError(
@@ -316,37 +267,9 @@ class ByzShieldPipeline(AggregationPipeline):
                 f"got r={assignment.replication}"
             )
         self.aggregator = aggregator if aggregator is not None else CoordinateWiseMedian()
-        self.voter = MajorityVote(tolerance=vote_tolerance)
 
-    def _aggregate(self, file_votes: FileVotes) -> np.ndarray:
-        voted = self._voted_file_gradients(file_votes, self.voter)
+    def _reduce(self, voted: np.ndarray) -> np.ndarray:
         return self.aggregator(voted)
-
-    def _aggregate_tensor(
-        self, tensor: VoteTensor, arrived: np.ndarray | None
-    ) -> np.ndarray:
-        return self.aggregator(self._majority_matrix(tensor, self.voter, arrived))
-
-    def voted_gradients(self, file_votes: FileVotes) -> np.ndarray:
-        """Expose the post-vote ``(f, d)`` matrix (useful for analysis/tests)."""
-        if self.validate:
-            _validate_file_votes(self.assignment, file_votes)
-        return self._voted_file_gradients(file_votes, self.voter)
-
-    def voted_gradients_tensor(
-        self, tensor: VoteTensor, arrived: np.ndarray | None = None
-    ) -> np.ndarray:
-        """Tensor analogue of :meth:`voted_gradients`."""
-        if self.validate:
-            _validate_vote_tensor(self._expected_slot_matrix(), tensor)
-        if arrived is not None:
-            arrived = _checked_arrival_mask(tensor, arrived)
-        return self._majority_matrix(tensor, self.voter, arrived)
-
-    def post_vote_matrix(
-        self, tensor: VoteTensor, arrived: np.ndarray | None = None
-    ) -> np.ndarray:
-        return self._majority_matrix(tensor, self.voter, arrived)
 
 
 class DetoxPipeline(AggregationPipeline):
@@ -373,9 +296,12 @@ class DetoxPipeline(AggregationPipeline):
         topology=None,
         block_size: int | None = None,
     ) -> None:
-        _check_topology_vote(topology, vote_tolerance)
         super().__init__(
-            assignment, validate=validate, topology=topology, block_size=block_size
+            assignment,
+            validate=validate,
+            topology=topology,
+            block_size=block_size,
+            vote_tolerance=vote_tolerance,
         )
         if assignment.computational_load != 1:
             raise ConfigurationError(
@@ -387,21 +313,9 @@ class DetoxPipeline(AggregationPipeline):
                 f"DETOX majority voting requires odd group size, got r={assignment.replication}"
             )
         self.aggregator = aggregator if aggregator is not None else CoordinateWiseMedian()
-        self.voter = MajorityVote(tolerance=vote_tolerance)
 
-    def _aggregate(self, file_votes: FileVotes) -> np.ndarray:
-        voted = self._voted_file_gradients(file_votes, self.voter)
+    def _reduce(self, voted: np.ndarray) -> np.ndarray:
         return self.aggregator(voted)
-
-    def _aggregate_tensor(
-        self, tensor: VoteTensor, arrived: np.ndarray | None
-    ) -> np.ndarray:
-        return self.aggregator(self._majority_matrix(tensor, self.voter, arrived))
-
-    def post_vote_matrix(
-        self, tensor: VoteTensor, arrived: np.ndarray | None = None
-    ) -> np.ndarray:
-        return self._majority_matrix(tensor, self.voter, arrived)
 
 
 class DracoPipeline(AggregationPipeline):
@@ -409,8 +323,8 @@ class DracoPipeline(AggregationPipeline):
 
     DRACO guarantees *exact* recovery (the output equals the attack-free
     gradient) but only when every group has an honest majority of at least
-    ``q + 1``, i.e. ``r >= 2q + 1``.  :meth:`aggregate` raises when the
-    declared Byzantine budget violates the bound, reproducing the paper's
+    ``q + 1``, i.e. ``r >= 2q + 1``.  :meth:`aggregate_tensor` raises when
+    the declared Byzantine budget violates the bound, reproducing the paper's
     observation that DRACO "is not applicable if it is violated".
     """
 
@@ -425,9 +339,12 @@ class DracoPipeline(AggregationPipeline):
         topology=None,
         block_size: int | None = None,
     ) -> None:
-        _check_topology_vote(topology, vote_tolerance)
         super().__init__(
-            assignment, validate=validate, topology=topology, block_size=block_size
+            assignment,
+            validate=validate,
+            topology=topology,
+            block_size=block_size,
+            vote_tolerance=vote_tolerance,
         )
         if assignment.computational_load != 1:
             raise ConfigurationError(
@@ -439,7 +356,6 @@ class DracoPipeline(AggregationPipeline):
                 f"num_byzantine must be non-negative, got {num_byzantine}"
             )
         self.num_byzantine = int(num_byzantine)
-        self.voter = MajorityVote(tolerance=vote_tolerance)
         self._mean = MeanAggregator()
 
     @property
@@ -447,28 +363,13 @@ class DracoPipeline(AggregationPipeline):
         """True when ``r >= 2q + 1`` so exact recovery is guaranteed."""
         return self.assignment.replication >= 2 * self.num_byzantine + 1
 
-    def _check_applicable(self) -> None:
+    def _reduce(self, voted: np.ndarray) -> np.ndarray:
         if not self.is_applicable:
             raise AggregationError(
                 f"DRACO requires r >= 2q+1 (r={self.assignment.replication}, "
                 f"q={self.num_byzantine}); the scheme is not applicable"
             )
-
-    def _aggregate(self, file_votes: FileVotes) -> np.ndarray:
-        self._check_applicable()
-        voted = self._voted_file_gradients(file_votes, self.voter)
         return self._mean(voted)
-
-    def _aggregate_tensor(
-        self, tensor: VoteTensor, arrived: np.ndarray | None
-    ) -> np.ndarray:
-        self._check_applicable()
-        return self._mean(self._majority_matrix(tensor, self.voter, arrived))
-
-    def post_vote_matrix(
-        self, tensor: VoteTensor, arrived: np.ndarray | None = None
-    ) -> np.ndarray:
-        return self._majority_matrix(tensor, self.voter, arrived)
 
 
 class VanillaPipeline(AggregationPipeline):
@@ -501,31 +402,20 @@ class VanillaPipeline(AggregationPipeline):
             )
         self.aggregator = aggregator
 
-    def _aggregate(self, file_votes: FileVotes) -> np.ndarray:
-        gradients = []
-        for file_index in range(self.assignment.num_files):
-            votes = file_votes[file_index]
-            (worker,) = votes.keys()
-            gradients.append(votes[worker])
-        return self.aggregator(stack_vectors(gradients))
-
-    def _aggregate_tensor(
-        self, tensor: VoteTensor, arrived: np.ndarray | None
-    ) -> np.ndarray:
-        # r == 1: slot 0 holds each file's single worker return; slot_rows
-        # avoids materializing a lazily replicated tensor.
-        rows = self.post_vote_matrix(tensor, arrived)
-        if rows.shape[0] == 0:
-            # No worker beat the deadline: the round contributes no update.
-            return np.zeros(tensor.dim, dtype=tensor.dtype)
-        return self.aggregator(rows)
-
     def post_vote_matrix(
         self, tensor: VoteTensor, arrived: np.ndarray | None = None
     ) -> np.ndarray:
-        # No vote stage: the aggregator sees the raw (K, d) worker returns;
-        # partial mode keeps only the rows that actually arrived.
+        # No vote stage: the aggregator sees the raw (K, d) worker returns
+        # (r == 1, so slot 0 holds each file's single return; slot_rows avoids
+        # materializing a lazy tensor).  Partial mode keeps only the rows
+        # that actually arrived.
         rows = tensor.slot_rows(0)
         if arrived is None:
             return rows
         return rows[arrived[:, 0]]
+
+    def _reduce(self, voted: np.ndarray) -> np.ndarray:
+        if voted.shape[0] == 0:
+            # No worker beat the deadline: the round contributes no update.
+            return np.zeros(voted.shape[1], dtype=voted.dtype)
+        return self.aggregator(voted)

@@ -1,17 +1,14 @@
 """Contiguous round representation of the per-(worker, file) returns.
 
-The legacy round representation is ``file_votes``: a ``{file: {worker:
-gradient}}`` dict-of-dicts.  It is convenient for tests but forces every
-consumer — attacks, majority voting, the aggregation pipelines — into
-per-file Python loops.  :class:`VoteTensor` replaces it on the hot path with
-three contiguous arrays:
+One round's returns — ``r`` copies of each of ``f`` file gradients — are a
+:class:`VoteTensor`: three aligned arrays that every stage of the round
+(attacks, faults, the event runtime, majority voting, the aggregation
+pipelines) reads and writes without per-file Python loops:
 
 * ``values`` — ``(f, r, d)`` float: ``values[i, k]`` is the gradient
   returned for file ``i`` by its ``k``-th assigned worker;
 * ``workers`` — ``(f, r)`` int64: ``workers[i, k]`` is that worker's index.
-  Every row is strictly increasing, matching the ``sorted(votes)`` order the
-  legacy pipelines iterate in, so the two representations aggregate
-  bit-identically;
+  Every row is strictly increasing (slot order is ascending worker index);
 * ``byzantine_mask`` — ``(f, r)`` bool: simulator-side bookkeeping of which
   slots hold adversarial payloads (the PS never reads it).
 
@@ -41,21 +38,14 @@ uses it to compare and hash each distinct payload row once.
 Consumers that need the full dense cube can still read :attr:`values`;
 doing so materializes the tensor **once** and permanently switches it to
 dense mode so subsequent in-place writes through the array are never lost.
-
-Adapters (:meth:`VoteTensor.from_file_votes` / :meth:`VoteTensor.to_file_votes`)
-convert between the tensor and the legacy representation so existing
-dict-based code keeps working while the trainer, simulator and benchmarks
-use the tensor path.
 """
 
 from __future__ import annotations
 
-from typing import Mapping
-
 import numpy as np
 
 from repro.core.backend import ensure_float
-from repro.exceptions import AggregationError, ConfigurationError
+from repro.exceptions import ConfigurationError
 from repro.graphs.bipartite import BipartiteAssignment
 
 __all__ = ["VoteTensor"]
@@ -264,69 +254,6 @@ class VoteTensor:
         tensor._read_only = False
         return tensor
 
-    @classmethod
-    def from_file_votes(
-        cls,
-        assignment: BipartiteAssignment,
-        file_votes: Mapping[int, Mapping[int, np.ndarray]],
-        byzantine_workers: tuple[int, ...] = (),
-    ) -> "VoteTensor":
-        """Pack a legacy ``{file: {worker: gradient}}`` dict into a tensor.
-
-        Validates the same invariants as the dict pipelines: every file of
-        the assignment is covered by exactly its assigned workers.
-        """
-        if len(file_votes) != assignment.num_files:
-            raise AggregationError(
-                f"expected votes for {assignment.num_files} files, got "
-                f"{len(file_votes)}"
-            )
-        workers = assignment.worker_slot_matrix()
-        f, r = workers.shape
-        values: np.ndarray | None = None
-        for i in range(f):
-            try:
-                votes = file_votes[i]
-            except KeyError:
-                raise AggregationError(f"missing votes for file {i}") from None
-            got = sorted(int(w) for w in votes)
-            if got != [int(w) for w in workers[i]]:
-                raise AggregationError(
-                    f"file {i}: votes came from workers {got} but the "
-                    f"assignment expects {[int(w) for w in workers[i]]}"
-                )
-            for k, w in enumerate(got):
-                vector = ensure_float(votes[w]).ravel()
-                if values is None:
-                    # Inherit the votes' working dtype (float32 stays float32).
-                    values = np.empty((f, r, vector.size), dtype=vector.dtype)
-                if vector.size != values.shape[2]:
-                    raise AggregationError(
-                        f"file {i}, worker {w}: vote has dimension "
-                        f"{vector.size}, expected {values.shape[2]}"
-                    )
-                values[i, k] = vector
-        assert values is not None  # f >= 1 is guaranteed by the assignment
-        tensor = cls(values, workers)
-        if byzantine_workers:
-            tensor.mark_byzantine(byzantine_workers)
-        return tensor
-
-    # -- adapters ------------------------------------------------------------
-    def to_file_votes(self, copy: bool = False) -> dict[int, dict[int, np.ndarray]]:
-        """Unpack into the legacy ``{file: {worker: gradient}}`` dict.
-
-        The returned gradients are views into ``values`` unless ``copy``.
-        """
-        out: dict[int, dict[int, np.ndarray]] = {}
-        for i in range(self.num_files):
-            row = self.values[i]
-            out[i] = {
-                int(self.workers[i, k]): (row[k].copy() if copy else row[k])
-                for k in range(self.replication)
-            }
-        return out
-
     # -- slot access (copy-on-write aware) -----------------------------------
     def _fresh_rows(self, count: int) -> np.ndarray:
         """Row ids of ``count`` newly allocated (uninitialized) payload rows.
@@ -354,21 +281,27 @@ class VoteTensor:
         """Overwrite the given (file, slot) votes — the vectorized attack path.
 
         ``rows`` broadcasts against the ``(m, d)`` selection: a scalar fills
-        every coordinate, a ``(d,)`` vector is written to every selected
-        slot, an ``(m, d)`` matrix writes one row per slot.  On a lazy
-        tensor a broadcast payload is stored once and shared by all selected
-        slots; per-slot matrices take one fresh row each.  Stored rows are
-        never rewritten and the shared honest base is never touched.
+        every coordinate, a ``(d,)`` or ``(1, d)`` vector is written to every
+        selected slot, an ``(m, d)`` matrix writes one row per slot; any
+        other shape raises :class:`ConfigurationError`.  On a lazy tensor a
+        broadcast payload is stored once and shared by all selected slots;
+        per-slot matrices take one fresh row each.  Stored rows are never
+        rewritten and the shared honest base is never touched.
         """
         files = np.asarray(files, dtype=np.int64).ravel()
         slots = np.asarray(slots, dtype=np.int64).ravel()
         if files.size == 0:
             return
+        rows = np.asarray(rows)
+        if rows.shape not in ((), (self.dim,), (1, self.dim), (files.size, self.dim)):
+            raise ConfigurationError(
+                f"payload has shape {rows.shape}; expected a scalar, "
+                f"({self.dim},), (1, {self.dim}) or ({files.size}, {self.dim})"
+            )
         if self._dense is not None:
             self._dense[files, slots] = rows
             return
         assert self._store is not None and self._slot_map is not None
-        rows = np.asarray(rows)
         shared = rows.ndim < 2 or rows.shape[0] == 1
         ids = self._fresh_rows(1 if shared else files.size)
         self._store[ids] = rows

@@ -81,7 +81,7 @@ class ModelGradientComputer:
         ----------
         params:
             Flat parameter vector, loaded into the model **once** for the
-            whole call (the legacy path reloads it per file).
+            whole call (per-file ``__call__`` reloads it every time).
         files:
             Either a sequence of ``(inputs, labels)`` pairs, or a pair of
             stacked arrays ``(inputs, labels)`` with shapes ``(f, n, ...)``

@@ -55,11 +55,6 @@ class DistributedTrainer:
         Hyper-parameters (batch size, iterations, learning-rate schedule...).
     label:
         Name attached to the resulting history (used in experiment reports).
-    use_tensor_path:
-        Run each round through the contiguous
-        :class:`~repro.core.vote_tensor.VoteTensor` representation (default).
-        The legacy dict-of-dicts path produces bit-identical updates and is
-        kept for debugging and the equivalence tests.
     round_observer:
         Optional callback invoked after every optimizer step as
         ``observer(iteration, round_result, aggregate, server)``; the
@@ -84,7 +79,6 @@ class DistributedTrainer:
         test_dataset: Dataset,
         config: TrainingConfig,
         label: str = "run",
-        use_tensor_path: bool = True,
         round_observer=None,
         file_partition: "list[np.ndarray] | None" = None,
     ) -> None:
@@ -101,7 +95,6 @@ class DistributedTrainer:
         self.test_dataset = test_dataset
         self.config = config
         self.label = label
-        self.use_tensor_path = bool(use_tensor_path)
         self.round_observer = round_observer
 
         schedule = StepDecaySchedule(
@@ -151,14 +144,10 @@ class DistributedTrainer:
         params = self.server.broadcast()
         file_data = self._file_data(self._next_file_indices())
         learning_rate = self.server.optimizer.schedule.rate(self.server.optimizer.iteration)
-        if self.use_tensor_path:
-            round_result = self.cluster.run_round_tensor(params, file_data, iteration)
-            aggregate = self.server.update_tensor(
-                round_result.vote_tensor, round_result.aggregation_mask
-            )
-        else:
-            round_result = self.cluster.run_round(params, file_data, iteration)
-            aggregate = self.server.update(round_result.file_votes)
+        round_result = self.cluster.run_round_tensor(params, file_data, iteration)
+        aggregate = self.server.update_tensor(
+            round_result.vote_tensor, round_result.aggregation_mask
+        )
         if self.round_observer is not None:
             self.round_observer(iteration, round_result, aggregate, self.server)
         return IterationRecord(

@@ -2,9 +2,9 @@
 
 Covers the collusive inner-product / sign-flip payloads, the Fang
 aggregator-aware search (every simulated defense), the AGR-agnostic
-min-max / min-sum bisection, the dict-adapter vs ``apply_tensor``
-bit-identity required of every family, and the registry's sorted-names /
-no-silent-overwrite guarantees.
+min-max / min-sum bisection, the vectorized ``apply_tensor`` write checked
+against an edge-by-edge scatter for every family, and the registry's
+sorted-names / no-silent-overwrite guarantees.
 """
 
 import numpy as np
@@ -33,10 +33,9 @@ def make_context(assignment, byzantine, seed=0):
     return AttackContext(
         assignment=assignment,
         byzantine_workers=tuple(byzantine),
-        honest_file_gradients={i: honest[i] for i in range(honest.shape[0])},
+        honest_matrix=honest,
         iteration=0,
         rng=np.random.default_rng(seed + 1),
-        honest_matrix=honest,
     )
 
 
@@ -45,13 +44,11 @@ def make_context(assignment, byzantine, seed=0):
 # --------------------------------------------------------------------------- #
 def test_inner_product_payload_reverses_mean(mols_assignment):
     context = make_context(mols_assignment, (0, 5, 9))
-    attack = InnerProductManipulationAttack(epsilon=0.5)
-    crafted = attack.apply(context)
+    payload = InnerProductManipulationAttack(epsilon=0.5).payload(context)
     mean = context.stacked_honest_gradients().mean(axis=0)
-    for payload in crafted.values():
-        assert np.array_equal(payload, -0.5 * mean)
+    assert np.array_equal(payload, -0.5 * mean)
     # Negative inner product with the descent direction is the whole point.
-    assert float(next(iter(crafted.values())) @ mean) < 0
+    assert float(payload @ mean) < 0
 
 
 def test_inner_product_validation():
@@ -59,8 +56,6 @@ def test_inner_product_validation():
         InnerProductManipulationAttack(epsilon=0.0)
     with pytest.raises(AttackError):
         InnerProductManipulationAttack(epsilon=float("nan"))
-    with pytest.raises(AttackError):
-        InnerProductManipulationAttack().craft(None, 0, 0)
 
 
 # --------------------------------------------------------------------------- #
@@ -68,10 +63,8 @@ def test_inner_product_validation():
 # --------------------------------------------------------------------------- #
 def test_sign_flip_opposes_mean_sign(mols_assignment):
     context = make_context(mols_assignment, (0, 5))
-    attack = SignFlipAttack(magnitude=2.0)
-    attack.prepare(context)
     mean = context.stacked_honest_gradients().mean(axis=0)
-    payload = attack.craft(context, 0, 0)
+    payload = SignFlipAttack(magnitude=2.0).payload(context)
     assert np.all(np.abs(payload) == 2.0)
     assert np.all(np.sign(payload[mean > 0]) == -1)
     assert np.all(np.sign(payload[mean < 0]) == 1)
@@ -82,19 +75,16 @@ def test_sign_flip_zero_mean_coordinate_pushes_negative(mols_assignment):
     context = AttackContext(
         assignment=mols_assignment,
         byzantine_workers=(0,),
-        honest_file_gradients={i: honest[i] for i in range(honest.shape[0])},
         honest_matrix=honest,
     )
-    attack = SignFlipAttack()
-    attack.prepare(context)
-    assert np.all(attack.craft(context, 0, 0) == -1.0)
+    assert np.all(SignFlipAttack().payload(context) == -1.0)
 
 
 def test_sign_flip_validation():
     with pytest.raises(AttackError):
         SignFlipAttack(magnitude=0.0)
     with pytest.raises(AttackError):
-        SignFlipAttack().craft(None, 0, 0)
+        SignFlipAttack(magnitude=float("inf"))
 
 
 # --------------------------------------------------------------------------- #
@@ -120,10 +110,8 @@ def test_corrupted_files_falls_back_to_touched(mols_assignment):
 @pytest.mark.parametrize("defense", FangAdaptiveAttack.DEFENSES)
 def test_fang_deviates_simulated_defense(mols_assignment, defense):
     context = make_context(mols_assignment, (0, 1, 2, 3))
-    attack = FangAdaptiveAttack(defense=defense)
-    attack.prepare(context)
     honest = context.stacked_honest_gradients()
-    payload = attack.craft(context, 0, 0)
+    payload = FangAdaptiveAttack(defense=defense).payload(context)
     corrupted = _corrupted_file_indices(context)
     population = np.array(honest, copy=True)
     population[corrupted] = payload
@@ -179,11 +167,9 @@ def test_fang_insertion_median_matches_dense_simulation(mols_assignment):
 
 def test_fang_krum_payload_is_selected(mols_assignment):
     context = make_context(mols_assignment, (0, 1, 2, 3), seed=5)
-    attack = FangAdaptiveAttack(defense="krum")
-    attack.prepare(context)
     honest = context.stacked_honest_gradients()
     corrupted = _corrupted_file_indices(context)
-    payload = attack.craft(context, 0, 0)
+    payload = FangAdaptiveAttack(defense="krum").payload(context)
     population = np.array(honest, copy=True)
     population[corrupted] = payload
     # Re-run a reference Krum over the corrupted population.
@@ -198,10 +184,9 @@ def test_fang_krum_payload_is_selected(mols_assignment):
 
 def test_fang_q0_prepare_is_safe(mols_assignment):
     context = make_context(mols_assignment, ())
-    attack = FangAdaptiveAttack()
-    attack.prepare(context)
     assert np.array_equal(
-        attack.craft(context, 0, 0), context.stacked_honest_gradients().mean(axis=0)
+        FangAdaptiveAttack().payload(context),
+        context.stacked_honest_gradients().mean(axis=0),
     )
 
 
@@ -224,10 +209,8 @@ def test_fang_validation():
 @pytest.mark.parametrize("direction", MinMaxAttack.DIRECTIONS)
 def test_min_max_respects_spread_bound(mols_assignment, direction):
     context = make_context(mols_assignment, (0, 5, 9), seed=2)
-    attack = MinMaxAttack(direction=direction)
-    attack.prepare(context)
     honest = context.stacked_honest_gradients()
-    payload = attack.craft(context, 0, 0)
+    payload = MinMaxAttack(direction=direction).payload(context)
     max_to_honest = max(
         float(np.sum((payload - row) ** 2)) for row in honest
     )
@@ -241,10 +224,8 @@ def test_min_max_respects_spread_bound(mols_assignment, direction):
 
 def test_min_sum_respects_total_bound(mols_assignment):
     context = make_context(mols_assignment, (0, 5, 9), seed=2)
-    attack = MinSumAttack()
-    attack.prepare(context)
     honest = context.stacked_honest_gradients()
-    payload = attack.craft(context, 0, 0)
+    payload = MinSumAttack().payload(context)
     total = sum(float(np.sum((payload - row) ** 2)) for row in honest)
     bound = max(
         sum(float(np.sum((a - b) ** 2)) for b in honest) for a in honest
@@ -257,12 +238,10 @@ def test_min_max_zero_mean_unit_direction(mols_assignment):
     context = AttackContext(
         assignment=mols_assignment,
         byzantine_workers=(0,),
-        honest_file_gradients={i: honest[i] for i in range(honest.shape[0])},
         honest_matrix=honest,
     )
-    attack = MinMaxAttack(direction="unit")
-    attack.prepare(context)  # must not divide by zero
-    assert np.all(np.isfinite(attack.craft(context, 0, 0)))
+    # must not divide by zero
+    assert np.all(np.isfinite(MinMaxAttack(direction="unit").payload(context)))
 
 
 def test_optimized_deviation_validation():
@@ -275,7 +254,7 @@ def test_optimized_deviation_validation():
 
 
 # --------------------------------------------------------------------------- #
-# Dict adapter vs apply_tensor bit-identity — every new family
+# apply_tensor vs a per-(worker, file) scatter of the payload — every new family
 # --------------------------------------------------------------------------- #
 NEW_FAMILIES = [
     ("inner_product", {}),
@@ -292,30 +271,36 @@ NEW_FAMILIES = [
 
 @pytest.mark.parametrize("name,params", NEW_FAMILIES)
 def test_dict_adapter_matches_apply_tensor(mols_assignment, name, params):
+    """The mask-driven vectorized write equals a ``{(worker, file): payload}``
+    dict scattered edge by edge with ``set_vote`` (the test's own adapter)."""
     byzantine = (0, 3, 7, 11)
     honest = np.random.default_rng(13).standard_normal(
         (mols_assignment.num_files, DIM)
     )
-    grads = {i: honest[i] for i in range(honest.shape[0])}
 
     def context():
         return AttackContext(
             assignment=mols_assignment,
             byzantine_workers=byzantine,
-            honest_file_gradients=grads,
+            honest_matrix=honest,
             iteration=1,
             rng=np.random.default_rng(21),
-            honest_matrix=honest,
         )
 
     tensor_path = VoteTensor.from_honest(mols_assignment, honest)
     dict_path = VoteTensor.from_honest(mols_assignment, honest)
     tensor_path.mark_byzantine(byzantine)
-    dict_path.mark_byzantine(byzantine)
     create_attack(name, **params).apply_tensor(context(), tensor_path)
-    for (worker, file), payload in create_attack(name, **params).apply(context()).items():
-        dict_path.set_vote(file, worker, payload)
+    payload = create_attack(name, **params).payload(context())
+    crafted = {
+        (worker, file): payload
+        for worker in byzantine
+        for file in mols_assignment.files_of_worker(worker)
+    }
+    for (worker, file), vector in crafted.items():
+        dict_path.set_vote(file, worker, vector)
     assert tensor_path.is_lazy  # vectorized writes must never densify
+    assert tensor_path.num_override_rows == 1  # one colluding vector, stored once
     every_file = np.arange(mols_assignment.num_files)
     assert np.array_equal(
         tensor_path.materialize_files(every_file),
@@ -335,8 +320,7 @@ def test_available_attacks_sorted_and_complete():
 
 def test_register_attack_rejects_silent_overwrite():
     class Impostor(Attack):
-        def craft(self, context, worker, file):  # pragma: no cover
-            raise NotImplementedError
+        pass
 
     with pytest.raises(ConfigurationError, match="overwrite=True"):
         register_attack("alie", Impostor)
@@ -348,8 +332,7 @@ def test_register_attack_rejects_silent_overwrite():
 
 def test_register_attack_overwrite_flag_and_subclass_check():
     class Custom(Attack):
-        def craft(self, context, worker, file):  # pragma: no cover
-            raise NotImplementedError
+        pass
 
     register_attack("zoo_test_custom", Custom)
     try:

@@ -5,7 +5,7 @@ import pytest
 
 from repro.aggregation.auror import AurorAggregator, two_means_1d
 from repro.aggregation.geometric_median import GeometricMedianAggregator, geometric_median
-from repro.aggregation.majority import MajorityVote, majority_vote
+from repro.aggregation.majority import majority_vote_tensor
 from repro.aggregation.sign_sgd import SignSGDMajorityAggregator
 from repro.exceptions import AggregationError
 
@@ -102,6 +102,12 @@ def test_auror_invalid_threshold():
 # --------------------------------------------------------------------------- #
 # Majority vote
 # --------------------------------------------------------------------------- #
+def majority_vote(votes, tolerance=0.0):
+    """Vote one file's copies: ``(winner, count)`` of an ``(r, d)`` stack."""
+    winners, counts = majority_vote_tensor(np.asarray(votes)[None], tolerance)
+    return winners[0], int(counts[0])
+
+
 def test_majority_vote_exact_equality():
     good = np.array([1.0, 2.0, 3.0])
     bad = np.array([-9.0, -9.0, -9.0])
@@ -134,18 +140,12 @@ def test_majority_vote_with_tolerance_clusters_jittered_votes():
     assert np.allclose(winner, base, atol=1e-8)
 
 
-def test_majority_vote_validation():
+def test_majority_vote_validation(mols_assignment):
+    from repro.core.pipelines import ByzShieldPipeline
+
     with pytest.raises(AggregationError):
         majority_vote(np.zeros((0, 3)))
     with pytest.raises(AggregationError):
         majority_vote([np.zeros(3)], tolerance=-1.0)
     with pytest.raises(AggregationError):
-        MajorityVote(tolerance=-0.5)
-
-
-def test_majority_vote_callable_wrapper():
-    voter = MajorityVote()
-    good = np.array([2.0, 2.0])
-    assert np.array_equal(voter([good, good, np.zeros(2)]), good)
-    winner, count = voter.with_count([good, good, np.zeros(2)])
-    assert count == 2
+        ByzShieldPipeline(mols_assignment, vote_tolerance=-0.5)

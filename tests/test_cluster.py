@@ -43,37 +43,48 @@ def make_file_data(num_files, samples_per_file=2, seed=0):
 def test_worker_pool_computes_all_files(mols_assignment):
     pool = WorkerPool(mols_assignment, quadratic_gradient_fn)
     file_data = make_file_data(25)
-    gradients, losses = pool.compute_file_gradients(np.zeros(DIM), file_data)
-    assert set(gradients) == set(range(25))
-    assert all(g.shape == (DIM,) for g in gradients.values())
-    assert all(np.isfinite(v) for v in losses.values())
+    gradients, losses = pool.compute_file_gradient_matrix(np.zeros(DIM), file_data)
+    assert gradients.shape == (25, DIM)
+    assert losses.shape == (25,)
+    assert np.all(np.isfinite(losses))
 
 
 def test_worker_pool_requires_complete_file_data(mols_assignment):
     pool = WorkerPool(mols_assignment, quadratic_gradient_fn)
     with pytest.raises(TrainingError):
-        pool.compute_file_gradients(np.zeros(DIM), make_file_data(24))
+        pool.compute_file_gradient_matrix(np.zeros(DIM), make_file_data(24))
 
 
 def test_worker_pool_honest_returns_structure(mols_assignment):
     pool = WorkerPool(mols_assignment, quadratic_gradient_fn)
-    file_votes, honest, losses = pool.honest_returns(np.zeros(DIM), make_file_data(25))
-    assert set(file_votes) == set(range(25))
-    for file_index, votes in file_votes.items():
-        assert set(votes) == set(mols_assignment.workers_of_file(file_index))
-        for gradient in votes.values():
-            assert np.array_equal(gradient, honest[file_index])
+    tensor, honest, losses = pool.honest_returns_tensor(
+        np.zeros(DIM), make_file_data(25)
+    )
+    assert tensor.shape == (25, 3, DIM)
+    assert tensor.is_lazy and tensor.num_overridden_slots == 0
+    assert losses.shape == (25,)
+    for file_index in range(25):
+        assert tuple(tensor.workers[file_index]) == mols_assignment.workers_of_file(
+            file_index
+        )
+    # every assigned worker returns a bit-identical copy of the file's gradient
+    every_file = np.arange(25)
+    assert np.array_equal(
+        tensor.materialize_files(every_file), np.repeat(honest[:, None, :], 3, axis=1)
+    )
 
 
 def test_worker_pool_shared_vs_recomputed_identical(mols_assignment):
-    shared = WorkerPool(mols_assignment, quadratic_gradient_fn, shared_computation=True)
-    recomputed = WorkerPool(mols_assignment, quadratic_gradient_fn, shared_computation=False)
+    """The pool computes each file once and shares it; every worker
+    recomputing its own copy with the oracle returns the same bits."""
+    pool = WorkerPool(mols_assignment, quadratic_gradient_fn)
     data = make_file_data(25)
-    votes_a, _, _ = shared.honest_returns(np.ones(DIM), data)
-    votes_b, _, _ = recomputed.honest_returns(np.ones(DIM), data)
+    tensor, _, _ = pool.honest_returns_tensor(np.ones(DIM), data)
     for i in range(25):
-        for w in votes_a[i]:
-            assert np.allclose(votes_a[i][w], votes_b[i][w])
+        for worker in mols_assignment.workers_of_file(i):
+            recomputed, _ = quadratic_gradient_fn(np.ones(DIM), *data[i])
+            slot = tensor.slot_of(i, worker)
+            assert np.array_equal(tensor.read_slots([i], [slot])[0], recomputed)
 
 
 # --------------------------------------------------------------------------- #
@@ -83,9 +94,11 @@ def test_parameter_server_update(mols_assignment):
     pipeline = ByzShieldPipeline(mols_assignment, aggregator=CoordinateWiseMedian())
     server = ParameterServer(np.zeros(DIM), pipeline, SGD(0.5))
     pool = WorkerPool(mols_assignment, quadratic_gradient_fn)
-    file_votes, honest, _ = pool.honest_returns(server.broadcast(), make_file_data(25))
-    gradient = server.update(file_votes)
-    expected = np.median(np.vstack(list(honest.values())), axis=0)
+    tensor, honest, _ = pool.honest_returns_tensor(
+        server.broadcast(), make_file_data(25)
+    )
+    gradient = server.update_tensor(tensor)
+    expected = np.median(honest, axis=0)
     assert np.allclose(gradient, expected)
     assert np.allclose(server.params, -0.5 * expected)
     assert server.iteration == 1
@@ -103,12 +116,13 @@ def test_parameter_server_validation(mols_assignment):
 def test_cluster_round_without_attack(mols_assignment):
     pool = WorkerPool(mols_assignment, quadratic_gradient_fn)
     cluster = TrainingCluster(mols_assignment, pool)
-    result = cluster.run_round(np.zeros(DIM), make_file_data(25), iteration=0)
+    result = cluster.run_round_tensor(np.zeros(DIM), make_file_data(25), iteration=0)
     assert result.byzantine_workers == ()
     assert result.distorted_files == ()
     assert result.distortion_fraction == 0.0
-    assert len(result.messages) == 25 * 3
-    assert not any(m.is_byzantine for m in result.messages)
+    assert result.vote_tensor.workers.size == 25 * 3
+    assert not result.vote_tensor.byzantine_mask.any()
+    assert result.vote_tensor.num_overridden_slots == 0
     assert np.isfinite(result.mean_file_loss)
 
 
@@ -121,14 +135,19 @@ def test_cluster_round_with_attack_marks_byzantine_messages(mols_assignment):
         selector=FixedSelector([0, 5]),
         seed=0,
     )
-    result = cluster.run_round(np.zeros(DIM), make_file_data(25), iteration=0)
+    result = cluster.run_round_tensor(np.zeros(DIM), make_file_data(25), iteration=0)
     assert result.byzantine_workers == (0, 5)
     # Workers 0 and 5 share exactly file 0: its majority flips.
     assert result.distorted_files == (0,)
     assert result.distortion_fraction == pytest.approx(1 / 25)
-    byzantine_messages = [m for m in result.messages if m.is_byzantine]
-    assert all(np.allclose(m.gradient, -9.0) for m in byzantine_messages)
-    assert len(byzantine_messages) == 10  # 2 workers x 5 files each
+    tensor = result.vote_tensor
+    assert np.array_equal(tensor.byzantine_mask, np.isin(tensor.workers, [0, 5]))
+    files, slots = np.nonzero(tensor.byzantine_mask)
+    assert files.size == 10  # 2 workers x 5 files each
+    assert np.all(tensor.read_slots(files, slots) == -9.0)
+    # every other message still carries the honest gradient
+    files, slots = np.nonzero(~tensor.byzantine_mask)
+    assert np.array_equal(tensor.read_slots(files, slots), result.honest_matrix[files])
 
 
 def test_cluster_round_omniscient_matches_worst_case(mols_assignment):
@@ -140,7 +159,7 @@ def test_cluster_round_omniscient_matches_worst_case(mols_assignment):
         selector=OmniscientSelector(num_byzantine=3, method="exhaustive"),
         seed=0,
     )
-    result = cluster.run_round(np.ones(DIM), make_file_data(25), iteration=0)
+    result = cluster.run_round_tensor(np.ones(DIM), make_file_data(25), iteration=0)
     assert len(result.distorted_files) == 3  # c_max for q=3 on this graph
     assert result.distortion_fraction == pytest.approx(0.12)
 
@@ -157,11 +176,13 @@ def test_cluster_round_deterministic_given_seed(mols_assignment):
         )
 
     data = make_file_data(25)
-    a = build().run_round(np.zeros(DIM), data, iteration=2)
-    b = build().run_round(np.zeros(DIM), data, iteration=2)
-    for i in range(25):
-        for w in a.file_votes[i]:
-            assert np.array_equal(a.file_votes[i][w], b.file_votes[i][w])
+    every_file = np.arange(25)
+    a = build().run_round_tensor(np.zeros(DIM), data, iteration=2)
+    b = build().run_round_tensor(np.zeros(DIM), data, iteration=2)
+    assert np.array_equal(
+        a.vote_tensor.materialize_files(every_file),
+        b.vote_tensor.materialize_files(every_file),
+    )
 
 
 def test_cluster_requires_attack_and_selector_together(mols_assignment):
@@ -212,26 +233,6 @@ def test_timing_unknown_aggregator_defaults():
     byzshield = MOLSAssignment(load=5, replication=3).assignment
     timing = estimate_iteration_timing(byzshield, 750, 1000, aggregator_name="mystery")
     assert timing.aggregation > 0.0
-
-
-def test_worker_pool_rejects_compressor_without_shared_computation(mols_assignment):
-    """Stochastic compressors would compress each copy differently in
-    per-worker recomputation mode, breaking exact majority voting."""
-    import pytest as _pytest
-
-    from repro.compression.compressors import RandomKCompressor
-    from repro.exceptions import TrainingError as _TrainingError
-
-    def fn(params, inputs, labels):
-        return np.zeros(4), 0.0
-
-    with _pytest.raises(_TrainingError, match="shared_computation"):
-        WorkerPool(
-            mols_assignment,
-            fn,
-            shared_computation=False,
-            compressor=RandomKCompressor(0.5),
-        )
 
 
 def test_fault_streams_independent_with_generator_seed(mols_assignment):

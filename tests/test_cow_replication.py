@@ -16,7 +16,7 @@ from repro.assignment.baseline import BaselineAssignment
 from repro.assignment.frc import FRCAssignment
 from repro.assignment.mols import MOLSAssignment
 from repro.assignment.ramanujan import RamanujanAssignment
-from repro.attacks.base import Attack, AttackContext
+from repro.attacks.base import AttackContext
 from repro.attacks.registry import available_attacks, create_attack
 from repro.cluster.faults import (
     DropoutInjector,
@@ -75,10 +75,9 @@ def make_context(assignment, matrix, byzantine, seed=0):
     return AttackContext(
         assignment=assignment,
         byzantine_workers=tuple(byzantine),
-        honest_file_gradients={i: matrix[i] for i in range(matrix.shape[0])},
+        honest_matrix=matrix,
         iteration=1,
         rng=np.random.default_rng(seed),
-        honest_matrix=matrix,
     )
 
 
@@ -205,8 +204,24 @@ def test_cow_matches_materialized_attack_then_faults(mols_assignment):
 
 
 # --------------------------------------------------------------------------- #
-# Vectorized noise attacks vs the dict-based adapter fallback
+# Vectorized noise attacks vs a per-slot scalar writer
 # --------------------------------------------------------------------------- #
+def scalar_adapter(attack, context, tensor):
+    """Per-slot reference writer: one ``(d,)`` draw and one ``set_vote`` per
+    (worker, file), workers in context order, files in assignment order."""
+    for worker in context.byzantine_workers:
+        for file in context.assignment.files_of_worker(worker):
+            if attack.attack_name == "uniform_random":
+                vector = context.rng.uniform(
+                    -attack.magnitude, attack.magnitude, size=tensor.dim
+                )
+            else:
+                vector = context.rng.standard_normal(tensor.dim) * attack.sigma
+                if attack.around_true_gradient:
+                    vector = vector + context.honest_matrix[file]
+            tensor.set_vote(file, worker, vector)
+
+
 @pytest.mark.parametrize(
     "attack_factory",
     [
@@ -219,19 +234,17 @@ def test_cow_matches_materialized_attack_then_faults(mols_assignment):
 @pytest.mark.parametrize("scheme", sorted(SCHEMES))
 def test_vectorized_noise_attacks_match_adapter(scheme, attack_factory):
     """One stacked (m, d) draw must consume the RNG stream exactly as the
-    adapter's m successive (d,) draws do — bit-identical payloads."""
+    scalar adapter's m successive (d,) draws do — bit-identical payloads."""
     assignment = SCHEMES[scheme]()
     byzantine = (0, 2, min(6, assignment.num_workers - 1))
     lazy, dense, matrix = make_pair(assignment, seed=21)
     attack = attack_factory()
     lazy.mark_byzantine(byzantine)
     dense.mark_byzantine(byzantine)
-    # vectorized override on the lazy tensor
+    # vectorized write on the lazy tensor
     attack.apply_tensor(make_context(assignment, matrix, byzantine, seed=23), lazy)
-    # base-class adapter (dict apply + per-slot scatter) on the dense tensor
-    Attack.apply_tensor(
-        attack, make_context(assignment, matrix, byzantine, seed=23), dense
-    )
+    # per-slot scalar draws on the dense tensor
+    scalar_adapter(attack, make_context(assignment, matrix, byzantine, seed=23), dense)
     assert lazy.is_lazy
     assert_tensors_identical(lazy, dense)
 

@@ -30,6 +30,7 @@ from repro.attacks.noise import GaussianNoiseAttack, UniformRandomAttack
 from repro.attacks.reversed_gradient import ReversedGradientAttack
 from repro.attacks.selection import OmniscientSelector
 from repro.core.pipelines import ByzShieldPipeline
+from repro.core.vote_tensor import VoteTensor
 from repro.utils.rng import as_generator
 
 DIM = 12
@@ -51,34 +52,29 @@ ROBUST_AGGREGATORS = {
 }
 
 
-def honest_gradients(seed: int = 0) -> dict[int, np.ndarray]:
+def honest_gradients(seed: int = 0) -> np.ndarray:
     rng = as_generator(seed)
     base = rng.standard_normal(DIM)
-    return {
-        i: base + 0.1 * rng.standard_normal(DIM) for i in range(ASSIGNMENT.num_files)
-    }
+    return base + 0.1 * rng.standard_normal((ASSIGNMENT.num_files, DIM))
 
 
-def attacked_file_votes(attack, q: int, seed: int = 0):
+def attacked_votes(attack, q: int, seed: int = 0):
     """Honest votes with the worst-case q workers replaced by the attack payloads."""
     honest = honest_gradients(seed)
     selector = OmniscientSelector(num_byzantine=q, method="exhaustive")
     rng = as_generator(seed + 1)
     byzantine = selector.select(ASSIGNMENT, 0, rng)
-    votes = {
-        i: {w: honest[i].copy() for w in ASSIGNMENT.workers_of_file(i)}
-        for i in range(ASSIGNMENT.num_files)
-    }
+    tensor = VoteTensor.from_honest(ASSIGNMENT, honest)
+    tensor.mark_byzantine(byzantine)
     context = AttackContext(
         assignment=ASSIGNMENT,
         byzantine_workers=byzantine,
-        honest_file_gradients=honest,
+        honest_matrix=honest,
         iteration=0,
         rng=rng,
     )
-    for (worker, file_index), payload in attack.apply(context).items():
-        votes[file_index][worker] = payload
-    return votes, honest
+    attack.apply_tensor(context, tensor)
+    return tensor, honest
 
 
 @pytest.mark.parametrize("attack_name", sorted(ATTACKS))
@@ -87,14 +83,10 @@ def test_byzshield_small_q_exact_recovery(attack_name, aggregator_name):
     """q = 1 < r' = 2: no vote can be corrupted, output equals attack-free output."""
     attack = ATTACKS[attack_name]
     aggregator = ROBUST_AGGREGATORS[aggregator_name]
-    votes, honest = attacked_file_votes(attack, q=1)
+    votes, honest = attacked_votes(attack, q=1)
     pipeline = ByzShieldPipeline(ASSIGNMENT, aggregator=aggregator)
-    attacked = pipeline.aggregate(votes)
-    clean_votes = {
-        i: {w: honest[i] for w in ASSIGNMENT.workers_of_file(i)}
-        for i in range(ASSIGNMENT.num_files)
-    }
-    clean = pipeline.aggregate(clean_votes)
+    attacked = pipeline.aggregate_tensor(votes)
+    clean = pipeline.aggregate_tensor(VoteTensor.from_honest(ASSIGNMENT, honest))
     assert np.allclose(attacked, clean)
 
 
@@ -102,12 +94,11 @@ def test_byzshield_small_q_exact_recovery(attack_name, aggregator_name):
 def test_byzshield_median_stays_near_honest_aggregate_q4(attack_name):
     """q = 4 corrupts 5/25 votes; the median over 25 votes barely moves."""
     attack = ATTACKS[attack_name]
-    votes, honest = attacked_file_votes(attack, q=4)
+    votes, honest = attacked_votes(attack, q=4)
     pipeline = ByzShieldPipeline(ASSIGNMENT, aggregator=CoordinateWiseMedian())
-    attacked = pipeline.aggregate(votes)
-    honest_matrix = np.vstack([honest[i] for i in range(ASSIGNMENT.num_files)])
-    honest_median = np.median(honest_matrix, axis=0)
-    honest_spread = honest_matrix.max(axis=0) - honest_matrix.min(axis=0)
+    attacked = pipeline.aggregate_tensor(votes)
+    honest_median = np.median(honest, axis=0)
+    honest_spread = honest.max(axis=0) - honest.min(axis=0)
     # The attacked median stays within the honest votes' own spread.
     assert np.all(np.abs(attacked - honest_median) <= honest_spread + 1e-9)
 
@@ -116,10 +107,10 @@ def test_byzshield_median_stays_near_honest_aggregate_q4(attack_name):
 def test_mean_is_broken_by_every_large_magnitude_attack(attack_name):
     """Sanity: the same corrupted votes destroy a plain mean aggregate."""
     attack = ATTACKS[attack_name]
-    votes, honest = attacked_file_votes(attack, q=4)
+    votes, honest = attacked_votes(attack, q=4)
     pipeline = ByzShieldPipeline(ASSIGNMENT, aggregator=MeanAggregator())
-    attacked = pipeline.aggregate(votes)
-    honest_mean = np.vstack([honest[i] for i in range(ASSIGNMENT.num_files)]).mean(axis=0)
+    attacked = pipeline.aggregate_tensor(votes)
+    honest_mean = honest.mean(axis=0)
     # Large-magnitude attacks shift the mean by much more than the honest spread.
     assert np.linalg.norm(attacked - honest_mean) > 1.0
 
@@ -128,9 +119,9 @@ def test_mean_is_broken_by_every_large_magnitude_attack(attack_name):
 def test_corrupted_vote_count_matches_static_analysis(attack_name):
     """The number of votes differing from the honest gradient equals c_max."""
     attack = ATTACKS[attack_name]
-    votes, honest = attacked_file_votes(attack, q=4)
+    votes, honest = attacked_votes(attack, q=4)
     pipeline = ByzShieldPipeline(ASSIGNMENT)
-    voted = pipeline.voted_gradients(votes)
+    voted = pipeline.post_vote_matrix(votes)
     corrupted = sum(
         0 if np.allclose(voted[i], honest[i]) else 1
         for i in range(ASSIGNMENT.num_files)

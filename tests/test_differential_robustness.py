@@ -57,10 +57,9 @@ def make_context(assignment, byzantine, honest, iteration=0, rng_seed=0):
     return AttackContext(
         assignment=assignment,
         byzantine_workers=tuple(int(w) for w in byzantine),
-        honest_file_gradients={i: honest[i] for i in range(honest.shape[0])},
+        honest_matrix=honest,
         iteration=iteration,
         rng=np.random.default_rng(rng_seed),
-        honest_matrix=honest,
     )
 
 
@@ -154,18 +153,29 @@ def test_stochastic_draws_independent_of_byzantine_layout(
 def test_stochastic_stream_consumption_matches_dict_path(
     mols_assignment, attack_name
 ):
-    # After the vectorized apply_tensor, the generator must sit at exactly
-    # the same stream position as after the scalar dict adapter.
+    # The reference is one scalar (d,) draw per (worker, file) key: the
+    # stacked (m, d) draw must hand slot j of byzantine_write_order (worker,
+    # then file) the j-th successive draw of the round's stream, and leave
+    # the generator right after the m-th.
     honest = honest_matrix(mols_assignment)
-    byzantine = (0, 5, 9)
+    byzantine = (9, 0, 5)  # context order, not sorted order
     tensor = VoteTensor.from_honest(mols_assignment, honest)
     tensor.mark_byzantine(byzantine)
-    ctx_tensor = make_context(mols_assignment, byzantine, honest, rng_seed=7)
-    ctx_dict = make_context(mols_assignment, byzantine, honest, rng_seed=7)
-    create_attack(attack_name).apply_tensor(ctx_tensor, tensor)
-    create_attack(attack_name).apply(ctx_dict)
+    context = make_context(mols_assignment, byzantine, honest, rng_seed=7)
+    attack = create_attack(attack_name)
+    attack.apply_tensor(context, tensor)
+    scalar = np.random.default_rng(7)
+    for worker in byzantine:
+        for file in mols_assignment.files_of_worker(worker):
+            if attack_name == "gaussian_noise":
+                expected = scalar.standard_normal(DIM) * attack.sigma
+            else:
+                expected = scalar.uniform(-attack.magnitude, attack.magnitude, size=DIM)
+            slot = tensor.slot_of(file, worker)
+            got = tensor.read_slots([file], [slot])[0]
+            assert np.array_equal(got, expected), (worker, file)
     assert np.array_equal(
-        ctx_tensor.rng.standard_normal(4), ctx_dict.rng.standard_normal(4)
+        context.rng.standard_normal(4), scalar.standard_normal(4)
     )
 
 

@@ -387,11 +387,6 @@ class TestClusterEventRound:
                 result.vote_tensor.values[e.file, e.slot], np.zeros(DIM)
             )
 
-    def test_legacy_round_path_rejects_runtime(self, mols_assignment):
-        cluster = make_cluster(mols_assignment, runtime=AsyncRuntime())
-        with pytest.raises(TrainingError):
-            cluster.run_round(np.ones(DIM), make_file_data(25), 0)
-
     def test_quorum_above_replication_rejected(self, mols_assignment):
         with pytest.raises(TrainingError):
             make_cluster(mols_assignment, runtime=AsyncRuntime(quorum=4))

@@ -134,10 +134,10 @@ def test_pipeline_output_matches_manual_computation(data):
         for i in range(25)
     }
     params = computer.initial_params()
-    result = cluster.run_round(params, file_data, iteration=0)
+    result = cluster.run_round_tensor(params, file_data, iteration=0)
 
     pipeline = ByzShieldPipeline(assignment)
-    aggregated = pipeline.aggregate(result.file_votes)
+    aggregated = pipeline.aggregate_tensor(result.vote_tensor)
 
     # Manual recomputation: honest gradients, corrupt the files with a
     # Byzantine majority, take the coordinate-wise median.
@@ -150,7 +150,7 @@ def test_pipeline_output_matches_manual_computation(data):
         if byz_copies >= threshold:
             voted.append(np.full(params.size, -3.0))
         else:
-            voted.append(result.honest_file_gradients[i])
+            voted.append(result.honest_matrix[i])
     expected = np.median(np.vstack(voted), axis=0)
     assert np.allclose(aggregated, expected)
 

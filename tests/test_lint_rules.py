@@ -98,7 +98,7 @@ def test_rng_allows_seam_module_and_generator_annotations(tmp_path):
             "attacks/noise.py": """
             import numpy as np
 
-            def craft(rng: np.random.Generator) -> float:
+            def payload(rng: np.random.Generator) -> float:
                 return float(rng.standard_normal())
             """,
         },
@@ -447,7 +447,7 @@ import abc
 
 class Attack(abc.ABC):
     @abc.abstractmethod
-    def craft(self):
+    def payload(self):
         ...
 """
 
@@ -461,7 +461,7 @@ def test_reg_flags_unregistered_concrete_subclass(tmp_path):
             from repro.attacks.base import Attack
 
             class OrphanAttack(Attack):
-                def craft(self):
+                def payload(self):
                     return 0
             """,
             "attacks/registry.py": """
@@ -485,7 +485,7 @@ def test_reg_accepts_registered_subclass_and_exempts_private(tmp_path):
             from repro.attacks.base import Attack
 
             class _SharedPayload(Attack):
-                def craft(self):
+                def payload(self):
                     return 0
 
             class GoodAttack(_SharedPayload):
@@ -516,7 +516,7 @@ def test_reg_flags_double_registration(tmp_path):
             from repro.attacks.base import Attack
 
             class DupAttack(Attack):
-                def craft(self):
+                def payload(self):
                     return 0
             """,
             "attacks/registry.py": """
@@ -545,7 +545,7 @@ def test_reg_skips_when_registry_not_in_scan(tmp_path):
             from repro.attacks.base import Attack
 
             class OrphanAttack(Attack):
-                def craft(self):
+                def payload(self):
                     return 0
             """,
         },

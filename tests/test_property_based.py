@@ -6,16 +6,26 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.aggregation.geometric_median import geometric_median
-from repro.aggregation.majority import majority_vote
+from repro.aggregation.majority import (
+    _reference_clustered_majority,
+    _reference_exact_majority,
+    majority_vote_tensor,
+)
 from repro.aggregation.median import CoordinateWiseMedian
 from repro.aggregation.trimmed_mean import TrimmedMeanAggregator
+from repro.assignment.frc import FRCAssignment
 from repro.assignment.mols import MOLSAssignment
 from repro.assignment.ramanujan import RamanujanAssignment
+from repro.attacks.base import AttackContext
+from repro.attacks.registry import available_attacks, create_attack
+from repro.cluster.topology import GroupTopology
 from repro.core.distortion import (
     count_distorted,
     majority_threshold,
     max_distortion_greedy,
 )
+from repro.core.pipelines import ByzShieldPipeline, DetoxPipeline
+from repro.core.vote_tensor import VoteTensor
 from repro.fields.latin_squares import LatinSquare, are_orthogonal
 from repro.fields.prime_field import PrimeField
 from repro.graphs.expansion import gamma_upper_bound, neighborhood_lower_bound
@@ -184,8 +194,10 @@ def test_trimmed_mean_within_range(votes, trim):
     if matrix.shape[0] <= 2 * trim:
         return
     result = TrimmedMeanAggregator(trim=trim)(matrix)
-    assert np.all(result >= matrix.min(axis=0) - 1e-12)
-    assert np.all(result <= matrix.max(axis=0) + 1e-12)
+    # A mean of n equal values x is only within ~n·eps·|x| of x.
+    slack = 1e-12 * (1.0 + np.abs(matrix).max(axis=0))
+    assert np.all(result >= matrix.min(axis=0) - slack)
+    assert np.all(result <= matrix.max(axis=0) + slack)
 
 
 @settings(deadline=None, max_examples=30, suppress_health_check=SUPPRESS)
@@ -220,10 +232,78 @@ def test_majority_vote_returns_most_frequent(num_votes, dim, winner_count, seed)
     votes = [winner.copy() for _ in range(winner_count)]
     votes += [rng.standard_normal(dim) for _ in range(num_votes - winner_count)]
     rng.shuffle(votes)
-    result, count = majority_vote(votes)
+    winners, counts = majority_vote_tensor(np.array(votes)[None])
     if winner_count > num_votes - winner_count:
-        assert np.array_equal(result, winner)
-        assert count == winner_count
+        assert np.array_equal(winners[0], winner)
+        assert counts[0] == winner_count
+
+
+# --------------------------------------------------------------------------- #
+# The vote stage vs the pure-Python reference votes
+# --------------------------------------------------------------------------- #
+VOTING_SETUPS = {
+    "mols": (MOLSAssignment(load=5, replication=3).assignment, ByzShieldPipeline),
+    "ramanujan": (RamanujanAssignment(m=3, s=5).assignment, ByzShieldPipeline),
+    "frc": (FRCAssignment(num_workers=15, replication=3).assignment, DetoxPipeline),
+}
+
+
+@settings(deadline=None, max_examples=120, suppress_health_check=SUPPRESS)
+@given(
+    scheme=st.sampled_from(sorted(VOTING_SETUPS)),
+    attack_name=st.sampled_from(available_attacks()),
+    q=st.integers(0, 15),
+    dim=st.integers(1, 6),
+    densify=st.booleans(),
+    groups=st.one_of(st.none(), st.integers(2, 5)),
+    block_size=st.one_of(st.none(), st.integers(1, 4)),
+    tolerance=st.sampled_from([0.0, 0.0, 1e-9, 0.5]),
+    seed=st.integers(0, 10_000),
+)
+def test_post_vote_matrix_matches_reference_vote(
+    scheme, attack_name, q, dim, densify, groups, block_size, tolerance, seed
+):
+    """The goldens were recorded from the vectorized vote itself; this is its
+    independent check.  Whatever the scheme, attack, q, tensor mode, group
+    topology, block size or tolerance, ``post_vote_matrix`` must equal the
+    single-file reference vote applied to each file's materialized copies —
+    row for row, bit for bit."""
+    assignment, pipeline_cls = VOTING_SETUPS[scheme]
+    rng = np.random.default_rng(seed)
+    honest = rng.standard_normal((assignment.num_files, dim))
+    byzantine = tuple(
+        int(w) for w in rng.choice(assignment.num_workers, size=q, replace=False)
+    )
+    tensor = VoteTensor.from_honest(assignment, honest)
+    tensor.mark_byzantine(byzantine)
+    context = AttackContext(
+        assignment=assignment,
+        byzantine_workers=byzantine,
+        honest_matrix=honest,
+        iteration=seed % 7,
+        rng=np.random.default_rng(seed + 1),
+    )
+    create_attack(attack_name).apply_tensor(context, tensor)
+    cube = tensor.materialize_files(np.arange(assignment.num_files))
+    if densify:
+        tensor = VoteTensor(cube.copy(), tensor.workers, tensor.byzantine_mask)
+    assert tensor.is_lazy != densify
+
+    if tolerance > 0:
+        groups = None  # hierarchical voting is exact-equality only
+    topology = (
+        None if groups is None else GroupTopology(assignment.num_workers, groups)
+    )
+    pipeline = pipeline_cls(
+        assignment, vote_tolerance=tolerance, topology=topology, block_size=block_size
+    )
+    voted = pipeline.post_vote_matrix(tensor)
+    for i in range(assignment.num_files):
+        if tolerance == 0.0:
+            expected, _ = _reference_exact_majority(cube[i])
+        else:
+            expected, _ = _reference_clustered_majority(cube[i], tolerance)
+        assert np.array_equal(voted[i], expected), (i, voted[i], expected)
 
 
 # --------------------------------------------------------------------------- #

@@ -1,10 +1,10 @@
-"""Unit tests for the VoteTensor round representation and its adapters."""
+"""Unit tests for the VoteTensor round representation."""
 
 import numpy as np
 import pytest
 
 from repro.core.vote_tensor import VoteTensor
-from repro.exceptions import AggregationError, ConfigurationError, TrainingError
+from repro.exceptions import ConfigurationError, TrainingError
 from repro.nn.models import build_mlp
 from repro.training.gradients import ModelGradientComputer
 
@@ -58,50 +58,6 @@ def test_from_honest_validates_matrix(mols_assignment):
 
 
 # --------------------------------------------------------------------------- #
-# Dict adapters
-# --------------------------------------------------------------------------- #
-def test_file_votes_round_trip(mols_assignment):
-    matrix = honest_matrix(25, 4)
-    tensor = VoteTensor.from_honest(mols_assignment, matrix)
-    tensor.set_vote(0, 0, np.full(4, -5.0))
-    file_votes = tensor.to_file_votes()
-    assert set(file_votes) == set(range(25))
-    for i in range(25):
-        assert set(file_votes[i]) == set(mols_assignment.workers_of_file(i))
-    back = VoteTensor.from_file_votes(mols_assignment, file_votes)
-    assert np.array_equal(back.values, tensor.values)
-    assert np.array_equal(back.workers, tensor.workers)
-
-
-def test_from_file_votes_validates_coverage(mols_assignment):
-    tensor = VoteTensor.from_honest(mols_assignment, honest_matrix(25, 4))
-    votes = tensor.to_file_votes()
-    del votes[0]
-    with pytest.raises(AggregationError):
-        VoteTensor.from_file_votes(mols_assignment, votes)
-
-    votes = tensor.to_file_votes()
-    votes[0][99] = np.zeros(4)  # worker not assigned the file
-    with pytest.raises(AggregationError):
-        VoteTensor.from_file_votes(mols_assignment, votes)
-
-    votes = tensor.to_file_votes()
-    votes[1][mols_assignment.workers_of_file(1)[0]] = np.zeros(3)  # wrong dim
-    with pytest.raises(AggregationError):
-        VoteTensor.from_file_votes(mols_assignment, votes)
-
-
-def test_from_file_votes_marks_byzantine(mols_assignment):
-    tensor = VoteTensor.from_honest(mols_assignment, honest_matrix(25, 4))
-    votes = tensor.to_file_votes()
-    packed = VoteTensor.from_file_votes(
-        mols_assignment, votes, byzantine_workers=(0, 5)
-    )
-    expected = np.isin(packed.workers, [0, 5])
-    assert np.array_equal(packed.byzantine_mask, expected)
-
-
-# --------------------------------------------------------------------------- #
 # Mutation helpers
 # --------------------------------------------------------------------------- #
 def test_set_vote_and_slot_lookup(mols_assignment):
@@ -115,6 +71,24 @@ def test_set_vote_and_slot_lookup(mols_assignment):
         tensor.set_vote(3, 999, payload)
     with pytest.raises(ConfigurationError):
         tensor.set_vote(3, workers[0], np.zeros(5))
+
+
+def test_write_slots_rejects_wrong_payload_shapes(ramanujan_case1):
+    """Scalar, (d,), (1, d) and (m, d) are the only payload shapes — lazy or
+    dense; a (1,) array must not silently broadcast over every coordinate."""
+    assignment = ramanujan_case1.assignment
+    lazy = VoteTensor.from_honest(assignment, honest_matrix(25, 10))
+    dense = lazy.copy()
+    assert dense.values is not None and not dense.is_lazy
+    files, slots = np.array([0, 1, 2]), np.array([0, 1, 2])
+    for tensor in (lazy, dense):
+        for bad in (np.zeros(3), np.zeros(1), np.zeros((2, 10)), np.zeros((3, 9))):
+            with pytest.raises(ConfigurationError, match="payload has shape"):
+                tensor.write_slots(files, slots, bad)
+        for good in (1.5, np.ones(10), np.ones((1, 10)), np.ones((3, 10))):
+            tensor.write_slots(files, slots, good)
+        assert np.all(tensor.read_slots(files, slots) == 1.0)
+    assert lazy.is_lazy and lazy.num_overridden_slots == 3
 
 
 def test_mark_byzantine(mols_assignment):

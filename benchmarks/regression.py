@@ -45,6 +45,7 @@ from repro.core.pipelines import ByzShieldPipeline
 from repro.core.vote_tensor import VoteTensor
 from repro.nn.models import build_cnn, build_mlp, build_resnet_lite
 from repro.training.gradients import ModelGradientComputer
+from repro.utils.digest import array_digest
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
@@ -111,7 +112,10 @@ def headline_scale_kernels() -> dict:
     ``sync-alie-wide`` in ``benchmarks/e2e`` (Ramanujan K=25, q=5 colluding
     adversaries, the 256x256 MLP's d=94,218 parameters) spends its round in
     the lazy vote over one shared payload and in the coordinate-wise median
-    of the 25 winners; these kernels time exactly those two calls.
+    of the 25 winners; these kernels time exactly those two calls.  The
+    third is what observing that round costs: the trace's votes digest,
+    streamed from the lazy tensor (the ``(f, r, d)`` cube it stands for
+    would be 94 MB).
     """
     assignment = RamanujanAssignment(m=5, s=5).assignment
     dim = 94_218
@@ -128,6 +132,7 @@ def headline_scale_kernels() -> dict:
             tensor, 0.0
         ),
         "coordinate_median_25x94k": lambda: median(honest),
+        "votes_digest_lazy_f25_r5_d94k": lambda: array_digest(tensor),
     }
 
 

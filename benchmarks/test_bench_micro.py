@@ -189,14 +189,14 @@ def test_cow_replication_memory_reduction_at_paper_scale():
     def cow_round():
         tensor = VoteTensor.from_honest(assignment, honest)
         tensor.write_slots(files, slots, payload)
-        return pipeline.aggregate_tensor(tensor)
+        return pipeline.aggregate_tensor(tensor).aggregate
 
     def materialized_round():
         tensor = VoteTensor(
             np.repeat(honest[:, None, :], replication, axis=1), workers
         )
         tensor.write_slots(files, slots, payload)
-        return pipeline.aggregate_tensor(tensor)
+        return pipeline.aggregate_tensor(tensor).aggregate
 
     assert np.array_equal(cow_round(), materialized_round())
 

@@ -1,4 +1,4 @@
-"""COW-001: attacks, faults and kernels respect the lazy VoteTensor.
+"""COW-001: attacks, faults, kernels and observers respect the lazy VoteTensor.
 
 ``VoteTensor.from_honest`` shares one read-only ``(f, d)`` honest base
 across all replicas; per-(file, slot) overrides materialize lazily through
@@ -6,11 +6,15 @@ the slot API (``write_slots``, ``set_vote``, ``add_to_slots``, ...).  The
 memory win evaporates if a mutator densifies the cube (``.values``) or
 writes through the shared base, and a base write corrupts *every* replica
 of the honest gradient at once.  Inside the mutating layers — ``attacks/``,
-``cluster/faults.py`` — and the aggregation kernels — ``aggregation/``,
-``cluster/topology.py`` — this rule flags ``.values`` densification (a
-property load; dict ``.values()`` calls are fine), writes into arrays
-obtained from the base accessors (``base_rows`` / ``base_block``), and
-writes through another object's private attributes.
+``cluster/faults.py`` — the aggregation kernels — ``aggregation/``,
+``cluster/topology.py`` — and the layers that only look at a round —
+``training/``, ``scenarios/``, ``utils/digest.py`` (the trace digest once
+densified every observed round just to hash it) — this rule flags
+``.values`` densification (a property load; dict ``.values()`` calls are
+fine), writes into arrays obtained from the base accessors (``base_rows`` /
+``base_block``), and writes through another object's private attributes.
+``campaigns/`` is deliberately out of scope: ``GridAxis.values`` there is an
+unrelated attribute.
 """
 
 from __future__ import annotations
@@ -24,8 +28,8 @@ from repro.analysis.rules.base import Rule, subscript_root
 __all__ = ["CowSafetyRule"]
 
 #: package-relative prefixes/files where the slot API is mandatory
-_SCOPE_PREFIXES = ("attacks/", "aggregation/")
-_SCOPE_FILES = ("cluster/faults.py", "cluster/topology.py")
+_SCOPE_PREFIXES = ("attacks/", "aggregation/", "scenarios/", "training/")
+_SCOPE_FILES = ("cluster/faults.py", "cluster/topology.py", "utils/digest.py")
 
 #: VoteTensor accessors returning (views of) the shared honest base
 _BASE_ACCESSORS = frozenset({"base_rows", "base_block"})
@@ -38,7 +42,8 @@ def _in_scope(relpath: str) -> bool:
 class CowSafetyRule(Rule):
     rule_id = "COW-001"
     invariant = (
-        "attacks/, cluster/faults.py and the aggregation kernels never "
+        "attacks/, cluster/faults.py, the aggregation kernels and the "
+        "observing layers (training/, scenarios/, utils/digest.py) never "
         "densify a lazy VoteTensor (.values) nor write through the shared "
         "honest base; mutations go through the slot API (write_slots, "
         "set_vote, add_to_slots, scale_slots, zero_slots)"
@@ -64,7 +69,8 @@ class CowSafetyRule(Rule):
                         node,
                         ".values densifies the (f, r, d) cube, defeating "
                         "copy-on-write replication; use the slot API "
-                        "(slot_rows / read_slots / materialize_files)",
+                        "(slot_rows / read_slots / materialize_files / "
+                        "row_runs)",
                     )
             elif isinstance(node, (ast.Assign, ast.AugAssign)):
                 targets = node.targets if isinstance(node, ast.Assign) else [node.target]

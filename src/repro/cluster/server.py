@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.backend import ensure_float
-from repro.core.pipelines import AggregationPipeline
+from repro.core.pipelines import AggregationPipeline, RoundOutcome
 from repro.core.vote_tensor import VoteTensor
 from repro.exceptions import TrainingError
 from repro.nn.optim import SGD
@@ -60,7 +60,7 @@ class ParameterServer:
 
     def aggregate_tensor(
         self, tensor: VoteTensor, arrived: np.ndarray | None = None
-    ) -> np.ndarray:
+    ) -> RoundOutcome:
         """Run the aggregation pipeline without updating the model.
 
         ``arrived`` is the event runtime's partial-aggregation mask — the
@@ -73,7 +73,7 @@ class ParameterServer:
         """
         return self.pipeline.aggregate_tensor(tensor, arrived)
 
-    def _apply_gradient(self, gradient: np.ndarray) -> np.ndarray:
+    def _apply_gradient(self, gradient: np.ndarray) -> None:
         if gradient.shape != self._params.shape:
             raise TrainingError(
                 f"aggregated gradient has shape {gradient.shape}, expected "
@@ -81,16 +81,18 @@ class ParameterServer:
             )
         self._params = self.optimizer.step_vector(self._params, gradient)
         self.iteration += 1
-        return gradient
 
     def update_tensor(
         self, tensor: VoteTensor, arrived: np.ndarray | None = None
-    ) -> np.ndarray:
+    ) -> RoundOutcome:
         """Aggregate the returns and take one optimizer step.
 
-        Returns the aggregated gradient used for the update.
+        Returns the round's :class:`~repro.core.pipelines.RoundOutcome`
+        unchanged: ``.aggregate`` is the gradient used for the update.
         """
-        return self._apply_gradient(self.aggregate_tensor(tensor, arrived))
+        outcome = self.aggregate_tensor(tensor, arrived)
+        self._apply_gradient(outcome.aggregate)
+        return outcome
 
     def state_digest(self) -> str:
         """Stable hex digest of the current global parameters.

@@ -31,6 +31,7 @@ _EXPORTS = {
     "max_distortion_local_search": "repro.core.distortion",
     "claim2_exact_c_max": "repro.core.distortion",
     "distortion_comparison_table": "repro.core.distortion",
+    "RoundOutcome": "repro.core.pipelines",
     "AggregationPipeline": "repro.core.pipelines",
     "ByzShieldPipeline": "repro.core.pipelines",
     "DetoxPipeline": "repro.core.pipelines",

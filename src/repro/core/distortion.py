@@ -148,13 +148,15 @@ def _gamma_or_nan(assignment: BipartiteAssignment, q: int) -> float:
 def max_distortion_exhaustive(
     assignment: BipartiteAssignment,
     num_byzantine: int,
-    chunk_size: int = 200_000,
+    chunk_size: int = 2048,
 ) -> DistortionResult:
     """Exact ``c_max`` by enumerating every set of ``q`` workers.
 
     Combinations are materialized in chunks of ``chunk_size`` and evaluated as
     one matrix product against the bi-adjacency matrix, so the inner loop is
-    entirely inside numpy.
+    entirely inside numpy.  The chunk bounds the scratch at about 2 MiB for
+    K = 25 whatever ``q`` is (one chunk holding all C(25, 5) sets took 42 MiB
+    and was no faster); the result does not depend on it.
     """
     q = _check_q(assignment, num_byzantine)
     K = assignment.num_workers

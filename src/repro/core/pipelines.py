@@ -4,9 +4,9 @@ A *pipeline* turns the per-(worker, file) gradients returned to the PS in
 one iteration — a :class:`~repro.core.vote_tensor.VoteTensor` holding
 exactly the copies the assignment graph prescribes — into the single
 gradient used for the model update: validate the slot layout, majority-vote
-every file, reduce the winners.  The base class owns that sequence; a
-concrete pipeline contributes its constructor checks and its post-vote
-reducer.
+every file, reduce the winners.  The base class owns that sequence and
+returns both halves of it as a :class:`RoundOutcome`; a concrete pipeline
+contributes its constructor checks and its post-vote reducer.
 
 Pipelines implemented:
 
@@ -25,6 +25,8 @@ Pipelines implemented:
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from repro.aggregation.base import Aggregator
@@ -41,6 +43,7 @@ from repro.exceptions import AggregationError, ConfigurationError
 from repro.graphs.bipartite import BipartiteAssignment
 
 __all__ = [
+    "RoundOutcome",
     "AggregationPipeline",
     "ByzShieldPipeline",
     "DetoxPipeline",
@@ -70,6 +73,30 @@ def _checked_arrival_mask(tensor: VoteTensor, arrived: np.ndarray) -> np.ndarray
             f"{tensor.workers.shape}"
         )
     return arrived
+
+
+@dataclass(frozen=True)
+class RoundOutcome:
+    """What one aggregation computed, handed back instead of dropped.
+
+    The PS votes every file once per round (paper Algorithm 1); whoever
+    wants to look at that vote afterwards — the scenario trace — reads it
+    here rather than running it again.  Nothing keeps an outcome between
+    rounds: it lives as long as its caller holds it.
+
+    Attributes
+    ----------
+    aggregate:
+        The ``(d,)`` update direction — the pipeline's reducer applied to
+        ``winners``.
+    winners:
+        The ``(n, d)`` matrix the reducer saw: per-file majority winners
+        for the voting pipelines, the arrived raw worker rows for the
+        vanilla one (see :meth:`AggregationPipeline.post_vote_matrix`).
+    """
+
+    aggregate: np.ndarray
+    winners: np.ndarray
 
 
 class AggregationPipeline:
@@ -139,8 +166,11 @@ class AggregationPipeline:
     # -- interface -------------------------------------------------------------
     def aggregate_tensor(
         self, tensor: VoteTensor, arrived: np.ndarray | None = None
-    ) -> np.ndarray:
+    ) -> RoundOutcome:
         """Aggregate one iteration's returns into an update direction.
+
+        Returns the :class:`RoundOutcome` of the round: the ``(d,)``
+        aggregate and the post-vote matrix it was reduced from.
 
         ``arrived`` enables the event runtime's *partial aggregation* mode:
         an ``(f, r)`` bool mask of the copies the PS actually accepted this
@@ -155,7 +185,8 @@ class AggregationPipeline:
             _validate_vote_tensor(self._expected_slot_matrix(), tensor)
         if arrived is not None:
             arrived = _checked_arrival_mask(tensor, arrived)
-        return self._reduce(self.post_vote_matrix(tensor, arrived))
+        winners = self.post_vote_matrix(tensor, arrived)
+        return RoundOutcome(aggregate=self._reduce(winners), winners=winners)
 
     def _reduce(self, voted: np.ndarray) -> np.ndarray:
         """The pipeline's post-vote reducer: ``(n, d)`` winners -> ``(d,)``."""
@@ -168,7 +199,8 @@ class AggregationPipeline:
 
         For voting pipelines these are the per-file majority winners; the
         vanilla pipeline overrides this with the raw worker gradients.
-        Scenario traces digest this matrix per round to pin the voting stage
+        :meth:`aggregate_tensor` returns it as :attr:`RoundOutcome.winners`;
+        scenario traces digest it per round to pin the voting stage
         independently of the robust aggregation that follows.
 
         Without a mask every slot votes (the synchronous semantics).  With a
@@ -200,14 +232,16 @@ class AggregationPipeline:
         incomplete = np.nonzero(~arrived.all(axis=1))[0]
         if incomplete.size == 0:
             return winners
-        sub = tensor.materialize_files(incomplete)
-        for pos, i in enumerate(incomplete):
+        # One file at a time, its arrived copies only: under stragglers most
+        # files are incomplete, and gathering them all at once is the cube.
+        for i in incomplete:
             slots = np.nonzero(arrived[i])[0]
             if slots.size == 0:
                 winners[i] = 0.0
             else:
+                copies = tensor.read_slots(np.full_like(slots, i), slots)
                 winners[i] = majority_vote_tensor(
-                    sub[pos, slots][None], self.vote_tolerance
+                    copies[None], self.vote_tolerance
                 )[0][0]
         return winners
 

@@ -42,6 +42,9 @@ dense mode so subsequent in-place writes through the array are never lost.
 
 from __future__ import annotations
 
+from itertools import groupby
+from typing import Iterator
+
 import numpy as np
 
 from repro.core.backend import ensure_float
@@ -155,6 +158,15 @@ class VoteTensor:
             return self._dense.dtype
         assert self._base is not None
         return self._base.dtype
+
+    @property
+    def nbytes(self) -> int:
+        """Logical size ``f·r·d·itemsize`` of the cube, lazy or dense.
+
+        What ``values.nbytes`` would report, without building ``values``;
+        see :attr:`override_nbytes` for what a lazy tensor really holds.
+        """
+        return self.workers.size * self.dim * self.dtype.itemsize
 
     # -- copy-on-write observables ------------------------------------------
     @property
@@ -370,11 +382,39 @@ class VoteTensor:
                 "override_table() is only defined for lazy (copy-on-write) "
                 "tensors"
             )
-        assert self._slot_map is not None and self._store is not None
+        assert self._slot_map is not None
         files, slots = np.nonzero(self._slot_map >= 0)
+        return files, slots, self._slot_map[files, slots], self._payload_rows()
+
+    def _payload_rows(self) -> np.ndarray:
+        """Read-only view of the allocated rows of the payload store."""
+        assert self._store is not None
         payload_rows = self._store[: self._num_rows]
         payload_rows.setflags(write=False)
-        return files, slots, self._slot_map[files, slots], payload_rows
+        return payload_rows
+
+    def row_runs(self) -> Iterator[tuple[np.ndarray, int]]:
+        """Iterate the cube's ``f·r`` rows in C order as ``(row, repeats)`` runs.
+
+        ``row`` is a read-only ``(d,)`` view of where the row lives — the
+        honest base, the payload store, or the dense cube — and stands for
+        ``repeats`` consecutive identical slots of one file; the runs
+        concatenate to ``values.reshape(f * r, d)``.  Nothing is gathered or
+        copied and a lazy tensor stays lazy: the trace digest hashes a round
+        from here, doing its per-row work once per run.  Rows orphaned by a
+        second write to the same slot are never reached.
+        """
+        if self._dense is not None:
+            rows = self._dense.reshape(self.workers.size, self.dim)
+            rows.setflags(write=False)
+            for row in rows:
+                yield row, 1
+            return
+        assert self._slot_map is not None
+        base, store = self.base_rows(), self._payload_rows()
+        for file, row_ids in enumerate(self._slot_map.tolist()):
+            for row_id, run in groupby(row_ids):
+                yield (base[file] if row_id < 0 else store[row_id]), len(list(run))
 
     def touched_files(self) -> np.ndarray:
         """Sorted file indices with at least one overridden slot.

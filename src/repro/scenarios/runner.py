@@ -11,7 +11,10 @@ per-file engine (:meth:`~repro.training.gradients.ModelGradientComputer.batched`
 packed into a contiguous :class:`~repro.core.vote_tensor.VoteTensor` for
 attack/fault injection and the vectorized majority vote, with a bit-exact
 :class:`~repro.scenarios.trace.RunTrace` recorded via the trainer's round
-observer.
+observer.  The observer stays off the data path: it digests what the round
+already produced — the vote tensor where it lies (still lazy afterwards) and
+the :class:`~repro.core.pipelines.RoundOutcome` the PS returned — and
+computes nothing of its own.
 
 Because a run is a pure function of its spec, the campaign engine
 (:mod:`repro.campaigns`) can execute many runners across worker processes
@@ -327,31 +330,23 @@ class ScenarioRunner:
         the vectorized engine end to end — the stacked per-file gradient
         pass, tensor-level attack and fault injection, the vectorized
         majority vote and the robust aggregator — while the attached round
-        observer digests every stage into the :class:`RunTrace`.  Two calls
-        with the same spec are bit-identical, in any process.
+        observer digests every stage into the :class:`RunTrace`: the vote
+        tensor streamed from its copy-on-write store, and the winners and
+        aggregate of the round's one vote as the PS returned them.  Two
+        calls with the same spec are bit-identical, in any process.
         """
         trace = RunTrace(scenario=self.spec.name, spec_digest=self.spec.digest())
 
-        def observe(iteration, round_result, aggregate, server):
-            tensor = round_result.vote_tensor
-            # Recomputes the majority vote the aggregation just ran.  This is
-            # deliberate: scenarios are tiny by design (the whole golden
-            # matrix replays in ~1 s), normal training attaches no observer
-            # and pays nothing, and caching winners on the pipeline would
-            # risk serving stale results to callers that mutate the tensor
-            # between calls.
-            winners = trainer.pipeline.post_vote_matrix(
-                tensor, round_result.aggregation_mask
-            )
+        def observe(iteration, round_result, outcome, server):
             trace.append(
                 RoundTrace(
                     iteration=iteration,
                     q=len(round_result.byzantine_workers),
                     byzantine=tuple(round_result.byzantine_workers),
                     num_distorted=len(round_result.distorted_files),
-                    votes_digest=array_digest(tensor.values),
-                    winners_digest=array_digest(winners),
-                    aggregate_digest=array_digest(aggregate),
+                    votes_digest=array_digest(round_result.vote_tensor),
+                    winners_digest=array_digest(outcome.winners),
+                    aggregate_digest=array_digest(outcome.aggregate),
                     params_digest=server.state_digest(),
                     mean_loss_hex=hex_float(round_result.mean_file_loss),
                     round_time_hex=hex_float(round_result.round_time),

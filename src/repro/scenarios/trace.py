@@ -175,9 +175,12 @@ class RunTrace:
     @classmethod
     def from_json_file(cls, path: "str | pathlib.Path") -> "RunTrace":
         path = pathlib.Path(path)
+        # ValueError covers malformed JSON; with TypeError it also covers
+        # well-formed JSON of the wrong shape (a list at the root, a
+        # non-numeric ``iteration``, a scalar where a list belongs).
         try:
             return cls.from_dict(json.loads(path.read_text()))
-        except (OSError, json.JSONDecodeError, KeyError) as exc:
+        except (OSError, KeyError, TypeError, ValueError) as exc:
             raise ReproError(f"cannot load trace {path}: {exc}") from exc
 
     def write_json_file(self, path: "str | pathlib.Path") -> None:

@@ -57,9 +57,11 @@ class DistributedTrainer:
         Name attached to the resulting history (used in experiment reports).
     round_observer:
         Optional callback invoked after every optimizer step as
-        ``observer(iteration, round_result, aggregate, server)``; the
-        scenario engine uses it to record per-round traces without the
-        trainer knowing anything about tracing.
+        ``observer(iteration, round_result, outcome, server)`` — ``outcome``
+        is the :class:`~repro.core.pipelines.RoundOutcome` the PS just
+        computed (aggregate + post-vote winners), valid for the length of
+        the call; the scenario engine uses it to record per-round traces
+        without the trainer knowing anything about tracing.
     file_partition:
         Optional list of ``f`` shard index arrays (one per file, from
         :func:`repro.data.batching.build_file_partition`).  When given,
@@ -145,11 +147,11 @@ class DistributedTrainer:
         file_data = self._file_data(self._next_file_indices())
         learning_rate = self.server.optimizer.schedule.rate(self.server.optimizer.iteration)
         round_result = self.cluster.run_round_tensor(params, file_data, iteration)
-        aggregate = self.server.update_tensor(
+        outcome = self.server.update_tensor(
             round_result.vote_tensor, round_result.aggregation_mask
         )
         if self.round_observer is not None:
-            self.round_observer(iteration, round_result, aggregate, self.server)
+            self.round_observer(iteration, round_result, outcome, self.server)
         return IterationRecord(
             iteration=iteration,
             train_loss=round_result.mean_file_loss,

@@ -97,7 +97,7 @@ def test_parameter_server_update(mols_assignment):
     tensor, honest, _ = pool.honest_returns_tensor(
         server.broadcast(), make_file_data(25)
     )
-    gradient = server.update_tensor(tensor)
+    gradient = server.update_tensor(tensor).aggregate
     expected = np.median(honest, axis=0)
     assert np.allclose(gradient, expected)
     assert np.allclose(server.params, -0.5 * expected)

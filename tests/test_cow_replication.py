@@ -99,8 +99,8 @@ def test_q0_round_never_materializes(scheme):
         pipelines_for(scheme, assignment), pipelines_for(scheme, assignment)
     ):
         lazy_clone = lazy.copy()
-        out_lazy = lazy_pipe.aggregate_tensor(lazy_clone)
-        out_dense = dense_pipe.aggregate_tensor(dense.copy())
+        out_lazy = lazy_pipe.aggregate_tensor(lazy_clone).aggregate
+        out_dense = dense_pipe.aggregate_tensor(dense.copy()).aggregate
         assert np.array_equal(out_lazy, out_dense), lazy_pipe.pipeline_name
         # aggregation of a clean round must not densify nor allocate overrides
         assert lazy_clone.is_lazy
@@ -137,8 +137,8 @@ def test_cow_matches_materialized_under_attack(scheme, attack_name):
         pipelines_for(scheme, assignment), pipelines_for(scheme, assignment)
     ):
         assert np.array_equal(
-            lazy_pipe.aggregate_tensor(lazy.copy()),
-            dense_pipe.aggregate_tensor(dense.copy()),
+            lazy_pipe.aggregate_tensor(lazy.copy()).aggregate,
+            dense_pipe.aggregate_tensor(dense.copy()).aggregate,
         ), (attack_name, lazy_pipe.pipeline_name)
 
 
@@ -199,7 +199,7 @@ def test_cow_matches_materialized_attack_then_faults(mols_assignment):
     assert_tensors_identical(lazy, dense)
     pipeline = ByzShieldPipeline(mols_assignment)
     assert np.array_equal(
-        pipeline.aggregate_tensor(lazy), pipeline.aggregate_tensor(dense)
+        pipeline.aggregate_tensor(lazy).aggregate, pipeline.aggregate_tensor(dense).aggregate
     )
 
 

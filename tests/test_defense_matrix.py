@@ -85,8 +85,8 @@ def test_byzshield_small_q_exact_recovery(attack_name, aggregator_name):
     aggregator = ROBUST_AGGREGATORS[aggregator_name]
     votes, honest = attacked_votes(attack, q=1)
     pipeline = ByzShieldPipeline(ASSIGNMENT, aggregator=aggregator)
-    attacked = pipeline.aggregate_tensor(votes)
-    clean = pipeline.aggregate_tensor(VoteTensor.from_honest(ASSIGNMENT, honest))
+    attacked = pipeline.aggregate_tensor(votes).aggregate
+    clean = pipeline.aggregate_tensor(VoteTensor.from_honest(ASSIGNMENT, honest)).aggregate
     assert np.allclose(attacked, clean)
 
 
@@ -96,7 +96,7 @@ def test_byzshield_median_stays_near_honest_aggregate_q4(attack_name):
     attack = ATTACKS[attack_name]
     votes, honest = attacked_votes(attack, q=4)
     pipeline = ByzShieldPipeline(ASSIGNMENT, aggregator=CoordinateWiseMedian())
-    attacked = pipeline.aggregate_tensor(votes)
+    attacked = pipeline.aggregate_tensor(votes).aggregate
     honest_median = np.median(honest, axis=0)
     honest_spread = honest.max(axis=0) - honest.min(axis=0)
     # The attacked median stays within the honest votes' own spread.
@@ -109,7 +109,7 @@ def test_mean_is_broken_by_every_large_magnitude_attack(attack_name):
     attack = ATTACKS[attack_name]
     votes, honest = attacked_votes(attack, q=4)
     pipeline = ByzShieldPipeline(ASSIGNMENT, aggregator=MeanAggregator())
-    attacked = pipeline.aggregate_tensor(votes)
+    attacked = pipeline.aggregate_tensor(votes).aggregate
     honest_mean = honest.mean(axis=0)
     # Large-magnitude attacks shift the mean by much more than the honest spread.
     assert np.linalg.norm(attacked - honest_mean) > 1.0

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from repro.aggregation.majority import majority_vote_tensor
 from repro.aggregation.median import CoordinateWiseMedian
 from repro.assignment.frc import FRCAssignment
 from repro.attacks.constant import ConstantAttack
@@ -265,8 +267,8 @@ class TestPartialAggregation:
         pipeline = ByzShieldPipeline(mols_assignment)
         arrived = np.ones(tensor.workers.shape, dtype=bool)
         np.testing.assert_array_equal(
-            pipeline.aggregate_tensor(tensor, arrived),
-            pipeline.aggregate_tensor(tensor),
+            pipeline.aggregate_tensor(tensor, arrived).aggregate,
+            pipeline.aggregate_tensor(tensor).aggregate,
         )
 
     def test_zero_arrival_file_votes_zero(self, frc_3):
@@ -276,6 +278,53 @@ class TestPartialAggregation:
             tensor, np.zeros((1, 3), dtype=bool)
         )
         np.testing.assert_array_equal(winners, np.zeros((1, 4)))
+
+    def test_re_vote_streams_one_file_at_a_time(self, ramanujan_case2):
+        """Every file incomplete (what stragglers do to an async round): the
+        winners equal a per-file vote over the arrived copies of the dense
+        cube, on a lazy and on a dense tensor, and the re-vote's scratch is a
+        few ``(r, d)`` blocks — it once gathered all incomplete files, i.e.
+        the cube, which made the round's peak follow the arrival pattern."""
+        assignment = ramanujan_case2.assignment
+        f, r, dim = assignment.num_files, assignment.replication, 4096
+        rng = np.random.default_rng(11)
+        lazy = VoteTensor.from_honest(
+            assignment, rng.standard_normal((f, dim)).astype(np.float32)
+        )
+        lazy.mark_byzantine({0, 7, 12, 19})
+        files, slots = np.nonzero(lazy.byzantine_mask)
+        lazy.write_slots(files, slots, np.full(dim, -3.0, dtype=np.float32))
+        lazy.write_slots(
+            files[:5], slots[:5], rng.standard_normal((5, dim)).astype(np.float32)
+        )
+        arrived = rng.random((f, r)) < 0.6
+        arrived[np.arange(f), rng.integers(r, size=f)] = False  # nobody complete
+        arrived[3] = False  # a file nobody returned in time
+        dense = lazy.copy()
+        cube = dense.values
+        expected = np.zeros((f, dim), dtype=np.float32)
+        for i in range(f):
+            if arrived[i].any():
+                expected[i] = majority_vote_tensor(cube[i, arrived[i]][None])[0][0]
+
+        pipeline = ByzShieldPipeline(assignment)
+
+        def peak_of(tensor, mask):
+            tracemalloc.start()
+            try:
+                winners = pipeline.post_vote_matrix(tensor, mask)
+                return winners, tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        for tensor in (lazy, dense):
+            _, unmasked_peak = peak_of(tensor, None)
+            winners, masked_peak = peak_of(tensor, arrived)
+            assert winners.dtype == expected.dtype
+            assert winners.tobytes() == expected.tobytes()
+            block = r * dim * winners.itemsize
+            assert masked_peak - unmasked_peak < 4 * block < cube.nbytes / 4
+        assert lazy.is_lazy
 
     def test_vanilla_drops_unarrived_rows(self, baseline_10):
         assignment = baseline_10.assignment
@@ -298,7 +347,7 @@ class TestPartialAggregation:
         pipeline = VanillaPipeline(assignment, CoordinateWiseMedian())
         aggregate = pipeline.aggregate_tensor(
             tensor, np.zeros((assignment.num_files, 1), dtype=bool)
-        )
+        ).aggregate
         np.testing.assert_array_equal(aggregate, np.zeros(3))
 
     def test_rejects_bad_mask_shape(self, frc_3):

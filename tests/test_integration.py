@@ -137,7 +137,7 @@ def test_pipeline_output_matches_manual_computation(data):
     result = cluster.run_round_tensor(params, file_data, iteration=0)
 
     pipeline = ByzShieldPipeline(assignment)
-    aggregated = pipeline.aggregate_tensor(result.vote_tensor)
+    aggregated = pipeline.aggregate_tensor(result.vote_tensor).aggregate
 
     # Manual recomputation: honest gradients, corrupt the files with a
     # Byzantine majority, take the coordinate-wise median.

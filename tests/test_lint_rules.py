@@ -208,6 +208,34 @@ def test_cow_flags_base_writes(tmp_path):
     assert [f.rule for f in report.findings] == ["COW-001", "COW-001"]
 
 
+def test_cow_flags_values_densification_in_observing_layers(tmp_path):
+    """The layers that only *look* at a round are in scope too: the trace
+    digest used to densify every observed round just to hash it."""
+    report = lint_tree(
+        tmp_path,
+        {
+            "scenarios/runner.py": """
+            def observe(round_result, array_digest):
+                return array_digest(round_result.vote_tensor.values)
+            """,
+            "training/trainer.py": """
+            def norm(round_result):
+                return abs(round_result.vote_tensor.values).max()
+            """,
+            "utils/digest.py": """
+            def array_digest(tensor):
+                return hash(tensor.values.tobytes())
+            """,
+        },
+    )
+    assert [f.rule for f in report.findings] == ["COW-001"] * 3
+    assert sorted(pathlib.Path(f.path).name for f in report.findings) == [
+        "digest.py",
+        "runner.py",
+        "trainer.py",
+    ]
+
+
 def test_cow_allows_dict_values_calls_and_out_of_scope(tmp_path):
     report = lint_tree(
         tmp_path,
@@ -216,7 +244,16 @@ def test_cow_allows_dict_values_calls_and_out_of_scope(tmp_path):
             def tally(votes):
                 return sum(votes.values())
             """,
-            "training/report.py": """
+            "scenarios/ok.py": """
+            def stream(tensor, rows):
+                return [row.sum() for row, _ in tensor.row_runs()] + list(rows.values())
+            """,
+            # GridAxis.values is an unrelated attribute: campaigns/ stays out
+            "campaigns/spec.py": """
+            def labels(axis):
+                return [str(v) for v in axis.values]
+            """,
+            "utils/arrays.py": """
             def densify(tensor):
                 return tensor.values
             """,

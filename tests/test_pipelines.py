@@ -49,7 +49,7 @@ def corrupt(tensor, byzantine_workers, payload):
 def test_byzshield_no_attack_equals_median_of_true_gradients(mols_assignment):
     votes = honest_votes(mols_assignment, indexed_gradient)
     pipeline = ByzShieldPipeline(mols_assignment)
-    result = pipeline.aggregate_tensor(votes)
+    result = pipeline.aggregate_tensor(votes).aggregate
     expected = np.median(
         np.vstack([indexed_gradient(i) for i in range(25)]), axis=0
     )
@@ -60,7 +60,7 @@ def test_byzshield_corrects_minority_corruption(mols_assignment):
     """With q < r' no file majority can be corrupted: output is attack-free."""
     votes = honest_votes(mols_assignment, constant_gradient(1.0))
     corrupt(votes, {0}, np.full(DIM, -100.0))
-    result = ByzShieldPipeline(mols_assignment).aggregate_tensor(votes)
+    result = ByzShieldPipeline(mols_assignment).aggregate_tensor(votes).aggregate
     assert np.allclose(result, 1.0)
 
 
@@ -72,7 +72,7 @@ def test_byzshield_vote_majority_flips_with_enough_byzantines(mols_assignment):
     voted = pipeline.post_vote_matrix(votes)
     assert np.allclose(voted[0], -100.0)
     # But the median across the 25 files still resists a single corrupted file.
-    assert np.allclose(pipeline.aggregate_tensor(votes), 1.0)
+    assert np.allclose(pipeline.aggregate_tensor(votes).aggregate, 1.0)
 
 
 def test_byzshield_requires_odd_replication():
@@ -101,7 +101,7 @@ def test_byzshield_validates_votes(mols_assignment, ramanujan_case1):
 def test_byzshield_custom_aggregator(mols_assignment):
     votes = honest_votes(mols_assignment, indexed_gradient)
     pipeline = ByzShieldPipeline(mols_assignment, aggregator=MeanAggregator())
-    assert np.allclose(pipeline.aggregate_tensor(votes), np.mean(range(25)))
+    assert np.allclose(pipeline.aggregate_tensor(votes).aggregate, np.mean(range(25)))
 
 
 def test_byzshield_describe(mols_assignment):
@@ -115,7 +115,8 @@ def test_byzshield_describe(mols_assignment):
 def test_detox_majority_then_robust(frc_15_3):
     assignment = frc_15_3.assignment
     votes = honest_votes(assignment, indexed_gradient)
-    result = DetoxPipeline(assignment, aggregator=CoordinateWiseMedian()).aggregate_tensor(votes)
+    pipeline = DetoxPipeline(assignment, aggregator=CoordinateWiseMedian())
+    result = pipeline.aggregate_tensor(votes).aggregate
     assert np.allclose(result, np.median(np.arange(5)))
 
 
@@ -125,7 +126,7 @@ def test_detox_group_corruption(frc_15_3):
     # Corrupt 2 of the 3 workers of group 0: its vote flips.
     corrupt(votes, {0, 1}, np.full(DIM, -50.0))
     pipeline = DetoxPipeline(assignment, aggregator=CoordinateWiseMedian())
-    result = pipeline.aggregate_tensor(votes)
+    result = pipeline.aggregate_tensor(votes).aggregate
     # Median over [−50, 1, 1, 1, 1] is still 1.
     assert np.allclose(result, 1.0)
 
@@ -156,7 +157,7 @@ def test_draco_exact_recovery_when_bound_satisfied(frc_15_3):
     corrupt(votes, {0}, np.full(DIM, 1e6))  # q=1, r=3 >= 2q+1
     pipeline = DracoPipeline(assignment, num_byzantine=1)
     assert pipeline.is_applicable
-    result = pipeline.aggregate_tensor(votes)
+    result = pipeline.aggregate_tensor(votes).aggregate
     assert np.allclose(result, np.mean(np.arange(5)))
 
 
@@ -182,7 +183,8 @@ def test_draco_validation(mols_assignment, frc_15_3):
 def test_vanilla_applies_aggregator_to_worker_gradients(baseline_10):
     assignment = baseline_10.assignment
     votes = honest_votes(assignment, indexed_gradient)
-    result = VanillaPipeline(assignment, aggregator=CoordinateWiseMedian()).aggregate_tensor(votes)
+    pipeline = VanillaPipeline(assignment, aggregator=CoordinateWiseMedian())
+    result = pipeline.aggregate_tensor(votes).aggregate
     assert np.allclose(result, np.median(np.arange(10)))
 
 
@@ -195,5 +197,43 @@ def test_vanilla_mean_is_vulnerable(baseline_10):
     assignment = baseline_10.assignment
     votes = honest_votes(assignment, constant_gradient(1.0))
     corrupt(votes, {0}, np.full(DIM, 1e6))
-    result = VanillaPipeline(assignment, aggregator=MeanAggregator()).aggregate_tensor(votes)
+    pipeline = VanillaPipeline(assignment, aggregator=MeanAggregator())
+    result = pipeline.aggregate_tensor(votes).aggregate
     assert result[0] > 1e3
+
+
+# --------------------------------------------------------------------------- #
+# RoundOutcome: both halves of the round's one vote
+# --------------------------------------------------------------------------- #
+OUTCOME_PIPELINES = {
+    "byzshield": ("mols_5_3", lambda a: ByzShieldPipeline(a)),
+    "detox": ("frc_15_3", lambda a: DetoxPipeline(a, aggregator=CoordinateWiseMedian())),
+    "draco": ("frc_15_3", lambda a: DracoPipeline(a, num_byzantine=1)),
+    "vanilla": ("baseline_10", lambda a: VanillaPipeline(a, aggregator=MeanAggregator())),
+}
+
+
+@pytest.mark.parametrize("partial", [False, True], ids=["all-arrived", "partial"])
+@pytest.mark.parametrize("kind", sorted(OUTCOME_PIPELINES))
+def test_outcome_is_the_post_vote_matrix_and_its_reduction(request, kind, partial):
+    scheme_fixture, build = OUTCOME_PIPELINES[kind]
+    assignment = request.getfixturevalue(scheme_fixture).assignment
+    pipeline = build(assignment)
+    rng = np.random.default_rng(5)
+    votes = VoteTensor.from_honest(
+        assignment, rng.standard_normal((assignment.num_files, DIM))
+    )
+    corrupt(votes, {0}, np.full(DIM, -50.0))
+    arrived = None
+    if partial:
+        arrived = rng.random(votes.workers.shape) < 0.6
+        arrived[0] = False  # a file nobody returned in time
+        arrived[1] = True
+
+    outcome = pipeline.aggregate_tensor(votes, arrived)
+    winners = pipeline.post_vote_matrix(votes, arrived)
+    assert outcome.winners.dtype == winners.dtype
+    assert outcome.winners.tobytes() == winners.tobytes()
+    assert outcome.winners.shape == winners.shape
+    assert np.array_equal(outcome.aggregate, pipeline._reduce(winners))
+    assert outcome.aggregate.shape == (DIM,)

@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import json
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from repro.exceptions import ConfigurationError
+import repro.cluster.topology as topology_module
+import repro.core.pipelines as pipelines_module
+from repro.exceptions import ConfigurationError, ReproError
 from repro.scenarios import (
     ScenarioSpec,
     get_scenario,
@@ -95,6 +100,61 @@ class TestDeterminism:
         runner_trace.assert_matches(again)
 
 
+class TestObserverStaysOffTheDataPath:
+    """The trace observer digests what the round produced; it computes nothing."""
+
+    @pytest.mark.parametrize(
+        "scenario, kernel_home, kernel",
+        [
+            ("mols-alie-all-faults", pipelines_module, "majority_vote_votetensor"),
+            ("ramanujan-hier-async-group-quorum", topology_module, "hierarchical_majority_vote"),
+        ],
+        ids=["flat", "hierarchical"],
+    )
+    def test_one_vote_per_observed_round(self, monkeypatch, scenario, kernel_home, kernel):
+        """Algorithm 1 votes every file once per round — observed or not."""
+        calls = []
+        vote = getattr(kernel_home, kernel)
+
+        def counting_vote(*args, **kwargs):
+            calls.append(kernel)
+            return vote(*args, **kwargs)
+
+        # both names are resolved at call time by post_vote_matrix
+        monkeypatch.setattr(kernel_home, kernel, counting_vote)
+        spec = get_scenario(scenario)
+        result = ScenarioRunner(spec).run()
+        assert len(result.trace.rounds) == spec.training.num_iterations
+        assert len(calls) == spec.training.num_iterations
+
+    def test_observed_run_peaks_no_higher_than_an_unobserved_one(self):
+        """A float32 hierarchical cell sized like the e2e campaign cells
+        (f = 25, r = 5, d ~ 11k).  Hashing the votes must not build the
+        (f, r, d) cube, its float64 copy or a bytes copy: the observed run's
+        allocation peak stays at the round's own."""
+        data = get_scenario("ramanujan-hier-async-group-quorum").to_dict()
+        data["data"]["dim"] = 100
+        data["model"] = {"hidden": [64, 64]}
+        data["dtype"] = "float32"
+        spec = ScenarioSpec.from_dict(data)
+
+        def peak_of(run):
+            tracemalloc.start()
+            try:
+                run()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        runner = ScenarioRunner(spec)
+        trainer = runner.build_trainer()
+        assert trainer.cluster.assignment.num_edges == 125
+        assert 10_000 < trainer.server.params.size < 12_000
+        unobserved = peak_of(lambda: runner.build_trainer().train())
+        observed = peak_of(runner.run)
+        assert observed <= 1.05 * unobserved, (observed, unobserved)
+
+
 class TestTraceSerialization:
     def test_trace_json_round_trip_preserves_equality(self, tmp_path):
         result = run_named("draco-clean-stragglers")
@@ -114,6 +174,23 @@ class TestTraceSerialization:
         two.rounds[1] = RoundTrace.from_dict(tampered)
         with pytest.raises(TraceMismatch, match="round 1: aggregate_digest"):
             one.assert_matches(two)
+
+    @pytest.mark.parametrize(
+        "malform",
+        [
+            lambda trace: [trace],
+            lambda trace: {**trace, "rounds": [{**trace["rounds"][0], "iteration": "x"}]},
+            lambda trace: {**trace, "rounds": [{**trace["rounds"][0], "byzantine": 3}]},
+        ],
+        ids=["list-at-root", "iteration-not-a-number", "byzantine-not-a-list"],
+    )
+    def test_malformed_trace_file_ends_in_a_named_error(self, tmp_path, malform):
+        """Well-formed JSON of the wrong shape is still a ReproError, never a
+        bare TypeError/ValueError out of ``RoundTrace.from_dict``."""
+        path = tmp_path / "trace.json"
+        path.write_text(json.dumps(malform(run_named("mols-clean").trace.to_dict())))
+        with pytest.raises(ReproError, match="cannot load trace"):
+            RunTrace.from_json_file(path)
 
 
 class TestValidation:

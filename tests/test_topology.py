@@ -271,7 +271,7 @@ class TestPipelineTopology:
         flat = ByzShieldPipeline(mols_assignment)
         hier = ByzShieldPipeline(mols_assignment, topology=topo)
         assert np.array_equal(
-            hier.aggregate_tensor(tensor), flat.aggregate_tensor(tensor)
+            hier.aggregate_tensor(tensor).aggregate, flat.aggregate_tensor(tensor).aggregate
         )
 
     def test_topology_pipeline_matches_flat_under_partial_mask(self, mols_assignment):
@@ -283,7 +283,8 @@ class TestPipelineTopology:
         flat = ByzShieldPipeline(mols_assignment)
         hier = ByzShieldPipeline(mols_assignment, topology=topo)
         assert np.array_equal(
-            hier.aggregate_tensor(tensor, mask), flat.aggregate_tensor(tensor, mask)
+            hier.aggregate_tensor(tensor, mask).aggregate,
+            flat.aggregate_tensor(tensor, mask).aggregate,
         )
 
     def test_blockwise_pipeline_matches_monolithic(self, frc_15_3):
@@ -293,7 +294,7 @@ class TestPipelineTopology:
         mono = DetoxPipeline(assignment)
         blk = DetoxPipeline(assignment, topology=topo, block_size=5)
         assert np.array_equal(
-            blk.aggregate_tensor(tensor), mono.aggregate_tensor(tensor)
+            blk.aggregate_tensor(tensor).aggregate, mono.aggregate_tensor(tensor).aggregate
         )
 
     def test_topology_with_tolerance_rejected(self, mols_assignment):
@@ -331,7 +332,7 @@ class TestPipelineTopology:
         flat = DracoPipeline(assignment, num_byzantine=1)
         hier = DracoPipeline(assignment, num_byzantine=1, topology=topo)
         assert np.array_equal(
-            hier.aggregate_tensor(tensor), flat.aggregate_tensor(tensor)
+            hier.aggregate_tensor(tensor).aggregate, flat.aggregate_tensor(tensor).aggregate
         )
 
     def test_describe_mentions_topology(self, mols_assignment):

@@ -42,7 +42,7 @@ class TestSingleFile:
         tensor.set_vote(0, 2, np.array([9.0, 9.0, 9.0]))  # one corrupted copy
         pipeline = DetoxPipeline(assignment)
         np.testing.assert_array_equal(
-            pipeline.aggregate_tensor(tensor), [1.0, 2.0, 3.0]
+            pipeline.aggregate_tensor(tensor).aggregate, [1.0, 2.0, 3.0]
         )
 
 
@@ -96,7 +96,7 @@ class TestAllAdversarialFiles:
             mols_assignment, np.ones((mols_assignment.num_files, 4))
         )
         tensor.values[:] = -7.0
-        result = ByzShieldPipeline(mols_assignment).aggregate_tensor(tensor)
+        result = ByzShieldPipeline(mols_assignment).aggregate_tensor(tensor).aggregate
         np.testing.assert_array_equal(result, np.full(4, -7.0))
 
 

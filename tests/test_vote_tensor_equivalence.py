@@ -194,7 +194,7 @@ def test_round_and_aggregates_identical(scheme, attack_name):
         for pipeline in pipelines_for(scheme, assignment, tolerance):
             expected = reference_aggregate(pipeline, tensor, tolerance)
             for view in (tensor.copy(), VoteTensor(cube.copy(), tensor.workers)):
-                assert np.array_equal(pipeline.aggregate_tensor(view), expected), (
+                assert np.array_equal(pipeline.aggregate_tensor(view).aggregate, expected), (
                     scheme,
                     attack_name,
                     tolerance,

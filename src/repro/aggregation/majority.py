@@ -52,7 +52,7 @@ __all__ = [
 
 def validate_tolerance(tolerance: float) -> float:
     """Single validation point for the voting tolerance (shared by all APIs)."""
-    if tolerance < 0:
+    if not tolerance >= 0:  # also NaN
         raise AggregationError(f"tolerance must be non-negative, got {tolerance}")
     return float(tolerance)
 

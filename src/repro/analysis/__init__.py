@@ -4,9 +4,8 @@ The reproduction's bit-exactness story rests on a handful of repo-wide
 conventions — RNG streams derived through :func:`repro.utils.rng.derive_seed`,
 float dtype policy routed through :mod:`repro.core.backend`, copy-on-write
 discipline around the lazy :class:`~repro.core.vote_tensor.VoteTensor`,
-omit-when-default spec serialization so digests stay stable, aggregation
-kernels that never mutate their inputs, and registries that know every
-pluggable subclass.  The runtime test suite checks the *consequences* of
+aggregation kernels that never mutate their inputs, and registries that know
+every pluggable subclass.  The runtime test suite checks the *consequences* of
 those conventions after the fact; this package checks the conventions
 themselves, statically, by parsing every module with :mod:`ast` and running
 a rule engine over the trees.

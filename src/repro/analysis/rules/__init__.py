@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from repro.analysis.rules.base import Rule
 from repro.analysis.rules.cow import CowSafetyRule
-from repro.analysis.rules.digest import DigestStabilityRule
 from repro.analysis.rules.dtype import DtypeSeamRule
 from repro.analysis.rules.kernel import KernelPurityRule
 from repro.analysis.rules.registration import RegistrationRule
@@ -20,7 +19,6 @@ __all__ = [
     "RngPurityRule",
     "DtypeSeamRule",
     "CowSafetyRule",
-    "DigestStabilityRule",
     "KernelPurityRule",
     "RegistrationRule",
     "ALL_RULES",
@@ -31,7 +29,6 @@ ALL_RULES: tuple[Rule, ...] = (
     RngPurityRule(),
     DtypeSeamRule(),
     CowSafetyRule(),
-    DigestStabilityRule(),
     KernelPurityRule(),
     RegistrationRule(),
 )

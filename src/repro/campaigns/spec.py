@@ -10,10 +10,13 @@ deterministically from the campaign seed and that name — so the expansion is
 a pure function of the campaign spec, independent of execution order or
 process placement.
 
-Like :class:`~repro.scenarios.spec.ScenarioSpec`, campaigns round-trip
-through dicts/JSON with unknown keys rejected loudly, and hash to a stable
-sha256 digest; the digest names the campaign's result directory
-(``campaign_out/<digest>/``), which is what makes re-runs resumable.
+Like :class:`~repro.scenarios.spec.ScenarioSpec`, a campaign is a
+:class:`~repro.scenarios.schema.Schema`: the same strict loader, the same
+canonical form (``grid`` is pinned — an empty grid serializes as ``{}``) and
+the same sha256 digest.  The digest names the campaign's result directory
+(``campaign_out/<digest>/``), which is what makes re-runs resumable — and
+any edit to the campaign definition lands results in a fresh directory
+instead of mixing with stale records.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from typing import Any, Mapping
 
 from repro.exceptions import ConfigurationError
 from repro.scenarios.catalog import get_scenario
+from repro.scenarios.schema import Schema, spec_field
 from repro.scenarios.spec import ScenarioSpec
 from repro.utils.rng import derive_seed
 
@@ -116,6 +120,21 @@ class GridAxis:
         return out
 
 
+class _Grid:
+    """:mod:`~repro.scenarios.schema` codec of ``CampaignSpec.grid``: a
+    ``{path: values}`` mapping in JSON, a tuple of axes sorted by path here."""
+
+    json = dict
+
+    @staticmethod
+    def load(raw: dict[str, Any], where: str) -> tuple[GridAxis, ...]:
+        return tuple(GridAxis.from_values(path, raw[path]) for path in sorted(raw))
+
+    @staticmethod
+    def emit(grid: tuple[GridAxis, ...]) -> dict[str, list[Any]]:
+        return {axis.path: axis.to_dict_values() for axis in grid}
+
+
 @dataclass(frozen=True)
 class CampaignScenario:
     """One expanded grid cell: the concrete spec plus its provenance."""
@@ -141,7 +160,7 @@ def _apply_override(data: dict[str, Any], path: str, value: Any) -> None:
 
 
 @dataclass(frozen=True)
-class CampaignSpec:
+class CampaignSpec(Schema, where="campaign"):
     """A parameter sweep over one base scenario.
 
     Attributes
@@ -164,12 +183,12 @@ class CampaignSpec:
         always wins over either policy.
     """
 
-    name: str
-    base: dict[str, Any]
-    grid: tuple[GridAxis, ...] = ()
-    seed: int = 0
-    seed_policy: str = "derived"
-    description: str = ""
+    name: str = spec_field(str, pinned=True)
+    base: dict[str, Any] = spec_field(dict, pinned=True)
+    grid: tuple[GridAxis, ...] = spec_field(_Grid, pinned=True, default=())
+    seed: int = spec_field(int, pinned=True, default=0)
+    seed_policy: str = spec_field(str, default="derived")
+    description: str = spec_field(str, default="")
 
     def __post_init__(self) -> None:
         if not self.name:
@@ -185,82 +204,39 @@ class CampaignSpec:
         if list(paths) != sorted(paths):
             raise ConfigurationError("grid axes must be sorted by path")
 
-    # -- dict / JSON round-trip ---------------------------------------------
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "CampaignSpec":
-        allowed = (
-            "name",
-            "description",
-            "seed",
-            "seed_policy",
-            "base",
-            "base_scenario",
-            "grid",
-        )
-        unknown = sorted(set(data) - set(allowed))
-        if unknown:
-            raise ConfigurationError(
-                f"unknown key(s) {unknown} in campaign spec; allowed: {sorted(allowed)}"
-            )
-        if "name" not in data:
-            raise ConfigurationError("campaign requires a 'name'")
-        if ("base" in data) == ("base_scenario" in data):
-            raise ConfigurationError(
-                "campaign requires exactly one of 'base' (inline scenario dict) "
-                "or 'base_scenario' (catalog name)"
-            )
-        if "base" in data:
-            base = copy.deepcopy(dict(data["base"]))
-            base.setdefault("name", str(data["name"]))
-            ScenarioSpec.from_dict(base)  # validate the template eagerly
-        else:
-            base = get_scenario(str(data["base_scenario"])).to_dict()
-        raw_grid = data.get("grid", {})
-        if not isinstance(raw_grid, Mapping):
-            raise ConfigurationError("campaign 'grid' must be a mapping of path -> values")
-        grid = tuple(
-            GridAxis.from_values(path, raw_grid[path]) for path in sorted(raw_grid)
-        )
-        return cls(
-            name=str(data["name"]),
-            base=base,
-            grid=grid,
-            seed=int(data.get("seed", 0)),
-            seed_policy=str(data.get("seed_policy", "derived")),
-            description=str(data.get("description", "")),
-        )
+        """The field table, once ``base`` or ``base_scenario`` is resolved.
+
+        ``base_scenario`` names a catalog scenario; an inline ``base`` takes
+        the campaign's name unless it has its own and is validated eagerly.
+        """
+        if isinstance(data, Mapping):
+            if ("base" in data) == ("base_scenario" in data):
+                raise ConfigurationError(
+                    "campaign requires exactly one of 'base' (inline scenario dict) "
+                    "or 'base_scenario' (catalog name)"
+                )
+            data = dict(data)
+            if "base_scenario" in data:
+                data["base"] = get_scenario(data.pop("base_scenario")).to_dict()
+            elif isinstance(data["base"], Mapping):
+                data["base"] = {"name": data.get("name"), **data["base"]}
+        campaign = super().from_dict(data)
+        try:
+            ScenarioSpec.from_dict(campaign.base)
+        except ConfigurationError as exc:
+            raise ConfigurationError(f"campaign.base is not a valid scenario: {exc}") from exc
+        return campaign
 
     @classmethod
     def from_json_file(cls, path: "str | pathlib.Path") -> "CampaignSpec":
         path = pathlib.Path(path)
         try:
             data = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ConfigurationError(f"cannot load campaign spec {path}: {exc}") from exc
         return cls.from_dict(data)
-
-    def to_dict(self) -> dict[str, Any]:
-        out: dict[str, Any] = {
-            "name": self.name,
-            "seed": self.seed,
-            "base": copy.deepcopy(self.base),
-            "grid": {axis.path: axis.to_dict_values() for axis in self.grid},  # repro-lint: disable=DIGEST-001 (empty grid serializes as {} in the pinned canonical form)
-        }
-        if self.seed_policy != "derived":
-            out["seed_policy"] = self.seed_policy
-        if self.description:
-            out["description"] = self.description
-        return out
-
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
-
-    def digest(self) -> str:
-        """Stable hash of the canonical campaign — names the result directory,
-        so any edit to the campaign definition lands results in a fresh
-        directory instead of mixing with stale records."""
-        canonical = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canonical.encode()).hexdigest()[:16]
 
     # -- expansion -----------------------------------------------------------
     def axis_keys(self) -> dict[str, str]:

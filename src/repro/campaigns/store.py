@@ -24,7 +24,8 @@ from dataclasses import dataclass
 from typing import Any, Mapping
 
 from repro.campaigns.spec import CampaignSpec
-from repro.exceptions import ReproError
+from repro.exceptions import ConfigurationError, ReproError
+from repro.scenarios.schema import Schema, spec_field
 
 __all__ = ["ScenarioRecord", "ResultStore", "DEFAULT_STORE_ROOT"]
 
@@ -32,7 +33,7 @@ DEFAULT_STORE_ROOT = pathlib.Path("campaign_out")
 
 
 @dataclass(frozen=True)
-class ScenarioRecord:
+class ScenarioRecord(Schema, where="record"):
     """Everything one completed scenario leaves behind, JSON-ready.
 
     ``summary`` is the flat report row
@@ -41,36 +42,12 @@ class ScenarioRecord:
     stored record can stand in for a live run in any digest comparison.
     """
 
-    scenario: str
-    spec: Mapping[str, Any]
-    spec_digest: str
-    overrides: Mapping[str, Any]
-    summary: Mapping[str, Any]
-    trace: Mapping[str, Any]
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "scenario": self.scenario,
-            "spec": dict(self.spec),
-            "spec_digest": self.spec_digest,
-            "overrides": dict(self.overrides),
-            "summary": dict(self.summary),
-            "trace": dict(self.trace),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "ScenarioRecord":
-        try:
-            return cls(
-                scenario=str(data["scenario"]),
-                spec=dict(data["spec"]),
-                spec_digest=str(data["spec_digest"]),
-                overrides=dict(data.get("overrides", {})),
-                summary=dict(data["summary"]),
-                trace=dict(data["trace"]),
-            )
-        except KeyError as exc:
-            raise ReproError(f"scenario record is missing key {exc}") from exc
+    scenario: str = spec_field(str, pinned=True)
+    spec: Mapping[str, Any] = spec_field(dict, pinned=True)
+    spec_digest: str = spec_field(str, pinned=True)
+    overrides: Mapping[str, Any] = spec_field(dict, pinned=True)
+    summary: Mapping[str, Any] = spec_field(dict, pinned=True)
+    trace: Mapping[str, Any] = spec_field(dict, pinned=True)
 
 
 class ResultStore:
@@ -128,7 +105,10 @@ class ResultStore:
         path = self.record_path(spec_digest)
         if not path.exists():
             return None
-        record = ScenarioRecord.from_dict(_read_json(path))
+        try:
+            record = ScenarioRecord.from_dict(_read_json(path))
+        except ConfigurationError as exc:
+            raise ReproError(f"{path} is not a scenario record: {exc}") from exc
         if record.spec_digest != spec_digest:
             raise ReproError(
                 f"{path} claims spec digest {record.spec_digest}, expected "
@@ -147,7 +127,7 @@ class ResultStore:
 def _read_json(path: pathlib.Path) -> Any:
     try:
         return json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ReproError(f"cannot read {path}: {exc}") from exc
 
 

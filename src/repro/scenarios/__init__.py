@@ -4,6 +4,9 @@ Public surface:
 
 * :class:`~repro.scenarios.spec.ScenarioSpec` — the declarative run
   description (dict/JSON round-trip, stable digest);
+* :class:`~repro.scenarios.schema.Schema` /
+  :func:`~repro.scenarios.schema.spec_field` — the field table every
+  JSON-facing dataclass is declared in (one strict loader, one emitter);
 * :class:`~repro.scenarios.runner.ScenarioRunner` /
   :func:`~repro.scenarios.runner.run_scenario` — execute a spec through the
   VoteTensor fast path and record a bit-exact trace;
@@ -19,6 +22,7 @@ from repro.scenarios.golden import (
     replay_golden,
 )
 from repro.scenarios.runner import ScenarioResult, ScenarioRunner, run_scenario
+from repro.scenarios.schema import Schema, spec_field
 from repro.scenarios.spec import (
     AttackSpec,
     ClusterSpec,
@@ -48,6 +52,8 @@ __all__ = [
     "ScenarioSpec",
     "ScheduleSpec",
     "TrainingSpec",
+    "Schema",
+    "spec_field",
     "ScenarioResult",
     "ScenarioRunner",
     "run_scenario",

@@ -530,7 +530,7 @@ def scenario_names() -> list[str]:
 
 def get_scenario(name: str) -> ScenarioSpec:
     """Build the named scenario's spec (a fresh instance each call)."""
-    if name not in _CATALOG:
+    if not isinstance(name, str) or name not in _CATALOG:
         raise ConfigurationError(
             f"unknown scenario {name!r}; available: {scenario_names()}"
         )

@@ -23,7 +23,9 @@ and obtain traces bit-identical to serial execution.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
+from typing import Any, Callable
 
 from repro.aggregation.registry import create_aggregator
 from repro.assignment.registry import create_scheme
@@ -54,7 +56,7 @@ from repro.data.synthetic import make_gaussian_mixture, make_synthetic_images
 from repro.exceptions import ConfigurationError
 from repro.graphs.bipartite import BipartiteAssignment
 from repro.nn.models import build_mlp
-from repro.scenarios.spec import FaultSpec, ScenarioSpec
+from repro.scenarios.spec import ScenarioSpec
 from repro.scenarios.trace import RoundTrace, RunTrace, array_digest, hex_float
 from repro.training.config import TrainingConfig
 from repro.training.gradients import ModelGradientComputer
@@ -96,17 +98,24 @@ class ScenarioResult:
         }
 
 
-def _build_fault_injector(spec: FaultSpec) -> FaultInjector:
+_FAULT_INJECTORS = {
+    "stragglers": StragglerInjector,
+    "dropout": DropoutInjector,
+    "corruption": MessageCorruptionInjector,
+}
+
+
+def _create_fault_injector(kind: str, **params: Any) -> FaultInjector:
+    return _FAULT_INJECTORS[kind](**params)
+
+
+def _create(what: str, factory: Callable[..., Any], name: str, /, **params: Any) -> Any:
+    """``factory(name, **params)`` on a spec section's free-form ``params``: a
+    keyword the named component does not take is a configuration error."""
     try:
-        if spec.kind == "stragglers":
-            return StragglerInjector(**spec.params)
-        if spec.kind == "dropout":
-            return DropoutInjector(**spec.params)
-        return MessageCorruptionInjector(**spec.params)
+        return factory(name, **params)
     except TypeError as exc:
-        raise ConfigurationError(
-            f"bad parameters for fault {spec.kind!r}: {exc}"
-        ) from exc
+        raise ConfigurationError(f"bad parameters for {what} {name!r}: {exc}") from exc
 
 
 class ScenarioRunner:
@@ -117,12 +126,8 @@ class ScenarioRunner:
 
     # -- component assembly --------------------------------------------------
     def _build_assignment(self) -> BipartiteAssignment:
-        try:
-            scheme = create_scheme(self.spec.cluster.scheme, **self.spec.cluster.params)
-        except TypeError as exc:
-            raise ConfigurationError(
-                f"bad parameters for scheme {self.spec.cluster.scheme!r}: {exc}"
-            ) from exc
+        section = self.spec.cluster
+        scheme = _create("scheme", create_scheme, section.scheme, **section.params)
         return scheme.assignment
 
     def _build_topology(self, assignment: BipartiteAssignment) -> GroupTopology | None:
@@ -144,7 +149,7 @@ class ScenarioRunner:
         section = self.spec.pipeline
         max_q = 0
         if self.spec.attack is not None:
-            max_q = AdversarySchedule(**self.spec.attack.schedule.to_dict()).max_q
+            max_q = AdversarySchedule(**dataclasses.asdict(self.spec.attack.schedule)).max_q
         if section.kind == "draco":
             return DracoPipeline(
                 assignment,
@@ -153,12 +158,9 @@ class ScenarioRunner:
                 topology=topology,
                 block_size=section.block_size,
             )
-        try:
-            aggregator = create_aggregator(section.aggregator, **section.aggregator_params)
-        except TypeError as exc:
-            raise ConfigurationError(
-                f"bad parameters for aggregator {section.aggregator!r}: {exc}"
-            ) from exc
+        aggregator = _create(
+            "aggregator", create_aggregator, section.aggregator, **section.aggregator_params
+        )
         if section.kind == "byzshield":
             return ByzShieldPipeline(
                 assignment,
@@ -234,13 +236,8 @@ class ScenarioRunner:
         section = self.spec.attack
         if section is None:
             return None, None
-        try:
-            attack = create_attack(section.name, **section.params)
-        except TypeError as exc:
-            raise ConfigurationError(
-                f"bad parameters for attack {section.name!r}: {exc}"
-            ) from exc
-        schedule = AdversarySchedule(**section.schedule.to_dict())
+        attack = _create("attack", create_attack, section.name, **section.params)
+        schedule = AdversarySchedule(**dataclasses.asdict(section.schedule))
         selector = ScheduledSelector(
             schedule, selection=section.selection, seed=self.spec.seed
         )
@@ -266,14 +263,9 @@ class ScenarioRunner:
         gradient_computer = ModelGradientComputer(model)
         compressor = None
         if spec.compression is not None:
-            try:
-                compressor = create_compressor(
-                    spec.compression.name, **spec.compression.params
-                )
-            except TypeError as exc:
-                raise ConfigurationError(
-                    f"bad parameters for compressor {spec.compression.name!r}: {exc}"
-                ) from exc
+            compressor = _create(
+                "compressor", create_compressor, spec.compression.name, **spec.compression.params
+            )
         pool = WorkerPool(assignment, gradient_computer, compressor=compressor)
         attack, selector = self._build_adversary()
         runtime = None
@@ -294,22 +286,12 @@ class ScenarioRunner:
             selector=selector,
             seed=spec.seed,
             fault_injectors=tuple(
-                _build_fault_injector(f) for f in spec.faults
+                _create("fault", _create_fault_injector, f.kind, **f.params) for f in spec.faults
             ),
             runtime=runtime,
             topology=topology,
         )
-        config = TrainingConfig(
-            batch_size=spec.training.batch_size,
-            num_iterations=spec.training.num_iterations,
-            learning_rate=spec.training.learning_rate,
-            lr_decay=spec.training.lr_decay,
-            lr_period=spec.training.lr_period,
-            momentum=spec.training.momentum,
-            weight_decay=spec.training.weight_decay,
-            eval_every=spec.training.eval_every,
-            seed=spec.seed,
-        )
+        config = TrainingConfig(**dataclasses.asdict(spec.training), seed=spec.seed)
         return DistributedTrainer(
             cluster=cluster,
             pipeline=pipeline,

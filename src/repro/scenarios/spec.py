@@ -3,10 +3,18 @@
 A :class:`ScenarioSpec` pins down *everything* that determines a simulated
 training run — cluster geometry, aggregation pipeline, dataset, model,
 training schedule, adversary (attack + schedule + selection), benign fault
-models, uplink compression and the seed — as plain data.  Specs round-trip
-through dicts/JSON (``from_dict`` / ``to_dict`` / ``from_json_file``), reject
-unknown keys loudly, and hash to a stable digest so golden traces can detect
-when a scenario definition itself has drifted.
+models, uplink compression and the seed — as plain data.  Every section is a
+:class:`~repro.scenarios.schema.Schema`: each field is declared once, with
+its JSON kind, and ``from_dict`` / ``to_dict`` / ``to_json`` / ``digest`` are
+inherited from the one strict loader and the one emitter there.
+
+**Canonical form.**  ``to_dict`` emits a field when it is declared
+``pinned=True`` or when it differs from its default, and nothing else — so
+a scenario that does not use a later-added section or knob (``runtime``,
+``topology``, ``partition``, ``dtype``, ``block_size``, …) serializes, and
+hashes, exactly as it did before that field existed.  The digest is the
+sha256 of that form; traces embed it, so a replay against an edited
+scenario fails loudly instead of comparing apples to oranges.
 
 The spec layer deliberately knows nothing about the simulator: the
 :mod:`~repro.scenarios.runner` turns a spec into live components via the
@@ -15,16 +23,14 @@ assignment / attack / aggregation / compression registries.
 
 from __future__ import annotations
 
-import dataclasses
-import hashlib
 import json
-import math
 import pathlib
-from dataclasses import dataclass, field
-from typing import Any, Mapping
+from dataclasses import dataclass
+from typing import Any
 
 from repro.core.backend import SUPPORTED_DTYPES
 from repro.exceptions import ConfigurationError
+from repro.scenarios.schema import Schema, spec_field
 
 __all__ = [
     "ClusterSpec",
@@ -43,26 +49,8 @@ __all__ = [
 ]
 
 
-def _check_keys(section: str, data: Mapping[str, Any], allowed: tuple[str, ...]) -> None:
-    unknown = sorted(set(data) - set(allowed))
-    if unknown:
-        raise ConfigurationError(
-            f"unknown key(s) {unknown} in scenario section {section!r}; "
-            f"allowed: {sorted(allowed)}"
-        )
-
-
-def _prune(data: dict[str, Any]) -> dict[str, Any]:
-    """Drop ``None`` values and empty containers for a canonical dict form."""
-    return {
-        key: value
-        for key, value in data.items()
-        if value is not None and value != {} and value != []
-    }
-
-
 @dataclass(frozen=True)
-class ClusterSpec:
+class ClusterSpec(Schema, where="cluster"):
     """Which assignment scheme builds the worker/file graph.
 
     ``params`` is forwarded verbatim to the assignment registry, e.g.
@@ -70,36 +58,27 @@ class ClusterSpec:
     Ramanujan.
     """
 
-    scheme: str = "mols"
-    params: dict[str, Any] = field(default_factory=dict)
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "ClusterSpec":
-        _check_keys("cluster", data, ("scheme", "params"))
-        return cls(scheme=str(data.get("scheme", "mols")), params=dict(data.get("params", {})))
-
-    def to_dict(self) -> dict[str, Any]:
-        return _prune({"scheme": self.scheme, "params": dict(self.params)})
+    scheme: str = spec_field(str, pinned=True, default="mols")
+    params: dict[str, Any] = spec_field(dict, default_factory=dict)
 
 
 @dataclass(frozen=True)
-class PipelineSpec:
+class PipelineSpec(Schema, where="pipeline"):
     """Aggregation pipeline: kind + second-stage robust rule.
 
     ``kind`` is ``"byzshield"``, ``"detox"``, ``"draco"`` or ``"vanilla"``;
     ``aggregator``/``aggregator_params`` name the registry rule (ignored by
     DRACO, which always averages); ``vote_tolerance`` loosens the majority
     vote's exact-equality matching.  ``block_size`` streams the vote kernels
-    in coordinate blocks (``None``, the default and the form omitted from
-    the canonical dict, keeps the monolithic kernels — existing spec digests
-    are unchanged).
+    in coordinate blocks (``None``, the default, keeps the monolithic
+    kernels).
     """
 
-    kind: str = "byzshield"
-    aggregator: str = "median"
-    aggregator_params: dict[str, Any] = field(default_factory=dict)
-    vote_tolerance: float = 0.0
-    block_size: int | None = None
+    kind: str = spec_field(str, pinned=True, default="byzshield")
+    aggregator: str = spec_field(str, pinned=True, default="median")
+    aggregator_params: dict[str, Any] = spec_field(dict, default_factory=dict)
+    vote_tolerance: float = spec_field(float, default=0.0)
+    block_size: int | None = spec_field(int, default=None)
 
     def __post_init__(self) -> None:
         if self.kind not in ("byzshield", "detox", "draco", "vanilla"):
@@ -107,7 +86,7 @@ class PipelineSpec:
                 f"unknown pipeline kind {self.kind!r}; expected byzshield, "
                 "detox, draco or vanilla"
             )
-        if self.vote_tolerance < 0:
+        if not self.vote_tolerance >= 0:  # also NaN
             raise ConfigurationError(
                 f"vote_tolerance must be non-negative, got {self.vote_tolerance}"
             )
@@ -117,50 +96,20 @@ class PipelineSpec:
                 f"{self.block_size}"
             )
 
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "PipelineSpec":
-        _check_keys(
-            "pipeline",
-            data,
-            ("kind", "aggregator", "aggregator_params", "vote_tolerance", "block_size"),
-        )
-        block_size = data.get("block_size")
-        return cls(
-            kind=str(data.get("kind", "byzshield")),
-            aggregator=str(data.get("aggregator", "median")),
-            aggregator_params=dict(data.get("aggregator_params", {})),
-            vote_tolerance=float(data.get("vote_tolerance", 0.0)),
-            block_size=None if block_size is None else int(block_size),
-        )
-
-    def to_dict(self) -> dict[str, Any]:
-        out = {
-            "kind": self.kind,
-            "aggregator": self.aggregator,
-            "aggregator_params": dict(self.aggregator_params),
-        }
-        if self.vote_tolerance:
-            out["vote_tolerance"] = self.vote_tolerance
-        if self.block_size is not None:
-            out["block_size"] = self.block_size
-        return _prune(out)
-
 
 @dataclass(frozen=True)
-class PartitionSpec:
+class PartitionSpec(Schema, where="partition"):
     """Non-IID file partition (see :mod:`repro.data.batching`).
 
     ``kind`` is ``"dirichlet"`` (label skew, Hsu et al. 2019) or
     ``"quantity_skew"`` (Dirichlet shard sizes); ``alpha`` is the Dirichlet
     concentration (small = strong skew) and ``min_per_shard`` the floor
-    every file's shard is topped up to.  Scenarios without a partition run
-    the paper's IID batching and serialize no ``partition`` key, so adding
-    this section changed no existing spec digest.
+    every file's shard is topped up to.
     """
 
-    kind: str = "dirichlet"
-    alpha: float = 0.5
-    min_per_shard: int = 1
+    kind: str = spec_field(str, pinned=True, default="dirichlet")
+    alpha: float = spec_field(float, pinned=True, default=0.5)
+    min_per_shard: int = spec_field(int, default=1)
 
     def __post_init__(self) -> None:
         if self.kind not in ("dirichlet", "quantity_skew"):
@@ -178,41 +127,24 @@ class PartitionSpec:
                 f"{self.min_per_shard}"
             )
 
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "PartitionSpec":
-        _check_keys("data.partition", data, ("kind", "alpha", "min_per_shard"))
-        defaults = cls()
-        return cls(
-            kind=str(data.get("kind", defaults.kind)),
-            alpha=float(data.get("alpha", defaults.alpha)),
-            min_per_shard=int(data.get("min_per_shard", defaults.min_per_shard)),
-        )
-
-    def to_dict(self) -> dict[str, Any]:
-        out: dict[str, Any] = {"kind": self.kind, "alpha": self.alpha}
-        if self.min_per_shard != 1:
-            out["min_per_shard"] = self.min_per_shard
-        return out
-
 
 @dataclass(frozen=True)
-class DataSpec:
+class DataSpec(Schema, where="data"):
     """Synthetic dataset parameters (Gaussian mixture or synthetic images).
 
     ``partition`` optionally shards the training set non-IID across files;
-    ``None`` (default, omitted from the canonical dict) keeps the paper's
-    IID batching and every pre-existing spec digest.
+    ``None`` (default) keeps the paper's IID batching.
     """
 
-    kind: str = "gaussian"
-    num_train: int = 300
-    num_test: int = 100
-    num_classes: int = 4
-    dim: int = 12
-    separation: float = 3.0
-    image_size: int = 8
-    channels: int = 3
-    partition: PartitionSpec | None = None
+    kind: str = spec_field(str, pinned=True, default="gaussian")
+    num_train: int = spec_field(int, pinned=True, default=300)
+    num_test: int = spec_field(int, pinned=True, default=100)
+    num_classes: int = spec_field(int, pinned=True, default=4)
+    dim: int = spec_field(int, pinned=True, default=12)
+    separation: float = spec_field(float, pinned=True, default=3.0)
+    image_size: int = spec_field(int, pinned=True, default=8)
+    channels: int = spec_field(int, pinned=True, default=3)
+    partition: PartitionSpec | None = spec_field(PartitionSpec, default=None)
 
     def __post_init__(self) -> None:
         if self.kind not in ("gaussian", "images"):
@@ -223,155 +155,47 @@ class DataSpec:
             if getattr(self, name) < 1:
                 raise ConfigurationError(f"{name} must be positive")
 
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "DataSpec":
-        _check_keys(
-            "data",
-            data,
-            (
-                "kind",
-                "num_train",
-                "num_test",
-                "num_classes",
-                "dim",
-                "separation",
-                "image_size",
-                "channels",
-                "partition",
-            ),
-        )
-        defaults = cls()
-        partition = data.get("partition")
-        return cls(
-            kind=str(data.get("kind", defaults.kind)),
-            num_train=int(data.get("num_train", defaults.num_train)),
-            num_test=int(data.get("num_test", defaults.num_test)),
-            num_classes=int(data.get("num_classes", defaults.num_classes)),
-            dim=int(data.get("dim", defaults.dim)),
-            separation=float(data.get("separation", defaults.separation)),
-            image_size=int(data.get("image_size", defaults.image_size)),
-            channels=int(data.get("channels", defaults.channels)),
-            partition=None if partition is None else PartitionSpec.from_dict(partition),
-        )
-
-    def to_dict(self) -> dict[str, Any]:
-        out = {
-            "kind": self.kind,
-            "num_train": self.num_train,
-            "num_test": self.num_test,
-            "num_classes": self.num_classes,
-            "dim": self.dim,
-            "separation": self.separation,
-            "image_size": self.image_size,
-            "channels": self.channels,
-        }
-        if self.partition is not None:
-            # IID scenarios serialize no partition key, keeping every
-            # pre-existing spec digest (and its golden trace) intact.
-            out["partition"] = self.partition.to_dict()
-        return out
-
 
 @dataclass(frozen=True)
-class ModelSpec:
+class ModelSpec(Schema, where="model"):
     """MLP head trained on the synthetic substrate."""
 
-    hidden: tuple[int, ...] = (16,)
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "ModelSpec":
-        _check_keys("model", data, ("hidden",))
-        return cls(hidden=tuple(int(h) for h in data.get("hidden", (16,))))
-
-    def to_dict(self) -> dict[str, Any]:
-        return {"hidden": list(self.hidden)}
+    hidden: tuple[int, ...] = spec_field((int,), pinned=True, default=(16,))
 
 
 @dataclass(frozen=True)
-class TrainingSpec:
+class TrainingSpec(Schema, where="training"):
     """Optimization schedule of the run."""
 
-    batch_size: int = 75
-    num_iterations: int = 4
-    learning_rate: float = 0.05
-    lr_decay: float = 0.96
-    lr_period: int = 15
-    momentum: float = 0.9
-    weight_decay: float = 0.0
-    eval_every: int = 2
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "TrainingSpec":
-        _check_keys(
-            "training",
-            data,
-            (
-                "batch_size",
-                "num_iterations",
-                "learning_rate",
-                "lr_decay",
-                "lr_period",
-                "momentum",
-                "weight_decay",
-                "eval_every",
-            ),
-        )
-        defaults = cls()
-        return cls(
-            batch_size=int(data.get("batch_size", defaults.batch_size)),
-            num_iterations=int(data.get("num_iterations", defaults.num_iterations)),
-            learning_rate=float(data.get("learning_rate", defaults.learning_rate)),
-            lr_decay=float(data.get("lr_decay", defaults.lr_decay)),
-            lr_period=int(data.get("lr_period", defaults.lr_period)),
-            momentum=float(data.get("momentum", defaults.momentum)),
-            weight_decay=float(data.get("weight_decay", defaults.weight_decay)),
-            eval_every=int(data.get("eval_every", defaults.eval_every)),
-        )
-
-    def to_dict(self) -> dict[str, Any]:
-        return dataclasses.asdict(self)
+    batch_size: int = spec_field(int, pinned=True, default=75)
+    num_iterations: int = spec_field(int, pinned=True, default=4)
+    learning_rate: float = spec_field(float, pinned=True, default=0.05)
+    lr_decay: float = spec_field(float, pinned=True, default=0.96)
+    lr_period: int = spec_field(int, pinned=True, default=15)
+    momentum: float = spec_field(float, pinned=True, default=0.9)
+    weight_decay: float = spec_field(float, pinned=True, default=0.0)
+    eval_every: int = spec_field(int, pinned=True, default=2)
 
 
 @dataclass(frozen=True)
-class ScheduleSpec:
+class ScheduleSpec(Schema, where="schedule"):
     """Adversary schedule (see :class:`repro.attacks.schedules.AdversarySchedule`)."""
 
-    kind: str = "static"
-    q: int = 0
-    q_end: int | None = None
-    period: int = 1
-    stride: int = 1
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "ScheduleSpec":
-        _check_keys("attack.schedule", data, ("kind", "q", "q_end", "period", "stride"))
-        return cls(
-            kind=str(data.get("kind", "static")),
-            q=int(data.get("q", 0)),
-            q_end=None if data.get("q_end") is None else int(data["q_end"]),
-            period=int(data.get("period", 1)),
-            stride=int(data.get("stride", 1)),
-        )
-
-    def to_dict(self) -> dict[str, Any]:
-        out: dict[str, Any] = {"kind": self.kind, "q": self.q}
-        if self.q_end is not None:
-            out["q_end"] = self.q_end
-        if self.period != 1:
-            out["period"] = self.period
-        if self.stride != 1:
-            out["stride"] = self.stride
-        return out
+    kind: str = spec_field(str, pinned=True, default="static")
+    q: int = spec_field(int, pinned=True, default=0)
+    q_end: int | None = spec_field(int, default=None)
+    period: int = spec_field(int, default=1)
+    stride: int = spec_field(int, default=1)
 
 
 @dataclass(frozen=True)
-class AttackSpec:
+class AttackSpec(Schema, where="attack"):
     """The adversary: payload generator + worker selection + budget schedule."""
 
-    name: str
-    params: dict[str, Any] = field(default_factory=dict)
-    selection: str = "omniscient"
-    schedule: ScheduleSpec = field(default_factory=ScheduleSpec)
+    name: str = spec_field(str, pinned=True)
+    params: dict[str, Any] = spec_field(dict, default_factory=dict)
+    selection: str = spec_field(str, pinned=True, default="omniscient")
+    schedule: ScheduleSpec = spec_field(ScheduleSpec, pinned=True, default_factory=ScheduleSpec)
 
     def __post_init__(self) -> None:
         if self.selection not in ("omniscient", "random", "rotating"):
@@ -380,38 +204,16 @@ class AttackSpec:
                 "random or rotating"
             )
 
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "AttackSpec":
-        _check_keys("attack", data, ("name", "params", "selection", "schedule"))
-        if "name" not in data:
-            raise ConfigurationError("attack section requires a 'name'")
-        return cls(
-            name=str(data["name"]),
-            params=dict(data.get("params", {})),
-            selection=str(data.get("selection", "omniscient")),
-            schedule=ScheduleSpec.from_dict(data.get("schedule", {})),
-        )
-
-    def to_dict(self) -> dict[str, Any]:
-        return _prune(
-            {
-                "name": self.name,
-                "params": dict(self.params),
-                "selection": self.selection,
-                "schedule": self.schedule.to_dict(),
-            }
-        )
-
 
 @dataclass(frozen=True)
-class FaultSpec:
+class FaultSpec(Schema, where="fault"):
     """One benign fault model; ``params`` match the injector's constructor.
 
     ``kind`` is ``"stragglers"``, ``"dropout"`` or ``"corruption"``.
     """
 
-    kind: str
-    params: dict[str, Any] = field(default_factory=dict)
+    kind: str = spec_field(str, pinned=True)
+    params: dict[str, Any] = spec_field(dict, default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.kind not in ("stragglers", "dropout", "corruption"):
@@ -420,44 +222,22 @@ class FaultSpec:
                 "dropout or corruption"
             )
 
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "FaultSpec":
-        _check_keys("faults[]", data, ("kind", "params"))
-        if "kind" not in data:
-            raise ConfigurationError("fault section requires a 'kind'")
-        return cls(kind=str(data["kind"]), params=dict(data.get("params", {})))
-
-    def to_dict(self) -> dict[str, Any]:
-        return _prune({"kind": self.kind, "params": dict(self.params)})
-
 
 @dataclass(frozen=True)
-class CompressionSpec:
+class CompressionSpec(Schema, where="compression"):
     """Uplink gradient compression applied worker-side (once per file)."""
 
-    name: str
-    params: dict[str, Any] = field(default_factory=dict)
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "CompressionSpec":
-        _check_keys("compression", data, ("name", "params"))
-        if "name" not in data:
-            raise ConfigurationError("compression section requires a 'name'")
-        return cls(name=str(data["name"]), params=dict(data.get("params", {})))
-
-    def to_dict(self) -> dict[str, Any]:
-        return _prune({"name": self.name, "params": dict(self.params)})
+    name: str = spec_field(str, pinned=True)
+    params: dict[str, Any] = spec_field(dict, default_factory=dict)
 
 
 @dataclass(frozen=True)
-class RuntimeSpec:
+class RuntimeSpec(Schema, where="runtime"):
     """How the PS collects a round's messages.
 
-    The default (no deadline, no quorum) is the lockstep synchronous round
-    every pre-existing scenario runs — it serializes to an empty dict and is
-    omitted from the canonical spec form, so adding this section changed no
-    existing spec digest.  Setting ``deadline`` and/or ``quorum`` switches
-    the run to the event-driven engine (:mod:`repro.cluster.events`).
+    The default (no deadline, no quorum) is the lockstep synchronous round.
+    Setting ``deadline`` and/or ``quorum`` switches the run to the
+    event-driven engine (:mod:`repro.cluster.events`).
 
     Attributes
     ----------
@@ -475,9 +255,9 @@ class RuntimeSpec:
         missing slots as zero votes.  Requires an event-driven runtime.
     """
 
-    deadline: float | None = None
-    quorum: int | None = None
-    partial: bool = False
+    deadline: float | None = spec_field(float, allow_inf=True, default=None)
+    quorum: int | None = spec_field(int, default=None)
+    partial: bool = spec_field(bool, default=False)
 
     def __post_init__(self) -> None:
         if self.deadline is not None and not self.deadline > 0.0:  # also NaN
@@ -499,44 +279,20 @@ class RuntimeSpec:
         """True when the scenario runs on the event-driven engine."""
         return self.deadline is not None or self.quorum is not None
 
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "RuntimeSpec":
-        _check_keys("runtime", data, ("deadline", "quorum", "partial"))
-        deadline = data.get("deadline")
-        return cls(
-            # float("inf") round-trips the serialized "inf" string.
-            deadline=None if deadline is None else float(deadline),
-            quorum=None if data.get("quorum") is None else int(data["quorum"]),
-            partial=bool(data.get("partial", False)),
-        )
-
-    def to_dict(self) -> dict[str, Any]:
-        out: dict[str, Any] = {}
-        if self.deadline is not None:
-            # Strict JSON has no Infinity literal; use a string sentinel.
-            out["deadline"] = "inf" if math.isinf(self.deadline) else self.deadline
-        if self.quorum is not None:
-            out["quorum"] = self.quorum
-        if self.partial:
-            out["partial"] = True
-        return out
-
 
 @dataclass(frozen=True)
-class TopologySpec:
+class TopologySpec(Schema, where="topology"):
     """Two-level aggregation topology (hierarchical majority voting).
 
     ``groups`` partitions the workers into that many contiguous, balanced
     voting groups; ``q_group``/``q_root`` are the per-level tolerated-
     adversary budgets carried by :class:`~repro.cluster.topology.
-    GroupTopology`.  Scenarios without this section run the flat vote and
-    serialize no ``topology`` key, so adding the section changed no existing
-    spec digest.
+    GroupTopology`.  Scenarios without this section run the flat vote.
     """
 
-    groups: int
-    q_group: int = 0
-    q_root: int = 0
+    groups: int = spec_field(int, pinned=True)
+    q_group: int = spec_field(int, default=0)
+    q_root: int = spec_field(int, default=0)
 
     def __post_init__(self) -> None:
         if self.groups < 1:
@@ -549,44 +305,25 @@ class TopologySpec:
                 f"q_group={self.q_group}, q_root={self.q_root}"
             )
 
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "TopologySpec":
-        _check_keys("topology", data, ("groups", "q_group", "q_root"))
-        if "groups" not in data:
-            raise ConfigurationError("topology section requires 'groups'")
-        return cls(
-            groups=int(data["groups"]),
-            q_group=int(data.get("q_group", 0)),
-            q_root=int(data.get("q_root", 0)),
-        )
-
-    def to_dict(self) -> dict[str, Any]:
-        out: dict[str, Any] = {"groups": self.groups}
-        if self.q_group:
-            out["q_group"] = self.q_group
-        if self.q_root:
-            out["q_root"] = self.q_root
-        return out
-
 
 @dataclass(frozen=True)
-class ScenarioSpec:
+class ScenarioSpec(Schema, where="scenario"):
     """A complete, reproducible description of one simulated training run."""
 
-    name: str
-    seed: int = 0
-    cluster: ClusterSpec = field(default_factory=ClusterSpec)
-    pipeline: PipelineSpec = field(default_factory=PipelineSpec)
-    data: DataSpec = field(default_factory=DataSpec)
-    model: ModelSpec = field(default_factory=ModelSpec)
-    training: TrainingSpec = field(default_factory=TrainingSpec)
-    attack: AttackSpec | None = None
-    faults: tuple[FaultSpec, ...] = ()
-    compression: CompressionSpec | None = None
-    runtime: RuntimeSpec = field(default_factory=RuntimeSpec)
-    topology: TopologySpec | None = None
-    dtype: str = "float64"
-    description: str = ""
+    name: str = spec_field(str, pinned=True)
+    seed: int = spec_field(int, pinned=True, default=0)
+    cluster: ClusterSpec = spec_field(ClusterSpec, pinned=True, default_factory=ClusterSpec)
+    pipeline: PipelineSpec = spec_field(PipelineSpec, pinned=True, default_factory=PipelineSpec)
+    data: DataSpec = spec_field(DataSpec, pinned=True, default_factory=DataSpec)
+    model: ModelSpec = spec_field(ModelSpec, pinned=True, default_factory=ModelSpec)
+    training: TrainingSpec = spec_field(TrainingSpec, pinned=True, default_factory=TrainingSpec)
+    attack: AttackSpec | None = spec_field(AttackSpec, default=None)
+    faults: tuple[FaultSpec, ...] = spec_field((FaultSpec,), default=())
+    compression: CompressionSpec | None = spec_field(CompressionSpec, default=None)
+    runtime: RuntimeSpec = spec_field(RuntimeSpec, default_factory=RuntimeSpec)
+    topology: TopologySpec | None = spec_field(TopologySpec, default=None)
+    dtype: str = spec_field(str, default="float64")
+    description: str = spec_field(str, default="")
 
     def __post_init__(self) -> None:
         if not self.name:
@@ -597,101 +334,11 @@ class ScenarioSpec:
                 f"expected one of {sorted(SUPPORTED_DTYPES)}"
             )
 
-    # -- dict / JSON round-trip ---------------------------------------------
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "ScenarioSpec":
-        _check_keys(
-            "scenario",
-            data,
-            (
-                "name",
-                "seed",
-                "cluster",
-                "pipeline",
-                "data",
-                "model",
-                "training",
-                "attack",
-                "faults",
-                "compression",
-                "runtime",
-                "topology",
-                "dtype",
-                "description",
-            ),
-        )
-        if "name" not in data:
-            raise ConfigurationError("scenario requires a 'name'")
-        attack = data.get("attack")
-        compression = data.get("compression")
-        topology = data.get("topology")
-        return cls(
-            name=str(data["name"]),
-            seed=int(data.get("seed", 0)),
-            cluster=ClusterSpec.from_dict(data.get("cluster", {})),
-            pipeline=PipelineSpec.from_dict(data.get("pipeline", {})),
-            data=DataSpec.from_dict(data.get("data", {})),
-            model=ModelSpec.from_dict(data.get("model", {})),
-            training=TrainingSpec.from_dict(data.get("training", {})),
-            attack=None if attack is None else AttackSpec.from_dict(attack),
-            faults=tuple(FaultSpec.from_dict(f) for f in data.get("faults", ())),
-            compression=(
-                None if compression is None else CompressionSpec.from_dict(compression)
-            ),
-            runtime=RuntimeSpec.from_dict(data.get("runtime", {})),
-            topology=None if topology is None else TopologySpec.from_dict(topology),
-            dtype=str(data.get("dtype", "float64")),
-            description=str(data.get("description", "")),
-        )
-
     @classmethod
     def from_json_file(cls, path: "str | pathlib.Path") -> "ScenarioSpec":
         path = pathlib.Path(path)
         try:
             data = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ConfigurationError(f"cannot load scenario spec {path}: {exc}") from exc
         return cls.from_dict(data)
-
-    def to_dict(self) -> dict[str, Any]:
-        out: dict[str, Any] = {
-            "name": self.name,
-            "seed": self.seed,
-            "cluster": self.cluster.to_dict(),
-            "pipeline": self.pipeline.to_dict(),
-            "data": self.data.to_dict(),
-            "model": self.model.to_dict(),
-            "training": self.training.to_dict(),
-        }
-        if self.attack is not None:
-            out["attack"] = self.attack.to_dict()
-        if self.faults:
-            out["faults"] = [f.to_dict() for f in self.faults]
-        if self.compression is not None:
-            out["compression"] = self.compression.to_dict()
-        runtime = self.runtime.to_dict()
-        if runtime:
-            # Synchronous scenarios serialize no runtime section, keeping
-            # every pre-existing spec digest (and its golden trace) intact.
-            out["runtime"] = runtime
-        if self.topology is not None:
-            # Flat-vote scenarios serialize no topology section (same
-            # digest-preservation contract as the runtime section).
-            out["topology"] = self.topology.to_dict()
-        if self.dtype != "float64":
-            # Emitted only when non-default so existing float64 spec digests
-            # (and the golden traces pinned to them) are unchanged.
-            out["dtype"] = self.dtype
-        if self.description:
-            out["description"] = self.description
-        return out
-
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
-
-    def digest(self) -> str:
-        """Stable hash of the canonical spec — traces embed it so a replay
-        against an edited scenario fails loudly instead of comparing apples
-        to oranges."""
-        canonical = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canonical.encode()).hexdigest()[:16]

@@ -17,12 +17,14 @@ precise (round, stage) location.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import pathlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Mapping
 
-from repro.exceptions import ReproError
+from repro.exceptions import ConfigurationError, ReproError
+from repro.scenarios.schema import Schema, spec_field
 from repro.utils.digest import array_digest
 
 __all__ = ["array_digest", "hex_float", "RoundTrace", "RunTrace", "TraceMismatch"]
@@ -43,7 +45,7 @@ class TraceMismatch(ReproError):
 
 
 @dataclass(frozen=True)
-class RoundTrace:
+class RoundTrace(Schema, where="round"):
     """Digest view of one training round.
 
     Attributes
@@ -68,48 +70,17 @@ class RoundTrace:
         JSON-ready fault event records of the round.
     """
 
-    iteration: int
-    q: int
-    byzantine: tuple[int, ...]
-    num_distorted: int
-    votes_digest: str
-    winners_digest: str
-    aggregate_digest: str
-    params_digest: str
-    mean_loss_hex: str
-    round_time_hex: str = hex_float(0.0)
-    faults: tuple[Mapping[str, Any], ...] = ()
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "iteration": self.iteration,
-            "q": self.q,
-            "byzantine": list(self.byzantine),
-            "num_distorted": self.num_distorted,
-            "votes_digest": self.votes_digest,
-            "winners_digest": self.winners_digest,
-            "aggregate_digest": self.aggregate_digest,
-            "params_digest": self.params_digest,
-            "mean_loss_hex": self.mean_loss_hex,
-            "round_time_hex": self.round_time_hex,
-            "faults": [dict(f) for f in self.faults],
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "RoundTrace":
-        return cls(
-            iteration=int(data["iteration"]),
-            q=int(data["q"]),
-            byzantine=tuple(int(w) for w in data["byzantine"]),
-            num_distorted=int(data["num_distorted"]),
-            votes_digest=str(data["votes_digest"]),
-            winners_digest=str(data["winners_digest"]),
-            aggregate_digest=str(data["aggregate_digest"]),
-            params_digest=str(data["params_digest"]),
-            mean_loss_hex=str(data["mean_loss_hex"]),
-            round_time_hex=str(data.get("round_time_hex", hex_float(0.0))),
-            faults=tuple(dict(f) for f in data.get("faults", ())),
-        )
+    iteration: int = spec_field(int, pinned=True)
+    q: int = spec_field(int, pinned=True)
+    byzantine: tuple[int, ...] = spec_field((int,), pinned=True)
+    num_distorted: int = spec_field(int, pinned=True)
+    votes_digest: str = spec_field(str, pinned=True)
+    winners_digest: str = spec_field(str, pinned=True)
+    aggregate_digest: str = spec_field(str, pinned=True)
+    params_digest: str = spec_field(str, pinned=True)
+    mean_loss_hex: str = spec_field(str, pinned=True)
+    round_time_hex: str = spec_field(str, pinned=True, default=hex_float(0.0))
+    faults: tuple[Mapping[str, Any], ...] = spec_field((dict,), pinned=True, default=())
 
     @property
     def mean_loss(self) -> float:
@@ -121,7 +92,7 @@ class RoundTrace:
 
 
 @dataclass
-class RunTrace:
+class RunTrace(Schema, where="trace"):
     """The full trace of one scenario run.
 
     ``spec_digest`` ties the trace to the exact scenario definition;
@@ -129,11 +100,11 @@ class RunTrace:
     run ended.
     """
 
-    scenario: str
-    spec_digest: str
-    rounds: list[RoundTrace] = field(default_factory=list)
-    final_params_digest: str = ""
-    final_accuracy_hex: str = hex_float(float("nan"))
+    scenario: str = spec_field(str, pinned=True)
+    spec_digest: str = spec_field(str, pinned=True)
+    rounds: list[RoundTrace] = spec_field([RoundTrace], pinned=True, default_factory=list)
+    final_params_digest: str = spec_field(str, pinned=True, default="")
+    final_accuracy_hex: str = spec_field(str, pinned=True, default=hex_float(float("nan")))
 
     def append(self, round_trace: RoundTrace) -> None:
         if self.rounds and round_trace.iteration <= self.rounds[-1].iteration:
@@ -150,37 +121,14 @@ class RunTrace:
         return float(sum(r.round_time for r in self.rounds))
 
     # -- serialization -------------------------------------------------------
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "scenario": self.scenario,
-            "spec_digest": self.spec_digest,
-            "final_params_digest": self.final_params_digest,
-            "final_accuracy_hex": self.final_accuracy_hex,
-            "rounds": [r.to_dict() for r in self.rounds],
-        }
-
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "RunTrace":
-        return cls(
-            scenario=str(data["scenario"]),
-            spec_digest=str(data["spec_digest"]),
-            rounds=[RoundTrace.from_dict(r) for r in data["rounds"]],
-            final_params_digest=str(data.get("final_params_digest", "")),
-            final_accuracy_hex=str(data.get("final_accuracy_hex", hex_float(float("nan")))),
-        )
-
     @classmethod
     def from_json_file(cls, path: "str | pathlib.Path") -> "RunTrace":
         path = pathlib.Path(path)
-        # ValueError covers malformed JSON; with TypeError it also covers
-        # well-formed JSON of the wrong shape (a list at the root, a
-        # non-numeric ``iteration``, a scalar where a list belongs).
+        # ConfigurationError is the strict loader's: well-formed JSON of the
+        # wrong shape (a list at the root, a non-integer ``iteration``, ...).
         try:
             return cls.from_dict(json.loads(path.read_text()))
-        except (OSError, KeyError, TypeError, ValueError) as exc:
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError, ConfigurationError) as exc:
             raise ReproError(f"cannot load trace {path}: {exc}") from exc
 
     def write_json_file(self, path: "str | pathlib.Path") -> None:
@@ -210,19 +158,7 @@ class RunTrace:
                 f"golden {len(golden.rounds)}"
             )
         for mine, theirs in zip(self.rounds, golden.rounds):
-            for stage in (
-                "iteration",
-                "q",
-                "byzantine",
-                "num_distorted",
-                "votes_digest",
-                "winners_digest",
-                "aggregate_digest",
-                "params_digest",
-                "mean_loss_hex",
-                "round_time_hex",
-                "faults",
-            ):
+            for stage in (field.name for field in dataclasses.fields(RoundTrace)):
                 if getattr(mine, stage) != getattr(theirs, stage):
                     raise TraceMismatch(
                         f"scenario {self.scenario!r} round {mine.iteration}: "

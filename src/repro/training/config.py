@@ -53,17 +53,17 @@ class TrainingConfig:
             raise ConfigurationError(
                 f"num_iterations must be positive, got {self.num_iterations}"
             )
-        if self.learning_rate <= 0:
+        if not self.learning_rate > 0:  # also NaN
             raise ConfigurationError(
                 f"learning_rate must be positive, got {self.learning_rate}"
             )
-        if self.lr_decay <= 0:
+        if not self.lr_decay > 0:
             raise ConfigurationError(f"lr_decay must be positive, got {self.lr_decay}")
         if self.lr_period < 1:
             raise ConfigurationError(f"lr_period must be >= 1, got {self.lr_period}")
         if not (0.0 <= self.momentum < 1.0):
             raise ConfigurationError(f"momentum must be in [0, 1), got {self.momentum}")
-        if self.weight_decay < 0:
+        if not self.weight_decay >= 0:
             raise ConfigurationError(
                 f"weight_decay must be non-negative, got {self.weight_decay}"
             )

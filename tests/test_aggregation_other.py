@@ -149,3 +149,8 @@ def test_majority_vote_validation(mols_assignment):
         majority_vote([np.zeros(3)], tolerance=-1.0)
     with pytest.raises(AggregationError):
         ByzShieldPipeline(mols_assignment, vote_tolerance=-0.5)
+    # NaN passes ``tolerance < 0``; every comparison with it is false.
+    with pytest.raises(AggregationError, match="non-negative"):
+        majority_vote([np.zeros(3)], tolerance=float("nan"))
+    with pytest.raises(AggregationError, match="non-negative"):
+        ByzShieldPipeline(mols_assignment, vote_tolerance=float("nan"))

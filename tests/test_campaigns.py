@@ -86,6 +86,35 @@ class TestSpecLoading:
         with pytest.raises(ConfigurationError, match="grid"):
             CampaignSpec.from_dict(mini_dict(grid=["attack.schedule.q"]))
 
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            pytest.param({"name": "c", "base": [1]}, "campaign.base must be a mapping", id="base-list"),
+            pytest.param({"name": "c", "base": "mols-clean"}, "campaign.base must be a mapping", id="base-name"),
+            pytest.param(mini_dict(seed="x"), "campaign.seed must be an integer, got str 'x'", id="seed-word"),
+            pytest.param(mini_dict(grid={3: [1]}), "campaign.grid must be a mapping with string keys", id="grid-int-path"),
+            pytest.param(mini_dict(grid={"seed": [float("nan")]}), r"campaign.grid.seed\[0\] must be a finite number", id="grid-nan"),
+            pytest.param(mini_dict(base_scenario=["mols-clean"]), "unknown scenario", id="base-scenario-list"),
+            pytest.param(mini_dict(name=None), "campaign.name must be a string", id="name-null"),
+            pytest.param({"name": "c", "base": {"seed": "x"}}, "campaign.base is not a valid scenario: scenario.seed must be an integer", id="base-seed-word"),
+            pytest.param([mini_dict()], "campaign must be a mapping, got list", id="root-list"),
+        ],
+    )
+    def test_malformed_input_ends_in_a_configuration_error(self, data, message):
+        """All but the last two escaped as bare TypeError / ValueError /
+        AttributeError before the field table."""
+        with pytest.raises(ConfigurationError, match="^" + message):
+            CampaignSpec.from_dict(data)
+
+    def test_inline_base_takes_the_campaign_name_and_is_copied(self):
+        base = {"cluster": {"scheme": "mols", "params": {"load": 5, "replication": 3}}}
+        campaign = CampaignSpec.from_dict({"name": "c", "base": base})
+        assert campaign.base["name"] == "c"
+        base["cluster"]["params"]["load"] = 7
+        assert campaign.base["cluster"]["params"]["load"] == 5
+        named = CampaignSpec.from_dict({"name": "c", "base": {**base, "name": "own"}})
+        assert named.base["name"] == "own"
+
     def test_json_file_round_trip(self, tmp_path):
         campaign = CampaignSpec.from_dict(mini_dict())
         path = tmp_path / "campaign.json"
@@ -225,6 +254,13 @@ class TestExpansion:
         with pytest.raises(ConfigurationError, match="kind=warpdrive"):
             campaign.expand()
 
+    def test_mistyped_cell_value_is_wrapped_like_an_invalid_one(self):
+        """``int("x")`` used to slip past the "does not form a valid scenario"
+        wrapper as a bare ValueError."""
+        campaign = CampaignSpec.from_dict(mini_dict(grid={"seed": [1, "x"]}))
+        with pytest.raises(ConfigurationError, match="seed=x.*scenario.seed must be an integer"):
+            campaign.expand()
+
 
 class TestRunSpecs:
     def test_rejects_negative_processes(self):
@@ -245,6 +281,23 @@ class TestRunSpecs:
     def test_record_from_dict_missing_key_raises(self):
         with pytest.raises(ReproError, match="missing key"):
             ScenarioRecord.from_dict({"scenario": "x"})
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            pytest.param({"spec": 3}, "record.spec must be a mapping", id="spec-int"),
+            pytest.param({"trace": [1]}, "record.trace must be a mapping", id="trace-list"),
+            pytest.param({"summary": "ab"}, "record.summary must be a mapping", id="summary-string"),
+            pytest.param({"scenario": None}, "record.scenario must be a string", id="scenario-null"),
+            pytest.param(None, "record must be a mapping, got list", id="root-list"),
+        ],
+    )
+    def test_malformed_record_ends_in_a_named_error(self, edit, message):
+        """The first three and the list root escaped as bare TypeError /
+        ValueError before the field table."""
+        good = execute_spec(get_scenario("mols-clean")).to_dict()
+        with pytest.raises(ReproError, match="^" + message):
+            ScenarioRecord.from_dict([good] if edit is None else {**good, **edit})
 
 
 class TestExecutorAndStore:
@@ -337,6 +390,17 @@ class TestExecutorAndStore:
         saved.rename(moved)
         with pytest.raises(ReproError, match="corrupt"):
             store.load("0000000000000000")
+
+    def test_store_names_the_file_of_a_malformed_record(self, tmp_path):
+        store = ResultStore(CampaignSpec.from_dict(mini_dict()), root=tmp_path)
+        saved = store.save(execute_spec(get_scenario("mols-clean")))
+        document = json.loads(saved.read_text())
+        saved.write_text(json.dumps({**document, "spec": 3}))
+        with pytest.raises(ReproError, match=f"{saved.name} is not a scenario record: record.spec"):
+            store.load(saved.stem)
+        saved.write_bytes(b"\xff\xfe")
+        with pytest.raises(ReproError, match=f"cannot read .*{saved.name}"):
+            store.load(saved.stem)
 
 
 class TestReport:

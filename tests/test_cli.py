@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import json
 import pathlib
 
 import pytest
@@ -139,6 +140,34 @@ def test_scenario_run_requires_target(capsys):
 def test_scenario_run_unknown_name_fails_cleanly(capsys):
     assert main(["scenario", "run", "no-such-scenario"]) == 1
     assert "unknown scenario" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        {"seed": "abc"},
+        {"model": {"hidden": 5}},
+        {"cluster": None},
+        {"cluster": {"params": [1, 2]}},
+        {"faults": [1]},
+        {"runtime": {"deadline": "soon"}},
+        {"pipeline": {"vote_tolerance": None}},
+        {"topology": {"groups": "two"}},
+        {"training": {"batch_size": [1]}},
+        None,
+    ],
+    ids=["seed", "hidden", "cluster", "params", "faults", "deadline", "tolerance", "groups",
+         "batch-size", "null-root"],
+)
+def test_scenario_run_malformed_spec_file_is_a_one_line_error(tmp_path, capsys, edit):
+    """``main`` catches ReproError only: each of these used to be a traceback."""
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(None if edit is None else {"name": "bad", **edit}))
+    assert main(["scenario", "run", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error: scenario") and "Traceback" not in line
 
 
 def test_scenario_record_and_replay_round_trip(tmp_path, capsys):

@@ -23,7 +23,7 @@ from repro.analysis.rules import ALL_RULES
 
 SRC_ROOT = pathlib.Path(__file__).resolve().parent.parent / "src" / "repro"
 
-RULE_IDS = ("RNG-001", "DTYPE-001", "COW-001", "DIGEST-001", "KERNEL-001", "REG-001")
+RULE_IDS = ("RNG-001", "DTYPE-001", "COW-001", "KERNEL-001", "REG-001")
 
 
 def lint_tree(tmp_path, files):
@@ -269,127 +269,6 @@ def test_cow_waiver_with_reason_suppresses(tmp_path):
             "aggregation/dense.py": """
             def fallback(tensor):
                 return tensor.values  # repro-lint: disable=COW-001 (dense path; no-copy view)
-            """
-        },
-    )
-    assert report.ok
-
-
-# ---------------------------------------------------------------------------
-# DIGEST-001
-# ---------------------------------------------------------------------------
-
-
-def test_digest_flags_unguarded_absence_default_emission(tmp_path):
-    report = lint_tree(
-        tmp_path,
-        {
-            "scenarios/spec.py": """
-            from dataclasses import dataclass
-
-            @dataclass
-            class FeatureSpec:
-                name: str = "x"
-                extra: object = None
-
-                def to_dict(self):
-                    return {"name": self.name, "extra": self.extra}
-            """
-        },
-    )
-    assert rules_found(report) == ["DIGEST-001"]
-    assert "'extra'" in report.findings[0].message
-
-
-def test_digest_allows_guarded_or_pruned_emission(tmp_path):
-    report = lint_tree(
-        tmp_path,
-        {
-            "scenarios/spec.py": """
-            from dataclasses import dataclass, field
-
-            def _prune(d):
-                return {k: v for k, v in d.items() if v is not None}
-
-            @dataclass
-            class FeatureSpec:
-                name: str = "x"
-                extra: object = None
-                tags: tuple = ()
-                flag: bool = False
-                opts: dict = field(default_factory=dict)
-
-                def to_dict(self):
-                    out = _prune({"name": self.name, "extra": self.extra, "opts": dict(self.opts)})
-                    if self.tags:
-                        out["tags"] = list(self.tags)
-                    if self.flag:
-                        out["flag"] = True
-                    return out
-            """
-        },
-    )
-    assert report.ok
-
-
-def test_digest_flags_bare_defaults_even_with_prune(tmp_path):
-    # _prune drops None/empty only; False/"" survive it and still re-key
-    # digests, so they need an explicit if-guard.
-    report = lint_tree(
-        tmp_path,
-        {
-            "campaigns/spec.py": """
-            from dataclasses import dataclass
-
-            def _prune(d):
-                return {k: v for k, v in d.items() if v is not None}
-
-            @dataclass
-            class RunSpec:
-                strict: bool = False
-
-                def to_dict(self):
-                    return _prune({"strict": self.strict})
-            """
-        },
-    )
-    assert rules_found(report) == ["DIGEST-001"]
-
-
-def test_digest_flags_asdict_with_absence_fields(tmp_path):
-    report = lint_tree(
-        tmp_path,
-        {
-            "scenarios/spec.py": """
-            import dataclasses
-            from dataclasses import dataclass
-
-            @dataclass
-            class FeatureSpec:
-                extra: object = None
-
-                def to_dict(self):
-                    return dataclasses.asdict(self)
-            """
-        },
-    )
-    assert rules_found(report) == ["DIGEST-001"]
-    assert "asdict" in report.findings[0].message
-
-
-def test_digest_ignores_non_spec_modules(tmp_path):
-    report = lint_tree(
-        tmp_path,
-        {
-            "training/config.py": """
-            from dataclasses import dataclass
-
-            @dataclass
-            class Config:
-                extra: object = None
-
-                def to_dict(self):
-                    return {"extra": self.extra}
             """
         },
     )
@@ -649,6 +528,8 @@ def test_real_source_tree_lints_clean():
 
 
 def test_engine_registers_all_six_rules():
+    # Five since DIGEST-001 went (the field table makes omit-when-default hold
+    # by construction); the test id is kept.
     assert tuple(rule.rule_id for rule in ALL_RULES) == RULE_IDS
     engine = LintEngine()
     for rule_id in RULE_IDS:

@@ -192,6 +192,12 @@ class TestTraceSerialization:
         with pytest.raises(ReproError, match="cannot load trace"):
             RunTrace.from_json_file(path)
 
+    def test_undecodable_trace_file_ends_in_a_named_error(self, tmp_path):
+        path = tmp_path / "trace.json"
+        path.write_bytes(b"\xff\xfe{}")
+        with pytest.raises(ReproError, match="cannot load trace"):
+            RunTrace.from_json_file(path)
+
 
 class TestValidation:
     def test_indivisible_batch_size_is_rejected(self):
@@ -220,6 +226,23 @@ class TestValidation:
             "aggregator_params": {"bogus": 1},
         }
         with pytest.raises(ConfigurationError, match="bad parameters"):
+            run_scenario(ScenarioSpec.from_dict(data))
+
+    @pytest.mark.parametrize(
+        "section, value, named",
+        [
+            ("cluster", {"scheme": "mols", "params": {"bogus": 1}}, "scheme 'mols'"),
+            ("attack", {"name": "alie", "params": {"bogus": 1}}, "attack 'alie'"),
+            ("faults", [{"kind": "dropout", "params": {"bogus": 1}}], "fault 'dropout'"),
+            ("compression", {"name": "sign", "params": {"bogus": 1}}, "compressor 'sign'"),
+            # a params key that collides with the factory's own first argument
+            ("attack", {"name": "alie", "params": {"name": "x"}}, "attack 'alie'"),
+        ],
+    )
+    def test_bad_params_of_every_pluggable_section_are_wrapped(self, section, value, named):
+        data = get_scenario("mols-clean").to_dict()
+        data[section] = value
+        with pytest.raises(ConfigurationError, match=f"bad parameters for {named}"):
             run_scenario(ScenarioSpec.from_dict(data))
 
 

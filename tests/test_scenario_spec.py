@@ -63,6 +63,81 @@ class TestFromDict:
         assert spec.q_end == 4
 
 
+NAN = float("nan")
+
+#: input -> the dotted location the error must start with.  The first ten
+#: escaped as bare TypeError / ValueError / AttributeError before the field
+#: table; the next six loaded and were silently mis-read ("false" -> True,
+#: "16" -> (1, 6), 3.7 -> 3, true -> 1, null -> "None", NaN -> NaN); the rest
+#: used to be coerced and are now rejected by the one type policy.
+MALFORMED = [
+    pytest.param({"seed": "abc"}, "scenario.seed must be an integer, got str 'abc'", id="seed-word"),
+    pytest.param({"model": {"hidden": 5}}, "scenario.model.hidden must be a list", id="hidden-int"),
+    pytest.param({"cluster": None}, "scenario.cluster must be a mapping, got NoneType", id="cluster-null"),
+    pytest.param({"cluster": {"params": [1, 2]}}, "scenario.cluster.params must be a mapping", id="params-list"),
+    pytest.param({"faults": [1]}, r"scenario.faults\[0\] must be a mapping", id="fault-int"),
+    pytest.param({"runtime": {"deadline": "soon"}}, 'scenario.runtime.deadline must be a finite number or "inf"', id="deadline-word"),
+    pytest.param({"pipeline": {"vote_tolerance": None}}, "scenario.pipeline.vote_tolerance must be a finite number", id="tolerance-null"),
+    pytest.param({"topology": {"groups": "two"}}, "scenario.topology.groups must be an integer", id="groups-word"),
+    pytest.param({"training": {"batch_size": [1]}}, "scenario.training.batch_size must be an integer", id="batch-size-list"),
+    pytest.param(None, "scenario must be a mapping, got NoneType", id="root-null"),
+    pytest.param({"runtime": {"quorum": 2, "partial": "false"}}, "scenario.runtime.partial must be true or false, got str 'false'", id="partial-string-false"),
+    pytest.param({"model": {"hidden": "16"}}, "scenario.model.hidden must be a list, got str '16'", id="hidden-string"),
+    pytest.param({"seed": 3.7}, "scenario.seed must be an integer, got float 3.7", id="seed-fraction"),
+    pytest.param({"seed": True}, "scenario.seed must be an integer, got bool True", id="seed-true"),
+    pytest.param({"name": None}, "scenario.name must be a string, got NoneType", id="name-null"),
+    pytest.param({"pipeline": {"vote_tolerance": NAN}}, "scenario.pipeline.vote_tolerance must be a finite number, got float nan", id="tolerance-nan"),
+    pytest.param({"seed": "3"}, "scenario.seed must be an integer, got str '3'", id="seed-string-digits"),
+    pytest.param({"seed": 3.0}, "scenario.seed must be an integer, got float 3.0", id="seed-float-integral"),
+    pytest.param({"runtime": {"quorum": 2, "partial": 1}}, "scenario.runtime.partial must be true or false, got int 1", id="partial-int"),
+    pytest.param({"name": 7}, "scenario.name must be a string, got int 7", id="name-int"),
+    pytest.param({"dtype": 32}, "scenario.dtype must be a string", id="dtype-int"),
+    pytest.param({"training": {"learning_rate": "0.1"}}, "scenario.training.learning_rate must be a finite number", id="learning-rate-string"),
+    pytest.param({"training": {"learning_rate": float("inf")}}, "scenario.training.learning_rate must be a finite number", id="learning-rate-inf"),
+    pytest.param({"data": {"partition": {"alpha": NAN}}}, "scenario.data.partition.alpha must be a finite number", id="alpha-nan"),
+    pytest.param({"attack": {"name": "alie", "schedule": {"q": "2"}}}, "scenario.attack.schedule.q must be an integer", id="q-string"),
+    pytest.param({"attack": {"name": "alie", "params": {"z": NAN}}}, "scenario.attack.params.z must be a finite number", id="params-nested-nan"),
+    pytest.param({"cluster": {"params": {1: 2}}}, "scenario.cluster.params must be a mapping with string keys", id="params-int-key"),
+    pytest.param({"attack": {}}, r"scenario.attack requires 'name' \(missing key\)", id="attack-without-name"),
+    pytest.param({"compression": None, "runtime": None}, "scenario.runtime must be a mapping", id="runtime-null"),
+]
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("overrides, message", MALFORMED)
+    def test_ends_in_a_configuration_error_naming_the_location(self, overrides, message):
+        data = None if overrides is None else {"name": "t", **overrides}
+        with pytest.raises(ConfigurationError, match="^" + message):
+            ScenarioSpec.from_dict(data)
+
+    def test_null_is_accepted_exactly_where_the_default_is_none(self):
+        spec = ScenarioSpec.from_dict(
+            minimal_dict(attack=None, compression=None, topology=None,
+                         pipeline={"block_size": None}, runtime={"deadline": None})
+        )
+        assert spec == ScenarioSpec.from_dict(minimal_dict())
+
+    def test_integers_are_accepted_where_a_float_is_declared(self):
+        spec = ScenarioSpec.from_dict(minimal_dict(data={"separation": 3}))
+        assert spec.data.separation == 3.0 and isinstance(spec.data.separation, float)
+
+    def test_nan_tolerance_is_rejected_by_the_validator_too(self):
+        with pytest.raises(ConfigurationError, match="vote_tolerance must be non-negative"):
+            PipelineSpec(vote_tolerance=NAN)
+
+    def test_loaded_params_share_nothing_with_the_input(self):
+        data = minimal_dict(attack={"name": "alie", "params": {"nested": {"z": [1.0]}}})
+        spec = ScenarioSpec.from_dict(data)
+        data["attack"]["params"]["nested"]["z"].append(2.0)
+        assert spec.attack.params == {"nested": {"z": [1.0]}}
+
+    def test_undecodable_spec_file_raises_configuration_error(self, tmp_path):
+        path = tmp_path / "binary.json"
+        path.write_bytes(b"\xff\xfe{}")
+        with pytest.raises(ConfigurationError, match="cannot load scenario spec"):
+            ScenarioSpec.from_json_file(path)
+
+
 class TestRoundTrip:
     def test_dict_round_trip_is_identity(self):
         spec = get_scenario("mols-alie-all-faults")

@@ -116,10 +116,23 @@ def _public_methods(cls: type) -> list[tuple[str, object]]:
     return members
 
 
-def render_class(name: str, cls: type) -> list[str]:
-    lines = [f"### `{name}{render_signature(cls)}`", ""]
+def class_heading(name: str, cls: type) -> str:
+    return f"`{name}{render_signature(cls)}`"
+
+
+def render_class(name: str, cls: type, documented: dict[type, str]) -> list[str]:
+    lines = [f"### {class_heading(name, cls)}", ""]
     lines.append(first_paragraph(cls))
     lines.append("")
+    # Inherited members are documented once, on the base that defines them.
+    bases = [base for base in cls.__mro__[1:] if base in documented and _public_methods(base)]
+    if bases:
+        links = ", ".join(
+            f"[`{documented[base]}`](#{github_anchor(class_heading(documented[base], base))})"
+            for base in bases
+        )
+        lines.append(f"Inherits the members of {links}.")
+        lines.append("")
     methods = _public_methods(cls)
     if methods:
         lines.append("| member | description |")
@@ -143,18 +156,23 @@ def render_function(name: str, func: object) -> list[str]:
     ]
 
 
-def render_module(module_name: str) -> list[str]:
+def exported_names(module_name: str) -> tuple[object, list[str]]:
     module = importlib.import_module(module_name)
     exported = getattr(module, "__all__", None)
     if exported is None:
         raise SystemExit(f"{module_name} has no __all__; cannot document it")
+    return module, sorted(set(exported))
+
+
+def render_module(module_name: str, documented: dict[type, str]) -> list[str]:
+    module, exported = exported_names(module_name)
     lines = [f"## `{module_name}`", ""]
     lines.append(first_paragraph(module))
     lines.append("")
     classes: list[tuple[str, type]] = []
     functions: list[tuple[str, object]] = []
     constants: list[tuple[str, object]] = []
-    for name in sorted(set(exported)):
+    for name in exported:
         if name.startswith("_") or name == "__version__":
             continue
         obj = getattr(module, name)
@@ -165,7 +183,7 @@ def render_module(module_name: str) -> list[str]:
         else:
             constants.append((name, obj))
     for name, cls in classes:
-        lines.extend(render_class(name, cls))
+        lines.extend(render_class(name, cls, documented))
     for name, func in functions:
         lines.extend(render_function(name, func))
     if constants:
@@ -185,8 +203,14 @@ def generate() -> str:
         anchor = github_anchor(f"`{module_name}`")
         lines.append(f"* [`{module_name}`](#{anchor})")
     lines.append("")
+    documented: dict[type, str] = {}
     for module_name in MODULES:
-        lines.extend(render_module(module_name))
+        module, exported = exported_names(module_name)
+        for name in exported:
+            if inspect.isclass(getattr(module, name)):
+                documented.setdefault(getattr(module, name), name)
+    for module_name in MODULES:
+        lines.extend(render_module(module_name, documented))
     text = "\n".join(lines)
     return re.sub(r"\n{3,}", "\n\n", text).rstrip() + "\n"
 

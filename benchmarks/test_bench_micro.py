@@ -19,6 +19,7 @@ from repro.aggregation.majority import (
     majority_vote_tensor,
 )
 from repro.aggregation.median import CoordinateWiseMedian
+from repro.aggregation.trimmed_mean import TrimmedMeanAggregator
 from repro.assignment.mols import MOLSAssignment
 from repro.assignment.ramanujan import RamanujanAssignment
 from repro.core.distortion import max_distortion_exhaustive, max_distortion_local_search
@@ -120,6 +121,42 @@ def test_vectorized_majority_speedup_at_paper_scale():
     assert max(speedups) >= 3.0, (
         f"vectorized majority vote only {max(speedups):.2f}x faster "
         f"(attempts: {[f'{s:.2f}' for s in speedups]})"
+    )
+
+
+def test_bulyan_costs_at_most_three_times_its_two_stages_at_paper_scale():
+    """Machine-independent gate: Bulyan(q=5) on the 25 x 20k matrix costs at
+    most 3x (Multi-Krum + trimmed mean) on the same matrix — one distance
+    matrix plus one coordinate-wise trim is what it is made of.  It was ~5x
+    while every one of its theta selection steps re-measured the distances
+    and the trim sorted down the strided axis; it is ~1.5x now.  An absolute
+    time in a BENCH snapshot cannot hold this on another machine; a ratio of
+    kernels that share the input can.  Interleaved min-of-N with retries,
+    like the speed-up gates."""
+    bulyan = BulyanAggregator(num_byzantine=5)
+    multi_krum = MultiKrumAggregator(num_byzantine=5)
+    trimmed = TrimmedMeanAggregator(trim=5)
+
+    def measure_ratio():
+        bulyan_times, parts_times = [], []
+        for _ in range(20):
+            start = time.perf_counter()
+            bulyan(VOTES_25)
+            bulyan_times.append(time.perf_counter() - start)
+            start = time.perf_counter()
+            multi_krum(VOTES_25)
+            trimmed(VOTES_25)
+            parts_times.append(time.perf_counter() - start)
+        return min(bulyan_times) / min(parts_times)
+
+    ratios = []
+    for _ in range(3):
+        ratios.append(measure_ratio())
+        if ratios[-1] <= 3.0:
+            break
+    assert min(ratios) <= 3.0, (
+        f"Bulyan costs {min(ratios):.2f}x Multi-Krum + trimmed mean "
+        f"(attempts: {[f'{r:.2f}' for r in ratios]})"
     )
 
 

@@ -25,12 +25,15 @@ class Aggregator(abc.ABC):
     #: registry name; subclasses override
     aggregator_name: str = "abstract"
 
-    #: minimum number of votes the rule needs to be well defined given q
-    def minimum_votes(self, num_byzantine: int) -> int:
+    def minimum_votes(self, num_byzantine: int | None = None) -> int:
         """Smallest number of candidate gradients for which the rule is defined.
 
-        The default is ``1``; Krum-family rules override this with their
-        breakdown-point requirements (e.g. Bulyan needs ``4q + 3`` votes).
+        ``num_byzantine=None`` asks about the rule as configured; a value asks
+        what it would need at that ``q``.  The default is ``1``; Krum-family
+        rules override this with their breakdown-point requirements (e.g.
+        Bulyan needs ``4q + 3`` votes).  The scenario runner compares it with
+        the rows a full round hands the rule, so an inapplicable
+        configuration is refused when it is built, not in round 0.
         """
         return 1
 

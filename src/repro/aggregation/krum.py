@@ -17,7 +17,40 @@ from repro.aggregation.majority import validate_block_size
 from repro.exceptions import AggregationError
 from repro.utils.arrays import pairwise_squared_distances
 
-__all__ = ["KrumAggregator", "MultiKrumAggregator", "krum_scores"]
+__all__ = [
+    "KrumAggregator",
+    "MultiKrumAggregator",
+    "krum_scores",
+    "krum_scores_from_distances",
+]
+
+
+def krum_scores_from_distances(
+    distances: np.ndarray, num_byzantine: int
+) -> np.ndarray:
+    """Krum scores from an ``(n, n)`` squared-distance matrix.
+
+    The one scoring body of the Krum family: Krum and Multi-Krum reach it
+    through :func:`krum_scores`, Bulyan calls it once per selection step on
+    the ``remaining x remaining`` sub-block of a single distance matrix.
+
+    Raises
+    ------
+    AggregationError
+        If ``n < 2q + 3`` (the selection rule is then undefined).
+    """
+    n = distances.shape[0]
+    q = int(num_byzantine)
+    if q < 0:
+        raise AggregationError(f"num_byzantine must be non-negative, got {q}")
+    if n < 2 * q + 3:
+        raise AggregationError(
+            f"Krum requires at least 2q+3={2 * q + 3} votes, got {n}"
+        )
+    closest = n - q - 2
+    # Exclude self-distance (diagonal zero) by ignoring the first sorted column.
+    ordered = np.sort(distances, axis=1)[:, 1 : closest + 1]
+    return ordered.sum(axis=1)
 
 
 def krum_scores(
@@ -35,19 +68,9 @@ def krum_scores(
     AggregationError
         If ``n < 2q + 3`` (the selection rule is then undefined).
     """
-    n = matrix.shape[0]
-    q = int(num_byzantine)
-    if q < 0:
-        raise AggregationError(f"num_byzantine must be non-negative, got {q}")
-    if n < 2 * q + 3:
-        raise AggregationError(
-            f"Krum requires at least 2q+3={2 * q + 3} votes, got {n}"
-        )
-    closest = n - q - 2
-    distances = pairwise_squared_distances(matrix, block_size=block_size)
-    # Exclude self-distance (diagonal zero) by ignoring the first sorted column.
-    ordered = np.sort(distances, axis=1)[:, 1 : closest + 1]
-    return ordered.sum(axis=1)
+    return krum_scores_from_distances(
+        pairwise_squared_distances(matrix, block_size=block_size), num_byzantine
+    )
 
 
 class KrumAggregator(Aggregator):

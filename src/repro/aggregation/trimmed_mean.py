@@ -46,8 +46,9 @@ class TrimmedMeanAggregator(Aggregator):
         self.trim = int(trim)
         self.block_size = validate_block_size(block_size)
 
-    def minimum_votes(self, num_byzantine: int) -> int:
-        return 2 * self.trim + 1
+    def minimum_votes(self, num_byzantine: int | None = None) -> int:
+        trim = self.trim if num_byzantine is None else num_byzantine
+        return 2 * trim + 1
 
     def _aggregate(self, matrix: np.ndarray) -> np.ndarray:
         n, d = matrix.shape

@@ -511,6 +511,29 @@ def _catalog() -> dict[str, dict[str, Any]]:
                   "partition": {"kind": "dirichlet", "alpha": 0.5}},
             description="Adaptive Fang attack on label-skewed shards under stragglers and churn",
         ),
+        # -- Bulyan second stage --------------------------------------------
+        _spec(
+            "ramanujan-bulyan-minmax-rotating",
+            _RAMANUJAN,
+            {"kind": "byzshield", "aggregator": "bulyan",
+             "aggregator_params": {"num_byzantine": 3}},
+            attack={"name": "min_max", "params": {"direction": "std"},
+                    "selection": "rotating",
+                    "schedule": {"kind": "rotating", "q": 5, "period": 1, "stride": 2}},
+            data={"kind": "gaussian", "num_train": 300, "num_test": 100,
+                  "num_classes": 4, "dim": 12, "separation": 3.0,
+                  "partition": {"kind": "dirichlet", "alpha": 1.0}},
+            description="ByzShield + Bulyan(q=3) over 25 file votes, rotating min-max, Dirichlet shards",
+        ),
+        _spec(
+            "vanilla-bulyan-alie",
+            _BASELINE,
+            {"kind": "vanilla", "aggregator": "bulyan",
+             "aggregator_params": {"num_byzantine": 2}},
+            attack={"name": "alie", "selection": "random",
+                    "schedule": {"kind": "static", "q": 2}},
+            description="Figure 3's baseline: no-redundancy Bulyan under ALIE",
+        ),
     ]
     catalog: dict[str, dict[str, Any]] = {}
     for entry in entries:

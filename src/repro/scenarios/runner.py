@@ -161,6 +161,18 @@ class ScenarioRunner:
         aggregator = _create(
             "aggregator", create_aggregator, section.aggregator, **section.aggregator_params
         )
+        # The reducer of a full round sees one row per file: the f voted files
+        # (ByzShield), the vote groups (DETOX: one file each) or the workers
+        # (vanilla: l = r = 1).  Partial async rounds can still fall short at
+        # run time; that stays the aggregator's AggregationError.
+        needed = aggregator.minimum_votes()
+        if needed > assignment.num_files:
+            raise ConfigurationError(
+                f"scenario.pipeline.aggregator_params: {section.aggregator!r} as "
+                f"configured needs at least {needed} votes, but "
+                f"a full round of the {section.kind!r} pipeline on this cluster "
+                f"reduces {assignment.num_files}"
+            )
         if section.kind == "byzshield":
             return ByzShieldPipeline(
                 assignment,

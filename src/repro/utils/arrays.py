@@ -104,17 +104,22 @@ def pairwise_squared_distances(
     if matrix.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got ndim={matrix.ndim}")
     n, d = matrix.shape
-    if block_size is None or block_size >= d:
-        norms = np.einsum("ij,ij->i", matrix, matrix)
-        gram = matrix @ matrix.T
-    else:
-        norms = np.zeros(n, dtype=matrix.dtype)
-        gram = np.zeros((n, n), dtype=matrix.dtype)
-        for lo, hi in block_ranges(d, block_size):
-            block = matrix[:, lo:hi]
-            norms += np.einsum("ij,ij->i", block, block)
-            gram += block @ block.T
-    sq = norms[:, None] + norms[None, :] - 2.0 * gram
-    np.maximum(sq, 0.0, out=sq)
+    # A row clamped to +-1e30 (Aggregator.__call__'s stand-in for +-inf)
+    # squares past float32's range: its distances come out inf or NaN, both
+    # of which sort after every finite distance, so such a row is never a
+    # near neighbour.  That is the intended reading, not a warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        if block_size is None or block_size >= d:
+            norms = np.einsum("ij,ij->i", matrix, matrix)
+            gram = matrix @ matrix.T
+        else:
+            norms = np.zeros(n, dtype=matrix.dtype)
+            gram = np.zeros((n, n), dtype=matrix.dtype)
+            for lo, hi in block_ranges(d, block_size):
+                block = matrix[:, lo:hi]
+                norms += np.einsum("ij,ij->i", block, block)
+                gram += block @ block.T
+        sq = norms[:, None] + norms[None, :] - 2.0 * gram
+        np.maximum(sq, 0.0, out=sq)
     np.fill_diagonal(sq, 0.0)
     return sq

@@ -6,6 +6,7 @@ import pathlib
 import pytest
 
 from repro.cli import build_parser, main
+from repro.scenarios import get_scenario
 
 
 def test_list_command(capsys):
@@ -168,6 +169,21 @@ def test_scenario_run_malformed_spec_file_is_a_one_line_error(tmp_path, capsys, 
     assert captured.out == ""
     (line,) = captured.err.splitlines()
     assert line.startswith("error: scenario") and "Traceback" not in line
+
+
+def test_scenario_run_inapplicable_aggregator_is_a_one_line_error(tmp_path, capsys):
+    """Bulyan(6) needs 27 votes and f = 25: refused when the pipeline is built,
+    not by an AggregationError out of round 0."""
+    data = get_scenario("ramanujan-bulyan-minmax-rotating").to_dict()
+    data["pipeline"]["aggregator_params"] = {"num_byzantine": 6}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    assert main(["scenario", "run", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error: scenario.pipeline.aggregator_params: 'bulyan'")
+    assert "27 votes" in line and "reduces 25" in line
 
 
 def test_scenario_record_and_replay_round_trip(tmp_path, capsys):

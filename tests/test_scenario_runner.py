@@ -245,6 +245,49 @@ class TestValidation:
         with pytest.raises(ConfigurationError, match=f"bad parameters for {named}"):
             run_scenario(ScenarioSpec.from_dict(data))
 
+    @pytest.mark.parametrize(
+        "base, pipeline, rows",
+        [
+            # ByzShield reduces the f = 25 voted files: Bulyan(6) needs 27
+            ("ramanujan-bulyan-minmax-rotating",
+             {"kind": "byzshield", "aggregator": "bulyan",
+              "aggregator_params": {"num_byzantine": 6}}, 25),
+            # DETOX reduces its 5 vote groups, not its 15 workers
+            ("detox-multikrum-revgrad-dropout",
+             {"kind": "detox", "aggregator": "multi_krum",
+              "aggregator_params": {"num_byzantine": 2}}, 5),
+            # vanilla reduces the K = 15 worker rows
+            ("vanilla-bulyan-alie",
+             {"kind": "vanilla", "aggregator": "bulyan",
+              "aggregator_params": {"num_byzantine": 4}}, 15),
+            ("mols-uniform-trimmed-mean",
+             {"kind": "byzshield", "aggregator": "trimmed_mean",
+              "aggregator_params": {"trim": 13}}, 25),
+        ],
+        ids=["byzshield-files", "detox-groups", "vanilla-workers", "trimmed-mean"],
+    )
+    def test_an_aggregator_a_full_round_cannot_feed_is_refused_at_build(
+        self, base, pipeline, rows, monkeypatch
+    ):
+        """It used to build, pay the data / model / selection set-up and die in
+        round 0 with the aggregator's AggregationError."""
+        data = get_scenario(base).to_dict()
+        data["pipeline"] = pipeline
+        runner = ScenarioRunner(ScenarioSpec.from_dict(data))
+        monkeypatch.setattr(
+            runner, "_build_datasets", lambda: pytest.fail("set-up was paid for")
+        )
+        with pytest.raises(
+            ConfigurationError,
+            match=rf"^scenario\.pipeline\.aggregator_params: .* reduces {rows}$",
+        ):
+            runner.build_trainer()
+
+    def test_an_aggregator_at_exactly_its_minimum_builds(self):
+        data = get_scenario("vanilla-bulyan-alie").to_dict()
+        data["pipeline"]["aggregator_params"] = {"num_byzantine": 3}  # 4q+3 = 15 = K
+        run_scenario(ScenarioSpec.from_dict(data))
+
 
 def test_trace_out_creates_parent_directories(tmp_path):
     result = run_named("mols-clean")

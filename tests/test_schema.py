@@ -390,7 +390,7 @@ def check_loader(cls, document):
 
 
 def test_the_fuzz_families_cover_every_json_facing_class():
-    assert len(SCENARIO_DOCUMENTS) == 43 + 2 + 4 and len(CAMPAIGN_DOCUMENTS) == 3
+    assert len(SCENARIO_DOCUMENTS) == 45 + 2 + 4 and len(CAMPAIGN_DOCUMENTS) == 3
     for cls, documents in [
         (ScenarioSpec, SCENARIO_DOCUMENTS),
         (CampaignSpec, CAMPAIGN_DOCUMENTS),

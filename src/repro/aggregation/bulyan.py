@@ -27,7 +27,10 @@ __all__ = ["BulyanAggregator", "bulyan_selection"]
 #: At theta ~ 20 the three ``(block, theta)`` lane buffers (values,
 #: deviations, int64 order) are ~1 MiB together; timed at n = 25 on
 #: d = 11k and 20k, widths 512..4096 are within 10% of each other and 256,
-#: 8192 and a single full-width block are 15-50% slower.
+#: 8192 and a single full-width block are 15-50% slower.  Not folded into
+#: ``utils.arrays.LANE_BLOCK`` (4096, one buffer per block): with four
+#: buffers per block that width timed the same here and put the K = 25
+#: Bulyan round's peak at 12.97 MiB instead of 11.48.
 _LANE_BLOCK = 2048
 
 

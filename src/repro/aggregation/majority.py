@@ -38,7 +38,7 @@ import numpy as np
 
 from repro.core.backend import bit_view_dtype, ensure_float
 from repro.exceptions import AggregationError
-from repro.utils.arrays import block_ranges
+from repro.utils.arrays import LANE_BLOCK, block_ranges
 from repro.utils.rng import as_generator
 
 __all__ = [
@@ -130,21 +130,18 @@ def _hash_weights(d: int) -> np.ndarray:
 
 
 def _accumulate_hashes(gather_block, count: int, d: int, block_size: int | None) -> np.ndarray:
-    """64-bit positional hashes of ``count`` rows, optionally streamed.
+    """64-bit positional hashes of ``count`` rows, streamed per block.
 
     ``gather_block(lo, hi)`` must return the ``(count, hi - lo)`` unsigned
     bit view of the rows' coordinate block.  Because the hash is a sum of
-    per-coordinate products modulo 2**64 (uint64 wraparound), accumulating
-    per-block partial sums is *exactly* — not just approximately — equal to
-    the monolithic einsum, so blockwise mode stays bit-identical.
+    per-coordinate products modulo 2**64 (uint64 wraparound), per-block
+    partial sums are *exactly* — not just approximately — equal to one
+    full-width einsum, so every width gives the same hashes; ``None`` means
+    :data:`~repro.utils.arrays.LANE_BLOCK`.
     """
     weights = _hash_weights(d)
-    if block_size is None or block_size >= d:
-        bits = gather_block(0, d)
-        hashed = bits if bits.dtype == np.uint64 else bits.astype(np.uint64)
-        return np.einsum("md,d->m", hashed, weights)
     hashes = np.zeros(count, dtype=np.uint64)
-    for lo, hi in _block_ranges(d, block_size):
+    for lo, hi in _block_ranges(d, block_size or LANE_BLOCK):
         bits = gather_block(lo, hi)
         hashed = bits if bits.dtype == np.uint64 else bits.astype(np.uint64)
         hashes += np.einsum("mb,b->m", hashed, weights[lo:hi])
@@ -155,15 +152,17 @@ def _rows_equal(gather_a, gather_b, count: int, d: int, block_size: int | None) 
     """``(count,)`` bool: rows bitwise equal, AND-accumulated per block.
 
     ``gather_a`` / ``gather_b`` return the two sides' ``(count, hi - lo)``
-    bit blocks; with ``block_size`` set the peak temporary is O(count · block).
+    bit blocks; the peak temporary is O(count · block), where ``block_size``
+    ``None`` means :data:`~repro.utils.arrays.LANE_BLOCK`.  The sweep stops
+    after the first block that leaves no row equal: every row is then
+    already proven unequal, which is how a crafted payload (it differs from
+    the honest rows at once) costs one block instead of ``d`` coordinates.
     """
-    if block_size is None or block_size >= d:
-        return (gather_a(0, d) == gather_b(0, d)).all(axis=1)
     equal = np.ones(count, dtype=bool)
-    for lo, hi in _block_ranges(d, block_size):
+    for lo, hi in _block_ranges(d, block_size or LANE_BLOCK):
+        equal &= (gather_a(lo, hi) == gather_b(lo, hi)).all(axis=1)
         if not equal.any():
             break
-        equal &= (gather_a(lo, hi) == gather_b(lo, hi)).all(axis=1)
     return equal
 
 
@@ -185,7 +184,9 @@ def _bit_label_matrix(values: np.ndarray, block_size: int | None = None) -> np.n
     verification all stream coordinate blocks of width ``block_size``
     through fixed-size workspaces, so the peak temporary is O(f · r · block)
     instead of O(f · r · d) — and every stage is bit-identical to the
-    monolithic pass (boolean AND and uint64 sums are order-independent).
+    full-width pass (boolean AND and uint64 sums are order-independent).
+    Under ``None`` only the anchor sweep runs at full width; the hashes and
+    the verification stream at :data:`~repro.utils.arrays.LANE_BLOCK`.
     """
     f, r, d = values.shape
     bits = np.ascontiguousarray(values).view(bit_view_dtype(values.dtype))
@@ -368,11 +369,14 @@ def majority_vote_tensor(
         groups votes within Euclidean distance ``tolerance`` of a cluster
         leader and returns the mean of each file's winning cluster.
     block_size:
-        ``None`` (default) runs the monolithic kernel.  A positive width
-        streams the bit-equality labeling in coordinate blocks, capping the
-        peak temporary at O(f · r · block) instead of O(f · r · d) while
-        staying bit-identical; tolerance voting streams only the labeling
-        (its cluster means are full-width reductions by definition).
+        A positive width streams the bit-equality labeling in coordinate
+        blocks, capping the peak temporary at O(f · r · block) instead of
+        O(f · r · d) while staying bit-identical.  ``None`` (default) leaves
+        the anchor sweep at full width; the hashes and the row-against-row
+        comparisons stream either way, at an internal width
+        (:data:`~repro.utils.arrays.LANE_BLOCK`).  Tolerance voting streams
+        only the labeling (its cluster means are full-width reductions by
+        definition).
 
     Returns
     -------
@@ -402,12 +406,11 @@ def _row_bits(bits: np.ndarray, rows: np.ndarray):
     ``(1, width)`` view, which broadcasts in :func:`_rows_equal` instead of
     being copied once per comparison.
     """
-    d = bits.shape[1]
     if rows.size > 1 and (rows == rows[0]).all():
         rows = slice(int(rows[0]), int(rows[0]) + 1)
-    # Plain row indexing at full width: mixed ``[rows, lo:hi]`` indexing takes
-    # NumPy's slower general gather.
-    return lambda lo, hi: bits[rows] if hi - lo == d else bits[rows, lo:hi]
+    # Columns first, then plain row indexing: the mixed ``[rows, lo:hi]``
+    # form takes NumPy's slower general gather.
+    return lambda lo, hi: bits[:, lo:hi][rows]
 
 
 def _dense_values(tensor) -> np.ndarray:
@@ -429,9 +432,10 @@ def override_content_ids(tensor, block_size: int | None = None) -> np.ndarray:
     against the group's first row (slots sharing a row are equal by
     identity).  A failed comparison — a hash collision — re-classes that
     group's rows by ``tobytes()`` keys, so a collision can cost time but
-    never a wrong label.  ``block_size`` streams the comparison, the hashes
-    and the verification in coordinate blocks: O(M · block) temporaries for
-    ``M`` distinct pairs, bit-identical to the monolithic pass.
+    never a wrong label.  The comparison, the hashes and the verification
+    stream coordinate blocks of width ``block_size`` (``None``:
+    :data:`~repro.utils.arrays.LANE_BLOCK`): O(M · block) temporaries for
+    ``M`` distinct pairs, and every width gives the same ids.
     """
     if not tensor.is_lazy:
         return _bit_label_matrix(_dense_values(tensor), block_size=block_size)
@@ -515,8 +519,9 @@ def majority_vote_votetensor(
     point reduction depends on the full slot layout; lazy tensors densify
     first in that mode to stay bit-identical with the dense kernel.
 
-    ``block_size`` streams every payload-touching stage in coordinate
-    blocks, bit-identical to the monolithic pass.
+    Every payload-touching stage streams coordinate blocks of width
+    ``block_size`` (``None``: :data:`~repro.utils.arrays.LANE_BLOCK`), and
+    every width gives the same bits.
     """
     tolerance = validate_tolerance(tolerance)
     block_size = validate_block_size(block_size)

@@ -34,6 +34,7 @@ from repro.attacks.base import Attack, AttackContext
 from repro.core.backend import DEFAULT_DTYPE
 from repro.core.distortion import distorted_files
 from repro.exceptions import AttackError
+from repro.utils.arrays import column_mean_std
 
 __all__ = ["FangAdaptiveAttack", "MinMaxAttack", "MinSumAttack"]
 
@@ -405,15 +406,17 @@ class _OptimizedDeviationAttack(Attack):
         self.gamma_init = float(gamma_init)
         self.num_steps = int(num_steps)
 
-    def _perturbation(self, honest: np.ndarray, mu: np.ndarray) -> np.ndarray:
-        if self.direction == "sign":
-            return np.where(mu >= 0.0, -1.0, 1.0)
+    def _mean_and_perturbation(self, honest: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         if self.direction == "std":
-            return -honest.std(axis=0)
+            mu, std = column_mean_std(honest)
+            return mu, -std
+        mu = honest.mean(axis=0)
+        if self.direction == "sign":
+            return mu, np.where(mu >= 0.0, -1.0, 1.0)
         norm = float(np.linalg.norm(mu))
         if norm == 0.0:
-            return np.full(mu.size, -1.0 / np.sqrt(mu.size))
-        return -mu / norm
+            return mu, np.full(mu.size, -1.0 / np.sqrt(mu.size))
+        return mu, -mu / norm
 
     def _bound(self, pair: np.ndarray) -> float:
         raise NotImplementedError
@@ -425,8 +428,7 @@ class _OptimizedDeviationAttack(Attack):
 
     def payload(self, context: AttackContext) -> np.ndarray:
         honest = np.asarray(context.stacked_honest_gradients(), dtype=DEFAULT_DTYPE)
-        mu = honest.mean(axis=0)
-        u = self._perturbation(honest, mu)
+        mu, u = self._mean_and_perturbation(honest)
         # p − g_i = (µ − g_i) + γ·u → ||p − g_i||² = a_i + 2γ·b_i + γ²·c.
         diff = mu[None, :] - honest
         a = np.einsum("ij,ij->i", diff, diff)

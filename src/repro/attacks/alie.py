@@ -15,15 +15,19 @@ standard deviations still form a majority, computed from the Gaussian CDF.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 from scipy import stats
 
 from repro.attacks.base import Attack, AttackContext
 from repro.exceptions import AttackError
+from repro.utils.arrays import column_mean_std
 
 __all__ = ["ALIEAttack", "alie_z_max"]
 
 
+@functools.lru_cache
 def alie_z_max(num_voters: int, num_byzantine: int) -> float:
     """The ALIE deflection ``z_max`` for ``n`` voters of which ``q`` collude.
 
@@ -31,7 +35,8 @@ def alie_z_max(num_voters: int, num_byzantine: int) -> float:
     ``s = floor(n/2 + 1) − q`` honest "supporters" whose values are more
     extreme than the crafted one, so ``z_max = Φ⁻¹((n − q − s) / (n − q))``.
     Degenerate regimes (``q`` already a majority, or no honest workers) fall
-    back to a unit deflection.
+    back to a unit deflection.  Memoised: a static adversary asks for the
+    same ``(n, q)`` every round, and an error is never cached.
     """
     n = int(num_voters)
     q = int(num_byzantine)
@@ -74,9 +79,7 @@ class ALIEAttack(Attack):
         self.negative_direction = bool(negative_direction)
 
     def payload(self, context: AttackContext) -> np.ndarray:
-        honest = context.stacked_honest_gradients()
-        mean = honest.mean(axis=0)
-        std = honest.std(axis=0)
+        mean, std = column_mean_std(context.stacked_honest_gradients())
         if self.z is not None:
             z = self.z
         else:

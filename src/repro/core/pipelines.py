@@ -119,7 +119,9 @@ class AggregationPipeline:
     block_size:
         Optional coordinate-block width streamed through the majority-vote
         kernels (flat or hierarchical), capping their peak temporaries at
-        ``O(rows . block)`` while staying bit-identical.
+        ``O(rows . block)`` while staying bit-identical.  ``None`` is not a
+        separate kernel: the same loops run at an internal width, and only
+        a dense tensor's anchor sweep is then left at full width.
     vote_tolerance:
         Majority-vote tolerance (0 = exact byte equality; a positive value
         clusters votes within that Euclidean distance).

@@ -281,7 +281,7 @@ class VoteTensor:
             )
         needed = self._num_rows + count
         if needed > self._store.shape[0]:
-            capacity = max(needed, 2 * self._store.shape[0], 8)
+            capacity = max(needed, 2 * self._store.shape[0])
             grown = np.empty((capacity, self.dim), dtype=self._store.dtype)
             grown[: self._num_rows] = self._store[: self._num_rows]
             self._store = grown

@@ -214,9 +214,9 @@ class Dense(Layer):
         # Release the stacked activations now: unlike the looped path, they
         # hold all f files' worth of memory, so they must not outlive the round.
         self._stacked_input = None
-        grads_out["W"][...] = np.matmul(x.transpose(0, 2, 1), grad_output)
+        np.matmul(x.transpose(0, 2, 1), grad_output, out=grads_out["W"])
         if self.use_bias:
-            grads_out["b"][...] = grad_output.sum(axis=1)
+            np.sum(grad_output, axis=1, out=grads_out["b"])
         return grad_output @ self.params["W"].T
 
 

@@ -70,8 +70,8 @@ class PipelineSpec(Schema, where="pipeline"):
     ``aggregator``/``aggregator_params`` name the registry rule (ignored by
     DRACO, which always averages); ``vote_tolerance`` loosens the majority
     vote's exact-equality matching.  ``block_size`` streams the vote kernels
-    in coordinate blocks (``None``, the default, keeps the monolithic
-    kernels).
+    in coordinate blocks of that width (``None``, the default, leaves the
+    width to the kernels).
     """
 
     kind: str = spec_field(str, pinned=True, default="byzshield")

@@ -11,10 +11,14 @@ gradients.
 the default ``engine="stacked"`` it computes all ``f`` file gradients in one
 stacked pass through the model (leading file axis, per-file parameter
 gradients written into one ``(f, d)`` workspace) and falls back to ``f``
-sequential passes for ragged files or layers without a stacked rule.
+sequential passes for ragged files or layers without a stacked rule.  Either
+way the ``(f, d)`` matrix it returns is the previous call's whenever nothing
+else still references that one (see :meth:`ModelGradientComputer.batched`).
 """
 
 from __future__ import annotations
+
+import sys
 
 import numpy as np
 
@@ -40,7 +44,8 @@ class ModelGradientComputer:
         computes all file gradients in one pass through the model's per-file
         path whenever the files are uniform and every layer supports it,
         silently falling back to the looped path otherwise; ``"looped"``
-        always runs ``f`` sequential passes.  Both engines are bit-identical.
+        always runs ``f`` sequential passes.  Both engines are bit-identical
+        and both write into the recycled matrix of :meth:`batched`.
     """
 
     ENGINES = ("stacked", "looped")
@@ -58,6 +63,10 @@ class ModelGradientComputer:
         #: engine actually used by the most recent :meth:`batched` call
         #: ("stacked" or "looped"); informational, for tests and tracing.
         self.last_engine: str | None = None
+        #: the ``(f, d)`` matrix :meth:`batched` last returned, and what
+        #: ``sys.getrefcount`` reads for it when only this object holds it
+        self._matrix: np.ndarray | None = None
+        self._matrix_refcount = 0
 
     @property
     def dim(self) -> int:
@@ -97,6 +106,15 @@ class ModelGradientComputer:
 
         Notes
         -----
+        The returned matrix escapes into the round (the result's
+        ``honest_matrix``, the lazy vote tensor's base, the attack context),
+        so it is handed out again only when the caller has dropped all of
+        that: same shape and dtype, and a reference count back at what it
+        was when this object alone held it — a view, a held round result or a
+        lazy ``VoteTensor`` each keep the count up.  A caller that holds on
+        to a round therefore keeps its data and the next call allocates, as
+        every call used to.  Both engines follow this rule.
+
         With ``engine="stacked"`` the call runs the model's single-pass
         per-file path (:meth:`Sequential.per_file_loss_and_gradients`) when
         every file has the same shape and every layer has a stacked rule;
@@ -120,16 +138,15 @@ class ModelGradientComputer:
         if self.engine == "stacked" and self._stackable(files):
             stacked_inputs = np.stack([inputs for inputs, _ in files])
             stacked_labels = np.stack([labels for _, labels in files])
-            # One workspace per round (it escapes into the round result, so
-            # it cannot be recycled across rounds); every layer writes its
-            # per-file gradients straight into views of it.
-            workspace = np.empty((len(files), self.dim), dtype=self.model.dtype)
+            # Every layer writes its per-file gradients straight into views
+            # of the round's matrix.
             losses, gradients = self.model.per_file_loss_and_gradients(
-                stacked_inputs, stacked_labels, self.loss, out=workspace
+                stacked_inputs, stacked_labels, self.loss,
+                out=self._round_matrix(len(files)),
             )
             self.last_engine = "stacked"
             return gradients, losses
-        gradients = np.empty((len(files), self.dim), dtype=self.model.dtype)
+        gradients = self._round_matrix(len(files))
         losses = np.empty(len(files), dtype=self.model.dtype)
         for i, (inputs, labels) in enumerate(files):
             value, gradient = self.model.loss_and_gradient(inputs, labels, self.loss)
@@ -137,6 +154,25 @@ class ModelGradientComputer:
             losses[i] = float(value)
         self.last_engine = "looped"
         return gradients, losses
+
+    def _round_matrix(self, num_files: int) -> np.ndarray:
+        """The ``(f, d)`` matrix to fill: the last one if it is free again.
+
+        The two ``sys.getrefcount`` calls see the same holders (``self``,
+        the local, the call's argument), so the first calibrates the second
+        on any interpreter.
+        """
+        shape, dtype = (num_files, self.dim), self.model.dtype
+        matrix = self._matrix
+        if (
+            matrix is None
+            or matrix.shape != shape
+            or matrix.dtype != dtype
+            or sys.getrefcount(matrix) != self._matrix_refcount
+        ):
+            matrix = self._matrix = np.empty(shape, dtype=dtype)
+            self._matrix_refcount = sys.getrefcount(matrix)
+        return matrix
 
     def _stackable(self, files) -> bool:
         """True when the stacked engine applies: uniform files, capable model."""

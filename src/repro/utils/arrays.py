@@ -22,7 +22,18 @@ __all__ = [
     "unflatten_vector",
     "pairwise_squared_distances",
     "block_ranges",
+    "column_mean_std",
+    "LANE_BLOCK",
 ]
+
+#: Coordinates per block of the kernels that always stream (the coordinate
+#: median, the vote's row comparison and hashes, :func:`column_mean_std`)
+#: when their caller names no ``block_size``.  At n = 25 float64 one
+#: ``(n, block)`` buffer is 0.8 MiB.  Timed at 25 x 94k, min of 15, widths
+#: 1024 to 16384: the median is flat within 5%, the vote is 10% slower from
+#: 8192 up, and ``column_mean_std`` is 25-35% faster at 4096 than at 2048 or
+#: 8192.
+LANE_BLOCK = 4096
 
 
 def block_ranges(d: int, block_size: int | None):
@@ -36,6 +47,43 @@ def block_ranges(d: int, block_size: int | None):
         return
     for lo in range(0, d, block_size):
         yield lo, min(lo + block_size, d)
+
+
+def column_mean_std(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-column mean and population standard deviation of an ``(n, d)`` matrix.
+
+    Bit-identical to ``(matrix.mean(axis=0), matrix.std(axis=0))`` — it is
+    NumPy's own recipe, ufunc for ufunc, with the mean computed once and
+    ``std``'s centred ``(n, d)`` copy replaced by one reused
+    ``(n, LANE_BLOCK + 1)`` buffer.  Every step is per-column, so the block
+    width cannot change a bit, with one exception: a block of width 1
+    reduces pairwise along its (strided) column instead of row by row, which
+    moves the last ulp from n = 8 up.  A width-1 tail is therefore folded
+    into the block before it.
+    """
+    matrix = ensure_float(matrix)
+    if matrix.ndim != 2:
+        raise ValueError(f"expected a 2-D matrix, got ndim={matrix.ndim}")
+    n, d = matrix.shape
+    count = np.intp(n)
+    mean = np.empty(d, dtype=matrix.dtype)
+    std = np.empty(d, dtype=matrix.dtype)
+    # Laid out like the matrix, as the copy NumPy's ``_var`` centres into is.
+    centred = np.empty_like(matrix[:, : LANE_BLOCK + 1])
+    for lo in range(0, max(d - 1, 1), LANE_BLOCK):
+        hi = lo + LANE_BLOCK
+        if hi >= d - 1:
+            hi = d
+        block, block_mean, block_std = matrix[:, lo:hi], mean[lo:hi], std[lo:hi]
+        deviation = centred[:, : hi - lo]
+        np.add.reduce(block, axis=0, out=block_mean)
+        np.true_divide(block_mean, count, out=block_mean, casting="unsafe")
+        np.subtract(block, block_mean, out=deviation)
+        np.square(deviation, out=deviation)
+        np.add.reduce(deviation, axis=0, out=block_std)
+        np.true_divide(block_std, count, out=block_std, casting="unsafe")
+        np.sqrt(block_std, out=block_std)
+    return mean, std
 
 
 def flatten_arrays(arrays: Sequence[np.ndarray]) -> np.ndarray:

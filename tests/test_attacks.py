@@ -101,6 +101,19 @@ def test_alie_z_max_values():
         alie_z_max(5, 9)
 
 
+def test_alie_z_max_is_memoised_but_never_caches_an_error():
+    alie_z_max.cache_clear()
+    assert alie_z_max(25, 5) == alie_z_max(25, 5)
+    info = alie_z_max.cache_info()
+    assert (info.hits, info.misses) == (1, 1)
+    for _ in range(2):  # a refused pair is refused every time it is asked
+        with pytest.raises(AttackError):
+            alie_z_max(0, 0)
+        with pytest.raises(AttackError):
+            alie_z_max(5, 9)
+    assert alie_z_max.cache_info().currsize == 1
+
+
 def test_alie_payload_is_mean_shifted(mols_assignment):
     context = make_context(mols_assignment, (0, 5), gradient_scale=2.0)
     honest = context.stacked_honest_gradients()

@@ -8,6 +8,8 @@ every pipeline, registered attack and fault injector, the lazy tensor is
 never copies a single replica.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -421,6 +423,41 @@ def test_shared_payload_allocates_one_row(mols_assignment):
     assert lazy.num_override_rows == 4
     assert lazy.num_overridden_slots == 8
     assert (dense.num_override_rows, dense.override_nbytes) == (0, 0)
+
+
+def test_first_shared_write_reserves_one_row_not_eight(mols_assignment):
+    """One colluding payload is one stored row: the store grows to what is
+    needed or to twice what it had, with no floor — eight reserved rows were
+    5 MiB of untouched capacity a round at d = 94k."""
+    dim = 100_000
+    base = np.zeros((mols_assignment.num_files, dim))
+    lazy = VoteTensor.from_honest(mols_assignment, base)
+    payload = np.ones(dim)
+    tracemalloc.start()
+    try:
+        lazy.write_slots([0, 3, 9], [1, 0, 1], payload)
+        allocated = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert allocated < 2 * dim * 8
+    assert lazy.num_override_rows == 1
+
+
+def test_successive_single_writes_grow_the_store_geometrically(mols_assignment):
+    rng = np.random.default_rng(12)
+    lazy, dense, _ = make_pair(mols_assignment, seed=12)
+    r = lazy.replication
+    capacities = set()
+    rows = rng.standard_normal((64, DIM))
+    for k, row in enumerate(rows):
+        for tensor in (lazy, dense):
+            tensor.write_slots([k // r], [k % r], row)
+        capacities.add(lazy._store.shape[0])
+    assert capacities == {1, 2, 4, 8, 16, 32, 64}  # one reallocation per doubling
+    assert lazy.num_override_rows == 64
+    assert_tensors_identical(lazy, dense)
+    files, slots = np.divmod(np.arange(64), r)
+    assert np.array_equal(lazy.read_slots(files, slots), rows)
 
 
 @pytest.mark.parametrize("mutator", ["scale_slots", "add_to_slots", "set_vote"])

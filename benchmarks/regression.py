@@ -246,6 +246,15 @@ def gradient_engine_kernels() -> dict:
             kernels[f"gradient_engine_{engine}_{model_key}_f{num_files}"] = (
                 lambda c=computer, p=params, fs=files: c.batched(p, fs)
             )
+    # The compute-bound shape (``clean-compute-bound`` in benchmarks/e2e: 25
+    # files of 256 samples), handed over already stacked as the trainer does;
+    # its ratio to the GEMMs it is made of is gated in test_bench_micro.py.
+    computer = ModelGradientComputer(models["mlp"][0]())
+    rng = np.random.default_rng(11)
+    stacked_files = (rng.standard_normal((25, 256, 100)), rng.integers(0, 10, (25, 256)))
+    kernels["gradient_engine_stacked_mlp_f25_n256"] = (
+        lambda c=computer, p=computer.initial_params(), fs=stacked_files: c.batched(p, fs)
+    )
     return kernels
 
 

@@ -32,6 +32,7 @@ from repro.cluster.messages import TensorRoundResult
 from repro.cluster.worker import WorkerPool
 from repro.core.backend import DEFAULT_DTYPE
 from repro.core.distortion import distorted_files
+from repro.data.batching import RoundFiles
 from repro.exceptions import TrainingError
 from repro.graphs.bipartite import BipartiteAssignment
 from repro.utils.rng import as_generator, derive_seed
@@ -177,7 +178,7 @@ class TrainingCluster:
     def run_round_tensor(
         self,
         params: np.ndarray,
-        file_data: dict[int, tuple[np.ndarray, np.ndarray]],
+        file_data: "RoundFiles | dict[int, tuple[np.ndarray, np.ndarray]]",
         iteration: int,
     ) -> TensorRoundResult:
         """Simulate one iteration's worker computations, attack and faults.
@@ -187,11 +188,13 @@ class TrainingCluster:
         params:
             Model parameters broadcast by the PS at the start of the round.
         file_data:
-            ``{file: (inputs, labels)}`` for this round's batch partition.
+            This round's batch partition: :class:`~repro.data.batching.RoundFiles`,
+            or a hand-built ``{file: (inputs, labels)}`` dict, coerced here once.
         iteration:
             Zero-based iteration index (drives per-round seeds and selectors).
         """
         rng = self._round_rng(iteration)
+        file_data = RoundFiles.coerce(file_data)
         tensor, honest_matrix, losses = self.worker_pool.honest_returns_tensor(
             params, file_data
         )
@@ -234,7 +237,7 @@ class TrainingCluster:
         losses: np.ndarray,
         mean_loss: float,
         fault_events: tuple[FaultEvent, ...],
-        file_data: dict[int, tuple[np.ndarray, np.ndarray]],
+        file_data: RoundFiles,
     ) -> TensorRoundResult:
         """PS-side event loop of an async round (see the ``runtime`` docs).
 
@@ -247,8 +250,7 @@ class TrainingCluster:
         runtime = self.runtime
         assert runtime is not None
         samples = np.array(
-            [file_data[i][0].shape[0] for i in range(self.assignment.num_files)],
-            dtype=DEFAULT_DTYPE,
+            [inputs.shape[0] for inputs, _ in file_data], dtype=DEFAULT_DTYPE
         )
         base = base_arrival_times(
             self.assignment, runtime.cost_model, tensor.dim, samples

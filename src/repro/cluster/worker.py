@@ -18,6 +18,7 @@ import numpy as np
 
 from repro.core.backend import DEFAULT_DTYPE, ensure_float
 from repro.core.vote_tensor import VoteTensor
+from repro.data.batching import RoundFiles
 from repro.exceptions import TrainingError
 from repro.graphs.bipartite import BipartiteAssignment
 
@@ -72,18 +73,10 @@ class WorkerPool:
             return matrix
         return self.compressor.compress_matrix(matrix)
 
-    def _check_file_data(
-        self, file_data: dict[int, tuple[np.ndarray, np.ndarray]]
-    ) -> None:
-        if set(file_data) != set(range(self.assignment.num_files)):
-            raise TrainingError(
-                "file_data must provide data for every file of the assignment"
-            )
-
     def compute_file_gradient_matrix(
         self,
         params: np.ndarray,
-        file_data: dict[int, tuple[np.ndarray, np.ndarray]],
+        file_data: "RoundFiles | dict[int, tuple[np.ndarray, np.ndarray]]",
     ) -> tuple[np.ndarray, np.ndarray]:
         """True gradients of every file stacked into an ``(f, d)`` matrix.
 
@@ -91,8 +84,11 @@ class WorkerPool:
         Dispatches to the oracle's ``batched`` entry point when available so
         model-backed pools load the parameters once for the whole round.
         """
-        self._check_file_data(file_data)
-        files = [file_data[i] for i in range(self.assignment.num_files)]
+        files = RoundFiles.coerce(file_data)
+        if len(files) != self.assignment.num_files:
+            raise TrainingError(
+                "file_data must provide data for every file of the assignment"
+            )
         batched = getattr(self.gradient_fn, "batched", None)
         if batched is not None:
             return batched(params, files)
@@ -111,7 +107,7 @@ class WorkerPool:
     def honest_returns_tensor(
         self,
         params: np.ndarray,
-        file_data: dict[int, tuple[np.ndarray, np.ndarray]],
+        file_data: "RoundFiles | dict[int, tuple[np.ndarray, np.ndarray]]",
     ) -> tuple[VoteTensor, np.ndarray, np.ndarray]:
         """What every (worker, file) pair returns when all are honest.
 

@@ -17,16 +17,18 @@ processes (pinned in the test suite).
 from __future__ import annotations
 
 import hashlib
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.data.datasets import Dataset
-from repro.exceptions import DataError
+from repro.exceptions import DataError, TrainingError
 from repro.utils.rng import as_generator, derive_seed
 
 __all__ = [
     "BatchSampler",
+    "RoundFiles",
     "partition_batch_into_files",
     "dirichlet_label_partition",
     "quantity_skew_partition",
@@ -59,6 +61,69 @@ def partition_batch_into_files(batch_indices: np.ndarray, num_files: int) -> lis
     return [
         batch_indices[i * per_file : (i + 1) * per_file] for i in range(num_files)
     ]
+
+
+class RoundFiles:
+    """One round's ``f`` files, in the form every stage from sampler to engine reads.
+
+    ``stacked`` is ``(inputs (f, n, ...), labels (f, n, ...))`` when every file
+    has the same shape — for a sampled batch, views of its one gather — and
+    ``None`` for ragged files, which only the looped gradient engine takes.
+    Iterating yields the ``f`` ``(inputs_i, labels_i)`` pairs: views of
+    ``stacked``, never copies.
+    """
+
+    def __init__(self, stacked: "tuple[np.ndarray, np.ndarray] | None", ragged=None) -> None:
+        self.stacked, self._ragged = stacked, ragged
+
+    @classmethod
+    def from_batch(cls, inputs: np.ndarray, labels: np.ndarray, num_files: int) -> "RoundFiles":
+        """View a gathered batch (file after file along axis 0) as ``num_files`` files."""
+        return cls(tuple(a.reshape((num_files, -1) + a.shape[1:]) for a in (inputs, labels)))
+
+    @classmethod
+    def coerce(cls, files) -> "RoundFiles":
+        """``files`` as a :class:`RoundFiles`, checked once.
+
+        Takes a :class:`RoundFiles` (returned as is), a ``{file: (inputs,
+        labels)}`` mapping over ``range(f)``, a sequence of ``(inputs,
+        labels)`` pairs (stacked with one copy when uniform), or the two
+        stacked arrays ``(inputs, labels)`` as a tuple or list.
+        """
+        if isinstance(files, cls):
+            return files
+        if isinstance(files, Mapping):
+            if set(files) != set(range(len(files))):
+                raise TrainingError(
+                    f"file data must be keyed by range({len(files)}), got keys {sorted(files)}"
+                )
+            files = [files[i] for i in range(len(files))]
+        files = list(files)
+        if len(files) == 2 and all(isinstance(a, np.ndarray) for a in files):
+            inputs, labels = stacked = tuple(files)
+            if inputs.ndim < 2 or labels.shape[:2] != inputs.shape[:2]:
+                raise TrainingError(
+                    "stacked files must be inputs (f, n, ...) and labels (f, n, ...) "
+                    f"with equal leading axes, got {inputs.shape} and {labels.shape}"
+                )
+            ragged, (num_files, smallest) = None, inputs.shape[:2]
+        else:
+            stacked, ragged = None, [(x, y) for x, y in files]
+            shapes = [(x.shape, y.shape) for x, y in ragged]
+            num_files, smallest = len(ragged), min((x[0] for x, _ in shapes), default=0)
+        if num_files == 0:
+            raise TrainingError("batched gradient computation needs >= 1 file")
+        if smallest == 0:
+            raise TrainingError("cannot compute a gradient on an empty file")
+        if stacked is None and all(shape == shapes[0] for shape in shapes):
+            stacked, ragged = tuple(np.stack(arrays) for arrays in zip(*ragged)), None
+        return cls(stacked, ragged)
+
+    def __len__(self) -> int:
+        return len(self._ragged if self.stacked is None else self.stacked[0])
+
+    def __iter__(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        return iter(self._ragged) if self.stacked is None else zip(*self.stacked)
 
 
 @dataclass

@@ -26,6 +26,17 @@ the stack computes all ``f`` forward/backward sweeps at once:
   preallocated ``(f, d)`` workspace — see
   :meth:`repro.nn.models.Sequential.per_file_loss_and_gradients`).
 
+Ownership: no forward pass writes into its input (the caller's batch, a
+residual block's skip branch), but ``backward_per_file`` may overwrite
+``grad_output`` — the pass produced it (the loss, or the layer above).  What
+``forward_per_file`` keeps for the backward pass is all ``f`` files' worth of
+activations: it lives in ``_stacked`` and ``backward_per_file`` releases it
+(:meth:`Layer.release_per_file` when the pass raised in between).
+
+The first layer that owns parameters is called with ``input_gradient=False``
+(both paths): it returns ``None`` instead of an input gradient nobody reads,
+and the layers in front of it are not run backward at all.
+
 The contract is *bit-identity*: slice ``i`` of every stacked result must equal
 what the plain path produces for file ``i``.  Stacked matmuls therefore keep
 the file axis as a gufunc loop dimension (one BLAS call per file with the same
@@ -71,6 +82,8 @@ class Layer(abc.ABC):
     def __init__(self) -> None:
         self.params: dict[str, np.ndarray] = {}
         self.grads: dict[str, np.ndarray] = {}
+        #: what ``forward_per_file`` keeps for ``backward_per_file``
+        self._stacked = None
 
     @abc.abstractmethod
     def forward(self, x: np.ndarray, training: bool = True) -> np.ndarray:
@@ -80,7 +93,8 @@ class Layer(abc.ABC):
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         """Backpropagate ``dL/d(output)`` and return ``dL/d(input)``.
 
-        Parameter gradients are accumulated into ``self.grads``.
+        Parameter gradients are accumulated into ``self.grads``.  A layer with
+        parameters also takes ``input_gradient=False`` and then returns ``None``.
         """
 
     # -- stacked per-file path ---------------------------------------------
@@ -104,6 +118,17 @@ class Layer(abc.ABC):
             f"{type(self).__name__} has no stacked per-file rule; the gradient "
             "engine must fall back to the looped path"
         )
+
+    def _take_stacked(self):
+        """The stacked forward pass's cache, handed over and released."""
+        cache, self._stacked = self._stacked, None
+        if cache is None:
+            raise ConfigurationError("backward_per_file called before forward_per_file")
+        return cache
+
+    def release_per_file(self) -> None:
+        """Drop what a stacked forward pass left behind (see module docs)."""
+        self._stacked = None
 
     # -- parameter plumbing ------------------------------------------------
     def parameter_items(self) -> list[tuple[str, np.ndarray]]:
@@ -178,17 +203,17 @@ class Dense(Layer):
         self._input = x
         out = x @ self.params["W"]
         if self.use_bias:
-            out = out + self.params["b"]
+            out += self.params["b"]
         return out
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+    def backward(self, grad_output: np.ndarray, input_gradient: bool = True) -> np.ndarray | None:
         if self._input is None:
             raise ConfigurationError("backward called before forward on Dense layer")
         x = self._input
         self.grads["W"] = x.T @ grad_output
         if self.use_bias:
             self.grads["b"] = grad_output.sum(axis=0)
-        return grad_output @ self.params["W"].T
+        return grad_output @ self.params["W"].T if input_gradient else None
 
     def forward_per_file(self, x: np.ndarray, training: bool = True) -> np.ndarray:
         x = np.asarray(x, dtype=self.dtype)
@@ -197,27 +222,30 @@ class Dense(Layer):
                 f"Dense expected stacked input (f, batch, {self.in_features}), "
                 f"got {x.shape}"
             )
-        self._stacked_input = x
+        self._stacked = x
         # (f, n, in) @ (in, out): one BLAS call per file slice, with the same
         # operand shapes as the plain path — keeps the results bit-identical.
         out = x @ self.params["W"]
         if self.use_bias:
-            out = out + self.params["b"]
+            out += self.params["b"]
         return out
 
     def backward_per_file(
-        self, grad_output: np.ndarray, grads_out: dict[str, np.ndarray]
-    ) -> np.ndarray:
-        x = getattr(self, "_stacked_input", None)
-        if x is None:
-            raise ConfigurationError("backward_per_file called before forward_per_file")
-        # Release the stacked activations now: unlike the looped path, they
-        # hold all f files' worth of memory, so they must not outlive the round.
-        self._stacked_input = None
+        self, grad_output: np.ndarray, grads_out: dict[str, np.ndarray], input_gradient: bool = True
+    ) -> np.ndarray | None:
+        x = self._take_stacked()
         np.matmul(x.transpose(0, 2, 1), grad_output, out=grads_out["W"])
         if self.use_bias:
             np.sum(grad_output, axis=1, out=grads_out["b"])
-        return grad_output @ self.params["W"].T
+        return grad_output @ self.params["W"].T if input_gradient else None
+
+
+def _rectify(x: np.ndarray) -> np.ndarray:
+    """``np.where(x > 0, x, 0.0)`` bit for bit (new array), several times faster: ``fmax``
+    may answer ``-0.0`` for a zero, and adding ``+0.0`` changes that and nothing else."""
+    out = np.fmax(x, 0.0)
+    out += 0.0
+    return out
 
 
 class ReLU(Layer):
@@ -231,21 +259,22 @@ class ReLU(Layer):
 
     def forward(self, x: np.ndarray, training: bool = True) -> np.ndarray:
         self._mask = x > 0
-        return np.where(self._mask, x, 0.0)
+        return _rectify(x)
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         if self._mask is None:
             raise ConfigurationError("backward called before forward on ReLU layer")
         return grad_output * self._mask
 
-    # Elementwise, so the plain rules apply verbatim to stacked inputs.
+    # Elementwise, so the plain rules apply — in place on the pass's own gradient.
     def forward_per_file(self, x: np.ndarray, training: bool = True) -> np.ndarray:
-        return self.forward(x, training=training)
+        self._stacked = x > 0
+        return _rectify(x)
 
     def backward_per_file(
         self, grad_output: np.ndarray, grads_out: dict[str, np.ndarray]
     ) -> np.ndarray:
-        return self.backward(grad_output)
+        return np.multiply(grad_output, self._take_stacked(), out=grad_output)
 
 
 class Tanh(Layer):
@@ -266,14 +295,17 @@ class Tanh(Layer):
             raise ConfigurationError("backward called before forward on Tanh layer")
         return grad_output * (1.0 - self._output**2)
 
-    # Elementwise, so the plain rules apply verbatim to stacked inputs.
+    # Elementwise, so the plain rules apply — in place on the pass's own gradient.
     def forward_per_file(self, x: np.ndarray, training: bool = True) -> np.ndarray:
-        return self.forward(x, training=training)
+        self._stacked = np.tanh(x)
+        return self._stacked
 
     def backward_per_file(
         self, grad_output: np.ndarray, grads_out: dict[str, np.ndarray]
     ) -> np.ndarray:
-        return self.backward(grad_output)
+        slope = self._take_stacked() ** 2
+        np.subtract(1.0, slope, out=slope)
+        return np.multiply(grad_output, slope, out=grad_output)
 
 
 class Flatten(Layer):
@@ -284,7 +316,6 @@ class Flatten(Layer):
     def __init__(self) -> None:
         super().__init__()
         self._input_shape: tuple[int, ...] | None = None
-        self._stacked_shape: tuple[int, ...] | None = None
 
     def forward(self, x: np.ndarray, training: bool = True) -> np.ndarray:
         self._input_shape = x.shape
@@ -296,15 +327,13 @@ class Flatten(Layer):
         return grad_output.reshape(self._input_shape)
 
     def forward_per_file(self, x: np.ndarray, training: bool = True) -> np.ndarray:
-        self._stacked_shape = x.shape
+        self._stacked = x.shape
         return x.reshape(x.shape[0], x.shape[1], -1)
 
     def backward_per_file(
         self, grad_output: np.ndarray, grads_out: dict[str, np.ndarray]
     ) -> np.ndarray:
-        if self._stacked_shape is None:
-            raise ConfigurationError("backward_per_file called before forward_per_file")
-        return grad_output.reshape(self._stacked_shape)
+        return grad_output.reshape(self._take_stacked())
 
 
 class Dropout(Layer):
@@ -423,13 +452,15 @@ class BatchNorm(Layer):
         self._cache = (normalized, std, shape, training)
         return self._from_2d(out, shape)
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+    def backward(self, grad_output: np.ndarray, input_gradient: bool = True) -> np.ndarray | None:
         if self._cache is None:
             raise ConfigurationError("backward called before forward on BatchNorm layer")
         normalized, std, shape, training = self._cache
         grad_flat, _ = self._to_2d(np.asarray(grad_output, dtype=self.dtype))
         self.grads["gamma"] = (grad_flat * normalized).sum(axis=0)
         self.grads["beta"] = grad_flat.sum(axis=0)
+        if not input_gradient:
+            return None
         gamma = self.params["gamma"]
         if training:
             # Standard batch-norm backward through the batch statistics.
@@ -489,20 +520,18 @@ class BatchNorm(Layer):
             normalized = (flat - self.running_mean) / std
             std = np.broadcast_to(std, (flat.shape[0], 1, self.num_features))
         out = normalized * self.params["gamma"] + self.params["beta"]
-        self._stacked_cache = (normalized, std, shape, training)
+        self._stacked = (normalized, std, shape, training)
         return self._from_stacked_2d(out, shape)
 
     def backward_per_file(
-        self, grad_output: np.ndarray, grads_out: dict[str, np.ndarray]
-    ) -> np.ndarray:
-        cache = getattr(self, "_stacked_cache", None)
-        if cache is None:
-            raise ConfigurationError("backward_per_file called before forward_per_file")
-        self._stacked_cache = None  # all-files activations must not outlive the round
-        normalized, std, shape, training = cache
+        self, grad_output: np.ndarray, grads_out: dict[str, np.ndarray], input_gradient: bool = True
+    ) -> np.ndarray | None:
+        normalized, std, shape, training = self._take_stacked()
         grad_flat, _ = self._to_stacked_2d(np.asarray(grad_output, dtype=self.dtype))
         grads_out["gamma"][...] = (grad_flat * normalized).sum(axis=1)
         grads_out["beta"][...] = grad_flat.sum(axis=1)
+        if not input_gradient:
+            return None
         gamma = self.params["gamma"]
         if training:
             dnorm = grad_flat * gamma
@@ -633,13 +662,13 @@ class Conv2D(Layer):
         weights = self.params["W"].reshape(self.out_channels, -1)
         out = cols @ weights.T
         if self.use_bias:
-            out = out + self.params["b"]
+            out += self.params["b"]
         batch = x.shape[0]
         out = out.reshape(batch, out_h, out_w, self.out_channels).transpose(0, 3, 1, 2)
         self._cache = (x.shape, cols, out_h, out_w)
         return out
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+    def backward(self, grad_output: np.ndarray, input_gradient: bool = True) -> np.ndarray | None:
         if self._cache is None:
             raise ConfigurationError("backward called before forward on Conv2D layer")
         input_shape, cols, out_h, out_w = self._cache
@@ -651,6 +680,8 @@ class Conv2D(Layer):
         self.grads["W"] = (grad.T @ cols).reshape(self.params["W"].shape)
         if self.use_bias:
             self.grads["b"] = grad.sum(axis=0)
+        if not input_gradient:
+            return None
         grad_cols = grad @ weights
         return _col2im(
             grad_cols,
@@ -685,21 +716,15 @@ class Conv2D(Layer):
         # operand shapes as the plain path, keeping results bit-identical.
         out = cols @ weights.T
         if self.use_bias:
-            out = out + self.params["b"]
+            out += self.params["b"]
         out = out.reshape(f, batch, out_h, out_w, self.out_channels)
-        self._stacked_cache = (x.shape, cols, out_h, out_w)
+        self._stacked = (x.shape, cols, out_h, out_w)
         return out.transpose(0, 1, 4, 2, 3)
 
     def backward_per_file(
-        self, grad_output: np.ndarray, grads_out: dict[str, np.ndarray]
-    ) -> np.ndarray:
-        cache = getattr(self, "_stacked_cache", None)
-        if cache is None:
-            raise ConfigurationError("backward_per_file called before forward_per_file")
-        # The stacked im2col buffer is f times the looped path's working set;
-        # drop the layer's reference so it dies with this round.
-        self._stacked_cache = None
-        input_shape, cols, out_h, out_w = cache
+        self, grad_output: np.ndarray, grads_out: dict[str, np.ndarray], input_gradient: bool = True
+    ) -> np.ndarray | None:
+        input_shape, cols, out_h, out_w = self._take_stacked()
         f, batch = input_shape[:2]
         grad = np.asarray(grad_output, dtype=self.dtype).transpose(0, 1, 3, 4, 2).reshape(
             f, batch * out_h * out_w, self.out_channels
@@ -710,6 +735,8 @@ class Conv2D(Layer):
         )
         if self.use_bias:
             grads_out["b"][...] = grad.sum(axis=1)
+        if not input_gradient:
+            return None
         grad_cols = grad @ weights
         grad_input = _col2im(
             grad_cols.reshape(f * batch * out_h * out_w, -1),
@@ -787,17 +814,13 @@ class MaxPool2D(Layer):
         reshaped = x.reshape(f, batch, channels, height // p, p, width // p, p)
         out = reshaped.max(axis=(4, 6))
         mask = reshaped == out[:, :, :, :, None, :, None]
-        self._stacked_cache = (x.shape, mask)
+        self._stacked = (x.shape, mask)
         return out
 
     def backward_per_file(
         self, grad_output: np.ndarray, grads_out: dict[str, np.ndarray]
     ) -> np.ndarray:
-        cache = getattr(self, "_stacked_cache", None)
-        if cache is None:
-            raise ConfigurationError("backward_per_file called before forward_per_file")
-        self._stacked_cache = None  # all-files pooling mask must not outlive the round
-        input_shape, mask = cache
+        input_shape, mask = self._take_stacked()
         grad = ensure_float(grad_output)[:, :, :, :, None, :, None]
         counts = mask.sum(axis=(4, 6), keepdims=True).astype(grad.dtype)
         spread = mask * grad / counts
@@ -849,13 +872,13 @@ class ResidualDenseBlock(Layer):
         out = self.dense2.forward(hidden, training)
         return self.relu2.forward(out + x, training)
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+    def backward(self, grad_output: np.ndarray, input_gradient: bool = True) -> np.ndarray | None:
         grad = self.relu2.backward(grad_output)
         grad_branch = self.dense1.backward(
-            self.relu1.backward(self.dense2.backward(grad))
+            self.relu1.backward(self.dense2.backward(grad)), input_gradient
         )
         self._sync_grads()
-        return grad_branch + grad
+        return grad_branch + grad if input_gradient else None
 
     def _sync_grads(self) -> None:
         self.grads["dense1.W"] = self.dense1.grads["W"]
@@ -874,11 +897,12 @@ class ResidualDenseBlock(Layer):
             self.dense1.forward_per_file(x, training), training
         )
         out = self.dense2.forward_per_file(hidden, training)
-        return self.relu2.forward_per_file(out + x, training)
+        out += x
+        return self.relu2.forward_per_file(out, training)
 
     def backward_per_file(
-        self, grad_output: np.ndarray, grads_out: dict[str, np.ndarray]
-    ) -> np.ndarray:
+        self, grad_output: np.ndarray, grads_out: dict[str, np.ndarray], input_gradient: bool = True
+    ) -> np.ndarray | None:
         grads1 = {"W": grads_out["dense1.W"], "b": grads_out["dense1.b"]}
         grads2 = {"W": grads_out["dense2.W"], "b": grads_out["dense2.b"]}
         grad = self.relu2.backward_per_file(grad_output, {})
@@ -887,5 +911,10 @@ class ResidualDenseBlock(Layer):
                 self.dense2.backward_per_file(grad, grads2), {}
             ),
             grads1,
+            input_gradient,
         )
-        return grad_branch + grad
+        return np.add(grad_branch, grad, out=grad_branch) if input_gradient else None
+
+    def release_per_file(self) -> None:
+        for layer in (self.dense1, self.relu1, self.dense2, self.relu2):
+            layer.release_per_file()

@@ -20,118 +20,97 @@ __all__ = ["Loss", "SoftmaxCrossEntropy", "MeanSquaredError", "softmax"]
 def softmax(logits: np.ndarray) -> np.ndarray:
     """Numerically stable softmax over the trailing (class) axis."""
     logits = ensure_float(logits)
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    exp = np.exp(shifted)
-    return exp / exp.sum(axis=-1, keepdims=True)
+    out = logits - logits.max(axis=-1, keepdims=True)
+    np.exp(out, out=out)
+    out /= out.sum(axis=-1, keepdims=True)
+    return out
 
 
 class Loss(abc.ABC):
-    """A differentiable scalar objective on (predictions, targets)."""
+    """A differentiable scalar objective on (predictions, targets).
+
+    One entry point, :meth:`value_and_gradient`, validates the targets once and
+    shares intermediates (the softmax); :meth:`per_file_value_and_gradient` is
+    its stacked form, which concrete losses vectorize.
+    """
 
     @abc.abstractmethod
+    def value_and_gradient(
+        self, predictions: np.ndarray, targets: np.ndarray
+    ) -> tuple[float, np.ndarray]:
+        """Mean loss over the batch and its gradient w.r.t. the predictions."""
+
     def value(self, predictions: np.ndarray, targets: np.ndarray) -> float:
         """Mean loss over the batch."""
+        return self.value_and_gradient(predictions, targets)[0]
 
-    @abc.abstractmethod
     def gradient(self, predictions: np.ndarray, targets: np.ndarray) -> np.ndarray:
         """Gradient of the mean loss with respect to the predictions."""
+        return self.value_and_gradient(predictions, targets)[1]
 
-    # -- stacked per-file path ---------------------------------------------
-    # Predictions/targets carry a leading file axis; slice ``i`` of each
-    # result must be bit-identical to the plain method on file ``i``.  The
-    # defaults loop; concrete losses override with vectorized rules.
-    def per_file_value(self, predictions: np.ndarray, targets: np.ndarray) -> np.ndarray:
-        """Per-file mean losses, shape ``(f,)``, in the predictions' dtype."""
-        return np.array(
-            [self.value(predictions[i], targets[i]) for i in range(len(predictions))],
-            dtype=ensure_float(predictions).dtype,
-        )
-
-    def per_file_gradient(
+    def per_file_value_and_gradient(
         self, predictions: np.ndarray, targets: np.ndarray
-    ) -> np.ndarray:
-        """Stacked gradients of each file's mean loss w.r.t. its predictions."""
-        return np.stack(
-            [self.gradient(predictions[i], targets[i]) for i in range(len(predictions))]
-        )
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Per-file mean losses ``(f,)`` and stacked gradients ``(f, n, ...)`` of inputs with a
+        leading file axis; slice ``i`` is bit-identical to :meth:`value_and_gradient` on file i."""
+        pairs = [self.value_and_gradient(p, t) for p, t in zip(predictions, targets)]
+        values = np.array([v for v, _ in pairs], dtype=ensure_float(predictions).dtype)
+        return values, np.stack([g for _, g in pairs])
 
 
 class SoftmaxCrossEntropy(Loss):
     """Softmax + cross entropy on integer class labels.
 
     ``predictions`` are raw logits of shape ``(batch, classes)``; ``targets``
-    are integer labels of shape ``(batch,)``.
+    are integer labels of shape ``(batch,)`` (stacked: a leading file axis on
+    both).
     """
 
     def __init__(self, epsilon: float = 1e-12) -> None:
         self.epsilon = float(epsilon)
 
-    def _check(self, predictions: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def _log_picked_and_gradient(
+        self, predictions: np.ndarray, targets: np.ndarray, stacked: bool
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``log p[label]`` per sample and the mean loss's gradient: one check, one softmax."""
         predictions = ensure_float(predictions)
         targets = np.asarray(targets)
-        if predictions.ndim != 2:
+        layout = "stacked (files, batch" if stacked else "(batch"
+        if predictions.ndim != 2 + stacked:
             raise ConfigurationError(
-                f"predictions must be (batch, classes), got shape {predictions.shape}"
+                f"predictions must be {layout}, classes), got shape {predictions.shape}"
             )
-        if targets.ndim != 1 or targets.shape[0] != predictions.shape[0]:
+        if targets.shape != predictions.shape[:-1]:
             raise ConfigurationError(
-                "targets must be a 1-D integer label array matching the batch size"
+                f"targets must be a {layout}) integer label array matching the "
+                f"predictions, got shape {targets.shape}"
             )
-        if np.any(targets < 0) or np.any(targets >= predictions.shape[1]):
+        if np.any(targets < 0) or np.any(targets >= predictions.shape[-1]):
             raise ConfigurationError("target labels out of range for the logits")
-        return predictions, targets.astype(np.int64)
+        grad = softmax(predictions)
+        labels = (*np.indices(targets.shape, sparse=True), targets.astype(np.int64))
+        log_picked = np.log(grad[labels] + self.epsilon)
+        grad[labels] -= 1.0
+        grad /= targets.shape[-1]
+        return log_picked, grad
 
-    def value(self, predictions: np.ndarray, targets: np.ndarray) -> float:
-        predictions, targets = self._check(predictions, targets)
-        probabilities = softmax(predictions)
-        picked = probabilities[np.arange(targets.size), targets]
-        return float(-np.log(picked + self.epsilon).mean())
+    def value_and_gradient(
+        self, predictions: np.ndarray, targets: np.ndarray
+    ) -> tuple[float, np.ndarray]:
+        log_picked, grad = self._log_picked_and_gradient(predictions, targets, stacked=False)
+        return float(-log_picked.mean()), grad
 
-    def gradient(self, predictions: np.ndarray, targets: np.ndarray) -> np.ndarray:
-        predictions, targets = self._check(predictions, targets)
-        probabilities = softmax(predictions)
-        grad = probabilities
-        grad[np.arange(targets.size), targets] -= 1.0
-        return grad / targets.size
-
-    # -- stacked per-file path ---------------------------------------------
-    def _check_per_file(
+    def per_file_value_and_gradient(
         self, predictions: np.ndarray, targets: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
-        predictions = ensure_float(predictions)
-        targets = np.asarray(targets)
-        if predictions.ndim != 3:
-            raise ConfigurationError(
-                f"stacked predictions must be (files, batch, classes), got {predictions.shape}"
-            )
-        if targets.ndim != 2 or targets.shape != predictions.shape[:2]:
-            raise ConfigurationError(
-                "stacked targets must be a (files, batch) integer label array"
-            )
-        if np.any(targets < 0) or np.any(targets >= predictions.shape[2]):
-            raise ConfigurationError("target labels out of range for the logits")
-        return predictions, targets.astype(np.int64)
-
-    def per_file_value(self, predictions: np.ndarray, targets: np.ndarray) -> np.ndarray:
-        predictions, targets = self._check_per_file(predictions, targets)
-        probabilities = softmax(predictions)
-        picked = np.take_along_axis(probabilities, targets[:, :, None], axis=2)[:, :, 0]
-        return -np.log(picked + self.epsilon).mean(axis=1)
-
-    def per_file_gradient(
-        self, predictions: np.ndarray, targets: np.ndarray
-    ) -> np.ndarray:
-        predictions, targets = self._check_per_file(predictions, targets)
-        grad = softmax(predictions)
-        f, n = targets.shape
-        grad[np.arange(f)[:, None], np.arange(n)[None, :], targets] -= 1.0
-        return grad / n
+        log_picked, grad = self._log_picked_and_gradient(predictions, targets, stacked=True)
+        return -log_picked.mean(axis=1), grad
 
 
 class MeanSquaredError(Loss):
     """Mean squared error between predictions and real-valued targets."""
 
-    def _check(self, predictions: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def _residual(self, predictions: np.ndarray, targets: np.ndarray) -> np.ndarray:
         predictions = ensure_float(predictions)
         # Targets follow the prediction dtype so the residual (and thus the
         # gradient) stays in the model's working dtype.
@@ -140,25 +119,22 @@ class MeanSquaredError(Loss):
             raise ConfigurationError(
                 f"shape mismatch: predictions {predictions.shape} vs targets {targets.shape}"
             )
-        return predictions, targets
+        return predictions - targets
 
-    def value(self, predictions: np.ndarray, targets: np.ndarray) -> float:
-        predictions, targets = self._check(predictions, targets)
-        return float(((predictions - targets) ** 2).mean())
-
-    def gradient(self, predictions: np.ndarray, targets: np.ndarray) -> np.ndarray:
-        predictions, targets = self._check(predictions, targets)
-        return 2.0 * (predictions - targets) / predictions.size
-
-    # -- stacked per-file path ---------------------------------------------
-    def per_file_value(self, predictions: np.ndarray, targets: np.ndarray) -> np.ndarray:
-        predictions, targets = self._check(predictions, targets)
-        per_file_axes = tuple(range(1, predictions.ndim))
-        return ((predictions - targets) ** 2).mean(axis=per_file_axes)
-
-    def per_file_gradient(
+    def value_and_gradient(
         self, predictions: np.ndarray, targets: np.ndarray
-    ) -> np.ndarray:
-        predictions, targets = self._check(predictions, targets)
-        per_file_size = predictions[0].size
-        return 2.0 * (predictions - targets) / per_file_size
+    ) -> tuple[float, np.ndarray]:
+        residual = self._residual(predictions, targets)
+        value = float((residual**2).mean())
+        residual *= 2.0
+        residual /= residual.size
+        return value, residual
+
+    def per_file_value_and_gradient(
+        self, predictions: np.ndarray, targets: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        residual = self._residual(predictions, targets)
+        values = (residual**2).mean(axis=tuple(range(1, residual.ndim)))
+        residual *= 2.0
+        residual /= residual[0].size
+        return values, residual

@@ -139,12 +139,21 @@ class Sequential:
     def loss_and_gradient(
         self, x: np.ndarray, y: np.ndarray, loss: Loss
     ) -> tuple[float, np.ndarray]:
-        """Mean loss on ``(x, y)`` and the flat parameter gradient."""
+        """Mean loss on ``(x, y)`` and the flat parameter gradient (backward stops at the
+        first layer that owns parameters: nothing reads an input gradient beyond it)."""
         self.zero_grads()
         predictions = self.forward(x, training=True)
-        value = loss.value(predictions, y)
-        self.backward(loss.gradient(predictions, y))
+        value, grad = loss.value_and_gradient(predictions, y)
+        first = self._first_parameterised()
+        for layer in reversed(self.layers[first + 1 :]):
+            grad = layer.backward(grad)
+        if first < len(self.layers):
+            self.layers[first].backward(grad, input_gradient=False)
         return value, self.flat_gradient()
+
+    def _first_parameterised(self) -> int:
+        """Index of the first layer that owns parameters (``len(layers)`` when none does)."""
+        return next((i for i, layer in enumerate(self.layers) if layer.params), len(self.layers))
 
     # -- stacked per-file path -------------------------------------------------
     def supports_per_file(self) -> bool:
@@ -226,11 +235,17 @@ class Sequential:
                 f"({f}, {d}), got {out.dtype} {out.shape}"
             )
         views = self._per_file_gradient_views(out)
-        predictions = self.forward_per_file(x, training=True)
-        losses = loss.per_file_value(predictions, y)
-        grad = loss.per_file_gradient(predictions, y)
-        for layer, layer_views in zip(reversed(self.layers), reversed(views)):
-            grad = layer.backward_per_file(grad, layer_views)
+        first = self._first_parameterised()
+        try:
+            predictions = self.forward_per_file(x, training=True)
+            losses, grad = loss.per_file_value_and_gradient(predictions, y)
+            for index in range(len(self.layers) - 1, first, -1):
+                grad = self.layers[index].backward_per_file(grad, views[index])
+            if first < len(self.layers):
+                self.layers[first].backward_per_file(grad, views[first], input_gradient=False)
+        finally:  # a pass that raised must not leave f files' activations on the layers
+            for layer in self.layers:
+                layer.release_per_file()
         return losses, out
 
     def __repr__(self) -> str:  # pragma: no cover - trivial

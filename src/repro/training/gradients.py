@@ -22,6 +22,7 @@ import sys
 
 import numpy as np
 
+from repro.data.batching import RoundFiles
 from repro.exceptions import TrainingError
 from repro.nn.losses import Loss, SoftmaxCrossEntropy
 from repro.nn.models import Sequential
@@ -92,9 +93,9 @@ class ModelGradientComputer:
             Flat parameter vector, loaded into the model **once** for the
             whole call (per-file ``__call__`` reloads it every time).
         files:
-            Either a sequence of ``(inputs, labels)`` pairs, or a pair of
-            stacked arrays ``(inputs, labels)`` with shapes ``(f, n, ...)``
-            and ``(f, n)`` — files along the leading axis.
+            The round's :class:`~repro.data.batching.RoundFiles` (consumed
+            without a copy), or what its ``coerce`` takes: a sequence of
+            ``(inputs, labels)`` pairs, or the two stacked arrays.
 
         Returns
         -------
@@ -121,32 +122,18 @@ class ModelGradientComputer:
         ragged files or unsupported layers fall back to the looped path.
         :attr:`last_engine` records which one ran.
         """
-        if (
-            isinstance(files, tuple)
-            and len(files) == 2
-            and isinstance(files[0], np.ndarray)
-        ):
-            files = list(zip(files[0], files[1]))
-        else:
-            files = list(files)
-        if len(files) == 0:
-            raise TrainingError("batched gradient computation needs >= 1 file")
-        for inputs, _ in files:
-            if inputs.shape[0] == 0:
-                raise TrainingError("cannot compute a gradient on an empty file")
+        files = RoundFiles.coerce(files)
         self.model.set_flat_params(params)
-        if self.engine == "stacked" and self._stackable(files):
-            stacked_inputs = np.stack([inputs for inputs, _ in files])
-            stacked_labels = np.stack([labels for _, labels in files])
+        gradients = self._round_matrix(len(files))
+        stackable = self.engine == "stacked" and self.model.supports_per_file()
+        if stackable and files.stacked is not None:
             # Every layer writes its per-file gradients straight into views
             # of the round's matrix.
-            losses, gradients = self.model.per_file_loss_and_gradients(
-                stacked_inputs, stacked_labels, self.loss,
-                out=self._round_matrix(len(files)),
+            losses, _ = self.model.per_file_loss_and_gradients(
+                *files.stacked, self.loss, out=gradients
             )
             self.last_engine = "stacked"
             return gradients, losses
-        gradients = self._round_matrix(len(files))
         losses = np.empty(len(files), dtype=self.model.dtype)
         for i, (inputs, labels) in enumerate(files):
             value, gradient = self.model.loss_and_gradient(inputs, labels, self.loss)
@@ -173,16 +160,6 @@ class ModelGradientComputer:
             matrix = self._matrix = np.empty(shape, dtype=dtype)
             self._matrix_refcount = sys.getrefcount(matrix)
         return matrix
-
-    def _stackable(self, files) -> bool:
-        """True when the stacked engine applies: uniform files, capable model."""
-        if not self.model.supports_per_file():
-            return False
-        first_inputs, first_labels = files[0]
-        return all(
-            inputs.shape == first_inputs.shape and labels.shape == first_labels.shape
-            for inputs, labels in files[1:]
-        )
 
     def initial_params(self) -> np.ndarray:
         """The model's current parameters (used as ``w₀``)."""

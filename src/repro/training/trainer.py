@@ -24,6 +24,7 @@ from repro.cluster.simulator import TrainingCluster
 from repro.core.pipelines import AggregationPipeline
 from repro.data.batching import (
     BatchSampler,
+    RoundFiles,
     ShardedBatchSampler,
     partition_batch_into_files,
 )
@@ -135,11 +136,10 @@ class DistributedTrainer:
             self.sampler.next_batch(), self.cluster.assignment.num_files
         )
 
-    def _file_data(self, files: "list[np.ndarray]") -> dict[int, tuple[np.ndarray, np.ndarray]]:
-        return {
-            index: self.sampler.batch_data(file_indices)
-            for index, file_indices in enumerate(files)
-        }
+    def _file_data(self, files: "list[np.ndarray]") -> RoundFiles:
+        """One gather for the whole batch, viewed as the round's ``f`` files."""
+        inputs, labels = self.sampler.batch_data(np.concatenate(files))
+        return RoundFiles.from_batch(inputs, labels, len(files))
 
     def run_iteration(self, iteration: int) -> IterationRecord:
         """Execute one synchronous iteration and return its metrics."""

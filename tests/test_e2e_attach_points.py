@@ -49,11 +49,19 @@ def test_instrument_trainer_records_every_synchronous_layer():
     trainer = ScenarioRunner(get_scenario("mols-alie-all-faults")).build_trainer()
     tracer = Tracer()
     layers.instrument_trainer(tracer, trainer)
-    trainer.run_iteration(0)
+    layers.patch_round_path(tracer)
+    try:
+        trainer.run_iteration(0)
+    finally:
+        tracer.restore()
 
-    recorded = {span[0] for span in tracer.spans}
+    spans_of = Counter(span[0] for span in tracer.spans)
     expected = set(layers.LAYERS) - NOT_ON_A_SYNCHRONOUS_ITERATION
-    assert expected <= recorded, f"no span recorded for {sorted(expected - recorded)}"
+    assert expected <= set(spans_of), f"no span recorded for {sorted(expected - set(spans_of))}"
+    # the round's files reach ``batched`` as (inputs, labels) pairs the sample
+    # counter can walk, from one draw, one partition and one gather
+    assert tracer.counts["training.gradients.samples"] == trainer.config.batch_size
+    assert spans_of["data.batching"] <= 3
     # the per-round counters the shims feed are attached too
     assert tracer.counts["comm.messages"] == trainer.cluster.assignment.num_edges
     assert tracer.counts["core.vote_tensor.overridden_slots"] > 0

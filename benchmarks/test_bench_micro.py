@@ -260,16 +260,17 @@ def test_stacked_pass_costs_at_most_1_4x_the_gemms_it_needs():
     )
 
 
-def test_colluding_vote_costs_at_most_two_copies_of_the_base():
+def test_colluding_vote_costs_less_than_a_copy_of_the_base():
     """Machine-independent gate: the exact vote of a lazy 25 x 5 x 94k round
     whose 25 Byzantine slots share one payload (the paper's headline ALIE
-    round) costs at most 2.2x ``base.copy()`` of its own honest matrix.  The
-    copy is the winners matrix the vote must return; the rest is one
-    coordinate block of row comparison (the payload differs from every base
-    row at once) and one row hashed.  It read 2.2-2.8x in this loop while
-    the comparison gathered all 25 base rows at full width, it reads 1.5x
-    now (2.1 ms over 1.4 ms).  Interleaved min-of-15 with retries, like the
-    Bulyan gate.  The
+    round) costs at most 0.6x ``base.copy()`` of its own honest matrix.  The
+    vote copies nothing but the rows that out-voted the base; the rest is
+    one coordinate block of row comparison (the payload differs from every
+    base row at once) and one row hashed.  It read 2.2-2.8x in this loop
+    while the comparison gathered all 25 base rows at full width, 1.5x while
+    the vote returned a patched copy of the base (2.1 ms over 1.4 ms), and
+    reads 0.40-0.46x now (0.6 ms over 1.45 ms; the gate is that + 25%).
+    Interleaved min-of-15 with retries, like the Bulyan gate.  The
     ALIE payload on the same matrix is printed beside it (``-s``), ungated:
     warm, its gain over ``mean`` + ``std`` is ~35%, too close to the spread
     for a ratio gate."""
@@ -286,6 +287,7 @@ def test_colluding_vote_costs_at_most_two_copies_of_the_base():
     attack.apply_tensor(context, tensor)
     assert int(tensor.byzantine_mask.sum()) == 25 and tensor.num_override_rows == 1
     winners, counts = majority_vote_votetensor(tensor)
+    winners = winners.densified()
     dense_winners, dense_counts = majority_vote_tensor(tensor.copy().values)
     assert np.array_equal(winners, dense_winners)
     assert np.array_equal(counts, dense_counts)
@@ -307,16 +309,16 @@ def test_colluding_vote_costs_at_most_two_copies_of_the_base():
     attempts = []
     for _ in range(3):
         attempts.append(measure())
-        if attempts[-1][0] <= 2.2 * attempts[-1][1]:
+        if attempts[-1][0] <= 0.6 * attempts[-1][1]:
             break
     vote, copy, payload, mean = min(attempts, key=lambda t: t[0] / t[1])
     print(
         f"\nmajority_vote_votetensor {vote * 1e3:.2f} ms, base.copy() "
-        f"{copy * 1e3:.2f} ms, ratio {vote / copy:.2f} (gate 2.2)\n"
+        f"{copy * 1e3:.2f} ms, ratio {vote / copy:.2f} (gate 0.6)\n"
         f"ALIEAttack.payload {payload * 1e3:.2f} ms, base.mean(axis=0) "
         f"{mean * 1e3:.2f} ms, ratio {payload / mean:.2f} (not gated)"
     )
-    assert vote <= 2.2 * copy, (
+    assert vote <= 0.6 * copy, (
         f"colluding vote costs {vote / copy:.2f}x base.copy() (attempts: "
         f"{[f'{a[0] / a[1]:.2f}' for a in attempts]})"
     )

@@ -7,6 +7,7 @@ import abc
 import numpy as np
 
 from repro.core.backend import ensure_float
+from repro.core.vote_tensor import RowSelection
 from repro.exceptions import AggregationError
 from repro.utils.arrays import stack_vectors
 
@@ -17,13 +18,19 @@ class Aggregator(abc.ABC):
     """A rule turning ``n`` candidate gradients into one.
 
     Subclasses implement :meth:`_aggregate` on a validated ``(n, d)`` float
-    matrix; :meth:`__call__` handles input normalization (lists of vectors are
+    matrix; :meth:`__call__` handles input normalization (lists of vectors
+    and the vote's :class:`~repro.core.vote_tensor.RowSelection` are
     accepted) and sanity checks.  ``float32``/``float64`` inputs keep their
     dtype through the rule; everything else is coerced to the backend default.
     """
 
     #: registry name; subclasses override
     aggregator_name: str = "abstract"
+
+    #: True for a rule that reads its votes one coordinate block at a time
+    #: (:meth:`RowSelection.lanes`) and replaces non-finite entries there;
+    #: its :meth:`_aggregate` is handed the selection, never a dense matrix.
+    streams_lanes: bool = False
 
     def minimum_votes(self, num_byzantine: int | None = None) -> int:
         """Smallest number of candidate gradients for which the rule is defined.
@@ -38,30 +45,43 @@ class Aggregator(abc.ABC):
         return 1
 
     def __call__(self, votes) -> np.ndarray:
-        if isinstance(votes, np.ndarray):
+        """Aggregate ``votes``: an ``(n, d)`` matrix, a sequence of ``(d,)``
+        vectors, or the :class:`~repro.core.vote_tensor.RowSelection` a
+        pipeline's vote returned.
+
+        Byzantine workers may send NaN/Inf; robust rules must not crash, so
+        non-finite entries are replaced by finite stand-ins the robust
+        statistics will discard (NaN -> 0, +-inf -> +-1e30).  A rule that
+        :attr:`streams_lanes` does that block by block and never sees the
+        whole matrix; for every other rule this is where a selection is
+        densified — once, the copy the vote used to make.
+        """
+        if isinstance(votes, RowSelection):
+            selection = votes
+        elif isinstance(votes, np.ndarray):
             if votes.ndim != 2:
                 raise AggregationError(
                     f"votes must form a 2-D (n, d) matrix, got ndim={votes.ndim}"
                 )
-            if votes.shape[0] == 0:
-                raise AggregationError("cannot aggregate zero votes")
-            matrix = votes
+            selection = RowSelection(ensure_float(votes))
         else:
             try:
-                matrix = stack_vectors(votes)
+                selection = RowSelection(stack_vectors(votes))
             except ValueError as exc:
                 raise AggregationError(str(exc)) from exc
-        matrix = ensure_float(matrix)
+        if selection.shape[0] == 0:
+            raise AggregationError("cannot aggregate zero votes")
+        if self.streams_lanes:
+            return self._aggregate(selection)
+        matrix = selection.densified()  # repro-lint: disable=COW-001 (the one densification point: rules that rank, trim or average whole rows need the (n, d) matrix)
         if not np.all(np.isfinite(matrix)):
-            # Byzantine workers may send NaN/Inf; robust rules must not crash,
-            # so replace non-finite entries by large-magnitude finite values
-            # that the robust statistics will discard.
             matrix = np.nan_to_num(matrix, nan=0.0, posinf=1e30, neginf=-1e30)
         return self._aggregate(matrix)
 
     @abc.abstractmethod
     def _aggregate(self, matrix: np.ndarray) -> np.ndarray:
-        """Aggregate a validated ``(n, d)`` matrix into a ``(d,)`` vector."""
+        """Aggregate a validated, finite ``(n, d)`` matrix into a ``(d,)``
+        vector (the unclamped selection itself under :attr:`streams_lanes`)."""
 
     def __repr__(self) -> str:  # pragma: no cover - trivial
         return f"{type(self).__name__}()"

@@ -21,8 +21,10 @@ two classes instead of ``r`` slots).
 The pipelines enter through :func:`majority_vote_votetensor`.  For a lazy
 copy-on-write tensor it never builds the ``(f, r, d)`` cube:
 :func:`override_content_ids` classes the override payloads once — per
-distinct stored row, not per slot — into an ``(f, r)`` integer matrix, and
-the winners resolve from those integers.  The hierarchical vote in
+distinct stored row, not per slot — into an ``(f, r)`` integer matrix, the
+winning slots resolve from those integers, and the winners leave as a
+:class:`~repro.core.vote_tensor.RowSelection` of those slots rather than as
+a second ``(f, d)`` matrix.  The hierarchical vote in
 :mod:`repro.cluster.topology` starts from the same matrix (a dense tensor's
 label matrix serves as its ids); there is no second implementation of
 payload classing.
@@ -37,6 +39,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.backend import bit_view_dtype, ensure_float
+from repro.core.vote_tensor import RowSelection
 from repro.exceptions import AggregationError
 from repro.utils.arrays import LANE_BLOCK, block_ranges
 from repro.utils.rng import as_generator
@@ -501,23 +504,24 @@ def _labels_from_ids(ids: np.ndarray) -> np.ndarray:
 
 def majority_vote_votetensor(
     tensor, tolerance: float = 0.0, block_size: int | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[RowSelection, np.ndarray]:
     """Majority-vote a round straight from a :class:`VoteTensor`.
 
-    This is the pipelines' entry point.  Dense tensors go through
-    :func:`majority_vote_tensor` unchanged.  Lazy (copy-on-write) tensors
-    exploit the redundancy structure under exact voting: every file whose
-    slots were never overwritten holds ``r`` bit-identical copies of its
-    honest base row, so its winner *is* that row with count ``r``, and a
-    touched file's slots differ from the base only at its overridden
-    (file, slot) pairs.  :func:`override_content_ids` classes those
-    payloads; winners and counts are then resolved from the integer id
-    matrix with the dense kernel's smallest-slot labels and tie-break — no
-    ``(f, r, d)`` replica cube ever exists.
+    This is the pipelines' entry point.  The exact vote is integer work:
+    :func:`override_content_ids` classes the payloads (a lazy tensor's from
+    its payload table, a dense one's by the anchor sweep), every file whose
+    ids are all zero holds ``r`` copies of one row — its winner is slot 0
+    with count ``r`` — and the other files resolve their winning slot from
+    the id matrix with the dense kernel's smallest-slot labels and
+    tie-break.  No ``(f, r, d)`` replica cube ever exists, and neither does
+    an ``(f, d)`` winners matrix: the winners are handed on as the
+    :class:`~repro.core.vote_tensor.RowSelection` of the winning slots — the
+    tensor's honest base plus a copy of each payload that out-voted it.
 
     Tolerance-based voting averages each winning cluster, whose floating-
     point reduction depends on the full slot layout; lazy tensors densify
-    first in that mode to stay bit-identical with the dense kernel.
+    first in that mode to stay bit-identical with the dense kernel, and the
+    cluster means (a fresh matrix) are the selection's base.
 
     Every payload-touching stage streams coordinate blocks of width
     ``block_size`` (``None``: :data:`~repro.utils.arrays.LANE_BLOCK`), and
@@ -525,22 +529,18 @@ def majority_vote_votetensor(
     """
     tolerance = validate_tolerance(tolerance)
     block_size = validate_block_size(block_size)
-    if not tensor.is_lazy or tolerance != 0.0:
-        return majority_vote_tensor(
-            _dense_values(tensor), tolerance=tolerance, block_size=block_size
-        )
     f, r, _ = tensor.shape
     if r == 0:
         raise AggregationError("majority vote needs at least one vote")
-    winners = tensor.base_rows().copy()
+    if tolerance != 0.0:
+        winners, counts = _clustered_majority_tensor(
+            _dense_values(tensor), tolerance, block_size=block_size
+        )
+        return RowSelection(winners), counts
+    win_slot = np.zeros(f, dtype=np.int64)
     counts = np.full(f, r, dtype=np.int64)
-    cid = override_content_ids(tensor, block_size)
-    touched = np.nonzero(cid.any(axis=1))[0]
-    if touched.size == 0:
-        return winners, counts
-    best_slot, counts[touched] = _winning_slots(_labels_from_ids(cid[touched]))
-    # files where an override class out-votes the base keep that payload
-    fix = np.nonzero(cid[touched, best_slot] != 0)[0]
-    if fix.size:
-        winners[touched[fix]] = tensor.read_slots(touched[fix], best_slot[fix])
-    return winners, counts
+    ids = override_content_ids(tensor, block_size)
+    touched = np.nonzero(ids.any(axis=1))[0]
+    if touched.size:
+        win_slot[touched], counts[touched] = _winning_slots(_labels_from_ids(ids[touched]))
+    return tensor.select_slots(win_slot), counts

@@ -12,40 +12,51 @@ from __future__ import annotations
 import numpy as np
 
 from repro.aggregation.base import Aggregator
+from repro.core.vote_tensor import RowSelection
 from repro.utils.arrays import LANE_BLOCK, block_ranges
 
 __all__ = ["CoordinateWiseMedian", "coordinate_median"]
 
 
-def coordinate_median(matrix: np.ndarray) -> np.ndarray:
-    """Per-column median of a finite ``(n, d)`` matrix, on contiguous lanes.
+def coordinate_median(
+    votes: np.ndarray | RowSelection, clamp_non_finite: bool = False
+) -> np.ndarray:
+    """Per-column median of ``(n, d)`` votes, on contiguous lanes.
 
     ``np.median``'s own recipe — partition at the middle rank(s), then
     ``np.mean`` over the middle slice (which also maps a -0.0 median to
     +0.0) — so the result is bit-identical to ``np.median(matrix, axis=0)``.
     Each coordinate block is transposed into one reused ``(LANE_BLOCK, n)``
-    buffer, so a coordinate's ``n`` votes are adjacent instead of a row
-    stride apart and no ``(d, n)`` copy exists; ``np.median``'s extra NaN
-    probe rank is dropped: :meth:`Aggregator.__call__` has already replaced
-    non-finite entries.
+    buffer (:meth:`RowSelection.lanes`; a plain matrix is a selection with
+    nothing patched), so a coordinate's ``n`` votes are adjacent instead of
+    a row stride apart and neither a ``(d, n)`` copy nor the dense matrix
+    of a selection exists.  ``np.median``'s extra NaN probe rank is dropped:
+    the votes must be finite, or ``clamp_non_finite`` set — each block is
+    then tested in the buffer and given :meth:`Aggregator.__call__`'s
+    substitutions (NaN -> 0, +-inf -> +-1e30), which is bit-identical to
+    clamping the whole matrix first.
     """
-    n, d = matrix.shape
+    votes = RowSelection.of(votes)
+    n, d = votes.shape
     middle = slice((n - 1) // 2, n // 2 + 1)
     ranks = list(range(middle.start, middle.stop))
-    out = np.empty(d, dtype=matrix.dtype)
-    buffer = np.empty((min(d, LANE_BLOCK), n), dtype=matrix.dtype)
+    out = np.empty(d, dtype=votes.dtype)
+    buffer = np.empty((min(d, LANE_BLOCK), n), dtype=votes.dtype)
     for lo, hi in block_ranges(d, LANE_BLOCK):
         lanes = buffer[: hi - lo]
-        np.copyto(lanes, matrix[:, lo:hi].T)
+        votes.lanes(lo, hi, lanes)
+        if clamp_non_finite and not np.isfinite(lanes).all():
+            np.nan_to_num(lanes, copy=False, nan=0.0, posinf=1e30, neginf=-1e30)
         lanes.partition(ranks, axis=1)
         np.mean(lanes[:, middle], axis=1, out=out[lo:hi])
     return out
 
 
 class CoordinateWiseMedian(Aggregator):
-    """Per-dimension median of the votes."""
+    """Per-dimension median of the votes, streamed from the vote's selection."""
 
     aggregator_name = "median"
+    streams_lanes = True
 
-    def _aggregate(self, matrix: np.ndarray) -> np.ndarray:
-        return coordinate_median(matrix)
+    def _aggregate(self, matrix: np.ndarray | RowSelection) -> np.ndarray:
+        return coordinate_median(matrix, clamp_non_finite=True)

@@ -11,8 +11,11 @@ of the honest gradient at once.  Inside the mutating layers — ``attacks/``,
 ``training/``, ``scenarios/``, ``utils/digest.py`` (the trace digest once
 densified every observed round just to hash it) — this rule flags
 ``.values`` densification (a property load; dict ``.values()`` calls are
-fine), writes into arrays obtained from the base accessors (``base_rows`` /
-``base_block``), and writes through another object's private attributes.
+fine), ``.densified()`` on the vote's winners (a ``RowSelection`` is read
+through ``row_runs`` / ``lanes``; ``Aggregator.__call__`` holds the one
+waived call, for the rules that need whole rows), writes into arrays
+obtained from the base accessors (``base_rows`` / ``base_block``), and
+writes through another object's private attributes.
 ``campaigns/`` is deliberately out of scope: ``GridAxis.values`` there is an
 unrelated attribute.
 """
@@ -44,8 +47,9 @@ class CowSafetyRule(Rule):
     invariant = (
         "attacks/, cluster/faults.py, the aggregation kernels and the "
         "observing layers (training/, scenarios/, utils/digest.py) never "
-        "densify a lazy VoteTensor (.values) nor write through the shared "
-        "honest base; mutations go through the slot API (write_slots, "
+        "densify a lazy VoteTensor (.values) or the vote's RowSelection "
+        "(.densified()) nor write through the shared honest base; mutations "
+        "go through the slot API (write_slots, "
         "set_vote, add_to_slots, scale_slots, zero_slots)"
     )
 
@@ -69,9 +73,17 @@ class CowSafetyRule(Rule):
                         node,
                         ".values densifies the (f, r, d) cube, defeating "
                         "copy-on-write replication; use the slot API "
-                        "(slot_rows / read_slots / materialize_files / "
+                        "(select_slots / read_slots / materialize_files / "
                         "row_runs)",
                     )
+            elif isinstance(node, ast.Attribute) and node.attr == "densified":
+                yield self.finding(
+                    module,
+                    node,
+                    ".densified() builds the (n, d) matrix the vote stopped "
+                    "copying; stream the selection (row_runs / lanes / "
+                    "array_digest) or hand it to the aggregator",
+                )
             elif isinstance(node, (ast.Assign, ast.AugAssign)):
                 targets = node.targets if isinstance(node, ast.Assign) else [node.target]
                 for target in targets:

@@ -62,6 +62,7 @@ from repro.aggregation.majority import (
     override_content_ids,
     validate_block_size,
 )
+from repro.core.vote_tensor import RowSelection
 from repro.exceptions import AggregationError, ConfigurationError
 
 __all__ = ["GroupTopology", "hierarchical_majority_vote"]
@@ -205,15 +206,16 @@ def _cell_histogram(ids, files, cols):
 # --------------------------------------------------------------------------- #
 def hierarchical_majority_vote(
     tensor, topology: GroupTopology, block_size: int | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[RowSelection, np.ndarray]:
     """Two-level exact majority vote over a :class:`GroupTopology`.
 
     The tensor's payloads are classed once into the ``(f, r)`` content-id
     matrix (:func:`~repro.aggregation.majority.override_content_ids`, lazy
     or dense).  Level 1 produces each group's per-file local class
     histogram from its columns of that matrix; level 2 merges the
-    histograms by content id.  Both levels are integer work — no payload is
-    read until the winners are gathered.
+    histograms by content id.  Both levels are integer work — the only
+    payloads read are the winners that are not honest base rows, copied into
+    the returned :class:`~repro.core.vote_tensor.RowSelection`.
 
     Returns the same ``(winners, counts)`` as
     :func:`~repro.aggregation.majority.majority_vote_votetensor` with
@@ -269,4 +271,4 @@ def hierarchical_majority_vote(
     # the flat kernel's exact tie-break, recovered from the packed score.
     win_count = (best + r) // (r + 1)
     win_slot = win_count * (r + 1) - best
-    return tensor.read_slots(np.arange(f), win_slot), win_count
+    return tensor.select_slots(win_slot), win_count

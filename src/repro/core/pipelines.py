@@ -38,7 +38,7 @@ from repro.aggregation.majority import (
 )
 from repro.aggregation.mean import MeanAggregator
 from repro.aggregation.median import CoordinateWiseMedian
-from repro.core.vote_tensor import VoteTensor
+from repro.core.vote_tensor import RowSelection, VoteTensor
 from repro.exceptions import AggregationError, ConfigurationError
 from repro.graphs.bipartite import BipartiteAssignment
 
@@ -90,13 +90,18 @@ class RoundOutcome:
         The ``(d,)`` update direction — the pipeline's reducer applied to
         ``winners``.
     winners:
-        The ``(n, d)`` matrix the reducer saw: per-file majority winners
-        for the voting pipelines, the arrived raw worker rows for the
-        vanilla one (see :meth:`AggregationPipeline.post_vote_matrix`).
+        The ``(n, d)`` rows the reducer saw: per-file majority winners for
+        the voting pipelines, the arrived raw worker rows for the vanilla
+        one (see :meth:`AggregationPipeline.post_vote_matrix`).  A
+        read-only :class:`~repro.core.vote_tensor.RowSelection`, not an
+        array: it references the round's honest matrix and holds only the
+        rows that differ from it, so it is valid until the next round is
+        computed, and an observer streams it (``array_digest``,
+        ``row_runs()``) instead of densifying it.
     """
 
     aggregate: np.ndarray
-    winners: np.ndarray
+    winners: RowSelection
 
 
 class AggregationPipeline:
@@ -190,20 +195,24 @@ class AggregationPipeline:
         winners = self.post_vote_matrix(tensor, arrived)
         return RoundOutcome(aggregate=self._reduce(winners), winners=winners)
 
-    def _reduce(self, voted: np.ndarray) -> np.ndarray:
+    def _reduce(self, voted: RowSelection) -> np.ndarray:
         """The pipeline's post-vote reducer: ``(n, d)`` winners -> ``(d,)``."""
         raise NotImplementedError
 
     def post_vote_matrix(
         self, tensor: VoteTensor, arrived: np.ndarray | None = None
-    ) -> np.ndarray:
-        """The ``(n, d)`` matrix the post-vote reducer sees.
+    ) -> RowSelection:
+        """The ``(n, d)`` rows the post-vote reducer sees.
 
         For voting pipelines these are the per-file majority winners; the
         vanilla pipeline overrides this with the raw worker gradients.
         :meth:`aggregate_tensor` returns it as :attr:`RoundOutcome.winners`;
         scenario traces digest it per round to pin the voting stage
-        independently of the robust aggregation that follows.
+        independently of the robust aggregation that follows.  It is a
+        :class:`~repro.core.vote_tensor.RowSelection` over the tensor's
+        honest base — no ``(n, d)`` matrix is built here; the robust rule
+        either streams it or densifies it once, in
+        :meth:`Aggregator.__call__ <repro.aggregation.base.Aggregator.__call__>`.
 
         Without a mask every slot votes (the synchronous semantics).  With a
         partial-aggregation mask (see :meth:`aggregate_tensor`), files whose
@@ -211,7 +220,8 @@ class AggregationPipeline:
         is re-voted over its arrived copies only, and a file with no
         arrivals contributes a zero winner — the same "missing = zero
         gradient" convention the fault injectors use, so the robust stage
-        sees a consistent shape every round.
+        sees a consistent shape every round.  The re-voted and the zero rows
+        are patch rows of the selection.
 
         With a group topology the complete files vote hierarchically (per
         group, then a root histogram merge — bit-identical to the flat
@@ -234,18 +244,18 @@ class AggregationPipeline:
         incomplete = np.nonzero(~arrived.all(axis=1))[0]
         if incomplete.size == 0:
             return winners
+        kept = np.nonzero(~np.isin(winners.files, incomplete))[0]
+        files = np.concatenate([winners.files[kept], incomplete])
+        rows = np.zeros((files.size, tensor.dim), dtype=tensor.dtype)
+        rows[: kept.size] = winners.rows[kept]
         # One file at a time, its arrived copies only: under stragglers most
         # files are incomplete, and gathering them all at once is the cube.
-        for i in incomplete:
+        for row, i in zip(rows[kept.size :], incomplete):
             slots = np.nonzero(arrived[i])[0]
-            if slots.size == 0:
-                winners[i] = 0.0
-            else:
+            if slots.size:
                 copies = tensor.read_slots(np.full_like(slots, i), slots)
-                winners[i] = majority_vote_tensor(
-                    copies[None], self.vote_tolerance
-                )[0][0]
-        return winners
+                row[:] = majority_vote_tensor(copies[None], self.vote_tolerance)[0][0]
+        return RowSelection(winners.base, files, rows)
 
     def describe(self) -> dict[str, str]:
         """Short description used in experiment reports."""
@@ -304,7 +314,7 @@ class ByzShieldPipeline(AggregationPipeline):
             )
         self.aggregator = aggregator if aggregator is not None else CoordinateWiseMedian()
 
-    def _reduce(self, voted: np.ndarray) -> np.ndarray:
+    def _reduce(self, voted: RowSelection) -> np.ndarray:
         return self.aggregator(voted)
 
 
@@ -350,7 +360,7 @@ class DetoxPipeline(AggregationPipeline):
             )
         self.aggregator = aggregator if aggregator is not None else CoordinateWiseMedian()
 
-    def _reduce(self, voted: np.ndarray) -> np.ndarray:
+    def _reduce(self, voted: RowSelection) -> np.ndarray:
         return self.aggregator(voted)
 
 
@@ -399,7 +409,7 @@ class DracoPipeline(AggregationPipeline):
         """True when ``r >= 2q + 1`` so exact recovery is guaranteed."""
         return self.assignment.replication >= 2 * self.num_byzantine + 1
 
-    def _reduce(self, voted: np.ndarray) -> np.ndarray:
+    def _reduce(self, voted: RowSelection) -> np.ndarray:
         if not self.is_applicable:
             raise AggregationError(
                 f"DRACO requires r >= 2q+1 (r={self.assignment.replication}, "
@@ -440,17 +450,17 @@ class VanillaPipeline(AggregationPipeline):
 
     def post_vote_matrix(
         self, tensor: VoteTensor, arrived: np.ndarray | None = None
-    ) -> np.ndarray:
+    ) -> RowSelection:
         # No vote stage: the aggregator sees the raw (K, d) worker returns
-        # (r == 1, so slot 0 holds each file's single return; slot_rows avoids
-        # materializing a lazy tensor).  Partial mode keeps only the rows
-        # that actually arrived.
-        rows = tensor.slot_rows(0)
+        # (r == 1, so slot 0 holds each file's single return).  Partial mode
+        # keeps only the rows that actually arrived.
+        slot = np.zeros(tensor.num_files, dtype=np.int64)
         if arrived is None:
-            return rows
-        return rows[arrived[:, 0]]
+            return tensor.select_slots(slot)
+        files = np.nonzero(arrived[:, 0])[0]
+        return RowSelection(tensor.read_slots(files, slot[files]))
 
-    def _reduce(self, voted: np.ndarray) -> np.ndarray:
+    def _reduce(self, voted: RowSelection) -> np.ndarray:
         if voted.shape[0] == 0:
             # No worker beat the deadline: the round contributes no update.
             return np.zeros(voted.shape[1], dtype=voted.dtype)

@@ -38,6 +38,11 @@ uses it to compare and hash each distinct payload row once.
 Consumers that need the full dense cube can still read :attr:`values`;
 doing so materializes the tensor **once** and permanently switches it to
 dense mode so subsequent in-place writes through the array are never lost.
+
+What leaves the vote is copy-on-write too: :meth:`VoteTensor.select_slots`
+names one slot per file and returns a :class:`RowSelection` — the shared
+base plus the few rows that are not base rows — instead of gathering an
+``(f, d)`` matrix to change two rows of it.
 """
 
 from __future__ import annotations
@@ -51,7 +56,113 @@ from repro.core.backend import ensure_float
 from repro.exceptions import ConfigurationError
 from repro.graphs.bipartite import BipartiteAssignment
 
-__all__ = ["VoteTensor"]
+__all__ = ["VoteTensor", "RowSelection"]
+
+
+class RowSelection:
+    """A read-only ``(n, d)`` matrix held as a shared base plus ``k`` patch rows.
+
+    Row ``i`` is ``rows[j]`` where ``files[j] == i`` and ``base[i]``
+    everywhere else.  This is what a round's majority vote returns: after
+    the vote at most ``c_max`` of the ``f`` winners differ from the honest
+    gradient (the paper's bound, when nothing arrives late), so the winners
+    are the round's honest matrix — referenced, not copied — plus the
+    payloads that out-voted it, the re-voted incomplete files and a zero row
+    per file nobody returned.  A plain matrix is the ``k = 0`` case.
+
+    Readers stream it: :meth:`row_runs` feeds
+    :func:`~repro.utils.digest.array_digest` the bytes of the dense matrix
+    row by row, :meth:`lanes` fills a transposed coordinate block for the
+    lane kernels.  :meth:`densified` is the one place the ``(n, d)`` matrix
+    is built, for the rules that need all of it at once.
+
+    Parameters
+    ----------
+    base:
+        ``(n, d)`` float matrix, referenced through a read-only view.
+    files:
+        ``(k,)`` distinct row indices that do not read the base.
+    rows:
+        ``(k, d)`` replacement rows, aligned with ``files``.
+    """
+
+    __slots__ = ("base", "files", "rows")
+
+    def __init__(
+        self,
+        base: np.ndarray,
+        files: np.ndarray | None = None,
+        rows: np.ndarray | None = None,
+    ) -> None:
+        if base.ndim != 2:
+            raise ConfigurationError(
+                f"a row selection's base must be (n, d), got ndim={base.ndim}"
+            )
+        if files is None:
+            files, rows = np.empty(0, dtype=np.int64), base[:0]
+        if rows.shape != (files.size, base.shape[1]) or rows.dtype != base.dtype:
+            raise ConfigurationError(
+                f"patch rows must be ({files.size}, {base.shape[1]}) {base.dtype}, "
+                f"got {rows.shape} {rows.dtype}"
+            )
+        self.base = base.view()
+        self.base.setflags(write=False)
+        self.files = files
+        self.rows = rows.view()
+        self.rows.setflags(write=False)
+
+    @classmethod
+    def of(cls, votes: "np.ndarray | RowSelection") -> "RowSelection":
+        """``votes`` itself, or a plain ``(n, d)`` matrix as its own base."""
+        return votes if isinstance(votes, cls) else cls(votes)
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        """The ``(n, d)`` shape of the matrix this stands for."""
+        return self.base.shape
+
+    @property
+    def dtype(self) -> np.dtype:
+        """Working float dtype of every row."""
+        return self.base.dtype
+
+    @property
+    def nbytes(self) -> int:
+        """Logical size ``n·d·itemsize``; see ``rows.nbytes`` for what is held."""
+        return self.base.nbytes
+
+    def row_runs(self) -> Iterator[tuple[np.ndarray, int]]:
+        """The ``n`` rows in order as ``(read-only row view, 1)`` runs.
+
+        Same protocol as :meth:`VoteTensor.row_runs`: the runs concatenate
+        to the dense matrix, nothing is gathered.
+        """
+        patch_of = dict(zip(self.files.tolist(), self.rows))
+        for i, row in enumerate(self.base):
+            yield patch_of.get(i, row), 1
+
+    def lanes(self, lo: int, hi: int, out: np.ndarray) -> None:
+        """Fill ``out`` — ``(hi - lo, n)`` — with coordinates ``[lo, hi)`` transposed.
+
+        A coordinate's ``n`` votes become adjacent: one strided copy of the
+        base block, then ``k`` column writes.
+        """
+        np.copyto(out, self.base[:, lo:hi].T)
+        if self.files.size:
+            out[:, self.files] = self.rows[:, lo:hi].T
+
+    def densified(self) -> np.ndarray:
+        """The ``(n, d)`` matrix: the base itself when nothing is patched
+        (read-only, no copy), otherwise one patched copy."""
+        if not self.files.size:
+            return self.base
+        matrix = self.base.copy()
+        matrix[self.files] = self.rows
+        return matrix
+
+    def __repr__(self) -> str:  # pragma: no cover - trivial
+        n, d = self.shape
+        return f"RowSelection(n={n}, d={d}, patched={self.files.size})"
 
 
 class VoteTensor:
@@ -349,21 +460,28 @@ class VoteTensor:
         """Zero the given slots (crash/timeout faults), COW aware."""
         self.write_slots(files, slots, 0.0)
 
-    def slot_rows(self, slot: int) -> np.ndarray:
-        """The ``(f, d)`` matrix of one slot column (``values[:, slot, :]``).
+    def select_slots(self, slots) -> RowSelection:
+        """One slot per file — ``values[i, slots[i]]`` — as a :class:`RowSelection`.
 
-        Dense tensors return a view; lazy tensors return the shared base
-        (read-only view) when the column is untouched, otherwise a copy with
-        the overridden rows patched in.  The vanilla ``r = 1`` pipeline feeds
-        this straight to its robust aggregator without ever densifying.
+        Nothing of size ``(f, d)`` is gathered: the selection references the
+        honest base (slot 0's rows of a dense tensor) and copies only the
+        rows of the files whose chosen slot holds a written payload.  A
+        lazy tensor's selection survives later writes (stored rows and the
+        base are never rewritten); a dense tensor's views its cube.
         """
+        slots = np.asarray(slots, dtype=np.int64).ravel()
+        if slots.size != self.num_files:
+            raise ConfigurationError(
+                f"expected one slot per file ({self.num_files}), got {slots.size}"
+            )
         if self._dense is not None:
-            return self._dense[:, slot, :]
-        assert self._slot_map is not None
-        if not (self._slot_map[:, slot] >= 0).any():
-            return self.base_rows()
-        files = np.arange(self.num_files, dtype=np.int64)
-        return self.read_slots(files, np.full_like(files, slot))
+            base = self._dense[:, 0, :]
+            files = np.nonzero(slots)[0]
+        else:
+            assert self._base is not None and self._slot_map is not None
+            base = self._base
+            files = np.nonzero(self._slot_map[np.arange(slots.size), slots] >= 0)[0]
+        return RowSelection(base, files, self.read_slots(files, slots[files]))
 
     def override_table(
         self,

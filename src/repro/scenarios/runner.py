@@ -325,8 +325,9 @@ class ScenarioRunner:
         pass, tensor-level attack and fault injection, the vectorized
         majority vote and the robust aggregator — while the attached round
         observer digests every stage into the :class:`RunTrace`: the vote
-        tensor streamed from its copy-on-write store, and the winners and
-        aggregate of the round's one vote as the PS returned them.  Two
+        tensor and the winners of the round's one vote streamed from where
+        their rows lie (neither is densified), and the aggregate as the PS
+        returned it.  Two
         calls with the same spec are bit-identical, in any process.
         """
         trace = RunTrace(scenario=self.spec.name, spec_digest=self.spec.digest())

@@ -61,7 +61,10 @@ class DistributedTrainer:
         ``observer(iteration, round_result, outcome, server)`` — ``outcome``
         is the :class:`~repro.core.pipelines.RoundOutcome` the PS just
         computed (aggregate + post-vote winners), valid for the length of
-        the call; the scenario engine uses it to record per-round traces
+        the call: its winners reference the round's gradient matrix, which
+        is recycled once nothing holds it, so an observer streams them
+        (``array_digest``, ``row_runs()``) and keeps copies, not the
+        outcome.  The scenario engine uses it to record per-round traces
         without the trainer knowing anything about tracing.
     file_partition:
         Optional list of ``f`` shard index arrays (one per file, from

@@ -9,9 +9,10 @@ The digest is *defined* over ``repr(shape)`` followed by the array's elements
 in C order as native float64 bytes, and *computed* without ever holding those
 bytes: float64 C-contiguous input is handed to the hash as a buffer, anything
 else is converted in bounded blocks, and a
-:class:`~repro.core.vote_tensor.VoteTensor` is hashed row by row from where
-each row lives (its digest is that of its dense ``(f, r, d)`` cube, which is
-never built).
+:class:`~repro.core.vote_tensor.VoteTensor` or the vote's
+:class:`~repro.core.vote_tensor.RowSelection` is hashed row by row from where
+each row lives (its digest is that of its dense ``(f, r, d)`` cube or
+``(n, d)`` matrix, which is never built).
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 if TYPE_CHECKING:
-    from repro.core.vote_tensor import VoteTensor
+    from repro.core.vote_tensor import RowSelection, VoteTensor
 
 __all__ = ["array_digest"]
 
@@ -34,12 +35,13 @@ _DIGEST_DTYPE = np.dtype(np.float64)  # repro-lint: disable=DTYPE-001 (digests a
 _BLOCK_ELEMENTS = 1 << 16
 
 
-def array_digest(array: np.ndarray | VoteTensor) -> str:
+def array_digest(array: np.ndarray | VoteTensor | RowSelection) -> str:
     """16-hex-char digest of an array's shape and exact float64 contents.
 
     ``array`` is anything ``np.asarray`` accepts (a 0-d input digests as
-    shape ``(1,)``), or a vote tensor — any object with ``row_runs()`` —
-    which is streamed from its copy-on-write store and left lazy.
+    shape ``(1,)``), or a vote tensor or row selection — any object with
+    ``row_runs()`` — which is streamed from its copy-on-write store and
+    left lazy.
     """
     if hasattr(array, "row_runs"):
         runs = array.row_runs()

@@ -110,7 +110,9 @@ class TestBlockwiseBitIdentity:
         if dense:
             tensor.values
         mono_w, mono_c = majority_vote_votetensor(tensor, 0.0)
+        mono_w = mono_w.densified()
         blk_w, blk_c = majority_vote_votetensor(tensor, 0.0, block_size=block_size)
+        blk_w = blk_w.densified()
         assert np.array_equal(blk_w, mono_w)
         assert np.array_equal(blk_c, mono_c)
 

@@ -284,16 +284,19 @@ def test_add_scale_zero_slots(mols_assignment):
     assert np.array_equal(lazy.read_slots([1], [untouched_slot])[0], matrix[1])
 
 
-def test_slot_rows_untouched_column_is_shared_readonly_base(mols_assignment):
+def test_selected_untouched_column_is_the_shared_readonly_base(mols_assignment):
     lazy, _, matrix = make_pair(mols_assignment)
-    rows = lazy.slot_rows(0)
-    assert np.array_equal(rows, matrix)
+    column = np.zeros(lazy.num_files, dtype=np.int64)
+    rows = lazy.select_slots(column).densified()
+    assert np.shares_memory(rows, matrix)
     assert not rows.flags.writeable
-    assert lazy.is_lazy  # slot_rows never densifies
-    # touching a slot in column 0 switches that column to a patched copy
+    assert lazy.is_lazy  # select_slots never densifies
+    # touching a slot in column 0 patches that one row
     lazy.write_slots([2], [0], 9.0)
-    patched = lazy.slot_rows(0)
-    assert patched.flags.writeable  # a copy now, not the shared base
+    selection = lazy.select_slots(column)
+    assert selection.files.tolist() == [2] and selection.rows.shape == (1, DIM)
+    patched = selection.densified()
+    assert not np.shares_memory(patched, matrix)  # a copy now, not the shared base
     assert np.all(patched[2] == 9.0)
     assert np.array_equal(patched[0], matrix[0])
 
@@ -394,6 +397,7 @@ def test_lazy_majority_survives_hash_collisions(monkeypatch, mols_assignment):
             lazy.write_slots([i], [k], payload)
         dense_values = lazy.materialize_files(np.arange(f)).copy()
         lw, lc = majority_vote_votetensor(lazy)
+        lw = lw.densified()
         dw, dc = majority_vote_tensor(dense_values)
         np.testing.assert_array_equal(lw, dw)
         np.testing.assert_array_equal(lc, dc)
@@ -536,6 +540,7 @@ def test_separately_written_equal_rows_land_in_one_class(mols_assignment):
     assert cid[3, 1] == 0 and not cid[6].any()
     assert np.count_nonzero(cid) == 2
     winners, counts = majority_vote_votetensor(lazy)
+    winners = winners.densified()
     assert counts[3] == 2 and not winners[3].any()
     assert counts[6] == 3 and np.array_equal(winners[6], matrix[6])
 
@@ -566,6 +571,7 @@ def test_forced_hash_collision_with_shared_and_distinct_rows(
     assert len({int(cid[0, 0]), int(cid[0, 2]), int(cid[2, 1]), 0}) == 4
     dense_values = lazy.materialize_files(np.arange(lazy.num_files))
     lw, lc = majority_vote_votetensor(lazy, block_size=block_size)
+    lw = lw.densified()
     dw, dc = majority_vote_tensor(dense_values)
     np.testing.assert_array_equal(lw, dw)
     np.testing.assert_array_equal(lc, dc)

@@ -121,7 +121,7 @@ def test_corrupted_vote_count_matches_static_analysis(attack_name):
     attack = ATTACKS[attack_name]
     votes, honest = attacked_votes(attack, q=4)
     pipeline = ByzShieldPipeline(ASSIGNMENT)
-    voted = pipeline.post_vote_matrix(votes)
+    voted = pipeline.post_vote_matrix(votes).densified()
     corrupted = sum(
         0 if np.allclose(voted[i], honest[i]) else 1
         for i in range(ASSIGNMENT.num_files)

@@ -162,7 +162,7 @@ def test_vote_tensor_rejects_nothing_but_propagates_dtype(mols_assignment):
     matrix32 = np.zeros((mols_assignment.num_files, 4), dtype=np.float32)
     t = VoteTensor.from_honest(mols_assignment, matrix32)
     assert t.dtype == np.float32
-    winners = t.slot_rows(0)
+    winners = t.select_slots(np.zeros(t.num_files, dtype=int))
     assert winners.dtype == np.float32
 
 

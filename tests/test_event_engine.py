@@ -254,10 +254,10 @@ class TestPartialAggregation:
         bad = np.full(4, 9.0)
         tensor.write_slots(np.array([0, 0]), np.array([0, 1]), bad)
         pipeline = ByzShieldPipeline(frc_3)
-        full = pipeline.post_vote_matrix(tensor)
+        full = pipeline.post_vote_matrix(tensor).densified()
         np.testing.assert_array_equal(full[0], bad)
         arrived = np.array([[False, False, True]])
-        masked = pipeline.post_vote_matrix(tensor, arrived)
+        masked = pipeline.post_vote_matrix(tensor, arrived).densified()
         np.testing.assert_array_equal(masked[0], np.ones(4))
 
     def test_all_true_mask_matches_unmasked(self, mols_assignment, rng):
@@ -277,14 +277,15 @@ class TestPartialAggregation:
         winners = pipeline.post_vote_matrix(
             tensor, np.zeros((1, 3), dtype=bool)
         )
-        np.testing.assert_array_equal(winners, np.zeros((1, 4)))
+        np.testing.assert_array_equal(winners.densified(), np.zeros((1, 4)))
 
     def test_re_vote_streams_one_file_at_a_time(self, ramanujan_case2):
         """Every file incomplete (what stragglers do to an async round): the
         winners equal a per-file vote over the arrived copies of the dense
-        cube, on a lazy and on a dense tensor, and the re-vote's scratch is a
-        few ``(r, d)`` blocks — it once gathered all incomplete files, i.e.
-        the cube, which made the round's peak follow the arrival pattern."""
+        cube, on a lazy and on a dense tensor, and beyond the re-voted rows
+        it returns the re-vote's scratch is a few ``(r, d)`` blocks — it once
+        gathered all incomplete files, i.e. the cube, which made the round's
+        peak follow the arrival pattern."""
         assignment = ramanujan_case2.assignment
         f, r, dim = assignment.num_files, assignment.replication, 4096
         rng = np.random.default_rng(11)
@@ -321,9 +322,11 @@ class TestPartialAggregation:
             _, unmasked_peak = peak_of(tensor, None)
             winners, masked_peak = peak_of(tensor, arrived)
             assert winners.dtype == expected.dtype
-            assert winners.tobytes() == expected.tobytes()
-            block = r * dim * winners.itemsize
-            assert masked_peak - unmasked_peak < 4 * block < cube.nbytes / 4
+            assert winners.files.size == f  # every file re-voted: all patch rows
+            assert winners.densified().tobytes() == expected.tobytes()
+            block = r * dim * expected.itemsize
+            scratch = masked_peak - unmasked_peak - winners.rows.nbytes
+            assert scratch < 4 * block < cube.nbytes / 4
         assert lazy.is_lazy
 
     def test_vanilla_drops_unarrived_rows(self, baseline_10):
@@ -337,7 +340,7 @@ class TestPartialAggregation:
         arrived[::2] = False
         rows = pipeline.post_vote_matrix(tensor, arrived)
         assert rows.shape == (assignment.num_files // 2, 3)
-        np.testing.assert_array_equal(rows[:, 0], np.arange(1, 10, 2))
+        np.testing.assert_array_equal(rows.densified()[:, 0], np.arange(1, 10, 2))
 
     def test_vanilla_no_survivors_aggregates_zero(self, baseline_10):
         assignment = baseline_10.assignment

@@ -174,6 +174,8 @@ def test_override_ids_match_the_dense_oracle(dim, block_size, dtype):
     assert (ids[unequal, unequal % 3] != 0).all()
 
     winners, counts = majority_vote_votetensor(tensor, block_size=block_size)
+
+    winners = winners.densified()
     dense_winners, dense_counts = majority_vote_tensor(tensor.copy().values)
     assert np.array_equal(winners, dense_winners)
     assert np.array_equal(counts, dense_counts)
@@ -194,6 +196,7 @@ def test_equal_bit_nan_payloads_are_one_class(block_size):
     ids = override_content_ids(tensor, block_size)
     assert ids[4, 0] == ids[4, 2] != 0
     winners, counts = majority_vote_votetensor(tensor, block_size=block_size)
+    winners = winners.densified()
     assert counts[4] == 2
     assert np.array_equal(winners[4], payload, equal_nan=True)
 

@@ -236,6 +236,42 @@ def test_cow_flags_values_densification_in_observing_layers(tmp_path):
     ]
 
 
+def test_cow_flags_densifying_the_winners_outside_the_aggregator(tmp_path):
+    """Observers stream ``outcome.winners``; the one waived ``.densified()``
+    is ``Aggregator.__call__``'s, for the rules that need whole rows."""
+    report = lint_tree(
+        tmp_path,
+        {
+            "scenarios/runner.py": """
+            def observe(outcome, array_digest):
+                return array_digest(outcome.winners.densified())
+            """,
+            "training/trainer.py": """
+            def distorted(outcome, honest):
+                return (outcome.winners.densified() != honest).any(axis=1).sum()
+            """,
+            "utils/digest.py": """
+            def array_digest(selection):
+                return hash(selection.densified().tobytes())
+            """,
+            "aggregation/base.py": """
+            def call(rule, selection):
+                return rule(selection.densified())  # repro-lint: disable=COW-001 (whole-row rules)
+            """,
+            "core/pipelines.py": """
+            def reduce(selection):
+                return selection.densified().mean(axis=0)
+            """,
+        },
+    )
+    assert [f.rule for f in report.findings] == ["COW-001"] * 3
+    assert sorted(pathlib.Path(f.path).name for f in report.findings) == [
+        "digest.py",
+        "runner.py",
+        "trainer.py",
+    ]
+
+
 def test_cow_allows_dict_values_calls_and_out_of_scope(tmp_path):
     report = lint_tree(
         tmp_path,

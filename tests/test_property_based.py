@@ -297,7 +297,7 @@ def test_post_vote_matrix_matches_reference_vote(
     pipeline = pipeline_cls(
         assignment, vote_tolerance=tolerance, topology=topology, block_size=block_size
     )
-    voted = pipeline.post_vote_matrix(tensor)
+    voted = pipeline.post_vote_matrix(tensor).densified()
     for i in range(assignment.num_files):
         if tolerance == 0.0:
             expected, _ = _reference_exact_majority(cube[i])

@@ -1,9 +1,10 @@
-"""A steady-state round allocates one full-width array, and recycling is unobservable.
+"""A steady-state round allocates no full-width array, and recycling is unobservable.
 
 After round 0 the paper-headline round (ByzShield + median under a static
-ALIE adversary) builds nothing of size ``f * d`` but the winners matrix it
-hands on: the median, the vote's row comparison and ALIE's statistics stream
-coordinate blocks, the layers write their per-file gradients in place, and
+ALIE adversary) builds nothing of size ``f * d``: the vote hands its winners
+on as the honest matrix plus the few rows that out-voted it, the median, the
+vote's row comparison and ALIE's statistics stream coordinate blocks, the
+layers write their per-file gradients in place, and
 :meth:`ModelGradientComputer.batched` hands the previous round's gradient
 matrix out again — but only when nothing else still references it, which is
 what the second half of this file pins from every side a caller can hold on.
@@ -21,15 +22,16 @@ from repro.scenarios.spec import ScenarioSpec
 from repro.training.gradients import ModelGradientComputer
 
 
-def headline_spec(hidden=(128, 48), num_iterations=4):
+def headline_spec(hidden=(128, 48), num_iterations=4, groups=None):
     """``sync-alie-wide`` of ``benchmarks/e2e`` at d = 19,610: Ramanujan
     K = 25 (f = 25, r = 5), ByzShield + median, omniscient static ALIE q = 5,
-    an MLP on Gaussian data."""
+    an MLP on Gaussian data; ``groups`` votes it hierarchically."""
     return ScenarioSpec.from_dict({
         "name": "round-memory",
         "description": "the paper-headline round, narrower",
         "cluster": {"scheme": "ramanujan", "params": {"m": 5, "s": 5}},
         "pipeline": {"kind": "byzshield", "aggregator": "median"},
+        **({} if groups is None else {"topology": {"groups": groups}}),
         "data": {
             "kind": "gaussian",
             "dim": 100,
@@ -53,11 +55,14 @@ def headline_spec(hidden=(128, 48), num_iterations=4):
     })
 
 
-def test_steady_state_round_peaks_under_two_gradient_matrices():
-    """Measured at this shape: 1.38 matrices (the winners, block buffers, a
-    few ``(d,)`` vectors and the batch); 3.45 while each of the median, the
-    vote, ALIE's ``std`` and the wide layer's backward made its own copy."""
-    trainer = ScenarioRunner(headline_spec()).build_trainer()
+@pytest.mark.parametrize("groups", [None, 5], ids=["flat", "hierarchical"])
+def test_steady_state_round_peaks_under_one_gradient_matrix(groups):
+    """Measured at this shape: 0.48 matrices (two out-voted rows, block
+    buffers, a few ``(d,)`` vectors and the batch); 1.38 while the vote
+    copied the honest matrix to change those two rows; 3.45 while each of
+    the median, the vote, ALIE's ``std`` and the wide layer's backward made
+    its own copy."""
+    trainer = ScenarioRunner(headline_spec(groups=groups)).build_trainer()
     matrix_bytes = trainer.cluster.assignment.num_files * trainer.gradient_computer.dim * 8
     assert matrix_bytes == 25 * 19_610 * 8
     trainer.run_iteration(0)
@@ -70,7 +75,7 @@ def test_steady_state_round_peaks_under_two_gradient_matrices():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak - start <= 2.0 * matrix_bytes
+    assert peak - start < 1.0 * matrix_bytes
 
 
 # --------------------------------------------------------------------------- #
@@ -113,33 +118,62 @@ def test_dropped_round_gives_its_matrix_back(trainer):
     assert address(result.honest_matrix) == first != address(occupier)
 
 
-@pytest.mark.parametrize(
-    "hold",
-    [
-        lambda result: result.honest_matrix,
-        lambda result: result.honest_matrix[3],
-        lambda result: result.vote_tensor,
-        lambda result: result,
-    ],
-    ids=["honest_matrix", "row_view", "vote_tensor", "round_result"],
-)
+def winners_of(trainer, result):
+    """The round's winners: a selection over ``result.honest_matrix``."""
+    return trainer.pipeline.aggregate_tensor(result.vote_tensor).winners
+
+
+def cube_of(tensor):
+    return tensor.copy().values  # the copy shares the base, the tensor stays lazy
+
+
+#: what a caller may keep from a round, and how its values are read
+HOLDS = {
+    "honest_matrix": (lambda trainer, result: result.honest_matrix, np.asarray),
+    "row_view": (lambda trainer, result: result.honest_matrix[3], np.asarray),
+    "vote_tensor": (lambda trainer, result: result.vote_tensor, cube_of),
+    "round_result": (lambda trainer, result: result, lambda held: cube_of(held.vote_tensor)),
+    "winners": (winners_of, lambda held: held.densified()),
+    "winners_row": (lambda trainer, result: winners_of(trainer, result).base[3], np.asarray),
+}
+
+
+@pytest.mark.parametrize("hold", sorted(HOLDS))
 def test_whatever_is_held_keeps_its_values(trainer, hold):
+    take, read = HOLDS[hold]
     result = trainer.cluster.run_round_tensor(*round_inputs(trainer), 0)
     honest = result.honest_matrix.copy()
-    votes = result.vote_tensor.copy().values.copy()
     first = address(result.honest_matrix)
-    held = hold(result)
+    held = take(trainer, result)
+    before = read(held).copy()
+    if hold.startswith("winners"):  # not a copy: the matrix itself is what is held
+        assert np.shares_memory(getattr(held, "base", held), result.honest_matrix)
     del result
 
     following = trainer.cluster.run_round_tensor(*round_inputs(trainer, shift=1.0), 1)
     assert address(following.honest_matrix) != first
     assert not np.array_equal(following.honest_matrix, honest)
-    if isinstance(held, np.ndarray):
-        assert np.array_equal(held, honest if held.ndim == 2 else honest[3])
-    else:
-        tensor = getattr(held, "vote_tensor", held)
-        assert tensor.is_lazy
-        assert np.array_equal(tensor.values, votes)
+    assert np.array_equal(read(held), before)
+    assert getattr(getattr(held, "vote_tensor", held), "is_lazy", True)
+
+
+def test_unobserved_rounds_keep_recycling_one_matrix():
+    """The winners reference the round's honest matrix; the trainer drops
+    the outcome with the round, so the next ``batched`` call finds its
+    matrix free again."""
+    trainer = ScenarioRunner(headline_spec(hidden=(16,))).build_trainer()
+    seen = []
+    batched = trainer.gradient_computer.batched
+
+    def recording(params, files):
+        gradients, losses = batched(params, files)
+        seen.append(address(gradients))
+        return gradients, losses
+
+    trainer.gradient_computer.batched = recording
+    for iteration in range(4):
+        trainer.run_iteration(iteration)
+    assert seen[1] == seen[2] == seen[3]
 
 
 def test_held_attack_context_view_keeps_its_values(trainer):

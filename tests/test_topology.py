@@ -151,7 +151,9 @@ class TestHierarchicalBitIdentity:
             tensor, _ = make_round(assignment, byz, seed=trial, dense=dense)
             topo = GroupTopology(assignment.num_workers, num_groups)
             flat_w, flat_c = majority_vote_votetensor(tensor, 0.0)
+            flat_w = flat_w.densified()
             hier_w, hier_c = hierarchical_majority_vote(tensor, topo)
+            hier_w = hier_w.densified()
             assert np.array_equal(hier_w, flat_w)
             assert np.array_equal(hier_c, flat_c)
 
@@ -177,7 +179,9 @@ class TestHierarchicalBitIdentity:
                 tensor.materialize_files(np.arange(tensor.num_files))
             )
             flat_w, flat_c = majority_vote_votetensor(tensor, 0.0, block_size=block_size)
+            flat_w = flat_w.densified()
             hier_w, hier_c = hierarchical_majority_vote(tensor, topo, block_size=block_size)
+            hier_w = hier_w.densified()
             for winners, counts in ((flat_w, flat_c), (hier_w, hier_c)):
                 assert np.array_equal(winners, dense_w)
                 assert np.array_equal(counts, dense_c)
@@ -187,7 +191,9 @@ class TestHierarchicalBitIdentity:
         tensor, _ = make_round(mols_assignment, (0, 3, 7, 8), seed=5)
         topo = GroupTopology(mols_assignment.num_workers, 3)
         mono_w, mono_c = hierarchical_majority_vote(tensor, topo)
+        mono_w = mono_w.densified()
         blk_w, blk_c = hierarchical_majority_vote(tensor, topo, block_size=block_size)
+        blk_w = blk_w.densified()
         assert np.array_equal(blk_w, mono_w)
         assert np.array_equal(blk_c, mono_c)
 
@@ -196,7 +202,7 @@ class TestHierarchicalBitIdentity:
         topo = GroupTopology(mols_assignment.num_workers, 1)
         flat = majority_vote_votetensor(tensor, 0.0)
         hier = hierarchical_majority_vote(tensor, topo)
-        assert np.array_equal(hier[0], flat[0])
+        assert np.array_equal(hier[0].densified(), flat[0].densified())
         assert np.array_equal(hier[1], flat[1])
 
     def test_rejects_workers_outside_topology(self, mols_assignment):
@@ -217,6 +223,7 @@ class TestHierarchicalBitIdentity:
         tensor, honest = make_round(assignment, seed=9)
         topo = GroupTopology(assignment.num_workers, 5)
         winners, counts = hierarchical_majority_vote(tensor, topo)
+        winners = winners.densified()
         assert np.array_equal(winners, honest)
         assert np.array_equal(counts, np.full(assignment.num_files, assignment.replication))
 
@@ -241,7 +248,9 @@ class TestRobustnessComposition:
             assert byz.size == topo.q_total
             tensor, honest = make_round(mols_assignment, byz, seed=100 + trial)
             flat_w, flat_c = majority_vote_votetensor(tensor, 0.0)
+            flat_w = flat_w.densified()
             hier_w, hier_c = hierarchical_majority_vote(tensor, topo)
+            hier_w = hier_w.densified()
             assert np.array_equal(hier_w, flat_w)
             assert np.array_equal(hier_c, flat_c)
             bad = set(distorted_files(mols_assignment, byz))
@@ -257,7 +266,7 @@ class TestRobustnessComposition:
         tensor, _ = make_round(mols_assignment, byz, seed=7)
         flat = majority_vote_votetensor(tensor, 0.0)
         hier = hierarchical_majority_vote(tensor, topo)
-        assert np.array_equal(hier[0], flat[0])
+        assert np.array_equal(hier[0].densified(), flat[0].densified())
         assert np.array_equal(hier[1], flat[1])
 
 

@@ -92,7 +92,7 @@ def reference_winners(tensor, tolerance):
 
 def reference_aggregate(pipeline, tensor, tolerance):
     if pipeline.pipeline_name == "vanilla":
-        return pipeline.aggregator(tensor.slot_rows(0))
+        return pipeline.aggregator(tensor.materialize_files(np.arange(tensor.num_files))[:, 0])
     voted = reference_winners(tensor, tolerance)
     if pipeline.pipeline_name == "draco":
         return voted.mean(axis=0)

@@ -16,7 +16,7 @@ import pathlib
 import numpy as np
 
 from benchmarks.conftest import save_text
-from repro.experiments.accuracy import figure_spec, run_accuracy_figure
+from repro.experiments.accuracy import figure_scenarios, run_accuracy_figure
 from repro.experiments.report import format_rows, format_series
 from repro.training.history import TrainingHistory
 
@@ -62,8 +62,8 @@ def save_figure_results(
 
 def check_figure_invariants(figure_id: str, histories: dict[str, TrainingHistory]) -> None:
     """Structural checks every figure must satisfy regardless of scale."""
-    spec = figure_spec(figure_id)
-    assert set(histories) == {run.label for run in spec.runs}
+    specs = figure_scenarios(figure_id, scale=BENCH_SCALE, seed=BENCH_SEED)
+    assert set(histories) == {spec.name for spec in specs}
     for label, history in histories.items():
         iterations, accuracies = history.accuracy_series()
         assert iterations.size > 0, label
@@ -72,9 +72,9 @@ def check_figure_invariants(figure_id: str, histories: dict[str, TrainingHistory
     # ByzShield's realized distortion fraction never exceeds the competing
     # schemes' at the same q (the structural advantage behind the figures).
     by_q: dict[int, dict[str, float]] = {}
-    for run in spec.runs:
-        history = histories[run.label]
-        by_q.setdefault(run.num_byzantine, {})[run.pipeline] = float(
+    for spec in specs:
+        history = histories[spec.name]
+        by_q.setdefault(spec.attack.schedule.q, {})[spec.pipeline.kind] = float(
             history.distortion_fractions.mean()
         )
     for q, fractions in by_q.items():

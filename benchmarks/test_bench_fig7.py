@@ -11,14 +11,17 @@ from benchmarks.figure_helpers import (
     run_figure,
     save_figure_results,
 )
-from repro.experiments.accuracy import figure_spec
+from repro.experiments.accuracy import figure_scenarios
 
 
 @pytest.mark.benchmark(group="figures")
 def test_fig7_reversed_gradient_bulyan_defenses(benchmark, results_dir):
-    spec = figure_spec("fig7")
     # The q=9 configuration is only present for ByzShield (Bulyan inapplicable).
-    bulyan_qs = {run.num_byzantine for run in spec.runs if run.defense == "bulyan"}
+    bulyan_qs = {
+        spec.attack.schedule.q
+        for spec in figure_scenarios("fig7")
+        if spec.pipeline.aggregator == "bulyan"
+    }
     assert 9 not in bulyan_qs
 
     histories = benchmark.pedantic(run_figure, args=("fig7",), rounds=1, iterations=1)

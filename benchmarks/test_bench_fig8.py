@@ -11,13 +11,16 @@ from benchmarks.figure_helpers import (
     run_figure,
     save_figure_results,
 )
-from repro.experiments.accuracy import figure_spec
+from repro.experiments.accuracy import figure_scenarios
 
 
 @pytest.mark.benchmark(group="figures")
 def test_fig8_reversed_gradient_multikrum_defenses(benchmark, results_dir):
-    spec = figure_spec("fig8")
-    detox_qs = {run.num_byzantine for run in spec.runs if run.pipeline == "detox"}
+    detox_qs = {
+        spec.attack.schedule.q
+        for spec in figure_scenarios("fig8")
+        if spec.pipeline.kind == "detox"
+    }
     assert 9 not in detox_qs
 
     histories = benchmark.pedantic(run_figure, args=("fig8",), rounds=1, iterations=1)

@@ -25,19 +25,7 @@ from __future__ import annotations
 
 import argparse
 
-from repro import (
-    ALIEAttack,
-    CoordinateWiseMedian,
-    MedianOfMeansAggregator,
-    RamanujanAssignment,
-    TrainingConfig,
-    build_byzshield_trainer,
-    build_detox_trainer,
-    build_vanilla_trainer,
-    build_mlp,
-    make_synthetic_images,
-)
-from repro.data import train_test_split
+from repro.scenarios import ScenarioRunner, ScenarioSpec
 from repro.experiments.report import format_rows, format_series
 
 
@@ -52,58 +40,46 @@ def parse_args() -> argparse.Namespace:
 def main() -> None:
     args = parse_args()
 
-    # Synthetic stand-in for CIFAR-10 (see DESIGN.md substitutions).
-    dataset = make_synthetic_images(
-        num_samples=3000, num_classes=10, image_size=8, channels=3, seed=args.seed, flatten=True
-    )
-    train_data, test_data = train_test_split(dataset, test_fraction=0.2, seed=args.seed + 1)
-
-    config = TrainingConfig(
-        batch_size=150,
-        num_iterations=args.iterations,
-        learning_rate=0.05,
-        lr_decay=0.96,
-        lr_period=15,
-        momentum=0.9,
-        eval_every=max(args.iterations // 10, 1),
-        seed=args.seed,
-    )
-
-    def fresh_model():
-        # Every run starts from the same w0.
-        return build_mlp(train_data.flat_feature_dim, 10, hidden=(64,), seed=args.seed)
-
+    # What the three runs share: the synthetic stand-in for CIFAR-10 (see
+    # DESIGN.md substitutions), the model (hence w0), the schedule, the
+    # adversary and the seed.
+    shared = {
+        "seed": args.seed,
+        "data": {"kind": "images", "num_train": 2400, "num_test": 600,
+                 "num_classes": 10, "image_size": 8, "channels": 3},
+        "model": {"hidden": [64]},
+        "training": {
+            "batch_size": 150,
+            "num_iterations": args.iterations,
+            "learning_rate": 0.05,
+            "lr_decay": 0.96,
+            "lr_period": 15,
+            "momentum": 0.9,
+            "eval_every": max(args.iterations // 10, 1),
+        },
+        "attack": {"name": "alie", "selection": "omniscient",
+                   "schedule": {"kind": "static", "q": args.q}},
+    }
+    defenses = {
+        "ByzShield (median)": {
+            "cluster": {"scheme": "ramanujan", "params": {"m": 5, "s": 5}},
+            "pipeline": {"kind": "byzshield", "aggregator": "median"},
+        },
+        "Baseline median": {
+            "cluster": {"scheme": "baseline", "params": {"num_workers": 25}},
+            "pipeline": {"kind": "vanilla", "aggregator": "median"},
+        },
+        "DETOX (median-of-means)": {
+            "cluster": {"scheme": "frc", "params": {"num_workers": 25, "replication": 5}},
+            "pipeline": {"kind": "detox", "aggregator": "median_of_means",
+                         "aggregator_params": {"num_groups": 2}},
+        },
+    }
     runs = {
-        "ByzShield (median)": build_byzshield_trainer(
-            scheme=RamanujanAssignment(m=5, s=5),
-            model=fresh_model(),
-            train_dataset=train_data,
-            test_dataset=test_data,
-            config=config,
-            attack=ALIEAttack(),
-            num_byzantine=args.q,
-        ),
-        "Baseline median": build_vanilla_trainer(
-            num_workers=25,
-            model=fresh_model(),
-            train_dataset=train_data,
-            test_dataset=test_data,
-            config=config,
-            aggregator=CoordinateWiseMedian(),
-            attack=ALIEAttack(),
-            num_byzantine=args.q,
-        ),
-        "DETOX (median-of-means)": build_detox_trainer(
-            num_workers=25,
-            replication=5,
-            model=fresh_model(),
-            train_dataset=train_data,
-            test_dataset=test_data,
-            config=config,
-            aggregator=MedianOfMeansAggregator(num_groups=2),
-            attack=ALIEAttack(),
-            num_byzantine=args.q,
-        ),
+        label: ScenarioRunner(
+            ScenarioSpec.from_dict({"name": label, **defense, **shared})
+        ).build_trainer()
+        for label, defense in defenses.items()
     }
 
     histories = {}

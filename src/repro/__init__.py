@@ -62,14 +62,7 @@ from repro.core import (
 from repro.data import Dataset, make_gaussian_mixture, make_spirals, make_synthetic_images
 from repro.graphs import BipartiteAssignment, second_eigenvalue
 from repro.nn import SGD, Sequential, build_cnn, build_mlp, build_resnet_lite
-from repro.training import (
-    DistributedTrainer,
-    TrainingConfig,
-    TrainingHistory,
-    build_byzshield_trainer,
-    build_detox_trainer,
-    build_vanilla_trainer,
-)
+from repro.training import DistributedTrainer, TrainingConfig, TrainingHistory
 
 __version__ = "1.0.0"
 
@@ -128,7 +121,4 @@ __all__ = [
     "TrainingConfig",
     "TrainingHistory",
     "DistributedTrainer",
-    "build_byzshield_trainer",
-    "build_detox_trainer",
-    "build_vanilla_trainer",
 ]

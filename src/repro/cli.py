@@ -46,6 +46,7 @@ from repro.experiments.ablations import (
 from repro.experiments.accuracy import (
     SCALE_PRESETS,
     available_figures,
+    figure_scenarios,
     run_accuracy_figure,
 )
 from repro.experiments.bounds import bound_tightness_table, claim2_verification_table
@@ -267,14 +268,18 @@ def _run_figure(args: argparse.Namespace) -> str:
         return _emit(rows, FIGURE_DESCRIPTIONS["fig12"], args.csv)
     histories = run_accuracy_figure(args.name, scale=args.scale, seed=args.seed)
     series = {label: history.accuracy_series() for label, history in histories.items()}
+    # The digest names the curve's spec: figure_scenarios(...)[i].to_json() is a
+    # file `repro scenario run` accepts, so one curve can be re-run alone.
+    specs = figure_scenarios(args.name, scale=args.scale, seed=args.seed)
     summary = [
         {
             "curve": label,
             "final_accuracy": history.final_accuracy,
             "best_accuracy": history.best_accuracy,
             "mean_distortion": float(history.distortion_fractions.mean()),
+            "spec_digest": spec.digest(),
         }
-        for label, history in histories.items()
+        for spec, (label, history) in zip(specs, histories.items(), strict=True)
     ]
     if args.csv is not None:
         args.csv.write_text(rows_to_csv(summary))

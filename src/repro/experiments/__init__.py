@@ -16,10 +16,8 @@ from repro.experiments.ablations import (
     aggregator_ablation,
 )
 from repro.experiments.accuracy import (
-    FigureSpec,
-    RunSpec,
-    figure_spec,
     available_figures,
+    figure_scenarios,
     run_accuracy_figure,
 )
 from repro.experiments.bounds import bound_tightness_table, claim2_verification_table
@@ -39,10 +37,8 @@ __all__ = [
     "generate_table5",
     "generate_table6",
     "generate_distortion_table",
-    "FigureSpec",
-    "RunSpec",
-    "figure_spec",
     "available_figures",
+    "figure_scenarios",
     "run_accuracy_figure",
     "generate_figure12",
     "bound_tightness_table",

@@ -18,24 +18,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.aggregation.base import Aggregator
-from repro.aggregation.bulyan import BulyanAggregator
-from repro.aggregation.geometric_median import GeometricMedianAggregator
-from repro.aggregation.krum import MultiKrumAggregator
-from repro.aggregation.median import CoordinateWiseMedian
-from repro.aggregation.trimmed_mean import TrimmedMeanAggregator
 from repro.assignment.frc import FRCAssignment
 from repro.assignment.mols import MOLSAssignment
 from repro.assignment.ramanujan import RamanujanAssignment
 from repro.assignment.random_scheme import RandomAssignment
-from repro.attacks.alie import ALIEAttack
 from repro.core.distortion import max_distortion
-from repro.data.datasets import train_test_split
-from repro.data.synthetic import make_gaussian_mixture
 from repro.exceptions import ConfigurationError
-from repro.nn.models import build_mlp
-from repro.training.builders import build_byzshield_trainer
-from repro.training.config import TrainingConfig
+from repro.scenarios.runner import ScenarioRunner
+from repro.scenarios.spec import ScenarioSpec
 
 __all__ = ["assignment_structure_ablation", "aggregator_ablation"]
 
@@ -99,42 +89,41 @@ def aggregator_ablation(
     the paper's headline setting; all runs share the dataset, the model
     initialization and the batch sequence.
     """
-    dataset = make_gaussian_mixture(
-        num_samples=1500, num_classes=10, dim=32, separation=1.5, seed=seed
-    )
-    train_dataset, test_dataset = train_test_split(dataset, test_fraction=0.25, seed=seed + 1)
-    config = TrainingConfig(
-        batch_size=100,
-        num_iterations=scale_iterations,
-        learning_rate=0.05,
-        momentum=0.9,
-        eval_every=max(scale_iterations // 4, 1),
-        seed=seed,
-    )
-    scheme = RamanujanAssignment(m=5, s=5)
-    f = scheme.assignment.num_files
-    aggregators: dict[str, Aggregator] = {
-        "median": CoordinateWiseMedian(),
-        "trimmed_mean": TrimmedMeanAggregator(trim=max(1, num_byzantine // 2)),
-        "multi_krum": MultiKrumAggregator(num_byzantine=max(1, (f - 3) // 2 // 2)),
-        "bulyan": BulyanAggregator(num_byzantine=max(1, (f - 3) // 4)),
-        "geometric_median": GeometricMedianAggregator(),
+    f = 25  # files of the Ramanujan (m=5, s=5) placement
+    aggregators: dict[str, dict[str, int]] = {
+        "median": {},
+        "trimmed_mean": {"trim": max(1, num_byzantine // 2)},
+        "multi_krum": {"num_byzantine": max(1, (f - 3) // 2 // 2)},
+        "bulyan": {"num_byzantine": max(1, (f - 3) // 4)},
+        "geometric_median": {},
     }
     rows: list[dict[str, float]] = []
-    for name, aggregator in aggregators.items():
-        model = build_mlp(train_dataset.flat_feature_dim, 10, hidden=(32,), seed=seed)
-        trainer = build_byzshield_trainer(
-            scheme=scheme,
-            model=model,
-            train_dataset=train_dataset,
-            test_dataset=test_dataset,
-            config=config,
-            attack=ALIEAttack(),
-            num_byzantine=num_byzantine,
-            aggregator=aggregator,
-            label=f"byzshield+{name}",
+    for name, params in aggregators.items():
+        spec = ScenarioSpec.from_dict(
+            {
+                "name": f"byzshield+{name}",
+                "seed": seed,
+                "cluster": {"scheme": "ramanujan", "params": {"m": 5, "s": 5}},
+                "pipeline": {
+                    "kind": "byzshield",
+                    "aggregator": name,
+                    "aggregator_params": params,
+                },
+                "data": {"kind": "gaussian", "num_train": 1125, "num_test": 375,
+                         "num_classes": 10, "dim": 32, "separation": 1.5},
+                "model": {"hidden": [32]},
+                "training": {
+                    "batch_size": 100,
+                    "num_iterations": scale_iterations,
+                    "learning_rate": 0.05,
+                    "momentum": 0.9,
+                    "eval_every": max(scale_iterations // 4, 1),
+                },
+                "attack": {"name": "alie", "selection": "omniscient",
+                           "schedule": {"kind": "static", "q": num_byzantine}},
+            }
         )
-        history = trainer.train()
+        history = ScenarioRunner(spec).build_trainer().train()
         rows.append(
             {
                 "aggregator": name,

@@ -1,11 +1,14 @@
 """Deep-learning accuracy experiments (paper Figures 2–11).
 
 Each figure compares ByzShield against baseline and DETOX defenses under one
-attack and a set of Byzantine budgets ``q``.  A figure is described by a
-:class:`FigureSpec` containing one :class:`RunSpec` per curve; calling
-:func:`run_accuracy_figure` trains every curve on the shared synthetic dataset
-(all curves start from the same ``w₀`` and see the same batch sequence) and
-returns the accuracy-versus-iteration series of each.
+attack and a set of Byzantine budgets ``q``.  A figure is a row of the table
+below; :func:`figure_scenarios` turns it into one
+:class:`~repro.scenarios.spec.ScenarioSpec` per curve (``spec.name`` is the
+curve label), and :func:`run_accuracy_figure` trains each through the
+:class:`~repro.scenarios.runner.ScenarioRunner` — the same route as every
+other run in the library, so a curve has a spec digest and can be lifted out
+(``spec.to_json()``) and re-run alone with ``repro scenario run``.  All curves
+of a figure share the seed, hence the dataset, ``w₀`` and the batch sequence.
 
 Scales
 ------
@@ -20,430 +23,193 @@ substrate:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import Any
 
-
-from repro.aggregation.base import Aggregator
-from repro.aggregation.bulyan import BulyanAggregator
-from repro.aggregation.krum import MultiKrumAggregator
-from repro.aggregation.median import CoordinateWiseMedian
-from repro.aggregation.median_of_means import MedianOfMeansAggregator
-from repro.aggregation.sign_sgd import SignSGDMajorityAggregator
-from repro.assignment.mols import MOLSAssignment
-from repro.assignment.ramanujan import RamanujanAssignment
-from repro.attacks.alie import ALIEAttack
-from repro.attacks.base import Attack
-from repro.attacks.constant import ConstantAttack
-from repro.attacks.reversed_gradient import ReversedGradientAttack
 from repro.core.distortion import majority_threshold
-from repro.data.datasets import Dataset, train_test_split
-from repro.data.synthetic import make_gaussian_mixture, make_synthetic_images
 from repro.exceptions import ConfigurationError
-from repro.nn.models import Sequential, build_mlp
-from repro.training.builders import (
-    build_byzshield_trainer,
-    build_detox_trainer,
-    build_vanilla_trainer,
-)
-from repro.training.config import TrainingConfig
+from repro.scenarios.runner import ScenarioRunner
+from repro.scenarios.spec import ScenarioSpec
 from repro.training.history import TrainingHistory
 
 __all__ = [
-    "RunSpec",
-    "FigureSpec",
-    "ScalePreset",
     "SCALE_PRESETS",
-    "figure_spec",
     "available_figures",
+    "figure_scenarios",
     "run_accuracy_figure",
-    "build_run_trainer",
 ]
 
 
-# --------------------------------------------------------------------------- #
-# Specs
-# --------------------------------------------------------------------------- #
-@dataclass(frozen=True)
-class RunSpec:
-    """One curve of a figure: a (pipeline, defense, attack, q) combination.
+#: ``data`` / ``model`` / ``training`` sections of a curve's spec, per scale.
+#: Batch sizes are multiples of 75 so they divide evenly into files for every
+#: cluster used by the figures (f = 25 for ByzShield, K = 15 or 25 for the
+#: baselines, K/r = 5 for DETOX).
+SCALE_PRESETS: dict[str, dict[str, dict[str, Any]]] = {
+    "tiny": {
+        "data": {"kind": "gaussian", "num_train": 500, "num_test": 200},
+        "model": {"hidden": [16]},
+        "training": {"batch_size": 75, "num_iterations": 10, "eval_every": 5},
+    },
+    "small": {
+        "data": {"kind": "gaussian", "num_train": 1500, "num_test": 400},
+        "model": {"hidden": [32]},
+        "training": {"batch_size": 150, "num_iterations": 60, "eval_every": 10},
+    },
+    "medium": {
+        "data": {"kind": "images", "num_train": 4000, "num_test": 1000},
+        "model": {"hidden": [64, 32]},
+        "training": {"batch_size": 300, "num_iterations": 300, "eval_every": 20},
+    },
+}
+#: What every scale shares: the 10-class substrate (a 32-dimensional Gaussian
+#: mixture, or 8x8x3 synthetic images) and the paper's (x, y, z) schedule.
+_DATA = {"num_classes": 10, "dim": 32, "separation": 1.0, "image_size": 8, "channels": 3}
+_TRAINING = {"learning_rate": 0.05, "lr_decay": 0.96, "lr_period": 15, "momentum": 0.9}
 
-    Attributes
-    ----------
-    label:
-        Curve label, e.g. ``"ByzShield, q=5"``.
-    pipeline:
-        ``"byzshield"``, ``"detox"`` or ``"vanilla"``.
-    defense:
-        ``"median"``, ``"median_of_means"``, ``"multi_krum"``, ``"bulyan"``
-        or ``"signsgd"`` — the robust aggregation used by the pipeline.
-    attack:
-        ``"alie"``, ``"constant"``, ``"reversed_gradient"`` or ``None``.
-    num_byzantine:
-        Byzantine budget ``q``.
-    """
-
-    label: str
-    pipeline: str
-    defense: str
-    attack: str | None
-    num_byzantine: int
-
-
-@dataclass(frozen=True)
-class FigureSpec:
-    """A full figure: cluster geometry plus the list of curves."""
-
-    figure_id: str
-    description: str
-    cluster: str  # "k25" (Ramanujan case 2) or "k15" (MOLS l=5, r=3)
-    runs: tuple[RunSpec, ...]
-
-
-@dataclass(frozen=True)
-class ScalePreset:
-    """Dataset / model / schedule sizes for one experiment scale."""
-
-    num_train: int
-    num_test: int
-    feature_kind: str  # "gaussian" or "images"
-    hidden: tuple[int, ...]
-    num_iterations: int
-    batch_size: int
-    eval_every: int
-    learning_rate: float
-
-
-SCALE_PRESETS: dict[str, ScalePreset] = {
-    # Batch sizes are multiples of 75 so they divide evenly into files for
-    # every cluster used by the figures (f = 25 for ByzShield, K = 15 or 25
-    # for the baselines, K/r = 5 for DETOX).
-    "tiny": ScalePreset(
-        num_train=500,
-        num_test=200,
-        feature_kind="gaussian",
-        hidden=(16,),
-        num_iterations=10,
-        batch_size=75,
-        eval_every=5,
-        learning_rate=0.05,
-    ),
-    "small": ScalePreset(
-        num_train=1500,
-        num_test=400,
-        feature_kind="gaussian",
-        hidden=(32,),
-        num_iterations=60,
-        batch_size=150,
-        eval_every=10,
-        learning_rate=0.05,
-    ),
-    "medium": ScalePreset(
-        num_train=4000,
-        num_test=1000,
-        feature_kind="images",
-        hidden=(64, 32),
-        num_iterations=300,
-        batch_size=300,
-        eval_every=20,
-        learning_rate=0.05,
-    ),
+_ATTACK_PARAMS: dict[str, dict[str, Any]] = {
+    "alie": {},
+    "constant": {"value": -1.0},
+    "reversed_gradient": {"scale": 100.0},
 }
 
+#: K -> (replication r, ByzShield's expander placement).  DETOX groups the same
+#: K workers by FRC with the same r; the baseline has no redundancy.
+_GEOMETRY: dict[int, tuple[int, dict[str, Any]]] = {
+    25: (5, {"scheme": "ramanujan", "params": {"m": 5, "s": 5}}),  # Case 2, f = 25
+    15: (3, {"scheme": "mols", "params": {"load": 5, "replication": 3}}),  # f = 25
+}
 
-def _curves_for_q(
-    q_values: tuple[int, ...],
-    pipeline: str,
-    defense: str,
-    attack: str,
-    label_prefix: str,
-) -> list[RunSpec]:
-    return [
-        RunSpec(
-            label=f"{label_prefix}, q={q}",
-            pipeline=pipeline,
-            defense=defense,
-            attack=attack,
-            num_byzantine=q,
-        )
-        for q in q_values
-    ]
+# The families of curves: (label prefix, pipeline kind, aggregator).
+_Family = tuple[str, str, str]
+_BYZSHIELD = ("ByzShield", "byzshield", "median")
+_MEDIAN = ("Median", "vanilla", "median")
+_BULYAN = ("Bulyan", "vanilla", "bulyan")
+_MULTI_KRUM = ("Multi-Krum", "vanilla", "multi_krum")
+_SIGNSGD = ("signSGD", "vanilla", "signsgd")
+_DETOX_MOM = ("DETOX-MoM", "detox", "median_of_means")
+_DETOX_MULTI_KRUM = ("DETOX-Multi-Krum", "detox", "multi_krum")
+_DETOX_SIGNSGD = ("DETOX-signSGD", "detox", "signsgd")
 
-
-def _figure_specs() -> dict[str, FigureSpec]:
-    specs: dict[str, FigureSpec] = {}
-
-    # Figure 2: ALIE, median-based defenses, K = 25.
-    specs["fig2"] = FigureSpec(
-        "fig2",
-        "ALIE attack and median-based defenses",
-        "k25",
-        tuple(
-            _curves_for_q((3, 5), "vanilla", "median", "alie", "Median")
-            + _curves_for_q((3, 5), "byzshield", "median", "alie", "ByzShield")
-            + _curves_for_q((3, 5), "detox", "median_of_means", "alie", "DETOX-MoM")
-        ),
-    )
-    # Figure 3: ALIE, Bulyan defenses.
-    specs["fig3"] = FigureSpec(
-        "fig3",
-        "ALIE attack and Bulyan-based defenses",
-        "k25",
-        tuple(
-            _curves_for_q((3, 5), "vanilla", "bulyan", "alie", "Bulyan")
-            + _curves_for_q((3, 5), "byzshield", "median", "alie", "ByzShield")
-        ),
-    )
-    # Figure 4: ALIE, Multi-Krum defenses.
-    specs["fig4"] = FigureSpec(
-        "fig4",
-        "ALIE attack and Multi-Krum-based defenses",
-        "k25",
-        tuple(
-            _curves_for_q((3, 5), "vanilla", "multi_krum", "alie", "Multi-Krum")
-            + _curves_for_q((3, 5), "byzshield", "median", "alie", "ByzShield")
-            + _curves_for_q((3, 5), "detox", "multi_krum", "alie", "DETOX-Multi-Krum")
-        ),
-    )
-    # Figure 5: constant attack, signSGD defenses.
-    specs["fig5"] = FigureSpec(
-        "fig5",
-        "Constant attack and signSGD-based defenses",
-        "k25",
-        tuple(
-            _curves_for_q((3, 5), "vanilla", "signsgd", "constant", "signSGD")
-            + _curves_for_q((3, 5), "byzshield", "median", "constant", "ByzShield")
-            + _curves_for_q((3, 5), "detox", "signsgd", "constant", "DETOX-signSGD")
-        ),
-    )
-    # Figure 6: reversed gradient, median defenses, q in {3, 9}.
-    specs["fig6"] = FigureSpec(
-        "fig6",
-        "Reversed-gradient attack and median-based defenses",
-        "k25",
-        tuple(
-            _curves_for_q((3, 9), "vanilla", "median", "reversed_gradient", "Median")
-            + _curves_for_q((3, 9), "byzshield", "median", "reversed_gradient", "ByzShield")
-            + _curves_for_q((3, 9), "detox", "median_of_means", "reversed_gradient", "DETOX-MoM")
-        ),
-    )
-    # Figure 7: reversed gradient, Bulyan defenses (Bulyan inapplicable at q=9).
-    specs["fig7"] = FigureSpec(
-        "fig7",
-        "Reversed-gradient attack and Bulyan-based defenses",
-        "k25",
-        tuple(
-            _curves_for_q((3, 5), "vanilla", "bulyan", "reversed_gradient", "Bulyan")
-            + _curves_for_q(
-                (3, 5, 9), "byzshield", "median", "reversed_gradient", "ByzShield"
-            )
-        ),
-    )
-    # Figure 8: reversed gradient, Multi-Krum defenses.
-    specs["fig8"] = FigureSpec(
-        "fig8",
-        "Reversed-gradient attack and Multi-Krum-based defenses",
-        "k25",
-        tuple(
-            _curves_for_q(
-                (3, 5, 9), "vanilla", "multi_krum", "reversed_gradient", "Multi-Krum"
-            )
-            + _curves_for_q(
-                (3, 5, 9), "byzshield", "median", "reversed_gradient", "ByzShield"
-            )
-            + _curves_for_q(
-                (3, 5), "detox", "multi_krum", "reversed_gradient", "DETOX-Multi-Krum"
-            )
-        ),
-    )
-    # Figures 9-11: K = 15 (MOLS l=5, r=3), ALIE, q = 2.
-    specs["fig9"] = FigureSpec(
-        "fig9",
-        "ALIE attack and median-based defenses, K=15",
-        "k15",
-        tuple(
-            _curves_for_q((2,), "vanilla", "median", "alie", "Median")
-            + _curves_for_q((2,), "byzshield", "median", "alie", "ByzShield")
-            + _curves_for_q((2,), "detox", "median_of_means", "alie", "DETOX-MoM")
-        ),
-    )
-    specs["fig10"] = FigureSpec(
-        "fig10",
-        "ALIE attack and Bulyan-based defenses, K=15",
-        "k15",
-        tuple(
-            _curves_for_q((2,), "vanilla", "bulyan", "alie", "Bulyan")
-            + _curves_for_q((2,), "byzshield", "median", "alie", "ByzShield")
-        ),
-    )
-    specs["fig11"] = FigureSpec(
-        "fig11",
-        "ALIE attack and Multi-Krum-based defenses, K=15",
-        "k15",
-        tuple(
-            _curves_for_q((2,), "vanilla", "multi_krum", "alie", "Multi-Krum")
-            + _curves_for_q((2,), "byzshield", "median", "alie", "ByzShield")
-            + _curves_for_q((2,), "detox", "multi_krum", "alie", "DETOX-Multi-Krum")
-        ),
-    )
-    return specs
-
-
-_FIGURE_SPECS = _figure_specs()
+#: figure -> (K, attack, ((family, q values), ...)); one curve per (family, q).
+#: What each figure shows is in ``paper_reference.FIGURE_DESCRIPTIONS``.
+_FIGURES: dict[str, tuple[int, str, tuple[tuple[_Family, tuple[int, ...]], ...]]] = {
+    "fig2": (25, "alie", ((_MEDIAN, (3, 5)), (_BYZSHIELD, (3, 5)), (_DETOX_MOM, (3, 5)))),
+    "fig3": (25, "alie", ((_BULYAN, (3, 5)), (_BYZSHIELD, (3, 5)))),
+    "fig4": (
+        25,
+        "alie",
+        ((_MULTI_KRUM, (3, 5)), (_BYZSHIELD, (3, 5)), (_DETOX_MULTI_KRUM, (3, 5))),
+    ),
+    "fig5": (
+        25,
+        "constant",
+        ((_SIGNSGD, (3, 5)), (_BYZSHIELD, (3, 5)), (_DETOX_SIGNSGD, (3, 5))),
+    ),
+    "fig6": (
+        25,
+        "reversed_gradient",
+        ((_MEDIAN, (3, 9)), (_BYZSHIELD, (3, 9)), (_DETOX_MOM, (3, 9))),
+    ),
+    # Bulyan needs 4q + 3 votes: inapplicable to K = 25 at q = 9.
+    "fig7": (25, "reversed_gradient", ((_BULYAN, (3, 5)), (_BYZSHIELD, (3, 5, 9)))),
+    # DETOX's K/r = 5 group winners are too few for Multi-Krum at q = 9.
+    "fig8": (
+        25,
+        "reversed_gradient",
+        ((_MULTI_KRUM, (3, 5, 9)), (_BYZSHIELD, (3, 5, 9)), (_DETOX_MULTI_KRUM, (3, 5))),
+    ),
+    "fig9": (15, "alie", ((_MEDIAN, (2,)), (_BYZSHIELD, (2,)), (_DETOX_MOM, (2,)))),
+    "fig10": (15, "alie", ((_BULYAN, (2,)), (_BYZSHIELD, (2,)))),
+    "fig11": (
+        15,
+        "alie",
+        ((_MULTI_KRUM, (2,)), (_BYZSHIELD, (2,)), (_DETOX_MULTI_KRUM, (2,))),
+    ),
+}
 
 
 def available_figures() -> list[str]:
     """Names of the accuracy figures this module can regenerate."""
-    return sorted(_FIGURE_SPECS)
+    return sorted(_FIGURES)
 
 
-def figure_spec(figure_id: str) -> FigureSpec:
-    """Look up the specification of one figure (``"fig2"`` ... ``"fig11"``)."""
+def _curve(
+    label: str, num_workers: int, kind: str, aggregator: str, attack: str, q: int
+) -> dict[str, Any]:
+    """The cluster, pipeline and attack sections of one curve."""
+    replication, expander = _GEOMETRY[num_workers]
+    detox = kind == "detox"
+    if kind == "byzshield":
+        cluster = expander
+    elif detox:
+        cluster = {
+            "scheme": "frc",
+            "params": {"num_workers": num_workers, "replication": replication},
+        }
+    else:
+        cluster = {"scheme": "baseline", "params": {"num_workers": num_workers}}
+    aggregator_params: dict[str, Any] = {}
+    if aggregator == "median_of_means":
+        # DETOX's second stage buckets the K/r group winners; an odd bucket
+        # count >= 3 keeps the median well defined and tolerant of one
+        # corrupted bucket (with 2 buckets the "median" is their average and
+        # a single corrupted group poisons the update).
+        groups = min(3, num_workers // replication) if detox else max(1, num_workers // 3)
+        aggregator_params = {"num_groups": groups}
+    elif aggregator in ("multi_krum", "bulyan"):
+        # After the per-group vote the adversary controls at most
+        # floor(q / r') of DETOX's group gradients.
+        corrupted = q // majority_threshold(replication) if detox else q
+        aggregator_params = {"num_byzantine": corrupted}
+    return {
+        "name": label,
+        "cluster": cluster,
+        "pipeline": {
+            "kind": kind,
+            "aggregator": aggregator,
+            "aggregator_params": aggregator_params,
+        },
+        "attack": {
+            "name": attack,
+            "params": _ATTACK_PARAMS[attack],
+            "selection": "omniscient",
+            "schedule": {"kind": "static", "q": q},
+        },
+    }
+
+
+def figure_scenarios(
+    figure_id: str, scale: str = "small", seed: int = 0
+) -> tuple[ScenarioSpec, ...]:
+    """One :class:`ScenarioSpec` per curve of ``"fig2"`` ... ``"fig11"``.
+
+    ``spec.name`` is the curve label (e.g. ``"ByzShield, q=5"``); ``scale`` is
+    one of :data:`SCALE_PRESETS` and ``seed`` is shared by every curve so the
+    comparison is paired.
+    """
     key = figure_id.lower()
-    if key not in _FIGURE_SPECS:
+    if key not in _FIGURES:
         raise ConfigurationError(
             f"unknown figure {figure_id!r}; available: {available_figures()}"
         )
-    return _FIGURE_SPECS[key]
-
-
-# --------------------------------------------------------------------------- #
-# Cluster geometry and components
-# --------------------------------------------------------------------------- #
-_CLUSTERS: dict[str, dict[str, int]] = {
-    # K = 25 workers: Ramanujan Case 2 with r = l = 5, f = 25 files.
-    "k25": {"num_workers": 25, "replication": 5, "num_files": 25},
-    # K = 15 workers: MOLS with l = 5, r = 3, f = 25 files.
-    "k15": {"num_workers": 15, "replication": 3, "num_files": 25},
-}
-
-
-def _byzshield_scheme(cluster: str):
-    if cluster == "k25":
-        return RamanujanAssignment(m=5, s=5)
-    if cluster == "k15":
-        return MOLSAssignment(load=5, replication=3)
-    raise ConfigurationError(f"unknown cluster {cluster!r}")
-
-
-def _make_attack(name: str | None) -> Attack | None:
-    if name is None:
-        return None
-    if name == "alie":
-        return ALIEAttack()
-    if name == "constant":
-        return ConstantAttack(value=-1.0)
-    if name == "reversed_gradient":
-        return ReversedGradientAttack(scale=100.0)
-    raise ConfigurationError(f"unknown attack {name!r}")
-
-
-def _make_defense(
-    defense: str, pipeline: str, cluster: dict[str, int], num_byzantine: int
-) -> Aggregator:
-    """Instantiate the robust rule with the vote-count-dependent parameters."""
-    if defense == "median":
-        return CoordinateWiseMedian()
-    if defense == "median_of_means":
-        if pipeline == "detox":
-            # DETOX's second stage buckets the K/r group winners; an odd bucket
-            # count >= 3 keeps the median well defined and tolerant of one
-            # corrupted bucket (with 2 buckets the "median" is their average
-            # and a single corrupted group poisons the update).
-            groups = min(3, cluster["num_workers"] // cluster["replication"])
-        else:
-            groups = max(1, cluster["num_workers"] // 3)
-        return MedianOfMeansAggregator(num_groups=groups)
-    if defense == "signsgd":
-        return SignSGDMajorityAggregator()
-    if defense in ("multi_krum", "bulyan"):
-        if pipeline == "detox":
-            # After the per-group vote the adversary controls at most
-            # floor(q / r') of the group gradients.
-            corrupted = num_byzantine // majority_threshold(cluster["replication"])
-        else:
-            corrupted = num_byzantine
-        corrupted = max(corrupted, 0)
-        if defense == "multi_krum":
-            return MultiKrumAggregator(num_byzantine=corrupted)
-        return BulyanAggregator(num_byzantine=corrupted)
-    raise ConfigurationError(f"unknown defense {defense!r}")
-
-
-def _make_dataset(preset: ScalePreset, seed: int) -> tuple[Dataset, Dataset]:
-    if preset.feature_kind == "gaussian":
-        dataset = make_gaussian_mixture(
-            num_samples=preset.num_train + preset.num_test,
-            num_classes=10,
-            dim=32,
-            separation=1.0,
-            seed=seed,
+    if scale not in SCALE_PRESETS:
+        raise ConfigurationError(
+            f"unknown scale {scale!r}; available: {sorted(SCALE_PRESETS)}"
         )
-    else:
-        dataset = make_synthetic_images(
-            num_samples=preset.num_train + preset.num_test,
-            num_classes=10,
-            image_size=8,
-            channels=3,
-            seed=seed,
-            flatten=True,
+    preset = SCALE_PRESETS[scale]
+    sizes = {
+        "seed": seed,
+        "data": {**preset["data"], **_DATA},
+        "model": preset["model"],
+        "training": {**preset["training"], **_TRAINING},
+    }
+    num_workers, attack, families = _FIGURES[key]
+    return tuple(
+        ScenarioSpec.from_dict(
+            {**_curve(f"{prefix}, q={q}", num_workers, kind, aggregator, attack, q), **sizes}
         )
-    test_fraction = preset.num_test / (preset.num_train + preset.num_test)
-    return train_test_split(dataset, test_fraction=test_fraction, seed=seed + 1)
-
-
-def _make_model(input_dim: int, preset: ScalePreset, seed: int) -> Sequential:
-    return build_mlp(input_dim, num_classes=10, hidden=preset.hidden, seed=seed)
-
-
-def build_run_trainer(
-    run: RunSpec,
-    cluster_name: str,
-    train_dataset: Dataset,
-    test_dataset: Dataset,
-    preset: ScalePreset,
-    seed: int,
-):
-    """Assemble the trainer for one curve of a figure."""
-    cluster = _CLUSTERS[cluster_name]
-    config = TrainingConfig(
-        batch_size=preset.batch_size,
-        num_iterations=preset.num_iterations,
-        learning_rate=preset.learning_rate,
-        lr_decay=0.96,
-        lr_period=15,
-        momentum=0.9,
-        eval_every=preset.eval_every,
-        seed=seed,
+        for (prefix, kind, aggregator), q_values in families
+        for q in q_values
     )
-    model = _make_model(train_dataset.flat_feature_dim, preset, seed)
-    attack = _make_attack(run.attack)
-    defense = _make_defense(run.defense, run.pipeline, cluster, run.num_byzantine)
-    common = dict(
-        model=model,
-        train_dataset=train_dataset,
-        test_dataset=test_dataset,
-        config=config,
-        attack=attack,
-        num_byzantine=run.num_byzantine if attack is not None else 0,
-        selection="omniscient",
-        label=run.label,
-    )
-    if run.pipeline == "byzshield":
-        return build_byzshield_trainer(
-            scheme=_byzshield_scheme(cluster_name), aggregator=defense, **common
-        )
-    if run.pipeline == "detox":
-        return build_detox_trainer(
-            num_workers=cluster["num_workers"],
-            replication=cluster["replication"],
-            aggregator=defense,
-            **common,
-        )
-    if run.pipeline == "vanilla":
-        return build_vanilla_trainer(
-            num_workers=cluster["num_workers"], aggregator=defense, **common
-        )
-    raise ConfigurationError(f"unknown pipeline {run.pipeline!r}")
 
 
 def run_accuracy_figure(
@@ -465,21 +231,19 @@ def run_accuracy_figure(
         Controls dataset generation, model initialization and batch order —
         shared by every curve so the comparison is paired.
     run_filter:
-        Optional list of curve labels to run (others are skipped).
+        Optional list of curve labels to run (others are skipped); a label
+        the figure does not have is a :class:`ConfigurationError`.
     """
-    if scale not in SCALE_PRESETS:
-        raise ConfigurationError(
-            f"unknown scale {scale!r}; available: {sorted(SCALE_PRESETS)}"
-        )
-    spec = figure_spec(figure_id)
-    preset = SCALE_PRESETS[scale]
-    train_dataset, test_dataset = _make_dataset(preset, seed)
-    histories: dict[str, TrainingHistory] = {}
-    for run in spec.runs:
-        if run_filter is not None and run.label not in run_filter:
-            continue
-        trainer = build_run_trainer(
-            run, spec.cluster, train_dataset, test_dataset, preset, seed
-        )
-        histories[run.label] = trainer.train(verbose=verbose)
-    return histories
+    specs = figure_scenarios(figure_id, scale=scale, seed=seed)
+    if run_filter is not None:
+        labels = [spec.name for spec in specs]
+        unknown = [label for label in run_filter if label not in labels]
+        if unknown:
+            raise ConfigurationError(
+                f"{figure_id} has no curve {unknown}; its curves are {labels}"
+            )
+        specs = tuple(spec for spec in specs if spec.name in run_filter)
+    return {
+        spec.name: ScenarioRunner(spec).build_trainer().train(verbose=verbose)
+        for spec in specs
+    }

@@ -6,11 +6,6 @@ and records the metrics the paper plots (top-1 test accuracy versus iteration,
 training loss, realized distortion fraction).
 """
 
-from repro.training.builders import (
-    build_byzshield_trainer,
-    build_detox_trainer,
-    build_vanilla_trainer,
-)
 from repro.training.config import TrainingConfig
 from repro.training.gradients import ModelGradientComputer
 from repro.training.history import TrainingHistory, IterationRecord
@@ -22,7 +17,4 @@ __all__ = [
     "TrainingHistory",
     "IterationRecord",
     "DistributedTrainer",
-    "build_byzshield_trainer",
-    "build_detox_trainer",
-    "build_vanilla_trainer",
 ]

@@ -9,8 +9,13 @@ from repro.assignment.baseline import BaselineAssignment
 from repro.assignment.frc import FRCAssignment
 from repro.assignment.mols import MOLSAssignment
 from repro.assignment.ramanujan import RamanujanAssignment
+from repro.attacks.selection import OmniscientSelector
+from repro.cluster.simulator import TrainingCluster
+from repro.cluster.worker import WorkerPool
 from repro.data.datasets import train_test_split
 from repro.data.synthetic import make_gaussian_mixture
+from repro.training.gradients import ModelGradientComputer
+from repro.training.trainer import DistributedTrainer
 
 
 @pytest.fixture(scope="session")
@@ -54,6 +59,34 @@ def small_classification_data():
         num_samples=600, num_classes=4, dim=12, separation=3.0, seed=7
     )
     return train_test_split(dataset, test_fraction=0.25, seed=8)
+
+
+@pytest.fixture(scope="session")
+def assemble_trainer():
+    """The object-level route, for a test that brings its own dataset or model:
+    the public ``DistributedTrainer(...)`` constructor, wired the way
+    ``ScenarioRunner._assemble`` wires it (omniscient adversary when ``q > 0``)."""
+
+    def assemble(pipeline, model, train_dataset, test_dataset, config, attack=None, q=0):
+        assignment = pipeline.assignment
+        computer = ModelGradientComputer(model)
+        cluster = TrainingCluster(
+            assignment=assignment,
+            worker_pool=WorkerPool(assignment, computer),
+            attack=attack,
+            selector=OmniscientSelector(q, seed=config.seed) if q else None,
+            seed=config.seed,
+        )
+        return DistributedTrainer(
+            cluster=cluster,
+            pipeline=pipeline,
+            gradient_computer=computer,
+            train_dataset=train_dataset,
+            test_dataset=test_dataset,
+            config=config,
+        )
+
+    return assemble
 
 
 @pytest.fixture

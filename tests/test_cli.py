@@ -43,7 +43,14 @@ def test_figure_accuracy_command_tiny(capsys, tmp_path):
     assert main(["--csv", str(csv_path), "figure", "fig9", "--scale", "tiny"]) == 0
     out = capsys.readouterr().out
     assert "ByzShield, q=2" in out
-    assert csv_path.exists()
+    # Each curve is printed with the digest of the spec that re-runs it alone.
+    from repro.experiments.accuracy import figure_scenarios
+
+    rows = csv_path.read_text().splitlines()
+    assert rows[0].endswith(",spec_digest")
+    for spec, row in zip(figure_scenarios("fig9", scale="tiny"), rows[1:]):
+        assert row.startswith(f"{spec.name},") and row.endswith(f",{spec.digest()}")
+        assert spec.digest() in out
 
 
 def test_bounds_command(capsys):

@@ -34,30 +34,46 @@ def test_readme_quickstart_snippet_runs():
 
 
 def test_readme_training_snippet_runs_scaled_down():
-    """The second README code block works (scaled down to a few iterations)."""
+    """The README's training code blocks work: the spec route as printed, and
+    the direct ``DistributedTrainer`` construction on a caller's own objects."""
+    from repro.scenarios import ScenarioSpec, run_scenario
+
+    spec = ScenarioSpec.from_dict({
+        "name": "byzshield-alie-q5",
+        "cluster": {"scheme": "ramanujan", "params": {"m": 5, "s": 5}},
+        "pipeline": {"kind": "byzshield", "aggregator": "median"},
+        "data": {"kind": "images", "num_train": 320, "num_test": 80, "num_classes": 10},
+        "training": {"batch_size": 150, "num_iterations": 3, "eval_every": 3},
+        "attack": {"name": "alie", "selection": "omniscient", "schedule": {"q": 5}},
+    })
+    result = run_scenario(spec)
+    assert result.history.summary()["mean_distortion"] == pytest.approx(0.08)
+
     from repro import (
         ALIEAttack,
+        ByzShieldPipeline,
+        DistributedTrainer,
+        OmniscientSelector,
         RamanujanAssignment,
         TrainingConfig,
-        build_byzshield_trainer,
         build_mlp,
         make_synthetic_images,
     )
+    from repro.cluster import TrainingCluster, WorkerPool
     from repro.data import train_test_split
+    from repro.training import ModelGradientComputer
 
     data = make_synthetic_images(num_samples=400, num_classes=10, flatten=True, seed=0)
     train, test = train_test_split(data, test_fraction=0.2, seed=1)
-    trainer = build_byzshield_trainer(
-        scheme=RamanujanAssignment(m=5, s=5),
-        model=build_mlp(train.flat_feature_dim, 10, hidden=(16,), seed=0),
-        train_dataset=train,
-        test_dataset=test,
-        config=TrainingConfig(batch_size=150, num_iterations=3, eval_every=3, seed=0),
-        attack=ALIEAttack(),
-        num_byzantine=5,
-    )
-    history = trainer.train()
-    assert history.distortion_fractions.mean() == pytest.approx(0.08)
+    assignment = RamanujanAssignment(m=5, s=5).assignment
+    model = build_mlp(train.flat_feature_dim, 10, hidden=(16,), seed=0)
+    attack, selector = ALIEAttack(), OmniscientSelector(5)
+    config = TrainingConfig(batch_size=150, num_iterations=3, eval_every=3)
+
+    computer = ModelGradientComputer(model)
+    cluster = TrainingCluster(assignment, WorkerPool(assignment, computer), attack=attack, selector=selector)
+    trainer = DistributedTrainer(cluster, ByzShieldPipeline(assignment), computer, train, test, config)
+    assert trainer.train().distortion_fractions.mean() == pytest.approx(0.08)
 
 
 def test_top_level_exports_exist():

@@ -1,13 +1,17 @@
 """Tests for the experiment generators (tables, figures, bounds, ablations, report)."""
 
+import json
+import pathlib
+
 import numpy as np
 import pytest
 
 from repro.exceptions import ConfigurationError
+from repro.experiments.ablations import aggregator_ablation
 from repro.experiments.accuracy import (
     SCALE_PRESETS,
     available_figures,
-    figure_spec,
+    figure_scenarios,
     run_accuracy_figure,
 )
 from repro.experiments.bounds import bound_tightness_table, claim2_verification_table
@@ -15,6 +19,11 @@ from repro.experiments.paper_reference import TABLE3, TABLE4, TABLE5, TABLE6
 from repro.experiments.report import format_rows, format_series, rows_to_csv
 from repro.experiments.tables import generate_table3, generate_table6
 from repro.experiments.timing import generate_figure12
+from repro.scenarios.runner import ScenarioRunner
+from repro.scenarios.spec import ScenarioSpec
+from repro.scenarios.trace import hex_float
+
+FIGURE_FIXTURE = pathlib.Path(__file__).parent / "fixtures" / "figure_histories_tiny.json"
 
 
 # --------------------------------------------------------------------------- #
@@ -75,19 +84,92 @@ def test_available_figures_and_specs():
     figures = available_figures()
     for expected in ("fig2", "fig5", "fig8", "fig11"):
         assert expected in figures
-    spec = figure_spec("fig2")
-    assert spec.cluster == "k25"
-    assert len(spec.runs) == 6
-    labels = [run.label for run in spec.runs]
-    assert "ByzShield, q=5" in labels
+    specs = figure_scenarios("fig2")
+    assert len(specs) == 6
+    assert "ByzShield, q=5" in [spec.name for spec in specs]
+    assert {spec.cluster.scheme for spec in specs} == {"ramanujan", "frc", "baseline"}
     with pytest.raises(ConfigurationError):
-        figure_spec("fig99")
+        figure_scenarios("fig99")
 
 
 def test_figure_specs_have_unique_labels():
     for figure_id in available_figures():
-        labels = [run.label for run in figure_spec(figure_id).runs]
+        labels = [spec.name for spec in figure_scenarios(figure_id)]
         assert len(labels) == len(set(labels)), figure_id
+
+
+@pytest.mark.parametrize("scale", sorted(SCALE_PRESETS))
+@pytest.mark.parametrize("figure_id", available_figures())
+def test_figure_scenarios_are_valid_specs_that_round_trip(figure_id, scale):
+    """Every curve is a ScenarioSpec whose JSON form (what ``repro scenario
+    run`` reads) loads back to the same digest, and the runner assembles it
+    (registry names and parameters; checked at the scale that builds fast)."""
+    for spec in figure_scenarios(figure_id, scale=scale, seed=3):
+        assert spec.seed == 3
+        assert spec.attack.selection == "omniscient"
+        assert spec.training.batch_size % 75 == 0
+        assert ScenarioSpec.from_dict(json.loads(spec.to_json())).digest() == spec.digest()
+        if scale == "tiny":
+            ScenarioRunner(spec).build_trainer()
+
+
+@pytest.mark.parametrize("figure_id", available_figures())
+def test_figure_scenarios_tiny_histories_match_parent_fixture(figure_id):
+    """The fixture's series were recorded with the pre-spec ``run_accuracy_figure``
+    (its own builders, one shared dataset per figure); every float of every
+    record must still be the same bits.  The digest beside each series names an
+    edit to a figure's definition before it shows up as a moved accuracy."""
+    expected = json.loads(FIGURE_FIXTURE.read_text())[figure_id]
+    specs = figure_scenarios(figure_id, scale="tiny", seed=0)
+    histories = run_accuracy_figure(figure_id, scale="tiny", seed=0)
+    assert list(histories) == [spec.name for spec in specs] == list(expected)
+    for spec in specs:
+        curve = dict(expected[spec.name])
+        assert spec.digest() == curve.pop("spec_digest"), spec.name
+        for field, series in curve.items():
+            got = [hex_float(getattr(r, field)) for r in histories[spec.name].records]
+            assert got == series, (spec.name, field)
+
+
+def test_no_figure_declares_an_inapplicable_defense():
+    """Bulyan needs 4q+3 votes and Multi-Krum 2q+3: Figure 7 has no Bulyan
+    curve at q = 9 (39 > K = 25) and Figure 8 no DETOX-Multi-Krum one."""
+    for figure_id in available_figures():
+        for spec in figure_scenarios(figure_id):
+            if spec.pipeline.aggregator == "bulyan":
+                assert spec.attack.schedule.q < 9, (figure_id, spec.name)
+    assert "DETOX-Multi-Krum, q=9" not in [spec.name for spec in figure_scenarios("fig8")]
+
+
+@pytest.mark.parametrize(
+    "cluster, kind, aggregator, needed, rows",
+    [
+        ({"scheme": "baseline", "params": {"num_workers": 25}}, "vanilla", "bulyan", 39, 25),
+        (
+            {"scheme": "frc", "params": {"num_workers": 25, "replication": 5}},
+            "detox",
+            "multi_krum",
+            21,
+            5,
+        ),
+    ],
+)
+def test_inapplicable_defense_fails_at_build_time_with_a_name(
+    cluster, kind, aggregator, needed, rows
+):
+    """A hand-made "Bulyan, q=9, K=25" (or Multi-Krum on DETOX's 5 group
+    winners) is refused by the runner before round 0, naming the section."""
+    document = json.loads(figure_scenarios("fig7", scale="tiny")[0].to_json())
+    document.update(
+        name=f"{aggregator}, q=9",
+        cluster=cluster,
+        pipeline={"kind": kind, "aggregator": aggregator, "aggregator_params": {"num_byzantine": 9}},
+    )
+    document["attack"]["schedule"]["q"] = 9
+    with pytest.raises(ConfigurationError, match="scenario.pipeline.aggregator_params") as info:
+        ScenarioRunner(ScenarioSpec.from_dict(document)).build_trainer()
+    assert f"at least {needed} votes" in str(info.value)
+    assert str(info.value).endswith(f"reduces {rows}")
 
 
 def test_run_accuracy_figure_tiny_subset():
@@ -96,7 +178,7 @@ def test_run_accuracy_figure_tiny_subset():
     )
     assert set(histories) == {"ByzShield, q=3", "Median, q=3"}
     for history in histories.values():
-        assert len(history) == SCALE_PRESETS["tiny"].num_iterations
+        assert len(history) == SCALE_PRESETS["tiny"]["training"]["num_iterations"]
         assert not np.isnan(history.final_accuracy)
     # ByzShield's realized distortion is far below the baseline's q/K.
     assert (
@@ -117,6 +199,27 @@ def test_run_accuracy_figure_k15_cluster():
 def test_run_accuracy_figure_unknown_scale():
     with pytest.raises(ConfigurationError):
         run_accuracy_figure("fig2", scale="galactic")
+
+
+@pytest.mark.parametrize("run_filter", [["ByzShield q=5"], ["Median, q=3", "ByzShield, q=4"]])
+def test_run_accuracy_figure_unknown_label_is_an_error(run_filter):
+    """A mistyped label used to train nothing and return ``{}``."""
+    with pytest.raises(ConfigurationError, match="ByzShield, q=5") as info:
+        run_accuracy_figure("fig2", scale="tiny", run_filter=run_filter)
+    assert run_filter[-1] in str(info.value)
+
+
+# --------------------------------------------------------------------------- #
+# Aggregator ablation
+# --------------------------------------------------------------------------- #
+def test_aggregator_ablation_rows():
+    rows = aggregator_ablation(num_byzantine=5, scale_iterations=4)
+    assert [row["aggregator"] for row in rows] == [
+        "median", "trimmed_mean", "multi_krum", "bulyan", "geometric_median"
+    ]
+    for row in rows:
+        assert row["mean_distortion"] == pytest.approx(0.08)
+        assert 0.0 <= row["final_accuracy"] <= 1.0
 
 
 # --------------------------------------------------------------------------- #

@@ -13,11 +13,11 @@ from repro.attacks.selection import OmniscientSelector
 from repro.cluster.simulator import TrainingCluster
 from repro.cluster.worker import WorkerPool
 from repro.core.distortion import max_distortion
-from repro.core.pipelines import ByzShieldPipeline
+from repro.assignment.baseline import BaselineAssignment
+from repro.core.pipelines import ByzShieldPipeline, VanillaPipeline
 from repro.data.datasets import train_test_split
 from repro.data.synthetic import make_gaussian_mixture
 from repro.nn.models import build_mlp
-from repro.training.builders import build_byzshield_trainer, build_vanilla_trainer
 from repro.training.config import TrainingConfig
 from repro.training.gradients import ModelGradientComputer
 
@@ -43,58 +43,58 @@ def make_config(iterations=25, batch=150, seed=0):
     )
 
 
-def byzshield_trainer(data, attack=None, q=0, iterations=25, aggregator=None, seed=0):
+def byzshield_trainer(assemble, data, attack=None, q=0, iterations=25, aggregator=None):
+    """ByzShield on MOLS (l=5, r=3) over this module's own dataset."""
     train, test = data
-    model = build_mlp(train.flat_feature_dim, train.num_classes, hidden=(24,), seed=0)
-    return build_byzshield_trainer(
-        scheme=MOLSAssignment(load=5, replication=3),
-        model=model,
-        train_dataset=train,
-        test_dataset=test,
-        config=make_config(iterations=iterations, seed=seed),
+    return assemble(
+        ByzShieldPipeline(
+            MOLSAssignment(load=5, replication=3).assignment,
+            aggregator=aggregator or CoordinateWiseMedian(),
+        ),
+        build_mlp(train.flat_feature_dim, train.num_classes, hidden=(24,), seed=0),
+        train,
+        test,
+        make_config(iterations=iterations),
         attack=attack,
-        num_byzantine=q,
-        aggregator=aggregator,
+        q=q,
     )
 
 
-def test_clean_training_learns(data):
+def test_clean_training_learns(data, assemble_trainer):
     """Without any attack the distributed trainer reaches high accuracy."""
-    history = byzshield_trainer(data, iterations=30).train()
+    history = byzshield_trainer(assemble_trainer, data, iterations=30).train()
     assert history.final_accuracy > 0.85
     assert history.train_losses[-1] < history.train_losses[0]
 
 
-def test_byzshield_attack_free_equivalence_small_q(data):
+def test_byzshield_attack_free_equivalence_small_q(data, assemble_trainer):
     """With q < r' the ByzShield output is bit-identical to attack-free training."""
-    clean = byzshield_trainer(data, iterations=10).train()
+    clean = byzshield_trainer(assemble_trainer, data, iterations=10).train()
     attacked = byzshield_trainer(
-        data, attack=ReversedGradientAttack(scale=1000.0), q=1, iterations=10
+        assemble_trainer, data, attack=ReversedGradientAttack(scale=1000.0), q=1, iterations=10
     ).train()
     assert np.array_equal(clean.accuracy_series()[1], attacked.accuracy_series()[1])
     assert np.allclose(clean.train_losses, attacked.train_losses)
     assert np.all(attacked.distortion_fractions == 0.0)
 
 
-def test_byzshield_beats_vanilla_median_under_constant_attack(data):
+def test_byzshield_beats_vanilla_median_under_constant_attack(data, assemble_trainer):
     """Under the omniscient constant attack with a large q, ByzShield retains
     far more accuracy than the plain coordinate-wise median baseline."""
     train, test = data
     q = 6
     attacked_byz = byzshield_trainer(
-        data, attack=ConstantAttack(value=-5.0), q=q, iterations=30
+        assemble_trainer, data, attack=ConstantAttack(value=-5.0), q=q, iterations=30
     ).train()
 
-    model = build_mlp(train.flat_feature_dim, train.num_classes, hidden=(24,), seed=0)
-    vanilla = build_vanilla_trainer(
-        num_workers=15,
-        model=model,
-        train_dataset=train,
-        test_dataset=test,
-        config=make_config(iterations=30),
-        aggregator=CoordinateWiseMedian(),
+    vanilla = assemble_trainer(
+        VanillaPipeline(BaselineAssignment(15).assignment, aggregator=CoordinateWiseMedian()),
+        build_mlp(train.flat_feature_dim, train.num_classes, hidden=(24,), seed=0),
+        train,
+        test,
+        make_config(iterations=30),
         attack=ConstantAttack(value=-5.0),
-        num_byzantine=q,
+        q=q,
     ).train()
     # ByzShield corrupts 12/25 = 48% of votes at q=6 but the *baseline* has
     # 6/15 = 40% of its gradients corrupted with no redundancy to fix them;
@@ -103,11 +103,11 @@ def test_byzshield_beats_vanilla_median_under_constant_attack(data):
     assert attacked_byz.final_accuracy >= vanilla.final_accuracy - 0.05
 
 
-def test_realized_distortion_matches_static_analysis(data):
+def test_realized_distortion_matches_static_analysis(data, assemble_trainer):
     """The distortion fraction observed during training equals the analytic
     worst case for the chosen (assignment, q)."""
     q = 3
-    trainer = byzshield_trainer(data, attack=ALIEAttack(), q=q, iterations=5)
+    trainer = byzshield_trainer(assemble_trainer, data, attack=ALIEAttack(), q=q, iterations=5)
     history = trainer.train()
     predicted = max_distortion(
         MOLSAssignment(load=5, replication=3).assignment, q, method="exhaustive"
@@ -155,14 +155,14 @@ def test_pipeline_output_matches_manual_computation(data):
     assert np.allclose(aggregated, expected)
 
 
-def test_different_aggregators_all_train(data):
+def test_different_aggregators_all_train(data, assemble_trainer):
     """ByzShield composes with non-default post-vote aggregators (conclusion remark)."""
     from repro.aggregation.krum import MultiKrumAggregator
     from repro.aggregation.trimmed_mean import TrimmedMeanAggregator
 
     for aggregator in (TrimmedMeanAggregator(trim=2), MultiKrumAggregator(num_byzantine=2)):
         history = byzshield_trainer(
-            data, attack=ReversedGradientAttack(), q=3, iterations=8, aggregator=aggregator
+            assemble_trainer, data, attack=ReversedGradientAttack(), q=3, iterations=8, aggregator=aggregator
         ).train()
         assert len(history) == 8
         assert not np.isnan(history.final_accuracy)

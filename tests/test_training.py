@@ -1,21 +1,12 @@
-"""Tests for the training harness: config, history, gradient computer, trainer, builders."""
+"""Tests for the training harness: config, history, gradient computer, trainer."""
 
 import numpy as np
 import pytest
 
-from repro.aggregation.median import CoordinateWiseMedian
-from repro.assignment.mols import MOLSAssignment
-from repro.attacks.constant import ConstantAttack
-from repro.attacks.reversed_gradient import ReversedGradientAttack
-from repro.exceptions import ConfigurationError, TrainingError
+from repro.exceptions import AggregationError, ConfigurationError, TrainingError
 from repro.nn.models import build_mlp
-from repro.training.builders import (
-    build_byzshield_trainer,
-    build_detox_trainer,
-    build_draco_trainer,
-    build_vanilla_trainer,
-    make_selector,
-)
+from repro.scenarios.runner import ScenarioRunner
+from repro.scenarios.spec import ScenarioSpec
 from repro.training.config import TrainingConfig
 from repro.training.gradients import ModelGradientComputer
 from repro.training.history import IterationRecord, TrainingHistory
@@ -108,179 +99,71 @@ def test_gradient_computer(small_classification_data):
 
 
 # --------------------------------------------------------------------------- #
-# Selectors / builders
+# Trainers, built the one way: spec -> ScenarioRunner.build_trainer()
 # --------------------------------------------------------------------------- #
-def test_make_selector():
-    assert make_selector("omniscient", 0) is None
-    assert make_selector("random", 3) is not None
-    assert make_selector("omniscient", 3) is not None
-    with pytest.raises(ConfigurationError):
-        make_selector("psychic", 3)
+_MOLS = {"scheme": "mols", "params": {"load": 5, "replication": 3}}
+_FRC = {"scheme": "frc", "params": {"num_workers": 15, "replication": 3}}
+_BASELINE = {"scheme": "baseline", "params": {"num_workers": 15}}
 
 
-def _small_config(num_files_multiple=75):
-    return TrainingConfig(
-        batch_size=num_files_multiple, num_iterations=4, learning_rate=0.05, eval_every=2, seed=0
-    )
+def _trainer(cluster=_MOLS, kind="byzshield", attack=None, q=0, batch_size=75):
+    """A 4-round trainer on a small Gaussian mixture; ``attack`` is a registry name."""
+    document = {
+        "name": f"{kind}-{attack}-q{q}",
+        "seed": 0,
+        "cluster": cluster,
+        "pipeline": {"kind": kind, "aggregator": "median"},
+        "data": {"kind": "gaussian", "num_train": 450, "num_test": 150,
+                 "num_classes": 4, "dim": 12, "separation": 3.0},
+        "model": {"hidden": [8]},
+        "training": {"batch_size": batch_size, "num_iterations": 4, "eval_every": 2},
+    }
+    if attack is not None:
+        document["attack"] = {"name": attack, "selection": "omniscient",
+                              "schedule": {"kind": "static", "q": q}}
+    return ScenarioRunner(ScenarioSpec.from_dict(document)).build_trainer()
 
 
-def test_build_byzshield_trainer_and_train(small_classification_data):
-    train, test = small_classification_data
-    model = build_mlp(train.flat_feature_dim, train.num_classes, hidden=(8,), seed=0)
-    trainer = build_byzshield_trainer(
-        scheme=MOLSAssignment(load=5, replication=3),
-        model=model,
-        train_dataset=train,
-        test_dataset=test,
-        config=_small_config(),
-        attack=ConstantAttack(),
-        num_byzantine=2,
-    )
-    history = trainer.train()
+def test_build_byzshield_trainer_and_train():
+    history = _trainer(attack="constant", q=2).train()
     assert len(history) == 4
     assert not np.isnan(history.final_accuracy)
     # With q=2 the omniscient adversary can corrupt exactly one of 25 files.
     assert np.allclose(history.distortion_fractions, 1 / 25)
 
 
-def test_build_byzshield_trainer_no_attack(small_classification_data):
-    train, test = small_classification_data
-    model = build_mlp(train.flat_feature_dim, train.num_classes, hidden=(8,), seed=0)
-    trainer = build_byzshield_trainer(
-        scheme=MOLSAssignment(load=5, replication=3),
-        model=model,
-        train_dataset=train,
-        test_dataset=test,
-        config=_small_config(),
-    )
-    history = trainer.train()
+def test_build_byzshield_trainer_no_attack():
+    history = _trainer().train()
     assert np.all(history.distortion_fractions == 0.0)
 
 
-def test_builder_attack_consistency_checks(small_classification_data):
-    train, test = small_classification_data
-    model = build_mlp(train.flat_feature_dim, train.num_classes, hidden=(8,), seed=0)
+def test_batch_size_must_divide_files():
     with pytest.raises(ConfigurationError):
-        build_byzshield_trainer(
-            scheme=MOLSAssignment(load=5, replication=3),
-            model=model,
-            train_dataset=train,
-            test_dataset=test,
-            config=_small_config(),
-            attack=ConstantAttack(),
-            num_byzantine=0,
-        )
-    with pytest.raises(ConfigurationError):
-        build_vanilla_trainer(
-            num_workers=15,
-            model=model,
-            train_dataset=train,
-            test_dataset=test,
-            config=_small_config(),
-            aggregator=CoordinateWiseMedian(),
-            num_byzantine=3,
-        )
+        _trainer(batch_size=77)
 
 
-def test_batch_size_must_divide_files(small_classification_data):
-    train, test = small_classification_data
-    model = build_mlp(train.flat_feature_dim, train.num_classes, hidden=(8,), seed=0)
-    bad_config = TrainingConfig(batch_size=77, num_iterations=2, seed=0)
-    with pytest.raises(ConfigurationError):
-        build_byzshield_trainer(
-            scheme=MOLSAssignment(load=5, replication=3),
-            model=model,
-            train_dataset=train,
-            test_dataset=test,
-            config=bad_config,
-        )
-
-
-def test_build_detox_and_vanilla_trainers(small_classification_data):
-    train, test = small_classification_data
-    config = _small_config()
-    model_a = build_mlp(train.flat_feature_dim, train.num_classes, hidden=(8,), seed=0)
-    detox = build_detox_trainer(
-        num_workers=15,
-        replication=3,
-        model=model_a,
-        train_dataset=train,
-        test_dataset=test,
-        config=config,
-        aggregator=CoordinateWiseMedian(),
-        attack=ReversedGradientAttack(),
-        num_byzantine=2,
-    )
-    history = detox.train()
+def test_build_detox_and_vanilla_trainers():
+    history = _trainer(_FRC, "detox", attack="reversed_gradient", q=2).train()
     assert len(history) == 4
 
-    model_b = build_mlp(train.flat_feature_dim, train.num_classes, hidden=(8,), seed=0)
-    vanilla = build_vanilla_trainer(
-        num_workers=15,
-        model=model_b,
-        train_dataset=train,
-        test_dataset=test,
-        config=config,
-        aggregator=CoordinateWiseMedian(),
-        attack=ReversedGradientAttack(),
-        num_byzantine=2,
-    )
-    history = vanilla.train()
+    history = _trainer(_BASELINE, "vanilla", attack="reversed_gradient", q=2).train()
     # Baseline distortion fraction is q / K.
     assert np.allclose(history.distortion_fractions, 2 / 15)
 
 
-def test_build_draco_trainer_applicability(small_classification_data):
-    train, test = small_classification_data
-    config = _small_config()
-    model = build_mlp(train.flat_feature_dim, train.num_classes, hidden=(8,), seed=0)
-    draco = build_draco_trainer(
-        num_workers=15,
-        replication=3,
-        model=model,
-        train_dataset=train,
-        test_dataset=test,
-        config=config,
-        attack=ConstantAttack(),
-        num_byzantine=1,
-    )
-    history = draco.train()
+def test_build_draco_trainer_applicability():
+    """DRACO needs r >= 2q+1: r = 3 recovers exactly at q = 1 and refuses q = 2."""
+    history = _trainer(_FRC, "draco", attack="constant", q=1).train()
     assert len(history) == 4
 
-    model_b = build_mlp(train.flat_feature_dim, train.num_classes, hidden=(8,), seed=0)
-    violating = build_draco_trainer(
-        num_workers=15,
-        replication=3,
-        model=model_b,
-        train_dataset=train,
-        test_dataset=test,
-        config=config,
-        attack=ConstantAttack(),
-        num_byzantine=2,
-    )
-    from repro.exceptions import AggregationError
-
+    violating = _trainer(_FRC, "draco", attack="constant", q=2)
     with pytest.raises(AggregationError):
         violating.train()
 
 
-def test_trainer_determinism(small_classification_data):
+def test_trainer_determinism():
     """Same seed, same scheme, same attack => identical accuracy curves."""
-    train, test = small_classification_data
-
-    def run():
-        model = build_mlp(train.flat_feature_dim, train.num_classes, hidden=(8,), seed=0)
-        trainer = build_byzshield_trainer(
-            scheme=MOLSAssignment(load=5, replication=3),
-            model=model,
-            train_dataset=train,
-            test_dataset=test,
-            config=_small_config(),
-            attack=ConstantAttack(),
-            num_byzantine=2,
-        )
-        return trainer.train()
-
-    a, b = run(), run()
+    a = _trainer(attack="constant", q=2).train()
+    b = _trainer(attack="constant", q=2).train()
     assert np.array_equal(a.accuracy_series()[1], b.accuracy_series()[1])
     assert np.array_equal(a.train_losses, b.train_losses)

@@ -22,6 +22,9 @@ class Aggregator(abc.ABC):
     and the vote's :class:`~repro.core.vote_tensor.RowSelection` are
     accepted) and sanity checks.  ``float32``/``float64`` inputs keep their
     dtype through the rule; everything else is coerced to the backend default.
+    The matrix is read-only on every path — it may be the round's shared
+    honest gradients — so a rule that writes into it fails with NumPy's
+    ``ValueError`` instead of corrupting the next reader.
     """
 
     #: registry name; subclasses override
@@ -76,12 +79,14 @@ class Aggregator(abc.ABC):
         matrix = selection.densified()  # repro-lint: disable=COW-001 (the one densification point: rules that rank, trim or average whole rows need the (n, d) matrix)
         if not np.all(np.isfinite(matrix)):
             matrix = np.nan_to_num(matrix, nan=0.0, posinf=1e30, neginf=-1e30)
+            matrix.setflags(write=False)
         return self._aggregate(matrix)
 
     @abc.abstractmethod
     def _aggregate(self, matrix: np.ndarray) -> np.ndarray:
-        """Aggregate a validated, finite ``(n, d)`` matrix into a ``(d,)``
-        vector (the unclamped selection itself under :attr:`streams_lanes`)."""
+        """Aggregate a validated, finite, read-only ``(n, d)`` matrix into a
+        ``(d,)`` vector (the unclamped selection itself under
+        :attr:`streams_lanes`)."""
 
     def __repr__(self) -> str:  # pragma: no cover - trivial
         return f"{type(self).__name__}()"

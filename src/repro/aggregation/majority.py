@@ -417,8 +417,11 @@ def _row_bits(bits: np.ndarray, rows: np.ndarray):
 
 
 def _dense_values(tensor) -> np.ndarray:
-    """The vote kernels' one densification point (see the two callers)."""
-    return tensor.values  # repro-lint: disable=COW-001 (no-copy view of a dense tensor; a lazy one densifies only for tolerance voting, whose cluster means need the full slot layout)
+    """The vote kernels' one densification point (see the two callers), as
+    a read-only view: the kernels only ever read the cube."""
+    view = tensor.values.view()  # repro-lint: disable=COW-001 (no-copy view of a dense tensor; a lazy one densifies only for tolerance voting, whose cluster means need the full slot layout)
+    view.setflags(write=False)
+    return view
 
 
 def override_content_ids(tensor, block_size: int | None = None) -> np.ndarray:

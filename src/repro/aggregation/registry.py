@@ -1,8 +1,6 @@
-"""Registry of aggregation rules, keyed by name for experiment configs."""
+"""Registry of aggregation rules, keyed by each class's ``aggregator_name``."""
 
 from __future__ import annotations
-
-from typing import Type
 
 from repro.aggregation.auror import AurorAggregator
 from repro.aggregation.base import Aggregator
@@ -14,7 +12,7 @@ from repro.aggregation.median import CoordinateWiseMedian
 from repro.aggregation.median_of_means import MedianOfMeansAggregator
 from repro.aggregation.sign_sgd import SignSGDMajorityAggregator
 from repro.aggregation.trimmed_mean import TrimmedMeanAggregator
-from repro.exceptions import ConfigurationError
+from repro.utils.registry import Registry
 
 __all__ = [
     "register_aggregator",
@@ -23,53 +21,25 @@ __all__ = [
     "available_aggregators",
 ]
 
-_REGISTRY: dict[str, Type[Aggregator]] = {}
+_REGISTRY: Registry[Aggregator] = Registry(
+    "aggregator",
+    Aggregator,
+    "aggregator_name",
+    (
+        MeanAggregator,
+        CoordinateWiseMedian,
+        TrimmedMeanAggregator,
+        MedianOfMeansAggregator,
+        KrumAggregator,
+        MultiKrumAggregator,
+        BulyanAggregator,
+        GeometricMedianAggregator,
+        SignSGDMajorityAggregator,
+        AurorAggregator,
+    ),
+)
 
-
-def register_aggregator(
-    name: str, cls: Type[Aggregator], overwrite: bool = False
-) -> None:
-    """Register an aggregator class under ``name``."""
-    key = name.lower()
-    if key in _REGISTRY and not overwrite:
-        raise ConfigurationError(f"aggregator {name!r} is already registered")
-    if not issubclass(cls, Aggregator):
-        raise ConfigurationError(
-            f"{cls!r} does not subclass Aggregator and cannot be registered"
-        )
-    _REGISTRY[key] = cls
-
-
-def get_aggregator(name: str) -> Type[Aggregator]:
-    """Look up an aggregator class by (case-insensitive) name."""
-    key = name.lower()
-    if key not in _REGISTRY:
-        raise ConfigurationError(
-            f"unknown aggregator {name!r}; available: {available_aggregators()}"
-        )
-    return _REGISTRY[key]
-
-
-def create_aggregator(name: str, **kwargs) -> Aggregator:
-    """Instantiate a registered aggregator with keyword arguments."""
-    return get_aggregator(name)(**kwargs)
-
-
-def available_aggregators() -> list[str]:
-    """Sorted list of registered aggregator names."""
-    return sorted(_REGISTRY)
-
-
-for _name, _cls in (
-    ("mean", MeanAggregator),
-    ("median", CoordinateWiseMedian),
-    ("trimmed_mean", TrimmedMeanAggregator),
-    ("median_of_means", MedianOfMeansAggregator),
-    ("krum", KrumAggregator),
-    ("multi_krum", MultiKrumAggregator),
-    ("bulyan", BulyanAggregator),
-    ("geometric_median", GeometricMedianAggregator),
-    ("signsgd", SignSGDMajorityAggregator),
-    ("auror", AurorAggregator),
-):
-    register_aggregator(_name, _cls)
+register_aggregator = _REGISTRY.register
+get_aggregator = _REGISTRY.get
+create_aggregator = _REGISTRY.create
+available_aggregators = _REGISTRY.names

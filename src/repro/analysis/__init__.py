@@ -1,14 +1,14 @@
 """Static invariant linter (``repro lint``).
 
 The reproduction's bit-exactness story rests on a handful of repo-wide
-conventions — RNG streams derived through :func:`repro.utils.rng.derive_seed`,
-float dtype policy routed through :mod:`repro.core.backend`, copy-on-write
-discipline around the lazy :class:`~repro.core.vote_tensor.VoteTensor`,
-aggregation kernels that never mutate their inputs, and registries that know
-every pluggable subclass.  The runtime test suite checks the *consequences* of
-those conventions after the fact; this package checks the conventions
-themselves, statically, by parsing every module with :mod:`ast` and running
-a rule engine over the trees.
+conventions.  Three are checked here, statically, by parsing every module
+with :mod:`ast`: RNG streams derived through
+:func:`repro.utils.rng.derive_seed`, float dtype policy routed through
+:mod:`repro.core.backend`, and copy-on-write discipline around the lazy
+:class:`~repro.core.vote_tensor.VoteTensor`.  Two others hold by
+construction and need no rule: aggregation kernels are only ever handed
+read-only arrays (a write raises), and each registry is built from the
+names its classes declare (:class:`repro.utils.registry.Registry`).
 
 Run it as ``repro lint`` or ``python -m repro.analysis``.  Findings are
 reported as ``path:line:col: RULE-ID message``; a finding can be waived on
@@ -23,7 +23,6 @@ from repro.analysis.engine import (
     LintEngine,
     LintReport,
     ModuleInfo,
-    ProjectContext,
     Waiver,
     lint_paths,
 )
@@ -34,7 +33,6 @@ __all__ = [
     "LintEngine",
     "LintReport",
     "ModuleInfo",
-    "ProjectContext",
     "Rule",
     "Waiver",
     "ALL_RULES",

@@ -5,7 +5,8 @@ paths the linter scans the installed ``repro`` package itself, so the CI
 gate is simply ``repro lint --check`` from any working directory.
 
 Exit code 0 means zero findings; any finding — including a waiver that
-carries no reason — exits 1.
+carries no reason — exits 1, and so does a path that does not exist (one
+``error:`` line).
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import sys
 from typing import Sequence
 
 from repro.analysis.engine import LintEngine, LintReport
+from repro.exceptions import ReproError
 
 __all__ = ["build_parser", "run_lint", "main"]
 
@@ -92,7 +94,11 @@ def run_lint(argv: Sequence[str] | None = None) -> tuple[int, str]:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    code, output = run_lint(argv)
+    try:
+        code, output = run_lint(argv)
+    except ReproError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     if output:
         print(output)
     return code

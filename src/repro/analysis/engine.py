@@ -1,19 +1,17 @@
 """Rule engine: file discovery, parsing, waivers and finding collection.
 
-The engine makes two passes.  Pass one parses every target file into a
-:class:`ModuleInfo` and aggregates the project-wide facts some rules need
-(the class hierarchy and the registry dispatch tables) into a
-:class:`ProjectContext`.  Pass two runs every rule over every module and
-filters the raw findings through the per-line waivers.
+The engine parses every target file into a :class:`ModuleInfo`, runs every
+rule over it and filters the raw findings through the per-line waivers.
+Rules are per-module: none needs facts from another file.
 
 Waiver grammar (one comment per line, applying to findings on that line)::
 
     # repro-lint: disable=RULE-ID (reason why the invariant is intact)
     # repro-lint: disable=RULE-A,RULE-B (one reason may cover several rules)
 
-The reason is not optional: a waiver without one suppresses nothing and is
-reported as a ``WAIVER-001`` finding, so CI stays red until the author
-writes down *why* the line is exempt.  Waivers naming unknown rule ids are
+The reason is not optional: a waiver without one is reported as a
+``WAIVER-001`` finding, so CI stays red until the author writes down *why*
+the line is exempt.  Waivers naming unknown rule ids are
 reported as ``WAIVER-002``.
 """
 
@@ -27,13 +25,12 @@ import tokenize
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Sequence
 
+from repro.exceptions import ConfigurationError
+
 __all__ = [
     "Finding",
     "Waiver",
     "ModuleInfo",
-    "ClassInfo",
-    "RegistrationEntry",
-    "ProjectContext",
     "LintReport",
     "LintEngine",
     "lint_paths",
@@ -43,7 +40,7 @@ __all__ = [
 WAIVER_NO_REASON = "WAIVER-001"
 #: rule id of the "waiver names an unknown rule" finding
 WAIVER_UNKNOWN_RULE = "WAIVER-002"
-#: rule id reported for files the ``ast`` module cannot parse
+#: rule id reported for files that do not decode or parse
 PARSE_ERROR = "PARSE-001"
 
 _WAIVER_RE = re.compile(
@@ -96,146 +93,6 @@ class ModuleInfo:
     @property
     def lines(self) -> list[str]:
         return self.source.splitlines()
-
-
-@dataclass(frozen=True)
-class ClassInfo:
-    """A class definition seen anywhere in the scanned tree."""
-
-    name: str
-    relpath: str
-    line: int
-    bases: tuple[str, ...]
-    is_abstract: bool
-
-
-@dataclass(frozen=True)
-class RegistrationEntry:
-    """One class wired into a registry dispatch table."""
-
-    class_name: str
-    relpath: str
-    line: int
-
-
-class ProjectContext:
-    """Cross-module facts shared by all rules.
-
-    ``classes`` maps class name to its definition (last definition wins —
-    class names are unique in this codebase and in any sane fixture tree).
-    ``registrations`` maps a registry module's relpath to the classes its
-    dispatch table wires up.  ``module_names`` lets project-scoped rules
-    check whether their dispatch module is part of the scan at all (partial
-    scans skip those rules instead of reporting phantom findings).
-    """
-
-    def __init__(self, modules: Sequence[ModuleInfo]):
-        self.modules = tuple(modules)
-        self.module_names = frozenset(m.relpath for m in modules)
-        self.classes: dict[str, ClassInfo] = {}
-        self.registrations: dict[str, list[RegistrationEntry]] = {}
-        self.name_references: dict[str, list[str]] = {}
-        for module in modules:
-            if module.tree is None:
-                continue
-            self._collect_classes(module)
-            if module.relpath.endswith("registry.py"):
-                self.registrations[module.relpath] = list(
-                    _registration_entries(module)
-                )
-            for node in ast.walk(module.tree):
-                if isinstance(node, ast.Name):
-                    self.name_references.setdefault(node.id, []).append(
-                        module.relpath
-                    )
-
-    def _collect_classes(self, module: ModuleInfo) -> None:
-        assert module.tree is not None
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.ClassDef):
-                continue
-            bases = tuple(
-                base_name
-                for base in node.bases
-                if (base_name := _base_name(base)) is not None
-            )
-            self.classes[node.name] = ClassInfo(
-                name=node.name,
-                relpath=module.relpath,
-                line=node.lineno,
-                bases=bases,
-                is_abstract=_defines_abstract_methods(node),
-            )
-
-    def subclasses_of(self, root: str) -> list[ClassInfo]:
-        """All (transitive) subclasses of ``root`` seen in the scan."""
-        children: dict[str, set[str]] = {}
-        for info in self.classes.values():
-            for base in info.bases:
-                children.setdefault(base, set()).add(info.name)
-        found: set[str] = set()
-        frontier = [root]
-        while frontier:
-            current = frontier.pop()
-            for child in children.get(current, ()):
-                if child not in found:
-                    found.add(child)
-                    frontier.append(child)
-        return sorted((self.classes[name] for name in found), key=lambda c: c.name)
-
-
-def _base_name(node: ast.expr) -> str | None:
-    if isinstance(node, ast.Name):
-        return node.id
-    if isinstance(node, ast.Attribute):
-        return node.attr
-    return None
-
-
-def _defines_abstract_methods(node: ast.ClassDef) -> bool:
-    for stmt in node.body:
-        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            for decorator in stmt.decorator_list:
-                if _base_name(decorator) == "abstractmethod":
-                    return True
-    return False
-
-
-def _registration_entries(module: ModuleInfo) -> Iterator[RegistrationEntry]:
-    """Classes wired by a registry module's dispatch table.
-
-    Recognizes the repo's two idioms: a module-level ``for _name, _cls in
-    ((...), ...): register_x(_name, _cls)`` loop over a literal tuple, and
-    direct ``register_x("name", Cls)`` calls.
-    """
-    assert module.tree is not None
-    for stmt in module.tree.body:
-        if isinstance(stmt, ast.For) and isinstance(stmt.iter, (ast.Tuple, ast.List)):
-            for element in stmt.iter.elts:
-                if (
-                    isinstance(element, (ast.Tuple, ast.List))
-                    and len(element.elts) == 2
-                    and isinstance(element.elts[1], ast.Name)
-                ):
-                    yield RegistrationEntry(
-                        class_name=element.elts[1].id,
-                        relpath=module.relpath,
-                        line=element.lineno,
-                    )
-        elif isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Call):
-            call = stmt.value
-            func = _base_name(call.func)
-            if (
-                func is not None
-                and func.startswith("register_")
-                and len(call.args) >= 2
-                and isinstance(call.args[1], ast.Name)
-            ):
-                yield RegistrationEntry(
-                    class_name=call.args[1].id,
-                    relpath=module.relpath,
-                    line=call.lineno,
-                )
 
 
 def _parse_waivers(source: str) -> dict[int, Waiver]:
@@ -330,15 +187,18 @@ class LintEngine:
             path = pathlib.Path(path)
             if path.is_dir():
                 files.update(path.rglob("*.py"))
-            else:
+            elif path.exists():
                 files.add(path)
+            else:
+                raise ConfigurationError(f"no such file or directory: {path}")
         return sorted(files)
 
     def load_module(self, path: pathlib.Path, root: pathlib.Path) -> ModuleInfo:
-        source = path.read_text()
+        source = ""
         try:
+            source = path.read_text()
             tree = ast.parse(source, filename=str(path))
-        except SyntaxError:
+        except (SyntaxError, ValueError):  # ValueError: undecodable bytes, NUL
             tree = None
         return ModuleInfo(
             path=path,
@@ -353,16 +213,12 @@ class LintEngine:
         paths = [pathlib.Path(p) for p in paths]
         root = paths[0] if paths and paths[0].is_dir() else pathlib.Path(".")
         files = self.collect_files(paths)
-        modules = [self.load_module(path, root) for path in files]
-        project = ProjectContext(modules)
         findings: list[Finding] = []
-        for module in modules:
-            findings.extend(self._lint_module(module, project))
+        for path in files:
+            findings.extend(self._lint_module(self.load_module(path, root)))
         return LintReport(findings=tuple(sorted(findings)), files_scanned=len(files))
 
-    def _lint_module(
-        self, module: ModuleInfo, project: ProjectContext
-    ) -> Iterator[Finding]:
+    def _lint_module(self, module: ModuleInfo) -> Iterator[Finding]:
         display = str(module.path)
         if module.tree is None:
             yield Finding(
@@ -370,25 +226,17 @@ class LintEngine:
                 line=1,
                 col=0,
                 rule=PARSE_ERROR,
-                message="file does not parse; repro lint needs valid Python",
+                message="file does not decode or parse; repro lint needs valid Python",
             )
             return
-        raw: list[Finding] = []
         for rule in self.rules:
-            for finding in rule.check_module(module, project):
-                raw.append(finding)
-        used_waivers: set[int] = set()
-        for finding in raw:
-            waiver = module.waivers.get(finding.line)
-            if waiver is not None and finding.rule in waiver.rules:
-                used_waivers.add(waiver.line)
-                if waiver.reason:
-                    continue  # properly waived
-                # Reasonless waivers suppress the underlying finding but
-                # surface as their own (see WAIVER-001 below) so the lint
-                # stays red until the author writes the reason down.
-                continue
-            yield finding
+            for finding in rule.check_module(module):
+                waiver = module.waivers.get(finding.line)
+                # A reasonless waiver suppresses too, but surfaces as its own
+                # WAIVER-001 below, so the lint stays red until the author
+                # writes the reason down.
+                if waiver is None or finding.rule not in waiver.rules:
+                    yield finding
         for line, waiver in sorted(module.waivers.items()):
             if not waiver.reason:
                 yield Finding(

@@ -10,8 +10,6 @@ from __future__ import annotations
 from repro.analysis.rules.base import Rule
 from repro.analysis.rules.cow import CowSafetyRule
 from repro.analysis.rules.dtype import DtypeSeamRule
-from repro.analysis.rules.kernel import KernelPurityRule
-from repro.analysis.rules.registration import RegistrationRule
 from repro.analysis.rules.rng import RngPurityRule
 
 __all__ = [
@@ -19,8 +17,6 @@ __all__ = [
     "RngPurityRule",
     "DtypeSeamRule",
     "CowSafetyRule",
-    "KernelPurityRule",
-    "RegistrationRule",
     "ALL_RULES",
 ]
 
@@ -29,6 +25,4 @@ ALL_RULES: tuple[Rule, ...] = (
     RngPurityRule(),
     DtypeSeamRule(),
     CowSafetyRule(),
-    KernelPurityRule(),
-    RegistrationRule(),
 )

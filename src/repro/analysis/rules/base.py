@@ -6,19 +6,18 @@ import abc
 import ast
 from typing import Iterator
 
-from repro.analysis.engine import Finding, ModuleInfo, ProjectContext
+from repro.analysis.engine import Finding, ModuleInfo
 
 __all__ = [
     "Rule",
     "numpy_aliases",
     "attribute_chain",
     "subscript_root",
-    "iter_functions",
 ]
 
 
 class Rule(abc.ABC):
-    """One invariant check, run per module with project-wide context."""
+    """One invariant check, run on each parsed module."""
 
     #: stable identifier, e.g. ``"RNG-001"`` — what waivers and CI key on
     rule_id: str = ""
@@ -29,9 +28,7 @@ class Rule(abc.ABC):
         return f"<{type(self).__name__} {self.rule_id}>"
 
     @abc.abstractmethod
-    def check_module(
-        self, module: ModuleInfo, project: ProjectContext
-    ) -> Iterator[Finding]:
+    def check_module(self, module: ModuleInfo) -> Iterator[Finding]:
         """Yield findings for one parsed module."""
 
     def finding(self, module: ModuleInfo, node: ast.AST, message: str) -> Finding:
@@ -74,16 +71,3 @@ def subscript_root(node: ast.expr) -> ast.expr:
     while isinstance(node, ast.Subscript):
         node = node.value
     return node
-
-
-def iter_functions(
-    tree: ast.Module,
-) -> Iterator[tuple[ast.FunctionDef | ast.AsyncFunctionDef, bool]]:
-    """Module-level functions and class methods, with an ``is_method`` flag."""
-    for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield node, False
-        elif isinstance(node, ast.ClassDef):
-            for item in node.body:
-                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    yield item, True

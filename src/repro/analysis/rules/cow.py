@@ -25,7 +25,7 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro.analysis.engine import Finding, ModuleInfo, ProjectContext
+from repro.analysis.engine import Finding, ModuleInfo
 from repro.analysis.rules.base import Rule, subscript_root
 
 __all__ = ["CowSafetyRule"]
@@ -53,9 +53,7 @@ class CowSafetyRule(Rule):
         "set_vote, add_to_slots, scale_slots, zero_slots)"
     )
 
-    def check_module(
-        self, module: ModuleInfo, project: ProjectContext
-    ) -> Iterator[Finding]:
+    def check_module(self, module: ModuleInfo) -> Iterator[Finding]:
         if not _in_scope(module.relpath):
             return
         assert module.tree is not None

@@ -15,7 +15,7 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro.analysis.engine import Finding, ModuleInfo, ProjectContext
+from repro.analysis.engine import Finding, ModuleInfo
 from repro.analysis.rules.base import Rule, attribute_chain, numpy_aliases
 
 __all__ = ["DtypeSeamRule"]
@@ -38,9 +38,7 @@ class DtypeSeamRule(Rule):
         "through DEFAULT_DTYPE / resolve_dtype / ensure_float"
     )
 
-    def check_module(
-        self, module: ModuleInfo, project: ProjectContext
-    ) -> Iterator[Finding]:
+    def check_module(self, module: ModuleInfo) -> Iterator[Finding]:
         if module.relpath == _SEAM:
             return
         assert module.tree is not None

@@ -16,7 +16,7 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro.analysis.engine import Finding, ModuleInfo, ProjectContext
+from repro.analysis.engine import Finding, ModuleInfo
 from repro.analysis.rules.base import Rule, attribute_chain, numpy_aliases
 
 __all__ = ["RngPurityRule"]
@@ -95,9 +95,7 @@ class RngPurityRule(Rule):
         "construction outside utils/rng.py"
     )
 
-    def check_module(
-        self, module: ModuleInfo, project: ProjectContext
-    ) -> Iterator[Finding]:
+    def check_module(self, module: ModuleInfo) -> Iterator[Finding]:
         if module.relpath == _SEAM:
             return
         assert module.tree is not None

@@ -1,14 +1,12 @@
-"""Registry mapping scheme names to their classes.
+"""Registry of assignment schemes, keyed by each class's ``scheme_name``.
 
-Experiment configuration files refer to assignment schemes by name
-(``"mols"``, ``"ramanujan"``, ``"frc"``, ``"baseline"``, ``"random"``); the
-registry resolves the name and forwards keyword arguments to the constructor.
-Users can register their own schemes for ablations.
+Experiment configuration files refer to an assignment scheme by the name
+its class declares; the registry resolves the name and forwards keyword
+arguments to the constructor.  A scheme written for an ablation joins with
+``register_scheme(cls)`` under its own ``scheme_name``.
 """
 
 from __future__ import annotations
-
-from typing import Type
 
 from repro.assignment.base import AssignmentScheme
 from repro.assignment.baseline import BaselineAssignment
@@ -16,56 +14,24 @@ from repro.assignment.frc import FRCAssignment
 from repro.assignment.mols import MOLSAssignment
 from repro.assignment.ramanujan import RamanujanAssignment
 from repro.assignment.random_scheme import RandomAssignment
-from repro.exceptions import ConfigurationError
+from repro.utils.registry import Registry
 
 __all__ = ["register_scheme", "get_scheme", "available_schemes", "create_scheme"]
 
-_REGISTRY: dict[str, Type[AssignmentScheme]] = {}
+_REGISTRY: Registry[AssignmentScheme] = Registry(
+    "assignment scheme",
+    AssignmentScheme,
+    "scheme_name",
+    (
+        MOLSAssignment,
+        RamanujanAssignment,
+        FRCAssignment,
+        BaselineAssignment,
+        RandomAssignment,
+    ),
+)
 
-
-def register_scheme(name: str, cls: Type[AssignmentScheme], overwrite: bool = False) -> None:
-    """Register ``cls`` under ``name``.
-
-    Raises
-    ------
-    ConfigurationError
-        If the name is already taken and ``overwrite`` is False.
-    """
-    key = name.lower()
-    if key in _REGISTRY and not overwrite:
-        raise ConfigurationError(f"assignment scheme {name!r} is already registered")
-    if not issubclass(cls, AssignmentScheme):
-        raise ConfigurationError(
-            f"{cls!r} does not subclass AssignmentScheme and cannot be registered"
-        )
-    _REGISTRY[key] = cls
-
-
-def get_scheme(name: str) -> Type[AssignmentScheme]:
-    """Look up a scheme class by (case-insensitive) name."""
-    key = name.lower()
-    if key not in _REGISTRY:
-        raise ConfigurationError(
-            f"unknown assignment scheme {name!r}; available: {available_schemes()}"
-        )
-    return _REGISTRY[key]
-
-
-def create_scheme(name: str, **kwargs) -> AssignmentScheme:
-    """Instantiate a registered scheme with keyword arguments."""
-    return get_scheme(name)(**kwargs)
-
-
-def available_schemes() -> list[str]:
-    """Sorted list of registered scheme names."""
-    return sorted(_REGISTRY)
-
-
-for _name, _cls in (
-    ("mols", MOLSAssignment),
-    ("ramanujan", RamanujanAssignment),
-    ("frc", FRCAssignment),
-    ("baseline", BaselineAssignment),
-    ("random", RandomAssignment),
-):
-    register_scheme(_name, _cls)
+register_scheme = _REGISTRY.register
+get_scheme = _REGISTRY.get
+create_scheme = _REGISTRY.create
+available_schemes = _REGISTRY.names

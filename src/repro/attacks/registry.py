@@ -1,8 +1,6 @@
-"""Registry of attacks, keyed by name for experiment configurations."""
+"""Registry of attacks, keyed by each class's ``attack_name``."""
 
 from __future__ import annotations
-
-from typing import Type
 
 from repro.attacks.adaptive import FangAdaptiveAttack, MinMaxAttack, MinSumAttack
 from repro.attacks.alie import ALIEAttack
@@ -12,58 +10,29 @@ from repro.attacks.inner_product import InnerProductManipulationAttack
 from repro.attacks.noise import GaussianNoiseAttack, UniformRandomAttack
 from repro.attacks.reversed_gradient import ReversedGradientAttack
 from repro.attacks.sign_flip import SignFlipAttack
-from repro.exceptions import ConfigurationError
+from repro.utils.registry import Registry
 
 __all__ = ["register_attack", "get_attack", "create_attack", "available_attacks"]
 
-_REGISTRY: dict[str, Type[Attack]] = {}
+_REGISTRY: Registry[Attack] = Registry(
+    "attack",
+    Attack,
+    "attack_name",
+    (
+        ALIEAttack,
+        ConstantAttack,
+        ReversedGradientAttack,
+        GaussianNoiseAttack,
+        UniformRandomAttack,
+        InnerProductManipulationAttack,
+        SignFlipAttack,
+        FangAdaptiveAttack,
+        MinMaxAttack,
+        MinSumAttack,
+    ),
+)
 
-
-def register_attack(name: str, cls: Type[Attack], overwrite: bool = False) -> None:
-    """Register an attack class under ``name``."""
-    key = name.lower()
-    if key in _REGISTRY and not overwrite:
-        raise ConfigurationError(
-            f"attack {name!r} is already registered "
-            f"(as {_REGISTRY[key].__name__}); pass overwrite=True to replace it"
-        )
-    if not issubclass(cls, Attack):
-        raise ConfigurationError(
-            f"{cls!r} does not subclass Attack and cannot be registered"
-        )
-    _REGISTRY[key] = cls
-
-
-def get_attack(name: str) -> Type[Attack]:
-    """Look up an attack class by (case-insensitive) name."""
-    key = name.lower()
-    if key not in _REGISTRY:
-        raise ConfigurationError(
-            f"unknown attack {name!r}; available: {available_attacks()}"
-        )
-    return _REGISTRY[key]
-
-
-def create_attack(name: str, **kwargs) -> Attack:
-    """Instantiate a registered attack with keyword arguments."""
-    return get_attack(name)(**kwargs)
-
-
-def available_attacks() -> list[str]:
-    """Sorted list of registered attack names."""
-    return sorted(_REGISTRY)
-
-
-for _name, _cls in (
-    ("alie", ALIEAttack),
-    ("constant", ConstantAttack),
-    ("reversed_gradient", ReversedGradientAttack),
-    ("gaussian_noise", GaussianNoiseAttack),
-    ("uniform_random", UniformRandomAttack),
-    ("inner_product", InnerProductManipulationAttack),
-    ("sign_flip", SignFlipAttack),
-    ("fang", FangAdaptiveAttack),
-    ("min_max", MinMaxAttack),
-    ("min_sum", MinSumAttack),
-):
-    register_attack(_name, _cls)
+register_attack = _REGISTRY.register
+get_attack = _REGISTRY.get
+create_attack = _REGISTRY.create
+available_attacks = _REGISTRY.names

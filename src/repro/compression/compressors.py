@@ -17,6 +17,7 @@ import numpy as np
 
 from repro.core.backend import ensure_float
 from repro.exceptions import ConfigurationError
+from repro.utils.registry import Registry
 from repro.utils.rng import as_generator
 
 __all__ = [
@@ -60,6 +61,9 @@ class CompressedGradient:
 class Compressor(abc.ABC):
     """A (possibly lossy) gradient compression operator."""
 
+    #: registry name; subclasses override
+    compressor_name: str = "abstract"
+
     @abc.abstractmethod
     def compress(self, gradient: np.ndarray) -> CompressedGradient:
         """Compress a flat gradient and return the reconstruction + wire size."""
@@ -96,6 +100,8 @@ class Compressor(abc.ABC):
 class IdentityCompressor(Compressor):
     """No-op compressor (the uncompressed baseline)."""
 
+    compressor_name = "identity"
+
     def compress(self, gradient: np.ndarray) -> CompressedGradient:
         return CompressedGradient(gradient.copy(), bits=gradient.size * _FLOAT_BITS)
 
@@ -110,6 +116,8 @@ class SignCompressor(Compressor):
     absolute value of the gradient (the standard scaled-sign estimator); the
     wire cost is one bit per coordinate plus one float for the scale.
     """
+
+    compressor_name = "sign"
 
     def compress(self, gradient: np.ndarray) -> CompressedGradient:
         scale = float(np.mean(np.abs(gradient)))
@@ -132,6 +140,8 @@ class TopKCompressor(Compressor):
         Fraction of coordinates kept, in (0, 1]; at least one coordinate is
         always transmitted.
     """
+
+    compressor_name = "topk"
 
     def __init__(self, fraction: float) -> None:
         if not (0.0 < fraction <= 1.0):
@@ -172,6 +182,8 @@ class RandomKCompressor(Compressor):
         Seed (or generator) for the coordinate selection.
     """
 
+    compressor_name = "randomk"
+
     def __init__(self, fraction: float, seed: int | np.random.Generator | None = 0) -> None:
         if not (0.0 < fraction <= 1.0):
             raise ConfigurationError(f"fraction must be in (0, 1], got {fraction}")
@@ -204,6 +216,8 @@ class QuantizedCompressor(Compressor):
         Seed for the stochastic rounding.
     """
 
+    compressor_name = "quantized"
+
     def __init__(
         self, bits_per_coordinate: int = 4, seed: int | np.random.Generator | None = 0
     ) -> None:
@@ -231,29 +245,19 @@ class QuantizedCompressor(Compressor):
         return CompressedGradient(vector, bits=float(bits))
 
 
-_COMPRESSORS: dict[str, type[Compressor]] = {
-    "identity": IdentityCompressor,
-    "sign": SignCompressor,
-    "topk": TopKCompressor,
-    "randomk": RandomKCompressor,
-    "quantized": QuantizedCompressor,
-}
+#: scenario specs refer to compressors by their ``compressor_name``
+_COMPRESSORS: Registry[Compressor] = Registry(
+    "compressor",
+    Compressor,
+    "compressor_name",
+    (
+        IdentityCompressor,
+        SignCompressor,
+        TopKCompressor,
+        RandomKCompressor,
+        QuantizedCompressor,
+    ),
+)
 
-
-def available_compressors() -> list[str]:
-    """Sorted names accepted by :func:`create_compressor`."""
-    return sorted(_COMPRESSORS)
-
-
-def create_compressor(name: str, **kwargs) -> Compressor:
-    """Instantiate a compressor by (case-insensitive) name.
-
-    Scenario specs refer to compressors by name; unknown names raise
-    :class:`~repro.exceptions.ConfigurationError` listing the alternatives.
-    """
-    key = name.lower()
-    if key not in _COMPRESSORS:
-        raise ConfigurationError(
-            f"unknown compressor {name!r}; available: {available_compressors()}"
-        )
-    return _COMPRESSORS[key](**kwargs)
+available_compressors = _COMPRESSORS.names
+create_compressor = _COMPRESSORS.create

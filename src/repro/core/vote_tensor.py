@@ -152,12 +152,13 @@ class RowSelection:
             out[:, self.files] = self.rows[:, lo:hi].T
 
     def densified(self) -> np.ndarray:
-        """The ``(n, d)`` matrix: the base itself when nothing is patched
-        (read-only, no copy), otherwise one patched copy."""
+        """The read-only ``(n, d)`` matrix: the base itself when nothing is
+        patched (no copy), otherwise one patched copy."""
         if not self.files.size:
             return self.base
         matrix = self.base.copy()
         matrix[self.files] = self.rows
+        matrix.setflags(write=False)
         return matrix
 
     def __repr__(self) -> str:  # pragma: no cover - trivial

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import io
 from typing import Iterable, Mapping, Sequence
 
@@ -48,15 +49,20 @@ def format_rows(
 def rows_to_csv(
     rows: Sequence[Mapping[str, object]], columns: Sequence[str] | None = None
 ) -> str:
-    """Render rows as CSV text (header + one line per row)."""
+    """Render rows as CSV text (header + one line per row).
+
+    A field holding ``,``, ``"`` or a newline is quoted, so a label such as
+    ``"median, q=3"`` stays one column.
+    """
     if not rows:
         return ""
     if columns is None:
         columns = list(rows[0].keys())
     buffer = io.StringIO()
-    buffer.write(",".join(str(c) for c in columns) + "\n")
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(columns)
     for row in rows:
-        buffer.write(",".join(str(row.get(c, "")) for c in columns) + "\n")
+        writer.writerow([str(row.get(c, "")) for c in columns])
     return buffer.getvalue()
 
 

@@ -27,7 +27,7 @@ the stack computes all ``f`` forward/backward sweeps at once:
   :meth:`repro.nn.models.Sequential.per_file_loss_and_gradients`).
 
 Ownership: no forward pass writes into its input (the caller's batch, a
-residual block's skip branch), but ``backward_per_file`` may overwrite
+residual block's skip branch), but ``backward_per_file`` may write into
 ``grad_output`` — the pass produced it (the loss, or the layer above).  What
 ``forward_per_file`` keeps for the backward pass is all ``f`` files' worth of
 activations: it lives in ``_stacked`` and ``backward_per_file`` releases it
@@ -112,7 +112,7 @@ class Layer(abc.ABC):
 
         ``grads_out`` maps each parameter name to a ``(f, *param.shape)``
         array (typically a view into the engine's shared workspace) that the
-        layer must fully overwrite.
+        layer must write in full.
         """
         raise NotImplementedError(
             f"{type(self).__name__} has no stacked per-file rule; the gradient "

@@ -4,7 +4,7 @@ Covers the collusive inner-product / sign-flip payloads, the Fang
 aggregator-aware search (every simulated defense), the AGR-agnostic
 min-max / min-sum bisection, the vectorized ``apply_tensor`` write checked
 against an edge-by-edge scatter for every family, and the registry's
-sorted-names / no-silent-overwrite guarantees.
+sorted-names / one-class-per-name guarantees.
 """
 
 import numpy as np
@@ -318,31 +318,35 @@ def test_available_attacks_sorted_and_complete():
         assert expected in names
 
 
-def test_register_attack_rejects_silent_overwrite():
-    class Impostor(Attack):
-        pass
-
-    with pytest.raises(ConfigurationError, match="overwrite=True"):
-        register_attack("alie", Impostor)
-    # The registry still resolves the original class.
+def test_register_attack_rejects_silent_overwrite(monkeypatch):
+    from repro.attacks import registry
     from repro.attacks.alie import ALIEAttack
 
+    monkeypatch.setattr(registry._REGISTRY, "_classes", dict(registry._REGISTRY._classes))
+
+    class Impostor(Attack):
+        attack_name = "ALIE"  # names match case-insensitively
+
+    with pytest.raises(ConfigurationError, match="'ALIE' is already registered"):
+        register_attack(Impostor)
+    # The registry still resolves the original class.
     assert type(create_attack("alie")) is ALIEAttack
 
 
-def test_register_attack_overwrite_flag_and_subclass_check():
+def test_register_attack_overwrite_flag_and_subclass_check(monkeypatch):
+    """A class joins under its own ``attack_name``, exactly once; there is
+    no overwrite flag, and only ``Attack`` subclasses are accepted."""
+    from repro.attacks import registry
+
+    monkeypatch.setattr(registry._REGISTRY, "_classes", dict(registry._REGISTRY._classes))
+
     class Custom(Attack):
-        pass
+        attack_name = "zoo_test_custom"
 
-    register_attack("zoo_test_custom", Custom)
-    try:
-        with pytest.raises(ConfigurationError):
-            register_attack("zoo_test_custom", Custom)
-        register_attack("zoo_test_custom", Custom, overwrite=True)
-        assert "zoo_test_custom" in available_attacks()
-        with pytest.raises(ConfigurationError):
-            register_attack("zoo_test_other", int)
-    finally:
-        from repro.attacks import registry
-
-        registry._REGISTRY.pop("zoo_test_custom", None)
+    register_attack(Custom)
+    assert "zoo_test_custom" in available_attacks()
+    assert type(create_attack("zoo_test_custom")) is Custom
+    with pytest.raises(ConfigurationError, match="already registered"):
+        register_attack(Custom)
+    with pytest.raises(ConfigurationError, match="does not subclass Attack"):
+        register_attack(int)

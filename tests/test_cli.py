@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import csv
+import io
 import json
 import pathlib
 
@@ -46,10 +48,12 @@ def test_figure_accuracy_command_tiny(capsys, tmp_path):
     # Each curve is printed with the digest of the spec that re-runs it alone.
     from repro.experiments.accuracy import figure_scenarios
 
-    rows = csv_path.read_text().splitlines()
-    assert rows[0].endswith(",spec_digest")
-    for spec, row in zip(figure_scenarios("fig9", scale="tiny"), rows[1:]):
-        assert row.startswith(f"{spec.name},") and row.endswith(f",{spec.digest()}")
+    # Curve labels hold commas ("Median, q=2"): the CSV quotes them.
+    rows = list(csv.DictReader(io.StringIO(csv_path.read_text())))
+    specs = figure_scenarios("fig9", scale="tiny")
+    assert [row["curve"] for row in rows] == [spec.name for spec in specs]
+    for spec, row in zip(specs, rows, strict=True):
+        assert row["spec_digest"] == spec.digest()
         assert spec.digest() in out
 
 

@@ -1,5 +1,7 @@
 """Tests for the experiment generators (tables, figures, bounds, ablations, report)."""
 
+import csv
+import io
 import json
 import pathlib
 
@@ -257,6 +259,20 @@ def test_format_rows_and_csv():
     assert len(csv.splitlines()) == 3
     assert format_rows([]) == "(empty table)"
     assert rows_to_csv([]) == ""
+
+
+def test_csv_quotes_labels_holding_commas_and_quotes():
+    rows = [
+        {"curve": 'ByzShield, median "q=3"', "final_accuracy": 0.5, "digest": None},
+        {"curve": "plain", "final_accuracy": 0.25, "digest": "ab12"},
+    ]
+    text = rows_to_csv(rows)
+    assert text.splitlines()[2] == "plain,0.25,ab12"  # unquoted as before
+    parsed = list(csv.DictReader(io.StringIO(text)))
+    assert parsed == [
+        {"curve": 'ByzShield, median "q=3"', "final_accuracy": "0.5", "digest": "None"},
+        {"curve": "plain", "final_accuracy": "0.25", "digest": "ab12"},
+    ]
 
 
 def test_format_series():

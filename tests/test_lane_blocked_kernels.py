@@ -13,6 +13,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from repro.aggregation import majority
 from repro.aggregation.majority import (
     _bit_label_matrix,
     _labels_from_ids,
@@ -218,6 +219,32 @@ def test_early_exit_still_finds_a_row_that_differs_last(block_size):
     assert not _rows_equal(
         _row_bits(bits, rows), _row_bits(~bits, rows), 4, dim, block_size
     ).any()
+
+
+@pytest.mark.parametrize("tolerance", [0.0, 0.5], ids=["exact", "tolerance"])
+@pytest.mark.parametrize("dense_input", [False, True], ids=["lazy", "dense"])
+def test_vote_kernels_read_a_read_only_cube(dense_input, tolerance, monkeypatch):
+    """The dense cube reaches the labelling kernel as a read-only view, while
+    the tensor's own ``values`` stay writable for its owner."""
+    assignment = MOLSAssignment(load=5, replication=3).assignment
+    honest = np.random.default_rng(8).standard_normal((assignment.num_files, 6))
+    tensor = VoteTensor.from_honest(assignment, honest)
+    tensor.write_slots([0, 0, 4], [0, 1, 2], np.full(6, -3.0))
+    if dense_input:
+        tensor = VoteTensor(tensor.copy().values, tensor.workers)
+    received = []
+
+    def spy(values, block_size=None):
+        received.append(values)
+        return _bit_label_matrix(values, block_size=block_size)
+
+    monkeypatch.setattr(majority, "_bit_label_matrix", spy)
+    majority_vote_votetensor(tensor, tolerance=tolerance)
+    if not dense_input and tolerance == 0.0:
+        assert not received  # a lazy exact vote never builds the cube
+        return
+    assert received and not any(values.flags.writeable for values in received)
+    assert tensor.values.flags.writeable
 
 
 # --------------------------------------------------------------------------- #

@@ -15,9 +15,11 @@ from hypothesis import strategies as st
 from repro.aggregation.majority import (
     _reference_clustered_majority,
     _reference_exact_majority,
+    majority_vote_votetensor,
 )
 from repro.aggregation.mean import MeanAggregator
 from repro.aggregation.median import CoordinateWiseMedian, coordinate_median
+from repro.aggregation.registry import available_aggregators, create_aggregator
 from repro.assignment.baseline import BaselineAssignment
 from repro.assignment.ramanujan import RamanujanAssignment
 from repro.cluster.topology import GroupTopology
@@ -75,6 +77,7 @@ def assert_stands_for(selection, dense):
     assert selection.dtype == dense.dtype
     assert selection.nbytes == dense.nbytes
     densified = selection.densified()
+    assert not densified.flags.writeable
     assert densified.dtype == dense.dtype
     assert densified.tobytes() == np.ascontiguousarray(dense).tobytes()
     assert array_digest(selection) == array_digest(dense)
@@ -245,3 +248,46 @@ def test_streamed_median_clamps_non_finite_votes_like_the_dense_clamp(where, n, 
         assert np.array_equal(result, expected)
         assert np.array_equal(np.signbit(result), np.signbit(expected))
     assert np.isnan(dense).any()  # the caller's rows were not written
+
+
+#: constructor arguments of the rules that need some; the rest take none
+AGGREGATOR_PARAMS = {
+    "bulyan": {"num_byzantine": 2},
+    "krum": {"num_byzantine": 2},
+    "multi_krum": {"num_byzantine": 2},
+    "median_of_means": {"num_groups": 3},
+    "trimmed_mean": {"trim": 2},
+}
+
+
+@pytest.mark.parametrize("source", ["patched_round", "nan_row"])
+@pytest.mark.parametrize("name", available_aggregators())
+def test_kernels_only_ever_see_read_only_inputs(name, source, monkeypatch):
+    """Whatever reaches a rule's ``_aggregate`` is read-only, so a kernel that
+    wrote into its input would raise instead of changing what the next reader
+    of the round's honest gradients sees; the caller's bytes never move."""
+    if source == "patched_round":
+        tensor, honest = attacked_round(RAMANUJAN, np.float64)
+        votes, _ = majority_vote_votetensor(tensor)
+        assert votes.files.size  # some winners are patched rows
+        caller = honest
+    else:
+        votes = np.random.default_rng(5).standard_normal((RAMANUJAN.num_files, DIM))
+        votes[3] = np.nan
+        caller = votes
+    before = caller.tobytes()
+    aggregator = create_aggregator(name, **AGGREGATOR_PARAMS.get(name, {}))
+    received = []
+    kernel = type(aggregator)._aggregate
+
+    def spy(self, matrix):
+        received.append(matrix)
+        return kernel(self, matrix)
+
+    monkeypatch.setattr(type(aggregator), "_aggregate", spy)
+    aggregator(votes)
+    assert received
+    for matrix in received:
+        arrays = (matrix.base, matrix.rows) if isinstance(matrix, RowSelection) else (matrix,)
+        assert not any(array.flags.writeable for array in arrays)
+    assert caller.tobytes() == before

@@ -30,6 +30,8 @@ DEFAULT_FILES = (
     "DESIGN.md",
     "EXPERIMENTS.md",
     "docs/API.md",
+    "CHANGES.md",
+    "ROADMAP.md",
 )
 
 _LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")

@@ -35,7 +35,7 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from repro.aggregation.bulyan import BulyanAggregator
 from repro.aggregation.krum import MultiKrumAggregator
-from repro.aggregation.majority import majority_vote_tensor, majority_vote_votetensor
+from repro.aggregation.majority import majority_vote_votetensor
 from repro.aggregation.median import CoordinateWiseMedian
 from repro.assignment.ramanujan import RamanujanAssignment
 from repro.cluster.events import AsyncRuntime, EventDrivenRound, base_arrival_times
@@ -43,41 +43,28 @@ from repro.cluster.timing import CostModel
 from repro.cluster.topology import GroupTopology, hierarchical_majority_vote
 from repro.core.pipelines import ByzShieldPipeline
 from repro.core.vote_tensor import VoteTensor
-from repro.nn.models import build_cnn, build_mlp, build_resnet_lite
+from repro.graphs.bipartite import BipartiteAssignment
+from repro.nn.models import build_mlp
 from repro.training.gradients import ModelGradientComputer
 from repro.utils.digest import array_digest
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
 
-def make_round_tensor(num_files=25, replication=5, dim=10_000, corrupted=(0, 10, 20)):
-    rng = np.random.default_rng(7)
-    honest = rng.standard_normal((num_files, dim))
-    values = np.repeat(honest[:, None, :], replication, axis=1)
-    payload = rng.standard_normal(dim)
-    for i in corrupted:
-        values[i, :2] = payload
-    return values
-
-
 def replication_round_kernels() -> dict:
-    """Copy-on-write vs materialized replication through one round's PS path.
+    """One round's PS path through the copy-on-write round, float64 and float32.
 
-    Both kernels run the same hot-path sequence at the paper's K=25 scale
-    (Ramanujan m=s=5: f=25, r=5, d = the K=25 MLP's ~11k parameters): pack
-    the honest (f, d) gradients into a VoteTensor, write an adversary's
-    payload into q=2 workers' slots, and aggregate through ByzShield.  The
-    COW kernel replicates lazily (shared base + per-slot overrides); the
-    materialized kernel builds the dense (f, r, d) cube up front, which is
-    what the round loop did before copy-on-write replication.  The float32
-    variants exercise the dtype seam on the same path.
+    The hot-path sequence at the paper's K=25 scale (Ramanujan m=s=5: f=25,
+    r=5, d = the K=25 MLP's ~11k parameters): pack the honest (f, d)
+    gradients into a VoteTensor (shared base, no replica copied), write an
+    adversary's payload into q=2 workers' slots, and aggregate through
+    ByzShield.  The float32 variant exercises the dtype seam on the same path.
     """
     assignment = RamanujanAssignment(m=5, s=5).assignment
     dim = 11_274  # parameter count of the mlp benchmarked above (d ~= 11k)
     honest64 = np.random.default_rng(3).standard_normal((assignment.num_files, dim))
     honest32 = honest64.astype(np.float32)
-    workers = assignment.worker_slot_matrix()
-    files, slots = np.nonzero(np.isin(workers, (0, 7)))  # q=2 byzantine workers
+    files, slots = np.nonzero(np.isin(assignment.worker_slot_matrix(), (0, 7)))  # q=2
     payload64 = np.random.default_rng(4).standard_normal(dim)
     payload32 = payload64.astype(np.float32)
     pipeline = ByzShieldPipeline(assignment, validate=False)
@@ -87,22 +74,9 @@ def replication_round_kernels() -> dict:
         tensor.write_slots(files, slots, payload)
         return pipeline.aggregate_tensor(tensor)
 
-    def materialized_round(honest, payload):
-        tensor = VoteTensor(
-            np.repeat(honest[:, None, :], workers.shape[1], axis=1), workers
-        )
-        tensor.write_slots(files, slots, payload)
-        return pipeline.aggregate_tensor(tensor)
-
     return {
         "replication_cow_round_f25_r5_d11k": lambda: cow_round(honest64, payload64),
-        "replication_materialized_round_f25_r5_d11k": lambda: materialized_round(
-            honest64, payload64
-        ),
         "dtype_float32_cow_round_f25_r5_d11k": lambda: cow_round(honest32, payload32),
-        "dtype_float32_materialized_round_f25_r5_d11k": lambda: materialized_round(
-            honest32, payload32
-        ),
     }
 
 
@@ -129,7 +103,7 @@ def headline_scale_kernels() -> dict:
 
     return {
         "majority_vote_lazy_shared_payload_f25_r5_d94k": lambda: majority_vote_votetensor(
-            tensor, 0.0
+            tensor
         ),
         "coordinate_median_25x94k": lambda: median(honest),
         "votes_digest_lazy_f25_r5_d94k": lambda: array_digest(tensor),
@@ -164,35 +138,30 @@ def event_round_kernels() -> dict:
 
 
 def hierarchical_vote_kernels() -> dict:
-    """Flat vs hierarchical (and monolithic vs blockwise) exact vote at large r.
+    """Flat vs hierarchical (and default vs 4096-wide blocks) exact vote at large r.
 
     The large-replication regime the two-level path targets: f=16 files, r=64
-    copies each (every one of K=64 workers holds every file, FRC-style, so
-    all files share one group signature), d=20k coordinates, with a colluding
-    payload in 12 of the corrupted files' copies.  All four kernels produce
-    bit-identical (winners, counts); they differ in wall-clock and peak
-    memory — the hierarchical kernels merge per-group (8 workers) histograms
-    of the content-id matrix, and the blockwise variants stream
-    4096-coordinate blocks, so the O(f.r.d) comparison temporary of the
-    monolithic labeling never materializes.
+    copies each (a complete 64 x 16 assignment: every one of K=64 workers
+    holds every file, so all files share one group signature), d=20k
+    coordinates, with one colluding payload in 12 of the corrupted files'
+    copies.  All four kernels produce bit-identical (winners, counts); the
+    hierarchical kernels merge per-group (8 workers) histograms of the
+    content-id matrix, and the block width sets the classing's temporaries.
     """
     f, r, dim = 16, 64, 20_000
     rng = np.random.default_rng(7)
-    honest = rng.standard_normal((f, dim))
-    values = np.repeat(honest[:, None, :], r, axis=1)
-    payload = rng.standard_normal(dim)
-    for i in (0, 5, 10):
-        values[i, :12] = payload
-    workers = np.broadcast_to(np.arange(r, dtype=np.int64), (f, r)).copy()
-    tensor = VoteTensor(values, workers)
+    assignment = BipartiteAssignment(np.ones((r, f), dtype=np.int8), name="complete(64x16)")
+    tensor = VoteTensor.from_honest(assignment, rng.standard_normal((f, dim)))
+    corrupted = np.array([0, 5, 10])
+    tensor.write_slots(
+        np.repeat(corrupted, 12), np.tile(np.arange(12), corrupted.size), rng.standard_normal(dim)
+    )
     topology = GroupTopology(r, 8)
 
     return {
-        "blockwise_vote_flat_mono_f16_r64_d20k": lambda: majority_vote_votetensor(
-            tensor, 0.0
-        ),
+        "blockwise_vote_flat_mono_f16_r64_d20k": lambda: majority_vote_votetensor(tensor),
         "blockwise_vote_flat_bs4k_f16_r64_d20k": lambda: majority_vote_votetensor(
-            tensor, 0.0, block_size=4096
+            tensor, block_size=4096
         ),
         "hier_group_vote_mono_g8_f16_r64_d20k": lambda: hierarchical_majority_vote(
             tensor, topology
@@ -206,42 +175,28 @@ def hierarchical_vote_kernels() -> dict:
 #: gradient-engine sweep — (model key, file count) pairs benchmarked for both
 #: engines.  The mlp point at f=25 (d≈11k, the paper's K=25 regime) carries
 #: the ≥3x acceptance gate (see benchmarks/test_bench_micro.py).
-GRADIENT_SWEEP = (("mlp", 4), ("mlp", 25), ("cnn", 25), ("resnet_lite", 25))
+GRADIENT_SWEEP = (("mlp", 4), ("mlp", 25))
 
 
-def _gradient_models():
-    return {
-        "mlp": (lambda: build_mlp(100, 10, hidden=(64, 64), seed=0), "dense"),
-        "cnn": (lambda: build_cnn((1, 8, 8), 4, channels=(4, 8), seed=0), "image"),
-        "resnet_lite": (
-            lambda: build_resnet_lite(100, 10, width=64, num_blocks=3, seed=0),
-            "dense",
-        ),
-    }
+def _mlp():
+    return build_mlp(100, 10, hidden=(64, 64), seed=0)
 
 
-def _gradient_files(kind, num_files, batch=8):
+def _gradient_files(num_files, batch=8):
     rng = np.random.default_rng(11)
-    files = []
-    for _ in range(num_files):
-        if kind == "dense":
-            files.append((rng.standard_normal((batch, 100)), rng.integers(0, 10, batch)))
-        else:
-            files.append(
-                (rng.standard_normal((batch // 2, 1, 8, 8)), rng.integers(0, 4, batch // 2))
-            )
-    return files
+    return [
+        (rng.standard_normal((batch, 100)), rng.integers(0, 10, batch))
+        for _ in range(num_files)
+    ]
 
 
 def gradient_engine_kernels() -> dict:
-    """Stacked vs looped per-file gradient kernels over the f x model sweep."""
-    models = _gradient_models()
+    """Stacked vs looped per-file gradient kernels over the file-count sweep."""
     kernels = {}
     for model_key, num_files in GRADIENT_SWEEP:
-        model_fn, kind = models[model_key]
-        files = _gradient_files(kind, num_files)
+        files = _gradient_files(num_files)
         for engine in ("stacked", "looped"):
-            computer = ModelGradientComputer(model_fn(), engine=engine)
+            computer = ModelGradientComputer(_mlp(), engine=engine)
             params = computer.initial_params()
             kernels[f"gradient_engine_{engine}_{model_key}_f{num_files}"] = (
                 lambda c=computer, p=params, fs=files: c.batched(p, fs)
@@ -249,7 +204,7 @@ def gradient_engine_kernels() -> dict:
     # The compute-bound shape (``clean-compute-bound`` in benchmarks/e2e: 25
     # files of 256 samples), handed over already stacked as the trainer does;
     # its ratio to the GEMMs it is made of is gated in test_bench_micro.py.
-    computer = ModelGradientComputer(models["mlp"][0]())
+    computer = ModelGradientComputer(_mlp())
     rng = np.random.default_rng(11)
     stacked_files = (rng.standard_normal((25, 256, 100)), rng.integers(0, 10, (25, 256)))
     kernels["gradient_engine_stacked_mlp_f25_n256"] = (
@@ -337,8 +292,6 @@ def build_kernels() -> dict:
     """Name -> zero-argument callable for every benchmarked kernel."""
     rng = np.random.default_rng(0)
     votes = rng.standard_normal((25, 20_000))
-    round_tensor = make_round_tensor()
-    round_tensor_f32 = round_tensor.astype(np.float32)
     median = CoordinateWiseMedian()
     krum = MultiKrumAggregator(num_byzantine=5)
     bulyan = BulyanAggregator(num_byzantine=5)
@@ -352,15 +305,6 @@ def build_kernels() -> dict:
     )
 
     kernels = {
-        "majority_vote_tensor_exact_f25_r5_d10k": lambda: majority_vote_tensor(
-            round_tensor
-        ),
-        "majority_vote_tensor_tol_f25_r5_d10k": lambda: majority_vote_tensor(
-            round_tensor, 0.5
-        ),
-        "dtype_float32_majority_exact_f25_r5_d10k": lambda: majority_vote_tensor(
-            round_tensor_f32
-        ),
         "byzshield_aggregate_tensor_f25_r5_d10k": lambda: pipeline.aggregate_tensor(
             pipeline_tensor
         ),
@@ -430,14 +374,8 @@ def compare_to_baseline(results: dict, baseline_path: pathlib.Path, tolerance: f
 def report_speedups(results: dict) -> None:
     """Print the headline ratios of the snapshot."""
     cow = results["replication_cow_round_f25_r5_d11k"]["min_s"]
-    dense = results["replication_materialized_round_f25_r5_d11k"]["min_s"]
-    print(f"\ncopy-on-write replication speedup vs materialized: {dense / cow:.2f}x")
     cow32 = results["dtype_float32_cow_round_f25_r5_d11k"]["min_s"]
-    dense32 = results["dtype_float32_materialized_round_f25_r5_d11k"]["min_s"]
-    print(
-        "copy-on-write replication speedup vs materialized (float32): "
-        f"{dense32 / cow32:.2f}x"
-    )
+    print(f"\nfloat32 round speedup vs float64 (copy-on-write, f=25, r=5): {cow / cow32:.2f}x")
     flat = results["blockwise_vote_flat_mono_f16_r64_d20k"]["min_s"]
     hier = results["hier_group_vote_bs4k_g8_f16_r64_d20k"]["min_s"]
     print(f"hierarchical blockwise vote speedup vs flat monolithic (r=64): {flat / hier:.2f}x")

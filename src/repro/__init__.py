@@ -44,9 +44,7 @@ from repro.attacks import (
     ALIEAttack,
     Attack,
     ConstantAttack,
-    FixedSelector,
     OmniscientSelector,
-    RandomSelector,
     ReversedGradientAttack,
 )
 from repro.core import (
@@ -59,9 +57,9 @@ from repro.core import (
     max_distortion,
     distortion_comparison_table,
 )
-from repro.data import Dataset, make_gaussian_mixture, make_spirals, make_synthetic_images
+from repro.data import Dataset, make_gaussian_mixture, make_synthetic_images
 from repro.graphs import BipartiteAssignment, second_eigenvalue
-from repro.nn import SGD, Sequential, build_cnn, build_mlp, build_resnet_lite
+from repro.nn import SGD, Sequential, build_mlp
 from repro.training import DistributedTrainer, TrainingConfig, TrainingHistory
 
 __version__ = "1.0.0"
@@ -94,8 +92,6 @@ __all__ = [
     "ALIEAttack",
     "ConstantAttack",
     "ReversedGradientAttack",
-    "FixedSelector",
-    "RandomSelector",
     "OmniscientSelector",
     # core
     "ByzShieldPipeline",
@@ -110,12 +106,9 @@ __all__ = [
     "Dataset",
     "make_synthetic_images",
     "make_gaussian_mixture",
-    "make_spirals",
     # nn
     "Sequential",
     "build_mlp",
-    "build_cnn",
-    "build_resnet_lite",
     "SGD",
     # training
     "TrainingConfig",

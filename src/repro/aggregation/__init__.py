@@ -11,12 +11,11 @@ They are used in two places:
   ``K`` worker gradients.
 """
 
-from repro.aggregation.auror import AurorAggregator
 from repro.aggregation.base import Aggregator
 from repro.aggregation.bulyan import BulyanAggregator
 from repro.aggregation.geometric_median import GeometricMedianAggregator
 from repro.aggregation.krum import KrumAggregator, MultiKrumAggregator
-from repro.aggregation.majority import majority_vote_tensor
+from repro.aggregation.majority import majority_vote_votetensor
 from repro.aggregation.mean import MeanAggregator
 from repro.aggregation.median import CoordinateWiseMedian
 from repro.aggregation.median_of_means import MedianOfMeansAggregator
@@ -40,8 +39,7 @@ __all__ = [
     "BulyanAggregator",
     "GeometricMedianAggregator",
     "SignSGDMajorityAggregator",
-    "AurorAggregator",
-    "majority_vote_tensor",
+    "majority_vote_votetensor",
     "available_aggregators",
     "create_aggregator",
     "get_aggregator",

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from repro.aggregation.auror import AurorAggregator
 from repro.aggregation.base import Aggregator
 from repro.aggregation.bulyan import BulyanAggregator
 from repro.aggregation.geometric_median import GeometricMedianAggregator
@@ -35,7 +34,6 @@ _REGISTRY: Registry[Aggregator] = Registry(
         BulyanAggregator,
         GeometricMedianAggregator,
         SignSGDMajorityAggregator,
-        AurorAggregator,
     ),
 )
 

@@ -4,7 +4,7 @@ The reproduction's bit-exactness story rests on a handful of repo-wide
 conventions.  Three are checked here, statically, by parsing every module
 with :mod:`ast`: RNG streams derived through
 :func:`repro.utils.rng.derive_seed`, float dtype policy routed through
-:mod:`repro.core.backend`, and copy-on-write discipline around the lazy
+:mod:`repro.core.backend`, and copy-on-write discipline around the
 :class:`~repro.core.vote_tensor.VoteTensor`.  Two others hold by
 construction and need no rule: aggregation kernels are only ever handed
 read-only arrays (a write raises), and each registry is built from the

@@ -3,8 +3,9 @@
 Two orthogonal choices define the adversary of the paper:
 
 * **which** workers are Byzantine — :mod:`repro.attacks.selection` provides
-  random selection (the DETOX/DRACO assumption) and the paper's omniscient
-  selection that maximizes the distortion fraction ``ε̂``;
+  the paper's omniscient selection that maximizes the distortion fraction
+  ``ε̂``, and :mod:`repro.attacks.schedules` random selection (the
+  DETOX/DRACO assumption) and time-varying budgets;
 * **what** the Byzantine workers send — :mod:`repro.attacks` implements ALIE,
   the constant attack, reversed gradient, Gaussian-noise and random attacks,
   plus the adaptive adversary zoo: inner-product manipulation, sign-flip
@@ -27,8 +28,6 @@ from repro.attacks.registry import (
 from repro.attacks.reversed_gradient import ReversedGradientAttack
 from repro.attacks.selection import (
     ByzantineSelector,
-    FixedSelector,
-    RandomSelector,
     OmniscientSelector,
 )
 from repro.attacks.sign_flip import SignFlipAttack
@@ -48,8 +47,6 @@ __all__ = [
     "MinMaxAttack",
     "MinSumAttack",
     "ByzantineSelector",
-    "FixedSelector",
-    "RandomSelector",
     "OmniscientSelector",
     "available_attacks",
     "create_attack",

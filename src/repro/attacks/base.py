@@ -75,11 +75,6 @@ class AttackContext:
         """Number of compromised workers ``q``."""
         return len(self.byzantine_workers)
 
-    @property
-    def gradient_dim(self) -> int:
-        """Dimensionality ``d`` of the model gradients."""
-        return int(self.honest_matrix.shape[1])
-
     def stacked_honest_gradients(self) -> np.ndarray:
         """The ``(f, d)`` honest gradient matrix as a read-only view.
 
@@ -116,7 +111,7 @@ class Attack:
 
         ``tensor`` is a :class:`~repro.core.vote_tensor.VoteTensor` whose
         ``byzantine_mask`` already marks the compromised slots.  Writes go
-        through the slot API, so a lazy tensor stays lazy and one shared
+        through the slot API, so no replica is copied and one shared
         payload is stored once.
         """
         if context.num_byzantine == 0:

@@ -2,10 +2,11 @@
 
 DETOX and DRACO assume the ``q`` Byzantine workers are chosen *at random*
 each iteration; ByzShield's threat model lets an omniscient adversary pick the
-worst possible set given the (known) task assignment.  The selectors below
-implement both, plus a fixed selection for controlled experiments.  The paper's
-deep-learning experiments use the omniscient selector ("we chose the q
-Byzantines such that ε̂ is maximized", Section 6.1).
+worst possible set given the (known) task assignment.  The paper's
+deep-learning experiments use the omniscient selector below ("we chose the q
+Byzantines such that ε̂ is maximized", Section 6.1); the random draw and the
+time-varying budgets are :class:`~repro.attacks.schedules.ScheduledSelector`
+modes.
 """
 
 from __future__ import annotations
@@ -20,8 +21,6 @@ from repro.graphs.bipartite import BipartiteAssignment
 
 __all__ = [
     "ByzantineSelector",
-    "FixedSelector",
-    "RandomSelector",
     "OmniscientSelector",
 ]
 
@@ -37,79 +36,6 @@ class ByzantineSelector(abc.ABC):
         rng: np.random.Generator,
     ) -> tuple[int, ...]:
         """Return the Byzantine worker indices for ``iteration``."""
-
-
-class FixedSelector(ByzantineSelector):
-    """Always the same, explicitly provided set of workers."""
-
-    def __init__(self, workers: "tuple[int, ...] | list[int]") -> None:
-        workers = tuple(int(w) for w in workers)
-        if len(set(workers)) != len(workers):
-            raise AttackError("fixed Byzantine set contains duplicates")
-        self.workers = workers
-
-    def select(
-        self,
-        assignment: BipartiteAssignment,
-        iteration: int,
-        rng: np.random.Generator,
-    ) -> tuple[int, ...]:
-        for w in self.workers:
-            if not (0 <= w < assignment.num_workers):
-                raise AttackError(
-                    f"fixed Byzantine worker {w} out of range [0, {assignment.num_workers})"
-                )
-        return self.workers
-
-
-class RandomSelector(ByzantineSelector):
-    """A fresh uniform set of ``q`` workers every iteration (DETOX's assumption).
-
-    Parameters
-    ----------
-    num_byzantine:
-        Number of compromised workers ``q``.
-    resample_every_iteration:
-        If False, the set is drawn once (at iteration 0) and kept.
-    """
-
-    def __init__(self, num_byzantine: int, resample_every_iteration: bool = True) -> None:
-        if num_byzantine < 0:
-            raise AttackError(f"num_byzantine must be non-negative, got {num_byzantine}")
-        self.num_byzantine = int(num_byzantine)
-        self.resample_every_iteration = bool(resample_every_iteration)
-        self._cached: tuple[int, ...] | None = None
-
-    def reset(self) -> None:
-        """Forget the cached draw so the selector can be reused across runs.
-
-        Without this, a ``resample_every_iteration=False`` selector reused by
-        a second run would replay the *first* run's cached set instead of
-        drawing from the new run's seed — a cross-run RNG leak.
-        """
-        self._cached = None
-
-    def select(
-        self,
-        assignment: BipartiteAssignment,
-        iteration: int,
-        rng: np.random.Generator,
-    ) -> tuple[int, ...]:
-        if self.num_byzantine > assignment.num_workers:
-            raise AttackError(
-                f"q={self.num_byzantine} exceeds K={assignment.num_workers}"
-            )
-        if not self.resample_every_iteration and self._cached is not None:
-            return self._cached
-        chosen = tuple(
-            int(w)
-            for w in sorted(
-                rng.choice(assignment.num_workers, size=self.num_byzantine, replace=False)
-            )
-        )
-        if not self.resample_every_iteration:
-            self._cached = chosen
-        return chosen
 
 
 class OmniscientSelector(ByzantineSelector):

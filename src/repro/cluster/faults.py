@@ -91,8 +91,8 @@ class FaultEvent:
     slot:
         Replica slot of the affected message within the file's row, recorded
         by the event-runtime's ``"late"`` rejections; ``-1`` otherwise
-        (for corruption events the slot is recoverable as
-        ``tensor.slot_of(file, worker)``).
+        (for corruption events the slot is where ``worker`` sits in
+        ``tensor.workers[file]``).
     delay:
         Simulated extra latency in seconds (stragglers), or the simulated
         arrival time of a ``"late"`` message; 0 otherwise.
@@ -177,8 +177,8 @@ def arrival_perturbations(
 def _zero_worker_votes(tensor: VoteTensor, worker: int) -> int:
     """Zero every vote the given worker contributed; returns slots touched.
 
-    Routed through the slot API so a lazily replicated tensor only
-    copy-on-writes the affected (file, slot) pairs instead of materializing.
+    Routed through the slot API: the affected (file, slot) pairs all point
+    at one shared zero row.
     """
     files, slots = np.nonzero(tensor.workers == int(worker))
     tensor.zero_slots(files, slots)
@@ -374,8 +374,8 @@ class MessageCorruptionInjector(FaultInjector):
             tensor.add_to_slots(files, slots, noise)
         # Attribution: each corrupted (file, slot) message records its sender
         # (slot -> worker via tensor.workers) alongside the file, so traces
-        # can pin the exact cell; the slot itself is recoverable as
-        # ``tensor.slot_of(file, worker)`` and stays out of the event (and
+        # can pin the exact cell; the slot itself is where the worker sits in
+        # ``tensor.workers[file]`` and stays out of the event (and
         # its serialized form) so goldens recorded before the event-driven
         # runtime keep their digests.
         return [

@@ -100,7 +100,7 @@ def _aggregation_ops(
         return n * max(np.log2(n), 1.0) * dim
     if aggregator_name in ("krum", "multi_krum", "bulyan"):
         return n * n * dim + n * max(np.log2(n), 1.0)
-    if aggregator_name in ("geometric_median", "auror"):
+    if aggregator_name == "geometric_median":
         return 20.0 * n * dim
     # Unknown aggregators get the median-like cost.
     return n * max(np.log2(n), 1.0) * dim

@@ -1,15 +1,12 @@
 """Hierarchical two-level aggregation: worker groups + a root merge.
 
-Flat majority voting makes the parameter server touch every one of the
-``f x r`` replica payloads in a single kernel invocation.  At large
-replication this is both a wall-clock and a peak-memory problem: the flat
-dense kernel materializes an ``O(f . r . d)`` comparison temporary, and a
-single aggregator must hold the whole round.  A *group topology* splits the
-``K`` workers into ``G`` groups, votes each group's sub-round locally
-(level 1), and forwards only each group's tiny per-file class histogram —
-``(anchor slot, count)`` pairs, typically one per file — to a root
-aggregator (level 2) that merges histograms by payload content and picks the
-global winner.
+Flat majority voting makes the parameter server resolve every one of the
+``f x r`` replica slots in a single aggregator, which must hold the whole
+round.  A *group topology* splits the ``K`` workers into ``G`` groups,
+votes each group's sub-round locally (level 1), and forwards only each
+group's tiny per-file class histogram — ``(anchor slot, count)`` pairs,
+typically one per file — to a root aggregator (level 2) that merges
+histograms by payload content and picks the global winner.
 
 Bit-identity with the flat path
 -------------------------------
@@ -45,10 +42,9 @@ Memory
 
 The payloads are classed once into an ``(f, r)`` integer content-id matrix
 (:func:`~repro.aggregation.majority.override_content_ids`) and both levels
-are histogram merging on those integers.  Lazy copy-on-write tensors never
-densify a replica cube: classing costs ``O(M . block)`` for ``M`` distinct
-(payload row, file) pairs.  A dense tensor is labeled by the flat kernel's
-anchor sweep, ``O(f . r . block)`` when ``block_size`` streams it.
+are histogram merging on those integers.  No replica cube is ever built:
+classing costs ``O(M . block)`` for ``M`` distinct (payload row, file)
+pairs.
 """
 
 from __future__ import annotations
@@ -58,12 +54,14 @@ import numpy as np
 from repro.aggregation.majority import (
     _class_sizes,
     _labels_from_ids,
-    majority_vote_votetensor,
+    _revote_incomplete,
+    _select_winners,
+    _winning_slots,
     override_content_ids,
     validate_block_size,
 )
 from repro.core.vote_tensor import RowSelection
-from repro.exceptions import AggregationError, ConfigurationError
+from repro.exceptions import ConfigurationError
 
 __all__ = ["GroupTopology", "hierarchical_majority_vote"]
 
@@ -155,16 +153,6 @@ class GroupTopology:
         """True when every group's adversary count is within ``q_group``."""
         return bool((self.group_counts(byzantine_workers) <= self.q_group).all())
 
-    def describe(self) -> dict[str, int]:
-        """Short description used in experiment reports."""
-        return {
-            "num_workers": self.num_workers,
-            "num_groups": self.num_groups,
-            "q_group": self.q_group,
-            "q_root": self.q_root,
-            "q_total": self.q_total,
-        }
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GroupTopology):
             return NotImplemented
@@ -205,41 +193,39 @@ def _cell_histogram(ids, files, cols):
 # Level 2: root merge of the group histograms
 # --------------------------------------------------------------------------- #
 def hierarchical_majority_vote(
-    tensor, topology: GroupTopology, block_size: int | None = None
+    tensor,
+    topology: GroupTopology,
+    block_size: int | None = None,
+    arrived: np.ndarray | None = None,
 ) -> tuple[RowSelection, np.ndarray]:
     """Two-level exact majority vote over a :class:`GroupTopology`.
 
     The tensor's payloads are classed once into the ``(f, r)`` content-id
-    matrix (:func:`~repro.aggregation.majority.override_content_ids`, lazy
-    or dense).  Level 1 produces each group's per-file local class
-    histogram from its columns of that matrix; level 2 merges the
-    histograms by content id.  Both levels are integer work — the only
-    payloads read are the winners that are not honest base rows, copied into
-    the returned :class:`~repro.core.vote_tensor.RowSelection`.
+    matrix (:func:`~repro.aggregation.majority.override_content_ids`).
+    Level 1 produces each group's per-file local class histogram from its
+    columns of that matrix; level 2 merges the histograms by content id.
+    Both levels are integer work — the only payloads read are the winners
+    that are not honest base rows, copied into the returned
+    :class:`~repro.core.vote_tensor.RowSelection`.
 
     Returns the same ``(winners, counts)`` as
-    :func:`~repro.aggregation.majority.majority_vote_votetensor` with
-    ``tolerance=0`` — bit-identical, by the class-decomposition argument in
-    the module docstring.  ``block_size`` streams the payload classing in
-    coordinate blocks (see the flat kernels).
+    :func:`~repro.aggregation.majority.majority_vote_votetensor` —
+    bit-identical, by the class-decomposition argument in the module
+    docstring, and with the same ``arrived`` (partial aggregation) and
+    ``block_size`` (streamed payload classing) semantics.
     """
     block_size = validate_block_size(block_size)
-    f, r, d = tensor.shape
-    if r == 0:
-        raise AggregationError("majority vote needs at least one vote")
     workers = tensor.workers
-    if workers.size and (
-        int(workers.min()) < 0 or int(workers.max()) >= topology.num_workers
-    ):
+    if int(workers.min()) < 0 or int(workers.max()) >= topology.num_workers:
         raise ConfigurationError(
             f"vote tensor references workers outside the "
             f"{topology.num_workers}-worker topology"
         )
-    if d == 0 or r == 1 or topology.num_groups == 1 or f == 0:
-        # Degenerate shapes: one group (or one slot) is the flat vote.
-        return majority_vote_votetensor(tensor, 0.0, block_size=block_size)
-
     ids = override_content_ids(tensor, block_size)
+    f, r = ids.shape
+    if r == 1 or topology.num_groups == 1:
+        # Degenerate shapes: one group (or one slot) is the flat vote.
+        return _select_winners(tensor, *_winning_slots(ids, arrived))
     slot_groups = topology.group_of[workers]  # (f, r)
 
     # ---- level 1: group the files into signature bands (files whose slots
@@ -271,4 +257,4 @@ def hierarchical_majority_vote(
     # the flat kernel's exact tie-break, recovered from the packed score.
     win_count = (best + r) // (r + 1)
     win_slot = win_count * (r + 1) - best
-    return tensor.select_slots(win_slot), win_count
+    return _select_winners(tensor, *_revote_incomplete(ids, win_slot, win_count, arrived))

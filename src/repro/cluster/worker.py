@@ -6,7 +6,7 @@ bit-identical gradients (the paper relies on this for exact-equality majority
 voting), so the simulator computes each file gradient once — all ``f`` of
 them into one ``(f, d)`` matrix, through the oracle's batched entry point
 when it provides one — and :meth:`WorkerPool.honest_returns_tensor`
-replicates it into the assigned slots of a lazy
+replicates it into the assigned slots of a copy-on-write
 :class:`~repro.core.vote_tensor.VoteTensor` without copying a replica.
 """
 
@@ -64,10 +64,8 @@ class WorkerPool:
     def _transmitted(self, matrix: np.ndarray) -> np.ndarray:
         """The per-file vectors as the PS receives them (post compression).
 
-        Delegates to :meth:`Compressor.compress_matrix`, which vectorized
-        compressors (top-k, sign, identity) implement as a single matrix
-        call; stochastic ones keep the row-by-row default so their RNG draw
-        order is unchanged.
+        Delegates to :meth:`Compressor.compress_matrix`, one vectorized
+        call per round.
         """
         if self.compressor is None:
             return matrix

@@ -8,31 +8,19 @@ compression operators used for that purpose and integrates them with the
 cluster cost model so the communication savings can be quantified:
 
 * :class:`SignCompressor` — 1-bit sign quantization (signSGD-style);
-* :class:`TopKCompressor` — magnitude top-k sparsification;
-* :class:`RandomKCompressor` — unbiased random-k sparsification;
-* :class:`QuantizedCompressor` — uniform b-bit stochastic quantization (QSGD);
-* :class:`ErrorFeedback` — residual accumulation wrapper restoring convergence
-  for biased compressors.
+* :class:`TopKCompressor` — magnitude top-k sparsification.
 """
 
 from repro.compression.compressors import (
     CompressedGradient,
     Compressor,
-    IdentityCompressor,
-    QuantizedCompressor,
-    RandomKCompressor,
     SignCompressor,
     TopKCompressor,
 )
-from repro.compression.error_feedback import ErrorFeedback
 
 __all__ = [
     "CompressedGradient",
     "Compressor",
-    "IdentityCompressor",
     "SignCompressor",
     "TopKCompressor",
-    "RandomKCompressor",
-    "QuantizedCompressor",
-    "ErrorFeedback",
 ]

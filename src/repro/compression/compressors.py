@@ -18,16 +18,12 @@ import numpy as np
 from repro.core.backend import ensure_float
 from repro.exceptions import ConfigurationError
 from repro.utils.registry import Registry
-from repro.utils.rng import as_generator
 
 __all__ = [
     "CompressedGradient",
     "Compressor",
-    "IdentityCompressor",
     "SignCompressor",
     "TopKCompressor",
-    "RandomKCompressor",
-    "QuantizedCompressor",
     "available_compressors",
     "create_compressor",
 ]
@@ -74,16 +70,11 @@ class Compressor(abc.ABC):
             raise ConfigurationError("cannot compress an empty gradient")
         return self.compress(gradient)
 
+    @abc.abstractmethod
     def compress_matrix(self, matrix: np.ndarray) -> np.ndarray:
-        """Decompressed reconstructions of all rows of an ``(f, d)`` matrix.
-
-        The default compresses row by row (preserving the RNG draw order of
-        stochastic compressors); deterministic compressors override it with
-        one vectorized call.  Row ``i`` of the result is bit-identical to
-        ``self(matrix[i]).vector``.
-        """
-        matrix = self._check_matrix(matrix)
-        return np.vstack([self(matrix[i]).vector for i in range(matrix.shape[0])])
+        """Decompressed reconstructions of all rows of an ``(f, d)`` matrix,
+        in one vectorized call; row ``i`` is bit-identical to
+        ``self(matrix[i]).vector``."""
 
     @staticmethod
     def _check_matrix(matrix: np.ndarray) -> np.ndarray:
@@ -95,18 +86,6 @@ class Compressor(abc.ABC):
         if matrix.shape[0] == 0 or matrix.shape[1] == 0:
             raise ConfigurationError("cannot compress an empty gradient matrix")
         return matrix
-
-
-class IdentityCompressor(Compressor):
-    """No-op compressor (the uncompressed baseline)."""
-
-    compressor_name = "identity"
-
-    def compress(self, gradient: np.ndarray) -> CompressedGradient:
-        return CompressedGradient(gradient.copy(), bits=gradient.size * _FLOAT_BITS)
-
-    def compress_matrix(self, matrix: np.ndarray) -> np.ndarray:
-        return self._check_matrix(matrix).copy()
 
 
 class SignCompressor(Compressor):
@@ -171,91 +150,14 @@ class TopKCompressor(Compressor):
         return out
 
 
-class RandomKCompressor(Compressor):
-    """Keep ``k`` uniformly random coordinates, rescaled to stay unbiased.
-
-    Parameters
-    ----------
-    fraction:
-        Fraction of coordinates kept.
-    seed:
-        Seed (or generator) for the coordinate selection.
-    """
-
-    compressor_name = "randomk"
-
-    def __init__(self, fraction: float, seed: int | np.random.Generator | None = 0) -> None:
-        if not (0.0 < fraction <= 1.0):
-            raise ConfigurationError(f"fraction must be in (0, 1], got {fraction}")
-        self.fraction = float(fraction)
-        self._rng = as_generator(seed)
-
-    def compress(self, gradient: np.ndarray) -> CompressedGradient:
-        dim = gradient.size
-        k = max(1, int(round(self.fraction * dim)))
-        keep = self._rng.choice(dim, size=k, replace=False)
-        vector = np.zeros_like(gradient)
-        # Rescale by dim/k so the estimator is unbiased in expectation.
-        vector[keep] = gradient[keep] * (dim / k)
-        bits = k * (_FLOAT_BITS + _INDEX_BITS)
-        return CompressedGradient(vector, bits=float(bits))
-
-
-class QuantizedCompressor(Compressor):
-    """Uniform b-bit stochastic quantization of the normalized gradient (QSGD).
-
-    Coordinates are quantized to ``2**bits_per_coordinate`` levels of
-    ``|g_i| / ||g||_inf`` with stochastic rounding (unbiased), keeping the sign
-    separately.
-
-    Parameters
-    ----------
-    bits_per_coordinate:
-        Number of bits per quantized magnitude (1–16).
-    seed:
-        Seed for the stochastic rounding.
-    """
-
-    compressor_name = "quantized"
-
-    def __init__(
-        self, bits_per_coordinate: int = 4, seed: int | np.random.Generator | None = 0
-    ) -> None:
-        if not (1 <= int(bits_per_coordinate) <= 16):
-            raise ConfigurationError(
-                f"bits_per_coordinate must be in [1, 16], got {bits_per_coordinate}"
-            )
-        self.bits_per_coordinate = int(bits_per_coordinate)
-        self._rng = as_generator(seed)
-
-    def compress(self, gradient: np.ndarray) -> CompressedGradient:
-        norm = float(np.max(np.abs(gradient)))
-        if norm == 0.0:
-            return CompressedGradient(
-                np.zeros_like(gradient),
-                bits=float(gradient.size * (self.bits_per_coordinate + 1) + _FLOAT_BITS),
-            )
-        levels = 2**self.bits_per_coordinate - 1
-        scaled = np.abs(gradient) / norm * levels
-        lower = np.floor(scaled)
-        probability = scaled - lower
-        rounded = lower + (self._rng.random(gradient.size) < probability)
-        vector = np.sign(gradient) * rounded / levels * norm
-        bits = gradient.size * (self.bits_per_coordinate + 1) + _FLOAT_BITS
-        return CompressedGradient(vector, bits=float(bits))
-
-
 #: scenario specs refer to compressors by their ``compressor_name``
 _COMPRESSORS: Registry[Compressor] = Registry(
     "compressor",
     Compressor,
     "compressor_name",
     (
-        IdentityCompressor,
         SignCompressor,
         TopKCompressor,
-        RandomKCompressor,
-        QuantizedCompressor,
     ),
 )
 

@@ -35,8 +35,6 @@ __all__ = [
     "DEFAULT_DTYPE",
     "SUPPORTED_DTYPES",
     "resolve_dtype",
-    "dtype_name",
-    "is_supported_float",
     "ensure_float",
     "bit_view_dtype",
 ]
@@ -86,19 +84,6 @@ def resolve_dtype(dtype: object | None = None) -> np.dtype:
             f"{sorted(SUPPORTED_DTYPES)}"
         )
     return resolved
-
-
-def dtype_name(dtype: object | None = None) -> str:
-    """Canonical name (``"float32"``/``"float64"``) of a resolved dtype."""
-    return resolve_dtype(dtype).name
-
-
-def is_supported_float(dtype: object) -> bool:
-    """True when ``dtype`` already is one of the supported working dtypes."""
-    try:
-        return np.dtype(dtype) in _BIT_VIEWS
-    except TypeError:
-        return False
 
 
 def ensure_float(array: object, dtype: object | None = None) -> np.ndarray:

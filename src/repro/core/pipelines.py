@@ -30,12 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.aggregation.base import Aggregator
-from repro.aggregation.majority import (
-    majority_vote_tensor,
-    majority_vote_votetensor,
-    validate_block_size,
-    validate_tolerance,
-)
+from repro.aggregation.majority import majority_vote_votetensor, validate_block_size
 from repro.aggregation.mean import MeanAggregator
 from repro.aggregation.median import CoordinateWiseMedian
 from repro.core.vote_tensor import RowSelection, VoteTensor
@@ -118,18 +113,13 @@ class AggregationPipeline:
         Optional :class:`~repro.cluster.topology.GroupTopology`.  Voting
         pipelines then run the hierarchical two-level majority vote (per
         group, then a root merge) instead of the flat kernel — bit-identical
-        output, but bounded per-group working sets.  Requires exact voting
-        (``vote_tolerance == 0``); the vanilla pipeline has no vote stage
-        and rejects a topology.
+        output, but bounded per-group working sets.  The vanilla pipeline
+        has no vote stage and rejects a topology.
     block_size:
         Optional coordinate-block width streamed through the majority-vote
         kernels (flat or hierarchical), capping their peak temporaries at
         ``O(rows . block)`` while staying bit-identical.  ``None`` is not a
-        separate kernel: the same loops run at an internal width, and only
-        a dense tensor's anchor sweep is then left at full width.
-    vote_tolerance:
-        Majority-vote tolerance (0 = exact byte equality; a positive value
-        clusters votes within that Euclidean distance).
+        separate kernel: the same loops run at an internal width.
     """
 
     pipeline_name = "abstract"
@@ -140,23 +130,15 @@ class AggregationPipeline:
         validate: bool = True,
         topology=None,
         block_size: int | None = None,
-        vote_tolerance: float = 0.0,
     ) -> None:
         self.assignment = assignment
         self.validate = bool(validate)
         self.topology = topology
         self.block_size = validate_block_size(block_size)
-        self.vote_tolerance = validate_tolerance(vote_tolerance)
         if topology is not None and topology.num_workers != assignment.num_workers:
             raise ConfigurationError(
                 f"topology spans {topology.num_workers} workers but the "
                 f"assignment has {assignment.num_workers}"
-            )
-        if topology is not None and self.vote_tolerance > 0:
-            # Hierarchical voting merges histograms by content: exact only.
-            raise ConfigurationError(
-                "hierarchical aggregation supports exact voting only; a group "
-                f"topology cannot be combined with vote_tolerance={vote_tolerance}"
             )
         self._expected_slots: np.ndarray | None = None
 
@@ -215,17 +197,15 @@ class AggregationPipeline:
         :meth:`Aggregator.__call__ <repro.aggregation.base.Aggregator.__call__>`.
 
         Without a mask every slot votes (the synchronous semantics).  With a
-        partial-aggregation mask (see :meth:`aggregate_tensor`), files whose
-        copies all arrived keep the vectorized winner; each incomplete file
-        is re-voted over its arrived copies only, and a file with no
-        arrivals contributes a zero winner — the same "missing = zero
-        gradient" convention the fault injectors use, so the robust stage
-        sees a consistent shape every round.  The re-voted and the zero rows
-        are patch rows of the selection.
+        partial-aggregation mask (see :meth:`aggregate_tensor`), each
+        incomplete file is voted over its arrived copies only, from the same
+        content ids as the rest of the round, and a file with no arrivals
+        contributes a zero winner — the same "missing = zero gradient"
+        convention the fault injectors use, so the robust stage sees a
+        consistent shape every round.
 
-        With a group topology the complete files vote hierarchically (per
-        group, then a root histogram merge — bit-identical to the flat
-        kernel, so the incomplete-file re-vote stays valid unchanged).
+        With a group topology the files vote hierarchically (per group, then
+        a root histogram merge — bit-identical to the flat vote).
         """
         if self.topology is not None:
             # Imported lazily: repro.cluster pulls in this module at import
@@ -233,42 +213,13 @@ class AggregationPipeline:
             from repro.cluster.topology import hierarchical_majority_vote
 
             winners, _ = hierarchical_majority_vote(
-                tensor, self.topology, block_size=self.block_size
+                tensor, self.topology, block_size=self.block_size, arrived=arrived
             )
         else:
             winners, _ = majority_vote_votetensor(
-                tensor, self.vote_tolerance, block_size=self.block_size
+                tensor, block_size=self.block_size, arrived=arrived
             )
-        if arrived is None:
-            return winners
-        incomplete = np.nonzero(~arrived.all(axis=1))[0]
-        if incomplete.size == 0:
-            return winners
-        kept = np.nonzero(~np.isin(winners.files, incomplete))[0]
-        files = np.concatenate([winners.files[kept], incomplete])
-        rows = np.zeros((files.size, tensor.dim), dtype=tensor.dtype)
-        rows[: kept.size] = winners.rows[kept]
-        # One file at a time, its arrived copies only: under stragglers most
-        # files are incomplete, and gathering them all at once is the cube.
-        for row, i in zip(rows[kept.size :], incomplete):
-            slots = np.nonzero(arrived[i])[0]
-            if slots.size:
-                copies = tensor.read_slots(np.full_like(slots, i), slots)
-                row[:] = majority_vote_tensor(copies[None], self.vote_tolerance)[0][0]
-        return RowSelection(winners.base, files, rows)
-
-    def describe(self) -> dict[str, str]:
-        """Short description used in experiment reports."""
-        out = {
-            "pipeline": self.pipeline_name,
-            "assignment": self.assignment.name,
-        }
-        if self.topology is not None:
-            out["topology"] = (
-                f"groups={self.topology.num_groups}, "
-                f"q_group={self.topology.q_group}, q_root={self.topology.q_root}"
-            )
-        return out
+        return winners
 
     def __repr__(self) -> str:  # pragma: no cover - trivial
         return f"{type(self).__name__}(assignment={self.assignment.name!r})"
@@ -285,8 +236,6 @@ class ByzShieldPipeline(AggregationPipeline):
     aggregator:
         Robust rule applied to the ``f`` voted gradients; the paper uses
         coordinate-wise median, but Bulyan / Multi-Krum are supported too.
-    vote_tolerance:
-        Majority-vote tolerance (0 = exact equality).
     """
 
     pipeline_name = "byzshield"
@@ -295,7 +244,6 @@ class ByzShieldPipeline(AggregationPipeline):
         self,
         assignment: BipartiteAssignment,
         aggregator: Aggregator | None = None,
-        vote_tolerance: float = 0.0,
         validate: bool = True,
         topology=None,
         block_size: int | None = None,
@@ -305,7 +253,6 @@ class ByzShieldPipeline(AggregationPipeline):
             validate=validate,
             topology=topology,
             block_size=block_size,
-            vote_tolerance=vote_tolerance,
         )
         if assignment.replication % 2 == 0:
             raise ConfigurationError(
@@ -337,7 +284,6 @@ class DetoxPipeline(AggregationPipeline):
         self,
         assignment: BipartiteAssignment,
         aggregator: Aggregator | None = None,
-        vote_tolerance: float = 0.0,
         validate: bool = True,
         topology=None,
         block_size: int | None = None,
@@ -347,7 +293,6 @@ class DetoxPipeline(AggregationPipeline):
             validate=validate,
             topology=topology,
             block_size=block_size,
-            vote_tolerance=vote_tolerance,
         )
         if assignment.computational_load != 1:
             raise ConfigurationError(
@@ -380,7 +325,6 @@ class DracoPipeline(AggregationPipeline):
         self,
         assignment: BipartiteAssignment,
         num_byzantine: int,
-        vote_tolerance: float = 0.0,
         validate: bool = True,
         topology=None,
         block_size: int | None = None,
@@ -390,7 +334,6 @@ class DracoPipeline(AggregationPipeline):
             validate=validate,
             topology=topology,
             block_size=block_size,
-            vote_tolerance=vote_tolerance,
         )
         if assignment.computational_load != 1:
             raise ConfigurationError(

@@ -16,18 +16,13 @@ from repro.data.batching import (
     quantity_skew_partition,
 )
 from repro.data.datasets import Dataset, train_test_split
-from repro.data.synthetic import (
-    make_synthetic_images,
-    make_gaussian_mixture,
-    make_spirals,
-)
+from repro.data.synthetic import make_synthetic_images, make_gaussian_mixture
 
 __all__ = [
     "Dataset",
     "train_test_split",
     "make_synthetic_images",
     "make_gaussian_mixture",
-    "make_spirals",
     "BatchSampler",
     "ShardedBatchSampler",
     "build_file_partition",

@@ -1,6 +1,6 @@
 """Synthetic datasets standing in for CIFAR-10 (offline substitution).
 
-Three generators are provided:
+Two generators are provided:
 
 * :func:`make_synthetic_images` — class-conditional "images": each class has a
   smooth random spatial template (low-frequency structure, like natural image
@@ -9,9 +9,6 @@ Three generators are provided:
   deep-learning experiments.
 * :func:`make_gaussian_mixture` — a d-dimensional Gaussian mixture
   classification task; fast, convex-ish, used by unit tests and quick demos.
-* :func:`make_spirals` — the classic interleaved-spirals task; small,
-  non-linearly separable, good for verifying that the NN substrate actually
-  learns non-trivial decision boundaries.
 """
 
 from __future__ import annotations
@@ -23,7 +20,7 @@ from repro.data.datasets import Dataset
 from repro.exceptions import DataError
 from repro.utils.rng import as_generator
 
-__all__ = ["make_synthetic_images", "make_gaussian_mixture", "make_spirals"]
+__all__ = ["make_synthetic_images", "make_gaussian_mixture"]
 
 
 def _smooth_template(
@@ -129,40 +126,3 @@ def make_gaussian_mixture(
         name=f"gaussian_mixture(classes={num_classes}, dim={dim})",
     )
 
-
-def make_spirals(
-    num_samples: int = 1500,
-    num_classes: int = 3,
-    noise: float = 0.1,
-    turns: float = 1.25,
-    seed: int | np.random.Generator | None = 0,
-) -> Dataset:
-    """Interleaved 2-D spirals — a compact non-linearly separable benchmark."""
-    if num_samples < num_classes:
-        raise DataError("need at least one sample per class")
-    if noise < 0:
-        raise DataError(f"noise must be non-negative, got {noise}")
-    rng = as_generator(seed)
-    per_class = num_samples // num_classes
-    inputs_list = []
-    labels_list = []
-    for c in range(num_classes):
-        count = per_class + (1 if c < num_samples - per_class * num_classes else 0)
-        radius = np.linspace(0.1, 1.0, count)
-        angle = (
-            np.linspace(0.0, turns * 2 * np.pi, count)
-            + 2 * np.pi * c / num_classes
-            + rng.standard_normal(count) * noise
-        )
-        points = np.stack([radius * np.cos(angle), radius * np.sin(angle)], axis=1)
-        inputs_list.append(points)
-        labels_list.append(np.full(count, c, dtype=np.int64))
-    inputs = np.concatenate(inputs_list, axis=0)
-    labels = np.concatenate(labels_list, axis=0)
-    perm = rng.permutation(inputs.shape[0])
-    return Dataset(
-        inputs=inputs[perm],
-        labels=labels[perm],
-        num_classes=num_classes,
-        name=f"spirals(classes={num_classes})",
-    )

@@ -7,45 +7,23 @@ an SGD-with-momentum optimizer and the learning-rate schedules used in the
 paper's appendix.
 """
 
-from repro.nn.initializers import glorot_uniform, he_normal, zeros_init
-from repro.nn.layers import (
-    Layer,
-    Dense,
-    ReLU,
-    Tanh,
-    Flatten,
-    Dropout,
-    BatchNorm,
-    Conv2D,
-    MaxPool2D,
-    ResidualDenseBlock,
-)
-from repro.nn.losses import Loss, SoftmaxCrossEntropy, MeanSquaredError
+from repro.nn.initializers import he_normal, zeros_init
+from repro.nn.layers import Layer, Dense, ReLU
+from repro.nn.losses import Loss, SoftmaxCrossEntropy
 from repro.nn.metrics import top1_accuracy, cross_entropy_loss
-from repro.nn.models import Sequential, build_mlp, build_cnn, build_resnet_lite
+from repro.nn.models import Sequential, build_mlp
 from repro.nn.optim import SGD, LearningRateSchedule, StepDecaySchedule, ConstantSchedule
 
 __all__ = [
-    "glorot_uniform",
     "he_normal",
     "zeros_init",
     "Layer",
     "Dense",
     "ReLU",
-    "Tanh",
-    "Flatten",
-    "Dropout",
-    "BatchNorm",
-    "Conv2D",
-    "MaxPool2D",
-    "ResidualDenseBlock",
     "Loss",
     "SoftmaxCrossEntropy",
-    "MeanSquaredError",
     "Sequential",
     "build_mlp",
-    "build_cnn",
-    "build_resnet_lite",
     "SGD",
     "LearningRateSchedule",
     "StepDecaySchedule",

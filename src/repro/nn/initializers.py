@@ -17,26 +17,7 @@ import numpy as np
 
 from repro.core.backend import resolve_dtype
 
-__all__ = ["glorot_uniform", "he_normal", "zeros_init"]
-
-
-def glorot_uniform(
-    shape: tuple[int, ...],
-    rng: np.random.Generator,
-    fan_in: int | None = None,
-    fan_out: int | None = None,
-    dtype: object | None = None,
-) -> np.ndarray:
-    """Glorot/Xavier uniform initialization: U(−a, a) with a = sqrt(6/(fan_in+fan_out))."""
-    if fan_in is None or fan_out is None:
-        if len(shape) < 2:
-            fan_in = fan_out = int(shape[0])
-        else:
-            receptive = int(np.prod(shape[2:])) if len(shape) > 2 else 1
-            fan_in = shape[1] * receptive
-            fan_out = shape[0] * receptive
-    limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=shape).astype(resolve_dtype(dtype))
+__all__ = ["he_normal", "zeros_init"]
 
 
 def he_normal(

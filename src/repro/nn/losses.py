@@ -14,7 +14,7 @@ import numpy as np
 from repro.core.backend import ensure_float
 from repro.exceptions import ConfigurationError
 
-__all__ = ["Loss", "SoftmaxCrossEntropy", "MeanSquaredError", "softmax"]
+__all__ = ["Loss", "SoftmaxCrossEntropy", "softmax"]
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -31,7 +31,7 @@ class Loss(abc.ABC):
 
     One entry point, :meth:`value_and_gradient`, validates the targets once and
     shares intermediates (the softmax); :meth:`per_file_value_and_gradient` is
-    its stacked form, which concrete losses vectorize.
+    its stacked form.
     """
 
     @abc.abstractmethod
@@ -48,14 +48,12 @@ class Loss(abc.ABC):
         """Gradient of the mean loss with respect to the predictions."""
         return self.value_and_gradient(predictions, targets)[1]
 
+    @abc.abstractmethod
     def per_file_value_and_gradient(
         self, predictions: np.ndarray, targets: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
         """Per-file mean losses ``(f,)`` and stacked gradients ``(f, n, ...)`` of inputs with a
         leading file axis; slice ``i`` is bit-identical to :meth:`value_and_gradient` on file i."""
-        pairs = [self.value_and_gradient(p, t) for p, t in zip(predictions, targets)]
-        values = np.array([v for v, _ in pairs], dtype=ensure_float(predictions).dtype)
-        return values, np.stack([g for _, g in pairs])
 
 
 class SoftmaxCrossEntropy(Loss):
@@ -106,35 +104,3 @@ class SoftmaxCrossEntropy(Loss):
         log_picked, grad = self._log_picked_and_gradient(predictions, targets, stacked=True)
         return -log_picked.mean(axis=1), grad
 
-
-class MeanSquaredError(Loss):
-    """Mean squared error between predictions and real-valued targets."""
-
-    def _residual(self, predictions: np.ndarray, targets: np.ndarray) -> np.ndarray:
-        predictions = ensure_float(predictions)
-        # Targets follow the prediction dtype so the residual (and thus the
-        # gradient) stays in the model's working dtype.
-        targets = np.asarray(targets, dtype=predictions.dtype)
-        if predictions.shape != targets.shape:
-            raise ConfigurationError(
-                f"shape mismatch: predictions {predictions.shape} vs targets {targets.shape}"
-            )
-        return predictions - targets
-
-    def value_and_gradient(
-        self, predictions: np.ndarray, targets: np.ndarray
-    ) -> tuple[float, np.ndarray]:
-        residual = self._residual(predictions, targets)
-        value = float((residual**2).mean())
-        residual *= 2.0
-        residual /= residual.size
-        return value, residual
-
-    def per_file_value_and_gradient(
-        self, predictions: np.ndarray, targets: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        residual = self._residual(predictions, targets)
-        values = (residual**2).mean(axis=tuple(range(1, residual.ndim)))
-        residual *= 2.0
-        residual /= residual[0].size
-        return values, residual

@@ -42,7 +42,7 @@ def evaluate_model(
     total_loss = 0.0
     for start in range(0, n, batch_size):
         stop = min(start + batch_size, n)
-        logits = model.predict(inputs[start:stop])
+        logits = model.forward(inputs[start:stop])
         batch_labels = labels[start:stop]
         correct += top1_accuracy(logits, batch_labels) * (stop - start)
         total_loss += cross_entropy_loss(logits, batch_labels) * (stop - start)

@@ -1,10 +1,9 @@
-"""Models: a Sequential container and the architectures used in experiments.
+"""Models: a Sequential container and the MLP every scenario trains.
 
 The distributed simulator exchanges gradients as flat vectors, so the
 container exposes :meth:`Sequential.get_flat_params`,
 :meth:`Sequential.set_flat_params` and :meth:`Sequential.flat_gradient`.
-Parameter writes are in-place so composite layers (residual blocks) that hold
-references to sub-layer arrays stay consistent.
+Parameter writes are in place.
 """
 
 from __future__ import annotations
@@ -15,20 +14,11 @@ import numpy as np
 
 from repro.core.backend import DEFAULT_DTYPE, resolve_dtype
 from repro.exceptions import ConfigurationError
-from repro.nn.layers import (
-    BatchNorm,
-    Conv2D,
-    Dense,
-    Flatten,
-    Layer,
-    MaxPool2D,
-    ReLU,
-    ResidualDenseBlock,
-)
+from repro.nn.layers import Dense, Layer, ReLU
 from repro.nn.losses import Loss
 from repro.utils.rng import as_generator
 
-__all__ = ["Sequential", "build_mlp", "build_cnn", "build_resnet_lite"]
+__all__ = ["Sequential", "build_mlp"]
 
 
 class Sequential:
@@ -61,23 +51,12 @@ class Sequential:
         return DEFAULT_DTYPE
 
     # -- forward / backward ------------------------------------------------
-    def forward(self, x: np.ndarray, training: bool = True) -> np.ndarray:
+    def forward(self, x: np.ndarray) -> np.ndarray:
         """Run the forward pass through every layer."""
         out = x
         for layer in self.layers:
-            out = layer.forward(out, training=training)
+            out = layer.forward(out)
         return out
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        """Backpropagate from the output gradient; returns the input gradient."""
-        grad = grad_output
-        for layer in reversed(self.layers):
-            grad = layer.backward(grad)
-        return grad
-
-    def predict(self, x: np.ndarray) -> np.ndarray:
-        """Evaluation-mode forward pass."""
-        return self.forward(x, training=False)
 
     # -- parameter plumbing ----------------------------------------------------
     def parameter_arrays(self) -> list[np.ndarray]:
@@ -93,10 +72,6 @@ class Sequential:
         for layer in self.layers:
             arrays.extend(array for _, array in layer.gradient_items())
         return arrays
-
-    def parameter_shapes(self) -> list[tuple[int, ...]]:
-        """Shapes of all parameter arrays (used to unflatten vectors)."""
-        return [array.shape for array in self.parameter_arrays()]
 
     def num_parameters(self) -> int:
         """Total scalar parameter count ``d``."""
@@ -142,7 +117,7 @@ class Sequential:
         """Mean loss on ``(x, y)`` and the flat parameter gradient (backward stops at the
         first layer that owns parameters: nothing reads an input gradient beyond it)."""
         self.zero_grads()
-        predictions = self.forward(x, training=True)
+        predictions = self.forward(x)
         value, grad = loss.value_and_gradient(predictions, y)
         first = self._first_parameterised()
         for layer in reversed(self.layers[first + 1 :]):
@@ -156,10 +131,6 @@ class Sequential:
         return next((i for i, layer in enumerate(self.layers) if layer.params), len(self.layers))
 
     # -- stacked per-file path -------------------------------------------------
-    def supports_per_file(self) -> bool:
-        """True when every layer implements the stacked per-file path."""
-        return all(layer.per_file_capable for layer in self.layers)
-
     def _per_file_gradient_views(self, workspace: np.ndarray) -> list[dict[str, np.ndarray]]:
         """Per-layer views into a ``(f, d)`` workspace, one per parameter.
 
@@ -182,11 +153,11 @@ class Sequential:
             views.append(layer_views)
         return views
 
-    def forward_per_file(self, x: np.ndarray, training: bool = True) -> np.ndarray:
+    def forward_per_file(self, x: np.ndarray) -> np.ndarray:
         """Stacked forward pass over ``(f, n, ...)`` inputs."""
         out = x
         for layer in self.layers:
-            out = layer.forward_per_file(out, training=training)
+            out = layer.forward_per_file(out)
         return out
 
     def per_file_loss_and_gradients(
@@ -212,13 +183,6 @@ class Sequential:
             ``(f,)`` per-file mean losses and the ``(f, d)`` gradient matrix;
             row ``i`` is bit-identical to ``loss_and_gradient`` on file ``i``.
         """
-        if not self.supports_per_file():
-            unsupported = sorted(
-                {type(l).__name__ for l in self.layers if not l.per_file_capable}
-            )
-            raise ConfigurationError(
-                f"model has layers without a stacked per-file rule: {unsupported}"
-            )
         dtype = self.dtype
         x = np.asarray(x, dtype=dtype)
         if x.ndim < 2 or x.shape[0] < 1 or x.shape[1] < 1:
@@ -237,7 +201,7 @@ class Sequential:
         views = self._per_file_gradient_views(out)
         first = self._first_parameterised()
         try:
-            predictions = self.forward_per_file(x, training=True)
+            predictions = self.forward_per_file(x)
             losses, grad = loss.per_file_value_and_gradient(predictions, y)
             for index in range(len(self.layers) - 1, first, -1):
                 grad = self.layers[index].backward_per_file(grad, views[index])
@@ -260,7 +224,6 @@ def build_mlp(
     num_classes: int,
     hidden: Sequence[int] = (64, 64),
     seed: int | np.random.Generator | None = 0,
-    batch_norm: bool = False,
     dtype: object | None = None,
 ) -> Sequential:
     """Multi-layer perceptron classifier.
@@ -273,8 +236,6 @@ def build_mlp(
         Widths of the hidden layers.
     seed:
         Initialization seed.
-    batch_norm:
-        Insert a BatchNorm after every hidden Dense layer.
     dtype:
         Working dtype of every layer (see :mod:`repro.core.backend`).
     """
@@ -284,86 +245,8 @@ def build_mlp(
     width = input_dim
     for h in hidden:
         layers.append(Dense(width, h, rng=rng, dtype=dtype))
-        if batch_norm:
-            layers.append(BatchNorm(h, dtype=dtype))
         layers.append(ReLU())
         width = h
     layers.append(Dense(width, num_classes, rng=rng, dtype=dtype))
     return Sequential(layers, name=f"mlp({input_dim}->{list(hidden)}->{num_classes})")
 
-
-def build_cnn(
-    input_shape: tuple[int, int, int],
-    num_classes: int,
-    channels: Sequence[int] = (8, 16),
-    kernel_size: int = 3,
-    dense_width: int = 64,
-    seed: int | np.random.Generator | None = 0,
-    dtype: object | None = None,
-) -> Sequential:
-    """Small convolutional classifier (Conv-ReLU-Pool blocks + dense head).
-
-    Parameters
-    ----------
-    input_shape:
-        ``(channels, height, width)`` of the input images.
-    num_classes:
-        Number of output classes.
-    channels:
-        Output channels of the successive conv blocks; each block halves the
-        spatial resolution with a 2x2 max pool.
-    """
-    rng = as_generator(seed)
-    dtype = resolve_dtype(dtype)
-    in_channels, height, width = input_shape
-    layers: list[Layer] = []
-    current = in_channels
-    for out_channels in channels:
-        layers.append(
-            Conv2D(
-                current,
-                out_channels,
-                kernel_size,
-                padding=kernel_size // 2,
-                rng=rng,
-                dtype=dtype,
-            )
-        )
-        layers.append(ReLU())
-        layers.append(MaxPool2D(2))
-        current = out_channels
-        height //= 2
-        width //= 2
-        if height < 1 or width < 1:
-            raise ConfigurationError(
-                "too many conv blocks for the input resolution"
-            )
-    layers.append(Flatten())
-    layers.append(Dense(current * height * width, dense_width, rng=rng, dtype=dtype))
-    layers.append(ReLU())
-    layers.append(Dense(dense_width, num_classes, rng=rng, dtype=dtype))
-    return Sequential(layers, name=f"cnn(channels={list(channels)})")
-
-
-def build_resnet_lite(
-    input_dim: int,
-    num_classes: int,
-    width: int = 64,
-    num_blocks: int = 3,
-    seed: int | np.random.Generator | None = 0,
-    dtype: object | None = None,
-) -> Sequential:
-    """Residual MLP — the repo's stand-in for ResNet-18 (see DESIGN.md).
-
-    A stem Dense layer lifts the input to ``width`` features, ``num_blocks``
-    identity residual blocks follow, and a linear head produces the logits.
-    """
-    rng = as_generator(seed)
-    dtype = resolve_dtype(dtype)
-    layers: list[Layer] = [Dense(input_dim, width, rng=rng, dtype=dtype), ReLU()]
-    for _ in range(num_blocks):
-        layers.append(ResidualDenseBlock(width, rng=rng, dtype=dtype))
-    layers.append(Dense(width, num_classes, rng=rng, dtype=dtype))
-    return Sequential(
-        layers, name=f"resnet_lite(width={width}, blocks={num_blocks})"
-    )

@@ -15,7 +15,6 @@ import numpy as np
 
 from repro.core.backend import ensure_float
 from repro.exceptions import ConfigurationError
-from repro.nn.models import Sequential
 
 __all__ = ["LearningRateSchedule", "ConstantSchedule", "StepDecaySchedule", "SGD"]
 
@@ -26,9 +25,6 @@ class LearningRateSchedule(abc.ABC):
     @abc.abstractmethod
     def rate(self, iteration: int) -> float:
         """Learning rate at (zero-based) iteration ``iteration``."""
-
-    def __call__(self, iteration: int) -> float:
-        return self.rate(iteration)
 
 
 class ConstantSchedule(LearningRateSchedule):
@@ -141,9 +137,3 @@ class SGD:
         rate = self.schedule.rate(self.iteration)
         self.iteration += 1
         return params - rate * direction
-
-    def step_model(self, model: Sequential, gradient: np.ndarray | None = None) -> None:
-        """Apply one update to a model, using its stored gradients by default."""
-        flat = model.get_flat_params()
-        grad = model.flat_gradient() if gradient is None else gradient
-        model.set_flat_params(self.step_vector(flat, grad))

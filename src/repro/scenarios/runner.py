@@ -12,7 +12,7 @@ packed into a contiguous :class:`~repro.core.vote_tensor.VoteTensor` for
 attack/fault injection and the vectorized majority vote, with a bit-exact
 :class:`~repro.scenarios.trace.RunTrace` recorded via the trainer's round
 observer.  The observer stays off the data path: it digests what the round
-already produced — the vote tensor where it lies (still lazy afterwards) and
+already produced — the vote tensor where it lies (nothing written) and
 the :class:`~repro.core.pipelines.RoundOutcome` the PS returned — and
 computes nothing of its own.
 
@@ -154,7 +154,6 @@ class ScenarioRunner:
             return DracoPipeline(
                 assignment,
                 num_byzantine=max_q,
-                vote_tolerance=section.vote_tolerance,
                 topology=topology,
                 block_size=section.block_size,
             )
@@ -177,7 +176,6 @@ class ScenarioRunner:
             return ByzShieldPipeline(
                 assignment,
                 aggregator=aggregator,
-                vote_tolerance=section.vote_tolerance,
                 topology=topology,
                 block_size=section.block_size,
             )
@@ -185,7 +183,6 @@ class ScenarioRunner:
             return DetoxPipeline(
                 assignment,
                 aggregator=aggregator,
-                vote_tolerance=section.vote_tolerance,
                 topology=topology,
                 block_size=section.block_size,
             )

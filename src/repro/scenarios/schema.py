@@ -36,7 +36,8 @@ exception to *finite*: a field declared ``allow_inf=True``
 always written as that string — JSON has no Infinity literal.  Unknown keys,
 missing required keys and every type mismatch raise
 :class:`~repro.exceptions.ConfigurationError` naming the dotted location
-(``scenario.runtime.partial must be true or false, got str 'false'``).
+(``scenario.runtime.partial must be true or false, got str 'false'``,
+``unknown key(s) ['scenario.pipeline.vote_tolerance']; ...``).
 ``__post_init__`` validators run after the loader and own the value ranges.
 """
 
@@ -143,7 +144,8 @@ def _load(cls: type, data: Any, where: str) -> Any:
     unknown = sorted((key for key in data if key not in allowed), key=repr)
     if unknown:
         raise ConfigurationError(
-            f"unknown key(s) {unknown} in {where}; allowed: {sorted(allowed)}"
+            f"unknown key(s) {[f'{where}.{key}' for key in unknown]}; "
+            f"allowed in {where}: {sorted(allowed)}"
         )
     loaded = {}
     for field in fields:

@@ -68,16 +68,14 @@ class PipelineSpec(Schema, where="pipeline"):
 
     ``kind`` is ``"byzshield"``, ``"detox"``, ``"draco"`` or ``"vanilla"``;
     ``aggregator``/``aggregator_params`` name the registry rule (ignored by
-    DRACO, which always averages); ``vote_tolerance`` loosens the majority
-    vote's exact-equality matching.  ``block_size`` streams the vote kernels
-    in coordinate blocks of that width (``None``, the default, leaves the
-    width to the kernels).
+    DRACO, which always averages).  The vote is always on exact content.
+    ``block_size`` streams the vote kernels in coordinate blocks of that
+    width (``None``, the default, leaves the width to the kernels).
     """
 
     kind: str = spec_field(str, pinned=True, default="byzshield")
     aggregator: str = spec_field(str, pinned=True, default="median")
     aggregator_params: dict[str, Any] = spec_field(dict, default_factory=dict)
-    vote_tolerance: float = spec_field(float, default=0.0)
     block_size: int | None = spec_field(int, default=None)
 
     def __post_init__(self) -> None:
@@ -85,10 +83,6 @@ class PipelineSpec(Schema, where="pipeline"):
             raise ConfigurationError(
                 f"unknown pipeline kind {self.kind!r}; expected byzshield, "
                 "detox, draco or vanilla"
-            )
-        if not self.vote_tolerance >= 0:  # also NaN
-            raise ConfigurationError(
-                f"vote_tolerance must be non-negative, got {self.vote_tolerance}"
             )
         if self.block_size is not None and self.block_size < 1:
             raise ConfigurationError(

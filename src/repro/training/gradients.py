@@ -11,7 +11,7 @@ gradients.
 the default ``engine="stacked"`` it computes all ``f`` file gradients in one
 stacked pass through the model (leading file axis, per-file parameter
 gradients written into one ``(f, d)`` workspace) and falls back to ``f``
-sequential passes for ragged files or layers without a stacked rule.  Either
+sequential passes for ragged files.  Either
 way the ``(f, d)`` matrix it returns is the previous call's whenever nothing
 else still references that one (see :meth:`ModelGradientComputer.batched`).
 """
@@ -43,10 +43,11 @@ class ModelGradientComputer:
     engine:
         Per-file engine used by :meth:`batched`: ``"stacked"`` (default)
         computes all file gradients in one pass through the model's per-file
-        path whenever the files are uniform and every layer supports it,
-        silently falling back to the looped path otherwise; ``"looped"``
-        always runs ``f`` sequential passes.  Both engines are bit-identical
-        and both write into the recycled matrix of :meth:`batched`.
+        path whenever the files are uniform, silently falling back to the
+        looped path otherwise; ``"looped"`` always runs ``f`` sequential
+        passes — the oracle the stacked engine is tested against.  Both
+        engines are bit-identical and both write into the recycled matrix of
+        :meth:`batched`.
     """
 
     ENGINES = ("stacked", "looped")
@@ -108,25 +109,24 @@ class ModelGradientComputer:
         Notes
         -----
         The returned matrix escapes into the round (the result's
-        ``honest_matrix``, the lazy vote tensor's base, the attack context),
+        ``honest_matrix``, the vote tensor's base, the attack context),
         so it is handed out again only when the caller has dropped all of
         that: same shape and dtype, and a reference count back at what it
         was when this object alone held it — a view, a held round result or a
-        lazy ``VoteTensor`` each keep the count up.  A caller that holds on
+        ``VoteTensor`` each keep the count up.  A caller that holds on
         to a round therefore keeps its data and the next call allocates, as
         every call used to.  Both engines follow this rule.
 
         With ``engine="stacked"`` the call runs the model's single-pass
         per-file path (:meth:`Sequential.per_file_loss_and_gradients`) when
-        every file has the same shape and every layer has a stacked rule;
-        ragged files or unsupported layers fall back to the looped path.
+        every file has the same shape; ragged files fall back to the looped
+        path.
         :attr:`last_engine` records which one ran.
         """
         files = RoundFiles.coerce(files)
         self.model.set_flat_params(params)
         gradients = self._round_matrix(len(files))
-        stackable = self.engine == "stacked" and self.model.supports_per_file()
-        if stackable and files.stacked is not None:
+        if self.engine == "stacked" and files.stacked is not None:
             # Every layer writes its per-file gradients straight into views
             # of the round's matrix.
             losses, _ = self.model.per_file_loss_and_gradients(

@@ -57,11 +57,6 @@ class TrainingHistory:
 
     # -- series accessors -----------------------------------------------------
     @property
-    def iterations(self) -> np.ndarray:
-        """Iteration indices of all records."""
-        return np.array([r.iteration for r in self.records], dtype=np.int64)
-
-    @property
     def train_losses(self) -> np.ndarray:
         """Training loss per iteration."""
         return np.array([r.train_loss for r in self.records], dtype=DEFAULT_DTYPE)

@@ -40,8 +40,8 @@ def array_digest(array: np.ndarray | VoteTensor | RowSelection) -> str:
 
     ``array`` is anything ``np.asarray`` accepts (a 0-d input digests as
     shape ``(1,)``), or a vote tensor or row selection — any object with
-    ``row_runs()`` — which is streamed from its copy-on-write store and
-    left lazy.
+    ``row_runs()`` — which is streamed from its copy-on-write store, never
+    built.
     """
     if hasattr(array, "row_runs"):
         runs = array.row_runs()

@@ -24,6 +24,8 @@ from repro.core.distortion import distorted_files
 from repro.core.vote_tensor import VoteTensor
 from repro.exceptions import AttackError, ConfigurationError
 
+from cow_helpers import cube_of
+
 DIM = 9
 
 
@@ -272,7 +274,7 @@ NEW_FAMILIES = [
 @pytest.mark.parametrize("name,params", NEW_FAMILIES)
 def test_dict_adapter_matches_apply_tensor(mols_assignment, name, params):
     """The mask-driven vectorized write equals a ``{(worker, file): payload}``
-    dict scattered edge by edge with ``set_vote`` (the test's own adapter)."""
+    dict scattered edge by edge into a plain cube (the test's own adapter)."""
     byzantine = (0, 3, 7, 11)
     honest = np.random.default_rng(13).standard_normal(
         (mols_assignment.num_files, DIM)
@@ -288,7 +290,7 @@ def test_dict_adapter_matches_apply_tensor(mols_assignment, name, params):
         )
 
     tensor_path = VoteTensor.from_honest(mols_assignment, honest)
-    dict_path = VoteTensor.from_honest(mols_assignment, honest)
+    dict_path = np.repeat(honest[:, None, :], mols_assignment.replication, axis=1)
     tensor_path.mark_byzantine(byzantine)
     create_attack(name, **params).apply_tensor(context(), tensor_path)
     payload = create_attack(name, **params).payload(context())
@@ -298,14 +300,9 @@ def test_dict_adapter_matches_apply_tensor(mols_assignment, name, params):
         for file in mols_assignment.files_of_worker(worker)
     }
     for (worker, file), vector in crafted.items():
-        dict_path.set_vote(file, worker, vector)
-    assert tensor_path.is_lazy  # vectorized writes must never densify
+        dict_path[file, mols_assignment.workers_of_file(file).index(worker)] = vector
     assert tensor_path.num_override_rows == 1  # one colluding vector, stored once
-    every_file = np.arange(mols_assignment.num_files)
-    assert np.array_equal(
-        tensor_path.materialize_files(every_file),
-        dict_path.materialize_files(every_file),
-    )
+    assert np.array_equal(cube_of(tensor_path), dict_path)
 
 
 # --------------------------------------------------------------------------- #

@@ -1,13 +1,14 @@
-"""Tests for geometric median, signSGD, Auror and the per-file majority vote."""
+"""Tests for geometric median, signSGD and the per-file majority vote."""
 
 import numpy as np
 import pytest
 
-from repro.aggregation.auror import AurorAggregator, two_means_1d
 from repro.aggregation.geometric_median import GeometricMedianAggregator, geometric_median
-from repro.aggregation.majority import majority_vote_tensor
+from repro.aggregation.majority import majority_vote_votetensor
 from repro.aggregation.sign_sgd import SignSGDMajorityAggregator
 from repro.exceptions import AggregationError
+
+from cow_helpers import tensor_of
 
 
 # --------------------------------------------------------------------------- #
@@ -63,49 +64,14 @@ def test_signsgd_invalid_scale():
 
 
 # --------------------------------------------------------------------------- #
-# Auror
-# --------------------------------------------------------------------------- #
-def test_two_means_1d_separates_clusters():
-    values = np.array([0.0, 0.1, -0.1, 10.0, 10.2])
-    labels, low, high = two_means_1d(values)
-    assert labels.sum() == 2
-    assert low == pytest.approx(0.0, abs=0.2)
-    assert high == pytest.approx(10.1, abs=0.2)
-
-
-def test_two_means_1d_constant_values():
-    labels, low, high = two_means_1d(np.full(4, 2.5))
-    assert low == high == 2.5
-    assert labels.sum() == 0
-
-
-def test_auror_discards_small_far_cluster():
-    rng = np.random.default_rng(0)
-    honest = rng.standard_normal((9, 3)) * 0.1
-    byzantine = np.full((2, 3), 50.0)
-    votes = np.vstack([honest, byzantine])
-    result = AurorAggregator()(votes)
-    assert np.linalg.norm(result - honest.mean(axis=0)) < 1.0
-
-
-def test_auror_keeps_everything_when_clusters_close():
-    votes = np.array([[0.0, 1.0], [0.1, 1.1], [0.2, 0.9], [0.05, 1.05]])
-    result = AurorAggregator(distance_threshold=10.0)(votes)
-    assert np.allclose(result, votes.mean(axis=0))
-
-
-def test_auror_invalid_threshold():
-    with pytest.raises(AggregationError):
-        AurorAggregator(distance_threshold=0.0)
-
-
-# --------------------------------------------------------------------------- #
 # Majority vote
 # --------------------------------------------------------------------------- #
-def majority_vote(votes, tolerance=0.0):
+def majority_vote(votes, block_size=None):
     """Vote one file's copies: ``(winner, count)`` of an ``(r, d)`` stack."""
-    winners, counts = majority_vote_tensor(np.asarray(votes)[None], tolerance)
-    return winners[0], int(counts[0])
+    winners, counts = majority_vote_votetensor(
+        tensor_of(np.asarray(votes)[None]), block_size=block_size
+    )
+    return winners.densified()[0], int(counts[0])
 
 
 def test_majority_vote_exact_equality():
@@ -131,26 +97,20 @@ def test_majority_vote_byzantine_majority_wins():
     assert count == 2
 
 
-def test_majority_vote_with_tolerance_clusters_jittered_votes():
+def test_majority_vote_jittered_copies_are_different_votes():
+    """Exact content only: a copy one ulp away is a vote of its own."""
     base = np.array([1.0, 1.0])
-    jitter = base + 1e-9
-    outlier = np.array([100.0, 100.0])
-    winner, count = majority_vote([base, jitter, outlier], tolerance=1e-6)
+    jitter = np.nextafter(base, 2.0)
+    winner, count = majority_vote([jitter, base, base])
     assert count == 2
-    assert np.allclose(winner, base, atol=1e-8)
+    assert winner.tobytes() == base.tobytes()
 
 
 def test_majority_vote_validation(mols_assignment):
     from repro.core.pipelines import ByzShieldPipeline
 
-    with pytest.raises(AggregationError):
-        majority_vote(np.zeros((0, 3)))
-    with pytest.raises(AggregationError):
-        majority_vote([np.zeros(3)], tolerance=-1.0)
-    with pytest.raises(AggregationError):
-        ByzShieldPipeline(mols_assignment, vote_tolerance=-0.5)
-    # NaN passes ``tolerance < 0``; every comparison with it is false.
-    with pytest.raises(AggregationError, match="non-negative"):
-        majority_vote([np.zeros(3)], tolerance=float("nan"))
-    with pytest.raises(AggregationError, match="non-negative"):
-        ByzShieldPipeline(mols_assignment, vote_tolerance=float("nan"))
+    for block_size in (0, -3):
+        with pytest.raises(AggregationError, match="block_size"):
+            majority_vote([np.zeros(3)], block_size=block_size)
+        with pytest.raises(AggregationError, match="block_size"):
+            ByzShieldPipeline(mols_assignment, block_size=block_size)

@@ -39,7 +39,6 @@ def attacked(attack, context):
 def test_context_properties(mols_assignment):
     context = make_context(mols_assignment, (0, 5))
     assert context.num_byzantine == 2
-    assert context.gradient_dim == DIM
     honest = context.stacked_honest_gradients()
     assert honest.shape == (25, DIM)
     with pytest.raises(ValueError):
@@ -193,12 +192,6 @@ def test_attack_dimension_check(mols_assignment):
     for attack in (ShortPayload(), OneCoordinate(), WrongRowCount()):
         with pytest.raises(ConfigurationError, match="payload has shape"):
             attacked(attack, context)
-        # the dense branch validates too
-        dense = VoteTensor.from_honest(mols_assignment, context.honest_matrix)
-        dense.mark_byzantine(context.byzantine_workers)
-        assert dense.values is not None and not dense.is_lazy
-        with pytest.raises(ConfigurationError, match="payload has shape"):
-            attack.apply_tensor(context, dense)
 
 
 def test_attack_without_a_hook_is_a_clear_error(mols_assignment):

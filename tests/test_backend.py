@@ -7,9 +7,7 @@ from repro.core.backend import (
     DEFAULT_DTYPE,
     SUPPORTED_DTYPES,
     bit_view_dtype,
-    dtype_name,
     ensure_float,
-    is_supported_float,
     resolve_dtype,
 )
 from repro.exceptions import ConfigurationError
@@ -44,18 +42,6 @@ def test_resolve_dtype_rejects_unsupported(spec):
         resolve_dtype(spec)
 
 
-def test_dtype_name_canonical():
-    assert dtype_name(None) == "float64"
-    assert dtype_name("float32") == "float32"
-    assert dtype_name(np.dtype(np.float64)) == "float64"
-
-
-def test_is_supported_float():
-    assert is_supported_float(np.float32)
-    assert is_supported_float("float64")
-    assert not is_supported_float(np.int64)
-    assert not is_supported_float(np.float16)
-    assert not is_supported_float("not-a-dtype")
 
 
 def test_ensure_float_preserves_supported_dtypes_without_copy():

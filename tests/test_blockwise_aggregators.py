@@ -16,13 +16,15 @@ import pytest
 
 from repro.aggregation.bulyan import BulyanAggregator
 from repro.aggregation.krum import KrumAggregator, MultiKrumAggregator, krum_scores
-from repro.aggregation.majority import majority_vote_tensor, majority_vote_votetensor
+from repro.aggregation.majority import majority_vote_votetensor
 from repro.aggregation.median_of_means import MedianOfMeansAggregator
 from repro.aggregation.trimmed_mean import TrimmedMeanAggregator
 from repro.assignment.mols import MOLSAssignment
 from repro.core.vote_tensor import VoteTensor
 from repro.exceptions import AggregationError
 from repro.utils.arrays import pairwise_squared_distances
+
+from cow_helpers import cube_of, tensor_of
 
 BLOCK_SIZES = [1, 7, 64, 10**6]
 DIMS = [1, 5, 63, 130]
@@ -91,27 +93,27 @@ class TestBlockwiseBitIdentity:
             values[:] = values[:, :1, :]
             for i, k in zip(rng.integers(0, 9, 6), rng.integers(0, 5, 6)):
                 values[i, k] = rng.standard_normal(83)
-            mono_w, mono_c = majority_vote_tensor(values)
-            blk_w, blk_c = majority_vote_tensor(values, block_size=block_size)
-            assert np.array_equal(blk_w, mono_w)
+            tensor = tensor_of(values)
+            mono_w, mono_c = majority_vote_votetensor(tensor)
+            blk_w, blk_c = majority_vote_votetensor(tensor, block_size=block_size)
+            assert np.array_equal(blk_w.densified(), mono_w.densified())
             assert np.array_equal(blk_c, mono_c)
 
     @pytest.mark.parametrize("block_size", BLOCK_SIZES)
-    @pytest.mark.parametrize("dense", [False, True], ids=["lazy", "dense"])
-    def test_majority_vote_votetensor_matches(self, block_size, dense):
+    @pytest.mark.parametrize("rebuilt", [False, True], ids=["attacked", "rebuilt"])
+    def test_majority_vote_votetensor_matches(self, block_size, rebuilt):
         assignment = MOLSAssignment(load=5, replication=3).assignment
         rng = np.random.default_rng(23)
         honest = rng.standard_normal((assignment.num_files, 70))
         tensor = VoteTensor.from_honest(assignment, honest)
         for w in (0, 3, 7, 12):
             payload = rng.standard_normal(70) * 100.0
-            for i in assignment.files_of_worker(w):
-                tensor.set_vote(i, w, payload)
-        if dense:
-            tensor.values
-        mono_w, mono_c = majority_vote_votetensor(tensor, 0.0)
+            tensor.write_slots(*np.nonzero(tensor.workers == w), payload)
+        if rebuilt:
+            tensor = tensor_of(cube_of(tensor), assignment)
+        mono_w, mono_c = majority_vote_votetensor(tensor)
         mono_w = mono_w.densified()
-        blk_w, blk_c = majority_vote_votetensor(tensor, 0.0, block_size=block_size)
+        blk_w, blk_c = majority_vote_votetensor(tensor, block_size=block_size)
         blk_w = blk_w.densified()
         assert np.array_equal(blk_w, mono_w)
         assert np.array_equal(blk_c, mono_c)

@@ -163,12 +163,12 @@ def test_scenario_run_unknown_name_fails_cleanly(capsys):
         {"cluster": {"params": [1, 2]}},
         {"faults": [1]},
         {"runtime": {"deadline": "soon"}},
-        {"pipeline": {"vote_tolerance": None}},
+        {"pipeline": {"block_size": "wide"}},
         {"topology": {"groups": "two"}},
         {"training": {"batch_size": [1]}},
         None,
     ],
-    ids=["seed", "hidden", "cluster", "params", "faults", "deadline", "tolerance", "groups",
+    ids=["seed", "hidden", "cluster", "params", "faults", "deadline", "block-size", "groups",
          "batch-size", "null-root"],
 )
 def test_scenario_run_malformed_spec_file_is_a_one_line_error(tmp_path, capsys, edit):
@@ -180,6 +180,29 @@ def test_scenario_run_malformed_spec_file_is_a_one_line_error(tmp_path, capsys, 
     assert captured.out == ""
     (line,) = captured.err.splitlines()
     assert line.startswith("error: scenario") and "Traceback" not in line
+
+
+@pytest.mark.parametrize(
+    "section, edit, expected",
+    [
+        ("pipeline", {"vote_tolerance": 0.0}, "['scenario.pipeline.vote_tolerance']"),
+        ("pipeline", {"aggregator": "auror"}, "unknown aggregator 'auror'; available: ['bulyan',"),
+        ("compression", {"name": "randomk"}, "unknown compressor 'randomk'; available: ['sign', 'topk']"),
+    ],
+    ids=["vote-tolerance", "auror", "randomk"],
+)
+def test_scenario_run_removed_names_fail_loudly(tmp_path, capsys, section, edit, expected):
+    """A spec written for a field or registry entry that no longer exists
+    exits 1 with one line naming the dotted path or the names that do."""
+    data = get_scenario("mols-clean").to_dict()
+    data[section] = {**data.get(section, {}), **edit}
+    path = tmp_path / "removed.json"
+    path.write_text(json.dumps(data))
+    assert main(["scenario", "run", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error: ") and expected in line
 
 
 def test_scenario_run_inapplicable_aggregator_is_a_one_line_error(tmp_path, capsys):

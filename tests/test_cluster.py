@@ -8,7 +8,7 @@ from repro.assignment.frc import FRCAssignment
 from repro.assignment.mols import MOLSAssignment
 from repro.attacks.constant import ConstantAttack
 from repro.attacks.reversed_gradient import ReversedGradientAttack
-from repro.attacks.selection import FixedSelector, OmniscientSelector
+from repro.attacks.selection import OmniscientSelector
 from repro.cluster.server import ParameterServer
 from repro.cluster.simulator import TrainingCluster
 from repro.cluster.timing import CostModel, estimate_iteration_timing
@@ -16,6 +16,8 @@ from repro.cluster.worker import WorkerPool
 from repro.core.pipelines import ByzShieldPipeline
 from repro.exceptions import ConfigurationError, TrainingError
 from repro.nn.optim import SGD
+
+from cow_helpers import FixedSelector, cube_of
 
 
 DIM = 3
@@ -61,17 +63,14 @@ def test_worker_pool_honest_returns_structure(mols_assignment):
         np.zeros(DIM), make_file_data(25)
     )
     assert tensor.shape == (25, 3, DIM)
-    assert tensor.is_lazy and tensor.num_overridden_slots == 0
+    assert tensor.num_overridden_slots == tensor.num_override_rows == 0
     assert losses.shape == (25,)
     for file_index in range(25):
         assert tuple(tensor.workers[file_index]) == mols_assignment.workers_of_file(
             file_index
         )
     # every assigned worker returns a bit-identical copy of the file's gradient
-    every_file = np.arange(25)
-    assert np.array_equal(
-        tensor.materialize_files(every_file), np.repeat(honest[:, None, :], 3, axis=1)
-    )
+    assert np.array_equal(cube_of(tensor), np.repeat(honest[:, None, :], 3, axis=1))
 
 
 def test_worker_pool_shared_vs_recomputed_identical(mols_assignment):
@@ -81,9 +80,9 @@ def test_worker_pool_shared_vs_recomputed_identical(mols_assignment):
     data = make_file_data(25)
     tensor, _, _ = pool.honest_returns_tensor(np.ones(DIM), data)
     for i in range(25):
-        for worker in mols_assignment.workers_of_file(i):
+        for slot, worker in enumerate(mols_assignment.workers_of_file(i)):
             recomputed, _ = quadratic_gradient_fn(np.ones(DIM), *data[i])
-            slot = tensor.slot_of(i, worker)
+            assert tensor.workers[i, slot] == worker
             assert np.array_equal(tensor.read_slots([i], [slot])[0], recomputed)
 
 
@@ -176,13 +175,9 @@ def test_cluster_round_deterministic_given_seed(mols_assignment):
         )
 
     data = make_file_data(25)
-    every_file = np.arange(25)
     a = build().run_round_tensor(np.zeros(DIM), data, iteration=2)
     b = build().run_round_tensor(np.zeros(DIM), data, iteration=2)
-    assert np.array_equal(
-        a.vote_tensor.materialize_files(every_file),
-        b.vote_tensor.materialize_files(every_file),
-    )
+    assert np.array_equal(cube_of(a.vote_tensor), cube_of(b.vote_tensor))
 
 
 def test_cluster_requires_attack_and_selector_together(mols_assignment):
@@ -240,7 +235,7 @@ def test_fault_streams_independent_with_generator_seed(mols_assignment):
     injection must not change the adversary's draws (the fault base seed is
     derived once at construction)."""
     from repro.attacks.constant import ConstantAttack
-    from repro.attacks.selection import RandomSelector
+    from repro.attacks.schedules import AdversarySchedule, ScheduledSelector
     from repro.cluster.faults import MessageCorruptionInjector
 
     def fn(params, inputs, labels):
@@ -263,7 +258,7 @@ def test_fault_streams_independent_with_generator_seed(mols_assignment):
             assignment=mols_assignment,
             worker_pool=pool,
             attack=ConstantAttack(value=-1.0),
-            selector=RandomSelector(num_byzantine=3),
+            selector=ScheduledSelector(AdversarySchedule(q=3), selection="random"),
             seed=np.random.default_rng(42),
             fault_injectors=injectors,
         )

@@ -1,11 +1,12 @@
 """Copy-on-write replication property tests.
 
-:meth:`VoteTensor.from_honest` builds a *lazy* tensor — one shared ``(f, d)``
-base plus per-(file, slot) overrides — instead of materializing the dense
-``(f, r, d)`` cube.  These tests pin the contract that makes that safe: for
-every pipeline, registered attack and fault injector, the lazy tensor is
-**bit-identical** to a fully materialized one, and the ``q = 0`` fast path
-never copies a single replica.
+:meth:`VoteTensor.from_honest` builds the round as one shared ``(f, d)``
+base plus per-(file, slot) payload rows instead of the ``(f, r, d)`` cube.
+These tests pin the contract that makes that safe: for every pipeline,
+registered attack and fault injector, the tensor reads **bit-identically**
+to a plain numpy cube put through the same writes, its aggregate does not
+depend on how the cube is stored, and the ``q = 0`` fast path never copies
+a single replica.
 """
 
 import tracemalloc
@@ -13,6 +14,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from repro.aggregation import majority as majority_module
+from repro.aggregation.majority import majority_vote_votetensor, override_content_ids
 from repro.aggregation.median import CoordinateWiseMedian
 from repro.assignment.baseline import BaselineAssignment
 from repro.assignment.frc import FRCAssignment
@@ -33,7 +36,8 @@ from repro.core.pipelines import (
     VanillaPipeline,
 )
 from repro.core.vote_tensor import VoteTensor
-from repro.exceptions import ConfigurationError
+
+from cow_helpers import cube_of, tensor_of
 
 DIM = 7
 
@@ -62,15 +66,11 @@ def honest_matrix_for(assignment, seed=0):
 
 
 def make_pair(assignment, seed=0):
-    """(lazy, dense) tensors of the same honest round."""
+    """A tensor of an honest round and the plain ``(f, r, d)`` cube it stands for."""
     matrix = honest_matrix_for(assignment, seed)
-    lazy = VoteTensor.from_honest(assignment, matrix)
-    r = assignment.worker_slot_matrix().shape[1]
-    dense = VoteTensor(
-        np.repeat(matrix[:, None, :], r, axis=1), assignment.worker_slot_matrix()
-    )
-    assert lazy.is_lazy and not dense.is_lazy
-    return lazy, dense, matrix
+    tensor = VoteTensor.from_honest(assignment, matrix)
+    cube = np.repeat(matrix[:, None, :], tensor.replication, axis=1)
+    return tensor, cube, matrix
 
 
 def make_context(assignment, matrix, byzantine, seed=0):
@@ -83,11 +83,26 @@ def make_context(assignment, matrix, byzantine, seed=0):
     )
 
 
-def assert_tensors_identical(lazy, dense):
-    """Densify the lazy tensor and compare bit-for-bit."""
-    assert np.array_equal(
-        lazy.materialize_files(np.arange(lazy.num_files)), dense.values
-    )
+def assert_reads_as(tensor, cube):
+    """The tensor's slots are the cube's, bit for bit."""
+    assert cube_of(tensor).tobytes() == cube.tobytes()
+
+
+def reference_vote(cube):
+    """Per-file reference vote: ``(f, d)`` winners and ``(f,)`` counts."""
+    votes = [majority_module._reference_exact_majority(copies) for copies in cube]
+    return np.vstack([w for w, _ in votes]), np.array([c for _, c in votes])
+
+
+def assert_layout_free(tensor, pipelines):
+    """Every pipeline aggregates the tensor exactly as the same cube stored
+    the other way — slot 0 as the base, every other differing slot its own row."""
+    rebuilt = tensor_of(cube_of(tensor), pipelines[0].assignment)
+    for pipeline in pipelines:
+        assert np.array_equal(
+            pipeline.aggregate_tensor(tensor).aggregate,
+            pipeline.aggregate_tensor(rebuilt).aggregate,
+        ), pipeline.pipeline_name
 
 
 # --------------------------------------------------------------------------- #
@@ -96,17 +111,16 @@ def assert_tensors_identical(lazy, dense):
 @pytest.mark.parametrize("scheme", sorted(SCHEMES))
 def test_q0_round_never_materializes(scheme):
     assignment = SCHEMES[scheme]()
-    lazy, dense, _ = make_pair(assignment)
-    for lazy_pipe, dense_pipe in zip(
-        pipelines_for(scheme, assignment), pipelines_for(scheme, assignment)
-    ):
-        lazy_clone = lazy.copy()
-        out_lazy = lazy_pipe.aggregate_tensor(lazy_clone).aggregate
-        out_dense = dense_pipe.aggregate_tensor(dense.copy()).aggregate
-        assert np.array_equal(out_lazy, out_dense), lazy_pipe.pipeline_name
-        # aggregation of a clean round must not densify nor allocate overrides
-        assert lazy_clone.is_lazy
-        assert lazy_clone.num_overridden_slots == 0
+    lazy, cube, matrix = make_pair(assignment)
+    pipelines = pipelines_for(scheme, assignment)
+    for pipeline in pipelines:
+        outcome = pipeline.aggregate_tensor(lazy)
+        # a clean round's winners are the honest base itself, no row copied
+        assert outcome.winners.files.size == 0
+        assert np.shares_memory(outcome.winners.base, matrix)
+    assert lazy.num_overridden_slots == lazy.num_override_rows == 0
+    assert_layout_free(lazy, pipelines)
+    assert_reads_as(lazy, cube)
 
 
 def test_q0_attack_application_stays_lazy(mols_assignment):
@@ -115,7 +129,7 @@ def test_q0_attack_application_stays_lazy(mols_assignment):
         attack = create_attack(name)
         context = make_context(mols_assignment, matrix, byzantine=())
         attack.apply_tensor(context, lazy)
-    assert lazy.is_lazy and lazy.num_overridden_slots == 0
+    assert lazy.num_overridden_slots == lazy.num_override_rows == 0
 
 
 # --------------------------------------------------------------------------- #
@@ -125,23 +139,18 @@ def test_q0_attack_application_stays_lazy(mols_assignment):
 @pytest.mark.parametrize("attack_name", available_attacks())
 def test_cow_matches_materialized_under_attack(scheme, attack_name):
     assignment = SCHEMES[scheme]()
-    lazy, dense, matrix = make_pair(assignment, seed=3)
+    lazy, cube, matrix = make_pair(assignment, seed=3)
     byzantine = (0, min(5, assignment.num_workers - 1))
-    attack = create_attack(attack_name)
-    for tensor in (lazy, dense):
-        tensor.mark_byzantine(byzantine)
-        context = make_context(assignment, matrix, byzantine, seed=11)
-        attack.apply_tensor(context, tensor)
-    assert lazy.is_lazy  # attacks go through the slot API, never .values
-    assert lazy.num_overridden_slots > 0
-    assert_tensors_identical(lazy, dense)
-    for lazy_pipe, dense_pipe in zip(
-        pipelines_for(scheme, assignment), pipelines_for(scheme, assignment)
-    ):
-        assert np.array_equal(
-            lazy_pipe.aggregate_tensor(lazy.copy()).aggregate,
-            dense_pipe.aggregate_tensor(dense.copy()).aggregate,
-        ), (attack_name, lazy_pipe.pipeline_name)
+    lazy.mark_byzantine(byzantine)
+    create_attack(attack_name).apply_tensor(
+        make_context(assignment, matrix, byzantine, seed=11), lazy
+    )
+    # the attack wrote the Byzantine slots and nothing else
+    written = cube_of(lazy)
+    honest = ~lazy.byzantine_mask
+    assert written[honest].tobytes() == cube[honest].tobytes()
+    assert lazy.num_overridden_slots == int(lazy.byzantine_mask.sum())
+    assert_layout_free(lazy, pipelines_for(scheme, assignment))
 
 
 # --------------------------------------------------------------------------- #
@@ -162,66 +171,83 @@ INJECTORS = {
 }
 
 
+def apply_events(cube, workers, injector, events, seed):
+    """The numpy model of one injection: ``events`` applied to a plain cube.
+
+    A dropped worker's every slot is zero; a corrupted message is zeroed,
+    scaled, or gets the noise rows the injector drew after its hit mask
+    (replayed from ``seed``)."""
+    cube = cube.copy()
+    corrupted = []
+    for event in events:
+        if event.kind == "corruption":
+            corrupted.append((event.file, int(np.searchsorted(workers[event.file], event.worker))))
+        elif event.dropped:
+            cube[workers == event.worker] = 0.0
+    if corrupted:
+        files, slots = np.array(corrupted).T
+        if injector.mode == "zero":
+            cube[files, slots] = 0.0
+        elif injector.mode == "scale":
+            cube[files, slots] *= injector.factor
+        else:
+            rng = np.random.default_rng(seed)
+            rng.random(workers.shape)
+            cube[files, slots] += rng.standard_normal((files.size, cube.shape[2])) * injector.factor
+    return cube
+
+
+def inject(tensor, cube, assignment, injector_name, seed, iteration=2):
+    """Run one injector on the tensor; return the cube model after it."""
+    injector = INJECTORS[injector_name]()
+    context = FaultContext(
+        assignment=assignment, iteration=iteration, rng=np.random.default_rng(seed)
+    )
+    events = injector.inject(tensor, context)
+    return apply_events(cube, tensor.workers, injector, events, seed), events
+
+
 @pytest.mark.parametrize("injector_name", sorted(INJECTORS))
 def test_cow_matches_materialized_under_faults(mols_assignment, injector_name):
-    lazy, dense, _ = make_pair(mols_assignment, seed=5)
-    events = []
-    for tensor in (lazy, dense):
-        injector = INJECTORS[injector_name]()
-        context = FaultContext(
-            assignment=mols_assignment, iteration=2, rng=np.random.default_rng(7)
-        )
-        events.append(injector.inject(tensor, context))
-    assert [e.as_dict() for e in events[0]] == [e.as_dict() for e in events[1]]
-    assert lazy.is_lazy
-    assert_tensors_identical(lazy, dense)
+    lazy, cube, _ = make_pair(mols_assignment, seed=5)
+    cube, events = inject(lazy, cube, mols_assignment, injector_name, seed=7)
+    assert events
+    assert_reads_as(lazy, cube)
 
 
 def test_cow_matches_materialized_attack_then_faults(mols_assignment):
     """The full hot-path sequence: attack writes, then every injector."""
-    lazy, dense, matrix = make_pair(mols_assignment, seed=9)
+    lazy, _, matrix = make_pair(mols_assignment, seed=9)
     byzantine = (1, 4, 8)
-    attack = create_attack("gaussian_noise", sigma=3.0)
-    for tensor in (lazy, dense):
-        tensor.mark_byzantine(byzantine)
-        attack.apply_tensor(
-            context=make_context(mols_assignment, matrix, byzantine, seed=13),
-            tensor=tensor,
-        )
-        for injector_name in sorted(INJECTORS):
-            INJECTORS[injector_name]().inject(
-                tensor,
-                FaultContext(
-                    assignment=mols_assignment,
-                    iteration=0,
-                    rng=np.random.default_rng(17),
-                ),
-            )
-    assert lazy.is_lazy
-    assert_tensors_identical(lazy, dense)
-    pipeline = ByzShieldPipeline(mols_assignment)
-    assert np.array_equal(
-        pipeline.aggregate_tensor(lazy).aggregate, pipeline.aggregate_tensor(dense).aggregate
+    lazy.mark_byzantine(byzantine)
+    create_attack("gaussian_noise", sigma=3.0).apply_tensor(
+        context=make_context(mols_assignment, matrix, byzantine, seed=13), tensor=lazy
     )
+    cube = cube_of(lazy)
+    for injector_name in sorted(INJECTORS):
+        cube, _ = inject(lazy, cube, mols_assignment, injector_name, seed=17, iteration=0)
+    assert_reads_as(lazy, cube)
+    assert_layout_free(lazy, [ByzShieldPipeline(mols_assignment)])
 
 
 # --------------------------------------------------------------------------- #
 # Vectorized noise attacks vs a per-slot scalar writer
 # --------------------------------------------------------------------------- #
-def scalar_adapter(attack, context, tensor):
-    """Per-slot reference writer: one ``(d,)`` draw and one ``set_vote`` per
+def scalar_adapter(attack, context, cube):
+    """Per-slot reference writer: one ``(d,)`` draw and one cube write per
     (worker, file), workers in context order, files in assignment order."""
     for worker in context.byzantine_workers:
         for file in context.assignment.files_of_worker(worker):
             if attack.attack_name == "uniform_random":
                 vector = context.rng.uniform(
-                    -attack.magnitude, attack.magnitude, size=tensor.dim
+                    -attack.magnitude, attack.magnitude, size=cube.shape[2]
                 )
             else:
-                vector = context.rng.standard_normal(tensor.dim) * attack.sigma
+                vector = context.rng.standard_normal(cube.shape[2]) * attack.sigma
                 if attack.around_true_gradient:
                     vector = vector + context.honest_matrix[file]
-            tensor.set_vote(file, worker, vector)
+            slot = context.assignment.workers_of_file(file).index(worker)
+            cube[file, slot] = vector
 
 
 @pytest.mark.parametrize(
@@ -239,46 +265,48 @@ def test_vectorized_noise_attacks_match_adapter(scheme, attack_factory):
     scalar adapter's m successive (d,) draws do — bit-identical payloads."""
     assignment = SCHEMES[scheme]()
     byzantine = (0, 2, min(6, assignment.num_workers - 1))
-    lazy, dense, matrix = make_pair(assignment, seed=21)
+    lazy, cube, matrix = make_pair(assignment, seed=21)
     attack = attack_factory()
     lazy.mark_byzantine(byzantine)
-    dense.mark_byzantine(byzantine)
-    # vectorized write on the lazy tensor
+    # vectorized write on the tensor
     attack.apply_tensor(make_context(assignment, matrix, byzantine, seed=23), lazy)
-    # per-slot scalar draws on the dense tensor
-    scalar_adapter(attack, make_context(assignment, matrix, byzantine, seed=23), dense)
-    assert lazy.is_lazy
-    assert_tensors_identical(lazy, dense)
+    # per-slot scalar draws on the plain cube
+    scalar_adapter(attack, make_context(assignment, matrix, byzantine, seed=23), cube)
+    assert_reads_as(lazy, cube)
 
 
 # --------------------------------------------------------------------------- #
 # Slot-API unit tests
 # --------------------------------------------------------------------------- #
 def test_write_and_read_slots_broadcast(mols_assignment):
-    lazy, dense, _ = make_pair(mols_assignment, seed=1)
+    lazy, cube, _ = make_pair(mols_assignment, seed=1)
     files = np.array([0, 3, 3], dtype=np.int64)
     slots = np.array([1, 0, 2], dtype=np.int64)
     payload = np.arange(3 * DIM, dtype=np.float64).reshape(3, DIM)
-    for tensor in (lazy, dense):
-        tensor.write_slots(files, slots, payload)  # (m, d) rows
-        tensor.write_slots([5], [1], 2.5)  # scalar fill
-        tensor.write_slots([6], [2], np.full(DIM, -1.0))  # (d,) vector
-        assert np.array_equal(tensor.read_slots(files, slots), payload)
-        assert np.all(tensor.read_slots([5], [1]) == 2.5)
-    assert lazy.is_lazy and lazy.num_overridden_slots == 5
-    assert_tensors_identical(lazy, dense)
+    lazy.write_slots(files, slots, payload)  # (m, d) rows
+    lazy.write_slots([5], [1], 2.5)  # scalar fill
+    lazy.write_slots([6], [2], np.full(DIM, -1.0))  # (d,) vector
+    cube[files, slots] = payload
+    cube[5, 1] = 2.5
+    cube[6, 2] = -1.0
+    assert np.array_equal(lazy.read_slots(files, slots), payload)
+    assert np.all(lazy.read_slots([5], [1]) == 2.5)
+    assert lazy.num_overridden_slots == 5
+    assert_reads_as(lazy, cube)
 
 
 def test_add_scale_zero_slots(mols_assignment):
-    lazy, dense, matrix = make_pair(mols_assignment, seed=2)
+    lazy, cube, matrix = make_pair(mols_assignment, seed=2)
     files = np.array([1, 2, 4], dtype=np.int64)
     slots = np.array([0, 1, 2], dtype=np.int64)
     delta = np.random.default_rng(3).standard_normal((3, DIM))
-    for tensor in (lazy, dense):
-        tensor.add_to_slots(files, slots, delta)
-        tensor.scale_slots(files[:2], slots[:2], 0.5)
-        tensor.zero_slots(files[2:], slots[2:])
-    assert_tensors_identical(lazy, dense)
+    lazy.add_to_slots(files, slots, delta)
+    lazy.scale_slots(files[:2], slots[:2], 0.5)
+    lazy.zero_slots(files[2:], slots[2:])
+    cube[files, slots] += delta
+    cube[files[:2], slots[:2]] *= 0.5
+    cube[files[2:], slots[2:]] = 0.0
+    assert_reads_as(lazy, cube)
     # untouched replicas of a touched file still read the honest row
     untouched_slot = 2 if 2 != slots[0] else 1
     assert np.array_equal(lazy.read_slots([1], [untouched_slot])[0], matrix[1])
@@ -290,7 +318,6 @@ def test_selected_untouched_column_is_the_shared_readonly_base(mols_assignment):
     rows = lazy.select_slots(column).densified()
     assert np.shares_memory(rows, matrix)
     assert not rows.flags.writeable
-    assert lazy.is_lazy  # select_slots never densifies
     # touching a slot in column 0 patches that one row
     lazy.write_slots([2], [0], 9.0)
     selection = lazy.select_slots(column)
@@ -301,65 +328,14 @@ def test_selected_untouched_column_is_the_shared_readonly_base(mols_assignment):
     assert np.array_equal(patched[0], matrix[0])
 
 
-def test_touched_files_and_materialize_files(mols_assignment):
+def test_base_rows_is_a_read_only_view_of_the_honest_matrix(mols_assignment):
     lazy, _, matrix = make_pair(mols_assignment)
-    assert lazy.touched_files().size == 0
-    lazy.write_slots([4, 7], [1, 2], 1.5)
-    assert lazy.touched_files().tolist() == [4, 7]
-    sub = lazy.materialize_files([4, 7])
-    assert sub.shape == (2, lazy.replication, DIM)
-    assert np.all(sub[0, 1] == 1.5) and np.all(sub[1, 2] == 1.5)
-    assert np.array_equal(sub[0, 0], matrix[4])
-    assert lazy.is_lazy  # materialize_files is a per-file copy, not a switch
-
-
-def test_base_rows_only_defined_for_lazy(mols_assignment):
-    lazy, dense, matrix = make_pair(mols_assignment)
     base = lazy.base_rows()
-    assert np.array_equal(base, matrix)
-    assert not base.flags.writeable
-    with pytest.raises(ConfigurationError):
-        dense.base_rows()
-
-
-def test_values_densifies_permanently_and_keeps_writes(mols_assignment):
-    lazy, _, matrix = make_pair(mols_assignment)
-    lazy.write_slots([3], [1], 7.0)
-    cube = lazy.values
-    assert not lazy.is_lazy
-    assert lazy.num_overridden_slots == 0  # dense tensors report zero
-    assert np.all(cube[3, 1] == 7.0)
-    # in-place writes through the dense cube are never lost
-    cube[0, 0] = -3.0
-    assert np.all(lazy.values[0, 0] == -3.0)
-    assert np.array_equal(lazy.values[0, 1], matrix[0])
-
-
-def test_lazy_copy_is_independent_and_cheap(mols_assignment):
-    lazy, _, matrix = make_pair(mols_assignment)
-    lazy.write_slots([2], [0], 4.0)
-    clone = lazy.copy()
-    assert clone.is_lazy
-    assert clone.base_rows() is not None
-    # the immutable honest base is shared, the override bookkeeping is not
-    assert clone.read_slots([2], [0])[0][0] == 4.0
-    clone.write_slots([5], [1], -2.0)
-    assert lazy.num_overridden_slots == 1
-    assert clone.num_overridden_slots == 2
-    assert np.array_equal(lazy.read_slots([5], [1])[0], matrix[5])
-    # writing to the original does not leak into the clone either
-    lazy.write_slots([2], [0], 8.0)
-    assert clone.read_slots([2], [0])[0][0] == 4.0
-
-
-def test_set_vote_routes_through_cow(mols_assignment):
-    lazy, dense, _ = make_pair(mols_assignment)
-    worker = int(lazy.workers[0, 1])
-    vec = np.full(DIM, 3.25)
-    lazy.set_vote(0, worker, vec)
-    dense.set_vote(0, worker, vec)
-    assert lazy.is_lazy and lazy.num_overridden_slots == 1
-    assert_tensors_identical(lazy, dense)
+    assert np.array_equal(base, matrix) and np.shares_memory(base, matrix)
+    with pytest.raises(ValueError):
+        base[0, 0] = 1.0
+    lazy.write_slots([0], [0], 5.0)
+    assert np.array_equal(lazy.base_rows(), matrix)  # writes never touch the base
 
 
 def test_float32_round_stays_float32_through_cow(mols_assignment):
@@ -372,18 +348,12 @@ def test_float32_round_stays_float32_through_cow(mols_assignment):
     assert lazy.dtype == np.float32
     lazy.write_slots([1], [0], 2.0)
     assert lazy.read_slots([1], [0]).dtype == np.float32
-    assert lazy.values.dtype == np.float32
+    assert cube_of(lazy).dtype == np.float32
 
 
 def test_lazy_majority_survives_hash_collisions(monkeypatch, mols_assignment):
-    """Degenerate hash weights throw every override into one bucket; the lazy
-    kernel's collision fallback must still match the dense kernel bit-for-bit."""
-    from repro.aggregation import majority as majority_module
-    from repro.aggregation.majority import (
-        majority_vote_tensor,
-        majority_vote_votetensor,
-    )
-
+    """Degenerate hash weights throw every override into one bucket; the
+    collision fallback must still match the reference vote bit-for-bit."""
     monkeypatch.setitem(
         majority_module._HASH_WEIGHTS, DIM, np.zeros(DIM, dtype=np.uint64)
     )
@@ -395,11 +365,9 @@ def test_lazy_majority_survives_hash_collisions(monkeypatch, mols_assignment):
             i, k = int(rng.integers(f)), int(rng.integers(3))
             payload = float(rng.integers(-1, 2))  # small alphabet: real dupes
             lazy.write_slots([i], [k], payload)
-        dense_values = lazy.materialize_files(np.arange(f)).copy()
+        dw, dc = reference_vote(cube_of(lazy))
         lw, lc = majority_vote_votetensor(lazy)
-        lw = lw.densified()
-        dw, dc = majority_vote_tensor(dense_values)
-        np.testing.assert_array_equal(lw, dw)
+        np.testing.assert_array_equal(lw.densified(), dw)
         np.testing.assert_array_equal(lc, dc)
 
 
@@ -407,26 +375,24 @@ def test_lazy_majority_survives_hash_collisions(monkeypatch, mols_assignment):
 # Payload table: shared rows, the aliasing rule, content classes
 # --------------------------------------------------------------------------- #
 def test_shared_payload_allocates_one_row(mols_assignment):
-    lazy, dense, _ = make_pair(mols_assignment, seed=4)
+    lazy, cube, _ = make_pair(mols_assignment, seed=4)
     files = np.array([0, 3, 3, 9], dtype=np.int64)
     slots = np.array([1, 0, 2, 1], dtype=np.int64)
     payload = np.arange(DIM, dtype=np.float64)
-    for tensor in (lazy, dense):
-        tensor.write_slots(files, slots, payload)
+    lazy.write_slots(files, slots, payload)
+    cube[files, slots] = payload
     assert lazy.num_overridden_slots == 4  # slots, not rows
     assert lazy.num_override_rows == 1
-    assert lazy.override_nbytes == DIM * 8
     _, _, row_ids, rows = lazy.override_table()
     assert row_ids.tolist() == [0, 0, 0, 0]
-    assert not rows.flags.writeable
-    assert_tensors_identical(lazy, dense)
+    assert rows.nbytes == DIM * 8 and not rows.flags.writeable
+    assert_reads_as(lazy, cube)
     # a scalar fill is one row too; an (m, d) matrix is one row per slot
     lazy.zero_slots([5, 6], [0, 0])
     assert lazy.num_override_rows == 2
     lazy.write_slots([7, 8], [0, 0], np.ones((2, DIM)))
     assert lazy.num_override_rows == 4
     assert lazy.num_overridden_slots == 8
-    assert (dense.num_override_rows, dense.override_nbytes) == (0, 0)
 
 
 def test_first_shared_write_reserves_one_row_not_eight(mols_assignment):
@@ -449,87 +415,61 @@ def test_first_shared_write_reserves_one_row_not_eight(mols_assignment):
 
 def test_successive_single_writes_grow_the_store_geometrically(mols_assignment):
     rng = np.random.default_rng(12)
-    lazy, dense, _ = make_pair(mols_assignment, seed=12)
+    lazy, cube, _ = make_pair(mols_assignment, seed=12)
     r = lazy.replication
     capacities = set()
     rows = rng.standard_normal((64, DIM))
     for k, row in enumerate(rows):
-        for tensor in (lazy, dense):
-            tensor.write_slots([k // r], [k % r], row)
+        lazy.write_slots([k // r], [k % r], row)
+        cube[k // r, k % r] = row
         capacities.add(lazy._store.shape[0])
     assert capacities == {1, 2, 4, 8, 16, 32, 64}  # one reallocation per doubling
     assert lazy.num_override_rows == 64
-    assert_tensors_identical(lazy, dense)
+    assert_reads_as(lazy, cube)
     files, slots = np.divmod(np.arange(64), r)
     assert np.array_equal(lazy.read_slots(files, slots), rows)
 
 
-@pytest.mark.parametrize("mutator", ["scale_slots", "add_to_slots", "set_vote"])
+@pytest.mark.parametrize("mutator", ["scale_slots", "add_to_slots", "write_slots"])
 def test_mutating_one_shared_slot_leaves_the_others_untouched(mols_assignment, mutator):
     """The CorruptionInjector path after a colluding attack: one of m slots
     sharing a stored row is rewritten; the other m - 1 must not change."""
-    lazy, dense, _ = make_pair(mols_assignment, seed=6)
+    lazy, cube, _ = make_pair(mols_assignment, seed=6)
     files = np.array([1, 2, 4, 4], dtype=np.int64)
     slots = np.array([0, 1, 0, 2], dtype=np.int64)
     payload = np.random.default_rng(8).standard_normal(DIM)
-    for tensor in (lazy, dense):
-        tensor.write_slots(files, slots, payload)
-        if mutator == "scale_slots":
-            tensor.scale_slots([2], [1], -3.0)
-        elif mutator == "add_to_slots":
-            tensor.add_to_slots([2], [1], np.full(DIM, 0.25))
-        else:
-            tensor.set_vote(2, int(tensor.workers[2, 1]), np.full(DIM, 9.0))
+    lazy.write_slots(files, slots, payload)
+    cube[files, slots] = payload
+    if mutator == "scale_slots":
+        lazy.scale_slots([2], [1], -3.0)
+        cube[2, 1] *= -3.0
+    elif mutator == "add_to_slots":
+        lazy.add_to_slots([2], [1], np.full(DIM, 0.25))
+        cube[2, 1] += 0.25
+    else:
+        lazy.write_slots([2], [1], np.full(DIM, 9.0))
+        cube[2, 1] = 9.0
     others = lazy.read_slots(files[[0, 2, 3]], slots[[0, 2, 3]])
     assert all(np.array_equal(row, payload) for row in others)
     assert not np.array_equal(lazy.read_slots([2], [1])[0], payload)
-    assert_tensors_identical(lazy, dense)
-
-
-def test_lazy_subset_is_read_only(mols_assignment):
-    """Regression: a write through a lazy subset used to land in the parent's
-    store, where the parent's next allocation overwrote it."""
-    lazy, _, matrix = make_pair(mols_assignment, seed=5)
-    lazy.write_slots([0], [0], 1.0)
-    sub = lazy.slot_subset(np.arange(lazy.num_files), np.array([0, 1]))
-    for write in (
-        lambda: sub.write_slots([3], [1], 5.0),
-        lambda: sub.zero_slots([3], [1]),
-        lambda: sub.scale_slots([3], [1], 2.0),
-        lambda: sub.add_to_slots([3], [1], 1.0),
-        lambda: sub.set_vote(3, int(sub.workers[3, 1]), np.zeros(DIM)),
-    ):
-        with pytest.raises(ConfigurationError, match="read-only"):
-            write()
-    lazy.write_slots([4], [2], 7.0)
-    assert np.array_equal(sub.read_slots([3], [1])[0], matrix[3])
-    assert np.all(sub.read_slots([0], [0]) == 1.0)
-    # a dense subset is an independent copy and stays writable
-    lazy.values
-    dense_sub = lazy.slot_subset(np.arange(lazy.num_files), np.array([0, 1]))
-    dense_sub.write_slots([3], [1], 5.0)
-    assert np.array_equal(lazy.read_slots([3], [1])[0], matrix[3])
+    assert_reads_as(lazy, cube)
 
 
 def test_block_reads_gather_each_row_from_where_it_lives(mols_assignment):
-    lazy, dense, _ = make_pair(mols_assignment, seed=9)
-    for tensor in (lazy, dense):
-        tensor.write_slots([2, 5], [0, 1], np.full(DIM, 4.0))
-        tensor.write_slots([5], [2], np.arange(DIM, dtype=np.float64))
+    lazy, cube, _ = make_pair(mols_assignment, seed=9)
+    lazy.write_slots([2, 5], [0, 1], np.full(DIM, 4.0))
+    lazy.write_slots([5], [2], np.arange(DIM, dtype=np.float64))
+    cube[[2, 5], [0, 1]] = 4.0
+    cube[5, 2] = np.arange(DIM)
     files = np.array([5, 2, 5, 0, 2, 5], dtype=np.int64)  # base and store mixed
     slots = np.array([2, 0, 1, 1, 2, 0], dtype=np.int64)
     for sel in (slice(None), slice(0, 2), slice(3, 4)):  # mixed / all store / all base
-        for lo, hi in ((0, DIM), (2, 5), (DIM - 1, DIM)):
-            got = lazy.read_slots_block(files[sel], slots[sel], lo, hi)
-            want = dense.read_slots_block(files[sel], slots[sel], lo, hi)
-            assert np.array_equal(got, want)
-    assert np.array_equal(lazy.read_slots(files, slots), dense.read_slots(files, slots))
-    assert np.array_equal(lazy.materialize_files([5, 0]), dense.materialize_files([5, 0]))
+        got = lazy.read_slots(files[sel], slots[sel])
+        assert np.array_equal(got, cube[files[sel], slots[sel]])
+        assert got.flags.writeable and not np.shares_memory(got, lazy.base_rows())
 
 
 def test_separately_written_equal_rows_land_in_one_class(mols_assignment):
-    from repro.aggregation.majority import majority_vote_votetensor, override_content_ids
-
     lazy, _, matrix = make_pair(mols_assignment, seed=12)
     lazy.zero_slots([3], [0])
     lazy.zero_slots([3], [2])  # a second, separately stored all-zero row
@@ -551,13 +491,6 @@ def test_forced_hash_collision_with_shared_and_distinct_rows(
 ):
     """All hashes equal: rows sharing storage, distinct rows with equal bytes
     and distinct rows with different bytes must still be classed exactly."""
-    from repro.aggregation import majority as majority_module
-    from repro.aggregation.majority import (
-        majority_vote_tensor,
-        majority_vote_votetensor,
-        override_content_ids,
-    )
-
     monkeypatch.setitem(majority_module._HASH_WEIGHTS, DIM, np.zeros(DIM, dtype=np.uint64))
     lazy, _, _ = make_pair(mols_assignment, seed=13)
     a, b = np.full(DIM, 1.5), np.full(DIM, -2.5)
@@ -569,10 +502,9 @@ def test_forced_hash_collision_with_shared_and_distinct_rows(
     assert cid[0, 0] == cid[0, 1] == cid[1, 0] == cid[1, 1] != 0
     assert cid[0, 2] == cid[2, 0] != 0
     assert len({int(cid[0, 0]), int(cid[0, 2]), int(cid[2, 1]), 0}) == 4
-    dense_values = lazy.materialize_files(np.arange(lazy.num_files))
+    dw, dc = reference_vote(cube_of(lazy))
     lw, lc = majority_vote_votetensor(lazy, block_size=block_size)
     lw = lw.densified()
-    dw, dc = majority_vote_tensor(dense_values)
     np.testing.assert_array_equal(lw, dw)
     np.testing.assert_array_equal(lc, dc)
     assert lc[0] == 2 and np.array_equal(lw[0], a)

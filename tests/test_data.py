@@ -5,7 +5,7 @@ import pytest
 
 from repro.data.batching import BatchSampler, partition_batch_into_files
 from repro.data.datasets import Dataset, train_test_split
-from repro.data.synthetic import make_gaussian_mixture, make_spirals, make_synthetic_images
+from repro.data.synthetic import make_gaussian_mixture, make_synthetic_images
 from repro.exceptions import DataError
 
 
@@ -108,18 +108,6 @@ def test_gaussian_mixture_properties():
         make_gaussian_mixture(num_samples=2, num_classes=5)
     with pytest.raises(DataError):
         make_gaussian_mixture(separation=-1.0)
-
-
-def test_spirals_properties():
-    data = make_spirals(num_samples=99, num_classes=3, seed=0)
-    assert data.inputs.shape == (99, 2)
-    assert data.class_counts().sum() == 99
-    # Points lie within the unit-ish disk.
-    assert np.max(np.linalg.norm(data.inputs, axis=1)) < 2.0
-    with pytest.raises(DataError):
-        make_spirals(num_samples=2, num_classes=5)
-    with pytest.raises(DataError):
-        make_spirals(noise=-0.1)
 
 
 # --------------------------------------------------------------------------- #

@@ -29,6 +29,8 @@ from repro.cluster.faults import (
 from repro.core.vote_tensor import VoteTensor
 from repro.utils.digest import array_digest
 
+from cow_helpers import cube_of, tensor_of
+
 
 def oracle_digest(array):
     """``array_digest`` as it stood before it streamed (kept verbatim)."""
@@ -145,17 +147,17 @@ def _extra_write(tensor, kind, rng):
     injectors=st.lists(st.sampled_from(sorted(INJECTORS)), unique=True, max_size=3),
     dtype=st.sampled_from([np.float32, np.float64]),
     dim=st.integers(1, 9),
-    densify=st.booleans(),
+    rebuilt=st.booleans(),
     extra=st.sampled_from(EXTRA_WRITES),
     seed=st.integers(0, 10_000),
 )
 def test_streamed_tensor_digest_matches_the_oracle_on_the_dense_cube(
-    scheme, attack_name, q, injectors, dtype, dim, densify, extra, seed
+    scheme, attack_name, q, injectors, dtype, dim, rebuilt, extra, seed
 ):
     """Whatever wrote the round — any registered attack, any q, any faults,
-    shared or per-slot payloads, a slot written twice — hashing the tensor
-    where it lies equals hashing its dense cube the old way, and looking at a
-    lazy tensor leaves it lazy."""
+    shared or per-slot payloads, a slot written twice — and however the cube
+    is stored, hashing the tensor where it lies equals hashing its dense cube
+    the old way, and hashing writes nothing."""
     assignment = SCHEMES[scheme]
     rng = np.random.default_rng(seed)
     honest = rng.standard_normal((assignment.num_files, dim)).astype(dtype)
@@ -182,16 +184,15 @@ def test_streamed_tensor_digest_matches_the_oracle_on_the_dense_cube(
             ),
         )
     _extra_write(tensor, extra, rng)
-    assert tensor.is_lazy and tensor.dtype == dtype
+    assert tensor.dtype == dtype
 
-    cube = tensor.copy().values
-    if densify:
-        tensor = tensor.copy()
-        assert tensor.values.shape == cube.shape  # reading .values densifies the copy
-    assert tensor.is_lazy != densify
+    cube = cube_of(tensor)
+    if rebuilt:
+        tensor = tensor_of(cube, assignment)
+    rows = tensor.num_override_rows
 
     assert array_digest(tensor) == oracle_digest(cube)
-    assert tensor.is_lazy != densify  # observation did not flip the tensor
+    assert tensor.num_override_rows == rows  # observation wrote nothing
     assert tensor.nbytes == cube.nbytes
 
     # the iterator itself: read-only rows that concatenate to the cube

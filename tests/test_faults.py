@@ -16,6 +16,8 @@ from repro.cluster.faults import (
 from repro.core.vote_tensor import VoteTensor
 from repro.exceptions import ConfigurationError
 
+from cow_helpers import cube_of
+
 
 @pytest.fixture
 def tensor(mols_assignment):
@@ -31,12 +33,12 @@ def make_context(assignment, seed=0, iteration=0):
 
 class TestStragglers:
     def test_no_timeout_only_delays(self, tensor, mols_assignment):
-        before = tensor.values.copy()
+        before = cube_of(tensor)
         injector = StragglerInjector(count=3, delay_model="exponential", delay=0.5)
         events = injector.inject(tensor, make_context(mols_assignment))
         assert len(events) == 3
         assert all(e.delay > 0 and not e.dropped for e in events)
-        np.testing.assert_array_equal(tensor.values, before)
+        np.testing.assert_array_equal(cube_of(tensor), before)
         assert round_duration(events) == max(e.delay for e in events)
 
     def test_timeout_drops_votes_and_clamps_delay(self, tensor, mols_assignment):
@@ -47,10 +49,10 @@ class TestStragglers:
         assert all(e.dropped and e.delay == 1.0 for e in events)
         for event in events:
             mask = tensor.workers == event.worker
-            assert np.all(tensor.values[mask] == 0.0)
+            assert np.all(cube_of(tensor)[mask] == 0.0)
         # Untouched workers keep their honest votes.
         untouched = ~np.isin(tensor.workers, [e.worker for e in events])
-        assert np.all(tensor.values[untouched] != 0.0)
+        assert np.all(cube_of(tensor)[untouched] != 0.0)
 
     def test_timeout_boundary_is_exclusive(self, tensor, mols_assignment):
         """A delay exactly equal to the timeout is abandoned (delay >= timeout)."""
@@ -60,16 +62,16 @@ class TestStragglers:
         events = injector.inject(tensor, make_context(mols_assignment))
         assert all(e.dropped and e.delay == 1.0 for e in events)
         for event in events:
-            assert np.all(tensor.values[tensor.workers == event.worker] == 0.0)
+            assert np.all(cube_of(tensor)[tensor.workers == event.worker] == 0.0)
 
     def test_delay_just_under_timeout_survives(self, tensor, mols_assignment):
-        before = tensor.values.copy()
+        before = cube_of(tensor)
         injector = StragglerInjector(
             count=3, delay_model="fixed", delay=1.0, timeout=1.0 + 1e-9
         )
         events = injector.inject(tensor, make_context(mols_assignment))
         assert all(not e.dropped and e.delay == 1.0 for e in events)
-        np.testing.assert_array_equal(tensor.values, before)
+        np.testing.assert_array_equal(cube_of(tensor), before)
 
     def test_count_clamped_to_cluster_size(self, tensor, mols_assignment):
         injector = StragglerInjector(count=99, delay_model="fixed", delay=0.5)
@@ -98,7 +100,7 @@ class TestDropout:
         injector = DropoutInjector(probability=1.0)
         events = injector.inject(tensor, make_context(mols_assignment))
         assert len(events) == mols_assignment.num_workers
-        assert np.all(tensor.values == 0.0)
+        assert np.all(cube_of(tensor) == 0.0)
 
     def test_churn_keeps_worker_down_for_down_for_rounds(self, mols_assignment):
         injector = DropoutInjector(probability=1.0, down_for=2)
@@ -110,12 +112,12 @@ class TestDropout:
         t1 = VoteTensor.from_honest(mols_assignment, honest)
         events1 = injector.inject(t1, make_context(mols_assignment, iteration=1))
         assert len(events1) == mols_assignment.num_workers
-        assert np.all(t1.values == 0.0)
+        assert np.all(cube_of(t1) == 0.0)
         # Round 2: everyone has rejoined.
         t2 = VoteTensor.from_honest(mols_assignment, honest)
         events2 = injector.inject(t2, make_context(mols_assignment, iteration=2))
         assert events2 == []
-        assert np.all(t2.values == 1.0)
+        assert np.all(cube_of(t2) == 1.0)
 
     @pytest.mark.parametrize("down_for", [1, 2, 3])
     def test_rejoin_after_exactly_down_for_rounds(self, mols_assignment, down_for):
@@ -131,13 +133,13 @@ class TestDropout:
                 t, make_context(mols_assignment, iteration=iteration)
             )
             assert len(events) == mols_assignment.num_workers
-            assert np.all(t.values == 0.0)
+            assert np.all(cube_of(t) == 0.0)
         t = VoteTensor.from_honest(mols_assignment, honest)
         events = injector.inject(
             t, make_context(mols_assignment, iteration=down_for)
         )
         assert events == []
-        assert np.all(t.values == 1.0)
+        assert np.all(cube_of(t) == 1.0)
 
     def test_crash_draw_while_down_does_not_rearm_timer(self, mols_assignment):
         """A worker that would re-crash while already down rejoins on schedule."""
@@ -154,7 +156,7 @@ class TestDropout:
         t2 = VoteTensor.from_honest(mols_assignment, honest)
         events2 = injector.inject(t2, make_context(mols_assignment, iteration=2))
         assert events2 == []
-        assert np.all(t2.values == 1.0)
+        assert np.all(cube_of(t2) == 1.0)
 
     def test_reset_clears_churn_state(self, tensor, mols_assignment):
         injector = DropoutInjector(probability=1.0, down_for=5)
@@ -191,30 +193,30 @@ class TestCorruption:
     def test_zero_mode(self, tensor, mols_assignment):
         injector = MessageCorruptionInjector(probability=1.0, mode="zero")
         events = injector.inject(tensor, make_context(mols_assignment))
-        assert np.all(tensor.values == 0.0)
+        assert np.all(cube_of(tensor) == 0.0)
         assert len(events) == tensor.num_files * tensor.replication
 
     def test_scale_mode(self, tensor, mols_assignment):
-        before = tensor.values.copy()
+        before = cube_of(tensor)
         injector = MessageCorruptionInjector(probability=1.0, mode="scale", factor=10.0)
         injector.inject(tensor, make_context(mols_assignment))
-        np.testing.assert_allclose(tensor.values, before * 10.0)
+        np.testing.assert_allclose(cube_of(tensor), before * 10.0)
 
     def test_noise_mode_changes_only_hit_messages(self, tensor, mols_assignment):
-        before = tensor.values.copy()
+        before = cube_of(tensor)
         injector = MessageCorruptionInjector(probability=0.2, mode="noise", factor=1.0)
         events = injector.inject(tensor, make_context(mols_assignment))
-        changed = {(e.file, tensor.slot_of(e.file, e.worker)) for e in events}
+        changed = {(e.file, int(np.searchsorted(tensor.workers[e.file], e.worker))) for e in events}
         for i in range(tensor.num_files):
             for k in range(tensor.replication):
-                same = np.array_equal(tensor.values[i, k], before[i, k])
+                same = np.array_equal(cube_of(tensor)[i, k], before[i, k])
                 assert same != ((i, k) in changed)
 
     def test_zero_probability_is_a_noop(self, tensor, mols_assignment):
-        before = tensor.values.copy()
+        before = cube_of(tensor)
         injector = MessageCorruptionInjector(probability=0.0)
         assert injector.inject(tensor, make_context(mols_assignment)) == []
-        np.testing.assert_array_equal(tensor.values, before)
+        np.testing.assert_array_equal(cube_of(tensor), before)
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):

@@ -4,8 +4,8 @@
 ``d`` in coordinate blocks through one small buffer (``LANE_BLOCK`` wide when
 the caller names no width).  Everything here compares with ``np.array_equal``,
 never ``allclose``: against ``np.median`` / ``mean`` / ``std`` of the whole
-matrix, and against the dense ``_bit_label_matrix`` oracle for the vote.  The
-last class bounds what the kernels may allocate while they run.
+matrix, and against per-file ``tobytes()`` classes for the vote.  The last
+class bounds what the kernels may allocate while they run.
 """
 
 import tracemalloc
@@ -15,11 +15,10 @@ import pytest
 
 from repro.aggregation import majority
 from repro.aggregation.majority import (
-    _bit_label_matrix,
     _labels_from_ids,
+    _reference_exact_majority,
     _row_bits,
     _rows_equal,
-    majority_vote_tensor,
     majority_vote_votetensor,
     override_content_ids,
 )
@@ -27,6 +26,8 @@ from repro.aggregation.median import coordinate_median
 from repro.assignment.mols import MOLSAssignment
 from repro.core.vote_tensor import VoteTensor
 from repro.utils.arrays import LANE_BLOCK, column_mean_std
+
+from cow_helpers import cube_of
 
 ROWS = (1, 2, 5, 9, 24, 25)
 DIMS = (1, 2, 63, LANE_BLOCK - 1, LANE_BLOCK, LANE_BLOCK + 1, 2 * LANE_BLOCK + 1, 11_274)
@@ -135,6 +136,16 @@ def negative_zero_at(index):
     return make
 
 
+def byte_labels(cube):
+    """``labels[i, k]``: the smallest slot of file ``i`` holding slot ``k``'s bytes."""
+    labels = np.zeros(cube.shape[:2], dtype=np.int64)
+    for i, copies in enumerate(cube):
+        seen: dict[bytes, int] = {}
+        for k, copy in enumerate(copies):
+            labels[i, k] = seen.setdefault(copy.tobytes(), k)
+    return labels
+
+
 @pytest.mark.parametrize("dtype", DTYPES)
 @pytest.mark.parametrize("block_size", BLOCK_SIZES)
 @pytest.mark.parametrize("dim", (1, 6, 15, LANE_BLOCK + 1, 2 * LANE_BLOCK + 5))
@@ -162,11 +173,10 @@ def test_override_ids_match_the_dense_oracle(dim, block_size, dtype):
     for file, make_row in enumerate(payload_rows):
         if make_row is not None:
             tensor.write_slots([file], [file % 3], make_row(base[file].copy()))
-    assert tensor.is_lazy
+    cube = cube_of(tensor)
 
     ids = override_content_ids(tensor, block_size)
-    oracle = _bit_label_matrix(tensor.copy().values)
-    assert np.array_equal(_labels_from_ids(ids), oracle)
+    assert np.array_equal(_labels_from_ids(ids), byte_labels(cube))
     # the equal rows are classed with the base, every other override is not
     overridden = np.array([row is not None for row in payload_rows])
     equal = np.array([0, 5])
@@ -176,10 +186,9 @@ def test_override_ids_match_the_dense_oracle(dim, block_size, dtype):
 
     winners, counts = majority_vote_votetensor(tensor, block_size=block_size)
 
-    winners = winners.densified()
-    dense_winners, dense_counts = majority_vote_tensor(tensor.copy().values)
-    assert np.array_equal(winners, dense_winners)
-    assert np.array_equal(counts, dense_counts)
+    votes = [_reference_exact_majority(copies) for copies in cube]
+    assert winners.densified().tobytes() == np.vstack([w for w, _ in votes]).tobytes()
+    assert counts.tolist() == [c for _, c in votes]
 
 
 @pytest.mark.parametrize("block_size", BLOCK_SIZES)
@@ -221,30 +230,24 @@ def test_early_exit_still_finds_a_row_that_differs_last(block_size):
     ).any()
 
 
-@pytest.mark.parametrize("tolerance", [0.0, 0.5], ids=["exact", "tolerance"])
-@pytest.mark.parametrize("dense_input", [False, True], ids=["lazy", "dense"])
-def test_vote_kernels_read_a_read_only_cube(dense_input, tolerance, monkeypatch):
-    """The dense cube reaches the labelling kernel as a read-only view, while
-    the tensor's own ``values`` stay writable for its owner."""
+def test_vote_kernels_read_only_read_only_rows(monkeypatch):
+    """The vote compares and hashes the payload store and the honest base
+    through read-only views, while the caller's honest matrix stays writable
+    for its owner."""
     assignment = MOLSAssignment(load=5, replication=3).assignment
     honest = np.random.default_rng(8).standard_normal((assignment.num_files, 6))
     tensor = VoteTensor.from_honest(assignment, honest)
     tensor.write_slots([0, 0, 4], [0, 1, 2], np.full(6, -3.0))
-    if dense_input:
-        tensor = VoteTensor(tensor.copy().values, tensor.workers)
     received = []
 
-    def spy(values, block_size=None):
-        received.append(values)
-        return _bit_label_matrix(values, block_size=block_size)
+    def spy(bits, rows):
+        received.append(bits)
+        return _row_bits(bits, rows)
 
-    monkeypatch.setattr(majority, "_bit_label_matrix", spy)
-    majority_vote_votetensor(tensor, tolerance=tolerance)
-    if not dense_input and tolerance == 0.0:
-        assert not received  # a lazy exact vote never builds the cube
-        return
-    assert received and not any(values.flags.writeable for values in received)
-    assert tensor.values.flags.writeable
+    monkeypatch.setattr(majority, "_row_bits", spy)
+    majority_vote_votetensor(tensor)
+    assert received and not any(bits.flags.writeable for bits in received)
+    assert honest.flags.writeable
 
 
 # --------------------------------------------------------------------------- #

@@ -11,6 +11,9 @@ import json
 import pathlib
 import textwrap
 
+import numpy as np
+import pytest
+
 from repro.analysis import lint_paths
 from repro.analysis.cli import run_lint
 from repro.analysis.engine import (
@@ -20,6 +23,7 @@ from repro.analysis.engine import (
     LintEngine,
 )
 from repro.analysis.rules import ALL_RULES
+from repro.core.vote_tensor import VoteTensor
 
 SRC_ROOT = pathlib.Path(__file__).resolve().parent.parent / "src" / "repro"
 
@@ -179,52 +183,57 @@ def test_dtype_flags_from_numpy_float_import(tmp_path):
 # ---------------------------------------------------------------------------
 
 
-def test_cow_flags_values_densification_in_attacks(tmp_path):
+def test_cow_flags_private_storage_writes_in_attacks(tmp_path):
     report = lint_tree(
         tmp_path,
         {
             "attacks/evil.py": """
-            def apply(tensor):
-                dense = tensor.values
-                return dense.sum()
-            """
-        },
-    )
-    assert rules_found(report) == ["COW-001"]
-
-
-def test_cow_flags_base_writes(tmp_path):
-    report = lint_tree(
-        tmp_path,
-        {
-            "cluster/faults.py": """
-            def corrupt(tensor, payload):
-                tensor.base_rows(0)[:] = payload
-                base = tensor.base_block()
-                base[1] = payload
+            def apply(self, tensor, payload):
+                tensor._store[0] = payload
+                tensor._slot_map[0, 1] += 1
+                self._cache[0] = payload  # its own state: fine
             """
         },
     )
     assert [f.rule for f in report.findings] == ["COW-001", "COW-001"]
 
 
-def test_cow_flags_values_densification_in_observing_layers(tmp_path):
-    """The layers that only *look* at a round are in scope too: the trace
-    digest used to densify every observed round just to hash it."""
+def test_cow_leaves_base_writes_to_the_read_only_view(tmp_path, mols_assignment):
+    """A write through the shared honest base is no lint finding: the base
+    is only ever handed out read-only, so the write itself raises."""
+    report = lint_tree(
+        tmp_path,
+        {
+            "cluster/faults.py": """
+            def corrupt(tensor, payload):
+                tensor.base_rows()[:] = payload
+                base = tensor.base_rows()
+                base[1] = payload
+            """
+        },
+    )
+    assert report.ok
+    tensor = VoteTensor.from_honest(mols_assignment, np.zeros((mols_assignment.num_files, 2)))
+    with pytest.raises(ValueError, match="read-only"):
+        tensor.base_rows()[:] = 1.0
+
+
+def test_cow_flags_private_writes_in_observing_layers(tmp_path):
+    """The layers that only *look* at a round are in scope too."""
     report = lint_tree(
         tmp_path,
         {
             "scenarios/runner.py": """
-            def observe(round_result, array_digest):
-                return array_digest(round_result.vote_tensor.values)
+            def observe(round_result):
+                round_result.vote_tensor._slot_map[0] = -1
             """,
             "training/trainer.py": """
-            def norm(round_result):
-                return abs(round_result.vote_tensor.values).max()
+            def clear(round_result):
+                round_result.vote_tensor._store[:] = 0.0
             """,
             "utils/digest.py": """
-            def array_digest(tensor):
-                return hash(tensor.values.tobytes())
+            def array_digest(selection):
+                selection.rows._data[0] = 0
             """,
         },
     )
@@ -290,8 +299,8 @@ def test_cow_allows_dict_values_calls_and_out_of_scope(tmp_path):
                 return [str(v) for v in axis.values]
             """,
             "utils/arrays.py": """
-            def densify(tensor):
-                return tensor.values
+            def densify(selection):
+                return selection.densified()
             """,
         },
     )
@@ -303,8 +312,8 @@ def test_cow_waiver_with_reason_suppresses(tmp_path):
         tmp_path,
         {
             "aggregation/dense.py": """
-            def fallback(tensor):
-                return tensor.values  # repro-lint: disable=COW-001 (dense path; no-copy view)
+            def fallback(selection):
+                return selection.densified()  # repro-lint: disable=COW-001 (whole-row rule)
             """
         },
     )

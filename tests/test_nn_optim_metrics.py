@@ -16,7 +16,7 @@ from repro.nn.optim import SGD, ConstantSchedule, StepDecaySchedule
 def test_constant_schedule():
     schedule = ConstantSchedule(0.1)
     assert schedule.rate(0) == 0.1
-    assert schedule(1000) == 0.1
+    assert schedule.rate(1000) == 0.1
     with pytest.raises(ConfigurationError):
         ConstantSchedule(0.0)
 
@@ -95,7 +95,7 @@ def test_sgd_validation():
         SGD(0.1).step_vector(np.zeros(3), np.zeros(2))
 
 
-def test_sgd_step_model_reduces_loss():
+def test_sgd_steps_reduce_loss():
     model = build_mlp(8, 3, hidden=(16,), seed=0)
     loss = SoftmaxCrossEntropy()
     rng = np.random.default_rng(0)
@@ -105,7 +105,7 @@ def test_sgd_step_model_reduces_loss():
     initial, _ = model.loss_and_gradient(x, y, loss)
     for _ in range(30):
         value, gradient = model.loss_and_gradient(x, y, loss)
-        optimizer.step_model(model, gradient)
+        model.set_flat_params(optimizer.step_vector(model.get_flat_params(), gradient))
     final, _ = model.loss_and_gradient(x, y, loss)
     assert final < initial * 0.7
 

@@ -5,6 +5,7 @@ import pytest
 
 from repro.aggregation.mean import MeanAggregator
 from repro.aggregation.median import CoordinateWiseMedian
+from repro.assignment.frc import FRCAssignment
 from repro.assignment.mols import MOLSAssignment
 from repro.core.pipelines import (
     ByzShieldPipeline,
@@ -84,8 +85,8 @@ def test_byzshield_requires_odd_replication():
 def test_byzshield_validates_votes(mols_assignment, ramanujan_case1):
     votes = honest_votes(mols_assignment, constant_gradient(1.0))
     pipeline = ByzShieldPipeline(mols_assignment)
-    # a file is missing
-    short = votes.slot_subset(np.arange(1, 25), np.arange(3))
+    # another (f, r) shape: five files, not 25
+    short = honest_votes(FRCAssignment(num_workers=15, replication=3).assignment, constant_gradient(1.0))
     with pytest.raises(AggregationError):
         pipeline.aggregate_tensor(short)
     # same (f, r) shape, but the copies come from workers the assignment
@@ -102,11 +103,6 @@ def test_byzshield_custom_aggregator(mols_assignment):
     votes = honest_votes(mols_assignment, indexed_gradient)
     pipeline = ByzShieldPipeline(mols_assignment, aggregator=MeanAggregator())
     assert np.allclose(pipeline.aggregate_tensor(votes).aggregate, np.mean(range(25)))
-
-
-def test_byzshield_describe(mols_assignment):
-    info = ByzShieldPipeline(mols_assignment).describe()
-    assert info["pipeline"] == "byzshield"
 
 
 # --------------------------------------------------------------------------- #

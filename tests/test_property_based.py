@@ -6,11 +6,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.aggregation.geometric_median import geometric_median
-from repro.aggregation.majority import (
-    _reference_clustered_majority,
-    _reference_exact_majority,
-    majority_vote_tensor,
-)
+from repro.aggregation.majority import _reference_exact_majority, majority_vote_votetensor
 from repro.aggregation.median import CoordinateWiseMedian
 from repro.aggregation.trimmed_mean import TrimmedMeanAggregator
 from repro.assignment.frc import FRCAssignment
@@ -31,6 +27,8 @@ from repro.fields.prime_field import PrimeField
 from repro.graphs.expansion import gamma_upper_bound, neighborhood_lower_bound
 from repro.graphs.spectral import second_eigenvalue
 from repro.utils.arrays import flatten_arrays, unflatten_vector
+
+from cow_helpers import cube_of, tensor_of
 
 SUPPRESS = [HealthCheck.too_slow]
 
@@ -232,9 +230,9 @@ def test_majority_vote_returns_most_frequent(num_votes, dim, winner_count, seed)
     votes = [winner.copy() for _ in range(winner_count)]
     votes += [rng.standard_normal(dim) for _ in range(num_votes - winner_count)]
     rng.shuffle(votes)
-    winners, counts = majority_vote_tensor(np.array(votes)[None])
+    winners, counts = majority_vote_votetensor(tensor_of(np.array(votes)[None]))
     if winner_count > num_votes - winner_count:
-        assert np.array_equal(winners[0], winner)
+        assert np.array_equal(winners.densified()[0], winner)
         assert counts[0] == winner_count
 
 
@@ -254,20 +252,19 @@ VOTING_SETUPS = {
     attack_name=st.sampled_from(available_attacks()),
     q=st.integers(0, 15),
     dim=st.integers(1, 6),
-    densify=st.booleans(),
+    rebuilt=st.booleans(),
     groups=st.one_of(st.none(), st.integers(2, 5)),
     block_size=st.one_of(st.none(), st.integers(1, 4)),
-    tolerance=st.sampled_from([0.0, 0.0, 1e-9, 0.5]),
     seed=st.integers(0, 10_000),
 )
 def test_post_vote_matrix_matches_reference_vote(
-    scheme, attack_name, q, dim, densify, groups, block_size, tolerance, seed
+    scheme, attack_name, q, dim, rebuilt, groups, block_size, seed
 ):
     """The goldens were recorded from the vectorized vote itself; this is its
-    independent check.  Whatever the scheme, attack, q, tensor mode, group
-    topology, block size or tolerance, ``post_vote_matrix`` must equal the
-    single-file reference vote applied to each file's materialized copies —
-    row for row, bit for bit."""
+    independent check.  Whatever the scheme, attack, q, storage layout, group
+    topology or block size, ``post_vote_matrix`` must equal the single-file
+    reference vote applied to each file's materialized copies — row for
+    row, bit for bit."""
     assignment, pipeline_cls = VOTING_SETUPS[scheme]
     rng = np.random.default_rng(seed)
     honest = rng.standard_normal((assignment.num_files, dim))
@@ -284,25 +281,17 @@ def test_post_vote_matrix_matches_reference_vote(
         rng=np.random.default_rng(seed + 1),
     )
     create_attack(attack_name).apply_tensor(context, tensor)
-    cube = tensor.materialize_files(np.arange(assignment.num_files))
-    if densify:
-        tensor = VoteTensor(cube.copy(), tensor.workers, tensor.byzantine_mask)
-    assert tensor.is_lazy != densify
+    cube = cube_of(tensor)
+    if rebuilt:
+        tensor = tensor_of(cube, assignment)
 
-    if tolerance > 0:
-        groups = None  # hierarchical voting is exact-equality only
     topology = (
         None if groups is None else GroupTopology(assignment.num_workers, groups)
     )
-    pipeline = pipeline_cls(
-        assignment, vote_tolerance=tolerance, topology=topology, block_size=block_size
-    )
+    pipeline = pipeline_cls(assignment, topology=topology, block_size=block_size)
     voted = pipeline.post_vote_matrix(tensor).densified()
     for i in range(assignment.num_files):
-        if tolerance == 0.0:
-            expected, _ = _reference_exact_majority(cube[i])
-        else:
-            expected, _ = _reference_clustered_majority(cube[i], tolerance)
+        expected, _ = _reference_exact_majority(cube[i])
         assert np.array_equal(voted[i], expected), (i, voted[i], expected)
 
 

@@ -12,22 +12,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.aggregation.majority import (
-    _reference_clustered_majority,
-    _reference_exact_majority,
-    majority_vote_votetensor,
-)
+from repro.aggregation.majority import _reference_exact_majority, majority_vote_votetensor
 from repro.aggregation.mean import MeanAggregator
 from repro.aggregation.median import CoordinateWiseMedian, coordinate_median
 from repro.aggregation.registry import available_aggregators, create_aggregator
 from repro.assignment.baseline import BaselineAssignment
 from repro.assignment.ramanujan import RamanujanAssignment
-from repro.cluster.topology import GroupTopology
+from repro.cluster.topology import GroupTopology, hierarchical_majority_vote
 from repro.core.pipelines import ByzShieldPipeline, VanillaPipeline
 from repro.core.vote_tensor import RowSelection, VoteTensor
 from repro.exceptions import ConfigurationError
 from repro.utils.arrays import LANE_BLOCK
 from repro.utils.digest import array_digest
+
+from cow_helpers import cube_of, tensor_of
 
 RAMANUJAN = RamanujanAssignment(m=5, s=5).assignment  # K = f = 25, r = 5
 BASELINE = BaselineAssignment(num_workers=10).assignment
@@ -55,19 +53,18 @@ def attacked_round(assignment, dtype, seed=0):
     return tensor, honest
 
 
-def reference_winners(cube, arrived=None, tolerance=0.0):
-    """Per-file reference vote over the arrived copies; nobody arrived: zeros."""
+def reference_vote(cube, arrived=None):
+    """Per-file reference vote over the arrived copies: ``(winners, counts)``;
+    a file nobody returned is a zero row with count 0."""
     winners = np.zeros((cube.shape[0], cube.shape[2]), dtype=cube.dtype)
+    counts = np.zeros(cube.shape[0], dtype=np.int64)
     for i, copies in enumerate(cube):
         if arrived is not None:
             copies = copies[arrived[i]]
         if len(copies) == 0:
             continue
-        if tolerance == 0.0:
-            winners[i] = _reference_exact_majority(copies)[0]
-        else:
-            winners[i] = _reference_clustered_majority(copies, tolerance)[0]
-    return winners
+        winners[i], counts[i] = _reference_exact_majority(copies)
+    return winners, counts
 
 
 def assert_stands_for(selection, dense):
@@ -103,56 +100,119 @@ def masks(kind, shape, seed=3):
     return arrived
 
 
+#: the flat vote and hierarchical ones over RAMANUJAN's 25 workers: uneven
+#: groups (9/8/8), even groups of five, and one worker per group
+TOPOLOGIES = {
+    "flat": None,
+    "hier3": GroupTopology(25, 3),
+    "hier5": GroupTopology(25, 5),
+    "hier25": GroupTopology(25, 25),
+}
+
+
 @pytest.mark.parametrize("dtype", DTYPES)
 @pytest.mark.parametrize("block_size", BLOCK_SIZES)
-@pytest.mark.parametrize("dense_input", [False, True], ids=["lazy", "dense"])
+@pytest.mark.parametrize("source", ["attacked", "rebuilt"])
 @pytest.mark.parametrize("arrival", ["all-arrived", "partial", "stragglers"])
-@pytest.mark.parametrize("vote", ["flat", "hier5", "tolerance"])
-def test_winners_equal_the_reference_vote(vote, arrival, dense_input, block_size, dtype):
+@pytest.mark.parametrize("vote", sorted(TOPOLOGIES))
+def test_winners_equal_the_reference_vote(vote, arrival, source, block_size, dtype):
+    """``attacked``: the round as the attack left it, honest base plus
+    payload rows; ``rebuilt``: the same cube through ``tensor_of``, whose
+    base is each file's slot 0 — Byzantine where slot 0 is."""
     tensor, honest = attacked_round(RAMANUJAN, dtype)
-    cube = tensor.materialize_files(np.arange(tensor.num_files))
-    if dense_input:
-        tensor = VoteTensor(cube.copy(), tensor.workers, tensor.byzantine_mask)
-    tolerance = 0.5 if vote == "tolerance" else 0.0
+    cube = cube_of(tensor)
+    if source == "rebuilt":
+        tensor = tensor_of(cube, RAMANUJAN)
     pipeline = ByzShieldPipeline(
-        RAMANUJAN,
-        vote_tolerance=tolerance,
-        topology=GroupTopology(25, 5) if vote == "hier5" else None,
-        block_size=block_size,
+        RAMANUJAN, topology=TOPOLOGIES[vote], block_size=block_size
     )
     arrived = masks(arrival, tensor.workers.shape)
-    expected = reference_winners(cube, arrived, tolerance)
+    expected, _ = reference_vote(cube, arrived)
 
     selection = pipeline.post_vote_matrix(tensor, arrived)
     assert_stands_for(selection, expected)
-    assert tensor.is_lazy != (dense_input or tolerance > 0)
-    if arrival == "stragglers":
-        assert selection.files.size == tensor.num_files
-    elif arrival == "all-arrived" and tolerance == 0.0:
-        # only winners that are not base rows are copied: on a lazy tensor
-        # the flipped files (0 and 7 among them) and file 2, whose override
-        # equals its base; on a dense one the winners outside slot 0
+    if arrival == "all-arrived":
+        # only winners that are not base rows are copied: for the attacked
+        # round the flipped files (0 and 7 among them) and file 2, whose
+        # override equals its base; for the rebuilt one the winners outside
+        # slot 0
         flipped = np.nonzero((expected != honest).any(axis=1))[0]
         assert {0, 7} <= set(flipped.tolist())
         assert selection.files.size < tensor.num_files // 2
-        if not dense_input:
+        if source == "attacked":
             assert set(flipped.tolist()) <= set(selection.files.tolist())
             assert selection.files.size <= flipped.size + 1
     outcome = pipeline.aggregate_tensor(tensor, arrived)
     assert np.array_equal(outcome.aggregate, np.median(expected, axis=0))
 
 
+#: the bit pattern of the default quiet NaN, per working dtype
+QUIET_NAN = {np.float32: (np.uint32, 0x7FC0_0000), np.float64: (np.uint64, 0x7FF8_0000_0000_0000)}
+
+
+def _nan(dtype, payload):
+    """A quiet NaN carrying ``payload`` in its mantissa: equal payloads give
+    equal bits, different payloads different bits."""
+    unsigned, quiet = QUIET_NAN[dtype]
+    return np.array([quiet | payload], dtype=unsigned).view(dtype)[0]
+
+
+#: (five copies of file 0, which of them arrived, the reference winner's copy)
+REVOTE_CASES = {
+    "one-arrived": ("ABCDE", "..X..", 2),
+    "tie-earliest-arrived": ("ABCCB", ".XXXX", 1),
+    "missing-slot-0": ("AABBC", ".XXXX", 2),
+    "signed-zeros": ("PMMPA", ".XXXX", 1),
+    "nan-equal-bits": ("ANNBB", ".XXX.", 1),
+    "nan-unequal-bits": ("ANOBB", ".XXXX", 3),
+}
+
+
+@pytest.mark.parametrize("vote", ["flat", "hier2"])
 @pytest.mark.parametrize("dtype", DTYPES)
-@pytest.mark.parametrize("dense_input", [False, True], ids=["lazy", "dense"])
+@pytest.mark.parametrize("case", sorted(REVOTE_CASES))
+def test_incomplete_file_votes_over_its_arrived_copies(case, dtype, vote):
+    """An incomplete file's winner is read off the round's content ids over
+    its arrived slots: it equals the reference vote over the arrived copies,
+    bit for bit, beside a complete file and a file nobody returned."""
+    copies, arrival, winner = REVOTE_CASES[case]
+    rng = np.random.default_rng(7)
+    payloads = {c: rng.standard_normal(4).astype(dtype) for c in "ABCDE"}
+    payloads.update(
+        P=np.zeros(4, dtype=dtype),  # +0.0
+        M=np.full(4, -0.0, dtype=dtype),
+        N=np.full(4, _nan(dtype, 1), dtype=dtype),
+        O=np.full(4, _nan(dtype, 2), dtype=dtype),
+    )
+    cube = np.stack([
+        np.stack([payloads[c] for c in copies]),
+        np.stack([payloads["B"]] * 5),  # complete and unanimous
+        np.stack([payloads[c] for c in "ABCDE"]),  # nothing arrived
+    ])
+    arrived = np.array([[c == "X" for c in arrival], [True] * 5, [False] * 5])
+    expected, counts = reference_vote(cube, arrived)
+    assert expected[0].tobytes() == cube[0, winner].tobytes()
+
+    tensor = tensor_of(cube)
+    if vote == "flat":
+        selection, got = majority_vote_votetensor(tensor, arrived=arrived)
+    else:
+        selection, got = hierarchical_majority_vote(tensor, GroupTopology(5, 2), arrived=arrived)
+    assert selection.densified().tobytes() == expected.tobytes()
+    assert got.tolist() == counts.tolist()
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("source", ["attacked", "rebuilt"])
 @pytest.mark.parametrize("arrival", ["all-arrived", "partial"])
-def test_vanilla_rows_equal_the_arrived_returns(arrival, dense_input, dtype):
+def test_vanilla_rows_equal_the_arrived_returns(arrival, source, dtype):
     rng = np.random.default_rng(1)
     honest = rng.standard_normal((BASELINE.num_files, DIM)).astype(dtype)
     tensor = VoteTensor.from_honest(BASELINE, honest)
     tensor.write_slots([1, 4], [0, 0], np.full(DIM, 9.0, dtype=dtype))
-    cube = tensor.materialize_files(np.arange(tensor.num_files))
-    if dense_input:
-        tensor = VoteTensor(cube.copy(), tensor.workers, tensor.byzantine_mask)
+    cube = cube_of(tensor)
+    if source == "rebuilt":
+        tensor = tensor_of(cube, BASELINE)
     arrived = masks(arrival, tensor.workers.shape)
     expected = cube[:, 0] if arrived is None else cube[arrived[:, 0], 0]
     pipeline = VanillaPipeline(BASELINE, MeanAggregator())

@@ -77,7 +77,7 @@ MALFORMED = [
     pytest.param({"cluster": {"params": [1, 2]}}, "scenario.cluster.params must be a mapping", id="params-list"),
     pytest.param({"faults": [1]}, r"scenario.faults\[0\] must be a mapping", id="fault-int"),
     pytest.param({"runtime": {"deadline": "soon"}}, 'scenario.runtime.deadline must be a finite number or "inf"', id="deadline-word"),
-    pytest.param({"pipeline": {"vote_tolerance": None}}, "scenario.pipeline.vote_tolerance must be a finite number", id="tolerance-null"),
+    pytest.param({"pipeline": {"block_size": 2.5}}, "scenario.pipeline.block_size must be an integer", id="block-size-fraction"),
     pytest.param({"topology": {"groups": "two"}}, "scenario.topology.groups must be an integer", id="groups-word"),
     pytest.param({"training": {"batch_size": [1]}}, "scenario.training.batch_size must be an integer", id="batch-size-list"),
     pytest.param(None, "scenario must be a mapping, got NoneType", id="root-null"),
@@ -86,7 +86,7 @@ MALFORMED = [
     pytest.param({"seed": 3.7}, "scenario.seed must be an integer, got float 3.7", id="seed-fraction"),
     pytest.param({"seed": True}, "scenario.seed must be an integer, got bool True", id="seed-true"),
     pytest.param({"name": None}, "scenario.name must be a string, got NoneType", id="name-null"),
-    pytest.param({"pipeline": {"vote_tolerance": NAN}}, "scenario.pipeline.vote_tolerance must be a finite number, got float nan", id="tolerance-nan"),
+    pytest.param({"pipeline": {"vote_tolerance": NAN}}, r"unknown key\(s\) \['scenario.pipeline.vote_tolerance'\]", id="removed-vote-tolerance"),
     pytest.param({"seed": "3"}, "scenario.seed must be an integer, got str '3'", id="seed-string-digits"),
     pytest.param({"seed": 3.0}, "scenario.seed must be an integer, got float 3.0", id="seed-float-integral"),
     pytest.param({"runtime": {"quorum": 2, "partial": 1}}, "scenario.runtime.partial must be true or false, got int 1", id="partial-int"),
@@ -121,9 +121,12 @@ class TestMalformedInput:
         spec = ScenarioSpec.from_dict(minimal_dict(data={"separation": 3}))
         assert spec.data.separation == 3.0 and isinstance(spec.data.separation, float)
 
-    def test_nan_tolerance_is_rejected_by_the_validator_too(self):
-        with pytest.raises(ConfigurationError, match="vote_tolerance must be non-negative"):
-            PipelineSpec(vote_tolerance=NAN)
+    def test_vote_tolerance_is_no_longer_a_field(self):
+        """The vote is exact only: the field is gone, so a spec that sets it
+        fails loudly instead of voting exactly behind its back."""
+        with pytest.raises(TypeError):
+            PipelineSpec(vote_tolerance=0.0)
+        assert "vote_tolerance" not in PipelineSpec().to_dict()
 
     def test_loaded_params_share_nothing_with_the_input(self):
         data = minimal_dict(attack={"name": "alie", "params": {"nested": {"z": [1.0]}}})

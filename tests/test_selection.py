@@ -1,51 +1,21 @@
 """Tests for Byzantine worker selection policies."""
 
-import numpy as np
 import pytest
 
-from repro.attacks.selection import FixedSelector, OmniscientSelector, RandomSelector
+from repro.attacks.schedules import AdversarySchedule, ScheduledSelector
+from repro.attacks.selection import OmniscientSelector
 from repro.core.distortion import count_distorted, max_distortion_exhaustive
 from repro.exceptions import AttackError
 
 
-def test_fixed_selector_returns_given_set(mols_assignment, rng):
-    selector = FixedSelector([1, 4, 7])
-    assert selector.select(mols_assignment, 0, rng) == (1, 4, 7)
-    assert selector.select(mols_assignment, 5, rng) == (1, 4, 7)
-
-
-def test_fixed_selector_validation(mols_assignment, rng):
-    with pytest.raises(AttackError):
-        FixedSelector([1, 1])
-    with pytest.raises(AttackError):
-        FixedSelector([99]).select(mols_assignment, 0, rng)
-
-
-def test_random_selector_size_and_range(mols_assignment, rng):
-    selector = RandomSelector(num_byzantine=4)
+def test_random_selection_size_and_range(mols_assignment, rng):
+    """The DETOX/DRACO adversary: a fresh uniform draw of q distinct workers."""
+    selector = ScheduledSelector(AdversarySchedule(q=4), selection="random")
     chosen = selector.select(mols_assignment, 0, rng)
     assert len(chosen) == 4
     assert len(set(chosen)) == 4
     assert all(0 <= w < 15 for w in chosen)
-
-
-def test_random_selector_resampling_behaviour(mols_assignment):
-    rng = np.random.default_rng(0)
-    resampling = RandomSelector(num_byzantine=3, resample_every_iteration=True)
-    draws = {resampling.select(mols_assignment, t, rng) for t in range(20)}
-    assert len(draws) > 1  # changes across iterations
-
-    rng = np.random.default_rng(0)
-    sticky = RandomSelector(num_byzantine=3, resample_every_iteration=False)
-    first = sticky.select(mols_assignment, 0, rng)
-    assert all(sticky.select(mols_assignment, t, rng) == first for t in range(5))
-
-
-def test_random_selector_validation(mols_assignment, rng):
-    with pytest.raises(AttackError):
-        RandomSelector(num_byzantine=-1)
-    with pytest.raises(AttackError):
-        RandomSelector(num_byzantine=99).select(mols_assignment, 0, rng)
+    assert list(chosen) == sorted(chosen)
 
 
 def test_omniscient_selector_achieves_worst_case(mols_assignment, rng):

@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.aggregation.majority import majority_vote_tensor
+from repro.aggregation.majority import majority_vote_votetensor
 from repro.assignment.frc import FRCAssignment
 from repro.core.pipelines import ByzShieldPipeline, DetoxPipeline
 from repro.core.vote_tensor import VoteTensor
@@ -33,13 +33,13 @@ class TestSingleFile:
         assert assignment.num_files == 1
         tensor = VoteTensor.from_honest(assignment, np.array([[1.0, 2.0, 3.0]]))
         assert tensor.shape == (1, 3, 3)
-        winners, counts = majority_vote_tensor(tensor.values)
-        np.testing.assert_array_equal(winners, [[1.0, 2.0, 3.0]])
+        winners, counts = majority_vote_votetensor(tensor)
+        np.testing.assert_array_equal(winners.densified(), [[1.0, 2.0, 3.0]])
         assert counts.tolist() == [3]
 
     def test_single_file_round_aggregates(self, assignment):
         tensor = VoteTensor.from_honest(assignment, np.array([[1.0, 2.0, 3.0]]))
-        tensor.set_vote(0, 2, np.array([9.0, 9.0, 9.0]))  # one corrupted copy
+        tensor.write_slots([0], [2], np.array([9.0, 9.0, 9.0]))  # one corrupted copy
         pipeline = DetoxPipeline(assignment)
         np.testing.assert_array_equal(
             pipeline.aggregate_tensor(tensor).aggregate, [1.0, 2.0, 3.0]
@@ -52,27 +52,18 @@ class TestScalarGradients:
     def test_majority_with_d1(self, mols_assignment):
         honest = np.arange(mols_assignment.num_files, dtype=np.float64)[:, None]
         tensor = VoteTensor.from_honest(mols_assignment, honest)
-        winners, counts = majority_vote_tensor(tensor.values)
-        np.testing.assert_array_equal(winners, honest)
+        winners, counts = majority_vote_votetensor(tensor)
+        np.testing.assert_array_equal(winners.densified(), honest)
         assert np.all(counts == mols_assignment.replication)
 
     def test_d1_with_minority_corruption(self, mols_assignment):
         honest = np.ones((mols_assignment.num_files, 1))
         tensor = VoteTensor.from_honest(mols_assignment, honest)
         worker = int(tensor.workers[0, 0])
-        for file_index in range(tensor.num_files):
-            row = tensor.workers[file_index]
-            if worker in row:
-                tensor.set_vote(file_index, worker, np.array([-5.0]))
-        winners, _ = majority_vote_tensor(tensor.values)
-        np.testing.assert_array_equal(winners, honest)  # r=3 outvotes 1 copy
-
-    def test_d1_tolerance_path(self, mols_assignment):
-        honest = np.full((mols_assignment.num_files, 1), 2.0)
-        tensor = VoteTensor.from_honest(mols_assignment, honest)
-        winners, counts = majority_vote_tensor(tensor.values, 0.5)
-        np.testing.assert_allclose(winners, honest)
-        assert np.all(counts == mols_assignment.replication)
+        files, slots = np.nonzero(tensor.workers == worker)
+        tensor.write_slots(files, slots, np.array([-5.0]))
+        winners, _ = majority_vote_votetensor(tensor)
+        np.testing.assert_array_equal(winners.densified(), honest)  # r=3 outvotes 1 copy
 
 
 class TestAllAdversarialFiles:
@@ -85,17 +76,17 @@ class TestAllAdversarialFiles:
         tensor = VoteTensor.from_honest(mols_assignment, honest)
         tensor.mark_byzantine(tuple(range(mols_assignment.num_workers)))
         payload = np.full(4, -7.0)
-        tensor.values[tensor.byzantine_mask] = payload
+        tensor.write_slots(*np.nonzero(tensor.byzantine_mask), payload)
         assert bool(tensor.byzantine_mask.all())
-        winners, counts = majority_vote_tensor(tensor.values)
-        np.testing.assert_array_equal(winners, np.tile(payload, (f, 1)))
+        winners, counts = majority_vote_votetensor(tensor)
+        np.testing.assert_array_equal(winners.densified(), np.tile(payload, (f, 1)))
         assert np.all(counts == mols_assignment.replication)
 
     def test_pipeline_returns_payload_not_error(self, mols_assignment):
         tensor = VoteTensor.from_honest(
             mols_assignment, np.ones((mols_assignment.num_files, 4))
         )
-        tensor.values[:] = -7.0
+        tensor.write_slots(*np.nonzero(np.ones(tensor.workers.shape, dtype=bool)), -7.0)
         result = ByzShieldPipeline(mols_assignment).aggregate_tensor(tensor).aggregate
         np.testing.assert_array_equal(result, np.full(4, -7.0))
 
@@ -144,8 +135,8 @@ class TestOverBudgetAdversary:
 
 class TestShapeValidation:
     def test_empty_values_rejected(self, mols_assignment):
-        with pytest.raises(ConfigurationError, match=r"\(f, r, d\)"):
-            VoteTensor(np.zeros((2, 3)), np.zeros((2, 3), dtype=np.int64))
+        with pytest.raises(ConfigurationError, match=r"\(f, d\)"):
+            VoteTensor.from_honest(mols_assignment, np.zeros(mols_assignment.num_files))
 
     def test_honest_matrix_row_count_must_match_files(self, mols_assignment):
         with pytest.raises(ConfigurationError, match="rows"):

@@ -14,14 +14,14 @@ import numpy as np
 import pytest
 
 from repro.aggregation import majority as majority_module
-from repro.aggregation.majority import majority_vote_tensor
+from repro.aggregation.majority import majority_vote_votetensor
 from repro.aggregation.median import CoordinateWiseMedian
 from repro.assignment.baseline import BaselineAssignment
 from repro.assignment.frc import FRCAssignment
 from repro.assignment.mols import MOLSAssignment
 from repro.assignment.ramanujan import RamanujanAssignment
 from repro.attacks.registry import available_attacks, create_attack
-from repro.attacks.selection import FixedSelector, RandomSelector
+from repro.attacks.schedules import AdversarySchedule, ScheduledSelector
 from repro.cluster.simulator import TrainingCluster
 from repro.cluster.worker import WorkerPool
 from repro.core.pipelines import (
@@ -31,6 +31,8 @@ from repro.core.pipelines import (
     VanillaPipeline,
 )
 from repro.core.vote_tensor import VoteTensor
+
+from cow_helpers import FixedSelector, cube_of, tensor_of
 
 DIM = 6
 
@@ -58,14 +60,11 @@ SCHEMES = {
 }
 
 
-def pipelines_for(name, assignment, tolerance):
+def pipelines_for(name, assignment):
     if name in ("mols", "ramanujan"):
-        return [ByzShieldPipeline(assignment, vote_tolerance=tolerance)]
+        return [ByzShieldPipeline(assignment)]
     if name == "frc":
-        return [
-            DetoxPipeline(assignment, vote_tolerance=tolerance),
-            DracoPipeline(assignment, num_byzantine=1, vote_tolerance=tolerance),
-        ]
+        return [DetoxPipeline(assignment), DracoPipeline(assignment, num_byzantine=1)]
     return [VanillaPipeline(assignment, aggregator=CoordinateWiseMedian())]
 
 
@@ -78,22 +77,16 @@ def simulate_round(assignment, attack, selector, seed=11):
     return cluster.run_round_tensor(np.linspace(-1.0, 1.0, DIM), data, iteration=2)
 
 
-def reference_winners(tensor, tolerance):
+def reference_winners(tensor):
     """Per-file reference vote over the materialized ``(f, r, d)`` copies."""
-    cube = tensor.materialize_files(np.arange(tensor.num_files))
-    if tolerance == 0.0:
-        votes = [majority_module._reference_exact_majority(m) for m in cube]
-    else:
-        votes = [
-            majority_module._reference_clustered_majority(m, tolerance) for m in cube
-        ]
+    votes = [majority_module._reference_exact_majority(m) for m in cube_of(tensor)]
     return np.vstack([winner for winner, _ in votes])
 
 
-def reference_aggregate(pipeline, tensor, tolerance):
+def reference_aggregate(pipeline, tensor):
     if pipeline.pipeline_name == "vanilla":
-        return pipeline.aggregator(tensor.materialize_files(np.arange(tensor.num_files))[:, 0])
-    voted = reference_winners(tensor, tolerance)
+        return pipeline.aggregator(cube_of(tensor)[:, 0])
+    voted = reference_winners(tensor)
     if pipeline.pipeline_name == "draco":
         return voted.mean(axis=0)
     return pipeline.aggregator(voted)
@@ -112,19 +105,12 @@ def test_kernel_matches_reference_on_random_tensors():
             for _ in range(rng.integers(0, 5)):
                 i, a, b = rng.integers(f), rng.integers(r), rng.integers(r)
                 values[i, a] = values[i, b] + rng.integers(0, 2)
-        for tolerance in (0.0, 1.5):
-            winners, counts = majority_vote_tensor(values, tolerance)
-            for i in range(f):
-                if tolerance == 0.0:
-                    ref_w, ref_c = majority_module._reference_exact_majority(
-                        values[i]
-                    )
-                else:
-                    ref_w, ref_c = majority_module._reference_clustered_majority(
-                        values[i], tolerance
-                    )
-                assert np.array_equal(winners[i], ref_w), (trial, tolerance, i)
-                assert counts[i] == ref_c, (trial, tolerance, i)
+        selection, counts = majority_vote_votetensor(tensor_of(values))
+        winners = selection.densified()
+        for i in range(f):
+            ref_w, ref_c = majority_module._reference_exact_majority(values[i])
+            assert np.array_equal(winners[i], ref_w), (trial, i)
+            assert counts[i] == ref_c, (trial, i)
 
 
 def test_kernel_survives_hash_collisions(monkeypatch):
@@ -138,19 +124,12 @@ def test_kernel_survives_hash_collisions(monkeypatch):
     for _ in range(60):
         f, r = rng.integers(1, 6), rng.integers(2, 7)
         values = rng.integers(-1, 2, (f, r, d)).astype(np.float64)
-        for tolerance in (0.0, 1.2):
-            winners, counts = majority_vote_tensor(values, tolerance)
-            for i in range(f):
-                if tolerance == 0.0:
-                    ref_w, ref_c = majority_module._reference_exact_majority(
-                        values[i]
-                    )
-                else:
-                    ref_w, ref_c = majority_module._reference_clustered_majority(
-                        values[i], tolerance
-                    )
-                assert np.array_equal(winners[i], ref_w)
-                assert counts[i] == ref_c
+        selection, counts = majority_vote_votetensor(tensor_of(values))
+        winners = selection.densified()
+        for i in range(f):
+            ref_w, ref_c = majority_module._reference_exact_majority(values[i])
+            assert np.array_equal(winners[i], ref_w)
+            assert counts[i] == ref_c
 
 
 def test_kernel_byte_equality_semantics():
@@ -159,15 +138,15 @@ def test_kernel_byte_equality_semantics():
     values[0, 0] = np.nan
     values[0, 1] = np.nan
     values[0, 2] = 1.0
-    winners, counts = majority_vote_tensor(values)
-    assert counts[0] == 2 and np.isnan(winners[0]).all()
+    winners, counts = majority_vote_votetensor(tensor_of(values))
+    assert counts[0] == 2 and np.isnan(winners.densified()[0]).all()
 
     values = np.zeros((1, 3, 1))
     values[0, 0] = -0.0
     values[0, 1] = 0.0
     values[0, 2] = -0.0
-    winners, counts = majority_vote_tensor(values)
-    assert counts[0] == 2 and np.signbit(winners[0, 0])
+    winners, counts = majority_vote_votetensor(tensor_of(values))
+    assert counts[0] == 2 and np.signbit(winners.densified()[0, 0])
 
 
 # --------------------------------------------------------------------------- #
@@ -181,26 +160,21 @@ def test_round_and_aggregates_identical(scheme, attack_name):
     selector = FixedSelector([0, min(5, assignment.num_workers - 1)])
     result = simulate_round(assignment, attack, selector)
     tensor = result.vote_tensor
-    assert tensor.is_lazy
 
     # honest slots carry the ground truth, Byzantine slots something else
-    cube = tensor.materialize_files(np.arange(assignment.num_files))
+    cube = cube_of(tensor)
     replicated = np.repeat(result.honest_matrix[:, None, :], cube.shape[1], axis=1)
     honest_slots = ~tensor.byzantine_mask
     assert np.array_equal(cube[honest_slots], replicated[honest_slots])
     assert not np.array_equal(cube, replicated)
 
-    for tolerance in (0.0, 1e-9, 0.5):
-        for pipeline in pipelines_for(scheme, assignment, tolerance):
-            expected = reference_aggregate(pipeline, tensor, tolerance)
-            for view in (tensor.copy(), VoteTensor(cube.copy(), tensor.workers)):
-                assert np.array_equal(pipeline.aggregate_tensor(view).aggregate, expected), (
-                    scheme,
-                    attack_name,
-                    tolerance,
-                    pipeline.pipeline_name,
-                    "lazy" if view.is_lazy else "dense",
-                )
+    for pipeline in pipelines_for(scheme, assignment):
+        expected = reference_aggregate(pipeline, tensor)
+        assert np.array_equal(pipeline.aggregate_tensor(tensor).aggregate, expected), (
+            scheme,
+            attack_name,
+            pipeline.pipeline_name,
+        )
 
 
 @pytest.mark.parametrize("scheme", sorted(SCHEMES))
@@ -208,16 +182,15 @@ def test_round_identical_under_random_selection(scheme):
     """Stochastic selector + stochastic attack: the round is a pure function
     of (seed, iteration) — two independently built clusters agree bit for bit."""
     assignment = SCHEMES[scheme]()
-    every_file = np.arange(assignment.num_files)
 
     def cube(seed):
         result = simulate_round(
             assignment,
             create_attack("gaussian_noise", sigma=3.0),
-            RandomSelector(num_byzantine=2),
+            ScheduledSelector(AdversarySchedule(q=2), selection="random"),
             seed=seed,
         )
-        return result.byzantine_workers, result.vote_tensor.materialize_files(every_file)
+        return result.byzantine_workers, cube_of(result.vote_tensor)
 
     first, second, other = cube(19), cube(19), cube(20)
     assert first[0] == second[0]

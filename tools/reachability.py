@@ -1,0 +1,155 @@
+"""Function-level reachability of ``src/repro`` from the user-facing entry points.
+
+Runs every entry point in this process under ``sys.setprofile``, records
+each ``repro`` code object that is entered, and lists the named functions
+that never were.  A def on that list is reached by nothing a user can run:
+it is either a test oracle, a candidate for deletion, or proof that an
+entry point is missing from :func:`_steps`.
+
+The entry points: ``repro list``, every ``table`` (one with ``--csv``),
+``bounds``, ``distortion`` on all five schemes, the three ablations,
+``scenario list``/``replay``/``record`` (every golden) and ``run`` (one
+with ``--trace-out``), ``campaign expand|run|status|report`` on both example
+campaigns, ``lint`` (text, JSON, ``--list-rules``), every ``figure`` at
+``--scale tiny``, the ``examples/*.py`` scripts and
+``benchmarks/e2e/run.py --quick``.  Every run covers every entry point;
+it takes about a minute.
+
+Usage::
+
+    PYTHONPATH=src python tools/reachability.py [--json out.json]
+
+It prints one line per unreached def, ``path:line qualname``, public ones
+first.  No ``coverage`` install is needed.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import io
+import json
+import pathlib
+import runpy
+import sys
+import tempfile
+import threading
+import types
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "repro"
+
+
+def _cli(*argv: str):
+    def step() -> None:
+        from repro.cli import main
+
+        main(list(argv))
+
+    step.__name__ = "repro " + " ".join(argv)
+    return step
+
+
+def _script(path: str, *argv: str):
+    def step() -> None:
+        saved = sys.argv
+        sys.argv = [path, *argv]
+        try:
+            runpy.run_path(str(ROOT / path), run_name="__main__")
+        except SystemExit:
+            pass
+        finally:
+            sys.argv = saved
+
+    step.__name__ = " ".join((path, *argv))
+    return step
+
+
+def _steps(workdir: str) -> list:
+    campaigns = ("examples/campaign_accuracy_vs_q.json", "examples/campaign_attack_zoo.json")
+    steps = [_cli("list")]
+    steps += [_cli("table", name) for name in ("table3", "table4", "table5", "table6")]
+    steps += [_cli("--csv", f"{workdir}/table3.csv", "table", "table3")]
+    steps += [_cli("bounds")]
+    steps += [
+        _cli("distortion", "--scheme", scheme, "--q", "1", "2")
+        for scheme in ("baseline", "frc", "mols", "ramanujan", "random")
+    ]
+    steps += [_cli("ablation", name, "--processes", "1") for name in ("assignment", "aggregator", "scenarios")]
+    steps += [_cli("scenario", "list"), _cli("scenario", "replay")]
+    steps += [_cli("scenario", "record", "--golden-dir", f"{workdir}/golden")]
+    steps += [_cli("scenario", "run", "mols-clean", "--trace-out", f"{workdir}/trace.json")]
+    steps += [_cli("scenario", "run", "examples/scenario_mols_alie_faults.json")]
+    steps += [_cli("scenario", "run", "examples/scenario_detox_rotating.json")]
+    for campaign in campaigns:
+        for action in ("expand", "run", "status", "report"):
+            steps.append(_cli("campaign", action, campaign, "--processes", "1", "--out", workdir))
+    steps += [_cli("--csv", f"{workdir}/report.csv", "campaign", "report", campaigns[0], "--out", workdir)]
+    steps += [_cli("lint"), _cli("lint", "--format", "json"), _cli("lint", "--list-rules")]
+    steps += [_cli("figure", f"fig{n}", "--scale", "tiny") for n in range(2, 13)]
+    steps += [_script(str(p.relative_to(ROOT))) for p in sorted((ROOT / "examples").glob("*.py"))]
+    steps += [_script("benchmarks/e2e/run.py", "--quick", "--out", f"{workdir}/e2e.json")]
+    return steps
+
+
+def _defs(code: types.CodeType, path: str):
+    """Every named function nested in a module's code object."""
+    for const in code.co_consts:
+        if isinstance(const, types.CodeType):
+            if "<" not in const.co_qualname:
+                yield path, const.co_firstlineno, const.co_qualname
+            yield from _defs(const, path)
+
+
+def _is_public(qualname: str) -> bool:
+    parts = qualname.split(".")
+    return not any(p.startswith("_") and not p.endswith("__") for p in parts)
+
+
+def main(argv: "list[str] | None" = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--json", type=pathlib.Path, help="also write the list as JSON")
+    args = parser.parse_args(argv)
+
+    entered: set[tuple[str, int]] = set()
+    prefix = str(SRC)
+
+    def profile(frame, event, arg):
+        if event == "call":
+            code = frame.f_code
+            if code.co_filename.startswith(prefix):
+                entered.add((code.co_filename, code.co_firstlineno))
+
+    with tempfile.TemporaryDirectory() as workdir:
+        steps = _steps(workdir)
+        sys.setprofile(profile)
+        threading.setprofile(profile)
+        try:
+            for step in steps:
+                print(f"# {step.__name__}", file=sys.stderr)
+                with contextlib.redirect_stdout(io.StringIO()):
+                    step()
+        finally:
+            sys.setprofile(None)
+            threading.setprofile(None)
+
+    unreached = []
+    for path in sorted(SRC.rglob("*.py")):
+        code = compile(path.read_text(), str(path), "exec")
+        for filename, line, qualname in _defs(code, str(path)):
+            if (filename, line) not in entered:
+                rel = pathlib.Path(filename).relative_to(ROOT)
+                unreached.append({"path": str(rel), "line": line, "def": qualname,
+                                  "public": _is_public(qualname)})
+    unreached.sort(key=lambda u: (not u["public"], u["path"], u["line"]))
+    for u in unreached:
+        print(f"{u['path']}:{u['line']} {u['def']}{'' if u['public'] else '  (private)'}")
+    print(f"# {len(unreached)} unreached defs, {sum(u['public'] for u in unreached)} public",
+          file=sys.stderr)
+    if args.json is not None:
+        args.json.write_text(json.dumps(unreached, indent=1))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -50,7 +50,8 @@ class OmniscientSelector(ByzantineSelector):
     num_byzantine:
         Number of compromised workers ``q``.
     method:
-        Search method forwarded to :func:`repro.core.distortion.max_distortion`.
+        Search method forwarded to :func:`repro.core.distortion.max_distortion`;
+        its exhaustive search returns the lexicographically first maximiser.
     seed:
         Seed for the heuristic optimizer.
     """
@@ -66,7 +67,9 @@ class OmniscientSelector(ByzantineSelector):
         self.num_byzantine = int(num_byzantine)
         self.method = method
         self.seed = seed
-        self._cache: dict[int, tuple[int, ...]] = {}
+        # keyed on the graph itself: two graphs whose hashes collide still
+        # compare unequal and get a set each
+        self._cache: dict[BipartiteAssignment, tuple[int, ...]] = {}
 
     def select(
         self,
@@ -74,10 +77,10 @@ class OmniscientSelector(ByzantineSelector):
         iteration: int,
         rng: np.random.Generator,
     ) -> tuple[int, ...]:
-        key = hash(assignment)
-        if key not in self._cache:
+        chosen = self._cache.get(assignment)
+        if chosen is None:
             result = max_distortion(
                 assignment, self.num_byzantine, method=self.method, seed=self.seed
             )
-            self._cache[key] = tuple(sorted(result.byzantine_workers))
-        return self._cache[key]
+            chosen = self._cache[assignment] = tuple(sorted(result.byzantine_workers))
+        return chosen

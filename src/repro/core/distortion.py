@@ -9,19 +9,38 @@ files, and the resulting maximum ``c_max^(q)`` (and the fraction
 
 The module provides three optimizers for ``c_max``:
 
-* :func:`max_distortion_exhaustive` — exact, enumerates all ``C(K, q)``
-  Byzantine sets in vectorized chunks (used for every table row where the
-  paper itself ran exhaustive search);
+* :func:`max_distortion_exhaustive` — exact, scores all ``C(K, q)``
+  Byzantine sets (used for every table row where the paper itself ran
+  exhaustive search);
 * :func:`max_distortion_greedy` — picks workers one at a time maximizing the
   number of corrupted files, breaking ties by "almost corrupted" copies;
 * :func:`max_distortion_local_search` — greedy start plus swap-based hill
   climbing with random restarts, for regimes where exhaustive search is
   intractable (the paper notes the same intractability for Table 5).
+
+How the exhaustive search enumerates
+------------------------------------
+The ``q``-sets are the leaves of a prefix tree whose level ``j`` holds the
+``j``-worker prefixes that can still be completed: a prefix ending at worker
+``a`` is extended by every later worker ``b`` that leaves room for the rest
+(``b <= K - q + j``).  A level is built from the one above in a few numpy
+calls — ``np.repeat`` over the parent indices, so siblings stay contiguous
+and every level is in lexicographic order.  Each prefix carries its per-file
+count of Byzantine copies as bit-sliced saturating counters over
+``⌈f/64⌉`` ``uint64`` words: plane ``k`` is the set of files holding more
+than ``k`` copies, ``r'`` planes in all, so adding a worker costs ``2 r'``
+bitwise operations and "at least ``r'`` copies" is one popcount of the top
+plane.  The tree is cut on a leading-worker prefix into blocks whose scratch
+stays under ``_SCRATCH_BYTES`` at any ``(K, q)``, and blocks run in order.
+
+Tie-break contract: the result is the **lexicographically first maximiser**
+— the first argmax inside a block, replaced only by a strictly larger count
+in a later block — recovered by walking the winner's parent pointers back.
+Every omniscient selector inherits that set.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -145,43 +164,115 @@ def _gamma_or_nan(assignment: BipartiteAssignment, q: int) -> float:
     )
 
 
+#: scratch one block of the exhaustive search may hold; the block size
+#: follows from it and the result does not depend on it
+_SCRATCH_BYTES = 1 << 20
+
+
+class _LexicographicSearch:
+    """The exhaustive search's prefix tree (see the module docstring).
+
+    A node at level ``j`` is a ``j``-worker prefix, stored as its last worker
+    and its column of the ``(threshold, nodes, words)`` counter planes; nodes
+    travel in arrays of lexicographically ordered siblings.
+    """
+
+    def __init__(self, assignment: BipartiteAssignment, q: int) -> None:
+        H = assignment.biadjacency.astype(bool)
+        K, f = H.shape
+        words = -(-f // 64)
+        packed = np.zeros((K, 8 * words), dtype=np.uint8)
+        packed[:, : -(-f // 8)] = np.packbits(H, axis=1)
+        self.masks = packed.view(np.uint64)  # row j: worker j's files as a bitset
+        self.K, self.q = K, q
+        self.threshold = majority_threshold(assignment.replication)
+        # bytes one q-set costs at the last level: parent and worker indices,
+        # the gathered planes, the added mask and its temporaries
+        self.budget = max(1, _SCRATCH_BYTES // (8 * ((self.threshold + 2) * words + 6)))
+        # leaves[j, n]: q-sets below a level-j prefix with n workers after its
+        # last one, saturated just above the budget
+        self.leaves = np.array(
+            [[min(math.comb(n, q - j), self.budget + 1) for n in range(K + 1)]
+             for j in range(q + 1)],
+            dtype=np.int64,
+        )
+        self.best_count = -1
+        self.best_set: tuple[int, ...] = ()
+
+    def run(self) -> tuple[int, tuple[int, ...]]:
+        root = np.full(1, -1)
+        planes = np.zeros((self.threshold, 1, self.masks.shape[1]), dtype=np.uint64)
+        self._visit((), *self._extend(0, root, planes)[:2])
+        return self.best_count, self.best_set
+
+    def _extend(
+        self, level: int, last: np.ndarray, planes: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(last worker, planes, parent index)`` of the level+1 children, in order."""
+        fanout = self.K - self.q + level - last  # children b with last < b <= K - q + level
+        parent = np.repeat(np.arange(last.size), fanout)
+        start = np.cumsum(fanout) - fanout
+        worker = np.arange(parent.size) - np.repeat(start - last - 1, fanout)
+        # ``take`` rather than fancy indexing: same result, a third of the time
+        child = planes.take(parent, axis=1)
+        added = self.masks.take(worker, axis=0)
+        for k in range(self.threshold - 1, 0, -1):
+            child[k] |= child[k - 1] & added
+        child[0] |= added
+        return worker, child, parent
+
+    def _visit(self, prefix: tuple[int, ...], last: np.ndarray, planes: np.ndarray) -> None:
+        """Score every q-set below the siblings ``prefix + (last[i],)``, in order."""
+        level = len(prefix) + 1
+        leaves = self.leaves[level, self.K - 1 - last]
+        i = 0
+        while i < last.size:
+            if leaves[i] > self.budget:
+                node = last[i : i + 1]
+                children = self._extend(level, node, planes[:, i : i + 1])
+                self._visit(prefix + (int(node[0]),), *children[:2])
+                i += 1
+                continue
+            stop = i + int(np.searchsorted(np.cumsum(leaves[i:]), self.budget, side="right"))
+            self._score_block(level, prefix, last[i:stop], planes[:, i:stop])
+            i = stop
+
+    def _score_block(
+        self, level: int, prefix: tuple[int, ...], last: np.ndarray, planes: np.ndarray
+    ) -> None:
+        """Expand a run of siblings to level q; keep its first argmax if strictly better."""
+        workers, parents = [last], []
+        for j in range(level, self.q):
+            last, planes, parent = self._extend(j, last, planes)
+            workers.append(last)
+            parents.append(parent)
+        distorted = np.bitwise_count(planes[-1]).sum(axis=1)
+        i = int(np.argmax(distorted))
+        if distorted[i] <= self.best_count:
+            return
+        self.best_count = int(distorted[i])
+        chosen = [int(workers[-1][i])]
+        for parent, worker in zip(reversed(parents), reversed(workers[:-1])):
+            i = int(parent[i])
+            chosen.append(int(worker[i]))
+        self.best_set = prefix + tuple(reversed(chosen))
+
+
 def max_distortion_exhaustive(
     assignment: BipartiteAssignment,
     num_byzantine: int,
-    chunk_size: int = 2048,
 ) -> DistortionResult:
-    """Exact ``c_max`` by enumerating every set of ``q`` workers.
+    """Exact ``c_max`` by scoring every set of ``q`` workers.
 
-    Combinations are materialized in chunks of ``chunk_size`` and evaluated as
-    one matrix product against the bi-adjacency matrix, so the inner loop is
-    entirely inside numpy.  The chunk bounds the scratch at about 2 MiB for
-    K = 25 whatever ``q`` is (one chunk holding all C(25, 5) sets took 42 MiB
-    and was no faster); the result does not depend on it.
+    The sets are visited in lexicographic order by one vectorised pass over
+    their prefix tree, with bit-sliced per-file counters (module docstring);
+    the returned set is the lexicographically first maximiser, and the
+    scratch stays under about 2 MiB at any ``(K, q)``.
     """
     q = _check_q(assignment, num_byzantine)
-    K = assignment.num_workers
-    H = assignment.biadjacency.astype(np.int32)
-    threshold = majority_threshold(assignment.replication)
     if q == 0:
         return DistortionResult(0, 0.0, (), 0, "exhaustive", True, _gamma_or_nan(assignment, 0))
-
-    best_count = -1
-    best_set: tuple[int, ...] = ()
-    combo_iter = itertools.combinations(range(K), q)
-    while True:
-        chunk = list(itertools.islice(combo_iter, chunk_size))
-        if not chunk:
-            break
-        idx = np.asarray(chunk, dtype=np.int64)  # (batch, q)
-        #
-
-        # counts[b, i] = number of Byzantine copies of file i under set b.
-        counts = H[idx].sum(axis=1)
-        corrupted = (counts >= threshold).sum(axis=1)
-        arg = int(np.argmax(corrupted))
-        if int(corrupted[arg]) > best_count:
-            best_count = int(corrupted[arg])
-            best_set = tuple(int(w) for w in idx[arg])
+    best_count, best_set = _LexicographicSearch(assignment, q).run()
     return DistortionResult(
         c_max=best_count,
         epsilon=best_count / assignment.num_files,

@@ -1,9 +1,15 @@
 """Tests for repro.core.distortion — worst-case distortion versus paper tables."""
 
+import itertools
+import math
 import tracemalloc
 
+import numpy as np
 import pytest
 
+from repro.assignment.random_scheme import RandomAssignment
+from repro.assignment.registry import available_schemes, create_scheme
+from repro.core import distortion
 from repro.core.distortion import (
     claim2_exact_c_max,
     count_distorted,
@@ -18,6 +24,7 @@ from repro.core.distortion import (
 )
 from repro.exceptions import ConfigurationError
 from repro.experiments.paper_reference import TABLE3, TABLE4
+from repro.graphs.bipartite import BipartiteAssignment
 
 
 # --------------------------------------------------------------------------- #
@@ -76,24 +83,118 @@ def test_exhaustive_zero_byzantine(mols_assignment):
     assert result.byzantine_workers == ()
 
 
-def test_exhaustive_result_and_scratch_do_not_depend_on_the_chunk(ramanujan_case2):
-    """Any chunking finds the first optimal set in enumeration order, and the
-    default chunk keeps the search's scratch small whatever ``q`` is (one
-    chunk over all C(25, 4) sets took 8.5 MiB and made a q = 4 campaign cell
-    peak 3.8 MiB above a q = 3 one)."""
-    assignment = ramanujan_case2.assignment
-    assert assignment.num_workers == 25
-    whole = max_distortion_exhaustive(assignment, 4, chunk_size=10**6)
-    for chunk_size in (3, 1000):
-        assert max_distortion_exhaustive(assignment, 4, chunk_size=chunk_size) == whole
+# --------------------------------------------------------------------------- #
+# The vectorised search against the itertools enumeration it replaced
+# --------------------------------------------------------------------------- #
+def reference_exhaustive(assignment, q):
+    """``(c_max, byzantine_workers)`` by the enumeration the prefix-tree search
+    replaced: ``itertools.combinations`` in 2048-set chunks, each scored as a
+    gather of the bi-adjacency rows, the first argmax of a chunk kept only if
+    strictly better than every earlier chunk's."""
+    H = assignment.biadjacency.astype(np.int32)
+    threshold = majority_threshold(assignment.replication)
+    best_count, best_set = -1, ()
+    combo_iter = itertools.combinations(range(assignment.num_workers), q)
+    while chunk := list(itertools.islice(combo_iter, 2048)):
+        idx = np.asarray(chunk, dtype=np.int64)
+        corrupted = (H[idx].sum(axis=1) >= threshold).sum(axis=1)
+        arg = int(np.argmax(corrupted))
+        if int(corrupted[arg]) > best_count:
+            best_count = int(corrupted[arg])
+            best_set = tuple(int(w) for w in idx[arg])
+    return best_count, best_set
 
+
+def assert_matches_reference(assignment, max_sets=50_000):
+    K = assignment.num_workers
+    for q in range(1, K + 1):
+        if math.comb(K, q) <= max_sets:
+            result = max_distortion_exhaustive(assignment, q)
+            assert (result.c_max, result.byzantine_workers) == reference_exhaustive(
+                assignment, q
+            ), f"{assignment.name} q={q}"
+
+
+SMALL_SCHEMES = {
+    "mols": {"load": 5, "replication": 3},
+    "ramanujan": {"m": 3, "s": 5},
+    "frc": {"num_workers": 15, "replication": 3},
+    "baseline": {"num_workers": 10},
+    "random": {"num_workers": 15, "num_files": 25, "replication": 3},
+}
+
+
+def test_small_schemes_cover_the_registry():
+    assert set(SMALL_SCHEMES) == set(available_schemes())
+
+
+@pytest.mark.parametrize("scheme", sorted(SMALL_SCHEMES))
+def test_exhaustive_equals_reference_on_every_scheme(scheme):
+    assert_matches_reference(create_scheme(scheme, **SMALL_SCHEMES[scheme]).assignment)
+
+
+def test_exhaustive_equals_reference_on_the_k25_graph(ramanujan_case2):
+    assert_matches_reference(ramanujan_case2.assignment)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4])
+def test_exhaustive_equals_reference_on_random_graphs(seed):
+    scheme = RandomAssignment(num_workers=12, num_files=20, replication=3, seed=seed)
+    assert_matches_reference(scheme.assignment)
+
+
+def test_exhaustive_equals_reference_across_several_words():
+    """f > 64: each worker's files span ⌈f/64⌉ = 3 uint64 words (seven random
+    12-worker graphs side by side, f = 140)."""
+    parts = [
+        RandomAssignment(num_workers=12, num_files=20, replication=3, seed=seed).assignment
+        for seed in range(7)
+    ]
+    assignment = BipartiteAssignment(np.hstack([part.biadjacency for part in parts]))
+    assert assignment.num_files == 140
+    assert_matches_reference(assignment)
+
+
+@pytest.mark.parametrize("scratch_bytes", [None, 1])
+def test_exhaustive_returns_the_lexicographically_first_maximiser(
+    ramanujan_case2, monkeypatch, scratch_bytes
+):
+    """Ties are broken towards the lexicographically first set, within a block
+    and across blocks; a one-byte budget makes every q-set its own block."""
+    if scratch_bytes is not None:
+        monkeypatch.setattr(distortion, "_SCRATCH_BYTES", scratch_bytes)
+    assignment = ramanujan_case2.assignment
+    result = max_distortion_exhaustive(assignment, 4)
+    maximisers = [
+        combo
+        for combo in itertools.combinations(range(assignment.num_workers), 4)
+        if count_distorted(assignment, combo) == result.c_max
+    ]
+    assert len(maximisers) > 100
+    assert result.byzantine_workers == maximisers[0]
+    assert (result.c_max, result.byzantine_workers) == reference_exhaustive(assignment, 4)
+
+
+@pytest.mark.parametrize(
+    "scheme, params, q",
+    [
+        ("ramanujan", {"m": 5, "s": 5}, 4),
+        ("ramanujan", {"m": 5, "s": 5}, 5),
+        ("mols", {"load": 7, "replication": 5}, 6),
+    ],
+)
+def test_exhaustive_scratch_stays_under_two_mib(scheme, params, q):
+    """The block budget bounds the search's scratch whatever ``(K, q)`` is (one
+    unchunked pass over all C(25, 4) sets took 8.5 MiB and made a q = 4
+    campaign cell peak 3.8 MiB above a q = 3 one)."""
+    assignment = create_scheme(scheme, **params).assignment
     tracemalloc.start()
     try:
-        assert max_distortion_exhaustive(assignment, 4) == whole
+        max_distortion_exhaustive(assignment, q)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 3 << 20
+    assert peak < 2 << 20
 
 
 def test_q_out_of_range(mols_assignment):

@@ -1,11 +1,13 @@
 """Tests for Byzantine worker selection policies."""
 
+import numpy as np
 import pytest
 
 from repro.attacks.schedules import AdversarySchedule, ScheduledSelector
 from repro.attacks.selection import OmniscientSelector
 from repro.core.distortion import count_distorted, max_distortion_exhaustive
 from repro.exceptions import AttackError
+from repro.graphs.bipartite import BipartiteAssignment
 
 
 def test_random_selection_size_and_range(mols_assignment, rng):
@@ -38,6 +40,20 @@ def test_omniscient_selector_caches_per_assignment(mols_assignment, ramanujan_ca
     b = selector.select(ramanujan_case2.assignment, 0, rng)
     assert len(a) == len(b) == 3
     assert len(selector._cache) == 2
+
+
+def test_omniscient_selector_cache_survives_a_hash_collision(mols_assignment, rng, monkeypatch):
+    """The cache is keyed on the graph, not on its hash: two different graphs
+    whose hashes collide still get their own worst-case sets."""
+    relabelled = BipartiteAssignment(np.roll(mols_assignment.biadjacency, 1, axis=0))
+    graphs = (mols_assignment, relabelled)
+    expected = [OmniscientSelector(num_byzantine=3).select(g, 0, rng) for g in graphs]
+    assert expected[0] != expected[1]
+
+    monkeypatch.setattr(BipartiteAssignment, "__hash__", lambda self: 0)
+    assert hash(mols_assignment) == hash(relabelled)
+    selector = OmniscientSelector(num_byzantine=3)
+    assert [selector.select(g, 0, rng) for g in graphs] == expected
 
 
 def test_omniscient_selector_validation():

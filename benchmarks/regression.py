@@ -87,9 +87,10 @@ def headline_scale_kernels() -> dict:
     adversaries, the 256x256 MLP's d=94,218 parameters) spends its round in
     the lazy vote over one shared payload and in the coordinate-wise median
     of the 25 winners; these kernels time exactly those two calls.  The
-    third is what observing that round costs: the trace's votes digest,
-    streamed from the lazy tensor (the ``(f, r, d)`` cube it stands for
-    would be 94 MB).
+    third is what observing that round costs: the trace's votes digest
+    (format v2: the vote's content ids, the 25 base rows and the one
+    distinct payload, read from the lazy tensor — the ``(f, r, d)`` cube it
+    stands for would be 94 MB).
     """
     assignment = RamanujanAssignment(m=5, s=5).assignment
     dim = 94_218
@@ -100,13 +101,14 @@ def headline_scale_kernels() -> dict:
     tensor = VoteTensor.from_honest(assignment, honest)
     tensor.write_slots(files, slots, rng.standard_normal(dim))
     median = CoordinateWiseMedian()
+    ids = majority_vote_votetensor(tensor).content_ids
 
     return {
         "majority_vote_lazy_shared_payload_f25_r5_d94k": lambda: majority_vote_votetensor(
             tensor
         ),
         "coordinate_median_25x94k": lambda: median(honest),
-        "votes_digest_lazy_f25_r5_d94k": lambda: array_digest(tensor),
+        "votes_digest_lazy_f25_r5_d94k": lambda: array_digest(tensor, ids),
     }
 
 

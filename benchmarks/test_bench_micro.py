@@ -97,13 +97,13 @@ def test_bulyan_aggregation_speed(benchmark):
 
 @pytest.mark.benchmark(group="micro-aggregation")
 def test_majority_vote_speed(benchmark):
-    _, counts = benchmark(majority_vote_votetensor, FILE_COPIES)
+    _, counts, _, _ = benchmark(majority_vote_votetensor, FILE_COPIES)
     assert counts[0] == 2
 
 
 @pytest.mark.benchmark(group="micro-vote-tensor")
 def test_majority_vote_votetensor_round_speed(benchmark):
-    winners, counts = benchmark(majority_vote_votetensor, ROUND_TENSOR)
+    winners, counts, _, _ = benchmark(majority_vote_votetensor, ROUND_TENSOR)
     assert winners.shape == (25, 10_000)
     assert counts[0] == 3  # corrupted file: 3 honest copies beat 2 payloads
 
@@ -113,7 +113,7 @@ def test_vectorized_majority_speedup_at_paper_scale():
     the copies at (f=25, r=5, d=10k).  Interleaved min-of-N timing so
     background load hits both paths equally, with retries so a noisy runner
     only fails when the kernel has genuinely regressed."""
-    winners, counts = majority_vote_votetensor(ROUND_TENSOR)
+    winners, counts, _, _ = majority_vote_votetensor(ROUND_TENSOR)
     winners = winners.densified()
     reference = reference_majority_all_files(ROUND_TENSOR)
     for i in range(25):
@@ -300,7 +300,7 @@ def test_colluding_vote_costs_less_than_a_copy_of_the_base():
     attack = ALIEAttack()
     attack.apply_tensor(context, tensor)
     assert int(tensor.byzantine_mask.sum()) == 25 and tensor.num_override_rows == 1
-    winners, counts = majority_vote_votetensor(tensor)
+    winners, counts, _, _ = majority_vote_votetensor(tensor)
     winners = winners.densified()
     for i, (winner, count) in enumerate(reference_majority_all_files(tensor)):
         assert np.array_equal(winners[i], winner) and counts[i] == count
@@ -400,8 +400,8 @@ def test_vote_memory_is_independent_of_r_at_large_r():
         np.repeat(corrupted, 20), np.tile(np.arange(20), corrupted.size), rng.standard_normal(dim)
     )
 
-    mono_w, mono_c = majority_vote_votetensor(tensor)
-    blk_w, blk_c = majority_vote_votetensor(tensor, block_size=4096)
+    mono_w, mono_c, _, _ = majority_vote_votetensor(tensor)
+    blk_w, blk_c, _, _ = majority_vote_votetensor(tensor, block_size=4096)
     assert np.array_equal(blk_w.densified(), mono_w.densified())
     assert np.array_equal(blk_c, mono_c)
     assert mono_c[0] == r - 20

@@ -16,13 +16,18 @@ winning slots resolve from those integers, and the winners leave as a
 a second ``(f, d)`` matrix.  Under partial aggregation an incomplete file
 resolves over its arrived slots of the same matrix.  The hierarchical vote
 in :mod:`repro.cluster.topology` starts from the same matrix; there is no
-second implementation of payload classing.
+second implementation of payload classing.  The ids are canonical (0 = the
+file's honest base row, the rest numbered by first appearance), and the
+vote hands them on with each winner's reference into them: the scenario
+trace hashes the round from those instead of from every slot.
 
 ``_reference_exact_majority`` is the pure-Python single-file oracle the
 kernels are tested and benchmarked against.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,6 +38,7 @@ from repro.utils.arrays import LANE_BLOCK, block_ranges
 from repro.utils.rng import as_generator
 
 __all__ = [
+    "Vote",
     "majority_vote_votetensor",
     "override_content_ids",
     "validate_block_size",
@@ -148,7 +154,10 @@ def override_content_ids(tensor, block_size: int | None = None) -> np.ndarray:
 
     Two slots of a file hold bit-equal payloads iff their ids are equal, so
     the exact vote — flat or hierarchical — is integer work on this matrix.
-    The ids (0 = honest base) come from the tensor's payload table, so
+    Id 0 means bit-equal to the file's honest base row; the other ids name
+    content classes across the whole round, numbered ``1, 2, ...`` by first
+    appearance in C order, so the matrix is a function of the base and the
+    cube alone.  The ids come from the tensor's payload table, so
     shared payloads cost one pass, not one per slot: equality with the base
     is decided once per distinct (payload row, file) pair, the 64-bit
     positional hash is taken once per distinct row that differs from its
@@ -207,6 +216,22 @@ def override_content_ids(tensor, block_size: int | None = None) -> np.ndarray:
                 key = payloads[live[j]].tobytes()
                 class_of[j] = seen.setdefault(key, group.size + j)
     cid[files[differs], slots[differs]] = 1 + class_of[live_of]
+    return _canonical(cid)
+
+
+def _canonical(cid: np.ndarray) -> np.ndarray:
+    """Renumber the nonzero ids ``1, 2, ...`` by first appearance in C order.
+
+    The classes are content classes, so after this the matrix depends on
+    the cube's content alone — not on hash order, store order or how the
+    payloads were written — and the trace digests it as is.
+    """
+    flat = cid.reshape(-1)
+    nonzero = np.nonzero(flat)[0]
+    _, first, inverse = np.unique(flat[nonzero], return_index=True, return_inverse=True)
+    rank = np.empty(first.size, dtype=np.int64)
+    rank[np.argsort(first)] = np.arange(1, first.size + 1)
+    flat[nonzero] = rank[inverse]
     return cid
 
 
@@ -284,17 +309,44 @@ def _revote_incomplete(
     return slots, counts
 
 
+class Vote(NamedTuple):
+    """One round's exact majority vote.
+
+    Attributes
+    ----------
+    winners:
+        The ``(f, d)`` winning rows as a
+        :class:`~repro.core.vote_tensor.RowSelection`.
+    counts:
+        ``(f,)`` votes behind each winner (0: no copy arrived).
+    content_ids:
+        The round's ``(f, r)`` canonical content ids
+        (:func:`override_content_ids`).
+    winner_refs:
+        ``(f, 2)`` int64 ``(file, content id)`` of each winner; id ``-1``
+        marks the zero row of a file with no arrived copy.
+    """
+
+    winners: RowSelection
+    counts: np.ndarray
+    content_ids: np.ndarray
+    winner_refs: np.ndarray
+
+
 def _select_winners(
-    tensor, slots: np.ndarray, counts: np.ndarray
-) -> tuple[RowSelection, np.ndarray]:
-    """The voted ``(slots, counts)`` handed on as a :class:`RowSelection`.
+    tensor, ids: np.ndarray, slots: np.ndarray, counts: np.ndarray
+) -> Vote:
+    """The voted ``(slots, counts)`` handed on as a :class:`Vote`.
 
     A file with count 0 (no arrived copy) is a zero row: the "missing =
     zero gradient" convention of the fault injectors.
     """
     winners = tensor.select_slots(slots)
+    files = np.arange(slots.size)
+    refs = np.column_stack([files, ids[files, slots]])
     empty = np.nonzero(counts == 0)[0]
     if empty.size:
+        refs[empty, 1] = -1
         kept = ~np.isin(winners.files, empty)
         zeros = np.zeros((empty.size, tensor.dim), dtype=tensor.dtype)
         winners = RowSelection(
@@ -302,12 +354,12 @@ def _select_winners(
             np.concatenate([winners.files[kept], empty]),
             np.concatenate([winners.rows[kept], zeros]),
         )
-    return winners, counts
+    return Vote(winners, counts, ids, refs)
 
 
 def majority_vote_votetensor(
     tensor, block_size: int | None = None, arrived: np.ndarray | None = None
-) -> tuple[RowSelection, np.ndarray]:
+) -> Vote:
     """Majority-vote a round straight from a :class:`VoteTensor`.
 
     This is the pipelines' flat entry point, and it is integer work:
@@ -317,6 +369,8 @@ def majority_vote_votetensor(
     an ``(f, d)`` winners matrix: the winners are handed on as the
     :class:`~repro.core.vote_tensor.RowSelection` of the winning slots —
     the tensor's honest base plus a copy of each payload that out-voted it.
+    The returned :class:`Vote` also carries the content ids and each
+    winner's reference into them, which is what the scenario trace hashes.
 
     ``arrived`` is the partial-aggregation ``(f, r)`` bool mask of the
     copies the PS accepted: a file missing a copy is voted over its arrived
@@ -326,4 +380,4 @@ def majority_vote_votetensor(
     every width gives the same bits.
     """
     ids = override_content_ids(tensor, validate_block_size(block_size))
-    return _select_winners(tensor, *_winning_slots(ids, arrived))
+    return _select_winners(tensor, ids, *_winning_slots(ids, arrived))

@@ -11,10 +11,11 @@ that only a static check sees.  Inside the mutating layers — ``attacks/``,
 ``cluster/topology.py`` — and the layers that only look at a round —
 ``training/``, ``scenarios/``, ``utils/digest.py`` — this rule flags
 ``.densified()`` on the vote's winners (a ``RowSelection`` is read through
-``row_runs`` / ``lanes``; ``Aggregator.__call__`` holds the one waived
-call, for the rules that need whole rows) and writes through another
-object's private attributes (``tensor._store[...] = x`` bypasses the slot
-API's never-rewrite-a-stored-row rule).
+``lanes``, and the trace digests it from the vote's winner references;
+``Aggregator.__call__`` holds the one waived call, for the rules that need
+whole rows) and writes through another object's private attributes
+(``tensor._store[...] = x`` bypasses the slot API's never-rewrite-a-stored-row
+rule).
 """
 
 from __future__ import annotations
@@ -56,8 +57,8 @@ class CowSafetyRule(Rule):
                     module,
                     node,
                     ".densified() builds the (n, d) matrix the vote stopped "
-                    "copying; stream the selection (row_runs / lanes / "
-                    "array_digest) or hand it to the aggregator",
+                    "copying; stream the selection (lanes, or array_digest "
+                    "with the vote's winner_refs) or hand it to the aggregator",
                 )
             elif isinstance(node, (ast.Assign, ast.AugAssign)):
                 targets = node.targets if isinstance(node, ast.Assign) else [node.target]

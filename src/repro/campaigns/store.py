@@ -26,6 +26,7 @@ from typing import Any, Mapping
 from repro.campaigns.spec import CampaignSpec
 from repro.exceptions import ConfigurationError, ReproError
 from repro.scenarios.schema import Schema, spec_field
+from repro.scenarios.trace import FORMAT_VERSION, format_version_of
 
 __all__ = ["ScenarioRecord", "ResultStore", "DEFAULT_STORE_ROOT"]
 
@@ -91,17 +92,22 @@ class ResultStore:
 
     # -- records -------------------------------------------------------------
     def completed_digests(self) -> set[str]:
-        """Spec digests of every scenario with a stored record."""
+        """Spec digests of every scenario with a current stored record."""
         if not self.directory.is_dir():
             return set()
         return {
             path.stem
             for path in self.directory.glob("*.json")
-            if path.name != "campaign.json"
+            if path.name != "campaign.json" and self.load(path.stem) is not None
         }
 
     def load(self, spec_digest: str) -> "ScenarioRecord | None":
-        """Load the record for a scenario digest, or ``None`` if absent."""
+        """Load the record for a scenario digest, or ``None`` if absent.
+
+        A record whose trace is of another format than this build writes
+        counts as absent too, so a resumed campaign re-runs that scenario
+        instead of mixing trace formats.
+        """
         path = self.record_path(spec_digest)
         if not path.exists():
             return None
@@ -114,6 +120,8 @@ class ResultStore:
                 f"{path} claims spec digest {record.spec_digest}, expected "
                 f"{spec_digest}; the store is corrupt"
             )
+        if format_version_of(record.trace) != FORMAT_VERSION:
+            return None
         return record
 
     def save(self, record: ScenarioRecord) -> pathlib.Path:

@@ -52,6 +52,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.aggregation.majority import (
+    Vote,
     _class_sizes,
     _labels_from_ids,
     _revote_incomplete,
@@ -60,7 +61,6 @@ from repro.aggregation.majority import (
     override_content_ids,
     validate_block_size,
 )
-from repro.core.vote_tensor import RowSelection
 from repro.exceptions import ConfigurationError
 
 __all__ = ["GroupTopology", "hierarchical_majority_vote"]
@@ -197,7 +197,7 @@ def hierarchical_majority_vote(
     topology: GroupTopology,
     block_size: int | None = None,
     arrived: np.ndarray | None = None,
-) -> tuple[RowSelection, np.ndarray]:
+) -> Vote:
     """Two-level exact majority vote over a :class:`GroupTopology`.
 
     The tensor's payloads are classed once into the ``(f, r)`` content-id
@@ -208,8 +208,9 @@ def hierarchical_majority_vote(
     that are not honest base rows, copied into the returned
     :class:`~repro.core.vote_tensor.RowSelection`.
 
-    Returns the same ``(winners, counts)`` as
-    :func:`~repro.aggregation.majority.majority_vote_votetensor` —
+    Returns the same :class:`~repro.aggregation.majority.Vote` — winners,
+    counts, content ids and winner references — as
+    :func:`~repro.aggregation.majority.majority_vote_votetensor`:
     bit-identical, by the class-decomposition argument in the module
     docstring, and with the same ``arrived`` (partial aggregation) and
     ``block_size`` (streamed payload classing) semantics.
@@ -225,7 +226,7 @@ def hierarchical_majority_vote(
     f, r = ids.shape
     if r == 1 or topology.num_groups == 1:
         # Degenerate shapes: one group (or one slot) is the flat vote.
-        return _select_winners(tensor, *_winning_slots(ids, arrived))
+        return _select_winners(tensor, ids, *_winning_slots(ids, arrived))
     slot_groups = topology.group_of[workers]  # (f, r)
 
     # ---- level 1: group the files into signature bands (files whose slots
@@ -257,4 +258,6 @@ def hierarchical_majority_vote(
     # the flat kernel's exact tie-break, recovered from the packed score.
     win_count = (best + r) // (r + 1)
     win_slot = win_count * (r + 1) - best
-    return _select_winners(tensor, *_revote_incomplete(ids, win_slot, win_count, arrived))
+    return _select_winners(
+        tensor, ids, *_revote_incomplete(ids, win_slot, win_count, arrived)
+    )

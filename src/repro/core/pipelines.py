@@ -30,7 +30,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.aggregation.base import Aggregator
-from repro.aggregation.majority import majority_vote_votetensor, validate_block_size
+from repro.aggregation.majority import (
+    majority_vote_votetensor,
+    override_content_ids,
+    validate_block_size,
+)
 from repro.aggregation.mean import MeanAggregator
 from repro.aggregation.median import CoordinateWiseMedian
 from repro.core.vote_tensor import RowSelection, VoteTensor
@@ -91,12 +95,23 @@ class RoundOutcome:
         read-only :class:`~repro.core.vote_tensor.RowSelection`, not an
         array: it references the round's honest matrix and holds only the
         rows that differ from it, so it is valid until the next round is
-        computed, and an observer streams it (``array_digest``,
-        ``row_runs()``) instead of densifying it.
+        computed, and an observer reads it through ``winner_refs`` instead
+        of densifying it.
+    content_ids:
+        The ``(f, r)`` canonical content ids the vote classed the tensor
+        into (:func:`~repro.aggregation.majority.override_content_ids`):
+        0 = bit-equal to the file's honest base row, the other ids numbered
+        by first appearance in C order.
+    winner_refs:
+        ``(n, 2)`` int64: row ``i`` of ``winners`` is ``(file, content
+        id)`` — the file's slot content it holds, id ``-1`` for the zero
+        row of a file with no arrived copy.
     """
 
     aggregate: np.ndarray
     winners: RowSelection
+    content_ids: np.ndarray
+    winner_refs: np.ndarray
 
 
 class AggregationPipeline:
@@ -174,8 +189,13 @@ class AggregationPipeline:
             _validate_vote_tensor(self._expected_slot_matrix(), tensor)
         if arrived is not None:
             arrived = _checked_arrival_mask(tensor, arrived)
-        winners = self.post_vote_matrix(tensor, arrived)
-        return RoundOutcome(aggregate=self._reduce(winners), winners=winners)
+        winners, content_ids, winner_refs = self._vote(tensor, arrived)
+        return RoundOutcome(
+            aggregate=self._reduce(winners),
+            winners=winners,
+            content_ids=content_ids,
+            winner_refs=winner_refs,
+        )
 
     def _reduce(self, voted: RowSelection) -> np.ndarray:
         """The pipeline's post-vote reducer: ``(n, d)`` winners -> ``(d,)``."""
@@ -207,19 +227,25 @@ class AggregationPipeline:
         With a group topology the files vote hierarchically (per group, then
         a root histogram merge — bit-identical to the flat vote).
         """
+        return self._vote(tensor, arrived)[0]
+
+    def _vote(
+        self, tensor: VoteTensor, arrived: np.ndarray | None
+    ) -> tuple[RowSelection, np.ndarray, np.ndarray]:
+        """``(winners, content_ids, winner_refs)`` of the round's one vote."""
         if self.topology is not None:
             # Imported lazily: repro.cluster pulls in this module at import
             # time, so a top-level import would be circular.
             from repro.cluster.topology import hierarchical_majority_vote
 
-            winners, _ = hierarchical_majority_vote(
+            vote = hierarchical_majority_vote(
                 tensor, self.topology, block_size=self.block_size, arrived=arrived
             )
         else:
-            winners, _ = majority_vote_votetensor(
+            vote = majority_vote_votetensor(
                 tensor, block_size=self.block_size, arrived=arrived
             )
-        return winners
+        return vote.winners, vote.content_ids, vote.winner_refs
 
     def __repr__(self) -> str:  # pragma: no cover - trivial
         return f"{type(self).__name__}(assignment={self.assignment.name!r})"
@@ -391,17 +417,22 @@ class VanillaPipeline(AggregationPipeline):
             )
         self.aggregator = aggregator
 
-    def post_vote_matrix(
-        self, tensor: VoteTensor, arrived: np.ndarray | None = None
-    ) -> RowSelection:
+    def _vote(
+        self, tensor: VoteTensor, arrived: np.ndarray | None
+    ) -> tuple[RowSelection, np.ndarray, np.ndarray]:
         # No vote stage: the aggregator sees the raw (K, d) worker returns
         # (r == 1, so slot 0 holds each file's single return).  Partial mode
-        # keeps only the rows that actually arrived.
+        # keeps only the rows that actually arrived.  The content ids are
+        # the voting pipelines' own, read at slot 0 of each row kept.
+        ids = override_content_ids(tensor)
         slot = np.zeros(tensor.num_files, dtype=np.int64)
         if arrived is None:
-            return tensor.select_slots(slot)
-        files = np.nonzero(arrived[:, 0])[0]
-        return RowSelection(tensor.read_slots(files, slot[files]))
+            files = np.arange(tensor.num_files)
+            winners = tensor.select_slots(slot)
+        else:
+            files = np.nonzero(arrived[:, 0])[0]
+            winners = RowSelection(tensor.read_slots(files, slot[files]))
+        return winners, ids, np.column_stack([files, ids[files, 0]])
 
     def _reduce(self, voted: RowSelection) -> np.ndarray:
         if voted.shape[0] == 0:

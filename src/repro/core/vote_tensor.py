@@ -40,9 +40,6 @@ base plus the few rows that are not base rows — instead of gathering an
 
 from __future__ import annotations
 
-from itertools import groupby
-from typing import Iterator
-
 import numpy as np
 
 from repro.core.backend import ensure_float
@@ -63,11 +60,9 @@ class RowSelection:
     payloads that out-voted it, the re-voted incomplete files and a zero row
     per file nobody returned.  A plain matrix is the ``k = 0`` case.
 
-    Readers stream it: :meth:`row_runs` feeds
-    :func:`~repro.utils.digest.array_digest` the bytes of the dense matrix
-    row by row, :meth:`lanes` fills a transposed coordinate block for the
-    lane kernels.  :meth:`densified` is the one place the ``(n, d)`` matrix
-    is built, for the rules that need all of it at once.
+    Readers stream it: :meth:`lanes` fills a transposed coordinate block
+    for the lane kernels.  :meth:`densified` is the one place the ``(n, d)``
+    matrix is built, for the rules that need all of it at once.
 
     Parameters
     ----------
@@ -123,16 +118,6 @@ class RowSelection:
     def nbytes(self) -> int:
         """Logical size ``n·d·itemsize``; see ``rows.nbytes`` for what is held."""
         return self.base.nbytes
-
-    def row_runs(self) -> Iterator[tuple[np.ndarray, int]]:
-        """The ``n`` rows in order as ``(read-only row view, 1)`` runs.
-
-        Same protocol as :meth:`VoteTensor.row_runs`: the runs concatenate
-        to the dense matrix, nothing is gathered.
-        """
-        patch_of = dict(zip(self.files.tolist(), self.rows))
-        for i, row in enumerate(self.base):
-            yield patch_of.get(i, row), 1
 
     def lanes(self, lo: int, hi: int, out: np.ndarray) -> None:
         """Fill ``out`` — ``(hi - lo, n)`` — with coordinates ``[lo, hi)`` transposed.
@@ -355,28 +340,9 @@ class VoteTensor:
         materializing any replica.
         """
         files, slots = np.nonzero(self._slot_map >= 0)
-        return files, slots, self._slot_map[files, slots], self._payload_rows()
-
-    def _payload_rows(self) -> np.ndarray:
-        """Read-only view of the allocated rows of the payload store."""
         payload_rows = self._store[: self._num_rows]
         payload_rows.setflags(write=False)
-        return payload_rows
-
-    def row_runs(self) -> Iterator[tuple[np.ndarray, int]]:
-        """Iterate the cube's ``f·r`` rows in C order as ``(row, repeats)`` runs.
-
-        ``row`` is a read-only ``(d,)`` view of where the row lives — the
-        honest base or the payload store — and stands for ``repeats``
-        consecutive identical slots of one file; the runs concatenate to the
-        ``(f·r, d)`` cube.  Nothing is gathered or copied: the trace digest
-        hashes a round from here, doing its per-row work once per run.  Rows
-        orphaned by a second write to the same slot are never reached.
-        """
-        base, store = self.base_rows(), self._payload_rows()
-        for file, row_ids in enumerate(self._slot_map.tolist()):
-            for row_id, run in groupby(row_ids):
-                yield (base[file] if row_id < 0 else store[row_id]), len(list(run))
+        return files, slots, self._slot_map[files, slots], payload_rows
 
     def base_rows(self) -> np.ndarray:
         """Read-only view of the shared honest base."""

@@ -37,7 +37,13 @@ from repro.scenarios.spec import (
     ScheduleSpec,
     TrainingSpec,
 )
-from repro.scenarios.trace import RoundTrace, RunTrace, TraceMismatch, array_digest
+from repro.scenarios.trace import (
+    EvaluationTrace,
+    RoundTrace,
+    RunTrace,
+    TraceMismatch,
+    array_digest,
+)
 
 __all__ = [
     "AttackSpec",
@@ -57,6 +63,7 @@ __all__ = [
     "ScenarioResult",
     "ScenarioRunner",
     "run_scenario",
+    "EvaluationTrace",
     "RoundTrace",
     "RunTrace",
     "TraceMismatch",

@@ -12,9 +12,10 @@ packed into a contiguous :class:`~repro.core.vote_tensor.VoteTensor` for
 attack/fault injection and the vectorized majority vote, with a bit-exact
 :class:`~repro.scenarios.trace.RunTrace` recorded via the trainer's round
 observer.  The observer stays off the data path: it digests what the round
-already produced — the vote tensor where it lies (nothing written) and
-the :class:`~repro.core.pipelines.RoundOutcome` the PS returned — and
-computes nothing of its own.
+already produced — the vote tensor where it lies (nothing written), named
+by the content ids the vote computed, and the
+:class:`~repro.core.pipelines.RoundOutcome` the PS returned — and computes
+nothing of its own: no second classing pass, each distinct row hashed once.
 
 Because a run is a pure function of its spec, the campaign engine
 (:mod:`repro.campaigns`) can execute many runners across worker processes
@@ -24,6 +25,7 @@ and obtain traces bit-identical to serial execution.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from typing import Any, Callable
 
@@ -57,7 +59,13 @@ from repro.exceptions import ConfigurationError
 from repro.graphs.bipartite import BipartiteAssignment
 from repro.nn.models import build_mlp
 from repro.scenarios.spec import ScenarioSpec
-from repro.scenarios.trace import RoundTrace, RunTrace, array_digest, hex_float
+from repro.scenarios.trace import (
+    EvaluationTrace,
+    RoundTrace,
+    RunTrace,
+    array_digest,
+    hex_float,
+)
 from repro.training.config import TrainingConfig
 from repro.training.gradients import ModelGradientComputer
 from repro.training.history import TrainingHistory
@@ -322,32 +330,44 @@ class ScenarioRunner:
         pass, tensor-level attack and fault injection, the vectorized
         majority vote and the robust aggregator — while the attached round
         observer digests every stage into the :class:`RunTrace`: the vote
-        tensor and the winners of the round's one vote streamed from where
-        their rows lie (neither is densified), and the aggregate as the PS
-        returned it.  Two
-        calls with the same spec are bit-identical, in any process.
+        tensor and the winners of the round's one vote from the content ids
+        and winner references that vote computed (neither is densified),
+        and the aggregate as the PS returned it; the evaluated test
+        loss/accuracy series is taken from the history.  Two calls with the
+        same spec are bit-identical, in any process.
         """
         trace = RunTrace(scenario=self.spec.name, spec_digest=self.spec.digest())
 
         def observe(iteration, round_result, outcome, server):
+            refs = outcome.winner_refs
             trace.append(
                 RoundTrace(
                     iteration=iteration,
                     q=len(round_result.byzantine_workers),
                     byzantine=tuple(round_result.byzantine_workers),
                     num_distorted=len(round_result.distorted_files),
-                    votes_digest=array_digest(round_result.vote_tensor),
-                    winners_digest=array_digest(outcome.winners),
+                    votes_digest=array_digest(round_result.vote_tensor, outcome.content_ids),
+                    winners_digest=array_digest(outcome.winners, refs),
                     aggregate_digest=array_digest(outcome.aggregate),
                     params_digest=server.state_digest(),
                     mean_loss_hex=hex_float(round_result.mean_file_loss),
                     round_time_hex=hex_float(round_result.round_time),
                     faults=tuple(e.as_dict() for e in round_result.fault_events),
+                    realised_distorted=tuple(refs[refs[:, 1] != 0, 0].tolist()),
                 )
             )
 
         trainer = self._assemble(round_observer=observe)
         history = trainer.train(verbose=verbose)
+        trace.evaluations = [
+            EvaluationTrace(
+                iteration=record.iteration,
+                test_loss_hex=hex_float(record.test_loss),
+                test_accuracy_hex=hex_float(record.test_accuracy),
+            )
+            for record in history.records
+            if not math.isnan(record.test_accuracy)  # the evaluated rounds
+        ]
         trace.final_params_digest = trainer.server.state_digest()
         trace.final_accuracy_hex = hex_float(history.final_accuracy)
         return ScenarioResult(spec=self.spec, trace=trace, history=history)

@@ -3,16 +3,26 @@
 A :class:`RoundTrace` condenses one training round into digests of every
 stage of the data path — the raw vote tensor, the post-vote matrix, the
 aggregated gradient and the updated parameters — plus the realized adversary
-and fault activity.  A :class:`RunTrace` is the per-run sequence of round
-traces together with the spec digest and final metrics.
+and fault activity and the files the vote actually let through distorted.
+A :class:`RunTrace` is the per-run sequence of round traces together with
+the spec digest, the evaluated loss/accuracy series and final metrics.
 
-Digests are 16-hex-char SHA-256 prefixes over the raw float64 bytes (shape
-included), so two runs match **iff** they are bit-identical at every stage of
-every round; floats that travel through JSON are serialized with
+Digests are 16-hex-char SHA-256 prefixes (:func:`array_digest`).  The
+aggregate and the parameters digest their raw float64 bytes, shape
+included.  The vote tensor and the winners digest in **trace format v2**:
+the canonical ``(f, r)`` content-id matrix the vote computed, the ``f``
+honest base rows and each distinct payload row once, and for the winners an
+``(n, 2)`` table of references into those ids — an injective encoding of
+the round's content, so two runs match **iff** they are bit-identical at
+every stage of every round, at a hash cost of about ``f`` rows instead of
+``f·r``.  Floats that travel through JSON are serialized with
 ``float.hex()`` to survive the round-trip exactly.  This is what makes the
 golden-trace suite a refactoring safety net: any change that perturbs a
 single bit anywhere in the round path shows up as a digest mismatch with a
 precise (round, stage) location.
+
+:data:`FORMAT_VERSION` is pinned in every :class:`RunTrace`; a trace of
+another format (v1 traces carry none) is refused by name when loaded.
 """
 
 from __future__ import annotations
@@ -27,7 +37,19 @@ from repro.exceptions import ConfigurationError, ReproError
 from repro.scenarios.schema import Schema, spec_field
 from repro.utils.digest import array_digest
 
-__all__ = ["array_digest", "hex_float", "RoundTrace", "RunTrace", "TraceMismatch"]
+__all__ = [
+    "FORMAT_VERSION",
+    "format_version_of",
+    "array_digest",
+    "hex_float",
+    "EvaluationTrace",
+    "RoundTrace",
+    "RunTrace",
+    "TraceMismatch",
+]
+
+#: the trace format this build writes and reads
+FORMAT_VERSION = 2
 
 
 def hex_float(value: float) -> str:
@@ -44,6 +66,11 @@ class TraceMismatch(ReproError):
     """A replayed run diverged from its golden trace."""
 
 
+def format_version_of(trace: Mapping[str, Any]) -> Any:
+    """The ``format_version`` of a trace dict; a v1 trace has none (``1``)."""
+    return trace.get("format_version", 1)
+
+
 @dataclass(frozen=True)
 class RoundTrace(Schema, where="round"):
     """Digest view of one training round.
@@ -57,17 +84,22 @@ class RoundTrace(Schema, where="round"):
     byzantine:
         The compromised worker set.
     num_distorted:
-        Files whose majority was corrupted by the adversary.
+        Files the adversary's placement can corrupt: the graph prediction
+        ``distorted_files(assignment, byzantine)``, whatever the vote did.
     votes_digest, winners_digest, aggregate_digest, params_digest:
-        Stage digests: the packed ``(f, r, d)`` vote tensor after attack and
-        faults, the post-vote matrix, the aggregated gradient, and the
-        global parameters after the optimizer step.
+        Stage digests: the ``(f, r, d)`` vote tensor after attack and
+        faults, the post-vote matrix (both trace format v2), the aggregated
+        gradient, and the global parameters after the optimizer step.
     mean_loss_hex:
         The round's mean file loss, hex-encoded for exact JSON round-trip.
     round_time_hex:
         Simulated round duration (straggler model), hex-encoded.
     faults:
         JSON-ready fault event records of the round.
+    realised_distorted:
+        Files whose post-vote row is not bit-equal to their honest row — a
+        winner with a nonzero content id, or the zero row of a file with no
+        arrived copy — read off the vote's winner references.
     """
 
     iteration: int = spec_field(int, pinned=True)
@@ -81,6 +113,7 @@ class RoundTrace(Schema, where="round"):
     mean_loss_hex: str = spec_field(str, pinned=True)
     round_time_hex: str = spec_field(str, pinned=True, default=hex_float(0.0))
     faults: tuple[Mapping[str, Any], ...] = spec_field((dict,), pinned=True, default=())
+    realised_distorted: tuple[int, ...] = spec_field((int,), pinned=True, default=())
 
     @property
     def mean_loss(self) -> float:
@@ -91,18 +124,40 @@ class RoundTrace(Schema, where="round"):
         return _unhex(self.round_time_hex)
 
 
+@dataclass(frozen=True)
+class EvaluationTrace(Schema, where="evaluation"):
+    """One evaluated round's test loss and accuracy, hex-encoded."""
+
+    iteration: int = spec_field(int, pinned=True)
+    test_loss_hex: str = spec_field(str, pinned=True)
+    test_accuracy_hex: str = spec_field(str, pinned=True)
+
+    @property
+    def test_loss(self) -> float:
+        return _unhex(self.test_loss_hex)
+
+    @property
+    def test_accuracy(self) -> float:
+        return _unhex(self.test_accuracy_hex)
+
+
 @dataclass
 class RunTrace(Schema, where="trace"):
     """The full trace of one scenario run.
 
     ``spec_digest`` ties the trace to the exact scenario definition;
-    ``final_params_digest`` and ``final_accuracy_hex`` summarize where the
-    run ended.
+    ``evaluations`` is the test loss/accuracy series a figure curve is drawn
+    from; ``final_params_digest`` and ``final_accuracy_hex`` summarize where
+    the run ended.
     """
 
     scenario: str = spec_field(str, pinned=True)
     spec_digest: str = spec_field(str, pinned=True)
+    format_version: int = spec_field(int, pinned=True, default=FORMAT_VERSION)
     rounds: list[RoundTrace] = spec_field([RoundTrace], pinned=True, default_factory=list)
+    evaluations: list[EvaluationTrace] = spec_field(
+        [EvaluationTrace], pinned=True, default_factory=list
+    )
     final_params_digest: str = spec_field(str, pinned=True, default="")
     final_accuracy_hex: str = spec_field(str, pinned=True, default=hex_float(float("nan")))
 
@@ -127,7 +182,14 @@ class RunTrace(Schema, where="trace"):
         # ConfigurationError is the strict loader's: well-formed JSON of the
         # wrong shape (a list at the root, a non-integer ``iteration``, ...).
         try:
-            return cls.from_dict(json.loads(path.read_text()))
+            data = json.loads(path.read_text())
+            if isinstance(data, Mapping) and format_version_of(data) != FORMAT_VERSION:
+                raise ReproError(
+                    f"cannot load trace {path}: it is trace format "
+                    f"{format_version_of(data)!r}, this build reads format "
+                    f"{FORMAT_VERSION}; re-record it with `repro scenario record`"
+                )
+            return cls.from_dict(data)
         except (OSError, UnicodeDecodeError, json.JSONDecodeError, ConfigurationError) as exc:
             raise ReproError(f"cannot load trace {path}: {exc}") from exc
 

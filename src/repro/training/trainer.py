@@ -62,8 +62,8 @@ class DistributedTrainer:
         is the :class:`~repro.core.pipelines.RoundOutcome` the PS just
         computed (aggregate + post-vote winners), valid for the length of
         the call: its winners reference the round's gradient matrix, which
-        is recycled once nothing holds it, so an observer streams them
-        (``array_digest``, ``row_runs()``) and keeps copies, not the
+        is recycled once nothing holds it, so an observer digests them
+        (``array_digest`` with ``winner_refs``) and keeps copies, not the
         outcome.  The scenario engine uses it to record per-round traces
         without the trainer knowing anything about tracing.
     file_partition:

@@ -16,20 +16,49 @@ from repro.core.vote_tensor import VoteTensor
 from repro.graphs.bipartite import BipartiteAssignment
 
 
-def tensor_of(cube: np.ndarray, assignment: BipartiteAssignment | None = None) -> VoteTensor:
-    """The copy-on-write tensor holding ``cube``.
+#: the ways :func:`tensor_of` can store one cube over one base
+LAYOUTS = ("per-slot", "shared", "all-slots", "rewritten")
 
-    The base is the cube's slot-0 rows and ``write_slots`` covers every slot
-    whose bytes differ from its slot 0.  Without an ``assignment`` every one
-    of ``r`` workers holds every file (slot ``k`` is worker ``k``).
+
+def tensor_of(
+    cube: np.ndarray,
+    assignment: BipartiteAssignment | None = None,
+    base: np.ndarray | None = None,
+    layout: str = "per-slot",
+) -> VoteTensor:
+    """The copy-on-write tensor holding ``cube`` over the honest ``base``.
+
+    ``base`` defaults to the cube's slot-0 rows.  ``layout`` is how the
+    slots are written, and every layout holds the same base and cube:
+
+    * ``per-slot``: one write of one row per slot that differs from its base;
+    * ``shared``: one write per distinct row, shared by all its slots;
+    * ``all-slots``: every slot written, base-equal ones included;
+    * ``rewritten``: the differing slots written with a shared decoy first,
+      then with their rows in reverse order (the decoy stays orphaned).
+
+    Without an ``assignment`` every one of ``r`` workers holds every file
+    (slot ``k`` is worker ``k``).
     """
+    assert layout in LAYOUTS, layout
     cube = np.asarray(cube)
-    f, r, _ = cube.shape
+    f, r, d = cube.shape
     if assignment is None:
         assignment = BipartiteAssignment(np.ones((r, f), dtype=np.int8))
-    tensor = VoteTensor.from_honest(assignment, cube[:, 0, :])
-    bits = np.ascontiguousarray(cube).view(bit_view_dtype(cube.dtype))
-    files, slots = np.nonzero((bits != bits[:, :1]).any(axis=2))
+    tensor = VoteTensor.from_honest(assignment, cube[:, 0, :] if base is None else base)
+    view = bit_view_dtype(cube.dtype)
+    bits = np.ascontiguousarray(cube).view(view)
+    differs = (bits != tensor.base_rows().view(view)[:, None, :]).any(axis=2)
+    files, slots = np.nonzero(np.ones((f, r), dtype=bool) if layout == "all-slots" else differs)
+    if layout == "shared" and files.size:
+        _, row_of = np.unique(bits[files, slots], axis=0, return_inverse=True)
+        for row in range(row_of.max() + 1):
+            pick = np.nonzero(row_of.ravel() == row)[0]
+            tensor.write_slots(files[pick], slots[pick], cube[files[pick[0]], slots[pick[0]]])
+        return tensor
+    if layout == "rewritten":
+        tensor.write_slots(files, slots, np.full(d, 7.0, dtype=cube.dtype))
+        files, slots = files[::-1], slots[::-1]
     tensor.write_slots(files, slots, cube[files, slots])
     return tensor
 

@@ -68,7 +68,7 @@ def test_signsgd_invalid_scale():
 # --------------------------------------------------------------------------- #
 def majority_vote(votes, block_size=None):
     """Vote one file's copies: ``(winner, count)`` of an ``(r, d)`` stack."""
-    winners, counts = majority_vote_votetensor(
+    winners, counts, _, _ = majority_vote_votetensor(
         tensor_of(np.asarray(votes)[None]), block_size=block_size
     )
     return winners.densified()[0], int(counts[0])

@@ -94,8 +94,8 @@ class TestBlockwiseBitIdentity:
             for i, k in zip(rng.integers(0, 9, 6), rng.integers(0, 5, 6)):
                 values[i, k] = rng.standard_normal(83)
             tensor = tensor_of(values)
-            mono_w, mono_c = majority_vote_votetensor(tensor)
-            blk_w, blk_c = majority_vote_votetensor(tensor, block_size=block_size)
+            mono_w, mono_c, _, _ = majority_vote_votetensor(tensor)
+            blk_w, blk_c, _, _ = majority_vote_votetensor(tensor, block_size=block_size)
             assert np.array_equal(blk_w.densified(), mono_w.densified())
             assert np.array_equal(blk_c, mono_c)
 
@@ -111,9 +111,9 @@ class TestBlockwiseBitIdentity:
             tensor.write_slots(*np.nonzero(tensor.workers == w), payload)
         if rebuilt:
             tensor = tensor_of(cube_of(tensor), assignment)
-        mono_w, mono_c = majority_vote_votetensor(tensor)
+        mono_w, mono_c, _, _ = majority_vote_votetensor(tensor)
         mono_w = mono_w.densified()
-        blk_w, blk_c = majority_vote_votetensor(tensor, block_size=block_size)
+        blk_w, blk_c, _, _ = majority_vote_votetensor(tensor, block_size=block_size)
         blk_w = blk_w.densified()
         assert np.array_equal(blk_w, mono_w)
         assert np.array_equal(blk_c, mono_c)

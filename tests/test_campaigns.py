@@ -373,6 +373,26 @@ class TestExecutorAndStore:
         after = executor.status()
         assert after.done and len(after.completed) == 4
 
+    def test_a_record_of_another_trace_format_is_not_completed(self, tmp_path):
+        """A resumed campaign re-runs a cell stored in an older trace format
+        instead of mixing formats in one result set."""
+        campaign = CampaignSpec.from_dict(mini_dict())
+        store = ResultStore(campaign, root=tmp_path)
+        executor = CampaignExecutor(campaign, store=store)
+        first = executor.run()
+        digest = first.records[0].spec_digest
+        stale = store.record_path(digest)
+        document = json.loads(stale.read_text())
+        del document["trace"]["format_version"]  # what a v1 trace looks like
+        stale.write_text(json.dumps(document))
+        assert store.load(digest) is None
+        assert digest not in store.completed_digests()
+        assert len(executor.status().pending) == 1
+        resumed = CampaignExecutor(campaign, store=store).run()
+        assert resumed.ran == 1 and resumed.skipped == 3
+        assert [r.to_dict() for r in resumed.records] == [r.to_dict() for r in first.records]
+        assert store.load(digest) == first.records[0]
+
     def test_store_rejects_a_foreign_campaign_json(self, tmp_path):
         campaign = CampaignSpec.from_dict(mini_dict())
         store = ResultStore(campaign, root=tmp_path)

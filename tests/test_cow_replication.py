@@ -366,7 +366,7 @@ def test_lazy_majority_survives_hash_collisions(monkeypatch, mols_assignment):
             payload = float(rng.integers(-1, 2))  # small alphabet: real dupes
             lazy.write_slots([i], [k], payload)
         dw, dc = reference_vote(cube_of(lazy))
-        lw, lc = majority_vote_votetensor(lazy)
+        lw, lc, _, _ = majority_vote_votetensor(lazy)
         np.testing.assert_array_equal(lw.densified(), dw)
         np.testing.assert_array_equal(lc, dc)
 
@@ -479,7 +479,7 @@ def test_separately_written_equal_rows_land_in_one_class(mols_assignment):
     assert cid[3, 0] == cid[3, 2] != 0
     assert cid[3, 1] == 0 and not cid[6].any()
     assert np.count_nonzero(cid) == 2
-    winners, counts = majority_vote_votetensor(lazy)
+    winners, counts, _, _ = majority_vote_votetensor(lazy)
     winners = winners.densified()
     assert counts[3] == 2 and not winners[3].any()
     assert counts[6] == 3 and np.array_equal(winners[6], matrix[6])
@@ -503,7 +503,7 @@ def test_forced_hash_collision_with_shared_and_distinct_rows(
     assert cid[0, 2] == cid[2, 0] != 0
     assert len({int(cid[0, 0]), int(cid[0, 2]), int(cid[2, 1]), 0}) == 4
     dw, dc = reference_vote(cube_of(lazy))
-    lw, lc = majority_vote_votetensor(lazy, block_size=block_size)
+    lw, lc, _, _ = majority_vote_votetensor(lazy, block_size=block_size)
     lw = lw.densified()
     np.testing.assert_array_equal(lw, dw)
     np.testing.assert_array_equal(lc, dc)

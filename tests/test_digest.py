@@ -1,10 +1,17 @@
-"""``array_digest`` against the implementation it replaced.
+"""``array_digest`` against dense oracles.
 
-The digest is *defined* over ``repr(shape)`` followed by the C-order float64
-bytes.  The five lines that used to compute it — densify, copy to float64,
-copy to ``bytes``, hash — stay here as the oracle; the shipped version must
-agree with them bit for bit on every kind of input while never building any
-of those copies (plain arrays) or the ``(f, r, d)`` cube (vote tensors).
+A plain array's digest is *defined* over ``repr(shape)`` followed by the
+C-order float64 bytes.  The five lines that used to compute it — copy to
+float64, copy to ``bytes``, hash — stay here as the oracle; the shipped
+version must agree with them bit for bit on every kind of input while never
+building those copies.
+
+A round's vote tensor and winners digest in trace format v2.  Its oracle is
+a reference encoder written from the definition: build the ``(f, r, d)``
+cube, class its rows by ``tobytes()`` against each file's honest base row
+and against each other, and hash header, shape, ids, base rows and the
+distinct rows.  The shipped digest reads the same parts off the vote's
+content ids and the copy-on-write store, never building the cube.
 """
 
 import hashlib
@@ -18,6 +25,7 @@ from repro.assignment.baseline import BaselineAssignment
 from repro.assignment.frc import FRCAssignment
 from repro.assignment.mols import MOLSAssignment
 from repro.assignment.ramanujan import RamanujanAssignment
+from repro.aggregation.majority import majority_vote_votetensor
 from repro.attacks.base import AttackContext
 from repro.attacks.registry import available_attacks, create_attack
 from repro.cluster.faults import (
@@ -26,10 +34,14 @@ from repro.cluster.faults import (
     MessageCorruptionInjector,
     StragglerInjector,
 )
-from repro.core.vote_tensor import VoteTensor
+from repro.aggregation.mean import MeanAggregator
+from repro.cluster.topology import GroupTopology
+from repro.core.pipelines import ByzShieldPipeline, VanillaPipeline
+from repro.core.vote_tensor import RowSelection, VoteTensor
+from repro.exceptions import ConfigurationError
 from repro.utils.digest import array_digest
 
-from cow_helpers import cube_of, tensor_of
+from cow_helpers import LAYOUTS, cube_of, tensor_of
 
 
 def oracle_digest(array):
@@ -96,8 +108,51 @@ def test_shape_is_part_of_the_digest():
 
 
 # --------------------------------------------------------------------------- #
-# Vote tensors: streamed from the copy-on-write store
+# Vote tensors and winners: trace format v2 against the reference encoder
 # --------------------------------------------------------------------------- #
+def reference_ids(base, cube):
+    """The canonical ``(f, r)`` content ids by definition, and the row of
+    each nonzero id: ``tobytes()`` classes, 0 = bit-equal to the file's base
+    row, the other classes numbered 1, 2, ... by first appearance in C order."""
+    f, r, _ = cube.shape
+    ids = np.zeros((f, r), dtype=np.int64)
+    classes: dict[bytes, int] = {}
+    rows = []
+    for i in range(f):
+        for k in range(r):
+            key = cube[i, k].tobytes()
+            if key == base[i].tobytes():
+                continue
+            if key not in classes:
+                classes[key] = len(classes) + 1
+                rows.append(cube[i, k])
+            ids[i, k] = classes[key]
+    return ids, rows
+
+
+def reference_votes_digest(base, cube):
+    ids, rows = reference_ids(base, cube)
+    hasher = hashlib.sha256(b"repro trace v2 votes")
+    hasher.update(repr(cube.shape).encode())
+    hasher.update(ids.tobytes())
+    hasher.update(np.asarray(base, dtype=np.float64).tobytes())
+    for row in rows:
+        hasher.update(np.asarray(row, dtype=np.float64).tobytes())
+    return hasher.hexdigest()[:16]
+
+
+def reference_winners_digest(shape, refs):
+    hasher = hashlib.sha256(b"repro trace v2 winners")
+    hasher.update(repr(tuple(shape)).encode())
+    hasher.update(np.asarray(refs, dtype=np.int64).tobytes())
+    return hasher.hexdigest()[:16]
+
+
+def votes_digest(tensor, block_size=None):
+    """What the scenario observer records: the digest over the vote's own ids."""
+    return array_digest(tensor, majority_vote_votetensor(tensor, block_size).content_ids)
+
+
 SCHEMES = {
     "mols": MOLSAssignment(load=5, replication=3).assignment,
     "ramanujan": RamanujanAssignment(m=5, s=5).assignment,
@@ -120,7 +175,7 @@ INJECTORS = {
 }
 
 #: direct slot writes on top of whatever the attack and the faults wrote
-EXTRA_WRITES = ("none", "shared", "per-slot", "slot-written-twice")
+EXTRA_WRITES = ("none", "shared", "per-slot", "slot-written-twice", "base-equal")
 
 
 def _extra_write(tensor, kind, rng):
@@ -134,6 +189,8 @@ def _extra_write(tensor, kind, rng):
         tensor.write_slots(files, slots, special)  # one stored row, `count` slots
     elif kind == "per-slot":
         tensor.write_slots(files, slots, rng.standard_normal((count, tensor.dim)))
+    elif kind == "base-equal":
+        tensor.write_slots(files, slots, tensor.base_rows()[files])  # id 0 all the same
     else:
         tensor.write_slots(files[:1], slots[:1], special)  # orphaned by the next write
         tensor.write_slots(files[:1], slots[:1], rng.standard_normal(tensor.dim))
@@ -147,17 +204,18 @@ def _extra_write(tensor, kind, rng):
     injectors=st.lists(st.sampled_from(sorted(INJECTORS)), unique=True, max_size=3),
     dtype=st.sampled_from([np.float32, np.float64]),
     dim=st.integers(1, 9),
-    rebuilt=st.booleans(),
+    layout=st.sampled_from(("as-written",) + LAYOUTS),
     extra=st.sampled_from(EXTRA_WRITES),
     seed=st.integers(0, 10_000),
 )
-def test_streamed_tensor_digest_matches_the_oracle_on_the_dense_cube(
-    scheme, attack_name, q, injectors, dtype, dim, rebuilt, extra, seed
+def test_votes_digest_matches_the_reference_encoder_on_the_dense_cube(
+    scheme, attack_name, q, injectors, dtype, dim, layout, extra, seed
 ):
     """Whatever wrote the round — any registered attack, any q, any faults,
-    shared or per-slot payloads, a slot written twice — and however the cube
-    is stored, hashing the tensor where it lies equals hashing its dense cube
-    the old way, and hashing writes nothing."""
+    shared or per-slot payloads, a slot written twice, a payload equal to
+    its base row — and however the cube is stored over its base, the vote's
+    content ids are the reference ids and the digest over them is the
+    reference encoder's; hashing writes nothing."""
     assignment = SCHEMES[scheme]
     rng = np.random.default_rng(seed)
     honest = rng.standard_normal((assignment.num_files, dim)).astype(dtype)
@@ -187,16 +245,185 @@ def test_streamed_tensor_digest_matches_the_oracle_on_the_dense_cube(
     assert tensor.dtype == dtype
 
     cube = cube_of(tensor)
-    if rebuilt:
-        tensor = tensor_of(cube, assignment)
+    if layout != "as-written":
+        tensor = tensor_of(cube, assignment, base=honest, layout=layout)
     rows = tensor.num_override_rows
 
-    assert array_digest(tensor) == oracle_digest(cube)
+    ids = majority_vote_votetensor(tensor).content_ids
+    assert np.array_equal(ids, reference_ids(honest, cube)[0])
+    assert array_digest(tensor, ids) == reference_votes_digest(honest, cube)
     assert tensor.num_override_rows == rows  # observation wrote nothing
     assert tensor.nbytes == cube.nbytes
 
-    # the iterator itself: read-only rows that concatenate to the cube
-    runs = list(tensor.row_runs())
-    assert not any(row.flags.writeable for row, _ in runs)
-    streamed = np.concatenate([np.repeat(row[None], repeats, axis=0) for row, repeats in runs])
-    assert streamed.tobytes() == cube.tobytes()
+
+def _case(name, dtype):
+    """``(base, cube)`` of one hand-built round: f = 4, r = 3, d = 5 unless
+    the case is about the shape."""
+    rng = np.random.default_rng(sum(map(ord, name)))
+    f, r, d = {"d-one": (4, 3, 1), "r-one": (4, 1, 5)}.get(name, (4, 3, 5))
+    base = rng.standard_normal((f, d)).astype(dtype)
+    cube = np.repeat(base[:, None, :], r, axis=1)
+    if name == "shared-payload":  # one colluding row on three files
+        cube[[0, 1, 3], [2, 0, 1]] = rng.standard_normal(d).astype(dtype)
+    elif name in ("per-slot-payloads", "d-one", "r-one"):
+        cube[[0, 2, 2], [0, 0, r - 1]] = rng.standard_normal((3, d)).astype(dtype)
+    elif name == "payload-on-another-files-base":
+        cube[0, r - 1] = base[1]
+    elif name == "signed-zeros":
+        base[1] = 0.0
+        cube[1] = 0.0
+        cube[1, 0] = -0.0
+        cube[2, 1] = np.where(base[2] == 0, 0.0, -0.0)  # a row of -0.0 on file 2
+    return base, cube
+
+
+CASES = (
+    "honest",
+    "shared-payload",
+    "per-slot-payloads",
+    "payload-on-another-files-base",
+    "signed-zeros",
+    "d-one",
+    "r-one",
+)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("case", CASES)
+def test_every_layout_of_one_cube_digests_as_the_reference(case, dtype):
+    base, cube = _case(case, dtype)
+    digests = {
+        layout: votes_digest(tensor_of(cube, base=base, layout=layout)) for layout in LAYOUTS
+    }
+    assert set(digests.values()) == {reference_votes_digest(base, cube)}, digests
+    tensor = tensor_of(cube, base=base, layout="rewritten")
+    for block_size in (1, 2, 4096):  # classing streams blocks; the ids do not move
+        assert votes_digest(tensor, block_size) == digests["per-slot"]
+    if case == "signed-zeros":
+        assert reference_ids(base, cube)[0][1].tolist() == [1, 0, 0]  # -0.0 is not +0.0
+
+
+def _flip(row, rng):
+    """``row`` with one random bit flipped."""
+    bits = row.copy().view(np.uint32 if row.dtype == np.float32 else np.uint64)
+    at = rng.integers(row.size)
+    bits[at] ^= bits.dtype.type(1) << bits.dtype.type(rng.integers(8 * bits.itemsize))
+    return bits.view(row.dtype)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("case", ["shared-payload", "per-slot-payloads", "signed-zeros"])
+def test_one_bit_or_one_moved_payload_changes_the_digest(case, dtype):
+    base, cube = _case(case, dtype)
+    original = votes_digest(tensor_of(cube, base=base))
+    rng = np.random.default_rng(0)
+    ids = reference_ids(base, cube)[0]
+    seen = {original}
+    for i in range(base.shape[0]):
+        flipped = base.copy()
+        flipped[i] = _flip(base[i], rng)
+        follows = cube.copy()  # the honest replicas carry the flipped bit too
+        follows[i][ids[i] == 0] = flipped[i]
+        for moved in (cube, follows):
+            digest = votes_digest(tensor_of(moved, base=flipped))
+            assert digest not in seen
+            seen.add(digest)
+    for i, k in zip(*np.nonzero(ids)):
+        flipped = cube.copy()
+        flipped[i, k] = _flip(cube[i, k], rng)
+        digest = votes_digest(tensor_of(flipped, base=base))
+        assert digest not in seen
+        seen.add(digest)
+    # a payload moved to another slot: of its own file, then of another file
+    i, k = np.argwhere(ids)[0]
+    moves = 0
+    for j in (i, (i + 1) % cube.shape[0]):
+        for m in np.nonzero(ids[j] == 0)[0][:1]:
+            moved = cube.copy()
+            moved[j, m], moved[i, k] = cube[i, k], base[i]
+            assert votes_digest(tensor_of(moved, base=base)) not in seen
+            moves += 1
+    assert moves == 2
+
+
+#: ``(pipeline, partial)`` per path through which the winners leave the vote
+PATHS = {
+    "flat": (lambda: ByzShieldPipeline(SCHEMES["ramanujan"]), False),
+    "hierarchical": (
+        lambda: ByzShieldPipeline(SCHEMES["ramanujan"], topology=GroupTopology(25, 5)),
+        False,
+    ),
+    "flat-partial": (lambda: ByzShieldPipeline(SCHEMES["ramanujan"], block_size=3), True),
+    "hierarchical-partial": (
+        lambda: ByzShieldPipeline(SCHEMES["ramanujan"], topology=GroupTopology(25, 3)),
+        True,
+    ),
+    "vanilla": (lambda: VanillaPipeline(SCHEMES["baseline"], MeanAggregator()), False),
+    "vanilla-partial": (lambda: VanillaPipeline(SCHEMES["baseline"], MeanAggregator()), True),
+}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("path", sorted(PATHS))
+def test_winner_references_name_the_rows_the_reducer_saw(path, dtype):
+    """Each densified winner is the cube row its ``(file, id)`` names: the
+    file's base row (0), the first slot holding that id, or the zero row of a
+    file nobody returned (-1); and the winners digest is the reference's."""
+    make, partial = PATHS[path]
+    pipeline = make()
+    assignment = pipeline.assignment
+    rng = np.random.default_rng(5)
+    honest = rng.standard_normal((assignment.num_files, 6)).astype(dtype)
+    tensor = VoteTensor.from_honest(assignment, honest)
+    workers = tensor.workers
+    majority = assignment.replication // 2 + 1
+    tensor.write_slots([0] * majority, range(majority), np.full(6, -2.0, dtype=dtype))
+    tensor.write_slots([1, 4], [0, 0], rng.standard_normal((2, 6)).astype(dtype))
+    tensor.zero_slots([2], [workers.shape[1] - 1])
+    arrived = None
+    if partial:
+        arrived = rng.random(workers.shape) < 0.7
+        arrived[3] = False  # nobody returned file 3 in time
+        arrived[0] = True
+    cube = cube_of(tensor)
+
+    outcome = pipeline.aggregate_tensor(tensor, arrived)
+    ids, refs = outcome.content_ids, outcome.winner_refs
+    assert np.array_equal(ids, reference_ids(honest, cube)[0])
+    winners = outcome.winners.densified()
+    assert refs.dtype == np.int64 and refs.shape == (winners.shape[0], 2)
+    for row, (file, cid) in zip(winners, refs):
+        if cid == -1:
+            assert not arrived[file].any()
+            expected = np.zeros_like(row)
+        elif cid == 0:
+            expected = honest[file]
+        else:
+            expected = cube[ids == cid][0]
+        assert cid == -1 or cid in ids[file]  # one of the file's own copies
+        assert row.tobytes() == expected.tobytes()
+    if path.startswith("vanilla"):
+        kept = np.arange(assignment.num_files) if arrived is None else np.nonzero(arrived[:, 0])[0]
+        assert refs[:, 0].tolist() == kept.tolist()
+    else:
+        assert refs[:, 0].tolist() == list(range(assignment.num_files))
+        assert (refs[:, 1] != 0).any()
+    assert array_digest(outcome.winners, refs) == reference_winners_digest(winners.shape, refs)
+    assert array_digest(tensor, ids) == reference_votes_digest(honest, cube)
+
+
+def test_a_vote_digests_only_from_its_canonical_ids():
+    base, cube = _case("shared-payload", np.float64)
+    tensor = tensor_of(cube, base=base)
+    ids = majority_vote_votetensor(tensor).content_ids
+    renumbered = np.where(ids > 0, ids + 1, 0)  # same classes, not canonical
+    stray = ids.copy()
+    stray[2, 0] = ids.max() + 1  # a payload id on a slot nobody wrote
+    for bad in (None, ids[:, :2], renumbered, stray):
+        with pytest.raises(ConfigurationError):
+            array_digest(tensor, bad)
+    selection = RowSelection(base)
+    with pytest.raises(ConfigurationError):
+        array_digest(selection)
+    refs = np.column_stack([np.arange(4), np.zeros(4, dtype=np.int64)])
+    assert array_digest(selection, refs) == reference_winners_digest((4, 5), refs)

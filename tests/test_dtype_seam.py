@@ -124,7 +124,7 @@ def test_majority_kernel_float32_matches_reference():
         values = rng.integers(-2, 3, (f, r, d)).astype(np.float32)
         if trial % 2 == 0:
             values[:, 1:] = values[:, :1]
-        selection, counts = majority_vote_votetensor(tensor_of(values))
+        selection, counts, _, _ = majority_vote_votetensor(tensor_of(values))
         winners = selection.densified()
         assert winners.dtype == np.float32
         for i in range(f):
@@ -139,7 +139,7 @@ def test_majority_kernel_float32_bit_semantics():
     values[0, 0] = -0.0
     values[0, 1] = 0.0
     values[0, 2] = -0.0
-    winners, counts = majority_vote_votetensor(tensor_of(values))
+    winners, counts, _, _ = majority_vote_votetensor(tensor_of(values))
     assert counts[0] == 2 and np.signbit(winners.densified()[0, 0])
 
 

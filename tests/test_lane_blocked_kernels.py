@@ -184,7 +184,7 @@ def test_override_ids_match_the_dense_oracle(dim, block_size, dtype):
     unequal = np.setdiff1d(np.nonzero(overridden)[0], equal)
     assert (ids[unequal, unequal % 3] != 0).all()
 
-    winners, counts = majority_vote_votetensor(tensor, block_size=block_size)
+    winners, counts, _, _ = majority_vote_votetensor(tensor, block_size=block_size)
 
     votes = [_reference_exact_majority(copies) for copies in cube]
     assert winners.densified().tobytes() == np.vstack([w for w, _ in votes]).tobytes()
@@ -205,7 +205,7 @@ def test_equal_bit_nan_payloads_are_one_class(block_size):
     assert tensor.num_override_rows == 2
     ids = override_content_ids(tensor, block_size)
     assert ids[4, 0] == ids[4, 2] != 0
-    winners, counts = majority_vote_votetensor(tensor, block_size=block_size)
+    winners, counts, _, _ = majority_vote_votetensor(tensor, block_size=block_size)
     winners = winners.densified()
     assert counts[4] == 2
     assert np.array_equal(winners[4], payload, equal_nan=True)

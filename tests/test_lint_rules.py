@@ -291,7 +291,7 @@ def test_cow_allows_dict_values_calls_and_out_of_scope(tmp_path):
             """,
             "scenarios/ok.py": """
             def stream(tensor, rows):
-                return [row.sum() for row, _ in tensor.row_runs()] + list(rows.values())
+                return [row.sum() for row in tensor.base_rows()] + list(rows.values())
             """,
             # GridAxis.values is an unrelated attribute: campaigns/ stays out
             "campaigns/spec.py": """

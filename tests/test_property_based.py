@@ -230,7 +230,7 @@ def test_majority_vote_returns_most_frequent(num_votes, dim, winner_count, seed)
     votes = [winner.copy() for _ in range(winner_count)]
     votes += [rng.standard_normal(dim) for _ in range(num_votes - winner_count)]
     rng.shuffle(votes)
-    winners, counts = majority_vote_votetensor(tensor_of(np.array(votes)[None]))
+    winners, counts, _, _ = majority_vote_votetensor(tensor_of(np.array(votes)[None]))
     if winner_count > num_votes - winner_count:
         assert np.array_equal(winners.densified()[0], winner)
         assert counts[0] == winner_count

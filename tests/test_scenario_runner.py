@@ -127,6 +127,53 @@ class TestObserverStaysOffTheDataPath:
         assert len(result.trace.rounds) == spec.training.num_iterations
         assert len(calls) == spec.training.num_iterations
 
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "mols-clean",
+            "mols-alie-all-faults",
+            "mols-async-quorum",
+            "mols-uniform-trimmed-mean",
+            "ramanujan-hier-async-group-quorum",
+            "vanilla-async-deadline-partial",
+            "vanilla-multikrum-revgrad-dropout",
+        ],
+    )
+    def test_realised_distortion_is_what_the_winners_show(self, name):
+        """``realised_distorted`` lists the files whose post-vote row is not
+        bit-equal to their honest row — checked on the densified winners of
+        a second, identical run — whatever the graph predicted."""
+        spec = get_scenario(name)
+        trace = run_scenario(spec).trace
+        seen = []
+
+        def observe(iteration, round_result, outcome, server):
+            honest = round_result.vote_tensor.base_rows()
+            rows = zip(outcome.winner_refs[:, 0].tolist(), outcome.winners.densified())
+            seen.append(tuple(f for f, row in rows if row.tobytes() != honest[f].tobytes()))
+
+        trainer = ScenarioRunner(spec).build_trainer()
+        trainer.round_observer = observe
+        trainer.train()
+        assert [r.realised_distorted for r in trace.rounds] == seen
+        if name in ("mols-async-quorum", "mols-uniform-trimmed-mean"):
+            # missing copies out-vote the honest one / independent noise
+            # does not collude: the prediction is off both ways
+            assert any(len(r.realised_distorted) != r.num_distorted for r in trace.rounds)
+
+    def test_evaluations_are_the_history_series(self):
+        result = run_named("mols-alie-omniscient")
+        evaluated = [r for r in result.history.records if not np.isnan(r.test_accuracy)]
+        evaluations = result.trace.evaluations
+        assert len(evaluated) >= 2
+        assert [e.iteration for e in evaluations] == [r.iteration for r in evaluated]
+        assert [e.test_accuracy for e in evaluations] == [r.test_accuracy for r in evaluated]
+        assert [e.test_loss for e in evaluations] == [r.test_loss for r in evaluated]
+        assert evaluations[-1].test_accuracy_hex == result.trace.final_accuracy_hex
+        # a figure curve is rebuilt from the stored form alone
+        stored = RunTrace.from_dict(json.loads(result.trace.to_json()))
+        assert stored.evaluations == evaluations
+
     def test_observed_run_peaks_no_higher_than_an_unobserved_one(self):
         """A float32 hierarchical cell sized like the e2e campaign cells
         (f = 25, r = 5, d ~ 11k).  Hashing the votes must not build the
@@ -191,6 +238,23 @@ class TestTraceSerialization:
         path.write_text(json.dumps(malform(run_named("mols-clean").trace.to_dict())))
         with pytest.raises(ReproError, match="cannot load trace"):
             RunTrace.from_json_file(path)
+
+    @pytest.mark.parametrize("version", [None, 3], ids=["v1-no-version", "v3"])
+    def test_a_trace_of_another_format_is_refused_by_name(self, tmp_path, version):
+        """A v1 trace (no ``format_version``) or a newer one names the path,
+        the format found and how to re-record it."""
+        document = run_named("mols-clean").trace.to_dict()
+        del document["format_version"]
+        if version is not None:
+            document["format_version"] = version
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps(document))
+        with pytest.raises(ReproError) as caught:
+            RunTrace.from_json_file(path)
+        message = str(caught.value)
+        assert str(path) in message
+        assert f"trace format {version or 1}," in message
+        assert "`repro scenario record`" in message
 
     def test_undecodable_trace_file_ends_in_a_named_error(self, tmp_path):
         path = tmp_path / "trace.json"

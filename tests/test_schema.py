@@ -19,6 +19,7 @@ from repro.exceptions import ConfigurationError
 from repro.scenarios import RoundTrace, RunTrace, ScenarioSpec, all_scenarios, get_scenario
 from repro.scenarios.golden import golden_path
 from repro.scenarios.schema import Schema, spec_field
+from repro.scenarios.trace import EvaluationTrace
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 SETTINGS = dict(deadline=None, derandomize=True, suppress_health_check=list(HealthCheck))
@@ -87,9 +88,12 @@ PINNED = {
     "RoundTrace": {
         "iteration", "q", "byzantine", "num_distorted", "votes_digest", "winners_digest",
         "aggregate_digest", "params_digest", "mean_loss_hex", "round_time_hex", "faults",
+        "realised_distorted",
     },
+    "EvaluationTrace": {"iteration", "test_loss_hex", "test_accuracy_hex"},
     "RunTrace": {
-        "scenario", "spec_digest", "rounds", "final_params_digest", "final_accuracy_hex",
+        "scenario", "spec_digest", "format_version", "rounds", "evaluations",
+        "final_params_digest", "final_accuracy_hex",
     },
     "ScenarioRecord": {"scenario", "spec", "spec_digest", "overrides", "summary", "trace"},
 }
@@ -107,6 +111,7 @@ REQUIRED = {
         "winners_digest": "b", "aggregate_digest": "c", "params_digest": "d",
         "mean_loss_hex": "0x0p+0",
     },
+    "EvaluationTrace": {"iteration": 2, "test_loss_hex": "0x1p+0", "test_accuracy_hex": "0x1p-1"},
     "RunTrace": {"scenario": "t", "spec_digest": "e"},
     "ScenarioRecord": {
         "scenario": "t", "spec": {}, "spec_digest": "e", "overrides": {}, "summary": {},
@@ -401,6 +406,7 @@ def test_the_fuzz_families_cover_every_json_facing_class():
             assert check_loader(cls, document) is not None
     assert {c.__name__ for c in schema_classes()} == set(PINNED)
     assert check_loader(RoundTrace, TRACE_DOCUMENTS[0]["rounds"][0]) is not None
+    assert check_loader(EvaluationTrace, TRACE_DOCUMENTS[0]["evaluations"][0]) is not None
 
 
 @settings(max_examples=300, **SETTINGS)

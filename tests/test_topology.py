@@ -147,12 +147,13 @@ class TestHierarchicalBitIdentity:
             byz = rng.choice(assignment.num_workers, size=q, replace=False)
             tensor, _ = make_round(assignment, byz, seed=trial, rebuilt=rebuilt)
             topo = GroupTopology(assignment.num_workers, num_groups)
-            flat_w, flat_c = majority_vote_votetensor(tensor)
-            flat_w = flat_w.densified()
-            hier_w, hier_c = hierarchical_majority_vote(tensor, topo)
-            hier_w = hier_w.densified()
-            assert np.array_equal(hier_w, flat_w)
-            assert np.array_equal(hier_c, flat_c)
+            flat = majority_vote_votetensor(tensor)
+            hier = hierarchical_majority_vote(tensor, topo)
+            assert np.array_equal(hier.winners.densified(), flat.winners.densified())
+            assert np.array_equal(hier.counts, flat.counts)
+            # the trace's inputs: the same ids and references either way
+            assert np.array_equal(hier.content_ids, flat.content_ids)
+            assert np.array_equal(hier.winner_refs, flat.winner_refs)
 
     @pytest.mark.parametrize("scheme_name,make", SCHEMES, ids=[s[0] for s in SCHEMES])
     @pytest.mark.parametrize("block_size", [None, 64])
@@ -174,9 +175,9 @@ class TestHierarchicalBitIdentity:
             votes = [_reference_exact_majority(copies) for copies in cube_of(tensor)]
             dense_w = np.vstack([w for w, _ in votes])
             dense_c = np.array([c for _, c in votes])
-            flat_w, flat_c = majority_vote_votetensor(tensor, block_size=block_size)
+            flat_w, flat_c, _, _ = majority_vote_votetensor(tensor, block_size=block_size)
             flat_w = flat_w.densified()
-            hier_w, hier_c = hierarchical_majority_vote(tensor, topo, block_size=block_size)
+            hier_w, hier_c, _, _ = hierarchical_majority_vote(tensor, topo, block_size=block_size)
             hier_w = hier_w.densified()
             for winners, counts in ((flat_w, flat_c), (hier_w, hier_c)):
                 assert np.array_equal(winners, dense_w)
@@ -186,9 +187,9 @@ class TestHierarchicalBitIdentity:
     def test_blockwise_matches_monolithic(self, mols_assignment, block_size):
         tensor, _ = make_round(mols_assignment, (0, 3, 7, 8), seed=5)
         topo = GroupTopology(mols_assignment.num_workers, 3)
-        mono_w, mono_c = hierarchical_majority_vote(tensor, topo)
+        mono_w, mono_c, _, _ = hierarchical_majority_vote(tensor, topo)
         mono_w = mono_w.densified()
-        blk_w, blk_c = hierarchical_majority_vote(tensor, topo, block_size=block_size)
+        blk_w, blk_c, _, _ = hierarchical_majority_vote(tensor, topo, block_size=block_size)
         blk_w = blk_w.densified()
         assert np.array_equal(blk_w, mono_w)
         assert np.array_equal(blk_c, mono_c)
@@ -210,7 +211,7 @@ class TestHierarchicalBitIdentity:
         assignment = ramanujan_case2.assignment
         tensor, honest = make_round(assignment, seed=9)
         topo = GroupTopology(assignment.num_workers, 5)
-        winners, counts = hierarchical_majority_vote(tensor, topo)
+        winners, counts, _, _ = hierarchical_majority_vote(tensor, topo)
         winners = winners.densified()
         assert np.array_equal(winners, honest)
         assert np.array_equal(counts, np.full(assignment.num_files, assignment.replication))
@@ -235,9 +236,9 @@ class TestRobustnessComposition:
             assert topo.admits(byz)
             assert byz.size == topo.q_total
             tensor, honest = make_round(mols_assignment, byz, seed=100 + trial)
-            flat_w, flat_c = majority_vote_votetensor(tensor)
+            flat_w, flat_c, _, _ = majority_vote_votetensor(tensor)
             flat_w = flat_w.densified()
-            hier_w, hier_c = hierarchical_majority_vote(tensor, topo)
+            hier_w, hier_c, _, _ = hierarchical_majority_vote(tensor, topo)
             hier_w = hier_w.densified()
             assert np.array_equal(hier_w, flat_w)
             assert np.array_equal(hier_c, flat_c)

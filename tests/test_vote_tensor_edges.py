@@ -33,7 +33,7 @@ class TestSingleFile:
         assert assignment.num_files == 1
         tensor = VoteTensor.from_honest(assignment, np.array([[1.0, 2.0, 3.0]]))
         assert tensor.shape == (1, 3, 3)
-        winners, counts = majority_vote_votetensor(tensor)
+        winners, counts, _, _ = majority_vote_votetensor(tensor)
         np.testing.assert_array_equal(winners.densified(), [[1.0, 2.0, 3.0]])
         assert counts.tolist() == [3]
 
@@ -52,7 +52,7 @@ class TestScalarGradients:
     def test_majority_with_d1(self, mols_assignment):
         honest = np.arange(mols_assignment.num_files, dtype=np.float64)[:, None]
         tensor = VoteTensor.from_honest(mols_assignment, honest)
-        winners, counts = majority_vote_votetensor(tensor)
+        winners, counts, _, _ = majority_vote_votetensor(tensor)
         np.testing.assert_array_equal(winners.densified(), honest)
         assert np.all(counts == mols_assignment.replication)
 
@@ -62,7 +62,7 @@ class TestScalarGradients:
         worker = int(tensor.workers[0, 0])
         files, slots = np.nonzero(tensor.workers == worker)
         tensor.write_slots(files, slots, np.array([-5.0]))
-        winners, _ = majority_vote_votetensor(tensor)
+        winners, _, _, _ = majority_vote_votetensor(tensor)
         np.testing.assert_array_equal(winners.densified(), honest)  # r=3 outvotes 1 copy
 
 
@@ -78,7 +78,7 @@ class TestAllAdversarialFiles:
         payload = np.full(4, -7.0)
         tensor.write_slots(*np.nonzero(tensor.byzantine_mask), payload)
         assert bool(tensor.byzantine_mask.all())
-        winners, counts = majority_vote_votetensor(tensor)
+        winners, counts, _, _ = majority_vote_votetensor(tensor)
         np.testing.assert_array_equal(winners.densified(), np.tile(payload, (f, 1)))
         assert np.all(counts == mols_assignment.replication)
 

@@ -105,7 +105,7 @@ def test_kernel_matches_reference_on_random_tensors():
             for _ in range(rng.integers(0, 5)):
                 i, a, b = rng.integers(f), rng.integers(r), rng.integers(r)
                 values[i, a] = values[i, b] + rng.integers(0, 2)
-        selection, counts = majority_vote_votetensor(tensor_of(values))
+        selection, counts, _, _ = majority_vote_votetensor(tensor_of(values))
         winners = selection.densified()
         for i in range(f):
             ref_w, ref_c = majority_module._reference_exact_majority(values[i])
@@ -124,7 +124,7 @@ def test_kernel_survives_hash_collisions(monkeypatch):
     for _ in range(60):
         f, r = rng.integers(1, 6), rng.integers(2, 7)
         values = rng.integers(-1, 2, (f, r, d)).astype(np.float64)
-        selection, counts = majority_vote_votetensor(tensor_of(values))
+        selection, counts, _, _ = majority_vote_votetensor(tensor_of(values))
         winners = selection.densified()
         for i in range(f):
             ref_w, ref_c = majority_module._reference_exact_majority(values[i])
@@ -138,14 +138,14 @@ def test_kernel_byte_equality_semantics():
     values[0, 0] = np.nan
     values[0, 1] = np.nan
     values[0, 2] = 1.0
-    winners, counts = majority_vote_votetensor(tensor_of(values))
+    winners, counts, _, _ = majority_vote_votetensor(tensor_of(values))
     assert counts[0] == 2 and np.isnan(winners.densified()[0]).all()
 
     values = np.zeros((1, 3, 1))
     values[0, 0] = -0.0
     values[0, 1] = 0.0
     values[0, 2] = -0.0
-    winners, counts = majority_vote_votetensor(tensor_of(values))
+    winners, counts, _, _ = majority_vote_votetensor(tensor_of(values))
     assert counts[0] == 2 and np.signbit(winners.densified()[0, 0])
 
 

@@ -43,6 +43,8 @@ from repro.cluster.timing import CostModel
 from repro.cluster.topology import GroupTopology, hierarchical_majority_vote
 from repro.core.pipelines import ByzShieldPipeline
 from repro.core.vote_tensor import VoteTensor
+from repro.data.datasets import train_test_split
+from repro.data.synthetic import make_gaussian_mixture
 from repro.graphs.bipartite import BipartiteAssignment
 from repro.nn.models import build_mlp
 from repro.training.gradients import ModelGradientComputer
@@ -290,6 +292,15 @@ def adaptive_attack_gate(results: dict) -> list:
     return violations
 
 
+def dataset_build():
+    """``clean-compute-bound``'s data section (benchmarks/e2e) built as
+    ``ScenarioRunner`` builds it: 21,000 x 100 drawn, then split 20,000 / 1,000."""
+    dataset = make_gaussian_mixture(
+        num_samples=21_000, num_classes=10, dim=100, separation=3.0, seed=0
+    )
+    return train_test_split(dataset, test_fraction=1_000 / 21_000, seed=1)
+
+
 def build_kernels() -> dict:
     """Name -> zero-argument callable for every benchmarked kernel."""
     rng = np.random.default_rng(0)
@@ -313,6 +324,8 @@ def build_kernels() -> dict:
         "coordinate_median_25x20k": lambda: median(votes),
         "multi_krum_25x20k": lambda: krum(votes),
         "bulyan_25x20k": lambda: bulyan(votes),
+        # the largest set-up stage of every e2e workload
+        "gaussian_dataset_build_21k_d100": dataset_build,
     }
     kernels.update(replication_round_kernels())
     kernels.update(headline_scale_kernels())

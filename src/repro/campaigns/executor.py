@@ -145,11 +145,13 @@ class CampaignRunResult:
     def summary_rows(self) -> list[dict[str, Any]]:
         """One flat report row per completed scenario: axis labels + summary."""
         # Canonical column order (store records round-trip through sorted
-        # JSON, so the stored dict order cannot be trusted for display).
+        # JSON, so the stored dict order cannot be trusted for display).  A
+        # record stored before a column existed shows it blank.
         preferred = (
             "rounds",
             "final_accuracy",
             "mean_distortion",
+            "mean_realised_distortion",
             "max_q",
             "dropped_contributions",
             "corrupted_messages",
@@ -165,8 +167,7 @@ class CampaignRunResult:
                 row[keys[axis_path]] = label
             hidden = ("scenario", "final_params_digest")
             for name in preferred:
-                if name in record.summary:
-                    row[name] = record.summary[name]
+                row[name] = record.summary.get(name, "")
             for name, value in record.summary.items():
                 if name not in row and name not in hidden:
                     row[name] = value

@@ -184,6 +184,10 @@ class BatchSampler:
 
 # -- non-IID partitions ------------------------------------------------------
 
+#: Each shard's first part: every class deals every shard a (possibly empty)
+#: slice, but with no labels at all a shard must still be an int64 array.
+_NO_SAMPLES = np.empty(0, dtype=np.int64)
+
 
 def _apportion(proportions: np.ndarray, total: int) -> np.ndarray:
     """Integer counts summing to ``total``, by largest-remainder rounding."""
@@ -196,28 +200,36 @@ def _apportion(proportions: np.ndarray, total: int) -> np.ndarray:
     return counts
 
 
-def _rebalanced(shards: list[list[int]], min_per_shard: int) -> list[np.ndarray]:
+def _rebalanced(shards: list[np.ndarray], min_per_shard: int) -> list[np.ndarray]:
     """Move samples from the largest shards until every shard has the floor.
 
     Deterministic: the deficient shards are filled in index order, each time
     taking the last sample of the currently largest shard (ties broken by
     lowest shard index).  Raises :class:`DataError` when there are not
     enough samples for every shard to reach ``min_per_shard``.
+
+    While a shard is short of the floor the total puts the largest one above
+    it, so a donor is never a shard that received: each shard ends as a
+    prefix of its array plus the samples it was given.
     """
-    total = sum(len(shard) for shard in shards)
+    total = sum(shard.size for shard in shards)
     if total < min_per_shard * len(shards):
         raise DataError(
             f"{total} samples cannot give each of {len(shards)} shards "
             f"at least {min_per_shard}"
         )
-    sizes = np.asarray([len(shard) for shard in shards], dtype=np.int64)
+    sizes = np.asarray([shard.size for shard in shards], dtype=np.int64)
+    received: list[list[int]] = [[] for _ in shards]
     for index in range(len(shards)):
         while sizes[index] < min_per_shard:
             donor = int(np.argmax(sizes))
-            shards[index].append(shards[donor].pop())
             sizes[donor] -= 1
+            received[index].append(int(shards[donor][sizes[donor]]))
             sizes[index] += 1
-    return [np.sort(np.asarray(shard, dtype=np.int64)) for shard in shards]
+    return [
+        np.sort(np.concatenate([shard[: size - len(extra)], np.asarray(extra, dtype=np.int64)]))
+        for shard, size, extra in zip(shards, sizes, received)
+    ]
 
 
 def _check_partition_args(num_shards: int, alpha: float, min_per_shard: int) -> None:
@@ -252,17 +264,15 @@ def dirichlet_label_partition(
     """
     labels = np.asarray(labels).ravel()
     _check_partition_args(num_shards, alpha, min_per_shard)
-    shards: list[list[int]] = [[] for _ in range(num_shards)]
+    parts: list[list[np.ndarray]] = [[_NO_SAMPLES] for _ in range(num_shards)]
     for cls in np.unique(labels):
         class_rng = as_generator(derive_seed(seed, "dirichlet", int(cls)))
         indices = np.nonzero(labels == cls)[0]
         indices = indices[class_rng.permutation(indices.size)]
         counts = _apportion(class_rng.dirichlet(np.full(num_shards, alpha)), indices.size)
-        start = 0
-        for shard, count in zip(shards, counts):
-            shard.extend(int(i) for i in indices[start : start + count])
-            start += count
-    return _rebalanced(shards, min_per_shard)
+        for shard_parts, part in zip(parts, np.split(indices, np.cumsum(counts)[:-1])):
+            shard_parts.append(part)
+    return _rebalanced([np.concatenate(p) for p in parts], min_per_shard)
 
 
 def quantity_skew_partition(
@@ -285,12 +295,7 @@ def quantity_skew_partition(
     rng = as_generator(derive_seed(seed, "quantity_skew"))
     counts = _apportion(rng.dirichlet(np.full(num_shards, alpha)), num_samples)
     permutation = rng.permutation(num_samples)
-    shards: list[list[int]] = []
-    start = 0
-    for count in counts:
-        shards.append([int(i) for i in permutation[start : start + count]])
-        start += count
-    return _rebalanced(shards, min_per_shard)
+    return _rebalanced(np.split(permutation, np.cumsum(counts)[:-1]), min_per_shard)
 
 
 def partition_digest(shards: list[np.ndarray]) -> str:

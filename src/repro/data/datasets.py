@@ -73,15 +73,19 @@ class Dataset:
         return int(np.prod(self.feature_shape)) if self.feature_shape else 1
 
     def subset(self, indices: np.ndarray) -> "Dataset":
-        """A new dataset restricted to ``indices`` (copy)."""
+        """A new dataset restricted to ``indices`` (copy).
+
+        Integer-array indexing already returns a fresh array, so the gather
+        is the one copy: nothing of the result aliases this dataset.
+        """
         indices = np.asarray(indices, dtype=np.int64)
         if indices.size == 0:
             raise DataError("cannot build an empty subset")
         if indices.min() < 0 or indices.max() >= self.num_samples:
             raise DataError("subset indices out of range")
         return Dataset(
-            inputs=self.inputs[indices].copy(),
-            labels=self.labels[indices].copy(),
+            inputs=self.inputs[indices],
+            labels=self.labels[indices],
             num_classes=self.num_classes,
             name=self.name,
         )

@@ -18,9 +18,14 @@ import numpy as np
 from repro.core.backend import DEFAULT_DTYPE
 from repro.data.datasets import Dataset
 from repro.exceptions import DataError
+from repro.utils.arrays import block_ranges
 from repro.utils.rng import as_generator
 
 __all__ = ["make_synthetic_images", "make_gaussian_mixture"]
+
+#: Bytes of inputs :func:`make_gaussian_mixture` draws per row block: the
+#: only scratch besides the dataset is one block's ``centers[labels]`` gather.
+_DRAW_BLOCK_BYTES = 256 * 1024
 
 
 def _smooth_template(
@@ -118,7 +123,15 @@ def make_gaussian_mixture(
     centers = rng.standard_normal((num_classes, dim)) * separation
     labels = np.arange(num_samples) % num_classes
     rng.shuffle(labels)
-    inputs = centers[labels] + rng.standard_normal((num_samples, dim))
+    # Bit-identical to ``centers[labels] + rng.standard_normal((n, dim))``:
+    # the normal stream does not depend on how its draws are chunked, and
+    # noise + center is center + noise.  Only the array itself is full size.
+    inputs = np.empty((num_samples, dim), dtype=DEFAULT_DTYPE)
+    rows = max(1, _DRAW_BLOCK_BYTES // (inputs.itemsize * max(dim, 1)))
+    for lo, hi in block_ranges(num_samples, rows):
+        block = inputs[lo:hi]
+        rng.standard_normal(out=block)
+        block += centers[labels[lo:hi]]
     return Dataset(
         inputs=inputs,
         labels=labels,

@@ -29,6 +29,8 @@ import math
 from dataclasses import dataclass
 from typing import Any, Callable
 
+import numpy as np
+
 from repro.aggregation.registry import create_aggregator
 from repro.assignment.registry import create_scheme
 from repro.attacks.base import Attack
@@ -77,14 +79,24 @@ __all__ = ["ScenarioResult", "ScenarioRunner", "run_scenario"]
 
 @dataclass
 class ScenarioResult:
-    """Everything a scenario run produces."""
+    """Everything a scenario run produces.
+
+    ``num_files`` is the run's ``f``, the denominator of both distortion
+    fractions in :meth:`summary`.
+    """
 
     spec: ScenarioSpec
     trace: RunTrace
     history: TrainingHistory
+    num_files: int
 
     def summary(self) -> dict[str, object]:
-        """Flat row for reports and the CLI."""
+        """Flat row for reports and the CLI.
+
+        ``mean_distortion`` is the graph's prediction (``num_distorted / f``
+        per round); ``mean_realised_distortion`` is what the vote did
+        (``len(realised_distorted) / f``), both averaged over rounds.
+        """
         rounds = self.trace.rounds
         history = self.history.summary()
         dropped = sum(
@@ -93,11 +105,13 @@ class ScenarioResult:
         corrupted = sum(
             1 for r in rounds for f in r.faults if f.get("kind") == "corruption"
         )
+        realised = [len(r.realised_distorted) / self.num_files for r in rounds]
         return {
             "scenario": self.spec.name,
             "rounds": len(rounds),
             "final_accuracy": history["final_accuracy"],
             "mean_distortion": history["mean_distortion"],
+            "mean_realised_distortion": float(np.mean(realised)) if realised else 0.0,
             "max_q": max((r.q for r in rounds), default=0),
             "dropped_contributions": dropped,
             "corrupted_messages": corrupted,
@@ -370,7 +384,12 @@ class ScenarioRunner:
         ]
         trace.final_params_digest = trainer.server.state_digest()
         trace.final_accuracy_hex = hex_float(history.final_accuracy)
-        return ScenarioResult(spec=self.spec, trace=trace, history=history)
+        return ScenarioResult(
+            spec=self.spec,
+            trace=trace,
+            history=history,
+            num_files=trainer.cluster.assignment.num_files,
+        )
 
 
 def run_scenario(spec: ScenarioSpec, verbose: bool = False) -> ScenarioResult:

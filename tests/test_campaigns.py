@@ -9,6 +9,7 @@ import pytest
 
 from repro.campaigns import (
     CampaignExecutor,
+    CampaignRunResult,
     CampaignSpec,
     ResultStore,
     ScenarioRecord,
@@ -442,11 +443,38 @@ class TestReport:
             assert set(row) == {"aggregator", "q=0", "q=2"}
             assert all(isinstance(row[c], float) for c in ("q=0", "q=2"))
 
+    def test_report_lists_realised_distortion_after_the_prediction(self, tmp_path):
+        campaign = CampaignSpec.from_dict(mini_dict())
+        store = ResultStore(campaign, root=tmp_path)
+        result = CampaignExecutor(campaign, store=store).run()
+        for row, record in zip(result.summary_rows(), result.records):
+            columns = list(row)
+            at = columns.index("mean_distortion")
+            assert columns[at + 1] == "mean_realised_distortion"
+            assert row["mean_realised_distortion"] == record.summary["mean_realised_distortion"]
+        report = campaign_report(result)
+        assert "mean_distortion  mean_realised_distortion" in report
+
+    def test_a_record_stored_without_realised_distortion_still_renders(self, tmp_path):
+        campaign = CampaignSpec.from_dict(mini_dict())
+        store = ResultStore(campaign, root=tmp_path)
+        first = CampaignExecutor(campaign, store=store).run()
+        digest = first.records[0].spec_digest
+        path = store.record_path(digest)
+        document = json.loads(path.read_text())
+        del document["summary"]["mean_realised_distortion"]  # as stored before the column
+        path.write_text(json.dumps(document))
+        records = [store.load(s.spec.digest()) for s in first.scenarios]
+        assert "mean_realised_distortion" not in records[0].summary
+        result = CampaignRunResult(campaign=campaign, scenarios=first.scenarios, records=records)
+        rows = result.summary_rows()
+        assert rows[0]["mean_realised_distortion"] == ""
+        assert list(rows[0]) == list(rows[1])
+        assert "mean_realised_distortion" in campaign_report(result)
+
     def test_report_renders_missing_records_note(self):
         campaign = CampaignSpec.from_dict(mini_dict())
         executor = CampaignExecutor(campaign)
-        from repro.campaigns import CampaignRunResult
-
         result = CampaignRunResult(
             campaign=campaign,
             scenarios=executor.scenarios,

@@ -90,6 +90,76 @@ def test_partition_determinism_across_processes():
     assert out.stdout.split() == [DIRICHLET_DIGEST, QSKEW_DIGEST]
 
 
+def _reference_rebalanced(shards, min_per_shard):
+    sizes = np.asarray([len(shard) for shard in shards], dtype=np.int64)
+    for index in range(len(shards)):
+        while sizes[index] < min_per_shard:
+            donor = int(np.argmax(sizes))
+            shards[index].append(shards[donor].pop())
+            sizes[donor] -= 1
+            sizes[index] += 1
+    return [np.sort(np.asarray(shard, dtype=np.int64)) for shard in shards]
+
+
+def _reference_dirichlet(labels, num_shards, alpha, seed, min_per_shard):
+    """The per-sample dealing the slice-based partitions must reproduce."""
+    from repro.data.batching import _apportion
+    from repro.utils.rng import as_generator, derive_seed
+
+    shards = [[] for _ in range(num_shards)]
+    for cls in np.unique(labels):
+        class_rng = as_generator(derive_seed(seed, "dirichlet", int(cls)))
+        indices = np.nonzero(labels == cls)[0]
+        indices = indices[class_rng.permutation(indices.size)]
+        counts = _apportion(class_rng.dirichlet(np.full(num_shards, alpha)), indices.size)
+        start = 0
+        for shard, count in zip(shards, counts):
+            shard.extend(int(i) for i in indices[start : start + count])
+            start += count
+    return _reference_rebalanced(shards, min_per_shard)
+
+
+def _reference_quantity_skew(num_samples, num_shards, alpha, seed, min_per_shard):
+    from repro.data.batching import _apportion
+    from repro.utils.rng import as_generator, derive_seed
+
+    rng = as_generator(derive_seed(seed, "quantity_skew"))
+    counts = _apportion(rng.dirichlet(np.full(num_shards, alpha)), num_samples)
+    permutation = rng.permutation(num_samples)
+    shards, start = [], 0
+    for count in counts:
+        shards.append([int(i) for i in permutation[start : start + count]])
+        start += count
+    return _reference_rebalanced(shards, min_per_shard)
+
+
+@pytest.mark.parametrize("alpha", [0.01, 0.3, 5.0])
+@pytest.mark.parametrize("num_shards, min_per_shard", [(1, 1), (7, 1), (25, 4), (40, 10)])
+def test_partitions_equal_the_per_sample_dealing(alpha, num_shards, min_per_shard):
+    """Small alphas leave shards empty, so the floor moves many samples."""
+    labels = np.random.default_rng(num_shards).integers(0, 5, 400)
+    for seed in range(4):
+        pairs = [
+            (
+                dirichlet_label_partition(labels, num_shards, alpha, seed, min_per_shard),
+                _reference_dirichlet(labels, num_shards, alpha, seed, min_per_shard),
+            ),
+            (
+                quantity_skew_partition(400, num_shards, alpha, seed, min_per_shard),
+                _reference_quantity_skew(400, num_shards, alpha, seed, min_per_shard),
+            ),
+        ]
+        for shards, expected in pairs:
+            assert len(shards) == len(expected)
+            for shard, want in zip(shards, expected):
+                assert shard.dtype == np.int64 and np.array_equal(shard, want)
+
+
+def test_no_labels_deal_empty_int64_shards():
+    shards = dirichlet_label_partition(np.zeros(0, dtype=np.int64), 3, 0.5, min_per_shard=0)
+    assert [(s.dtype, s.size) for s in shards] == [(np.dtype(np.int64), 0)] * 3
+
+
 def test_partition_seed_and_alpha_sensitivity():
     base = partition_digest(dirichlet_label_partition(LABELS, 15, 0.3, seed=42))
     assert partition_digest(dirichlet_label_partition(LABELS, 15, 0.3, seed=43)) != base

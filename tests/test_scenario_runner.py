@@ -70,6 +70,20 @@ class TestEndToEnd:
         assert row["max_q"] == 2
         assert row["corrupted_messages"] > 0
 
+    def test_summary_puts_realised_distortion_beside_the_prediction(self):
+        """Missing copies out-vote the honest one: the vote distorts more
+        files than the graph predicts in every round of this scenario."""
+        result = run_named("mols-async-quorum")
+        rounds = result.trace.rounds
+        assert result.num_files == 25
+        assert [r.num_distorted for r in rounds] == [1, 1, 1, 1]
+        assert [len(r.realised_distorted) for r in rounds] == [5, 5, 7, 6]
+        row = result.summary()
+        assert row["mean_distortion"] == pytest.approx(4 / 100)
+        assert row["mean_realised_distortion"] == pytest.approx(23 / 100)
+        columns = list(row)
+        assert columns.index("mean_realised_distortion") == columns.index("mean_distortion") + 1
+
 
 class TestDeterminism:
     def test_identical_seeds_give_bit_identical_traces(self):

@@ -28,6 +28,7 @@ import json
 import pathlib
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 
@@ -43,7 +44,7 @@ from repro.cluster.timing import CostModel
 from repro.cluster.topology import GroupTopology, hierarchical_majority_vote
 from repro.core.pipelines import ByzShieldPipeline
 from repro.core.vote_tensor import VoteTensor
-from repro.data.datasets import train_test_split
+from repro.data.datasets import split_slots
 from repro.data.synthetic import make_gaussian_mixture
 from repro.graphs.bipartite import BipartiteAssignment
 from repro.nn.models import build_mlp
@@ -294,11 +295,12 @@ def adaptive_attack_gate(results: dict) -> list:
 
 def dataset_build():
     """``clean-compute-bound``'s data section (benchmarks/e2e) built as
-    ``ScenarioRunner`` builds it: 21,000 x 100 drawn, then split 20,000 / 1,000."""
-    dataset = make_gaussian_mixture(
-        num_samples=21_000, num_classes=10, dim=100, separation=3.0, seed=0
+    ``ScenarioRunner`` builds it: the 20,000 / 1,000 split drawn first, then
+    21,000 x 100 drawn straight into their train and test rows."""
+    slots, _ = split_slots(21_000, test_fraction=1_000 / 21_000, seed=1)
+    return make_gaussian_mixture(
+        num_samples=21_000, num_classes=10, dim=100, separation=3.0, seed=0, slots=slots
     )
-    return train_test_split(dataset, test_fraction=1_000 / 21_000, seed=1)
 
 
 def build_kernels() -> dict:
@@ -334,6 +336,23 @@ def build_kernels() -> dict:
     kernels.update(gradient_engine_kernels())
     kernels.update(adaptive_attack_kernels())
     return kernels
+
+
+#: kernels whose ``tracemalloc`` peak above their start is recorded beside
+#: their time (``peak_mib``): the stacked pass at the compute-bound shape holds
+#: one chunk of files' activations, not the whole batch's.
+PEAK_KERNELS = ("gradient_engine_stacked_mlp_f25_n256", "gaussian_dataset_build_21k_d100")
+
+
+def peak_mib(fn) -> float:
+    """MiB ``fn()`` allocates above what was live when it started, at its peak."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        fn()
+        return (tracemalloc.get_traced_memory()[1] - start) / float(1 << 20)
+    finally:
+        tracemalloc.stop()
 
 
 def time_kernel(fn, rounds: int) -> float:
@@ -441,7 +460,11 @@ def main(argv=None) -> int:
     for name, fn in kernels.items():
         best = time_kernel(fn, rounds)
         results[name] = {"min_s": best, "ops_per_s": 1.0 / best}
-        print(f"{name:48s} {best * 1e3:9.3f} ms   {1.0 / best:10.1f} ops/s")
+        peak = ""
+        if name in PEAK_KERNELS:
+            results[name]["peak_mib"] = peak_mib(fn)
+            peak = f"   peak {results[name]['peak_mib']:7.2f} MiB"
+        print(f"{name:48s} {best * 1e3:9.3f} ms   {1.0 / best:10.1f} ops/s{peak}")
 
     report_speedups(results)
     gate_violations = adaptive_attack_gate(results)

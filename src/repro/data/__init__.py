@@ -15,12 +15,13 @@ from repro.data.batching import (
     partition_digest,
     quantity_skew_partition,
 )
-from repro.data.datasets import Dataset, train_test_split
+from repro.data.datasets import Dataset, split_slots, train_test_split
 from repro.data.synthetic import make_synthetic_images, make_gaussian_mixture
 
 __all__ = [
     "Dataset",
     "train_test_split",
+    "split_slots",
     "make_synthetic_images",
     "make_gaussian_mixture",
     "BatchSampler",

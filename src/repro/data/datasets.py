@@ -10,7 +10,7 @@ from repro.core.backend import DEFAULT_DTYPE
 from repro.exceptions import DataError
 from repro.utils.rng import as_generator
 
-__all__ = ["Dataset", "train_test_split"]
+__all__ = ["Dataset", "train_test_split", "split_slots"]
 
 
 @dataclass(frozen=True)
@@ -117,21 +117,54 @@ def train_test_split(
 ) -> tuple[Dataset, Dataset]:
     """Random split into train and test subsets.
 
+    Both are gathered out of ``dataset``, so the split holds the data twice.
+    :class:`~repro.scenarios.runner.ScenarioRunner` builds the same two
+    datasets with one copy, by handing :func:`split_slots` to the generator;
+    this function is that build's oracle.
+
     Parameters
     ----------
     test_fraction:
         Fraction of samples assigned to the test split (strictly between 0
         and 1, and both splits must end up non-empty).
     """
+    n = dataset.num_samples
+    n_test = _test_count(n, test_fraction)
+    perm = as_generator(seed).permutation(n)
+    test_idx, train_idx = perm[:n_test], perm[n_test:]
+    return dataset.subset(train_idx), dataset.subset(test_idx)
+
+
+def split_slots(
+    num_samples: int,
+    test_fraction: float = 0.2,
+    seed: int | np.random.Generator | None = 0,
+) -> tuple[np.ndarray, int]:
+    """Where :func:`train_test_split` puts each row, drawn before the data.
+
+    Returns ``(slots, num_train)``: row ``i`` of a ``num_samples``-row
+    dataset is row ``slots[i]`` of the train split followed by the test split,
+    so train is rows ``[:num_train]`` and test rows ``[num_train:]`` of the
+    dataset scattered by ``slots`` — the same rows, in the same order, as
+    ``train_test_split(dataset, test_fraction, seed)`` gathers (it draws the
+    same permutation from ``seed``).  A generator handed ``slots`` writes
+    each row straight into its slot, so the split costs no second copy.
+    """
+    n_test = _test_count(num_samples, test_fraction)
+    perm = as_generator(seed).permutation(num_samples)
+    slots = np.empty(num_samples, dtype=np.int64)
+    # perm[n_test:] are train rows 0, 1, ...; perm[:n_test] follow them as test rows.
+    slots[perm] = np.roll(np.arange(num_samples), n_test)
+    return slots, num_samples - n_test
+
+
+def _test_count(n: int, test_fraction: float) -> int:
+    """Rows of an ``n``-row dataset that a ``test_fraction`` split tests on."""
     if not (0.0 < test_fraction < 1.0):
         raise DataError(f"test_fraction must be in (0, 1), got {test_fraction}")
-    rng = as_generator(seed)
-    n = dataset.num_samples
     n_test = int(round(n * test_fraction))
     if n_test == 0 or n_test == n:
         raise DataError(
             f"test_fraction={test_fraction} produces an empty split for n={n}"
         )
-    perm = rng.permutation(n)
-    test_idx, train_idx = perm[:n_test], perm[n_test:]
-    return dataset.subset(train_idx), dataset.subset(test_idx)
+    return n_test

@@ -28,6 +28,29 @@ __all__ = ["make_synthetic_images", "make_gaussian_mixture"]
 _DRAW_BLOCK_BYTES = 256 * 1024
 
 
+def _checked_slots(slots: np.ndarray | None, num_samples: int) -> np.ndarray | None:
+    """``slots`` as int64, when it is a permutation of ``range(num_samples)``."""
+    if slots is None:
+        return None
+    slots = np.asarray(slots)
+    if (
+        slots.shape != (num_samples,)
+        or slots.dtype.kind not in "iu"
+        or not np.array_equal(np.sort(slots), np.arange(num_samples))
+    ):
+        raise DataError(f"slots must be a permutation of range({num_samples})")
+    return slots.astype(np.int64, copy=False)
+
+
+def _placed(labels: np.ndarray, slots: np.ndarray | None) -> np.ndarray:
+    """``labels`` with entry ``i`` moved to ``slots[i]``."""
+    if slots is None:
+        return labels
+    placed = np.empty_like(labels)
+    placed[slots] = labels
+    return placed
+
+
 def _smooth_template(
     rng: np.random.Generator, channels: int, size: int, smoothing_passes: int = 4
 ) -> np.ndarray:
@@ -57,6 +80,7 @@ def make_synthetic_images(
     max_shift: int = 1,
     seed: int | np.random.Generator | None = 0,
     flatten: bool = False,
+    slots: np.ndarray | None = None,
 ) -> Dataset:
     """Class-conditional synthetic image classification dataset.
 
@@ -77,11 +101,17 @@ def make_synthetic_images(
         padding), adding intra-class variation.
     flatten:
         Return inputs of shape ``(n, c*h*w)`` instead of ``(n, c, h, w)``.
+    slots:
+        Optional permutation of ``range(num_samples)``: the ``i``-th image
+        drawn is written straight into row ``slots[i]`` (see
+        :func:`~repro.data.datasets.split_slots`).  The draws are the same
+        either way; only where each row lands changes.
     """
     if num_samples < num_classes:
         raise DataError("need at least one sample per class")
     if image_size < 2 or channels < 1:
         raise DataError("image_size must be >= 2 and channels >= 1")
+    slots = _checked_slots(slots, num_samples)
     rng = as_generator(seed)
     templates = np.stack(
         [_smooth_template(rng, channels, image_size) for _ in range(num_classes)]
@@ -89,7 +119,8 @@ def make_synthetic_images(
     labels = np.arange(num_samples) % num_classes
     rng.shuffle(labels)
     images = np.empty((num_samples, channels, image_size, image_size), dtype=DEFAULT_DTYPE)
-    for idx in range(num_samples):
+    rows = range(num_samples) if slots is None else slots
+    for idx, row in enumerate(rows):
         template = templates[labels[idx]]
         if max_shift > 0:
             dy = int(rng.integers(-max_shift, max_shift + 1))
@@ -97,11 +128,11 @@ def make_synthetic_images(
             shifted = np.roll(np.roll(template, dy, axis=1), dx, axis=2)
         else:
             shifted = template
-        images[idx] = shifted + noise_scale * rng.standard_normal(template.shape)
+        images[row] = shifted + noise_scale * rng.standard_normal(template.shape)
     inputs = images.reshape(num_samples, -1) if flatten else images
     return Dataset(
         inputs=inputs,
-        labels=labels,
+        labels=_placed(labels, slots),
         num_classes=num_classes,
         name=f"synthetic_images(classes={num_classes}, size={image_size})",
     )
@@ -113,12 +144,18 @@ def make_gaussian_mixture(
     dim: int = 16,
     separation: float = 2.0,
     seed: int | np.random.Generator | None = 0,
+    slots: np.ndarray | None = None,
 ) -> Dataset:
-    """Isotropic Gaussian blobs, one per class, with controllable separation."""
+    """Isotropic Gaussian blobs, one per class, with controllable separation.
+
+    ``slots`` places the rows as in :func:`make_synthetic_images`: each drawn
+    block goes through one block of scratch into its rows ``slots[lo:hi]``.
+    """
     if num_samples < num_classes:
         raise DataError("need at least one sample per class")
     if separation <= 0:
         raise DataError(f"separation must be positive, got {separation}")
+    slots = _checked_slots(slots, num_samples)
     rng = as_generator(seed)
     centers = rng.standard_normal((num_classes, dim)) * separation
     labels = np.arange(num_samples) % num_classes
@@ -128,13 +165,16 @@ def make_gaussian_mixture(
     # noise + center is center + noise.  Only the array itself is full size.
     inputs = np.empty((num_samples, dim), dtype=DEFAULT_DTYPE)
     rows = max(1, _DRAW_BLOCK_BYTES // (inputs.itemsize * max(dim, 1)))
+    scratch = None if slots is None else np.empty((min(rows, num_samples), dim), inputs.dtype)
     for lo, hi in block_ranges(num_samples, rows):
-        block = inputs[lo:hi]
+        block = inputs[lo:hi] if scratch is None else scratch[: hi - lo]
         rng.standard_normal(out=block)
         block += centers[labels[lo:hi]]
+        if scratch is not None:
+            inputs[slots[lo:hi]] = block
     return Dataset(
         inputs=inputs,
-        labels=labels,
+        labels=_placed(labels, slots),
         num_classes=num_classes,
         name=f"gaussian_mixture(classes={num_classes}, dim={dim})",
     )

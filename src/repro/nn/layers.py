@@ -28,8 +28,10 @@ axis — ``(f, batch, features)`` — so one pass through the stack computes all
 Ownership: no forward pass writes into its input (the caller's batch), but
 ``backward_per_file`` may write into
 ``grad_output`` — the pass produced it (the loss, or the layer above).  What
-``forward_per_file`` keeps for the backward pass is all ``f`` files' worth of
-activations: it lives in ``_stacked`` and ``backward_per_file`` releases it
+``forward_per_file`` keeps for the backward pass is the activations of every
+file it was handed (one chunk of the round's files, see
+:meth:`repro.nn.models.Sequential.per_file_loss_and_gradients`): it lives in
+``_stacked`` and ``backward_per_file`` releases it
 (:meth:`Layer.release_per_file` when the pass raised in between).
 
 The first layer that owns parameters is called with ``input_gradient=False``
@@ -105,6 +107,12 @@ class Layer(abc.ABC):
     def release_per_file(self) -> None:
         """Drop what a stacked forward pass left behind (see module docs)."""
         self._stacked = None
+
+    def output_features(self, input_features: int) -> int:
+        """Features per sample of this layer's output for ``input_features``
+        per sample in (what the stacked pass sizes its chunks by); an
+        elementwise layer keeps the width."""
+        return input_features
 
     # -- parameter plumbing ------------------------------------------------
     def parameter_items(self) -> list[tuple[str, np.ndarray]]:
@@ -188,6 +196,9 @@ class Dense(Layer):
         if self.use_bias:
             self.grads["b"] = grad_output.sum(axis=0)
         return grad_output @ self.params["W"].T if input_gradient else None
+
+    def output_features(self, input_features: int) -> int:
+        return self.out_features
 
     def forward_per_file(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=self.dtype)

@@ -16,9 +16,20 @@ from repro.core.backend import DEFAULT_DTYPE, resolve_dtype
 from repro.exceptions import ConfigurationError
 from repro.nn.layers import Dense, Layer, ReLU
 from repro.nn.losses import Loss
+from repro.utils.arrays import block_ranges
 from repro.utils.rng import as_generator
 
 __all__ = ["Sequential", "build_mlp"]
+
+#: Bytes of activations one chunk of the stacked per-file pass may hold
+#: (:meth:`Sequential._files_per_chunk` costs a file as every layer's output
+#: for its samples).  Timed at ``clean-compute-bound``'s pass (25 files of 256
+#: samples, 100-64-64-10, float64; 2-core Xeon, one BLAS thread), median of 40
+#: interleaved, in each of 6 processes: 1 / 2 / 3 / 4 / 5 / 8 / 25 files a
+#: chunk read 10.3 / 9.4 / 9.1 / 9.0 / 8.8 / 10.0 / 12.9 ms.  2 MiB is three
+#: files there, the smallest chunk within 5 % of the fastest; a batch of 8
+#: samples a file (every other e2e workload) is one chunk.
+_CHUNK_BYTES = 2 * 1024 * 1024
 
 
 class Sequential:
@@ -163,7 +174,15 @@ class Sequential:
     def per_file_loss_and_gradients(
         self, x: np.ndarray, y: np.ndarray, loss: Loss, out: np.ndarray | None = None
     ) -> tuple[np.ndarray, np.ndarray]:
-        """All ``f`` per-file losses and flat gradients in one stacked pass.
+        """All ``f`` per-file losses and flat gradients, in chunks of files.
+
+        The file axis is walked in chunks of :meth:`_files_per_chunk` files;
+        each chunk runs forward, loss and backward and drops its activations
+        before the next one starts, so the pass holds one chunk's worth of
+        activations whatever the batch size.  Every stacked op keeps the file
+        axis as a loop dimension (see :mod:`repro.nn.layers`), so no file sees
+        how many others share its chunk and the chunking is invisible in the
+        results.
 
         Parameters
         ----------
@@ -184,13 +203,17 @@ class Sequential:
             row ``i`` is bit-identical to ``loss_and_gradient`` on file ``i``.
         """
         dtype = self.dtype
-        x = np.asarray(x, dtype=dtype)
+        x, y = np.asarray(x), np.asarray(y)
         if x.ndim < 2 or x.shape[0] < 1 or x.shape[1] < 1:
             raise ConfigurationError(
                 f"stacked inputs must be (files, batch, ...) with at least one "
                 f"file and one sample, got shape {x.shape}"
             )
         f, d = x.shape[0], self.num_parameters()
+        if y.shape[:1] != (f,):
+            raise ConfigurationError(
+                f"stacked targets must have the inputs' {f} files, got shape {y.shape}"
+            )
         if out is None:
             out = np.empty((f, d), dtype=dtype)
         elif out.shape != (f, d) or out.dtype != dtype or not out.flags.c_contiguous:
@@ -198,6 +221,32 @@ class Sequential:
                 f"workspace must be a C-contiguous {dtype} array of shape "
                 f"({f}, {d}), got {out.dtype} {out.shape}"
             )
+        losses = np.empty(f, dtype=dtype)
+        for lo, hi in block_ranges(f, self._files_per_chunk(x.shape)):
+            losses[lo:hi] = self._stacked_pass(
+                np.asarray(x[lo:hi], dtype=dtype), y[lo:hi], loss, out[lo:hi]
+            )
+        return losses, out
+
+    def _files_per_chunk(self, shape: tuple[int, ...]) -> int:
+        """Files per chunk of the stacked pass over inputs of ``shape``.
+
+        One file's activations are costed as every layer's output for its
+        ``n`` samples, once: ``n * sum(output widths) * itemsize``.  As many
+        files as fit in :data:`_CHUNK_BYTES` share a chunk, and at least one.
+        """
+        width = int(np.prod(shape[2:], dtype=np.int64))
+        per_sample = 0
+        for layer in self.layers:
+            width = layer.output_features(width)
+            per_sample += width
+        per_file = max(1, shape[1] * per_sample * self.dtype.itemsize)
+        return max(1, _CHUNK_BYTES // per_file)
+
+    def _stacked_pass(
+        self, x: np.ndarray, y: np.ndarray, loss: Loss, out: np.ndarray
+    ) -> np.ndarray:
+        """Forward, loss and backward over one chunk of files, gradients into ``out``."""
         views = self._per_file_gradient_views(out)
         first = self._first_parameterised()
         try:
@@ -207,10 +256,10 @@ class Sequential:
                 grad = self.layers[index].backward_per_file(grad, views[index])
             if first < len(self.layers):
                 self.layers[first].backward_per_file(grad, views[first], input_gradient=False)
-        finally:  # a pass that raised must not leave f files' activations on the layers
+        finally:  # a pass that raised must not leave its activations on the layers
             for layer in self.layers:
                 layer.release_per_file()
-        return losses, out
+        return losses
 
     def __repr__(self) -> str:  # pragma: no cover - trivial
         return (

@@ -55,7 +55,10 @@ from repro.core.pipelines import (
     VanillaPipeline,
 )
 from repro.data.batching import build_file_partition
-from repro.data.datasets import Dataset, train_test_split
+# ``train_test_split`` is not called here: it is the oracle of the fused build
+# in ``_build_datasets``.  benchmarks/e2e times the data stage by patching it,
+# ``make_gaussian_mixture`` and ``build_file_partition`` on this module.
+from repro.data.datasets import Dataset, split_slots, train_test_split  # noqa: F401
 from repro.data.synthetic import make_gaussian_mixture, make_synthetic_images
 from repro.exceptions import ConfigurationError
 from repro.graphs.bipartite import BipartiteAssignment
@@ -218,8 +221,19 @@ class ScenarioRunner:
         )
 
     def _build_datasets(self) -> tuple[Dataset, Dataset]:
+        """Train and test as read-only views of one array.
+
+        The split's permutation comes from its own generator (``seed + 1``),
+        so it is drawn first and the data generator (``seed``) writes each
+        row straight into its train or test row: the same two datasets as
+        ``train_test_split(make_…(total, seed), num_test / total, seed + 1)``,
+        with one copy of the data instead of two.
+        """
         data = self.spec.data
         total = data.num_train + data.num_test
+        slots, num_train = split_slots(
+            total, test_fraction=data.num_test / total, seed=self.spec.seed + 1
+        )
         if data.kind == "gaussian":
             dataset = make_gaussian_mixture(
                 num_samples=total,
@@ -227,6 +241,7 @@ class ScenarioRunner:
                 dim=data.dim,
                 separation=data.separation,
                 seed=self.spec.seed,
+                slots=slots,
             )
         else:
             dataset = make_synthetic_images(
@@ -236,10 +251,13 @@ class ScenarioRunner:
                 channels=data.channels,
                 seed=self.spec.seed,
                 flatten=True,
+                slots=slots,
             )
-        return train_test_split(
-            dataset, test_fraction=data.num_test / total, seed=self.spec.seed + 1
-        )
+        inputs, labels = dataset.inputs, dataset.labels
+        inputs.flags.writeable = labels.flags.writeable = False
+        train = dataclasses.replace(dataset, inputs=inputs[:num_train], labels=labels[:num_train])
+        test = dataclasses.replace(dataset, inputs=inputs[num_train:], labels=labels[num_train:])
+        return train, test
 
     def _build_file_partition(
         self, assignment: BipartiteAssignment, train_dataset: Dataset

@@ -117,9 +117,9 @@ class ModelGradientComputer:
         to a round therefore keeps its data and the next call allocates, as
         every call used to.  Both engines follow this rule.
 
-        With ``engine="stacked"`` the call runs the model's single-pass
-        per-file path (:meth:`Sequential.per_file_loss_and_gradients`) when
-        every file has the same shape; ragged files fall back to the looped
+        With ``engine="stacked"`` the call runs the model's stacked
+        per-file path (:meth:`Sequential.per_file_loss_and_gradients`, which
+        walks the files in chunks) when every file has the same shape; ragged files fall back to the looped
         path.
         :attr:`last_engine` records which one ran.
         """

@@ -6,8 +6,11 @@ place — instead of evaluating ``centers[labels] + rng.standard_normal((n,
 dim))``, which kept the gather, the draw and the sum alive at once.  The
 normal stream does not depend on how its draws are chunked and IEEE addition
 commutes, so the one-shot formula stays here as the bit-for-bit oracle.
-``Dataset.subset`` gathers once (integer indexing already copies), so a
-train/test split holds the dataset plus its two halves.
+
+``ScenarioRunner`` draws the train/test permutation first (its own generator,
+``seed + 1``) and has the generator write every row straight into its train
+or test row, so train and test are read-only views of one array.  Its oracle
+is ``train_test_split`` of the plain draw, which gathers a second copy.
 """
 
 import json
@@ -18,8 +21,9 @@ import numpy as np
 import pytest
 
 import repro.data.synthetic as synthetic
-from repro.data.datasets import Dataset, train_test_split
-from repro.data.synthetic import make_gaussian_mixture
+from repro.data.datasets import Dataset, split_slots, train_test_split
+from repro.data.synthetic import make_gaussian_mixture, make_synthetic_images
+from repro.exceptions import DataError
 from repro.scenarios.runner import ScenarioRunner
 from repro.scenarios.spec import ScenarioSpec
 
@@ -115,10 +119,104 @@ def test_mixture_peaks_at_one_dataset():
     assert peak <= dataset_bytes + 1 * MIB, peak / dataset_bytes
 
 
-def test_runner_data_build_peaks_at_dataset_plus_its_split():
-    """Measured 2.03x: the dataset, then its train and test gathers."""
+def test_runner_data_build_peaks_at_one_dataset():
+    """Measured 1.05x: the dataset, its placed labels, the slots and one
+    block of scratch (2.03x while the split gathered a copy of the draw)."""
     runner = ScenarioRunner(clean_compute_bound())
     peak, (train, test) = peak_above_start(runner._build_datasets)
     dataset_bytes = train.inputs.nbytes + test.inputs.nbytes
     assert dataset_bytes == 21_000 * 100 * 8
-    assert peak <= 2 * dataset_bytes + 1 * MIB, peak / dataset_bytes
+    assert peak <= dataset_bytes + 1 * MIB, peak / dataset_bytes
+
+
+# --------------------------------------------------------------------------- #
+# The fused build: the split drawn first, every row drawn into its slot
+# --------------------------------------------------------------------------- #
+def small_spec(kind, num_train, num_test, seed):
+    return ScenarioSpec.from_dict({
+        "name": "fused-build",
+        "seed": seed,
+        "cluster": {"scheme": "mols", "params": {"load": 5, "replication": 3}},
+        "pipeline": {"kind": "byzshield", "aggregator": "median"},
+        "data": {
+            "kind": kind,
+            "num_train": num_train,
+            "num_test": num_test,
+            "num_classes": 3,
+            "dim": 5,
+            "image_size": 4,
+            "channels": 2,
+        },
+    })
+
+
+def draw(data, seed, slots=None):
+    """The runner's generator call for ``data``, without or with ``slots``."""
+    total = data.num_train + data.num_test
+    if data.kind == "gaussian":
+        return make_gaussian_mixture(
+            total, data.num_classes, data.dim, data.separation, seed=seed, slots=slots
+        )
+    return make_synthetic_images(
+        total, data.num_classes, data.image_size, data.channels,
+        seed=seed, flatten=True, slots=slots,
+    )
+
+
+@pytest.mark.parametrize(
+    "num_train, num_test, seed",
+    [(20, 1, 0), (2, 1, 5), (7, 3, 11), (290, 10, 3), (1, 9, 2)],
+    ids=["one-test-row", "a-third", "inexact-tenths", "default-like", "one-train-row"],
+)
+@pytest.mark.parametrize("kind", ["gaussian", "images"])
+def test_runner_build_is_the_split_of_the_plain_draw(kind, num_train, num_test, seed):
+    spec = small_spec(kind, num_train, num_test, seed)
+    total = num_train + num_test
+    oracle = train_test_split(draw(spec.data, seed), num_test / total, seed + 1)
+    built = ScenarioRunner(spec)._build_datasets()
+    for part, expected, rows in zip(built, oracle, (num_train, num_test)):
+        assert part.inputs.shape == expected.inputs.shape == (rows, expected.flat_feature_dim)
+        assert np.array_equal(part.inputs.view(np.int64), expected.inputs.view(np.int64))
+        assert np.array_equal(part.labels, expected.labels)
+        assert part.num_classes == expected.num_classes and part.name == expected.name
+    train, test = built
+    assert train.inputs.base is not None and train.inputs.base is test.inputs.base
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "images"])
+def test_fused_draw_consumes_what_the_plain_draw_and_split_consume(kind):
+    data = small_spec(kind, 45, 6, 0).data
+    split_rng, oracle_split_rng = np.random.default_rng(8), np.random.default_rng(8)
+    slots, num_train = split_slots(51, 6 / 51, seed=split_rng)
+    rng, oracle_rng = np.random.default_rng(9), np.random.default_rng(9)
+    fused = draw(data, rng, slots)
+    plain = draw(data, oracle_rng)
+    train, test = train_test_split(plain, 6 / 51, seed=oracle_split_rng)
+    assert rng.bit_generator.state == oracle_rng.bit_generator.state
+    assert split_rng.bit_generator.state == oracle_split_rng.bit_generator.state
+    # row i of the plain draw is row slots[i] of the fused one
+    assert np.array_equal(fused.inputs[slots], plain.inputs)
+    assert np.array_equal(fused.labels[slots], plain.labels)
+    assert num_train == train.num_samples
+    assert np.array_equal(fused.inputs[num_train:], test.inputs)
+
+
+@pytest.mark.parametrize(
+    "slots",
+    [[0, 0, 1, 2], [0, 1, 2], [0, 1, 2, 4], [0.0, 1.0, 2.0, 3.0], [[0, 1], [2, 3]], [-1, 0, 1, 2]],
+    ids=["repeat", "short", "out-of-range", "float", "2-d", "negative"],
+)
+@pytest.mark.parametrize("kind", ["gaussian", "images"])
+def test_slots_must_be_a_permutation(kind, slots):
+    data = small_spec(kind, 3, 1, 0).data
+    with pytest.raises(DataError, match=r"permutation of range\(4\)"):
+        draw(data, 0, slots=np.asarray(slots))
+
+
+def test_built_splits_are_read_only():
+    """Train and test are views of one array: a write into either raises."""
+    train, test = ScenarioRunner(small_spec("gaussian", 30, 10, 0))._build_datasets()
+    for part in (train, test):
+        for array in (part.inputs, part.labels):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0

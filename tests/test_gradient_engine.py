@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import repro.nn.models as models
 from repro.compression.compressors import SignCompressor, TopKCompressor
 from repro.data.batching import RoundFiles
 from repro.exceptions import ConfigurationError, TrainingError
@@ -338,6 +339,98 @@ def test_no_stacked_activation_outlives_the_pass(first):
     with pytest.raises(ConfigurationError, match="out of range"):
         model.per_file_loss_and_gradients(x, labels + 5, loss)
     assert stacked_arrays_held(model, 3, 7) == []
+
+
+# --------------------------------------------------------------------------- #
+# The pass walks the files in chunks
+# --------------------------------------------------------------------------- #
+def chunk_budget(monkeypatch, model, shape, width):
+    """Set the chunk budget so inputs of ``shape`` run ``width`` files a chunk:
+    one file costs every layer's output for its ``n`` samples, once."""
+    features, per_sample = shape[2], 0
+    for layer in model.layers:
+        features = layer.out_features if isinstance(layer, Dense) else features
+        per_sample += features
+    per_file = shape[1] * per_sample * model.dtype.itemsize
+    monkeypatch.setattr(models, "_CHUNK_BYTES", width * per_file)
+    assert model._files_per_chunk(shape) == width
+
+
+def count_chunks(model):
+    """Shim the model's per-chunk pass; the list of its chunks' file counts."""
+    seen, original = [], model._stacked_pass
+
+    def counting(x, *args):
+        seen.append(x.shape[0])
+        return original(x, *args)
+
+    model._stacked_pass = counting
+    return seen
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+@pytest.mark.parametrize("width", [1, 2, 7, 25, 40], ids=lambda w: f"width{w}")
+def test_any_chunk_width_matches_the_looped_engine_bit_for_bit(monkeypatch, width, dtype):
+    """Widths 1 and 2, 7 (which does not divide f = 25) and >= f (one chunk)."""
+    model = build_mlp(30, 5, hidden=(16, 8), seed=3, dtype=dtype)
+    rng = np.random.default_rng(4)
+    x = rng.standard_normal((25, 6, 30)).astype(dtype)
+    y = rng.integers(0, 5, (25, 6))
+    chunk_budget(monkeypatch, model, x.shape, width)
+    stacked = ModelGradientComputer(model)
+    looped = ModelGradientComputer(copy.deepcopy(model), engine="looped")
+    params = stacked.initial_params()
+    chunks = count_chunks(model)
+
+    stack_grads, stack_losses = stacked.batched(params, (x, y))
+    loop_grads, loop_losses = looped.batched(params, list(zip(x, y)))
+    assert stacked.last_engine == "stacked"
+    assert chunks == [min(width, 25 - lo) for lo in range(0, 25, width)]
+    assert stack_grads.dtype == stack_losses.dtype == np.dtype(dtype)
+    assert bits(stack_grads).tobytes() == bits(loop_grads).tobytes()
+    assert bits(stack_losses).tobytes() == bits(loop_losses).tobytes()
+
+
+class FailingOnCall(SoftmaxCrossEntropy):
+    """Cross entropy that raises on its ``fail_on``-th stacked call."""
+
+    def __init__(self, fail_on):
+        super().__init__()
+        self.calls, self.fail_on = 0, fail_on
+
+    def per_file_value_and_gradient(self, predictions, targets):
+        self.calls += 1
+        if self.calls == self.fail_on:
+            raise ConfigurationError("the loss failed on purpose")
+        return super().per_file_value_and_gradient(predictions, targets)
+
+
+@pytest.mark.parametrize("first", sorted(first_layer_models("float64")))
+def test_a_loss_raising_in_the_second_chunk_leaves_no_activations(monkeypatch, first):
+    model = first_layer_models("float64")[first]
+    x = np.random.default_rng(0).standard_normal((7, 5, 30))
+    chunk_budget(monkeypatch, model, x.shape, 3)
+    loss = FailingOnCall(fail_on=2)
+    with pytest.raises(ConfigurationError, match="on purpose"):
+        model.per_file_loss_and_gradients(x, np.zeros((7, 5), dtype=np.int64), loss)
+    assert loss.calls == 2
+    assert [layer._stacked for layer in model.layers] == [None] * len(model.layers)
+
+
+def test_targets_must_cover_every_file():
+    model = MODELS["mlp"]()
+    x = np.zeros((4, 6, 30))
+    with pytest.raises(ConfigurationError, match="inputs' 4 files"):
+        model.per_file_loss_and_gradients(x, np.zeros((5, 6), dtype=np.int64), SoftmaxCrossEntropy())
+
+
+def test_small_batches_run_as_one_chunk():
+    """Every e2e workload but the compute-bound one: 25 files of 8 samples,
+    up to the 256-wide MLP, fit one chunk; 25 files of 256 samples do not."""
+    for hidden in ((64, 64), (256, 256)):
+        model = build_mlp(100, 10, hidden=hidden, seed=0)
+        assert model._files_per_chunk((25, 8, 100)) >= 25
+    assert 1 < build_mlp(100, 10, hidden=(64, 64), seed=0)._files_per_chunk((25, 256, 100)) < 25
 
 
 # --------------------------------------------------------------------------- #

@@ -4,7 +4,8 @@ After round 0 the paper-headline round (ByzShield + median under a static
 ALIE adversary) builds nothing of size ``f * d``: the vote hands its winners
 on as the honest matrix plus the few rows that out-voted it, the median, the
 vote's row comparison and ALIE's statistics stream coordinate blocks, the
-layers write their per-file gradients in place, and
+layers write their per-file gradients in place (one chunk of files'
+activations alive at a time), and
 :meth:`ModelGradientComputer.batched` hands the previous round's gradient
 matrix out again — but only when nothing else still references it, which is
 what the second half of this file pins from every side a caller can hold on.
@@ -15,7 +16,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import repro.nn.models as models
 from repro.attacks.alie import ALIEAttack
+from repro.nn.losses import SoftmaxCrossEntropy
 from repro.nn.models import build_mlp
 from repro.scenarios.runner import ScenarioRunner
 from repro.scenarios.spec import ScenarioSpec
@@ -78,6 +81,25 @@ def test_steady_state_round_peaks_under_one_gradient_matrix(groups):
     finally:
         tracemalloc.stop()
     assert peak - start < 1.0 * matrix_bytes
+
+
+def test_stacked_pass_holds_one_chunk_of_activations():
+    """``clean-compute-bound``'s pass (25 files of 256 samples, 100 -> 64 ->
+    64 -> 10): measured 1.34 MiB above its start at three files a chunk,
+    11.1 MiB while all 25 files' activations were alive at once."""
+    model = build_mlp(100, 10, hidden=(64, 64), seed=0)
+    rng = np.random.default_rng(0)
+    x, y = rng.standard_normal((25, 256, 100)), rng.integers(0, 10, (25, 256))
+    out = np.empty((25, model.num_parameters()))
+    loss = SoftmaxCrossEntropy()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        model.per_file_loss_and_gradients(x, y, loss, out=out)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak <= models._CHUNK_BYTES + (1 << 20), peak / (1 << 20)
 
 
 # --------------------------------------------------------------------------- #

@@ -35,6 +35,8 @@ MODULES = (
     "repro.campaigns",
     "repro.attacks",
     "repro.data.batching",
+    "repro.data.datasets",
+    "repro.data.synthetic",
     "repro.cluster.events",
     "repro.cluster.topology",
     "repro.core.backend",

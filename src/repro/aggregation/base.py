@@ -76,7 +76,9 @@ class Aggregator(abc.ABC):
             raise AggregationError("cannot aggregate zero votes")
         if self.streams_lanes:
             return self._aggregate(selection)
-        matrix = selection.densified()  # repro-lint: disable=COW-001 (the one densification point: rules that rank, trim or average whole rows need the (n, d) matrix)
+        # The one densification point: rules that rank, trim or average
+        # whole rows need the (n, d) matrix.
+        matrix = selection.densified()
         if not np.all(np.isfinite(matrix)):
             matrix = np.nan_to_num(matrix, nan=0.0, posinf=1e30, neginf=-1e30)
             matrix.setflags(write=False)

@@ -8,7 +8,6 @@ rationale.  ``ALL_RULES`` is the default set the engine runs.
 from __future__ import annotations
 
 from repro.analysis.rules.base import Rule
-from repro.analysis.rules.cow import CowSafetyRule
 from repro.analysis.rules.dtype import DtypeSeamRule
 from repro.analysis.rules.rng import RngPurityRule
 
@@ -16,7 +15,6 @@ __all__ = [
     "Rule",
     "RngPurityRule",
     "DtypeSeamRule",
-    "CowSafetyRule",
     "ALL_RULES",
 ]
 
@@ -24,5 +22,4 @@ __all__ = [
 ALL_RULES: tuple[Rule, ...] = (
     RngPurityRule(),
     DtypeSeamRule(),
-    CowSafetyRule(),
 )

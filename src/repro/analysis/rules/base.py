@@ -12,7 +12,6 @@ __all__ = [
     "Rule",
     "numpy_aliases",
     "attribute_chain",
-    "subscript_root",
 ]
 
 
@@ -64,10 +63,3 @@ def attribute_chain(node: ast.expr) -> list[str] | None:
     parts.append(current.id)
     parts.reverse()
     return parts
-
-
-def subscript_root(node: ast.expr) -> ast.expr:
-    """Innermost object of nested subscripts: ``x[i][j]`` -> ``x``."""
-    while isinstance(node, ast.Subscript):
-        node = node.value
-    return node

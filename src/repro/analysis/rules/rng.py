@@ -90,7 +90,7 @@ class RngPurityRule(Rule):
     rule_id = "RNG-001"
     invariant = (
         "randomness comes from Generator streams built by repro.utils.rng "
-        "(derive_seed / as_generator / spawn_generators); no legacy "
+        "(derive_seed / as_generator); no legacy "
         "np.random global state, no stdlib random, no ad-hoc generator "
         "construction outside utils/rng.py"
     )
@@ -152,6 +152,6 @@ class RngPurityRule(Rule):
                 module,
                 node,
                 f"np.random.{leaf} constructs an RNG stream outside the seam; "
-                "use repro.utils.rng (as_generator / spawn_generators / "
-                "derive_seed) so seed derivation stays auditable",
+                "use repro.utils.rng (as_generator / derive_seed) so seed "
+                "derivation stays auditable",
             )

@@ -141,10 +141,6 @@ class ScheduledSelector(ByzantineSelector):
         self.seed = seed
         self._omniscient: dict[int, OmniscientSelector] = {}
 
-    def reset(self) -> None:
-        """Drop cached state so the selector can be reused across runs."""
-        self._omniscient.clear()
-
     def select(
         self,
         assignment: BipartiteAssignment,

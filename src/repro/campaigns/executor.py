@@ -122,10 +122,6 @@ class CampaignStatus:
     def total(self) -> int:
         return len(self.completed) + len(self.pending)
 
-    @property
-    def done(self) -> bool:
-        return not self.pending
-
 
 @dataclass
 class CampaignRunResult:

@@ -145,11 +145,6 @@ class AsyncRoundOutcome:
     late_events: tuple[FaultEvent, ...]
     group_close_times: np.ndarray | None = None
 
-    @property
-    def num_accepted(self) -> int:
-        """Messages the PS aggregated this round."""
-        return int(self.accepted.sum())
-
 
 def base_arrival_times(
     assignment: BipartiteAssignment,

@@ -194,9 +194,6 @@ class FaultInjector(abc.ABC):
     def inject(self, tensor: VoteTensor, context: FaultContext) -> list[FaultEvent]:
         """Perturb ``tensor`` in place and return the realized fault events."""
 
-    def reset(self) -> None:
-        """Clear any cross-round state so the injector can be reused."""
-
     def __repr__(self) -> str:  # pragma: no cover - trivial
         return f"{type(self).__name__}()"
 
@@ -296,9 +293,6 @@ class DropoutInjector(FaultInjector):
         self.probability = float(probability)
         self.down_for = int(down_for)
         self._down: dict[int, int] = {}
-
-    def reset(self) -> None:
-        self._down.clear()
 
     def inject(self, tensor: VoteTensor, context: FaultContext) -> list[FaultEvent]:
         K = context.assignment.num_workers

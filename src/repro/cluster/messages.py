@@ -67,13 +67,6 @@ class TensorRoundResult:
     aggregation_mask: np.ndarray | None = None
 
     @property
-    def dropped_workers(self) -> tuple[int, ...]:
-        """Workers whose contribution was lost to a benign fault this round."""
-        return tuple(
-            sorted({e.worker for e in self.fault_events if e.dropped and e.worker >= 0})
-        )
-
-    @property
     def distortion_fraction(self) -> float:
         """Realized ``ε̂`` of the round (corrupted files / total files)."""
         total = self.vote_tensor.num_files

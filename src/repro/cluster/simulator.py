@@ -156,11 +156,6 @@ class TrainingCluster:
             events.extend(injector.inject(tensor, context))
         return tuple(events)
 
-    def reset_faults(self) -> None:
-        """Clear stateful injectors (churn state) before reusing the cluster."""
-        for injector in self.fault_injectors:
-            injector.reset()
-
     def _select_byzantine(
         self, iteration: int, rng: np.random.Generator
     ) -> tuple[int, ...]:

@@ -91,8 +91,7 @@ class RoundOutcome:
     winners:
         The ``(n, d)`` rows the reducer saw: per-file majority winners for
         the voting pipelines, the arrived raw worker rows for the vanilla
-        one (see :meth:`AggregationPipeline.post_vote_matrix`).  A
-        read-only :class:`~repro.core.vote_tensor.RowSelection`, not an
+        one.  A read-only :class:`~repro.core.vote_tensor.RowSelection`, not an
         array: it references the round's honest matrix and holds only the
         rows that differ from it, so it is valid until the next round is
         computed, and an observer reads it through ``winner_refs`` instead
@@ -174,16 +173,30 @@ class AggregationPipeline:
         """Aggregate one iteration's returns into an update direction.
 
         Returns the :class:`RoundOutcome` of the round: the ``(d,)``
-        aggregate and the post-vote matrix it was reduced from.
+        aggregate and the post-vote matrix it was reduced from.  That matrix,
+        ``winners``, is the ``(n, d)`` rows the reducer saw — the per-file
+        majority winners of a voting pipeline, the raw worker gradients of
+        the vanilla one — as a :class:`~repro.core.vote_tensor.RowSelection`
+        over the tensor's honest base: no ``(n, d)`` matrix is built here;
+        the robust rule either streams it or densifies it once, in
+        :meth:`Aggregator.__call__ <repro.aggregation.base.Aggregator.__call__>`.
+        Scenario traces digest it per round to pin the voting stage
+        independently of the robust aggregation that follows.
 
         ``arrived`` enables the event runtime's *partial aggregation* mode:
         an ``(f, r)`` bool mask of the copies the PS actually accepted this
-        round.  Voting pipelines then vote each file over its arrived copies
-        only (a file with no arrivals contributes a zero winner); the vanilla
-        pipeline drops missing worker rows from the robust stage.  ``None``
-        (the default, and the whole synchronous path) treats every slot as
+        round.  Each incomplete file is then voted over its arrived copies
+        only, from the same content ids as the rest of the round, and a file
+        with no arrivals contributes a zero winner — the same "missing =
+        zero gradient" convention the fault injectors use, so the robust
+        stage sees a consistent shape every round; the vanilla pipeline
+        drops missing worker rows from the robust stage.  ``None`` (the
+        default, and the whole synchronous path) treats every slot as
         present — missing contributions appear as the zero votes the fault
         injectors wrote.
+
+        With a group topology the files vote hierarchically (per group, then
+        a root histogram merge — bit-identical to the flat vote).
         """
         if self.validate:
             _validate_vote_tensor(self._expected_slot_matrix(), tensor)
@@ -200,34 +213,6 @@ class AggregationPipeline:
     def _reduce(self, voted: RowSelection) -> np.ndarray:
         """The pipeline's post-vote reducer: ``(n, d)`` winners -> ``(d,)``."""
         raise NotImplementedError
-
-    def post_vote_matrix(
-        self, tensor: VoteTensor, arrived: np.ndarray | None = None
-    ) -> RowSelection:
-        """The ``(n, d)`` rows the post-vote reducer sees.
-
-        For voting pipelines these are the per-file majority winners; the
-        vanilla pipeline overrides this with the raw worker gradients.
-        :meth:`aggregate_tensor` returns it as :attr:`RoundOutcome.winners`;
-        scenario traces digest it per round to pin the voting stage
-        independently of the robust aggregation that follows.  It is a
-        :class:`~repro.core.vote_tensor.RowSelection` over the tensor's
-        honest base — no ``(n, d)`` matrix is built here; the robust rule
-        either streams it or densifies it once, in
-        :meth:`Aggregator.__call__ <repro.aggregation.base.Aggregator.__call__>`.
-
-        Without a mask every slot votes (the synchronous semantics).  With a
-        partial-aggregation mask (see :meth:`aggregate_tensor`), each
-        incomplete file is voted over its arrived copies only, from the same
-        content ids as the rest of the round, and a file with no arrivals
-        contributes a zero winner — the same "missing = zero gradient"
-        convention the fault injectors use, so the robust stage sees a
-        consistent shape every round.
-
-        With a group topology the files vote hierarchically (per group, then
-        a root histogram merge — bit-identical to the flat vote).
-        """
-        return self._vote(tensor, arrived)[0]
 
     def _vote(
         self, tensor: VoteTensor, arrived: np.ndarray | None

@@ -28,7 +28,10 @@ scalar or one ``(d,)`` vector — what the colluding attacks and
 selected slot at it.  The aliasing rule that makes this safe: a stored row
 is never written again.  Every write — shared, per-slot ``(m, d)``, or the
 read-modify-write mutators — takes fresh rows and repoints the slots, so
-mutating one slot can never change what another slot reads.
+mutating one slot can never change what another slot reads.  The store
+holds the rule by construction: it is read-only except for the one
+assignment inside :meth:`VoteTensor.write_slots`, so a write that bypasses
+the slot API (``tensor._store[0] = x``) raises NumPy's ``ValueError``.
 :meth:`override_table` exposes the table read-only; the exact vote uses it
 to compare and hash each distinct payload row once.
 
@@ -182,6 +185,7 @@ class VoteTensor:
         tensor._base = matrix
         tensor._slot_map = np.full(workers.shape, -1, dtype=np.int64)
         tensor._store = np.empty((0, matrix.shape[1]), dtype=matrix.dtype)
+        tensor._store.setflags(write=False)
         tensor._num_rows = 0
         return tensor
 
@@ -241,13 +245,15 @@ class VoteTensor:
         """Row ids of ``count`` newly allocated (uninitialized) payload rows.
 
         Rows are append-only: a stored row is never handed out twice, which
-        is what lets any number of slots reference it.
+        is what lets any number of slots reference it.  A grown store is a
+        new read-only array; views of the old one keep their bytes.
         """
         needed = self._num_rows + count
         if needed > self._store.shape[0]:
             capacity = max(needed, 2 * self._store.shape[0])
             grown = np.empty((capacity, self.dim), dtype=self._store.dtype)
             grown[: self._num_rows] = self._store[: self._num_rows]
+            grown.setflags(write=False)
             self._store = grown
         ids = np.arange(self._num_rows, needed, dtype=np.int64)
         self._num_rows = needed
@@ -276,7 +282,12 @@ class VoteTensor:
             )
         shared = rows.ndim < 2 or rows.shape[0] == 1
         ids = self._fresh_rows(1 if shared else files.size)
-        self._store[ids] = rows
+        # The only write the store ever takes: into rows nobody references yet.
+        self._store.setflags(write=True)
+        try:
+            self._store[ids] = rows
+        finally:
+            self._store.setflags(write=False)
         self._slot_map[files, slots] = ids
 
     def read_slots(self, files, slots) -> np.ndarray:
@@ -340,9 +351,7 @@ class VoteTensor:
         materializing any replica.
         """
         files, slots = np.nonzero(self._slot_map >= 0)
-        payload_rows = self._store[: self._num_rows]
-        payload_rows.setflags(write=False)
-        return files, slots, self._slot_map[files, slots], payload_rows
+        return files, slots, self._slot_map[files, slots], self._store[: self._num_rows]
 
     def base_rows(self) -> np.ndarray:
         """Read-only view of the shared honest base."""

@@ -90,25 +90,6 @@ class Dataset:
             name=self.name,
         )
 
-    def shuffled(self, seed: int | np.random.Generator | None = 0) -> "Dataset":
-        """A new dataset with rows permuted deterministically by ``seed``."""
-        rng = as_generator(seed)
-        perm = rng.permutation(self.num_samples)
-        return self.subset(perm)
-
-    def flattened(self) -> "Dataset":
-        """A copy with inputs reshaped to ``(n, d)`` (for dense models)."""
-        return Dataset(
-            inputs=self.inputs.reshape(self.num_samples, -1),
-            labels=self.labels.copy(),
-            num_classes=self.num_classes,
-            name=self.name,
-        )
-
-    def class_counts(self) -> np.ndarray:
-        """Number of samples in each class."""
-        return np.bincount(self.labels, minlength=self.num_classes)
-
 
 def train_test_split(
     dataset: Dataset,

@@ -107,11 +107,6 @@ class SGD:
         self._velocity: np.ndarray | None = None
         self.iteration = 0
 
-    def reset(self) -> None:
-        """Clear the momentum buffer and the iteration counter."""
-        self._velocity = None
-        self.iteration = 0
-
     def step_vector(self, params: np.ndarray, gradient: np.ndarray) -> np.ndarray:
         """Return updated parameters given the current flat gradient.
 

@@ -116,10 +116,6 @@ class RoundTrace(Schema, where="round"):
     realised_distorted: tuple[int, ...] = spec_field((int,), pinned=True, default=())
 
     @property
-    def mean_loss(self) -> float:
-        return _unhex(self.mean_loss_hex)
-
-    @property
     def round_time(self) -> float:
         return _unhex(self.round_time_hex)
 
@@ -131,14 +127,6 @@ class EvaluationTrace(Schema, where="evaluation"):
     iteration: int = spec_field(int, pinned=True)
     test_loss_hex: str = spec_field(str, pinned=True)
     test_accuracy_hex: str = spec_field(str, pinned=True)
-
-    @property
-    def test_loss(self) -> float:
-        return _unhex(self.test_loss_hex)
-
-    @property
-    def test_accuracy(self) -> float:
-        return _unhex(self.test_accuracy_hex)
 
 
 @dataclass
@@ -165,10 +153,6 @@ class RunTrace(Schema, where="trace"):
         if self.rounds and round_trace.iteration <= self.rounds[-1].iteration:
             raise ReproError("round traces must be appended in increasing order")
         self.rounds.append(round_trace)
-
-    @property
-    def final_accuracy(self) -> float:
-        return _unhex(self.final_accuracy_hex)
 
     @property
     def total_simulated_time(self) -> float:
@@ -234,5 +218,5 @@ class RunTrace(Schema, where="trace"):
         if self.final_accuracy_hex != golden.final_accuracy_hex:
             raise TraceMismatch(
                 f"scenario {self.scenario!r}: final accuracy diverged "
-                f"({self.final_accuracy} != {golden.final_accuracy})"
+                f"({_unhex(self.final_accuracy_hex)} != {_unhex(golden.final_accuracy_hex)})"
             )

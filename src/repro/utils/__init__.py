@@ -2,32 +2,23 @@
 
 from repro.utils.arrays import (
     stack_vectors,
-    flatten_arrays,
-    unflatten_vector,
     pairwise_squared_distances,
 )
-from repro.utils.rng import as_generator, spawn_generators, derive_seed
+from repro.utils.rng import as_generator, derive_seed
 from repro.utils.validation import (
     check_positive_int,
-    check_probability,
     check_odd,
-    check_in_range,
     check_prime,
     is_prime,
 )
 
 __all__ = [
     "as_generator",
-    "spawn_generators",
     "derive_seed",
     "check_positive_int",
-    "check_probability",
     "check_odd",
-    "check_in_range",
     "check_prime",
     "is_prime",
     "stack_vectors",
-    "flatten_arrays",
-    "unflatten_vector",
     "pairwise_squared_distances",
 ]

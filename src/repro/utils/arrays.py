@@ -1,9 +1,9 @@
-"""Array manipulation helpers shared by the NN substrate and aggregators.
+"""Array helpers shared by the aggregators, the attacks, the model and the data.
 
 Gradients travel through the system as flat float vectors; these helpers
-convert between a model's list of parameter arrays and that flat
-representation, and provide vectorized distance computations used by
-Krum-family aggregators.  All helpers preserve the supported working dtypes
+stack them into matrices, walk a matrix in coordinate blocks, and provide
+the vectorized column statistics and the distance computation the attacks
+and the Krum family use.  All helpers preserve the supported working dtypes
 (``float32``/``float64``) instead of promoting to ``float64`` — see
 :mod:`repro.core.backend` — and coerce anything else to the backend default.
 """
@@ -14,12 +14,10 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.core.backend import DEFAULT_DTYPE, ensure_float
+from repro.core.backend import ensure_float
 
 __all__ = [
     "stack_vectors",
-    "flatten_arrays",
-    "unflatten_vector",
     "pairwise_squared_distances",
     "block_ranges",
     "column_mean_std",
@@ -84,38 +82,6 @@ def column_mean_std(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         np.true_divide(block_std, count, out=block_std, casting="unsafe")
         np.sqrt(block_std, out=block_std)
     return mean, std
-
-
-def flatten_arrays(arrays: Sequence[np.ndarray]) -> np.ndarray:
-    """Concatenate a sequence of arrays into one flat float vector."""
-    if len(arrays) == 0:
-        return np.zeros(0, dtype=DEFAULT_DTYPE)
-    return np.concatenate([ensure_float(a).ravel() for a in arrays])
-
-
-def unflatten_vector(
-    vector: np.ndarray, shapes: Sequence[tuple[int, ...]]
-) -> list[np.ndarray]:
-    """Split a flat vector back into arrays with the given ``shapes``.
-
-    Raises
-    ------
-    ValueError
-        If the vector length does not match the total number of elements.
-    """
-    vector = ensure_float(vector).ravel()
-    sizes = [int(np.prod(s)) if len(s) > 0 else 1 for s in shapes]
-    total = int(sum(sizes))
-    if vector.size != total:
-        raise ValueError(
-            f"vector has {vector.size} elements but shapes require {total}"
-        )
-    out: list[np.ndarray] = []
-    offset = 0
-    for shape, size in zip(shapes, sizes):
-        out.append(vector[offset : offset + size].reshape(shape))
-        offset += size
-    return out
 
 
 def stack_vectors(vectors: Sequence[np.ndarray]) -> np.ndarray:

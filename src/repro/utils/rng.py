@@ -13,7 +13,7 @@ import hashlib
 
 import numpy as np
 
-__all__ = ["as_generator", "spawn_generators", "derive_seed"]
+__all__ = ["as_generator", "derive_seed"]
 
 
 def as_generator(seed: int | np.random.Generator | None) -> np.random.Generator:
@@ -28,25 +28,6 @@ def as_generator(seed: int | np.random.Generator | None) -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
         return seed
     return np.random.default_rng(seed)
-
-
-def spawn_generators(
-    seed: int | np.random.Generator | None, count: int
-) -> list[np.random.Generator]:
-    """Create ``count`` independent child generators from ``seed``.
-
-    The children are produced via :class:`numpy.random.SeedSequence` spawning
-    so that they are statistically independent; this is used to give each
-    simulated worker its own stream.
-    """
-    if count < 0:
-        raise ValueError(f"count must be non-negative, got {count}")
-    if isinstance(seed, np.random.Generator):
-        # Derive a seed sequence from the generator state deterministically.
-        root = np.random.SeedSequence(int(seed.integers(0, 2**63 - 1)))
-    else:
-        root = np.random.SeedSequence(seed)
-    return [np.random.default_rng(child) for child in root.spawn(count)]
 
 
 def derive_seed(*parts: object) -> int:

@@ -13,12 +13,9 @@ from repro.exceptions import ConfigurationError
 
 __all__ = [
     "check_positive_int",
-    "check_probability",
     "check_odd",
-    "check_in_range",
     "is_prime",
     "check_prime",
-    "is_prime_power",
 ]
 
 
@@ -31,25 +28,10 @@ def check_positive_int(value: int, name: str) -> int:
     return value
 
 
-def check_probability(value: float, name: str) -> float:
-    """Validate that ``value`` lies in the closed interval [0, 1]."""
-    value = float(value)
-    if not (0.0 <= value <= 1.0):
-        raise ConfigurationError(f"{name} must be in [0, 1], got {value}")
-    return value
-
-
 def check_odd(value: int, name: str) -> int:
     """Validate that ``value`` is odd (majority voting requires odd r)."""
     if value % 2 == 0:
         raise ConfigurationError(f"{name} must be odd, got {value}")
-    return value
-
-
-def check_in_range(value: float, low: float, high: float, name: str) -> float:
-    """Validate ``low <= value <= high``."""
-    if not (low <= value <= high):
-        raise ConfigurationError(f"{name} must be in [{low}, {high}], got {value}")
     return value
 
 
@@ -74,17 +56,3 @@ def check_prime(value: int, name: str) -> int:
     if not is_prime(value):
         raise ConfigurationError(f"{name} must be prime, got {value}")
     return value
-
-
-def is_prime_power(n: int) -> bool:
-    """Return True if ``n`` = p**k for a prime p and integer k >= 1."""
-    if n < 2:
-        return False
-    for p in range(2, int(math.isqrt(n)) + 1):
-        if n % p == 0:
-            if not is_prime(p):
-                return False
-            while n % p == 0:
-                n //= p
-            return n == 1
-    return True  # n itself is prime

@@ -77,8 +77,6 @@ class TestScheduledSelector:
         assert len(first) == 1 and len(second) == 2
         # Same budgets later return identical (cached) sets.
         assert selector.select(mols_assignment, 2, rng) == second
-        selector.reset()
-        assert selector.select(mols_assignment, 0, rng) == first
 
     def test_budget_above_K_raises(self, baseline_10):
         schedule = AdversarySchedule(kind="static", q=99)

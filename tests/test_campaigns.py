@@ -369,10 +369,10 @@ class TestExecutorAndStore:
         store = ResultStore(campaign, root=tmp_path)
         executor = CampaignExecutor(campaign, store=store)
         before = executor.status()
-        assert before.total == 4 and not before.completed and not before.done
+        assert before.total == 4 and not before.completed
         executor.run()
         after = executor.status()
-        assert after.done and len(after.completed) == 4
+        assert not after.pending and len(after.completed) == 4
 
     def test_a_record_of_another_trace_format_is_not_completed(self, tmp_path):
         """A resumed campaign re-runs a cell stored in an older trace format

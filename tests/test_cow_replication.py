@@ -5,8 +5,9 @@ base plus per-(file, slot) payload rows instead of the ``(f, r, d)`` cube.
 These tests pin the contract that makes that safe: for every pipeline,
 registered attack and fault injector, the tensor reads **bit-identically**
 to a plain numpy cube put through the same writes, its aggregate does not
-depend on how the cube is stored, and the ``q = 0`` fast path never copies
-a single replica.
+depend on how the cube is stored, the ``q = 0`` fast path never copies
+a single replica, and a stored payload row is never written again (the
+store is read-only outside the slot API).
 """
 
 import tracemalloc
@@ -37,7 +38,7 @@ from repro.core.pipelines import (
 )
 from repro.core.vote_tensor import VoteTensor
 
-from cow_helpers import cube_of, tensor_of
+from cow_helpers import LAYOUTS, cube_of, tensor_of
 
 DIM = 7
 
@@ -428,6 +429,54 @@ def test_successive_single_writes_grow_the_store_geometrically(mols_assignment):
     assert_reads_as(lazy, cube)
     files, slots = np.divmod(np.arange(64), r)
     assert np.array_equal(lazy.read_slots(files, slots), rows)
+
+
+#: each slot-API mutator: its extra arguments, and what it does to the cube's rows
+MUTATORS = {
+    "write_slots": ((np.full(DIM, 9.0),), lambda rows: 9.0),
+    "add_to_slots": ((0.25,), lambda rows: rows + 0.25),
+    "scale_slots": ((-3.0,), lambda rows: rows * -3.0),
+    "zero_slots": ((), lambda rows: 0.0),
+}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("layout", LAYOUTS)
+@pytest.mark.parametrize("mutator", sorted(MUTATORS))
+def test_stored_rows_are_write_once(mols_assignment, mutator, layout, dtype):
+    """The store is read-only outside ``write_slots``: a write through it
+    raises, and what a caller took from it — the payload table, a selection
+    of written slots, the vote's winners — keeps its bytes after a later
+    write grows the store."""
+    rng = np.random.default_rng(31)
+    honest = rng.standard_normal((mols_assignment.num_files, DIM)).astype(dtype)
+    cube = np.repeat(honest[:, None, :], 3, axis=1)
+    cube[[0, 2, 2], [1, 0, 2]] = rng.standard_normal((3, DIM))
+    cube[4, :2] = 5.0  # one colluding payload, out-voting file 4's honest copy
+    tensor = tensor_of(cube, mols_assignment, base=honest, layout=layout)
+    with pytest.raises(ValueError, match="read-only"):
+        tensor._store[0] = 1.0
+    while tensor.num_override_rows < tensor._store.shape[0]:  # the next write must grow it
+        tensor.write_slots([1], [1], 3.0)
+        cube[1, 1] = 3.0
+    capacity = tensor._store.shape[0]
+    table = tensor.override_table()[3]
+    selection = tensor.select_slots(np.ones(tensor.num_files, dtype=np.int64))
+    winners = ByzShieldPipeline(mols_assignment).aggregate_tensor(tensor).winners
+    before = [table.copy(), selection.densified().copy(), winners.densified().copy()]
+    assert np.array_equal(before[1], cube[:, 1]) and np.all(before[2][4] == 5.0)
+
+    files, slots = np.array([0, 4, 4]), np.array([1, 0, 1])
+    args, model = MUTATORS[mutator]
+    getattr(tensor, mutator)(files, slots, *args)
+    cube[files, slots] = model(cube[files, slots])
+    assert tensor._store.shape[0] > capacity
+    assert_reads_as(tensor, cube)
+    after = [table, selection.densified(), winners.densified()]
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(after, before))
+    assert not table.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        tensor._store[:] = 0.0
 
 
 @pytest.mark.parametrize("mutator", ["scale_slots", "add_to_slots", "write_slots"])

@@ -17,7 +17,6 @@ def test_dataset_basic_properties():
     assert data.num_samples == 10
     assert data.feature_shape == (4,)
     assert data.flat_feature_dim == 4
-    assert np.array_equal(data.class_counts(), [5, 5])
 
 
 def test_dataset_validation():
@@ -31,24 +30,15 @@ def test_dataset_validation():
         Dataset(np.zeros((3, 2)), np.zeros((3, 1), dtype=int), num_classes=2)
 
 
-def test_dataset_subset_and_shuffle():
+def test_dataset_subset():
     data = Dataset(np.arange(20).reshape(10, 2), np.arange(10) % 2, num_classes=2)
     sub = data.subset(np.array([0, 2, 4]))
     assert sub.num_samples == 3
     assert np.array_equal(sub.inputs[1], [4, 5])
-    shuffled = data.shuffled(seed=0)
-    assert shuffled.num_samples == 10
-    assert not np.array_equal(shuffled.inputs, data.inputs)
     with pytest.raises(DataError):
         data.subset(np.array([], dtype=int))
     with pytest.raises(DataError):
         data.subset(np.array([100]))
-
-
-def test_dataset_flattened():
-    data = Dataset(np.zeros((4, 2, 3, 3)), np.zeros(4, dtype=int), num_classes=1)
-    flat = data.flattened()
-    assert flat.feature_shape == (18,)
 
 
 def test_train_test_split_sizes_and_disjointness():
@@ -69,7 +59,7 @@ def test_synthetic_images_shapes_and_balance():
     data = make_synthetic_images(num_samples=100, num_classes=5, image_size=6, channels=2, seed=0)
     assert data.inputs.shape == (100, 2, 6, 6)
     assert data.num_classes == 5
-    assert data.class_counts().min() >= 100 // 5
+    assert np.bincount(data.labels, minlength=5).min() >= 100 // 5
     flat = make_synthetic_images(num_samples=20, num_classes=4, image_size=4, flatten=True, seed=0)
     assert flat.inputs.shape == (20, 3 * 4 * 4)
 

@@ -158,16 +158,6 @@ class TestDropout:
         assert events2 == []
         assert np.all(cube_of(t2) == 1.0)
 
-    def test_reset_clears_churn_state(self, tensor, mols_assignment):
-        injector = DropoutInjector(probability=1.0, down_for=5)
-        injector.inject(tensor, make_context(mols_assignment))
-        injector.reset()
-        injector.probability = 0.0
-        fresh = VoteTensor.from_honest(
-            mols_assignment, np.ones((mols_assignment.num_files, 2))
-        )
-        assert injector.inject(fresh, make_context(mols_assignment)) == []
-
     def test_rng_consumption_independent_of_history(self, mols_assignment):
         """The draw sequence depends only on (seed, K), not on who is down."""
         honest = np.ones((mols_assignment.num_files, 2))

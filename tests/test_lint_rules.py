@@ -11,9 +11,6 @@ import json
 import pathlib
 import textwrap
 
-import numpy as np
-import pytest
-
 from repro.analysis import lint_paths
 from repro.analysis.cli import run_lint
 from repro.analysis.engine import (
@@ -23,11 +20,10 @@ from repro.analysis.engine import (
     LintEngine,
 )
 from repro.analysis.rules import ALL_RULES
-from repro.core.vote_tensor import VoteTensor
 
 SRC_ROOT = pathlib.Path(__file__).resolve().parent.parent / "src" / "repro"
 
-RULE_IDS = ("RNG-001", "DTYPE-001", "COW-001")
+RULE_IDS = ("RNG-001", "DTYPE-001")
 
 
 def lint_tree(tmp_path, files):
@@ -179,148 +175,6 @@ def test_dtype_flags_from_numpy_float_import(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# COW-001
-# ---------------------------------------------------------------------------
-
-
-def test_cow_flags_private_storage_writes_in_attacks(tmp_path):
-    report = lint_tree(
-        tmp_path,
-        {
-            "attacks/evil.py": """
-            def apply(self, tensor, payload):
-                tensor._store[0] = payload
-                tensor._slot_map[0, 1] += 1
-                self._cache[0] = payload  # its own state: fine
-            """
-        },
-    )
-    assert [f.rule for f in report.findings] == ["COW-001", "COW-001"]
-
-
-def test_cow_leaves_base_writes_to_the_read_only_view(tmp_path, mols_assignment):
-    """A write through the shared honest base is no lint finding: the base
-    is only ever handed out read-only, so the write itself raises."""
-    report = lint_tree(
-        tmp_path,
-        {
-            "cluster/faults.py": """
-            def corrupt(tensor, payload):
-                tensor.base_rows()[:] = payload
-                base = tensor.base_rows()
-                base[1] = payload
-            """
-        },
-    )
-    assert report.ok
-    tensor = VoteTensor.from_honest(mols_assignment, np.zeros((mols_assignment.num_files, 2)))
-    with pytest.raises(ValueError, match="read-only"):
-        tensor.base_rows()[:] = 1.0
-
-
-def test_cow_flags_private_writes_in_observing_layers(tmp_path):
-    """The layers that only *look* at a round are in scope too."""
-    report = lint_tree(
-        tmp_path,
-        {
-            "scenarios/runner.py": """
-            def observe(round_result):
-                round_result.vote_tensor._slot_map[0] = -1
-            """,
-            "training/trainer.py": """
-            def clear(round_result):
-                round_result.vote_tensor._store[:] = 0.0
-            """,
-            "utils/digest.py": """
-            def array_digest(selection):
-                selection.rows._data[0] = 0
-            """,
-        },
-    )
-    assert [f.rule for f in report.findings] == ["COW-001"] * 3
-    assert sorted(pathlib.Path(f.path).name for f in report.findings) == [
-        "digest.py",
-        "runner.py",
-        "trainer.py",
-    ]
-
-
-def test_cow_flags_densifying_the_winners_outside_the_aggregator(tmp_path):
-    """Observers stream ``outcome.winners``; the one waived ``.densified()``
-    is ``Aggregator.__call__``'s, for the rules that need whole rows."""
-    report = lint_tree(
-        tmp_path,
-        {
-            "scenarios/runner.py": """
-            def observe(outcome, array_digest):
-                return array_digest(outcome.winners.densified())
-            """,
-            "training/trainer.py": """
-            def distorted(outcome, honest):
-                return (outcome.winners.densified() != honest).any(axis=1).sum()
-            """,
-            "utils/digest.py": """
-            def array_digest(selection):
-                return hash(selection.densified().tobytes())
-            """,
-            "aggregation/base.py": """
-            def call(rule, selection):
-                return rule(selection.densified())  # repro-lint: disable=COW-001 (whole-row rules)
-            """,
-            "core/pipelines.py": """
-            def reduce(selection):
-                return selection.densified().mean(axis=0)
-            """,
-        },
-    )
-    assert [f.rule for f in report.findings] == ["COW-001"] * 3
-    assert sorted(pathlib.Path(f.path).name for f in report.findings) == [
-        "digest.py",
-        "runner.py",
-        "trainer.py",
-    ]
-
-
-def test_cow_allows_dict_values_calls_and_out_of_scope(tmp_path):
-    report = lint_tree(
-        tmp_path,
-        {
-            "attacks/ok.py": """
-            def tally(votes):
-                return sum(votes.values())
-            """,
-            "scenarios/ok.py": """
-            def stream(tensor, rows):
-                return [row.sum() for row in tensor.base_rows()] + list(rows.values())
-            """,
-            # GridAxis.values is an unrelated attribute: campaigns/ stays out
-            "campaigns/spec.py": """
-            def labels(axis):
-                return [str(v) for v in axis.values]
-            """,
-            "utils/arrays.py": """
-            def densify(selection):
-                return selection.densified()
-            """,
-        },
-    )
-    assert report.ok
-
-
-def test_cow_waiver_with_reason_suppresses(tmp_path):
-    report = lint_tree(
-        tmp_path,
-        {
-            "aggregation/dense.py": """
-            def fallback(selection):
-                return selection.densified()  # repro-lint: disable=COW-001 (whole-row rule)
-            """
-        },
-    )
-    assert report.ok
-
-
-# ---------------------------------------------------------------------------
 # Waiver mechanics
 # ---------------------------------------------------------------------------
 
@@ -387,9 +241,10 @@ def test_real_source_tree_lints_clean():
 
 
 def test_engine_registers_all_six_rules():
-    # Three since DIGEST-001, KERNEL-001 and REG-001 went: their invariants
-    # hold by construction (the field table, read-only kernel inputs, the
-    # registries built from declared names).  The test id is kept.
+    # Two since DIGEST-001, KERNEL-001, REG-001 and COW-001 went: their
+    # invariants hold by construction (the field table, read-only kernel
+    # inputs, the registries built from declared names, the read-only payload
+    # store).  The test id is kept.
     assert tuple(rule.rule_id for rule in ALL_RULES) == RULE_IDS
     engine = LintEngine()
     for rule_id in RULE_IDS:

@@ -78,14 +78,6 @@ def test_sgd_schedule_is_followed():
     assert params[0] == pytest.approx(-1.5)
 
 
-def test_sgd_reset():
-    optimizer = SGD(0.1, momentum=0.9)
-    optimizer.step_vector(np.zeros(2), np.ones(2))
-    optimizer.reset()
-    assert optimizer.iteration == 0
-    assert optimizer._velocity is None
-
-
 def test_sgd_validation():
     with pytest.raises(ConfigurationError):
         SGD(0.1, momentum=1.5)

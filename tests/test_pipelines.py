@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.aggregation.majority import _reference_exact_majority
 from repro.aggregation.mean import MeanAggregator
 from repro.aggregation.median import CoordinateWiseMedian
 from repro.assignment.frc import FRCAssignment
@@ -15,6 +16,8 @@ from repro.core.pipelines import (
 )
 from repro.core.vote_tensor import VoteTensor
 from repro.exceptions import AggregationError, ConfigurationError
+
+from cow_helpers import cube_of
 
 
 DIM = 4
@@ -69,11 +72,10 @@ def test_byzshield_vote_majority_flips_with_enough_byzantines(mols_assignment):
     """Workers 0 and 5 share file 0; corrupting both flips that file's vote."""
     votes = honest_votes(mols_assignment, constant_gradient(1.0))
     corrupt(votes, {0, 5}, np.full(DIM, -100.0))
-    pipeline = ByzShieldPipeline(mols_assignment)
-    voted = pipeline.post_vote_matrix(votes).densified()
-    assert np.allclose(voted[0], -100.0)
+    outcome = ByzShieldPipeline(mols_assignment).aggregate_tensor(votes)
+    assert np.allclose(outcome.winners.densified()[0], -100.0)
     # But the median across the 25 files still resists a single corrupted file.
-    assert np.allclose(pipeline.aggregate_tensor(votes).aggregate, 1.0)
+    assert np.allclose(outcome.aggregate, 1.0)
 
 
 def test_byzshield_requires_odd_replication():
@@ -209,15 +211,31 @@ OUTCOME_PIPELINES = {
 }
 
 
+def reference_winners(votes, arrived, voting):
+    """The post-vote matrix of the plain cube: each file's reference vote
+    over its arrived copies (a zero row when none arrived), or, without a
+    vote stage, the arrived workers' own returns."""
+    cube = cube_of(votes)
+    if not voting:
+        return cube[:, 0] if arrived is None else cube[arrived[:, 0], 0]
+    winners = np.zeros((cube.shape[0], cube.shape[2]), dtype=cube.dtype)
+    for i, copies in enumerate(cube):
+        copies = copies if arrived is None else copies[arrived[i]]
+        if len(copies):
+            winners[i] = _reference_exact_majority(copies)[0]
+    return winners
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("partial", [False, True], ids=["all-arrived", "partial"])
 @pytest.mark.parametrize("kind", sorted(OUTCOME_PIPELINES))
-def test_outcome_is_the_post_vote_matrix_and_its_reduction(request, kind, partial):
+def test_outcome_is_the_post_vote_matrix_and_its_reduction(request, kind, partial, dtype):
     scheme_fixture, build = OUTCOME_PIPELINES[kind]
     assignment = request.getfixturevalue(scheme_fixture).assignment
     pipeline = build(assignment)
     rng = np.random.default_rng(5)
     votes = VoteTensor.from_honest(
-        assignment, rng.standard_normal((assignment.num_files, DIM))
+        assignment, rng.standard_normal((assignment.num_files, DIM)).astype(dtype)
     )
     corrupt(votes, {0}, np.full(DIM, -50.0))
     arrived = None
@@ -227,9 +245,9 @@ def test_outcome_is_the_post_vote_matrix_and_its_reduction(request, kind, partia
         arrived[1] = True
 
     outcome = pipeline.aggregate_tensor(votes, arrived)
-    winners = pipeline.post_vote_matrix(votes, arrived)
-    assert outcome.winners.dtype == winners.dtype
-    assert outcome.winners.densified().tobytes() == winners.densified().tobytes()
-    assert outcome.winners.shape == winners.shape
-    assert np.array_equal(outcome.aggregate, pipeline._reduce(winners))
+    expected = reference_winners(votes, arrived, voting=kind != "vanilla")
+    assert outcome.winners.dtype == expected.dtype
+    assert outcome.winners.shape == expected.shape
+    assert outcome.winners.densified().tobytes() == expected.tobytes()
+    assert np.array_equal(outcome.aggregate, pipeline._reduce(expected))
     assert outcome.aggregate.shape == (DIM,)

@@ -26,7 +26,6 @@ from repro.fields.latin_squares import LatinSquare, are_orthogonal
 from repro.fields.prime_field import PrimeField
 from repro.graphs.expansion import gamma_upper_bound, neighborhood_lower_bound
 from repro.graphs.spectral import second_eigenvalue
-from repro.utils.arrays import flatten_arrays, unflatten_vector
 
 from cow_helpers import cube_of, tensor_of
 
@@ -262,9 +261,9 @@ def test_post_vote_matrix_matches_reference_vote(
 ):
     """The goldens were recorded from the vectorized vote itself; this is its
     independent check.  Whatever the scheme, attack, q, storage layout, group
-    topology or block size, ``post_vote_matrix`` must equal the single-file
-    reference vote applied to each file's materialized copies — row for
-    row, bit for bit."""
+    topology or block size, the post-vote matrix ``aggregate_tensor``
+    returns as its ``winners`` must equal the single-file reference vote
+    applied to each file's materialized copies — row for row, bit for bit."""
     assignment, pipeline_cls = VOTING_SETUPS[scheme]
     rng = np.random.default_rng(seed)
     honest = rng.standard_normal((assignment.num_files, dim))
@@ -289,27 +288,8 @@ def test_post_vote_matrix_matches_reference_vote(
         None if groups is None else GroupTopology(assignment.num_workers, groups)
     )
     pipeline = pipeline_cls(assignment, topology=topology, block_size=block_size)
-    voted = pipeline.post_vote_matrix(tensor).densified()
+    voted = pipeline.aggregate_tensor(tensor).winners.densified()
     for i in range(assignment.num_files):
         expected, _ = _reference_exact_majority(cube[i])
         assert np.array_equal(voted[i], expected), (i, voted[i], expected)
 
-
-# --------------------------------------------------------------------------- #
-# Flatten / unflatten roundtrip
-# --------------------------------------------------------------------------- #
-@settings(deadline=None, max_examples=40, suppress_health_check=SUPPRESS)
-@given(
-    shapes=st.lists(
-        st.tuples(st.integers(1, 4), st.integers(1, 4)), min_size=1, max_size=5
-    ),
-    seed=st.integers(0, 1000),
-)
-def test_flatten_unflatten_roundtrip(shapes, seed):
-    rng = np.random.default_rng(seed)
-    arrays = [rng.standard_normal(shape) for shape in shapes]
-    flat = flatten_arrays(arrays)
-    restored = unflatten_vector(flat, shapes)
-    assert len(restored) == len(arrays)
-    for original, back in zip(arrays, restored):
-        assert np.allclose(original, back)

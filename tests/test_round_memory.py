@@ -1,11 +1,12 @@
 """A steady-state round allocates no full-width array, and recycling is unobservable.
 
 After round 0 the paper-headline round (ByzShield + median under a static
-ALIE adversary) builds nothing of size ``f * d``: the vote hands its winners
-on as the honest matrix plus the few rows that out-voted it, the median, the
-vote's row comparison and ALIE's statistics stream coordinate blocks, the
-layers write their per-file gradients in place (one chunk of files'
-activations alive at a time), and
+ALIE adversary) builds nothing of size ``f * d``, with or without the
+scenario trace observing it: the vote hands its winners on as the honest
+matrix plus the few rows that out-voted it, the trace digests them from the
+vote's references, the median, the vote's row comparison and ALIE's
+statistics stream coordinate blocks, the layers write their per-file
+gradients in place (one chunk of files' activations alive at a time), and
 :meth:`ModelGradientComputer.batched` hands the previous round's gradient
 matrix out again — but only when nothing else still references it, which is
 what the second half of this file pins from every side a caller can hold on.
@@ -17,12 +18,14 @@ import numpy as np
 import pytest
 
 import repro.nn.models as models
+import repro.scenarios.runner as runner_module
 from repro.attacks.alie import ALIEAttack
 from repro.nn.losses import SoftmaxCrossEntropy
 from repro.nn.models import build_mlp
 from repro.scenarios.runner import ScenarioRunner
 from repro.scenarios.spec import ScenarioSpec
 from repro.training.gradients import ModelGradientComputer
+from repro.training.trainer import DistributedTrainer
 
 from cow_helpers import cube_of
 
@@ -60,14 +63,47 @@ def headline_spec(hidden=(128, 48), num_iterations=4, groups=None):
     })
 
 
-@pytest.mark.parametrize("groups", [None, 5], ids=["flat", "hierarchical"])
-def test_steady_state_round_peaks_under_one_gradient_matrix(groups):
+class _Built(Exception):
+    """Stops ``ScenarioRunner.run`` once its trainer exists."""
+
+
+def observed_trainer(spec, monkeypatch):
+    """The trainer ``ScenarioRunner.run`` drives, its trace observer attached,
+    taken the way ``benchmarks/e2e/layers.py`` takes it: by patching
+    ``DistributedTrainer`` on the runner module.  Nothing has trained yet."""
+    built = []
+
+    def build(*args, **kwargs):
+        built.append(DistributedTrainer(*args, **kwargs))
+        raise _Built
+
+    monkeypatch.setattr(runner_module, "DistributedTrainer", build)
+    with pytest.raises(_Built):
+        ScenarioRunner(spec).run()
+    (trainer,) = built
+    assert trainer.round_observer is not None
+    return trainer
+
+
+@pytest.mark.parametrize(
+    "observed, groups",
+    [(False, None), (False, 5), (True, None), (True, 5)],
+    ids=["flat", "hierarchical", "observed-flat", "observed-hierarchical"],
+)
+def test_steady_state_round_peaks_under_one_gradient_matrix(monkeypatch, observed, groups):
     """Measured at this shape: 0.48 matrices (two out-voted rows, block
-    buffers, a few ``(d,)`` vectors and the batch); 1.38 while the vote
-    copied the honest matrix to change those two rows; 3.45 while each of
-    the median, the vote, ALIE's ``std`` and the wide layer's backward made
-    its own copy."""
-    trainer = ScenarioRunner(headline_spec(groups=groups)).build_trainer()
+    buffers, a few ``(d,)`` vectors and the batch), observed or not; 1.38
+    while the vote copied the honest matrix to change those two rows; 3.45
+    while each of the median, the vote, ALIE's ``std`` and the wide layer's
+    backward made its own copy.  The observed cases run the scenario trace's
+    own observer: it digests the winners from the vote's references, and an
+    observer that densified them instead (``outcome.winners.densified()``)
+    measured 1.28."""
+    spec = headline_spec(groups=groups)
+    if observed:
+        trainer = observed_trainer(spec, monkeypatch)
+    else:
+        trainer = ScenarioRunner(spec).build_trainer()
     matrix_bytes = trainer.cluster.assignment.num_files * trainer.gradient_computer.dim * 8
     assert matrix_bytes == 25 * 19_610 * 8
     trainer.run_iteration(0)

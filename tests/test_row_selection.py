@@ -1,6 +1,6 @@
 """The vote's winners as a ``RowSelection``: same rows, same bytes, no ``(f, d)`` copy.
 
-Every pipeline's ``post_vote_matrix`` hands on the honest base plus the few
+Every pipeline's ``aggregate_tensor(...).winners`` is the honest base plus the few
 rows that are not base rows.  The oracle for what those rows must be is the
 single-file reference vote applied to each file's materialized (arrived)
 copies — the dense winners matrix the vote returned before it stopped
@@ -124,7 +124,8 @@ def test_winners_equal_the_reference_vote(vote, arrival, source, block_size, dty
     arrived = masks(arrival, tensor.workers.shape)
     expected, _ = reference_vote(cube, arrived)
 
-    selection = pipeline.post_vote_matrix(tensor, arrived)
+    outcome = pipeline.aggregate_tensor(tensor, arrived)
+    selection = outcome.winners
     assert_stands_for(selection, expected)
     if arrival == "all-arrived":
         # only winners that are not base rows are copied: for the attacked
@@ -137,7 +138,6 @@ def test_winners_equal_the_reference_vote(vote, arrival, source, block_size, dty
         if source == "attacked":
             assert set(flipped.tolist()) <= set(selection.files.tolist())
             assert selection.files.size <= flipped.size + 1
-    outcome = pipeline.aggregate_tensor(tensor, arrived)
     assert np.array_equal(outcome.aggregate, np.median(expected, axis=0))
 
 
@@ -211,8 +211,8 @@ def test_vanilla_rows_equal_the_arrived_returns(arrival, source, dtype):
     arrived = masks(arrival, tensor.workers.shape)
     expected = cube[:, 0] if arrived is None else cube[arrived[:, 0], 0]
     pipeline = VanillaPipeline(BASELINE, MeanAggregator())
-    assert_stands_for(pipeline.post_vote_matrix(tensor, arrived), expected)
     outcome = pipeline.aggregate_tensor(tensor, arrived)
+    assert_stands_for(outcome.winners, expected)
     assert np.array_equal(outcome.aggregate, MeanAggregator()(expected))
 
 
@@ -220,7 +220,7 @@ def test_vanilla_rows_equal_the_arrived_returns(arrival, source, dtype):
 def test_honest_round_copies_no_row(topology):
     honest = np.random.default_rng(2).standard_normal((25, DIM))
     tensor = VoteTensor.from_honest(RAMANUJAN, honest)
-    selection = ByzShieldPipeline(RAMANUJAN, topology=topology).post_vote_matrix(tensor)
+    selection = ByzShieldPipeline(RAMANUJAN, topology=topology).aggregate_tensor(tensor).winners
     assert selection.files.size == 0 and selection.rows.shape == (0, DIM)
     assert np.shares_memory(selection.base, honest)
     dense = selection.densified()

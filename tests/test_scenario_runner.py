@@ -17,7 +17,7 @@ from repro.scenarios import (
     run_scenario,
 )
 from repro.scenarios.runner import ScenarioRunner
-from repro.scenarios.trace import RunTrace, TraceMismatch
+from repro.scenarios.trace import RunTrace, TraceMismatch, hex_float
 
 
 def run_named(name):
@@ -31,8 +31,8 @@ class TestEndToEnd:
         assert len(result.trace.rounds) == spec.training.num_iterations
         assert all(r.q == 0 for r in result.trace.rounds)
         assert result.trace.final_params_digest
-        assert not np.isnan(result.trace.final_accuracy)
-        assert result.history.final_accuracy == result.trace.final_accuracy
+        assert not np.isnan(result.history.final_accuracy)
+        assert hex_float(result.history.final_accuracy) == result.trace.final_accuracy_hex
 
     def test_attacked_run_records_byzantine_sets(self):
         result = run_named("mols-alie-omniscient")
@@ -134,7 +134,7 @@ class TestObserverStaysOffTheDataPath:
             calls.append(kernel)
             return vote(*args, **kwargs)
 
-        # both names are resolved at call time by post_vote_matrix
+        # both names are resolved at call time by the pipeline's vote
         monkeypatch.setattr(kernel_home, kernel, counting_vote)
         spec = get_scenario(scenario)
         result = ScenarioRunner(spec).run()
@@ -181,8 +181,10 @@ class TestObserverStaysOffTheDataPath:
         evaluations = result.trace.evaluations
         assert len(evaluated) >= 2
         assert [e.iteration for e in evaluations] == [r.iteration for r in evaluated]
-        assert [e.test_accuracy for e in evaluations] == [r.test_accuracy for r in evaluated]
-        assert [e.test_loss for e in evaluations] == [r.test_loss for r in evaluated]
+        assert [e.test_accuracy_hex for e in evaluations] == [
+            hex_float(r.test_accuracy) for r in evaluated
+        ]
+        assert [e.test_loss_hex for e in evaluations] == [hex_float(r.test_loss) for r in evaluated]
         assert evaluations[-1].test_accuracy_hex == result.trace.final_accuracy_hex
         # a figure curve is rebuilt from the stored form alone
         stored = RunTrace.from_dict(json.loads(result.trace.to_json()))

@@ -3,30 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.utils.arrays import (
-    flatten_arrays,
-    pairwise_squared_distances,
-    stack_vectors,
-    unflatten_vector,
-)
-
-
-def test_flatten_and_unflatten_roundtrip():
-    arrays = [np.arange(6).reshape(2, 3).astype(float), np.array([1.5, -2.0]), np.ones((2, 2, 2))]
-    flat = flatten_arrays(arrays)
-    assert flat.shape == (6 + 2 + 8,)
-    restored = unflatten_vector(flat, [a.shape for a in arrays])
-    for original, back in zip(arrays, restored):
-        assert np.allclose(original, back)
-
-
-def test_flatten_empty():
-    assert flatten_arrays([]).size == 0
-
-
-def test_unflatten_size_mismatch_raises():
-    with pytest.raises(ValueError):
-        unflatten_vector(np.zeros(5), [(2, 3)])
+from repro.utils.arrays import pairwise_squared_distances, stack_vectors
 
 
 def test_stack_vectors_shapes():

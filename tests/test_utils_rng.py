@@ -1,9 +1,8 @@
 """Tests for repro.utils.rng."""
 
 import numpy as np
-import pytest
 
-from repro.utils.rng import as_generator, derive_seed, spawn_generators
+from repro.utils.rng import as_generator, derive_seed
 
 
 def test_as_generator_from_int_is_deterministic():
@@ -19,34 +18,6 @@ def test_as_generator_passthrough():
 
 def test_as_generator_none_gives_generator():
     assert isinstance(as_generator(None), np.random.Generator)
-
-
-def test_spawn_generators_count_and_independence():
-    children = spawn_generators(42, 4)
-    assert len(children) == 4
-    draws = [g.integers(0, 10**9) for g in children]
-    # Statistically distinct streams: not all equal.
-    assert len(set(int(d) for d in draws)) > 1
-
-
-def test_spawn_generators_deterministic():
-    a = [g.integers(0, 10**9) for g in spawn_generators(42, 3)]
-    b = [g.integers(0, 10**9) for g in spawn_generators(42, 3)]
-    assert a == b
-
-
-def test_spawn_generators_zero_count():
-    assert spawn_generators(0, 0) == []
-
-
-def test_spawn_generators_negative_count_raises():
-    with pytest.raises(ValueError):
-        spawn_generators(0, -1)
-
-
-def test_spawn_generators_from_generator():
-    children = spawn_generators(np.random.default_rng(3), 2)
-    assert len(children) == 2
 
 
 def test_derive_seed_stable_and_distinct():

@@ -4,13 +4,10 @@ import pytest
 
 from repro.exceptions import ConfigurationError
 from repro.utils.validation import (
-    check_in_range,
     check_odd,
     check_positive_int,
     check_prime,
-    check_probability,
     is_prime,
-    is_prime_power,
 )
 
 
@@ -24,25 +21,10 @@ def test_check_positive_int_rejects(bad):
         check_positive_int(bad, "x")
 
 
-def test_check_probability_bounds():
-    assert check_probability(0.0, "p") == 0.0
-    assert check_probability(1.0, "p") == 1.0
-    with pytest.raises(ConfigurationError):
-        check_probability(1.5, "p")
-    with pytest.raises(ConfigurationError):
-        check_probability(-0.1, "p")
-
-
 def test_check_odd():
     assert check_odd(3, "r") == 3
     with pytest.raises(ConfigurationError):
         check_odd(4, "r")
-
-
-def test_check_in_range():
-    assert check_in_range(0.5, 0, 1, "x") == 0.5
-    with pytest.raises(ConfigurationError):
-        check_in_range(2, 0, 1, "x")
 
 
 @pytest.mark.parametrize(
@@ -71,10 +53,3 @@ def test_check_prime():
     with pytest.raises(ConfigurationError):
         check_prime(8, "l")
 
-
-@pytest.mark.parametrize(
-    "n,expected",
-    [(2, True), (4, True), (8, True), (9, True), (12, False), (27, True), (1, False), (6, False)],
-)
-def test_is_prime_power(n, expected):
-    assert is_prime_power(n) is expected

@@ -21,6 +21,12 @@ Usage::
 
 It prints one line per unreached def, ``path:line qualname``, public ones
 first.  No ``coverage`` install is needed.
+
+It is also a gate, so dead code cannot regrow: every public def it finds
+unreached must be listed in ``tools/reachability_kept.txt`` (one ``path
+qualname  # verdict`` line each: test oracle, interface, ``repr()`` only,
+benchmark attach point, ...), and every def listed there must still exist.
+Otherwise it names each offender on stderr and exits 1.
 """
 
 from __future__ import annotations
@@ -38,6 +44,7 @@ import types
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "repro"
+KEPT = ROOT / "tools" / "reachability_kept.txt"
 
 
 def _cli(*argv: str):
@@ -106,6 +113,12 @@ def _is_public(qualname: str) -> bool:
     return not any(p.startswith("_") and not p.endswith("__") for p in parts)
 
 
+def _kept() -> set[tuple[str, str]]:
+    """``(path, qualname)`` of every public def kept unreached on purpose."""
+    entries = (line.partition("#")[0].split() for line in KEPT.read_text().splitlines())
+    return {(path, qualname) for path, qualname in filter(None, entries)}
+
+
 def main(argv: "list[str] | None" = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--json", type=pathlib.Path, help="also write the list as JSON")
@@ -134,12 +147,14 @@ def main(argv: "list[str] | None" = None) -> int:
             threading.setprofile(None)
 
     unreached = []
+    existing: set[tuple[str, str]] = set()
     for path in sorted(SRC.rglob("*.py")):
         code = compile(path.read_text(), str(path), "exec")
+        rel = str(path.relative_to(ROOT))
         for filename, line, qualname in _defs(code, str(path)):
+            existing.add((rel, qualname))
             if (filename, line) not in entered:
-                rel = pathlib.Path(filename).relative_to(ROOT)
-                unreached.append({"path": str(rel), "line": line, "def": qualname,
+                unreached.append({"path": rel, "line": line, "def": qualname,
                                   "public": _is_public(qualname)})
     unreached.sort(key=lambda u: (not u["public"], u["path"], u["line"]))
     for u in unreached:
@@ -148,7 +163,18 @@ def main(argv: "list[str] | None" = None) -> int:
           file=sys.stderr)
     if args.json is not None:
         args.json.write_text(json.dumps(unreached, indent=1))
-    return 0
+
+    kept = _kept()
+    listed = KEPT.relative_to(ROOT)
+    unlisted = [u for u in unreached if u["public"] and (u["path"], u["def"]) not in kept]
+    for u in unlisted:
+        print(f"error: {u['path']}:{u['line']} {u['def']} is public and unreached: "
+              f"delete it, or list it in {listed} with its verdict", file=sys.stderr)
+    gone = sorted(kept - existing)
+    for path, qualname in gone:
+        print(f"error: {path} {qualname} is listed in {listed} but no longer exists",
+              file=sys.stderr)
+    return 1 if unlisted or gone else 0
 
 
 if __name__ == "__main__":

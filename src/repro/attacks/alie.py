@@ -63,8 +63,13 @@ class ALIEAttack(Attack):
     ----------
     z:
         Optional fixed deflection; when ``None`` (default) ``z_max`` is
-        computed from the number of files and Byzantine workers each
-        iteration.
+        computed each iteration from the number of workers ``K`` and of
+        Byzantine workers ``q``: ``alie_z_max(K, q)``, Baruch et al.'s
+        calibration over the workers.  Whether the population should be
+        what the aggregator actually sees (the ``f`` post-vote file
+        gradients, at most ``c_max`` of them distorted) is an open question
+        in ROADMAP.md (item 4); until it is settled the calibration stays on
+        ``(K, q)``.
     negative_direction:
         If True (default) the crafted vector is ``µ − z·σ``; otherwise
         ``µ + z·σ``.
@@ -83,10 +88,9 @@ class ALIEAttack(Attack):
         if self.z is not None:
             z = self.z
         else:
-            # Voting population: the paper's PS votes over file gradients, so
-            # the relevant n is the number of files and the relevant q is the
-            # number of file copies the adversary can fake per vote; using the
-            # worker counts keeps the classic ALIE calibration.
+            # The classic calibration: n = K workers of which q collude.  The
+            # vote population the aggregator sees (f files, <= c_max of them
+            # distorted) is the open question of ROADMAP.md item 4.
             z = alie_z_max(context.assignment.num_workers, context.num_byzantine)
         direction = -1.0 if self.negative_direction else 1.0
         return mean + direction * z * std

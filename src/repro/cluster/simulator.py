@@ -244,9 +244,7 @@ class TrainingCluster:
         """
         runtime = self.runtime
         assert runtime is not None
-        samples = np.array(
-            [inputs.shape[0] for inputs, _ in file_data], dtype=DEFAULT_DTYPE
-        )
+        samples = file_data.samples_per_file.astype(DEFAULT_DTYPE)
         base = base_arrival_times(
             self.assignment, runtime.cost_model, tensor.dim, samples
         )

@@ -92,8 +92,8 @@ class WorkerPool:
             return batched(params, files)
         gradients: np.ndarray | None = None
         losses = np.empty(len(files), dtype=DEFAULT_DTYPE)
-        for i, (inputs, labels) in enumerate(files):
-            gradient, loss = self.gradient_fn(params, inputs, labels)
+        for i in range(len(files)):
+            gradient, loss = self.gradient_fn(params, *files.file(i))
             vector = ensure_float(gradient).ravel()
             if gradients is None:
                 gradients = np.empty((len(files), vector.size), dtype=vector.dtype)

@@ -29,6 +29,7 @@ from repro.utils.rng import as_generator, derive_seed
 __all__ = [
     "BatchSampler",
     "RoundFiles",
+    "FileRows",
     "partition_batch_into_files",
     "dirichlet_label_partition",
     "quantity_skew_partition",
@@ -64,22 +65,33 @@ def partition_batch_into_files(batch_indices: np.ndarray, num_files: int) -> lis
 
 
 class RoundFiles:
-    """One round's ``f`` files, in the form every stage from sampler to engine reads.
+    """One round's ``f`` files as rows of a sample pool, gathered a chunk at a time.
 
-    ``stacked`` is ``(inputs (f, n, ...), labels (f, n, ...))`` when every file
-    has the same shape — for a sampled batch, views of its one gather — and
-    ``None`` for ragged files, which only the looped gradient engine takes.
-    Iterating yields the ``f`` ``(inputs_i, labels_i)`` pairs: views of
-    ``stacked``, never copies.
+    ``indices`` is the ``(f, n)`` matrix of row indices, file ``i`` in row
+    ``i``; ragged files, which only the looped gradient engine takes, are a
+    list of ``f`` index arrays instead.  ``pool`` is the ``(inputs, labels)``
+    pair those rows are drawn from (for a sampled round, the training set
+    itself), and ``gather`` maps flat row indices to their ``(inputs,
+    labels)``: a sampler's ``batch_data``, so every gather of a trained round
+    goes through it.  Nothing is gathered up front.  The stacked pass reads
+    :meth:`chunk` (files ``lo..hi`` in one gather) and drops each chunk with
+    its activations; the looped engine reads :meth:`file`.  Iterating yields
+    the ``f`` ``(inputs_i, labels_i)`` pairs as :class:`FileRows`: their
+    shapes cost nothing, and ``np.asarray`` gathers them.
     """
 
-    def __init__(self, stacked: "tuple[np.ndarray, np.ndarray] | None", ragged=None) -> None:
-        self.stacked, self._ragged = stacked, ragged
+    def __init__(
+        self,
+        indices: np.ndarray | list[np.ndarray],
+        pool: tuple[np.ndarray, np.ndarray],
+        gather=None,
+    ) -> None:
+        self.indices, self.pool = indices, pool
+        self._gather = gather if gather is not None else self._take
 
-    @classmethod
-    def from_batch(cls, inputs: np.ndarray, labels: np.ndarray, num_files: int) -> "RoundFiles":
-        """View a gathered batch (file after file along axis 0) as ``num_files`` files."""
-        return cls(tuple(a.reshape((num_files, -1) + a.shape[1:]) for a in (inputs, labels)))
+    def _take(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        inputs, labels = self.pool
+        return inputs[rows], labels[rows]
 
     @classmethod
     def coerce(cls, files) -> "RoundFiles":
@@ -87,8 +99,8 @@ class RoundFiles:
 
         Takes a :class:`RoundFiles` (returned as is), a ``{file: (inputs,
         labels)}`` mapping over ``range(f)``, a sequence of ``(inputs,
-        labels)`` pairs (stacked with one copy when uniform), or the two
-        stacked arrays ``(inputs, labels)`` as a tuple or list.
+        labels)`` pairs (pooled with one copy), or the two stacked arrays
+        ``(inputs, labels)`` as a tuple or list (pooled as they are).
         """
         if isinstance(files, cls):
             return files
@@ -100,30 +112,74 @@ class RoundFiles:
             files = [files[i] for i in range(len(files))]
         files = list(files)
         if len(files) == 2 and all(isinstance(a, np.ndarray) for a in files):
-            inputs, labels = stacked = tuple(files)
+            inputs, labels = files
             if inputs.ndim < 2 or labels.shape[:2] != inputs.shape[:2]:
                 raise TrainingError(
                     "stacked files must be inputs (f, n, ...) and labels (f, n, ...) "
                     f"with equal leading axes, got {inputs.shape} and {labels.shape}"
                 )
-            ragged, (num_files, smallest) = None, inputs.shape[:2]
+            sizes = [inputs.shape[1]] * inputs.shape[0]
+            pool = tuple(a.reshape((-1,) + a.shape[2:]) for a in (inputs, labels))
         else:
-            stacked, ragged = None, [(x, y) for x, y in files]
-            shapes = [(x.shape, y.shape) for x, y in ragged]
-            num_files, smallest = len(ragged), min((x[0] for x, _ in shapes), default=0)
-        if num_files == 0:
+            pairs = [(np.asarray(x), np.asarray(y)) for x, y in files]
+            sizes = [x.shape[0] for x, _ in pairs]
+            pool = tuple(np.concatenate(part) for part in zip(*pairs))
+        if not sizes:
             raise TrainingError("batched gradient computation needs >= 1 file")
-        if smallest == 0:
+        if min(sizes) == 0:
             raise TrainingError("cannot compute a gradient on an empty file")
-        if stacked is None and all(shape == shapes[0] for shape in shapes):
-            stacked, ragged = tuple(np.stack(arrays) for arrays in zip(*ragged)), None
-        return cls(stacked, ragged)
+        rows = np.arange(sum(sizes))
+        if len(set(sizes)) == 1:
+            return cls(rows.reshape(len(sizes), sizes[0]), pool)
+        return cls(np.split(rows, np.cumsum(sizes)[:-1]), pool)
+
+    @property
+    def uniform(self) -> bool:
+        """Whether every file has the same number of samples (the stacked engine's input)."""
+        return isinstance(self.indices, np.ndarray)
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        """Shape of the uniform files' stacked inputs, ``(f, n, ...)``."""
+        return self.indices.shape + self.pool[0].shape[1:]
+
+    @property
+    def samples_per_file(self) -> np.ndarray:
+        """``(f,)`` sample counts, read off the indices: nothing is gathered."""
+        return np.array([len(rows) for rows in self.indices])
+
+    def chunk(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+        """Uniform files ``lo..hi-1`` in one gather: stacked ``(inputs, labels)``,
+        each ``(hi - lo, n, ...)``."""
+        rows = self.indices[lo:hi]
+        inputs, labels = self._gather(rows.ravel())
+        return tuple(a.reshape(rows.shape + a.shape[1:]) for a in (inputs, labels))
+
+    def file(self, index: int) -> tuple[np.ndarray, np.ndarray]:
+        """File ``index`` gathered: ``(inputs (n_i, ...), labels (n_i, ...))``."""
+        return self._gather(self.indices[index])
 
     def __len__(self) -> int:
-        return len(self._ragged if self.stacked is None else self.stacked[0])
+        return len(self.indices)
 
-    def __iter__(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        return iter(self._ragged) if self.stacked is None else zip(*self.stacked)
+    def __iter__(self) -> Iterator[tuple[FileRows, FileRows]]:
+        return ((FileRows(self, i, 0), FileRows(self, i, 1)) for i in range(len(self)))
+
+
+class FileRows:
+    """One file's inputs (``part`` 0) or labels (1), gathered only when read.
+
+    ``shape`` comes from the indices and the pool, so counting a round's
+    samples by iterating it gathers nothing.  ``np.asarray`` gathers the
+    file (:meth:`RoundFiles.file`).
+    """
+
+    def __init__(self, files: RoundFiles, index: int, part: int) -> None:
+        self._files, self._index, self._part = files, index, part
+        self.shape = (len(files.indices[index]),) + files.pool[part].shape[1:]
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        return np.asarray(self._files.file(self._index)[self._part], dtype=dtype)
 
 
 @dataclass
@@ -177,7 +233,8 @@ class BatchSampler:
         return partition_batch_into_files(self.next_batch(), num_files)
 
     def batch_data(self, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Materialize ``(inputs, labels)`` for a set of sample indices."""
+        """Materialize ``(inputs, labels)`` for a set of sample indices: the
+        gather a trained round's :class:`RoundFiles` calls once per chunk."""
         indices = np.asarray(indices, dtype=np.int64)
         return self.dataset.inputs[indices], self.dataset.labels[indices]
 
@@ -422,6 +479,7 @@ class ShardedBatchSampler:
         return np.concatenate(self.next_batch_files())
 
     def batch_data(self, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Materialize ``(inputs, labels)`` for a set of sample indices."""
+        """Materialize ``(inputs, labels)`` for a set of sample indices: the
+        gather a trained round's :class:`RoundFiles` calls once per chunk."""
         indices = np.asarray(indices, dtype=np.int64)
         return self.dataset.inputs[indices], self.dataset.labels[indices]

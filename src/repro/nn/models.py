@@ -8,7 +8,7 @@ Parameter writes are in place.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -19,11 +19,16 @@ from repro.nn.losses import Loss
 from repro.utils.arrays import block_ranges
 from repro.utils.rng import as_generator
 
+if TYPE_CHECKING:  # pragma: no cover - the model reads only the files' shape and chunks
+    from repro.data.batching import RoundFiles
+
 __all__ = ["Sequential", "build_mlp"]
 
 #: Bytes of activations one chunk of the stacked per-file pass may hold
 #: (:meth:`Sequential._files_per_chunk` costs a file as every layer's output
-#: for its samples).  Timed at ``clean-compute-bound``'s pass (25 files of 256
+#: for its samples).  Each chunk's samples are gathered per chunk, just before
+#: its pass, so the pass also holds one chunk's inputs, which this budget does
+#: not count.  Timed at ``clean-compute-bound``'s pass (25 files of 256
 #: samples, 100-64-64-10, float64; 2-core Xeon, one BLAS thread), median of 40
 #: interleaved, in each of 6 processes: 1 / 2 / 3 / 4 / 5 / 8 / 25 files a
 #: chunk read 10.3 / 9.4 / 9.1 / 9.0 / 8.8 / 10.0 / 12.9 ms.  2 MiB is three
@@ -172,13 +177,14 @@ class Sequential:
         return out
 
     def per_file_loss_and_gradients(
-        self, x: np.ndarray, y: np.ndarray, loss: Loss, out: np.ndarray | None = None
+        self, files: RoundFiles, loss: Loss, out: np.ndarray | None = None
     ) -> tuple[np.ndarray, np.ndarray]:
         """All ``f`` per-file losses and flat gradients, in chunks of files.
 
-        The file axis is walked in chunks of :meth:`_files_per_chunk` files;
-        each chunk runs forward, loss and backward and drops its activations
-        before the next one starts, so the pass holds one chunk's worth of
+        The file axis is walked in chunks of :meth:`_files_per_chunk` files.
+        Each chunk's samples are gathered just before it runs forward, loss
+        and backward, and are dropped with its activations before the next
+        chunk is gathered, so the pass holds one chunk's samples and
         activations whatever the batch size.  Every stacked op keeps the file
         axis as a loop dimension (see :mod:`repro.nn.layers`), so no file sees
         how many others share its chunk and the chunking is invisible in the
@@ -186,9 +192,11 @@ class Sequential:
 
         Parameters
         ----------
-        x, y:
-            Stacked inputs ``(f, n, ...)`` and targets ``(f, n, ...)`` — file
-            ``i``'s batch lives in slice ``i``.
+        files:
+            The round's uniform files (:class:`~repro.data.batching.RoundFiles`):
+            ``files.shape`` is the stacked inputs' ``(f, n, ...)`` and
+            ``files.chunk(lo, hi)`` gathers files ``lo..hi-1`` as stacked
+            inputs and targets — file ``i``'s batch in slice ``i``.
         loss:
             The training loss.
         out:
@@ -203,17 +211,7 @@ class Sequential:
             row ``i`` is bit-identical to ``loss_and_gradient`` on file ``i``.
         """
         dtype = self.dtype
-        x, y = np.asarray(x), np.asarray(y)
-        if x.ndim < 2 or x.shape[0] < 1 or x.shape[1] < 1:
-            raise ConfigurationError(
-                f"stacked inputs must be (files, batch, ...) with at least one "
-                f"file and one sample, got shape {x.shape}"
-            )
-        f, d = x.shape[0], self.num_parameters()
-        if y.shape[:1] != (f,):
-            raise ConfigurationError(
-                f"stacked targets must have the inputs' {f} files, got shape {y.shape}"
-            )
+        f, d = len(files), self.num_parameters()
         if out is None:
             out = np.empty((f, d), dtype=dtype)
         elif out.shape != (f, d) or out.dtype != dtype or not out.flags.c_contiguous:
@@ -222,10 +220,10 @@ class Sequential:
                 f"({f}, {d}), got {out.dtype} {out.shape}"
             )
         losses = np.empty(f, dtype=dtype)
-        for lo, hi in block_ranges(f, self._files_per_chunk(x.shape)):
-            losses[lo:hi] = self._stacked_pass(
-                np.asarray(x[lo:hi], dtype=dtype), y[lo:hi], loss, out[lo:hi]
-            )
+        for lo, hi in block_ranges(f, self._files_per_chunk(files.shape)):
+            x, y = files.chunk(lo, hi)
+            losses[lo:hi] = self._stacked_pass(np.asarray(x, dtype=dtype), y, loss, out[lo:hi])
+            del x, y
         return losses, out
 
     def _files_per_chunk(self, shape: tuple[int, ...]) -> int:

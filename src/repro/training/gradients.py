@@ -94,9 +94,10 @@ class ModelGradientComputer:
             Flat parameter vector, loaded into the model **once** for the
             whole call (per-file ``__call__`` reloads it every time).
         files:
-            The round's :class:`~repro.data.batching.RoundFiles` (consumed
-            without a copy), or what its ``coerce`` takes: a sequence of
-            ``(inputs, labels)`` pairs, or the two stacked arrays.
+            The round's :class:`~repro.data.batching.RoundFiles` (its samples
+            gathered a chunk at a time, never the whole batch at once), or
+            what its ``coerce`` takes: a sequence of ``(inputs, labels)``
+            pairs, or the two stacked arrays.
 
         Returns
         -------
@@ -119,24 +120,25 @@ class ModelGradientComputer:
 
         With ``engine="stacked"`` the call runs the model's stacked
         per-file path (:meth:`Sequential.per_file_loss_and_gradients`, which
-        walks the files in chunks) when every file has the same shape; ragged files fall back to the looped
-        path.
+        walks the files in chunks) when every file has the same number of
+        samples; ragged files fall back to the looped path, which gathers one
+        file at a time.
         :attr:`last_engine` records which one ran.
         """
         files = RoundFiles.coerce(files)
         self.model.set_flat_params(params)
         gradients = self._round_matrix(len(files))
-        if self.engine == "stacked" and files.stacked is not None:
+        if self.engine == "stacked" and files.uniform:
             # Every layer writes its per-file gradients straight into views
             # of the round's matrix.
             losses, _ = self.model.per_file_loss_and_gradients(
-                *files.stacked, self.loss, out=gradients
+                files, self.loss, out=gradients
             )
             self.last_engine = "stacked"
             return gradients, losses
         losses = np.empty(len(files), dtype=self.model.dtype)
-        for i, (inputs, labels) in enumerate(files):
-            value, gradient = self.model.loss_and_gradient(inputs, labels, self.loss)
+        for i in range(len(files)):
+            value, gradient = self.model.loss_and_gradient(*files.file(i), self.loss)
             gradients[i] = gradient
             losses[i] = float(value)
         self.last_engine = "looped"

@@ -140,9 +140,12 @@ class DistributedTrainer:
         )
 
     def _file_data(self, files: "list[np.ndarray]") -> RoundFiles:
-        """One gather for the whole batch, viewed as the round's ``f`` files."""
-        inputs, labels = self.sampler.batch_data(np.concatenate(files))
-        return RoundFiles.from_batch(inputs, labels, len(files))
+        """The round's ``f`` files as rows of the training set, not yet gathered:
+        the stacked pass gathers them a chunk at a time through the sampler."""
+        dataset = self.sampler.dataset
+        return RoundFiles(
+            np.stack(files), (dataset.inputs, dataset.labels), self.sampler.batch_data
+        )
 
     def run_iteration(self, iteration: int) -> IterationRecord:
         """Execute one synchronous iteration and return its metrics."""

@@ -126,18 +126,19 @@ def test_per_file_workspace_is_written_in_place():
     x = np.stack([inputs for inputs, _ in files])
     y = np.stack([labels for _, labels in files])
     workspace = np.full((3, model.num_parameters()), np.nan)
-    losses, grads = model.per_file_loss_and_gradients(x, y, loss, out=workspace)
+    files = RoundFiles.coerce((x, y))
+    losses, grads = model.per_file_loss_and_gradients(files, loss, out=workspace)
     assert grads is workspace
     assert not np.isnan(workspace).any()
     assert losses.shape == (3,)
 
     with pytest.raises(ConfigurationError):
         model.per_file_loss_and_gradients(
-            x, y, loss, out=np.empty((3, model.num_parameters() + 1))
+            files, loss, out=np.empty((3, model.num_parameters() + 1))
         )
     with pytest.raises(ConfigurationError):
         model.per_file_loss_and_gradients(
-            x, y, loss, out=np.empty((3, model.num_parameters()), dtype=np.float32)
+            files, loss, out=np.empty((3, model.num_parameters()), dtype=np.float32)
         )
 
 
@@ -334,10 +335,10 @@ def test_no_stacked_activation_outlives_the_pass(first):
     x = np.random.default_rng(0).standard_normal((3, 7, 30))
     labels = np.zeros((3, 7), dtype=np.int64)
     loss = SoftmaxCrossEntropy()
-    model.per_file_loss_and_gradients(x, labels, loss)
+    model.per_file_loss_and_gradients(RoundFiles.coerce((x, labels)), loss)
     assert stacked_arrays_held(model, 3, 7) == []
     with pytest.raises(ConfigurationError, match="out of range"):
-        model.per_file_loss_and_gradients(x, labels + 5, loss)
+        model.per_file_loss_and_gradients(RoundFiles.coerce((x, labels + 5)), loss)
     assert stacked_arrays_held(model, 3, 7) == []
 
 
@@ -412,16 +413,19 @@ def test_a_loss_raising_in_the_second_chunk_leaves_no_activations(monkeypatch, f
     chunk_budget(monkeypatch, model, x.shape, 3)
     loss = FailingOnCall(fail_on=2)
     with pytest.raises(ConfigurationError, match="on purpose"):
-        model.per_file_loss_and_gradients(x, np.zeros((7, 5), dtype=np.int64), loss)
+        model.per_file_loss_and_gradients(
+            RoundFiles.coerce((x, np.zeros((7, 5), dtype=np.int64))), loss
+        )
     assert loss.calls == 2
     assert [layer._stacked for layer in model.layers] == [None] * len(model.layers)
 
 
 def test_targets_must_cover_every_file():
-    model = MODELS["mlp"]()
+    """The model takes its files as one :class:`RoundFiles`, which checks the
+    targets against the inputs once, before anything is gathered."""
     x = np.zeros((4, 6, 30))
-    with pytest.raises(ConfigurationError, match="inputs' 4 files"):
-        model.per_file_loss_and_gradients(x, np.zeros((5, 6), dtype=np.int64), SoftmaxCrossEntropy())
+    with pytest.raises(TrainingError, match=r"\(4, 6, 30\) and \(5, 6\)"):
+        RoundFiles.coerce((x, np.zeros((5, 6), dtype=np.int64)))
 
 
 def test_small_batches_run_as_one_chunk():
@@ -436,7 +440,8 @@ def test_small_batches_run_as_one_chunk():
 # --------------------------------------------------------------------------- #
 # One representation of a round's files
 # --------------------------------------------------------------------------- #
-def small_trainer(partition=None):
+def small_trainer(partition=None, **sections):
+    """MOLS K = 15 (f = 25), batch 100: 25 files of 4 samples of dimension 8."""
     data = {"num_train": 300, "num_test": 50, "num_classes": 3, "dim": 8}
     if partition is not None:
         data["partition"] = partition
@@ -447,42 +452,111 @@ def small_trainer(partition=None):
         "data": data,
         "model": {"hidden": [10]},
         "training": {"batch_size": 100, "num_iterations": 2, "eval_every": 2},
+        **sections,
     })).build_trainer()
+
+
+#: ``small_trainer``'s stacked inputs, and the nine chunks of three files
+#: (the last one file) its pass runs under ``chunk_budget(..., 3)``
+ROUND_SHAPE, CHUNK_SAMPLES = (25, 4, 8), [12] * 8 + [4]
+
+
+def record_gathers(sampler, model):
+    """Shim ``sampler.batch_data``: every index array it gathers, each with
+    whether the model's per-file gradient pass was running at the time."""
+    gathers, inside = [], [False]
+    batch_data, gradient_pass = sampler.batch_data, model.per_file_loss_and_gradients
+
+    def gathering(indices):
+        gathers.append((np.array(indices), inside[0]))
+        return batch_data(indices)
+
+    def passing(*args, **kwargs):
+        inside[0] = True
+        try:
+            return gradient_pass(*args, **kwargs)
+        finally:
+            inside[0] = False
+
+    sampler.batch_data, model.per_file_loss_and_gradients = gathering, passing
+    return gathers
+
+
+def record_chunks(model):
+    """Shim the model's per-chunk pass: a copy of every chunk it was handed."""
+    seen, original = [], model._stacked_pass
+
+    def recording(x, y, *args):
+        seen.append((x.copy(), y.copy()))
+        return original(x, y, *args)
+
+    model._stacked_pass = recording
+    return seen
 
 
 @pytest.mark.parametrize(
     "partition", [None, {"kind": "dirichlet", "alpha": 0.5}], ids=["iid", "sharded"]
 )
-def test_round_files_are_one_gather_viewed_per_file(partition):
+def test_each_chunk_is_one_gather_through_the_sampler(monkeypatch, partition):
+    """A round is its index matrix until the pass reads it: one
+    ``batch_data`` call per chunk, inside the pass, covering the batch once
+    in file order, and handing the pass what one whole-batch gather would."""
     trainer = small_trainer(partition)
-    sampler = trainer.sampler
-    gathers = []
-    original = sampler.batch_data
-    sampler.batch_data = lambda indices: gathers.append(indices) or original(indices)
+    model = trainer.gradient_computer.model
+    chunk_budget(monkeypatch, model, ROUND_SHAPE, 3)
+    batch_data = trainer.sampler.batch_data
+    gathers, chunks = record_gathers(trainer.sampler, model), record_chunks(model)
+
     file_indices = trainer._next_file_indices()
     files = trainer._file_data(file_indices)
-    sampler.batch_data = original
-
-    assert len(gathers) == 1 and isinstance(files, RoundFiles)
-    inputs, labels = files.stacked
-    assert inputs.shape == (25, 4, 8) and labels.shape == (25, 4) and len(files) == 25
-    for indices, (file_inputs, file_labels) in zip(file_indices, files, strict=True):
-        expected_inputs, expected_labels = sampler.batch_data(indices)
-        assert np.array_equal(file_inputs, expected_inputs)
-        assert np.array_equal(file_labels, expected_labels)
-        assert np.shares_memory(file_inputs, inputs)
-        assert np.shares_memory(file_labels, labels)
-
-    # the engine reads the gather itself: no stack, no copy
-    seen = []
-    model = trainer.gradient_computer.model
-    original_pass = model.per_file_loss_and_gradients
-    model.per_file_loss_and_gradients = (
-        lambda x, y, *args, **kwargs: seen.append((x, y)) or original_pass(x, y, *args, **kwargs)
-    )
+    assert isinstance(files, RoundFiles) and files.shape == ROUND_SHAPE
+    assert sum(inputs.shape[0] for inputs, _ in files) == 100  # counted from the indices
+    assert gathers == []
     trainer.cluster.run_round_tensor(trainer.server.broadcast(), files, 0)
     assert trainer.gradient_computer.last_engine == "stacked"
-    assert seen[0][0] is inputs and seen[0][1] is labels
+
+    assert [indices.size for indices, _ in gathers] == CHUNK_SAMPLES
+    assert all(inside for _, inside in gathers)
+    batch = np.concatenate(file_indices)
+    assert np.concatenate([indices for indices, _ in gathers]).tobytes() == batch.tobytes()
+    whole_inputs, whole_labels = batch_data(batch)
+    assert np.concatenate([x for x, _ in chunks]).tobytes() == whole_inputs.tobytes()
+    assert np.concatenate([y for _, y in chunks]).tobytes() == whole_labels.tobytes()
+
+
+def test_a_float32_model_on_float64_data_keeps_its_gradients(monkeypatch):
+    """Each chunk is converted to the model's dtype after its gather, as each
+    chunk of the whole batch was: every row equals the per-file oracle on the
+    file's samples cast to float32, byte for byte."""
+    trainer = small_trainer(dtype="float32")
+    computer = trainer.gradient_computer
+    assert computer.model.dtype == np.float32
+    assert trainer.sampler.dataset.inputs.dtype == np.float64
+    chunk_budget(monkeypatch, computer.model, ROUND_SHAPE, 3)
+    oracle = ModelGradientComputer(copy.deepcopy(computer.model))
+    params = trainer.server.broadcast()
+    file_indices = trainer._next_file_indices()
+
+    gradients, losses = computer.batched(params, trainer._file_data(file_indices))
+    assert computer.last_engine == "stacked" and gradients.dtype == np.float32
+    for i, indices in enumerate(file_indices):
+        inputs, labels = trainer.sampler.batch_data(indices)
+        gradient, value = oracle(params, inputs.astype(np.float32), labels)
+        assert gradient.tobytes() == gradients[i].tobytes()
+        assert np.float32(value).tobytes() == losses[i].tobytes()
+
+
+def test_an_async_round_gathers_only_inside_the_pass(monkeypatch):
+    """The event-driven round times arrivals from each file's sample count,
+    read off the indices: no second gather."""
+    trainer = small_trainer(runtime={"quorum": 2})
+    assert trainer.cluster.runtime is not None
+    model = trainer.gradient_computer.model
+    chunk_budget(monkeypatch, model, ROUND_SHAPE, 3)
+    gathers = record_gathers(trainer.sampler, model)
+    trainer.run_iteration(0)
+    assert [indices.size for indices, _ in gathers] == CHUNK_SAMPLES
+    assert all(inside for _, inside in gathers)
 
 
 def test_coerce_takes_every_calling_form_and_keeps_round_files_as_is():
@@ -495,7 +569,7 @@ def test_coerce_takes_every_calling_form_and_keeps_round_files_as_is():
     expected, expected_losses = (a.copy() for a in computer.batched(params, pairs))
 
     files = RoundFiles.coerce((inputs, labels))
-    assert RoundFiles.coerce(files) is files and files.stacked[0] is inputs
+    assert RoundFiles.coerce(files) is files and np.shares_memory(files.pool[0], inputs)
     # a *list* of the two stacked arrays used to be taken for two files
     for form in (files, [inputs, labels], dict(enumerate(pairs)), iter(pairs)):
         gradients, losses = computer.batched(params, form)
@@ -503,8 +577,10 @@ def test_coerce_takes_every_calling_form_and_keeps_round_files_as_is():
         assert np.array_equal(gradients, expected) and np.array_equal(losses, expected_losses)
 
     ragged = RoundFiles.coerce(pairs[:2] + [(inputs[0, :2], labels[0, :2])])
-    assert ragged.stacked is None and len(ragged) == 3
-    assert [x.shape[0] for x, _ in ragged] == [6, 6, 2]
+    assert not ragged.uniform and len(ragged) == 3
+    assert ragged.samples_per_file.tolist() == [x.shape[0] for x, _ in ragged] == [6, 6, 2]
+    for (x, y), (rows_x, rows_y) in zip(pairs[:2], ragged):
+        assert np.array_equal(np.asarray(rows_x), x) and np.array_equal(np.asarray(rows_y), y)
 
 
 @pytest.mark.parametrize(

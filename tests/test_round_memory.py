@@ -6,7 +6,8 @@ scenario trace observing it: the vote hands its winners on as the honest
 matrix plus the few rows that out-voted it, the trace digests them from the
 vote's references, the median, the vote's row comparison and ALIE's
 statistics stream coordinate blocks, the layers write their per-file
-gradients in place (one chunk of files' activations alive at a time), and
+gradients in place (one chunk of files' samples and activations alive at a
+time), and
 :meth:`ModelGradientComputer.batched` hands the previous round's gradient
 matrix out again — but only when nothing else still references it, which is
 what the second half of this file pins from every side a caller can hold on.
@@ -20,6 +21,7 @@ import pytest
 import repro.nn.models as models
 import repro.scenarios.runner as runner_module
 from repro.attacks.alie import ALIEAttack
+from repro.data.batching import RoundFiles
 from repro.nn.losses import SoftmaxCrossEntropy
 from repro.nn.models import build_mlp
 from repro.scenarios.runner import ScenarioRunner
@@ -91,8 +93,9 @@ def observed_trainer(spec, monkeypatch):
     ids=["flat", "hierarchical", "observed-flat", "observed-hierarchical"],
 )
 def test_steady_state_round_peaks_under_one_gradient_matrix(monkeypatch, observed, groups):
-    """Measured at this shape: 0.48 matrices (two out-voted rows, block
-    buffers, a few ``(d,)`` vectors and the batch), observed or not; 1.38
+    """Measured at this shape: 0.44 matrices (two out-voted rows, block
+    buffers, a few ``(d,)`` vectors and one chunk of the batch; 0.48 while
+    the whole batch was gathered before the pass), observed or not; 1.38
     while the vote copied the honest matrix to change those two rows; 3.45
     while each of the median, the vote, ALIE's ``std`` and the wide layer's
     backward made its own copy.  The observed cases run the scenario trace's
@@ -121,21 +124,68 @@ def test_steady_state_round_peaks_under_one_gradient_matrix(monkeypatch, observe
 
 def test_stacked_pass_holds_one_chunk_of_activations():
     """``clean-compute-bound``'s pass (25 files of 256 samples, 100 -> 64 ->
-    64 -> 10): measured 1.34 MiB above its start at three files a chunk,
-    11.1 MiB while all 25 files' activations were alive at once."""
+    64 -> 10): measured 1.93 MiB above its start at three files a chunk, of
+    which 0.59 MiB is the chunk's own gathered samples; 1.34 MiB while the
+    pass read views of a batch gathered before it, and 11.1 MiB while all 25
+    files' activations were alive at once."""
     model = build_mlp(100, 10, hidden=(64, 64), seed=0)
     rng = np.random.default_rng(0)
     x, y = rng.standard_normal((25, 256, 100)), rng.integers(0, 10, (25, 256))
+    files = RoundFiles.coerce((x, y))
     out = np.empty((25, model.num_parameters()))
     loss = SoftmaxCrossEntropy()
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        model.per_file_loss_and_gradients(x, y, loss, out=out)
+        model.per_file_loss_and_gradients(files, loss, out=out)
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
     assert peak <= models._CHUNK_BYTES + (1 << 20), peak / (1 << 20)
+
+
+def test_compute_bound_round_holds_one_chunk_not_the_batch():
+    """``clean-compute-bound``'s round (MOLS K = 15, f = 25, batch 6400, 100
+    -> 64 -> 64 -> 10, no attack) on 8,000 training rows instead of 20,000.
+    Its steady-state peak above its start measured 2.13 MiB: one chunk of
+    three files, its 0.59 MiB of gathered samples and its activations, plus
+    the batch's indices and the round's small vectors.  It measured 6.42 MiB
+    while the trainer gathered the whole 4.9 MiB batch before the pass."""
+    spec = ScenarioSpec.from_dict({
+        "name": "round-memory-compute-bound",
+        "cluster": {"scheme": "mols", "params": {"load": 5, "replication": 3}},
+        "pipeline": {"kind": "byzshield", "aggregator": "median"},
+        "data": {
+            "kind": "gaussian",
+            "dim": 100,
+            "num_classes": 10,
+            "num_train": 8000,
+            "num_test": 200,
+        },
+        "model": {"hidden": [64, 64]},
+        "training": {
+            "batch_size": 6400,
+            "num_iterations": 3,
+            "eval_every": 3,
+            "learning_rate": 0.1,
+            "momentum": 0.0,
+        },
+    })
+    trainer = ScenarioRunner(spec).build_trainer()
+    model = trainer.gradient_computer.model
+    shape = (25, 256, 100)
+    chunk_inputs = model._files_per_chunk(shape) * 256 * 100 * model.dtype.itemsize
+    trainer.run_iteration(0)
+    trainer.run_iteration(1)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        trainer.run_iteration(2)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak < models._CHUNK_BYTES + chunk_inputs + (1 << 20), peak / (1 << 20)
 
 
 # --------------------------------------------------------------------------- #

@@ -22,11 +22,7 @@ from repro.assignment.mols import MOLSAssignment
 from repro.assignment.ramanujan import RamanujanAssignment
 from repro.attacks.alie import ALIEAttack
 from repro.attacks.base import AttackContext
-from repro.core.distortion import (
-    claim2_exact_c_max,
-    max_distortion_exhaustive,
-    max_distortion_local_search,
-)
+from repro.core.distortion import claim2_exact_c_max, max_distortion
 from repro.core.vote_tensor import VoteTensor
 from repro.graphs.bipartite import BipartiteAssignment
 from repro.nn.models import build_mlp
@@ -525,7 +521,7 @@ def test_exhaustive_distortion_search_speed(benchmark):
     """The search ``sync-alie-wide`` pays at set-up: Ramanujan K = 25, q = 5,
     C(25, 5) = 53,130 sets."""
     assignment = RamanujanAssignment(m=5, s=5).assignment
-    result = benchmark(max_distortion_exhaustive, assignment, 5)
+    result = benchmark(max_distortion, assignment, 5)
     assert result.c_max == claim2_exact_c_max(5, 5) == 2
 
 
@@ -534,15 +530,7 @@ def test_exhaustive_distortion_search_speed_k35(benchmark):
     """Table 5's MOLS K = 35 at q = 6: C(35, 6) = 1,623,160 sets."""
     assignment = MOLSAssignment(load=7, replication=5).assignment
     result = benchmark.pedantic(
-        max_distortion_exhaustive, args=(assignment, 6), rounds=5, iterations=1
+        max_distortion, args=(assignment, 6), rounds=5, iterations=1
     )
     assert result.c_max == 4
 
-
-@pytest.mark.benchmark(group="micro-distortion")
-def test_local_search_distortion_speed(benchmark):
-    assignment = MOLSAssignment(load=7, replication=5).assignment
-    result = benchmark.pedantic(
-        max_distortion_local_search, args=(assignment, 10), kwargs={"seed": 0}, rounds=3, iterations=1
-    )
-    assert result.c_max >= 10

@@ -83,7 +83,7 @@ def main() -> None:
     for q in range(2, 8):
         row: dict[str, float] = {"q": q}
         for label, scheme in schemes.items():
-            result = max_distortion(scheme.assignment, q, method="auto", seed=0)
+            result = max_distortion(scheme.assignment, q)
             row[label] = result.epsilon
         rows.append(row)
     print(

@@ -54,7 +54,7 @@ def main() -> None:
     # ------------------------------------------------------------------ #
     # 3. Worst-case distortion analysis (paper Table 3).
     # ------------------------------------------------------------------ #
-    result = max_distortion(assignment, num_byzantine=3, method="exhaustive")
+    result = max_distortion(assignment, num_byzantine=3)
     print(
         f"Omniscient adversary with q=3 corrupts c_max={result.c_max} of "
         f"{assignment.num_files} file gradients (ε̂ = {result.epsilon:.2f}), e.g. by "

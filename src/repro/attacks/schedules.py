@@ -112,15 +112,12 @@ class ScheduledSelector(ByzantineSelector):
         (worst-case set for that budget, cached per ``(assignment, q)``),
         ``"random"`` (fresh uniform draw from the round generator) or
         ``"rotating"`` (the schedule's contiguous window, modulo ``K``).
-    seed:
-        Seed forwarded to the omniscient distortion search.
     """
 
     def __init__(
         self,
         schedule: AdversarySchedule,
         selection: str = "omniscient",
-        seed: int | None = 0,
     ) -> None:
         if selection not in ("omniscient", "random", "rotating"):
             raise ConfigurationError(
@@ -138,7 +135,6 @@ class ScheduledSelector(ByzantineSelector):
             )
         self.schedule = schedule
         self.selection = selection
-        self.seed = seed
         self._omniscient: dict[int, OmniscientSelector] = {}
 
     def select(
@@ -161,7 +157,7 @@ class ScheduledSelector(ByzantineSelector):
                 int(w) for w in sorted(rng.choice(K, size=q, replace=False))
             )
         if q not in self._omniscient:
-            self._omniscient[q] = OmniscientSelector(q, seed=self.seed)
+            self._omniscient[q] = OmniscientSelector(q)
         return self._omniscient[q].select(assignment, iteration, rng)
 
     def __repr__(self) -> str:  # pragma: no cover - trivial

@@ -42,31 +42,19 @@ class OmniscientSelector(ByzantineSelector):
     """The paper's worst-case adversary: maximize the distortion fraction ``ε̂``.
 
     The optimal set depends only on the assignment graph, so it is computed
-    once (with the exact or heuristic optimizer of
-    :mod:`repro.core.distortion`) and reused every iteration.
+    once by :func:`repro.core.distortion.max_distortion` (the
+    lexicographically first maximiser) and reused every iteration.
 
     Parameters
     ----------
     num_byzantine:
         Number of compromised workers ``q``.
-    method:
-        Search method forwarded to :func:`repro.core.distortion.max_distortion`;
-        its exhaustive search returns the lexicographically first maximiser.
-    seed:
-        Seed for the heuristic optimizer.
     """
 
-    def __init__(
-        self,
-        num_byzantine: int,
-        method: str = "auto",
-        seed: int | np.random.Generator | None = 0,
-    ) -> None:
+    def __init__(self, num_byzantine: int) -> None:
         if num_byzantine < 0:
             raise AttackError(f"num_byzantine must be non-negative, got {num_byzantine}")
         self.num_byzantine = int(num_byzantine)
-        self.method = method
-        self.seed = seed
         # keyed on the graph itself: two graphs whose hashes collide still
         # compare unequal and get a set each
         self._cache: dict[BipartiteAssignment, tuple[int, ...]] = {}
@@ -79,8 +67,6 @@ class OmniscientSelector(ByzantineSelector):
     ) -> tuple[int, ...]:
         chosen = self._cache.get(assignment)
         if chosen is None:
-            result = max_distortion(
-                assignment, self.num_byzantine, method=self.method, seed=self.seed
-            )
+            result = max_distortion(assignment, self.num_byzantine)
             chosen = self._cache[assignment] = tuple(sorted(result.byzantine_workers))
         return chosen

@@ -4,7 +4,6 @@ Usage (after installing the package)::
 
     python -m repro.cli list                         # what can be regenerated
     python -m repro.cli table table3                 # a distortion table
-    python -m repro.cli table table5 --method local_search
     python -m repro.cli figure fig2 --scale tiny     # an accuracy figure
     python -m repro.cli figure fig12                 # the timing breakdown
     python -m repro.cli bounds                       # gamma-bound tightness + Claim 2
@@ -93,12 +92,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=sorted(_TABLE_GENERATORS),
         help="which published distortion table to regenerate",
     )
-    table_parser.add_argument(
-        "--method",
-        default=None,
-        choices=["auto", "exhaustive", "greedy", "local_search"],
-        help="override the c_max search method",
-    )
 
     figure_parser = subparsers.add_parser("figure", help="regenerate a figure")
     figure_parser.add_argument(
@@ -158,10 +151,6 @@ def build_parser() -> argparse.ArgumentParser:
     distortion_parser.add_argument(
         "--q", type=int, nargs="+", required=True,
         help="Byzantine budgets to evaluate (one table row per value)",
-    )
-    distortion_parser.add_argument(
-        "--method", default="auto", choices=["auto", "exhaustive", "greedy", "local_search"],
-        help="c_max search method",
     )
 
     scenario_parser = subparsers.add_parser(
@@ -256,9 +245,7 @@ def _run_list() -> str:
 
 
 def _run_table(args: argparse.Namespace) -> str:
-    generator = _TABLE_GENERATORS[args.name]
-    kwargs = {} if args.method is None else {"method": args.method}
-    rows = generator(**kwargs)
+    rows = _TABLE_GENERATORS[args.name]()
     return _emit(rows, f"{args.name} ({TABLE_CONFIGS[args.name]})", args.csv)
 
 
@@ -331,7 +318,7 @@ def _run_distortion(args: argparse.Namespace) -> str:
             "replication": args.replication,
         }
     scheme = create_scheme(args.scheme, **kwargs)
-    rows = distortion_comparison_table(scheme.assignment, args.q, method=args.method)
+    rows = distortion_comparison_table(scheme.assignment, args.q)
     return _emit(rows, f"distortion for {scheme.assignment.name}", args.csv)
 
 

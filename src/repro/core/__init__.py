@@ -26,9 +26,6 @@ _EXPORTS = {
     "count_distorted": "repro.core.distortion",
     "epsilon_hat": "repro.core.distortion",
     "max_distortion": "repro.core.distortion",
-    "max_distortion_exhaustive": "repro.core.distortion",
-    "max_distortion_greedy": "repro.core.distortion",
-    "max_distortion_local_search": "repro.core.distortion",
     "claim2_exact_c_max": "repro.core.distortion",
     "distortion_comparison_table": "repro.core.distortion",
     "RoundOutcome": "repro.core.pipelines",

@@ -7,19 +7,13 @@ copies are held by workers in ``S``.  The adversary of the paper is
 files, and the resulting maximum ``c_max^(q)`` (and the fraction
 ``ε̂ = c_max / f``) is what Tables 3–6 report.
 
-The module provides three optimizers for ``c_max``:
+:func:`max_distortion` finds ``c_max`` exactly by scoring all ``C(K, q)``
+Byzantine sets.  Every row of Tables 3–6 is in reach: the largest, Table 5
+at ``q = 13``, is ``C(35, 13) ≈ 1.5·10⁹`` sets, and that count is
+:data:`MAX_SEARCH_SETS`, above which the search refuses the input.
 
-* :func:`max_distortion_exhaustive` — exact, scores all ``C(K, q)``
-  Byzantine sets (used for every table row where the paper itself ran
-  exhaustive search);
-* :func:`max_distortion_greedy` — picks workers one at a time maximizing the
-  number of corrupted files, breaking ties by "almost corrupted" copies;
-* :func:`max_distortion_local_search` — greedy start plus swap-based hill
-  climbing with random restarts, for regimes where exhaustive search is
-  intractable (the paper notes the same intractability for Table 5).
-
-How the exhaustive search enumerates
-------------------------------------
+How the search enumerates
+-------------------------
 The ``q``-sets are the leaves of a prefix tree whose level ``j`` holds the
 ``j``-worker prefixes that can still be completed: a prefix ending at worker
 ``a`` is extended by every later worker ``b`` that leaves room for the rest
@@ -52,17 +46,14 @@ from repro.exceptions import ConfigurationError
 from repro.graphs.bipartite import BipartiteAssignment
 from repro.graphs.expansion import gamma_upper_bound
 from repro.graphs.spectral import second_eigenvalue
-from repro.utils.rng import as_generator
 
 __all__ = [
     "DistortionResult",
+    "MAX_SEARCH_SETS",
     "majority_threshold",
     "distorted_files",
     "count_distorted",
     "epsilon_hat",
-    "max_distortion_exhaustive",
-    "max_distortion_greedy",
-    "max_distortion_local_search",
     "max_distortion",
     "claim2_exact_c_max",
     "distortion_comparison_table",
@@ -121,10 +112,6 @@ class DistortionResult:
         A worker set achieving ``c_max``.
     num_byzantine:
         The budget ``q`` that was searched.
-    method:
-        ``"exhaustive"``, ``"greedy"`` or ``"local_search"``.
-    exact:
-        True when the search provably found the optimum (exhaustive search).
     gamma:
         The expansion upper bound γ of Claim 1, when computable
         (odd ``r >= 3``); NaN otherwise.
@@ -134,8 +121,6 @@ class DistortionResult:
     epsilon: float
     byzantine_workers: tuple[int, ...]
     num_byzantine: int
-    method: str
-    exact: bool
     gamma: float = float("nan")
 
 
@@ -164,13 +149,17 @@ def _gamma_or_nan(assignment: BipartiteAssignment, q: int) -> float:
     )
 
 
-#: scratch one block of the exhaustive search may hold; the block size
-#: follows from it and the result does not depend on it
+#: most candidate sets :func:`max_distortion` scores: Table 5's last row,
+#: ``C(35, 13)``, about a minute on a 2-core x86-64 machine
+MAX_SEARCH_SETS = math.comb(35, 13)
+
+#: scratch one block of the search may hold; the block size follows from it
+#: and the result does not depend on it
 _SCRATCH_BYTES = 1 << 20
 
 
 class _LexicographicSearch:
-    """The exhaustive search's prefix tree (see the module docstring).
+    """The search's prefix tree (see the module docstring).
 
     A node at level ``j`` is a ``j``-worker prefix, stored as its last worker
     and its column of the ``(threshold, nodes, words)`` counter planes; nodes
@@ -258,7 +247,7 @@ class _LexicographicSearch:
         self.best_set = prefix + tuple(reversed(chosen))
 
 
-def max_distortion_exhaustive(
+def max_distortion(
     assignment: BipartiteAssignment,
     num_byzantine: int,
 ) -> DistortionResult:
@@ -267,249 +256,27 @@ def max_distortion_exhaustive(
     The sets are visited in lexicographic order by one vectorised pass over
     their prefix tree, with bit-sliced per-file counters (module docstring);
     the returned set is the lexicographically first maximiser, and the
-    scratch stays under about 2 MiB at any ``(K, q)``.
+    scratch stays under about 2 MiB at any ``(K, q)``.  More than
+    :data:`MAX_SEARCH_SETS` candidate sets is refused.
     """
     q = _check_q(assignment, num_byzantine)
+    K = assignment.num_workers
+    num_sets = math.comb(K, q)
+    if num_sets > MAX_SEARCH_SETS:
+        raise ConfigurationError(
+            f"the worst-case search over K={K}, q={q} would score C({K}, {q}) = "
+            f"{num_sets:,} sets, above the limit of {MAX_SEARCH_SETS:,}"
+        )
     if q == 0:
-        return DistortionResult(0, 0.0, (), 0, "exhaustive", True, _gamma_or_nan(assignment, 0))
+        return DistortionResult(0, 0.0, (), 0, _gamma_or_nan(assignment, 0))
     best_count, best_set = _LexicographicSearch(assignment, q).run()
     return DistortionResult(
         c_max=best_count,
         epsilon=best_count / assignment.num_files,
         byzantine_workers=best_set,
         num_byzantine=q,
-        method="exhaustive",
-        exact=True,
         gamma=_gamma_or_nan(assignment, q),
     )
-
-
-def _corrupted_count_from_copy_counts(counts: np.ndarray, threshold: int) -> int:
-    return int(np.count_nonzero(counts >= threshold))
-
-
-def max_distortion_greedy(
-    assignment: BipartiteAssignment, num_byzantine: int
-) -> DistortionResult:
-    """Greedy ``c_max`` heuristic: add the worker with the best marginal gain.
-
-    Ties in the number of newly corrupted files are broken in favour of the
-    worker that pushes the most files closest to the corruption threshold,
-    which matters in the early rounds when no single worker can corrupt
-    anything on its own.
-    """
-    q = _check_q(assignment, num_byzantine)
-    H = assignment.biadjacency.astype(np.int64)
-    K, f = H.shape
-    threshold = majority_threshold(assignment.replication)
-    chosen: list[int] = []
-    counts = np.zeros(f, dtype=np.int64)
-    remaining = set(range(K))
-    for _ in range(q):
-        best_worker = None
-        best_key: tuple[int, float] | None = None
-        for w in remaining:
-            new_counts = counts + H[w]
-            corrupted = _corrupted_count_from_copy_counts(new_counts, threshold)
-            # Secondary objective: total progress toward the threshold,
-            # capped so already-corrupted files do not dominate.
-            progress = float(np.minimum(new_counts, threshold).sum())
-            key = (corrupted, progress)
-            if best_key is None or key > best_key:
-                best_key = key
-                best_worker = w
-        assert best_worker is not None
-        chosen.append(best_worker)
-        counts += H[best_worker]
-        remaining.discard(best_worker)
-    c_max = _corrupted_count_from_copy_counts(counts, threshold)
-    return DistortionResult(
-        c_max=c_max,
-        epsilon=c_max / f,
-        byzantine_workers=tuple(chosen),
-        num_byzantine=q,
-        method="greedy",
-        exact=False,
-        gamma=_gamma_or_nan(assignment, q),
-    )
-
-
-def _randomized_greedy_set(
-    H: np.ndarray, q: int, threshold: int, rng: np.random.Generator, top_k: int = 3
-) -> np.ndarray:
-    """Greedy construction that breaks near-ties randomly (for restart diversity)."""
-    K, f = H.shape
-    chosen: list[int] = []
-    counts = np.zeros(f, dtype=np.int64)
-    remaining = list(range(K))
-    for _ in range(q):
-        keys = []
-        for w in remaining:
-            new_counts = counts + H[w]
-            corrupted = _corrupted_count_from_copy_counts(new_counts, threshold)
-            progress = float(np.minimum(new_counts, threshold).sum())
-            keys.append((corrupted, progress))
-        order = sorted(range(len(remaining)), key=lambda i: keys[i], reverse=True)
-        pick = order[int(rng.integers(0, min(top_k, len(order))))]
-        worker = remaining.pop(pick)
-        chosen.append(worker)
-        counts += H[worker]
-    return np.asarray(chosen, dtype=np.int64)
-
-
-def _hill_climb_single_swaps(
-    H: np.ndarray,
-    current: np.ndarray,
-    current_count: int,
-    threshold: int,
-    max_rounds: int,
-) -> tuple[np.ndarray, int]:
-    """Best-improvement 1-swap hill climbing."""
-    K = H.shape[0]
-    for _ in range(max_rounds):
-        inside = set(int(w) for w in current)
-        outside = [w for w in range(K) if w not in inside]
-        base_counts = H[current].sum(axis=0)
-        best_move: tuple[int, int] | None = None
-        best_move_count = current_count
-        for pos, w_in in enumerate(current):
-            without = base_counts - H[w_in]
-            for w_out in outside:
-                cand = _corrupted_count_from_copy_counts(without + H[w_out], threshold)
-                if cand > best_move_count:
-                    best_move_count = cand
-                    best_move = (pos, w_out)
-        if best_move is None:
-            break
-        pos, w_out = best_move
-        current = current.copy()
-        current[pos] = w_out
-        current_count = best_move_count
-    return current, current_count
-
-
-def _hill_climb_pair_swap_once(
-    H: np.ndarray,
-    current: np.ndarray,
-    current_count: int,
-    threshold: int,
-) -> tuple[np.ndarray, int, bool]:
-    """One pass of first-improvement 2-swap (escape 1-swap local optima)."""
-    K = H.shape[0]
-    q = current.size
-    inside = set(int(w) for w in current)
-    outside = [w for w in range(K) if w not in inside]
-    base_counts = H[current].sum(axis=0)
-    for a in range(q):
-        for b in range(a + 1, q):
-            without = base_counts - H[current[a]] - H[current[b]]
-            for i, w_out_1 in enumerate(outside):
-                partial = without + H[w_out_1]
-                for w_out_2 in outside[i + 1 :]:
-                    cand = _corrupted_count_from_copy_counts(
-                        partial + H[w_out_2], threshold
-                    )
-                    if cand > current_count:
-                        updated = current.copy()
-                        updated[a] = w_out_1
-                        updated[b] = w_out_2
-                        return updated, cand, True
-    return current, current_count, False
-
-
-def max_distortion_local_search(
-    assignment: BipartiteAssignment,
-    num_byzantine: int,
-    seed: int | np.random.Generator | None = 0,
-    restarts: int = 12,
-    max_rounds: int = 60,
-    use_pair_swaps: bool = True,
-) -> DistortionResult:
-    """Greedy construction plus 1-swap / 2-swap hill climbing with restarts.
-
-    The search starts from the deterministic greedy set and from
-    ``restarts - 1`` randomized-greedy sets (ties broken randomly), runs
-    best-improvement single-swap hill climbing on each, and escapes single-swap
-    local optima with a first-improvement pair swap.  On every paper instance
-    where the exhaustive optimum is computable, this heuristic recovers it
-    (validated by the tests and the benchmark harness).
-    """
-    q = _check_q(assignment, num_byzantine)
-    if q == 0:
-        return DistortionResult(0, 0.0, (), 0, "local_search", True, _gamma_or_nan(assignment, 0))
-    rng = as_generator(seed)
-    H = assignment.biadjacency.astype(np.int64)
-    K, f = H.shape
-    threshold = majority_threshold(assignment.replication)
-
-    def evaluate(indices: np.ndarray) -> int:
-        return _corrupted_count_from_copy_counts(H[indices].sum(axis=0), threshold)
-
-    greedy = max_distortion_greedy(assignment, q)
-    best_set = np.asarray(greedy.byzantine_workers, dtype=np.int64)
-    best_count = greedy.c_max
-
-    starts: list[np.ndarray] = [best_set.copy()]
-    for _ in range(max(0, restarts - 1)):
-        starts.append(_randomized_greedy_set(H, q, threshold, rng))
-
-    for start in starts:
-        current = start.copy()
-        current_count = evaluate(current)
-        while True:
-            current, current_count = _hill_climb_single_swaps(
-                H, current, current_count, threshold, max_rounds
-            )
-            if not use_pair_swaps or q < 2 or K - q < 2:
-                break
-            current, current_count, improved = _hill_climb_pair_swap_once(
-                H, current, current_count, threshold
-            )
-            if not improved:
-                break
-        if current_count > best_count:
-            best_count = current_count
-            best_set = current.copy()
-
-    return DistortionResult(
-        c_max=int(best_count),
-        epsilon=best_count / f,
-        byzantine_workers=tuple(int(w) for w in best_set),
-        num_byzantine=q,
-        method="local_search",
-        exact=False,
-        gamma=_gamma_or_nan(assignment, q),
-    )
-
-
-def max_distortion(
-    assignment: BipartiteAssignment,
-    num_byzantine: int,
-    method: str = "auto",
-    exhaustive_limit: int = 2_000_000,
-    seed: int | np.random.Generator | None = 0,
-) -> DistortionResult:
-    """Dispatch to the appropriate ``c_max`` optimizer.
-
-    ``method="auto"`` runs the exhaustive search when the number of Byzantine
-    sets ``C(K, q)`` does not exceed ``exhaustive_limit`` and falls back to
-    the local-search heuristic otherwise (mirroring the paper, which reports
-    exhaustive numbers only where tractable).
-    """
-    q = _check_q(assignment, num_byzantine)
-    if method == "exhaustive":
-        return max_distortion_exhaustive(assignment, q)
-    if method == "greedy":
-        return max_distortion_greedy(assignment, q)
-    if method == "local_search":
-        return max_distortion_local_search(assignment, q, seed=seed)
-    if method != "auto":
-        raise ConfigurationError(
-            f"unknown method {method!r}; expected auto, exhaustive, greedy or local_search"
-        )
-    if math.comb(assignment.num_workers, q) <= exhaustive_limit:
-        return max_distortion_exhaustive(assignment, q)
-    return max_distortion_local_search(assignment, q, seed=seed)
 
 
 def claim2_exact_c_max(q: int, replication: int) -> int:
@@ -540,9 +307,6 @@ def claim2_exact_c_max(q: int, replication: int) -> int:
 def distortion_comparison_table(
     assignment: BipartiteAssignment,
     q_values: "list[int] | range",
-    method: str = "auto",
-    exhaustive_limit: int = 2_000_000,
-    seed: int | np.random.Generator | None = 0,
 ) -> list[dict[str, float]]:
     """Rows matching the layout of paper Tables 3–6.
 
@@ -554,9 +318,7 @@ def distortion_comparison_table(
     r = assignment.replication
     rows: list[dict[str, float]] = []
     for q in q_values:
-        result = max_distortion(
-            assignment, q, method=method, exhaustive_limit=exhaustive_limit, seed=seed
-        )
+        result = max_distortion(assignment, q)
         rows.append(
             {
                 "q": int(q),
@@ -565,7 +327,6 @@ def distortion_comparison_table(
                 "epsilon_baseline": BaselineAssignment.worst_case_epsilon(q, K),
                 "epsilon_frc": FRCAssignment.worst_case_epsilon(q, K, r),
                 "gamma": result.gamma,
-                "exact": bool(result.exact),
             }
         )
     return rows

@@ -36,7 +36,6 @@ def assignment_structure_ablation(
     q_values: "list[int] | range" = range(2, 8),
     num_random_draws: int = 5,
     seed: int = 0,
-    method: str = "auto",
 ) -> list[dict[str, float]]:
     """Worst-case ``ε̂`` of MOLS vs Ramanujan vs random vs FRC placements.
 
@@ -58,16 +57,12 @@ def assignment_structure_ablation(
                 replication=replication,
                 seed=seed + draw,
             ).assignment
-            random_eps.append(
-                max_distortion(random_assignment, q, method=method, seed=seed).epsilon
-            )
+            random_eps.append(max_distortion(random_assignment, q).epsilon)
         rows.append(
             {
                 "q": int(q),
-                "epsilon_mols": max_distortion(mols, q, method=method, seed=seed).epsilon,
-                "epsilon_ramanujan": max_distortion(
-                    ramanujan, q, method=method, seed=seed
-                ).epsilon,
+                "epsilon_mols": max_distortion(mols, q).epsilon,
+                "epsilon_ramanujan": max_distortion(ramanujan, q).epsilon,
                 "epsilon_random_mean": float(np.mean(random_eps)),
                 "epsilon_random_worst": float(np.max(random_eps)),
                 "epsilon_frc": FRCAssignment.worst_case_epsilon(

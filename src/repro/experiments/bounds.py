@@ -26,7 +26,6 @@ __all__ = ["bound_tightness_table", "claim2_verification_table"]
 def bound_tightness_table(
     scheme: AssignmentScheme | None = None,
     q_values: "list[int] | range | None" = None,
-    method: str = "auto",
 ) -> list[dict[str, float]]:
     """Simulated ``c_max`` versus the ``γ`` bound and the closed-form ``ε̂`` bound.
 
@@ -38,7 +37,7 @@ def bound_tightness_table(
         q_values = range(2, assignment.replication * 2 + 2)
     rows: list[dict[str, float]] = []
     for q in q_values:
-        result = max_distortion(assignment, q, method=method)
+        result = max_distortion(assignment, q)
         if isinstance(scheme, RamanujanAssignment) and scheme.case == 2:
             closed_form = ramanujan_case2_epsilon_upper_bound(q, assignment.replication)
         else:
@@ -59,16 +58,14 @@ def bound_tightness_table(
     return rows
 
 
-def claim2_verification_table(
-    scheme: AssignmentScheme | None = None, method: str = "exhaustive"
-) -> list[dict[str, float]]:
+def claim2_verification_table(scheme: AssignmentScheme | None = None) -> list[dict[str, float]]:
     """Claim 2's exact ``c_max`` for ``q <= r`` versus the simulated optimum."""
     scheme = scheme if scheme is not None else MOLSAssignment(load=5, replication=3)
     assignment = scheme.assignment
     r = assignment.replication
     rows: list[dict[str, float]] = []
     for q in range(0, r + 1):
-        simulated = max_distortion(assignment, q, method=method)
+        simulated = max_distortion(assignment, q)
         rows.append(
             {
                 "q": q,

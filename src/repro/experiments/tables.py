@@ -26,69 +26,40 @@ __all__ = [
 
 
 def generate_distortion_table(
-    assignment: BipartiteAssignment,
-    q_values: Iterable[int],
-    method: str = "auto",
-    exhaustive_limit: int = 2_000_000,
-    seed: int = 0,
+    assignment: BipartiteAssignment, q_values: Iterable[int]
 ) -> list[dict[str, float]]:
     """Distortion-comparison rows for an arbitrary assignment graph."""
-    return distortion_comparison_table(
-        assignment,
-        list(q_values),
-        method=method,
-        exhaustive_limit=exhaustive_limit,
-        seed=seed,
-    )
+    return distortion_comparison_table(assignment, list(q_values))
 
 
-def generate_table3(method: str = "exhaustive") -> list[dict[str, float]]:
-    """Table 3: MOLS ``(K, f, l, r) = (15, 25, 5, 3)``, ``q = 2..7``.
-
-    The search space ``C(15, q)`` is tiny, so the default is exhaustive and
-    the values are exact.
-    """
+def generate_table3() -> list[dict[str, float]]:
+    """Table 3: MOLS ``(K, f, l, r) = (15, 25, 5, 3)``, ``q = 2..7``."""
     assignment = MOLSAssignment(load=5, replication=3).assignment
-    return generate_distortion_table(assignment, range(2, 8), method=method)
+    return generate_distortion_table(assignment, range(2, 8))
 
 
-def generate_table4(
-    method: str = "auto", exhaustive_limit: int = 6_000_000
-) -> list[dict[str, float]]:
+def generate_table4() -> list[dict[str, float]]:
     """Table 4: Ramanujan Case 2 ``(K, f, l, r) = (25, 25, 5, 5)``, ``q = 3..12``.
 
-    With the default ``exhaustive_limit`` every row is exhaustive (the largest
-    space is ``C(25, 12) ≈ 5.2M`` candidate sets); pass ``method="local_search"``
-    for a faster heuristic run.
+    The largest search is ``C(25, 12) ≈ 5.2M`` candidate sets.
     """
     assignment = RamanujanAssignment(m=5, s=5).assignment
-    return generate_distortion_table(
-        assignment, range(3, 13), method=method, exhaustive_limit=exhaustive_limit
-    )
+    return generate_distortion_table(assignment, range(3, 13))
 
 
-def generate_table5(
-    max_q: int = 13, method: str = "auto", exhaustive_limit: int = 2_000_000
-) -> list[dict[str, float]]:
+def generate_table5(max_q: int = 13) -> list[dict[str, float]]:
     """Table 5: MOLS ``(K, f, l, r) = (35, 49, 7, 5)``, ``q = 3..max_q``.
 
-    The paper stops at ``q = 13`` because exhaustive search becomes
-    intractable; with the default limit small ``q`` rows are exact and the
-    larger ones use the greedy + local-search heuristic.
+    The paper stops at ``q = 13``; that row scores ``C(35, 13) ≈ 1.5·10⁹``
+    sets, the search's limit, so ``max_q`` cannot exceed it.
     """
-    if not (3 <= max_q <= 35):
-        raise ConfigurationError(f"max_q must be in [3, 35], got {max_q}")
+    if not (3 <= max_q <= 13):
+        raise ConfigurationError(f"max_q must be in [3, 13], got {max_q}")
     assignment = MOLSAssignment(load=7, replication=5).assignment
-    return generate_distortion_table(
-        assignment, range(3, max_q + 1), method=method, exhaustive_limit=exhaustive_limit
-    )
+    return generate_distortion_table(assignment, range(3, max_q + 1))
 
 
-def generate_table6(
-    method: str = "auto", exhaustive_limit: int = 2_000_000
-) -> list[dict[str, float]]:
+def generate_table6() -> list[dict[str, float]]:
     """Table 6: MOLS ``(K, f, l, r) = (21, 49, 7, 3)``, ``q = 2..10``."""
     assignment = MOLSAssignment(load=7, replication=3).assignment
-    return generate_distortion_table(
-        assignment, range(2, 11), method=method, exhaustive_limit=exhaustive_limit
-    )
+    return generate_distortion_table(assignment, range(2, 11))

@@ -287,10 +287,7 @@ class ScenarioRunner:
             return None, None
         attack = _create("attack", create_attack, section.name, **section.params)
         schedule = AdversarySchedule(**dataclasses.asdict(section.schedule))
-        selector = ScheduledSelector(
-            schedule, selection=section.selection, seed=self.spec.seed
-        )
-        return attack, selector
+        return attack, ScheduledSelector(schedule, selection=section.selection)
 
     def build_trainer(self) -> DistributedTrainer:
         """Assemble a fresh trainer for this spec (no observer attached)."""

@@ -74,7 +74,7 @@ def assemble_trainer():
             assignment=assignment,
             worker_pool=WorkerPool(assignment, computer),
             attack=attack,
-            selector=OmniscientSelector(q, seed=config.seed) if q else None,
+            selector=OmniscientSelector(q) if q else None,
             seed=config.seed,
         )
         return DistributedTrainer(

@@ -25,9 +25,9 @@ def test_table_command(capsys):
     assert "0.040" in out  # q=2 row of Table 3
 
 
-def test_table_command_with_method_and_csv(tmp_path, capsys):
+def test_table_command_with_csv(tmp_path, capsys):
     csv_path = tmp_path / "table3.csv"
-    assert main(["--csv", str(csv_path), "table", "table3", "--method", "local_search"]) == 0
+    assert main(["--csv", str(csv_path), "table", "table3"]) == 0
     assert csv_path.exists()
     header = csv_path.read_text().splitlines()[0]
     assert header.startswith("q,c_max")
@@ -68,6 +68,17 @@ def test_distortion_command_mols(capsys):
     assert main(["distortion", "--scheme", "mols", "--load", "5", "--replication", "3", "--q", "2", "3"]) == 0
     out = capsys.readouterr().out
     assert "mols(l=5,r=3)" in out
+
+
+def test_distortion_command_over_the_search_limit(capsys):
+    """C(55, 20) sets is past the search's limit: one error line, exit 1."""
+    argv = ["distortion", "--scheme", "mols", "--load", "11", "--replication", "5", "--q", "20"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("error: ")
+    assert "C(55, 20)" in captured.err
 
 
 def test_distortion_command_frc(capsys):
@@ -119,6 +130,12 @@ def test_parser_requires_command():
 def test_unknown_choice_rejected():
     with pytest.raises(SystemExit):
         build_parser().parse_args(["table", "table99"])
+
+
+@pytest.mark.parametrize("command", [["table", "table3"], ["distortion", "--q", "2"]])
+def test_method_option_is_gone(command):
+    with pytest.raises(SystemExit):
+        build_parser().parse_args([*command, "--method", "local_search"])
 
 
 def test_scenario_list_command(capsys):

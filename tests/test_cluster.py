@@ -155,7 +155,7 @@ def test_cluster_round_omniscient_matches_worst_case(mols_assignment):
         mols_assignment,
         pool,
         attack=ReversedGradientAttack(),
-        selector=OmniscientSelector(num_byzantine=3, method="exhaustive"),
+        selector=OmniscientSelector(num_byzantine=3),
         seed=0,
     )
     result = cluster.run_round_tensor(np.ones(DIM), make_file_data(25), iteration=0)

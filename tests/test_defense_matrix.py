@@ -61,7 +61,7 @@ def honest_gradients(seed: int = 0) -> np.ndarray:
 def attacked_votes(attack, q: int, seed: int = 0):
     """Honest votes with the worst-case q workers replaced by the attack payloads."""
     honest = honest_gradients(seed)
-    selector = OmniscientSelector(num_byzantine=q, method="exhaustive")
+    selector = OmniscientSelector(num_byzantine=q)
     rng = as_generator(seed + 1)
     byzantine = selector.select(ASSIGNMENT, 0, rng)
     tensor = VoteTensor.from_honest(ASSIGNMENT, honest)

@@ -18,9 +18,6 @@ from repro.core.distortion import (
     epsilon_hat,
     majority_threshold,
     max_distortion,
-    max_distortion_exhaustive,
-    max_distortion_greedy,
-    max_distortion_local_search,
 )
 from repro.exceptions import ConfigurationError
 from repro.experiments.paper_reference import TABLE3, TABLE4
@@ -61,11 +58,10 @@ def test_distorted_files_full_control(mols_assignment):
 @pytest.mark.parametrize("q", sorted(TABLE3))
 def test_exhaustive_matches_paper_table3(mols_assignment, q):
     expected_c_max, expected_eps, _, _, expected_gamma = TABLE3[q]
-    result = max_distortion_exhaustive(mols_assignment, q)
+    result = max_distortion(mols_assignment, q)
     assert result.c_max == expected_c_max
     assert result.epsilon == pytest.approx(expected_eps, abs=0.005)
     assert result.gamma == pytest.approx(expected_gamma, abs=0.01)
-    assert result.exact is True
     # The returned Byzantine set actually achieves c_max.
     assert count_distorted(mols_assignment, result.byzantine_workers) == result.c_max
 
@@ -73,14 +69,38 @@ def test_exhaustive_matches_paper_table3(mols_assignment, q):
 @pytest.mark.parametrize("q", [3, 4, 5, 6])
 def test_exhaustive_matches_paper_table4(ramanujan_case2, q):
     expected_c_max = TABLE4[q][0]
-    result = max_distortion_exhaustive(ramanujan_case2.assignment, q)
+    result = max_distortion(ramanujan_case2.assignment, q)
     assert result.c_max == expected_c_max
 
 
 def test_exhaustive_zero_byzantine(mols_assignment):
-    result = max_distortion_exhaustive(mols_assignment, 0)
+    result = max_distortion(mols_assignment, 0)
     assert result.c_max == 0
     assert result.byzantine_workers == ()
+
+
+def test_exhaustive_all_workers_byzantine(mols_assignment):
+    result = max_distortion(mols_assignment, 15)
+    assert result.c_max == 25
+    assert result.byzantine_workers == tuple(range(15))
+    assert result.epsilon == 1.0
+
+
+def test_exhaustive_k25_q9_set_of_the_figures(ramanujan_case2):
+    """The 'ByzShield, q=9' curves of Figs. 6–8 attack this set: the
+    lexicographically first of the K=25, q=9 maximisers, C(25, 9) sets."""
+    result = max_distortion(ramanujan_case2.assignment, 9)
+    assert result.c_max == 9
+    assert result.byzantine_workers == (0, 1, 2, 5, 6, 12, 13, 15, 21)
+
+
+def test_search_takes_no_heuristic_knobs(mols_assignment):
+    """One exact search: no method switch, and no method/exact fields."""
+    with pytest.raises(TypeError):
+        max_distortion(mols_assignment, 3, method="local_search")
+    result = max_distortion(mols_assignment, 3)
+    assert not hasattr(result, "method")
+    assert not hasattr(result, "exact")
 
 
 # --------------------------------------------------------------------------- #
@@ -109,7 +129,7 @@ def assert_matches_reference(assignment, max_sets=50_000):
     K = assignment.num_workers
     for q in range(1, K + 1):
         if math.comb(K, q) <= max_sets:
-            result = max_distortion_exhaustive(assignment, q)
+            result = max_distortion(assignment, q)
             assert (result.c_max, result.byzantine_workers) == reference_exhaustive(
                 assignment, q
             ), f"{assignment.name} q={q}"
@@ -164,7 +184,7 @@ def test_exhaustive_returns_the_lexicographically_first_maximiser(
     if scratch_bytes is not None:
         monkeypatch.setattr(distortion, "_SCRATCH_BYTES", scratch_bytes)
     assignment = ramanujan_case2.assignment
-    result = max_distortion_exhaustive(assignment, 4)
+    result = max_distortion(assignment, 4)
     maximisers = [
         combo
         for combo in itertools.combinations(range(assignment.num_workers), 4)
@@ -190,7 +210,7 @@ def test_exhaustive_scratch_stays_under_two_mib(scheme, params, q):
     assignment = create_scheme(scheme, **params).assignment
     tracemalloc.start()
     try:
-        max_distortion_exhaustive(assignment, q)
+        max_distortion(assignment, q)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -204,53 +224,26 @@ def test_q_out_of_range(mols_assignment):
         max_distortion(mols_assignment, 16)
 
 
-# --------------------------------------------------------------------------- #
-# Heuristics agree with the exhaustive optimum on the paper's instances
-# --------------------------------------------------------------------------- #
-@pytest.mark.parametrize("q", [2, 3, 4, 5])
-def test_local_search_matches_exhaustive(mols_assignment, q):
-    exact = max_distortion_exhaustive(mols_assignment, q)
-    heuristic = max_distortion_local_search(mols_assignment, q, seed=0)
-    assert heuristic.c_max == exact.c_max
+def test_search_limit_is_table5s_last_row():
+    assert distortion.MAX_SEARCH_SETS == math.comb(35, 13)
 
 
-def test_greedy_is_a_lower_bound(mols_assignment):
-    for q in (2, 3, 4, 5, 6):
-        exact = max_distortion_exhaustive(mols_assignment, q)
-        greedy = max_distortion_greedy(mols_assignment, q)
-        assert greedy.c_max <= exact.c_max
-        assert count_distorted(mols_assignment, greedy.byzantine_workers) == greedy.c_max
-
-
-def test_local_search_zero_byzantine(mols_assignment):
-    assert max_distortion_local_search(mols_assignment, 0).c_max == 0
-
-
-# --------------------------------------------------------------------------- #
-# Dispatcher
-# --------------------------------------------------------------------------- #
-def test_auto_uses_exhaustive_for_small_spaces(mols_assignment):
-    result = max_distortion(mols_assignment, 3, method="auto")
-    assert result.method == "exhaustive"
-    assert result.exact
-
-
-def test_auto_falls_back_to_heuristic(mols_assignment):
-    result = max_distortion(mols_assignment, 7, method="auto", exhaustive_limit=10)
-    assert result.method == "local_search"
-    assert not result.exact
-    # Still matches the known optimum for this instance.
-    assert result.c_max == TABLE3[7][0]
-
-
-def test_explicit_methods(mols_assignment):
-    assert max_distortion(mols_assignment, 3, method="greedy").method == "greedy"
-    assert max_distortion(mols_assignment, 3, method="exhaustive").method == "exhaustive"
-    assert (
-        max_distortion(mols_assignment, 3, method="local_search").method == "local_search"
-    )
-    with pytest.raises(ConfigurationError):
-        max_distortion(mols_assignment, 3, method="quantum")
+def test_over_limit_search_names_its_size(monkeypatch):
+    """Above the limit the search refuses before scoring anything, and the
+    message names K, q, C(K, q) and the limit."""
+    assignment = create_scheme("mols", load=7, replication=5).assignment
+    with pytest.raises(ConfigurationError) as excinfo:
+        max_distortion(assignment, 14)
+    message = str(excinfo.value)
+    assert "K=35, q=14" in message
+    assert f"{math.comb(35, 14):,}" in message
+    assert f"{math.comb(35, 13):,}" in message
+    # the limit itself is allowed, one set more is not
+    table3 = create_scheme("mols", load=5, replication=3).assignment
+    monkeypatch.setattr(distortion, "MAX_SEARCH_SETS", math.comb(15, 2))
+    assert max_distortion(table3, 2).c_max == 1
+    with pytest.raises(ConfigurationError, match=r"C\(15, 3\) = 455 sets"):
+        max_distortion(table3, 3)
 
 
 # --------------------------------------------------------------------------- #
@@ -282,7 +275,7 @@ def test_claim2_validation():
 def test_claim2_matches_simulation_mols(mols_assignment):
     for q in range(0, 4):
         assert (
-            max_distortion_exhaustive(mols_assignment, q).c_max
+            max_distortion(mols_assignment, q).c_max
             == claim2_exact_c_max(q, 3)
         )
 
@@ -290,7 +283,7 @@ def test_claim2_matches_simulation_mols(mols_assignment):
 def test_claim2_matches_simulation_ramanujan_case2(ramanujan_case2):
     for q in range(0, 6):
         assert (
-            max_distortion_exhaustive(ramanujan_case2.assignment, q).c_max
+            max_distortion(ramanujan_case2.assignment, q).c_max
             == claim2_exact_c_max(q, 5)
         )
 
@@ -308,7 +301,6 @@ def test_distortion_comparison_table_layout(mols_assignment):
             "epsilon_baseline",
             "epsilon_frc",
             "gamma",
-            "exact",
         ):
             assert column in row
     assert rows[0]["epsilon_baseline"] == pytest.approx(2 / 15)

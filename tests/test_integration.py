@@ -109,9 +109,7 @@ def test_realized_distortion_matches_static_analysis(data, assemble_trainer):
     q = 3
     trainer = byzshield_trainer(assemble_trainer, data, attack=ALIEAttack(), q=q, iterations=5)
     history = trainer.train()
-    predicted = max_distortion(
-        MOLSAssignment(load=5, replication=3).assignment, q, method="exhaustive"
-    ).epsilon
+    predicted = max_distortion(MOLSAssignment(load=5, replication=3).assignment, q).epsilon
     assert np.allclose(history.distortion_fractions, predicted)
 
 
@@ -123,7 +121,7 @@ def test_pipeline_output_matches_manual_computation(data):
     model = build_mlp(train.flat_feature_dim, train.num_classes, hidden=(8,), seed=1)
     computer = ModelGradientComputer(model)
     pool = WorkerPool(assignment, computer)
-    selector = OmniscientSelector(num_byzantine=5, method="exhaustive")
+    selector = OmniscientSelector(num_byzantine=5)
     cluster = TrainingCluster(
         assignment, pool, attack=ConstantAttack(value=-3.0), selector=selector, seed=0
     )

@@ -1,8 +1,10 @@
 """Property-based tests (hypothesis) on the core data structures and invariants."""
 
+import math
+
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from repro.aggregation.geometric_median import geometric_median
@@ -12,13 +14,14 @@ from repro.aggregation.trimmed_mean import TrimmedMeanAggregator
 from repro.assignment.frc import FRCAssignment
 from repro.assignment.mols import MOLSAssignment
 from repro.assignment.ramanujan import RamanujanAssignment
+from repro.assignment.random_scheme import RandomAssignment
 from repro.attacks.base import AttackContext
 from repro.attacks.registry import available_attacks, create_attack
 from repro.cluster.topology import GroupTopology
 from repro.core.distortion import (
     count_distorted,
     majority_threshold,
-    max_distortion_greedy,
+    max_distortion,
 )
 from repro.core.pipelines import ByzShieldPipeline, DetoxPipeline
 from repro.core.vote_tensor import VoteTensor
@@ -28,6 +31,7 @@ from repro.graphs.expansion import gamma_upper_bound, neighborhood_lower_bound
 from repro.graphs.spectral import second_eigenvalue
 
 from cow_helpers import cube_of, tensor_of
+from test_distortion import reference_exhaustive
 
 SUPPRESS = [HealthCheck.too_slow]
 
@@ -127,15 +131,47 @@ def test_random_byzantine_sets_never_beat_gamma(q, seed):
         assert count_distorted(assignment, list(subset) + [int(extra)]) >= corrupted
 
 
-@settings(deadline=None, max_examples=20, suppress_health_check=SUPPRESS)
-@given(q=st.integers(0, 15))
-def test_greedy_returns_a_valid_subset_achieving_its_count(q):
-    assignment = MOLSAssignment(load=5, replication=3).assignment
-    greedy = max_distortion_greedy(assignment, q)
-    # The reported set is a valid q-subset and really achieves the reported count.
-    assert len(set(greedy.byzantine_workers)) == q
-    assert count_distorted(assignment, greedy.byzantine_workers) == greedy.c_max
-    assert 0 <= greedy.epsilon <= 1.0
+@st.composite
+def small_assignments(draw):
+    """A random biregular graph with K <= 15, or a MOLS graph (Tables 3 and 6)."""
+    if draw(st.booleans()):
+        load, replication = draw(st.sampled_from([(5, 3), (7, 3)]))
+        return MOLSAssignment(load=load, replication=replication).assignment
+    # The sampler rejects any draw that gives a worker one file twice; above
+    # these loads a draw is accepted under 1 % of the time (never, for r = 5,
+    # l = 5), so its 2000 attempts can run out.
+    replication, max_load = draw(st.sampled_from([(1, 6), (3, 4), (5, 3)]))
+    num_workers = draw(st.integers(max(replication, 2), 15))
+    load = draw(st.integers(1, max_load))
+    assume(num_workers * load % replication == 0)
+    num_files = num_workers * load // replication
+    assume(load <= num_files)
+    seed = draw(st.integers(0, 10_000))
+    return RandomAssignment(num_workers, num_files, replication, seed=seed).assignment
+
+
+@settings(deadline=None, max_examples=40, suppress_health_check=SUPPRESS)
+@given(assignment=small_assignments(), data=st.data())
+def test_max_distortion_is_the_exact_worst_case(assignment, data):
+    K = assignment.num_workers
+    q = data.draw(st.integers(0, K))
+    assume(math.comb(K, q) <= 20_000)
+    result = max_distortion(assignment, q)
+    # A valid q-subset that achieves the reported count.
+    chosen = result.byzantine_workers
+    assert len(set(chosen)) == q and all(0 <= w < K for w in chosen)
+    assert count_distorted(assignment, chosen) == result.c_max
+    assert result.epsilon == result.c_max / assignment.num_files
+    # No drawn q-set beats it.
+    rng = np.random.default_rng(data.draw(st.integers(0, 10_000)))
+    for _ in range(20):
+        subset = rng.choice(K, size=q, replace=False)
+        assert count_distorted(assignment, subset) <= result.c_max
+    # Claim 1's bound, wherever it is defined (odd r >= 3).
+    if not math.isnan(result.gamma):
+        assert result.c_max <= result.gamma + 1e-9
+    # The itertools enumeration agrees, set and all.
+    assert (result.c_max, chosen) == reference_exhaustive(assignment, q)
 
 
 @settings(deadline=None, max_examples=40, suppress_health_check=SUPPRESS)

@@ -5,7 +5,7 @@ import pytest
 
 from repro.attacks.schedules import AdversarySchedule, ScheduledSelector
 from repro.attacks.selection import OmniscientSelector
-from repro.core.distortion import count_distorted, max_distortion_exhaustive
+from repro.core.distortion import count_distorted, max_distortion
 from repro.exceptions import AttackError
 from repro.graphs.bipartite import BipartiteAssignment
 
@@ -22,9 +22,9 @@ def test_random_selection_size_and_range(mols_assignment, rng):
 
 def test_omniscient_selector_achieves_worst_case(mols_assignment, rng):
     for q in (2, 3, 4):
-        selector = OmniscientSelector(num_byzantine=q, method="exhaustive")
+        selector = OmniscientSelector(num_byzantine=q)
         chosen = selector.select(mols_assignment, 0, rng)
-        optimum = max_distortion_exhaustive(mols_assignment, q).c_max
+        optimum = max_distortion(mols_assignment, q).c_max
         assert count_distorted(mols_assignment, chosen) == optimum
 
 
@@ -32,6 +32,17 @@ def test_omniscient_selector_is_stable_across_iterations(mols_assignment, rng):
     selector = OmniscientSelector(num_byzantine=3)
     first = selector.select(mols_assignment, 0, rng)
     assert selector.select(mols_assignment, 17, rng) == first
+
+
+def test_omniscient_selector_ignores_the_rng(mols_assignment):
+    """The worst-case set is a property of the graph, not of a random draw."""
+    picks = {
+        OmniscientSelector(num_byzantine=4).select(
+            mols_assignment, 0, np.random.default_rng(seed)
+        )
+        for seed in range(3)
+    }
+    assert picks == {max_distortion(mols_assignment, 4).byzantine_workers}
 
 
 def test_omniscient_selector_caches_per_assignment(mols_assignment, ramanujan_case2, rng):

@@ -13,7 +13,7 @@ with ``--trace-out``), ``campaign expand|run|status|report`` on both example
 campaigns, ``lint`` (text, JSON, ``--list-rules``), every ``figure`` at
 ``--scale tiny``, the ``examples/*.py`` scripts and
 ``benchmarks/e2e/run.py --quick``.  Every run covers every entry point;
-it takes about a minute.
+it takes about three minutes, two of them the exact Table 5 search.
 
 Usage::
 

@@ -41,12 +41,10 @@ from repro.aggregation.median import CoordinateWiseMedian
 from repro.assignment.ramanujan import RamanujanAssignment
 from repro.cluster.events import AsyncRuntime, EventDrivenRound, base_arrival_times
 from repro.cluster.timing import CostModel
-from repro.cluster.topology import GroupTopology, hierarchical_majority_vote
 from repro.core.pipelines import ByzShieldPipeline
 from repro.core.vote_tensor import VoteTensor
 from repro.data.datasets import split_slots
 from repro.data.synthetic import make_gaussian_mixture
-from repro.graphs.bipartite import BipartiteAssignment
 from repro.nn.models import build_mlp
 from repro.training.gradients import ModelGradientComputer
 from repro.utils.digest import array_digest
@@ -70,7 +68,7 @@ def replication_round_kernels() -> dict:
     files, slots = np.nonzero(np.isin(assignment.worker_slot_matrix(), (0, 7)))  # q=2
     payload64 = np.random.default_rng(4).standard_normal(dim)
     payload32 = payload64.astype(np.float32)
-    pipeline = ByzShieldPipeline(assignment, validate=False)
+    pipeline = ByzShieldPipeline(assignment)
 
     def cow_round(honest, payload):
         tensor = VoteTensor.from_honest(assignment, honest)
@@ -142,41 +140,6 @@ def event_round_kernels() -> dict:
     }
 
 
-def hierarchical_vote_kernels() -> dict:
-    """Flat vs hierarchical (and default vs 4096-wide blocks) exact vote at large r.
-
-    The large-replication regime the two-level path targets: f=16 files, r=64
-    copies each (a complete 64 x 16 assignment: every one of K=64 workers
-    holds every file, so all files share one group signature), d=20k
-    coordinates, with one colluding payload in 12 of the corrupted files'
-    copies.  All four kernels produce bit-identical (winners, counts); the
-    hierarchical kernels merge per-group (8 workers) histograms of the
-    content-id matrix, and the block width sets the classing's temporaries.
-    """
-    f, r, dim = 16, 64, 20_000
-    rng = np.random.default_rng(7)
-    assignment = BipartiteAssignment(np.ones((r, f), dtype=np.int8), name="complete(64x16)")
-    tensor = VoteTensor.from_honest(assignment, rng.standard_normal((f, dim)))
-    corrupted = np.array([0, 5, 10])
-    tensor.write_slots(
-        np.repeat(corrupted, 12), np.tile(np.arange(12), corrupted.size), rng.standard_normal(dim)
-    )
-    topology = GroupTopology(r, 8)
-
-    return {
-        "blockwise_vote_flat_mono_f16_r64_d20k": lambda: majority_vote_votetensor(tensor),
-        "blockwise_vote_flat_bs4k_f16_r64_d20k": lambda: majority_vote_votetensor(
-            tensor, block_size=4096
-        ),
-        "hier_group_vote_mono_g8_f16_r64_d20k": lambda: hierarchical_majority_vote(
-            tensor, topology
-        ),
-        "hier_group_vote_bs4k_g8_f16_r64_d20k": lambda: hierarchical_majority_vote(
-            tensor, topology, block_size=4096
-        ),
-    }
-
-
 #: gradient-engine sweep — (model key, file count) pairs benchmarked for both
 #: engines.  The mlp point at f=25 (d≈11k, the paper's K=25 regime) carries
 #: the ≥3x acceptance gate (see benchmarks/test_bench_micro.py).
@@ -236,7 +199,7 @@ def adaptive_attack_kernels() -> dict:
     dim = 11_274  # match the replication kernels' MLP-sized gradients
     honest = np.random.default_rng(11).standard_normal((assignment.num_files, dim))
     byzantine = tuple(range(5))  # q=5 of K=25
-    pipeline = ByzShieldPipeline(assignment, validate=False)
+    pipeline = ByzShieldPipeline(assignment)
 
     def attacked_round(attack):
         tensor = VoteTensor.from_honest(assignment, honest)
@@ -314,7 +277,7 @@ def build_kernels() -> dict:
     # End-to-end pipeline aggregate at the paper's K=25 Ramanujan scale
     # (m=s=5: f=25 files, r=5 replicas).
     assignment = RamanujanAssignment(m=5, s=5).assignment
-    pipeline = ByzShieldPipeline(assignment, validate=False)
+    pipeline = ByzShieldPipeline(assignment)
     pipeline_tensor = VoteTensor.from_honest(
         assignment, np.random.default_rng(1).standard_normal((assignment.num_files, 10_000))
     )
@@ -332,7 +295,6 @@ def build_kernels() -> dict:
     kernels.update(replication_round_kernels())
     kernels.update(headline_scale_kernels())
     kernels.update(event_round_kernels())
-    kernels.update(hierarchical_vote_kernels())
     kernels.update(gradient_engine_kernels())
     kernels.update(adaptive_attack_kernels())
     return kernels
@@ -410,9 +372,6 @@ def report_speedups(results: dict) -> None:
     cow = results["replication_cow_round_f25_r5_d11k"]["min_s"]
     cow32 = results["dtype_float32_cow_round_f25_r5_d11k"]["min_s"]
     print(f"\nfloat32 round speedup vs float64 (copy-on-write, f=25, r=5): {cow / cow32:.2f}x")
-    flat = results["blockwise_vote_flat_mono_f16_r64_d20k"]["min_s"]
-    hier = results["hier_group_vote_bs4k_g8_f16_r64_d20k"]["min_s"]
-    print(f"hierarchical blockwise vote speedup vs flat monolithic (r=64): {flat / hier:.2f}x")
     for model_key, num_files in GRADIENT_SWEEP:
         stacked = results[f"gradient_engine_stacked_{model_key}_f{num_files}"]["min_s"]
         looped = results[f"gradient_engine_looped_{model_key}_f{num_files}"]["min_s"]

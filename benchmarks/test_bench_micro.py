@@ -349,7 +349,7 @@ def test_cow_replication_memory_reduction_at_paper_scale():
     honest = rng.standard_normal((assignment.num_files, dim))
     files, slots = np.nonzero(np.isin(assignment.worker_slot_matrix(), (0, 7)))  # q=2
     payload = rng.standard_normal((files.size, dim))
-    pipeline = ByzShieldPipeline(assignment, validate=False)
+    pipeline = ByzShieldPipeline(assignment)
 
     def attacked():
         tensor = VoteTensor.from_honest(assignment, honest)
@@ -380,8 +380,8 @@ def test_cow_replication_memory_reduction_at_paper_scale():
 
 
 def test_vote_memory_is_independent_of_r_at_large_r():
-    """Acceptance gate: at (f=25, r=64, d=200k) — a 2.6 GB cube, the regime
-    the hierarchical path targets — the exact vote, with the default block
+    """Acceptance gate: at (f=25, r=64, d=200k) — a 2.6 GB cube, the
+    large-replication regime — the exact vote, with the default block
     width or 4096, peaks under 0.05x the (f, d) honest base: classing costs
     O(distinct payload rows x block), whatever r is, and both widths give
     the same bits.  tracemalloc is deterministic, so no retries."""

@@ -14,9 +14,9 @@ distinct stored row, not per slot — into an ``(f, r)`` integer matrix, the
 winning slots resolve from those integers, and the winners leave as a
 :class:`~repro.core.vote_tensor.RowSelection` of those slots rather than as
 a second ``(f, d)`` matrix.  Under partial aggregation an incomplete file
-resolves over its arrived slots of the same matrix.  The hierarchical vote
-in :mod:`repro.cluster.topology` starts from the same matrix; there is no
-second implementation of payload classing.  The ids are canonical (0 = the
+resolves over its arrived slots of the same matrix.  This is the only vote
+kernel: a group topology shapes when the event engine stops accepting
+copies, never how the PS votes them.  The ids are canonical (0 = the
 file's honest base row, the rest numbered by first appearance), and the
 vote hands them on with each winner's reference into them: the scenario
 trace hashes the round from those instead of from every slot.
@@ -153,7 +153,7 @@ def override_content_ids(tensor, block_size: int | None = None) -> np.ndarray:
     """``(f, r)`` content ids of a :class:`VoteTensor`'s slots.
 
     Two slots of a file hold bit-equal payloads iff their ids are equal, so
-    the exact vote — flat or hierarchical — is integer work on this matrix.
+    the exact vote is integer work on this matrix.
     Id 0 means bit-equal to the file's honest base row; the other ids name
     content classes across the whole round, numbered ``1, 2, ...`` by first
     appearance in C order, so the matrix is a function of the base and the
@@ -279,33 +279,21 @@ def _winning_slots(
 
     A complete file whose ids are all zero holds ``r`` copies of its base
     row: slot 0, count ``r``, no work.  The other complete files resolve
-    over all ``r`` slots and the incomplete ones over their arrived slots
-    (:func:`_revote_incomplete`), so each file is resolved at most once.
+    over all ``r`` slots and the incomplete ones over their arrived slots (a
+    file with none gets count 0), so each file is resolved at most once.
     """
     f, r = ids.shape
     slots = np.zeros(f, dtype=np.int64)
     counts = np.full(f, r, dtype=np.int64)
     touched = ids.any(axis=1)
     if arrived is not None:
-        touched &= arrived.all(axis=1)
+        complete = arrived.all(axis=1)
+        touched &= complete
+        incomplete = np.nonzero(~complete)[0]
+        slots[incomplete], counts[incomplete] = _resolve(ids[incomplete], arrived[incomplete])
     touched = np.nonzero(touched)[0]
     if touched.size:
         slots[touched], counts[touched] = _resolve(ids[touched])
-    return _revote_incomplete(ids, slots, counts, arrived)
-
-
-def _revote_incomplete(
-    ids: np.ndarray, slots: np.ndarray, counts: np.ndarray, arrived: np.ndarray | None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Every file missing a copy resolves over its arrived slots of ``ids``.
-
-    One row read per file, whatever its number of arrived copies; a file
-    with none gets count 0.  ``slots`` and ``counts`` are updated in place
-    and returned.  Without an arrival mask nothing changes.
-    """
-    if arrived is not None:
-        incomplete = np.nonzero(~arrived.all(axis=1))[0]
-        slots[incomplete], counts[incomplete] = _resolve(ids[incomplete], arrived[incomplete])
     return slots, counts
 
 
@@ -362,7 +350,7 @@ def majority_vote_votetensor(
 ) -> Vote:
     """Majority-vote a round straight from a :class:`VoteTensor`.
 
-    This is the pipelines' flat entry point, and it is integer work:
+    This is the pipelines' one vote, and it is integer work:
     :func:`override_content_ids` classes the payloads from the tensor's
     payload table and every file's winning slot and count resolve from the
     id matrix.  No ``(f, r, d)`` replica cube ever exists, and neither does

@@ -353,12 +353,7 @@ def _run_scenario_cmd(args: argparse.Namespace) -> str:
                     parts.append("partial")
                 notes.append(f"async: {', '.join(parts)}")
             if spec.topology is not None:
-                parts = [f"groups={spec.topology.groups}"]
-                if spec.topology.q_group:
-                    parts.append(f"q_group={spec.topology.q_group}")
-                if spec.topology.q_root:
-                    parts.append(f"q_root={spec.topology.q_root}")
-                notes.append(f"topology: {', '.join(parts)}")
+                notes.append(f"topology: groups={spec.topology.groups}")
             if spec.data.partition is not None:
                 partition = spec.data.partition
                 notes.append(

@@ -12,7 +12,6 @@ from repro.cluster.messages import TensorRoundResult
 from repro.cluster.server import ParameterServer
 from repro.cluster.simulator import TrainingCluster
 from repro.cluster.timing import CostModel, IterationTiming, estimate_iteration_timing
-from repro.cluster.topology import GroupTopology, hierarchical_majority_vote
 from repro.cluster.worker import WorkerPool
 
 __all__ = [
@@ -23,6 +22,4 @@ __all__ = [
     "CostModel",
     "IterationTiming",
     "estimate_iteration_timing",
-    "GroupTopology",
-    "hierarchical_majority_vote",
 ]

@@ -18,8 +18,17 @@ simulation over the round's ``f x r`` gradient messages:
   copies;
 * rejected-but-sent messages are recorded as ``"late"``
   :class:`~repro.cluster.faults.FaultEvent`\\ s and their slots are zeroed in
-  the vote tensor exactly as a timeout-abandoned straggler is zeroed today,
-  so downstream aggregation needs no new missing-value convention.
+  the vote tensor exactly as a timeout-abandoned straggler is zeroed.
+
+Downstream aggregation then sees a missing copy in one of two ways.  By
+default it is a zero vote, the fault injectors' convention.  With
+:attr:`AsyncRuntime.partial` the accepted mask travels with the round and
+the vote skips the missing copies (a file with none is a zero row).  Two
+conventions for one fact is an open item (ROADMAP item 2).
+
+With :attr:`AsyncRuntime.groups` the workers split into contiguous,
+balanced groups and the quorum closes per (file, group) cell instead of per
+file; the vote itself is the same.
 
 Clock model
 -----------
@@ -91,6 +100,10 @@ class AsyncRuntime:
         When True, downstream aggregation votes only over the accepted copies
         of each file (the :class:`AsyncRoundOutcome` mask) instead of
         treating missing slots as zero votes.
+    groups:
+        Number of contiguous, balanced worker groups ``G``: the quorum then
+        closes per (file, group) cell instead of per file (see
+        :meth:`EventDrivenRound.collect`).  ``None`` keeps one cell per file.
     cost_model:
         Coefficients for compute/network arrival times.
     """
@@ -98,6 +111,7 @@ class AsyncRuntime:
     deadline: float = float("inf")
     quorum: int | None = None
     partial: bool = False
+    groups: int | None = None
     cost_model: CostModel = field(default_factory=CostModel)
 
     def __post_init__(self) -> None:
@@ -107,6 +121,8 @@ class AsyncRuntime:
             )
         if self.quorum is not None and self.quorum < 1:
             raise ConfigurationError(f"quorum must be >= 1, got {self.quorum}")
+        if self.groups is not None and self.groups < 1:
+            raise ConfigurationError(f"groups must be >= 1, got {self.groups}")
 
 
 @dataclass
@@ -131,10 +147,10 @@ class AsyncRoundOutcome:
         ``"late"`` :class:`FaultEvent`\\ s for sent-but-rejected messages, in
         rejection (time) order.
     group_close_times:
-        ``(f, G)`` time each (file, group) quorum cell closed, for
-        hierarchical rounds collected over a group topology (``inf`` for
-        cells that never closed, and for cells the topology assigns no slots
-        of that file).  ``None`` on flat rounds.
+        ``(f, G)`` time each (file, group) quorum cell closed, for rounds
+        collected with :attr:`AsyncRuntime.groups` (``inf`` for cells that
+        never closed, and for groups that hold no copy of that file).
+        ``None`` when the quorum is per file.
     """
 
     arrivals: np.ndarray
@@ -221,9 +237,7 @@ class EventDrivenRound:
     def __init__(self, runtime: AsyncRuntime) -> None:
         self.runtime = runtime
 
-    def collect(
-        self, tensor: VoteTensor, arrivals: np.ndarray, topology=None
-    ) -> AsyncRoundOutcome:
+    def collect(self, tensor: VoteTensor, arrivals: np.ndarray) -> AsyncRoundOutcome:
         """Run the event loop over one round's arrival schedule.
 
         Processes arrivals in time order (ties broken by (file, slot) for
@@ -233,18 +247,19 @@ class EventDrivenRound:
         timeout uses — and recorded as ``"late"`` fault events.  Never-sent
         slots (``inf`` arrivals) are left alone: the injector pass that
         produced them already zeroed (and possibly further perturbed) them.
+        Whether a missing copy then counts as a zero vote or abstains is the
+        runtime's ``partial`` choice (see the module docstring).
 
-        With a :class:`~repro.cluster.topology.GroupTopology`, the quorum is
-        tracked per *(file, group)* cell instead of per file: each group's
-        aggregator closes its share of a file independently once
-        ``min(quorum, local copies)`` arrived (clamped, since a group may
-        hold fewer than ``quorum`` of a file's replicas), and the file is
-        closed when all of its non-empty cells are — the group leaders have
-        forwarded their histograms to the root.  Late messages are rejected
-        at the group level: a copy bound for an already-closed group is late
-        even while other groups of the same file remain open.  Without a
-        quorum configured every cell waits for all of its copies, which is
-        exactly the flat behavior.
+        With :attr:`AsyncRuntime.groups` set, the ``K`` workers (every
+        worker holds a file, so ``K`` is the largest worker index plus one)
+        split into that many contiguous, balanced groups, and the quorum is
+        tracked per *(file, group)* cell instead of per file: each cell
+        closes independently once ``min(quorum, local copies)`` arrived
+        (clamped, since a group may hold fewer than ``quorum`` of a file's
+        replicas), and the file is closed when all of its non-empty cells
+        are.  A copy bound for an already-closed cell is late even while
+        other groups of the same file remain open.  Without a quorum every
+        cell waits for all of its copies, which is the per-file behaviour.
         """
         arrivals = np.asarray(arrivals, dtype=_TIME_DTYPE)
         if arrivals.shape != tensor.workers.shape:
@@ -260,19 +275,20 @@ class EventDrivenRound:
             )
         deadline = self.runtime.deadline
 
-        # Cell layout: flat rounds have one cell per file needing `quorum`
-        # copies; hierarchical rounds have one cell per (file, group) needing
+        # Cell layout: without groups one cell per file needing `quorum`
+        # copies; with groups one cell per (file, group) needing
         # min(quorum, local copies).  The loop below only sees cells.
-        if topology is None:
+        num_groups = self.runtime.groups
+        if num_groups is None:
             num_groups = 1
             cell_of = np.broadcast_to(
                 np.arange(f, dtype=np.int64)[:, None], (f, r)
             )
             cell_quorum = np.full(f, quorum, dtype=np.int64)
         else:
-            num_groups = topology.num_groups
-            slot_groups = topology.slot_groups(tensor.workers)
-            cell_of = np.arange(f, dtype=np.int64)[:, None] * num_groups + slot_groups
+            members = np.array_split(np.arange(int(tensor.workers.max()) + 1), num_groups)
+            group_of = np.repeat(np.arange(num_groups), [m.size for m in members])
+            cell_of = np.arange(f, dtype=np.int64)[:, None] * num_groups + group_of[tensor.workers]
             cell_slots = np.bincount(cell_of.ravel(), minlength=f * num_groups)
             cell_quorum = np.minimum(quorum, cell_slots)
         open_cells = np.bincount(
@@ -346,7 +362,9 @@ class EventDrivenRound:
             deadline_fired=deadline_fired,
             late_events=tuple(late),
             group_close_times=(
-                None if topology is None else cell_close_times.reshape(f, num_groups)
+                None
+                if self.runtime.groups is None
+                else cell_close_times.reshape(f, num_groups)
             ),
         )
 

@@ -65,11 +65,9 @@ class ParameterServer:
 
         ``arrived`` is the event runtime's partial-aggregation mask — the
         ``(f, r)`` copies the PS accepted before its deadline/quorum cutoff;
-        ``None`` (synchronous rounds) aggregates every slot.  When the
-        pipeline carries a :class:`~repro.cluster.topology.GroupTopology`,
-        the vote stage runs hierarchically (per-group kernels + root merge)
-        — bit-identical to the flat vote, so the PS-side contract here is
-        unchanged.
+        ``None`` (synchronous rounds) aggregates every slot.  Worker groups
+        (``AsyncRuntime.groups``) change only which copies the mask accepts;
+        the pipeline votes every round with the same kernel.
         """
         return self.pipeline.aggregate_tensor(tensor, arrived)
 

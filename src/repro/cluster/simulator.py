@@ -9,6 +9,7 @@ distortion).
 
 from __future__ import annotations
 
+import operator
 from typing import Sequence
 
 import numpy as np
@@ -55,7 +56,8 @@ class TrainingCluster:
         Policy choosing which workers are Byzantine each round; ``None``
         means no Byzantine workers.
     seed:
-        Base seed for per-round randomness (attack noise, random selection).
+        Base seed for per-round randomness (attack noise, random selection):
+        round ``t`` draws from its own generator derived from ``(seed, t)``.
     fault_injectors:
         Benign fault models applied to each round's vote tensor after the
         attack.  Each injector receives its own derived
@@ -68,18 +70,10 @@ class TrainingCluster:
         :meth:`run_round_tensor` replays the same compute/attack/fault
         sequence, then runs the PS-side event loop — messages arrive on the
         runtime's cost-model clock (fault delays included) and are accepted
-        until the deadline or a per-file quorum fires.  With
-        ``deadline=inf`` and no quorum the produced votes are bit-identical
-        to the synchronous path.
-    topology:
-        Optional :class:`~repro.cluster.topology.GroupTopology` for
-        hierarchical rounds.  Under the event-driven runtime the quorum then
-        closes per (file, group) cell — each group's aggregator stops
-        accepting its share of a file independently and rejects later copies
-        as group-level ``"late"`` events (see
-        :meth:`EventDrivenRound.collect`).  Synchronous rounds are unaffected
-        (the topology only shapes the PS-side aggregation, which the
-        pipeline owns).
+        until the deadline or the quorum fires, per file or, with
+        ``runtime.groups``, per (file, group) cell.  With ``deadline=inf``
+        and no quorum the produced votes are bit-identical to the
+        synchronous path.
     """
 
     def __init__(
@@ -88,10 +82,9 @@ class TrainingCluster:
         worker_pool: WorkerPool,
         attack: Attack | None = None,
         selector: ByzantineSelector | None = None,
-        seed: int | np.random.Generator | None = 0,
+        seed: int = 0,
         fault_injectors: Sequence[FaultInjector] = (),
         runtime: AsyncRuntime | None = None,
-        topology=None,
     ) -> None:
         if worker_pool.assignment is not assignment and worker_pool.assignment != assignment:
             raise TrainingError("worker pool and cluster use different assignments")
@@ -108,42 +101,29 @@ class TrainingCluster:
                 f"runtime quorum {runtime.quorum} exceeds the assignment's "
                 f"replication r={assignment.replication}: no file could close"
             )
-        if topology is not None and topology.num_workers != assignment.num_workers:
+        if (
+            runtime is not None
+            and runtime.groups is not None
+            and runtime.groups > assignment.num_workers
+        ):
             raise TrainingError(
-                f"topology spans {topology.num_workers} workers but the "
-                f"assignment has {assignment.num_workers}"
+                f"runtime groups {runtime.groups} exceed the assignment's "
+                f"K={assignment.num_workers} workers"
             )
         self.runtime = runtime
-        self.topology = topology
         self.assignment = assignment
         self.worker_pool = worker_pool
         self.attack = attack
         self.selector = selector
         self.fault_injectors = tuple(fault_injectors)
-        self._seed = seed if isinstance(seed, int) else None
-        self._rng = as_generator(seed)
-        # Fault streams must stay independent of the round/attack stream even
-        # when the cluster is seeded with a live Generator: hash the
-        # generator's construction-time state into a fault base seed without
-        # consuming any draws from it.
-        if self._seed is not None:
-            self._fault_seed: int | None = self._seed
-        elif self.fault_injectors:
-            self._fault_seed = derive_seed(
-                "fault-base", repr(self._rng.bit_generator.state)
-            )
-        else:
-            self._fault_seed = None
+        self._seed = operator.index(seed)  # an int; a Generator is a TypeError
 
     def _round_rng(self, iteration: int) -> np.random.Generator:
-        if self._seed is None:
-            return self._rng
         return as_generator(derive_seed(self._seed, "round", iteration))
 
     def _fault_rng(self, iteration: int, index: int, kind: str) -> np.random.Generator:
         """Independent per-injector stream (see ``fault_injectors`` above)."""
-        assert self._fault_seed is not None  # set whenever injectors exist
-        return as_generator(derive_seed(self._fault_seed, "fault", index, kind, iteration))
+        return as_generator(derive_seed(self._seed, "fault", index, kind, iteration))
 
     def _inject_faults(self, tensor, iteration: int) -> tuple[FaultEvent, ...]:
         events: list[FaultEvent] = []
@@ -252,9 +232,7 @@ class TrainingCluster:
         arrivals = perturbed_arrival_times(
             base, tensor.workers, extra_delay, never_arrives
         )
-        outcome = EventDrivenRound(runtime).collect(
-            tensor, arrivals, topology=self.topology
-        )
+        outcome = EventDrivenRound(runtime).collect(tensor, arrivals)
         return TensorRoundResult(
             vote_tensor=tensor,
             honest_matrix=honest_matrix,

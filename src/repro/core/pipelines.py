@@ -119,21 +119,13 @@ class AggregationPipeline:
     Parameters
     ----------
     assignment:
-        Worker/file assignment graph the votes must conform to.
-    validate:
-        Whether :meth:`aggregate_tensor` verifies that the votes match the
-        assignment (disable in tight loops once the driver is trusted).
-    topology:
-        Optional :class:`~repro.cluster.topology.GroupTopology`.  Voting
-        pipelines then run the hierarchical two-level majority vote (per
-        group, then a root merge) instead of the flat kernel — bit-identical
-        output, but bounded per-group working sets.  The vanilla pipeline
-        has no vote stage and rejects a topology.
+        Worker/file assignment graph the votes must conform to;
+        :meth:`aggregate_tensor` checks every round's slot layout against it.
     block_size:
         Optional coordinate-block width streamed through the majority-vote
-        kernels (flat or hierarchical), capping their peak temporaries at
-        ``O(rows . block)`` while staying bit-identical.  ``None`` is not a
-        separate kernel: the same loops run at an internal width.
+        kernel, capping its peak temporaries at ``O(rows . block)`` while
+        staying bit-identical.  ``None`` is not a separate kernel: the same
+        loops run at an internal width.
     """
 
     pipeline_name = "abstract"
@@ -141,19 +133,10 @@ class AggregationPipeline:
     def __init__(
         self,
         assignment: BipartiteAssignment,
-        validate: bool = True,
-        topology=None,
         block_size: int | None = None,
     ) -> None:
         self.assignment = assignment
-        self.validate = bool(validate)
-        self.topology = topology
         self.block_size = validate_block_size(block_size)
-        if topology is not None and topology.num_workers != assignment.num_workers:
-            raise ConfigurationError(
-                f"topology spans {topology.num_workers} workers but the "
-                f"assignment has {assignment.num_workers}"
-            )
         self._expected_slots: np.ndarray | None = None
 
     def _expected_slot_matrix(self) -> np.ndarray:
@@ -194,12 +177,8 @@ class AggregationPipeline:
         default, and the whole synchronous path) treats every slot as
         present — missing contributions appear as the zero votes the fault
         injectors wrote.
-
-        With a group topology the files vote hierarchically (per group, then
-        a root histogram merge — bit-identical to the flat vote).
         """
-        if self.validate:
-            _validate_vote_tensor(self._expected_slot_matrix(), tensor)
+        _validate_vote_tensor(self._expected_slot_matrix(), tensor)
         if arrived is not None:
             arrived = _checked_arrival_mask(tensor, arrived)
         winners, content_ids, winner_refs = self._vote(tensor, arrived)
@@ -218,18 +197,7 @@ class AggregationPipeline:
         self, tensor: VoteTensor, arrived: np.ndarray | None
     ) -> tuple[RowSelection, np.ndarray, np.ndarray]:
         """``(winners, content_ids, winner_refs)`` of the round's one vote."""
-        if self.topology is not None:
-            # Imported lazily: repro.cluster pulls in this module at import
-            # time, so a top-level import would be circular.
-            from repro.cluster.topology import hierarchical_majority_vote
-
-            vote = hierarchical_majority_vote(
-                tensor, self.topology, block_size=self.block_size, arrived=arrived
-            )
-        else:
-            vote = majority_vote_votetensor(
-                tensor, block_size=self.block_size, arrived=arrived
-            )
+        vote = majority_vote_votetensor(tensor, block_size=self.block_size, arrived=arrived)
         return vote.winners, vote.content_ids, vote.winner_refs
 
     def __repr__(self) -> str:  # pragma: no cover - trivial
@@ -255,16 +223,9 @@ class ByzShieldPipeline(AggregationPipeline):
         self,
         assignment: BipartiteAssignment,
         aggregator: Aggregator | None = None,
-        validate: bool = True,
-        topology=None,
         block_size: int | None = None,
     ) -> None:
-        super().__init__(
-            assignment,
-            validate=validate,
-            topology=topology,
-            block_size=block_size,
-        )
+        super().__init__(assignment, block_size=block_size)
         if assignment.replication % 2 == 0:
             raise ConfigurationError(
                 "ByzShield majority voting requires an odd replication factor, "
@@ -295,16 +256,9 @@ class DetoxPipeline(AggregationPipeline):
         self,
         assignment: BipartiteAssignment,
         aggregator: Aggregator | None = None,
-        validate: bool = True,
-        topology=None,
         block_size: int | None = None,
     ) -> None:
-        super().__init__(
-            assignment,
-            validate=validate,
-            topology=topology,
-            block_size=block_size,
-        )
+        super().__init__(assignment, block_size=block_size)
         if assignment.computational_load != 1:
             raise ConfigurationError(
                 "DETOX expects an FRC assignment where every worker holds exactly "
@@ -336,16 +290,9 @@ class DracoPipeline(AggregationPipeline):
         self,
         assignment: BipartiteAssignment,
         num_byzantine: int,
-        validate: bool = True,
-        topology=None,
         block_size: int | None = None,
     ) -> None:
-        super().__init__(
-            assignment,
-            validate=validate,
-            topology=topology,
-            block_size=block_size,
-        )
+        super().__init__(assignment, block_size=block_size)
         if assignment.computational_load != 1:
             raise ConfigurationError(
                 "DRACO expects an FRC assignment (one file per worker); got load="
@@ -381,21 +328,14 @@ class VanillaPipeline(AggregationPipeline):
         self,
         assignment: BipartiteAssignment,
         aggregator: Aggregator,
-        validate: bool = True,
-        topology=None,
         block_size: int | None = None,
     ) -> None:
-        if topology is not None:
-            raise ConfigurationError(
-                "the vanilla pipeline has no vote stage; a group topology "
-                "requires a voting pipeline (byzshield, detox or draco)"
-            )
         if block_size is not None:
             raise ConfigurationError(
                 "the vanilla pipeline runs no vote kernel; pass block_size to "
                 "the robust aggregator instead (aggregator_params)"
             )
-        super().__init__(assignment, validate=validate)
+        super().__init__(assignment)
         if assignment.replication != 1 or assignment.computational_load != 1:
             raise ConfigurationError(
                 "VanillaPipeline expects the baseline assignment with l = r = 1"

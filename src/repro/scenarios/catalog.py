@@ -20,10 +20,9 @@ and a handful of training rounds.  Jointly the matrix covers
 * **runtimes** — the lockstep synchronous round (default) and the
   event-driven engine with deadline cutoffs, per-file quorums and
   partial (arrived-copies-only) aggregation;
-* **topologies** — flat single-level aggregation (default) and
-  hierarchical two-level rounds (:class:`~repro.cluster.topology.GroupTopology`)
-  with per-level adversary budgets, including group-level quorum closing
-  under the async runtime and blockwise (coordinate-sharded) vote kernels.
+* **worker groups** — per-file quorum cells (default) and per-(file,
+  group) cells under the async runtime (``topology.groups``: a group seals
+  its share of a file at the quorum and rejects later copies as late).
 
 Names are stable identifiers: golden traces live at
 ``tests/golden/<name>.json`` and are regenerated with
@@ -203,6 +202,15 @@ def _catalog() -> dict[str, dict[str, Any]]:
             description="Omniscient ALIE on the K=25 cluster",
         ),
         _spec(
+            "ramanujan-revgrad-omniscient",
+            _RAMANUJAN,
+            _BYZSHIELD_MEDIAN,
+            attack={"name": "reversed_gradient", "params": {"scale": 100.0},
+                    "selection": "omniscient",
+                    "schedule": {"kind": "static", "q": 3}},
+            description="K=25 rounds under a 100x reversed gradient from q=3 omniscient workers",
+        ),
+        _spec(
             "ramanujan-constant-rotating",
             _RAMANUJAN,
             _BYZSHIELD_MEDIAN,
@@ -363,26 +371,7 @@ def _catalog() -> dict[str, dict[str, Any]]:
             runtime={"deadline": 0.4, "partial": True},
             description="Baseline median over only the workers that beat the deadline",
         ),
-        # -- Hierarchical two-level aggregation -----------------------------
-        _spec(
-            "mols-hier-groups3-alie",
-            _MOLS,
-            _BYZSHIELD_MEDIAN,
-            attack={"name": "alie", "selection": "omniscient",
-                    "schedule": {"kind": "static", "q": 2}},
-            topology={"groups": 3, "q_group": 1},
-            description="Two-level ByzShield: 3 worker groups, q_group=1 budget, ALIE",
-        ),
-        _spec(
-            "ramanujan-hier-groups5-revgrad",
-            _RAMANUJAN,
-            _BYZSHIELD_MEDIAN,
-            attack={"name": "reversed_gradient", "params": {"scale": 100.0},
-                    "selection": "omniscient",
-                    "schedule": {"kind": "static", "q": 3}},
-            topology={"groups": 5, "q_group": 1},
-            description="K=25 hierarchical rounds: 5 groups of 5 under reversed gradient",
-        ),
+        # -- Worker groups: per-(file, group) quorum cells ------------------
         _spec(
             "ramanujan-hier-async-group-quorum",
             _RAMANUJAN,
@@ -392,19 +381,8 @@ def _catalog() -> dict[str, dict[str, Any]]:
             faults=[{"kind": "stragglers",
                      "params": {"count": 5, "delay_model": "exponential", "delay": 0.5}}],
             runtime={"quorum": 2, "partial": True},
-            topology={"groups": 3, "q_group": 1},
+            topology={"groups": 3},
             description="Group-level quorum close: a group seals its share of a file at 2 copies and rejects the rest as late",
-        ),
-        _spec(
-            "detox-hier-blockwise",
-            _FRC,
-            {"kind": "detox", "aggregator": "median_of_means",
-             "aggregator_params": {"num_groups": 3},
-             "block_size": 4},
-            attack={"name": "alie", "selection": "random",
-                    "schedule": {"kind": "static", "q": 2}},
-            topology={"groups": 5},
-            description="DETOX over 5 groups with coordinate-blockwise (block=4) vote kernels",
         ),
         # -- Adversary zoo (adaptive / collusive families) ------------------
         _spec(

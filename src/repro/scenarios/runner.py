@@ -44,7 +44,6 @@ from repro.cluster.faults import (
     StragglerInjector,
 )
 from repro.cluster.simulator import TrainingCluster
-from repro.cluster.topology import GroupTopology
 from repro.cluster.worker import WorkerPool
 from repro.compression.compressors import create_compressor
 from repro.core.pipelines import (
@@ -155,22 +154,7 @@ class ScenarioRunner:
         scheme = _create("scheme", create_scheme, section.scheme, **section.params)
         return scheme.assignment
 
-    def _build_topology(self, assignment: BipartiteAssignment) -> GroupTopology | None:
-        section = self.spec.topology
-        if section is None:
-            return None
-        return GroupTopology(
-            assignment.num_workers,
-            section.groups,
-            q_group=section.q_group,
-            q_root=section.q_root,
-        )
-
-    def _build_pipeline(
-        self,
-        assignment: BipartiteAssignment,
-        topology: GroupTopology | None,
-    ) -> AggregationPipeline:
+    def _build_pipeline(self, assignment: BipartiteAssignment) -> AggregationPipeline:
         section = self.spec.pipeline
         max_q = 0
         if self.spec.attack is not None:
@@ -179,7 +163,6 @@ class ScenarioRunner:
             return DracoPipeline(
                 assignment,
                 num_byzantine=max_q,
-                topology=topology,
                 block_size=section.block_size,
             )
         aggregator = _create(
@@ -201,22 +184,19 @@ class ScenarioRunner:
             return ByzShieldPipeline(
                 assignment,
                 aggregator=aggregator,
-                topology=topology,
                 block_size=section.block_size,
             )
         if section.kind == "detox":
             return DetoxPipeline(
                 assignment,
                 aggregator=aggregator,
-                topology=topology,
                 block_size=section.block_size,
             )
-        # Vanilla rejects both knobs itself with a pointed message, so a spec
-        # that combines them surfaces as a ConfigurationError, not silence.
+        # Vanilla rejects block_size itself with a pointed message, so a spec
+        # that sets it surfaces as a ConfigurationError, not silence.
         return VanillaPipeline(
             assignment,
             aggregator=aggregator,
-            topology=topology,
             block_size=section.block_size,
         )
 
@@ -296,8 +276,7 @@ class ScenarioRunner:
     def _assemble(self, round_observer) -> DistributedTrainer:
         spec = self.spec
         assignment = self._build_assignment()
-        topology = self._build_topology(assignment)
-        pipeline = self._build_pipeline(assignment, topology)
+        pipeline = self._build_pipeline(assignment)
         train_dataset, test_dataset = self._build_datasets()
         model = build_mlp(
             train_dataset.flat_feature_dim,
@@ -324,6 +303,7 @@ class ScenarioRunner:
                 ),
                 quorum=spec.runtime.quorum,
                 partial=spec.runtime.partial,
+                groups=None if spec.topology is None else spec.topology.groups,
             )
         cluster = TrainingCluster(
             assignment=assignment,
@@ -335,7 +315,6 @@ class ScenarioRunner:
                 _create("fault", _create_fault_injector, f.kind, **f.params) for f in spec.faults
             ),
             runtime=runtime,
-            topology=topology,
         )
         config = TrainingConfig(**dataclasses.asdict(spec.training), seed=spec.seed)
         return DistributedTrainer(

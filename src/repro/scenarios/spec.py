@@ -276,27 +276,21 @@ class RuntimeSpec(Schema, where="runtime"):
 
 @dataclass(frozen=True)
 class TopologySpec(Schema, where="topology"):
-    """Two-level aggregation topology (hierarchical majority voting).
+    """Worker groups of the event-driven engine's quorum cells.
 
     ``groups`` partitions the workers into that many contiguous, balanced
-    voting groups; ``q_group``/``q_root`` are the per-level tolerated-
-    adversary budgets carried by :class:`~repro.cluster.topology.
-    GroupTopology`.  Scenarios without this section run the flat vote.
+    groups, and the event engine closes its quorum per (file, group) cell
+    instead of per file (:attr:`~repro.cluster.events.AsyncRuntime.groups`).
+    The vote is the same with or without groups, so the section needs an
+    event-driven runtime and a voting pipeline.
     """
 
     groups: int = spec_field(int, pinned=True)
-    q_group: int = spec_field(int, default=0)
-    q_root: int = spec_field(int, default=0)
 
     def __post_init__(self) -> None:
         if self.groups < 1:
             raise ConfigurationError(
                 f"topology groups must be >= 1, got {self.groups}"
-            )
-        if self.q_group < 0 or self.q_root < 0:
-            raise ConfigurationError(
-                f"topology budgets must be non-negative, got "
-                f"q_group={self.q_group}, q_root={self.q_root}"
             )
 
 
@@ -326,6 +320,18 @@ class ScenarioSpec(Schema, where="scenario"):
             raise ConfigurationError(
                 f"unsupported scenario dtype {self.dtype!r}; "
                 f"expected one of {sorted(SUPPORTED_DTYPES)}"
+            )
+        # A topology only sets the event engine's quorum cells: without that
+        # engine, or with one copy per file (vanilla), it would do nothing.
+        if self.topology is not None and not self.runtime.is_event:
+            raise ConfigurationError(
+                "scenario.topology requires an event-driven runtime "
+                "(set runtime.deadline and/or runtime.quorum)"
+            )
+        if self.topology is not None and self.pipeline.kind == "vanilla":
+            raise ConfigurationError(
+                "scenario.topology requires a voting pipeline (byzshield, "
+                "detox or draco); the vanilla pipeline has one copy per file"
             )
 
     @classmethod

@@ -21,7 +21,7 @@ from the content ids the vote computed (``RoundOutcome.content_ids`` /
   ``(f, r, d)`` cube and its base are rebuilt from these parts and the
   parts depend on their content alone, so two rounds digest equally iff
   both are bit-identical — whatever the storage layout, shared or per-slot
-  writes, ``block_size`` or flat versus hierarchical voting;
+  writes or ``block_size``;
 * winners: a header, ``repr((n, d))`` and the ``(n, 2)`` int64
   ``(file, content id)`` table of the post-vote rows (id ``-1``: the zero
   row of a file with no arrived copy).  The bytes behind each reference

@@ -35,7 +35,6 @@ from repro.cluster.faults import (
     StragglerInjector,
 )
 from repro.aggregation.mean import MeanAggregator
-from repro.cluster.topology import GroupTopology
 from repro.core.pipelines import ByzShieldPipeline, VanillaPipeline
 from repro.core.vote_tensor import RowSelection, VoteTensor
 from repro.exceptions import ConfigurationError
@@ -349,15 +348,7 @@ def test_one_bit_or_one_moved_payload_changes_the_digest(case, dtype):
 #: ``(pipeline, partial)`` per path through which the winners leave the vote
 PATHS = {
     "flat": (lambda: ByzShieldPipeline(SCHEMES["ramanujan"]), False),
-    "hierarchical": (
-        lambda: ByzShieldPipeline(SCHEMES["ramanujan"], topology=GroupTopology(25, 5)),
-        False,
-    ),
     "flat-partial": (lambda: ByzShieldPipeline(SCHEMES["ramanujan"], block_size=3), True),
-    "hierarchical-partial": (
-        lambda: ByzShieldPipeline(SCHEMES["ramanujan"], topology=GroupTopology(25, 3)),
-        True,
-    ),
     "vanilla": (lambda: VanillaPipeline(SCHEMES["baseline"], MeanAggregator()), False),
     "vanilla-partial": (lambda: VanillaPipeline(SCHEMES["baseline"], MeanAggregator()), True),
 }

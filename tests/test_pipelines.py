@@ -97,8 +97,6 @@ def test_byzshield_validates_votes(mols_assignment, ramanujan_case1):
     assert other.workers.shape == votes.workers.shape
     with pytest.raises(AggregationError):
         pipeline.aggregate_tensor(other)
-    # validate=False trusts the driver
-    ByzShieldPipeline(mols_assignment, validate=False).aggregate_tensor(other)
 
 
 def test_byzshield_custom_aggregator(mols_assignment):
@@ -127,6 +125,14 @@ def test_detox_group_corruption(frc_15_3):
     result = pipeline.aggregate_tensor(votes).aggregate
     # Median over [−50, 1, 1, 1, 1] is still 1.
     assert np.allclose(result, 1.0)
+
+
+def test_detox_blockwise_vote_matches_monolithic(frc_15_3):
+    assignment = frc_15_3.assignment
+    votes = corrupt(honest_votes(assignment, indexed_gradient), {2, 6}, np.full(DIM, -7.0))
+    mono = DetoxPipeline(assignment).aggregate_tensor(votes).aggregate
+    blk = DetoxPipeline(assignment, block_size=1).aggregate_tensor(votes).aggregate
+    assert np.array_equal(blk, mono)
 
 
 def test_detox_requires_frc_like_assignment(mols_assignment):
@@ -189,6 +195,11 @@ def test_vanilla_applies_aggregator_to_worker_gradients(baseline_10):
 def test_vanilla_rejects_redundant_assignment(mols_assignment):
     with pytest.raises(ConfigurationError):
         VanillaPipeline(mols_assignment, aggregator=CoordinateWiseMedian())
+
+
+def test_vanilla_rejects_a_vote_block_size(baseline_10):
+    with pytest.raises(ConfigurationError, match="no vote kernel"):
+        VanillaPipeline(baseline_10.assignment, aggregator=CoordinateWiseMedian(), block_size=8)
 
 
 def test_vanilla_mean_is_vulnerable(baseline_10):

@@ -17,7 +17,6 @@ from repro.assignment.ramanujan import RamanujanAssignment
 from repro.assignment.random_scheme import RandomAssignment
 from repro.attacks.base import AttackContext
 from repro.attacks.registry import available_attacks, create_attack
-from repro.cluster.topology import GroupTopology
 from repro.core.distortion import (
     count_distorted,
     majority_threshold,
@@ -288,16 +287,15 @@ VOTING_SETUPS = {
     q=st.integers(0, 15),
     dim=st.integers(1, 6),
     rebuilt=st.booleans(),
-    groups=st.one_of(st.none(), st.integers(2, 5)),
     block_size=st.one_of(st.none(), st.integers(1, 4)),
     seed=st.integers(0, 10_000),
 )
 def test_post_vote_matrix_matches_reference_vote(
-    scheme, attack_name, q, dim, rebuilt, groups, block_size, seed
+    scheme, attack_name, q, dim, rebuilt, block_size, seed
 ):
     """The goldens were recorded from the vectorized vote itself; this is its
-    independent check.  Whatever the scheme, attack, q, storage layout, group
-    topology or block size, the post-vote matrix ``aggregate_tensor``
+    independent check.  Whatever the scheme, attack, q, storage layout or
+    block size, the post-vote matrix ``aggregate_tensor``
     returns as its ``winners`` must equal the single-file reference vote
     applied to each file's materialized copies — row for row, bit for bit."""
     assignment, pipeline_cls = VOTING_SETUPS[scheme]
@@ -320,10 +318,7 @@ def test_post_vote_matrix_matches_reference_vote(
     if rebuilt:
         tensor = tensor_of(cube, assignment)
 
-    topology = (
-        None if groups is None else GroupTopology(assignment.num_workers, groups)
-    )
-    pipeline = pipeline_cls(assignment, topology=topology, block_size=block_size)
+    pipeline = pipeline_cls(assignment, block_size=block_size)
     voted = pipeline.aggregate_tensor(tensor).winners.densified()
     for i in range(assignment.num_files):
         expected, _ = _reference_exact_majority(cube[i])

@@ -32,16 +32,15 @@ from repro.training.trainer import DistributedTrainer
 from cow_helpers import cube_of
 
 
-def headline_spec(hidden=(128, 48), num_iterations=4, groups=None):
+def headline_spec(hidden=(128, 48), num_iterations=4):
     """``sync-alie-wide`` of ``benchmarks/e2e`` at d = 19,610: Ramanujan
     K = 25 (f = 25, r = 5), ByzShield + median, omniscient static ALIE q = 5,
-    an MLP on Gaussian data; ``groups`` votes it hierarchically."""
+    an MLP on Gaussian data."""
     return ScenarioSpec.from_dict({
         "name": "round-memory",
         "description": "the paper-headline round, narrower",
         "cluster": {"scheme": "ramanujan", "params": {"m": 5, "s": 5}},
         "pipeline": {"kind": "byzshield", "aggregator": "median"},
-        **({} if groups is None else {"topology": {"groups": groups}}),
         "data": {
             "kind": "gaussian",
             "dim": 100,
@@ -87,12 +86,8 @@ def observed_trainer(spec, monkeypatch):
     return trainer
 
 
-@pytest.mark.parametrize(
-    "observed, groups",
-    [(False, None), (False, 5), (True, None), (True, 5)],
-    ids=["flat", "hierarchical", "observed-flat", "observed-hierarchical"],
-)
-def test_steady_state_round_peaks_under_one_gradient_matrix(monkeypatch, observed, groups):
+@pytest.mark.parametrize("observed", [False, True], ids=["flat", "observed-flat"])
+def test_steady_state_round_peaks_under_one_gradient_matrix(monkeypatch, observed):
     """Measured at this shape: 0.44 matrices (two out-voted rows, block
     buffers, a few ``(d,)`` vectors and one chunk of the batch; 0.48 while
     the whole batch was gathered before the pass), observed or not; 1.38
@@ -102,7 +97,7 @@ def test_steady_state_round_peaks_under_one_gradient_matrix(monkeypatch, observe
     own observer: it digests the winners from the vote's references, and an
     observer that densified them instead (``outcome.winners.densified()``)
     measured 1.28."""
-    spec = headline_spec(groups=groups)
+    spec = headline_spec()
     if observed:
         trainer = observed_trainer(spec, monkeypatch)
     else:

@@ -18,7 +18,7 @@ from repro.aggregation.median import CoordinateWiseMedian, coordinate_median
 from repro.aggregation.registry import available_aggregators, create_aggregator
 from repro.assignment.baseline import BaselineAssignment
 from repro.assignment.ramanujan import RamanujanAssignment
-from repro.cluster.topology import GroupTopology, hierarchical_majority_vote
+from repro.cluster.events import AsyncRuntime, EventDrivenRound
 from repro.core.pipelines import ByzShieldPipeline, VanillaPipeline
 from repro.core.vote_tensor import RowSelection, VoteTensor
 from repro.exceptions import ConfigurationError
@@ -95,22 +95,11 @@ def masks(kind, shape, seed=3):
     return arrived
 
 
-#: the flat vote and hierarchical ones over RAMANUJAN's 25 workers: uneven
-#: groups (9/8/8), even groups of five, and one worker per group
-TOPOLOGIES = {
-    "flat": None,
-    "hier3": GroupTopology(25, 3),
-    "hier5": GroupTopology(25, 5),
-    "hier25": GroupTopology(25, 25),
-}
-
-
 @pytest.mark.parametrize("dtype", DTYPES)
 @pytest.mark.parametrize("block_size", BLOCK_SIZES)
 @pytest.mark.parametrize("source", ["attacked", "rebuilt"])
 @pytest.mark.parametrize("arrival", ["all-arrived", "partial", "stragglers"])
-@pytest.mark.parametrize("vote", sorted(TOPOLOGIES))
-def test_winners_equal_the_reference_vote(vote, arrival, source, block_size, dtype):
+def test_winners_equal_the_reference_vote(arrival, source, block_size, dtype):
     """``attacked``: the round as the attack left it, honest base plus
     payload rows; ``rebuilt``: the same cube through ``tensor_of``, whose
     base is each file's slot 0 — Byzantine where slot 0 is."""
@@ -118,9 +107,7 @@ def test_winners_equal_the_reference_vote(vote, arrival, source, block_size, dty
     cube = cube_of(tensor)
     if source == "rebuilt":
         tensor = tensor_of(cube, RAMANUJAN)
-    pipeline = ByzShieldPipeline(
-        RAMANUJAN, topology=TOPOLOGIES[vote], block_size=block_size
-    )
+    pipeline = ByzShieldPipeline(RAMANUJAN, block_size=block_size)
     arrived = masks(arrival, tensor.workers.shape)
     expected, _ = reference_vote(cube, arrived)
 
@@ -139,6 +126,29 @@ def test_winners_equal_the_reference_vote(vote, arrival, source, block_size, dty
             assert set(flipped.tolist()) <= set(selection.files.tolist())
             assert selection.files.size <= flipped.size + 1
     assert np.array_equal(outcome.aggregate, np.median(expected, axis=0))
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("block_size", [None, 7])
+@pytest.mark.parametrize("source", ["attacked", "rebuilt"])
+@pytest.mark.parametrize("quorum", [1, 2, 3])
+@pytest.mark.parametrize("groups", [None, 3, 5, 25])
+def test_group_cell_masks_vote_like_the_reference(groups, quorum, source, block_size, dtype):
+    """Worker groups only decide which copies the event engine accepts: the
+    partial vote over a per-(file, group) quorum mask is the reference vote
+    over exactly the accepted copies.  RAMANUJAN's 25 workers split into
+    uneven groups (9/8/8), groups of five, or one worker per group."""
+    tensor, _ = attacked_round(RAMANUJAN, dtype)
+    if source == "rebuilt":
+        tensor = tensor_of(cube_of(tensor), RAMANUJAN)
+    rng = np.random.default_rng(quorum)
+    arrivals = rng.exponential(0.3, tensor.workers.shape)
+    arrivals[3] = np.inf  # a file nobody returned
+    runtime = AsyncRuntime(quorum=quorum, partial=True, groups=groups)
+    accepted = EventDrivenRound(runtime).collect(tensor, arrivals).accepted
+    expected, _ = reference_vote(cube_of(tensor), accepted)
+    pipeline = ByzShieldPipeline(RAMANUJAN, block_size=block_size)
+    assert_stands_for(pipeline.aggregate_tensor(tensor, accepted).winners, expected)
 
 
 #: the bit pattern of the default quiet NaN, per working dtype
@@ -163,10 +173,9 @@ REVOTE_CASES = {
 }
 
 
-@pytest.mark.parametrize("vote", ["flat", "hier2"])
 @pytest.mark.parametrize("dtype", DTYPES)
 @pytest.mark.parametrize("case", sorted(REVOTE_CASES))
-def test_incomplete_file_votes_over_its_arrived_copies(case, dtype, vote):
+def test_incomplete_file_votes_over_its_arrived_copies(case, dtype):
     """An incomplete file's winner is read off the round's content ids over
     its arrived slots: it equals the reference vote over the arrived copies,
     bit for bit, beside a complete file and a file nobody returned."""
@@ -188,11 +197,7 @@ def test_incomplete_file_votes_over_its_arrived_copies(case, dtype, vote):
     expected, counts = reference_vote(cube, arrived)
     assert expected[0].tobytes() == cube[0, winner].tobytes()
 
-    tensor = tensor_of(cube)
-    if vote == "flat":
-        selection, got, _, _ = majority_vote_votetensor(tensor, arrived=arrived)
-    else:
-        selection, got, _, _ = hierarchical_majority_vote(tensor, GroupTopology(5, 2), arrived=arrived)
+    selection, got, _, _ = majority_vote_votetensor(tensor_of(cube), arrived=arrived)
     assert selection.densified().tobytes() == expected.tobytes()
     assert got.tolist() == counts.tolist()
 
@@ -216,11 +221,10 @@ def test_vanilla_rows_equal_the_arrived_returns(arrival, source, dtype):
     assert np.array_equal(outcome.aggregate, MeanAggregator()(expected))
 
 
-@pytest.mark.parametrize("topology", [None, GroupTopology(25, 5)], ids=["flat", "hier5"])
-def test_honest_round_copies_no_row(topology):
+def test_honest_round_copies_no_row():
     honest = np.random.default_rng(2).standard_normal((25, DIM))
     tensor = VoteTensor.from_honest(RAMANUJAN, honest)
-    selection = ByzShieldPipeline(RAMANUJAN, topology=topology).aggregate_tensor(tensor).winners
+    selection = ByzShieldPipeline(RAMANUJAN).aggregate_tensor(tensor).winners
     assert selection.files.size == 0 and selection.rows.shape == (0, DIM)
     assert np.shares_memory(selection.base, honest)
     dense = selection.densified()

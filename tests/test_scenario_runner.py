@@ -8,7 +8,6 @@ import tracemalloc
 import numpy as np
 import pytest
 
-import repro.cluster.topology as topology_module
 import repro.core.pipelines as pipelines_module
 from repro.exceptions import ConfigurationError, ReproError
 from repro.scenarios import (
@@ -118,24 +117,22 @@ class TestObserverStaysOffTheDataPath:
     """The trace observer digests what the round produced; it computes nothing."""
 
     @pytest.mark.parametrize(
-        "scenario, kernel_home, kernel",
-        [
-            ("mols-alie-all-faults", pipelines_module, "majority_vote_votetensor"),
-            ("ramanujan-hier-async-group-quorum", topology_module, "hierarchical_majority_vote"),
-        ],
+        "scenario",
+        ["mols-alie-all-faults", "ramanujan-hier-async-group-quorum"],
         ids=["flat", "hierarchical"],
     )
-    def test_one_vote_per_observed_round(self, monkeypatch, scenario, kernel_home, kernel):
-        """Algorithm 1 votes every file once per round — observed or not."""
+    def test_one_vote_per_observed_round(self, monkeypatch, scenario):
+        """Algorithm 1 votes every file once per round — observed or not,
+        with or without worker groups: one kernel, called once a round."""
         calls = []
-        vote = getattr(kernel_home, kernel)
+        vote = pipelines_module.majority_vote_votetensor
 
         def counting_vote(*args, **kwargs):
-            calls.append(kernel)
+            calls.append(scenario)
             return vote(*args, **kwargs)
 
-        # both names are resolved at call time by the pipeline's vote
-        monkeypatch.setattr(kernel_home, kernel, counting_vote)
+        # the name is resolved at call time by the pipeline's vote
+        monkeypatch.setattr(pipelines_module, "majority_vote_votetensor", counting_vote)
         spec = get_scenario(scenario)
         result = ScenarioRunner(spec).run()
         assert len(result.trace.rounds) == spec.training.num_iterations
@@ -191,7 +188,7 @@ class TestObserverStaysOffTheDataPath:
         assert stored.evaluations == evaluations
 
     def test_observed_run_peaks_no_higher_than_an_unobserved_one(self):
-        """A float32 hierarchical cell sized like the e2e campaign cells
+        """A float32 grouped async cell sized like the e2e campaign cells
         (f = 25, r = 5, d ~ 11k).  Hashing the votes must not build the
         (f, r, d) cube, its float64 copy or a bytes copy: the observed run's
         allocation peak stays at the round's own."""

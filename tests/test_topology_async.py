@@ -1,4 +1,4 @@
-"""Hierarchical rounds under the event-driven runtime: group-level quorum."""
+"""Worker groups under the event-driven runtime: per-(file, group) quorum cells."""
 
 from __future__ import annotations
 
@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from repro.assignment.frc import FRCAssignment
+from repro.assignment.mols import MOLSAssignment
+from repro.assignment.ramanujan import RamanujanAssignment
 from repro.cluster.events import LATE_KIND, AsyncRuntime, EventDrivenRound
-from repro.cluster.topology import GroupTopology
 from repro.core.vote_tensor import VoteTensor
+from repro.exceptions import ConfigurationError, ReproError
 from repro.scenarios.catalog import get_scenario
 from repro.scenarios.runner import run_scenario
 from repro.scenarios.spec import ScenarioSpec
@@ -17,7 +19,7 @@ from repro.scenarios.spec import ScenarioSpec
 @pytest.fixture(scope="module")
 def frc_6():
     """Six workers, r=3: two files whose three copies share one FRC group —
-    with a 2-group topology each file is one 3-slot cell plus nothing else."""
+    with 2 worker groups each file is one 3-slot cell plus nothing else."""
     return FRCAssignment(num_workers=6, replication=3).assignment
 
 
@@ -27,11 +29,9 @@ def one_round(assignment, dim=4, seed=0):
     return VoteTensor.from_honest(assignment, honest), honest
 
 
-def collect(tensor, arrivals, topology, **runtime_kwargs):
+def collect(tensor, arrivals, **runtime_kwargs):
     runtime = AsyncRuntime(**runtime_kwargs)
-    return EventDrivenRound(runtime).collect(
-        tensor, np.asarray(arrivals, dtype=np.float64), topology=topology
-    )
+    return EventDrivenRound(runtime).collect(tensor, np.asarray(arrivals, dtype=np.float64))
 
 
 class TestGroupQuorumCells:
@@ -40,9 +40,8 @@ class TestGroupQuorumCells:
         # file 1 -> workers {3,4,5} (group 1).  Quorum 2 closes each file's
         # single non-empty cell at its 2nd copy; the 3rd is group-level late.
         tensor, _ = one_round(frc_6)
-        topo = GroupTopology(6, 2)
         arrivals = [[0.1, 0.2, 0.3], [0.1, 0.2, 0.3]]
-        out = collect(tensor, arrivals, topo, quorum=2)
+        out = collect(tensor, arrivals, groups=2, quorum=2)
         assert out.accepted.sum() == 4
         assert len(out.late_events) == 2
         assert all(e.kind == LATE_KIND for e in out.late_events)
@@ -58,8 +57,7 @@ class TestGroupQuorumCells:
         # cell, so a file closes only when all of its groups delivered —
         # and nothing is ever late.
         tensor, _ = one_round(frc_6)
-        topo = GroupTopology(6, 6)
-        out = collect(tensor, [[0.1, 0.2, 0.3], [0.1, 0.2, 0.3]], topo, quorum=3)
+        out = collect(tensor, [[0.1, 0.2, 0.3], [0.1, 0.2, 0.3]], groups=6, quorum=3)
         assert out.accepted.all()
         assert not out.late_events
         assert out.file_close_times[0] == pytest.approx(0.3)
@@ -70,8 +68,7 @@ class TestGroupQuorumCells:
         # group 1 has not closed yet; group 1's second copy is late too.
         assignment = FRCAssignment(num_workers=5, replication=5).assignment
         tensor, _ = one_round(assignment)
-        topo = GroupTopology(5, 2)
-        out = collect(tensor, [[0.1, 0.2, 0.3, 0.9, 1.0]], topo, quorum=1)
+        out = collect(tensor, [[0.1, 0.2, 0.3, 0.9, 1.0]], groups=2, quorum=1)
         assert [e.slot for e in out.late_events] == [1, 2, 4]
         assert out.accepted.tolist() == [[True, False, False, True, False]]
         assert out.group_close_times[0].tolist() == [0.1, 0.9]
@@ -79,41 +76,169 @@ class TestGroupQuorumCells:
 
     def test_late_slots_are_zeroed_in_tensor(self, frc_6):
         tensor, honest = one_round(frc_6)
-        topo = GroupTopology(6, 2)
-        collect(tensor, [[0.1, 0.2, 0.3], [0.1, 0.2, 0.3]], topo, quorum=2)
+        collect(tensor, [[0.1, 0.2, 0.3], [0.1, 0.2, 0.3]], groups=2, quorum=2)
         assert np.array_equal(tensor.read_slots(np.array([0]), np.array([2]))[0],
                               np.zeros(tensor.dim))
         # accepted copies keep the honest payload
         assert np.array_equal(tensor.read_slots(np.array([0]), np.array([0]))[0],
                               honest[0])
 
-    def test_flat_round_has_no_group_close_times(self, frc_6):
+    def test_per_file_round_has_no_group_close_times(self, frc_6):
         tensor, _ = one_round(frc_6)
-        out = collect(tensor, [[0.1, 0.2, 0.3], [0.1, 0.2, 0.3]], None, quorum=2)
+        out = collect(tensor, [[0.1, 0.2, 0.3], [0.1, 0.2, 0.3]], quorum=2)
         assert out.group_close_times is None
 
     def test_no_quorum_waits_for_every_copy(self, frc_6):
         tensor, _ = one_round(frc_6)
-        topo = GroupTopology(6, 2)
-        out = collect(tensor, [[0.1, 0.2, 0.3], [0.1, 0.2, 0.3]], topo)
+        out = collect(tensor, [[0.1, 0.2, 0.3], [0.1, 0.2, 0.3]], groups=2)
         assert out.accepted.all()
         assert not out.late_events
 
+    def test_groups_split_the_workers_contiguously_and_balanced(self):
+        # 7 workers in 3 groups: {0,1,2} | {3,4} | {5,6}.  One file held by
+        # all seven; quorum 1 accepts each group's first copy only.
+        assignment = FRCAssignment(num_workers=7, replication=7).assignment
+        tensor, _ = one_round(assignment)
+        out = collect(tensor, [[0.7, 0.6, 0.5, 0.4, 0.3, 0.2, 0.1]], groups=3, quorum=1)
+        assert out.accepted.tolist() == [[False, False, True, False, True, False, True]]
+        assert out.group_close_times[0].tolist() == [0.5, 0.3, 0.1]
 
-class TestHierarchicalSyncEquivalence:
+    def test_rejects_a_non_positive_group_count(self):
+        with pytest.raises(ConfigurationError, match="groups"):
+            AsyncRuntime(groups=0)
+
+
+def reference_collect(workers, arrivals, quorum, groups, deadline):
+    """The event loop written out copy by copy: the oracle of ``collect``.
+
+    Copies are visited in ``(time, file, slot)`` order.  Group ``g`` of ``G``
+    holds the next ``K // G`` workers, plus one for the first ``K % G``
+    groups; a (file, group) cell needs ``min(quorum, its copies)`` arrivals.
+    Returns ``(accepted, late (file, slot) list, file close times, group
+    close times or None, round time)``.
+    """
+    f, r = workers.shape
+    num_workers = int(workers.max()) + 1
+    num_groups = 1 if groups is None else groups
+    group_of = []
+    for g in range(num_groups):
+        group_of += [g] * (num_workers // num_groups + (g < num_workers % num_groups))
+    cell = {(i, k): (i, group_of[workers[i, k]]) for i in range(f) for k in range(r)}
+    need = {}
+    for key in cell.values():
+        need[key] = need.get(key, 0) + 1
+    need = {key: min(r if quorum is None else quorum, n) for key, n in need.items()}
+    count = dict.fromkeys(need, 0)
+    accepted = np.zeros((f, r), dtype=bool)
+    late = []
+    group_close = np.full((f, num_groups), np.inf)
+    file_close = np.full(f, np.inf)
+    last_accept = 0.0
+    order = sorted((arrivals[i, k], i, k) for i in range(f) for k in range(r) if np.isfinite(arrivals[i, k]))
+    for time, i, k in order:
+        key = cell[i, k]
+        if time >= deadline or count[key] >= need[key]:
+            late.append((i, k))
+            continue
+        accepted[i, k] = True
+        count[key] += 1
+        last_accept = time
+        if count[key] == need[key]:
+            group_close[key] = time
+            if all(count[c] >= need[c] for c in need if c[0] == i):
+                file_close[i] = time
+    if all(count[c] >= need[c] for c in need):
+        round_time = float(file_close.max())
+    elif np.isfinite(deadline):
+        round_time = deadline
+    else:
+        round_time = last_accept
+    return accepted, late, file_close, None if groups is None else group_close, round_time
+
+
+ORACLE_SCHEMES = {
+    "mols": lambda: MOLSAssignment(load=5, replication=3).assignment,  # K=15, f=25, r=3
+    "ramanujan": lambda: RamanujanAssignment(m=5, s=5).assignment,  # K=25, f=25, r=5
+    "frc": lambda: FRCAssignment(num_workers=15, replication=3).assignment,  # K=15, f=5, r=3
+}
+
+
+@pytest.mark.parametrize("deadline", [np.inf, 0.4], ids=["no-deadline", "deadline"])
+@pytest.mark.parametrize("quorum", [None, 1, 2, 3])
+@pytest.mark.parametrize("groups", [None, 1, 2, 4, 7])
+@pytest.mark.parametrize("scheme", sorted(ORACLE_SCHEMES))
+def test_collect_matches_the_copy_by_copy_oracle(scheme, groups, quorum, deadline):
+    """Random arrival schedules with ties (times on a 0.05 s grid) and
+    copies that never arrive: the engine accepts, rejects, closes and times
+    exactly what the oracle does, and zeroes exactly the late copies."""
+    assignment = ORACLE_SCHEMES[scheme]()
+    rng = np.random.default_rng(sum(map(ord, f"{scheme}-{groups}-{quorum}-{deadline}")))
+    for _ in range(3):
+        tensor, _ = one_round(assignment)
+        arrivals = np.round(rng.exponential(0.3, tensor.workers.shape) / 0.05) * 0.05
+        arrivals[rng.random(arrivals.shape) < 0.1] = np.inf
+        accepted, late, file_close, group_close, round_time = reference_collect(
+            tensor.workers, arrivals, quorum, groups, deadline
+        )
+        out = collect(tensor, arrivals, quorum=quorum, groups=groups, deadline=deadline)
+        assert np.array_equal(out.accepted, accepted)
+        assert [(e.file, e.slot) for e in out.late_events] == late
+        assert np.array_equal(out.file_close_times, file_close)
+        if group_close is None:
+            assert out.group_close_times is None
+        else:
+            assert np.array_equal(out.group_close_times, group_close)
+        assert out.round_time == round_time
+        if late:
+            files, slots = np.array(late).T
+            assert not tensor.read_slots(files, slots).any()
+
+
+class TestTopologySpec:
+    """A topology only sets the event engine's cells; a spec where it would
+    do nothing is refused by name."""
+
+    def test_sync_spec_with_topology_is_refused(self):
+        data = get_scenario("ramanujan-alie-omniscient").to_dict()
+        data["topology"] = {"groups": 5}
+        with pytest.raises(ConfigurationError, match=r"^scenario\.topology requires an event"):
+            ScenarioSpec.from_dict(data)
+
+    def test_vanilla_event_spec_with_topology_is_refused(self):
+        data = get_scenario("vanilla-async-deadline-partial").to_dict()
+        data["topology"] = {"groups": 2}
+        with pytest.raises(ConfigurationError, match=r"^scenario\.topology requires a voting"):
+            ScenarioSpec.from_dict(data)
+
+    @pytest.mark.parametrize("key", ["q_group", "q_root"])
+    def test_per_level_budgets_are_unknown_keys(self, key):
+        data = get_scenario("ramanujan-hier-async-group-quorum").to_dict()
+        data["topology"][key] = 1
+        with pytest.raises(ConfigurationError, match=rf"unknown key\(s\) \['scenario\.topology\.{key}'\]"):
+            ScenarioSpec.from_dict(data)
+
+    def test_more_groups_than_workers_is_refused_at_build(self):
+        data = get_scenario("ramanujan-hier-async-group-quorum").to_dict()
+        data["topology"] = {"groups": 26}  # K = 25
+        with pytest.raises(ReproError, match="groups 26 exceed the assignment's K=25"):
+            run_scenario(ScenarioSpec.from_dict(data))
+
+
+class TestGroupedSyncEquivalence:
     """deadline=inf + no quorum must reproduce the sync round bit-exactly,
-    with or without a topology."""
+    with or without worker groups."""
 
-    @pytest.mark.parametrize(
-        "name", ["mols-hier-groups3-alie", "ramanujan-hier-groups5-revgrad"]
-    )
-    def test_deadline_inf_matches_sync_hierarchical(self, name):
+    @pytest.mark.parametrize("name", ["mols-alie-omniscient", "ramanujan-revgrad-omniscient"])
+    @pytest.mark.parametrize("groups", [None, 3, 5])
+    def test_deadline_inf_matches_sync(self, name, groups):
         sync = run_scenario(get_scenario(name))
         data = get_scenario(name).to_dict()
         data["name"] += "-async-inf"
         # RuntimeSpec(deadline=None, quorum=None) is not an event runtime;
         # force the event engine with an explicit huge deadline instead.
         data["runtime"] = {"deadline": 1e30}
+        if groups is not None:
+            data["topology"] = {"groups": groups}
         event = run_scenario(ScenarioSpec.from_dict(data))
         assert event.trace.final_params_digest == sync.trace.final_params_digest
         for a, b in zip(sync.trace.rounds, event.trace.rounds):
@@ -128,7 +253,7 @@ class TestHierarchicalSyncEquivalence:
             if f.get("kind") == LATE_KIND
         ]
         assert lates  # group-level rejections actually happen
-        # Group cells reject far fewer copies than the flat per-file quorum
+        # Group cells reject far fewer copies than the per-file quorum
         # (only cells holding more than `quorum` slots ever reject).
         data = get_scenario("ramanujan-hier-async-group-quorum").to_dict()
         data.pop("topology")

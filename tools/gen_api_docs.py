@@ -38,7 +38,6 @@ MODULES = (
     "repro.data.datasets",
     "repro.data.synthetic",
     "repro.cluster.events",
-    "repro.cluster.topology",
     "repro.core.backend",
     "repro.core.vote_tensor",
     "repro.aggregation.registry",

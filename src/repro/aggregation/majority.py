@@ -326,8 +326,10 @@ def _select_winners(
 ) -> Vote:
     """The voted ``(slots, counts)`` handed on as a :class:`Vote`.
 
-    A file with count 0 (no arrived copy) is a zero row: the "missing =
-    zero gradient" convention of the fault injectors.
+    A file with count 0 (no arrived copy) is a zero row — store row id
+    ``-1`` — the "missing = zero gradient" convention of the fault
+    injectors.  No payload row is copied here either: the winners reference
+    the tensor's base and payload store.
     """
     winners = tensor.select_slots(slots)
     files = np.arange(slots.size)
@@ -335,13 +337,11 @@ def _select_winners(
     empty = np.nonzero(counts == 0)[0]
     if empty.size:
         refs[empty, 1] = -1
-        kept = ~np.isin(winners.files, empty)
-        zeros = np.zeros((empty.size, tensor.dim), dtype=tensor.dtype)
-        winners = RowSelection(
-            winners.base,
-            np.concatenate([winners.files[kept], empty]),
-            np.concatenate([winners.rows[kept], zeros]),
-        )
+        row_ids = np.full(slots.size, -1, dtype=np.int64)
+        row_ids[winners.files] = winners.row_ids
+        row_ids[empty] = -1
+        patched = np.union1d(winners.files, empty)
+        winners = RowSelection(winners.base, patched, row_ids[patched], winners.store)
     return Vote(winners, counts, ids, refs)
 
 
@@ -356,7 +356,9 @@ def majority_vote_votetensor(
     id matrix.  No ``(f, r, d)`` replica cube ever exists, and neither does
     an ``(f, d)`` winners matrix: the winners are handed on as the
     :class:`~repro.core.vote_tensor.RowSelection` of the winning slots —
-    the tensor's honest base plus a copy of each payload that out-voted it.
+    the tensor's honest base plus the store row id of each payload that
+    out-voted it, so a colluding payload that wins many files is still one
+    row.
     The returned :class:`Vote` also carries the content ids and each
     winner's reference into them, which is what the scenario trace hashes.
 

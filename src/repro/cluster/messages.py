@@ -29,7 +29,10 @@ class TensorRoundResult:
     byzantine_workers:
         The compromised workers of this round.
     distorted_files:
-        Files whose majority vote is corrupted this round.
+        Files the graph predicts the Byzantine workers out-vote this round:
+        ``distorted_files(assignment, byzantine)``, the files on which they
+        hold a majority of the copies.  What the vote actually returned is
+        the trace's ``RoundTrace.realised_distorted``.
     file_losses:
         Per-file training loss (file order).
     mean_file_loss:
@@ -68,6 +71,8 @@ class TensorRoundResult:
 
     @property
     def distortion_fraction(self) -> float:
-        """Realized ``ε̂`` of the round (corrupted files / total files)."""
+        """The graph's predicted ``ε̂`` of the round: :attr:`distorted_files`
+        over the total files.  Not what the vote realised — see
+        ``RoundTrace.realised_distorted`` in the scenario trace."""
         total = self.vote_tensor.num_files
         return len(self.distorted_files) / total if total else 0.0

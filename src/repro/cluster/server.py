@@ -55,8 +55,16 @@ class ParameterServer:
         return self._params.copy()
 
     def broadcast(self) -> np.ndarray:
-        """Parameters sent to the workers at the start of an iteration."""
-        return self.params
+        """Parameters sent to the workers at the start of an iteration: a
+        read-only view of ``w_t``, not a copy.
+
+        It stays ``w_t`` for as long as it is held — the optimizer step
+        returns a new vector and never writes into the old one — so a round
+        holds the parameters once.
+        """
+        view = self._params.view()
+        view.setflags(write=False)
+        return view
 
     def aggregate_tensor(
         self, tensor: VoteTensor, arrived: np.ndarray | None = None

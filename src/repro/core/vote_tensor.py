@@ -37,8 +37,10 @@ to compare and hash each distinct payload row once.
 
 What leaves the vote is copy-on-write too: :meth:`VoteTensor.select_slots`
 names one slot per file and returns a :class:`RowSelection` — the shared
-base plus the few rows that are not base rows — instead of gathering an
-``(f, d)`` matrix to change two rows of it.
+base plus a store row id for each file that does not read its base row —
+instead of gathering an ``(f, d)`` matrix to change two rows of it, or even
+copying those two rows: the store is write-once, so a reference to it is
+safe.
 """
 
 from __future__ import annotations
@@ -53,19 +55,22 @@ __all__ = ["VoteTensor", "RowSelection"]
 
 
 class RowSelection:
-    """A read-only ``(n, d)`` matrix held as a shared base plus ``k`` patch rows.
+    """A read-only ``(n, d)`` matrix held as a shared base plus ``k`` row references.
 
-    Row ``i`` is ``rows[j]`` where ``files[j] == i`` and ``base[i]``
-    everywhere else.  This is what a round's majority vote returns: after
-    the vote at most ``c_max`` of the ``f`` winners differ from the honest
-    gradient (the paper's bound, when nothing arrives late), so the winners
-    are the round's honest matrix — referenced, not copied — plus the
-    payloads that out-voted it, the re-voted incomplete files and a zero row
-    per file nobody returned.  A plain matrix is the ``k = 0`` case.
+    Row ``i`` is ``store[row_ids[j]]`` where ``files[j] == i`` — a zero row
+    when ``row_ids[j] == -1`` — and ``base[i]`` everywhere else.  This is
+    what a round's majority vote returns: after the vote at most ``c_max``
+    of the ``f`` winners differ from the honest gradient (the paper's bound,
+    when nothing arrives late), so the winners are the round's honest matrix
+    plus, for each file it out-voted, the id of the winning row in the
+    round's write-once payload store.  Neither is copied: a colluding
+    payload that wins ``c_max`` files is one stored row referenced
+    ``c_max`` times.  A plain matrix is the ``k = 0`` case.
 
     Readers stream it: :meth:`lanes` fills a transposed coordinate block
     for the lane kernels.  :meth:`densified` is the one place the ``(n, d)``
-    matrix is built, for the rules that need all of it at once.
+    matrix is built, for the rules that need all of it at once.  Those two
+    are the only places a referenced row is read.
 
     Parameters
     ----------
@@ -73,34 +78,55 @@ class RowSelection:
         ``(n, d)`` float matrix, referenced through a read-only view.
     files:
         ``(k,)`` distinct row indices that do not read the base.
-    rows:
-        ``(k, d)`` replacement rows, aligned with ``files``.
+    row_ids:
+        ``(k,)`` rows of ``store`` they read, aligned with ``files``; ``-1``
+        is a zero row.
+    store:
+        ``(m, d)`` rows of ``base``'s dtype, referenced through a read-only
+        view (default: none; every id must then be ``-1``).
     """
 
-    __slots__ = ("base", "files", "rows")
+    __slots__ = ("base", "files", "row_ids", "store", "_stored", "_zeroed")
 
     def __init__(
         self,
         base: np.ndarray,
         files: np.ndarray | None = None,
-        rows: np.ndarray | None = None,
+        row_ids: np.ndarray | None = None,
+        store: np.ndarray | None = None,
     ) -> None:
         if base.ndim != 2:
             raise ConfigurationError(
                 f"a row selection's base must be (n, d), got ndim={base.ndim}"
             )
         if files is None:
-            files, rows = np.empty(0, dtype=np.int64), base[:0]
-        if rows.shape != (files.size, base.shape[1]) or rows.dtype != base.dtype:
+            files = row_ids = np.empty(0, dtype=np.int64)
+        if store is None:
+            store = base[:0]
+        files = np.asarray(files, dtype=np.int64)
+        row_ids = np.asarray(row_ids, dtype=np.int64)
+        if store.ndim != 2 or store.shape[1] != base.shape[1] or store.dtype != base.dtype:
             raise ConfigurationError(
-                f"patch rows must be ({files.size}, {base.shape[1]}) {base.dtype}, "
-                f"got {rows.shape} {rows.dtype}"
+                f"the store must hold (m, {base.shape[1]}) {base.dtype} rows, "
+                f"got {store.shape} {store.dtype}"
+            )
+        if row_ids.shape != files.shape or np.any((row_ids < -1) | (row_ids >= len(store))):
+            raise ConfigurationError(
+                f"need one row id in [-1, {len(store)}) per patched file, "
+                f"got {row_ids.tolist()} for files {files.tolist()}"
             )
         self.base = base.view()
         self.base.setflags(write=False)
         self.files = files
-        self.rows = rows.view()
-        self.rows.setflags(write=False)
+        self.row_ids = row_ids
+        self.store = store.view()
+        self.store.setflags(write=False)
+        # the patched files split by what they read: (file, store row) pairs, zero rows
+        self._stored, self._zeroed = [], files
+        if files.size:
+            stored = row_ids >= 0
+            self._stored = list(zip(files[stored].tolist(), row_ids[stored].tolist()))
+            self._zeroed = files[~stored]
 
     @classmethod
     def of(cls, votes: "np.ndarray | RowSelection") -> "RowSelection":
@@ -119,26 +145,34 @@ class RowSelection:
 
     @property
     def nbytes(self) -> int:
-        """Logical size ``n·d·itemsize``; see ``rows.nbytes`` for what is held."""
+        """Logical size ``n·d·itemsize``.  What the selection itself holds is
+        two ``(k,)`` index vectors: the base and the store are references."""
         return self.base.nbytes
 
     def lanes(self, lo: int, hi: int, out: np.ndarray) -> None:
         """Fill ``out`` — ``(hi - lo, n)`` — with coordinates ``[lo, hi)`` transposed.
 
         A coordinate's ``n`` votes become adjacent: one strided copy of the
-        base block, then ``k`` column writes.
+        base block, then ``k`` column writes straight from the store's rows
+        (or zero), so nothing but ``out`` is written, however many files a
+        stored row wins.
         """
         np.copyto(out, self.base[:, lo:hi].T)
-        if self.files.size:
-            out[:, self.files] = self.rows[:, lo:hi].T
+        for file, row in self._stored:
+            out[:, file] = self.store[row, lo:hi]
+        if self._zeroed.size:
+            out[:, self._zeroed] = 0
 
     def densified(self) -> np.ndarray:
         """The read-only ``(n, d)`` matrix: the base itself when nothing is
-        patched (no copy), otherwise one patched copy."""
+        patched (no copy), otherwise one patched copy, written row by row
+        from the store."""
         if not self.files.size:
             return self.base
         matrix = self.base.copy()
-        matrix[self.files] = self.rows
+        for file, row in self._stored:
+            matrix[file] = self.store[row]
+        matrix[self._zeroed] = 0
         matrix.setflags(write=False)
         return matrix
 
@@ -325,18 +359,23 @@ class VoteTensor:
     def select_slots(self, slots) -> RowSelection:
         """One slot per file — slot ``slots[i]`` of file ``i`` — as a :class:`RowSelection`.
 
-        Nothing of size ``(f, d)`` is gathered: the selection references the
-        honest base and copies only the rows of the files whose chosen slot
-        holds a written payload.  It survives later writes (stored rows and
-        the base are never rewritten).
+        No payload is gathered: the selection references the honest base
+        for the files whose chosen slot reads it, and the payload store by
+        row id for the rest — a row shared by many slots stays one row.  It
+        survives later writes: stored rows and the base are never rewritten,
+        and a grown store is a new array, so the view it holds keeps its
+        bytes.
         """
         slots = np.asarray(slots, dtype=np.int64).ravel()
         if slots.size != self.num_files:
             raise ConfigurationError(
                 f"expected one slot per file ({self.num_files}), got {slots.size}"
             )
-        files = np.nonzero(self._slot_map[np.arange(slots.size), slots] >= 0)[0]
-        return RowSelection(self._base, files, self.read_slots(files, slots[files]))
+        row_ids = self._slot_map[np.arange(slots.size), slots]
+        files = np.nonzero(row_ids >= 0)[0]
+        return RowSelection(
+            self._base, files, row_ids[files], self._store[: self._num_rows]
+        )
 
     def override_table(
         self,

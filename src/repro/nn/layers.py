@@ -120,7 +120,10 @@ class Layer(abc.ABC):
         return [(k, self.params[k]) for k in sorted(self.params)]
 
     def gradient_items(self) -> list[tuple[str, np.ndarray]]:
-        """Gradients in the same order as :meth:`parameter_items`."""
+        """Gradients in the same order as :meth:`parameter_items` (zeros
+        before the first plain backward pass)."""
+        if self.grads.keys() != self.params.keys():
+            self.zero_grads()
         return [(k, self.grads[k]) for k in sorted(self.params)]
 
     def zero_grads(self) -> None:
@@ -173,7 +176,8 @@ class Dense(Layer):
         )
         if use_bias:
             self.params["b"] = zeros_init((out_features,), dtype=self.dtype)
-        self.zero_grads()
+        # No gradient arrays yet: the stacked engine writes into its own
+        # workspace, and the plain path allocates them on first use.
         self._input: np.ndarray | None = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:

@@ -113,6 +113,16 @@ class SGD:
         ``float32``/``float64`` inputs keep their dtype through the update
         (the momentum buffer follows the parameter dtype); anything else is
         coerced to the backend default.
+
+        The result is a new array and ``params`` is never written, so a view
+        of the old parameters (:meth:`ParameterServer.broadcast
+        <repro.cluster.server.ParameterServer.broadcast>`) keeps its values.
+        The step evaluates ``params - rate * (momentum * v + (gradient +
+        weight_decay * params))`` with that expression's ufuncs, in its
+        order and in the dtype each of them has there, but every
+        intermediate goes into the one new buffer it returns and the
+        velocity is updated in place: the expression's bits, one
+        parameter-sized allocation.
         """
         params = ensure_float(params)
         gradient = ensure_float(gradient)
@@ -120,15 +130,28 @@ class SGD:
             raise ConfigurationError(
                 f"parameter/gradient shape mismatch: {params.shape} vs {gradient.shape}"
             )
-        if self.weight_decay:
-            gradient = gradient + self.weight_decay * params
+        velocity = None
         if self.momentum:
-            if self._velocity is None or self._velocity.shape != params.shape:
-                self._velocity = np.zeros_like(params)
-            self._velocity = self.momentum * self._velocity + gradient
-            direction = self._velocity
-        else:
-            direction = gradient
+            velocity = self._velocity
+            if velocity is None or velocity.shape != params.shape:
+                velocity = np.zeros_like(params)
+        # Every ufunc below is told the dtype it has in the expression, so a
+        # float32/float64 mix rounds where the expression rounds even though
+        # the buffer it writes has the result's (widest) dtype.
+        operands = (params, gradient) if velocity is None else (params, gradient, velocity)
+        step = np.empty(params.shape, dtype=np.result_type(*operands))
+        direction_dtype = gradient.dtype
+        if self.weight_decay:
+            direction_dtype = np.result_type(gradient, params)
+            np.multiply(self.weight_decay, params, out=step)
+            gradient = np.add(gradient, step, out=step, dtype=direction_dtype)
+        if velocity is not None:
+            scaled = np.result_type(velocity, direction_dtype)
+            out = velocity if velocity.dtype == scaled else np.empty(params.shape, dtype=scaled)
+            np.multiply(self.momentum, velocity, out=out)
+            self._velocity = gradient = np.add(out, gradient, out=out, dtype=scaled)
+            direction_dtype = scaled
         rate = self.schedule.rate(self.iteration)
         self.iteration += 1
-        return params - rate * direction
+        np.multiply(rate, gradient, out=step, dtype=direction_dtype)
+        return np.subtract(params, step, out=step)

@@ -23,7 +23,10 @@ class IterationRecord:
     train_loss:
         Mean loss over the iteration's files (honest view).
     distortion_fraction:
-        Realized fraction of corrupted file majorities this iteration.
+        The graph's predicted fraction of files whose majority the Byzantine
+        workers hold this iteration (``distorted_files(assignment,
+        byzantine)`` over ``f``), not what the vote realised — that is
+        ``RoundTrace.realised_distorted`` in the scenario trace.
     test_accuracy:
         Top-1 test accuracy, when evaluated this iteration (NaN otherwise).
     test_loss:
@@ -63,7 +66,8 @@ class TrainingHistory:
 
     @property
     def distortion_fractions(self) -> np.ndarray:
-        """Realized distortion fraction per iteration."""
+        """Predicted distortion fraction per iteration (see
+        :attr:`IterationRecord.distortion_fraction`)."""
         return np.array([r.distortion_fraction for r in self.records], dtype=DEFAULT_DTYPE)
 
     def accuracy_series(self) -> tuple[np.ndarray, np.ndarray]:

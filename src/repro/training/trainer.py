@@ -167,7 +167,7 @@ class DistributedTrainer:
 
     def evaluate(self) -> dict[str, float]:
         """Test accuracy and loss of the current global model."""
-        self.gradient_computer.model.set_flat_params(self.server.params)
+        self.gradient_computer.model.set_flat_params(self.server.broadcast())
         return evaluate_model(
             self.gradient_computer.model,
             self.test_dataset.inputs,

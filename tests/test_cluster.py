@@ -1,5 +1,7 @@
 """Tests for the cluster simulation: worker pool, PS, round simulator, timing."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from repro.cluster.simulator import TrainingCluster
 from repro.cluster.timing import CostModel, estimate_iteration_timing
 from repro.cluster.worker import WorkerPool
 from repro.core.pipelines import ByzShieldPipeline
+from repro.core.vote_tensor import VoteTensor
 from repro.exceptions import ConfigurationError, TrainingError
 from repro.nn.optim import SGD
 
@@ -100,6 +103,39 @@ def test_parameter_server_update(mols_assignment):
     expected = np.median(honest, axis=0)
     assert np.allclose(gradient, expected)
     assert np.allclose(server.params, -0.5 * expected)
+    assert server.iteration == 1
+
+
+def test_broadcast_is_a_read_only_view_that_outlives_the_step(mols_assignment):
+    """``broadcast()`` allocates no parameter vector: it is a read-only view
+    of ``w_t``, and the step that follows replaces ``w_t`` instead of
+    writing into it, so the view a round held still reads ``w_t``."""
+    dim = 50_000
+    pipeline = ByzShieldPipeline(mols_assignment, aggregator=CoordinateWiseMedian())
+    initial = np.random.default_rng(4).standard_normal(dim)
+    server = ParameterServer(initial, pipeline, SGD(0.5, momentum=0.9))
+    server.broadcast()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        sent = server.broadcast()
+        allocated = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert allocated < 1024  # a view's header, not 50,000 float64s
+    assert np.shares_memory(sent, server._params)
+    assert sent.tobytes() == initial.tobytes()
+    with pytest.raises(ValueError, match="read-only"):
+        sent[0] = 1.0
+    params = server.params  # the public property is still a copy
+    params[0] = 1.0
+    assert server.broadcast()[0] == initial[0]
+
+    honest = np.random.default_rng(5).standard_normal((mols_assignment.num_files, dim))
+    server.update_tensor(VoteTensor.from_honest(mols_assignment, honest))
+    assert sent.tobytes() == initial.tobytes()
+    assert not np.shares_memory(sent, server.broadcast())
     assert server.iteration == 1
 
 

@@ -322,7 +322,8 @@ def test_selected_untouched_column_is_the_shared_readonly_base(mols_assignment):
     # touching a slot in column 0 patches that one row
     lazy.write_slots([2], [0], 9.0)
     selection = lazy.select_slots(column)
-    assert selection.files.tolist() == [2] and selection.rows.shape == (1, DIM)
+    assert selection.files.tolist() == [2] and selection.row_ids.tolist() == [0]
+    assert np.shares_memory(selection.store, lazy._store)  # referenced, not copied
     patched = selection.densified()
     assert not np.shares_memory(patched, matrix)  # a copy now, not the shared base
     assert np.all(patched[2] == 9.0)

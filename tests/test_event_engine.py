@@ -324,7 +324,7 @@ class TestPartialAggregation:
             assert winners.densified().tobytes() == expected.tobytes()
             assert 3 in winners.files.tolist()  # the zero row of the empty file
             block = r * dim * expected.itemsize
-            scratch = masked_peak - unmasked_peak - winners.rows.nbytes
+            scratch = masked_peak - unmasked_peak  # the winners hold no row
             assert scratch < block
 
     def test_vanilla_drops_unarrived_rows(self, baseline_10):

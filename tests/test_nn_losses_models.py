@@ -149,6 +149,24 @@ def test_zero_grads():
     assert np.all(model.flat_gradient() == 0.0)
 
 
+def test_plain_path_allocates_gradients_on_first_use():
+    """A fresh layer holds no gradient arrays (the stacked engine writes its
+    own workspace); the plain path's ``loss_and_gradient`` allocates them and
+    returns what a model whose layers were built with zeroed gradients does."""
+    model = make_tiny_model()
+    eager = make_tiny_model()
+    eager.zero_grads()  # what every Dense layer did when it was built
+    assert all(layer.grads == {} for layer in model.layers)
+    loss = SoftmaxCrossEntropy()
+    rng = np.random.default_rng(6)
+    for _ in range(2):
+        x, y = rng.standard_normal((5, 4)), rng.integers(0, 3, size=5)
+        value, gradient = model.loss_and_gradient(x, y, loss)
+        expected_value, expected = eager.loss_and_gradient(x, y, loss)
+        assert value == expected_value and gradient.tobytes() == expected.tobytes()
+    assert np.all(make_tiny_model().flat_gradient() == 0.0)  # read before any pass
+
+
 # --------------------------------------------------------------------------- #
 # Builders
 # --------------------------------------------------------------------------- #

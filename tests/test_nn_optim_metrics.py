@@ -1,5 +1,7 @@
 """Tests for the SGD optimizer, learning-rate schedules and metrics."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -76,6 +78,75 @@ def test_sgd_schedule_is_followed():
     params = optimizer.step_vector(params, np.ones(1))  # lr 1.0
     params = optimizer.step_vector(params, np.ones(1))  # lr 0.5
     assert params[0] == pytest.approx(-1.5)
+
+
+def reference_step(optimizer, params, gradient):
+    """The step as one expression, each operation its own temporary."""
+    if optimizer.weight_decay:
+        gradient = gradient + optimizer.weight_decay * params
+    if optimizer.momentum:
+        if optimizer._velocity is None or optimizer._velocity.shape != params.shape:
+            optimizer._velocity = np.zeros_like(params)
+        optimizer._velocity = optimizer.momentum * optimizer._velocity + gradient
+        gradient = optimizer._velocity
+    rate = optimizer.schedule.rate(optimizer.iteration)
+    optimizer.iteration += 1
+    return params - rate * gradient
+
+
+@pytest.mark.parametrize("weight_decay", [0.0, 0.013])
+@pytest.mark.parametrize("momentum", [0.0, 0.9])
+@pytest.mark.parametrize(
+    "dtypes",
+    [
+        # (params, gradient) per step: one dtype, then every switch between steps
+        ((np.float32, np.float32),) * 3,
+        ((np.float64, np.float64),) * 3,
+        ((np.float32, np.float64), (np.float64, np.float32), (np.float32, np.float32)),
+        ((np.float64, np.float64), (np.float32, np.float32), (np.float32, np.float64)),
+    ],
+)
+def test_sgd_step_is_the_expression_bit_for_bit(dtypes, momentum, weight_decay):
+    """One new buffer and an in-place velocity give the expression's bits, its
+    dtype and its velocity, and never write the caller's parameters."""
+    schedule = StepDecaySchedule(0.137, 0.5, 2)
+    optimizer = SGD(schedule, momentum=momentum, weight_decay=weight_decay)
+    reference = SGD(schedule, momentum=momentum, weight_decay=weight_decay)
+    rng = np.random.default_rng(3)
+    params = rng.standard_normal(101)
+    for param_dtype, gradient_dtype in dtypes:
+        params = params.astype(param_dtype)
+        gradient = rng.standard_normal(101).astype(gradient_dtype)
+        before = params.tobytes()
+        updated = optimizer.step_vector(params, gradient)
+        expected = reference_step(reference, params.copy(), gradient)
+        assert params.tobytes() == before
+        assert not np.shares_memory(updated, params)
+        assert updated.dtype == expected.dtype and updated.tobytes() == expected.tobytes()
+        if momentum:
+            assert optimizer._velocity.dtype == reference._velocity.dtype
+            assert optimizer._velocity.tobytes() == reference._velocity.tobytes()
+        params = updated
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_sgd_step_allocates_one_parameter_vector(dtype):
+    """Weight decay and momentum on: the step's peak is its result, one
+    parameter-sized vector (measured 1.001; four while it evaluated the
+    expression as written, one temporary per operation)."""
+    optimizer = SGD(0.1, momentum=0.9, weight_decay=0.01)
+    rng = np.random.default_rng(0)
+    params, gradient = rng.standard_normal((2, 100_000)).astype(dtype)
+    params = optimizer.step_vector(params, gradient)  # the velocity exists from here on
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        updated = optimizer.step_vector(params, gradient)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert updated.nbytes <= peak < updated.nbytes + 4096
 
 
 def test_sgd_validation():

@@ -7,12 +7,19 @@ copies — the dense winners matrix the vote returned before it stopped
 copying — and every comparison here is bit for bit.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.aggregation.majority import _reference_exact_majority, majority_vote_votetensor
+from repro.aggregation.majority import (
+    _reference_exact_majority,
+    _winning_slots,
+    majority_vote_votetensor,
+    override_content_ids,
+)
 from repro.aggregation.mean import MeanAggregator
 from repro.aggregation.median import CoordinateWiseMedian, coordinate_median
 from repro.aggregation.registry import available_aggregators, create_aggregator
@@ -23,6 +30,7 @@ from repro.core.pipelines import ByzShieldPipeline, VanillaPipeline
 from repro.core.vote_tensor import RowSelection, VoteTensor
 from repro.exceptions import ConfigurationError
 from repro.utils.arrays import LANE_BLOCK
+from repro.utils.digest import array_digest
 
 from cow_helpers import cube_of, tensor_of
 
@@ -76,8 +84,8 @@ def assert_stands_for(selection, dense):
     assert not densified.flags.writeable
     assert densified.dtype == dense.dtype
     assert densified.tobytes() == np.ascontiguousarray(dense).tobytes()
-    assert selection.rows.nbytes <= dense.nbytes  # k = f: today's copy, no more
-    for array in (selection.base, selection.rows):
+    assert selection.row_ids.shape == selection.files.shape  # two index vectors, no rows
+    for array in (selection.base, selection.store):
         with pytest.raises(ValueError):
             array[...] = 0.0
 
@@ -225,7 +233,7 @@ def test_honest_round_copies_no_row():
     honest = np.random.default_rng(2).standard_normal((25, DIM))
     tensor = VoteTensor.from_honest(RAMANUJAN, honest)
     selection = ByzShieldPipeline(RAMANUJAN).aggregate_tensor(tensor).winners
-    assert selection.files.size == 0 and selection.rows.shape == (0, DIM)
+    assert selection.files.size == 0 and selection.store.shape == (0, DIM)
     assert np.shares_memory(selection.base, honest)
     dense = selection.densified()
     assert np.shares_memory(dense, honest) and not dense.flags.writeable
@@ -236,10 +244,19 @@ def test_select_slots_wants_one_slot_per_file():
     tensor = VoteTensor.from_honest(RAMANUJAN, np.zeros((25, 3)))
     with pytest.raises(ConfigurationError):
         tensor.select_slots(np.zeros(24, dtype=np.int64))
+    base, one = np.zeros((4, 3)), np.array([1])
     with pytest.raises(ConfigurationError):
-        RowSelection(np.zeros((4, 3)), np.array([1]), np.zeros((1, 2)))
+        RowSelection(base, one, np.array([0]), np.zeros((1, 2)))
     with pytest.raises(ConfigurationError):
-        RowSelection(np.zeros((4, 3)), np.array([1]), np.zeros((1, 3), dtype=np.float32))
+        RowSelection(base, one, np.array([0]), np.zeros((1, 3), dtype=np.float32))
+    with pytest.raises(ConfigurationError):
+        RowSelection(base, one, np.array([1]), np.zeros((1, 3)))  # past the store
+    with pytest.raises(ConfigurationError):
+        RowSelection(base, one, np.array([-2]), np.zeros((1, 3)))
+    with pytest.raises(ConfigurationError):
+        RowSelection(base, one, np.array([0, 0]), np.zeros((1, 3)))  # ids != files
+    with pytest.raises(ConfigurationError):
+        RowSelection(base, one, np.array([0]))  # no store to read row 0 from
     with pytest.raises(ConfigurationError):
         RowSelection(np.zeros(3))
 
@@ -263,7 +280,7 @@ def test_any_patch_set_reads_as_its_dense_matrix(n, d, dtype, strided, data):
     rows = rng.standard_normal((files.size, d)).astype(dtype)
     dense = base.copy()
     dense[files] = rows
-    selection = RowSelection(base, files, rows)
+    selection = RowSelection(base, files, np.arange(files.size), rows)
 
     assert_stands_for(selection, dense)
     lo = data.draw(st.integers(0, d - 1))
@@ -294,7 +311,7 @@ def test_streamed_median_clamps_non_finite_votes_like_the_dense_clamp(where, n, 
     target[[0, 7, 8, LANE_BLOCK - 1]] = [np.nan, np.inf, -np.inf, np.nan]
     target[9:12] = np.inf  # the median itself is non-finite at n = 4
     base[0, 9:12] = np.inf
-    selection = RowSelection(base, files, rows)
+    selection = RowSelection(base, files, np.arange(2), rows)
     dense = selection.densified()
     assert not np.isfinite(dense[:, :LANE_BLOCK]).all()
     assert np.isfinite(dense[:, LANE_BLOCK:]).all()
@@ -347,6 +364,98 @@ def test_kernels_only_ever_see_read_only_inputs(name, source, monkeypatch):
     aggregator(votes)
     assert received
     for matrix in received:
-        arrays = (matrix.base, matrix.rows) if isinstance(matrix, RowSelection) else (matrix,)
+        arrays = (matrix.base, matrix.store) if isinstance(matrix, RowSelection) else (matrix,)
         assert not any(array.flags.writeable for array in arrays)
     assert caller.tobytes() == before
+
+
+# --------------------------------------------------------------------------- #
+# The winners reference the payload store
+# --------------------------------------------------------------------------- #
+#: the nine workers whose ALIE payload out-votes RAMANUJAN's base on nine files
+#: (the worst-case set at q = 9)
+WORST_NINE = (0, 1, 2, 5, 6, 12, 13, 15, 21)
+
+
+def written_round(kind, dtype, dim=DIM):
+    """``(tensor, honest, arrived)``: a round whose winners read the store.
+
+    ``shared``: one colluding payload in every Byzantine slot, winning nine
+    files; ``per-slot``: each Byzantine slot its own row (reversed gradients,
+    so a file's Byzantine copies agree and still out-vote its base);
+    ``zero``: a shared zero row from a crash fault plus files nobody
+    returned, which the vote makes zero rows of their own."""
+    rng = np.random.default_rng(11)
+    honest = rng.standard_normal((RAMANUJAN.num_files, dim)).astype(dtype)
+    tensor = VoteTensor.from_honest(RAMANUJAN, honest)
+    tensor.mark_byzantine(WORST_NINE)
+    files, slots = np.nonzero(tensor.byzantine_mask)
+    arrived = None
+    if kind == "shared":
+        tensor.write_slots(files, slots, np.full(dim, -2.5, dtype=dtype))
+    elif kind == "per-slot":
+        tensor.write_slots(files, slots, -honest[files])
+    else:
+        tensor.zero_slots(files, slots)
+        arrived = np.ones(tensor.workers.shape, dtype=bool)
+        arrived[[3, 17]] = False
+    return tensor, honest, arrived
+
+
+def copying_winners(tensor, slots, counts):
+    """The winners as the vote built them while it copied: every chosen slot
+    gathered through ``read_slots``, then a zero row per file with no
+    arrived copy."""
+    dense = np.array(tensor.read_slots(np.arange(tensor.num_files), slots))
+    dense[counts == 0] = 0
+    return dense
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("kind", ["shared", "per-slot", "zero"])
+def test_winners_reference_the_store_and_read_as_the_copying_vote(kind, dtype):
+    tensor, honest, arrived = written_round(kind, dtype)
+    winners, counts, ids, refs = majority_vote_votetensor(tensor, arrived=arrived)
+    slots, _ = _winning_slots(override_content_ids(tensor), arrived)
+    dense = copying_winners(tensor, slots, counts)
+
+    stored = winners.row_ids >= 0
+    if kind == "zero":
+        assert (winners.row_ids == -1).sum() == 2  # the files nobody returned
+    else:
+        assert stored.sum() == 9  # the nine out-voted files
+    if kind == "shared":
+        assert np.unique(winners.row_ids).size == 1  # one row, referenced nine times
+    assert np.shares_memory(winners.store, tensor.override_table()[3])
+    assert np.shares_memory(winners.base, honest)
+    assert not winners.store.flags.writeable and not winners.base.flags.writeable
+    assert_stands_for(winners, dense)
+    for width in (1, 7, LANE_BLOCK):
+        for lo in range(0, DIM, width):
+            hi = min(DIM, lo + width)
+            lanes = np.full((hi - lo, tensor.num_files), np.nan, dtype=dtype)
+            winners.lanes(lo, hi, lanes)
+            assert lanes.tobytes() == np.ascontiguousarray(dense[:, lo:hi].T).tobytes()
+    median = coordinate_median(winners)
+    assert median.tobytes() == coordinate_median(dense).tobytes()
+    assert median.tobytes() == np.median(dense, axis=0).tobytes()
+    assert array_digest(winners, refs) == array_digest(RowSelection(dense), refs)
+
+
+def test_vote_winners_hold_no_payload_row():
+    """What the vote returns and keeps holds index vectors, never a payload
+    row: with one colluding payload winning nine files it measured 4.1 KB,
+    against 1.44 MB — nine ``(d,)`` rows — while the winners copied it once
+    per file."""
+    dim = 20_000
+    tensor, _, _ = written_round("shared", np.float64, dim)
+    majority_vote_votetensor(tensor)  # builds the vote's cached (d,) hash weights
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        vote = majority_vote_votetensor(tensor)
+        held = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    assert (vote.winners.row_ids >= 0).sum() == 9
+    assert held < dim * 8, held

@@ -1,7 +1,7 @@
 """The named scenario matrix pinned by the golden-trace suite.
 
 Every entry is a complete :class:`~repro.scenarios.spec.ScenarioSpec` sized
-to run in well under a second: a tiny Gaussian-mixture dataset, a small MLP,
+to run in well under a second: a tiny synthetic dataset, a small MLP,
 and a handful of training rounds.  Jointly the matrix covers
 
 * **schemes** — MOLS (K=15), Ramanujan Case 2 (K=25), FRC/DETOX, FRC/DRACO
@@ -22,7 +22,9 @@ and a handful of training rounds.  Jointly the matrix covers
   partial (arrived-copies-only) aggregation;
 * **worker groups** — per-file quorum cells (default) and per-(file,
   group) cells under the async runtime (``topology.groups``: a group seals
-  its share of a file at the quorum and rejects later copies as late).
+  its share of a file at the quorum and rejects later copies as late);
+* **dtypes** — float64 (default) and float32 runs, on Gaussian-mixture and
+  synthetic-image data.
 
 Names are stable identifiers: golden traces live at
 ``tests/golden/<name>.json`` and are regenerated with
@@ -33,6 +35,7 @@ from __future__ import annotations
 
 from typing import Any
 
+from repro.core.backend import resolve_dtype
 from repro.exceptions import ConfigurationError
 from repro.scenarios.spec import ScenarioSpec
 
@@ -383,6 +386,33 @@ def _catalog() -> dict[str, dict[str, Any]]:
             runtime={"quorum": 2, "partial": True},
             topology={"groups": 3},
             description="Group-level quorum close: a group seals its share of a file at 2 copies and rejects the rest as late",
+        ),
+        # -- float32 runs ----------------------------------------------------
+        _spec(
+            "ramanujan-async-float32-noise",
+            _RAMANUJAN,
+            {"kind": "byzshield", "aggregator": "median", "block_size": 64},
+            attack={"name": "alie", "selection": "omniscient",
+                    "schedule": {"kind": "static", "q": 2}},
+            faults=[{"kind": "stragglers",
+                     "params": {"count": 5, "delay_model": "exponential", "delay": 0.5}},
+                    {"kind": "corruption",
+                     "params": {"probability": 0.1, "mode": "noise"}}],
+            runtime={"deadline": 0.6, "quorum": 3, "partial": True},
+            topology={"groups": 5},
+            dtype=resolve_dtype("float32").name,
+            description="float32 blockwise vote under ALIE, stragglers and noise corruption; async partial rounds in 5 groups",
+        ),
+        _spec(
+            "mols-images-float32",
+            _MOLS,
+            _BYZSHIELD_MEDIAN,
+            attack={"name": "alie", "selection": "omniscient",
+                    "schedule": {"kind": "static", "q": 2}},
+            data={"kind": "images", "num_train": 300, "num_test": 100,
+                  "num_classes": 4, "image_size": 6, "channels": 2},
+            dtype=resolve_dtype("float32").name,
+            description="float32 run on synthetic images under omniscient ALIE",
         ),
         # -- Adversary zoo (adaptive / collusive families) ------------------
         _spec(

@@ -364,8 +364,12 @@ class MessageCorruptionInjector(FaultInjector):
         elif self.mode == "scale":
             tensor.scale_slots(files, slots, self.factor)
         else:
-            noise = context.rng.standard_normal((files.size, d)) * self.factor
-            tensor.add_to_slots(files, slots, noise)
+            # Built in the draw's one buffer: IEEE addition commutes, so
+            # noise + read is the read + noise the stored rows always held.
+            noise = context.rng.standard_normal((files.size, d))
+            noise *= self.factor
+            noise += tensor.read_slots(files, slots)
+            tensor.write_slots(files, slots, noise)
         # Attribution: each corrupted (file, slot) message records its sender
         # (slot -> worker via tensor.workers) alongside the file, so traces
         # can pin the exact cell; the slot itself is where the worker sits in

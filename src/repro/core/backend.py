@@ -22,7 +22,9 @@ so the same round loop runs in ``float32`` or ``float64`` end to end:
 Components with their own parameter storage (layers, ``VoteTensor``) accept a
 ``dtype`` argument resolved here once at construction and then coerce external
 inputs to *their* dtype; free-standing helpers preserve whatever supported
-float dtype they are handed.
+float dtype they are handed.  The run's dtype enters at the data: the
+synthetic generators store their rows in it, and only their draws are made
+in :data:`DRAW_DTYPE`.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from repro.exceptions import ConfigurationError
 
 __all__ = [
     "DEFAULT_DTYPE",
+    "DRAW_DTYPE",
     "SUPPORTED_DTYPES",
     "resolve_dtype",
     "ensure_float",
@@ -42,6 +45,11 @@ __all__ = [
 #: the repo-wide default working dtype (the paper baseline; golden traces
 #: are recorded at this dtype and replay bit-exactly)
 DEFAULT_DTYPE: np.dtype = np.dtype(np.float64)
+
+#: the dtype the synthetic data generators draw and sum in, whatever the
+#: run's working dtype: a float32 run's dataset is this draw rounded once
+#: as each row is stored, so both dtypes train on the same numbers
+DRAW_DTYPE: np.dtype = np.dtype(np.float64)
 
 #: name -> dtype of the working dtypes the round loop supports end to end
 SUPPORTED_DTYPES: dict[str, np.dtype] = {

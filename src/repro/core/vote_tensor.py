@@ -189,7 +189,7 @@ class VoteTensor:
     (see the module docstring).
     """
 
-    __slots__ = ("workers", "byzantine_mask", "_base", "_slot_map", "_store", "_num_rows")
+    __slots__ = ("workers", "byzantine_mask", "_base", "_slot_map", "_store")
 
     @classmethod
     def from_honest(
@@ -220,7 +220,6 @@ class VoteTensor:
         tensor._slot_map = np.full(workers.shape, -1, dtype=np.int64)
         tensor._store = np.empty((0, matrix.shape[1]), dtype=matrix.dtype)
         tensor._store.setflags(write=False)
-        tensor._num_rows = 0
         return tensor
 
     # -- basic properties ----------------------------------------------------
@@ -270,9 +269,10 @@ class VoteTensor:
         """Payload rows allocated by writes.
 
         A payload shared by ``m`` slots is one row; rows orphaned by a later
-        write to the same slot still count — they stay allocated.
+        write to the same slot still count — they stay allocated.  The store
+        holds exactly these rows: its length is this count.
         """
-        return self._num_rows
+        return int(self._store.shape[0])
 
     # -- slot access ---------------------------------------------------------
     def _fresh_rows(self, count: int) -> np.ndarray:
@@ -280,18 +280,20 @@ class VoteTensor:
 
         Rows are append-only: a stored row is never handed out twice, which
         is what lets any number of slots reference it.  A grown store is a
-        new read-only array; views of the old one keep their bytes.
+        new read-only array; views of the old one keep their bytes.  It grows
+        to exactly the rows written: a round writes the store once or twice
+        per stage, so spare capacity would be reallocated before it was used.
         """
-        needed = self._num_rows + count
-        if needed > self._store.shape[0]:
-            capacity = max(needed, 2 * self._store.shape[0])
-            grown = np.empty((capacity, self.dim), dtype=self._store.dtype)
-            grown[: self._num_rows] = self._store[: self._num_rows]
-            grown.setflags(write=False)
-            self._store = grown
-        ids = np.arange(self._num_rows, needed, dtype=np.int64)
-        self._num_rows = needed
-        return ids
+        held = self._store.shape[0]
+        grown = np.empty((held + count, self.dim), dtype=self._store.dtype)
+        grown[:held] = self._store
+        grown.setflags(write=False)
+        self._store = grown
+        return np.arange(held, held + count, dtype=np.int64)
+
+    def _store_view(self) -> np.ndarray:
+        """The store as a view: a holder cannot flip it back to writable."""
+        return self._store[:]
 
     def write_slots(self, files, slots, rows) -> None:
         """Overwrite the given (file, slot) votes — the vectorized attack path.
@@ -344,10 +346,6 @@ class VoteTensor:
         out[overridden] = self._store[idx[overridden]]
         return out
 
-    def add_to_slots(self, files, slots, rows) -> None:
-        """Add ``rows`` to the given slots (read-modify-write into fresh rows)."""
-        self.write_slots(files, slots, self.read_slots(files, slots) + rows)
-
     def scale_slots(self, files, slots, factor: float) -> None:
         """Multiply the given slots by ``factor`` (read-modify-write into fresh rows)."""
         self.write_slots(files, slots, self.read_slots(files, slots) * factor)
@@ -373,9 +371,7 @@ class VoteTensor:
             )
         row_ids = self._slot_map[np.arange(slots.size), slots]
         files = np.nonzero(row_ids >= 0)[0]
-        return RowSelection(
-            self._base, files, row_ids[files], self._store[: self._num_rows]
-        )
+        return RowSelection(self._base, files, row_ids[files], self._store_view())
 
     def override_table(
         self,
@@ -390,7 +386,7 @@ class VoteTensor:
         materializing any replica.
         """
         files, slots = np.nonzero(self._slot_map >= 0)
-        return files, slots, self._slot_map[files, slots], self._store[: self._num_rows]
+        return files, slots, self._slot_map[files, slots], self._store_view()
 
     def base_rows(self) -> np.ndarray:
         """Read-only view of the shared honest base."""
@@ -408,4 +404,4 @@ class VoteTensor:
 
     def __repr__(self) -> str:  # pragma: no cover - trivial
         f, r, d = self.shape
-        return f"VoteTensor(f={f}, r={r}, d={d}, payload_rows={self._num_rows})"
+        return f"VoteTensor(f={f}, r={r}, d={d}, payload_rows={self.num_override_rows})"

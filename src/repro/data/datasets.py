@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.backend import DEFAULT_DTYPE
+from repro.core.backend import ensure_float
 from repro.exceptions import DataError
 from repro.utils.rng import as_generator
 
@@ -20,8 +20,9 @@ class Dataset:
     Attributes
     ----------
     inputs:
-        Feature array; first axis indexes samples.  Shapes may be
-        ``(n, d)`` for dense models or ``(n, c, h, w)`` for CNNs.
+        Feature array; first axis indexes samples.  float32 and float64
+        arrays are kept as they are (a run stores its data in its working
+        dtype); anything else is coerced to the default float64.
     labels:
         Integer class labels of shape ``(n,)``.
     num_classes:
@@ -36,7 +37,7 @@ class Dataset:
     name: str = "dataset"
 
     def __post_init__(self) -> None:
-        inputs = np.asarray(self.inputs, dtype=DEFAULT_DTYPE)
+        inputs = ensure_float(self.inputs)
         labels = np.asarray(self.labels, dtype=np.int64)
         if inputs.shape[0] != labels.shape[0]:
             raise DataError(

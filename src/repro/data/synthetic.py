@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.backend import DEFAULT_DTYPE
+from repro.core.backend import DRAW_DTYPE, resolve_dtype
 from repro.data.datasets import Dataset
 from repro.exceptions import DataError
 from repro.utils.arrays import block_ranges
@@ -24,7 +24,8 @@ from repro.utils.rng import as_generator
 __all__ = ["make_synthetic_images", "make_gaussian_mixture"]
 
 #: Bytes of inputs :func:`make_gaussian_mixture` draws per row block: the
-#: only scratch besides the dataset is one block's ``centers[labels]`` gather.
+#: only scratch besides the dataset is one block's ``centers[labels]`` gather
+#: (and, when rows are placed by ``slots`` or stored in float32, the block).
 _DRAW_BLOCK_BYTES = 256 * 1024
 
 
@@ -81,6 +82,7 @@ def make_synthetic_images(
     seed: int | np.random.Generator | None = 0,
     flatten: bool = False,
     slots: np.ndarray | None = None,
+    dtype: object | None = None,
 ) -> Dataset:
     """Class-conditional synthetic image classification dataset.
 
@@ -106,6 +108,10 @@ def make_synthetic_images(
         drawn is written straight into row ``slots[i]`` (see
         :func:`~repro.data.datasets.split_slots`).  The draws are the same
         either way; only where each row lands changes.
+    dtype:
+        Float dtype the images are stored in (default float64).  Every image
+        is drawn in :data:`~repro.core.backend.DRAW_DTYPE` and rounded once,
+        as it is stored, so a float32 draw is the float64 one ``.astype``-ed.
     """
     if num_samples < num_classes:
         raise DataError("need at least one sample per class")
@@ -118,7 +124,9 @@ def make_synthetic_images(
     )
     labels = np.arange(num_samples) % num_classes
     rng.shuffle(labels)
-    images = np.empty((num_samples, channels, image_size, image_size), dtype=DEFAULT_DTYPE)
+    images = np.empty(
+        (num_samples, channels, image_size, image_size), dtype=resolve_dtype(dtype)
+    )
     rows = range(num_samples) if slots is None else slots
     for idx, row in enumerate(rows):
         template = templates[labels[idx]]
@@ -145,11 +153,14 @@ def make_gaussian_mixture(
     separation: float = 2.0,
     seed: int | np.random.Generator | None = 0,
     slots: np.ndarray | None = None,
+    dtype: object | None = None,
 ) -> Dataset:
     """Isotropic Gaussian blobs, one per class, with controllable separation.
 
-    ``slots`` places the rows as in :func:`make_synthetic_images`: each drawn
-    block goes through one block of scratch into its rows ``slots[lo:hi]``.
+    ``slots`` and ``dtype`` are as in :func:`make_synthetic_images`: a block
+    that is placed by ``slots`` or stored in float32 is drawn into one block
+    of :data:`~repro.core.backend.DRAW_DTYPE` scratch and then copied to its
+    rows, rounded once.
     """
     if num_samples < num_classes:
         raise DataError("need at least one sample per class")
@@ -163,15 +174,16 @@ def make_gaussian_mixture(
     # Bit-identical to ``centers[labels] + rng.standard_normal((n, dim))``:
     # the normal stream does not depend on how its draws are chunked, and
     # noise + center is center + noise.  Only the array itself is full size.
-    inputs = np.empty((num_samples, dim), dtype=DEFAULT_DTYPE)
-    rows = max(1, _DRAW_BLOCK_BYTES // (inputs.itemsize * max(dim, 1)))
-    scratch = None if slots is None else np.empty((min(rows, num_samples), dim), inputs.dtype)
+    inputs = np.empty((num_samples, dim), dtype=resolve_dtype(dtype))
+    rows = max(1, _DRAW_BLOCK_BYTES // (DRAW_DTYPE.itemsize * max(dim, 1)))
+    in_place = slots is None and inputs.dtype == DRAW_DTYPE
+    scratch = None if in_place else np.empty((min(rows, num_samples), dim), DRAW_DTYPE)
     for lo, hi in block_ranges(num_samples, rows):
         block = inputs[lo:hi] if scratch is None else scratch[: hi - lo]
         rng.standard_normal(out=block)
         block += centers[labels[lo:hi]]
         if scratch is not None:
-            inputs[slots[lo:hi]] = block
+            inputs[slice(lo, hi) if slots is None else slots[lo:hi]] = block
     return Dataset(
         inputs=inputs,
         labels=_placed(labels, slots),

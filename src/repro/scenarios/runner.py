@@ -201,7 +201,7 @@ class ScenarioRunner:
         )
 
     def _build_datasets(self) -> tuple[Dataset, Dataset]:
-        """Train and test as read-only views of one array.
+        """Train and test as read-only views of one array, in the run's dtype.
 
         The split's permutation comes from its own generator (``seed + 1``),
         so it is drawn first and the data generator (``seed``) writes each
@@ -222,6 +222,7 @@ class ScenarioRunner:
                 separation=data.separation,
                 seed=self.spec.seed,
                 slots=slots,
+                dtype=self.spec.dtype,
             )
         else:
             dataset = make_synthetic_images(
@@ -232,6 +233,7 @@ class ScenarioRunner:
                 seed=self.spec.seed,
                 flatten=True,
                 slots=slots,
+                dtype=self.spec.dtype,
             )
         inputs, labels = dataset.inputs, dataset.labels
         inputs.flags.writeable = labels.flags.writeable = False

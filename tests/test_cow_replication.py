@@ -301,7 +301,7 @@ def test_add_scale_zero_slots(mols_assignment):
     files = np.array([1, 2, 4], dtype=np.int64)
     slots = np.array([0, 1, 2], dtype=np.int64)
     delta = np.random.default_rng(3).standard_normal((3, DIM))
-    lazy.add_to_slots(files, slots, delta)
+    lazy.write_slots(files, slots, lazy.read_slots(files, slots) + delta)
     lazy.scale_slots(files[:2], slots[:2], 0.5)
     lazy.zero_slots(files[2:], slots[2:])
     cube[files, slots] += delta
@@ -399,8 +399,8 @@ def test_shared_payload_allocates_one_row(mols_assignment):
 
 def test_first_shared_write_reserves_one_row_not_eight(mols_assignment):
     """One colluding payload is one stored row: the store grows to what is
-    needed or to twice what it had, with no floor — eight reserved rows were
-    5 MiB of untouched capacity a round at d = 94k."""
+    needed, with no floor — eight reserved rows were 5 MiB of untouched
+    capacity a round at d = 94k."""
     dim = 100_000
     base = np.zeros((mols_assignment.num_files, dim))
     lazy = VoteTensor.from_honest(mols_assignment, base)
@@ -415,29 +415,52 @@ def test_first_shared_write_reserves_one_row_not_eight(mols_assignment):
     assert lazy.num_override_rows == 1
 
 
-def test_successive_single_writes_grow_the_store_geometrically(mols_assignment):
+def test_the_store_holds_exactly_the_rows_written(mols_assignment):
+    """Every write grows the store to the rows it holds, no spare capacity:
+    single rows, a shared payload, per-slot matrices and a rewrite."""
     rng = np.random.default_rng(12)
     lazy, cube, _ = make_pair(mols_assignment, seed=12)
     r = lazy.replication
-    capacities = set()
+    assert lazy._store.shape == (0, DIM) and lazy.num_override_rows == 0
     rows = rng.standard_normal((64, DIM))
     for k, row in enumerate(rows):
         lazy.write_slots([k // r], [k % r], row)
         cube[k // r, k % r] = row
-        capacities.add(lazy._store.shape[0])
-    assert capacities == {1, 2, 4, 8, 16, 32, 64}  # one reallocation per doubling
-    assert lazy.num_override_rows == 64
+        assert lazy._store.shape == (k + 1, DIM) and lazy.num_override_rows == k + 1
     assert_reads_as(lazy, cube)
     files, slots = np.divmod(np.arange(64), r)
     assert np.array_equal(lazy.read_slots(files, slots), rows)
+    # a shared payload, a per-slot matrix, a read-modify-write, a shared zero
+    three, two = (np.array([22, 23, 24]), np.array([0, 1, 2])), (np.array([23, 24]), np.array([1, 2]))
+    writes = [
+        (three, 1, lambda: lazy.write_slots(*three, rows[0]), lambda c: rows[0]),
+        (two, 2, lambda: lazy.write_slots(*two, rows[:2]), lambda c: rows[:2]),
+        (three, 3, lambda: lazy.scale_slots(*three, 2.0), lambda c: c * 2.0),
+        (two, 1, lambda: lazy.zero_slots(*two), lambda c: 0.0),
+    ]
+    for touched, added, write, model in writes:
+        held = lazy.num_override_rows
+        table = lazy.override_table()[3]
+        before = table.copy()
+        write()
+        cube[touched] = model(cube[touched])
+        assert lazy._store.shape == (held + added, DIM)
+        assert lazy.num_override_rows == held + added
+        assert table.tobytes() == before.tobytes()  # a view of the old store keeps its bytes
+    assert_reads_as(lazy, cube)
 
 
-#: each slot-API mutator: its extra arguments, and what it does to the cube's rows
+def add_to_slots(tensor, files, slots, rows):
+    """Read-modify-write the way the noise corruption does it."""
+    tensor.write_slots(files, slots, tensor.read_slots(files, slots) + rows)
+
+
+#: each slot-API mutation: how it is applied, and what it does to the cube's rows
 MUTATORS = {
-    "write_slots": ((np.full(DIM, 9.0),), lambda rows: 9.0),
-    "add_to_slots": ((0.25,), lambda rows: rows + 0.25),
-    "scale_slots": ((-3.0,), lambda rows: rows * -3.0),
-    "zero_slots": ((), lambda rows: 0.0),
+    "write_slots": (lambda t, f, s: t.write_slots(f, s, np.full(DIM, 9.0)), lambda rows: 9.0),
+    "read_add_write": (lambda t, f, s: add_to_slots(t, f, s, 0.25), lambda rows: rows + 0.25),
+    "scale_slots": (lambda t, f, s: t.scale_slots(f, s, -3.0), lambda rows: rows * -3.0),
+    "zero_slots": (lambda t, f, s: t.zero_slots(f, s), lambda rows: 0.0),
 }
 
 
@@ -457,10 +480,7 @@ def test_stored_rows_are_write_once(mols_assignment, mutator, layout, dtype):
     tensor = tensor_of(cube, mols_assignment, base=honest, layout=layout)
     with pytest.raises(ValueError, match="read-only"):
         tensor._store[0] = 1.0
-    while tensor.num_override_rows < tensor._store.shape[0]:  # the next write must grow it
-        tensor.write_slots([1], [1], 3.0)
-        cube[1, 1] = 3.0
-    capacity = tensor._store.shape[0]
+    capacity = tensor._store.shape[0]  # the store is full: every write grows it
     table = tensor.override_table()[3]
     selection = tensor.select_slots(np.ones(tensor.num_files, dtype=np.int64))
     winners = ByzShieldPipeline(mols_assignment).aggregate_tensor(tensor).winners
@@ -468,8 +488,8 @@ def test_stored_rows_are_write_once(mols_assignment, mutator, layout, dtype):
     assert np.array_equal(before[1], cube[:, 1]) and np.all(before[2][4] == 5.0)
 
     files, slots = np.array([0, 4, 4]), np.array([1, 0, 1])
-    args, model = MUTATORS[mutator]
-    getattr(tensor, mutator)(files, slots, *args)
+    mutate, model = MUTATORS[mutator]
+    mutate(tensor, files, slots)
     cube[files, slots] = model(cube[files, slots])
     assert tensor._store.shape[0] > capacity
     assert_reads_as(tensor, cube)
@@ -480,7 +500,7 @@ def test_stored_rows_are_write_once(mols_assignment, mutator, layout, dtype):
         tensor._store[:] = 0.0
 
 
-@pytest.mark.parametrize("mutator", ["scale_slots", "add_to_slots", "write_slots"])
+@pytest.mark.parametrize("mutator", ["scale_slots", "read_add_write", "write_slots"])
 def test_mutating_one_shared_slot_leaves_the_others_untouched(mols_assignment, mutator):
     """The CorruptionInjector path after a colluding attack: one of m slots
     sharing a stored row is rewritten; the other m - 1 must not change."""
@@ -493,8 +513,8 @@ def test_mutating_one_shared_slot_leaves_the_others_untouched(mols_assignment, m
     if mutator == "scale_slots":
         lazy.scale_slots([2], [1], -3.0)
         cube[2, 1] *= -3.0
-    elif mutator == "add_to_slots":
-        lazy.add_to_slots([2], [1], np.full(DIM, 0.25))
+    elif mutator == "read_add_write":
+        add_to_slots(lazy, [2], [1], np.full(DIM, 0.25))
         cube[2, 1] += 0.25
     else:
         lazy.write_slots([2], [1], np.full(DIM, 9.0))

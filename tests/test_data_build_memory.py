@@ -11,6 +11,10 @@ commutes, so the one-shot formula stays here as the bit-for-bit oracle.
 ``seed + 1``) and has the generator write every row straight into its train
 or test row, so train and test are read-only views of one array.  Its oracle
 is ``train_test_split`` of the plain draw, which gathers a second copy.
+
+A float32 run stores its data in float32: the generators still draw in
+float64 and round each row once as they store it, so the oracle of a
+float32 build is the float64 one ``.astype(np.float32)``.
 """
 
 import json
@@ -119,6 +123,22 @@ def test_mixture_peaks_at_one_dataset():
     assert peak <= dataset_bytes + 1 * MIB, peak / dataset_bytes
 
 
+def spec_in(spec, dtype):
+    return ScenarioSpec.from_dict({**spec.to_dict(), "dtype": dtype})
+
+
+def test_float32_runner_build_peaks_at_half_the_float64_dataset():
+    """A float32 run never holds its data in float64: the build peaks at
+    the float32 dataset plus a block of float64 scratch, not at the float64
+    draw (a build that rounds a finished float64 array peaks at 1.5x)."""
+    runner = ScenarioRunner(spec_in(clean_compute_bound(), "float32"))
+    peak, (train, test) = peak_above_start(runner._build_datasets)
+    assert train.inputs.dtype == test.inputs.dtype == np.float32
+    float64_bytes = 21_000 * 100 * 8
+    assert train.inputs.nbytes + test.inputs.nbytes == float64_bytes // 2
+    assert peak <= float64_bytes / 2 + 1 * MIB, peak / float64_bytes
+
+
 def test_runner_data_build_peaks_at_one_dataset():
     """Measured 1.05x: the dataset, its placed labels, the slots and one
     block of scratch (2.03x while the split gathered a copy of the draw)."""
@@ -150,16 +170,17 @@ def small_spec(kind, num_train, num_test, seed):
     })
 
 
-def draw(data, seed, slots=None):
+def draw(data, seed, slots=None, dtype=None):
     """The runner's generator call for ``data``, without or with ``slots``."""
     total = data.num_train + data.num_test
     if data.kind == "gaussian":
         return make_gaussian_mixture(
-            total, data.num_classes, data.dim, data.separation, seed=seed, slots=slots
+            total, data.num_classes, data.dim, data.separation, seed=seed, slots=slots,
+            dtype=dtype,
         )
     return make_synthetic_images(
         total, data.num_classes, data.image_size, data.channels,
-        seed=seed, flatten=True, slots=slots,
+        seed=seed, flatten=True, slots=slots, dtype=dtype,
     )
 
 
@@ -217,6 +238,62 @@ def test_built_splits_are_read_only():
     """Train and test are views of one array: a write into either raises."""
     train, test = ScenarioRunner(small_spec("gaussian", 30, 10, 0))._build_datasets()
     for part in (train, test):
+        for array in (part.inputs, part.labels):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
+
+
+# --------------------------------------------------------------------------- #
+# The run's dtype: float32 data is the float64 draw rounded once
+# --------------------------------------------------------------------------- #
+@pytest.mark.parametrize("placed", [False, True], ids=["in-order", "slots"])
+@pytest.mark.parametrize(
+    "kind, num_train, num_test",
+    [("gaussian", 290, 10), ("gaussian", 2 * rows_per_block(5) + 3, 4), ("images", 45, 6)],
+    ids=["gaussian", "gaussian-ragged-blocks", "images"],
+)
+def test_float32_draw_is_the_float64_draw_rounded(kind, num_train, num_test, placed):
+    data = small_spec(kind, num_train, num_test, 0).data
+    total = num_train + num_test
+    slots = split_slots(total, num_test / total, seed=4)[0] if placed else None
+    rng, oracle_rng = np.random.default_rng(9), np.random.default_rng(9)
+    rounded = draw(data, rng, slots, dtype="float32")
+    expected = draw(data, oracle_rng, slots)
+    assert rng.bit_generator.state == oracle_rng.bit_generator.state
+    assert rounded.inputs.dtype == np.float32
+    assert rounded.inputs.tobytes() == expected.inputs.astype(np.float32).tobytes()
+    assert np.array_equal(rounded.labels, expected.labels)
+    assert rounded.name == expected.name and rounded.num_classes == expected.num_classes
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "images"])
+def test_float64_is_the_default_draw(kind):
+    data = small_spec(kind, 20, 5, 0).data
+    default, named = draw(data, 3), draw(data, 3, dtype="float64")
+    assert default.inputs.dtype == named.inputs.dtype == np.float64
+    assert default.inputs.tobytes() == named.inputs.tobytes()
+
+
+def test_dataset_keeps_float32_and_float64_and_coerces_the_rest():
+    labels = np.arange(6) % 2
+    for dtype in (np.float32, np.float64):
+        inputs = np.arange(12, dtype=dtype).reshape(6, 2)
+        kept = Dataset(inputs, labels, num_classes=2)
+        assert kept.inputs.dtype == dtype and kept.inputs is inputs
+    for inputs in (np.arange(12).reshape(6, 2), np.ones((6, 2), np.float16), [[1, 2]] * 6):
+        assert Dataset(inputs, labels, num_classes=2).inputs.dtype == np.float64
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "images"])
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_runner_splits_are_in_the_run_dtype_and_read_only(kind, dtype):
+    spec = small_spec(kind, 30, 10, 0)
+    train, test = ScenarioRunner(spec_in(spec, dtype))._build_datasets()
+    expected = ScenarioRunner(spec)._build_datasets()
+    for part, oracle in zip((train, test), expected):
+        assert part.inputs.dtype == np.dtype(dtype)
+        assert part.inputs.tobytes() == oracle.inputs.astype(dtype).tobytes()
+        assert np.array_equal(part.labels, oracle.labels)
         for array in (part.inputs, part.labels):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0

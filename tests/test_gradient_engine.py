@@ -20,7 +20,8 @@ from hypothesis.extra.numpy import arrays
 
 import repro.nn.models as models
 from repro.compression.compressors import SignCompressor, TopKCompressor
-from repro.data.batching import RoundFiles
+from repro.data.batching import BatchSampler, RoundFiles, partition_batch_into_files
+from repro.data.synthetic import make_gaussian_mixture
 from repro.exceptions import ConfigurationError, TrainingError
 from repro.nn.layers import Dense, Layer, ReLU
 from repro.nn.losses import SoftmaxCrossEntropy
@@ -524,26 +525,57 @@ def test_each_chunk_is_one_gather_through_the_sampler(monkeypatch, partition):
     assert np.concatenate([y for _, y in chunks]).tobytes() == whole_labels.tobytes()
 
 
-def test_a_float32_model_on_float64_data_keeps_its_gradients(monkeypatch):
-    """Each chunk is converted to the model's dtype after its gather, as each
-    chunk of the whole batch was: every row equals the per-file oracle on the
-    file's samples cast to float32, byte for byte."""
-    trainer = small_trainer(dtype="float32")
-    computer = trainer.gradient_computer
-    assert computer.model.dtype == np.float32
-    assert trainer.sampler.dataset.inputs.dtype == np.float64
-    chunk_budget(monkeypatch, computer.model, ROUND_SHAPE, 3)
+def assert_rows_are_the_per_file_oracle(computer, params, files, file_indices, batch_data):
+    """Every gradient row and loss equals ``computer``'s model run file by
+    file on the file's samples cast to the model's dtype, byte for byte."""
     oracle = ModelGradientComputer(copy.deepcopy(computer.model))
-    params = trainer.server.broadcast()
-    file_indices = trainer._next_file_indices()
-
-    gradients, losses = computer.batched(params, trainer._file_data(file_indices))
+    gradients, losses = computer.batched(params, files)
     assert computer.last_engine == "stacked" and gradients.dtype == np.float32
     for i, indices in enumerate(file_indices):
-        inputs, labels = trainer.sampler.batch_data(indices)
+        inputs, labels = batch_data(indices)
         gradient, value = oracle(params, inputs.astype(np.float32), labels)
         assert gradient.tobytes() == gradients[i].tobytes()
         assert np.float32(value).tobytes() == losses[i].tobytes()
+
+
+def test_a_float32_run_trains_on_float32_data_and_keeps_its_gradients(monkeypatch):
+    """The runner stores a float32 run's data in float32 — the float64
+    draw rounded once — so no chunk is converted after its gather, and every
+    row still equals the per-file oracle."""
+    trainer = small_trainer(dtype="float32")
+    computer = trainer.gradient_computer
+    assert computer.model.dtype == np.float32
+    inputs = trainer.sampler.dataset.inputs
+    assert inputs.dtype == np.float32 and not inputs.flags.writeable
+    float64_inputs = small_trainer().sampler.dataset.inputs
+    assert inputs.tobytes() == float64_inputs.astype(np.float32).tobytes()
+    chunk_budget(monkeypatch, computer.model, ROUND_SHAPE, 3)
+    file_indices = trainer._next_file_indices()
+    assert_rows_are_the_per_file_oracle(
+        computer,
+        trainer.server.broadcast(),
+        trainer._file_data(file_indices),
+        file_indices,
+        trainer.sampler.batch_data,
+    )
+
+
+def test_a_float32_model_on_float64_data_keeps_its_gradients(monkeypatch):
+    """Data handed in as float64 is converted to the model's dtype chunk by
+    chunk, after each gather: every row equals the per-file oracle on the
+    file's samples cast to float32, byte for byte."""
+    computer = small_trainer(dtype="float32").gradient_computer
+    dataset = make_gaussian_mixture(350, num_classes=3, dim=8, seed=0)
+    assert dataset.inputs.dtype == np.float64
+    sampler = BatchSampler(dataset, batch_size=100, seed=0)
+    chunk_budget(monkeypatch, computer.model, ROUND_SHAPE, 3)
+    file_indices = partition_batch_into_files(sampler.next_batch(), ROUND_SHAPE[0])
+    files = RoundFiles(
+        np.stack(file_indices), (dataset.inputs, dataset.labels), sampler.batch_data
+    )
+    assert_rows_are_the_per_file_oracle(
+        computer, computer.initial_params(), files, file_indices, sampler.batch_data
+    )
 
 
 def test_an_async_round_gathers_only_inside_the_pass(monkeypatch):

@@ -21,6 +21,8 @@ import pytest
 import repro.nn.models as models
 import repro.scenarios.runner as runner_module
 from repro.attacks.alie import ALIEAttack
+from repro.cluster.faults import FaultContext, MessageCorruptionInjector
+from repro.core.vote_tensor import VoteTensor
 from repro.data.batching import RoundFiles
 from repro.nn.losses import SoftmaxCrossEntropy
 from repro.nn.models import build_mlp
@@ -206,6 +208,36 @@ def test_compute_bound_round_holds_one_chunk_not_the_batch():
     finally:
         tracemalloc.stop()
     assert peak < models._CHUNK_BYTES + chunk_inputs + (1 << 20), peak / (1 << 20)
+
+
+# --------------------------------------------------------------------------- #
+# Noise corruption
+# --------------------------------------------------------------------------- #
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_noise_corruption_holds_one_draw_and_one_read(ramanujan_case2, dtype):
+    """Corrupting ``m`` slots with noise draws one ``(m, d)`` float64 buffer,
+    scales it and adds the slots' read into it in place, and stores the sum
+    as ``m`` rows grown to exactly that: measured 12 (float32) and 16
+    (float64) bytes per coordinate against a budget of 16 and 24.  Scaling
+    into a new array and adding into a third read 20 and 24."""
+    assignment = ramanujan_case2.assignment
+    f, d = assignment.num_files, 20_000
+    honest = np.random.default_rng(0).standard_normal((f, d)).astype(dtype)
+    tensor = VoteTensor.from_honest(assignment, honest)
+    injector = MessageCorruptionInjector(probability=0.2, mode="noise", factor=2.0)
+    context = FaultContext(assignment, iteration=0, rng=np.random.default_rng(1))
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        events = injector.inject(tensor, context)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    m = len(events)
+    assert m > 0 and tensor.num_override_rows == m
+    itemsize = np.dtype(dtype).itemsize
+    draw, read, rows = m * d * 8, m * d * itemsize, m * d * itemsize
+    assert peak <= draw + read + rows + (64 << 10), peak / (m * d)
 
 
 # --------------------------------------------------------------------------- #

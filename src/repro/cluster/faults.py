@@ -364,8 +364,9 @@ class MessageCorruptionInjector(FaultInjector):
         elif self.mode == "scale":
             tensor.scale_slots(files, slots, self.factor)
         else:
-            # Built in the draw's one buffer: IEEE addition commutes, so
-            # noise + read is the read + noise the stored rows always held.
+            # In the draw's own buffer: noise + read rounds as read + noise
+            # (IEEE addition commutes), and the store rounds the float64 sum
+            # to the working dtype.
             noise = context.rng.standard_normal((files.size, d))
             noise *= self.factor
             noise += tensor.read_slots(files, slots)

@@ -272,7 +272,7 @@ class VoteTensor:
         write to the same slot still count — they stay allocated.  The store
         holds exactly these rows: its length is this count.
         """
-        return int(self._store.shape[0])
+        return self._store.shape[0]
 
     # -- slot access ---------------------------------------------------------
     def _fresh_rows(self, count: int) -> np.ndarray:
@@ -281,8 +281,9 @@ class VoteTensor:
         Rows are append-only: a stored row is never handed out twice, which
         is what lets any number of slots reference it.  A grown store is a
         new read-only array; views of the old one keep their bytes.  It grows
-        to exactly the rows written: a round writes the store once or twice
-        per stage, so spare capacity would be reallocated before it was used.
+        to exactly the rows written: a round writes it one to three times,
+        too few for spare capacity to be used (DESIGN.md, "Copy-on-write
+        replication").
         """
         held = self._store.shape[0]
         grown = np.empty((held + count, self.dim), dtype=self._store.dtype)
@@ -290,10 +291,6 @@ class VoteTensor:
         grown.setflags(write=False)
         self._store = grown
         return np.arange(held, held + count, dtype=np.int64)
-
-    def _store_view(self) -> np.ndarray:
-        """The store as a view: a holder cannot flip it back to writable."""
-        return self._store[:]
 
     def write_slots(self, files, slots, rows) -> None:
         """Overwrite the given (file, slot) votes — the vectorized attack path.
@@ -371,7 +368,8 @@ class VoteTensor:
             )
         row_ids = self._slot_map[np.arange(slots.size), slots]
         files = np.nonzero(row_ids >= 0)[0]
-        return RowSelection(self._base, files, row_ids[files], self._store_view())
+        # A view of the store, so its holder cannot flip the store writable.
+        return RowSelection(self._base, files, row_ids[files], self._store[:])
 
     def override_table(
         self,
@@ -386,7 +384,7 @@ class VoteTensor:
         materializing any replica.
         """
         files, slots = np.nonzero(self._slot_map >= 0)
-        return files, slots, self._slot_map[files, slots], self._store_view()
+        return files, slots, self._slot_map[files, slots], self._store[:]
 
     def base_rows(self) -> np.ndarray:
         """Read-only view of the shared honest base."""

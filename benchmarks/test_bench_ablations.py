@@ -58,4 +58,4 @@ def test_aggregator_ablation(benchmark, results_dir):
     for row in rows:
         assert 0.0 <= row["final_accuracy"] <= 1.0
         # Every variant sees the same corrupted-vote fraction (2/25).
-        assert row["mean_distortion"] == pytest.approx(0.08)
+        assert row["mean_predicted_distortion"] == pytest.approx(0.08)

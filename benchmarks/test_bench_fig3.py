@@ -16,10 +16,10 @@ from benchmarks.figure_helpers import (
 
 @pytest.mark.benchmark(group="figures")
 def test_fig3_alie_bulyan_defenses(benchmark, results_dir):
-    histories = benchmark.pedantic(run_figure, args=("fig3",), rounds=1, iterations=1)
-    check_figure_invariants("fig3", histories)
+    results = benchmark.pedantic(run_figure, args=("fig3",), rounds=1, iterations=1)
+    check_figure_invariants("fig3", results)
     save_figure_results(
-        results_dir, "fig3", "Figure 3: ALIE attack, Bulyan-based defenses", histories
+        results_dir, "fig3", "Figure 3: ALIE attack, Bulyan-based defenses", results
     )
-    assert histories["Bulyan, q=5"].distortion_fractions.mean() == pytest.approx(0.2)
-    assert histories["ByzShield, q=5"].distortion_fractions.mean() == pytest.approx(0.08)
+    assert results["Bulyan, q=5"].predicted_distortion.mean() == pytest.approx(0.2)
+    assert results["ByzShield, q=5"].predicted_distortion.mean() == pytest.approx(0.08)

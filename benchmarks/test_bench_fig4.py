@@ -11,10 +11,10 @@ from benchmarks.figure_helpers import (
 
 @pytest.mark.benchmark(group="figures")
 def test_fig4_alie_multikrum_defenses(benchmark, results_dir):
-    histories = benchmark.pedantic(run_figure, args=("fig4",), rounds=1, iterations=1)
-    check_figure_invariants("fig4", histories)
+    results = benchmark.pedantic(run_figure, args=("fig4",), rounds=1, iterations=1)
+    check_figure_invariants("fig4", results)
     save_figure_results(
-        results_dir, "fig4", "Figure 4: ALIE attack, Multi-Krum-based defenses", histories
+        results_dir, "fig4", "Figure 4: ALIE attack, Multi-Krum-based defenses", results
     )
-    assert histories["Multi-Krum, q=5"].distortion_fractions.mean() == pytest.approx(0.2)
-    assert histories["ByzShield, q=3"].distortion_fractions.mean() == pytest.approx(0.04)
+    assert results["Multi-Krum, q=5"].predicted_distortion.mean() == pytest.approx(0.2)
+    assert results["ByzShield, q=3"].predicted_distortion.mean() == pytest.approx(0.04)

@@ -16,10 +16,10 @@ from benchmarks.figure_helpers import (
 
 @pytest.mark.benchmark(group="figures")
 def test_fig5_constant_signsgd_defenses(benchmark, results_dir):
-    histories = benchmark.pedantic(run_figure, args=("fig5",), rounds=1, iterations=1)
-    check_figure_invariants("fig5", histories)
+    results = benchmark.pedantic(run_figure, args=("fig5",), rounds=1, iterations=1)
+    check_figure_invariants("fig5", results)
     save_figure_results(
-        results_dir, "fig5", "Figure 5: constant attack, signSGD-based defenses", histories
+        results_dir, "fig5", "Figure 5: constant attack, signSGD-based defenses", results
     )
-    assert histories["signSGD, q=3"].distortion_fractions.mean() == pytest.approx(3 / 25)
-    assert histories["ByzShield, q=5"].distortion_fractions.mean() == pytest.approx(0.08)
+    assert results["signSGD, q=3"].predicted_distortion.mean() == pytest.approx(3 / 25)
+    assert results["ByzShield, q=5"].predicted_distortion.mean() == pytest.approx(0.08)

@@ -16,19 +16,19 @@ from benchmarks.figure_helpers import (
 
 @pytest.mark.benchmark(group="figures")
 def test_fig6_reversed_gradient_median_defenses(benchmark, results_dir):
-    histories = benchmark.pedantic(run_figure, args=("fig6",), rounds=1, iterations=1)
-    check_figure_invariants("fig6", histories)
+    results = benchmark.pedantic(run_figure, args=("fig6",), rounds=1, iterations=1)
+    check_figure_invariants("fig6", results)
     save_figure_results(
         results_dir,
         "fig6",
         "Figure 6: reversed-gradient attack, median-based defenses",
-        histories,
+        results,
     )
-    assert histories["ByzShield, q=9"].distortion_fractions.mean() == pytest.approx(0.36)
-    assert histories["DETOX-MoM, q=9"].distortion_fractions.mean() == pytest.approx(0.6)
+    assert results["ByzShield, q=9"].predicted_distortion.mean() == pytest.approx(0.36)
+    assert results["DETOX-MoM, q=9"].predicted_distortion.mean() == pytest.approx(0.6)
     # DETOX's majority is overwhelmed at q=9: ByzShield must end up at least as
     # accurate as DETOX under the same attack.
     assert (
-        histories["ByzShield, q=9"].final_accuracy
-        >= histories["DETOX-MoM, q=9"].final_accuracy - 0.05
+        results["ByzShield, q=9"].trace.final_accuracy
+        >= results["DETOX-MoM, q=9"].trace.final_accuracy - 0.05
     )

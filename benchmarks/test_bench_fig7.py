@@ -24,12 +24,12 @@ def test_fig7_reversed_gradient_bulyan_defenses(benchmark, results_dir):
     }
     assert 9 not in bulyan_qs
 
-    histories = benchmark.pedantic(run_figure, args=("fig7",), rounds=1, iterations=1)
-    check_figure_invariants("fig7", histories)
+    results = benchmark.pedantic(run_figure, args=("fig7",), rounds=1, iterations=1)
+    check_figure_invariants("fig7", results)
     save_figure_results(
         results_dir,
         "fig7",
         "Figure 7: reversed-gradient attack, Bulyan-based defenses",
-        histories,
+        results,
     )
-    assert histories["ByzShield, q=9"].distortion_fractions.mean() == pytest.approx(0.36)
+    assert results["ByzShield, q=9"].predicted_distortion.mean() == pytest.approx(0.36)

@@ -23,13 +23,13 @@ def test_fig8_reversed_gradient_multikrum_defenses(benchmark, results_dir):
     }
     assert 9 not in detox_qs
 
-    histories = benchmark.pedantic(run_figure, args=("fig8",), rounds=1, iterations=1)
-    check_figure_invariants("fig8", histories)
+    results = benchmark.pedantic(run_figure, args=("fig8",), rounds=1, iterations=1)
+    check_figure_invariants("fig8", results)
     save_figure_results(
         results_dir,
         "fig8",
         "Figure 8: reversed-gradient attack, Multi-Krum-based defenses",
-        histories,
+        results,
     )
-    assert histories["Multi-Krum, q=9"].distortion_fractions.mean() == pytest.approx(9 / 25)
-    assert histories["ByzShield, q=9"].distortion_fractions.mean() == pytest.approx(0.36)
+    assert results["Multi-Krum, q=9"].predicted_distortion.mean() == pytest.approx(9 / 25)
+    assert results["ByzShield, q=9"].predicted_distortion.mean() == pytest.approx(0.36)

@@ -22,8 +22,8 @@ FIGURES = {
 @pytest.mark.benchmark(group="figures")
 @pytest.mark.parametrize("figure_id", sorted(FIGURES))
 def test_fig9_to_11_k15_alie_defenses(benchmark, results_dir, figure_id):
-    histories = benchmark.pedantic(run_figure, args=(figure_id,), rounds=1, iterations=1)
-    check_figure_invariants(figure_id, histories)
-    save_figure_results(results_dir, figure_id, FIGURES[figure_id], histories)
+    results = benchmark.pedantic(run_figure, args=(figure_id,), rounds=1, iterations=1)
+    check_figure_invariants(figure_id, results)
+    save_figure_results(results_dir, figure_id, FIGURES[figure_id], results)
     # MOLS (l=5, r=3) with q=2: exactly one of 25 file gradients is corrupted.
-    assert histories["ByzShield, q=2"].distortion_fractions.mean() == pytest.approx(1 / 25)
+    assert results["ByzShield, q=2"].predicted_distortion.mean() == pytest.approx(1 / 25)

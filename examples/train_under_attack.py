@@ -13,7 +13,7 @@ q = 5 Byzantine workers out of K = 25:
   per-group vote, median-of-means over the group winners.
 
 All three runs share the dataset, the initial model and the batch sequence, so
-the only difference is the defense.  Expect ByzShield's realized distortion
+the only difference is the defense.  Expect ByzShield's predicted distortion
 fraction (0.08) to be far below DETOX's (0.2) under this adversary.
 
 Run with::
@@ -75,32 +75,26 @@ def main() -> None:
                          "aggregator_params": {"num_groups": 2}},
         },
     }
-    runs = {
-        label: ScenarioRunner(
-            ScenarioSpec.from_dict({"name": label, **defense, **shared})
-        ).build_trainer()
-        for label, defense in defenses.items()
-    }
-
-    histories = {}
-    for label, trainer in runs.items():
+    results = {}
+    for label, defense in defenses.items():
         print(f"training: {label} (q={args.q}, omniscient Byzantine selection)")
-        histories[label] = trainer.train(verbose=True)
-        print()
+        spec = ScenarioSpec.from_dict({"name": label, **defense, **shared})
+        results[label] = ScenarioRunner(spec).run()
 
+    print()
     print(format_series(
-        {label: history.accuracy_series() for label, history in histories.items()},
+        {label: result.trace.accuracy_series() for label, result in results.items()},
         title="Top-1 test accuracy vs iteration",
     ))
     print()
     summary = [
         {
             "defense": label,
-            "final_accuracy": history.final_accuracy,
-            "best_accuracy": history.best_accuracy,
-            "mean_distortion": float(history.distortion_fractions.mean()),
+            "final_accuracy": result.trace.final_accuracy,
+            "best_accuracy": result.trace.best_accuracy,
+            "mean_predicted_distortion": float(result.predicted_distortion.mean()),
         }
-        for label, history in histories.items()
+        for label, result in results.items()
     ]
     print(format_rows(summary, title="Summary"))
 

@@ -60,7 +60,7 @@ from repro.core import (
 from repro.data import Dataset, make_gaussian_mixture, make_synthetic_images
 from repro.graphs import BipartiteAssignment, second_eigenvalue
 from repro.nn import SGD, Sequential, build_mlp
-from repro.training import DistributedTrainer, TrainingConfig, TrainingHistory
+from repro.training import DistributedTrainer, TrainingConfig
 
 __version__ = "1.0.0"
 
@@ -112,6 +112,5 @@ __all__ = [
     "SGD",
     # training
     "TrainingConfig",
-    "TrainingHistory",
     "DistributedTrainer",
 ]

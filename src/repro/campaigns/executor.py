@@ -146,7 +146,7 @@ class CampaignRunResult:
         preferred = (
             "rounds",
             "final_accuracy",
-            "mean_distortion",
+            "mean_predicted_distortion",
             "mean_realised_distortion",
             "max_q",
             "dropped_contributions",

@@ -253,20 +253,20 @@ def _run_figure(args: argparse.Namespace) -> str:
     if args.name == "fig12":
         rows = generate_figure12()
         return _emit(rows, FIGURE_DESCRIPTIONS["fig12"], args.csv)
-    histories = run_accuracy_figure(args.name, scale=args.scale, seed=args.seed)
-    series = {label: history.accuracy_series() for label, history in histories.items()}
+    results = run_accuracy_figure(args.name, scale=args.scale, seed=args.seed)
+    series = {label: result.trace.accuracy_series() for label, result in results.items()}
     # The digest names the curve's spec: figure_scenarios(...)[i].to_json() is a
     # file `repro scenario run` accepts, so one curve can be re-run alone.
     specs = figure_scenarios(args.name, scale=args.scale, seed=args.seed)
     summary = [
         {
             "curve": label,
-            "final_accuracy": history.final_accuracy,
-            "best_accuracy": history.best_accuracy,
-            "mean_distortion": float(history.distortion_fractions.mean()),
+            "final_accuracy": result.trace.final_accuracy,
+            "best_accuracy": result.trace.best_accuracy,
+            "mean_predicted_distortion": float(result.predicted_distortion.mean()),
             "spec_digest": spec.digest(),
         }
-        for spec, (label, history) in zip(specs, histories.items(), strict=True)
+        for spec, (label, result) in zip(specs, results.items(), strict=True)
     ]
     if args.csv is not None:
         args.csv.write_text(rows_to_csv(summary))

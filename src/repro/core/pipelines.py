@@ -94,7 +94,7 @@ class RoundOutcome:
         one.  A read-only :class:`~repro.core.vote_tensor.RowSelection`, not an
         array: it references the round's honest matrix and holds only the
         rows that differ from it, so it is valid until the next round is
-        computed, and an observer reads it through ``winner_refs`` instead
+        computed, and the run loop digests it through ``winner_refs`` instead
         of densifying it.
     content_ids:
         The ``(f, r)`` canonical content ids the vote classed the tensor

@@ -118,14 +118,14 @@ def aggregator_ablation(
                            "schedule": {"kind": "static", "q": num_byzantine}},
             }
         )
-        history = ScenarioRunner(spec).build_trainer().train()
+        result = ScenarioRunner(spec).run()
         rows.append(
             {
                 "aggregator": name,
-                "final_accuracy": history.final_accuracy,
-                "best_accuracy": history.best_accuracy,
-                "final_train_loss": float(history.train_losses[-1]),
-                "mean_distortion": float(history.distortion_fractions.mean()),
+                "final_accuracy": result.trace.final_accuracy,
+                "best_accuracy": result.trace.best_accuracy,
+                "final_train_loss": float(result.trace.train_losses[-1]),
+                "mean_predicted_distortion": float(result.predicted_distortion.mean()),
             }
         )
     return rows

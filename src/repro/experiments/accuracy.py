@@ -27,9 +27,8 @@ from typing import Any
 
 from repro.core.distortion import majority_threshold
 from repro.exceptions import ConfigurationError
-from repro.scenarios.runner import ScenarioRunner
+from repro.scenarios.runner import ScenarioResult, ScenarioRunner
 from repro.scenarios.spec import ScenarioSpec
-from repro.training.history import TrainingHistory
 
 __all__ = [
     "SCALE_PRESETS",
@@ -217,9 +216,8 @@ def run_accuracy_figure(
     scale: str = "small",
     seed: int = 0,
     run_filter: "list[str] | None" = None,
-    verbose: bool = False,
-) -> dict[str, TrainingHistory]:
-    """Train every curve of a figure and return its history keyed by label.
+) -> dict[str, ScenarioResult]:
+    """Train every curve of a figure and return its result keyed by label.
 
     Parameters
     ----------
@@ -243,7 +241,4 @@ def run_accuracy_figure(
                 f"{figure_id} has no curve {unknown}; its curves are {labels}"
             )
         specs = tuple(spec for spec in specs if spec.name in run_filter)
-    return {
-        spec.name: ScenarioRunner(spec).build_trainer().train(verbose=verbose)
-        for spec in specs
-    }
+    return {spec.name: ScenarioRunner(spec).run() for spec in specs}

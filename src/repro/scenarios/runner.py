@@ -4,16 +4,17 @@ The runner is the only place that knows how to map spec sections onto the
 library's registries and constructors: assignment schemes, aggregation
 pipelines, attacks + schedules, fault injectors, compressors, the synthetic
 datasets and the MLP substrate.  Each :meth:`ScenarioRunner.run` builds every
-component fresh from the spec (no state leaks between runs) and drives
+component fresh from the spec (no state leaks between runs) and is the
+library's one round loop: it steps the
 :class:`~repro.training.trainer.DistributedTrainer` down the vectorized
-round path: all ``f`` file gradients in one pass through the stacked
+round path — all ``f`` file gradients in one pass through the stacked
 per-file engine (:meth:`~repro.training.gradients.ModelGradientComputer.batched`),
 packed into a contiguous :class:`~repro.core.vote_tensor.VoteTensor` for
-attack/fault injection and the vectorized majority vote, with a bit-exact
-:class:`~repro.scenarios.trace.RunTrace` recorded via the trainer's round
-observer.  The observer stays off the data path: it digests what the round
-already produced — the vote tensor where it lies (nothing written), named
-by the content ids the vote computed, and the
+attack/fault injection and the vectorized majority vote — and writes the
+run's one record, a bit-exact :class:`~repro.scenarios.trace.RunTrace`.
+Recording stays off the data path: it digests what the round already
+produced — the vote tensor where it lies (nothing written), named by the
+content ids the vote computed, and the
 :class:`~repro.core.pipelines.RoundOutcome` the PS returned — and computes
 nothing of its own: no second classing pass, each distinct row hashed once.
 
@@ -25,7 +26,6 @@ and obtain traces bit-identical to serial execution.
 from __future__ import annotations
 
 import dataclasses
-import math
 from dataclasses import dataclass
 from typing import Any, Callable
 
@@ -72,7 +72,6 @@ from repro.scenarios.trace import (
 )
 from repro.training.config import TrainingConfig
 from repro.training.gradients import ModelGradientComputer
-from repro.training.history import TrainingHistory
 from repro.training.trainer import DistributedTrainer
 from repro.utils.rng import derive_seed
 
@@ -81,26 +80,30 @@ __all__ = ["ScenarioResult", "ScenarioRunner", "run_scenario"]
 
 @dataclass
 class ScenarioResult:
-    """Everything a scenario run produces.
+    """Everything a scenario run produces: the spec and its trace.
 
     ``num_files`` is the run's ``f``, the denominator of both distortion
-    fractions in :meth:`summary`.
+    fractions.
     """
 
     spec: ScenarioSpec
     trace: RunTrace
-    history: TrainingHistory
     num_files: int
+
+    @property
+    def predicted_distortion(self) -> np.ndarray:
+        """Per round, the graph's prediction ``num_distorted / f``: the files
+        the Byzantine set's placement can corrupt, whatever the vote did."""
+        return np.array([r.num_distorted for r in self.trace.rounds]) / self.num_files
 
     def summary(self) -> dict[str, object]:
         """Flat row for reports and the CLI.
 
-        ``mean_distortion`` is the graph's prediction (``num_distorted / f``
-        per round); ``mean_realised_distortion`` is what the vote did
-        (``len(realised_distorted) / f``), both averaged over rounds.
+        ``mean_predicted_distortion`` averages :attr:`predicted_distortion`
+        over rounds; ``mean_realised_distortion`` is what the vote did
+        (``len(realised_distorted) / f``), averaged the same way.
         """
         rounds = self.trace.rounds
-        history = self.history.summary()
         dropped = sum(
             1 for r in rounds for f in r.faults if f.get("dropped")
         )
@@ -111,8 +114,10 @@ class ScenarioResult:
         return {
             "scenario": self.spec.name,
             "rounds": len(rounds),
-            "final_accuracy": history["final_accuracy"],
-            "mean_distortion": history["mean_distortion"],
+            "final_accuracy": self.trace.final_accuracy,
+            "mean_predicted_distortion": (
+                float(self.predicted_distortion.mean()) if rounds else 0.0
+            ),
             "mean_realised_distortion": float(np.mean(realised)) if realised else 0.0,
             "max_q": max((r.q for r in rounds), default=0),
             "dropped_contributions": dropped,
@@ -120,6 +125,25 @@ class ScenarioResult:
             "simulated_time": self.trace.total_simulated_time,
             "final_params_digest": self.trace.final_params_digest,
         }
+
+
+def _round_trace(iteration: int, round_result, outcome, server) -> RoundTrace:
+    """Digest one round: what it produced and the parameters after the step."""
+    refs = outcome.winner_refs
+    return RoundTrace(
+        iteration=iteration,
+        q=len(round_result.byzantine_workers),
+        byzantine=tuple(round_result.byzantine_workers),
+        num_distorted=len(round_result.distorted_files),
+        votes_digest=array_digest(round_result.vote_tensor, outcome.content_ids),
+        winners_digest=array_digest(outcome.winners, refs),
+        aggregate_digest=array_digest(outcome.aggregate),
+        params_digest=server.state_digest(),
+        mean_loss_hex=hex_float(round_result.mean_file_loss),
+        round_time_hex=hex_float(round_result.round_time),
+        faults=tuple(e.as_dict() for e in round_result.fault_events),
+        realised_distorted=tuple(refs[refs[:, 1] != 0, 0].tolist()),
+    )
 
 
 _FAULT_INJECTORS = {
@@ -272,10 +296,7 @@ class ScenarioRunner:
         return attack, ScheduledSelector(schedule, selection=section.selection)
 
     def build_trainer(self) -> DistributedTrainer:
-        """Assemble a fresh trainer for this spec (no observer attached)."""
-        return self._assemble(round_observer=None)
-
-    def _assemble(self, round_observer) -> DistributedTrainer:
+        """Assemble a fresh trainer for this spec."""
         spec = self.spec
         assignment = self._build_assignment()
         pipeline = self._build_pipeline(assignment)
@@ -326,68 +347,47 @@ class ScenarioRunner:
             train_dataset=train_dataset,
             test_dataset=test_dataset,
             config=config,
-            label=spec.name,
-            round_observer=round_observer,
             file_partition=self._build_file_partition(assignment, train_dataset),
         )
 
     # -- execution -----------------------------------------------------------
-    def run(self, verbose: bool = False) -> ScenarioResult:
-        """Execute the scenario and return its trace + training history.
+    def run(self) -> ScenarioResult:
+        """Execute the scenario and return its trace.
 
-        Every component is assembled fresh from the spec and each round runs
+        Every component is assembled fresh from the spec.  Each round runs
         the vectorized engine end to end — the stacked per-file gradient
         pass, tensor-level attack and fault injection, the vectorized
-        majority vote and the robust aggregator — while the attached round
-        observer digests every stage into the :class:`RunTrace`: the vote
-        tensor and the winners of the round's one vote from the content ids
-        and winner references that vote computed (neither is densified),
-        and the aggregate as the PS returned it; the evaluated test
-        loss/accuracy series is taken from the history.  Two calls with the
-        same spec are bit-identical, in any process.
+        majority vote and the robust aggregator — and is digested into the
+        trace before the next one starts: the vote tensor and the winners of
+        the round's one vote from the content ids and winner references that
+        vote computed (neither is densified), the aggregate as the PS
+        returned it and the parameters after the step.  Every
+        ``eval_every``-th round and the last are evaluated on the test set.
+        Two calls with the same spec are bit-identical, in any process.
         """
         trace = RunTrace(scenario=self.spec.name, spec_digest=self.spec.digest())
-
-        def observe(iteration, round_result, outcome, server):
-            refs = outcome.winner_refs
-            trace.append(
-                RoundTrace(
-                    iteration=iteration,
-                    q=len(round_result.byzantine_workers),
-                    byzantine=tuple(round_result.byzantine_workers),
-                    num_distorted=len(round_result.distorted_files),
-                    votes_digest=array_digest(round_result.vote_tensor, outcome.content_ids),
-                    winners_digest=array_digest(outcome.winners, refs),
-                    aggregate_digest=array_digest(outcome.aggregate),
-                    params_digest=server.state_digest(),
-                    mean_loss_hex=hex_float(round_result.mean_file_loss),
-                    round_time_hex=hex_float(round_result.round_time),
-                    faults=tuple(e.as_dict() for e in round_result.fault_events),
-                    realised_distorted=tuple(refs[refs[:, 1] != 0, 0].tolist()),
+        trainer = self.build_trainer()
+        config = trainer.config
+        for iteration in range(config.num_iterations):
+            # The round's result and outcome live only for this call: the
+            # next step reuses their gradient matrix once nothing holds it.
+            trace.append(_round_trace(iteration, *trainer.step(iteration), trainer.server))
+            if (iteration + 1) % config.eval_every == 0 or iteration == config.num_iterations - 1:
+                metrics = trainer.evaluate()
+                trace.evaluations.append(
+                    EvaluationTrace(
+                        iteration=iteration,
+                        test_loss_hex=hex_float(metrics["loss"]),
+                        test_accuracy_hex=hex_float(metrics["accuracy"]),
+                    )
                 )
-            )
-
-        trainer = self._assemble(round_observer=observe)
-        history = trainer.train(verbose=verbose)
-        trace.evaluations = [
-            EvaluationTrace(
-                iteration=record.iteration,
-                test_loss_hex=hex_float(record.test_loss),
-                test_accuracy_hex=hex_float(record.test_accuracy),
-            )
-            for record in history.records
-            if not math.isnan(record.test_accuracy)  # the evaluated rounds
-        ]
         trace.final_params_digest = trainer.server.state_digest()
-        trace.final_accuracy_hex = hex_float(history.final_accuracy)
+        trace.final_accuracy_hex = trace.evaluations[-1].test_accuracy_hex
         return ScenarioResult(
-            spec=self.spec,
-            trace=trace,
-            history=history,
-            num_files=trainer.cluster.assignment.num_files,
+            spec=self.spec, trace=trace, num_files=trainer.cluster.assignment.num_files
         )
 
 
-def run_scenario(spec: ScenarioSpec, verbose: bool = False) -> ScenarioResult:
+def run_scenario(spec: ScenarioSpec) -> ScenarioResult:
     """Convenience wrapper: build a runner and execute the spec once."""
-    return ScenarioRunner(spec).run(verbose=verbose)
+    return ScenarioRunner(spec).run()

@@ -33,6 +33,9 @@ import pathlib
 from dataclasses import dataclass
 from typing import Any, Mapping
 
+import numpy as np
+
+from repro.core.backend import DEFAULT_DTYPE
 from repro.exceptions import ConfigurationError, ReproError
 from repro.scenarios.schema import Schema, spec_field
 from repro.utils.digest import array_digest
@@ -136,7 +139,10 @@ class RunTrace(Schema, where="trace"):
     ``spec_digest`` ties the trace to the exact scenario definition;
     ``evaluations`` is the test loss/accuracy series a figure curve is drawn
     from; ``final_params_digest`` and ``final_accuracy_hex`` summarize where
-    the run ended.
+    the run ended.  It is the one record of a run:
+    :meth:`~repro.scenarios.runner.ScenarioRunner.run` writes it round by
+    round, and the float series the reports print are views of its hex
+    fields.
     """
 
     scenario: str = spec_field(str, pinned=True)
@@ -158,6 +164,38 @@ class RunTrace(Schema, where="trace"):
     def total_simulated_time(self) -> float:
         """Sum of the per-round simulated durations (straggler model)."""
         return float(sum(r.round_time for r in self.rounds))
+
+    # -- float views ---------------------------------------------------------
+    @property
+    def train_losses(self) -> np.ndarray:
+        """Mean file loss per round."""
+        return np.array([_unhex(r.mean_loss_hex) for r in self.rounds], dtype=DEFAULT_DTYPE)
+
+    def accuracy_series(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(iterations, accuracies)`` of the evaluated rounds: the series
+        plotted in the paper's Figures 2–11."""
+        return (
+            np.array([e.iteration for e in self.evaluations], dtype=np.int64),
+            np.array([_unhex(e.test_accuracy_hex) for e in self.evaluations], dtype=DEFAULT_DTYPE),
+        )
+
+    @property
+    def final_accuracy(self) -> float:
+        """Test accuracy where the run ended (NaN if never evaluated)."""
+        return _unhex(self.final_accuracy_hex)
+
+    @property
+    def best_accuracy(self) -> float:
+        """Best evaluated test accuracy (NaN if never evaluated)."""
+        _, accuracies = self.accuracy_series()
+        return float(accuracies.max()) if accuracies.size else float("nan")
+
+    def mean_accuracy(self, last_k: int | None = None) -> float:
+        """Mean of the evaluated accuracies (optionally only the last ``last_k``)."""
+        _, accuracies = self.accuracy_series()
+        if last_k is not None:
+            accuracies = accuracies[-last_k:]
+        return float(accuracies.mean()) if accuracies.size else float("nan")
 
     # -- serialization -------------------------------------------------------
     @classmethod
@@ -189,8 +227,9 @@ class RunTrace(Schema, where="trace"):
     def assert_matches(self, golden: "RunTrace") -> None:
         """Raise :class:`TraceMismatch` at the first divergence from ``golden``.
 
-        The error message names the round and the first differing stage so a
-        regression points straight at the layer that changed behaviour.
+        Every field is compared.  The error message names the round (or the
+        evaluated iteration) and the first differing field, so a regression
+        points straight at the layer that changed behaviour.
         """
         if self.spec_digest != golden.spec_digest:
             raise TraceMismatch(
@@ -198,19 +237,27 @@ class RunTrace(Schema, where="trace"):
                 f"golden {golden.spec_digest} — the scenario definition changed; "
                 "re-record the golden trace if that was intentional"
             )
-        if len(self.rounds) != len(golden.rounds):
+        if self.format_version != golden.format_version:
             raise TraceMismatch(
-                f"scenario {self.scenario!r}: {len(self.rounds)} rounds vs "
-                f"golden {len(golden.rounds)}"
+                f"scenario {self.scenario!r}: trace format {self.format_version} "
+                f"!= golden {golden.format_version}"
             )
-        for mine, theirs in zip(self.rounds, golden.rounds):
-            for stage in (field.name for field in dataclasses.fields(RoundTrace)):
-                if getattr(mine, stage) != getattr(theirs, stage):
-                    raise TraceMismatch(
-                        f"scenario {self.scenario!r} round {mine.iteration}: "
-                        f"{stage} diverged ({getattr(mine, stage)!r} != golden "
-                        f"{getattr(theirs, stage)!r})"
-                    )
+        for what, mine, theirs in (
+            ("round", self.rounds, golden.rounds),
+            ("evaluation", self.evaluations, golden.evaluations),
+        ):
+            if len(mine) != len(theirs):
+                raise TraceMismatch(
+                    f"scenario {self.scenario!r}: {len(mine)} {what}s vs golden {len(theirs)}"
+                )
+            for one, other in zip(mine, theirs):
+                for field in dataclasses.fields(one):
+                    if getattr(one, field.name) != getattr(other, field.name):
+                        raise TraceMismatch(
+                            f"scenario {self.scenario!r} {what} {one.iteration}: "
+                            f"{field.name} diverged ({getattr(one, field.name)!r} != "
+                            f"golden {getattr(other, field.name)!r})"
+                        )
         if self.final_params_digest != golden.final_params_digest:
             raise TraceMismatch(
                 f"scenario {self.scenario!r}: final params digest diverged"

@@ -10,18 +10,24 @@ Each iteration:
    substitutes their returns;
 4. the PS runs its aggregation pipeline (majority vote + robust aggregation
    for ByzShield/DETOX, plain robust aggregation for the baselines) and takes
-   an SGD step;
-5. periodically the test accuracy is evaluated, producing the series plotted
-   in the paper's Figures 2–11.
+   an SGD step.
+
+The trainer runs one iteration at a time (:meth:`DistributedTrainer.step`);
+the loop over iterations, the periodic test evaluation behind the paper's
+Figures 2–11 and the run's record live in
+:meth:`repro.scenarios.runner.ScenarioRunner.run`.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
+from repro.cluster.messages import TensorRoundResult
 from repro.cluster.server import ParameterServer
 from repro.cluster.simulator import TrainingCluster
-from repro.core.pipelines import AggregationPipeline
+from repro.core.pipelines import AggregationPipeline, RoundOutcome
 from repro.data.batching import (
     BatchSampler,
     RoundFiles,
@@ -34,9 +40,23 @@ from repro.nn.metrics import evaluate_model
 from repro.nn.optim import SGD, StepDecaySchedule
 from repro.training.config import TrainingConfig
 from repro.training.gradients import ModelGradientComputer
-from repro.training.history import IterationRecord, TrainingHistory
 
-__all__ = ["DistributedTrainer"]
+__all__ = ["DistributedTrainer", "IterationRecord"]
+
+
+@dataclass(frozen=True)
+class IterationRecord:
+    """What :meth:`DistributedTrainer.run_iteration` reports of one round.
+
+    ``distortion_fraction`` is the graph's predicted fraction of files the
+    Byzantine workers hold (``distorted_files(assignment, byzantine)`` over
+    ``f``), not what the vote realised.  The record holds no array of the
+    round, so keeping it does not keep the round's gradient matrix alive.
+    """
+
+    iteration: int
+    train_loss: float
+    distortion_fraction: float
 
 
 class DistributedTrainer:
@@ -54,18 +74,6 @@ class DistributedTrainer:
         Training data (batched every iteration) and held-out evaluation data.
     config:
         Hyper-parameters (batch size, iterations, learning-rate schedule...).
-    label:
-        Name attached to the resulting history (used in experiment reports).
-    round_observer:
-        Optional callback invoked after every optimizer step as
-        ``observer(iteration, round_result, outcome, server)`` — ``outcome``
-        is the :class:`~repro.core.pipelines.RoundOutcome` the PS just
-        computed (aggregate + post-vote winners), valid for the length of
-        the call: its winners reference the round's gradient matrix, which
-        is recycled once nothing holds it, so an observer digests them
-        (``array_digest`` with ``winner_refs``) and keeps copies, not the
-        outcome.  The scenario engine uses it to record per-round traces
-        without the trainer knowing anything about tracing.
     file_partition:
         Optional list of ``f`` shard index arrays (one per file, from
         :func:`repro.data.batching.build_file_partition`).  When given,
@@ -84,8 +92,6 @@ class DistributedTrainer:
         train_dataset: Dataset,
         test_dataset: Dataset,
         config: TrainingConfig,
-        label: str = "run",
-        round_observer=None,
         file_partition: "list[np.ndarray] | None" = None,
     ) -> None:
         assignment = cluster.assignment
@@ -100,8 +106,6 @@ class DistributedTrainer:
         self.train_dataset = train_dataset
         self.test_dataset = test_dataset
         self.config = config
-        self.label = label
-        self.round_observer = round_observer
 
         schedule = StepDecaySchedule(
             config.learning_rate, config.lr_decay, config.lr_period
@@ -147,22 +151,28 @@ class DistributedTrainer:
             np.stack(files), (dataset.inputs, dataset.labels), self.sampler.batch_data
         )
 
-    def run_iteration(self, iteration: int) -> IterationRecord:
-        """Execute one synchronous iteration and return its metrics."""
+    def step(self, iteration: int) -> tuple[TensorRoundResult, RoundOutcome]:
+        """Execute one synchronous iteration: the round and the PS update.
+
+        The outcome's winners reference the round's gradient matrix, which
+        the next round reuses once nothing holds it: a caller reads the pair
+        and drops it before the next ``step``.
+        """
         params = self.server.broadcast()
         file_data = self._file_data(self._next_file_indices())
-        learning_rate = self.server.optimizer.schedule.rate(self.server.optimizer.iteration)
         round_result = self.cluster.run_round_tensor(params, file_data, iteration)
         outcome = self.server.update_tensor(
             round_result.vote_tensor, round_result.aggregation_mask
         )
-        if self.round_observer is not None:
-            self.round_observer(iteration, round_result, outcome, self.server)
+        return round_result, outcome
+
+    def run_iteration(self, iteration: int) -> IterationRecord:
+        """:meth:`step`, reduced to its loss and predicted distortion."""
+        round_result, _ = self.step(iteration)
         return IterationRecord(
             iteration=iteration,
             train_loss=round_result.mean_file_loss,
             distortion_fraction=round_result.distortion_fraction,
-            learning_rate=learning_rate,
         )
 
     def evaluate(self) -> dict[str, float]:
@@ -173,32 +183,3 @@ class DistributedTrainer:
             self.test_dataset.inputs,
             self.test_dataset.labels,
         )
-
-    # -- full loop ----------------------------------------------------------------
-    def train(self, verbose: bool = False) -> TrainingHistory:
-        """Run ``config.num_iterations`` iterations and return the history."""
-        history = TrainingHistory(label=self.label)
-        for iteration in range(self.config.num_iterations):
-            record = self.run_iteration(iteration)
-            evaluate_now = (
-                (iteration + 1) % self.config.eval_every == 0
-                or iteration == self.config.num_iterations - 1
-            )
-            if evaluate_now:
-                metrics = self.evaluate()
-                record = IterationRecord(
-                    iteration=record.iteration,
-                    train_loss=record.train_loss,
-                    distortion_fraction=record.distortion_fraction,
-                    learning_rate=record.learning_rate,
-                    test_accuracy=metrics["accuracy"],
-                    test_loss=metrics["loss"],
-                )
-                if verbose:  # pragma: no cover - console output
-                    print(
-                        f"[{self.label}] iter {iteration + 1}/{self.config.num_iterations} "
-                        f"loss={record.train_loss:.4f} acc={record.test_accuracy:.3f} "
-                        f"eps={record.distortion_fraction:.3f}"
-                    )
-            history.append(record)
-        return history

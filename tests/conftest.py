@@ -65,7 +65,7 @@ def small_classification_data():
 def assemble_trainer():
     """The object-level route, for a test that brings its own dataset or model:
     the public ``DistributedTrainer(...)`` constructor, wired the way
-    ``ScenarioRunner._assemble`` wires it (omniscient adversary when ``q > 0``)."""
+    ``ScenarioRunner.build_trainer`` wires it (omniscient adversary when ``q > 0``)."""
 
     def assemble(pipeline, model, train_dataset, test_dataset, config, attack=None, q=0):
         assignment = pipeline.assignment

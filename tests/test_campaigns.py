@@ -449,11 +449,11 @@ class TestReport:
         result = CampaignExecutor(campaign, store=store).run()
         for row, record in zip(result.summary_rows(), result.records):
             columns = list(row)
-            at = columns.index("mean_distortion")
+            at = columns.index("mean_predicted_distortion")
             assert columns[at + 1] == "mean_realised_distortion"
             assert row["mean_realised_distortion"] == record.summary["mean_realised_distortion"]
         report = campaign_report(result)
-        assert "mean_distortion  mean_realised_distortion" in report
+        assert "mean_predicted_distortion  mean_realised_distortion" in report
 
     def test_a_record_stored_without_realised_distortion_still_renders(self, tmp_path):
         campaign = CampaignSpec.from_dict(mini_dict())

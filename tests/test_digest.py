@@ -148,7 +148,7 @@ def reference_winners_digest(shape, refs):
 
 
 def votes_digest(tensor, block_size=None):
-    """What the scenario observer records: the digest over the vote's own ids."""
+    """What the run loop records: the digest over the vote's own ids."""
     return array_digest(tensor, majority_vote_votetensor(tensor, block_size).content_ids)
 
 

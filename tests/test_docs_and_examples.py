@@ -13,6 +13,7 @@ import pathlib
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import repro
@@ -47,7 +48,7 @@ def test_readme_training_snippet_runs_scaled_down():
         "attack": {"name": "alie", "selection": "omniscient", "schedule": {"q": 5}},
     })
     result = run_scenario(spec)
-    assert result.history.summary()["mean_distortion"] == pytest.approx(0.08)
+    assert result.summary()["mean_predicted_distortion"] == pytest.approx(0.08)
 
     from repro import (
         ALIEAttack,
@@ -73,7 +74,9 @@ def test_readme_training_snippet_runs_scaled_down():
     computer = ModelGradientComputer(model)
     cluster = TrainingCluster(assignment, WorkerPool(assignment, computer), attack=attack, selector=selector)
     trainer = DistributedTrainer(cluster, ByzShieldPipeline(assignment), computer, train, test, config)
-    assert trainer.train().distortion_fractions.mean() == pytest.approx(0.08)
+    records = [trainer.run_iteration(t) for t in range(trainer.config.num_iterations)]
+    assert np.mean([r.distortion_fraction for r in records]) == pytest.approx(0.08)
+    assert 0.0 <= trainer.evaluate()["accuracy"] <= 1.0
 
 
 def test_top_level_exports_exist():

@@ -175,5 +175,5 @@ def test_float32_scenario_tracks_float64_within_tolerance():
         loss64 = float.fromhex(r64.mean_loss_hex)
         assert loss32 == pytest.approx(loss64, rel=1e-3)
     np.testing.assert_allclose(
-        res32.history.train_losses, res64.history.train_losses, rtol=1e-3
+        res32.trace.train_losses, res64.trace.train_losses, rtol=1e-3
     )

@@ -26,6 +26,7 @@ from repro.experiments.tables import (
     generate_table6,
 )
 from repro.experiments.timing import generate_figure12
+from repro.nn.optim import StepDecaySchedule
 from repro.scenarios.runner import ScenarioRunner
 from repro.scenarios.spec import ScenarioSpec
 from repro.scenarios.trace import hex_float
@@ -140,6 +141,28 @@ def test_figure_scenarios_are_valid_specs_that_round_trip(figure_id, scale):
             ScenarioRunner(spec).build_trainer()
 
 
+def fixture_series(result):
+    """A run's per-iteration series as the fixture stores them, read off its
+    trace: evaluated rounds carry their test loss/accuracy, the others NaN;
+    the learning rate is the spec's schedule at each iteration."""
+    training = result.spec.training
+    schedule = StepDecaySchedule(training.learning_rate, training.lr_decay, training.lr_period)
+    evaluated = {e.iteration: e for e in result.trace.evaluations}
+    nan = hex_float(float("nan"))
+
+    def at(iteration, field):
+        return getattr(evaluated[iteration], field) if iteration in evaluated else nan
+
+    rounds = result.trace.rounds
+    return {
+        "train_loss": [r.mean_loss_hex for r in rounds],
+        "distortion_fraction": [hex_float(r.num_distorted / result.num_files) for r in rounds],
+        "test_accuracy": [at(r.iteration, "test_accuracy_hex") for r in rounds],
+        "test_loss": [at(r.iteration, "test_loss_hex") for r in rounds],
+        "learning_rate": [hex_float(schedule.rate(r.iteration)) for r in rounds],
+    }
+
+
 @pytest.mark.parametrize("figure_id", available_figures())
 def test_figure_scenarios_tiny_histories_match_parent_fixture(figure_id):
     """The fixture's series were recorded with the pre-spec ``run_accuracy_figure``
@@ -150,14 +173,15 @@ def test_figure_scenarios_tiny_histories_match_parent_fixture(figure_id):
     edit to a figure's definition before it shows up as a moved accuracy."""
     expected = json.loads(FIGURE_FIXTURE.read_text())[figure_id]
     specs = figure_scenarios(figure_id, scale="tiny", seed=0)
-    histories = run_accuracy_figure(figure_id, scale="tiny", seed=0)
-    assert list(histories) == [spec.name for spec in specs] == list(expected)
+    results = run_accuracy_figure(figure_id, scale="tiny", seed=0)
+    assert list(results) == [spec.name for spec in specs] == list(expected)
     for spec in specs:
         curve = dict(expected[spec.name])
         assert spec.digest() == curve.pop("spec_digest"), spec.name
+        got = fixture_series(results[spec.name])
+        assert list(got) == list(curve), spec.name
         for field, series in curve.items():
-            got = [hex_float(getattr(r, field)) for r in histories[spec.name].records]
-            assert got == series, (spec.name, field)
+            assert got[field] == series, (spec.name, field)
 
 
 def test_no_figure_declares_an_inapplicable_defense():
@@ -202,27 +226,26 @@ def test_inapplicable_defense_fails_at_build_time_with_a_name(
 
 
 def test_run_accuracy_figure_tiny_subset():
-    histories = run_accuracy_figure(
+    results = run_accuracy_figure(
         "fig2", scale="tiny", seed=0, run_filter=["ByzShield, q=3", "Median, q=3"]
     )
-    assert set(histories) == {"ByzShield, q=3", "Median, q=3"}
-    for history in histories.values():
-        assert len(history) == SCALE_PRESETS["tiny"]["training"]["num_iterations"]
-        assert not np.isnan(history.final_accuracy)
-    # ByzShield's realized distortion is far below the baseline's q/K.
+    assert set(results) == {"ByzShield, q=3", "Median, q=3"}
+    for result in results.values():
+        assert len(result.trace.rounds) == SCALE_PRESETS["tiny"]["training"]["num_iterations"]
+        assert not np.isnan(result.trace.final_accuracy)
+    # ByzShield's predicted distortion is far below the baseline's q/K.
     assert (
-        histories["ByzShield, q=3"].distortion_fractions.mean()
-        < histories["Median, q=3"].distortion_fractions.mean()
+        results["ByzShield, q=3"].predicted_distortion.mean()
+        < results["Median, q=3"].predicted_distortion.mean()
     )
 
 
 def test_run_accuracy_figure_k15_cluster():
-    histories = run_accuracy_figure(
+    results = run_accuracy_figure(
         "fig9", scale="tiny", seed=0, run_filter=["ByzShield, q=2"]
     )
-    history = histories["ByzShield, q=2"]
     # MOLS (l=5, r=3) with q=2 corrupts exactly 1/25 of the files.
-    assert np.allclose(history.distortion_fractions, 1 / 25)
+    assert np.allclose(results["ByzShield, q=2"].predicted_distortion, 1 / 25)
 
 
 def test_run_accuracy_figure_unknown_scale():
@@ -247,7 +270,7 @@ def test_aggregator_ablation_rows():
         "median", "trimmed_mean", "multi_krum", "bulyan", "geometric_median"
     ]
     for row in rows:
-        assert row["mean_distortion"] == pytest.approx(0.08)
+        assert row["mean_predicted_distortion"] == pytest.approx(0.08)
         assert 0.0 <= row["final_accuracy"] <= 1.0
 
 

@@ -19,7 +19,6 @@ import numpy as np
 import pytest
 
 import repro.nn.models as models
-import repro.scenarios.runner as runner_module
 from repro.attacks.alie import ALIEAttack
 from repro.cluster.faults import FaultContext, MessageCorruptionInjector
 from repro.core.vote_tensor import VoteTensor
@@ -28,6 +27,7 @@ from repro.nn.losses import SoftmaxCrossEntropy
 from repro.nn.models import build_mlp
 from repro.scenarios.runner import ScenarioRunner
 from repro.scenarios.spec import ScenarioSpec
+from repro.scenarios.trace import RunTrace
 from repro.training.gradients import ModelGradientComputer
 from repro.training.trainer import DistributedTrainer
 
@@ -66,26 +66,34 @@ def headline_spec(hidden=(128, 48), num_iterations=4, q=5):
     })
 
 
-class _Built(Exception):
-    """Stops ``ScenarioRunner.run`` once its trainer exists."""
+def traced_round_peak(spec, monkeypatch, iteration=2):
+    """Traced peak of one round of ``ScenarioRunner.run`` above what it held
+    before it: from the trainer's ``step`` to the ``trace.append`` of its
+    digests.  Returns the peak and the trainer the loop drove."""
+    measured = {}
+    step, append = DistributedTrainer.step, RunTrace.append
 
+    def measured_step(trainer, at):
+        if at == iteration:
+            measured["trainer"] = trainer
+            tracemalloc.start()
+            measured["start"] = tracemalloc.get_traced_memory()[0]
+        return step(trainer, at)
 
-def observed_trainer(spec, monkeypatch):
-    """The trainer ``ScenarioRunner.run`` drives, its trace observer attached,
-    taken the way ``benchmarks/e2e/layers.py`` takes it: by patching
-    ``DistributedTrainer`` on the runner module.  Nothing has trained yet."""
-    built = []
+    def measured_append(trace, round_trace):
+        if round_trace.iteration == iteration:
+            measured["peak"] = tracemalloc.get_traced_memory()[1] - measured["start"]
+            tracemalloc.stop()
+        append(trace, round_trace)
 
-    def build(*args, **kwargs):
-        built.append(DistributedTrainer(*args, **kwargs))
-        raise _Built
-
-    monkeypatch.setattr(runner_module, "DistributedTrainer", build)
-    with pytest.raises(_Built):
+    monkeypatch.setattr(DistributedTrainer, "step", measured_step)
+    monkeypatch.setattr(RunTrace, "append", measured_append)
+    try:
         ScenarioRunner(spec).run()
-    (trainer,) = built
-    assert trainer.round_observer is not None
-    return trainer
+    finally:
+        if tracemalloc.is_tracing():
+            tracemalloc.stop()
+    return measured["peak"], measured["trainer"]
 
 
 def steady_round_peak(trainer):
@@ -115,18 +123,18 @@ def test_steady_state_round_peaks_under_one_gradient_matrix(monkeypatch, observe
     while the whole batch was gathered before the pass; 1.38 while the vote
     copied the honest matrix to change those two rows; 3.45 while each of
     the median, the vote, ALIE's ``std`` and the wide layer's backward made
-    its own copy.  The observed cases run the scenario trace's own
-    observer: it digests the winners from the vote's references, and an
-    observer that densified them instead (``outcome.winners.densified()``)
+    its own copy.  The observed case is a round of ``ScenarioRunner.run``'s
+    own loop, digests included: they hash the winners from the vote's
+    references, and digesting ``outcome.winners.densified()`` instead
     measured 1.28 matrices."""
     spec = headline_spec()
     if observed:
-        trainer = observed_trainer(spec, monkeypatch)
+        peak, trainer = traced_round_peak(spec, monkeypatch)
     else:
         trainer = ScenarioRunner(spec).build_trainer()
+        peak = steady_round_peak(trainer)
     row_bytes = trainer.gradient_computer.dim * 8
     assert trainer.cluster.assignment.num_files * row_bytes == 25 * 19_610 * 8
-    peak = steady_round_peak(trainer)
     assert peak < 8.5 * row_bytes, peak / row_bytes
 
 
@@ -330,6 +338,24 @@ def test_unobserved_rounds_keep_recycling_one_matrix():
     trainer.gradient_computer.batched = recording
     for iteration in range(4):
         trainer.run_iteration(iteration)
+    assert seen[1] == seen[2] == seen[3]
+
+
+def test_traced_rounds_keep_recycling_one_matrix(monkeypatch):
+    """``ScenarioRunner.run`` digests each round and drops it before the next
+    step, so the traced loop recycles one matrix too; a loop that kept a
+    round alive (its result or its outcome) would alternate two."""
+    seen = []
+    batched = ModelGradientComputer.batched
+
+    def recording(computer, params, files):
+        gradients, losses = batched(computer, params, files)
+        seen.append(address(gradients))
+        return gradients, losses
+
+    monkeypatch.setattr(ModelGradientComputer, "batched", recording)
+    ScenarioRunner(headline_spec(hidden=(16,))).run()
+    assert len(seen) == 4
     assert seen[1] == seen[2] == seen[3]
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import tracemalloc
 
@@ -17,6 +18,7 @@ from repro.scenarios import (
 )
 from repro.scenarios.runner import ScenarioRunner
 from repro.scenarios.trace import RunTrace, TraceMismatch, hex_float
+from repro.training.trainer import DistributedTrainer
 
 
 def run_named(name):
@@ -30,8 +32,8 @@ class TestEndToEnd:
         assert len(result.trace.rounds) == spec.training.num_iterations
         assert all(r.q == 0 for r in result.trace.rounds)
         assert result.trace.final_params_digest
-        assert not np.isnan(result.history.final_accuracy)
-        assert hex_float(result.history.final_accuracy) == result.trace.final_accuracy_hex
+        assert not np.isnan(result.trace.final_accuracy)
+        assert hex_float(result.trace.final_accuracy) == result.trace.final_accuracy_hex
 
     def test_attacked_run_records_byzantine_sets(self):
         result = run_named("mols-alie-omniscient")
@@ -78,10 +80,13 @@ class TestEndToEnd:
         assert [r.num_distorted for r in rounds] == [1, 1, 1, 1]
         assert [len(r.realised_distorted) for r in rounds] == [5, 5, 7, 6]
         row = result.summary()
-        assert row["mean_distortion"] == pytest.approx(4 / 100)
+        assert row["mean_predicted_distortion"] == pytest.approx(4 / 100)
         assert row["mean_realised_distortion"] == pytest.approx(23 / 100)
         columns = list(row)
-        assert columns.index("mean_realised_distortion") == columns.index("mean_distortion") + 1
+        assert (
+            columns.index("mean_realised_distortion")
+            == columns.index("mean_predicted_distortion") + 1
+        )
 
 
 class TestDeterminism:
@@ -114,7 +119,7 @@ class TestDeterminism:
 
 
 class TestObserverStaysOffTheDataPath:
-    """The trace observer digests what the round produced; it computes nothing."""
+    """The run loop digests what the round produced; it computes nothing."""
 
     @pytest.mark.parametrize(
         "scenario",
@@ -150,38 +155,47 @@ class TestObserverStaysOffTheDataPath:
             "vanilla-multikrum-revgrad-dropout",
         ],
     )
-    def test_realised_distortion_is_what_the_winners_show(self, name):
+    def test_realised_distortion_is_what_the_winners_show(self, monkeypatch, name):
         """``realised_distorted`` lists the files whose post-vote row is not
         bit-equal to their honest row — checked on the densified winners of
-        a second, identical run — whatever the graph predicted."""
-        spec = get_scenario(name)
-        trace = run_scenario(spec).trace
+        each step the run loop takes — whatever the graph predicted."""
         seen = []
+        step = DistributedTrainer.step
 
-        def observe(iteration, round_result, outcome, server):
+        def densifying_step(trainer, iteration):
+            round_result, outcome = step(trainer, iteration)
             honest = round_result.vote_tensor.base_rows()
             rows = zip(outcome.winner_refs[:, 0].tolist(), outcome.winners.densified())
             seen.append(tuple(f for f, row in rows if row.tobytes() != honest[f].tobytes()))
+            return round_result, outcome
 
-        trainer = ScenarioRunner(spec).build_trainer()
-        trainer.round_observer = observe
-        trainer.train()
+        monkeypatch.setattr(DistributedTrainer, "step", densifying_step)
+        trace = run_scenario(get_scenario(name)).trace
         assert [r.realised_distorted for r in trace.rounds] == seen
         if name in ("mols-async-quorum", "mols-uniform-trimmed-mean"):
             # missing copies out-vote the honest one / independent noise
             # does not collude: the prediction is off both ways
             assert any(len(r.realised_distorted) != r.num_distorted for r in trace.rounds)
 
-    def test_evaluations_are_the_history_series(self):
-        result = run_named("mols-alie-omniscient")
-        evaluated = [r for r in result.history.records if not np.isnan(r.test_accuracy)]
+    def test_evaluations_follow_the_eval_schedule(self):
+        """Every ``eval_every``-th round and the last are evaluated: the same
+        numbers as stepping a fresh trainer and evaluating it at those rounds."""
+        spec = get_scenario("mols-alie-omniscient")
+        result = run_scenario(spec)
+        trainer = ScenarioRunner(spec).build_trainer()
+        rounds, every = spec.training.num_iterations, spec.training.eval_every
+        expected = []
+        for iteration in range(rounds):
+            trainer.run_iteration(iteration)
+            if (iteration + 1) % every == 0 or iteration == rounds - 1:
+                expected.append((iteration, trainer.evaluate()))
         evaluations = result.trace.evaluations
-        assert len(evaluated) >= 2
-        assert [e.iteration for e in evaluations] == [r.iteration for r in evaluated]
+        assert len(evaluations) >= 2
+        assert [e.iteration for e in evaluations] == [i for i, _ in expected]
         assert [e.test_accuracy_hex for e in evaluations] == [
-            hex_float(r.test_accuracy) for r in evaluated
+            hex_float(m["accuracy"]) for _, m in expected
         ]
-        assert [e.test_loss_hex for e in evaluations] == [hex_float(r.test_loss) for r in evaluated]
+        assert [e.test_loss_hex for e in evaluations] == [hex_float(m["loss"]) for _, m in expected]
         assert evaluations[-1].test_accuracy_hex == result.trace.final_accuracy_hex
         # a figure curve is rebuilt from the stored form alone
         stored = RunTrace.from_dict(json.loads(result.trace.to_json()))
@@ -210,7 +224,13 @@ class TestObserverStaysOffTheDataPath:
         trainer = runner.build_trainer()
         assert trainer.cluster.assignment.num_edges == 125
         assert 10_000 < trainer.server.params.size < 12_000
-        unobserved = peak_of(lambda: runner.build_trainer().train())
+        def run_unobserved():
+            trainer = runner.build_trainer()
+            for iteration in range(spec.training.num_iterations):
+                trainer.run_iteration(iteration)
+            trainer.evaluate()
+
+        unobserved = peak_of(run_unobserved)
         observed = peak_of(runner.run)
         assert observed <= 1.05 * unobserved, (observed, unobserved)
 
@@ -233,6 +253,29 @@ class TestTraceSerialization:
 
         two.rounds[1] = RoundTrace.from_dict(tampered)
         with pytest.raises(TraceMismatch, match="round 1: aggregate_digest"):
+            one.assert_matches(two)
+
+    def test_mismatch_reports_evaluated_round_and_field(self):
+        """A replay whose test accuracy differs in one evaluated round that is
+        not the last fails there, by iteration and field."""
+        one = run_named("mols-alie-omniscient").trace
+        two = run_named("mols-alie-omniscient").trace
+        first = two.evaluations[0]
+        assert len(two.evaluations) >= 2
+        two.evaluations[0] = dataclasses.replace(
+            first, test_accuracy_hex=hex_float(float.fromhex(first.test_accuracy_hex) + 0.5)
+        )
+        assert two.final_accuracy_hex == one.final_accuracy_hex
+        with pytest.raises(
+            TraceMismatch, match=f"evaluation {first.iteration}: test_accuracy_hex diverged"
+        ):
+            one.assert_matches(two)
+
+    def test_mismatch_reports_format_version(self):
+        one = run_named("mols-clean").trace
+        two = run_named("mols-clean").trace
+        two.format_version = 1
+        with pytest.raises(TraceMismatch, match="trace format 2 != golden 1"):
             one.assert_matches(two)
 
     @pytest.mark.parametrize(

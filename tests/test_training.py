@@ -1,15 +1,17 @@
-"""Tests for the training harness: config, history, gradient computer, trainer."""
+"""Tests for the training harness: config, the run record's float views,
+gradient computer, trainer."""
 
 import numpy as np
 import pytest
 
-from repro.exceptions import AggregationError, ConfigurationError, TrainingError
+from repro.exceptions import AggregationError, ConfigurationError, ReproError, TrainingError
 from repro.nn.models import build_mlp
-from repro.scenarios.runner import ScenarioRunner
+from repro.scenarios.catalog import get_scenario
+from repro.scenarios.runner import ScenarioResult, ScenarioRunner
 from repro.scenarios.spec import ScenarioSpec
+from repro.scenarios.trace import EvaluationTrace, RoundTrace, RunTrace, hex_float
 from repro.training.config import TrainingConfig
 from repro.training.gradients import ModelGradientComputer
-from repro.training.history import IterationRecord, TrainingHistory
 
 
 # --------------------------------------------------------------------------- #
@@ -44,43 +46,67 @@ def test_config_validation(kwargs):
 
 
 # --------------------------------------------------------------------------- #
-# History
+# The run record's float views
 # --------------------------------------------------------------------------- #
-def test_history_series_and_summary():
-    history = TrainingHistory(label="test")
-    history.append(IterationRecord(0, train_loss=1.0, distortion_fraction=0.1))
-    history.append(
-        IterationRecord(1, train_loss=0.8, distortion_fraction=0.1, test_accuracy=0.5, test_loss=1.2)
+def _round(iteration, loss, num_distorted=0):
+    return RoundTrace(
+        iteration=iteration, q=0, byzantine=(), num_distorted=num_distorted,
+        votes_digest="", winners_digest="", aggregate_digest="", params_digest="",
+        mean_loss_hex=hex_float(loss),
     )
-    history.append(
-        IterationRecord(2, train_loss=0.6, distortion_fraction=0.2, test_accuracy=0.7, test_loss=1.0)
+
+
+def _evaluation(iteration, accuracy, loss):
+    return EvaluationTrace(
+        iteration=iteration, test_loss_hex=hex_float(loss), test_accuracy_hex=hex_float(accuracy)
     )
-    assert len(history) == 3
-    iterations, accuracies = history.accuracy_series()
+
+
+def test_trace_series_and_summary():
+    trace = RunTrace(
+        scenario="test",
+        spec_digest="",
+        rounds=[_round(0, 1.0, 1), _round(1, 0.8, 1), _round(2, 0.6, 2)],
+        evaluations=[_evaluation(1, 0.5, 1.2), _evaluation(2, 0.7, 1.0)],
+        final_accuracy_hex=hex_float(0.7),
+    )
+    iterations, accuracies = trace.accuracy_series()
     assert list(iterations) == [1, 2]
     assert list(accuracies) == [0.5, 0.7]
-    assert history.final_accuracy == 0.7
-    assert history.best_accuracy == 0.7
-    assert history.mean_accuracy() == pytest.approx(0.6)
-    assert history.mean_accuracy(last_k=1) == pytest.approx(0.7)
-    summary = history.summary()
-    assert summary["iterations"] == 3
+    assert trace.final_accuracy == 0.7
+    assert trace.best_accuracy == 0.7
+    assert trace.mean_accuracy() == pytest.approx(0.6)
+    assert trace.mean_accuracy(last_k=1) == pytest.approx(0.7)
+    assert np.array_equal(trace.train_losses, [1.0, 0.8, 0.6])
+    result = ScenarioResult(spec=get_scenario("mols-clean"), trace=trace, num_files=10)
+    assert np.array_equal(result.predicted_distortion, [0.1, 0.1, 0.2])
+    summary = result.summary()
+    assert summary["rounds"] == 3
     assert summary["final_accuracy"] == 0.7
-    assert np.allclose(history.train_losses, [1.0, 0.8, 0.6])
+    assert summary["mean_predicted_distortion"] == pytest.approx(0.4 / 3)
 
 
-def test_history_empty():
-    history = TrainingHistory()
-    assert np.isnan(history.final_accuracy)
-    assert np.isnan(history.mean_accuracy())
-    assert history.summary()["iterations"] == 0
+def test_trace_without_evaluations():
+    trace = RunTrace(scenario="test", spec_digest="", rounds=[_round(0, 1.0)])
+    iterations, accuracies = trace.accuracy_series()
+    assert iterations.size == accuracies.size == 0
+    assert np.isnan(trace.final_accuracy)
+    assert np.isnan(trace.best_accuracy)
+    assert np.isnan(trace.mean_accuracy())
+    assert np.isnan(trace.mean_accuracy(last_k=1))
+    empty = ScenarioResult(
+        spec=get_scenario("mols-clean"), trace=RunTrace(scenario="test", spec_digest=""), num_files=10
+    )
+    assert empty.trace.train_losses.size == empty.predicted_distortion.size == 0
+    assert empty.summary()["rounds"] == 0
+    assert empty.summary()["mean_predicted_distortion"] == 0.0
 
 
-def test_history_rejects_out_of_order_records():
-    history = TrainingHistory()
-    history.append(IterationRecord(3, 1.0, 0.0))
-    with pytest.raises(TrainingError):
-        history.append(IterationRecord(3, 1.0, 0.0))
+def test_trace_rejects_out_of_order_rounds():
+    trace = RunTrace(scenario="test", spec_digest="")
+    trace.append(_round(3, 1.0))
+    with pytest.raises(ReproError):
+        trace.append(_round(3, 1.0))
 
 
 # --------------------------------------------------------------------------- #
@@ -99,15 +125,15 @@ def test_gradient_computer(small_classification_data):
 
 
 # --------------------------------------------------------------------------- #
-# Trainers, built the one way: spec -> ScenarioRunner.build_trainer()
+# Runs, built the one way: spec -> ScenarioRunner
 # --------------------------------------------------------------------------- #
 _MOLS = {"scheme": "mols", "params": {"load": 5, "replication": 3}}
 _FRC = {"scheme": "frc", "params": {"num_workers": 15, "replication": 3}}
 _BASELINE = {"scheme": "baseline", "params": {"num_workers": 15}}
 
 
-def _trainer(cluster=_MOLS, kind="byzshield", attack=None, q=0, batch_size=75):
-    """A 4-round trainer on a small Gaussian mixture; ``attack`` is a registry name."""
+def _runner(cluster=_MOLS, kind="byzshield", attack=None, q=0, batch_size=75):
+    """A 4-round run on a small Gaussian mixture; ``attack`` is a registry name."""
     document = {
         "name": f"{kind}-{attack}-q{q}",
         "seed": 0,
@@ -121,49 +147,49 @@ def _trainer(cluster=_MOLS, kind="byzshield", attack=None, q=0, batch_size=75):
     if attack is not None:
         document["attack"] = {"name": attack, "selection": "omniscient",
                               "schedule": {"kind": "static", "q": q}}
-    return ScenarioRunner(ScenarioSpec.from_dict(document)).build_trainer()
+    return ScenarioRunner(ScenarioSpec.from_dict(document))
 
 
 def test_build_byzshield_trainer_and_train():
-    history = _trainer(attack="constant", q=2).train()
-    assert len(history) == 4
-    assert not np.isnan(history.final_accuracy)
+    result = _runner(attack="constant", q=2).run()
+    assert len(result.trace.rounds) == 4
+    assert not np.isnan(result.trace.final_accuracy)
     # With q=2 the omniscient adversary can corrupt exactly one of 25 files.
-    assert np.allclose(history.distortion_fractions, 1 / 25)
+    assert np.allclose(result.predicted_distortion, 1 / 25)
 
 
 def test_build_byzshield_trainer_no_attack():
-    history = _trainer().train()
-    assert np.all(history.distortion_fractions == 0.0)
+    result = _runner().run()
+    assert np.all(result.predicted_distortion == 0.0)
 
 
 def test_batch_size_must_divide_files():
     with pytest.raises(ConfigurationError):
-        _trainer(batch_size=77)
+        _runner(batch_size=77).build_trainer()
 
 
 def test_build_detox_and_vanilla_trainers():
-    history = _trainer(_FRC, "detox", attack="reversed_gradient", q=2).train()
-    assert len(history) == 4
+    result = _runner(_FRC, "detox", attack="reversed_gradient", q=2).run()
+    assert len(result.trace.rounds) == 4
 
-    history = _trainer(_BASELINE, "vanilla", attack="reversed_gradient", q=2).train()
+    result = _runner(_BASELINE, "vanilla", attack="reversed_gradient", q=2).run()
     # Baseline distortion fraction is q / K.
-    assert np.allclose(history.distortion_fractions, 2 / 15)
+    assert np.allclose(result.predicted_distortion, 2 / 15)
 
 
 def test_build_draco_trainer_applicability():
     """DRACO needs r >= 2q+1: r = 3 recovers exactly at q = 1 and refuses q = 2."""
-    history = _trainer(_FRC, "draco", attack="constant", q=1).train()
-    assert len(history) == 4
+    result = _runner(_FRC, "draco", attack="constant", q=1).run()
+    assert len(result.trace.rounds) == 4
 
-    violating = _trainer(_FRC, "draco", attack="constant", q=2)
+    violating = _runner(_FRC, "draco", attack="constant", q=2)
     with pytest.raises(AggregationError):
-        violating.train()
+        violating.run()
 
 
 def test_trainer_determinism():
     """Same seed, same scheme, same attack => identical accuracy curves."""
-    a = _trainer(attack="constant", q=2).train()
-    b = _trainer(attack="constant", q=2).train()
+    a = _runner(attack="constant", q=2).run().trace
+    b = _runner(attack="constant", q=2).run().trace
     assert np.array_equal(a.accuracy_series()[1], b.accuracy_series()[1])
     assert np.array_equal(a.train_losses, b.train_losses)

@@ -109,7 +109,7 @@ class TestOverBudgetAdversary:
         assert all(
             r.num_distorted == 25 and r.q == 15 for r in result.trace.rounds
         )
-        assert float(result.history.distortion_fractions.mean()) == 1.0
+        assert float(result.predicted_distortion.mean()) == 1.0
 
     def test_omniscient_q_above_bound_completes(self):
         data = get_scenario("mols-alie-omniscient").to_dict()

@@ -18,7 +18,6 @@ Usage (after installing the package)::
     python -m repro.cli campaign run examples/campaign_accuracy_vs_q.json --processes 4
     python -m repro.cli campaign status examples/campaign_accuracy_vs_q.json
     python -m repro.cli campaign report examples/campaign_accuracy_vs_q.json
-    python -m repro.cli lint --check                 # static invariant linter
 
 Output goes to stdout as aligned text tables; ``--csv PATH`` additionally
 writes machine-readable CSV.
@@ -184,16 +183,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=pathlib.Path,
         default=None,
         help="write the run's full trace JSON to this path",
-    )
-
-    # `repro lint` is dispatched in main() before this parser runs so the
-    # linter owns its full argument surface (repro.analysis.cli); the stub
-    # here only makes `repro --help` list the subcommand.
-    subparsers.add_parser(
-        "lint",
-        help="statically enforce reproducibility invariants "
-        "(see 'repro lint --help')",
-        add_help=False,
     )
 
     campaign_parser = subparsers.add_parser(
@@ -457,13 +446,8 @@ def _run_campaign_cmd(args: argparse.Namespace) -> str:
 
 def main(argv: Sequence[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
-    arguments = list(argv) if argv is not None else sys.argv[1:]
-    if arguments and arguments[0] == "lint":
-        from repro.analysis.cli import main as lint_main
-
-        return lint_main(arguments[1:])
     parser = build_parser()
-    args = parser.parse_args(arguments)
+    args = parser.parse_args(argv)
     try:
         if args.command == "list":
             output = _run_list()

@@ -64,6 +64,7 @@ import numpy as np
 
 from repro.cluster.faults import FaultEvent
 from repro.cluster.timing import CostModel
+from repro.core.backend import CLOCK_DTYPE
 from repro.core.vote_tensor import VoteTensor
 from repro.exceptions import ConfigurationError
 from repro.graphs.bipartite import BipartiteAssignment
@@ -78,9 +79,6 @@ __all__ = [
 
 LATE_KIND = "late"
 """``FaultEvent.kind`` recorded for sent-but-rejected messages."""
-
-_TIME_DTYPE = np.dtype(np.float64)  # repro-lint: disable=DTYPE-001 (simulated clock is wall-time seconds, float64 regardless of the working gradient dtype)
-"""Dtype of every arrival/deadline array in the event simulation."""
 
 
 @dataclass(frozen=True)
@@ -187,7 +185,7 @@ def base_arrival_times(
     samples_per_file:
         ``(f,)`` per-file sample counts of this round's batch partition.
     """
-    samples = np.asarray(samples_per_file, dtype=_TIME_DTYPE).ravel()
+    samples = np.asarray(samples_per_file, dtype=CLOCK_DTYPE).ravel()
     if samples.shape != (assignment.num_files,):
         raise ConfigurationError(
             f"samples_per_file has shape {samples.shape}, expected "
@@ -197,7 +195,7 @@ def base_arrival_times(
         dim * cost_model.network_per_float + cost_model.network_latency_per_message
     )
     workers = assignment.worker_slot_matrix()
-    arrivals = np.empty(workers.shape, dtype=_TIME_DTYPE)
+    arrivals = np.empty(workers.shape, dtype=CLOCK_DTYPE)
     for w in range(assignment.num_workers):
         files = assignment.files_of_worker(w)
         compute = (
@@ -261,7 +259,7 @@ class EventDrivenRound:
         other groups of the same file remain open.  Without a quorum every
         cell waits for all of its copies, which is the per-file behaviour.
         """
-        arrivals = np.asarray(arrivals, dtype=_TIME_DTYPE)
+        arrivals = np.asarray(arrivals, dtype=CLOCK_DTYPE)
         if arrivals.shape != tensor.workers.shape:
             raise ConfigurationError(
                 f"arrival matrix has shape {arrivals.shape}, expected "
@@ -309,8 +307,8 @@ class EventDrivenRound:
 
         counts = np.zeros(cell_quorum.size, dtype=np.int64)
         accepted = np.zeros((f, r), dtype=bool)
-        close_times = np.full(f, np.inf, dtype=_TIME_DTYPE)
-        cell_close_times = np.full(cell_quorum.size, np.inf, dtype=_TIME_DTYPE)
+        close_times = np.full(f, np.inf, dtype=CLOCK_DTYPE)
+        cell_close_times = np.full(cell_quorum.size, np.inf, dtype=CLOCK_DTYPE)
         late: list[FaultEvent] = []
         last_accept = 0.0
         deadline_cut = False

@@ -25,6 +25,12 @@ inputs to *their* dtype; free-standing helpers preserve whatever supported
 float dtype they are handed.  The run's dtype enters at the data: the
 synthetic generators store their rows in it, and only their draws are made
 in :data:`DRAW_DTYPE`.
+
+This module is the only place a float dtype is named
+(``tests/test_source_invariants.py``, DTYPE-001).  A value that is float64
+whatever the working dtype is a named constant here: :data:`DRAW_DTYPE`,
+:data:`CLOCK_DTYPE` (the event simulation's clock) and :data:`DIGEST_DTYPE`
+(the bit patterns a trace digest hashes).
 """
 
 from __future__ import annotations
@@ -36,6 +42,8 @@ from repro.exceptions import ConfigurationError
 __all__ = [
     "DEFAULT_DTYPE",
     "DRAW_DTYPE",
+    "CLOCK_DTYPE",
+    "DIGEST_DTYPE",
     "SUPPORTED_DTYPES",
     "resolve_dtype",
     "ensure_float",
@@ -50,6 +58,15 @@ DEFAULT_DTYPE: np.dtype = np.dtype(np.float64)
 #: run's working dtype: a float32 run's dataset is this draw rounded once
 #: as each row is stored, so both dtypes train on the same numbers
 DRAW_DTYPE: np.dtype = np.dtype(np.float64)
+
+#: the dtype of every arrival and deadline array in the event simulation:
+#: the simulated clock is wall-time seconds, float64 whatever the working
+#: gradient dtype
+CLOCK_DTYPE: np.dtype = np.dtype(np.float64)
+
+#: the dtype trace digests hash: a digest is defined over float64 bit
+#: patterns, so a float32 array digests as its exact float64 widening
+DIGEST_DTYPE: np.dtype = np.dtype(np.float64)
 
 #: name -> dtype of the working dtypes the round loop supports end to end
 SUPPORTED_DTYPES: dict[str, np.dtype] = {

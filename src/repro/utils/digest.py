@@ -34,12 +34,11 @@ import hashlib
 
 import numpy as np
 
+from repro.core.backend import DIGEST_DTYPE
 from repro.core.vote_tensor import RowSelection, VoteTensor
 from repro.exceptions import ConfigurationError
 
 __all__ = ["array_digest"]
-
-_DIGEST_DTYPE = np.dtype(np.float64)  # repro-lint: disable=DTYPE-001 (digests are defined over float64 bit patterns for every working dtype)
 
 #: elements of a plain array handed to the hash per block: 512 KiB of
 #: conversion scratch when the input is not float64 C-contiguous already, a
@@ -93,7 +92,7 @@ def _hash_float64(hasher, array: np.ndarray) -> None:
     """
     step = max(1, _BLOCK_ELEMENTS // max(1, array[:1].size))
     for i in range(0, array.shape[0], step):
-        hasher.update(np.ascontiguousarray(array[i : i + step], dtype=_DIGEST_DTYPE))
+        hasher.update(np.ascontiguousarray(array[i : i + step], dtype=DIGEST_DTYPE))
 
 
 def _hash_votes(hasher, tensor: VoteTensor, ids: np.ndarray) -> None:

@@ -127,9 +127,14 @@ def test_parser_requires_command():
         build_parser().parse_args([])
 
 
-def test_unknown_choice_rejected():
-    with pytest.raises(SystemExit):
-        build_parser().parse_args(["table", "table99"])
+def test_unknown_choice_rejected(capsys):
+    # `lint` is no subcommand: its invariants are tests/test_source_invariants.py
+    for argv, choice in ((["table", "table99"], "table99"), (["lint", "--check"], "lint")):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert f"invalid choice: '{choice}'" in capsys.readouterr().err
+    assert "lint" not in build_parser().format_help()
 
 
 @pytest.mark.parametrize("command", [["table", "table3"], ["distortion", "--q", "2"]])

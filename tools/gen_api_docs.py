@@ -42,7 +42,6 @@ MODULES = (
     "repro.core.vote_tensor",
     "repro.aggregation.registry",
     "repro.assignment.registry",
-    "repro.analysis",
 )
 
 HEADER = """\

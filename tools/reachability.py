@@ -10,10 +10,10 @@ The entry points: ``repro list``, every ``table`` (one with ``--csv``),
 ``bounds``, ``distortion`` on all five schemes, the three ablations,
 ``scenario list``/``replay``/``record`` (every golden) and ``run`` (one
 with ``--trace-out``), ``campaign expand|run|status|report`` on both example
-campaigns, ``lint`` (text, JSON, ``--list-rules``), every ``figure`` at
-``--scale tiny``, the ``examples/*.py`` scripts and
-``benchmarks/e2e/run.py --quick``.  Every run covers every entry point;
-it takes about three minutes, two of them the exact Table 5 search.
+campaigns, every ``figure`` at ``--scale tiny``, the ``examples/*.py``
+scripts and ``benchmarks/e2e/run.py --quick``.  Every run covers every
+entry point; it takes about three minutes, two of them the exact Table 5
+search.
 
 Usage::
 
@@ -92,7 +92,6 @@ def _steps(workdir: str) -> list:
         for action in ("expand", "run", "status", "report"):
             steps.append(_cli("campaign", action, campaign, "--processes", "1", "--out", workdir))
     steps += [_cli("--csv", f"{workdir}/report.csv", "campaign", "report", campaigns[0], "--out", workdir)]
-    steps += [_cli("lint"), _cli("lint", "--format", "json"), _cli("lint", "--list-rules")]
     steps += [_cli("figure", f"fig{n}", "--scale", "tiny") for n in range(2, 13)]
     steps += [_script(str(p.relative_to(ROOT))) for p in sorted((ROOT / "examples").glob("*.py"))]
     steps += [_script("benchmarks/e2e/run.py", "--quick", "--out", f"{workdir}/e2e.json")]

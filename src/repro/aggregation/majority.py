@@ -81,6 +81,17 @@ def _reference_exact_majority(matrix: np.ndarray) -> tuple[np.ndarray, int]:
 #: modulo 2**64 and single-coordinate differences always change the hash)
 _HASH_WEIGHTS: dict[int, np.ndarray] = {}
 
+#: elements of one gathered ``(rows, width)`` coordinate block of the row
+#: comparison and the hashes: 64 KiB as uint64, whatever the row count or
+#: ``block_size``
+_GATHER_ELEMENTS = 1 << 13
+
+
+def _gather_width(block_size: int | None, count: int) -> int:
+    """``block_size`` (``None``: :data:`~repro.utils.arrays.LANE_BLOCK`),
+    narrowed so ``count`` rows of it hold at most :data:`_GATHER_ELEMENTS`."""
+    return max(1, min(block_size or LANE_BLOCK, _GATHER_ELEMENTS // max(1, count)))
+
 
 def _hash_weights(d: int) -> np.ndarray:
     weights = _HASH_WEIGHTS.get(d)
@@ -98,15 +109,18 @@ def _accumulate_hashes(gather_block, count: int, d: int, block_size: int | None)
     bit view of the rows' coordinate block.  Because the hash is a sum of
     per-coordinate products modulo 2**64 (uint64 wraparound), per-block
     partial sums are *exactly* — not just approximately — equal to one
-    full-width einsum, so every width gives the same hashes; ``None`` means
-    :data:`~repro.utils.arrays.LANE_BLOCK`.
+    full-width einsum, so every width gives the same hashes.  Blocks are
+    ``block_size`` wide (``None``: :data:`~repro.utils.arrays.LANE_BLOCK`)
+    but never hold more than :data:`_GATHER_ELEMENTS`, so the gathered
+    block and its uint64 widening stay within 64 KiB each.
     """
     weights = _hash_weights(d)
     hashes = np.zeros(count, dtype=np.uint64)
-    for lo, hi in block_ranges(d, block_size or LANE_BLOCK):
-        bits = gather_block(lo, hi)
-        hashed = bits if bits.dtype == np.uint64 else bits.astype(np.uint64)
-        hashes += np.einsum("mb,b->m", hashed, weights[lo:hi])
+    for lo, hi in block_ranges(d, _gather_width(block_size, count)):
+        # dropped before the next gather: one block is alive at a time
+        bits = gather_block(lo, hi).astype(np.uint64, copy=False)
+        hashes += np.einsum("mb,b->m", bits, weights[lo:hi])
+        del bits
     return hashes
 
 
@@ -114,14 +128,16 @@ def _rows_equal(gather_a, gather_b, count: int, d: int, block_size: int | None) 
     """``(count,)`` bool: rows bitwise equal, AND-accumulated per block.
 
     ``gather_a`` / ``gather_b`` return the two sides' ``(count, hi - lo)``
-    bit blocks; the peak temporary is O(count · block), where ``block_size``
-    ``None`` means :data:`~repro.utils.arrays.LANE_BLOCK`.  The sweep stops
-    after the first block that leaves no row equal: every row is then
-    already proven unequal, which is how a crafted payload (it differs from
-    the honest rows at once) costs one block instead of ``d`` coordinates.
+    bit blocks, ``block_size`` wide (``None``:
+    :data:`~repro.utils.arrays.LANE_BLOCK`) but never holding more than
+    :data:`_GATHER_ELEMENTS`: each gathered block stays within 64 KiB
+    whatever ``count``.  The sweep stops after the first block that leaves
+    no row equal: every row is then already proven unequal, which is how a
+    crafted payload (it differs from the honest rows at once) costs one
+    block instead of ``d`` coordinates.
     """
     equal = np.ones(count, dtype=bool)
-    for lo, hi in block_ranges(d, block_size or LANE_BLOCK):
+    for lo, hi in block_ranges(d, _gather_width(block_size, count)):
         equal &= (gather_a(lo, hi) == gather_b(lo, hi)).all(axis=1)
         if not equal.any():
             break
@@ -167,8 +183,9 @@ def override_content_ids(tensor, block_size: int | None = None) -> np.ndarray:
     ``tobytes()`` keys, so a collision can cost time but never a wrong
     label.  The comparison, the hashes and the verification
     stream coordinate blocks of width ``block_size`` (``None``:
-    :data:`~repro.utils.arrays.LANE_BLOCK`): O(M · block) temporaries for
-    ``M`` distinct pairs, and every width gives the same ids.
+    :data:`~repro.utils.arrays.LANE_BLOCK`), narrowed so that a gathered
+    block stays within 64 KiB (:data:`_GATHER_ELEMENTS`) however many
+    distinct pairs there are, and every width gives the same ids.
     """
     f, r, d = tensor.shape
     cid = np.zeros((f, r), dtype=np.int64)

@@ -26,7 +26,7 @@ from typing import Any, Mapping
 from repro.campaigns.spec import CampaignSpec
 from repro.exceptions import ConfigurationError, ReproError
 from repro.scenarios.schema import Schema, spec_field
-from repro.scenarios.trace import FORMAT_VERSION, format_version_of
+from repro.scenarios.trace import format_version_for, format_version_of
 
 __all__ = ["ScenarioRecord", "ResultStore", "DEFAULT_STORE_ROOT"]
 
@@ -105,8 +105,10 @@ class ResultStore:
         """Load the record for a scenario digest, or ``None`` if absent.
 
         A record whose trace is of another format than this build writes
-        counts as absent too, so a resumed campaign re-runs that scenario
-        instead of mixing trace formats.
+        for its spec's dtype (:func:`~repro.scenarios.trace.format_version_for`:
+        a float32 trace recorded before v3, say) counts as absent too, so a
+        resumed campaign re-runs that scenario instead of mixing trace
+        formats.
         """
         path = self.record_path(spec_digest)
         if not path.exists():
@@ -120,7 +122,7 @@ class ResultStore:
                 f"{path} claims spec digest {record.spec_digest}, expected "
                 f"{spec_digest}; the store is corrupt"
             )
-        if format_version_of(record.trace) != FORMAT_VERSION:
+        if format_version_of(record.trace) != format_version_for(record.spec.get("dtype")):
             return None
         return record
 

@@ -45,9 +45,11 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.core.backend import DRAW_DTYPE
 from repro.core.vote_tensor import VoteTensor
 from repro.exceptions import ConfigurationError
 from repro.graphs.bipartite import BipartiteAssignment
+from repro.utils.arrays import LANE_BLOCK, block_ranges
 
 __all__ = [
     "FaultContext",
@@ -364,13 +366,22 @@ class MessageCorruptionInjector(FaultInjector):
         elif self.mode == "scale":
             tensor.scale_slots(files, slots, self.factor)
         else:
-            # In the draw's own buffer: noise + read rounds as read + noise
-            # (IEEE addition commutes), and the store rounds the float64 sum
-            # to the working dtype.
-            noise = context.rng.standard_normal((files.size, d))
-            noise *= self.factor
-            noise += tensor.read_slots(files, slots)
-            tensor.write_slots(files, slots, noise)
+            # One float64 row of scratch, drawn into slot by slot: the rows
+            # of the stream are those of one (m, d) draw.  noise + read
+            # rounds as read + noise (IEEE addition commutes), and the slot's
+            # store row rounds the float64 sum to the working dtype once.
+            # The read is added a lane block at a time, which keeps NumPy's
+            # buffer for widening a float32 read to a block's width.
+            noise = np.empty(d, dtype=DRAW_DTYPE)
+
+            def noisy(current: np.ndarray) -> np.ndarray:
+                context.rng.standard_normal(out=noise)
+                np.multiply(noise, self.factor, out=noise)
+                for lo, hi in block_ranges(d, LANE_BLOCK):
+                    np.add(noise[lo:hi], current[lo:hi], out=noise[lo:hi])
+                return noise
+
+            tensor.fill_slots(files, slots, noisy)
         # Attribution: each corrupted (file, slot) message records its sender
         # (slot -> worker via tensor.workers) alongside the file, so traces
         # can pin the exact cell; the slot itself is where the worker sits in

@@ -28,9 +28,9 @@ in :data:`DRAW_DTYPE`.
 
 This module is the only place a float dtype is named
 (``tests/test_source_invariants.py``, DTYPE-001).  A value that is float64
-whatever the working dtype is a named constant here: :data:`DRAW_DTYPE`,
-:data:`CLOCK_DTYPE` (the event simulation's clock) and :data:`DIGEST_DTYPE`
-(the bit patterns a trace digest hashes).
+whatever the working dtype is a named constant here: :data:`DRAW_DTYPE` and
+:data:`CLOCK_DTYPE` (the event simulation's clock).  Trace digests hash an
+array in its own width (:mod:`repro.utils.digest`), so they need none.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ __all__ = [
     "DEFAULT_DTYPE",
     "DRAW_DTYPE",
     "CLOCK_DTYPE",
-    "DIGEST_DTYPE",
     "SUPPORTED_DTYPES",
     "resolve_dtype",
     "ensure_float",
@@ -54,19 +53,16 @@ __all__ = [
 #: are recorded at this dtype and replay bit-exactly)
 DEFAULT_DTYPE: np.dtype = np.dtype(np.float64)
 
-#: the dtype the synthetic data generators draw and sum in, whatever the
-#: run's working dtype: a float32 run's dataset is this draw rounded once
-#: as each row is stored, so both dtypes train on the same numbers
+#: the dtype the synthetic data generators and the noise corruption draw
+#: and sum in, whatever the run's working dtype: a float32 run's dataset (or
+#: noisy payload) is this draw rounded once as each row is stored, so both
+#: dtypes train on the same numbers
 DRAW_DTYPE: np.dtype = np.dtype(np.float64)
 
 #: the dtype of every arrival and deadline array in the event simulation:
 #: the simulated clock is wall-time seconds, float64 whatever the working
 #: gradient dtype
 CLOCK_DTYPE: np.dtype = np.dtype(np.float64)
-
-#: the dtype trace digests hash: a digest is defined over float64 bit
-#: patterns, so a float32 array digests as its exact float64 widening
-DIGEST_DTYPE: np.dtype = np.dtype(np.float64)
 
 #: name -> dtype of the working dtypes the round loop supports end to end
 SUPPORTED_DTYPES: dict[str, np.dtype] = {

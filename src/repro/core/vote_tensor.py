@@ -29,9 +29,10 @@ selected slot at it.  The aliasing rule that makes this safe: a stored row
 is never written again.  Every write — shared, per-slot ``(m, d)``, or the
 read-modify-write mutators — takes fresh rows and repoints the slots, so
 mutating one slot can never change what another slot reads.  The store
-holds the rule by construction: it is read-only except for the one
-assignment inside :meth:`VoteTensor.write_slots`, so a write that bypasses
-the slot API (``tensor._store[0] = x``) raises NumPy's ``ValueError``.
+holds the rule by construction: it is read-only except while
+:meth:`VoteTensor.write_slots` or :meth:`VoteTensor.fill_slots` fills the
+fresh rows it just took, so a write that bypasses the slot API
+(``tensor._store[0] = x``) raises NumPy's ``ValueError``.
 :meth:`override_table` exposes the table read-only; the exact vote uses it
 to compare and hash each distinct payload row once.
 
@@ -44,6 +45,9 @@ safe.
 """
 
 from __future__ import annotations
+
+import contextlib
+from typing import Callable
 
 import numpy as np
 
@@ -275,22 +279,26 @@ class VoteTensor:
         return self._store.shape[0]
 
     # -- slot access ---------------------------------------------------------
-    def _fresh_rows(self, count: int) -> np.ndarray:
-        """Row ids of ``count`` newly allocated (uninitialized) payload rows.
+    @contextlib.contextmanager
+    def _fresh_rows(self, count: int):
+        """Row ids of ``count`` newly allocated payload rows, writable inside the block.
 
         Rows are append-only: a stored row is never handed out twice, which
         is what lets any number of slots reference it.  A grown store is a
-        new read-only array; views of the old one keep their bytes.  It grows
-        to exactly the rows written: a round writes it one to three times,
-        too few for spare capacity to be used (DESIGN.md, "Copy-on-write
-        replication").
+        new array; views of the old one keep their bytes.  It grows to
+        exactly the rows written: a round writes it one to three times, too
+        few for spare capacity to be used (DESIGN.md, "Copy-on-write
+        replication").  The store is writable only inside this block, whose
+        caller fills exactly the rows it was handed.
         """
         held = self._store.shape[0]
         grown = np.empty((held + count, self.dim), dtype=self._store.dtype)
         grown[:held] = self._store
-        grown.setflags(write=False)
         self._store = grown
-        return np.arange(held, held + count, dtype=np.int64)
+        try:
+            yield np.arange(held, held + count, dtype=np.int64)
+        finally:
+            grown.setflags(write=False)
 
     def write_slots(self, files, slots, rows) -> None:
         """Overwrite the given (file, slot) votes — the vectorized attack path.
@@ -314,13 +322,32 @@ class VoteTensor:
                 f"({self.dim},), (1, {self.dim}) or ({files.size}, {self.dim})"
             )
         shared = rows.ndim < 2 or rows.shape[0] == 1
-        ids = self._fresh_rows(1 if shared else files.size)
-        # The only write the store ever takes: into rows nobody references yet.
-        self._store.setflags(write=True)
-        try:
+        with self._fresh_rows(1 if shared else files.size) as ids:
             self._store[ids] = rows
-        finally:
-            self._store.setflags(write=False)
+        self._slot_map[files, slots] = ids
+
+    def fill_slots(
+        self, files, slots, fill: Callable[[np.ndarray], np.ndarray]
+    ) -> None:
+        """Rewrite the given (file, slot) votes one at a time, each into a fresh row.
+
+        ``fill(current)`` is called once per pair, in the given order, with
+        the pair's payload before this call as a read-only ``(d,)`` view,
+        and returns its new payload, which is rounded once into the pair's
+        own row.  The scratch a per-slot rewrite holds is then whatever
+        ``fill`` holds — one row — not an ``(m, d)`` matrix beside the rows
+        it stores.
+        """
+        files = np.asarray(files, dtype=np.int64).ravel()
+        slots = np.asarray(slots, dtype=np.int64).ravel()
+        if files.size == 0:
+            return
+        current = self._slot_map[files, slots]
+        with self._fresh_rows(files.size) as ids:
+            for file, row, into in zip(files, current, ids):
+                source = self._store[row] if row >= 0 else self._base[file]
+                source.setflags(write=False)  # a view of a writable store
+                self._store[into] = fill(source)
         self._slot_map[files, slots] = ids
 
     def read_slots(self, files, slots) -> np.ndarray:

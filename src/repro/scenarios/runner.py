@@ -68,6 +68,7 @@ from repro.scenarios.trace import (
     RoundTrace,
     RunTrace,
     array_digest,
+    format_version_for,
     hex_float,
 )
 from repro.training.config import TrainingConfig
@@ -365,7 +366,11 @@ class ScenarioRunner:
         ``eval_every``-th round and the last are evaluated on the test set.
         Two calls with the same spec are bit-identical, in any process.
         """
-        trace = RunTrace(scenario=self.spec.name, spec_digest=self.spec.digest())
+        trace = RunTrace(
+            scenario=self.spec.name,
+            spec_digest=self.spec.digest(),
+            format_version=format_version_for(self.spec.dtype),
+        )
         trainer = self.build_trainer()
         config = trainer.config
         for iteration in range(config.num_iterations):

@@ -8,21 +8,25 @@ A :class:`RunTrace` is the per-run sequence of round traces together with
 the spec digest, the evaluated loss/accuracy series and final metrics.
 
 Digests are 16-hex-char SHA-256 prefixes (:func:`array_digest`).  The
-aggregate and the parameters digest their raw float64 bytes, shape
-included.  The vote tensor and the winners digest in **trace format v2**:
-the canonical ``(f, r)`` content-id matrix the vote computed, the ``f``
-honest base rows and each distinct payload row once, and for the winners an
-``(n, 2)`` table of references into those ids — an injective encoding of
-the round's content, so two runs match **iff** they are bit-identical at
-every stage of every round, at a hash cost of about ``f`` rows instead of
-``f·r``.  Floats that travel through JSON are serialized with
-``float.hex()`` to survive the round-trip exactly.  This is what makes the
-golden-trace suite a refactoring safety net: any change that perturbs a
-single bit anywhere in the round path shows up as a digest mismatch with a
-precise (round, stage) location.
+aggregate and the parameters digest their raw bytes in the run's own width,
+shape included (and a dtype tag when that width is not float64).  The vote
+tensor and the winners digest from the canonical ``(f, r)`` content-id
+matrix the vote computed, the ``f`` honest base rows and each distinct
+payload row once, and for the winners an ``(n, 2)`` table of references
+into those ids — an injective encoding of the round's content, so two runs
+match **iff** they are bit-identical at every stage of every round, at a
+hash cost of about ``f`` rows instead of ``f·r``.  Floats that travel
+through JSON are serialized with ``float.hex()`` to survive the round-trip
+exactly.  This is what makes the golden-trace suite a refactoring safety
+net: any change that perturbs a single bit anywhere in the round path shows
+up as a digest mismatch with a precise (round, stage) location.
 
-:data:`FORMAT_VERSION` is pinned in every :class:`RunTrace`; a trace of
-another format (v1 traces carry none) is refused by name when loaded.
+Every :class:`RunTrace` pins its ``format_version``, which follows the
+run's working dtype (:func:`format_version_for`): a float64 run writes
+**trace format v2**, whose digests hash float64 bytes, and a float32 run
+**trace format v3**, whose digests hash float32 bytes.  A trace of another
+format (v1 traces carry none), or of the wrong one for the run's dtype, is
+refused by name when loaded — never left to fail as a digest mismatch.
 """
 
 from __future__ import annotations
@@ -35,13 +39,15 @@ from typing import Any, Mapping
 
 import numpy as np
 
-from repro.core.backend import DEFAULT_DTYPE
+from repro.core.backend import DEFAULT_DTYPE, resolve_dtype
 from repro.exceptions import ConfigurationError, ReproError
 from repro.scenarios.schema import Schema, spec_field
 from repro.utils.digest import array_digest
 
 __all__ = [
     "FORMAT_VERSION",
+    "NATIVE_WIDTH_FORMAT_VERSION",
+    "format_version_for",
     "format_version_of",
     "array_digest",
     "hex_float",
@@ -51,8 +57,12 @@ __all__ = [
     "TraceMismatch",
 ]
 
-#: the trace format this build writes and reads
+#: the trace format of a float64 run: digests of float64 bytes
 FORMAT_VERSION = 2
+
+#: the trace format of a float32 run: digests of its float32 bytes, tagged
+#: with the dtype (a v2 float32 trace digested their float64 widening)
+NATIVE_WIDTH_FORMAT_VERSION = 3
 
 
 def hex_float(value: float) -> str:
@@ -67,6 +77,13 @@ def _unhex(text: str) -> float:
 
 class TraceMismatch(ReproError):
     """A replayed run diverged from its golden trace."""
+
+
+def format_version_for(dtype: object = None) -> int:
+    """The trace format a run of working ``dtype`` writes (``None``: float64)."""
+    if resolve_dtype(dtype) == DEFAULT_DTYPE:
+        return FORMAT_VERSION
+    return NATIVE_WIDTH_FORMAT_VERSION
 
 
 def format_version_of(trace: Mapping[str, Any]) -> Any:
@@ -91,8 +108,9 @@ class RoundTrace(Schema, where="round"):
         ``distorted_files(assignment, byzantine)``, whatever the vote did.
     votes_digest, winners_digest, aggregate_digest, params_digest:
         Stage digests: the ``(f, r, d)`` vote tensor after attack and
-        faults, the post-vote matrix (both trace format v2), the aggregated
-        gradient, and the global parameters after the optimizer step.
+        faults, the post-vote matrix (both from the vote's content ids),
+        the aggregated gradient, and the global parameters after the
+        optimizer step.
     mean_loss_hex:
         The round's mean file loss, hex-encoded for exact JSON round-trip.
     round_time_hex:
@@ -199,17 +217,32 @@ class RunTrace(Schema, where="trace"):
 
     # -- serialization -------------------------------------------------------
     @classmethod
-    def from_json_file(cls, path: "str | pathlib.Path") -> "RunTrace":
+    def from_json_file(
+        cls, path: "str | pathlib.Path", dtype: object = None
+    ) -> "RunTrace":
+        """Load a trace written by :meth:`write_json_file`.
+
+        With ``dtype`` — the working dtype of the run it records — the trace
+        must be of that dtype's format (:func:`format_version_for`), so a
+        float32 trace recorded before v3 is refused here by name; without,
+        it may be of either format this build writes.
+        """
         path = pathlib.Path(path)
+        if dtype is None:
+            readable = (FORMAT_VERSION, NATIVE_WIDTH_FORMAT_VERSION)
+            reads = f"format {FORMAT_VERSION} or {NATIVE_WIDTH_FORMAT_VERSION}"
+        else:
+            readable = (format_version_for(dtype),)
+            reads = f"format {readable[0]} for a {resolve_dtype(dtype).name} run"
         # ConfigurationError is the strict loader's: well-formed JSON of the
         # wrong shape (a list at the root, a non-integer ``iteration``, ...).
         try:
             data = json.loads(path.read_text())
-            if isinstance(data, Mapping) and format_version_of(data) != FORMAT_VERSION:
+            if isinstance(data, Mapping) and format_version_of(data) not in readable:
                 raise ReproError(
                     f"cannot load trace {path}: it is trace format "
-                    f"{format_version_of(data)!r}, this build reads format "
-                    f"{FORMAT_VERSION}; re-record it with `repro scenario record`"
+                    f"{format_version_of(data)!r}, this build reads {reads}; "
+                    "re-record it with `repro scenario record`"
                 )
             return cls.from_dict(data)
         except (OSError, UnicodeDecodeError, json.JSONDecodeError, ConfigurationError) as exc:

@@ -394,6 +394,30 @@ class TestExecutorAndStore:
         assert [r.to_dict() for r in resumed.records] == [r.to_dict() for r in first.records]
         assert store.load(digest) == first.records[0]
 
+    def test_a_float32_record_stored_as_v2_is_not_completed(self, tmp_path):
+        """A float32 cell's trace is format 3 and a float64 cell's format 2:
+        a float32 record stored before native-width digests is re-run, and
+        neither dtype's record is read under the other's format."""
+        campaign = CampaignSpec.from_dict(
+            mini_dict(grid={"dtype": ["float32", "float64"]})
+        )
+        store = ResultStore(campaign, root=tmp_path)
+        first = CampaignExecutor(campaign, store=store).run()
+        # a spec dict leaves its default dtype out
+        formats = {
+            r.spec.get("dtype", "float64"): r.trace["format_version"] for r in first.records
+        }
+        assert formats == {"float32": 3, "float64": 2}
+        for record in first.records:
+            path = store.record_path(record.spec_digest)
+            document = json.loads(path.read_text())
+            document["trace"]["format_version"] = 5 - document["trace"]["format_version"]
+            path.write_text(json.dumps(document))
+            assert store.load(record.spec_digest) is None
+        resumed = CampaignExecutor(campaign, store=store).run()
+        assert resumed.ran == 2 and resumed.skipped == 0
+        assert [r.to_dict() for r in resumed.records] == [r.to_dict() for r in first.records]
+
     def test_store_rejects_a_foreign_campaign_json(self, tmp_path):
         campaign = CampaignSpec.from_dict(mini_dict())
         store = ResultStore(campaign, root=tmp_path)

@@ -461,6 +461,10 @@ MUTATORS = {
     "read_add_write": (lambda t, f, s: add_to_slots(t, f, s, 0.25), lambda rows: rows + 0.25),
     "scale_slots": (lambda t, f, s: t.scale_slots(f, s, -3.0), lambda rows: rows * -3.0),
     "zero_slots": (lambda t, f, s: t.zero_slots(f, s), lambda rows: 0.0),
+    "fill_slots": (
+        lambda t, f, s: t.fill_slots(f, s, lambda row: row * 2.0 + 1.0),
+        lambda rows: rows * 2.0 + 1.0,
+    ),
 }
 
 
@@ -468,10 +472,10 @@ MUTATORS = {
 @pytest.mark.parametrize("layout", LAYOUTS)
 @pytest.mark.parametrize("mutator", sorted(MUTATORS))
 def test_stored_rows_are_write_once(mols_assignment, mutator, layout, dtype):
-    """The store is read-only outside ``write_slots``: a write through it
-    raises, and what a caller took from it — the payload table, a selection
-    of written slots, the vote's winners — keeps its bytes after a later
-    write grows the store."""
+    """The store is read-only outside the slot API's fills (``write_slots``,
+    ``fill_slots``): a write through it raises, and what a caller took from
+    it — the payload table, a selection of written slots, the vote's
+    winners — keeps its bytes after a later write grows the store."""
     rng = np.random.default_rng(31)
     honest = rng.standard_normal((mols_assignment.num_files, DIM)).astype(dtype)
     cube = np.repeat(honest[:, None, :], 3, axis=1)
@@ -498,6 +502,28 @@ def test_stored_rows_are_write_once(mols_assignment, mutator, layout, dtype):
     assert not table.flags.writeable
     with pytest.raises(ValueError, match="read-only"):
         tensor._store[:] = 0.0
+
+
+@pytest.mark.parametrize("source", ["base", "store"])
+def test_fill_slots_hands_its_callback_read_only_payloads(mols_assignment, source):
+    """While ``fill_slots`` fills its fresh rows the store is writable, but
+    the payload it hands ``fill`` is not — whether it lives in the store or
+    the base — and the store is read-only again afterwards."""
+    honest = np.random.default_rng(4).standard_normal((mols_assignment.num_files, DIM))
+    tensor = VoteTensor.from_honest(mols_assignment, honest)
+    tensor.write_slots([0], [0], np.full(DIM, 2.0))
+    slot = 0 if source == "store" else 1
+
+    def vandal(row):
+        row[0] = 1.0
+        return row
+
+    with pytest.raises(ValueError, match="read-only"):
+        tensor.fill_slots([0], [slot], vandal)
+    with pytest.raises(ValueError, match="read-only"):
+        tensor._store[0] = 1.0
+    assert np.all(tensor.read_slots([0], [0]) == 2.0)
+    assert np.array_equal(tensor.read_slots([0], [1])[0], honest[0])
 
 
 @pytest.mark.parametrize("mutator", ["scale_slots", "read_add_write", "write_slots"])

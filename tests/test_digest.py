@@ -1,20 +1,25 @@
 """``array_digest`` against dense oracles.
 
-A plain array's digest is *defined* over ``repr(shape)`` followed by the
-C-order float64 bytes.  The five lines that used to compute it — copy to
-float64, copy to ``bytes``, hash — stay here as the oracle; the shipped
-version must agree with them bit for bit on every kind of input while never
-building those copies.
+A plain array's digest is *defined* over ``repr(shape)``, a dtype tag
+unless it is float64, and the C-order bytes of its own float width.  Two
+oracles state it: for float64 and everything hashed as float64 (ints,
+bools, lists, big-endian floats), the five lines that computed every digest
+in trace format v2 — copy to float64, copy to ``bytes``, hash — kept
+verbatim; for float32, the same lines over the native float32 bytes with
+the tag (trace format v3).  The shipped version must agree with them bit
+for bit on every kind of input while never building those copies.
 
-A round's vote tensor and winners digest in trace format v2.  Its oracle is
-a reference encoder written from the definition: build the ``(f, r, d)``
-cube, class its rows by ``tobytes()`` against each file's honest base row
-and against each other, and hash header, shape, ids, base rows and the
-distinct rows.  The shipped digest reads the same parts off the vote's
-content ids and the copy-on-write store, never building the cube.
+A round's vote tensor and winners digest from the vote's content ids.
+Their oracle is a reference encoder written from the definition: build the
+``(f, r, d)`` cube, class its rows by ``tobytes()`` against each file's
+honest base row and against each other, and hash header, shape, tag, ids,
+base rows and the distinct rows in the cube's own width.  The shipped
+digest reads the same parts off the vote's content ids and the
+copy-on-write store, never building the cube.
 """
 
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -37,17 +42,31 @@ from repro.cluster.faults import (
 from repro.aggregation.mean import MeanAggregator
 from repro.core.pipelines import ByzShieldPipeline, VanillaPipeline
 from repro.core.vote_tensor import RowSelection, VoteTensor
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ConfigurationError, ReproError
+from repro.scenarios.golden import golden_path, replay_golden
+from repro.scenarios.trace import RunTrace, TraceMismatch
 from repro.utils.digest import array_digest
 
 from cow_helpers import LAYOUTS, cube_of, tensor_of
 
 
 def oracle_digest(array):
-    """``array_digest`` as it stood before it streamed (kept verbatim)."""
+    """``array_digest`` as it stood before it streamed (kept verbatim): the
+    v2 definition, still that of everything but float32."""
     payload = np.ascontiguousarray(array, dtype=np.float64)
     hasher = hashlib.sha256()
     hasher.update(repr(payload.shape).encode())
+    hasher.update(payload.tobytes())
+    return hasher.hexdigest()[:16]
+
+
+def native_oracle_digest(array):
+    """The float32 definition: the oracle's lines over float32 bytes, with
+    the dtype tag after the shape."""
+    payload = np.ascontiguousarray(array, dtype=np.float32)
+    hasher = hashlib.sha256()
+    hasher.update(repr(payload.shape).encode())
+    hasher.update(b"float32")
     hasher.update(payload.tobytes())
     return hasher.hexdigest()[:16]
 
@@ -57,7 +76,7 @@ def oracle_digest(array):
 # --------------------------------------------------------------------------- #
 def _payload_nans(dtype):
     """Quiet NaNs with non-default sign/payload bits: they must reach the hash
-    exactly as ``astype(float64)`` carries them."""
+    exactly as they are stored."""
     if dtype == np.float32:
         return np.array([0x7FC00001, 0xFFC12345], dtype=np.uint32).view(dtype)
     return np.array([0x7FF8000000000001, 0xFFF8000000012345], dtype=np.uint64).view(dtype)
@@ -87,8 +106,11 @@ def _plain_cases():
     yield "python-scalar", 2.0
     yield "python-list", [[1, 2], [3, 4]]
     yield "int64", np.arange(12).reshape(3, 4)
+    yield "int32", np.arange(12, dtype=np.int32).reshape(3, 4)
     yield "bool", np.array([True, False])
     yield "big-endian", rng.standard_normal((3, 4)).astype(">f8")
+    yield "big-endian-strided", rng.standard_normal((5, 4)).astype(">f8")[::2]
+    yield "float32-big-endian", rng.standard_normal((3, 4)).astype(">f4")
 
 
 PLAIN_CASES = dict(_plain_cases())
@@ -97,7 +119,20 @@ PLAIN_CASES = dict(_plain_cases())
 @pytest.mark.parametrize("case", sorted(PLAIN_CASES))
 def test_plain_array_digest_matches_the_oracle(case):
     array = PLAIN_CASES[case]
-    assert array_digest(array) == oracle_digest(array)
+    native = case.startswith("float32-")  # big-endian float32 included
+    oracle = native_oracle_digest if native else oracle_digest
+    assert array_digest(array) == oracle(array)
+
+
+@pytest.mark.parametrize(
+    "case", sorted(case for case in PLAIN_CASES if case.startswith("float32-"))
+)
+def test_a_float32_array_no_longer_digests_as_its_float64_widening(case):
+    """Trace format v3 changed this contract on purpose: a float32 array
+    hashes its own bytes, so it and its exact widening digest differently
+    (through v2 they were equal)."""
+    array = PLAIN_CASES[case]
+    assert array_digest(array) != array_digest(array.astype(np.float64))
 
 
 def test_shape_is_part_of_the_digest():
@@ -107,7 +142,7 @@ def test_shape_is_part_of_the_digest():
 
 
 # --------------------------------------------------------------------------- #
-# Vote tensors and winners: trace format v2 against the reference encoder
+# Vote tensors and winners against the reference encoder
 # --------------------------------------------------------------------------- #
 def reference_ids(base, cube):
     """The canonical ``(f, r)`` content ids by definition, and the row of
@@ -130,13 +165,17 @@ def reference_ids(base, cube):
 
 
 def reference_votes_digest(base, cube):
+    """v2 for a float64 cube; for a float32 one (v3) the dtype tag follows
+    the shape and the rows are hashed as their native float32 bytes."""
     ids, rows = reference_ids(base, cube)
     hasher = hashlib.sha256(b"repro trace v2 votes")
     hasher.update(repr(cube.shape).encode())
+    if cube.dtype == np.float32:
+        hasher.update(b"float32")
     hasher.update(ids.tobytes())
-    hasher.update(np.asarray(base, dtype=np.float64).tobytes())
+    hasher.update(np.ascontiguousarray(base).tobytes())
     for row in rows:
-        hasher.update(np.asarray(row, dtype=np.float64).tobytes())
+        hasher.update(row.tobytes())
     return hasher.hexdigest()[:16]
 
 
@@ -418,3 +457,40 @@ def test_a_vote_digests_only_from_its_canonical_ids():
         array_digest(selection)
     refs = np.column_stack([np.arange(4), np.zeros(4, dtype=np.int64)])
     assert array_digest(selection, refs) == reference_winners_digest((4, 5), refs)
+
+
+# --------------------------------------------------------------------------- #
+# Trace formats: v2 for a float64 run, v3 for a float32 one
+# --------------------------------------------------------------------------- #
+FLOAT32_GOLDEN, FLOAT64_GOLDEN = "mols-images-float32", "mols-alie-omniscient"
+
+
+def _relabelled(name, version, directory):
+    """A copy of golden ``name`` in ``directory`` that claims ``version``."""
+    document = json.loads(golden_path(name).read_text())
+    document["format_version"] = version
+    path = golden_path(name, directory)
+    path.write_text(json.dumps(document))
+    return path
+
+
+def test_a_float32_trace_recorded_as_v2_is_refused_by_name(tmp_path):
+    """A float32 trace from before native-width digests fails to load, naming
+    both formats — never as a bare digest mismatch in some round."""
+    path = _relabelled(FLOAT32_GOLDEN, 2, tmp_path)
+    with pytest.raises(ReproError) as caught:
+        RunTrace.from_json_file(path, dtype="float32")
+    message = str(caught.value)
+    assert not isinstance(caught.value, TraceMismatch)
+    assert "trace format 2, this build reads format 3 for a float32 run" in message
+    assert "`repro scenario record`" in message
+    with pytest.raises(ReproError, match="trace format 2, this build reads format 3"):
+        replay_golden(FLOAT32_GOLDEN, tmp_path)
+
+
+def test_a_float64_trace_stays_v2_and_loads(tmp_path):
+    golden = RunTrace.from_json_file(golden_path(FLOAT64_GOLDEN), dtype="float64")
+    assert golden.format_version == 2
+    assert RunTrace.from_json_file(golden_path(FLOAT32_GOLDEN), dtype="float32").format_version == 3
+    with pytest.raises(ReproError, match="trace format 3, this build reads format 2 for a float64"):
+        RunTrace.from_json_file(_relabelled(FLOAT64_GOLDEN, 3, tmp_path), dtype="float64")

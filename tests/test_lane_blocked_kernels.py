@@ -2,10 +2,12 @@
 
 ``coordinate_median``, ``column_mean_std`` and the vote's ``_rows_equal`` walk
 ``d`` in coordinate blocks through one small buffer (``LANE_BLOCK`` wide when
-the caller names no width).  Everything here compares with ``np.array_equal``,
-never ``allclose``: against ``np.median`` / ``mean`` / ``std`` of the whole
-matrix, and against per-file ``tobytes()`` classes for the vote.  The last
-class bounds what the kernels may allocate while they run.
+the caller names no width; the vote's blocks are narrowed further so that a
+gathered block stays within 64 KiB however many rows it gathers).
+Everything here compares with ``np.array_equal``, never ``allclose``:
+against ``np.median`` / ``mean`` / ``std`` of the whole matrix, and against
+per-file ``tobytes()`` classes for the vote.  The last two classes bound
+what the kernels may allocate while they run.
 """
 
 import tracemalloc
@@ -15,6 +17,9 @@ import pytest
 
 from repro.aggregation import majority
 from repro.aggregation.majority import (
+    _GATHER_ELEMENTS,
+    _accumulate_hashes,
+    _hash_weights,
     _labels_from_ids,
     _reference_exact_majority,
     _row_bits,
@@ -24,6 +29,7 @@ from repro.aggregation.majority import (
 )
 from repro.aggregation.median import coordinate_median
 from repro.assignment.mols import MOLSAssignment
+from repro.assignment.ramanujan import RamanujanAssignment
 from repro.core.vote_tensor import VoteTensor
 from repro.utils.arrays import LANE_BLOCK, column_mean_std
 
@@ -311,3 +317,77 @@ class TestNoFullWidthTemporary:
         # one gathered block, its bool image (an eighth of it) and the 64 KiB
         # buffer NumPy iterates the broadcast payload row through
         assert transient_bytes(compare_all_blocks) <= self.bound * 5 // 4
+
+
+class TestBoundedVoteBlocks:
+    """The vote's comparison and hashes gather ``(rows, width)`` blocks whose
+    width shrinks with the row count: at most ``_GATHER_ELEMENTS`` elements
+    (64 KiB as uint64) per gathered block, whatever ``block_size``.  A cell
+    round compares ~70 (payload, file) pairs, which at width 4096 gathered
+    1.09 MiB a side; hashing 24 float32 rows widened 0.75 MiB to uint64."""
+
+    pairs, live, d = 70, 24, 3 * LANE_BLOCK + 1
+    gather = _GATHER_ELEMENTS * 8
+
+    @pytest.fixture(scope="class")
+    def bits(self):
+        rng = np.random.default_rng(11)
+        return rng.integers(0, 2**63, size=(self.pairs, self.d), dtype=np.uint64)
+
+    @pytest.mark.parametrize("block_size", BLOCK_SIZES)
+    def test_rows_equal_over_many_distinct_pairs(self, bits, block_size):
+        """All pairs equal (no early exit) but two, which differ late: the
+        answer is the full-width comparison's, and the sweep holds two
+        gathered blocks and their bool image: 136 KiB at most, where one
+        4096-wide block of 70 uint64 rows alone is 2.2 MiB."""
+        other = bits.copy()
+        other[3, -1] ^= 1
+        other[40, self.d // 2] ^= 1
+        rows = np.arange(self.pairs)
+
+        def compare():
+            return _rows_equal(
+                _row_bits(bits, rows), _row_bits(other, rows), self.pairs, self.d, block_size
+            )
+
+        assert np.array_equal(compare(), (bits == other).all(axis=1))
+        assert transient_bytes(compare) <= 2 * self.gather + self.gather // 8
+
+    @pytest.mark.parametrize("block_size", BLOCK_SIZES)
+    def test_hashes_of_many_float32_rows(self, bits, block_size):
+        """The exact hash sum of 24 float32 rows, in blocks whose gathered
+        bits and uint64 widening stay within the budget."""
+        float32_bits = np.ascontiguousarray(bits[: self.live], dtype=np.uint32)
+        rows = np.arange(self.live)
+        full = np.einsum("mb,b->m", float32_bits.astype(np.uint64), _hash_weights(self.d))
+
+        def hashes():
+            return _accumulate_hashes(
+                _row_bits(float32_bits, rows), self.live, self.d, block_size
+            )
+
+        assert np.array_equal(hashes(), full)
+        assert transient_bytes(hashes) <= self.gather + self.gather // 2
+
+    @pytest.mark.parametrize("block_size", BLOCK_SIZES)
+    def test_ids_of_a_round_with_many_distinct_pairs(self, block_size):
+        """A round with 70 distinct (payload, file) pairs — a row shared by
+        every file, late-differing rows and copies of the base — classes as
+        the full-width ``tobytes()`` oracle at every width."""
+        assignment = RamanujanAssignment(m=5, s=5).assignment
+        f, d = assignment.num_files, 2 * LANE_BLOCK + 3
+        rng = np.random.default_rng(12)
+        base = rng.standard_normal((f, d)).astype(np.float32)
+        tensor = VoteTensor.from_honest(assignment, base)
+        files = np.arange(f)
+        late = base.copy()
+        late[:, -1] = np.nextafter(late[:, -1], np.float32(np.inf))
+        tensor.write_slots(files, np.zeros(f), base[0])  # one row, 25 pairs
+        tensor.write_slots(files, np.ones(f), late)
+        tensor.write_slots(files[:20], np.full(20, 2), base[:20])
+        files_written, _, rows, _ = tensor.override_table()
+        assert np.unique(rows * f + files_written).size >= 64
+        cube = cube_of(tensor)
+        ids = override_content_ids(tensor, block_size)
+        assert np.array_equal(_labels_from_ids(ids), byte_labels(cube))
+        assert np.array_equal(ids, override_content_ids(tensor, d))

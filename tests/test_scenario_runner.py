@@ -295,10 +295,12 @@ class TestTraceSerialization:
         with pytest.raises(ReproError, match="cannot load trace"):
             RunTrace.from_json_file(path)
 
-    @pytest.mark.parametrize("version", [None, 3], ids=["v1-no-version", "v3"])
+    @pytest.mark.parametrize("version", [None, 4], ids=["v1-no-version", "v4"])
     def test_a_trace_of_another_format_is_refused_by_name(self, tmp_path, version):
         """A v1 trace (no ``format_version``) or a newer one names the path,
-        the format found and how to re-record it."""
+        the format found and how to re-record it.  (v3 is the float32 format
+        this build writes; ``tests/test_digest.py`` pins which dtype reads
+        which format.)"""
         document = run_named("mols-clean").trace.to_dict()
         del document["format_version"]
         if version is not None:

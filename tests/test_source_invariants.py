@@ -12,8 +12,8 @@ float re-promotes a float32 run, and the mismatch surfaces layers later.
 Integer and bool dtypes are not policy.
 
 There are no waivers.  A value that is float64 by definition is a named
-constant in the seam module (``DRAW_DTYPE``, ``CLOCK_DTYPE``,
-``DIGEST_DTYPE``).
+constant in the seam module (``DRAW_DTYPE``, ``CLOCK_DTYPE``); trace
+digests hash each array in its own width and name no dtype.
 """
 
 import ast

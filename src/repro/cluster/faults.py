@@ -49,7 +49,6 @@ from repro.core.backend import DRAW_DTYPE
 from repro.core.vote_tensor import VoteTensor
 from repro.exceptions import ConfigurationError
 from repro.graphs.bipartite import BipartiteAssignment
-from repro.utils.arrays import LANE_BLOCK, block_ranges
 
 __all__ = [
     "FaultContext",
@@ -370,16 +369,12 @@ class MessageCorruptionInjector(FaultInjector):
             # of the stream are those of one (m, d) draw.  noise + read
             # rounds as read + noise (IEEE addition commutes), and the slot's
             # store row rounds the float64 sum to the working dtype once.
-            # The read is added a lane block at a time, which keeps NumPy's
-            # buffer for widening a float32 read to a block's width.
             noise = np.empty(d, dtype=DRAW_DTYPE)
 
             def noisy(current: np.ndarray) -> np.ndarray:
                 context.rng.standard_normal(out=noise)
                 np.multiply(noise, self.factor, out=noise)
-                for lo, hi in block_ranges(d, LANE_BLOCK):
-                    np.add(noise[lo:hi], current[lo:hi], out=noise[lo:hi])
-                return noise
+                return np.add(noise, current, out=noise)
 
             tensor.fill_slots(files, slots, noisy)
         # Attribution: each corrupted (file, slot) message records its sender

@@ -66,8 +66,7 @@ def replay_golden(
             f"no golden trace for scenario {name!r} at {path}; run "
             f"'repro scenario record --name {name}' to create it"
         )
-    spec = get_scenario(name)
-    golden = RunTrace.from_json_file(path, dtype=spec.dtype)
-    result = run_scenario(spec)
+    golden = RunTrace.from_json_file(path)
+    result = run_scenario(get_scenario(name))
     result.trace.assert_matches(golden)
     return result.trace

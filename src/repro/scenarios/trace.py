@@ -25,8 +25,10 @@ Every :class:`RunTrace` pins its ``format_version``, which follows the
 run's working dtype (:func:`format_version_for`): a float64 run writes
 **trace format v2**, whose digests hash float64 bytes, and a float32 run
 **trace format v3**, whose digests hash float32 bytes.  A trace of another
-format (v1 traces carry none), or of the wrong one for the run's dtype, is
-refused by name when loaded — never left to fail as a digest mismatch.
+format (v1 traces carry none) is refused by name when loaded; a replayed
+run whose format is not its golden's (a float32 golden recorded as v2)
+fails on the format, before any round is compared — never as a digest
+mismatch.
 """
 
 from __future__ import annotations
@@ -217,23 +219,11 @@ class RunTrace(Schema, where="trace"):
 
     # -- serialization -------------------------------------------------------
     @classmethod
-    def from_json_file(
-        cls, path: "str | pathlib.Path", dtype: object = None
-    ) -> "RunTrace":
-        """Load a trace written by :meth:`write_json_file`.
-
-        With ``dtype`` — the working dtype of the run it records — the trace
-        must be of that dtype's format (:func:`format_version_for`), so a
-        float32 trace recorded before v3 is refused here by name; without,
-        it may be of either format this build writes.
-        """
+    def from_json_file(cls, path: "str | pathlib.Path") -> "RunTrace":
+        """Load a trace written by :meth:`write_json_file`, of either format
+        this build writes (v2 or v3)."""
         path = pathlib.Path(path)
-        if dtype is None:
-            readable = (FORMAT_VERSION, NATIVE_WIDTH_FORMAT_VERSION)
-            reads = f"format {FORMAT_VERSION} or {NATIVE_WIDTH_FORMAT_VERSION}"
-        else:
-            readable = (format_version_for(dtype),)
-            reads = f"format {readable[0]} for a {resolve_dtype(dtype).name} run"
+        readable = (FORMAT_VERSION, NATIVE_WIDTH_FORMAT_VERSION)
         # ConfigurationError is the strict loader's: well-formed JSON of the
         # wrong shape (a list at the root, a non-integer ``iteration``, ...).
         try:
@@ -241,8 +231,9 @@ class RunTrace(Schema, where="trace"):
             if isinstance(data, Mapping) and format_version_of(data) not in readable:
                 raise ReproError(
                     f"cannot load trace {path}: it is trace format "
-                    f"{format_version_of(data)!r}, this build reads {reads}; "
-                    "re-record it with `repro scenario record`"
+                    f"{format_version_of(data)!r}, this build reads format "
+                    f"{FORMAT_VERSION} or {NATIVE_WIDTH_FORMAT_VERSION}; re-record "
+                    "it with `repro scenario record`"
                 )
             return cls.from_dict(data)
         except (OSError, UnicodeDecodeError, json.JSONDecodeError, ConfigurationError) as exc:

@@ -42,7 +42,7 @@ from repro.cluster.faults import (
 from repro.aggregation.mean import MeanAggregator
 from repro.core.pipelines import ByzShieldPipeline, VanillaPipeline
 from repro.core.vote_tensor import RowSelection, VoteTensor
-from repro.exceptions import ConfigurationError, ReproError
+from repro.exceptions import ConfigurationError
 from repro.scenarios.golden import golden_path, replay_golden
 from repro.scenarios.trace import RunTrace, TraceMismatch
 from repro.utils.digest import array_digest
@@ -475,22 +475,15 @@ def _relabelled(name, version, directory):
 
 
 def test_a_float32_trace_recorded_as_v2_is_refused_by_name(tmp_path):
-    """A float32 trace from before native-width digests fails to load, naming
-    both formats — never as a bare digest mismatch in some round."""
+    """A float32 golden from before native-width digests loads, but its
+    replay fails on the format, right after the spec digest and before any
+    round — never as a bare digest mismatch in some round."""
     path = _relabelled(FLOAT32_GOLDEN, 2, tmp_path)
-    with pytest.raises(ReproError) as caught:
-        RunTrace.from_json_file(path, dtype="float32")
-    message = str(caught.value)
-    assert not isinstance(caught.value, TraceMismatch)
-    assert "trace format 2, this build reads format 3 for a float32 run" in message
-    assert "`repro scenario record`" in message
-    with pytest.raises(ReproError, match="trace format 2, this build reads format 3"):
+    assert RunTrace.from_json_file(path).format_version == 2
+    with pytest.raises(TraceMismatch, match="trace format 3 != golden 2$"):
         replay_golden(FLOAT32_GOLDEN, tmp_path)
 
 
-def test_a_float64_trace_stays_v2_and_loads(tmp_path):
-    golden = RunTrace.from_json_file(golden_path(FLOAT64_GOLDEN), dtype="float64")
-    assert golden.format_version == 2
-    assert RunTrace.from_json_file(golden_path(FLOAT32_GOLDEN), dtype="float32").format_version == 3
-    with pytest.raises(ReproError, match="trace format 3, this build reads format 2 for a float64"):
-        RunTrace.from_json_file(_relabelled(FLOAT64_GOLDEN, 3, tmp_path), dtype="float64")
+def test_a_float64_trace_stays_v2_and_loads():
+    assert RunTrace.from_json_file(golden_path(FLOAT64_GOLDEN)).format_version == 2
+    assert RunTrace.from_json_file(golden_path(FLOAT32_GOLDEN)).format_version == 3

@@ -3,11 +3,11 @@
 ``coordinate_median``, ``column_mean_std`` and the vote's ``_rows_equal`` walk
 ``d`` in coordinate blocks through one small buffer (``LANE_BLOCK`` wide when
 the caller names no width; the vote's blocks are narrowed further so that a
-gathered block stays within 64 KiB however many rows it gathers).
+gathered block stays within 256 KiB however many rows it gathers).
 Everything here compares with ``np.array_equal``, never ``allclose``:
 against ``np.median`` / ``mean`` / ``std`` of the whole matrix, and against
-per-file ``tobytes()`` classes for the vote.  The last two classes bound
-what the kernels may allocate while they run.
+per-file ``tobytes()`` classes for the vote.  The last class bounds what
+the kernels may allocate while they run.
 """
 
 import tracemalloc
@@ -282,7 +282,8 @@ class TestNoFullWidthTemporary:
     """At d = 40 blocks a single full-width temporary — a transposed copy, a
     centred copy, a gathered ``(n, d)`` bit image or even its bool mask — is
     5 to 40 times the bound, so staying under it means none was made: no
-    allocation exceeds ``n * (LANE_BLOCK + 1) * itemsize``."""
+    allocation exceeds ``n * (LANE_BLOCK + 1) * itemsize``.  The vote over
+    many distinct rows is held to its fixed gather budget instead."""
 
     n, d = 25, 40 * LANE_BLOCK + 1
     bound = n * (LANE_BLOCK + 1) * 8
@@ -318,36 +319,34 @@ class TestNoFullWidthTemporary:
         # buffer NumPy iterates the broadcast payload row through
         assert transient_bytes(compare_all_blocks) <= self.bound * 5 // 4
 
-
-class TestBoundedVoteBlocks:
-    """The vote's comparison and hashes gather ``(rows, width)`` blocks whose
-    width shrinks with the row count: at most ``_GATHER_ELEMENTS`` elements
-    (64 KiB as uint64) per gathered block, whatever ``block_size``.  A cell
-    round compares ~70 (payload, file) pairs, which at width 4096 gathered
-    1.09 MiB a side; hashing 24 float32 rows widened 0.75 MiB to uint64."""
-
-    pairs, live, d = 70, 24, 3 * LANE_BLOCK + 1
+    # The vote's comparison and hashes gather ``(rows, width)`` blocks whose
+    # width shrinks with the row count: at most ``_GATHER_ELEMENTS`` elements
+    # (256 KiB as uint64) per gathered block, whatever ``block_size``.  A cell
+    # round compares ~70 (payload, file) pairs, which at width 4096 gathered
+    # 1.09 MiB a side; hashing 24 float32 rows widened 0.75 MiB to uint64.
+    pairs, live, wide = 70, 24, 3 * LANE_BLOCK + 1
     gather = _GATHER_ELEMENTS * 8
 
     @pytest.fixture(scope="class")
     def bits(self):
+        """``(pairs, wide)`` random uint64 rows."""
         rng = np.random.default_rng(11)
-        return rng.integers(0, 2**63, size=(self.pairs, self.d), dtype=np.uint64)
+        return rng.integers(0, 2**63, size=(self.pairs, self.wide), dtype=np.uint64)
 
     @pytest.mark.parametrize("block_size", BLOCK_SIZES)
     def test_rows_equal_over_many_distinct_pairs(self, bits, block_size):
         """All pairs equal (no early exit) but two, which differ late: the
         answer is the full-width comparison's, and the sweep holds two
-        gathered blocks and their bool image: 136 KiB at most, where one
+        gathered blocks and their bool image: 544 KiB at most, where one
         4096-wide block of 70 uint64 rows alone is 2.2 MiB."""
         other = bits.copy()
         other[3, -1] ^= 1
-        other[40, self.d // 2] ^= 1
+        other[40, self.wide // 2] ^= 1
         rows = np.arange(self.pairs)
 
         def compare():
             return _rows_equal(
-                _row_bits(bits, rows), _row_bits(other, rows), self.pairs, self.d, block_size
+                _row_bits(bits, rows), _row_bits(other, rows), self.pairs, self.wide, block_size
             )
 
         assert np.array_equal(compare(), (bits == other).all(axis=1))
@@ -359,11 +358,11 @@ class TestBoundedVoteBlocks:
         bits and uint64 widening stay within the budget."""
         float32_bits = np.ascontiguousarray(bits[: self.live], dtype=np.uint32)
         rows = np.arange(self.live)
-        full = np.einsum("mb,b->m", float32_bits.astype(np.uint64), _hash_weights(self.d))
+        full = np.einsum("mb,b->m", float32_bits.astype(np.uint64), _hash_weights(self.wide))
 
         def hashes():
             return _accumulate_hashes(
-                _row_bits(float32_bits, rows), self.live, self.d, block_size
+                _row_bits(float32_bits, rows), self.live, self.wide, block_size
             )
 
         assert np.array_equal(hashes(), full)

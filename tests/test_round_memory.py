@@ -228,11 +228,13 @@ def test_noise_corruption_streams_one_draw_row(ramanujan_case2, dtype, probabili
     rows and fills them slot by slot from one float64 row of scratch: drawn
     into, scaled, the slot's read added in place and rounded once into its
     row.  Above what it keeps (the stored rows and the returned events) it
-    holds one draw row and, for a float32 read, NumPy's 32 KiB buffer that
-    widens a lane block of it: 9.6 (float32) and 8.1 (float64) bytes per
-    coordinate of one row, whatever ``m``.  The ``(m, d)`` float64 draw and
-    the ``(m, d)`` read it replaced held 12 and 16 bytes per corrupted
-    coordinate."""
+    holds one draw row and, for a float32 read, the buffer NumPy widens the
+    read through as it adds it: 8192 float64 elements, 64 KiB.  8 KiB more
+    covers the per-slot index arrays and Python objects, which vary by a few
+    KiB with what ran before in the process.  Measured 11.2–11.3 (float32)
+    and 8.1 (float64) bytes per coordinate of one row, whatever ``m``.  The
+    ``(m, d)`` float64 draw and the ``(m, d)`` read it replaced held 12 and
+    16 bytes per corrupted coordinate."""
     assignment = ramanujan_case2.assignment
     f, d = assignment.num_files, 20_000
     honest = np.random.default_rng(0).standard_normal((f, d)).astype(dtype)
@@ -250,7 +252,7 @@ def test_noise_corruption_streams_one_draw_row(ramanujan_case2, dtype, probabili
     assert m > 1 and tensor.num_override_rows == m
     # what stays is the stored rows and the returned events
     assert m * d * np.dtype(dtype).itemsize <= kept
-    assert peak - kept <= d * 8 + (64 << 10), (peak - kept) / d
+    assert peak - kept <= d * 8 + (64 << 10) + (8 << 10), (peak - kept) / d
 
 
 # --------------------------------------------------------------------------- #

@@ -299,8 +299,8 @@ class TestTraceSerialization:
     def test_a_trace_of_another_format_is_refused_by_name(self, tmp_path, version):
         """A v1 trace (no ``format_version``) or a newer one names the path,
         the format found and how to re-record it.  (v3 is the float32 format
-        this build writes; ``tests/test_digest.py`` pins which dtype reads
-        which format.)"""
+        this build writes; ``tests/test_digest.py`` pins that a float32
+        golden recorded as v2 fails its replay on the format.)"""
         document = run_named("mols-clean").trace.to_dict()
         del document["format_version"]
         if version is not None:

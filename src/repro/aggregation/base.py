@@ -9,7 +9,7 @@ import numpy as np
 from repro.core.backend import ensure_float
 from repro.core.vote_tensor import RowSelection
 from repro.exceptions import AggregationError
-from repro.utils.arrays import stack_vectors
+from repro.utils.arrays import finite_stand_ins, stack_vectors
 
 __all__ = ["Aggregator"]
 
@@ -33,6 +33,9 @@ class Aggregator(abc.ABC):
     #: True for a rule that reads its votes one coordinate block at a time
     #: (:meth:`RowSelection.lanes`) and replaces non-finite entries there;
     #: its :meth:`_aggregate` is handed the selection, never a dense matrix.
+    #: The coordinate median (``LANE_BLOCK`` = 4096-wide blocks) and Bulyan
+    #: (its distances and its trim, ``bulyan._LANE_BLOCK`` = 512) stream;
+    #: the other rules rank, trim or average whole rows of the dense matrix.
     streams_lanes: bool = False
 
     def minimum_votes(self, num_byzantine: int | None = None) -> int:
@@ -78,10 +81,8 @@ class Aggregator(abc.ABC):
             return self._aggregate(selection)
         # The one densification point: rules that rank, trim or average
         # whole rows need the (n, d) matrix.
-        matrix = selection.densified()
-        if not np.all(np.isfinite(matrix)):
-            matrix = np.nan_to_num(matrix, nan=0.0, posinf=1e30, neginf=-1e30)
-            matrix.setflags(write=False)
+        matrix = finite_stand_ins(selection.densified(), copy=True)
+        matrix.setflags(write=False)
         return self._aggregate(matrix)
 
     @abc.abstractmethod

@@ -18,38 +18,47 @@ from repro.aggregation.base import Aggregator
 from repro.aggregation.krum import krum_scores_from_distances
 from repro.aggregation.majority import validate_block_size
 from repro.aggregation.median import coordinate_median
+from repro.core.vote_tensor import RowSelection
 from repro.exceptions import AggregationError
-from repro.utils.arrays import block_ranges, pairwise_squared_distances
+from repro.utils.arrays import pairwise_squared_distances, reduction_blocks
 
 __all__ = ["BulyanAggregator", "bulyan_selection"]
 
-#: Coordinates per trimming block when the caller names no ``block_size``.
-#: At theta ~ 20 the three ``(block, theta)`` lane buffers (values,
-#: deviations, int64 order) are ~1 MiB together; timed at n = 25 on
-#: d = 11k and 20k, widths 512..4096 are within 10% of each other and 256,
-#: 8192 and a single full-width block are 15-50% slower.  Not folded into
-#: ``utils.arrays.LANE_BLOCK`` (4096, one buffer per block): with four
-#: buffers per block that width timed the same here and put the K = 25
-#: Bulyan round's peak at 12.97 MiB instead of 11.48.
-_LANE_BLOCK = 2048
+#: Coordinates per block of both passes (distances and trimming) when the
+#: caller names no ``block_size``.  Per block the trim holds the ``(block,
+#: n)`` lanes, the ``(block, theta)`` selected lanes, the median's copy of
+#: them, their deviations and int64 order, and the ``(beta, block)`` flat
+#: indices and kept values: about 0.5 MiB at n = 25, theta = 19.  Timed at
+#: n = 25, q = 3 on a selection with three patched files, min of 15 in each
+#: of three processes, 2-core Xeon: widths 256 / 512 / 1024 / 2048 / 4096
+#: take 10.8-13.0 / 9.8-11.1 / 8.7-9.1 / 8.7-10.6 / 11.4-13.3 ms at
+#: d = 11k (the densifying 2048-wide kernel before them: 9.4-13.8).  512 is
+#: the widest whose trim stays below the adaptive-bulyan-noniid round's
+#: min-max payload stage (7.35 MiB with the stage shims): 1024 puts the
+#: round's peak at 7.62 and 2048 at 8.68 (EXPERIMENTS.md).
+_LANE_BLOCK = 512
 
 
 def bulyan_selection(
-    matrix: np.ndarray, num_byzantine: int, block_size: int | None = None
+    votes: np.ndarray | RowSelection, num_byzantine: int, block_size: int | None = None
 ) -> list[int]:
     """Row indices of Bulyan's selection set, in the order Krum picked them.
 
     Iterated Krum: score the remaining votes, move the best-scored one into
     the selection, repeat ``theta = n − 2q`` times.  The pairwise distances
-    never change between steps, so they are measured once and every step
-    scores the ``remaining x remaining`` sub-block.  (That sub-block need not
-    equal the distance matrix of the gathered sub-matrix to the ulp — BLAS
-    reduces the two in different orders — but the steps only rank.)
+    never change between steps, so they are measured once (streamed when
+    ``votes`` is a selection, its non-finite entries clamped per block) and
+    every step scores the ``remaining x remaining`` sub-block.  (That
+    sub-block need not equal the distance matrix of the gathered sub-matrix
+    to the ulp — BLAS reduces the two in different orders — but the steps
+    only rank.)
     """
-    n = matrix.shape[0]
+    n = votes.shape[0]
     q = int(num_byzantine)
     theta = n - 2 * q
-    distances = pairwise_squared_distances(matrix, block_size=block_size)
+    distances = pairwise_squared_distances(
+        votes, block_size=block_size, clamp_non_finite=True
+    )
     remaining = list(range(n))
     selected: list[int] = []
     while len(selected) < theta:
@@ -80,17 +89,20 @@ class BulyanAggregator(Aggregator):
         ``n >= 4q + 3`` candidates (any ``n >= 1`` when ``q = 0``, where it
         reduces to the mean).
     block_size:
-        Coordinate-block width of the trimming loop and of the distance
-        accumulation; ``None`` (default) trims in internally sized blocks
-        and measures the distances in one pass.  The width only bounds the
-        O(theta · block) lane workspace: median, deviation, argsort and take
-        are all per-coordinate and the kept values are averaged once, as one
-        contiguous ``(beta, d)`` operand, so every width gives the same
-        bits.  Block partial sums can shift a distance by an ulp, never the
-        ranking-based selection.
+        Coordinate-block width of the distance accumulation and of the
+        trimming loop; ``None`` (default) means :data:`_LANE_BLOCK`.  The
+        votes are read one transposed block at a time
+        (:meth:`RowSelection.lanes`), so the width only bounds the
+        O(n · block) lane workspace: median, deviation, argsort and take
+        are all per-coordinate, and each block's kept values are averaged
+        as one C-contiguous ``(beta, block)`` operand (at least 2 wide,
+        :func:`~repro.utils.arrays.reduction_blocks`), so every width gives
+        the same bits.  Block partial sums can shift a distance by an ulp,
+        never the ranking-based selection.
     """
 
     aggregator_name = "bulyan"
+    streams_lanes = True
 
     def __init__(self, num_byzantine: int, block_size: int | None = None) -> None:
         if num_byzantine < 0:
@@ -104,30 +116,39 @@ class BulyanAggregator(Aggregator):
         q = self.num_byzantine if num_byzantine is None else num_byzantine
         return 4 * q + 3 if q else 1
 
-    def _aggregate(self, matrix: np.ndarray) -> np.ndarray:
-        n, d = matrix.shape
+    def _aggregate(self, votes: RowSelection) -> np.ndarray:
+        n, d = votes.shape
         q = self.num_byzantine
         if n < self.minimum_votes():
             raise AggregationError(
                 f"Bulyan requires at least 4q+3={4 * q + 3} votes, got {n}"
             )
-        selected = bulyan_selection(matrix, q, block_size=self.block_size)
+        width = self.block_size or _LANE_BLOCK
+        selected = bulyan_selection(votes, q, block_size=width)
         theta = len(selected)
         beta = theta - 2 * q
-        # For each coordinate keep the beta values closest to the median.
-        # A coordinate's theta selected votes sit a row stride apart in
-        # ``matrix``; each block is gathered into contiguous lanes first, so
-        # the partition, the argsort and the take all run along the fast axis.
-        closest = np.empty((beta, d), dtype=matrix.dtype)
-        for lo, hi in block_ranges(d, self.block_size or _LANE_BLOCK):
-            lanes = matrix[selected, lo:hi].T.copy()
+        # For each coordinate keep the beta values closest to the median.  A
+        # block of all n votes is read into contiguous lanes and the
+        # selected ones gathered in selection order, so the partition, the
+        # argsort and the take all run along the fast axis.
+        rows = min(d, max(width, 2) + 1)  # the widest block reduction_blocks yields
+        buffer = np.empty((rows, n), dtype=votes.dtype)
+        chosen = np.empty((rows, theta), dtype=votes.dtype)
+        lane_starts = np.arange(rows) * theta  # flat index of each lane's first vote
+        out = np.empty(d, dtype=votes.dtype)
+        for lo, hi in reduction_blocks(d, width):
+            lanes = chosen[: hi - lo]
+            votes.lanes(lo, hi, buffer[: hi - lo], clamp_non_finite=True)
+            np.take(buffer[: hi - lo], selected, axis=1, out=lanes, mode="clip")
             deviation = lanes - coordinate_median(lanes.T)[:, None]
             np.abs(deviation, out=deviation)
             order = np.argsort(deviation, axis=1)[:, :beta]
-            closest[:, lo:hi] = np.take_along_axis(lanes, order, axis=1).T
-        # Load-bearing for bit-identity: the kept values stay in
-        # argsort-by-deviation order and are reduced over axis 0 of one
-        # C-contiguous (beta, d) array.  Summing the lanes along axis 1,
-        # averaging a transposed view or keeping a value-sorted window all
-        # reorder the additions and move the last ulp.
-        return closest.mean(axis=0)
+            # Load-bearing for bit-identity: the kept values stay in
+            # argsort-by-deviation order and are reduced over axis 0 of a
+            # C-contiguous (beta, block) array, as the full-width (beta, d)
+            # one would be.  Summing the lanes along axis 1, averaging a
+            # transposed view or keeping a value-sorted window all reorder
+            # the additions and move the last ulp.
+            kept = np.take(lanes, order.T + lane_starts[: hi - lo])
+            np.mean(kept, axis=0, out=out[lo:hi])
+        return out

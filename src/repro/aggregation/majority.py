@@ -34,7 +34,7 @@ import numpy as np
 from repro.core.backend import bit_view_dtype
 from repro.core.vote_tensor import RowSelection
 from repro.exceptions import AggregationError
-from repro.utils.arrays import LANE_BLOCK, block_ranges
+from repro.utils.arrays import GATHER_ELEMENTS, LANE_BLOCK, block_ranges
 from repro.utils.rng import as_generator
 
 __all__ = [
@@ -81,18 +81,11 @@ def _reference_exact_majority(matrix: np.ndarray) -> tuple[np.ndarray, int]:
 #: modulo 2**64 and single-coordinate differences always change the hash)
 _HASH_WEIGHTS: dict[int, np.ndarray] = {}
 
-#: elements of one gathered ``(rows, width)`` coordinate block of the row
-#: comparison and the hashes: 256 KiB as uint64, whatever the row count or
-#: ``block_size``.  Narrower blocks cost time: a full sweep takes
-#: ``rows · d / _GATHER_ELEMENTS`` steps, and at 64 KiB hashing 100 rows of
-#: 94k coordinates took 1.4–2× as long as at this budget (EXPERIMENTS.md)
-_GATHER_ELEMENTS = 1 << 15
-
 
 def _gather_width(block_size: int | None, count: int) -> int:
     """``block_size`` (``None``: :data:`~repro.utils.arrays.LANE_BLOCK`),
-    narrowed so ``count`` rows of it hold at most :data:`_GATHER_ELEMENTS`."""
-    return max(1, min(block_size or LANE_BLOCK, _GATHER_ELEMENTS // max(1, count)))
+    narrowed so ``count`` rows of it hold at most :data:`GATHER_ELEMENTS`."""
+    return max(1, min(block_size or LANE_BLOCK, GATHER_ELEMENTS // max(1, count)))
 
 
 def _hash_weights(d: int) -> np.ndarray:
@@ -113,7 +106,7 @@ def _accumulate_hashes(gather_block, count: int, d: int, block_size: int | None)
     partial sums are *exactly* — not just approximately — equal to one
     full-width einsum, so every width gives the same hashes.  Blocks are
     ``block_size`` wide (``None``: :data:`~repro.utils.arrays.LANE_BLOCK`)
-    but never hold more than :data:`_GATHER_ELEMENTS`, so the gathered
+    but never hold more than :data:`GATHER_ELEMENTS`, so the gathered
     block and its uint64 widening stay within 256 KiB each.
     """
     weights = _hash_weights(d)
@@ -132,7 +125,7 @@ def _rows_equal(gather_a, gather_b, count: int, d: int, block_size: int | None) 
     ``gather_a`` / ``gather_b`` return the two sides' ``(count, hi - lo)``
     bit blocks, ``block_size`` wide (``None``:
     :data:`~repro.utils.arrays.LANE_BLOCK`) but never holding more than
-    :data:`_GATHER_ELEMENTS`: each gathered block stays within 256 KiB
+    :data:`GATHER_ELEMENTS`: each gathered block stays within 256 KiB
     whatever ``count``.  The sweep stops after the first block that leaves
     no row equal: every row is then already proven unequal, which is how a
     crafted payload (it differs from the honest rows at once) costs one
@@ -186,7 +179,7 @@ def override_content_ids(tensor, block_size: int | None = None) -> np.ndarray:
     label.  The comparison, the hashes and the verification
     stream coordinate blocks of width ``block_size`` (``None``:
     :data:`~repro.utils.arrays.LANE_BLOCK`), narrowed so that a gathered
-    block stays within 256 KiB (:data:`_GATHER_ELEMENTS`) however many
+    block stays within 256 KiB (:data:`GATHER_ELEMENTS`) however many
     distinct pairs there are, and every width gives the same ids.
     """
     f, r, d = tensor.shape

@@ -33,8 +33,8 @@ def coordinate_median(
     of a selection exists.  ``np.median``'s extra NaN probe rank is dropped:
     the votes must be finite, or ``clamp_non_finite`` set — each block is
     then tested in the buffer and given :meth:`Aggregator.__call__`'s
-    substitutions (NaN -> 0, +-inf -> +-1e30), which is bit-identical to
-    clamping the whole matrix first.
+    substitutions (NaN -> 0, +-inf -> +-1e30) by :meth:`RowSelection.lanes`,
+    which is bit-identical to clamping the whole matrix first.
     """
     votes = RowSelection.of(votes)
     n, d = votes.shape
@@ -44,9 +44,7 @@ def coordinate_median(
     buffer = np.empty((min(d, LANE_BLOCK), n), dtype=votes.dtype)
     for lo, hi in block_ranges(d, LANE_BLOCK):
         lanes = buffer[: hi - lo]
-        votes.lanes(lo, hi, lanes)
-        if clamp_non_finite and not np.isfinite(lanes).all():
-            np.nan_to_num(lanes, copy=False, nan=0.0, posinf=1e30, neginf=-1e30)
+        votes.lanes(lo, hi, lanes, clamp_non_finite)
         lanes.partition(ranks, axis=1)
         np.mean(lanes[:, middle], axis=1, out=out[lo:hi])
     return out

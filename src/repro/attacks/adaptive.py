@@ -34,7 +34,7 @@ from repro.attacks.base import Attack, AttackContext
 from repro.core.backend import DEFAULT_DTYPE
 from repro.core.distortion import distorted_files
 from repro.exceptions import AttackError
-from repro.utils.arrays import column_mean_std
+from repro.utils.arrays import GATHER_ELEMENTS, column_mean_std
 
 __all__ = ["FangAdaptiveAttack", "MinMaxAttack", "MinSumAttack"]
 
@@ -56,6 +56,31 @@ def _corrupted_file_indices(context: AttackContext) -> np.ndarray:
         }
         files = np.asarray(sorted(touched), dtype=np.int64)
     return files
+
+
+def _distance_coefficients(
+    honest: np.ndarray, mu: np.ndarray, u: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """``(a, b, c)`` of ``||µ + t·u − g_i||² = a_i + 2t·b_i + t²·c``.
+
+    ``a_i = ||µ − g_i||²``, ``b_i = (µ − g_i)·u`` and ``c = u·u``: the
+    squared distance from a payload on the line ``µ + t·u`` to every honest
+    row, as a quadratic in the search scalar.  ``µ − g_i`` is formed over
+    row chunks of at most :data:`~repro.utils.arrays.GATHER_ELEMENTS`
+    entries, never as one ``(f, d)`` matrix.  Chunks can move the last ulp
+    of ``a`` (a one-row chunk is reduced pairwise) and of ``b`` (the GEMV
+    blocks differently); the searches only test the quadratic against a
+    bound, so the payload moves only if a test flips.
+    """
+    f, d = honest.shape
+    a = np.empty(f, dtype=honest.dtype)
+    b = np.empty(f, dtype=honest.dtype)
+    rows = max(1, GATHER_ELEMENTS // max(d, 1))
+    for lo in range(0, f, rows):
+        diff = mu - honest[lo : lo + rows]
+        np.einsum("ij,ij->i", diff, diff, out=a[lo : lo + rows])
+        np.matmul(diff, u, out=b[lo : lo + rows])
+    return a, b, float(u @ u)
 
 
 def _pairwise_sq_distances(matrix: np.ndarray) -> np.ndarray:
@@ -144,10 +169,7 @@ class FangAdaptiveAttack(Attack):
         f = honest.shape[0]
         k = int(corrupted.size)
         # p(λ) = µ − λ·sign(µ);  ||p − g_j||² = a_j − 2λ·b_j + λ²·c.
-        diff = mu[None, :] - honest
-        a = np.einsum("ij,ij->i", diff, diff)
-        b = diff @ sign
-        c = float(sign @ sign)
+        a, b, c = _distance_coefficients(honest, mu, sign)
         pair = _pairwise_sq_distances(honest)
         q_eff = min(k, max(f - 3, 0))
         neighbors = max(1, f - q_eff - 2)
@@ -380,8 +402,8 @@ class _OptimizedDeviationAttack(Attack):
 
     The payload is ``µ + γ·u`` for a fixed perturbation direction ``u``;
     squared distances to the honest rows are the quadratic
-    ``a_i + 2γ·b_i + γ²·c``, so each bisection step is O(f) after an
-    O(f·d) precompute.
+    ``a_i + 2γ·b_i + γ²·c`` (:func:`_distance_coefficients`), so each
+    bisection step is O(f) after an O(f·d) precompute.
     """
 
     DIRECTIONS = ("unit", "sign", "std")
@@ -430,10 +452,7 @@ class _OptimizedDeviationAttack(Attack):
         honest = np.asarray(context.stacked_honest_gradients(), dtype=DEFAULT_DTYPE)
         mu, u = self._mean_and_perturbation(honest)
         # p − g_i = (µ − g_i) + γ·u → ||p − g_i||² = a_i + 2γ·b_i + γ²·c.
-        diff = mu[None, :] - honest
-        a = np.einsum("ij,ij->i", diff, diff)
-        b = diff @ u
-        c = float(u @ u)
+        a, b, c = _distance_coefficients(honest, mu, u)
         bound = self._bound(_pairwise_sq_distances(honest))
         gamma = self.gamma_init
         step = self.gamma_init / 2.0

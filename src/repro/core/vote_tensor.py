@@ -54,6 +54,7 @@ import numpy as np
 from repro.core.backend import ensure_float
 from repro.exceptions import ConfigurationError
 from repro.graphs.bipartite import BipartiteAssignment
+from repro.utils.arrays import finite_stand_ins
 
 __all__ = ["VoteTensor", "RowSelection"]
 
@@ -153,19 +154,25 @@ class RowSelection:
         two ``(k,)`` index vectors: the base and the store are references."""
         return self.base.nbytes
 
-    def lanes(self, lo: int, hi: int, out: np.ndarray) -> None:
+    def lanes(
+        self, lo: int, hi: int, out: np.ndarray, clamp_non_finite: bool = False
+    ) -> None:
         """Fill ``out`` — ``(hi - lo, n)`` — with coordinates ``[lo, hi)`` transposed.
 
         A coordinate's ``n`` votes become adjacent: one strided copy of the
         base block, then ``k`` column writes straight from the store's rows
         (or zero), so nothing but ``out`` is written, however many files a
-        stored row wins.
+        stored row wins.  ``clamp_non_finite`` then gives the block, in
+        ``out``, the stand-ins of :func:`~repro.utils.arrays.finite_stand_ins`
+        — the one place a streaming rule's lanes are clamped.
         """
         np.copyto(out, self.base[:, lo:hi].T)
         for file, row in self._stored:
             out[:, file] = self.store[row, lo:hi]
         if self._zeroed.size:
             out[:, self._zeroed] = 0
+        if clamp_non_finite:
+            finite_stand_ins(out, copy=False)
 
     def densified(self) -> np.ndarray:
         """The read-only ``(n, d)`` matrix: the base itself when nothing is

@@ -20,8 +20,11 @@ __all__ = [
     "stack_vectors",
     "pairwise_squared_distances",
     "block_ranges",
+    "reduction_blocks",
     "column_mean_std",
+    "finite_stand_ins",
     "LANE_BLOCK",
+    "GATHER_ELEMENTS",
 ]
 
 #: Coordinates per block of the kernels that always stream (the coordinate
@@ -32,6 +35,14 @@ __all__ = [
 #: 8192 up, and ``column_mean_std`` is 25-35% faster at 4096 than at 2048 or
 #: 8192.
 LANE_BLOCK = 4096
+
+#: elements of one gathered block of the kernels whose row count varies
+#: (the vote's row comparison and hashes, the min-max coefficients): 256 KiB
+#: as uint64 or float64, whatever the row count or ``block_size``.  Narrower
+#: blocks cost time: a full sweep takes ``rows · d / GATHER_ELEMENTS``
+#: steps, and at 64 KiB hashing 100 rows of 94k coordinates took 1.4–2× as
+#: long as at this budget (EXPERIMENTS.md)
+GATHER_ELEMENTS = 1 << 15
 
 
 def block_ranges(d: int, block_size: int | None):
@@ -47,6 +58,38 @@ def block_ranges(d: int, block_size: int | None):
         yield lo, min(lo + block_size, d)
 
 
+def reduction_blocks(d: int, width: int):
+    """Yield ``[lo, hi)`` blocks of ``width`` (at least 2) covering dimension ``d``.
+
+    For kernels that reduce a C-contiguous ``(rows, hi - lo)`` block over
+    axis 0 and must give the full-width reduction's bits: NumPy adds such a
+    block row by row, column by column, whatever its width — except a block
+    of width 1, which it reduces pairwise along the (strided) column, moving
+    the last ulp from 8 rows up.  A width-1 tail is therefore folded into
+    the block before it, so the widest block is ``width + 1``.
+    """
+    width = max(int(width), 2)
+    for lo in range(0, max(d - 1, 1), width):
+        hi = lo + width
+        yield lo, d if hi >= d - 1 else hi
+
+
+def finite_stand_ins(values: np.ndarray, copy: bool) -> np.ndarray:
+    """``values`` with the stand-ins robust rules discard for non-finite entries.
+
+    NaN -> 0 and +-inf -> +-1e30, as :meth:`Aggregator.__call__
+    <repro.aggregation.base.Aggregator.__call__>` promises every rule.  The
+    values are tested first: finite ones (every honest block) are returned
+    as they are.  ``copy=False`` writes the stand-ins into ``values`` (a
+    lane buffer), ``copy=True`` into a copy.  Each entry is replaced on its
+    own, so clamping block by block gives the bits of clamping the whole
+    matrix.
+    """
+    if np.isfinite(values).all():
+        return values
+    return np.nan_to_num(values, copy=copy, nan=0.0, posinf=1e30, neginf=-1e30)
+
+
 def column_mean_std(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-column mean and population standard deviation of an ``(n, d)`` matrix.
 
@@ -54,10 +97,8 @@ def column_mean_std(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     NumPy's own recipe, ufunc for ufunc, with the mean computed once and
     ``std``'s centred ``(n, d)`` copy replaced by one reused
     ``(n, LANE_BLOCK + 1)`` buffer.  Every step is per-column, so the block
-    width cannot change a bit, with one exception: a block of width 1
-    reduces pairwise along its (strided) column instead of row by row, which
-    moves the last ulp from n = 8 up.  A width-1 tail is therefore folded
-    into the block before it.
+    width cannot change a bit once a width-1 tail is folded into the block
+    before it (:func:`reduction_blocks`).
     """
     matrix = ensure_float(matrix)
     if matrix.ndim != 2:
@@ -68,10 +109,7 @@ def column_mean_std(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     std = np.empty(d, dtype=matrix.dtype)
     # Laid out like the matrix, as the copy NumPy's ``_var`` centres into is.
     centred = np.empty_like(matrix[:, : LANE_BLOCK + 1])
-    for lo in range(0, max(d - 1, 1), LANE_BLOCK):
-        hi = lo + LANE_BLOCK
-        if hi >= d - 1:
-            hi = d
+    for lo, hi in reduction_blocks(d, LANE_BLOCK):
         block, block_mean, block_std = matrix[:, lo:hi], mean[lo:hi], std[lo:hi]
         deviation = centred[:, : hi - lo]
         np.add.reduce(block, axis=0, out=block_mean)
@@ -100,40 +138,59 @@ def stack_vectors(vectors: Sequence[np.ndarray]) -> np.ndarray:
 
 
 def pairwise_squared_distances(
-    matrix: np.ndarray, block_size: int | None = None
+    votes, block_size: int | None = None, clamp_non_finite: bool = False
 ) -> np.ndarray:
     """Compute the ``(n, n)`` matrix of squared Euclidean distances.
 
-    Uses the ``||x||² + ||y||² − 2·x·y`` identity so the whole computation is
-    a single matrix multiplication; numerical noise is clipped at zero.
+    Uses the ``||x||² + ||y||² − 2·x·y`` identity with the squared norms
+    read off the Gram diagonal, so the whole computation is a single matrix
+    multiplication; numerical noise is clipped at zero.
 
-    With ``block_size`` set, the norms and the Gram matrix accumulate over
-    coordinate blocks so the peak temporary is O(n² + n · block).  The block
-    partial sums can differ from the monolithic reduction in the last ulp;
-    Krum-family consumers only rank the distances, so their *selection* (and
-    hence their output rows) stays identical — the per-aggregator bit-identity
-    property tests pin this down.
+    ``votes`` is an ``(n, d)`` matrix or a
+    :class:`~repro.core.vote_tensor.RowSelection`.  With ``block_size`` set,
+    the Gram matrix accumulates over coordinate blocks so the peak temporary
+    is O(n² + n · block).  A selection is always read that
+    way, through :meth:`~repro.core.vote_tensor.RowSelection.lanes` into one
+    reused ``(block, n)`` buffer (``None``: :data:`LANE_BLOCK` wide), so its
+    dense matrix never exists.  ``clamp_non_finite`` gives each block
+    :func:`finite_stand_ins` first.  The block partial sums can differ from
+    the monolithic reduction in the last ulp; Krum-family consumers only
+    rank the distances, so their *selection* (and hence their output rows)
+    stays identical — the per-aggregator bit-identity property tests pin
+    this down.
     """
-    matrix = ensure_float(matrix)
-    if matrix.ndim != 2:
-        raise ValueError(f"expected a 2-D matrix, got ndim={matrix.ndim}")
-    n, d = matrix.shape
+    if hasattr(votes, "lanes"):  # a RowSelection (not imported: it imports this module)
+        (n, d), dtype = votes.shape, votes.dtype
+        blocks = _lane_blocks(votes, block_size or LANE_BLOCK, clamp_non_finite)
+    else:
+        matrix = ensure_float(votes)
+        if matrix.ndim != 2:
+            raise ValueError(f"expected a 2-D matrix, got ndim={matrix.ndim}")
+        (n, d), dtype = matrix.shape, matrix.dtype
+        blocks = (matrix[:, lo:hi] for lo, hi in block_ranges(d, block_size))
+        if clamp_non_finite:
+            blocks = (finite_stand_ins(block, copy=True) for block in blocks)
+    gram = np.zeros((n, n), dtype=dtype)
     # A row clamped to +-1e30 (Aggregator.__call__'s stand-in for +-inf)
     # squares past float32's range: its distances come out inf or NaN, both
     # of which sort after every finite distance, so such a row is never a
     # near neighbour.  That is the intended reading, not a warning.
     with np.errstate(over="ignore", invalid="ignore"):
-        if block_size is None or block_size >= d:
-            norms = np.einsum("ij,ij->i", matrix, matrix)
-            gram = matrix @ matrix.T
-        else:
-            norms = np.zeros(n, dtype=matrix.dtype)
-            gram = np.zeros((n, n), dtype=matrix.dtype)
-            for lo, hi in block_ranges(d, block_size):
-                block = matrix[:, lo:hi]
-                norms += np.einsum("ij,ij->i", block, block)
-                gram += block @ block.T
+        for block in blocks:
+            gram += block @ block.T
+        norms = np.diagonal(gram)
         sq = norms[:, None] + norms[None, :] - 2.0 * gram
         np.maximum(sq, 0.0, out=sq)
     np.fill_diagonal(sq, 0.0)
     return sq
+
+
+def _lane_blocks(selection, width: int, clamp_non_finite: bool):
+    """A selection's ``(n, block)`` coordinate blocks, each the transposed
+    view of one reused ``(width, n)`` lane buffer."""
+    n, d = selection.shape
+    buffer = np.empty((min(d, width), n), dtype=selection.dtype)
+    for lo, hi in block_ranges(d, width):
+        lanes = buffer[: hi - lo]
+        selection.lanes(lo, hi, lanes, clamp_non_finite=clamp_non_finite)
+        yield lanes.T

@@ -10,6 +10,7 @@ sorted-names / one-class-per-name guarantees.
 import numpy as np
 import pytest
 
+import repro.attacks.adaptive as adaptive
 from repro.attacks.adaptive import (
     FangAdaptiveAttack,
     MinMaxAttack,
@@ -23,6 +24,7 @@ from repro.attacks.sign_flip import SignFlipAttack
 from repro.core.distortion import distorted_files
 from repro.core.vote_tensor import VoteTensor
 from repro.exceptions import AttackError, ConfigurationError
+from repro.utils.arrays import GATHER_ELEMENTS
 
 from cow_helpers import cube_of
 
@@ -253,6 +255,53 @@ def test_optimized_deviation_validation():
         MinSumAttack(gamma_init=-1.0)
     with pytest.raises(AttackError):
         MinSumAttack(num_steps=0)
+
+
+def _unchunked_coefficients(honest, mu, u):
+    """The line search's coefficients from one ``(f, d)`` ``µ − g`` matrix,
+    as they were computed before the row chunks."""
+    diff = mu[None, :] - honest
+    return np.einsum("ij,ij->i", diff, diff), diff @ u, float(u @ u)
+
+
+#: every attack whose payload is a point on a line searched through the
+#: ``(a, b, c)`` coefficients
+LINE_SEARCHES = [MinMaxAttack(direction=d) for d in MinMaxAttack.DIRECTIONS]
+LINE_SEARCHES += [MinSumAttack(direction=d) for d in MinSumAttack.DIRECTIONS]
+LINE_SEARCHES += [FangAdaptiveAttack(defense="krum")]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+@pytest.mark.parametrize(
+    "attack",
+    LINE_SEARCHES,
+    ids=[f"{a.attack_name}-{getattr(a, 'direction', 'krum')}" for a in LINE_SEARCHES],
+)
+def test_row_chunked_coefficients_keep_the_payload(attack, dtype, ramanujan_case2, monkeypatch):
+    """``a`` and ``b`` are built over row chunks of at most ``GATHER_ELEMENTS``
+    entries; a chunked GEMV may move the last ulp of ``b``, never the payload,
+    which only moves if an acceptance test flips.  Random contexts at widths
+    of one chunk (d = 7), of 6 rows with a 1-row tail (5001), of 2 rows
+    (11274) and of one row wider than the budget."""
+    assignment = ramanujan_case2.assignment
+    rng = np.random.default_rng(np.dtype(dtype).itemsize)
+    for d in (7, 5001, 11_274, GATHER_ELEMENTS + 3):
+        for _ in range(4):
+            scales = 10.0 ** rng.uniform(-3, 1, size=(assignment.num_files, 1))
+            honest = rng.standard_normal((assignment.num_files, d)) * scales
+            honest += rng.standard_normal(d)  # a shared mean, as gradients have
+            byzantine = rng.choice(assignment.num_workers, size=int(rng.integers(1, 8)))
+            context = AttackContext(
+                assignment=assignment,
+                byzantine_workers=tuple(sorted(set(byzantine.tolist()))),
+                honest_matrix=honest.astype(dtype),
+            )
+            chunked = attack.payload(context)
+            with monkeypatch.context() as patch:
+                patch.setattr(adaptive, "_distance_coefficients", _unchunked_coefficients)
+                whole = attack.payload(context)
+            assert chunked.dtype == whole.dtype
+            assert np.array_equal(chunked, whole), (d, context.byzantine_workers)
 
 
 # --------------------------------------------------------------------------- #

@@ -11,6 +11,7 @@ from repro.aggregation.krum import (
     krum_scores,
     krum_scores_from_distances,
 )
+from repro.core.vote_tensor import RowSelection
 from repro.exceptions import AggregationError
 from repro.utils.arrays import pairwise_squared_distances
 
@@ -207,6 +208,56 @@ def test_bulyan_is_bit_identical_to_the_kernel_it_replaced(q, dtype):
                 ), where
                 if distinct:
                     assert selection == expected_selection, where
+
+
+#: dims around the default lane block: a width-1 tail folded into the block
+#: before it (513, 1025) and one that is not (514)
+SELECTION_DIMS = [1, 2, 5, 63, 513, 514, 1025, 5000]
+
+
+def _patched_selection(rng, q, n, d, dtype):
+    """A vote's winners as Bulyan receives them: a base plus patched files.
+
+    Up to ``q`` files share store row 0 (a colluding payload), one file is a
+    zero row (id -1) and one reads store row 1, which holds NaN and +-inf.
+    """
+    base = _reference_case(rng, q, n, d, dtype, "plain")
+    store = (rng.standard_normal((2, d)) * 10.0 ** rng.integers(-3, 4, size=(2, 1)))
+    store[1, rng.choice(d, size=min(d, 3), replace=False)] = [np.nan, np.inf, -np.inf][
+        : min(d, 3)
+    ]
+    files = rng.choice(n, size=int(rng.integers(1, q + 1)) + 2, replace=False)
+    row_ids = np.zeros(files.size, dtype=np.int64)
+    row_ids[-2:] = [-1, 1]
+    return RowSelection(base, files, row_ids, store.astype(dtype))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+@pytest.mark.parametrize("q", [1, 2, 3, 5])
+def test_bulyan_streams_a_selection_to_the_reference_bits(q, dtype):
+    """What a round hands Bulyan is the vote's ``RowSelection``, never a dense
+    matrix: both passes read it through clamped lanes.  Every width gives the
+    bits of the reference on the clamped dense matrix, and selects its rows.
+
+    The lane Gram is not the reference's GEMM at any width, so two scores a
+    few ulps apart can be picked in either order (float32 rows of scale
+    1e-3..1e3 do that here); the selected rows are compared as a set."""
+    rng = np.random.default_rng(2000 * q + np.dtype(dtype).itemsize)
+    for n in (4 * q + 3, 4 * q + 8):
+        for d in SELECTION_DIMS:
+            selection = _patched_selection(rng, q, n, d, dtype)
+            clamped = _clamped(selection.densified())
+            expected, _ = _reference_bulyan(clamped, q)
+            for block_size in REFERENCE_BLOCKS if d < 5000 else [None, 64]:
+                where = (n, d, block_size)
+                result = BulyanAggregator(q, block_size=block_size)(selection)
+                assert result.dtype == expected.dtype, where
+                assert np.array_equal(result, expected), where
+                _, expected_selection = _reference_bulyan(clamped, q, block_size)
+                chosen = bulyan_selection(selection, q, block_size=block_size)
+                assert sorted(row.tobytes() for row in clamped[chosen]) == sorted(
+                    row.tobytes() for row in clamped[expected_selection]
+                ), where
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 7])

@@ -17,7 +17,6 @@ import pytest
 
 from repro.aggregation import majority
 from repro.aggregation.majority import (
-    _GATHER_ELEMENTS,
     _accumulate_hashes,
     _hash_weights,
     _labels_from_ids,
@@ -27,11 +26,14 @@ from repro.aggregation.majority import (
     majority_vote_votetensor,
     override_content_ids,
 )
+from repro.aggregation.bulyan import BulyanAggregator
 from repro.aggregation.median import coordinate_median
 from repro.assignment.mols import MOLSAssignment
 from repro.assignment.ramanujan import RamanujanAssignment
-from repro.core.vote_tensor import VoteTensor
-from repro.utils.arrays import LANE_BLOCK, column_mean_std
+from repro.attacks.adaptive import FangAdaptiveAttack, MinMaxAttack
+from repro.attacks.base import AttackContext
+from repro.core.vote_tensor import RowSelection, VoteTensor
+from repro.utils.arrays import GATHER_ELEMENTS, LANE_BLOCK, column_mean_std
 
 from cow_helpers import cube_of
 
@@ -283,7 +285,8 @@ class TestNoFullWidthTemporary:
     centred copy, a gathered ``(n, d)`` bit image or even its bool mask — is
     5 to 40 times the bound, so staying under it means none was made: no
     allocation exceeds ``n * (LANE_BLOCK + 1) * itemsize``.  The vote over
-    many distinct rows is held to its fixed gather budget instead."""
+    many distinct rows is held to its fixed gather budget instead; Bulyan and
+    the line-search payloads are held to the bound at the adaptive round's width."""
 
     n, d = 25, 40 * LANE_BLOCK + 1
     bound = n * (LANE_BLOCK + 1) * 8
@@ -319,13 +322,48 @@ class TestNoFullWidthTemporary:
         # buffer NumPy iterates the broadcast payload row through
         assert transient_bytes(compare_all_blocks) <= self.bound * 5 // 4
 
+    # The adaptive-bulyan-noniid round at its own width: Bulyan over the
+    # vote's (25, 11274) winners and the min-max payload over the honest
+    # matrix.  One dense (25, 11274) copy alone is 2.75 times the bound.
+    round_d = 11_274
+
+    @pytest.fixture(scope="class")
+    def winners(self):
+        """Three files share a colluding store row, one is a zero row."""
+        rng = np.random.default_rng(13)
+        base = rng.standard_normal((self.n, self.round_d))
+        store = rng.standard_normal((1, self.round_d))
+        files, row_ids = np.array([2, 9, 14, 20]), np.array([0, 0, 0, -1])
+        return RowSelection(base, files, row_ids, store)
+
+    def test_bulyan_streams_a_patched_selection(self, winners):
+        """Both passes read 512-wide lane blocks: 0.53 MiB measured, where the
+        densified copy, the ``(beta, d)`` operand and 2048-wide lanes took
+        4.67 MiB."""
+        assert transient_bytes(lambda: BulyanAggregator(3)(winners)) <= self.bound
+
+    @pytest.mark.parametrize(
+        "attack",
+        [MinMaxAttack(direction=d) for d in MinMaxAttack.DIRECTIONS]
+        + [FangAdaptiveAttack(defense="krum")],
+        ids=[*MinMaxAttack.DIRECTIONS, "fang-krum"],
+    )
+    def test_line_search_payloads_chunk_their_rows(self, winners, attack):
+        """``a`` and ``b`` over row chunks: at most ``column_mean_std``'s
+        centred block (the bound) plus one chunk.  0.87 MiB measured for
+        ``std`` and 0.43 for the others, where one ``(f, d)`` ``µ − g`` made
+        it 2.41."""
+        assignment = RamanujanAssignment(m=5, s=5).assignment
+        context = AttackContext(assignment, (0, 2, 4, 6, 8), winners.base)
+        assert transient_bytes(lambda: attack.payload(context)) <= self.bound + self.gather
+
     # The vote's comparison and hashes gather ``(rows, width)`` blocks whose
-    # width shrinks with the row count: at most ``_GATHER_ELEMENTS`` elements
+    # width shrinks with the row count: at most ``GATHER_ELEMENTS`` elements
     # (256 KiB as uint64) per gathered block, whatever ``block_size``.  A cell
     # round compares ~70 (payload, file) pairs, which at width 4096 gathered
     # 1.09 MiB a side; hashing 24 float32 rows widened 0.75 MiB to uint64.
     pairs, live, wide = 70, 24, 3 * LANE_BLOCK + 1
-    gather = _GATHER_ELEMENTS * 8
+    gather = GATHER_ELEMENTS * 8
 
     @pytest.fixture(scope="class")
     def bits(self):

@@ -39,7 +39,7 @@ from repro.aggregation.krum import MultiKrumAggregator
 from repro.aggregation.majority import majority_vote_votetensor
 from repro.aggregation.median import CoordinateWiseMedian
 from repro.assignment.ramanujan import RamanujanAssignment
-from repro.cluster.events import AsyncRuntime, EventDrivenRound, base_arrival_times
+from repro.cluster.events import AsyncRuntime, EventDrivenRound, UplinkSchedule
 from repro.cluster.timing import CostModel
 from repro.core.pipelines import ByzShieldPipeline
 from repro.core.vote_tensor import VoteTensor
@@ -118,7 +118,7 @@ def event_round_kernels() -> dict:
 
     Both kernels build the round's COW vote tensor, then run the discrete-
     event collection over the unperturbed arrival schedule.  The inf-deadline
-    kernel is the sync-equivalent mode (accept everything); the quorum kernel
+    kernel accepts everything; the quorum kernel
     closes each file after 3 of its 5 copies and pays the rejection path
     (late events + slot zeroing) for the other two.
     """
@@ -126,7 +126,7 @@ def event_round_kernels() -> dict:
     dim = 11_274  # parameter count of the benchmarked K=25 MLP (d ~= 11k)
     honest = np.random.default_rng(5).standard_normal((assignment.num_files, dim))
     samples = np.full(assignment.num_files, 8.0)
-    base = base_arrival_times(assignment, CostModel(), dim, samples)
+    base = UplinkSchedule(assignment).arrival_times(CostModel(), dim, samples)
 
     def event_round(runtime):
         tensor = VoteTensor.from_honest(assignment, honest)

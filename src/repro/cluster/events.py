@@ -1,16 +1,13 @@
 """Discrete-event round engine: timestamped arrivals, deadline/quorum close.
 
-The synchronous simulator treats a round as one atomic step: every worker's
-return is present by construction and faults are post-hoc tensor edits.  A
-real parameter server instead watches a *message stream* and must decide when
-to stop waiting.  This module models that decision as a discrete-event
-simulation over the round's ``f x r`` gradient messages:
+Every round ends here.  The parameter server watches the round's ``f x r``
+gradient messages arrive and must decide when to stop waiting.  This module
+models that decision as a discrete-event simulation:
 
 * every (file, slot) message gets an **arrival time** — worker compute time
   plus per-message network cost from :class:`~repro.cluster.timing.CostModel`,
   shifted by realized fault delays (:func:`repro.cluster.faults.
-  arrival_perturbations`); crashed / timed-out senders never arrive
-  (``inf``);
+  arrival_delays`); crashed / timed-out senders never arrive (``inf``);
 * the PS processes arrivals in time order and **accepts** a message unless
   the round **deadline** has passed (exclusive: an arrival at exactly the
   deadline is late, matching :class:`StragglerInjector`'s timeout convention)
@@ -44,20 +41,21 @@ ends at:
   accepted arrival: nothing else will ever come, so the simulation closes
   the round there instead of waiting forever.
 
-Sync equivalence
-----------------
+The synchronous round
+---------------------
 
-With ``deadline=inf`` and no quorum the engine accepts every message that
-arrives at all.  Because payload faults are applied by the *synchronous*
-injector pass before the engine runs (identical RNG streams and composition
-order), and never-arriving slots were already zeroed by that pass, the
-resulting vote tensor is bit-identical to the synchronous path by
-construction — property-tested across pipelines x attacks x faults.
+A cluster given no runtime runs this engine with an all-zero
+:class:`~repro.cluster.timing.CostModel` and, as its deadline, its straggler
+timeout (``inf`` without one).  Every message then arrives at its sender's
+straggler delay: the PS waits for every copy that arrives, and the clock
+reads the slowest surviving straggler, or the timeout when the PS gave up on
+someone.  A crash and a slow worker look the same from the PS, so a round
+that set a timeout and lost a worker to dropout also waits until the
+timeout.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -73,8 +71,7 @@ __all__ = [
     "AsyncRuntime",
     "AsyncRoundOutcome",
     "EventDrivenRound",
-    "base_arrival_times",
-    "perturbed_arrival_times",
+    "UplinkSchedule",
 ]
 
 LATE_KIND = "late"
@@ -90,7 +87,7 @@ class AsyncRuntime:
     deadline:
         Round deadline in simulated seconds (exclusive: a message arriving at
         exactly ``deadline`` is late).  ``inf`` waits for every message that
-        will ever arrive — the sync-equivalent mode.
+        will ever arrive.
     quorum:
         Per-file close threshold: a file stops accepting copies once this
         many arrived.  ``None`` waits for all ``r`` copies (or the deadline).
@@ -160,73 +157,62 @@ class AsyncRoundOutcome:
     group_close_times: np.ndarray | None = None
 
 
-def base_arrival_times(
-    assignment: BipartiteAssignment,
-    cost_model: CostModel,
-    dim: int,
-    samples_per_file: np.ndarray,
-) -> np.ndarray:
-    """Unperturbed ``(f, r)`` arrival times of one round's messages.
+class UplinkSchedule:
+    """When each of a round's ``(f, r)`` messages reaches the PS.
 
     Worker ``w`` finishes computing after processing all of its assigned
     files (``sum_i n_i * d * compute_per_sample_per_param`` over its files),
-    then transmits one ``d``-float message per file in assignment order; its
-    ``k``-th message arrives ``(k + 1)`` message-costs after compute ends
-    (serialized uplink).  Workers run in parallel.
-
-    Parameters
-    ----------
-    assignment:
-        The round's worker/file graph.
-    cost_model:
-        Compute / network coefficients.
-    dim:
-        Gradient dimensionality ``d``.
-    samples_per_file:
-        ``(f,)`` per-file sample counts of this round's batch partition.
+    then transmits one ``d``-float message per file in ascending file order;
+    its ``k``-th message arrives ``(k + 1)`` message-costs after compute ends
+    (serialized uplink).  Workers run in parallel.  Each message's sender
+    and queue position depend on the assignment only, so they are computed
+    once here; a round pays a few array operations.
     """
-    samples = np.asarray(samples_per_file, dtype=CLOCK_DTYPE).ravel()
-    if samples.shape != (assignment.num_files,):
-        raise ConfigurationError(
-            f"samples_per_file has shape {samples.shape}, expected "
-            f"({assignment.num_files},)"
+
+    def __init__(self, assignment: BipartiteAssignment) -> None:
+        workers = assignment.worker_slot_matrix()
+        senders = workers.ravel()
+        # A stable sort by sender lists each worker's messages in file order.
+        by_sender = np.argsort(senders, kind="stable")
+        first = np.searchsorted(senders[by_sender], senders[by_sender])
+        position = np.empty(senders.size, dtype=CLOCK_DTYPE)
+        position[by_sender] = np.arange(1, senders.size + 1) - first
+        self.workers = workers
+        self.num_workers = assignment.num_workers
+        self._queue_position = position.reshape(workers.shape)
+
+    def arrival_times(
+        self,
+        cost_model: CostModel,
+        dim: int,
+        samples_per_file: np.ndarray,
+        delays: np.ndarray | None = None,
+    ) -> np.ndarray:
+        """``(f, r)`` arrival times of one round's messages.
+
+        ``samples_per_file`` is the ``(f,)`` sample count of each file in
+        this round's batch partition (integer-valued: each worker's sum is
+        exact in any order).  ``delays`` is the ``(K,)`` extra delay of each
+        worker's messages (``inf``: they never arrive), from
+        :func:`repro.cluster.faults.arrival_delays`.
+        """
+        samples = np.asarray(samples_per_file, dtype=CLOCK_DTYPE).ravel()
+        f, r = self.workers.shape
+        if samples.shape != (f,):
+            raise ConfigurationError(
+                f"samples_per_file has shape {samples.shape}, expected ({f},)"
+            )
+        per_message = (
+            dim * cost_model.network_per_float + cost_model.network_latency_per_message
         )
-    per_message = (
-        dim * cost_model.network_per_float + cost_model.network_latency_per_message
-    )
-    workers = assignment.worker_slot_matrix()
-    arrivals = np.empty(workers.shape, dtype=CLOCK_DTYPE)
-    for w in range(assignment.num_workers):
-        files = assignment.files_of_worker(w)
-        compute = (
-            float(samples[list(files)].sum())
-            * dim
-            * cost_model.compute_per_sample_per_param
+        worker_samples = np.bincount(
+            self.workers.ravel(), weights=np.repeat(samples, r), minlength=self.num_workers
         )
-        for rank, i in enumerate(files):
-            k = int(np.searchsorted(workers[i], w))
-            arrivals[i, k] = compute + (rank + 1) * per_message
-    return arrivals
-
-
-def perturbed_arrival_times(
-    base: np.ndarray,
-    workers: np.ndarray,
-    extra_delay: dict[int, float],
-    never_arrives: set[int],
-) -> np.ndarray:
-    """Apply realized fault perturbations to a base arrival matrix.
-
-    ``extra_delay`` shifts every message of a worker by its straggler delay;
-    ``never_arrives`` (crashes, timeout-dropped stragglers) maps to ``inf``.
-    Inputs come from :func:`repro.cluster.faults.arrival_perturbations`.
-    """
-    arrivals = base.copy()
-    for worker, delay in extra_delay.items():
-        arrivals[workers == worker] += delay
-    for worker in never_arrives:
-        arrivals[workers == worker] = np.inf
-    return arrivals
+        compute = worker_samples * dim * cost_model.compute_per_sample_per_param
+        arrivals = compute[self.workers] + self._queue_position * per_message
+        if delays is not None:
+            arrivals += delays[self.workers]
+        return arrivals
 
 
 class EventDrivenRound:
@@ -241,12 +227,12 @@ class EventDrivenRound:
         Processes arrivals in time order (ties broken by (file, slot) for
         determinism), accepting each message unless it is at/after the
         deadline or its file already closed.  Sent-but-rejected slots are
-        zeroed in ``tensor`` — the same convention the synchronous straggler
-        timeout uses — and recorded as ``"late"`` fault events.  Never-sent
-        slots (``inf`` arrivals) are left alone: the injector pass that
-        produced them already zeroed (and possibly further perturbed) them.
-        Whether a missing copy then counts as a zero vote or abstains is the
-        runtime's ``partial`` choice (see the module docstring).
+        zeroed in ``tensor`` — the same convention the straggler timeout
+        uses — and recorded as ``"late"`` fault events.  Never-sent slots
+        (``inf`` arrivals) are left alone: the injector pass that produced
+        them already zeroed (and possibly further perturbed) them.  Whether a
+        missing copy then counts as a zero vote or abstains is the runtime's
+        ``partial`` choice (see the module docstring).
 
         With :attr:`AsyncRuntime.groups` set, the ``K`` workers (every
         worker holds a file, so ``K`` is the largest worker index plus one)
@@ -260,10 +246,11 @@ class EventDrivenRound:
         cell waits for all of its copies, which is the per-file behaviour.
         """
         arrivals = np.asarray(arrivals, dtype=CLOCK_DTYPE)
-        if arrivals.shape != tensor.workers.shape:
+        workers = tensor.workers
+        if arrivals.shape != workers.shape:
             raise ConfigurationError(
                 f"arrival matrix has shape {arrivals.shape}, expected "
-                f"{tensor.workers.shape}"
+                f"{workers.shape}"
             )
         f, r = arrivals.shape
         quorum = self.runtime.quorum if self.runtime.quorum is not None else r
@@ -275,63 +262,48 @@ class EventDrivenRound:
 
         # Cell layout: without groups one cell per file needing `quorum`
         # copies; with groups one cell per (file, group) needing
-        # min(quorum, local copies).  The loop below only sees cells.
-        num_groups = self.runtime.groups
-        if num_groups is None:
-            num_groups = 1
-            cell_of = np.broadcast_to(
-                np.arange(f, dtype=np.int64)[:, None], (f, r)
-            )
-            cell_quorum = np.full(f, quorum, dtype=np.int64)
+        # min(quorum, local copies), so an empty cell needs none.
+        num_groups = self.runtime.groups or 1
+        if self.runtime.groups is None:
+            cell_of = np.repeat(np.arange(f), r)
+            need = np.full(f, quorum)
         else:
-            members = np.array_split(np.arange(int(tensor.workers.max()) + 1), num_groups)
+            members = np.array_split(np.arange(int(workers.max()) + 1), num_groups)
             group_of = np.repeat(np.arange(num_groups), [m.size for m in members])
-            cell_of = np.arange(f, dtype=np.int64)[:, None] * num_groups + group_of[tensor.workers]
-            cell_slots = np.bincount(cell_of.ravel(), minlength=f * num_groups)
-            cell_quorum = np.minimum(quorum, cell_slots)
-        open_cells = np.bincount(
-            np.unique(cell_of), minlength=cell_quorum.size
-        ).astype(bool)
-        cells_left = np.full(f, 0, dtype=np.int64)
-        np.add.at(cells_left, np.unique(cell_of) // num_groups, 1)
+            cell_of = (np.arange(f)[:, None] * num_groups + group_of[workers]).ravel()
+            need = np.minimum(quorum, np.bincount(cell_of, minlength=f * num_groups))
 
-        # Deterministic heap: (time, seq) with seq in (file, slot) row-major
-        # order so simultaneous arrivals process in a reproducible order.
-        heap: list[tuple[float, int, int, int]] = [
-            (float(arrivals[i, k]), i * r + k, i, k)
-            for i in range(f)
-            for k in range(r)
-            if np.isfinite(arrivals[i, k])
-        ]
-        heapq.heapify(heap)
-
-        counts = np.zeros(cell_quorum.size, dtype=np.int64)
-        accepted = np.zeros((f, r), dtype=bool)
-        close_times = np.full(f, np.inf, dtype=CLOCK_DTYPE)
-        cell_close_times = np.full(cell_quorum.size, np.inf, dtype=CLOCK_DTYPE)
-        late: list[FaultEvent] = []
+        # One stable sort of the row-major matrix is the (time, file * r +
+        # slot) order; the messages that never arrive (inf) sort last.
+        flat = arrivals.ravel()
+        order = np.argsort(flat, kind="stable")
+        order = order[: np.count_nonzero(flat < np.inf)]
+        times = flat[order].tolist()
+        cells = cell_of[order].tolist()
+        wanted = need.tolist()
+        counts = [0] * len(wanted)
+        cell_close = np.full(len(wanted), np.inf, dtype=CLOCK_DTYPE)
+        taken: list[int] = []  # positions in `order`
+        late: list[int] = []
         last_accept = 0.0
-        deadline_cut = False
-        while heap:
-            time, _, i, k = heapq.heappop(heap)
-            cell = int(cell_of[i, k])
-            if time >= deadline:
-                deadline_cut = True
-                late.append(self._late_event(tensor, i, k, time))
+        for position, (time, cell) in enumerate(zip(times, cells)):
+            if time >= deadline:  # so is every later arrival
+                late.extend(range(position, len(times)))
+                break
+            if counts[cell] >= wanted[cell]:
+                late.append(position)
                 continue
-            if counts[cell] >= cell_quorum[cell]:
-                late.append(self._late_event(tensor, i, k, time))
-                continue
-            accepted[i, k] = True
+            taken.append(position)
             counts[cell] += 1
             last_accept = time
-            if counts[cell] == cell_quorum[cell]:
-                cell_close_times[cell] = time
-                cells_left[i] -= 1
-                if cells_left[i] == 0:
-                    close_times[i] = time
+            if counts[cell] == wanted[cell]:
+                cell_close[cell] = time
 
-        all_closed = bool((counts >= cell_quorum)[open_cells].all())
+        accepted = np.zeros(f * r, dtype=bool)
+        accepted[order[taken]] = True
+        # A file closes with the last of its non-empty cells.
+        close_times = np.where(need > 0, cell_close, -np.inf).reshape(f, num_groups).max(axis=1)
+        all_closed = bool(close_times.max() < np.inf)
         if all_closed:
             round_time = float(close_times.max())
         elif np.isfinite(deadline):
@@ -340,39 +312,35 @@ class EventDrivenRound:
             # Some slot never arrives and there is no deadline: close the
             # round once the stream is exhausted (see the clock model note).
             round_time = last_accept
-        deadline_fired = deadline_cut or (not all_closed and np.isfinite(deadline))
+        deadline_cut = bool(times) and times[-1] >= deadline
 
         # Zero only the sent-but-rejected (late) slots.  Never-arrived slots
-        # were already zeroed by the synchronous injector pass — and later
-        # injectors (message corruption) may have rewritten them since, a
-        # composition the sync path defines and deadline=inf must reproduce
-        # bit-exactly, so the engine must not touch them again.
+        # were already zeroed by the injector pass — and later injectors
+        # (message corruption) may have rewritten them since, a composition
+        # the fault records define, so the engine must not touch them again.
+        late_events: tuple[FaultEvent, ...] = ()
         if late:
-            tensor.zero_slots(
-                np.array([e.file for e in late], dtype=np.int64),
-                np.array([e.slot for e in late], dtype=np.int64),
+            late_files, late_slots = np.divmod(order[late], r)
+            tensor.zero_slots(late_files, late_slots)
+            late_events = tuple(
+                FaultEvent(kind=LATE_KIND, worker=w, file=i, slot=k, delay=t, dropped=True)
+                for w, i, k, t in zip(
+                    workers[late_files, late_slots].tolist(),
+                    late_files.tolist(),
+                    late_slots.tolist(),
+                    [times[p] for p in late],
+                )
             )
         return AsyncRoundOutcome(
             arrivals=arrivals,
-            accepted=accepted,
+            accepted=accepted.reshape(f, r),
             round_time=round_time,
             file_close_times=close_times,
-            deadline_fired=deadline_fired,
-            late_events=tuple(late),
+            deadline_fired=deadline_cut or (not all_closed and np.isfinite(deadline)),
+            late_events=late_events,
             group_close_times=(
                 None
                 if self.runtime.groups is None
-                else cell_close_times.reshape(f, num_groups)
+                else cell_close.reshape(f, num_groups)
             ),
-        )
-
-    @staticmethod
-    def _late_event(tensor: VoteTensor, file: int, slot: int, time: float) -> FaultEvent:
-        return FaultEvent(
-            kind=LATE_KIND,
-            worker=int(tensor.workers[file, slot]),
-            file=file,
-            slot=slot,
-            delay=float(time),
-            dropped=True,
         )

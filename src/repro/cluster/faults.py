@@ -12,8 +12,7 @@ faults exactly as they would see adversarial returns:
   delay is sampled from a deterministic or exponential model; with a timeout
   set, a worker that fails to arrive strictly before it (``delay >=
   timeout``) is abandoned by the PS and its votes are zeroed (a crash-like
-  benign fault the vote must out-count).  The simulated round duration is
-  the slowest surviving worker.
+  benign fault the vote must out-count).
 * :class:`DropoutInjector` — crash-stop churn: each live worker goes down
   with some probability and stays down for ``down_for`` rounds before
   rejoining; a downed worker's votes are zeroed.
@@ -30,11 +29,11 @@ function of ``(seed, round, shape)`` — never of the realized fault history
 or of the tensor's copy-on-write override layout — so fault sequences are
 replayable independently of what the attack or the other injectors did.
 
-The event-driven runtime (:mod:`repro.cluster.events`) reuses the same
-injectors: payload effects are injected exactly as above, and
-:func:`arrival_perturbations` reexpresses the realized events as
-arrival-time perturbations (per-worker extra delay, workers whose messages
-never arrive) for the discrete-event round engine.
+The injectors change payloads; time is the event engine's
+(:mod:`repro.cluster.events`), which ends every round.
+:func:`arrival_delays` turns the realized events into each worker's arrival
+delay (``inf`` for a worker whose messages never arrive), and the round's
+clock and deadline follow from those arrivals.
 """
 
 from __future__ import annotations
@@ -45,7 +44,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.core.backend import DRAW_DTYPE
+from repro.core.backend import CLOCK_DTYPE, DRAW_DTYPE
 from repro.core.vote_tensor import VoteTensor
 from repro.exceptions import ConfigurationError
 from repro.graphs.bipartite import BipartiteAssignment
@@ -57,8 +56,7 @@ __all__ = [
     "StragglerInjector",
     "DropoutInjector",
     "MessageCorruptionInjector",
-    "arrival_perturbations",
-    "round_duration",
+    "arrival_delays",
 ]
 
 
@@ -127,52 +125,21 @@ class FaultEvent:
         return out
 
 
-def round_duration(events: "list[FaultEvent]", base: float = 0.0) -> float:
-    """Simulated wall-clock of a *synchronous* round: the slowest survivor.
+def arrival_delays(events: "Sequence[FaultEvent]", num_workers: int) -> np.ndarray:
+    """Each worker's extra arrival delay this round, from the realized events.
 
-    Workers abandoned at a timeout do not extend the round beyond their
-    recorded (already clamped) delay.  This is the legacy lockstep model —
-    the PS waits for the slowest surviving worker regardless of quorum.  The
-    event-driven runtime does **not** use it: there the round duration comes
-    from the engine's clock (deadline/quorum semantics, see
-    :mod:`repro.cluster.events`), which under quorum aggregation ends the
-    round at the quorum-satisfying arrival rather than the slowest survivor.
+    A surviving straggler delays every message its worker sends by the
+    sampled amount.  A dropped straggler (PS timeout) or a crashed worker
+    (dropout) never delivers: ``inf``.  Corruption perturbs payloads in
+    flight but not timing.
     """
-    return max((event.delay for event in events), default=0.0) + base
-
-
-def arrival_perturbations(
-    events: "Sequence[FaultEvent]",
-) -> tuple[dict[int, float], set[int]]:
-    """Reexpress realized fault events as arrival-time perturbations.
-
-    The event-driven runtime injects payload faults through the same
-    injectors as the synchronous path (identical RNG streams), then maps the
-    realized events onto message timing:
-
-    * a surviving straggler delays every message its worker sends by the
-      sampled amount;
-    * a dropped straggler (PS timeout) or a crashed worker (dropout) never
-      delivers — its messages get an infinite arrival time, which the engine
-      zeroes exactly like the synchronous path zeroes abandoned votes;
-    * corruption perturbs payloads in flight but not timing.
-
-    Returns ``(extra_delay, never_arrives)``: per-worker added delay in
-    simulated seconds, and the set of workers whose messages never arrive.
-    """
-    extra_delay: dict[int, float] = {}
-    never_arrives: set[int] = set()
+    delays = np.zeros(num_workers, dtype=CLOCK_DTYPE)
     for event in events:
-        if event.kind == StragglerInjector.kind:
-            if event.dropped:
-                never_arrives.add(event.worker)
-            else:
-                extra_delay[event.worker] = (
-                    extra_delay.get(event.worker, 0.0) + event.delay
-                )
-        elif event.kind == DropoutInjector.kind and event.dropped:
-            never_arrives.add(event.worker)
-    return extra_delay, never_arrives
+        if event.dropped and event.kind in (StragglerInjector.kind, DropoutInjector.kind):
+            delays[event.worker] = np.inf
+        elif event.kind == StragglerInjector.kind:
+            delays[event.worker] += event.delay
+    return delays
 
 
 def _zero_worker_votes(tensor: VoteTensor, worker: int) -> int:
@@ -213,9 +180,10 @@ class StragglerInjector(FaultInjector):
         The fixed delay or the exponential mean, in simulated seconds.
     timeout:
         When set, the PS abandons any straggler that does not arrive
-        *strictly before* the timeout (``delay >= timeout`` — the deadline
-        is exclusive, matching the event engine's deadline comparison): its
-        votes are zeroed and its recorded delay is clamped to the timeout.
+        *strictly before* the timeout (``delay >= timeout``): its votes are
+        zeroed and its recorded delay is clamped to the timeout (the clamp
+        only keeps recorded fault events as they were).  A cluster without
+        an event runtime makes the timeout its round deadline.
     """
 
     kind = "straggler"

@@ -35,26 +35,25 @@ class TensorRoundResult:
         the trace's ``RoundTrace.realised_distorted``.
     file_losses:
         Per-file training loss (file order).
+    arrivals:
+        ``(f, r)`` simulated arrival time of each message (``inf`` = never
+        sent).
+    accepted:
+        ``(f, r)`` bool mask of the messages the PS accepted before its
+        deadline/quorum cutoff.
     mean_file_loss:
         Average training loss over the round's files.
     fault_events:
         Benign faults injected this round (stragglers, dropout, corruption),
         plus the event runtime's ``"late"`` rejections.
     round_time:
-        Simulated round duration in seconds.  Synchronous rounds take the
-        slowest surviving worker (0 when no straggler model is active);
-        event-driven rounds report the engine clock at round close (last
-        quorum-satisfying arrival, else the deadline).
-    arrivals:
-        Event runtime only: ``(f, r)`` simulated arrival time of each
-        message (``inf`` = never sent); ``None`` on the synchronous path.
-    accepted:
-        Event runtime only: ``(f, r)`` bool mask of the messages the PS
-        accepted before its deadline/quorum cutoff; ``None`` otherwise.
+        Simulated round duration in seconds: the event engine's clock at
+        round close (last quorum-satisfying arrival, else the deadline; see
+        :mod:`repro.cluster.events`).
     aggregation_mask:
         The mask the aggregation pipelines should apply — ``accepted`` when
         the runtime's *partial* mode is on, else ``None`` (missing slots
-        then vote as zeros, the synchronous convention).
+        then vote as zeros, the fault injectors' convention).
     """
 
     vote_tensor: VoteTensor
@@ -62,11 +61,11 @@ class TensorRoundResult:
     byzantine_workers: tuple[int, ...]
     distorted_files: tuple[int, ...]
     file_losses: np.ndarray
+    arrivals: np.ndarray
+    accepted: np.ndarray
     mean_file_loss: float = float("nan")
     fault_events: tuple[FaultEvent, ...] = ()
     round_time: float = 0.0
-    arrivals: np.ndarray | None = None
-    accepted: np.ndarray | None = None
     aggregation_mask: np.ndarray | None = None
 
     @property

@@ -73,7 +73,7 @@ class ParameterServer:
 
         ``arrived`` is the event runtime's partial-aggregation mask — the
         ``(f, r)`` copies the PS accepted before its deadline/quorum cutoff;
-        ``None`` (synchronous rounds) aggregates every slot.  Worker groups
+        ``None`` (no partial mode) aggregates every slot.  Worker groups
         (``AsyncRuntime.groups``) change only which copies the mask accepts;
         the pipeline votes every round with the same kernel.
         """

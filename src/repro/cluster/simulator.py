@@ -16,22 +16,17 @@ import numpy as np
 
 from repro.attacks.base import Attack, AttackContext
 from repro.attacks.selection import ByzantineSelector
-from repro.cluster.events import (
-    AsyncRuntime,
-    EventDrivenRound,
-    base_arrival_times,
-    perturbed_arrival_times,
-)
+from repro.cluster.events import AsyncRuntime, EventDrivenRound, UplinkSchedule
 from repro.cluster.faults import (
     FaultContext,
     FaultEvent,
     FaultInjector,
-    arrival_perturbations,
-    round_duration,
+    StragglerInjector,
+    arrival_delays,
 )
 from repro.cluster.messages import TensorRoundResult
+from repro.cluster.timing import CostModel
 from repro.cluster.worker import WorkerPool
-from repro.core.backend import DEFAULT_DTYPE
 from repro.core.distortion import distorted_files
 from repro.data.batching import RoundFiles
 from repro.exceptions import TrainingError
@@ -42,7 +37,7 @@ __all__ = ["TrainingCluster"]
 
 
 class TrainingCluster:
-    """Simulates the worker side of one synchronous training iteration.
+    """Simulates one training iteration, from broadcast to the PS's cutoff.
 
     Parameters
     ----------
@@ -65,15 +60,15 @@ class TrainingCluster:
         so adding or removing an injector never changes the adversary's
         randomness (and vice versa).
     runtime:
-        Event-driven round configuration (:class:`AsyncRuntime`).  ``None``
-        (the default) keeps the lockstep synchronous round; when set,
-        :meth:`run_round_tensor` replays the same compute/attack/fault
-        sequence, then runs the PS-side event loop — messages arrive on the
-        runtime's cost-model clock (fault delays included) and are accepted
-        until the deadline or the quorum fires, per file or, with
-        ``runtime.groups``, per (file, group) cell.  With ``deadline=inf``
-        and no quorum the produced votes are bit-identical to the
-        synchronous path.
+        How the PS collects the round (:class:`AsyncRuntime`).  After the
+        compute/attack/fault pass, :meth:`run_round_tensor` runs the PS-side
+        event loop: messages arrive on the runtime's cost-model clock (fault
+        delays included) and are accepted until the deadline or the quorum
+        fires, per file or, with ``runtime.groups``, per (file, group) cell.
+        ``None`` (the default) is the synchronous round: an all-zero cost
+        model, no quorum, and the largest straggler timeout as the deadline
+        (``inf`` without one), so every message arrives at its sender's
+        straggler delay and the PS waits for each one that arrives.
     """
 
     def __init__(
@@ -92,20 +87,22 @@ class TrainingCluster:
             raise TrainingError(
                 "attack and selector must both be provided or both omitted"
             )
-        if (
-            runtime is not None
-            and runtime.quorum is not None
-            and runtime.quorum > assignment.replication
-        ):
+        if runtime is None:
+            timeouts = [
+                injector.timeout
+                for injector in fault_injectors
+                if isinstance(injector, StragglerInjector) and injector.timeout is not None
+            ]
+            runtime = AsyncRuntime(
+                deadline=max(timeouts, default=float("inf")),
+                cost_model=CostModel(0.0, 0.0, 0.0, 0.0),
+            )
+        if runtime.quorum is not None and runtime.quorum > assignment.replication:
             raise TrainingError(
                 f"runtime quorum {runtime.quorum} exceeds the assignment's "
                 f"replication r={assignment.replication}: no file could close"
             )
-        if (
-            runtime is not None
-            and runtime.groups is not None
-            and runtime.groups > assignment.num_workers
-        ):
+        if runtime.groups is not None and runtime.groups > assignment.num_workers:
             raise TrainingError(
                 f"runtime groups {runtime.groups} exceed the assignment's "
                 f"K={assignment.num_workers} workers"
@@ -116,6 +113,7 @@ class TrainingCluster:
         self.attack = attack
         self.selector = selector
         self.fault_injectors = tuple(fault_injectors)
+        self._uplink = UplinkSchedule(assignment)
         self._seed = operator.index(seed)  # an int; a Generator is a TypeError
 
     def _round_rng(self, iteration: int) -> np.random.Generator:
@@ -188,20 +186,8 @@ class TrainingCluster:
 
         fault_events = self._inject_faults(tensor, iteration)
         mean_loss = float(np.mean(losses)) if losses.size else float("nan")
-        if self.runtime is not None:
-            return self._finish_event_round(
-                tensor, honest_matrix, byzantine, losses, mean_loss,
-                fault_events, file_data,
-            )
-        return TensorRoundResult(
-            vote_tensor=tensor,
-            honest_matrix=honest_matrix,
-            byzantine_workers=byzantine,
-            distorted_files=self._corrupted_files(byzantine),
-            file_losses=losses,
-            mean_file_loss=mean_loss,
-            fault_events=fault_events,
-            round_time=round_duration(list(fault_events)),
+        return self._finish_event_round(
+            tensor, honest_matrix, byzantine, losses, mean_loss, fault_events, file_data
         )
 
     def _finish_event_round(
@@ -214,23 +200,19 @@ class TrainingCluster:
         fault_events: tuple[FaultEvent, ...],
         file_data: RoundFiles,
     ) -> TensorRoundResult:
-        """PS-side event loop of an async round (see the ``runtime`` docs).
+        """The PS-side event loop of the round (see the ``runtime`` docs).
 
-        Payload faults were already applied by the synchronous injector pass
-        (identical RNG streams), so this step only *re-times* them: realized
-        straggler delays shift arrivals, crashes/timeouts never arrive, and
-        the event engine decides which of the remaining messages beat the
-        deadline / quorum cutoff.
+        Payload faults were already applied by the injector pass, so this
+        step only *times* them: realized straggler delays shift arrivals,
+        crashes/timeouts never arrive, and the event engine decides which of
+        the remaining messages beat the deadline / quorum cutoff.
         """
         runtime = self.runtime
-        assert runtime is not None
-        samples = file_data.samples_per_file.astype(DEFAULT_DTYPE)
-        base = base_arrival_times(
-            self.assignment, runtime.cost_model, tensor.dim, samples
-        )
-        extra_delay, never_arrives = arrival_perturbations(fault_events)
-        arrivals = perturbed_arrival_times(
-            base, tensor.workers, extra_delay, never_arrives
+        arrivals = self._uplink.arrival_times(
+            runtime.cost_model,
+            tensor.dim,
+            file_data.samples_per_file,
+            arrival_delays(fault_events, self.assignment.num_workers),
         )
         outcome = EventDrivenRound(runtime).collect(tensor, arrivals)
         return TensorRoundResult(

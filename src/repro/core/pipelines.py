@@ -174,9 +174,9 @@ class AggregationPipeline:
         zero gradient" convention the fault injectors use, so the robust
         stage sees a consistent shape every round; the vanilla pipeline
         drops missing worker rows from the robust stage.  ``None`` (the
-        default, and the whole synchronous path) treats every slot as
-        present — missing contributions appear as the zero votes the fault
-        injectors wrote.
+        default, and every round outside the partial mode) treats every
+        slot as present — missing contributions appear as the zero votes
+        the fault injectors wrote.
         """
         _validate_vote_tensor(self._expected_slot_matrix(), tensor)
         if arrived is not None:

@@ -17,9 +17,9 @@ and a handful of training rounds.  Jointly the matrix covers
 * **faults** — exponential/fixed stragglers (with and without timeouts),
   crash-stop churn, and message corruption (zero/scale/noise);
 * **compression** — top-k and sign uplink compression;
-* **runtimes** — the lockstep synchronous round (default) and the
-  event-driven engine with deadline cutoffs, per-file quorums and
-  partial (arrived-copies-only) aggregation;
+* **runtimes** — the synchronous round (default: the event engine on a
+  zero-cost clock) and cost-model event rounds with deadline cutoffs,
+  per-file quorums and partial (arrived-copies-only) aggregation;
 * **worker groups** — per-file quorum cells (default) and per-(file,
   group) cells under the async runtime (``topology.groups``: a group seals
   its share of a file at the quorum and rejects later copies as late);

@@ -5,18 +5,44 @@ one catalog scenario, committed under ``tests/golden/``.  The regression
 suite re-runs every scenario and requires a bit-exact digest match at every
 round and stage; :func:`record_goldens` regenerates the files after an
 *intentional* behaviour change (``repro scenario record``).
+
+Bit-exact replay holds on the machine class the goldens were recorded on:
+NumPy picks its SIMD kernels per CPU at import, and a different dispatch
+level rounds some reductions differently.  So the recording writes NumPy's
+version and dispatch targets beside the traces (:data:`DISPATCH_FILE`, not
+a ``.json``, so it is never read as a golden), and a failed replay names
+both.
 """
 
 from __future__ import annotations
 
 import pathlib
 
+import numpy as np
+from numpy.lib.introspect import opt_func_info
+
 from repro.exceptions import ReproError
 from repro.scenarios.catalog import get_scenario, scenario_names
 from repro.scenarios.runner import run_scenario
 from repro.scenarios.trace import RunTrace
 
-__all__ = ["default_golden_dir", "golden_path", "record_goldens", "replay_golden"]
+__all__ = [
+    "DISPATCH_FILE",
+    "default_golden_dir",
+    "golden_path",
+    "numpy_dispatch",
+    "record_goldens",
+    "replay_golden",
+]
+
+DISPATCH_FILE = "numpy-dispatch.txt"
+"""Where :func:`record_goldens` writes :func:`numpy_dispatch`, beside the traces."""
+
+
+def numpy_dispatch() -> str:
+    """NumPy's version and the SIMD targets its kernels run on this machine."""
+    targets = {sig["current"] for kernel in opt_func_info().values() for sig in kernel.values()}
+    return f"numpy {np.__version__}\ndispatch {' '.join(sorted(targets))}\n"
 
 
 def default_golden_dir() -> pathlib.Path:
@@ -39,9 +65,11 @@ def record_goldens(
     names: "list[str] | None" = None,
     golden_dir: "pathlib.Path | str | None" = None,
 ) -> list[pathlib.Path]:
-    """Run the named scenarios (default: whole catalog) and write their traces."""
+    """Run the named scenarios (default: whole catalog) and write their
+    traces, and :func:`numpy_dispatch` to :data:`DISPATCH_FILE`."""
     base = pathlib.Path(golden_dir) if golden_dir is not None else default_golden_dir()
     base.mkdir(parents=True, exist_ok=True)
+    (base / DISPATCH_FILE).write_text(numpy_dispatch())
     written: list[pathlib.Path] = []
     for name in names if names is not None else scenario_names():
         result = run_scenario(get_scenario(name))

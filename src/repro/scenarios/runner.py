@@ -185,11 +185,15 @@ class ScenarioRunner:
         if self.spec.attack is not None:
             max_q = AdversarySchedule(**dataclasses.asdict(self.spec.attack.schedule)).max_q
         if section.kind == "draco":
-            return DracoPipeline(
-                assignment,
-                num_byzantine=max_q,
-                block_size=section.block_size,
+            pipeline = DracoPipeline(
+                assignment, num_byzantine=max_q, block_size=section.block_size
             )
+            if not pipeline.is_applicable:
+                raise ConfigurationError(
+                    f"scenario.attack: DRACO requires r >= 2q+1, but r="
+                    f"{assignment.replication} and the schedule reaches q={max_q}"
+                )
+            return pipeline
         aggregator = _create(
             "aggregator", create_aggregator, section.aggregator, **section.aggregator_params
         )

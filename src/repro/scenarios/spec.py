@@ -229,18 +229,19 @@ class CompressionSpec(Schema, where="compression"):
 class RuntimeSpec(Schema, where="runtime"):
     """How the PS collects a round's messages.
 
-    The default (no deadline, no quorum) is the lockstep synchronous round.
-    Setting ``deadline`` and/or ``quorum`` switches the run to the
-    event-driven engine (:mod:`repro.cluster.events`).
+    Every round runs the event engine (:mod:`repro.cluster.events`).  The
+    default (no deadline, no quorum) is the synchronous round: an all-zero
+    cost model with the straggler timeout as the deadline.  Setting
+    ``deadline`` and/or ``quorum`` (:attr:`is_event`) times messages with
+    the default cost model instead.
 
     Attributes
     ----------
     deadline:
         Round deadline in simulated seconds, exclusive (an arrival at
         exactly the deadline is late).  ``inf`` (serialized as the string
-        ``"inf"``) waits for every message that will ever arrive — the
-        sync-equivalent event mode.  ``None`` = synchronous unless a quorum
-        is set.
+        ``"inf"``) waits for every message that will ever arrive.  ``None``
+        = synchronous unless a quorum is set.
     quorum:
         Per-file close threshold: a file stops accepting copies once this
         many arrived.  ``None`` waits for all ``r`` copies.
@@ -270,7 +271,8 @@ class RuntimeSpec(Schema, where="runtime"):
 
     @property
     def is_event(self) -> bool:
-        """True when the scenario runs on the event-driven engine."""
+        """True when messages are timed by the default cost model, not the
+        synchronous round's zero-cost clock."""
         return self.deadline is not None or self.quorum is not None
 
 

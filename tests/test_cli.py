@@ -242,6 +242,22 @@ def test_scenario_run_inapplicable_aggregator_is_a_one_line_error(tmp_path, caps
     assert "27 votes" in line and "reduces 25" in line
 
 
+def test_scenario_run_inapplicable_draco_is_a_one_line_error(tmp_path, capsys):
+    """DRACO with r = 3 against q = 2 is refused when the pipeline is built,
+    not by an AggregationError out of round 0."""
+    data = get_scenario("draco-constant-q1").to_dict()
+    data["attack"]["schedule"]["q"] = 2
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    assert main(["scenario", "run", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line == (
+        "error: scenario.attack: DRACO requires r >= 2q+1, but r=3 and the schedule reaches q=2"
+    )
+
+
 def test_scenario_record_and_replay_round_trip(tmp_path, capsys):
     golden_dir = tmp_path / "golden"
     assert (
@@ -276,4 +292,4 @@ def test_scenario_run_catalog_name_wins_over_cwd_entry(tmp_path, monkeypatch, ca
 def test_scenario_record_accepts_positional_name(tmp_path, capsys):
     golden_dir = tmp_path / "g"
     assert main(["scenario", "record", "mols-clean", "--golden-dir", str(golden_dir)]) == 0
-    assert [p.name for p in golden_dir.iterdir()] == ["mols-clean.json"]
+    assert sorted(p.name for p in golden_dir.iterdir()) == ["mols-clean.json", "numpy-dispatch.txt"]

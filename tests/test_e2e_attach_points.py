@@ -20,10 +20,10 @@ from repro.scenarios.runner import ScenarioRunner
 
 E2E_DIR = pathlib.Path(__file__).resolve().parents[1] / "benchmarks" / "e2e"
 
-#: layers shimmed elsewhere (``patch_round_path`` / ``patch_campaign_path``)
-#: or reached only through an observer or the async runtime
+#: layers shimmed by ``patch_campaign_path`` or reached only through the
+#: run loop or a campaign (every round, synchronous ones included, ends in
+#: the event engine, so ``cluster.events`` is on every iteration)
 NOT_ON_A_SYNCHRONOUS_ITERATION = {
-    "cluster.events",
     "scenarios.runner",
     "scenarios.trace",
     "campaigns.executor",
@@ -58,6 +58,7 @@ def test_instrument_trainer_records_every_synchronous_layer():
     spans_of = Counter(span[0] for span in tracer.spans)
     expected = set(layers.LAYERS) - NOT_ON_A_SYNCHRONOUS_ITERATION
     assert expected <= set(spans_of), f"no span recorded for {sorted(expected - set(spans_of))}"
+    assert spans_of["cluster.events"] == 1
     # the round's files reach ``batched`` as (inputs, labels) pairs the sample
     # counter can walk, from one draw, one partition and one gather
     assert tracer.counts["training.gradients.samples"] == trainer.config.batch_size
@@ -87,7 +88,7 @@ def test_campaign_path_patches_record_the_observed_cell():
 
     assert len(record.trace["rounds"]) == rounds
     spans_of = Counter(span[0] for span in tracer.spans)
-    missing = sorted(NOT_ON_A_SYNCHRONOUS_ITERATION - set(spans_of))
+    missing = sorted((NOT_ON_A_SYNCHRONOUS_ITERATION | {"cluster.events"}) - set(spans_of))
     assert not missing, f"no span recorded for {missing}"
     # the observer reads the round's one vote; it does not run another
     assert spans_of["aggregation.majority"] == rounds

@@ -1,8 +1,8 @@
-"""Event-driven round engine: arrival schedules, deadline/quorum, equivalence."""
+"""Event-driven round engine: arrival schedules, deadline/quorum, the synchronous clock."""
 
 from __future__ import annotations
 
-import dataclasses
+import heapq
 import tracemalloc
 
 import numpy as np
@@ -10,20 +10,23 @@ import pytest
 
 from repro.aggregation.majority import _reference_exact_majority, majority_vote_votetensor
 from repro.aggregation.median import CoordinateWiseMedian
+from repro.assignment.baseline import BaselineAssignment
 from repro.assignment.frc import FRCAssignment
+from repro.assignment.mols import MOLSAssignment
+from repro.assignment.ramanujan import RamanujanAssignment
 from repro.attacks.constant import ConstantAttack
 from repro.cluster.events import (
     LATE_KIND,
+    AsyncRoundOutcome,
     AsyncRuntime,
     EventDrivenRound,
-    base_arrival_times,
-    perturbed_arrival_times,
+    UplinkSchedule,
 )
 from repro.cluster.faults import (
     DropoutInjector,
+    FaultEvent,
     MessageCorruptionInjector,
     StragglerInjector,
-    round_duration,
 )
 from repro.cluster.simulator import TrainingCluster
 from repro.cluster.timing import CostModel
@@ -33,7 +36,7 @@ from repro.core.vote_tensor import VoteTensor
 from repro.exceptions import AggregationError, ConfigurationError, TrainingError
 from repro.scenarios.catalog import get_scenario
 from repro.scenarios.runner import run_scenario
-from repro.scenarios.spec import RuntimeSpec
+from repro.scenarios.spec import ScenarioSpec
 
 from cow_helpers import FixedSelector, cube_of, tensor_of
 from test_cluster import DIM, make_file_data, quadratic_gradient_fn
@@ -68,12 +71,6 @@ def collect(tensor, arrivals, **runtime_kwargs):
 # AsyncRuntime validation
 # --------------------------------------------------------------------------- #
 class TestAsyncRuntime:
-    def test_defaults_are_sync_equivalent(self):
-        runtime = AsyncRuntime()
-        assert runtime.deadline == float("inf")
-        assert runtime.quorum is None
-        assert not runtime.partial
-
     @pytest.mark.parametrize("deadline", [0.0, -1.0, float("nan")])
     def test_rejects_non_positive_deadline(self, deadline):
         with pytest.raises(ConfigurationError):
@@ -92,13 +89,17 @@ class TestAsyncRuntime:
 # --------------------------------------------------------------------------- #
 # Arrival schedules
 # --------------------------------------------------------------------------- #
-class TestBaseArrivalTimes:
+def arrival_times(assignment, dim, samples, delays=None, cost=COST):
+    return UplinkSchedule(assignment).arrival_times(cost, dim, samples, delays)
+
+
+class TestArrivalTimes:
     def test_single_file_workers(self, baseline_10):
         """r=1, one file per worker: compute + one message cost, exactly."""
         assignment = baseline_10.assignment
         samples = np.arange(1, assignment.num_files + 1, dtype=np.float64)
         dim = 50
-        arrivals = base_arrival_times(assignment, COST, dim, samples)
+        arrivals = arrival_times(assignment, dim, samples)
         assert arrivals.shape == (assignment.num_files, 1)
         per_message = dim * COST.network_per_float + COST.network_latency_per_message
         for w in range(assignment.num_workers):
@@ -112,7 +113,7 @@ class TestBaseArrivalTimes:
         """Worker w's rank-th file arrives (rank+1) message-costs after compute."""
         dim = 10
         samples = np.full(mols_assignment.num_files, 3.0)
-        arrivals = base_arrival_times(mols_assignment, COST, dim, samples)
+        arrivals = arrival_times(mols_assignment, dim, samples)
         workers = mols_assignment.worker_slot_matrix()
         per_message = dim * COST.network_per_float + COST.network_latency_per_message
         w = 0
@@ -124,26 +125,21 @@ class TestBaseArrivalTimes:
 
     def test_rejects_wrong_samples_shape(self, mols_assignment):
         with pytest.raises(ConfigurationError):
-            base_arrival_times(
-                mols_assignment, COST, 10, np.ones(mols_assignment.num_files - 1)
-            )
+            arrival_times(mols_assignment, 10, np.ones(mols_assignment.num_files - 1))
 
-
-class TestPerturbedArrivalTimes:
     def test_delay_shift_and_crash(self, mols_assignment):
-        base = base_arrival_times(
-            mols_assignment, COST, 10, np.full(mols_assignment.num_files, 2.0)
-        )
+        samples = np.full(mols_assignment.num_files, 2.0)
+        base = arrival_times(mols_assignment, 10, samples)
+        delays = np.zeros(mols_assignment.num_workers)
+        delays[3], delays[7] = 0.5, np.inf
+        perturbed = arrival_times(mols_assignment, 10, samples, delays)
         workers = mols_assignment.worker_slot_matrix()
-        perturbed = perturbed_arrival_times(base, workers, {3: 0.5}, {7})
-        np.testing.assert_allclose(
+        np.testing.assert_array_equal(
             perturbed[workers == 3], base[workers == 3] + 0.5
         )
         assert np.all(np.isinf(perturbed[workers == 7]))
         untouched = ~np.isin(workers, (3, 7))
         np.testing.assert_array_equal(perturbed[untouched], base[untouched])
-        # The base schedule is never mutated.
-        assert np.all(np.isfinite(base))
 
 
 # --------------------------------------------------------------------------- #
@@ -243,6 +239,189 @@ class TestEventLoop:
         tensor = one_file_tensor(frc_3)
         with pytest.raises(ConfigurationError):
             collect(tensor, [[0.1, 0.2]])
+
+
+# --------------------------------------------------------------------------- #
+# The array kernels against the message-by-message loops they replaced
+# --------------------------------------------------------------------------- #
+# The engine as first written, message by message: `loop_arrival_times`
+# walks the workers with one `searchsorted` per message and applies fault
+# delays one worker at a time; `heap_collect` pops a heap of
+# `(time, file * r + slot)` keys and accepts or rejects each message in turn.
+def loop_arrival_times(assignment, cost_model, dim, samples, extra_delay=None, never_arrives=()):
+    """``(f, r)`` arrivals: worker compute, a serialized uplink, then faults."""
+    per_message = dim * cost_model.network_per_float + cost_model.network_latency_per_message
+    workers = assignment.worker_slot_matrix()
+    arrivals = np.empty(workers.shape, dtype=np.float64)
+    for w in range(assignment.num_workers):
+        files = assignment.files_of_worker(w)
+        compute = float(samples[list(files)].sum()) * dim * cost_model.compute_per_sample_per_param
+        for rank, i in enumerate(files):
+            k = int(np.searchsorted(workers[i], w))
+            arrivals[i, k] = compute + (rank + 1) * per_message
+    for worker, delay in (extra_delay or {}).items():
+        arrivals[workers == worker] += delay
+    for worker in never_arrives:
+        arrivals[workers == worker] = np.inf
+    return arrivals
+
+
+def heap_collect(runtime: AsyncRuntime, tensor, arrivals) -> AsyncRoundOutcome:
+    """One round's deadline / quorum close, one heap pop per sent message."""
+    f, r = arrivals.shape
+    quorum = runtime.quorum if runtime.quorum is not None else r
+    deadline = runtime.deadline
+    num_groups = runtime.groups
+    if num_groups is None:
+        num_groups = 1
+        cell_of = np.broadcast_to(np.arange(f, dtype=np.int64)[:, None], (f, r))
+        cell_quorum = np.full(f, quorum, dtype=np.int64)
+    else:
+        members = np.array_split(np.arange(int(tensor.workers.max()) + 1), num_groups)
+        group_of = np.repeat(np.arange(num_groups), [m.size for m in members])
+        cell_of = np.arange(f, dtype=np.int64)[:, None] * num_groups + group_of[tensor.workers]
+        cell_quorum = np.minimum(quorum, np.bincount(cell_of.ravel(), minlength=f * num_groups))
+    open_cells = np.bincount(np.unique(cell_of), minlength=cell_quorum.size).astype(bool)
+    cells_left = np.full(f, 0, dtype=np.int64)
+    np.add.at(cells_left, np.unique(cell_of) // num_groups, 1)
+
+    heap = [
+        (float(arrivals[i, k]), i * r + k, i, k)
+        for i in range(f)
+        for k in range(r)
+        if np.isfinite(arrivals[i, k])
+    ]
+    heapq.heapify(heap)
+    counts = np.zeros(cell_quorum.size, dtype=np.int64)
+    accepted = np.zeros((f, r), dtype=bool)
+    close_times = np.full(f, np.inf)
+    cell_close_times = np.full(cell_quorum.size, np.inf)
+    late: list[FaultEvent] = []
+    last_accept = 0.0
+    deadline_cut = False
+    while heap:
+        time, _, i, k = heapq.heappop(heap)
+        cell = int(cell_of[i, k])
+        if time >= deadline or counts[cell] >= cell_quorum[cell]:
+            deadline_cut = deadline_cut or time >= deadline
+            late.append(
+                FaultEvent(
+                    kind=LATE_KIND, worker=int(tensor.workers[i, k]), file=i,
+                    slot=k, delay=float(time), dropped=True,
+                )
+            )
+            continue
+        accepted[i, k] = True
+        counts[cell] += 1
+        last_accept = time
+        if counts[cell] == cell_quorum[cell]:
+            cell_close_times[cell] = time
+            cells_left[i] -= 1
+            if cells_left[i] == 0:
+                close_times[i] = time
+
+    all_closed = bool((counts >= cell_quorum)[open_cells].all())
+    if all_closed:
+        round_time = float(close_times.max())
+    elif np.isfinite(deadline):
+        round_time = float(deadline)
+    else:
+        round_time = last_accept
+    if late:
+        tensor.zero_slots(
+            np.array([e.file for e in late], dtype=np.int64),
+            np.array([e.slot for e in late], dtype=np.int64),
+        )
+    return AsyncRoundOutcome(
+        arrivals=arrivals,
+        accepted=accepted,
+        round_time=round_time,
+        file_close_times=close_times,
+        deadline_fired=deadline_cut or (not all_closed and np.isfinite(deadline)),
+        late_events=tuple(late),
+        group_close_times=(
+            None if runtime.groups is None else cell_close_times.reshape(f, num_groups)
+        ),
+    )
+
+
+ORACLE_ASSIGNMENTS = {
+    "mols": lambda: MOLSAssignment(load=5, replication=3).assignment,  # K=15, f=25, r=3
+    "mols-l7": lambda: MOLSAssignment(load=7, replication=5).assignment,  # K=35, f=49, r=5
+    "ramanujan": lambda: RamanujanAssignment(m=5, s=5).assignment,  # K=25, f=25, r=5
+    "ramanujan-s3": lambda: RamanujanAssignment(m=3, s=3).assignment,  # K=9, f=9, r=3
+    "frc": lambda: FRCAssignment(num_workers=15, replication=3).assignment,  # K=15, f=5, r=3
+    "frc-r5": lambda: FRCAssignment(num_workers=15, replication=5).assignment,  # K=15, f=3, r=5
+    "baseline": lambda: BaselineAssignment(num_workers=10).assignment,  # K=f=10, r=1
+}
+
+
+def bits(array):
+    return np.asarray(array, dtype=np.float64).view(np.int64)
+
+
+@pytest.mark.parametrize("scheme", sorted(ORACLE_ASSIGNMENTS))
+def test_arrivals_and_collect_match_the_loops_bit_for_bit(scheme):
+    """Random rounds: integer sample counts, zero and default cost models,
+    straggler delays on a coarse grid (ties) or not, crashed workers, and
+    every deadline / quorum / group setting — arrivals, accepted mask, close
+    times, round time, late events and the zeroed slots are the loops' bits."""
+    assignment = ORACLE_ASSIGNMENTS[scheme]()
+    workers = assignment.worker_slot_matrix()
+    f, r = workers.shape
+    K = assignment.num_workers
+    rng = np.random.default_rng(sum(map(ord, scheme)))
+    seen = set()
+    for trial in range(40):
+        cost = COST if trial % 2 else CostModel(0.0, 0.0, 0.0, 0.0)
+        dim = int(rng.integers(1, 20_000))
+        samples = rng.integers(0, 40, f).astype(np.float64)
+        stragglers = rng.choice(K, size=int(rng.integers(0, K // 2)), replace=False)
+        delay = rng.exponential(0.02, stragglers.size)
+        if trial % 3 == 0:
+            delay = np.round(delay / 0.01) * 0.01
+        extra = {int(w): float(d) for w, d in zip(stragglers, delay)}
+        crashed = {int(w) for w in rng.choice(K, size=int(rng.integers(0, 3)), replace=False)}
+        delays = np.zeros(K)
+        for w, d in extra.items():
+            delays[w] += d
+        delays[list(crashed)] = np.inf
+        arrivals = UplinkSchedule(assignment).arrival_times(cost, dim, samples, delays)
+        expected = loop_arrival_times(assignment, cost, dim, samples, extra, crashed)
+        np.testing.assert_array_equal(bits(arrivals), bits(expected))
+
+        # A deadline that is some message's arrival time tests the exclusive cut.
+        sent = arrivals[(arrivals > 0) & np.isfinite(arrivals)]
+        deadlines = [np.inf, float(rng.uniform(0.001, 0.1))] + ([float(np.median(sent))] if sent.size else [])
+        runtime = AsyncRuntime(
+            deadline=deadlines[trial % len(deadlines)],
+            quorum=[None, *range(1, r + 1)][trial % (r + 1)],
+            groups=[None, 1, 2, 4, 7][trial % 5],
+        )
+        honest = rng.standard_normal((f, 3))
+        ours, theirs = VoteTensor.from_honest(assignment, honest), VoteTensor.from_honest(assignment, honest)
+        got = EventDrivenRound(runtime).collect(ours, arrivals)
+        want = heap_collect(runtime, theirs, arrivals)
+        np.testing.assert_array_equal(got.accepted, want.accepted)
+        np.testing.assert_array_equal(bits(got.file_close_times), bits(want.file_close_times))
+        if want.group_close_times is None:
+            assert got.group_close_times is None
+        else:
+            np.testing.assert_array_equal(bits(got.group_close_times), bits(want.group_close_times))
+        assert bits(got.round_time) == bits(want.round_time)
+        assert got.deadline_fired == want.deadline_fired
+        assert got.late_events == want.late_events
+        assert all(type(e.delay) is float for e in got.late_events)
+        np.testing.assert_array_equal(cube_of(ours), cube_of(theirs))
+        seen |= {
+            name for name, hit in [
+                ("late", bool(want.late_events)),
+                ("cut", want.deadline_fired),
+                ("unsent", not np.isfinite(arrivals).all()),
+                ("closed", np.isfinite(want.file_close_times).all()),
+            ] if hit
+        }
+    assert seen == {"late", "cut", "unsent", "closed"}  # every branch was taken
 
 
 # --------------------------------------------------------------------------- #
@@ -359,7 +538,7 @@ class TestPartialAggregation:
 
 
 # --------------------------------------------------------------------------- #
-# Cluster integration: sync path vs event path
+# Cluster integration: the synchronous round and cost-model event rounds
 # --------------------------------------------------------------------------- #
 def make_cluster(assignment, runtime=None, injectors=(), seed=0):
     return TrainingCluster(
@@ -381,43 +560,65 @@ ALL_INJECTORS = lambda: (  # noqa: E731 - fresh (stateful) injectors per call
 
 
 class TestClusterEventRound:
-    def test_inf_deadline_bit_identical_to_sync(self, mols_assignment):
-        sync = make_cluster(mols_assignment, injectors=ALL_INJECTORS())
-        event = make_cluster(
-            mols_assignment, runtime=AsyncRuntime(), injectors=ALL_INJECTORS()
-        )
-        params = np.ones(DIM)
-        for iteration in range(5):
-            data = make_file_data(mols_assignment.num_files, seed=iteration)
-            a = sync.run_round_tensor(params, data, iteration)
-            b = event.run_round_tensor(params, data, iteration)
-            np.testing.assert_array_equal(cube_of(a.vote_tensor), cube_of(b.vote_tensor))
-            assert a.fault_events == b.fault_events
-            assert b.aggregation_mask is None
-
-    def test_sync_and_event_clocks_differ_as_designed(self, mols_assignment):
-        """Legacy sync time is max(delay)+base; the event path reads the engine."""
-        injectors = (
-            StragglerInjector(count=3, delay_model="fixed", delay=0.7),
-        )
-        sync = make_cluster(mols_assignment, injectors=injectors)
-        event = make_cluster(
-            mols_assignment, runtime=AsyncRuntime(), injectors=injectors
-        )
-        data = make_file_data(mols_assignment.num_files)
-        a = sync.run_round_tensor(np.ones(DIM), data, 0)
-        b = event.run_round_tensor(np.ones(DIM), data, 0)
-        assert a.round_time == round_duration(list(a.fault_events)) == 0.7
-        # The engine clock is the last arrival: straggler delay plus the
-        # worker's compute + serialized-uplink schedule, so strictly later.
-        assert b.round_time > 0.7
-        base = base_arrival_times(
+    def test_default_runtime_is_the_zero_cost_sync_round(self, mols_assignment):
+        """No runtime: no quorum, no partial vote, an all-zero cost model and
+        the largest straggler timeout as the deadline (else inf)."""
+        plain = make_cluster(mols_assignment).runtime
+        assert plain.deadline == float("inf")
+        assert plain.quorum is None and plain.groups is None
+        assert not plain.partial
+        assert plain.cost_model == CostModel(0.0, 0.0, 0.0, 0.0)
+        timed = make_cluster(
             mols_assignment,
-            AsyncRuntime().cost_model,
-            DIM,
-            np.full(mols_assignment.num_files, 2.0),
+            injectors=(
+                StragglerInjector(count=1, timeout=0.5),
+                DropoutInjector(probability=0.1),
+                StragglerInjector(count=1, timeout=2.0),
+            ),
+        ).runtime
+        assert timed.deadline == 2.0
+
+    def test_sync_round_clock_is_the_slowest_surviving_straggler(self, mols_assignment):
+        injectors = (StragglerInjector(count=3, delay_model="fixed", delay=0.7),)
+        result = make_cluster(mols_assignment, injectors=injectors).run_round_tensor(
+            np.ones(DIM), make_file_data(mols_assignment.num_files), 0
         )
-        assert b.round_time <= 0.7 + base.max() + 1e-12
+        assert result.round_time == 0.7
+        assert result.accepted.all()
+        delayed = [e.worker for e in result.fault_events]
+        np.testing.assert_array_equal(
+            result.arrivals, np.where(np.isin(result.vote_tensor.workers, delayed), 0.7, 0.0)
+        )
+
+    def test_sync_round_that_abandons_a_straggler_ends_at_the_timeout(self, mols_assignment):
+        injectors = (
+            StragglerInjector(count=3, delay_model="fixed", delay=0.7, timeout=0.5),
+        )
+        result = make_cluster(mols_assignment, injectors=injectors).run_round_tensor(
+            np.ones(DIM), make_file_data(mols_assignment.num_files), 0
+        )
+        assert all(e.dropped and e.delay == 0.5 for e in result.fault_events)
+        assert result.round_time == 0.5
+        dropped = np.isin(result.vote_tensor.workers, [e.worker for e in result.fault_events])
+        np.testing.assert_array_equal(result.accepted, ~dropped)
+
+    def test_no_straggler_that_beat_its_own_timeout_is_late(self, mols_assignment):
+        """Two straggler models: the tight one abandons its workers, the
+        loose one's survivors arrive after the tight timeout yet before the
+        deadline (the larger timeout), so nothing is late."""
+        injectors = (
+            StragglerInjector(count=2, delay_model="fixed", delay=1.0, timeout=0.5),
+            StragglerInjector(count=2, delay_model="fixed", delay=1.0, timeout=2.0),
+        )
+        result = make_cluster(mols_assignment, injectors=injectors).run_round_tensor(
+            np.ones(DIM), make_file_data(mols_assignment.num_files), 0
+        )
+        dropped = {e.worker for e in result.fault_events if e.dropped}
+        assert dropped and not any(e.kind == LATE_KIND for e in result.fault_events)
+        np.testing.assert_array_equal(
+            result.accepted, ~np.isin(result.vote_tensor.workers, list(dropped))
+        )
+        assert result.round_time == 2.0
 
     def test_quorum_partial_round(self, mols_assignment):
         runtime = AsyncRuntime(quorum=2, partial=True)
@@ -441,37 +642,26 @@ class TestClusterEventRound:
 
 
 # --------------------------------------------------------------------------- #
-# Scenario-level sync equivalence property: deadline=inf replays the
-# synchronous trace bit-exactly on every stage except the round clock.
+# The one clock case no golden covers: a straggler timeout is set, a worker
+# drops out, and no straggler is abandoned.  The PS cannot tell the crashed
+# worker from a slow one, so it waits until the timeout.  Without a timeout
+# there is no deadline, and the round ends at its last arrival.
 # --------------------------------------------------------------------------- #
-EQUIVALENCE_SCENARIOS = [
-    "mols-alie-all-faults",          # byzshield x alie x all three injectors
-    "mols-alie-straggler-timeout",   # byzshield x alie x timeout-dropped stragglers
-    "mols-corruption-zero",          # byzshield x corruption, no attack
-    "detox-multikrum-revgrad-dropout",  # detox x revgrad x dropout churn
-    "draco-clean-stragglers",        # draco, faults only
-    "vanilla-multikrum-revgrad-dropout",  # vanilla x revgrad x dropout
-]
-
-
-@pytest.mark.parametrize("name", EQUIVALENCE_SCENARIOS)
-def test_scenario_inf_deadline_matches_sync_trace(name):
-    spec = get_scenario(name)
-    assert not spec.runtime.is_event
-    event_spec = dataclasses.replace(
-        spec, runtime=RuntimeSpec(deadline=float("inf"))
-    )
-    sync = run_scenario(spec)
-    event = run_scenario(event_spec)
-    assert len(sync.trace.rounds) == len(event.trace.rounds)
-    for a, b in zip(sync.trace.rounds, event.trace.rounds):
-        assert a.votes_digest == b.votes_digest
-        assert a.winners_digest == b.winners_digest
-        assert a.aggregate_digest == b.aggregate_digest
-        assert a.params_digest == b.params_digest
-        assert a.mean_loss_hex == b.mean_loss_hex
-        assert a.faults == b.faults  # in particular: no late events
-        assert a.q == b.q and a.byzantine == b.byzantine
-        assert a.num_distorted == b.num_distorted
-    assert sync.trace.final_params_digest == event.trace.final_params_digest
-    assert sync.trace.final_accuracy_hex == event.trace.final_accuracy_hex
+@pytest.mark.parametrize("timeout, crash_round_time", [(0.8, 0.8), (None, 0.3)], ids=["timeout", "no-timeout"])
+def test_a_crashed_worker_holds_the_round_until_the_deadline(timeout, crash_round_time):
+    data = get_scenario("mols-alie-straggler-timeout").to_dict()
+    data["name"] = "mols-timeout-and-dropout"
+    data["training"]["num_iterations"] = 6
+    stragglers = {"count": 2, "delay_model": "fixed", "delay": 0.3}
+    if timeout is not None:
+        stragglers["timeout"] = timeout
+    data["faults"] = [
+        {"kind": "stragglers", "params": stragglers},
+        {"kind": "dropout", "params": {"probability": 0.1}},
+    ]
+    rounds = run_scenario(ScenarioSpec.from_dict(data)).trace.rounds
+    crashed = [any(f["kind"] == "dropout" for f in r.faults) for r in rounds]
+    assert any(crashed) and not all(crashed)
+    for round_, crash in zip(rounds, crashed):
+        assert not any(f["dropped"] for f in round_.faults if f["kind"] == "straggler")
+        assert round_.round_time == (crash_round_time if crash else 0.3)

@@ -11,7 +11,7 @@ from repro.cluster.faults import (
     FaultEvent,
     MessageCorruptionInjector,
     StragglerInjector,
-    round_duration,
+    arrival_delays,
 )
 from repro.core.vote_tensor import VoteTensor
 from repro.exceptions import ConfigurationError
@@ -39,7 +39,6 @@ class TestStragglers:
         assert len(events) == 3
         assert all(e.delay > 0 and not e.dropped for e in events)
         np.testing.assert_array_equal(cube_of(tensor), before)
-        assert round_duration(events) == max(e.delay for e in events)
 
     def test_timeout_drops_votes_and_clamps_delay(self, tensor, mols_assignment):
         injector = StragglerInjector(
@@ -284,15 +283,18 @@ class TestRngConsumptionInvariance:
             assert rng_a.bit_generator.state == rng_b.bit_generator.state
 
 
-class TestRoundDuration:
-    def test_legacy_sync_clock_is_base_plus_max_delay(self):
+class TestArrivalDelays:
+    def test_events_become_per_worker_delays(self):
         events = [
             FaultEvent(kind="straggler", worker=0, delay=0.3),
+            FaultEvent(kind="straggler", worker=0, delay=0.25),  # a second injector
             FaultEvent(kind="straggler", worker=1, delay=0.7, dropped=True),
+            FaultEvent(kind="dropout", worker=2, dropped=True),
+            FaultEvent(kind="straggler", worker=2, delay=0.1),
+            FaultEvent(kind="corruption", worker=3, file=4),
         ]
-        assert round_duration(events) == 0.7
-        assert round_duration(events, base=0.5) == 1.2
+        delays = arrival_delays(events, num_workers=5)
+        assert delays.tolist() == [0.3 + 0.25, np.inf, np.inf, 0.0, 0.0]
 
-    def test_no_events_is_just_the_base(self):
-        assert round_duration([]) == 0.0
-        assert round_duration([], base=0.25) == 0.25
+    def test_no_events_no_delays(self):
+        np.testing.assert_array_equal(arrival_delays([], num_workers=3), np.zeros(3))

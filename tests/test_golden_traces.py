@@ -7,6 +7,10 @@ voting, robust aggregation or the optimizer — changed behaviour at the bit
 level.  If the change was intentional, regenerate with::
 
     PYTHONPATH=src python -m repro.cli scenario record
+
+Replay is bit-exact on the machine class that recorded the goldens: a NumPy
+with other SIMD dispatch targets rounds some kernels differently, so a
+failing replay first names the recorded and the running dispatch.
 """
 
 from __future__ import annotations
@@ -23,7 +27,8 @@ from repro.scenarios import (
     run_scenario,
     scenario_names,
 )
-from repro.scenarios.trace import RunTrace
+from repro.scenarios.golden import DISPATCH_FILE, numpy_dispatch
+from repro.scenarios.trace import RunTrace, TraceMismatch
 
 NAMES = scenario_names()
 
@@ -58,12 +63,35 @@ def test_no_orphan_golden_traces():
     assert not orphans, f"golden traces without catalog scenarios: {orphans}"
 
 
+def dispatch_note() -> str:
+    recorded = (default_golden_dir() / DISPATCH_FILE).read_text()
+    here = numpy_dispatch()
+    same = "same" if recorded == here else "DIFFERENT"
+    return (
+        f"{same} NumPy dispatch: goldens recorded under [{recorded.strip()}], "
+        f"replayed under [{here.strip()}]"
+    )
+
+
 @pytest.mark.parametrize("name", NAMES)
 def test_scenario_replays_bit_exactly(name):
-    trace = replay_golden(name)
+    try:
+        trace = replay_golden(name)
+    except TraceMismatch as exc:
+        pytest.fail(f"{dispatch_note()}\n{exc}")
     # Bytes, not only values: a serialisation change that replay-by-value
     # forgives (key spelling, float form, an extra key) is named here.
-    assert trace.to_json() + "\n" == golden_path(name).read_text()
+    assert trace.to_json() + "\n" == golden_path(name).read_text(), dispatch_note()
+
+
+def test_dispatch_note_names_both_dispatch_levels(monkeypatch):
+    """What a replay failure on another machine prints first."""
+    import repro.scenarios.golden as golden
+
+    monkeypatch.setattr(golden, "opt_func_info", lambda: {"add": {"d": {"current": "X86_V3"}}})
+    note = dispatch_note().replace(golden.np.__version__, "V")
+    assert note.startswith("DIFFERENT NumPy dispatch: goldens recorded under [numpy V\ndispatch ")
+    assert note.endswith("], replayed under [numpy V\ndispatch X86_V3]")
 
 
 @pytest.mark.parametrize("name", NAMES[:3])

@@ -224,28 +224,7 @@ class TestTopologySpec:
             run_scenario(ScenarioSpec.from_dict(data))
 
 
-class TestGroupedSyncEquivalence:
-    """deadline=inf + no quorum must reproduce the sync round bit-exactly,
-    with or without worker groups."""
-
-    @pytest.mark.parametrize("name", ["mols-alie-omniscient", "ramanujan-revgrad-omniscient"])
-    @pytest.mark.parametrize("groups", [None, 3, 5])
-    def test_deadline_inf_matches_sync(self, name, groups):
-        sync = run_scenario(get_scenario(name))
-        data = get_scenario(name).to_dict()
-        data["name"] += "-async-inf"
-        # RuntimeSpec(deadline=None, quorum=None) is not an event runtime;
-        # force the event engine with an explicit huge deadline instead.
-        data["runtime"] = {"deadline": 1e30}
-        if groups is not None:
-            data["topology"] = {"groups": groups}
-        event = run_scenario(ScenarioSpec.from_dict(data))
-        assert event.trace.final_params_digest == sync.trace.final_params_digest
-        for a, b in zip(sync.trace.rounds, event.trace.rounds):
-            assert a.votes_digest == b.votes_digest
-            assert a.winners_digest == b.winners_digest
-            assert a.aggregate_digest == b.aggregate_digest
-
+class TestGroupQuorumScenario:
     def test_group_quorum_partial_scenario_records_group_lates(self):
         result = run_scenario(get_scenario("ramanujan-hier-async-group-quorum"))
         lates = [

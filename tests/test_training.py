@@ -4,7 +4,7 @@ gradient computer, trainer."""
 import numpy as np
 import pytest
 
-from repro.exceptions import AggregationError, ConfigurationError, ReproError, TrainingError
+from repro.exceptions import ConfigurationError, ReproError, TrainingError
 from repro.nn.models import build_mlp
 from repro.scenarios.catalog import get_scenario
 from repro.scenarios.runner import ScenarioResult, ScenarioRunner
@@ -183,8 +183,8 @@ def test_build_draco_trainer_applicability():
     assert len(result.trace.rounds) == 4
 
     violating = _runner(_FRC, "draco", attack="constant", q=2)
-    with pytest.raises(AggregationError):
-        violating.run()
+    with pytest.raises(ConfigurationError, match=r"DRACO requires r >= 2q\+1, but r=3 .* q=2"):
+        violating.build_trainer()
 
 
 def test_trainer_determinism():

@@ -126,7 +126,9 @@ def event_round_kernels() -> dict:
     dim = 11_274  # parameter count of the benchmarked K=25 MLP (d ~= 11k)
     honest = np.random.default_rng(5).standard_normal((assignment.num_files, dim))
     samples = np.full(assignment.num_files, 8.0)
-    base = UplinkSchedule(assignment).arrival_times(CostModel(), dim, samples)
+    base = UplinkSchedule(assignment).arrival_times(
+        CostModel(), dim, samples, np.zeros(assignment.num_workers)
+    )
 
     def event_round(runtime):
         tensor = VoteTensor.from_honest(assignment, honest)

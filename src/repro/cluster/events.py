@@ -45,11 +45,11 @@ The synchronous round
 ---------------------
 
 A cluster given no runtime runs this engine with an all-zero
-:class:`~repro.cluster.timing.CostModel` and, as its deadline, its straggler
-timeout (``inf`` without one).  Every message then arrives at its sender's
-straggler delay: the PS waits for every copy that arrives, and the clock
-reads the slowest surviving straggler, or the timeout when the PS gave up on
-someone.  A crash and a slow worker look the same from the PS, so a round
+:class:`~repro.cluster.timing.CostModel` and, as its deadline, its largest
+straggler timeout (``inf`` without one, or when some straggler injector has
+none).  Every message then arrives at its sender's straggler delay: the PS
+waits for every copy that arrives, and the clock reads the slowest surviving
+straggler, or the timeout when the PS gave up on someone.  A crash and a slow worker look the same from the PS, so a round
 that set a timeout and lost a worker to dropout also waits until the
 timeout.
 """
@@ -186,7 +186,7 @@ class UplinkSchedule:
         cost_model: CostModel,
         dim: int,
         samples_per_file: np.ndarray,
-        delays: np.ndarray | None = None,
+        delays: np.ndarray,
     ) -> np.ndarray:
         """``(f, r)`` arrival times of one round's messages.
 
@@ -209,10 +209,7 @@ class UplinkSchedule:
             self.workers.ravel(), weights=np.repeat(samples, r), minlength=self.num_workers
         )
         compute = worker_samples * dim * cost_model.compute_per_sample_per_param
-        arrivals = compute[self.workers] + self._queue_position * per_message
-        if delays is not None:
-            arrivals += delays[self.workers]
-        return arrivals
+        return compute[self.workers] + self._queue_position * per_message + delays[self.workers]
 
 
 class EventDrivenRound:

@@ -129,16 +129,18 @@ def arrival_delays(events: "Sequence[FaultEvent]", num_workers: int) -> np.ndarr
     """Each worker's extra arrival delay this round, from the realized events.
 
     A surviving straggler delays every message its worker sends by the
-    sampled amount.  A dropped straggler (PS timeout) or a crashed worker
-    (dropout) never delivers: ``inf``.  Corruption perturbs payloads in
-    flight but not timing.
+    sampled amount; a worker two straggler entries picked is as late as the
+    larger delay, so it still beats the timeout of the entry that drew it.
+    A dropped straggler (PS timeout) or a crashed worker (dropout) never
+    delivers: ``inf``.  Corruption perturbs payloads in flight but not
+    timing.
     """
     delays = np.zeros(num_workers, dtype=CLOCK_DTYPE)
     for event in events:
         if event.dropped and event.kind in (StragglerInjector.kind, DropoutInjector.kind):
             delays[event.worker] = np.inf
         elif event.kind == StragglerInjector.kind:
-            delays[event.worker] += event.delay
+            delays[event.worker] = max(delays[event.worker], event.delay)
     return delays
 
 
@@ -183,7 +185,8 @@ class StragglerInjector(FaultInjector):
         *strictly before* the timeout (``delay >= timeout``): its votes are
         zeroed and its recorded delay is clamped to the timeout (the clamp
         only keeps recorded fault events as they were).  A cluster without
-        an event runtime makes the timeout its round deadline.
+        an event runtime makes the largest timeout its round deadline
+        (none when some straggler injector has no timeout).
     """
 
     kind = "straggler"

@@ -67,8 +67,9 @@ class TrainingCluster:
         fires, per file or, with ``runtime.groups``, per (file, group) cell.
         ``None`` (the default) is the synchronous round: an all-zero cost
         model, no quorum, and the largest straggler timeout as the deadline
-        (``inf`` without one), so every message arrives at its sender's
-        straggler delay and the PS waits for each one that arrives.
+        (``inf`` without one, or when any straggler entry sets none), so
+        every message arrives at its sender's straggler delay and the PS
+        waits for each one that arrives.
     """
 
     def __init__(
@@ -88,10 +89,11 @@ class TrainingCluster:
                 "attack and selector must both be provided or both omitted"
             )
         if runtime is None:
+            # An untimed straggler entry waits for its workers: no deadline.
             timeouts = [
-                injector.timeout
+                float("inf") if injector.timeout is None else injector.timeout
                 for injector in fault_injectors
-                if isinstance(injector, StragglerInjector) and injector.timeout is not None
+                if isinstance(injector, StragglerInjector)
             ]
             runtime = AsyncRuntime(
                 deadline=max(timeouts, default=float("inf")),

@@ -66,10 +66,15 @@ def record_goldens(
     golden_dir: "pathlib.Path | str | None" = None,
 ) -> list[pathlib.Path]:
     """Run the named scenarios (default: whole catalog) and write their
-    traces, and :func:`numpy_dispatch` to :data:`DISPATCH_FILE`."""
+    traces.  A whole-catalog recording, or one into a directory without
+    :data:`DISPATCH_FILE`, also writes :func:`numpy_dispatch` there; a subset
+    leaves an existing note alone, since the other traces were recorded
+    under the dispatch it names."""
     base = pathlib.Path(golden_dir) if golden_dir is not None else default_golden_dir()
     base.mkdir(parents=True, exist_ok=True)
-    (base / DISPATCH_FILE).write_text(numpy_dispatch())
+    note = base / DISPATCH_FILE
+    if names is None or not note.exists():
+        note.write_text(numpy_dispatch())
     written: list[pathlib.Path] = []
     for name in names if names is not None else scenario_names():
         result = run_scenario(get_scenario(name))

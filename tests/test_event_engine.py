@@ -90,6 +90,8 @@ class TestAsyncRuntime:
 # Arrival schedules
 # --------------------------------------------------------------------------- #
 def arrival_times(assignment, dim, samples, delays=None, cost=COST):
+    if delays is None:
+        delays = np.zeros(assignment.num_workers)
     return UplinkSchedule(assignment).arrival_times(cost, dim, samples, delays)
 
 
@@ -577,6 +579,11 @@ class TestClusterEventRound:
             ),
         ).runtime
         assert timed.deadline == 2.0
+        mixed = make_cluster(
+            mols_assignment,
+            injectors=(StragglerInjector(count=1), StragglerInjector(count=1, timeout=0.5)),
+        ).runtime
+        assert mixed.deadline == float("inf")
 
     def test_sync_round_clock_is_the_slowest_surviving_straggler(self, mols_assignment):
         injectors = (StragglerInjector(count=3, delay_model="fixed", delay=0.7),)
@@ -619,6 +626,49 @@ class TestClusterEventRound:
             result.accepted, ~np.isin(result.vote_tensor.workers, list(dropped))
         )
         assert result.round_time == 2.0
+
+    def test_an_untimed_straggler_entry_leaves_the_round_without_deadline(self, mols_assignment):
+        """One entry has no timeout: its slow workers are waited for even
+        past the other entry's timeout, and only that entry abandons."""
+        injectors = (
+            StragglerInjector(count=2, delay_model="fixed", delay=1.0),
+            StragglerInjector(count=2, delay_model="fixed", delay=1.0, timeout=0.5),
+        )
+        result = make_cluster(mols_assignment, injectors=injectors).run_round_tensor(
+            np.ones(DIM), make_file_data(mols_assignment.num_files), 0
+        )
+        slow = {e.worker for e in result.fault_events if not e.dropped}
+        dropped = {e.worker for e in result.fault_events if e.dropped}
+        assert slow - dropped and dropped
+        assert not any(e.kind == LATE_KIND for e in result.fault_events)
+        np.testing.assert_array_equal(
+            result.accepted, ~np.isin(result.vote_tensor.workers, list(dropped))
+        )
+        clean = make_cluster(mols_assignment).run_round_tensor(
+            np.ones(DIM), make_file_data(mols_assignment.num_files), 0
+        )
+        files, slots = np.nonzero(np.isin(result.vote_tensor.workers, list(slow - dropped)))
+        np.testing.assert_array_equal(
+            result.vote_tensor.read_slots(files, slots),
+            clean.vote_tensor.read_slots(files, slots),
+        )
+        assert result.round_time == 1.0
+
+    def test_a_worker_two_entries_pick_is_as_late_as_the_larger_delay(self, mols_assignment):
+        """Both entries pick every worker; each delay beats its timeout, so
+        the worker arrives at the larger one (not their sum) and is kept."""
+        K = mols_assignment.num_workers
+        injectors = (
+            StragglerInjector(count=K, delay_model="fixed", delay=0.3, timeout=0.5),
+            StragglerInjector(count=K, delay_model="fixed", delay=0.4, timeout=0.5),
+        )
+        result = make_cluster(mols_assignment, injectors=injectors).run_round_tensor(
+            np.ones(DIM), make_file_data(mols_assignment.num_files), 0
+        )
+        assert len(result.fault_events) == 2 * K
+        assert result.accepted.all()
+        np.testing.assert_array_equal(result.arrivals, np.full(result.arrivals.shape, 0.4))
+        assert result.round_time == 0.4
 
     def test_quorum_partial_round(self, mols_assignment):
         runtime = AsyncRuntime(quorum=2, partial=True)

@@ -288,13 +288,16 @@ class TestArrivalDelays:
         events = [
             FaultEvent(kind="straggler", worker=0, delay=0.3),
             FaultEvent(kind="straggler", worker=0, delay=0.25),  # a second injector
+            FaultEvent(kind="straggler", worker=4, delay=0.25),
+            FaultEvent(kind="straggler", worker=4, delay=0.3),
             FaultEvent(kind="straggler", worker=1, delay=0.7, dropped=True),
             FaultEvent(kind="dropout", worker=2, dropped=True),
             FaultEvent(kind="straggler", worker=2, delay=0.1),
             FaultEvent(kind="corruption", worker=3, file=4),
         ]
         delays = arrival_delays(events, num_workers=5)
-        assert delays.tolist() == [0.3 + 0.25, np.inf, np.inf, 0.0, 0.0]
+        # Two entries on one worker: the larger delay, never the sum.
+        assert delays.tolist() == [0.3, np.inf, np.inf, 0.0, 0.3]
 
     def test_no_events_no_delays(self):
         np.testing.assert_array_equal(arrival_delays([], num_workers=3), np.zeros(3))

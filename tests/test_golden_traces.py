@@ -94,6 +94,26 @@ def test_dispatch_note_names_both_dispatch_levels(monkeypatch):
     assert note.endswith("], replayed under [numpy V\ndispatch X86_V3]")
 
 
+def test_a_subset_recording_keeps_the_recorded_dispatch(tmp_path, monkeypatch):
+    """Re-recording a subset keeps the note the other traces were recorded
+    under (a fresh directory gets one); recording the catalog (here cut to
+    one scenario) rewrites it."""
+    import repro.scenarios.golden as golden
+
+    golden.record_goldens(["mols-clean"], golden_dir=tmp_path / "fresh")
+    assert (tmp_path / "fresh" / DISPATCH_FILE).read_text() == numpy_dispatch()
+    note = tmp_path / DISPATCH_FILE
+    note.write_text("numpy 0\ndispatch ELSEWHERE\n")
+    golden.record_goldens(["ramanujan-clean"], golden_dir=tmp_path)
+    assert note.read_text() == "numpy 0\ndispatch ELSEWHERE\n"
+    monkeypatch.setattr(golden, "scenario_names", lambda: ["ramanujan-clean"])
+    golden.record_goldens(golden_dir=tmp_path)
+    assert note.read_text() == numpy_dispatch()
+    assert golden_path("ramanujan-clean", tmp_path).read_text() == golden_path(
+        "ramanujan-clean"
+    ).read_text()
+
+
 @pytest.mark.parametrize("name", NAMES[:3])
 def test_golden_files_are_valid_self_describing_json(name):
     data = json.loads(golden_path(name).read_text())

@@ -120,7 +120,7 @@ def event_round_kernels() -> dict:
     event collection over the unperturbed arrival schedule.  The inf-deadline
     kernel accepts everything; the quorum kernel
     closes each file after 3 of its 5 copies and pays the rejection path
-    (late events + slot zeroing) for the other two.
+    (late events) for the other two.
     """
     assignment = RamanujanAssignment(m=5, s=5).assignment
     dim = 11_274  # parameter count of the benchmarked K=25 MLP (d ~= 11k)

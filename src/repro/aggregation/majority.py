@@ -13,8 +13,9 @@ a :class:`~repro.core.vote_tensor.VoteTensor`'s override payloads once — per
 distinct stored row, not per slot — into an ``(f, r)`` integer matrix, the
 winning slots resolve from those integers, and the winners leave as a
 :class:`~repro.core.vote_tensor.RowSelection` of those slots rather than as
-a second ``(f, d)`` matrix.  Under partial aggregation an incomplete file
-resolves over its arrived slots of the same matrix.  This is the only vote
+a second ``(f, d)`` matrix.  Only the copies the PS accepted vote: an
+incomplete file resolves over its arrived slots of the same matrix, and a
+file with no arrived copy abstains — it has no winner.  This is the only vote
 kernel: a group topology shapes when the event engine stops accepting
 copies, never how the PS votes them.  The ids are canonical (0 = the
 file's honest base row, the rest numbered by first appearance), and the
@@ -302,7 +303,8 @@ def _winning_slots(
         complete = arrived.all(axis=1)
         touched &= complete
         incomplete = np.nonzero(~complete)[0]
-        slots[incomplete], counts[incomplete] = _resolve(ids[incomplete], arrived[incomplete])
+        if incomplete.size:
+            slots[incomplete], counts[incomplete] = _resolve(ids[incomplete], arrived[incomplete])
     touched = np.nonzero(touched)[0]
     if touched.size:
         slots[touched], counts[touched] = _resolve(ids[touched])
@@ -315,16 +317,17 @@ class Vote(NamedTuple):
     Attributes
     ----------
     winners:
-        The ``(f, d)`` winning rows as a
-        :class:`~repro.core.vote_tensor.RowSelection`.
+        The ``(n, d)`` winning rows as a
+        :class:`~repro.core.vote_tensor.RowSelection`, one per file with an
+        arrived copy, in file order.
     counts:
-        ``(f,)`` votes behind each winner (0: no copy arrived).
+        ``(f,)`` votes behind each file's winner (0: no copy arrived, so the
+        file has no winner).
     content_ids:
         The round's ``(f, r)`` canonical content ids
         (:func:`override_content_ids`).
     winner_refs:
-        ``(f, 2)`` int64 ``(file, content id)`` of each winner; id ``-1``
-        marks the zero row of a file with no arrived copy.
+        ``(n, 2)`` int64 ``(file, content id)`` of each winner.
     """
 
     winners: RowSelection
@@ -338,22 +341,13 @@ def _select_winners(
 ) -> Vote:
     """The voted ``(slots, counts)`` handed on as a :class:`Vote`.
 
-    A file with count 0 (no arrived copy) is a zero row — store row id
-    ``-1`` — the "missing = zero gradient" convention of the fault
-    injectors.  No payload row is copied here either: the winners reference
-    the tensor's base and payload store.
+    A file with count 0 (no arrived copy) abstains: it has no winner row and
+    no reference.  No payload row is copied here: the winners reference the
+    tensor's payload store.
     """
-    winners = tensor.select_slots(slots)
-    files = np.arange(slots.size)
-    refs = np.column_stack([files, ids[files, slots]])
-    empty = np.nonzero(counts == 0)[0]
-    if empty.size:
-        refs[empty, 1] = -1
-        row_ids = np.full(slots.size, -1, dtype=np.int64)
-        row_ids[winners.files] = winners.row_ids
-        row_ids[empty] = -1
-        patched = np.union1d(winners.files, empty)
-        winners = RowSelection(winners.base, patched, row_ids[patched], winners.store)
+    files = np.nonzero(counts)[0]
+    winners = tensor.select_slots(slots[files], None if files.size == slots.size else files)
+    refs = np.column_stack([files, ids[files, slots[files]]])
     return Vote(winners, counts, ids, refs)
 
 
@@ -374,10 +368,10 @@ def majority_vote_votetensor(
     The returned :class:`Vote` also carries the content ids and each
     winner's reference into them, which is what the scenario trace hashes.
 
-    ``arrived`` is the partial-aggregation ``(f, r)`` bool mask of the
-    copies the PS accepted: a file missing a copy is voted over its arrived
-    copies only, and a file with none contributes a zero row with count 0.
-    Every payload-touching stage streams coordinate blocks of width
+    ``arrived`` is the ``(f, r)`` bool mask of the copies the PS accepted
+    (``None``: every copy arrived): a file missing a copy is voted over its
+    arrived copies only, and a file with none abstains (count 0, no
+    winner).  Every payload-touching stage streams coordinate blocks of width
     ``block_size`` (``None``: :data:`~repro.utils.arrays.LANE_BLOCK`), and
     every width gives the same bits.
     """

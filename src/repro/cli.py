@@ -338,8 +338,6 @@ def _run_scenario_cmd(args: argparse.Namespace) -> str:
                     parts.append(f"deadline={spec.runtime.deadline:g}s")
                 if spec.runtime.quorum is not None:
                     parts.append(f"quorum={spec.runtime.quorum}")
-                if spec.runtime.partial:
-                    parts.append("partial")
                 notes.append(f"async: {', '.join(parts)}")
             if spec.topology is not None:
                 notes.append(f"topology: groups={spec.topology.groups}")

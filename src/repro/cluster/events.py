@@ -14,14 +14,12 @@ models that decision as a discrete-event simulation:
   or the message's file already closed by reaching its **quorum** of arrived
   copies;
 * rejected-but-sent messages are recorded as ``"late"``
-  :class:`~repro.cluster.faults.FaultEvent`\\ s and their slots are zeroed in
-  the vote tensor exactly as a timeout-abandoned straggler is zeroed.
+  :class:`~repro.cluster.faults.FaultEvent`\\ s.
 
-Downstream aggregation then sees a missing copy in one of two ways.  By
-default it is a zero vote, the fault injectors' convention.  With
-:attr:`AsyncRuntime.partial` the accepted mask travels with the round and
-the vote skips the missing copies (a file with none is a zero row).  Two
-conventions for one fact is an open item (ROADMAP item 2).
+The engine never writes the vote tensor.  Its ``accepted`` mask travels with
+the round, and the vote counts each file over its accepted copies only: a
+copy that did not arrive, or arrived late, abstains, and a file with no
+accepted copy abstains from the robust stage as well.
 
 With :attr:`AsyncRuntime.groups` the workers split into contiguous,
 balanced groups and the quorum closes per (file, group) cell instead of per
@@ -91,10 +89,6 @@ class AsyncRuntime:
     quorum:
         Per-file close threshold: a file stops accepting copies once this
         many arrived.  ``None`` waits for all ``r`` copies (or the deadline).
-    partial:
-        When True, downstream aggregation votes only over the accepted copies
-        of each file (the :class:`AsyncRoundOutcome` mask) instead of
-        treating missing slots as zero votes.
     groups:
         Number of contiguous, balanced worker groups ``G``: the quorum then
         closes per (file, group) cell instead of per file (see
@@ -105,7 +99,6 @@ class AsyncRuntime:
 
     deadline: float = float("inf")
     quorum: int | None = None
-    partial: bool = False
     groups: int | None = None
     cost_model: CostModel = field(default_factory=CostModel)
 
@@ -223,13 +216,10 @@ class EventDrivenRound:
 
         Processes arrivals in time order (ties broken by (file, slot) for
         determinism), accepting each message unless it is at/after the
-        deadline or its file already closed.  Sent-but-rejected slots are
-        zeroed in ``tensor`` — the same convention the straggler timeout
-        uses — and recorded as ``"late"`` fault events.  Never-sent slots
-        (``inf`` arrivals) are left alone: the injector pass that produced
-        them already zeroed (and possibly further perturbed) them.  Whether a
-        missing copy then counts as a zero vote or abstains is the runtime's
-        ``partial`` choice (see the module docstring).
+        deadline or its file already closed.  Sent-but-rejected messages are
+        recorded as ``"late"`` fault events; never-sent ones (``inf``
+        arrivals) are simply not accepted.  ``tensor`` supplies the senders
+        and is not written: the vote reads the ``accepted`` mask.
 
         With :attr:`AsyncRuntime.groups` set, the ``K`` workers (every
         worker holds a file, so ``K`` is the largest worker index plus one)
@@ -311,14 +301,9 @@ class EventDrivenRound:
             round_time = last_accept
         deadline_cut = bool(times) and times[-1] >= deadline
 
-        # Zero only the sent-but-rejected (late) slots.  Never-arrived slots
-        # were already zeroed by the injector pass — and later injectors
-        # (message corruption) may have rewritten them since, a composition
-        # the fault records define, so the engine must not touch them again.
         late_events: tuple[FaultEvent, ...] = ()
         if late:
             late_files, late_slots = np.divmod(order[late], r)
-            tensor.zero_slots(late_files, late_slots)
             late_events = tuple(
                 FaultEvent(kind=LATE_KIND, worker=w, file=i, slot=k, delay=t, dropped=True)
                 for w, i, k, t in zip(

@@ -4,21 +4,21 @@ The paper's simulator assumes a clean synchronous round: every worker returns
 every assigned file gradient, instantly and uncorrupted.  Real clusters are
 not like that, and the robustness claim only matters if majority voting also
 absorbs *benign* faults.  The injectors below perturb a round **after** the
-attack has written its payloads, operating directly on the packed
-:class:`~repro.core.vote_tensor.VoteTensor` so the PS-side pipelines see the
-faults exactly as they would see adversarial returns:
+attack has written its payloads.  Only corruption touches the packed
+:class:`~repro.core.vote_tensor.VoteTensor`; the availability faults only
+emit events, and a copy that never arrives abstains from the vote:
 
 * :class:`StragglerInjector` — a subset of workers is slow each round.  The
   delay is sampled from a deterministic or exponential model; with a timeout
   set, a worker that fails to arrive strictly before it (``delay >=
-  timeout``) is abandoned by the PS and its votes are zeroed (a crash-like
-  benign fault the vote must out-count).
+  timeout``) is abandoned by the PS: its copies are never delivered.
 * :class:`DropoutInjector` — crash-stop churn: each live worker goes down
   with some probability and stays down for ``down_for`` rounds before
-  rejoining; a downed worker's votes are zeroed.
+  rejoining; a downed worker delivers nothing.
 * :class:`MessageCorruptionInjector` — each (file, slot) message is
   independently corrupted with some probability: zeroed, scaled, or hit with
-  additive Gaussian noise (a torn/bit-flipped payload).
+  additive Gaussian noise (a torn/bit-flipped payload).  A corrupted message
+  still arrives, so it still votes.
 
 Every injector draws randomness only from the generator handed to
 :meth:`FaultInjector.inject`; the simulator derives one independent stream
@@ -29,7 +29,7 @@ function of ``(seed, round, shape)`` — never of the realized fault history
 or of the tensor's copy-on-write override layout — so fault sequences are
 replayable independently of what the attack or the other injectors did.
 
-The injectors change payloads; time is the event engine's
+Corruption changes payloads; time is the event engine's
 (:mod:`repro.cluster.events`), which ends every round.
 :func:`arrival_delays` turns the realized events into each worker's arrival
 delay (``inf`` for a worker whose messages never arrive), and the round's
@@ -96,7 +96,9 @@ class FaultEvent:
         Simulated extra latency in seconds (stragglers), or the simulated
         arrival time of a ``"late"`` message; 0 otherwise.
     dropped:
-        True when the fault removed the contribution (votes zeroed).
+        True when the fault removed the contribution: its copies were never
+        delivered (or, for ``"late"``, not accepted), so they abstain from
+        the vote.
     """
 
     kind: str
@@ -144,25 +146,14 @@ def arrival_delays(events: "Sequence[FaultEvent]", num_workers: int) -> np.ndarr
     return delays
 
 
-def _zero_worker_votes(tensor: VoteTensor, worker: int) -> int:
-    """Zero every vote the given worker contributed; returns slots touched.
-
-    Routed through the slot API: the affected (file, slot) pairs all point
-    at one shared zero row.
-    """
-    files, slots = np.nonzero(tensor.workers == int(worker))
-    tensor.zero_slots(files, slots)
-    return int(files.size)
-
-
 class FaultInjector(abc.ABC):
-    """A per-round perturbation of the packed vote tensor."""
+    """A per-round fault: events for the event engine, payloads for corruption."""
 
     kind: str = "abstract"
 
     @abc.abstractmethod
     def inject(self, tensor: VoteTensor, context: FaultContext) -> list[FaultEvent]:
-        """Perturb ``tensor`` in place and return the realized fault events."""
+        """Return the realized fault events (corruption also rewrites ``tensor``)."""
 
     def __repr__(self) -> str:  # pragma: no cover - trivial
         return f"{type(self).__name__}()"
@@ -182,9 +173,9 @@ class StragglerInjector(FaultInjector):
         The fixed delay or the exponential mean, in simulated seconds.
     timeout:
         When set, the PS abandons any straggler that does not arrive
-        *strictly before* the timeout (``delay >= timeout``): its votes are
-        zeroed and its recorded delay is clamped to the timeout (the clamp
-        only keeps recorded fault events as they were).  A cluster without
+        *strictly before* the timeout (``delay >= timeout``): its copies
+        are never delivered and its recorded delay is clamped to the timeout
+        (the clamp only keeps recorded fault events as they were).  A cluster without
         an event runtime makes the largest timeout its round deadline
         (none when some straggler injector has no timeout).
     """
@@ -229,7 +220,6 @@ class StragglerInjector(FaultInjector):
             # timeout, so a delay exactly equal to it is abandoned too.
             dropped = self.timeout is not None and delay >= self.timeout
             if dropped:
-                _zero_worker_votes(tensor, int(worker))
                 delay = self.timeout
             events.append(
                 FaultEvent(
@@ -286,7 +276,6 @@ class DropoutInjector(FaultInjector):
                 remaining = self.down_for
             else:
                 continue
-            _zero_worker_votes(tensor, worker)
             events.append(FaultEvent(kind=self.kind, worker=worker, dropped=True))
         return events
 
@@ -299,7 +288,7 @@ class MessageCorruptionInjector(FaultInjector):
     probability:
         Per-message corruption probability.
     mode:
-        ``"zero"`` (payload lost), ``"scale"`` (multiplied by ``factor``,
+        ``"zero"`` (the payload arrives as zeros), ``"scale"`` (multiplied by ``factor``,
         e.g. an endianness/overflow bug) or ``"noise"`` (additive Gaussian
         noise of standard deviation ``factor``).
     factor:

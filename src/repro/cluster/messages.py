@@ -40,7 +40,7 @@ class TensorRoundResult:
         sent).
     accepted:
         ``(f, r)`` bool mask of the messages the PS accepted before its
-        deadline/quorum cutoff.
+        deadline/quorum cutoff: the copies the vote counts.
     mean_file_loss:
         Average training loss over the round's files.
     fault_events:
@@ -50,10 +50,6 @@ class TensorRoundResult:
         Simulated round duration in seconds: the event engine's clock at
         round close (last quorum-satisfying arrival, else the deadline; see
         :mod:`repro.cluster.events`).
-    aggregation_mask:
-        The mask the aggregation pipelines should apply — ``accepted`` when
-        the runtime's *partial* mode is on, else ``None`` (missing slots
-        then vote as zeros, the fault injectors' convention).
     """
 
     vote_tensor: VoteTensor
@@ -66,7 +62,6 @@ class TensorRoundResult:
     mean_file_loss: float = float("nan")
     fault_events: tuple[FaultEvent, ...] = ()
     round_time: float = 0.0
-    aggregation_mask: np.ndarray | None = None
 
     @property
     def distortion_fraction(self) -> float:

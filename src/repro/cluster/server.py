@@ -71,9 +71,9 @@ class ParameterServer:
     ) -> RoundOutcome:
         """Run the aggregation pipeline without updating the model.
 
-        ``arrived`` is the event runtime's partial-aggregation mask — the
-        ``(f, r)`` copies the PS accepted before its deadline/quorum cutoff;
-        ``None`` (no partial mode) aggregates every slot.  Worker groups
+        ``arrived`` is the round's ``(f, r)`` mask of the copies the PS
+        accepted before its deadline/quorum cutoff: only those vote.
+        ``None`` means every copy arrived.  Worker groups
         (``AsyncRuntime.groups``) change only which copies the mask accepts;
         the pipeline votes every round with the same kernel.
         """

@@ -54,11 +54,10 @@ class TrainingCluster:
         Base seed for per-round randomness (attack noise, random selection):
         round ``t`` draws from its own generator derived from ``(seed, t)``.
     fault_injectors:
-        Benign fault models applied to each round's vote tensor after the
-        attack.  Each injector receives its own derived
-        RNG stream every round, independent of the selector/attack stream,
-        so adding or removing an injector never changes the adversary's
-        randomness (and vice versa).
+        Benign fault models applied to each round after the attack.  Each
+        injector receives its own derived RNG stream every round,
+        independent of the selector/attack stream, so adding or removing an
+        injector never changes the adversary's randomness (and vice versa).
     runtime:
         How the PS collects the round (:class:`AsyncRuntime`).  After the
         compute/attack/fault pass, :meth:`run_round_tensor` runs the PS-side
@@ -204,10 +203,11 @@ class TrainingCluster:
     ) -> TensorRoundResult:
         """The PS-side event loop of the round (see the ``runtime`` docs).
 
-        Payload faults were already applied by the injector pass, so this
-        step only *times* them: realized straggler delays shift arrivals,
+        Corruption was already applied by the injector pass, so this step
+        only *times* the round: realized straggler delays shift arrivals,
         crashes/timeouts never arrive, and the event engine decides which of
-        the remaining messages beat the deadline / quorum cutoff.
+        the remaining messages beat the deadline / quorum cutoff.  The
+        ``accepted`` mask it returns is what the vote counts.
         """
         runtime = self.runtime
         arrivals = self._uplink.arrival_times(
@@ -228,5 +228,4 @@ class TrainingCluster:
             round_time=outcome.round_time,
             arrivals=outcome.arrivals,
             accepted=outcome.accepted,
-            aggregation_mask=outcome.accepted if runtime.partial else None,
         )

@@ -32,7 +32,6 @@ import numpy as np
 from repro.aggregation.base import Aggregator
 from repro.aggregation.majority import (
     majority_vote_votetensor,
-    override_content_ids,
     validate_block_size,
 )
 from repro.aggregation.mean import MeanAggregator
@@ -64,7 +63,7 @@ def _validate_vote_tensor(expected: np.ndarray, tensor: VoteTensor) -> None:
 
 
 def _checked_arrival_mask(tensor: VoteTensor, arrived: np.ndarray) -> np.ndarray:
-    """Validate a partial-aggregation ``(f, r)`` arrival mask."""
+    """Validate an ``(f, r)`` arrival mask."""
     arrived = np.asarray(arrived, dtype=bool)
     if arrived.shape != tensor.workers.shape:
         raise AggregationError(
@@ -89,10 +88,11 @@ class RoundOutcome:
         The ``(d,)`` update direction — the pipeline's reducer applied to
         ``winners``.
     winners:
-        The ``(n, d)`` rows the reducer saw: per-file majority winners for
-        the voting pipelines, the arrived raw worker rows for the vanilla
-        one.  A read-only :class:`~repro.core.vote_tensor.RowSelection`, not an
-        array: it references the round's honest matrix and holds only the
+        The ``(n, d)`` rows the reducer saw: one majority winner per file
+        with an arrived copy (for the vanilla pipeline, ``r = 1``, that is
+        each arrived worker's raw row).  A read-only
+        :class:`~repro.core.vote_tensor.RowSelection`, not an array: it
+        references the round's honest matrix and holds only the
         rows that differ from it, so it is valid until the next round is
         computed, and the run loop digests it through ``winner_refs`` instead
         of densifying it.
@@ -103,8 +103,7 @@ class RoundOutcome:
         by first appearance in C order.
     winner_refs:
         ``(n, 2)`` int64: row ``i`` of ``winners`` is ``(file, content
-        id)`` — the file's slot content it holds, id ``-1`` for the zero
-        row of a file with no arrived copy.
+        id)`` — the file's slot content it holds.
     """
 
     aggregate: np.ndarray
@@ -158,47 +157,41 @@ class AggregationPipeline:
         Returns the :class:`RoundOutcome` of the round: the ``(d,)``
         aggregate and the post-vote matrix it was reduced from.  That matrix,
         ``winners``, is the ``(n, d)`` rows the reducer saw — the per-file
-        majority winners of a voting pipeline, the raw worker gradients of
-        the vanilla one — as a :class:`~repro.core.vote_tensor.RowSelection`
+        majority winners (for the vanilla pipeline's ``r = 1``, the raw
+        worker gradients) — as a :class:`~repro.core.vote_tensor.RowSelection`
         over the tensor's honest base: no ``(n, d)`` matrix is built here;
         the robust rule either streams it or densifies it once, in
         :meth:`Aggregator.__call__ <repro.aggregation.base.Aggregator.__call__>`.
         Scenario traces digest it per round to pin the voting stage
         independently of the robust aggregation that follows.
 
-        ``arrived`` enables the event runtime's *partial aggregation* mode:
-        an ``(f, r)`` bool mask of the copies the PS actually accepted this
-        round.  Each incomplete file is then voted over its arrived copies
-        only, from the same content ids as the rest of the round, and a file
-        with no arrivals contributes a zero winner — the same "missing =
-        zero gradient" convention the fault injectors use, so the robust
-        stage sees a consistent shape every round; the vanilla pipeline
-        drops missing worker rows from the robust stage.  ``None`` (the
-        default, and every round outside the partial mode) treats every
-        slot as present — missing contributions appear as the zero votes
-        the fault injectors wrote.
+        ``arrived`` is the ``(f, r)`` bool mask of the copies the PS
+        accepted this round; ``None`` means every copy arrived.  A copy
+        that did not arrive abstains: each incomplete file is voted over its
+        arrived copies only, from the same content ids as the rest of the
+        round, and a file with no arrived copy has no winner, so the robust
+        stage sees only the files that were voted.  A round with no arrived
+        copy at all aggregates to a zero update.
         """
         _validate_vote_tensor(self._expected_slot_matrix(), tensor)
         if arrived is not None:
             arrived = _checked_arrival_mask(tensor, arrived)
-        winners, content_ids, winner_refs = self._vote(tensor, arrived)
+        vote = majority_vote_votetensor(tensor, block_size=self.block_size, arrived=arrived)
+        winners = vote.winners
         return RoundOutcome(
-            aggregate=self._reduce(winners),
+            aggregate=(
+                self._reduce(winners)
+                if winners.shape[0]
+                else np.zeros(winners.shape[1], dtype=winners.dtype)
+            ),
             winners=winners,
-            content_ids=content_ids,
-            winner_refs=winner_refs,
+            content_ids=vote.content_ids,
+            winner_refs=vote.winner_refs,
         )
 
     def _reduce(self, voted: RowSelection) -> np.ndarray:
         """The pipeline's post-vote reducer: ``(n, d)`` winners -> ``(d,)``."""
         raise NotImplementedError
-
-    def _vote(
-        self, tensor: VoteTensor, arrived: np.ndarray | None
-    ) -> tuple[RowSelection, np.ndarray, np.ndarray]:
-        """``(winners, content_ids, winner_refs)`` of the round's one vote."""
-        vote = majority_vote_votetensor(tensor, block_size=self.block_size, arrived=arrived)
-        return vote.winners, vote.content_ids, vote.winner_refs
 
     def __repr__(self) -> str:  # pragma: no cover - trivial
         return f"{type(self).__name__}(assignment={self.assignment.name!r})"
@@ -332,8 +325,8 @@ class VanillaPipeline(AggregationPipeline):
     ) -> None:
         if block_size is not None:
             raise ConfigurationError(
-                "the vanilla pipeline runs no vote kernel; pass block_size to "
-                "the robust aggregator instead (aggregator_params)"
+                "the vanilla pipeline (r = 1) has no vote kernel to stream; pass "
+                "block_size to the robust aggregator instead (aggregator_params)"
             )
         super().__init__(assignment)
         if assignment.replication != 1 or assignment.computational_load != 1:
@@ -342,25 +335,5 @@ class VanillaPipeline(AggregationPipeline):
             )
         self.aggregator = aggregator
 
-    def _vote(
-        self, tensor: VoteTensor, arrived: np.ndarray | None
-    ) -> tuple[RowSelection, np.ndarray, np.ndarray]:
-        # No vote stage: the aggregator sees the raw (K, d) worker returns
-        # (r == 1, so slot 0 holds each file's single return).  Partial mode
-        # keeps only the rows that actually arrived.  The content ids are
-        # the voting pipelines' own, read at slot 0 of each row kept.
-        ids = override_content_ids(tensor)
-        slot = np.zeros(tensor.num_files, dtype=np.int64)
-        if arrived is None:
-            files = np.arange(tensor.num_files)
-            winners = tensor.select_slots(slot)
-        else:
-            files = np.nonzero(arrived[:, 0])[0]
-            winners = RowSelection(tensor.read_slots(files, slot[files]))
-        return winners, ids, np.column_stack([files, ids[files, 0]])
-
     def _reduce(self, voted: RowSelection) -> np.ndarray:
-        if voted.shape[0] == 0:
-            # No worker beat the deadline: the round contributes no update.
-            return np.zeros(voted.shape[1], dtype=voted.dtype)
         return self.aggregator(voted)

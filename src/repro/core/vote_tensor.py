@@ -62,15 +62,17 @@ __all__ = ["VoteTensor", "RowSelection"]
 class RowSelection:
     """A read-only ``(n, d)`` matrix held as a shared base plus ``k`` row references.
 
-    Row ``i`` is ``store[row_ids[j]]`` where ``files[j] == i`` — a zero row
-    when ``row_ids[j] == -1`` — and ``base[i]`` everywhere else.  This is
-    what a round's majority vote returns: after the vote at most ``c_max``
-    of the ``f`` winners differ from the honest gradient (the paper's bound,
-    when nothing arrives late), so the winners are the round's honest matrix
+    Row ``i`` is ``store[row_ids[j]]`` where ``files[j] == i``, and
+    ``base[rows[i]]`` everywhere else.  This is what a round's majority vote
+    returns: after the vote at most ``c_max`` of the ``f`` winners differ
+    from the honest gradient (the paper's bound, when nothing arrives late),
+    so the winners are the round's honest matrix
     plus, for each file it out-voted, the id of the winning row in the
     round's write-once payload store.  Neither is copied: a colluding
     payload that wins ``c_max`` files is one stored row referenced
-    ``c_max`` times.  A plain matrix is the ``k = 0`` case.
+    ``c_max`` times, and a file with no winner (no copy arrived) is left
+    out through ``rows`` rather than by gathering the base rows that stay.
+    A plain matrix is the ``k = 0`` case.
 
     Readers stream it: :meth:`lanes` fills a transposed coordinate block
     for the lane kernels.  :meth:`densified` is the one place the ``(n, d)``
@@ -80,18 +82,20 @@ class RowSelection:
     Parameters
     ----------
     base:
-        ``(n, d)`` float matrix, referenced through a read-only view.
+        Float matrix, referenced through a read-only view.
     files:
         ``(k,)`` distinct row indices that do not read the base.
     row_ids:
-        ``(k,)`` rows of ``store`` they read, aligned with ``files``; ``-1``
-        is a zero row.
+        ``(k,)`` rows of ``store`` they read, aligned with ``files``.
     store:
         ``(m, d)`` rows of ``base``'s dtype, referenced through a read-only
-        view (default: none; every id must then be ``-1``).
+        view (default: none, so nothing can be patched).
+    rows:
+        ``(n,)`` rows of ``base`` the selection reads, in order (default:
+        every row).
     """
 
-    __slots__ = ("base", "files", "row_ids", "store", "_stored", "_zeroed")
+    __slots__ = ("base", "files", "row_ids", "store", "rows", "_patches")
 
     def __init__(
         self,
@@ -99,6 +103,7 @@ class RowSelection:
         files: np.ndarray | None = None,
         row_ids: np.ndarray | None = None,
         store: np.ndarray | None = None,
+        rows: np.ndarray | None = None,
     ) -> None:
         if base.ndim != 2:
             raise ConfigurationError(
@@ -115,9 +120,9 @@ class RowSelection:
                 f"the store must hold (m, {base.shape[1]}) {base.dtype} rows, "
                 f"got {store.shape} {store.dtype}"
             )
-        if row_ids.shape != files.shape or np.any((row_ids < -1) | (row_ids >= len(store))):
+        if row_ids.shape != files.shape or np.any((row_ids < 0) | (row_ids >= len(store))):
             raise ConfigurationError(
-                f"need one row id in [-1, {len(store)}) per patched file, "
+                f"need one row id in [0, {len(store)}) per patched file, "
                 f"got {row_ids.tolist()} for files {files.tolist()}"
             )
         self.base = base.view()
@@ -126,12 +131,8 @@ class RowSelection:
         self.row_ids = row_ids
         self.store = store.view()
         self.store.setflags(write=False)
-        # the patched files split by what they read: (file, store row) pairs, zero rows
-        self._stored, self._zeroed = [], files
-        if files.size:
-            stored = row_ids >= 0
-            self._stored = list(zip(files[stored].tolist(), row_ids[stored].tolist()))
-            self._zeroed = files[~stored]
+        self.rows = None if rows is None else np.asarray(rows, dtype=np.int64)
+        self._patches = list(zip(files.tolist(), row_ids.tolist()))
 
     @classmethod
     def of(cls, votes: "np.ndarray | RowSelection") -> "RowSelection":
@@ -141,7 +142,7 @@ class RowSelection:
     @property
     def shape(self) -> tuple[int, int]:
         """The ``(n, d)`` shape of the matrix this stands for."""
-        return self.base.shape
+        return self.base.shape if self.rows is None else (self.rows.size, self.base.shape[1])
 
     @property
     def dtype(self) -> np.dtype:
@@ -152,7 +153,8 @@ class RowSelection:
     def nbytes(self) -> int:
         """Logical size ``n·d·itemsize``.  What the selection itself holds is
         two ``(k,)`` index vectors: the base and the store are references."""
-        return self.base.nbytes
+        n, d = self.shape
+        return n * d * self.dtype.itemsize
 
     def lanes(
         self, lo: int, hi: int, out: np.ndarray, clamp_non_finite: bool = False
@@ -160,30 +162,29 @@ class RowSelection:
         """Fill ``out`` — ``(hi - lo, n)`` — with coordinates ``[lo, hi)`` transposed.
 
         A coordinate's ``n`` votes become adjacent: one strided copy of the
-        base block, then ``k`` column writes straight from the store's rows
-        (or zero), so nothing but ``out`` is written, however many files a
-        stored row wins.  ``clamp_non_finite`` then gives the block, in
-        ``out``, the stand-ins of :func:`~repro.utils.arrays.finite_stand_ins`
-        — the one place a streaming rule's lanes are clamped.
+        base block (of its selected rows), then ``k`` column writes straight
+        from the store's rows, so nothing but ``out`` is written, however
+        many files a stored row wins.  ``clamp_non_finite`` then gives the
+        block, in ``out``, the stand-ins of
+        :func:`~repro.utils.arrays.finite_stand_ins` — the one place a
+        streaming rule's lanes are clamped.
         """
-        np.copyto(out, self.base[:, lo:hi].T)
-        for file, row in self._stored:
+        block = self.base[:, lo:hi]
+        np.copyto(out, (block if self.rows is None else block[self.rows]).T)
+        for file, row in self._patches:
             out[:, file] = self.store[row, lo:hi]
-        if self._zeroed.size:
-            out[:, self._zeroed] = 0
         if clamp_non_finite:
             finite_stand_ins(out, copy=False)
 
     def densified(self) -> np.ndarray:
         """The read-only ``(n, d)`` matrix: the base itself when nothing is
-        patched (no copy), otherwise one patched copy, written row by row
+        patched or left out (no copy), otherwise one copy, patched row by row
         from the store."""
-        if not self.files.size:
+        if self.rows is None and not self.files.size:
             return self.base
-        matrix = self.base.copy()
-        for file, row in self._stored:
+        matrix = self.base.copy() if self.rows is None else self.base[self.rows]
+        for file, row in self._patches:
             matrix[file] = self.store[row]
-        matrix[self._zeroed] = 0
         matrix.setflags(write=False)
         return matrix
 
@@ -382,28 +383,30 @@ class VoteTensor:
         self.write_slots(files, slots, self.read_slots(files, slots) * factor)
 
     def zero_slots(self, files, slots) -> None:
-        """Zero the given slots (crash/timeout faults): one shared zero row."""
+        """Zero the given slots (zero-mode corruption): one shared zero row."""
         self.write_slots(files, slots, 0.0)
 
-    def select_slots(self, slots) -> RowSelection:
-        """One slot per file — slot ``slots[i]`` of file ``i`` — as a :class:`RowSelection`.
+    def select_slots(self, slots, files=None) -> RowSelection:
+        """One slot per file — slot ``slots[j]`` of file ``files[j]`` — as a :class:`RowSelection`.
 
-        No payload is gathered: the selection references the honest base
-        for the files whose chosen slot reads it, and the payload store by
-        row id for the rest — a row shared by many slots stays one row.  It
-        survives later writes: stored rows and the base are never rewritten,
-        and a grown store is a new array, so the view it holds keeps its
-        bytes.
+        ``files`` defaults to every file in order.  No payload is gathered:
+        the selection references the honest base for the files whose chosen
+        slot reads it, and the payload store by row id for the rest — a row
+        shared by many slots stays one row.  The selection survives later
+        writes: stored rows and the base are never rewritten, and a grown
+        store is a new array, so the view it holds keeps its bytes.
         """
         slots = np.asarray(slots, dtype=np.int64).ravel()
-        if slots.size != self.num_files:
+        rows = None if files is None else np.asarray(files, dtype=np.int64).ravel()
+        files = np.arange(self.num_files) if rows is None else rows
+        if slots.size != files.size:
             raise ConfigurationError(
-                f"expected one slot per file ({self.num_files}), got {slots.size}"
+                f"expected one slot per file ({files.size}), got {slots.size}"
             )
-        row_ids = self._slot_map[np.arange(slots.size), slots]
-        files = np.nonzero(row_ids >= 0)[0]
+        row_ids = self._slot_map[files, slots]
+        patched = np.nonzero(row_ids >= 0)[0]
         # A view of the store, so its holder cannot flip the store writable.
-        return RowSelection(self._base, files, row_ids[files], self._store[:])
+        return RowSelection(self._base, patched, row_ids[patched], self._store[:], rows)
 
     def override_table(
         self,

@@ -18,8 +18,8 @@ and a handful of training rounds.  Jointly the matrix covers
   crash-stop churn, and message corruption (zero/scale/noise);
 * **compression** — top-k and sign uplink compression;
 * **runtimes** — the synchronous round (default: the event engine on a
-  zero-cost clock) and cost-model event rounds with deadline cutoffs,
-  per-file quorums and partial (arrived-copies-only) aggregation;
+  zero-cost clock) and cost-model event rounds with deadline cutoffs and
+  per-file quorums (every round votes over its arrived copies only);
 * **worker groups** — per-file quorum cells (default) and per-(file,
   group) cells under the async runtime (``topology.groups``: a group seals
   its share of a file at the quorum and rejects later copies as late);
@@ -349,7 +349,7 @@ def _catalog() -> dict[str, dict[str, Any]]:
                     "schedule": {"kind": "static", "q": 3}},
             faults=[{"kind": "stragglers",
                      "params": {"count": 5, "delay_model": "exponential", "delay": 0.5}}],
-            runtime={"quorum": 3, "partial": True},
+            runtime={"quorum": 3},
             description="K=25 quorum-3 rounds voting only over the arrived copies",
         ),
         _spec(
@@ -371,7 +371,7 @@ def _catalog() -> dict[str, dict[str, Any]]:
             {"kind": "vanilla", "aggregator": "median"},
             faults=[{"kind": "stragglers",
                      "params": {"count": 4, "delay_model": "exponential", "delay": 0.5}}],
-            runtime={"deadline": 0.4, "partial": True},
+            runtime={"deadline": 0.4},
             description="Baseline median over only the workers that beat the deadline",
         ),
         # -- Worker groups: per-(file, group) quorum cells ------------------
@@ -383,7 +383,7 @@ def _catalog() -> dict[str, dict[str, Any]]:
                     "schedule": {"kind": "static", "q": 3}},
             faults=[{"kind": "stragglers",
                      "params": {"count": 5, "delay_model": "exponential", "delay": 0.5}}],
-            runtime={"quorum": 2, "partial": True},
+            runtime={"quorum": 2},
             topology={"groups": 3},
             description="Group-level quorum close: a group seals its share of a file at 2 copies and rejects the rest as late",
         ),
@@ -398,10 +398,10 @@ def _catalog() -> dict[str, dict[str, Any]]:
                      "params": {"count": 5, "delay_model": "exponential", "delay": 0.5}},
                     {"kind": "corruption",
                      "params": {"probability": 0.1, "mode": "noise"}}],
-            runtime={"deadline": 0.6, "quorum": 3, "partial": True},
+            runtime={"deadline": 0.6, "quorum": 3},
             topology={"groups": 5},
             dtype=resolve_dtype("float32").name,
-            description="float32 blockwise vote under ALIE, stragglers and noise corruption; async partial rounds in 5 groups",
+            description="float32 blockwise vote under ALIE, stragglers and noise corruption; async rounds in 5 groups",
         ),
         _spec(
             "mols-images-float32",

@@ -330,7 +330,6 @@ class ScenarioRunner:
                     else spec.runtime.deadline
                 ),
                 quorum=spec.runtime.quorum,
-                partial=spec.runtime.partial,
                 groups=None if spec.topology is None else spec.topology.groups,
             )
         cluster = TrainingCluster(

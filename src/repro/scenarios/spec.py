@@ -246,8 +246,9 @@ class RuntimeSpec(Schema, where="runtime"):
         Per-file close threshold: a file stops accepting copies once this
         many arrived.  ``None`` waits for all ``r`` copies.
     partial:
-        Vote each file over its accepted copies only instead of counting
-        missing slots as zero votes.  Requires an event-driven runtime.
+        No effect, kept so that older specs still load: every round votes
+        each file over its accepted copies only.  It is still part of the
+        spec digest.
     """
 
     deadline: float | None = spec_field(float, allow_inf=True, default=None)
@@ -262,11 +263,6 @@ class RuntimeSpec(Schema, where="runtime"):
         if self.quorum is not None and self.quorum < 1:
             raise ConfigurationError(
                 f"runtime quorum must be >= 1, got {self.quorum}"
-            )
-        if self.partial and not self.is_event:
-            raise ConfigurationError(
-                "partial aggregation requires an event-driven runtime "
-                "(set deadline and/or quorum)"
             )
 
     @property

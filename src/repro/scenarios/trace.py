@@ -121,8 +121,9 @@ class RoundTrace(Schema, where="round"):
         JSON-ready fault event records of the round.
     realised_distorted:
         Files whose post-vote row is not bit-equal to their honest row — a
-        winner with a nonzero content id, or the zero row of a file with no
-        arrived copy — read off the vote's winner references.
+        winner with a nonzero content id — read off the vote's winner
+        references.  A file with no arrived copy has no winner, so it is
+        not listed.
     """
 
     iteration: int = spec_field(int, pinned=True)

@@ -162,7 +162,7 @@ class DistributedTrainer:
         file_data = self._file_data(self._next_file_indices())
         round_result = self.cluster.run_round_tensor(params, file_data, iteration)
         outcome = self.server.update_tensor(
-            round_result.vote_tensor, round_result.aggregation_mask
+            round_result.vote_tensor, round_result.accepted
         )
         return round_result, outcome
 

@@ -218,8 +218,9 @@ SELECTION_DIMS = [1, 2, 5, 63, 513, 514, 1025, 5000]
 def _patched_selection(rng, q, n, d, dtype):
     """A vote's winners as Bulyan receives them: a base plus patched files.
 
-    Up to ``q`` files share store row 0 (a colluding payload), one file is a
-    zero row (id -1) and one reads store row 1, which holds NaN and +-inf.
+    Up to ``q`` files share store row 0 (a colluding payload), one file
+    reads store row 2, a stored zero row, and one reads store row 1, which
+    holds NaN and +-inf.
     """
     base = _reference_case(rng, q, n, d, dtype, "plain")
     store = (rng.standard_normal((2, d)) * 10.0 ** rng.integers(-3, 4, size=(2, 1)))
@@ -228,7 +229,8 @@ def _patched_selection(rng, q, n, d, dtype):
     ]
     files = rng.choice(n, size=int(rng.integers(1, q + 1)) + 2, replace=False)
     row_ids = np.zeros(files.size, dtype=np.int64)
-    row_ids[-2:] = [-1, 1]
+    row_ids[-2:] = [2, 1]
+    store = np.vstack([store, np.zeros(d)])
     return RowSelection(base, files, row_ids, store.astype(dtype))
 
 

@@ -1,0 +1,133 @@
+"""A copy that did not arrive abstains: availability faults never forge a vote.
+
+Stragglers past their timeout, crashed workers and copies the event engine
+rejects as late are all one thing to the parameter server: a copy it did
+not receive.  Such a copy is not counted as a zero vote, so with no
+adversary the vote returns every file's honest gradient however many copies
+are missing.  With an adversary, the vote can still return a Byzantine
+payload the graph did not predict, but only for a file that lost a copy (its
+accepted Byzantine copies out-number its accepted honest ones) or in a round
+where a message was corrupted in flight.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from repro.assignment.mols import MOLSAssignment
+from repro.cluster import TrainingCluster, WorkerPool
+from repro.cluster.faults import StragglerInjector
+from repro.core.distortion import distorted_files
+from repro.core.pipelines import ByzShieldPipeline
+from repro.nn.models import build_mlp
+from repro.scenarios import get_scenario, golden_path, run_scenario, scenario_names
+from repro.scenarios.runner import ScenarioRunner, _round_trace
+from repro.scenarios.spec import ScenarioSpec
+from repro.scenarios.trace import RunTrace
+from repro.training import ModelGradientComputer, TrainingConfig
+from repro.training.trainer import DistributedTrainer
+
+AVAILABILITY = ("straggler", "dropout", "late")
+
+
+def test_two_abandoned_copies_of_a_file_do_not_out_vote_its_honest_one(
+    small_classification_data,
+):
+    """r = 3, q = 0, no runtime: the straggler timeout abandons two workers
+    that share a file.  Its one accepted copy is honest, so it wins."""
+    train, test = small_classification_data
+    assignment = MOLSAssignment(load=5, replication=3).assignment
+    computer = ModelGradientComputer(build_mlp(train.flat_feature_dim, 4, hidden=(16,), seed=0))
+    cluster = TrainingCluster(
+        assignment,
+        WorkerPool(assignment, computer),
+        seed=3,  # the two abandoned workers share a file
+        fault_injectors=(StragglerInjector(count=2, delay_model="fixed", delay=2.0, timeout=1.0),),
+    )
+    config = TrainingConfig(batch_size=150, num_iterations=1)
+    trainer = DistributedTrainer(cluster, ByzShieldPipeline(assignment), computer, train, test, config)
+
+    round_result, outcome = trainer.step(0)
+    lost = (~round_result.accepted).sum(axis=1)
+    assert lost.max() == 2 and cluster.runtime.deadline == 1.0
+    (file,) = np.nonzero(lost == 2)[0]
+    assert round_result.byzantine_workers == ()
+    assert np.array_equal(outcome.winner_refs[:, 0], np.arange(assignment.num_files))
+    assert (outcome.winner_refs[:, 1] == 0).all()
+    honest = round_result.honest_matrix
+    assert outcome.winners.densified()[file].tobytes() == honest[file].tobytes()
+    assert _round_trace(0, round_result, outcome, trainer.server).realised_distorted == ()
+
+
+def _without_adversary(base: str, **changes) -> ScenarioSpec:
+    data = get_scenario(base).to_dict()
+    data.pop("attack", None)
+    data.update(name=f"{base}-q0", **changes)
+    return ScenarioSpec.from_dict(data)
+
+
+STRAGGLERS = {"kind": "stragglers", "params": {"count": 5, "delay_model": "exponential", "delay": 0.5}}
+
+#: q = 0 under each availability fault alone; none of them sets ``partial``
+AVAILABILITY_SPECS = {
+    "straggler-timeout": lambda: _without_adversary(
+        "mols-alie-straggler-timeout",
+        faults=[{"kind": "stragglers", "params": {"count": 6, "delay_model": "exponential",
+                                                  "delay": 0.5, "timeout": 0.5}}],
+    ),
+    "dropout": lambda: _without_adversary(
+        "mols-noise-dropout",
+        faults=[{"kind": "dropout", "params": {"probability": 0.3, "down_for": 2}}],
+    ),
+    "deadline-lates": lambda: _without_adversary(
+        "mols-async-deadline-stragglers", faults=[STRAGGLERS], runtime={"deadline": 0.4},
+    ),
+    "group-quorum-lates": lambda: _without_adversary(
+        "ramanujan-hier-async-group-quorum",
+        faults=[STRAGGLERS],
+        runtime={"deadline": 0.45, "quorum": 2},
+        topology={"groups": 3},
+    ),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(AVAILABILITY_SPECS))
+def test_without_an_adversary_no_availability_fault_distorts_a_file(fault):
+    trace = run_scenario(AVAILABILITY_SPECS[fault]()).trace
+    lost = [f for r in trace.rounds for f in r.faults if f["dropped"]]
+    assert lost and {f["kind"] for f in lost} <= set(AVAILABILITY)
+    assert all(r.q == 0 and r.realised_distorted == () for r in trace.rounds)
+
+
+def _lost_copy_files(faults, assignment) -> set[int]:
+    """Files that lost at least one copy this round, from its fault records."""
+    files: set[int] = set()
+    for fault in faults:
+        if fault["kind"] == "late":
+            files.add(fault["file"])
+        elif fault["dropped"]:
+            files.update(int(i) for i in assignment.files_of_worker(fault["worker"]))
+    return files
+
+
+FAULTED = [
+    name for name in scenario_names()
+    if get_scenario(name).faults or get_scenario(name).runtime.is_event
+]
+
+
+@pytest.mark.parametrize("name", FAULTED)
+def test_the_vote_exceeds_the_graph_only_where_a_copy_was_lost_or_corrupted(name):
+    """Per recorded round: realised - predicted is inside the files that lost
+    a copy, unless a message was corrupted in flight that round."""
+    spec = get_scenario(name)
+    assignment = ScenarioRunner(spec)._build_assignment()
+    trace = RunTrace.from_json_file(golden_path(name))
+    for r in trace.rounds:
+        predicted = {int(i) for i in distorted_files(assignment, r.byzantine)} if r.q else set()
+        assert len(predicted) == r.num_distorted
+        beyond = set(r.realised_distorted) - predicted
+        if any(f["kind"] == "corruption" for f in r.faults):
+            continue
+        assert beyond <= _lost_copy_files(r.faults, assignment), (name, r.iteration, beyond)

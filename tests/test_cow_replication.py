@@ -175,16 +175,16 @@ INJECTORS = {
 def apply_events(cube, workers, injector, events, seed):
     """The numpy model of one injection: ``events`` applied to a plain cube.
 
-    A dropped worker's every slot is zero; a corrupted message is zeroed,
-    scaled, or gets the noise rows the injector drew after its hit mask
-    (replayed from ``seed``)."""
+    Only corruption writes: a corrupted message is zeroed, scaled, or gets
+    the noise rows the injector drew after its hit mask (replayed from
+    ``seed``).  A dropped worker's slots keep their payload; its copies
+    never arrive, which is the event engine's business."""
     cube = cube.copy()
-    corrupted = []
-    for event in events:
-        if event.kind == "corruption":
-            corrupted.append((event.file, int(np.searchsorted(workers[event.file], event.worker))))
-        elif event.dropped:
-            cube[workers == event.worker] = 0.0
+    corrupted = [
+        (event.file, int(np.searchsorted(workers[event.file], event.worker)))
+        for event in events
+        if event.kind == "corruption"
+    ]
     if corrupted:
         files, slots = np.array(corrupted).T
         if injector.mode == "zero":

@@ -384,12 +384,12 @@ def test_one_bit_or_one_moved_payload_changes_the_digest(case, dtype):
     assert moves == 2
 
 
-#: ``(pipeline, partial)`` per path through which the winners leave the vote
+#: ``(pipeline, some copies missing)`` per path through which the winners leave the vote
 PATHS = {
     "flat": (lambda: ByzShieldPipeline(SCHEMES["ramanujan"]), False),
-    "flat-partial": (lambda: ByzShieldPipeline(SCHEMES["ramanujan"], block_size=3), True),
+    "flat-missing": (lambda: ByzShieldPipeline(SCHEMES["ramanujan"], block_size=3), True),
     "vanilla": (lambda: VanillaPipeline(SCHEMES["baseline"], MeanAggregator()), False),
-    "vanilla-partial": (lambda: VanillaPipeline(SCHEMES["baseline"], MeanAggregator()), True),
+    "vanilla-missing": (lambda: VanillaPipeline(SCHEMES["baseline"], MeanAggregator()), True),
 }
 
 
@@ -397,9 +397,9 @@ PATHS = {
 @pytest.mark.parametrize("path", sorted(PATHS))
 def test_winner_references_name_the_rows_the_reducer_saw(path, dtype):
     """Each densified winner is the cube row its ``(file, id)`` names: the
-    file's base row (0), the first slot holding that id, or the zero row of a
-    file nobody returned (-1); and the winners digest is the reference's."""
-    make, partial = PATHS[path]
+    file's base row (0) or the first slot holding that id; a file nobody
+    returned has no winner; and the winners digest is the reference's."""
+    make, missing = PATHS[path]
     pipeline = make()
     assignment = pipeline.assignment
     rng = np.random.default_rng(5)
@@ -411,7 +411,7 @@ def test_winner_references_name_the_rows_the_reducer_saw(path, dtype):
     tensor.write_slots([1, 4], [0, 0], rng.standard_normal((2, 6)).astype(dtype))
     tensor.zero_slots([2], [workers.shape[1] - 1])
     arrived = None
-    if partial:
+    if missing:
         arrived = rng.random(workers.shape) < 0.7
         arrived[3] = False  # nobody returned file 3 in time
         arrived[0] = True
@@ -423,20 +423,12 @@ def test_winner_references_name_the_rows_the_reducer_saw(path, dtype):
     winners = outcome.winners.densified()
     assert refs.dtype == np.int64 and refs.shape == (winners.shape[0], 2)
     for row, (file, cid) in zip(winners, refs):
-        if cid == -1:
-            assert not arrived[file].any()
-            expected = np.zeros_like(row)
-        elif cid == 0:
-            expected = honest[file]
-        else:
-            expected = cube[ids == cid][0]
-        assert cid == -1 or cid in ids[file]  # one of the file's own copies
+        expected = honest[file] if cid == 0 else cube[ids == cid][0]
+        assert cid in ids[file]  # one of the file's own copies
         assert row.tobytes() == expected.tobytes()
-    if path.startswith("vanilla"):
-        kept = np.arange(assignment.num_files) if arrived is None else np.nonzero(arrived[:, 0])[0]
-        assert refs[:, 0].tolist() == kept.tolist()
-    else:
-        assert refs[:, 0].tolist() == list(range(assignment.num_files))
+    kept = np.arange(assignment.num_files) if arrived is None else np.nonzero(arrived.any(axis=1))[0]
+    assert refs[:, 0].tolist() == kept.tolist()
+    if path.startswith("flat"):
         assert (refs[:, 1] != 0).any()
     assert array_digest(outcome.winners, refs) == reference_winners_digest(winners.shape, refs)
     assert array_digest(tensor, ids) == reference_votes_digest(honest, cube)

@@ -170,13 +170,13 @@ class TestEventLoop:
         # File never closed, so the deadline is the round clock.
         assert outcome.round_time == 0.5
 
-    def test_late_slots_are_zeroed_like_timed_out_stragglers(self, frc_3):
+    def test_late_slots_keep_their_payload(self, frc_3):
+        """A late copy is not accepted, so it abstains; the tensor is not written."""
         tensor = one_file_tensor(frc_3)
-        collect(tensor, [[0.1, 0.5, 1.0]], deadline=0.5)
-        cube = cube_of(tensor)
-        np.testing.assert_array_equal(cube[0, 0], np.full(4, 1.0))
-        np.testing.assert_array_equal(cube[0, 1], np.zeros(4))
-        np.testing.assert_array_equal(cube[0, 2], np.zeros(4))
+        before = cube_of(tensor)
+        outcome = collect(tensor, [[0.1, 0.5, 1.0]], deadline=0.5)
+        np.testing.assert_array_equal(outcome.accepted, [[True, False, False]])
+        np.testing.assert_array_equal(cube_of(tensor), before)
 
     def test_late_event_contents(self, frc_3):
         tensor = one_file_tensor(frc_3)
@@ -200,7 +200,7 @@ class TestEventLoop:
         assert not outcome.deadline_fired
         (event,) = outcome.late_events
         assert event.slot == 2 and event.delay == 0.3
-        np.testing.assert_array_equal(cube_of(tensor)[0, 2], np.zeros(4))
+        np.testing.assert_array_equal(cube_of(tensor)[0, 2], np.full(4, 3.0))
 
     def test_simultaneous_arrivals_break_ties_row_major(self, frc_3):
         tensor = one_file_tensor(frc_3)
@@ -209,12 +209,12 @@ class TestEventLoop:
         assert [e.slot for e in outcome.late_events] == [2]
 
     def test_never_sent_slots_are_left_alone(self, frc_3):
-        """inf arrivals are the injectors' business: not accepted, not zeroed."""
+        """inf arrivals are neither accepted nor written."""
         tensor = one_file_tensor(frc_3)
         outcome = collect(tensor, [[0.1, 0.2, np.inf]])
         np.testing.assert_array_equal(outcome.accepted, [[True, True, False]])
         assert outcome.late_events == ()
-        # Slot 2 keeps whatever the fault pass wrote there (here: 3.0).
+        # Slot 2 keeps its payload (here: 3.0).
         np.testing.assert_array_equal(cube_of(tensor)[0, 2], np.full(4, 3.0))
 
     def test_inf_deadline_with_missing_message_closes_at_stream_end(self, frc_3):
@@ -329,11 +329,6 @@ def heap_collect(runtime: AsyncRuntime, tensor, arrivals) -> AsyncRoundOutcome:
         round_time = float(deadline)
     else:
         round_time = last_accept
-    if late:
-        tensor.zero_slots(
-            np.array([e.file for e in late], dtype=np.int64),
-            np.array([e.slot for e in late], dtype=np.int64),
-        )
     return AsyncRoundOutcome(
         arrivals=arrivals,
         accepted=accepted,
@@ -367,7 +362,8 @@ def test_arrivals_and_collect_match_the_loops_bit_for_bit(scheme):
     """Random rounds: integer sample counts, zero and default cost models,
     straggler delays on a coarse grid (ties) or not, crashed workers, and
     every deadline / quorum / group setting — arrivals, accepted mask, close
-    times, round time, late events and the zeroed slots are the loops' bits."""
+    times, round time and late events are the loops' bits, and no slot is
+    written."""
     assignment = ORACLE_ASSIGNMENTS[scheme]()
     workers = assignment.worker_slot_matrix()
     f, r = workers.shape
@@ -401,9 +397,9 @@ def test_arrivals_and_collect_match_the_loops_bit_for_bit(scheme):
             groups=[None, 1, 2, 4, 7][trial % 5],
         )
         honest = rng.standard_normal((f, 3))
-        ours, theirs = VoteTensor.from_honest(assignment, honest), VoteTensor.from_honest(assignment, honest)
-        got = EventDrivenRound(runtime).collect(ours, arrivals)
-        want = heap_collect(runtime, theirs, arrivals)
+        tensor = VoteTensor.from_honest(assignment, honest)
+        got = EventDrivenRound(runtime).collect(tensor, arrivals)
+        want = heap_collect(runtime, tensor, arrivals)
         np.testing.assert_array_equal(got.accepted, want.accepted)
         np.testing.assert_array_equal(bits(got.file_close_times), bits(want.file_close_times))
         if want.group_close_times is None:
@@ -414,7 +410,7 @@ def test_arrivals_and_collect_match_the_loops_bit_for_bit(scheme):
         assert got.deadline_fired == want.deadline_fired
         assert got.late_events == want.late_events
         assert all(type(e.delay) is float for e in got.late_events)
-        np.testing.assert_array_equal(cube_of(ours), cube_of(theirs))
+        assert tensor.num_override_rows == 0
         seen |= {
             name for name, hit in [
                 ("late", bool(want.late_events)),
@@ -427,9 +423,9 @@ def test_arrivals_and_collect_match_the_loops_bit_for_bit(scheme):
 
 
 # --------------------------------------------------------------------------- #
-# Partial aggregation over the accepted mask
+# The vote over the accepted mask: a copy that did not arrive abstains
 # --------------------------------------------------------------------------- #
-class TestPartialAggregation:
+class TestAbstention:
     def test_masked_vote_ignores_unarrived_majority(self, frc_3):
         """Two unarrived bad copies must not outvote the one accepted copy."""
         tensor = VoteTensor.from_honest(frc_3, np.ones((1, 4)))
@@ -452,14 +448,6 @@ class TestPartialAggregation:
             pipeline.aggregate_tensor(tensor, arrived).aggregate,
             pipeline.aggregate_tensor(tensor).aggregate,
         )
-
-    def test_zero_arrival_file_votes_zero(self, frc_3):
-        tensor = one_file_tensor(frc_3)
-        pipeline = ByzShieldPipeline(frc_3)
-        winners = pipeline.aggregate_tensor(
-            tensor, np.zeros((1, 3), dtype=bool)
-        ).winners
-        np.testing.assert_array_equal(winners.densified(), np.zeros((1, 4)))
 
     def test_re_vote_reads_one_row_per_file(self, ramanujan_case2):
         """Every file incomplete (what stragglers do to an async round): the
@@ -484,26 +472,27 @@ class TestPartialAggregation:
         arrived[np.arange(f), rng.integers(r, size=f)] = False  # nobody complete
         arrived[3] = False  # a file nobody returned in time
         cube = cube_of(lazy)
-        expected = np.zeros((f, dim), dtype=np.float32)
-        for i in range(f):
-            if arrived[i].any():
-                expected[i] = _reference_exact_majority(cube[i, arrived[i]])[0]
+        expected = np.stack([
+            _reference_exact_majority(cube[i, arrived[i]])[0]
+            for i in range(f)
+            if arrived[i].any()
+        ])
 
         def peak_of(tensor, mask):
             # the flat ByzShield pipeline's vote, without the robust stage
             tracemalloc.start()
             try:
-                winners = majority_vote_votetensor(tensor, arrived=mask).winners
-                return winners, tracemalloc.get_traced_memory()[1]
+                vote = majority_vote_votetensor(tensor, arrived=mask)
+                return vote, tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
 
         for tensor in (lazy, tensor_of(cube, assignment)):
             _, unmasked_peak = peak_of(tensor, None)
-            winners, masked_peak = peak_of(tensor, arrived)
-            assert winners.dtype == expected.dtype
-            assert winners.densified().tobytes() == expected.tobytes()
-            assert 3 in winners.files.tolist()  # the zero row of the empty file
+            vote, masked_peak = peak_of(tensor, arrived)
+            assert vote.winners.dtype == expected.dtype
+            assert vote.winners.densified().tobytes() == expected.tobytes()
+            assert 3 not in vote.winner_refs[:, 0]  # the empty file abstains
             block = r * dim * expected.itemsize
             scratch = masked_peak - unmasked_peak  # the winners hold no row
             assert scratch < block
@@ -520,17 +509,6 @@ class TestPartialAggregation:
         rows = pipeline.aggregate_tensor(tensor, arrived).winners
         assert rows.shape == (assignment.num_files // 2, 3)
         np.testing.assert_array_equal(rows.densified()[:, 0], np.arange(1, 10, 2))
-
-    def test_vanilla_no_survivors_aggregates_zero(self, baseline_10):
-        assignment = baseline_10.assignment
-        tensor = VoteTensor.from_honest(
-            assignment, np.ones((assignment.num_files, 3))
-        )
-        pipeline = VanillaPipeline(assignment, CoordinateWiseMedian())
-        aggregate = pipeline.aggregate_tensor(
-            tensor, np.zeros((assignment.num_files, 1), dtype=bool)
-        ).aggregate
-        np.testing.assert_array_equal(aggregate, np.zeros(3))
 
     def test_rejects_bad_mask_shape(self, frc_3):
         tensor = one_file_tensor(frc_3)
@@ -563,12 +541,11 @@ ALL_INJECTORS = lambda: (  # noqa: E731 - fresh (stateful) injectors per call
 
 class TestClusterEventRound:
     def test_default_runtime_is_the_zero_cost_sync_round(self, mols_assignment):
-        """No runtime: no quorum, no partial vote, an all-zero cost model and
-        the largest straggler timeout as the deadline (else inf)."""
+        """No runtime: no quorum, an all-zero cost model and the largest
+        straggler timeout as the deadline (else inf)."""
         plain = make_cluster(mols_assignment).runtime
         assert plain.deadline == float("inf")
         assert plain.quorum is None and plain.groups is None
-        assert not plain.partial
         assert plain.cost_model == CostModel(0.0, 0.0, 0.0, 0.0)
         timed = make_cluster(
             mols_assignment,
@@ -670,21 +647,25 @@ class TestClusterEventRound:
         np.testing.assert_array_equal(result.arrivals, np.full(result.arrivals.shape, 0.4))
         assert result.round_time == 0.4
 
-    def test_quorum_partial_round(self, mols_assignment):
-        runtime = AsyncRuntime(quorum=2, partial=True)
+    def test_quorum_round(self, mols_assignment):
+        runtime = AsyncRuntime(quorum=2)
         cluster = make_cluster(mols_assignment, runtime=runtime)
         result = cluster.run_round_tensor(
             np.ones(DIM), make_file_data(mols_assignment.num_files), 0
         )
         assert result.accepted.sum(axis=1).max() <= 2
-        np.testing.assert_array_equal(result.aggregation_mask, result.accepted)
         late = [e for e in result.fault_events if e.kind == LATE_KIND]
         assert late and all(e.dropped and e.slot >= 0 for e in late)
-        # Every late slot was zeroed on the tensor.
-        for e in late:
-            np.testing.assert_array_equal(
-                result.vote_tensor.read_slots([e.file], [e.slot])[0], np.zeros(DIM)
-            )
+        assert not result.accepted[[e.file for e in late], [e.slot for e in late]].any()
+        # Every late slot keeps what the sync round holds there.
+        clean = make_cluster(mols_assignment).run_round_tensor(
+            np.ones(DIM), make_file_data(mols_assignment.num_files), 0
+        )
+        files, slots = [e.file for e in late], [e.slot for e in late]
+        np.testing.assert_array_equal(
+            result.vote_tensor.read_slots(files, slots),
+            clean.vote_tensor.read_slots(files, slots),
+        )
 
     def test_quorum_above_replication_rejected(self, mols_assignment):
         with pytest.raises(TrainingError):

@@ -329,11 +329,11 @@ class TestNoFullWidthTemporary:
 
     @pytest.fixture(scope="class")
     def winners(self):
-        """Three files share a colluding store row, one is a zero row."""
+        """Three files share a colluding store row, one reads a stored zero row."""
         rng = np.random.default_rng(13)
         base = rng.standard_normal((self.n, self.round_d))
-        store = rng.standard_normal((1, self.round_d))
-        files, row_ids = np.array([2, 9, 14, 20]), np.array([0, 0, 0, -1])
+        store = np.vstack([rng.standard_normal((1, self.round_d)), np.zeros(self.round_d)])
+        files, row_ids = np.array([2, 9, 14, 20]), np.array([0, 0, 0, 1])
         return RowSelection(base, files, row_ids, store)
 
     def test_bulyan_streams_a_patched_selection(self, winners):

@@ -222,23 +222,22 @@ OUTCOME_PIPELINES = {
 }
 
 
-def reference_winners(votes, arrived, voting):
+def reference_winners(votes, arrived):
     """The post-vote matrix of the plain cube: each file's reference vote
-    over its arrived copies (a zero row when none arrived), or, without a
-    vote stage, the arrived workers' own returns."""
+    over its arrived copies, in file order; a file with no arrived copy
+    abstains and has no row.  At ``r = 1`` (vanilla) these are the arrived
+    workers' own returns."""
     cube = cube_of(votes)
-    if not voting:
-        return cube[:, 0] if arrived is None else cube[arrived[:, 0], 0]
-    winners = np.zeros((cube.shape[0], cube.shape[2]), dtype=cube.dtype)
-    for i, copies in enumerate(cube):
-        copies = copies if arrived is None else copies[arrived[i]]
-        if len(copies):
-            winners[i] = _reference_exact_majority(copies)[0]
-    return winners
+    winners = [
+        _reference_exact_majority(copies if arrived is None else copies[arrived[i]])[0]
+        for i, copies in enumerate(cube)
+        if arrived is None or arrived[i].any()
+    ]
+    return np.stack(winners) if winners else cube[:0, 0]
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("partial", [False, True], ids=["all-arrived", "partial"])
+@pytest.mark.parametrize("partial", [False, True], ids=["all-arrived", "some-missing"])
 @pytest.mark.parametrize("kind", sorted(OUTCOME_PIPELINES))
 def test_outcome_is_the_post_vote_matrix_and_its_reduction(request, kind, partial, dtype):
     scheme_fixture, build = OUTCOME_PIPELINES[kind]
@@ -256,9 +255,34 @@ def test_outcome_is_the_post_vote_matrix_and_its_reduction(request, kind, partia
         arrived[1] = True
 
     outcome = pipeline.aggregate_tensor(votes, arrived)
-    expected = reference_winners(votes, arrived, voting=kind != "vanilla")
+    expected = reference_winners(votes, arrived)
     assert outcome.winners.dtype == expected.dtype
     assert outcome.winners.shape == expected.shape
     assert outcome.winners.densified().tobytes() == expected.tobytes()
     assert np.array_equal(outcome.aggregate, pipeline._reduce(expected))
     assert outcome.aggregate.shape == (DIM,)
+
+
+@pytest.mark.parametrize("kind", sorted(OUTCOME_PIPELINES))
+def test_a_file_with_no_accepted_copy_abstains_in_every_pipeline(request, kind):
+    """The file's copies carry a payload that would win it, but none was
+    accepted: no pipeline gives the file a row, and a round with no
+    accepted copy at all is a zero update."""
+    scheme_fixture, build = OUTCOME_PIPELINES[kind]
+    assignment = request.getfixturevalue(scheme_fixture).assignment
+    pipeline = build(assignment)
+    votes = honest_votes(assignment, indexed_gradient)
+    votes.write_slots([1] * votes.replication, range(votes.replication), np.full(DIM, -7.0))
+    arrived = np.ones(votes.workers.shape, dtype=bool)
+    arrived[1] = False
+
+    outcome = pipeline.aggregate_tensor(votes, arrived)
+    kept = [i for i in range(assignment.num_files) if i != 1]
+    assert outcome.winner_refs[:, 0].tolist() == kept
+    assert outcome.winners.densified().tobytes() == cube_of(votes)[kept, 0].tobytes()
+    assert np.array_equal(outcome.aggregate, pipeline._reduce(cube_of(votes)[kept, 0]))
+
+    nothing = pipeline.aggregate_tensor(votes, np.zeros(votes.workers.shape, dtype=bool))
+    assert nothing.winners.shape == (0, DIM) and nothing.winner_refs.shape == (0, 2)
+    assert nothing.aggregate.dtype == votes.dtype
+    assert np.array_equal(nothing.aggregate, np.zeros(DIM))

@@ -61,16 +61,17 @@ def attacked_round(assignment, dtype, seed=0):
 
 
 def reference_vote(cube, arrived=None):
-    """Per-file reference vote over the arrived copies: ``(winners, counts)``;
-    a file nobody returned is a zero row with count 0."""
-    winners = np.zeros((cube.shape[0], cube.shape[2]), dtype=cube.dtype)
+    """Per-file reference vote over the arrived copies: ``(winners, counts)``.
+    A file nobody returned abstains: count 0 and no row in ``winners``."""
+    winners = np.zeros((0, cube.shape[2]), dtype=cube.dtype)
     counts = np.zeros(cube.shape[0], dtype=np.int64)
     for i, copies in enumerate(cube):
         if arrived is not None:
             copies = copies[arrived[i]]
         if len(copies) == 0:
             continue
-        winners[i], counts[i] = _reference_exact_majority(copies)
+        winner, counts[i] = _reference_exact_majority(copies)
+        winners = np.vstack([winners, winner[None]])
     return winners, counts
 
 
@@ -143,8 +144,8 @@ def test_winners_equal_the_reference_vote(arrival, source, block_size, dtype):
 @pytest.mark.parametrize("groups", [None, 3, 5, 25])
 def test_group_cell_masks_vote_like_the_reference(groups, quorum, source, block_size, dtype):
     """Worker groups only decide which copies the event engine accepts: the
-    partial vote over a per-(file, group) quorum mask is the reference vote
-    over exactly the accepted copies.  RAMANUJAN's 25 workers split into
+    vote over a per-(file, group) quorum mask is the reference vote over
+    exactly the accepted copies.  RAMANUJAN's 25 workers split into
     uneven groups (9/8/8), groups of five, or one worker per group."""
     tensor, _ = attacked_round(RAMANUJAN, dtype)
     if source == "rebuilt":
@@ -152,7 +153,7 @@ def test_group_cell_masks_vote_like_the_reference(groups, quorum, source, block_
     rng = np.random.default_rng(quorum)
     arrivals = rng.exponential(0.3, tensor.workers.shape)
     arrivals[3] = np.inf  # a file nobody returned
-    runtime = AsyncRuntime(quorum=quorum, partial=True, groups=groups)
+    runtime = AsyncRuntime(quorum=quorum, groups=groups)
     accepted = EventDrivenRound(runtime).collect(tensor, arrivals).accepted
     expected, _ = reference_vote(cube_of(tensor), accepted)
     pipeline = ByzShieldPipeline(RAMANUJAN, block_size=block_size)
@@ -244,6 +245,8 @@ def test_select_slots_wants_one_slot_per_file():
     tensor = VoteTensor.from_honest(RAMANUJAN, np.zeros((25, 3)))
     with pytest.raises(ConfigurationError):
         tensor.select_slots(np.zeros(24, dtype=np.int64))
+    with pytest.raises(ConfigurationError):
+        tensor.select_slots(np.zeros(2, dtype=np.int64), [0, 4, 9])
     base, one = np.zeros((4, 3)), np.array([1])
     with pytest.raises(ConfigurationError):
         RowSelection(base, one, np.array([0]), np.zeros((1, 2)))
@@ -252,7 +255,7 @@ def test_select_slots_wants_one_slot_per_file():
     with pytest.raises(ConfigurationError):
         RowSelection(base, one, np.array([1]), np.zeros((1, 3)))  # past the store
     with pytest.raises(ConfigurationError):
-        RowSelection(base, one, np.array([-2]), np.zeros((1, 3)))
+        RowSelection(base, one, np.array([-1]), np.zeros((1, 3)))  # no zero-row id
     with pytest.raises(ConfigurationError):
         RowSelection(base, one, np.array([0, 0]), np.zeros((1, 3)))  # ids != files
     with pytest.raises(ConfigurationError):
@@ -272,15 +275,21 @@ def test_select_slots_wants_one_slot_per_file():
 def test_any_patch_set_reads_as_its_dense_matrix(n, d, dtype, strided, data):
     seed = data.draw(st.integers(0, 10_000))
     rng = np.random.default_rng(seed)
-    store = rng.standard_normal((n, 2, d)).astype(dtype)
+    store = rng.standard_normal((n + 2, 2, d)).astype(dtype)
     base = store[:, 0, :] if strided else np.ascontiguousarray(store[:, 0, :])
+    # the selection reads n of the base's rows (in a drawn order), or all of them
+    kept = None
+    if data.draw(st.booleans()):
+        kept = np.array(data.draw(st.permutations(range(n + 2)))[:n], dtype=np.int64)
+    else:
+        base = base[:n]
     files = np.array(
         data.draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n)), dtype=np.int64
     )
     rows = rng.standard_normal((files.size, d)).astype(dtype)
-    dense = base.copy()
+    dense = (base if kept is None else base[kept]).copy()
     dense[files] = rows
-    selection = RowSelection(base, files, np.arange(files.size), rows)
+    selection = RowSelection(base, files, np.arange(files.size), rows, kept)
 
     assert_stands_for(selection, dense)
     lo = data.draw(st.integers(0, d - 1))
@@ -383,8 +392,8 @@ def written_round(kind, dtype, dim=DIM):
     ``shared``: one colluding payload in every Byzantine slot, winning nine
     files; ``per-slot``: each Byzantine slot its own row (reversed gradients,
     so a file's Byzantine copies agree and still out-vote its base);
-    ``zero``: a shared zero row from a crash fault plus files nobody
-    returned, which the vote makes zero rows of their own."""
+    ``zero``: a shared zero row from zero-mode corruption plus two files
+    nobody returned, which abstain."""
     rng = np.random.default_rng(11)
     honest = rng.standard_normal((RAMANUJAN.num_files, dim)).astype(dtype)
     tensor = VoteTensor.from_honest(RAMANUJAN, honest)
@@ -403,12 +412,10 @@ def written_round(kind, dtype, dim=DIM):
 
 
 def copying_winners(tensor, slots, counts):
-    """The winners as the vote built them while it copied: every chosen slot
-    gathered through ``read_slots``, then a zero row per file with no
-    arrived copy."""
-    dense = np.array(tensor.read_slots(np.arange(tensor.num_files), slots))
-    dense[counts == 0] = 0
-    return dense
+    """The winners as the vote built them while it copied: the chosen slot
+    of every file with an arrived copy, gathered through ``read_slots``."""
+    files = np.nonzero(counts)[0]
+    return np.array(tensor.read_slots(files, slots[files]))
 
 
 @pytest.mark.parametrize("dtype", DTYPES)
@@ -419,21 +426,22 @@ def test_winners_reference_the_store_and_read_as_the_copying_vote(kind, dtype):
     slots, _ = _winning_slots(override_content_ids(tensor), arrived)
     dense = copying_winners(tensor, slots, counts)
 
-    stored = winners.row_ids >= 0
     if kind == "zero":
-        assert (winners.row_ids == -1).sum() == 2  # the files nobody returned
+        assert refs[:, 0].tolist() == sorted(set(range(25)) - {3, 17})  # 3, 17 abstain
+        # the nine out-voted files, less file 17, which abstains
+        assert refs[winners.files, 0].tolist() == [0, 1, 5, 7, 13, 14, 16, 20]
     else:
-        assert stored.sum() == 9  # the nine out-voted files
+        assert winners.files.size == 9  # the nine out-voted files
     if kind == "shared":
         assert np.unique(winners.row_ids).size == 1  # one row, referenced nine times
     assert np.shares_memory(winners.store, tensor.override_table()[3])
-    assert np.shares_memory(winners.base, honest)
+    assert np.shares_memory(winners.base, honest)  # abstaining files gather nothing
     assert not winners.store.flags.writeable and not winners.base.flags.writeable
     assert_stands_for(winners, dense)
     for width in (1, 7, LANE_BLOCK):
         for lo in range(0, DIM, width):
             hi = min(DIM, lo + width)
-            lanes = np.full((hi - lo, tensor.num_files), np.nan, dtype=dtype)
+            lanes = np.full((hi - lo, winners.shape[0]), np.nan, dtype=dtype)
             winners.lanes(lo, hi, lanes)
             assert lanes.tobytes() == np.ascontiguousarray(dense[:, lo:hi].T).tobytes()
     median = coordinate_median(winners)

@@ -15,6 +15,7 @@ from repro.scenarios import (
     ScenarioSpec,
     ScheduleSpec,
     get_scenario,
+    run_scenario,
     scenario_names,
 )
 
@@ -204,8 +205,20 @@ class TestRuntimeSpec:
             RuntimeSpec(deadline=0.0)
         with pytest.raises(ConfigurationError, match="quorum"):
             RuntimeSpec(quorum=0)
-        with pytest.raises(ConfigurationError, match="partial"):
-            RuntimeSpec(partial=True)
+
+    def test_partial_still_loads_and_changes_nothing_but_the_digest(self):
+        """Every round votes over its accepted copies; ``partial`` is kept so
+        that older specs load, sync ones included, and it stays in the digest."""
+        assert RuntimeSpec(partial=True).partial
+        base = get_scenario("vanilla-async-deadline-partial")
+        data = base.to_dict()
+        data["runtime"]["partial"] = True
+        old = ScenarioSpec.from_dict(data)
+        assert old.digest() != base.digest()
+        assert (
+            run_scenario(old).trace.final_params_digest
+            == run_scenario(base).trace.final_params_digest
+        )
 
     def test_runtime_changes_the_spec_digest(self):
         base = get_scenario("mols-clean")

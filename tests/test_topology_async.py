@@ -74,13 +74,13 @@ class TestGroupQuorumCells:
         assert out.group_close_times[0].tolist() == [0.1, 0.9]
         assert out.file_close_times[0] == pytest.approx(0.9)
 
-    def test_late_slots_are_zeroed_in_tensor(self, frc_6):
+    def test_late_slots_keep_their_payload(self, frc_6):
         tensor, honest = one_round(frc_6)
-        collect(tensor, [[0.1, 0.2, 0.3], [0.1, 0.2, 0.3]], groups=2, quorum=2)
+        out = collect(tensor, [[0.1, 0.2, 0.3], [0.1, 0.2, 0.3]], groups=2, quorum=2)
+        assert [(e.file, e.slot) for e in out.late_events] == [(0, 2), (1, 2)]
+        # the late copy is not accepted, so it abstains; nothing is written
+        assert not out.accepted[0, 2] and tensor.num_override_rows == 0
         assert np.array_equal(tensor.read_slots(np.array([0]), np.array([2]))[0],
-                              np.zeros(tensor.dim))
-        # accepted copies keep the honest payload
-        assert np.array_equal(tensor.read_slots(np.array([0]), np.array([0]))[0],
                               honest[0])
 
     def test_per_file_round_has_no_group_close_times(self, frc_6):
@@ -170,7 +170,7 @@ ORACLE_SCHEMES = {
 def test_collect_matches_the_copy_by_copy_oracle(scheme, groups, quorum, deadline):
     """Random arrival schedules with ties (times on a 0.05 s grid) and
     copies that never arrive: the engine accepts, rejects, closes and times
-    exactly what the oracle does, and zeroes exactly the late copies."""
+    exactly what the oracle does, and writes no copy."""
     assignment = ORACLE_SCHEMES[scheme]()
     rng = np.random.default_rng(sum(map(ord, f"{scheme}-{groups}-{quorum}-{deadline}")))
     for _ in range(3):
@@ -189,9 +189,7 @@ def test_collect_matches_the_copy_by_copy_oracle(scheme, groups, quorum, deadlin
         else:
             assert np.array_equal(out.group_close_times, group_close)
         assert out.round_time == round_time
-        if late:
-            files, slots = np.array(late).T
-            assert not tensor.read_slots(files, slots).any()
+        assert tensor.num_override_rows == 0
 
 
 class TestTopologySpec:
@@ -225,7 +223,7 @@ class TestTopologySpec:
 
 
 class TestGroupQuorumScenario:
-    def test_group_quorum_partial_scenario_records_group_lates(self):
+    def test_group_quorum_scenario_records_group_lates(self):
         result = run_scenario(get_scenario("ramanujan-hier-async-group-quorum"))
         lates = [
             f for r in result.trace.rounds for f in r.faults

@@ -26,16 +26,17 @@ __all__ = ["BulyanAggregator", "bulyan_selection"]
 
 #: Coordinates per block of both passes (distances and trimming) when the
 #: caller names no ``block_size``.  Per block the trim holds the ``(block,
-#: n)`` lanes, the ``(block, theta)`` selected lanes, the median's copy of
-#: them, their deviations and int64 order, and the ``(beta, block)`` flat
-#: indices and kept values: about 0.5 MiB at n = 25, theta = 19.  Timed at
-#: n = 25, q = 3 on a selection with three patched files, min of 15 in each
-#: of three processes, 2-core Xeon: widths 256 / 512 / 1024 / 2048 / 4096
-#: take 10.8-13.0 / 9.8-11.1 / 8.7-9.1 / 8.7-10.6 / 11.4-13.3 ms at
+#: theta)`` selected lanes and at most two more blocks that size (their
+#: deviations and int64 order, or the order and the ``(beta, block)`` flat
+#: indices and kept values): about 0.24 MiB at n = 25, theta = 19.  Timed
+#: at n = 25, q = 3 on a selection with three patched files, min of 15 in
+#: each of three processes, 2-core Xeon: widths 256 / 512 / 1024 / 2048 /
+#: 4096 take 10.8-13.0 / 9.8-11.1 / 8.7-9.1 / 8.7-10.6 / 11.4-13.3 ms at
 #: d = 11k (the densifying 2048-wide kernel before them: 9.4-13.8).  512 is
 #: the widest whose trim stays below the adaptive-bulyan-noniid round's
-#: min-max payload stage (7.35 MiB with the stage shims): 1024 puts the
-#: round's peak at 7.62 and 2048 at 8.68 (EXPERIMENTS.md).
+#: min-max payload stage and gradient pass (6.83 and 6.82 MiB with the
+#: stage shims of ``tools/peak_stages.py``): 1024 puts the round's peak at
+#: 6.95 and 2048 at 7.41 (EXPERIMENTS.md).
 _LANE_BLOCK = 512
 
 
@@ -77,6 +78,36 @@ def bulyan_selection(
         )
         selected.append(remaining.pop(int(np.argmin(scores))))
     return selected
+
+
+def _trimmed_lane_mean(
+    lanes: np.ndarray, beta: int, lane_starts: np.ndarray, out: np.ndarray
+) -> None:
+    """Mean of the ``beta`` values of each ``(block, theta)`` lane closest to
+    the lane's median, into ``out``.
+
+    Each temporary is dropped before the next one is made, so beside
+    ``lanes`` at most the deviations and their argsort are alive, then the
+    argsort and the kept values' flat indices, then those and the kept
+    values.  Both broadcasts write into arrays made for them: as
+    expressions, ``lanes - median[:, None]`` and ``order.T + lane_starts``
+    each allocated a scratch block beside their result.
+    """
+    median = coordinate_median(lanes.T)[:, None]
+    deviation = np.subtract(lanes, median, out=np.empty_like(lanes))
+    np.abs(deviation, out=deviation)
+    order = np.argsort(deviation, axis=1)
+    del deviation
+    # Load-bearing for bit-identity: the kept values stay in
+    # argsort-by-deviation order and are reduced over axis 0 of a
+    # C-contiguous (beta, block) array, as the full-width (beta, d) one
+    # would be.  Summing the lanes along axis 1, averaging a transposed view
+    # or keeping a value-sorted window all reorder the additions and move
+    # the last ulp.
+    flat = np.ascontiguousarray(order[:, :beta].T)
+    del order
+    flat += lane_starts
+    np.mean(np.take(lanes, flat), axis=0, out=out)
 
 
 class BulyanAggregator(Aggregator):
@@ -128,27 +159,16 @@ class BulyanAggregator(Aggregator):
         theta = len(selected)
         beta = theta - 2 * q
         # For each coordinate keep the beta values closest to the median.  A
-        # block of all n votes is read into contiguous lanes and the
-        # selected ones gathered in selection order, so the partition, the
-        # argsort and the take all run along the fast axis.
+        # block of the theta selected votes is read into contiguous lanes in
+        # selection order, so the partition, the argsort and the take all run
+        # along the fast axis.
+        chosen_votes = votes.take(selected)
         rows = min(d, max(width, 2) + 1)  # the widest block reduction_blocks yields
-        buffer = np.empty((rows, n), dtype=votes.dtype)
         chosen = np.empty((rows, theta), dtype=votes.dtype)
         lane_starts = np.arange(rows) * theta  # flat index of each lane's first vote
         out = np.empty(d, dtype=votes.dtype)
         for lo, hi in reduction_blocks(d, width):
             lanes = chosen[: hi - lo]
-            votes.lanes(lo, hi, buffer[: hi - lo], clamp_non_finite=True)
-            np.take(buffer[: hi - lo], selected, axis=1, out=lanes, mode="clip")
-            deviation = lanes - coordinate_median(lanes.T)[:, None]
-            np.abs(deviation, out=deviation)
-            order = np.argsort(deviation, axis=1)[:, :beta]
-            # Load-bearing for bit-identity: the kept values stay in
-            # argsort-by-deviation order and are reduced over axis 0 of a
-            # C-contiguous (beta, block) array, as the full-width (beta, d)
-            # one would be.  Summing the lanes along axis 1, averaging a
-            # transposed view or keeping a value-sorted window all reorder
-            # the additions and move the last ulp.
-            kept = np.take(lanes, order.T + lane_starts[: hi - lo])
-            np.mean(kept, axis=0, out=out[lo:hi])
+            chosen_votes.lanes(lo, hi, lanes, clamp_non_finite=True)
+            _trimmed_lane_mean(lanes, beta, lane_starts[: hi - lo], out[lo:hi])
         return out

@@ -77,7 +77,8 @@ class RowSelection:
     Readers stream it: :meth:`lanes` fills a transposed coordinate block
     for the lane kernels.  :meth:`densified` is the one place the ``(n, d)``
     matrix is built, for the rules that need all of it at once.  Those two
-    are the only places a referenced row is read.
+    are the only places a referenced row is read; :meth:`take` narrows a
+    selection to some of its rows without reading any.
 
     Parameters
     ----------
@@ -155,6 +156,20 @@ class RowSelection:
         two ``(k,)`` index vectors: the base and the store are references."""
         n, d = self.shape
         return n * d * self.dtype.itemsize
+
+    def take(self, indices) -> "RowSelection":
+        """Rows ``indices`` (distinct) of this selection, in that order, as a
+        selection of the same base and store: nothing is read or copied."""
+        indices = np.asarray(indices, dtype=np.int64)
+        patches = dict(self._patches)
+        files = [k for k, i in enumerate(indices.tolist()) if i in patches]
+        return RowSelection(
+            self.base,
+            files,
+            [patches[int(indices[k])] for k in files],
+            self.store,
+            indices if self.rows is None else self.rows[indices],
+        )
 
     def lanes(
         self, lo: int, hi: int, out: np.ndarray, clamp_non_finite: bool = False

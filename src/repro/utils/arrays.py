@@ -28,12 +28,10 @@ __all__ = [
 ]
 
 #: Coordinates per block of the kernels that always stream (the coordinate
-#: median, the vote's row comparison and hashes, :func:`column_mean_std`)
-#: when their caller names no ``block_size``.  At n = 25 float64 one
-#: ``(n, block)`` buffer is 0.8 MiB.  Timed at 25 x 94k, min of 15, widths
-#: 1024 to 16384: the median is flat within 5%, the vote is 10% slower from
-#: 8192 up, and ``column_mean_std`` is 25-35% faster at 4096 than at 2048 or
-#: 8192.
+#: median, the vote's row comparison and hashes) when their caller names no
+#: ``block_size``.  At n = 25 float64 one ``(n, block)`` buffer is 0.8 MiB.
+#: Timed at 25 x 94k, min of 15, widths 1024 to 16384: the median is flat
+#: within 5% and the vote is 10% slower from 8192 up.
 LANE_BLOCK = 4096
 
 #: elements of one gathered block of the kernels whose row count varies
@@ -43,6 +41,15 @@ LANE_BLOCK = 4096
 #: steps, and at 64 KiB hashing 100 rows of 94k coordinates took 1.4–2× as
 #: long as at this budget (EXPERIMENTS.md)
 GATHER_ELEMENTS = 1 << 15
+
+#: coordinates of :func:`column_mean_std`'s one scratch row (128 KiB as
+#: float64).  The variance takes three ufunc calls per row per block, so a
+#: wider row makes fewer calls.  Timed at n = 25, min of 40 interleaved,
+#: 2-core Xeon: against 4096 coordinates, 16384 takes 0.25–0.37 ms instead
+#: of 0.36–0.51 on 11k float32 coordinates, 0.54–0.56 instead of 0.63–0.69
+#: on 11k float64 and 4.6–4.7 instead of 5.3–5.4 on 94k float64; 32768
+#: gained at most 0.3 ms more.
+_SCRATCH_ROW = 1 << 14
 
 
 def block_ranges(d: int, block_size: int | None):
@@ -95,10 +102,16 @@ def column_mean_std(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Bit-identical to ``(matrix.mean(axis=0), matrix.std(axis=0))`` — it is
     NumPy's own recipe, ufunc for ufunc, with the mean computed once and
-    ``std``'s centred ``(n, d)`` copy replaced by one reused
-    ``(n, LANE_BLOCK + 1)`` buffer.  Every step is per-column, so the block
-    width cannot change a bit once a width-1 tail is folded into the block
-    before it (:func:`reduction_blocks`).
+    without ``std``'s centred ``(n, d)`` copy.  NumPy reduces that copy row
+    by row, so the squared deviations are added up the same way, one row at
+    a time, in the ``std`` output itself, through one reused scratch row of
+    at most :data:`_SCRATCH_ROW` coordinates.  Where the centred copy's
+    columns are contiguous (a column-major matrix, or ``d = 1``) NumPy sums
+    each column pairwise instead; those layouts centre one
+    ``(n, LANE_BLOCK + 1)`` block at a time, laid out like the matrix, and
+    reduce it as NumPy would.  Every step is per-column, so the block width
+    cannot change a bit once a width-1 tail is folded into the block before
+    it (:func:`reduction_blocks`).
     """
     matrix = ensure_float(matrix)
     if matrix.ndim != 2:
@@ -107,16 +120,29 @@ def column_mean_std(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     count = np.intp(n)
     mean = np.empty(d, dtype=matrix.dtype)
     std = np.empty(d, dtype=matrix.dtype)
-    # Laid out like the matrix, as the copy NumPy's ``_var`` centres into is.
-    centred = np.empty_like(matrix[:, : LANE_BLOCK + 1])
-    for lo, hi in reduction_blocks(d, LANE_BLOCK):
+    pairwise = d == 1 or abs(matrix.strides[0]) < abs(matrix.strides[1])
+    if pairwise:
+        # Laid out like the matrix, as the copy NumPy's ``_var`` centres into is.
+        width, scratch = LANE_BLOCK, np.empty_like(matrix[:, : LANE_BLOCK + 1])
+    else:
+        width, scratch = _SCRATCH_ROW, np.empty_like(matrix[0, : _SCRATCH_ROW + 1])
+    for lo, hi in reduction_blocks(d, width):
         block, block_mean, block_std = matrix[:, lo:hi], mean[lo:hi], std[lo:hi]
-        deviation = centred[:, : hi - lo]
         np.add.reduce(block, axis=0, out=block_mean)
         np.true_divide(block_mean, count, out=block_mean, casting="unsafe")
-        np.subtract(block, block_mean, out=deviation)
-        np.square(deviation, out=deviation)
-        np.add.reduce(deviation, axis=0, out=block_std)
+        if pairwise:
+            deviation = scratch[:, : hi - lo]
+            np.subtract(block, block_mean, out=deviation)
+            np.square(deviation, out=deviation)
+            np.add.reduce(deviation, axis=0, out=block_std)
+        else:
+            deviation = scratch[: hi - lo]
+            np.subtract(block[0], block_mean, out=block_std)
+            np.square(block_std, out=block_std)
+            for row in block[1:]:
+                np.subtract(row, block_mean, out=deviation)
+                np.square(deviation, out=deviation)
+                np.add(block_std, deviation, out=block_std)
         np.true_divide(block_std, count, out=block_std, casting="unsafe")
         np.sqrt(block_std, out=block_std)
     return mean, std

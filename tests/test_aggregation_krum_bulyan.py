@@ -136,13 +136,17 @@ def _reference_bulyan(matrix, q, block_size=None):
         winner_local = int(np.argmin(scores))
         winner = remaining.pop(winner_local)
         selected.append(winner)
-    sel = matrix[selected]
-    beta = theta - 2 * q
+    return _reference_trim(matrix[selected], q), selected
+
+
+def _reference_trim(sel, q):
+    """The reference's trim of its selected rows, in the order they were picked."""
+    beta = sel.shape[0] - 2 * q
     median = np.median(sel, axis=0)
     deviation = np.abs(sel - median)
     order = np.argsort(deviation, axis=0)[:beta]
     closest = np.take_along_axis(sel, order, axis=0)
-    return closest.mean(axis=0), selected
+    return closest.mean(axis=0)
 
 
 REFERENCE_DIMS = [1, 2, 5, 63, 130, 5000]
@@ -215,51 +219,77 @@ def test_bulyan_is_bit_identical_to_the_kernel_it_replaced(q, dtype):
 SELECTION_DIMS = [1, 2, 5, 63, 513, 514, 1025, 5000]
 
 
-def _patched_selection(rng, q, n, d, dtype):
+def _patched_selection(rng, q, n, d, dtype, abstained=False):
     """A vote's winners as Bulyan receives them: a base plus patched files.
 
     Up to ``q`` files share store row 0 (a colluding payload), one file
     reads store row 2, a stored zero row, and one reads store row 1, which
-    holds NaN and +-inf.
+    holds NaN and +-inf.  With ``abstained``, at least two files share row 0
+    and the base has one more row, left out through ``rows`` (a file with no
+    accepted copy has no winner row); the others are read in a shuffled
+    order.
     """
-    base = _reference_case(rng, q, n, d, dtype, "plain")
+    base = _reference_case(rng, q, n + abstained, d, dtype, "plain")
     store = (rng.standard_normal((2, d)) * 10.0 ** rng.integers(-3, 4, size=(2, 1)))
     store[1, rng.choice(d, size=min(d, 3), replace=False)] = [np.nan, np.inf, -np.inf][
         : min(d, 3)
     ]
-    files = rng.choice(n, size=int(rng.integers(1, q + 1)) + 2, replace=False)
+    sharing = int(rng.integers(1 + abstained, q + 1 + abstained))
+    files = rng.choice(n, size=sharing + 2, replace=False)
     row_ids = np.zeros(files.size, dtype=np.int64)
     row_ids[-2:] = [2, 1]
     store = np.vstack([store, np.zeros(d)])
-    return RowSelection(base, files, row_ids, store.astype(dtype))
+    rows = rng.permutation(n + 1)[:n] if abstained else None
+    return RowSelection(base, files, row_ids, store.astype(dtype), rows)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
 @pytest.mark.parametrize("q", [1, 2, 3, 5])
 def test_bulyan_streams_a_selection_to_the_reference_bits(q, dtype):
     """What a round hands Bulyan is the vote's ``RowSelection``, never a dense
-    matrix: both passes read it through clamped lanes.  Every width gives the
-    bits of the reference on the clamped dense matrix, and selects its rows.
+    matrix: both passes read it through clamped lanes, and the trim reads
+    only the theta rows it selected (``RowSelection.take``).  Every width
+    gives the bits of the reference on the clamped dense matrix, and selects
+    its rows.
 
     The lane Gram is not the reference's GEMM at any width, so two scores a
     few ulps apart can be picked in either order (float32 rows of scale
-    1e-3..1e3 do that here); the selected rows are compared as a set."""
+    1e-3..1e3 do that here); the selected rows are compared as a set.
+
+    The second pass reads a selection with ``rows`` set (a file abstained)
+    and a stored row shared by at least two files.  Two bit-identical rows
+    are where the reference comparison stops holding, for the dense kernel
+    as well: which twin is picked first is rounding noise, and a later
+    exact score tie is broken by position.  At q = 1, float64, n = 12,
+    d = 1025 the default width picks both twins where the reference picks
+    one twin and another row.  So that pass compares the aggregate with the
+    kernel on the clamped dense matrix, and with the reference trim of the
+    aggregator's own picks, bit for bit."""
     rng = np.random.default_rng(2000 * q + np.dtype(dtype).itemsize)
-    for n in (4 * q + 3, 4 * q + 8):
-        for d in SELECTION_DIMS:
-            selection = _patched_selection(rng, q, n, d, dtype)
-            clamped = _clamped(selection.densified())
-            expected, _ = _reference_bulyan(clamped, q)
-            for block_size in REFERENCE_BLOCKS if d < 5000 else [None, 64]:
-                where = (n, d, block_size)
-                result = BulyanAggregator(q, block_size=block_size)(selection)
-                assert result.dtype == expected.dtype, where
-                assert np.array_equal(result, expected), where
-                _, expected_selection = _reference_bulyan(clamped, q, block_size)
-                chosen = bulyan_selection(selection, q, block_size=block_size)
-                assert sorted(row.tobytes() for row in clamped[chosen]) == sorted(
-                    row.tobytes() for row in clamped[expected_selection]
-                ), where
+    for abstained in (False, True):
+        for n in (4 * q + 3, 4 * q + 8):
+            for d in SELECTION_DIMS:
+                selection = _patched_selection(rng, q, n, d, dtype, abstained)
+                clamped = _clamped(selection.densified())
+                expected, _ = _reference_bulyan(clamped, q)
+                for block_size in REFERENCE_BLOCKS if d < 5000 else [None, 64]:
+                    where = (n, d, abstained, block_size)
+                    aggregator = BulyanAggregator(q, block_size=block_size)
+                    result = aggregator(selection)
+                    assert result.dtype == expected.dtype, where
+                    if abstained:
+                        assert np.array_equal(result, aggregator(clamped)), where
+                        width = block_size or bulyan_module._LANE_BLOCK
+                        chosen = bulyan_selection(selection, q, block_size=width)
+                        trimmed = _reference_trim(clamped[chosen], q)
+                        assert np.array_equal(result, trimmed), where
+                        continue
+                    assert np.array_equal(result, expected), where
+                    _, expected_selection = _reference_bulyan(clamped, q, block_size)
+                    chosen = bulyan_selection(selection, q, block_size=block_size)
+                    assert sorted(row.tobytes() for row in clamped[chosen]) == sorted(
+                        row.tobytes() for row in clamped[expected_selection]
+                    ), where
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 7])

@@ -9,6 +9,7 @@ benchmark gate runs; these tests fail tier-1 instead.
 """
 
 import pathlib
+import subprocess
 import sys
 from collections import Counter
 
@@ -101,3 +102,34 @@ def test_campaign_path_patches_record_the_observed_cell():
     assert tracer.counts["scenarios.trace.digest_mb"] == pytest.approx(
         digested / float(1 << 20), rel=1e-12
     )
+
+
+def test_peak_probe_names_the_stage_that_sets_the_peak():
+    """``tools/peak_stages.py`` over one round of ``adaptive-bulyan-noniid``:
+    every stage it shims was entered, each stage's peak is at least what it
+    held on entry, and the highest stage peak is the run's peak (the round
+    and the build are both inside a shimmed stage)."""
+    tool = pathlib.Path(__file__).resolve().parents[1] / "tools" / "peak_stages.py"
+    result = subprocess.run(
+        [sys.executable, str(tool), "adaptive-bulyan-noniid", "--rounds", "1"],
+        capture_output=True, text=True, check=True,
+    )
+    header, columns, *rows = result.stdout.splitlines()
+    assert header.startswith("adaptive-bulyan-noniid seed=0 rounds=1: peak ")
+    assert columns.split() == ["stage", "calls", "entry", "MiB", "peak", "MiB", "above"]
+    peak = float(header.split("peak ")[1].split()[0])
+    stages = {}
+    for row in rows:
+        name, calls, entry, inside, above = row.split()
+        stages[name] = (int(calls), float(entry), float(inside))
+        assert float(inside) >= float(entry), row
+    for stage in (
+        "scenarios.build_trainer",
+        "training.gradients",
+        "attacks.payload",
+        "aggregation.robust",
+        "kernel.column_mean_std",
+        "kernel.bulyan_selection",
+    ):
+        assert stages[stage][0] >= 1, stage
+    assert max(inside for _, _, inside in stages.values()) == pytest.approx(peak, abs=1e-4)

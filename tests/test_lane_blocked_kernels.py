@@ -3,7 +3,9 @@
 ``coordinate_median``, ``column_mean_std`` and the vote's ``_rows_equal`` walk
 ``d`` in coordinate blocks through one small buffer (``LANE_BLOCK`` wide when
 the caller names no width; the vote's blocks are narrowed further so that a
-gathered block stays within 256 KiB however many rows it gathers).
+gathered block stays within 256 KiB however many rows it gathers;
+``column_mean_std`` adds up its squared deviations row by row through one
+``_SCRATCH_ROW``-wide row).
 Everything here compares with ``np.array_equal``, never ``allclose``:
 against ``np.median`` / ``mean`` / ``std`` of the whole matrix, and against
 per-file ``tobytes()`` classes for the vote.  The last class bounds what
@@ -33,7 +35,7 @@ from repro.assignment.ramanujan import RamanujanAssignment
 from repro.attacks.adaptive import FangAdaptiveAttack, MinMaxAttack
 from repro.attacks.base import AttackContext
 from repro.core.vote_tensor import RowSelection, VoteTensor
-from repro.utils.arrays import GATHER_ELEMENTS, LANE_BLOCK, column_mean_std
+from repro.utils.arrays import _SCRATCH_ROW, GATHER_ELEMENTS, LANE_BLOCK, column_mean_std
 
 from cow_helpers import cube_of
 
@@ -111,6 +113,28 @@ def test_width_one_tail_is_what_moves_the_last_ulp():
         assert mean[-1] == matrix.mean(axis=0)[-1]
         assert std[-1] == matrix.std(axis=0)[-1]
     assert differs > 0
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("layout", ["contiguous", "column_major"])
+def test_mean_and_std_of_non_finite_rows_equal_numpy(layout, dtype):
+    """Rows holding NaN, +inf and -inf (alone, together in one column, and
+    one column of +inf only): mean and std are NumPy's, NaN for NaN, bit for
+    bit, in the streamed and in the column-contiguous path."""
+    n, d = 9, LANE_BLOCK + 3
+    matrix = scaled_matrix(n, d, dtype, seed=21)[:n, :d]
+    matrix[2, [0, 7, d - 1]] = np.nan
+    matrix[5, [1, 7, d - 2]] = np.inf
+    matrix[6, [2, 7, d - 1]] = -np.inf
+    matrix[:, 3] = np.inf
+    matrix = np.asfortranarray(matrix) if layout == "column_major" else matrix.copy()
+    with np.errstate(invalid="ignore", over="ignore"):
+        mean, std = column_mean_std(matrix)
+        expected = (matrix.mean(axis=0), matrix.std(axis=0))
+    for actual, reference in zip((mean, std), expected):
+        assert actual.dtype == reference.dtype
+        assert np.array_equal(actual.view(np.uint8), reference.view(np.uint8))
+    assert np.isnan(std[[0, 1, 2, 3, 7, d - 2, d - 1]]).all()
 
 
 # --------------------------------------------------------------------------- #
@@ -284,9 +308,11 @@ class TestNoFullWidthTemporary:
     """At d = 40 blocks a single full-width temporary — a transposed copy, a
     centred copy, a gathered ``(n, d)`` bit image or even its bool mask — is
     5 to 40 times the bound, so staying under it means none was made: no
-    allocation exceeds ``n * (LANE_BLOCK + 1) * itemsize``.  The vote over
-    many distinct rows is held to its fixed gather budget instead; Bulyan and
-    the line-search payloads are held to the bound at the adaptive round's width."""
+    allocation exceeds ``n * (LANE_BLOCK + 1) * itemsize``.
+    ``column_mean_std`` is held to its one scratch row and the vote over
+    many distinct rows to its fixed gather budget instead; Bulyan and the
+    line-search payloads are held to what they keep at the adaptive round's
+    width."""
 
     n, d = 25, 40 * LANE_BLOCK + 1
     bound = n * (LANE_BLOCK + 1) * 8
@@ -299,7 +325,11 @@ class TestNoFullWidthTemporary:
         assert transient_bytes(lambda: coordinate_median(matrix)) <= self.bound
 
     def test_column_mean_std(self, matrix):
-        assert transient_bytes(lambda: column_mean_std(matrix)) <= self.bound
+        """One ``(_SCRATCH_ROW + 1,)`` row, the allowance for small objects
+        aside: 126 KiB measured, where the centred ``(n, LANE_BLOCK + 1)``
+        block took 0.78 MiB."""
+        scratch_row = (_SCRATCH_ROW + 1) * 8
+        assert transient_bytes(lambda: column_mean_std(matrix)) <= scratch_row
 
     def test_rows_equal_against_a_shared_payload(self, matrix):
         """The ALIE round's comparison: one payload row against all n base rows."""
@@ -326,6 +356,8 @@ class TestNoFullWidthTemporary:
     # vote's (25, 11274) winners and the min-max payload over the honest
     # matrix.  One dense (25, 11274) copy alone is 2.75 times the bound.
     round_d = 11_274
+    #: one ``(513, theta)`` block of Bulyan's trim at q = 3, theta = 19
+    lane_block = (512 + 1) * (n - 6) * 8
 
     @pytest.fixture(scope="class")
     def winners(self):
@@ -337,10 +369,15 @@ class TestNoFullWidthTemporary:
         return RowSelection(base, files, row_ids, store)
 
     def test_bulyan_streams_a_patched_selection(self, winners):
-        """Both passes read 512-wide lane blocks: 0.53 MiB measured, where the
-        densified copy, the ``(beta, d)`` operand and 2048-wide lanes took
-        4.67 MiB."""
-        assert transient_bytes(lambda: BulyanAggregator(3)(winners)) <= self.bound
+        """Both passes read 512-wide lane blocks, and the trim only the
+        theta selected rows: at its peak it holds three ``(513, theta)``
+        blocks (the lanes, their deviations, their argsort).  0.236 MiB
+        measured; the bound is four blocks (0.297 MiB).  It took 0.53 MiB
+        while the trim read all n lanes of a block and kept the deviations
+        through the take, and 4.67 MiB with the densified copy, the
+        ``(beta, d)`` operand and 2048-wide lanes."""
+        trim = transient_bytes(lambda: BulyanAggregator(3)(winners))
+        assert trim <= 4 * self.lane_block
 
     @pytest.mark.parametrize(
         "attack",
@@ -349,13 +386,15 @@ class TestNoFullWidthTemporary:
         ids=[*MinMaxAttack.DIRECTIONS, "fang-krum"],
     )
     def test_line_search_payloads_chunk_their_rows(self, winners, attack):
-        """``a`` and ``b`` over row chunks: at most ``column_mean_std``'s
-        centred block (the bound) plus one chunk.  0.87 MiB measured for
-        ``std`` and 0.43 for the others, where one ``(f, d)`` ``µ − g`` made
-        it 2.41."""
+        """``a`` and ``b`` over row chunks: one chunk beside ``µ`` and the
+        direction, 0.43 MiB measured for every attack; the bound is the
+        chunk and three ``(d,)`` rows (0.51 MiB).  ``std`` took 0.87 MiB
+        while ``column_mean_std`` centred ``(n, LANE_BLOCK + 1)`` blocks,
+        and every attack 2.41 while one ``(f, d)`` ``µ − g`` was made."""
         assignment = RamanujanAssignment(m=5, s=5).assignment
         context = AttackContext(assignment, (0, 2, 4, 6, 8), winners.base)
-        assert transient_bytes(lambda: attack.payload(context)) <= self.bound + self.gather
+        budget = self.gather + 3 * self.round_d * 8
+        assert transient_bytes(lambda: attack.payload(context)) <= budget
 
     # The vote's comparison and hashes gather ``(rows, width)`` blocks whose
     # width shrinks with the row count: at most ``GATHER_ELEMENTS`` elements

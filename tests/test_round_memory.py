@@ -152,6 +152,54 @@ def test_headline_round_peak_does_not_grow_with_the_distorted_files():
     assert peaks[9] - peaks[5] < row_bytes, (peaks[9] - peaks[5]) / row_bytes
 
 
+def test_adaptive_bulyan_round_peaks_under_seven_rows():
+    """``adaptive-bulyan-noniid`` of ``benchmarks/e2e`` on 1,000 training rows:
+    Ramanujan K = 25, ByzShield + Bulyan (q = 3), a rotating min-max ``std``
+    adversary with q = 5, batch 200, Dirichlet shards, d = 11,274 float64.
+    Budget in ``(d,)`` rows above the round's start: 6.1 measured, at the
+    min-max payload (its row chunk of the distance coefficients), with the
+    gradient pass (5.9), the vote (5.1) and Bulyan (4.9) below it.  It
+    measured 11.2 while ``column_mean_std`` centred ``(25, 4097)`` blocks,
+    and Bulyan's trim, which gathered all 25 lanes of a block before
+    picking its theta = 19, was the next floor (8.3)."""
+    spec = ScenarioSpec.from_dict({
+        "name": "round-memory-adaptive-bulyan",
+        "cluster": {"scheme": "ramanujan", "params": {"m": 5, "s": 5}},
+        "pipeline": {
+            "kind": "byzshield",
+            "aggregator": "bulyan",
+            "aggregator_params": {"num_byzantine": 3},
+        },
+        "data": {
+            "kind": "gaussian",
+            "dim": 100,
+            "num_classes": 10,
+            "num_train": 1000,
+            "num_test": 200,
+            "partition": {"kind": "dirichlet", "alpha": 1.0},
+        },
+        "model": {"hidden": [64, 64]},
+        "training": {
+            "batch_size": 200,
+            "num_iterations": 3,
+            "eval_every": 3,
+            "learning_rate": 0.1,
+            "momentum": 0.0,
+        },
+        "attack": {
+            "name": "min_max",
+            "params": {"direction": "std"},
+            "selection": "rotating",
+            "schedule": {"kind": "rotating", "q": 5, "period": 1, "stride": 2},
+        },
+    })
+    trainer = ScenarioRunner(spec).build_trainer()
+    row_bytes = trainer.gradient_computer.dim * 8
+    assert row_bytes == 11_274 * 8
+    peak = steady_round_peak(trainer)
+    assert peak < 7 * row_bytes, peak / row_bytes
+
+
 def test_stacked_pass_holds_one_chunk_of_activations():
     """``clean-compute-bound``'s pass (25 files of 256 samples, 100 -> 64 ->
     64 -> 10): measured 1.93 MiB above its start at three files a chunk, of

@@ -303,6 +303,14 @@ def test_any_patch_set_reads_as_its_dense_matrix(n, d, dtype, strided, data):
     assert np.array_equal(MeanAggregator()(selection), MeanAggregator()(dense))
     assert RowSelection.of(selection) is selection
     assert np.shares_memory(RowSelection.of(dense).densified(), dense)
+    # any of its rows, in any order, select from the same base and store
+    taken = np.array(
+        data.draw(st.lists(st.integers(0, n - 1), unique=True, min_size=1, max_size=n)),
+        dtype=np.int64,
+    )
+    part = selection.take(taken)
+    assert_stands_for(part, dense[taken])
+    assert np.shares_memory(part.base, base) and part.store.base is selection.store.base
 
 
 @pytest.mark.parametrize("dtype", DTYPES)

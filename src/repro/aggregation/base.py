@@ -33,8 +33,8 @@ class Aggregator(abc.ABC):
     #: True for a rule that reads its votes one coordinate block at a time
     #: (:meth:`RowSelection.lanes`) and replaces non-finite entries there;
     #: its :meth:`_aggregate` is handed the selection, never a dense matrix.
-    #: The coordinate median (``LANE_BLOCK`` = 4096-wide blocks) and Bulyan
-    #: (its distances and its trim, ``bulyan._LANE_BLOCK`` = 512) stream;
+    #: The coordinate median (``median._LANE_BLOCK`` = 1024-wide blocks) and
+    #: Bulyan (its distances and its trim, ``bulyan._LANE_BLOCK`` = 512) stream;
     #: the other rules rank, trim or average whole rows of the dense matrix.
     streams_lanes: bool = False
 
@@ -46,7 +46,9 @@ class Aggregator(abc.ABC):
         rules override this with their breakdown-point requirements (e.g.
         Bulyan needs ``4q + 3`` votes).  The scenario runner compares it with
         the rows a full round hands the rule, so an inapplicable
-        configuration is refused when it is built, not in round 0.
+        configuration is refused when it is built, not in round 0, and
+        :meth:`__call__` refuses fewer rows (a partial round) before the
+        rule runs.
         """
         return 1
 
@@ -75,8 +77,14 @@ class Aggregator(abc.ABC):
                 selection = RowSelection(stack_vectors(votes))
             except ValueError as exc:
                 raise AggregationError(str(exc)) from exc
-        if selection.shape[0] == 0:
+        n = selection.shape[0]
+        if n == 0:
             raise AggregationError("cannot aggregate zero votes")
+        needed = self.minimum_votes()
+        if n < needed:
+            raise AggregationError(
+                f"{self.aggregator_name} as configured needs at least {needed} votes, got {n}"
+            )
         if self.streams_lanes:
             return self._aggregate(selection)
         # The one densification point: rules that rank, trim or average

@@ -150,10 +150,6 @@ class BulyanAggregator(Aggregator):
     def _aggregate(self, votes: RowSelection) -> np.ndarray:
         n, d = votes.shape
         q = self.num_byzantine
-        if n < self.minimum_votes():
-            raise AggregationError(
-                f"Bulyan requires at least 4q+3={4 * q + 3} votes, got {n}"
-            )
         width = self.block_size or _LANE_BLOCK
         selected = bulyan_selection(votes, q, block_size=width)
         theta = len(selected)

@@ -52,11 +52,6 @@ class TrimmedMeanAggregator(Aggregator):
 
     def _aggregate(self, matrix: np.ndarray) -> np.ndarray:
         n, d = matrix.shape
-        if n <= 2 * self.trim:
-            raise AggregationError(
-                f"trimmed mean with trim={self.trim} needs more than "
-                f"{2 * self.trim} votes, got {n}"
-            )
         if self.trim == 0:
             return matrix.mean(axis=0)
         if self.block_size is None or self.block_size >= d:

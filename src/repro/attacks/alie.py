@@ -93,4 +93,7 @@ class ALIEAttack(Attack):
             # distorted) is the open question of ROADMAP.md item 4.
             z = alie_z_max(context.assignment.num_workers, context.num_byzantine)
         direction = -1.0 if self.negative_direction else 1.0
-        return mean + direction * z * std
+        # ``mean + direction * z * std`` ufunc for ufunc, in the two vectors
+        # the statistics returned instead of a third.
+        np.multiply(direction * z, std, out=std)
+        return np.add(mean, std, out=mean)

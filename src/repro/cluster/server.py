@@ -60,7 +60,10 @@ class ParameterServer:
 
         It stays ``w_t`` for as long as it is held — the optimizer step
         returns a new vector and never writes into the old one — so a round
-        holds the parameters once.
+        holds the parameters once.  The workers' model reads ``w_t``
+        through it too: :meth:`~repro.nn.models.Sequential.set_flat_params`
+        binds the layers' parameters to views of the broadcast (read-only,
+        like it) instead of copying it into arrays of their own.
         """
         view = self._params.view()
         view.setflags(write=False)

@@ -3,7 +3,8 @@
 The distributed simulator exchanges gradients as flat vectors, so the
 container exposes :meth:`Sequential.get_flat_params`,
 :meth:`Sequential.set_flat_params` and :meth:`Sequential.flat_gradient`.
-Parameter writes are in place.
+The layers hold no parameters of their own once a vector is bound: each
+parameter array is a view of the vector the model was last given.
 """
 
 from __future__ import annotations
@@ -101,7 +102,15 @@ class Sequential:
         return np.concatenate([a.ravel() for a in arrays])
 
     def set_flat_params(self, flat: np.ndarray) -> None:
-        """Write a flat vector back into the parameter arrays (in place)."""
+        """Bind the parameters to ``flat``: each layer's ``params[name]``
+        becomes a reshaped view of its slice of the vector, so the model
+        keeps no copy of its own.
+
+        A vector in another dtype is converted once, to the model's, and
+        the views are of that conversion.  A read-only vector (the PS's
+        broadcast of ``w_t``) gives read-only parameters, and a later write
+        into a writable one is seen by the model.
+        """
         flat = np.asarray(flat, dtype=self.dtype).ravel()
         expected = self.num_parameters()
         if flat.size != expected:
@@ -109,10 +118,11 @@ class Sequential:
                 f"flat parameter vector has {flat.size} entries, model needs {expected}"
             )
         offset = 0
-        for array in self.parameter_arrays():
-            size = array.size
-            array[...] = flat[offset : offset + size].reshape(array.shape)
-            offset += size
+        for layer in self.layers:
+            for name, array in layer.parameter_items():
+                size = array.size
+                layer.params[name] = flat[offset : offset + size].reshape(array.shape)
+                offset += size
 
     def flat_gradient(self) -> np.ndarray:
         """Current gradients as a single flat vector (after a backward pass)."""

@@ -27,11 +27,15 @@ __all__ = [
     "GATHER_ELEMENTS",
 ]
 
-#: Coordinates per block of the kernels that always stream (the coordinate
-#: median, the vote's row comparison and hashes) when their caller names no
-#: ``block_size``.  At n = 25 float64 one ``(n, block)`` buffer is 0.8 MiB.
-#: Timed at 25 x 94k, min of 15, widths 1024 to 16384: the median is flat
-#: within 5% and the vote is 10% slower from 8192 up.
+#: Coordinates per block of the vote's row comparison and hashes when their
+#: caller names no ``block_size`` (narrowed further by
+#: :data:`GATHER_ELEMENTS`), of :func:`pairwise_squared_distances` over a
+#: selection, and of :func:`column_mean_std`'s column-major path.  At n = 25
+#: float64 one ``(n, block)`` buffer is 0.8 MiB.  Timed at 25 x 94k, min of
+#: 15, widths 1024 to 16384: the vote is 10% slower from 8192 up, and at
+#: 1024 ``sync-alie-wide``'s ``round_ms_p50`` read 3% slower on 2 of 2
+#: pairs.  The two streaming robust rules keep narrower blocks of their own
+#: (``median._LANE_BLOCK``, ``bulyan._LANE_BLOCK``).
 LANE_BLOCK = 4096
 
 #: elements of one gathered block of the kernels whose row count varies

@@ -11,6 +11,7 @@ from repro.aggregation.krum import (
     krum_scores,
     krum_scores_from_distances,
 )
+from repro.aggregation.trimmed_mean import TrimmedMeanAggregator
 from repro.core.vote_tensor import RowSelection
 from repro.exceptions import AggregationError
 from repro.utils.arrays import pairwise_squared_distances
@@ -86,6 +87,38 @@ def test_bulyan_requires_4q_plus_3():
     assert BulyanAggregator(num_byzantine=2).minimum_votes() == 11
     with pytest.raises(AggregationError):
         BulyanAggregator(num_byzantine=-1)
+
+
+SHORT_RULES = [
+    TrimmedMeanAggregator(trim=2),
+    KrumAggregator(num_byzantine=2),
+    MultiKrumAggregator(num_byzantine=2),
+    BulyanAggregator(num_byzantine=2),
+]
+
+
+@pytest.mark.parametrize("form", ["dense", "selection"])
+@pytest.mark.parametrize("aggregator", SHORT_RULES, ids=lambda a: a.aggregator_name)
+def test_a_short_vote_matrix_is_refused_by_name(aggregator, form):
+    """One row short of ``minimum_votes()`` is refused before the rule runs,
+    with the rule, the count it got and the count it needs; as a selection
+    too, whose ``rows`` leave out three abstained files and whose first row
+    is a stored payload."""
+    needed = aggregator.minimum_votes()
+    rng = np.random.default_rng(needed)
+
+    def votes(n):
+        if form == "dense":
+            return rng.standard_normal((n, 6))
+        base = rng.standard_normal((n + 3, 6))
+        kept = np.setdiff1d(np.arange(n + 3), [1, n, n + 1])
+        return RowSelection(base, [0], [0], rng.standard_normal((1, 6)), rows=kept)
+
+    name = aggregator.aggregator_name
+    message = rf"^{name} as configured needs at least {needed} votes, got {needed - 1}$"
+    with pytest.raises(AggregationError, match=message):
+        aggregator(votes(needed - 1))
+    assert aggregator(votes(needed)).shape == (6,)
 
 
 def test_bulyan_filters_byzantine_cluster():

@@ -1,11 +1,11 @@
 """The lane-blocked kernels are bit-identical to the full-width ones they replaced.
 
 ``coordinate_median``, ``column_mean_std`` and the vote's ``_rows_equal`` walk
-``d`` in coordinate blocks through one small buffer (``LANE_BLOCK`` wide when
-the caller names no width; the vote's blocks are narrowed further so that a
-gathered block stays within 256 KiB however many rows it gathers;
-``column_mean_std`` adds up its squared deviations row by row through one
-``_SCRATCH_ROW``-wide row).
+``d`` in coordinate blocks through one small buffer (the median's own
+``median._LANE_BLOCK``; ``LANE_BLOCK`` wide for the vote when the caller
+names no width, narrowed further so that a gathered block stays within
+256 KiB however many rows it gathers; ``column_mean_std`` adds up its
+squared deviations row by row through one ``_SCRATCH_ROW``-wide row).
 Everything here compares with ``np.array_equal``, never ``allclose``:
 against ``np.median`` / ``mean`` / ``std`` of the whole matrix, and against
 per-file ``tobytes()`` classes for the vote.  The last class bounds what
@@ -29,10 +29,11 @@ from repro.aggregation.majority import (
     override_content_ids,
 )
 from repro.aggregation.bulyan import BulyanAggregator
-from repro.aggregation.median import coordinate_median
+from repro.aggregation.median import _LANE_BLOCK as MEDIAN_BLOCK, coordinate_median
 from repro.assignment.mols import MOLSAssignment
 from repro.assignment.ramanujan import RamanujanAssignment
 from repro.attacks.adaptive import FangAdaptiveAttack, MinMaxAttack
+from repro.attacks.alie import ALIEAttack, alie_z_max
 from repro.attacks.base import AttackContext
 from repro.core.vote_tensor import RowSelection, VoteTensor
 from repro.utils.arrays import _SCRATCH_ROW, GATHER_ELEMENTS, LANE_BLOCK, column_mean_std
@@ -75,7 +76,7 @@ def assert_same_bits(actual, expected):
 @pytest.mark.parametrize("n", ROWS)
 class TestBlockedReductions:
     def test_median_equals_numpy_median(self, n, dtype):
-        for d in DIMS:
+        for d in DIMS + (MEDIAN_BLOCK - 1, MEDIAN_BLOCK, MEDIAN_BLOCK + 1):
             for name, matrix in input_layouts(n, d, dtype, seed=n * d).items():
                 assert matrix.shape == (n, d), name
                 assert_same_bits(coordinate_median(matrix), np.median(matrix, axis=0))
@@ -309,10 +310,11 @@ class TestNoFullWidthTemporary:
     centred copy, a gathered ``(n, d)`` bit image or even its bool mask — is
     5 to 40 times the bound, so staying under it means none was made: no
     allocation exceeds ``n * (LANE_BLOCK + 1) * itemsize``.
-    ``column_mean_std`` is held to its one scratch row and the vote over
-    many distinct rows to its fixed gather budget instead; Bulyan and the
-    line-search payloads are held to what they keep at the adaptive round's
-    width."""
+    The median is held to its own narrower lane block, ``column_mean_std``
+    to its one scratch row, ALIE to one vector beyond its statistics and
+    the vote over many distinct rows to its fixed gather budget instead;
+    Bulyan and the line-search payloads are held to what they keep at the
+    adaptive round's width."""
 
     n, d = 25, 40 * LANE_BLOCK + 1
     bound = n * (LANE_BLOCK + 1) * 8
@@ -322,7 +324,13 @@ class TestNoFullWidthTemporary:
         return np.random.default_rng(0).standard_normal((self.n, self.d))
 
     def test_coordinate_median(self, matrix):
-        assert transient_bytes(lambda: coordinate_median(matrix)) <= self.bound
+        """Clamped, as a round runs it: its own ``(block, n)`` lane buffer
+        and that buffer's ``isfinite`` image, 223 KiB measured.  It took
+        0.88 MiB while the median's blocks were ``LANE_BLOCK`` wide."""
+        lanes = self.n * (MEDIAN_BLOCK + 1)
+        buffer_and_image = lanes * 8 + lanes
+        clamped = transient_bytes(lambda: coordinate_median(matrix, clamp_non_finite=True))
+        assert clamped <= buffer_and_image
 
     def test_column_mean_std(self, matrix):
         """One ``(_SCRATCH_ROW + 1,)`` row, the allowance for small objects
@@ -330,6 +338,29 @@ class TestNoFullWidthTemporary:
         block took 0.78 MiB."""
         scratch_row = (_SCRATCH_ROW + 1) * 8
         assert transient_bytes(lambda: column_mean_std(matrix)) <= scratch_row
+
+    @pytest.mark.parametrize("negative", [True, False], ids=["minus", "plus"])
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_alie_builds_its_payload_in_place(self, matrix, dtype, negative):
+        """The payload is ``mean + direction * z * std`` bit for bit, built in
+        the two vectors ``column_mean_std`` returned: beyond the payload it
+        holds one ``std`` vector and what the statistics hold while they run
+        (their scratch row, and at float32 NumPy's two 64 KiB cast buffers).
+        1.10 ``(d,)`` vectors measured at float64 and 1.30 at float32; both
+        took 2.00 while the expression made a product and a sum of its own."""
+        honest = matrix.astype(dtype)
+        honest.setflags(write=False)
+        assignment = RamanujanAssignment(m=5, s=5).assignment
+        byzantine = (0, 2, 4, 6, 8)
+        context = AttackContext(assignment, byzantine, honest)
+        attack = ALIEAttack(negative_direction=negative)
+        z = alie_z_max(assignment.num_workers, len(byzantine))
+        direction = -1.0 if negative else 1.0
+        expected = honest.mean(axis=0) + direction * z * honest.std(axis=0)
+        assert_same_bits(attack.payload(context), expected)
+        statistics = transient_bytes(lambda: column_mean_std(honest))
+        budget = self.d * np.dtype(dtype).itemsize + statistics + PYTHON_OBJECTS
+        assert transient_bytes(lambda: attack.payload(context)) <= budget
 
     def test_rows_equal_against_a_shared_payload(self, matrix):
         """The ALIE round's comparison: one payload row against all n base rows."""

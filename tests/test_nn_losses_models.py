@@ -1,5 +1,7 @@
 """Tests for losses, the Sequential container and model builders."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -96,14 +98,49 @@ def test_flat_params_roundtrip():
         model.set_flat_params(np.zeros(3))
 
 
-def test_set_flat_params_is_in_place():
-    """Composite layers keep references to parameter arrays; writes must be in place."""
-    model = make_tiny_model()
-    original_arrays = model.parameter_arrays()
-    model.set_flat_params(np.zeros(model.num_parameters()))
-    for before, after in zip(original_arrays, model.parameter_arrays()):
-        assert before is after
-        assert np.all(after == 0.0)
+def traced_bytes(fn):
+    """Peak traced memory of ``fn()`` above its start."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        fn()
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
+def test_set_flat_params_binds_the_vector():
+    """The layers read the bound vector itself: every parameter is a view of
+    it, binding allocates nothing of its size, a read-only vector (the PS's
+    broadcast) gives read-only parameters, and a vector in another dtype is
+    converted once, into the one array every parameter views."""
+    model = Sequential([Dense(48, 200, rng=0), ReLU(), Dense(200, 200, rng=1)])
+    flat = np.random.default_rng(3).standard_normal(model.num_parameters())
+    assert flat.size == 50_000
+    model.set_flat_params(flat)  # the first binding drops the initial arrays
+    allocated = traced_bytes(lambda: model.set_flat_params(flat))
+    assert allocated < 1024, allocated
+    assert all(np.shares_memory(array, flat) for array in model.parameter_arrays())
+    assert model.get_flat_params().tobytes() == flat.tobytes()
+
+    broadcast = flat.view()
+    broadcast.setflags(write=False)
+    model.set_flat_params(broadcast)
+    for array in model.parameter_arrays():
+        assert not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            array[...] = 0.0
+    assert np.array_equal(model.get_flat_params(), flat)
+
+    narrow = build_mlp(48, 200, hidden=(200,), dtype=np.float32)
+    allocated = traced_bytes(lambda: narrow.set_flat_params(flat))
+    arrays = narrow.parameter_arrays()
+    converted = arrays[0].base
+    assert converted.dtype == np.float32 and converted.size == flat.size
+    assert all(array.dtype == np.float32 and array.base is converted for array in arrays)
+    assert flat.size * 4 <= allocated < flat.size * 4 + 1024, allocated
+    assert narrow.get_flat_params().tobytes() == flat.astype(np.float32).tobytes()
 
 
 def test_loss_and_gradient_shapes():

@@ -118,13 +118,24 @@ def _kept() -> set[tuple[str, str]]:
     return {(path, qualname) for path, qualname in filter(None, entries)}
 
 
-def main(argv: "list[str] | None" = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--json", type=pathlib.Path, help="also write the list as JSON")
-    args = parser.parse_args(argv)
+def unreached_defs(steps, src: pathlib.Path = SRC, root: pathlib.Path = ROOT):
+    """Run ``steps`` under the profiler and return the defs under ``src`` that
+    none of them entered (``path``/``line``/``def``/``public`` dicts, public
+    ones first), with ``(path, qualname)`` of every def there.
+
+    A code object is keyed by its file and first line, so the table of defs
+    is compiled before the first step runs: a file edited while the steps
+    run is still read with the lines its code was loaded with.
+    """
+    table = []
+    for path in sorted(src.rglob("*.py")):
+        code = compile(path.read_text(), str(path), "exec")
+        rel = str(path.relative_to(root))
+        for filename, line, qualname in _defs(code, str(path)):
+            table.append(((filename, line), rel, qualname))
 
     entered: set[tuple[str, int]] = set()
-    prefix = str(SRC)
+    prefix = str(src)
 
     def profile(frame, event, arg):
         if event == "call":
@@ -132,30 +143,33 @@ def main(argv: "list[str] | None" = None) -> int:
             if code.co_filename.startswith(prefix):
                 entered.add((code.co_filename, code.co_firstlineno))
 
-    with tempfile.TemporaryDirectory() as workdir:
-        steps = _steps(workdir)
-        sys.setprofile(profile)
-        threading.setprofile(profile)
-        try:
-            for step in steps:
-                print(f"# {step.__name__}", file=sys.stderr)
-                with contextlib.redirect_stdout(io.StringIO()):
-                    step()
-        finally:
-            sys.setprofile(None)
-            threading.setprofile(None)
+    sys.setprofile(profile)
+    threading.setprofile(profile)
+    try:
+        for step in steps:
+            print(f"# {step.__name__}", file=sys.stderr)
+            with contextlib.redirect_stdout(io.StringIO()):
+                step()
+    finally:
+        sys.setprofile(None)
+        threading.setprofile(None)
 
-    unreached = []
-    existing: set[tuple[str, str]] = set()
-    for path in sorted(SRC.rglob("*.py")):
-        code = compile(path.read_text(), str(path), "exec")
-        rel = str(path.relative_to(ROOT))
-        for filename, line, qualname in _defs(code, str(path)):
-            existing.add((rel, qualname))
-            if (filename, line) not in entered:
-                unreached.append({"path": rel, "line": line, "def": qualname,
-                                  "public": _is_public(qualname)})
+    unreached = [
+        {"path": rel, "line": key[1], "def": qualname, "public": _is_public(qualname)}
+        for key, rel, qualname in table
+        if key not in entered
+    ]
     unreached.sort(key=lambda u: (not u["public"], u["path"], u["line"]))
+    return unreached, {(rel, qualname) for _, rel, qualname in table}
+
+
+def main(argv: "list[str] | None" = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--json", type=pathlib.Path, help="also write the list as JSON")
+    args = parser.parse_args(argv)
+
+    with tempfile.TemporaryDirectory() as workdir:
+        unreached, existing = unreached_defs(_steps(workdir))
     for u in unreached:
         print(f"{u['path']}:{u['line']} {u['def']}{'' if u['public'] else '  (private)'}")
     print(f"# {len(unreached)} unreached defs, {sum(u['public'] for u in unreached)} public",

@@ -12,11 +12,16 @@ fast; CI runs the benchmarks in a dedicated job with ``-m bench``.
 from __future__ import annotations
 
 import pathlib
+import sys
 
 import pytest
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 _BENCH_DIR = pathlib.Path(__file__).parent.resolve()
+
+# The tests' oracles (``reference_vote``) are the benchmarks' oracles too:
+# one copy, imported as a plain module from ``tests/``.
+sys.path.insert(0, str(_BENCH_DIR.parent / "tests"))
 
 
 def pytest_collection_modifyitems(config, items):

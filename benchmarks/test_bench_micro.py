@@ -14,7 +14,7 @@ import pytest
 
 from repro.aggregation.bulyan import BulyanAggregator
 from repro.aggregation.krum import MultiKrumAggregator
-from repro.aggregation.majority import _reference_exact_majority, majority_vote_votetensor
+from repro.aggregation.majority import majority_vote_votetensor
 from repro.aggregation.median import CoordinateWiseMedian
 from repro.aggregation.trimmed_mean import TrimmedMeanAggregator
 from repro.assignment.frc import FRCAssignment
@@ -27,6 +27,8 @@ from repro.core.vote_tensor import VoteTensor
 from repro.graphs.bipartite import BipartiteAssignment
 from repro.nn.models import build_mlp
 from repro.training.gradients import ModelGradientComputer
+
+from reference_vote import reference_majority
 
 RNG = np.random.default_rng(0)
 VOTES_25 = RNG.standard_normal((25, 20_000))
@@ -68,7 +70,7 @@ def copies_of(tensor, file):
 
 def reference_majority_all_files(tensor):
     """The pure-Python reference vote (the test oracle), file by file."""
-    return [_reference_exact_majority(copies_of(tensor, i)) for i in range(tensor.num_files)]
+    return [reference_majority(copies_of(tensor, i)) for i in range(tensor.num_files)]
 
 
 @pytest.mark.benchmark(group="micro-aggregation")

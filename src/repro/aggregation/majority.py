@@ -1,11 +1,14 @@
 """Per-file majority vote over replicated gradients (paper Eq. (3)).
 
-Each file's gradient is computed by ``r`` workers; the PS picks the value that
-appears the largest number of times.  Honest workers return bit-identical
-gradients for the same file (the simulator guarantees this, matching the
-paper's implementation note), so the vote is on exact content: two copies
-are the same vote iff their bytes are equal (NaN payloads with equal bits
-are equal, ``-0.0 != +0.0``).  Ties go to the class seen first in slot order.
+Each file's gradient is computed by ``r`` workers.  Honest workers return
+bit-identical gradients for the same file (the simulator guarantees this,
+matching the paper's implementation note), so the vote is on exact content:
+two copies are the same vote iff their bytes are equal (NaN payloads with
+equal bits are equal, ``-0.0 != +0.0``).  The rule is the paper's: a file is
+decided iff one content class holds at least ``r' = r // 2 + 1`` of its
+accepted copies (:func:`~repro.core.distortion.majority_threshold` for odd
+``r``), the threshold the graph's ``c_max`` counts by; otherwise it
+abstains (no winner).
 
 The pipelines enter through :func:`majority_vote_votetensor`, which never
 builds the ``(f, r, d)`` replica cube: :func:`override_content_ids` classes
@@ -13,17 +16,12 @@ a :class:`~repro.core.vote_tensor.VoteTensor`'s override payloads once — per
 distinct stored row, not per slot — into an ``(f, r)`` integer matrix, the
 winning slots resolve from those integers, and the winners leave as a
 :class:`~repro.core.vote_tensor.RowSelection` of those slots rather than as
-a second ``(f, d)`` matrix.  Only the copies the PS accepted vote: an
-incomplete file resolves over its arrived slots of the same matrix, and a
-file with no arrived copy abstains — it has no winner.  This is the only vote
-kernel: a group topology shapes when the event engine stops accepting
-copies, never how the PS votes them.  The ids are canonical (0 = the
+a second ``(f, d)`` matrix.  This is the only vote kernel: a group topology
+shapes when the event engine stops accepting copies, never how the PS votes
+them.  The ids are canonical (0 = the
 file's honest base row, the rest numbered by first appearance), and the
 vote hands them on with each winner's reference into them: the scenario
 trace hashes the round from those instead of from every slot.
-
-``_reference_exact_majority`` is the pure-Python single-file oracle the
-kernels are tested and benchmarked against.
 """
 
 from __future__ import annotations
@@ -56,23 +54,6 @@ def validate_block_size(block_size: int | None) -> int | None:
             f"block_size must be a positive integer or None, got {block_size}"
         )
     return block_size
-
-
-# --------------------------------------------------------------------------- #
-# Reference single-file implementation — the oracle the vectorized vote is
-# tested and benchmarked against.
-# --------------------------------------------------------------------------- #
-def _reference_exact_majority(matrix: np.ndarray) -> tuple[np.ndarray, int]:
-    """Majority by exact byte equality; returns (winner, count)."""
-    counts: dict[bytes, int] = {}
-    first_index: dict[bytes, int] = {}
-    for idx in range(matrix.shape[0]):
-        key = matrix[idx].tobytes()
-        counts[key] = counts.get(key, 0) + 1
-        first_index.setdefault(key, idx)
-    # Deterministic tie-break: highest count, then earliest appearance.
-    best_key = max(counts, key=lambda k: (counts[k], -first_index[k]))
-    return matrix[first_index[best_key]].copy(), counts[best_key]
 
 
 # --------------------------------------------------------------------------- #
@@ -138,12 +119,6 @@ def _rows_equal(gather_a, gather_b, count: int, d: int, block_size: int | None) 
         if not equal.any():
             break
     return equal
-
-
-def _class_sizes(labels: np.ndarray) -> np.ndarray:
-    """``sizes[i, s]``: members of file ``i``'s class anchored at slot ``s``."""
-    r = labels.shape[1]
-    return (labels[:, :, None] == np.arange(r)[None, None, :]).sum(axis=1)
 
 
 def _row_bits(bits: np.ndarray, rows: np.ndarray):
@@ -248,66 +223,37 @@ def _canonical(cid: np.ndarray) -> np.ndarray:
     return cid
 
 
-def _labels_from_ids(ids: np.ndarray) -> np.ndarray:
-    """Smallest-slot labels of an ``(n, r)`` content-id matrix: ``labels[i, k]``
-    is the smallest slot of row ``i`` whose id equals slot ``k``'s."""
-    n, r = ids.shape
-    labels = np.zeros((n, r), dtype=np.int64)
-    for k in range(1, r):
-        eq = ids[:, :k] == ids[:, k : k + 1]
-        labels[:, k] = np.where(eq.any(axis=1), eq.argmax(axis=1), k)
-    return labels
-
-
-def _resolve(ids: np.ndarray, arrived: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """``(slot, count)`` per row of an ``(n, r)`` content-id matrix.
-
-    The winner is the largest class of equal ids, anchored at its smallest
-    slot; on a tie the smaller anchor wins — the reference's "earliest
-    appearance".  With ``arrived`` only those slots vote: a missing slot
-    gets an id of its own and can never win, and a row with no arrived slot
-    resolves to slot 0 with count 0.
-    """
-    n, r = ids.shape
-    if arrived is not None:
-        ids = np.where(arrived, ids, -1 - np.arange(r))
-    sizes = _class_sizes(_labels_from_ids(ids))
-    # Lexicographic (count desc, anchor-slot asc): counts differ by >= 1
-    # which outweighs any slot difference (< r); empty classes score <= 0
-    # and real classes score >= 1, so non-anchors never win.
-    score = sizes * r - np.arange(r)[None, :]
-    if arrived is not None:
-        score[~arrived] = -r
-    best = score.argmax(axis=1)
-    counts = sizes[np.arange(n), best]
-    if arrived is not None:
-        counts[~arrived.any(axis=1)] = 0
-    return best, counts
-
-
 def _winning_slots(
     ids: np.ndarray, arrived: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Each file's winning slot and vote count from the ``(f, r)`` content ids.
 
-    A complete file whose ids are all zero holds ``r`` copies of its base
-    row: slot 0, count ``r``, no work.  The other complete files resolve
-    over all ``r`` slots and the incomplete ones over their arrived slots (a
-    file with none gets count 0), so each file is resolved at most once.
+    A file is decided iff one class of equal ids holds ``r' = r // 2 + 1``
+    of its accepted slots (``None``: all); ``r' > r / 2``, so at most one
+    class can, and its smallest accepted slot wins.  Otherwise the count is
+    0: the file abstains.  A complete file whose ids are all zero is slot 0,
+    count ``r``, with no work.
     """
     f, r = ids.shape
     slots = np.zeros(f, dtype=np.int64)
     counts = np.full(f, r, dtype=np.int64)
     touched = ids.any(axis=1)
     if arrived is not None:
-        complete = arrived.all(axis=1)
-        touched &= complete
-        incomplete = np.nonzero(~complete)[0]
-        if incomplete.size:
-            slots[incomplete], counts[incomplete] = _resolve(ids[incomplete], arrived[incomplete])
+        touched |= ~arrived.all(axis=1)
     touched = np.nonzero(touched)[0]
     if touched.size:
-        slots[touched], counts[touched] = _resolve(ids[touched])
+        sub = ids[touched]
+        # equal[i, k, j]: slot j votes for slot k's class
+        equal = sub[:, :, None] == sub[:, None, :]
+        if arrived is not None:
+            voters = arrived[touched]
+            equal &= voters[:, None, :]  # only accepted copies vote
+            equal &= voters[:, :, None]  # and only they can win
+        sizes = equal.sum(axis=2)
+        best = sizes.argmax(axis=1)
+        won = sizes[np.arange(touched.size), best]
+        won[won <= r // 2] = 0
+        slots[touched], counts[touched] = best, won
     return slots, counts
 
 
@@ -318,11 +264,11 @@ class Vote(NamedTuple):
     ----------
     winners:
         The ``(n, d)`` winning rows as a
-        :class:`~repro.core.vote_tensor.RowSelection`, one per file with an
-        arrived copy, in file order.
+        :class:`~repro.core.vote_tensor.RowSelection`, one per decided file,
+        in file order.
     counts:
-        ``(f,)`` votes behind each file's winner (0: no copy arrived, so the
-        file has no winner).
+        ``(f,)`` votes behind each file's winner, at least ``r'``; 0 for a
+        file that abstained (no class of ``r'`` accepted copies).
     content_ids:
         The round's ``(f, r)`` canonical content ids
         (:func:`override_content_ids`).
@@ -341,9 +287,9 @@ def _select_winners(
 ) -> Vote:
     """The voted ``(slots, counts)`` handed on as a :class:`Vote`.
 
-    A file with count 0 (no arrived copy) abstains: it has no winner row and
-    no reference.  No payload row is copied here: the winners reference the
-    tensor's payload store.
+    A file with count 0 abstains: it has no winner row and no reference.  No
+    payload row is copied here: the winners reference the tensor's payload
+    store.
     """
     files = np.nonzero(counts)[0]
     winners = tensor.select_slots(slots[files], None if files.size == slots.size else files)
@@ -369,8 +315,8 @@ def majority_vote_votetensor(
     winner's reference into them, which is what the scenario trace hashes.
 
     ``arrived`` is the ``(f, r)`` bool mask of the copies the PS accepted
-    (``None``: every copy arrived): a file missing a copy is voted over its
-    arrived copies only, and a file with none abstains (count 0, no
+    (``None``: every copy arrived): only those copies vote, and a file
+    whose largest class of them is short of ``r'`` abstains (count 0, no
     winner).  Every payload-touching stage streams coordinate blocks of width
     ``block_size`` (``None``: :data:`~repro.utils.arrays.LANE_BLOCK`), and
     every width gives the same bits.

@@ -32,30 +32,40 @@ def coordinate_median(
 ) -> np.ndarray:
     """Per-column median of ``(n, d)`` votes, on contiguous lanes.
 
-    ``np.median``'s own recipe — partition at the middle rank(s), then
-    ``np.mean`` over the middle slice (which also maps a -0.0 median to
-    +0.0) — so the result is bit-identical to ``np.median(matrix, axis=0)``.
-    Each coordinate block is transposed into one reused ``(_LANE_BLOCK, n)``
-    buffer (:meth:`RowSelection.lanes`; a plain matrix is a selection with
-    nothing patched), so a coordinate's ``n`` votes are adjacent instead of
-    a row stride apart and neither a ``(d, n)`` copy nor the dense matrix
-    of a selection exists.  ``np.median``'s extra NaN probe rank is dropped:
-    the votes must be finite, or ``clamp_non_finite`` set — each block is
-    then tested in the buffer and given :meth:`Aggregator.__call__`'s
-    substitutions (NaN -> 0, +-inf -> +-1e30) by :meth:`RowSelection.lanes`,
-    which is bit-identical to clamping the whole matrix first.
+    ``np.median``'s own recipe — the middle rank(s), then ``np.mean`` over
+    them (which also maps a -0.0 median to +0.0) — so the result is
+    bit-identical to ``np.median(matrix, axis=0)``.  Each coordinate block is
+    transposed into one reused ``(_LANE_BLOCK, n)`` buffer
+    (:meth:`RowSelection.lanes`; a plain matrix is a selection with nothing
+    patched), so a coordinate's ``n`` votes are adjacent instead of a row
+    stride apart and neither a ``(d, n)`` copy nor the dense matrix of a
+    selection exists.  It is partitioned at the one rank ``n // 2``: for an
+    even ``n`` (an abstaining file leaves one) the lower middle is the
+    largest vote below it, a column loop of ``np.maximum`` into a
+    ``(block, 2)`` pair — a second rank would cost the partition 4-5x.
+    ``np.median``'s extra NaN probe rank is dropped: the votes must be
+    finite, or ``clamp_non_finite`` set — each block is then tested in the
+    buffer and given :meth:`Aggregator.__call__`'s substitutions (NaN -> 0,
+    +-inf -> +-1e30) by :meth:`RowSelection.lanes`, which is bit-identical to
+    clamping the whole matrix first.
     """
     votes = RowSelection.of(votes)
     n, d = votes.shape
-    middle = slice((n - 1) // 2, n // 2 + 1)
-    ranks = list(range(middle.start, middle.stop))
+    k = n // 2
     out = np.empty(d, dtype=votes.dtype)
     buffer = np.empty((min(d, _LANE_BLOCK), n), dtype=votes.dtype)
+    pair = np.empty((min(d, _LANE_BLOCK), 2), dtype=votes.dtype) if n % 2 == 0 else None
     for lo, hi in block_ranges(d, _LANE_BLOCK):
         lanes = buffer[: hi - lo]
         votes.lanes(lo, hi, lanes, clamp_non_finite)
-        lanes.partition(ranks, axis=1)
-        np.mean(lanes[:, middle], axis=1, out=out[lo:hi])
+        lanes.partition(k, axis=1)
+        middle = lanes[:, k : k + 1]
+        if pair is not None:
+            middle = pair[: hi - lo]
+            middle[:] = lanes[:, k - 1 : k + 1]
+            for j in range(k - 1):
+                np.maximum(middle[:, 0], lanes[:, j], out=middle[:, 0])
+        np.mean(middle, axis=1, out=out[lo:hi])
     return out
 
 

@@ -103,6 +103,12 @@ class TrainingCluster:
                 f"runtime quorum {runtime.quorum} exceeds the assignment's "
                 f"replication r={assignment.replication}: no file could close"
             )
+        r_prime = assignment.replication // 2 + 1
+        if runtime.groups is None and runtime.quorum is not None and runtime.quorum < r_prime:
+            raise TrainingError(
+                f"runtime quorum {runtime.quorum} is below the r'={r_prime} matching "
+                "copies the vote needs: no file could be decided"
+            )
         if runtime.groups is not None and runtime.groups > assignment.num_workers:
             raise TrainingError(
                 f"runtime groups {runtime.groups} exceed the assignment's "

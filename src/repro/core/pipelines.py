@@ -88,9 +88,9 @@ class RoundOutcome:
         The ``(d,)`` update direction — the pipeline's reducer applied to
         ``winners``.
     winners:
-        The ``(n, d)`` rows the reducer saw: one majority winner per file
-        with an arrived copy (for the vanilla pipeline, ``r = 1``, that is
-        each arrived worker's raw row).  A read-only
+        The ``(n, d)`` rows the reducer saw: one majority winner per decided
+        file (for the vanilla pipeline, ``r = 1``, that is each arrived
+        worker's raw row).  A read-only
         :class:`~repro.core.vote_tensor.RowSelection`, not an array: it
         references the round's honest matrix and holds only the
         rows that differ from it, so it is valid until the next round is
@@ -104,12 +104,17 @@ class RoundOutcome:
     winner_refs:
         ``(n, 2)`` int64: row ``i`` of ``winners`` is ``(file, content
         id)`` — the file's slot content it holds.
+    counts:
+        ``(f,)`` accepted copies behind each file's winner; 0 for a file
+        that abstained (no class of ``r'`` accepted copies) and so has no
+        row in ``winners``.
     """
 
     aggregate: np.ndarray
     winners: RowSelection
     content_ids: np.ndarray
     winner_refs: np.ndarray
+    counts: np.ndarray
 
 
 class AggregationPipeline:
@@ -167,11 +172,10 @@ class AggregationPipeline:
 
         ``arrived`` is the ``(f, r)`` bool mask of the copies the PS
         accepted this round; ``None`` means every copy arrived.  A copy
-        that did not arrive abstains: each incomplete file is voted over its
-        arrived copies only, from the same content ids as the rest of the
-        round, and a file with no arrived copy has no winner, so the robust
-        stage sees only the files that were voted.  A round with no arrived
-        copy at all aggregates to a zero update.
+        that did not arrive does not vote.  A file is decided only when
+        ``r'`` of its accepted copies agree, and otherwise abstains and has
+        no winner, so the robust stage sees only the decided files.  A round
+        with no decided file aggregates to a zero update.
         """
         _validate_vote_tensor(self._expected_slot_matrix(), tensor)
         if arrived is not None:
@@ -187,6 +191,7 @@ class AggregationPipeline:
             winners=winners,
             content_ids=vote.content_ids,
             winner_refs=vote.winner_refs,
+            counts=vote.counts,
         )
 
     def _reduce(self, voted: RowSelection) -> np.ndarray:

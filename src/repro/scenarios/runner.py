@@ -144,6 +144,7 @@ def _round_trace(iteration: int, round_result, outcome, server) -> RoundTrace:
         round_time_hex=hex_float(round_result.round_time),
         faults=tuple(e.as_dict() for e in round_result.fault_events),
         realised_distorted=tuple(refs[refs[:, 1] != 0, 0].tolist()),
+        abstained=tuple(np.flatnonzero(outcome.counts == 0).tolist()),
     )
 
 

@@ -3,7 +3,8 @@
 A :class:`RoundTrace` condenses one training round into digests of every
 stage of the data path — the raw vote tensor, the post-vote matrix, the
 aggregated gradient and the updated parameters — plus the realized adversary
-and fault activity and the files the vote actually let through distorted.
+and fault activity, the files the vote actually let through distorted and
+the files it left undecided.
 A :class:`RunTrace` is the per-run sequence of round traces together with
 the spec digest, the evaluated loss/accuracy series and final metrics.
 
@@ -122,8 +123,11 @@ class RoundTrace(Schema, where="round"):
     realised_distorted:
         Files whose post-vote row is not bit-equal to their honest row — a
         winner with a nonzero content id — read off the vote's winner
-        references.  A file with no arrived copy has no winner, so it is
-        not listed.
+        references.  A file that abstained has no winner, so it is not
+        listed.
+    abstained:
+        Files the vote left undecided: no class of ``r'`` accepted copies
+        agreed.  Left out of the JSON when empty.
     """
 
     iteration: int = spec_field(int, pinned=True)
@@ -138,6 +142,7 @@ class RoundTrace(Schema, where="round"):
     round_time_hex: str = spec_field(str, pinned=True, default=hex_float(0.0))
     faults: tuple[Mapping[str, Any], ...] = spec_field((dict,), pinned=True, default=())
     realised_distorted: tuple[int, ...] = spec_field((int,), pinned=True, default=())
+    abstained: tuple[int, ...] = spec_field((int,), default=())
 
     @property
     def round_time(self) -> float:

@@ -82,11 +82,13 @@ def test_majority_vote_exact_equality():
     assert count == 2
 
 
-def test_majority_vote_all_different_returns_first():
+def test_majority_vote_all_different_abstains():
+    """Three different copies: no class holds r' = 2 of them, so the file
+    has no winner — there is no first-slot tie-break."""
     votes = [np.array([float(i)]) for i in range(3)]
-    winner, count = majority_vote(votes)
-    assert count == 1
-    assert winner[0] == 0.0
+    winners, counts, _, refs = majority_vote_votetensor(tensor_of(np.asarray(votes)[None]))
+    assert counts.tolist() == [0]
+    assert winners.shape == (0, 1) and refs.shape == (0, 2)
 
 
 def test_majority_vote_byzantine_majority_wins():

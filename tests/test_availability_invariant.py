@@ -2,12 +2,13 @@
 
 Stragglers past their timeout, crashed workers and copies the event engine
 rejects as late are all one thing to the parameter server: a copy it did
-not receive.  Such a copy is not counted as a zero vote, so with no
-adversary the vote returns every file's honest gradient however many copies
-are missing.  With an adversary, the vote can still return a Byzantine
-payload the graph did not predict, but only for a file that lost a copy (its
-accepted Byzantine copies out-number its accepted honest ones) or in a round
-where a message was corrupted in flight.
+not receive.  Such a copy is not counted as a zero vote, and a file is
+decided only by r' = ``majority_threshold(r)`` matching accepted copies,
+so with no adversary the vote returns every file's honest gradient or
+nothing, however many copies are missing.  With an adversary, the vote
+returns a Byzantine payload only for a file the graph predicted (r' of its
+copies are Byzantine) — the paper's guarantee — unless a message was
+corrupted in flight that round.
 """
 
 from __future__ import annotations
@@ -35,7 +36,8 @@ def test_two_abandoned_copies_of_a_file_do_not_out_vote_its_honest_one(
     small_classification_data,
 ):
     """r = 3, q = 0, no runtime: the straggler timeout abandons two workers
-    that share a file.  Its one accepted copy is honest, so it wins."""
+    that share a file.  Its one accepted copy is honest but short of r' = 2,
+    so the file abstains: no row, nothing distorted, and the trace says so."""
     train, test = small_classification_data
     assignment = MOLSAssignment(load=5, replication=3).assignment
     computer = ModelGradientComputer(build_mlp(train.flat_feature_dim, 4, hidden=(16,), seed=0))
@@ -53,11 +55,14 @@ def test_two_abandoned_copies_of_a_file_do_not_out_vote_its_honest_one(
     assert lost.max() == 2 and cluster.runtime.deadline == 1.0
     (file,) = np.nonzero(lost == 2)[0]
     assert round_result.byzantine_workers == ()
-    assert np.array_equal(outcome.winner_refs[:, 0], np.arange(assignment.num_files))
+    kept = np.delete(np.arange(assignment.num_files), file)
+    assert np.array_equal(outcome.winner_refs[:, 0], kept)
     assert (outcome.winner_refs[:, 1] == 0).all()
+    assert np.flatnonzero(outcome.counts == 0).tolist() == [file]
     honest = round_result.honest_matrix
-    assert outcome.winners.densified()[file].tobytes() == honest[file].tobytes()
-    assert _round_trace(0, round_result, outcome, trainer.server).realised_distorted == ()
+    assert outcome.winners.densified().tobytes() == honest[kept].tobytes()
+    trace = _round_trace(0, round_result, outcome, trainer.server)
+    assert trace.realised_distorted == () and trace.abstained == (file,)
 
 
 def _without_adversary(base: str, **changes) -> ScenarioSpec:
@@ -111,23 +116,39 @@ def _lost_copy_files(faults, assignment) -> set[int]:
     return files
 
 
-FAULTED = [
-    name for name in scenario_names()
-    if get_scenario(name).faults or get_scenario(name).runtime.is_event
-]
-
-
-@pytest.mark.parametrize("name", FAULTED)
-def test_the_vote_exceeds_the_graph_only_where_a_copy_was_lost_or_corrupted(name):
-    """Per recorded round: realised - predicted is inside the files that lost
-    a copy, unless a message was corrupted in flight that round."""
-    spec = get_scenario(name)
-    assignment = ScenarioRunner(spec)._build_assignment()
-    trace = RunTrace.from_json_file(golden_path(name))
-    for r in trace.rounds:
+def _rounds(name):
+    """``(assignment, round, predicted files)`` of every recorded round of
+    golden ``name``, the prediction checked against its ``num_distorted``."""
+    assignment = ScenarioRunner(get_scenario(name))._build_assignment()
+    for r in RunTrace.from_json_file(golden_path(name)).rounds:
         predicted = {int(i) for i in distorted_files(assignment, r.byzantine)} if r.q else set()
         assert len(predicted) == r.num_distorted
-        beyond = set(r.realised_distorted) - predicted
+        yield assignment, r, predicted
+
+
+@pytest.mark.parametrize("name", scenario_names())
+def test_the_vote_exceeds_the_graph_only_where_a_copy_was_lost_or_corrupted(name):
+    """Per recorded round without a message corrupted in flight: the vote
+    lets through only predicted files (realised ⊆ predicted) — a lost copy
+    can make a file abstain, never exceed the graph — and a file abstains
+    only if it held a Byzantine copy or lost one."""
+    for assignment, r, predicted in _rounds(name):
         if any(f["kind"] == "corruption" for f in r.faults):
             continue
-        assert beyond <= _lost_copy_files(r.faults, assignment), (name, r.iteration, beyond)
+        assert set(r.realised_distorted) <= predicted, (name, r.iteration)
+        touched = {int(i) for w in r.byzantine for i in assignment.files_of_worker(w)}
+        allowed = touched | _lost_copy_files(r.faults, assignment)
+        assert set(r.abstained) <= allowed, (name, r.iteration)
+
+
+@pytest.mark.parametrize("name", scenario_names())
+def test_a_round_without_faults_decides_each_predicted_file_or_abstains(name):
+    """Per recorded round with no fault at all: predicted = realised ∪
+    abstained — a predicted file either goes to its Byzantine payload or,
+    when its Byzantine copies disagree, abstains, and every other file is
+    decided honest.  A Byzantine payload bit-equal to its file's honest row
+    would be decided honest and break the equality; no golden sends one, so
+    it is asserted exactly."""
+    for _, r, predicted in _rounds(name):
+        if not r.faults:
+            assert predicted == set(r.realised_distorted) | set(r.abstained), (name, r.iteration)

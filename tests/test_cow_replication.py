@@ -39,6 +39,7 @@ from repro.core.pipelines import (
 from repro.core.vote_tensor import VoteTensor
 
 from cow_helpers import LAYOUTS, cube_of, tensor_of
+from reference_vote import reference_vote
 
 DIM = 7
 
@@ -87,12 +88,6 @@ def make_context(assignment, matrix, byzantine, seed=0):
 def assert_reads_as(tensor, cube):
     """The tensor's slots are the cube's, bit for bit."""
     assert cube_of(tensor).tobytes() == cube.tobytes()
-
-
-def reference_vote(cube):
-    """Per-file reference vote: ``(f, d)`` winners and ``(f,)`` counts."""
-    votes = [majority_module._reference_exact_majority(copies) for copies in cube]
-    return np.vstack([w for w, _ in votes]), np.array([c for _, c in votes])
 
 
 def assert_layout_free(tensor, pipelines):
@@ -487,9 +482,13 @@ def test_stored_rows_are_write_once(mols_assignment, mutator, layout, dtype):
     capacity = tensor._store.shape[0]  # the store is full: every write grows it
     table = tensor.override_table()[3]
     selection = tensor.select_slots(np.ones(tensor.num_files, dtype=np.int64))
-    winners = ByzShieldPipeline(mols_assignment).aggregate_tensor(tensor).winners
+    outcome = ByzShieldPipeline(mols_assignment).aggregate_tensor(tensor)
+    winners = outcome.winners
     before = [table.copy(), selection.densified().copy(), winners.densified().copy()]
-    assert np.array_equal(before[1], cube[:, 1]) and np.all(before[2][4] == 5.0)
+    # file 2's two noise copies leave no class of r' = 2: it abstains, and
+    # file 4 is the winners' row 3
+    assert outcome.counts[2] == 0 and outcome.winner_refs[3, 0] == 4
+    assert np.array_equal(before[1], cube[:, 1]) and np.all(before[2][3] == 5.0)
 
     files, slots = np.array([0, 4, 4]), np.array([1, 0, 1])
     mutate, model = MUTATORS[mutator]

@@ -8,8 +8,9 @@ qualitative robustness properties each combination is supposed to have:
   robust rule, the aggregate stays close to the honest aggregate;
 * when redundancy neutralizes every corrupted copy (q < r'), the aggregate is
   *exactly* the attack-free one;
-* the non-robust mean is pulled arbitrarily far (sanity check that the attacks
-  actually do something).
+* the non-robust mean is pulled arbitrarily far by a colluding attack (sanity
+  check that the attacks actually do something), while an uncoordinated one
+  only makes the files it holds abstain.
 """
 
 from __future__ import annotations
@@ -103,9 +104,11 @@ def test_byzshield_median_stays_near_honest_aggregate_q4(attack_name):
     assert np.all(np.abs(attacked - honest_median) <= honest_spread + 1e-9)
 
 
-@pytest.mark.parametrize("attack_name", ["constant", "reversed_gradient", "gaussian_noise"])
+@pytest.mark.parametrize("attack_name", ["constant", "reversed_gradient"])
 def test_mean_is_broken_by_every_large_magnitude_attack(attack_name):
-    """Sanity: the same corrupted votes destroy a plain mean aggregate."""
+    """Sanity: the same corrupted votes destroy a plain mean aggregate.  (An
+    uncoordinated large-magnitude attack cannot: its files abstain, see
+    below.)"""
     attack = ATTACKS[attack_name]
     votes, honest = attacked_votes(attack, q=4)
     pipeline = ByzShieldPipeline(ASSIGNMENT, aggregator=MeanAggregator())
@@ -117,21 +120,20 @@ def test_mean_is_broken_by_every_large_magnitude_attack(attack_name):
 
 @pytest.mark.parametrize("attack_name", sorted(ATTACKS))
 def test_corrupted_vote_count_matches_static_analysis(attack_name):
-    """The number of votes differing from the honest gradient equals c_max."""
-    attack = ATTACKS[attack_name]
-    votes, honest = attacked_votes(attack, q=4)
-    pipeline = ByzShieldPipeline(ASSIGNMENT)
-    voted = pipeline.aggregate_tensor(votes).winners.densified()
-    corrupted = sum(
-        0 if np.allclose(voted[i], honest[i]) else 1
-        for i in range(ASSIGNMENT.num_files)
-    )
-    # c_max for q=4 on MOLS(5,3) is 5 (paper Table 3).  Colluding attacks send
-    # identical payloads, so they corrupt exactly c_max votes; non-colluding
-    # noise attacks send a different payload per copy, their copies do not
-    # agree with each other and the exact-equality majority can fall back to
-    # the honest copy — they can never corrupt more than c_max.
+    """The files the graph predicts (r' = 2 Byzantine copies) are exactly the
+    c_max = 5 of q = 4 on MOLS(5, 3) (paper Table 3), and the vote decides
+    them as the rule says: colluding attacks send one payload, which wins
+    every predicted file; uncoordinated noise sends a different payload per
+    copy, so no class of a predicted file reaches r' and each of them
+    abstains.  Every other file is decided honest."""
+    votes, _ = attacked_votes(ATTACKS[attack_name], q=4)
+    predicted = set(np.flatnonzero(votes.byzantine_mask.sum(axis=1) >= 2).tolist())
+    outcome = ByzShieldPipeline(ASSIGNMENT).aggregate_tensor(votes)
+    refs = outcome.winner_refs
+    realised = set(refs[refs[:, 1] != 0, 0].tolist())
+    abstained = set(np.flatnonzero(outcome.counts == 0).tolist())
+    assert len(predicted) == 5
     if attack_name in ("alie", "constant", "reversed_gradient"):
-        assert corrupted == 5
+        assert realised == predicted and not abstained
     else:
-        assert corrupted <= 5
+        assert abstained == predicted and not realised

@@ -48,6 +48,7 @@ from repro.scenarios.trace import RunTrace, TraceMismatch
 from repro.utils.digest import array_digest
 
 from cow_helpers import LAYOUTS, cube_of, tensor_of
+from reference_vote import reference_vote
 
 
 def oracle_digest(array):
@@ -397,8 +398,10 @@ PATHS = {
 @pytest.mark.parametrize("path", sorted(PATHS))
 def test_winner_references_name_the_rows_the_reducer_saw(path, dtype):
     """Each densified winner is the cube row its ``(file, id)`` names: the
-    file's base row (0) or the first slot holding that id; a file nobody
-    returned has no winner; and the winners digest is the reference's."""
+    file's base row (0) or the first slot holding that id; a file the
+    reference vote leaves undecided (nobody returned it, or fewer than r' of
+    its arrived copies agree) has no winner; and the winners digest is the
+    reference's."""
     make, missing = PATHS[path]
     pipeline = make()
     assignment = pipeline.assignment
@@ -426,8 +429,7 @@ def test_winner_references_name_the_rows_the_reducer_saw(path, dtype):
         expected = honest[file] if cid == 0 else cube[ids == cid][0]
         assert cid in ids[file]  # one of the file's own copies
         assert row.tobytes() == expected.tobytes()
-    kept = np.arange(assignment.num_files) if arrived is None else np.nonzero(arrived.any(axis=1))[0]
-    assert refs[:, 0].tolist() == kept.tolist()
+    assert refs[:, 0].tolist() == np.flatnonzero(reference_vote(cube, arrived)[1]).tolist()
     if path.startswith("flat"):
         assert (refs[:, 1] != 0).any()
     assert array_digest(outcome.winners, refs) == reference_winners_digest(winners.shape, refs)

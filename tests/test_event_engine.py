@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from repro.aggregation.majority import _reference_exact_majority, majority_vote_votetensor
+from repro.aggregation.majority import majority_vote_votetensor
 from repro.aggregation.median import CoordinateWiseMedian
 from repro.assignment.baseline import BaselineAssignment
 from repro.assignment.frc import FRCAssignment
@@ -39,6 +39,7 @@ from repro.scenarios.runner import run_scenario
 from repro.scenarios.spec import ScenarioSpec
 
 from cow_helpers import FixedSelector, cube_of, tensor_of
+from reference_vote import reference_vote
 from test_cluster import DIM, make_file_data, quadratic_gradient_fn
 
 COST = CostModel()
@@ -427,16 +428,19 @@ def test_arrivals_and_collect_match_the_loops_bit_for_bit(scheme):
 # --------------------------------------------------------------------------- #
 class TestAbstention:
     def test_masked_vote_ignores_unarrived_majority(self, frc_3):
-        """Two unarrived bad copies must not outvote the one accepted copy."""
+        """Two unarrived bad copies do not vote: they win the file only when
+        they arrive, and without them its one accepted honest copy is short
+        of r' = 2, so the file abstains instead of being out-voted."""
         tensor = VoteTensor.from_honest(frc_3, np.ones((1, 4)))
         bad = np.full(4, 9.0)
         tensor.write_slots(np.array([0, 0]), np.array([0, 1]), bad)
         pipeline = ByzShieldPipeline(frc_3)
-        full = pipeline.aggregate_tensor(tensor).winners.densified()
-        np.testing.assert_array_equal(full[0], bad)
-        arrived = np.array([[False, False, True]])
-        masked = pipeline.aggregate_tensor(tensor, arrived).winners.densified()
-        np.testing.assert_array_equal(masked[0], np.ones(4))
+        full = pipeline.aggregate_tensor(tensor)
+        np.testing.assert_array_equal(full.winners.densified()[0], bad)
+        assert full.counts.tolist() == [2]
+        for arrival in ([False, False, True], [False, True, True]):
+            masked = pipeline.aggregate_tensor(tensor, np.array([arrival]))
+            assert masked.counts.tolist() == [0] and masked.winners.shape == (0, 4)
 
     def test_all_true_mask_matches_unmasked(self, mols_assignment, rng):
         tensor = VoteTensor.from_honest(
@@ -472,11 +476,7 @@ class TestAbstention:
         arrived[np.arange(f), rng.integers(r, size=f)] = False  # nobody complete
         arrived[3] = False  # a file nobody returned in time
         cube = cube_of(lazy)
-        expected = np.stack([
-            _reference_exact_majority(cube[i, arrived[i]])[0]
-            for i in range(f)
-            if arrived[i].any()
-        ])
+        expected, counts = reference_vote(cube, arrived)
 
         def peak_of(tensor, mask):
             # the flat ByzShield pipeline's vote, without the robust stage
@@ -492,6 +492,7 @@ class TestAbstention:
             vote, masked_peak = peak_of(tensor, arrived)
             assert vote.winners.dtype == expected.dtype
             assert vote.winners.densified().tobytes() == expected.tobytes()
+            assert vote.counts.tolist() == counts.tolist()
             assert 3 not in vote.winner_refs[:, 0]  # the empty file abstains
             block = r * dim * expected.itemsize
             scratch = masked_peak - unmasked_peak  # the winners hold no row
@@ -670,6 +671,18 @@ class TestClusterEventRound:
     def test_quorum_above_replication_rejected(self, mols_assignment):
         with pytest.raises(TrainingError):
             make_cluster(mols_assignment, runtime=AsyncRuntime(quorum=4))
+
+    def test_quorum_below_r_prime_rejected_without_groups(self, ramanujan_case2):
+        """r = 5, r' = 3: a file that closes after two copies could never be
+        decided, so an ungrouped quorum of 2 is refused at build, by name.
+        With groups the quorum is per (file, group) cell and a file's cells
+        together accept more copies, so the same quorum builds."""
+        assignment = ramanujan_case2.assignment
+        with pytest.raises(TrainingError, match=r"quorum 2 is below the r'=3"):
+            make_cluster(assignment, runtime=AsyncRuntime(quorum=2))
+        make_cluster(assignment, runtime=AsyncRuntime(quorum=3))
+        grouped = make_cluster(assignment, runtime=AsyncRuntime(quorum=2, groups=3))
+        assert grouped.runtime.quorum == 2 and grouped.runtime.groups == 3
 
 
 # --------------------------------------------------------------------------- #

@@ -21,8 +21,6 @@ from repro.aggregation import majority
 from repro.aggregation.majority import (
     _accumulate_hashes,
     _hash_weights,
-    _labels_from_ids,
-    _reference_exact_majority,
     _row_bits,
     _rows_equal,
     majority_vote_votetensor,
@@ -39,6 +37,7 @@ from repro.core.vote_tensor import RowSelection, VoteTensor
 from repro.utils.arrays import _SCRATCH_ROW, GATHER_ELEMENTS, LANE_BLOCK, column_mean_std
 
 from cow_helpers import cube_of
+from reference_vote import reference_vote
 
 ROWS = (1, 2, 5, 9, 24, 25)
 DIMS = (1, 2, 63, LANE_BLOCK - 1, LANE_BLOCK, LANE_BLOCK + 1, 2 * LANE_BLOCK + 1, 11_274)
@@ -95,6 +94,23 @@ def test_negative_zero_median_maps_to_positive_zero():
     matrix = np.zeros((5, LANE_BLOCK + 3))
     matrix[:3] = -0.0
     matrix[:, 1::2] *= -1.0
+    result = coordinate_median(matrix)
+    assert_same_bits(result, np.median(matrix, axis=0))
+    assert not np.signbit(result).any()
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("n", [2, 4, 24])
+def test_even_n_signed_zero_tie_maps_to_positive_zero(n, dtype):
+    """Even ``n``: the lower middle is the largest vote below rank ``n // 2``,
+    and a pair of zeros of any signs — both -0.0 included, whichever zero
+    ``np.maximum`` keeps — averages to +0.0, as ``np.median`` has it."""
+    matrix = np.zeros((n, LANE_BLOCK + 3), dtype=dtype)
+    matrix[: n // 2 + 1] = -0.0  # both middle votes -0.0 (the even columns)
+    matrix[n // 2 + 1 :] = 1.0
+    matrix[:, 1::2] = np.where(np.arange(n)[:, None] % 2, 0.0, -0.0)  # mixed signs
+    if n > 2:
+        matrix[0, 2::3] = -5.0
     result = coordinate_median(matrix)
     assert_same_bits(result, np.median(matrix, axis=0))
     assert not np.signbit(result).any()
@@ -170,7 +186,8 @@ def negative_zero_at(index):
 
 
 def byte_labels(cube):
-    """``labels[i, k]``: the smallest slot of file ``i`` holding slot ``k``'s bytes."""
+    """``labels[i, k]``: the smallest slot of file ``i`` holding slot ``k``'s
+    bytes — of an ``(f, r, d)`` cube, or of the ``(f, r)`` content ids."""
     labels = np.zeros(cube.shape[:2], dtype=np.int64)
     for i, copies in enumerate(cube):
         seen: dict[bytes, int] = {}
@@ -209,7 +226,7 @@ def test_override_ids_match_the_dense_oracle(dim, block_size, dtype):
     cube = cube_of(tensor)
 
     ids = override_content_ids(tensor, block_size)
-    assert np.array_equal(_labels_from_ids(ids), byte_labels(cube))
+    assert np.array_equal(byte_labels(ids), byte_labels(cube))
     # the equal rows are classed with the base, every other override is not
     overridden = np.array([row is not None for row in payload_rows])
     equal = np.array([0, 5])
@@ -219,9 +236,9 @@ def test_override_ids_match_the_dense_oracle(dim, block_size, dtype):
 
     winners, counts, _, _ = majority_vote_votetensor(tensor, block_size=block_size)
 
-    votes = [_reference_exact_majority(copies) for copies in cube]
-    assert winners.densified().tobytes() == np.vstack([w for w, _ in votes]).tobytes()
-    assert counts.tolist() == [c for _, c in votes]
+    expected, expected_counts = reference_vote(cube)
+    assert winners.densified().tobytes() == expected.tobytes()
+    assert counts.tolist() == expected_counts.tolist()
 
 
 @pytest.mark.parametrize("block_size", BLOCK_SIZES)
@@ -496,5 +513,5 @@ class TestNoFullWidthTemporary:
         assert np.unique(rows * f + files_written).size >= 64
         cube = cube_of(tensor)
         ids = override_content_ids(tensor, block_size)
-        assert np.array_equal(_labels_from_ids(ids), byte_labels(cube))
+        assert np.array_equal(byte_labels(ids), byte_labels(cube))
         assert np.array_equal(ids, override_content_ids(tensor, d))

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.aggregation.majority import _reference_exact_majority
 from repro.aggregation.mean import MeanAggregator
 from repro.aggregation.median import CoordinateWiseMedian
 from repro.assignment.frc import FRCAssignment
@@ -18,6 +17,7 @@ from repro.core.vote_tensor import VoteTensor
 from repro.exceptions import AggregationError, ConfigurationError
 
 from cow_helpers import cube_of
+from reference_vote import reference_vote
 
 
 DIM = 4
@@ -222,20 +222,6 @@ OUTCOME_PIPELINES = {
 }
 
 
-def reference_winners(votes, arrived):
-    """The post-vote matrix of the plain cube: each file's reference vote
-    over its arrived copies, in file order; a file with no arrived copy
-    abstains and has no row.  At ``r = 1`` (vanilla) these are the arrived
-    workers' own returns."""
-    cube = cube_of(votes)
-    winners = [
-        _reference_exact_majority(copies if arrived is None else copies[arrived[i]])[0]
-        for i, copies in enumerate(cube)
-        if arrived is None or arrived[i].any()
-    ]
-    return np.stack(winners) if winners else cube[:0, 0]
-
-
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("partial", [False, True], ids=["all-arrived", "some-missing"])
 @pytest.mark.parametrize("kind", sorted(OUTCOME_PIPELINES))
@@ -255,7 +241,11 @@ def test_outcome_is_the_post_vote_matrix_and_its_reduction(request, kind, partia
         arrived[1] = True
 
     outcome = pipeline.aggregate_tensor(votes, arrived)
-    expected = reference_winners(votes, arrived)
+    # each file's reference vote over its arrived copies, in file order; a
+    # file without r' equal arrived copies abstains and has no row.  At
+    # r = 1 (vanilla) these are the arrived workers' own returns.
+    expected, counts = reference_vote(cube_of(votes), arrived)
+    assert outcome.counts.tolist() == counts.tolist()
     assert outcome.winners.dtype == expected.dtype
     assert outcome.winners.shape == expected.shape
     assert outcome.winners.densified().tobytes() == expected.tobytes()

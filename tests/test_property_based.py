@@ -8,7 +8,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from repro.aggregation.geometric_median import geometric_median
-from repro.aggregation.majority import _reference_exact_majority, majority_vote_votetensor
+from repro.aggregation.majority import majority_vote_votetensor
 from repro.aggregation.median import CoordinateWiseMedian
 from repro.aggregation.trimmed_mean import TrimmedMeanAggregator
 from repro.assignment.frc import FRCAssignment
@@ -30,6 +30,7 @@ from repro.graphs.expansion import gamma_upper_bound, neighborhood_lower_bound
 from repro.graphs.spectral import second_eigenvalue
 
 from cow_helpers import cube_of, tensor_of
+from reference_vote import reference_vote
 from test_distortion import reference_exhaustive
 
 SUPPRESS = [HealthCheck.too_slow]
@@ -319,8 +320,8 @@ def test_post_vote_matrix_matches_reference_vote(
         tensor = tensor_of(cube, assignment)
 
     pipeline = pipeline_cls(assignment, block_size=block_size)
-    voted = pipeline.aggregate_tensor(tensor).winners.densified()
-    for i in range(assignment.num_files):
-        expected, _ = _reference_exact_majority(cube[i])
-        assert np.array_equal(voted[i], expected), (i, voted[i], expected)
+    outcome = pipeline.aggregate_tensor(tensor)
+    expected, counts = reference_vote(cube)
+    assert outcome.counts.tolist() == counts.tolist()
+    assert np.array_equal(outcome.winners.densified(), expected)
 

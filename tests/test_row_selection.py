@@ -15,7 +15,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.aggregation.majority import (
-    _reference_exact_majority,
     _winning_slots,
     majority_vote_votetensor,
     override_content_ids,
@@ -33,6 +32,7 @@ from repro.utils.arrays import LANE_BLOCK
 from repro.utils.digest import array_digest
 
 from cow_helpers import cube_of, tensor_of
+from reference_vote import reference_vote
 
 RAMANUJAN = RamanujanAssignment(m=5, s=5).assignment  # K = f = 25, r = 5
 BASELINE = BaselineAssignment(num_workers=10).assignment
@@ -44,12 +44,14 @@ DTYPES = (np.float32, np.float64)
 def attacked_round(assignment, dtype, seed=0):
     """A lazy round with every kind of slot: a colluding payload that
     out-votes the base on some files and loses on others, per-slot noise,
-    and an override equal to its base."""
+    and an override equal to its base.  File 0's four Byzantine copies end
+    up as four different noise rows, so no class reaches r' = 3: it
+    abstains."""
     rng = np.random.default_rng(seed)
     honest = rng.standard_normal((assignment.num_files, DIM)).astype(dtype)
     tensor = VoteTensor.from_honest(assignment, honest)
     workers = tensor.workers
-    # whoever holds file 0 and file 7: those two files (at least) flip
+    # whoever holds file 0 and file 7: file 7 (at least) flips
     majority = assignment.replication // 2 + 1
     byzantine = set(workers[0, :majority].tolist()) | set(workers[7, -majority:].tolist())
     tensor.mark_byzantine(byzantine)
@@ -58,21 +60,6 @@ def attacked_round(assignment, dtype, seed=0):
     tensor.write_slots(files[:4], slots[:4], rng.standard_normal((4, DIM)).astype(dtype))
     tensor.write_slots([2], [0], honest[2])
     return tensor, honest
-
-
-def reference_vote(cube, arrived=None):
-    """Per-file reference vote over the arrived copies: ``(winners, counts)``.
-    A file nobody returned abstains: count 0 and no row in ``winners``."""
-    winners = np.zeros((0, cube.shape[2]), dtype=cube.dtype)
-    counts = np.zeros(cube.shape[0], dtype=np.int64)
-    for i, copies in enumerate(cube):
-        if arrived is not None:
-            copies = copies[arrived[i]]
-        if len(copies) == 0:
-            continue
-        winner, counts[i] = _reference_exact_majority(copies)
-        winners = np.vstack([winners, winner[None]])
-    return winners, counts
 
 
 def assert_stands_for(selection, dense):
@@ -118,18 +105,19 @@ def test_winners_equal_the_reference_vote(arrival, source, block_size, dtype):
         tensor = tensor_of(cube, RAMANUJAN)
     pipeline = ByzShieldPipeline(RAMANUJAN, block_size=block_size)
     arrived = masks(arrival, tensor.workers.shape)
-    expected, _ = reference_vote(cube, arrived)
+    expected, counts = reference_vote(cube, arrived)
 
     outcome = pipeline.aggregate_tensor(tensor, arrived)
     selection = outcome.winners
     assert_stands_for(selection, expected)
+    assert outcome.counts.tolist() == counts.tolist()
     if arrival == "all-arrived":
         # only winners that are not base rows are copied: for the attacked
-        # round the flipped files (0 and 7 among them) and file 2, whose
-        # override equals its base; for the rebuilt one the winners outside
-        # slot 0
-        flipped = np.nonzero((expected != honest).any(axis=1))[0]
-        assert {0, 7} <= set(flipped.tolist())
+        # round the flipped files (7 among them) and file 2, whose override
+        # equals its base; for the rebuilt one the winners outside slot 0
+        decided = np.flatnonzero(counts)
+        flipped = np.flatnonzero((expected != honest[decided]).any(axis=1))  # rows
+        assert 7 in decided[flipped] and counts[0] == 0
         assert selection.files.size < tensor.num_files // 2
         if source == "attacked":
             assert set(flipped.tolist()) <= set(selection.files.tolist())
@@ -171,14 +159,16 @@ def _nan(dtype, payload):
     return np.array([quiet | payload], dtype=unsigned).view(dtype)[0]
 
 
-#: (five copies of file 0, which of them arrived, the reference winner's copy)
+#: (five copies of file 0, which of them arrived, the winner's copy or None
+#: when the file abstains); r = 5, so a winner needs r' = 3 equal arrived copies
 REVOTE_CASES = {
-    "one-arrived": ("ABCDE", "..X..", 2),
-    "tie-earliest-arrived": ("ABCCB", ".XXXX", 1),
-    "missing-slot-0": ("AABBC", ".XXXX", 2),
-    "signed-zeros": ("PMMPA", ".XXXX", 1),
-    "nan-equal-bits": ("ANNBB", ".XXX.", 1),
-    "nan-unequal-bits": ("ANOBB", ".XXXX", 3),
+    "one-arrived": ("ABCDE", "..X..", None),
+    "arrived-unanimous-below-threshold": ("ABBCD", ".XX..", None),
+    "tie-abstains": ("ABCCB", ".XXXX", None),
+    "missing-slot-0": ("ABBCB", ".XXXX", 1),
+    "signed-zeros": ("PMMPM", ".XXXX", 1),
+    "nan-equal-bits": ("ANNBN", ".XXXX", 1),
+    "nan-unequal-bits": ("ANONB", ".XXXX", None),
 }
 
 
@@ -186,8 +176,9 @@ REVOTE_CASES = {
 @pytest.mark.parametrize("case", sorted(REVOTE_CASES))
 def test_incomplete_file_votes_over_its_arrived_copies(case, dtype):
     """An incomplete file's winner is read off the round's content ids over
-    its arrived slots: it equals the reference vote over the arrived copies,
-    bit for bit, beside a complete file and a file nobody returned."""
+    its arrived slots: it is decided iff r' of them hold equal bytes, and
+    then it equals the reference vote over the arrived copies, bit for bit,
+    beside a complete file and a file nobody returned."""
     copies, arrival, winner = REVOTE_CASES[case]
     rng = np.random.default_rng(7)
     payloads = {c: rng.standard_normal(4).astype(dtype) for c in "ABCDE"}
@@ -204,7 +195,11 @@ def test_incomplete_file_votes_over_its_arrived_copies(case, dtype):
     ])
     arrived = np.array([[c == "X" for c in arrival], [True] * 5, [False] * 5])
     expected, counts = reference_vote(cube, arrived)
-    assert expected[0].tobytes() == cube[0, winner].tobytes()
+    if winner is None:
+        assert counts[0] == 0 and expected.tobytes() == cube[1, 0].tobytes()
+    else:
+        assert counts[0] == 3
+        assert expected[0].tobytes() == cube[0, winner].tobytes()
 
     selection, got, _, _ = majority_vote_votetensor(tensor_of(cube), arrived=arrived)
     assert selection.densified().tobytes() == expected.tobytes()

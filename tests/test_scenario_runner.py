@@ -72,16 +72,18 @@ class TestEndToEnd:
         assert row["corrupted_messages"] > 0
 
     def test_summary_puts_realised_distortion_beside_the_prediction(self):
-        """Missing copies out-vote the honest one: the vote distorts more
-        files than the graph predicts in every round of this scenario."""
-        result = run_named("mols-async-quorum")
+        """Independent noise does not collude: the graph predicts two files a
+        round, but their Byzantine copies disagree, so no class reaches r'
+        and both abstain — the vote distorts none."""
+        result = run_named("mols-uniform-trimmed-mean")
         rounds = result.trace.rounds
         assert result.num_files == 25
-        assert [r.num_distorted for r in rounds] == [1, 1, 1, 1]
-        assert [len(r.realised_distorted) for r in rounds] == [5, 5, 7, 6]
+        assert [r.num_distorted for r in rounds] == [2, 2, 2, 2]
+        assert [len(r.realised_distorted) for r in rounds] == [0, 0, 0, 0]
+        assert [len(r.abstained) for r in rounds] == [2, 2, 2, 2]
         row = result.summary()
-        assert row["mean_predicted_distortion"] == pytest.approx(4 / 100)
-        assert row["mean_realised_distortion"] == pytest.approx(23 / 100)
+        assert row["mean_predicted_distortion"] == pytest.approx(8 / 100)
+        assert row["mean_realised_distortion"] == 0.0
         columns = list(row)
         assert (
             columns.index("mean_realised_distortion")
@@ -158,7 +160,8 @@ class TestObserverStaysOffTheDataPath:
     def test_realised_distortion_is_what_the_winners_show(self, monkeypatch, name):
         """``realised_distorted`` lists the files whose post-vote row is not
         bit-equal to their honest row — checked on the densified winners of
-        each step the run loop takes — whatever the graph predicted."""
+        each step the run loop takes — whatever the graph predicted, and
+        ``abstained`` the files that got no winner."""
         seen = []
         step = DistributedTrainer.step
 
@@ -167,15 +170,18 @@ class TestObserverStaysOffTheDataPath:
             honest = round_result.vote_tensor.base_rows()
             rows = zip(outcome.winner_refs[:, 0].tolist(), outcome.winners.densified())
             seen.append(tuple(f for f, row in rows if row.tobytes() != honest[f].tobytes()))
+            files = set(outcome.winner_refs[:, 0].tolist())
+            unseen.append(tuple(f for f in range(honest.shape[0]) if f not in files))
             return round_result, outcome
 
+        unseen = []
         monkeypatch.setattr(DistributedTrainer, "step", densifying_step)
         trace = run_scenario(get_scenario(name)).trace
         assert [r.realised_distorted for r in trace.rounds] == seen
-        if name in ("mols-async-quorum", "mols-uniform-trimmed-mean"):
-            # missing copies out-vote the honest one / independent noise
-            # does not collude: the prediction is off both ways
-            assert any(len(r.realised_distorted) != r.num_distorted for r in trace.rounds)
+        assert [r.abstained for r in trace.rounds] == unseen
+        if name == "mols-uniform-trimmed-mean":
+            # independent noise does not collude: its predicted files abstain
+            assert all(len(r.realised_distorted) < r.num_distorted for r in trace.rounds)
 
     def test_evaluations_follow_the_eval_schedule(self):
         """Every ``eval_every``-th round and the last are evaluated: the same

@@ -230,11 +230,16 @@ class TestGroupQuorumScenario:
             if f.get("kind") == LATE_KIND
         ]
         assert lates  # group-level rejections actually happen
-        # Group cells reject far fewer copies than the per-file quorum
-        # (only cells holding more than `quorum` slots ever reject).
+        # Without groups the same quorum 2 < r' = 3 could decide no file, so
+        # it is refused.  Group cells reject far fewer copies than even the
+        # smallest per-file quorum that can decide, r' (only cells holding
+        # more than `quorum` slots ever reject).
         data = get_scenario("ramanujan-hier-async-group-quorum").to_dict()
         data.pop("topology")
         data["name"] += "-flat"
+        with pytest.raises(ReproError, match=r"quorum 2 is below the r'=3"):
+            run_scenario(ScenarioSpec.from_dict(data))
+        data["runtime"]["quorum"] = 3
         flat = run_scenario(ScenarioSpec.from_dict(data))
         flat_lates = [
             f for r in flat.trace.rounds for f in r.faults

@@ -33,6 +33,7 @@ from repro.core.pipelines import (
 from repro.core.vote_tensor import VoteTensor
 
 from cow_helpers import FixedSelector, cube_of, tensor_of
+from reference_vote import reference_vote
 
 DIM = 6
 
@@ -79,8 +80,7 @@ def simulate_round(assignment, attack, selector, seed=11):
 
 def reference_winners(tensor):
     """Per-file reference vote over the materialized ``(f, r, d)`` copies."""
-    votes = [majority_module._reference_exact_majority(m) for m in cube_of(tensor)]
-    return np.vstack([winner for winner, _ in votes])
+    return reference_vote(cube_of(tensor))[0]
 
 
 def reference_aggregate(pipeline, tensor):
@@ -106,11 +106,9 @@ def test_kernel_matches_reference_on_random_tensors():
                 i, a, b = rng.integers(f), rng.integers(r), rng.integers(r)
                 values[i, a] = values[i, b] + rng.integers(0, 2)
         selection, counts, _, _ = majority_vote_votetensor(tensor_of(values))
-        winners = selection.densified()
-        for i in range(f):
-            ref_w, ref_c = majority_module._reference_exact_majority(values[i])
-            assert np.array_equal(winners[i], ref_w), (trial, i)
-            assert counts[i] == ref_c, (trial, i)
+        ref_w, ref_c = reference_vote(values)
+        assert np.array_equal(selection.densified(), ref_w), trial
+        assert counts.tolist() == ref_c.tolist(), trial
 
 
 def test_kernel_survives_hash_collisions(monkeypatch):
@@ -125,11 +123,9 @@ def test_kernel_survives_hash_collisions(monkeypatch):
         f, r = rng.integers(1, 6), rng.integers(2, 7)
         values = rng.integers(-1, 2, (f, r, d)).astype(np.float64)
         selection, counts, _, _ = majority_vote_votetensor(tensor_of(values))
-        winners = selection.densified()
-        for i in range(f):
-            ref_w, ref_c = majority_module._reference_exact_majority(values[i])
-            assert np.array_equal(winners[i], ref_w)
-            assert counts[i] == ref_c
+        ref_w, ref_c = reference_vote(values)
+        assert np.array_equal(selection.densified(), ref_w)
+        assert counts.tolist() == ref_c.tolist()
 
 
 def test_kernel_byte_equality_semantics():

@@ -41,7 +41,7 @@ from repro.aggregation.median import CoordinateWiseMedian
 from repro.assignment.ramanujan import RamanujanAssignment
 from repro.cluster.events import AsyncRuntime, EventDrivenRound, UplinkSchedule
 from repro.cluster.timing import CostModel
-from repro.core.pipelines import ByzShieldPipeline
+from repro.core.pipelines import AggregationPipeline
 from repro.core.vote_tensor import VoteTensor
 from repro.data.datasets import split_slots
 from repro.data.synthetic import make_gaussian_mixture
@@ -68,7 +68,7 @@ def replication_round_kernels() -> dict:
     files, slots = np.nonzero(np.isin(assignment.worker_slot_matrix(), (0, 7)))  # q=2
     payload64 = np.random.default_rng(4).standard_normal(dim)
     payload32 = payload64.astype(np.float32)
-    pipeline = ByzShieldPipeline(assignment)
+    pipeline = AggregationPipeline(assignment)
 
     def cow_round(honest, payload):
         tensor = VoteTensor.from_honest(assignment, honest)
@@ -201,7 +201,7 @@ def adaptive_attack_kernels() -> dict:
     dim = 11_274  # match the replication kernels' MLP-sized gradients
     honest = np.random.default_rng(11).standard_normal((assignment.num_files, dim))
     byzantine = tuple(range(5))  # q=5 of K=25
-    pipeline = ByzShieldPipeline(assignment)
+    pipeline = AggregationPipeline(assignment)
 
     def attacked_round(attack):
         tensor = VoteTensor.from_honest(assignment, honest)
@@ -279,7 +279,7 @@ def build_kernels() -> dict:
     # End-to-end pipeline aggregate at the paper's K=25 Ramanujan scale
     # (m=s=5: f=25 files, r=5 replicas).
     assignment = RamanujanAssignment(m=5, s=5).assignment
-    pipeline = ByzShieldPipeline(assignment)
+    pipeline = AggregationPipeline(assignment)
     pipeline_tensor = VoteTensor.from_honest(
         assignment, np.random.default_rng(1).standard_normal((assignment.num_files, 10_000))
     )

@@ -343,7 +343,7 @@ def test_cow_replication_memory_reduction_at_paper_scale():
     only the attacked slots."""
     import tracemalloc
 
-    from repro.core.pipelines import ByzShieldPipeline
+    from repro.core.pipelines import AggregationPipeline
 
     assignment = RamanujanAssignment(m=5, s=5).assignment
     dim = 11_274
@@ -351,7 +351,7 @@ def test_cow_replication_memory_reduction_at_paper_scale():
     honest = rng.standard_normal((assignment.num_files, dim))
     files, slots = np.nonzero(np.isin(assignment.worker_slot_matrix(), (0, 7)))  # q=2
     payload = rng.standard_normal((files.size, dim))
-    pipeline = ByzShieldPipeline(assignment)
+    pipeline = AggregationPipeline(assignment)
 
     def attacked():
         tensor = VoteTensor.from_honest(assignment, honest)

@@ -48,11 +48,8 @@ from repro.attacks import (
     ReversedGradientAttack,
 )
 from repro.core import (
-    ByzShieldPipeline,
-    DetoxPipeline,
-    DracoPipeline,
+    AggregationPipeline,
     DistortionResult,
-    VanillaPipeline,
     VoteTensor,
     max_distortion,
     distortion_comparison_table,
@@ -94,10 +91,7 @@ __all__ = [
     "ReversedGradientAttack",
     "OmniscientSelector",
     # core
-    "ByzShieldPipeline",
-    "DetoxPipeline",
-    "DracoPipeline",
-    "VanillaPipeline",
+    "AggregationPipeline",
     "VoteTensor",
     "DistortionResult",
     "max_distortion",

@@ -6,9 +6,9 @@ matching the paper's implementation note), so the vote is on exact content:
 two copies are the same vote iff their bytes are equal (NaN payloads with
 equal bits are equal, ``-0.0 != +0.0``).  The rule is the paper's: a file is
 decided iff one content class holds at least ``r' = r // 2 + 1`` of its
-accepted copies (:func:`~repro.core.distortion.majority_threshold` for odd
-``r``), the threshold the graph's ``c_max`` counts by; otherwise it
-abstains (no winner).
+accepted copies (:func:`~repro.core.distortion.majority_threshold`), the
+threshold the graph's ``c_max`` counts by; otherwise it abstains (no
+winner).
 
 The pipelines enter through :func:`majority_vote_votetensor`, which never
 builds the ``(f, r, d)`` replica cube: :func:`override_content_ids` classes
@@ -31,6 +31,7 @@ from typing import NamedTuple
 import numpy as np
 
 from repro.core.backend import bit_view_dtype
+from repro.core.distortion import majority_threshold
 from repro.core.vote_tensor import RowSelection
 from repro.exceptions import AggregationError
 from repro.utils.arrays import GATHER_ELEMENTS, LANE_BLOCK, block_ranges
@@ -252,7 +253,7 @@ def _winning_slots(
         sizes = equal.sum(axis=2)
         best = sizes.argmax(axis=1)
         won = sizes[np.arange(touched.size), best]
-        won[won <= r // 2] = 0
+        won[won < majority_threshold(r)] = 0
         slots[touched], counts[touched] = best, won
     return slots, counts
 

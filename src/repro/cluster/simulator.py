@@ -27,7 +27,7 @@ from repro.cluster.faults import (
 from repro.cluster.messages import TensorRoundResult
 from repro.cluster.timing import CostModel
 from repro.cluster.worker import WorkerPool
-from repro.core.distortion import distorted_files
+from repro.core.distortion import distorted_files, majority_threshold
 from repro.data.batching import RoundFiles
 from repro.exceptions import TrainingError
 from repro.graphs.bipartite import BipartiteAssignment
@@ -103,7 +103,7 @@ class TrainingCluster:
                 f"runtime quorum {runtime.quorum} exceeds the assignment's "
                 f"replication r={assignment.replication}: no file could close"
             )
-        r_prime = assignment.replication // 2 + 1
+        r_prime = majority_threshold(assignment.replication)
         if runtime.groups is None and runtime.quorum is not None and runtime.quorum < r_prime:
             raise TrainingError(
                 f"runtime quorum {runtime.quorum} is below the r'={r_prime} matching "

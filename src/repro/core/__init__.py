@@ -6,10 +6,10 @@
 * :mod:`repro.core.distortion` — how many file gradients an omniscient
   adversary controlling ``q`` workers can corrupt (``c_max``, ``ε̂``, the
   ``γ`` bound and the paper's comparison tables).
-* :mod:`repro.core.pipelines` — the gradient-aggregation pipelines evaluated
-  in the paper: ByzShield (vote + coordinate-wise median), DETOX (vote +
-  hierarchical robust aggregation), DRACO (vote with exact-recovery
-  requirement) and the plain robust-aggregation baseline.
+* :mod:`repro.core.pipelines` — the one gradient-aggregation pipeline
+  (paper Algorithm 1: majority-vote every file, apply a robust rule to the
+  winners) that ByzShield, DETOX, DRACO and the plain robust-aggregation
+  baseline each run over their own assignment.
 
 The re-exports below resolve lazily (PEP 562) so that leaf modules — most
 importantly :mod:`repro.core.backend`, which sits underneath
@@ -30,10 +30,6 @@ _EXPORTS = {
     "distortion_comparison_table": "repro.core.distortion",
     "RoundOutcome": "repro.core.pipelines",
     "AggregationPipeline": "repro.core.pipelines",
-    "ByzShieldPipeline": "repro.core.pipelines",
-    "DetoxPipeline": "repro.core.pipelines",
-    "DracoPipeline": "repro.core.pipelines",
-    "VanillaPipeline": "repro.core.pipelines",
     "VoteTensor": "repro.core.vote_tensor",
     "DEFAULT_DTYPE": "repro.core.backend",
     "resolve_dtype": "repro.core.backend",

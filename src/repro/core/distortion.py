@@ -61,18 +61,17 @@ __all__ = [
 
 
 def majority_threshold(replication: int) -> int:
-    """Votes needed to corrupt a file: ``r' = (r + 1) // 2`` for odd ``r``.
+    """``r' = r // 2 + 1``: the matching copies that decide a file's vote.
 
-    ``r = 1`` (no redundancy) degenerates to ``r' = 1``: a single Byzantine
-    copy corrupts the file, as in the baseline schemes.
+    For odd ``r`` that is ``(r + 1) // 2``, the Byzantine copies needed to
+    corrupt a file; ``r = 1`` (no redundancy) gives ``r' = 1``, so a single
+    Byzantine copy corrupts the file, as in the baseline schemes.  For even
+    ``r`` it is the strict majority the vote applies, so no two classes can
+    both reach it.
     """
     if replication < 1:
         raise ConfigurationError(f"replication must be >= 1, got {replication}")
-    if replication > 1 and replication % 2 == 0:
-        raise ConfigurationError(
-            f"majority voting requires an odd replication factor, got {replication}"
-        )
-    return (replication + 1) // 2
+    return replication // 2 + 1
 
 
 def distorted_files(

@@ -1,26 +1,29 @@
-"""Gradient-aggregation pipelines evaluated in the paper.
+"""Paper Algorithm 1: the one aggregation pipeline of every scheme.
 
 A *pipeline* turns the per-(worker, file) gradients returned to the PS in
 one iteration — a :class:`~repro.core.vote_tensor.VoteTensor` holding
 exactly the copies the assignment graph prescribes — into the single
 gradient used for the model update: validate the slot layout, majority-vote
-every file, reduce the winners.  The base class owns that sequence and
-returns both halves of it as a :class:`RoundOutcome`; a concrete pipeline
-contributes its constructor checks and its post-vote reducer.
+every file, reduce the winners with a robust rule.  It returns both halves
+of that as a :class:`RoundOutcome`.
 
-Pipelines implemented:
+ByzShield, DETOX, DRACO and the undefended baseline are this one algorithm
+over different assignments, which is why the paper compares them by
+``c_max`` alone (Tables 3–6):
 
-* :class:`ByzShieldPipeline` — Algorithm 1: per-file majority vote followed by
-  a robust aggregator (coordinate-wise median by default) over the ``f``
-  winning gradients.
-* :class:`DetoxPipeline` — FRC grouping with per-group majority vote followed
-  by a second-stage robust aggregation (median-of-means, Multi-Krum, signSGD,
-  ...) over the group winners.
-* :class:`DracoPipeline` — FRC grouping with the DRACO exact-recovery
-  requirement ``r >= 2q + 1``; refuses to run when the bound is violated and
-  otherwise averages the group majority winners.
-* :class:`VanillaPipeline` — no redundancy: the robust aggregator is applied
-  directly to the ``K`` worker gradients.
+* ByzShield — an expander assignment (MOLS, Ramanujan) with a robust rule
+  (coordinate-wise median by default) over the ``f`` voted gradients;
+* DETOX — an FRC assignment (one file per worker, groups of ``r``) with a
+  robust rule over the group winners;
+* DRACO — an FRC assignment whose winners are averaged
+  (:class:`~repro.aggregation.mean.MeanAggregator`), exact only while
+  ``r >= 2q + 1``;
+* the baseline — ``l = r = 1``: every file is decided by its one copy, so
+  the rule sees the ``K`` worker gradients.
+
+A scenario's ``pipeline.kind`` names which of these a run is; it only picks
+the build checks :meth:`~repro.scenarios.runner.ScenarioRunner._build_pipeline`
+runs before it builds this class.
 """
 
 from __future__ import annotations
@@ -34,20 +37,12 @@ from repro.aggregation.majority import (
     majority_vote_votetensor,
     validate_block_size,
 )
-from repro.aggregation.mean import MeanAggregator
 from repro.aggregation.median import CoordinateWiseMedian
 from repro.core.vote_tensor import RowSelection, VoteTensor
 from repro.exceptions import AggregationError, ConfigurationError
 from repro.graphs.bipartite import BipartiteAssignment
 
-__all__ = [
-    "RoundOutcome",
-    "AggregationPipeline",
-    "ByzShieldPipeline",
-    "DetoxPipeline",
-    "DracoPipeline",
-    "VanillaPipeline",
-]
+__all__ = ["RoundOutcome", "AggregationPipeline"]
 
 
 def _validate_vote_tensor(expected: np.ndarray, tensor: VoteTensor) -> None:
@@ -85,12 +80,11 @@ class RoundOutcome:
     Attributes
     ----------
     aggregate:
-        The ``(d,)`` update direction — the pipeline's reducer applied to
-        ``winners``.
+        The ``(d,)`` update direction — the pipeline's aggregator applied
+        to ``winners``.
     winners:
-        The ``(n, d)`` rows the reducer saw: one majority winner per decided
-        file (for the vanilla pipeline, ``r = 1``, that is each arrived
-        worker's raw row).  A read-only
+        The ``(n, d)`` rows the aggregator saw: one majority winner per
+        decided file (at ``r = 1``, that is each arrived worker's raw row).  A read-only
         :class:`~repro.core.vote_tensor.RowSelection`, not an array: it
         references the round's honest matrix and holds only the
         rows that differ from it, so it is valid until the next round is
@@ -118,13 +112,20 @@ class RoundOutcome:
 
 
 class AggregationPipeline:
-    """Base class: validate the slot layout, vote every file, reduce the winners.
+    """Validate the slot layout, vote every file, reduce the winners.
 
     Parameters
     ----------
     assignment:
         Worker/file assignment graph the votes must conform to;
         :meth:`aggregate_tensor` checks every round's slot layout against it.
+        Its replication ``r`` must be odd (or 1), as in every scheme of the
+        paper: at even ``r`` the copies of a file can split into two tied
+        halves, neither of which reaches ``r' = r // 2 + 1``.
+    aggregator:
+        Robust rule applied to the voted gradients (coordinate-wise median,
+        the paper's choice, when ``None``; Bulyan, Multi-Krum, the mean, ...).
+        It is looked up on the pipeline at every round.
     block_size:
         Optional coordinate-block width streamed through the majority-vote
         kernel, capping its peak temporaries at ``O(rows . block)`` while
@@ -132,28 +133,22 @@ class AggregationPipeline:
         loops run at an internal width.
     """
 
-    pipeline_name = "abstract"
-
     def __init__(
         self,
         assignment: BipartiteAssignment,
+        aggregator: Aggregator | None = None,
         block_size: int | None = None,
     ) -> None:
+        r = assignment.replication
+        if r > 1 and r % 2 == 0:
+            raise ConfigurationError(
+                f"majority voting requires an odd replication factor (or r = 1), got r={r}"
+            )
         self.assignment = assignment
+        self.aggregator = aggregator if aggregator is not None else CoordinateWiseMedian()
         self.block_size = validate_block_size(block_size)
-        self._expected_slots: np.ndarray | None = None
+        self._expected_slots = assignment.worker_slot_matrix()
 
-    def _expected_slot_matrix(self) -> np.ndarray:
-        """The assignment's ``(f, r)`` slot layout, pinned on the pipeline.
-
-        Resolved once on first validation; per-round validation then touches
-        only this local reference (no assignment lookup or regularity check).
-        """
-        if self._expected_slots is None:
-            self._expected_slots = self.assignment.worker_slot_matrix()
-        return self._expected_slots
-
-    # -- interface -------------------------------------------------------------
     def aggregate_tensor(
         self, tensor: VoteTensor, arrived: np.ndarray | None = None
     ) -> RoundOutcome:
@@ -161,11 +156,11 @@ class AggregationPipeline:
 
         Returns the :class:`RoundOutcome` of the round: the ``(d,)``
         aggregate and the post-vote matrix it was reduced from.  That matrix,
-        ``winners``, is the ``(n, d)`` rows the reducer saw — the per-file
-        majority winners (for the vanilla pipeline's ``r = 1``, the raw
-        worker gradients) — as a :class:`~repro.core.vote_tensor.RowSelection`
-        over the tensor's honest base: no ``(n, d)`` matrix is built here;
-        the robust rule either streams it or densifies it once, in
+        ``winners``, is the ``(n, d)`` rows the aggregator saw — the per-file
+        majority winners (at ``r = 1``, the raw worker gradients) — as a
+        :class:`~repro.core.vote_tensor.RowSelection` over the tensor's
+        honest base: no ``(n, d)`` matrix is built here; the robust rule
+        either streams it or densifies it once, in
         :meth:`Aggregator.__call__ <repro.aggregation.base.Aggregator.__call__>`.
         Scenario traces digest it per round to pin the voting stage
         independently of the robust aggregation that follows.
@@ -177,14 +172,14 @@ class AggregationPipeline:
         no winner, so the robust stage sees only the decided files.  A round
         with no decided file aggregates to a zero update.
         """
-        _validate_vote_tensor(self._expected_slot_matrix(), tensor)
+        _validate_vote_tensor(self._expected_slots, tensor)
         if arrived is not None:
             arrived = _checked_arrival_mask(tensor, arrived)
         vote = majority_vote_votetensor(tensor, block_size=self.block_size, arrived=arrived)
         winners = vote.winners
         return RoundOutcome(
             aggregate=(
-                self._reduce(winners)
+                self.aggregator(winners)
                 if winners.shape[0]
                 else np.zeros(winners.shape[1], dtype=winners.dtype)
             ),
@@ -194,151 +189,5 @@ class AggregationPipeline:
             counts=vote.counts,
         )
 
-    def _reduce(self, voted: RowSelection) -> np.ndarray:
-        """The pipeline's post-vote reducer: ``(n, d)`` winners -> ``(d,)``."""
-        raise NotImplementedError
-
     def __repr__(self) -> str:  # pragma: no cover - trivial
         return f"{type(self).__name__}(assignment={self.assignment.name!r})"
-
-
-class ByzShieldPipeline(AggregationPipeline):
-    """Paper Algorithm 1: per-file majority vote + robust aggregation.
-
-    Parameters
-    ----------
-    assignment:
-        Any redundant assignment (MOLS, Ramanujan, ...); replication must be
-        odd so the majority cannot tie.
-    aggregator:
-        Robust rule applied to the ``f`` voted gradients; the paper uses
-        coordinate-wise median, but Bulyan / Multi-Krum are supported too.
-    """
-
-    pipeline_name = "byzshield"
-
-    def __init__(
-        self,
-        assignment: BipartiteAssignment,
-        aggregator: Aggregator | None = None,
-        block_size: int | None = None,
-    ) -> None:
-        super().__init__(assignment, block_size=block_size)
-        if assignment.replication % 2 == 0:
-            raise ConfigurationError(
-                "ByzShield majority voting requires an odd replication factor, "
-                f"got r={assignment.replication}"
-            )
-        self.aggregator = aggregator if aggregator is not None else CoordinateWiseMedian()
-
-    def _reduce(self, voted: RowSelection) -> np.ndarray:
-        return self.aggregator(voted)
-
-
-class DetoxPipeline(AggregationPipeline):
-    """DETOX: FRC grouping, per-group vote, then hierarchical robust aggregation.
-
-    Parameters
-    ----------
-    assignment:
-        An FRC assignment (each worker holds exactly one file and each file is
-        held by one group of ``r`` workers).
-    aggregator:
-        Second-stage robust rule over the group winners (median-of-means in
-        the paper's "DETOX-MoM", Multi-Krum in "DETOX-Multi-Krum", ...).
-    """
-
-    pipeline_name = "detox"
-
-    def __init__(
-        self,
-        assignment: BipartiteAssignment,
-        aggregator: Aggregator | None = None,
-        block_size: int | None = None,
-    ) -> None:
-        super().__init__(assignment, block_size=block_size)
-        if assignment.computational_load != 1:
-            raise ConfigurationError(
-                "DETOX expects an FRC assignment where every worker holds exactly "
-                f"one file; got load={assignment.computational_load}"
-            )
-        if assignment.replication % 2 == 0:
-            raise ConfigurationError(
-                f"DETOX majority voting requires odd group size, got r={assignment.replication}"
-            )
-        self.aggregator = aggregator if aggregator is not None else CoordinateWiseMedian()
-
-    def _reduce(self, voted: RowSelection) -> np.ndarray:
-        return self.aggregator(voted)
-
-
-class DracoPipeline(AggregationPipeline):
-    """DRACO: FRC grouping with the information-theoretic ``r >= 2q + 1`` bound.
-
-    DRACO guarantees *exact* recovery (the output equals the attack-free
-    gradient) but only when every group has an honest majority of at least
-    ``q + 1``, i.e. ``r >= 2q + 1``.  :meth:`aggregate_tensor` raises when
-    the declared Byzantine budget violates the bound, reproducing the paper's
-    observation that DRACO "is not applicable if it is violated".
-    """
-
-    pipeline_name = "draco"
-
-    def __init__(
-        self,
-        assignment: BipartiteAssignment,
-        num_byzantine: int,
-        block_size: int | None = None,
-    ) -> None:
-        super().__init__(assignment, block_size=block_size)
-        if assignment.computational_load != 1:
-            raise ConfigurationError(
-                "DRACO expects an FRC assignment (one file per worker); got load="
-                f"{assignment.computational_load}"
-            )
-        if num_byzantine < 0:
-            raise ConfigurationError(
-                f"num_byzantine must be non-negative, got {num_byzantine}"
-            )
-        self.num_byzantine = int(num_byzantine)
-        self._mean = MeanAggregator()
-
-    @property
-    def is_applicable(self) -> bool:
-        """True when ``r >= 2q + 1`` so exact recovery is guaranteed."""
-        return self.assignment.replication >= 2 * self.num_byzantine + 1
-
-    def _reduce(self, voted: RowSelection) -> np.ndarray:
-        if not self.is_applicable:
-            raise AggregationError(
-                f"DRACO requires r >= 2q+1 (r={self.assignment.replication}, "
-                f"q={self.num_byzantine}); the scheme is not applicable"
-            )
-        return self._mean(voted)
-
-
-class VanillaPipeline(AggregationPipeline):
-    """No redundancy: the robust aggregator sees the ``K`` raw worker gradients."""
-
-    pipeline_name = "vanilla"
-
-    def __init__(
-        self,
-        assignment: BipartiteAssignment,
-        aggregator: Aggregator,
-        block_size: int | None = None,
-    ) -> None:
-        if block_size is not None:
-            raise ConfigurationError(
-                "the vanilla pipeline (r = 1) has no vote kernel to stream; pass "
-                "block_size to the robust aggregator instead (aggregator_params)"
-            )
-        super().__init__(assignment)
-        if assignment.replication != 1 or assignment.computational_load != 1:
-            raise ConfigurationError(
-                "VanillaPipeline expects the baseline assignment with l = r = 1"
-            )
-        self.aggregator = aggregator
-
-    def _reduce(self, voted: RowSelection) -> np.ndarray:
-        return self.aggregator(voted)

@@ -31,6 +31,7 @@ from typing import Any, Callable
 
 import numpy as np
 
+from repro.aggregation.mean import MeanAggregator
 from repro.aggregation.registry import create_aggregator
 from repro.assignment.registry import create_scheme
 from repro.attacks.base import Attack
@@ -46,13 +47,7 @@ from repro.cluster.faults import (
 from repro.cluster.simulator import TrainingCluster
 from repro.cluster.worker import WorkerPool
 from repro.compression.compressors import create_compressor
-from repro.core.pipelines import (
-    AggregationPipeline,
-    ByzShieldPipeline,
-    DetoxPipeline,
-    DracoPipeline,
-    VanillaPipeline,
-)
+from repro.core.pipelines import AggregationPipeline
 from repro.data.batching import build_file_partition
 # ``train_test_split`` is not called here: it is the oracle of the fused build
 # in ``_build_datasets``.  benchmarks/e2e times the data stage by patching it,
@@ -181,27 +176,43 @@ class ScenarioRunner:
         return scheme.assignment
 
     def _build_pipeline(self, assignment: BipartiteAssignment) -> AggregationPipeline:
+        """Algorithm 1 over the spec's assignment, after its kind's checks.
+
+        Every kind builds the same :class:`AggregationPipeline`; ``kind``
+        only picks what is refused here: DETOX and DRACO need an FRC
+        assignment (one file per worker), DRACO needs ``r >= 2q + 1`` for
+        the schedule's largest ``q`` and always averages, and the baseline
+        needs ``l = r = 1``.  The pipeline itself refuses an even ``r``.
+        """
         section = self.spec.pipeline
-        max_q = 0
-        if self.spec.attack is not None:
-            max_q = AdversarySchedule(**dataclasses.asdict(self.spec.attack.schedule)).max_q
-        if section.kind == "draco":
-            pipeline = DracoPipeline(
-                assignment, num_byzantine=max_q, block_size=section.block_size
+        load, r = assignment.computational_load, assignment.replication
+        if section.kind in ("detox", "draco") and load != 1:
+            raise ConfigurationError(
+                f"scenario.cluster: the {section.kind!r} pipeline needs an FRC "
+                f"assignment (one file per worker), got load={load}"
             )
-            if not pipeline.is_applicable:
+        if section.kind == "vanilla" and (load != 1 or r != 1):
+            raise ConfigurationError(
+                "scenario.cluster: the 'vanilla' pipeline needs the baseline "
+                f"assignment with l = r = 1, got l={load}, r={r}"
+            )
+        if section.kind == "draco":
+            max_q = 0
+            if self.spec.attack is not None:
+                max_q = AdversarySchedule(**dataclasses.asdict(self.spec.attack.schedule)).max_q
+            if r < 2 * max_q + 1:
                 raise ConfigurationError(
-                    f"scenario.attack: DRACO requires r >= 2q+1, but r="
-                    f"{assignment.replication} and the schedule reaches q={max_q}"
+                    f"scenario.attack: DRACO requires r >= 2q+1, but r={r} and "
+                    f"the schedule reaches q={max_q}"
                 )
-            return pipeline
+            return AggregationPipeline(assignment, MeanAggregator(), section.block_size)
         aggregator = _create(
             "aggregator", create_aggregator, section.aggregator, **section.aggregator_params
         )
-        # The reducer of a full round sees one row per file: the f voted files
-        # (ByzShield), the vote groups (DETOX: one file each) or the workers
-        # (vanilla: l = r = 1).  Partial async rounds can still fall short at
-        # run time; that stays the aggregator's AggregationError.
+        # The aggregator of a full round sees one row per file: the f voted
+        # files (ByzShield), the vote groups (DETOX: one file each) or the
+        # workers (vanilla: l = r = 1).  Partial async rounds can still fall
+        # short at run time; that stays the aggregator's AggregationError.
         needed = aggregator.minimum_votes()
         if needed > assignment.num_files:
             raise ConfigurationError(
@@ -210,25 +221,7 @@ class ScenarioRunner:
                 f"a full round of the {section.kind!r} pipeline on this cluster "
                 f"reduces {assignment.num_files}"
             )
-        if section.kind == "byzshield":
-            return ByzShieldPipeline(
-                assignment,
-                aggregator=aggregator,
-                block_size=section.block_size,
-            )
-        if section.kind == "detox":
-            return DetoxPipeline(
-                assignment,
-                aggregator=aggregator,
-                block_size=section.block_size,
-            )
-        # Vanilla rejects block_size itself with a pointed message, so a spec
-        # that sets it surfaces as a ConfigurationError, not silence.
-        return VanillaPipeline(
-            assignment,
-            aggregator=aggregator,
-            block_size=section.block_size,
-        )
+        return AggregationPipeline(assignment, aggregator, section.block_size)
 
     def _build_datasets(self) -> tuple[Dataset, Dataset]:
         """Train and test as read-only views of one array, in the run's dtype.

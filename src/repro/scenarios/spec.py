@@ -66,11 +66,16 @@ class ClusterSpec(Schema, where="cluster"):
 class PipelineSpec(Schema, where="pipeline"):
     """Aggregation pipeline: kind + second-stage robust rule.
 
-    ``kind`` is ``"byzshield"``, ``"detox"``, ``"draco"`` or ``"vanilla"``;
-    ``aggregator``/``aggregator_params`` name the registry rule (ignored by
-    DRACO, which always averages).  The vote is always on exact content.
-    ``block_size`` streams the vote kernels in coordinate blocks of that
-    width (``None``, the default, leaves the width to the kernels).
+    Every kind runs the one :class:`~repro.core.pipelines.AggregationPipeline`
+    (paper Algorithm 1: vote each file, reduce the winners).  ``kind`` is
+    ``"byzshield"``, ``"detox"``, ``"draco"`` or ``"vanilla"`` and only picks
+    the checks the runner makes of the cluster and attack when it builds
+    the pipeline.  ``aggregator``/``aggregator_params`` name the registry
+    rule (ignored by DRACO, which always averages).  The vote is always on
+    exact content.  ``block_size`` streams the vote kernels in coordinate
+    blocks of that width (``None``, the default, leaves the width to the
+    kernels); the vanilla pipeline (``r = 1``) has no vote to stream and
+    refuses it.
     """
 
     kind: str = spec_field(str, pinned=True, default="byzshield")
@@ -88,6 +93,12 @@ class PipelineSpec(Schema, where="pipeline"):
             raise ConfigurationError(
                 f"block_size must be a positive integer or omitted, got "
                 f"{self.block_size}"
+            )
+        if self.kind == "vanilla" and self.block_size is not None:
+            raise ConfigurationError(
+                "scenario.pipeline.block_size: the vanilla pipeline (r = 1) has no "
+                "vote kernel to stream; pass block_size to the robust aggregator "
+                "instead (aggregator_params)"
             )
 
 

@@ -109,10 +109,10 @@ def test_majority_vote_jittered_copies_are_different_votes():
 
 
 def test_majority_vote_validation(mols_assignment):
-    from repro.core.pipelines import ByzShieldPipeline
+    from repro.core.pipelines import AggregationPipeline
 
     for block_size in (0, -3):
         with pytest.raises(AggregationError, match="block_size"):
             majority_vote([np.zeros(3)], block_size=block_size)
         with pytest.raises(AggregationError, match="block_size"):
-            ByzShieldPipeline(mols_assignment, block_size=block_size)
+            AggregationPipeline(mols_assignment, block_size=block_size)

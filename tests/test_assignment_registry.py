@@ -17,6 +17,7 @@ import repro
 from repro.aggregation import available_aggregators, create_aggregator, get_aggregator
 from repro.aggregation import register_aggregator
 from repro.aggregation import registry as aggregation_registry
+from repro.aggregation.mean import MeanAggregator
 from repro.aggregation.median import CoordinateWiseMedian
 from repro.assignment import available_schemes, get_scheme, register_scheme
 from repro.assignment import registry as assignment_registry
@@ -97,14 +98,20 @@ def test_non_string_name_is_an_unknown_name(lookup, what):
 
 
 def test_runner_builds_every_pipeline_kind():
+    """Every kind is the one pipeline (its kind picks only build checks), and
+    DRACO's aggregator is the mean whatever the spec names."""
     specs = {}
     for name in scenario_names():
         spec = get_scenario(name)
         specs.setdefault(spec.pipeline.kind, spec)
-    built = [type(ScenarioRunner(spec).build_trainer().pipeline) for spec in specs.values()]
-    assert sorted(built, key=lambda cls: cls.__name__) == concrete_repro_subclasses(
-        AggregationPipeline
-    )
+    assert sorted(specs) == ["byzshield", "detox", "draco", "vanilla"]
+    assert concrete_repro_subclasses(AggregationPipeline) == []
+    for kind, spec in specs.items():
+        pipeline = ScenarioRunner(spec).build_trainer().pipeline
+        assert type(pipeline) is AggregationPipeline, kind
+    assert specs["draco"].pipeline.aggregator != "mean"
+    pipeline = ScenarioRunner(specs["draco"]).build_trainer().pipeline
+    assert type(pipeline.aggregator) is MeanAggregator
 
 
 def test_builtin_schemes_registered():

@@ -20,7 +20,7 @@ from repro.assignment.mols import MOLSAssignment
 from repro.cluster import TrainingCluster, WorkerPool
 from repro.cluster.faults import StragglerInjector
 from repro.core.distortion import distorted_files
-from repro.core.pipelines import ByzShieldPipeline
+from repro.core.pipelines import AggregationPipeline
 from repro.nn.models import build_mlp
 from repro.scenarios import get_scenario, golden_path, run_scenario, scenario_names
 from repro.scenarios.runner import ScenarioRunner, _round_trace
@@ -48,7 +48,7 @@ def test_two_abandoned_copies_of_a_file_do_not_out_vote_its_honest_one(
         fault_injectors=(StragglerInjector(count=2, delay_model="fixed", delay=2.0, timeout=1.0),),
     )
     config = TrainingConfig(batch_size=150, num_iterations=1)
-    trainer = DistributedTrainer(cluster, ByzShieldPipeline(assignment), computer, train, test, config)
+    trainer = DistributedTrainer(cluster, AggregationPipeline(assignment), computer, train, test, config)
 
     round_result, outcome = trainer.step(0)
     lost = (~round_result.accepted).sum(axis=1)

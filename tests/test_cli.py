@@ -242,20 +242,71 @@ def test_scenario_run_inapplicable_aggregator_is_a_one_line_error(tmp_path, caps
     assert "27 votes" in line and "reduces 25" in line
 
 
-def test_scenario_run_inapplicable_draco_is_a_one_line_error(tmp_path, capsys):
-    """DRACO with r = 3 against q = 2 is refused when the pipeline is built,
-    not by an AggregationError out of round 0."""
-    data = get_scenario("draco-constant-q1").to_dict()
+MOLS_CLUSTER = {"scheme": "mols", "params": {"load": 5, "replication": 3}}
+
+
+def _draco_against_q2(data):
     data["attack"]["schedule"]["q"] = 2
+
+
+@pytest.mark.parametrize(
+    "name, edit, expected",
+    [
+        (
+            "draco-constant-q1",
+            _draco_against_q2,
+            "scenario.attack: DRACO requires r >= 2q+1, but r=3 and the schedule reaches q=2",
+        ),
+        (
+            "draco-constant-q1",
+            lambda data: data.update(cluster=MOLS_CLUSTER),
+            "scenario.cluster: the 'draco' pipeline needs an FRC assignment (one file "
+            "per worker), got load=5",
+        ),
+        (
+            "detox-mom-alie",
+            lambda data: data.update(cluster=MOLS_CLUSTER),
+            "scenario.cluster: the 'detox' pipeline needs an FRC assignment (one file "
+            "per worker), got load=5",
+        ),
+        (
+            "vanilla-median-alie",
+            lambda data: data.update(cluster=MOLS_CLUSTER),
+            "scenario.cluster: the 'vanilla' pipeline needs the baseline assignment "
+            "with l = r = 1, got l=5, r=3",
+        ),
+        (
+            "vanilla-median-alie",
+            lambda data: data["pipeline"].update(block_size=8),
+            "scenario.pipeline.block_size: the vanilla pipeline (r = 1) has no vote "
+            "kernel to stream; pass block_size to the robust aggregator instead "
+            "(aggregator_params)",
+        ),
+        (
+            "mols-clean",
+            lambda data: data["cluster"]["params"].update(
+                replication=4, require_odd_replication=False
+            ),
+            "majority voting requires an odd replication factor (or r = 1), got r=4",
+        ),
+    ],
+    ids=["draco-bound", "draco-on-mols", "detox-on-mols", "vanilla-on-mols",
+         "vanilla-block-size", "even-r"],
+)
+def test_scenario_run_inapplicable_scheme_is_a_one_line_error(tmp_path, capsys, name, edit, expected):
+    """A spec its pipeline kind cannot run (DRACO with r = 3 against q = 2,
+    DETOX or DRACO off FRC, the baseline off l = r = 1 or with a vote block,
+    an even r) is refused when the spec is loaded or the pipeline is built,
+    not by an AggregationError out of round 0."""
+    data = get_scenario(name).to_dict()
+    edit(data)
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(data))
     assert main(["scenario", "run", str(path)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     (line,) = captured.err.splitlines()
-    assert line == (
-        "error: scenario.attack: DRACO requires r >= 2q+1, but r=3 and the schedule reaches q=2"
-    )
+    assert line == f"error: {expected}"
 
 
 def test_scenario_record_and_replay_round_trip(tmp_path, capsys):

@@ -15,7 +15,7 @@ from repro.cluster.server import ParameterServer
 from repro.cluster.simulator import TrainingCluster
 from repro.cluster.timing import CostModel, estimate_iteration_timing
 from repro.cluster.worker import WorkerPool
-from repro.core.pipelines import ByzShieldPipeline
+from repro.core.pipelines import AggregationPipeline
 from repro.core.vote_tensor import VoteTensor
 from repro.exceptions import ConfigurationError, TrainingError
 from repro.nn.optim import SGD
@@ -93,7 +93,7 @@ def test_worker_pool_shared_vs_recomputed_identical(mols_assignment):
 # ParameterServer
 # --------------------------------------------------------------------------- #
 def test_parameter_server_update(mols_assignment):
-    pipeline = ByzShieldPipeline(mols_assignment, aggregator=CoordinateWiseMedian())
+    pipeline = AggregationPipeline(mols_assignment, aggregator=CoordinateWiseMedian())
     server = ParameterServer(np.zeros(DIM), pipeline, SGD(0.5))
     pool = WorkerPool(mols_assignment, quadratic_gradient_fn)
     tensor, honest, _ = pool.honest_returns_tensor(
@@ -111,7 +111,7 @@ def test_broadcast_is_a_read_only_view_that_outlives_the_step(mols_assignment):
     of ``w_t``, and the step that follows replaces ``w_t`` instead of
     writing into it, so the view a round held still reads ``w_t``."""
     dim = 50_000
-    pipeline = ByzShieldPipeline(mols_assignment, aggregator=CoordinateWiseMedian())
+    pipeline = AggregationPipeline(mols_assignment, aggregator=CoordinateWiseMedian())
     initial = np.random.default_rng(4).standard_normal(dim)
     server = ParameterServer(initial, pipeline, SGD(0.5, momentum=0.9))
     server.broadcast()
@@ -140,7 +140,7 @@ def test_broadcast_is_a_read_only_view_that_outlives_the_step(mols_assignment):
 
 
 def test_parameter_server_validation(mols_assignment):
-    pipeline = ByzShieldPipeline(mols_assignment)
+    pipeline = AggregationPipeline(mols_assignment)
     with pytest.raises(TrainingError):
         ParameterServer(np.zeros(0), pipeline, SGD(0.1))
 

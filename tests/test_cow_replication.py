@@ -17,6 +17,7 @@ import pytest
 
 from repro.aggregation import majority as majority_module
 from repro.aggregation.majority import majority_vote_votetensor, override_content_ids
+from repro.aggregation.mean import MeanAggregator
 from repro.aggregation.median import CoordinateWiseMedian
 from repro.assignment.baseline import BaselineAssignment
 from repro.assignment.frc import FRCAssignment
@@ -30,12 +31,7 @@ from repro.cluster.faults import (
     MessageCorruptionInjector,
     StragglerInjector,
 )
-from repro.core.pipelines import (
-    ByzShieldPipeline,
-    DetoxPipeline,
-    DracoPipeline,
-    VanillaPipeline,
-)
+from repro.core.pipelines import AggregationPipeline
 from repro.core.vote_tensor import VoteTensor
 
 from cow_helpers import LAYOUTS, cube_of, tensor_of
@@ -51,15 +47,19 @@ SCHEMES = {
 }
 
 
-def pipelines_for(name, assignment):
-    if name in ("mols", "ramanujan"):
-        return [ByzShieldPipeline(assignment)]
-    if name == "frc":
-        return [
-            DetoxPipeline(assignment),
-            DracoPipeline(assignment, num_byzantine=1),
-        ]
-    return [VanillaPipeline(assignment, aggregator=CoordinateWiseMedian())]
+#: The paper's schemes, each as the one pipeline over its assignment and rule
+PIPELINES = {
+    "mols-byzshield": ("mols", CoordinateWiseMedian),
+    "ramanujan-byzshield": ("ramanujan", CoordinateWiseMedian),
+    "frc-detox": ("frc", CoordinateWiseMedian),
+    "frc-draco": ("frc", MeanAggregator),
+    "baseline-vanilla": ("baseline", CoordinateWiseMedian),
+}
+
+
+def pipeline_for(case):
+    scheme, rule = PIPELINES[case]
+    return AggregationPipeline(SCHEMES[scheme](), rule())
 
 
 def honest_matrix_for(assignment, seed=0):
@@ -90,32 +90,29 @@ def assert_reads_as(tensor, cube):
     assert cube_of(tensor).tobytes() == cube.tobytes()
 
 
-def assert_layout_free(tensor, pipelines):
-    """Every pipeline aggregates the tensor exactly as the same cube stored
-    the other way — slot 0 as the base, every other differing slot its own row."""
-    rebuilt = tensor_of(cube_of(tensor), pipelines[0].assignment)
-    for pipeline in pipelines:
-        assert np.array_equal(
-            pipeline.aggregate_tensor(tensor).aggregate,
-            pipeline.aggregate_tensor(rebuilt).aggregate,
-        ), pipeline.pipeline_name
+def assert_layout_free(tensor, pipeline):
+    """The pipeline aggregates the tensor exactly as the same cube stored the
+    other way — slot 0 as the base, every other differing slot its own row."""
+    rebuilt = tensor_of(cube_of(tensor), pipeline.assignment)
+    assert np.array_equal(
+        pipeline.aggregate_tensor(tensor).aggregate,
+        pipeline.aggregate_tensor(rebuilt).aggregate,
+    )
 
 
 # --------------------------------------------------------------------------- #
 # q = 0 fast path: a clean round never copies a replica
 # --------------------------------------------------------------------------- #
-@pytest.mark.parametrize("scheme", sorted(SCHEMES))
-def test_q0_round_never_materializes(scheme):
-    assignment = SCHEMES[scheme]()
-    lazy, cube, matrix = make_pair(assignment)
-    pipelines = pipelines_for(scheme, assignment)
-    for pipeline in pipelines:
-        outcome = pipeline.aggregate_tensor(lazy)
-        # a clean round's winners are the honest base itself, no row copied
-        assert outcome.winners.files.size == 0
-        assert np.shares_memory(outcome.winners.base, matrix)
+@pytest.mark.parametrize("case", sorted(PIPELINES))
+def test_q0_round_never_materializes(case):
+    pipeline = pipeline_for(case)
+    lazy, cube, matrix = make_pair(pipeline.assignment)
+    outcome = pipeline.aggregate_tensor(lazy)
+    # a clean round's winners are the honest base itself, no row copied
+    assert outcome.winners.files.size == 0
+    assert np.shares_memory(outcome.winners.base, matrix)
     assert lazy.num_overridden_slots == lazy.num_override_rows == 0
-    assert_layout_free(lazy, pipelines)
+    assert_layout_free(lazy, pipeline)
     assert_reads_as(lazy, cube)
 
 
@@ -131,10 +128,11 @@ def test_q0_attack_application_stays_lazy(mols_assignment):
 # --------------------------------------------------------------------------- #
 # COW vs materialized: every registered attack, every scheme
 # --------------------------------------------------------------------------- #
-@pytest.mark.parametrize("scheme", sorted(SCHEMES))
+@pytest.mark.parametrize("case", sorted(PIPELINES))
 @pytest.mark.parametrize("attack_name", available_attacks())
-def test_cow_matches_materialized_under_attack(scheme, attack_name):
-    assignment = SCHEMES[scheme]()
+def test_cow_matches_materialized_under_attack(case, attack_name):
+    pipeline = pipeline_for(case)
+    assignment = pipeline.assignment
     lazy, cube, matrix = make_pair(assignment, seed=3)
     byzantine = (0, min(5, assignment.num_workers - 1))
     lazy.mark_byzantine(byzantine)
@@ -146,7 +144,7 @@ def test_cow_matches_materialized_under_attack(scheme, attack_name):
     honest = ~lazy.byzantine_mask
     assert written[honest].tobytes() == cube[honest].tobytes()
     assert lazy.num_overridden_slots == int(lazy.byzantine_mask.sum())
-    assert_layout_free(lazy, pipelines_for(scheme, assignment))
+    assert_layout_free(lazy, pipeline)
 
 
 # --------------------------------------------------------------------------- #
@@ -223,7 +221,7 @@ def test_cow_matches_materialized_attack_then_faults(mols_assignment):
     for injector_name in sorted(INJECTORS):
         cube, _ = inject(lazy, cube, mols_assignment, injector_name, seed=17, iteration=0)
     assert_reads_as(lazy, cube)
-    assert_layout_free(lazy, [ByzShieldPipeline(mols_assignment)])
+    assert_layout_free(lazy, AggregationPipeline(mols_assignment))
 
 
 # --------------------------------------------------------------------------- #
@@ -482,7 +480,7 @@ def test_stored_rows_are_write_once(mols_assignment, mutator, layout, dtype):
     capacity = tensor._store.shape[0]  # the store is full: every write grows it
     table = tensor.override_table()[3]
     selection = tensor.select_slots(np.ones(tensor.num_files, dtype=np.int64))
-    outcome = ByzShieldPipeline(mols_assignment).aggregate_tensor(tensor)
+    outcome = AggregationPipeline(mols_assignment).aggregate_tensor(tensor)
     winners = outcome.winners
     before = [table.copy(), selection.densified().copy(), winners.densified().copy()]
     # file 2's two noise copies leave no class of r' = 2: it abstains, and

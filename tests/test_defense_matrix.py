@@ -30,7 +30,7 @@ from repro.attacks.constant import ConstantAttack
 from repro.attacks.noise import GaussianNoiseAttack, UniformRandomAttack
 from repro.attacks.reversed_gradient import ReversedGradientAttack
 from repro.attacks.selection import OmniscientSelector
-from repro.core.pipelines import ByzShieldPipeline
+from repro.core.pipelines import AggregationPipeline
 from repro.core.vote_tensor import VoteTensor
 from repro.utils.rng import as_generator
 
@@ -85,7 +85,7 @@ def test_byzshield_small_q_exact_recovery(attack_name, aggregator_name):
     attack = ATTACKS[attack_name]
     aggregator = ROBUST_AGGREGATORS[aggregator_name]
     votes, honest = attacked_votes(attack, q=1)
-    pipeline = ByzShieldPipeline(ASSIGNMENT, aggregator=aggregator)
+    pipeline = AggregationPipeline(ASSIGNMENT, aggregator=aggregator)
     attacked = pipeline.aggregate_tensor(votes).aggregate
     clean = pipeline.aggregate_tensor(VoteTensor.from_honest(ASSIGNMENT, honest)).aggregate
     assert np.allclose(attacked, clean)
@@ -96,7 +96,7 @@ def test_byzshield_median_stays_near_honest_aggregate_q4(attack_name):
     """q = 4 corrupts 5/25 votes; the median over 25 votes barely moves."""
     attack = ATTACKS[attack_name]
     votes, honest = attacked_votes(attack, q=4)
-    pipeline = ByzShieldPipeline(ASSIGNMENT, aggregator=CoordinateWiseMedian())
+    pipeline = AggregationPipeline(ASSIGNMENT, aggregator=CoordinateWiseMedian())
     attacked = pipeline.aggregate_tensor(votes).aggregate
     honest_median = np.median(honest, axis=0)
     honest_spread = honest.max(axis=0) - honest.min(axis=0)
@@ -111,7 +111,7 @@ def test_mean_is_broken_by_every_large_magnitude_attack(attack_name):
     below.)"""
     attack = ATTACKS[attack_name]
     votes, honest = attacked_votes(attack, q=4)
-    pipeline = ByzShieldPipeline(ASSIGNMENT, aggregator=MeanAggregator())
+    pipeline = AggregationPipeline(ASSIGNMENT, aggregator=MeanAggregator())
     attacked = pipeline.aggregate_tensor(votes).aggregate
     honest_mean = honest.mean(axis=0)
     # Large-magnitude attacks shift the mean by much more than the honest spread.
@@ -128,7 +128,7 @@ def test_corrupted_vote_count_matches_static_analysis(attack_name):
     abstains.  Every other file is decided honest."""
     votes, _ = attacked_votes(ATTACKS[attack_name], q=4)
     predicted = set(np.flatnonzero(votes.byzantine_mask.sum(axis=1) >= 2).tolist())
-    outcome = ByzShieldPipeline(ASSIGNMENT).aggregate_tensor(votes)
+    outcome = AggregationPipeline(ASSIGNMENT).aggregate_tensor(votes)
     refs = outcome.winner_refs
     realised = set(refs[refs[:, 1] != 0, 0].tolist())
     abstained = set(np.flatnonzero(outcome.counts == 0).tolist())

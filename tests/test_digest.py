@@ -40,7 +40,7 @@ from repro.cluster.faults import (
     StragglerInjector,
 )
 from repro.aggregation.mean import MeanAggregator
-from repro.core.pipelines import ByzShieldPipeline, VanillaPipeline
+from repro.core.pipelines import AggregationPipeline
 from repro.core.vote_tensor import RowSelection, VoteTensor
 from repro.exceptions import ConfigurationError
 from repro.scenarios.golden import golden_path, replay_golden
@@ -387,10 +387,10 @@ def test_one_bit_or_one_moved_payload_changes_the_digest(case, dtype):
 
 #: ``(pipeline, some copies missing)`` per path through which the winners leave the vote
 PATHS = {
-    "flat": (lambda: ByzShieldPipeline(SCHEMES["ramanujan"]), False),
-    "flat-missing": (lambda: ByzShieldPipeline(SCHEMES["ramanujan"], block_size=3), True),
-    "vanilla": (lambda: VanillaPipeline(SCHEMES["baseline"], MeanAggregator()), False),
-    "vanilla-missing": (lambda: VanillaPipeline(SCHEMES["baseline"], MeanAggregator()), True),
+    "flat": (lambda: AggregationPipeline(SCHEMES["ramanujan"]), False),
+    "flat-missing": (lambda: AggregationPipeline(SCHEMES["ramanujan"], block_size=3), True),
+    "vanilla": (lambda: AggregationPipeline(SCHEMES["baseline"], MeanAggregator()), False),
+    "vanilla-missing": (lambda: AggregationPipeline(SCHEMES["baseline"], MeanAggregator()), True),
 }
 
 

@@ -31,8 +31,9 @@ def test_majority_threshold():
     assert majority_threshold(1) == 1
     assert majority_threshold(3) == 2
     assert majority_threshold(5) == 3
-    with pytest.raises(ConfigurationError):
-        majority_threshold(4)
+    # even r: the strict majority the vote applies
+    assert majority_threshold(4) == 3
+    assert majority_threshold(2) == 2
     with pytest.raises(ConfigurationError):
         majority_threshold(0)
 

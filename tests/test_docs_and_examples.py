@@ -52,7 +52,7 @@ def test_readme_training_snippet_runs_scaled_down():
 
     from repro import (
         ALIEAttack,
-        ByzShieldPipeline,
+        AggregationPipeline,
         DistributedTrainer,
         OmniscientSelector,
         RamanujanAssignment,
@@ -73,7 +73,7 @@ def test_readme_training_snippet_runs_scaled_down():
 
     computer = ModelGradientComputer(model)
     cluster = TrainingCluster(assignment, WorkerPool(assignment, computer), attack=attack, selector=selector)
-    trainer = DistributedTrainer(cluster, ByzShieldPipeline(assignment), computer, train, test, config)
+    trainer = DistributedTrainer(cluster, AggregationPipeline(assignment), computer, train, test, config)
     records = [trainer.run_iteration(t) for t in range(trainer.config.num_iterations)]
     assert np.mean([r.distortion_fraction for r in records]) == pytest.approx(0.08)
     assert 0.0 <= trainer.evaluate()["accuracy"] <= 1.0

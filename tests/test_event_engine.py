@@ -31,7 +31,7 @@ from repro.cluster.faults import (
 from repro.cluster.simulator import TrainingCluster
 from repro.cluster.timing import CostModel
 from repro.cluster.worker import WorkerPool
-from repro.core.pipelines import ByzShieldPipeline, VanillaPipeline
+from repro.core.pipelines import AggregationPipeline
 from repro.core.vote_tensor import VoteTensor
 from repro.exceptions import AggregationError, ConfigurationError, TrainingError
 from repro.scenarios.catalog import get_scenario
@@ -434,7 +434,7 @@ class TestAbstention:
         tensor = VoteTensor.from_honest(frc_3, np.ones((1, 4)))
         bad = np.full(4, 9.0)
         tensor.write_slots(np.array([0, 0]), np.array([0, 1]), bad)
-        pipeline = ByzShieldPipeline(frc_3)
+        pipeline = AggregationPipeline(frc_3)
         full = pipeline.aggregate_tensor(tensor)
         np.testing.assert_array_equal(full.winners.densified()[0], bad)
         assert full.counts.tolist() == [2]
@@ -446,7 +446,7 @@ class TestAbstention:
         tensor = VoteTensor.from_honest(
             mols_assignment, rng.standard_normal((mols_assignment.num_files, 5))
         )
-        pipeline = ByzShieldPipeline(mols_assignment)
+        pipeline = AggregationPipeline(mols_assignment)
         arrived = np.ones(tensor.workers.shape, dtype=bool)
         np.testing.assert_array_equal(
             pipeline.aggregate_tensor(tensor, arrived).aggregate,
@@ -504,7 +504,7 @@ class TestAbstention:
             assignment, np.arange(assignment.num_files, dtype=np.float64)[:, None]
             + np.zeros(3)
         )
-        pipeline = VanillaPipeline(assignment, CoordinateWiseMedian())
+        pipeline = AggregationPipeline(assignment, CoordinateWiseMedian())
         arrived = np.ones((assignment.num_files, 1), dtype=bool)
         arrived[::2] = False
         rows = pipeline.aggregate_tensor(tensor, arrived).winners
@@ -513,7 +513,7 @@ class TestAbstention:
 
     def test_rejects_bad_mask_shape(self, frc_3):
         tensor = one_file_tensor(frc_3)
-        pipeline = ByzShieldPipeline(frc_3)
+        pipeline = AggregationPipeline(frc_3)
         with pytest.raises(AggregationError):
             pipeline.aggregate_tensor(tensor, np.ones((2, 3), dtype=bool))
 

@@ -14,7 +14,7 @@ from repro.cluster.simulator import TrainingCluster
 from repro.cluster.worker import WorkerPool
 from repro.core.distortion import max_distortion
 from repro.assignment.baseline import BaselineAssignment
-from repro.core.pipelines import ByzShieldPipeline, VanillaPipeline
+from repro.core.pipelines import AggregationPipeline
 from repro.data.datasets import train_test_split
 from repro.data.synthetic import make_gaussian_mixture
 from repro.nn.models import build_mlp
@@ -47,7 +47,7 @@ def byzshield_trainer(assemble, data, attack=None, q=0, iterations=25, aggregato
     """ByzShield on MOLS (l=5, r=3) over this module's own dataset."""
     train, test = data
     return assemble(
-        ByzShieldPipeline(
+        AggregationPipeline(
             MOLSAssignment(load=5, replication=3).assignment,
             aggregator=aggregator or CoordinateWiseMedian(),
         ),
@@ -95,7 +95,7 @@ def test_byzshield_beats_vanilla_median_under_constant_attack(data, assemble_tra
     )
 
     vanilla = assemble_trainer(
-        VanillaPipeline(BaselineAssignment(15).assignment, aggregator=CoordinateWiseMedian()),
+        AggregationPipeline(BaselineAssignment(15).assignment, aggregator=CoordinateWiseMedian()),
         build_mlp(train.flat_feature_dim, train.num_classes, hidden=(24,), seed=0),
         train,
         test,
@@ -144,7 +144,7 @@ def test_pipeline_output_matches_manual_computation(data):
     params = computer.initial_params()
     result = cluster.run_round_tensor(params, file_data, iteration=0)
 
-    pipeline = ByzShieldPipeline(assignment)
+    pipeline = AggregationPipeline(assignment)
     aggregated = pipeline.aggregate_tensor(result.vote_tensor).aggregate
 
     # Manual recomputation: honest gradients, corrupt the files with a

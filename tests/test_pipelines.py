@@ -1,4 +1,10 @@
-"""Tests for the aggregation pipelines (ByzShield, DETOX, DRACO, vanilla)."""
+"""Tests for the one aggregation pipeline (paper Algorithm 1).
+
+ByzShield, DETOX, DRACO and the baseline are :class:`AggregationPipeline`
+over their assignments (expander, FRC, FRC with the mean, ``r = 1``); a
+spec's ``pipeline.kind`` only picks the runner's build checks, tested here
+through specs.
+"""
 
 import numpy as np
 import pytest
@@ -7,14 +13,13 @@ from repro.aggregation.mean import MeanAggregator
 from repro.aggregation.median import CoordinateWiseMedian
 from repro.assignment.frc import FRCAssignment
 from repro.assignment.mols import MOLSAssignment
-from repro.core.pipelines import (
-    ByzShieldPipeline,
-    DetoxPipeline,
-    DracoPipeline,
-    VanillaPipeline,
-)
+from repro.core.pipelines import AggregationPipeline
 from repro.core.vote_tensor import VoteTensor
 from repro.exceptions import AggregationError, ConfigurationError
+from repro.graphs.bipartite import BipartiteAssignment
+from repro.scenarios.catalog import get_scenario
+from repro.scenarios.runner import ScenarioRunner, run_scenario
+from repro.scenarios.spec import PipelineSpec, ScenarioSpec
 
 from cow_helpers import cube_of
 from reference_vote import reference_vote
@@ -48,11 +53,12 @@ def corrupt(tensor, byzantine_workers, payload):
 
 
 # --------------------------------------------------------------------------- #
-# ByzShield
+# Vote + robust rule over an expander (ByzShield)
 # --------------------------------------------------------------------------- #
-def test_byzshield_no_attack_equals_median_of_true_gradients(mols_assignment):
+def test_no_attack_equals_median_of_true_gradients(mols_assignment):
     votes = honest_votes(mols_assignment, indexed_gradient)
-    pipeline = ByzShieldPipeline(mols_assignment)
+    pipeline = AggregationPipeline(mols_assignment)
+    assert isinstance(pipeline.aggregator, CoordinateWiseMedian)
     result = pipeline.aggregate_tensor(votes).aggregate
     expected = np.median(
         np.vstack([indexed_gradient(i) for i in range(25)]), axis=0
@@ -60,33 +66,53 @@ def test_byzshield_no_attack_equals_median_of_true_gradients(mols_assignment):
     assert np.allclose(result, expected)
 
 
-def test_byzshield_corrects_minority_corruption(mols_assignment):
+def test_vote_corrects_minority_corruption(mols_assignment):
     """With q < r' no file majority can be corrupted: output is attack-free."""
     votes = honest_votes(mols_assignment, constant_gradient(1.0))
     corrupt(votes, {0}, np.full(DIM, -100.0))
-    result = ByzShieldPipeline(mols_assignment).aggregate_tensor(votes).aggregate
+    result = AggregationPipeline(mols_assignment).aggregate_tensor(votes).aggregate
     assert np.allclose(result, 1.0)
 
 
-def test_byzshield_vote_majority_flips_with_enough_byzantines(mols_assignment):
+def test_vote_majority_flips_with_enough_byzantines(mols_assignment):
     """Workers 0 and 5 share file 0; corrupting both flips that file's vote."""
     votes = honest_votes(mols_assignment, constant_gradient(1.0))
     corrupt(votes, {0, 5}, np.full(DIM, -100.0))
-    outcome = ByzShieldPipeline(mols_assignment).aggregate_tensor(votes)
+    outcome = AggregationPipeline(mols_assignment).aggregate_tensor(votes)
     assert np.allclose(outcome.winners.densified()[0], -100.0)
     # But the median across the 25 files still resists a single corrupted file.
     assert np.allclose(outcome.aggregate, 1.0)
 
 
-def test_byzshield_requires_odd_replication():
-    even = MOLSAssignment(load=5, replication=4, require_odd_replication=False).assignment
-    with pytest.raises(ConfigurationError):
-        ByzShieldPipeline(even)
+def two_groups_of_two():
+    """An FRC-like graph with even groups (FRCAssignment itself rejects even r)."""
+    H = np.zeros((4, 2), dtype=np.int8)
+    H[[0, 1], 0] = 1
+    H[[2, 3], 1] = 1
+    return BipartiteAssignment(H)
 
 
-def test_byzshield_validates_votes(mols_assignment, ramanujan_case1):
+@pytest.mark.parametrize(
+    "build, r",
+    [
+        (lambda: MOLSAssignment(load=5, replication=4, require_odd_replication=False).assignment, 4),
+        (two_groups_of_two, 2),
+    ],
+    ids=["mols-r4", "groups-of-two"],
+)
+def test_even_replication_is_refused(build, r):
+    """The one odd-r refusal, for every kind: at even r a file's copies can
+    split into two tied halves."""
+    with pytest.raises(
+        ConfigurationError,
+        match=rf"^majority voting requires an odd replication factor \(or r = 1\), got r={r}$",
+    ):
+        AggregationPipeline(build())
+
+
+def test_validates_votes(mols_assignment, ramanujan_case1):
     votes = honest_votes(mols_assignment, constant_gradient(1.0))
-    pipeline = ByzShieldPipeline(mols_assignment)
+    pipeline = AggregationPipeline(mols_assignment)
     # another (f, r) shape: five files, not 25
     short = honest_votes(FRCAssignment(num_workers=15, replication=3).assignment, constant_gradient(1.0))
     with pytest.raises(AggregationError):
@@ -99,126 +125,189 @@ def test_byzshield_validates_votes(mols_assignment, ramanujan_case1):
         pipeline.aggregate_tensor(other)
 
 
-def test_byzshield_custom_aggregator(mols_assignment):
+def test_custom_aggregator(mols_assignment):
     votes = honest_votes(mols_assignment, indexed_gradient)
-    pipeline = ByzShieldPipeline(mols_assignment, aggregator=MeanAggregator())
+    pipeline = AggregationPipeline(mols_assignment, aggregator=MeanAggregator())
     assert np.allclose(pipeline.aggregate_tensor(votes).aggregate, np.mean(range(25)))
 
 
+def test_the_aggregator_is_looked_up_every_round(mols_assignment):
+    """The e2e harness swaps ``pipeline.aggregator`` for a timing shim on
+    the instance: the next round must call the replacement."""
+    votes = honest_votes(mols_assignment, indexed_gradient)
+    pipeline = AggregationPipeline(mols_assignment)
+    seen = []
+    pipeline.aggregator = lambda winners: seen.append(winners.shape) or np.zeros(DIM)
+    assert np.array_equal(pipeline.aggregate_tensor(votes).aggregate, np.zeros(DIM))
+    assert seen == [(25, DIM)]
+
+
 # --------------------------------------------------------------------------- #
-# DETOX
+# Over an FRC assignment (DETOX, DRACO)
 # --------------------------------------------------------------------------- #
-def test_detox_majority_then_robust(frc_15_3):
+def test_frc_majority_then_robust(frc_15_3):
     assignment = frc_15_3.assignment
     votes = honest_votes(assignment, indexed_gradient)
-    pipeline = DetoxPipeline(assignment, aggregator=CoordinateWiseMedian())
+    pipeline = AggregationPipeline(assignment, aggregator=CoordinateWiseMedian())
     result = pipeline.aggregate_tensor(votes).aggregate
     assert np.allclose(result, np.median(np.arange(5)))
 
 
-def test_detox_group_corruption(frc_15_3):
+def test_frc_group_corruption(frc_15_3):
     assignment = frc_15_3.assignment
     votes = honest_votes(assignment, constant_gradient(1.0))
     # Corrupt 2 of the 3 workers of group 0: its vote flips.
     corrupt(votes, {0, 1}, np.full(DIM, -50.0))
-    pipeline = DetoxPipeline(assignment, aggregator=CoordinateWiseMedian())
+    pipeline = AggregationPipeline(assignment, aggregator=CoordinateWiseMedian())
     result = pipeline.aggregate_tensor(votes).aggregate
     # Median over [−50, 1, 1, 1, 1] is still 1.
     assert np.allclose(result, 1.0)
 
 
-def test_detox_blockwise_vote_matches_monolithic(frc_15_3):
+def test_frc_blockwise_vote_matches_monolithic(frc_15_3):
     assignment = frc_15_3.assignment
     votes = corrupt(honest_votes(assignment, indexed_gradient), {2, 6}, np.full(DIM, -7.0))
-    mono = DetoxPipeline(assignment).aggregate_tensor(votes).aggregate
-    blk = DetoxPipeline(assignment, block_size=1).aggregate_tensor(votes).aggregate
+    mono = AggregationPipeline(assignment).aggregate_tensor(votes).aggregate
+    blk = AggregationPipeline(assignment, block_size=1).aggregate_tensor(votes).aggregate
     assert np.array_equal(blk, mono)
 
 
-def test_detox_requires_frc_like_assignment(mols_assignment):
-    with pytest.raises(ConfigurationError):
-        DetoxPipeline(mols_assignment)
-
-
-def test_detox_requires_odd_groups():
-    # FRCAssignment itself rejects even r, so build a raw graph instead.
-    import numpy as np
-    from repro.graphs.bipartite import BipartiteAssignment
-
-    H = np.zeros((4, 2), dtype=np.int8)
-    H[[0, 1], 0] = 1
-    H[[2, 3], 1] = 1
-    with pytest.raises(ConfigurationError):
-        DetoxPipeline(BipartiteAssignment(H))
-
-
-# --------------------------------------------------------------------------- #
-# DRACO
-# --------------------------------------------------------------------------- #
-def test_draco_exact_recovery_when_bound_satisfied(frc_15_3):
+def test_frc_mean_recovers_exactly_when_bound_satisfied(frc_15_3):
+    """DRACO: q = 1, r = 3 >= 2q + 1, so the mean of the group winners is
+    the attack-free mean."""
     assignment = frc_15_3.assignment
     votes = honest_votes(assignment, indexed_gradient)
-    corrupt(votes, {0}, np.full(DIM, 1e6))  # q=1, r=3 >= 2q+1
-    pipeline = DracoPipeline(assignment, num_byzantine=1)
-    assert pipeline.is_applicable
+    corrupt(votes, {0}, np.full(DIM, 1e6))
+    pipeline = AggregationPipeline(assignment, MeanAggregator())
     result = pipeline.aggregate_tensor(votes).aggregate
     assert np.allclose(result, np.mean(np.arange(5)))
 
 
-def test_draco_refuses_when_bound_violated(frc_15_3):
-    assignment = frc_15_3.assignment
-    votes = honest_votes(assignment, constant_gradient(1.0))
-    pipeline = DracoPipeline(assignment, num_byzantine=2)  # r=3 < 2*2+1
-    assert not pipeline.is_applicable
-    with pytest.raises(AggregationError):
-        pipeline.aggregate_tensor(votes)
-
-
-def test_draco_validation(mols_assignment, frc_15_3):
-    with pytest.raises(ConfigurationError):
-        DracoPipeline(mols_assignment, num_byzantine=1)
-    with pytest.raises(ConfigurationError):
-        DracoPipeline(frc_15_3.assignment, num_byzantine=-1)
-
-
 # --------------------------------------------------------------------------- #
-# Vanilla
+# r = 1 (the baseline)
 # --------------------------------------------------------------------------- #
-def test_vanilla_applies_aggregator_to_worker_gradients(baseline_10):
+def test_r1_applies_aggregator_to_worker_gradients(baseline_10):
     assignment = baseline_10.assignment
     votes = honest_votes(assignment, indexed_gradient)
-    pipeline = VanillaPipeline(assignment, aggregator=CoordinateWiseMedian())
+    pipeline = AggregationPipeline(assignment, aggregator=CoordinateWiseMedian())
     result = pipeline.aggregate_tensor(votes).aggregate
     assert np.allclose(result, np.median(np.arange(10)))
 
 
-def test_vanilla_rejects_redundant_assignment(mols_assignment):
-    with pytest.raises(ConfigurationError):
-        VanillaPipeline(mols_assignment, aggregator=CoordinateWiseMedian())
-
-
-def test_vanilla_rejects_a_vote_block_size(baseline_10):
-    with pytest.raises(ConfigurationError, match="no vote kernel"):
-        VanillaPipeline(baseline_10.assignment, aggregator=CoordinateWiseMedian(), block_size=8)
-
-
-def test_vanilla_mean_is_vulnerable(baseline_10):
+def test_r1_mean_is_vulnerable(baseline_10):
     assignment = baseline_10.assignment
     votes = honest_votes(assignment, constant_gradient(1.0))
     corrupt(votes, {0}, np.full(DIM, 1e6))
-    pipeline = VanillaPipeline(assignment, aggregator=MeanAggregator())
+    pipeline = AggregationPipeline(assignment, aggregator=MeanAggregator())
     result = pipeline.aggregate_tensor(votes).aggregate
     assert result[0] > 1e3
+
+
+# --------------------------------------------------------------------------- #
+# The kind picks the build checks, from the spec
+# --------------------------------------------------------------------------- #
+MOLS_CLUSTER = {"scheme": "mols", "params": {"load": 5, "replication": 3}}
+
+
+def edited(name, **sections):
+    """The catalog scenario ``name`` with keys of its sections replaced."""
+    data = get_scenario(name).to_dict()
+    for section, edit in sections.items():
+        data[section] = {**data[section], **edit}
+    return ScenarioSpec.from_dict(data)
+
+
+def draco_against(q):
+    data = get_scenario("draco-constant-q1").to_dict()
+    data["attack"]["schedule"]["q"] = q
+    return ScenarioSpec.from_dict(data)
+
+
+#: spec -> the one refusal it builds to
+REFUSED = {
+    "detox-on-mols": (
+        lambda: edited("detox-mom-alie", cluster=MOLS_CLUSTER),
+        "scenario.cluster: the 'detox' pipeline needs an FRC assignment (one file "
+        "per worker), got load=5",
+    ),
+    "draco-on-mols": (
+        lambda: edited("draco-constant-q1", cluster=MOLS_CLUSTER),
+        "scenario.cluster: the 'draco' pipeline needs an FRC assignment (one file "
+        "per worker), got load=5",
+    ),
+    "draco-bound": (
+        lambda: draco_against(2),
+        "scenario.attack: DRACO requires r >= 2q+1, but r=3 and the schedule reaches q=2",
+    ),
+    "vanilla-on-mols": (
+        lambda: edited("vanilla-median-alie", cluster=MOLS_CLUSTER),
+        "scenario.cluster: the 'vanilla' pipeline needs the baseline assignment "
+        "with l = r = 1, got l=5, r=3",
+    ),
+    "even-r": (
+        lambda: edited(
+            "mols-clean",
+            cluster={"params": {"load": 5, "replication": 4, "require_odd_replication": False}},
+        ),
+        "majority voting requires an odd replication factor (or r = 1), got r=4",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSED))
+def test_a_spec_the_kind_cannot_run_is_refused_at_build(case):
+    build, message = REFUSED[case]
+    with pytest.raises(ConfigurationError) as excinfo:
+        ScenarioRunner(build()).build_trainer()
+    assert str(excinfo.value) == message
+
+
+def test_vanilla_rejects_a_vote_block_size():
+    message = (
+        r"^scenario\.pipeline\.block_size: the vanilla pipeline \(r = 1\) has no "
+        r"vote kernel to stream"
+    )
+    with pytest.raises(ConfigurationError, match=message):
+        PipelineSpec(kind="vanilla", block_size=8)
+    with pytest.raises(ConfigurationError, match=message):
+        edited("vanilla-median-alie", pipeline={"block_size": 8})
+    assert PipelineSpec(kind="byzshield", block_size=8).block_size == 8
+
+
+def round_traces(spec):
+    return [round_.to_dict() for round_ in run_scenario(spec).trace.rounds]
+
+
+def test_detox_is_byzshield_over_the_frc_cluster():
+    """Same aggregator, same FRC cluster: the kind changes nothing a round
+    computes (every digest of every round, the aggregate's included)."""
+    detox = get_scenario("detox-mom-alie")
+    byzshield = edited("detox-mom-alie", pipeline={"kind": "byzshield"})
+    assert detox.cluster.scheme == "frc" and detox.pipeline.aggregator == "median_of_means"
+    assert round_traces(detox) == round_traces(byzshield)
+
+
+@pytest.mark.parametrize("named", ["median", "signsgd"])
+def test_draco_is_byzshield_with_the_mean_whatever_it_names(named):
+    """DRACO ignores the spec's aggregator and averages the group winners."""
+    draco = edited("draco-constant-q1", pipeline={"aggregator": named})
+    mean = edited("draco-constant-q1", pipeline={"kind": "byzshield", "aggregator": "mean"})
+    named_rule = edited("draco-constant-q1", pipeline={"kind": "byzshield", "aggregator": named})
+    rounds = round_traces(draco)
+    assert rounds == round_traces(mean)
+    assert [r["aggregate_digest"] for r in rounds] != [
+        r["aggregate_digest"] for r in round_traces(named_rule)
+    ]
 
 
 # --------------------------------------------------------------------------- #
 # RoundOutcome: both halves of the round's one vote
 # --------------------------------------------------------------------------- #
 OUTCOME_PIPELINES = {
-    "byzshield": ("mols_5_3", lambda a: ByzShieldPipeline(a)),
-    "detox": ("frc_15_3", lambda a: DetoxPipeline(a, aggregator=CoordinateWiseMedian())),
-    "draco": ("frc_15_3", lambda a: DracoPipeline(a, num_byzantine=1)),
-    "vanilla": ("baseline_10", lambda a: VanillaPipeline(a, aggregator=MeanAggregator())),
+    "byzshield": ("mols_5_3", CoordinateWiseMedian),
+    "detox": ("frc_15_3", CoordinateWiseMedian),
+    "draco": ("frc_15_3", MeanAggregator),
+    "vanilla": ("baseline_10", MeanAggregator),
 }
 
 
@@ -226,9 +315,9 @@ OUTCOME_PIPELINES = {
 @pytest.mark.parametrize("partial", [False, True], ids=["all-arrived", "some-missing"])
 @pytest.mark.parametrize("kind", sorted(OUTCOME_PIPELINES))
 def test_outcome_is_the_post_vote_matrix_and_its_reduction(request, kind, partial, dtype):
-    scheme_fixture, build = OUTCOME_PIPELINES[kind]
+    scheme_fixture, rule = OUTCOME_PIPELINES[kind]
     assignment = request.getfixturevalue(scheme_fixture).assignment
-    pipeline = build(assignment)
+    pipeline = AggregationPipeline(assignment, rule())
     rng = np.random.default_rng(5)
     votes = VoteTensor.from_honest(
         assignment, rng.standard_normal((assignment.num_files, DIM)).astype(dtype)
@@ -249,7 +338,7 @@ def test_outcome_is_the_post_vote_matrix_and_its_reduction(request, kind, partia
     assert outcome.winners.dtype == expected.dtype
     assert outcome.winners.shape == expected.shape
     assert outcome.winners.densified().tobytes() == expected.tobytes()
-    assert np.array_equal(outcome.aggregate, pipeline._reduce(expected))
+    assert np.array_equal(outcome.aggregate, pipeline.aggregator(expected))
     assert outcome.aggregate.shape == (DIM,)
 
 
@@ -258,9 +347,9 @@ def test_a_file_with_no_accepted_copy_abstains_in_every_pipeline(request, kind):
     """The file's copies carry a payload that would win it, but none was
     accepted: no pipeline gives the file a row, and a round with no
     accepted copy at all is a zero update."""
-    scheme_fixture, build = OUTCOME_PIPELINES[kind]
+    scheme_fixture, rule = OUTCOME_PIPELINES[kind]
     assignment = request.getfixturevalue(scheme_fixture).assignment
-    pipeline = build(assignment)
+    pipeline = AggregationPipeline(assignment, rule())
     votes = honest_votes(assignment, indexed_gradient)
     votes.write_slots([1] * votes.replication, range(votes.replication), np.full(DIM, -7.0))
     arrived = np.ones(votes.workers.shape, dtype=bool)
@@ -270,7 +359,7 @@ def test_a_file_with_no_accepted_copy_abstains_in_every_pipeline(request, kind):
     kept = [i for i in range(assignment.num_files) if i != 1]
     assert outcome.winner_refs[:, 0].tolist() == kept
     assert outcome.winners.densified().tobytes() == cube_of(votes)[kept, 0].tobytes()
-    assert np.array_equal(outcome.aggregate, pipeline._reduce(cube_of(votes)[kept, 0]))
+    assert np.array_equal(outcome.aggregate, pipeline.aggregator(cube_of(votes)[kept, 0]))
 
     nothing = pipeline.aggregate_tensor(votes, np.zeros(votes.workers.shape, dtype=bool))
     assert nothing.winners.shape == (0, DIM) and nothing.winner_refs.shape == (0, 2)

@@ -22,7 +22,7 @@ from repro.core.distortion import (
     majority_threshold,
     max_distortion,
 )
-from repro.core.pipelines import ByzShieldPipeline, DetoxPipeline
+from repro.core.pipelines import AggregationPipeline
 from repro.core.vote_tensor import VoteTensor
 from repro.fields.latin_squares import LatinSquare, are_orthogonal
 from repro.fields.prime_field import PrimeField
@@ -275,9 +275,9 @@ def test_majority_vote_returns_most_frequent(num_votes, dim, winner_count, seed)
 # The vote stage vs the pure-Python reference votes
 # --------------------------------------------------------------------------- #
 VOTING_SETUPS = {
-    "mols": (MOLSAssignment(load=5, replication=3).assignment, ByzShieldPipeline),
-    "ramanujan": (RamanujanAssignment(m=3, s=5).assignment, ByzShieldPipeline),
-    "frc": (FRCAssignment(num_workers=15, replication=3).assignment, DetoxPipeline),
+    "mols": MOLSAssignment(load=5, replication=3).assignment,
+    "ramanujan": RamanujanAssignment(m=3, s=5).assignment,
+    "frc": FRCAssignment(num_workers=15, replication=3).assignment,
 }
 
 
@@ -299,7 +299,7 @@ def test_post_vote_matrix_matches_reference_vote(
     block size, the post-vote matrix ``aggregate_tensor``
     returns as its ``winners`` must equal the single-file reference vote
     applied to each file's materialized copies — row for row, bit for bit."""
-    assignment, pipeline_cls = VOTING_SETUPS[scheme]
+    assignment = VOTING_SETUPS[scheme]
     rng = np.random.default_rng(seed)
     honest = rng.standard_normal((assignment.num_files, dim))
     byzantine = tuple(
@@ -319,7 +319,7 @@ def test_post_vote_matrix_matches_reference_vote(
     if rebuilt:
         tensor = tensor_of(cube, assignment)
 
-    pipeline = pipeline_cls(assignment, block_size=block_size)
+    pipeline = AggregationPipeline(assignment, block_size=block_size)
     outcome = pipeline.aggregate_tensor(tensor)
     expected, counts = reference_vote(cube)
     assert outcome.counts.tolist() == counts.tolist()

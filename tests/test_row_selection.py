@@ -25,7 +25,7 @@ from repro.aggregation.registry import available_aggregators, create_aggregator
 from repro.assignment.baseline import BaselineAssignment
 from repro.assignment.ramanujan import RamanujanAssignment
 from repro.cluster.events import AsyncRuntime, EventDrivenRound
-from repro.core.pipelines import ByzShieldPipeline, VanillaPipeline
+from repro.core.pipelines import AggregationPipeline
 from repro.core.vote_tensor import RowSelection, VoteTensor
 from repro.exceptions import ConfigurationError
 from repro.utils.arrays import LANE_BLOCK
@@ -103,7 +103,7 @@ def test_winners_equal_the_reference_vote(arrival, source, block_size, dtype):
     cube = cube_of(tensor)
     if source == "rebuilt":
         tensor = tensor_of(cube, RAMANUJAN)
-    pipeline = ByzShieldPipeline(RAMANUJAN, block_size=block_size)
+    pipeline = AggregationPipeline(RAMANUJAN, block_size=block_size)
     arrived = masks(arrival, tensor.workers.shape)
     expected, counts = reference_vote(cube, arrived)
 
@@ -144,7 +144,7 @@ def test_group_cell_masks_vote_like_the_reference(groups, quorum, source, block_
     runtime = AsyncRuntime(quorum=quorum, groups=groups)
     accepted = EventDrivenRound(runtime).collect(tensor, arrivals).accepted
     expected, _ = reference_vote(cube_of(tensor), accepted)
-    pipeline = ByzShieldPipeline(RAMANUJAN, block_size=block_size)
+    pipeline = AggregationPipeline(RAMANUJAN, block_size=block_size)
     assert_stands_for(pipeline.aggregate_tensor(tensor, accepted).winners, expected)
 
 
@@ -219,7 +219,7 @@ def test_vanilla_rows_equal_the_arrived_returns(arrival, source, dtype):
         tensor = tensor_of(cube, BASELINE)
     arrived = masks(arrival, tensor.workers.shape)
     expected = cube[:, 0] if arrived is None else cube[arrived[:, 0], 0]
-    pipeline = VanillaPipeline(BASELINE, MeanAggregator())
+    pipeline = AggregationPipeline(BASELINE, MeanAggregator())
     outcome = pipeline.aggregate_tensor(tensor, arrived)
     assert_stands_for(outcome.winners, expected)
     assert np.array_equal(outcome.aggregate, MeanAggregator()(expected))
@@ -228,7 +228,7 @@ def test_vanilla_rows_equal_the_arrived_returns(arrival, source, dtype):
 def test_honest_round_copies_no_row():
     honest = np.random.default_rng(2).standard_normal((25, DIM))
     tensor = VoteTensor.from_honest(RAMANUJAN, honest)
-    selection = ByzShieldPipeline(RAMANUJAN).aggregate_tensor(tensor).winners
+    selection = AggregationPipeline(RAMANUJAN).aggregate_tensor(tensor).winners
     assert selection.files.size == 0 and selection.store.shape == (0, DIM)
     assert np.shares_memory(selection.base, honest)
     dense = selection.densified()

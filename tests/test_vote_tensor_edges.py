@@ -16,7 +16,7 @@ import pytest
 
 from repro.aggregation.majority import majority_vote_votetensor
 from repro.assignment.frc import FRCAssignment
-from repro.core.pipelines import ByzShieldPipeline, DetoxPipeline
+from repro.core.pipelines import AggregationPipeline
 from repro.core.vote_tensor import VoteTensor
 from repro.exceptions import ConfigurationError
 from repro.scenarios import ScenarioSpec, get_scenario, run_scenario
@@ -40,7 +40,7 @@ class TestSingleFile:
     def test_single_file_round_aggregates(self, assignment):
         tensor = VoteTensor.from_honest(assignment, np.array([[1.0, 2.0, 3.0]]))
         tensor.write_slots([0], [2], np.array([9.0, 9.0, 9.0]))  # one corrupted copy
-        pipeline = DetoxPipeline(assignment)
+        pipeline = AggregationPipeline(assignment)
         np.testing.assert_array_equal(
             pipeline.aggregate_tensor(tensor).aggregate, [1.0, 2.0, 3.0]
         )
@@ -87,7 +87,7 @@ class TestAllAdversarialFiles:
             mols_assignment, np.ones((mols_assignment.num_files, 4))
         )
         tensor.write_slots(*np.nonzero(np.ones(tensor.workers.shape, dtype=bool)), -7.0)
-        result = ByzShieldPipeline(mols_assignment).aggregate_tensor(tensor).aggregate
+        result = AggregationPipeline(mols_assignment).aggregate_tensor(tensor).aggregate
         np.testing.assert_array_equal(result, np.full(4, -7.0))
 
 

@@ -15,6 +15,7 @@ import pytest
 
 from repro.aggregation import majority as majority_module
 from repro.aggregation.majority import majority_vote_votetensor
+from repro.aggregation.mean import MeanAggregator
 from repro.aggregation.median import CoordinateWiseMedian
 from repro.assignment.baseline import BaselineAssignment
 from repro.assignment.frc import FRCAssignment
@@ -24,12 +25,7 @@ from repro.attacks.registry import available_attacks, create_attack
 from repro.attacks.schedules import AdversarySchedule, ScheduledSelector
 from repro.cluster.simulator import TrainingCluster
 from repro.cluster.worker import WorkerPool
-from repro.core.pipelines import (
-    ByzShieldPipeline,
-    DetoxPipeline,
-    DracoPipeline,
-    VanillaPipeline,
-)
+from repro.core.pipelines import AggregationPipeline
 from repro.core.vote_tensor import VoteTensor
 
 from cow_helpers import FixedSelector, cube_of, tensor_of
@@ -61,12 +57,15 @@ SCHEMES = {
 }
 
 
-def pipelines_for(name, assignment):
-    if name in ("mols", "ramanujan"):
-        return [ByzShieldPipeline(assignment)]
-    if name == "frc":
-        return [DetoxPipeline(assignment), DracoPipeline(assignment, num_byzantine=1)]
-    return [VanillaPipeline(assignment, aggregator=CoordinateWiseMedian())]
+#: The paper's schemes, each as the one pipeline over its assignment and
+#: rule, with the rule the reference applies to the reference winners
+PIPELINES = {
+    "mols-byzshield": ("mols", CoordinateWiseMedian, CoordinateWiseMedian()),
+    "ramanujan-byzshield": ("ramanujan", CoordinateWiseMedian, CoordinateWiseMedian()),
+    "frc-detox": ("frc", CoordinateWiseMedian, CoordinateWiseMedian()),
+    "frc-draco": ("frc", MeanAggregator, lambda voted: voted.mean(axis=0)),
+    "baseline-vanilla": ("baseline", CoordinateWiseMedian, CoordinateWiseMedian()),
+}
 
 
 def simulate_round(assignment, attack, selector, seed=11):
@@ -81,15 +80,6 @@ def simulate_round(assignment, attack, selector, seed=11):
 def reference_winners(tensor):
     """Per-file reference vote over the materialized ``(f, r, d)`` copies."""
     return reference_vote(cube_of(tensor))[0]
-
-
-def reference_aggregate(pipeline, tensor):
-    if pipeline.pipeline_name == "vanilla":
-        return pipeline.aggregator(cube_of(tensor)[:, 0])
-    voted = reference_winners(tensor)
-    if pipeline.pipeline_name == "draco":
-        return voted.mean(axis=0)
-    return pipeline.aggregator(voted)
 
 
 # --------------------------------------------------------------------------- #
@@ -148,9 +138,10 @@ def test_kernel_byte_equality_semantics():
 # --------------------------------------------------------------------------- #
 # One round, all schemes x registered attacks: pipelines vs the reference vote
 # --------------------------------------------------------------------------- #
-@pytest.mark.parametrize("scheme", sorted(SCHEMES))
+@pytest.mark.parametrize("case", sorted(PIPELINES))
 @pytest.mark.parametrize("attack_name", available_attacks())
-def test_round_and_aggregates_identical(scheme, attack_name):
+def test_round_and_aggregates_identical(case, attack_name):
+    scheme, rule, reference_rule = PIPELINES[case]
     assignment = SCHEMES[scheme]()
     attack = create_attack(attack_name)
     selector = FixedSelector([0, min(5, assignment.num_workers - 1)])
@@ -164,13 +155,11 @@ def test_round_and_aggregates_identical(scheme, attack_name):
     assert np.array_equal(cube[honest_slots], replicated[honest_slots])
     assert not np.array_equal(cube, replicated)
 
-    for pipeline in pipelines_for(scheme, assignment):
-        expected = reference_aggregate(pipeline, tensor)
-        assert np.array_equal(pipeline.aggregate_tensor(tensor).aggregate, expected), (
-            scheme,
-            attack_name,
-            pipeline.pipeline_name,
-        )
+    # at r = 1 (the baseline) every file is decided by its one copy, so the
+    # reference winners are the workers' raw returns
+    expected = reference_rule(reference_winners(tensor))
+    pipeline = AggregationPipeline(assignment, rule())
+    assert np.array_equal(pipeline.aggregate_tensor(tensor).aggregate, expected)
 
 
 @pytest.mark.parametrize("scheme", sorted(SCHEMES))
@@ -202,7 +191,7 @@ def test_byzantine_mask_matches_selection(mols_assignment):
 
 
 def test_aggregate_tensor_validates_layout(mols_assignment, frc_15_3):
-    pipeline = ByzShieldPipeline(mols_assignment)
+    pipeline = AggregationPipeline(mols_assignment)
     wrong = VoteTensor.from_honest(
         frc_15_3.assignment,
         np.zeros((frc_15_3.assignment.num_files, DIM)),

@@ -36,39 +36,9 @@ class AssignmentScheme(abc.ABC):
             self._cached_assignment = cached
         return cached
 
-    @property
-    def num_workers(self) -> int:
-        """Number of workers ``K`` used by this scheme."""
-        return self.assignment.num_workers
-
-    @property
-    def num_files(self) -> int:
-        """Number of files ``f`` each batch is partitioned into."""
-        return self.assignment.num_files
-
-    @property
-    def computational_load(self) -> int:
-        """Files per worker ``l``."""
-        return self.assignment.computational_load
-
-    @property
-    def replication(self) -> int:
-        """Workers per file ``r``."""
-        return self.assignment.replication
-
-    def describe(self) -> dict[str, int | str]:
-        """Summary dictionary ``{scheme, K, f, l, r}`` for reports."""
-        return {
-            "scheme": self.scheme_name,
-            "num_workers": self.num_workers,
-            "num_files": self.num_files,
-            "load": self.computational_load,
-            "replication": self.replication,
-        }
-
     def __repr__(self) -> str:  # pragma: no cover - trivial
-        d = self.describe()
+        a = self.assignment
         return (
-            f"{type(self).__name__}(K={d['num_workers']}, f={d['num_files']}, "
-            f"l={d['load']}, r={d['replication']})"
+            f"{type(self).__name__}(K={a.num_workers}, f={a.num_files}, "
+            f"l={a.computational_load}, r={a.replication})"
         )

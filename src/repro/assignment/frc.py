@@ -48,23 +48,6 @@ class FRCAssignment(AssignmentScheme):
         """Number of groups (= number of files) ``K / r``."""
         return self.num_workers_total // self.replication_factor
 
-    def group_of_worker(self, worker: int) -> int:
-        """Group index of a worker (workers are grouped consecutively)."""
-        if not (0 <= worker < self.num_workers_total):
-            raise ConfigurationError(
-                f"worker {worker} out of range [0, {self.num_workers_total})"
-            )
-        return worker // self.replication_factor
-
-    def workers_of_group(self, group: int) -> list[int]:
-        """The ``r`` workers of ``group``."""
-        if not (0 <= group < self.num_groups):
-            raise ConfigurationError(
-                f"group {group} out of range [0, {self.num_groups})"
-            )
-        r = self.replication_factor
-        return list(range(group * r, (group + 1) * r))
-
     def build(self) -> BipartiteAssignment:
         """Materialize the grouped graph: worker ``j`` stores file ``j // r``."""
         K = self.num_workers_total

@@ -85,29 +85,3 @@ class MOLSAssignment(AssignmentScheme):
             num_files=l * l,
             name=f"mols(l={l},r={self.replication_factor})",
         )
-
-    # -- structural helpers ----------------------------------------------------
-    def parallel_class_of_worker(self, worker: int) -> int:
-        """Index ``k`` of the Latin square that populated ``worker`` (worker // l)."""
-        if not (0 <= worker < self.replication_factor * self.load):
-            raise ConfigurationError(
-                f"worker {worker} out of range [0, {self.replication_factor * self.load})"
-            )
-        return worker // self.load
-
-    def workers_of_parallel_class(self, k: int) -> list[int]:
-        """The ``l`` workers populated from Latin square ``L_{k+1}``."""
-        if not (0 <= k < self.replication_factor):
-            raise ConfigurationError(
-                f"parallel class {k} out of range [0, {self.replication_factor})"
-            )
-        return list(range(k * self.load, (k + 1) * self.load))
-
-    def file_cell(self, file_index: int) -> tuple[int, int]:
-        """Grid cell ``(i, j)`` corresponding to ``file_index = i*l + j``."""
-        l = self.load
-        if not (0 <= file_index < l * l):
-            raise ConfigurationError(
-                f"file {file_index} out of range [0, {l * l})"
-            )
-        return file_index // l, file_index % l

@@ -1,17 +1,15 @@
 """Gradient compression operators.
 
-Each compressor maps a flat gradient to a :class:`CompressedGradient` — the
-decompressed vector plus an estimate of the number of bits that would travel
-over the wire — so the cluster cost model can compare the communication cost
-of compressed ByzShield against the uncompressed baseline of Figure 12.
-Decompression happens eagerly (the simulator works on dense vectors); the
-``bits`` field is what the communication model consumes.
+Each compressor maps a flat gradient to the dense vector the receiver
+reconstructs from its compressed form.  Decompression happens eagerly (the
+simulator works on dense vectors), and no wire size is modelled.  The round
+path calls :meth:`Compressor.compress_matrix` on the whole ``(f, d)``
+gradient matrix; the per-row :meth:`Compressor.compress` is its reference.
 """
 
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,38 +18,12 @@ from repro.exceptions import ConfigurationError
 from repro.utils.registry import Registry
 
 __all__ = [
-    "CompressedGradient",
     "Compressor",
     "SignCompressor",
     "TopKCompressor",
     "available_compressors",
     "create_compressor",
 ]
-
-_FLOAT_BITS = 64
-_INDEX_BITS = 32
-
-
-@dataclass(frozen=True)
-class CompressedGradient:
-    """Result of compressing one gradient.
-
-    Attributes
-    ----------
-    vector:
-        The decompressed (dense) gradient the receiver reconstructs.
-    bits:
-        Estimated wire size of the compressed representation.
-    """
-
-    vector: np.ndarray
-    bits: float
-
-    @property
-    def compression_ratio(self) -> float:
-        """Uncompressed bits divided by compressed bits (>= 1 is a saving)."""
-        dense_bits = self.vector.size * _FLOAT_BITS
-        return dense_bits / self.bits if self.bits > 0 else float("inf")
 
 
 class Compressor(abc.ABC):
@@ -61,10 +33,10 @@ class Compressor(abc.ABC):
     compressor_name: str = "abstract"
 
     @abc.abstractmethod
-    def compress(self, gradient: np.ndarray) -> CompressedGradient:
-        """Compress a flat gradient and return the reconstruction + wire size."""
+    def compress(self, gradient: np.ndarray) -> np.ndarray:
+        """Compress a flat gradient and return the reconstructed vector."""
 
-    def __call__(self, gradient: np.ndarray) -> CompressedGradient:
+    def __call__(self, gradient: np.ndarray) -> np.ndarray:
         gradient = ensure_float(gradient).ravel()
         if gradient.size == 0:
             raise ConfigurationError("cannot compress an empty gradient")
@@ -74,7 +46,7 @@ class Compressor(abc.ABC):
     def compress_matrix(self, matrix: np.ndarray) -> np.ndarray:
         """Decompressed reconstructions of all rows of an ``(f, d)`` matrix,
         in one vectorized call; row ``i`` is bit-identical to
-        ``self(matrix[i]).vector``."""
+        ``self(matrix[i])``."""
 
     @staticmethod
     def _check_matrix(matrix: np.ndarray) -> np.ndarray:
@@ -92,17 +64,14 @@ class SignCompressor(Compressor):
     """1-bit sign quantization with a single per-message scale.
 
     The reconstruction is ``scale * sign(g)`` where ``scale`` is the mean
-    absolute value of the gradient (the standard scaled-sign estimator); the
-    wire cost is one bit per coordinate plus one float for the scale.
+    absolute value of the gradient (the standard scaled-sign estimator).
     """
 
     compressor_name = "sign"
 
-    def compress(self, gradient: np.ndarray) -> CompressedGradient:
+    def compress(self, gradient: np.ndarray) -> np.ndarray:
         scale = float(np.mean(np.abs(gradient)))
-        vector = scale * np.sign(gradient)
-        bits = gradient.size * 1 + _FLOAT_BITS
-        return CompressedGradient(vector, bits=float(bits))
+        return scale * np.sign(gradient)
 
     def compress_matrix(self, matrix: np.ndarray) -> np.ndarray:
         matrix = self._check_matrix(matrix)
@@ -130,13 +99,12 @@ class TopKCompressor(Compressor):
     def _k(self, dim: int) -> int:
         return max(1, int(round(self.fraction * dim)))
 
-    def compress(self, gradient: np.ndarray) -> CompressedGradient:
+    def compress(self, gradient: np.ndarray) -> np.ndarray:
         k = self._k(gradient.size)
         keep = np.argsort(np.abs(gradient))[-k:]
         vector = np.zeros_like(gradient)
         vector[keep] = gradient[keep]
-        bits = k * (_FLOAT_BITS + _INDEX_BITS)
-        return CompressedGradient(vector, bits=float(bits))
+        return vector
 
     def compress_matrix(self, matrix: np.ndarray) -> np.ndarray:
         matrix = self._check_matrix(matrix)

@@ -23,8 +23,6 @@ _EXPORTS = {
     "DistortionResult": "repro.core.distortion",
     "majority_threshold": "repro.core.distortion",
     "distorted_files": "repro.core.distortion",
-    "count_distorted": "repro.core.distortion",
-    "epsilon_hat": "repro.core.distortion",
     "max_distortion": "repro.core.distortion",
     "claim2_exact_c_max": "repro.core.distortion",
     "distortion_comparison_table": "repro.core.distortion",

@@ -52,8 +52,6 @@ __all__ = [
     "MAX_SEARCH_SETS",
     "majority_threshold",
     "distorted_files",
-    "count_distorted",
-    "epsilon_hat",
     "max_distortion",
     "claim2_exact_c_max",
     "distortion_comparison_table",
@@ -81,20 +79,6 @@ def distorted_files(
     counts = assignment.file_copy_counts(byzantine_workers)
     threshold = majority_threshold(assignment.replication)
     return np.nonzero(counts >= threshold)[0]
-
-
-def count_distorted(
-    assignment: BipartiteAssignment, byzantine_workers: "set[int] | list[int] | tuple[int, ...]"
-) -> int:
-    """Number of corrupted file gradients for a concrete Byzantine set."""
-    return int(distorted_files(assignment, byzantine_workers).size)
-
-
-def epsilon_hat(
-    assignment: BipartiteAssignment, byzantine_workers: "set[int] | list[int] | tuple[int, ...]"
-) -> float:
-    """Distortion fraction ``ε̂ = (number of corrupted files) / f``."""
-    return count_distorted(assignment, byzantine_workers) / assignment.num_files
 
 
 @dataclass(frozen=True)

@@ -39,7 +39,7 @@ from repro.aggregation.majority import (
 )
 from repro.aggregation.median import CoordinateWiseMedian
 from repro.core.vote_tensor import RowSelection, VoteTensor
-from repro.exceptions import AggregationError, ConfigurationError
+from repro.exceptions import AggregationError
 from repro.graphs.bipartite import BipartiteAssignment
 
 __all__ = ["RoundOutcome", "AggregationPipeline"]
@@ -119,9 +119,9 @@ class AggregationPipeline:
     assignment:
         Worker/file assignment graph the votes must conform to;
         :meth:`aggregate_tensor` checks every round's slot layout against it.
-        Its replication ``r`` must be odd (or 1), as in every scheme of the
-        paper: at even ``r`` the copies of a file can split into two tied
-        halves, neither of which reaches ``r' = r // 2 + 1``.
+        Any replication ``r`` votes by ``r' = r // 2 + 1``; at even ``r`` a
+        file whose copies split into two tied halves abstains.  Scenarios
+        refuse an even ``r`` when the runner builds the pipeline.
     aggregator:
         Robust rule applied to the voted gradients (coordinate-wise median,
         the paper's choice, when ``None``; Bulyan, Multi-Krum, the mean, ...).
@@ -139,11 +139,6 @@ class AggregationPipeline:
         aggregator: Aggregator | None = None,
         block_size: int | None = None,
     ) -> None:
-        r = assignment.replication
-        if r > 1 and r % 2 == 0:
-            raise ConfigurationError(
-                f"majority voting requires an odd replication factor (or r = 1), got r={r}"
-            )
         self.assignment = assignment
         self.aggregator = aggregator if aggregator is not None else CoordinateWiseMedian()
         self.block_size = validate_block_size(block_size)

@@ -13,37 +13,28 @@ from __future__ import annotations
 
 from repro.assignment.base import AssignmentScheme
 from repro.assignment.mols import MOLSAssignment
-from repro.assignment.ramanujan import RamanujanAssignment
 from repro.core.distortion import claim2_exact_c_max, max_distortion
-from repro.graphs.expansion import (
-    mols_epsilon_upper_bound,
-    ramanujan_case2_epsilon_upper_bound,
-)
+from repro.graphs.expansion import mols_epsilon_upper_bound
 
 __all__ = ["bound_tightness_table", "claim2_verification_table"]
 
 
 def bound_tightness_table(
-    scheme: AssignmentScheme | None = None,
     q_values: "list[int] | range | None" = None,
 ) -> list[dict[str, float]]:
     """Simulated ``c_max`` versus the ``γ`` bound and the closed-form ``ε̂`` bound.
 
-    Defaults to the Table 3 configuration (MOLS ``l=5, r=3``).
+    Runs on the Table 3 configuration (MOLS ``l=5, r=3``).
     """
-    scheme = scheme if scheme is not None else MOLSAssignment(load=5, replication=3)
-    assignment = scheme.assignment
+    assignment = MOLSAssignment(load=5, replication=3).assignment
     if q_values is None:
         q_values = range(2, assignment.replication * 2 + 2)
     rows: list[dict[str, float]] = []
     for q in q_values:
         result = max_distortion(assignment, q)
-        if isinstance(scheme, RamanujanAssignment) and scheme.case == 2:
-            closed_form = ramanujan_case2_epsilon_upper_bound(q, assignment.replication)
-        else:
-            closed_form = mols_epsilon_upper_bound(
-                q, assignment.computational_load, assignment.replication
-            )
+        closed_form = mols_epsilon_upper_bound(
+            q, assignment.computational_load, assignment.replication
+        )
         rows.append(
             {
                 "q": int(q),

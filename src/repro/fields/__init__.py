@@ -1,9 +1,9 @@
-"""Finite-field arithmetic and Latin-square combinatorics.
+"""Latin-square combinatorics.
 
 These are the combinatorial building blocks of ByzShield's MOLS task
-assignment (paper Section 4.1): a prime field :class:`PrimeField`, Latin
-squares built from the linear maps ``L_alpha(i, j) = alpha * i + j`` over that
-field, and families of mutually orthogonal Latin squares (MOLS).
+assignment (paper Section 4.1): Latin squares built from the linear maps
+``L_alpha(i, j) = alpha * i + j (mod l)`` for a prime degree ``l``, and
+families of mutually orthogonal Latin squares (MOLS).
 """
 
 from repro.fields.latin_squares import (
@@ -12,10 +12,8 @@ from repro.fields.latin_squares import (
     mols_family,
     is_latin_square,
 )
-from repro.fields.prime_field import PrimeField
 
 __all__ = [
-    "PrimeField",
     "LatinSquare",
     "are_orthogonal",
     "mols_family",

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.exceptions import ConfigurationError
-from repro.fields.prime_field import PrimeField
 from repro.utils.validation import check_positive_int, check_prime
 
 __all__ = ["LatinSquare", "are_orthogonal", "mols_family", "is_latin_square"]
@@ -67,9 +66,6 @@ class LatinSquare:
         """Degree ``l`` of the square (number of rows = columns = symbols)."""
         return int(self.grid.shape[0])
 
-    def __getitem__(self, idx: tuple[int, int]) -> int:
-        return int(self.grid[idx])
-
     def symbol_cells(self, symbol: int) -> list[tuple[int, int]]:
         """All cells ``(i, j)`` whose entry equals ``symbol``.
 
@@ -96,8 +92,7 @@ class LatinSquare:
             Non-zero multiplier in GF(l).
         """
         check_prime(l, "Latin square degree l")
-        field_ = PrimeField(l)
-        alpha = int(field_.element(alpha))
+        alpha = int(alpha) % l
         if alpha == 0:
             raise ConfigurationError("alpha must be non-zero in GF(l)")
         i = np.arange(l, dtype=np.int64)[:, None]

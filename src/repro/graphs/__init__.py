@@ -12,7 +12,6 @@ from repro.graphs.bipartite import BipartiteAssignment
 from repro.graphs.expansion import (
     neighborhood_lower_bound,
     gamma_upper_bound,
-    distortion_fraction_upper_bound,
     mols_epsilon_upper_bound,
     ramanujan_case2_epsilon_upper_bound,
 )
@@ -20,9 +19,7 @@ from repro.graphs.spectral import (
     normalized_biadjacency,
     gram_spectrum,
     second_eigenvalue,
-    spectral_gap,
     theoretical_mols_spectrum,
-    theoretical_ramanujan_case2_spectrum,
 )
 
 __all__ = [
@@ -30,12 +27,9 @@ __all__ = [
     "normalized_biadjacency",
     "gram_spectrum",
     "second_eigenvalue",
-    "spectral_gap",
     "theoretical_mols_spectrum",
-    "theoretical_ramanujan_case2_spectrum",
     "neighborhood_lower_bound",
     "gamma_upper_bound",
-    "distortion_fraction_upper_bound",
     "mols_epsilon_upper_bound",
     "ramanujan_case2_epsilon_upper_bound",
 ]

@@ -164,16 +164,6 @@ class BipartiteAssignment:
             raise AssignmentError("graph is not right-regular; replication is undefined")
         return int(degrees[0])
 
-    @property
-    def worker_degrees(self) -> np.ndarray:
-        """Per-worker degrees (number of files each worker stores)."""
-        return self._worker_degrees.copy()
-
-    @property
-    def file_degrees(self) -> np.ndarray:
-        """Per-file degrees (number of workers holding each file)."""
-        return self._file_degrees.copy()
-
     # -- neighborhoods ------------------------------------------------------
     def files_of_worker(self, worker: int) -> tuple[int, ...]:
         """Files assigned to ``worker`` — the paper's ``N(U_j)``."""
@@ -184,13 +174,6 @@ class BipartiteAssignment:
         """Workers holding ``file`` — the paper's ``N(B_{t,i})``."""
         self._check_file(file)
         return self._workers_of_file[file]
-
-    def files_of_workers(self, workers: Iterable[int]) -> set[int]:
-        """Union of files stored by a set of workers, ``N(S)``."""
-        out: set[int] = set()
-        for w in workers:
-            out.update(self.files_of_worker(w))
-        return out
 
     def file_copy_counts(self, workers: Iterable[int]) -> np.ndarray:
         """For each file, the number of copies held inside ``workers``.
@@ -223,25 +206,6 @@ class BipartiteAssignment:
             matrix.setflags(write=False)
             self._worker_slot_matrix = matrix
         return self._worker_slot_matrix
-
-    def shared_files(self, worker_a: int, worker_b: int) -> set[int]:
-        """Files stored by both workers (intersection of their neighborhoods)."""
-        return set(self.files_of_worker(worker_a)) & set(self.files_of_worker(worker_b))
-
-    # -- conversions ----------------------------------------------------------
-    def to_networkx(self):
-        """Export as a :class:`networkx.Graph` with a ``bipartite`` attribute.
-
-        Workers are the nodes ``("w", j)`` and files ``("f", i)``.
-        """
-        import networkx as nx
-
-        g = nx.Graph()
-        g.add_nodes_from((("w", j) for j in range(self.num_workers)), bipartite=0)
-        g.add_nodes_from((("f", i) for i in range(self.num_files)), bipartite=1)
-        rows, cols = np.nonzero(self._H)
-        g.add_edges_from((("w", int(j)), ("f", int(i))) for j, i in zip(rows, cols))
-        return g
 
     def worker_file_table(self) -> list[tuple[int, tuple[int, ...]]]:
         """Return ``[(worker, files), ...]`` rows matching the paper's Table 2."""

@@ -14,15 +14,11 @@ Implements the chain of results in paper Sections 3 and 5.1:
 
 from __future__ import annotations
 
-
 from repro.exceptions import ConfigurationError
-from repro.graphs.bipartite import BipartiteAssignment
-from repro.graphs.spectral import second_eigenvalue
 
 __all__ = [
     "neighborhood_lower_bound",
     "gamma_upper_bound",
-    "distortion_fraction_upper_bound",
     "mols_epsilon_upper_bound",
     "ramanujan_case2_epsilon_upper_bound",
 ]
@@ -85,26 +81,6 @@ def gamma_upper_bound(
     beta = neighborhood_lower_bound(q, load, r, num_workers, mu1)
     r_prime = (r + 1) // 2
     return (q * load - beta) / (r_prime - 1)
-
-
-def distortion_fraction_upper_bound(
-    assignment: BipartiteAssignment, num_byzantine: int, mu1: float | None = None
-) -> float:
-    """Upper bound on ``ε̂ = c_max / f`` for an arbitrary biregular assignment.
-
-    Uses the numerically computed ``µ₁`` of the graph unless one is supplied
-    (the paper's constructions have ``µ₁ = 1/r`` exactly).
-    """
-    if mu1 is None:
-        mu1 = second_eigenvalue(assignment)
-    gamma = gamma_upper_bound(
-        num_byzantine,
-        assignment.computational_load,
-        assignment.replication,
-        assignment.num_workers,
-        mu1,
-    )
-    return float(gamma) / assignment.num_files
 
 
 def mols_epsilon_upper_bound(q: int, l: int, r: int) -> float:

@@ -9,7 +9,8 @@ of the graph via Lemma 1 and therefore the adversary's distortion power.
 The paper's Lemma 2 gives closed forms for the constructions used:
 
 * MOLS and Ramanujan Case 1: spectrum ``{(1, 1), (1/r, r(l-1)), (0, r-1)}``;
-* Ramanujan Case 2: spectrum ``{(1, 1), (1/r, r(r-1)), (0, r-1)}``.
+* Ramanujan Case 2 (``K = r²``): spectrum ``{(1, 1), (1/r, r(r-1)),
+  (0, r-1)}``, the same form at ``l = r``.
 
 This module computes the spectrum numerically for arbitrary assignments and
 provides the closed forms for cross-checking.
@@ -27,9 +28,7 @@ __all__ = [
     "normalized_biadjacency",
     "gram_spectrum",
     "second_eigenvalue",
-    "spectral_gap",
     "theoretical_mols_spectrum",
-    "theoretical_ramanujan_case2_spectrum",
 ]
 
 
@@ -70,26 +69,17 @@ def second_eigenvalue(assignment: BipartiteAssignment) -> float:
     return float(eigenvalues[1])
 
 
-def spectral_gap(assignment: BipartiteAssignment) -> float:
-    """Gap between the trivial eigenvalue (1) and ``µ₁``; larger is better."""
-    return 1.0 - second_eigenvalue(assignment)
-
-
 def theoretical_mols_spectrum(l: int, r: int) -> list[tuple[float, int]]:
-    """Closed-form spectrum of ``(A Aᵀ)`` for MOLS / Ramanujan Case 1.
+    """Closed-form spectrum of ``(A Aᵀ)`` for MOLS and both Ramanujan cases.
 
     Returns ``[(eigenvalue, multiplicity), ...]`` sorted by decreasing
     eigenvalue: ``{(1, 1), (1/r, r(l-1)), (0, r-1)}`` (paper Lemma 2).
+    ``l`` enters only through ``K = r l``, the number of eigenvalues.
+    Ramanujan Case 2 has ``K = r²`` workers, so its spectrum
+    ``{(1, 1), (1/r, r(r-1)), (0, r-1)}`` is this one at ``l = r`` (not at
+    its load ``m``).
     """
     return [(1.0, 1), (1.0 / r, r * (l - 1)), (0.0, r - 1)]
-
-
-def theoretical_ramanujan_case2_spectrum(r: int) -> list[tuple[float, int]]:
-    """Closed-form spectrum of ``(A Aᵀ)`` for Ramanujan Case 2 (``K = r²``).
-
-    ``{(1, 1), (1/r, r(r-1)), (0, r-1)}`` per paper Lemma 2.
-    """
-    return [(1.0, 1), (1.0 / r, r * (r - 1)), (0.0, r - 1)]
 
 
 def spectrum_matches(

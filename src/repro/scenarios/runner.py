@@ -182,7 +182,8 @@ class ScenarioRunner:
         only picks what is refused here: DETOX and DRACO need an FRC
         assignment (one file per worker), DRACO needs ``r >= 2q + 1`` for
         the schedule's largest ``q`` and always averages, and the baseline
-        needs ``l = r = 1``.  The pipeline itself refuses an even ``r``.
+        needs ``l = r = 1``.  Every kind refuses an even ``r``: the paper's
+        schemes all vote over an odd number of copies.
         """
         section = self.spec.pipeline
         load, r = assignment.computational_load, assignment.replication
@@ -195,6 +196,11 @@ class ScenarioRunner:
             raise ConfigurationError(
                 "scenario.cluster: the 'vanilla' pipeline needs the baseline "
                 f"assignment with l = r = 1, got l={load}, r={r}"
+            )
+        if r > 1 and r % 2 == 0:
+            raise ConfigurationError(
+                "scenario.cluster: majority voting requires an odd replication "
+                f"factor (or r = 1), got r={r}"
             )
         if section.kind == "draco":
             max_q = 0

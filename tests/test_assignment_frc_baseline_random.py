@@ -22,10 +22,9 @@ def test_frc_structure(frc_15_3):
 
 
 def test_frc_groups_are_consecutive(frc_15_3):
-    assert frc_15_3.workers_of_group(0) == [0, 1, 2]
-    assert frc_15_3.workers_of_group(4) == [12, 13, 14]
-    assert frc_15_3.group_of_worker(7) == 2
     assignment = frc_15_3.assignment
+    for group in range(5):
+        assert assignment.workers_of_file(group) == (3 * group, 3 * group + 1, 3 * group + 2)
     for worker in range(15):
         assert assignment.files_of_worker(worker) == (worker // 3,)
 
@@ -35,11 +34,6 @@ def test_frc_validation():
         FRCAssignment(num_workers=16, replication=3)  # not divisible
     with pytest.raises(ConfigurationError):
         FRCAssignment(num_workers=16, replication=4)  # even group size
-    f = FRCAssignment(num_workers=15, replication=3)
-    with pytest.raises(ConfigurationError):
-        f.group_of_worker(15)
-    with pytest.raises(ConfigurationError):
-        f.workers_of_group(5)
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 """Tests for the MOLS assignment scheme, including the paper's Example 1 / Table 2."""
 
-import numpy as np
+import itertools
+
 import pytest
 
 from repro.assignment.mols import MOLSAssignment
@@ -12,7 +13,7 @@ def test_dimensions(mols_5_3, mols_assignment):
     assert mols_assignment.num_files == 25
     assert mols_assignment.computational_load == 5
     assert mols_assignment.replication == 3
-    assert mols_5_3.describe()["scheme"] == "mols"
+    assert mols_5_3.scheme_name == "mols"
 
 
 def test_matches_paper_table2():
@@ -39,41 +40,57 @@ def test_matches_paper_table2():
         assert files == expected[worker], f"worker {worker}"
 
 
-def test_same_parallel_class_workers_share_no_files(mols_5_3, mols_assignment):
+def shared_files(assignment, a, b):
+    return set(assignment.files_of_worker(a)) & set(assignment.files_of_worker(b))
+
+
+def test_same_parallel_class_workers_share_no_files(mols_assignment):
+    """§4.1: the l workers of parallel class k are U_{kl}, ..., U_{kl+l-1}."""
+    l = 5
     for k in range(3):
-        workers = mols_5_3.workers_of_parallel_class(k)
-        for i in range(len(workers)):
-            for j in range(i + 1, len(workers)):
-                assert mols_assignment.shared_files(workers[i], workers[j]) == set()
+        for a, b in itertools.combinations(range(k * l, (k + 1) * l), 2):
+            assert shared_files(mols_assignment, a, b) == set()
 
 
-def test_different_parallel_class_workers_share_exactly_one_file(mols_5_3, mols_assignment):
-    for a in range(15):
-        for b in range(a + 1, 15):
-            if mols_5_3.parallel_class_of_worker(a) != mols_5_3.parallel_class_of_worker(b):
-                assert len(mols_assignment.shared_files(a, b)) == 1
+def test_different_parallel_class_workers_share_exactly_one_file(mols_assignment):
+    l = 5
+    for a, b in itertools.combinations(range(15), 2):
+        if a // l != b // l:
+            assert len(shared_files(mols_assignment, a, b)) == 1
 
 
 def test_every_file_replicated_r_times(mols_assignment):
-    assert np.all(mols_assignment.file_degrees == 3)
+    assert [len(mols_assignment.workers_of_file(i)) for i in range(25)] == [3] * 25
 
 
-def test_parallel_class_helpers(mols_5_3):
-    assert mols_5_3.parallel_class_of_worker(0) == 0
-    assert mols_5_3.parallel_class_of_worker(14) == 2
-    assert mols_5_3.workers_of_parallel_class(1) == list(range(5, 10))
-    with pytest.raises(ConfigurationError):
-        mols_5_3.parallel_class_of_worker(15)
-    with pytest.raises(ConfigurationError):
-        mols_5_3.workers_of_parallel_class(3)
+def test_worker_stores_the_cells_of_its_symbol(mols_5_3, mols_assignment):
+    """Algorithm 2: worker U_{kl+s} stores file i*l + j for every cell (i, j)
+    of symbol s in L_{k+1}."""
+    l = 5
+    squares = mols_5_3.latin_squares()
+    for worker in range(15):
+        k, s = divmod(worker, l)
+        cells = [divmod(file, l) for file in mols_assignment.files_of_worker(worker)]
+        assert len(cells) == l
+        assert all(squares[k].grid[i, j] == s for i, j in cells)
 
 
-def test_file_cell_mapping(mols_5_3):
-    assert mols_5_3.file_cell(0) == (0, 0)
-    assert mols_5_3.file_cell(9) == (1, 4)
-    assert mols_5_3.file_cell(24) == (4, 4)
-    with pytest.raises(ConfigurationError):
-        mols_5_3.file_cell(25)
+@pytest.mark.parametrize("l, r", [(7, 3), (7, 5), (11, 3), (11, 5), (13, 3)])
+def test_parallel_class_structure_of_larger_squares(l, r):
+    """§4.1 beyond Table 2: each parallel class partitions the l² files, two
+    workers of one class share no file, two of different classes share
+    exactly one, and U_{kl+s} stores the cells of symbol s in L_{k+1}."""
+    scheme = MOLSAssignment(load=l, replication=r)
+    assignment = scheme.assignment
+    squares = scheme.latin_squares()
+    for k in range(r):
+        files = [f for w in range(k * l, (k + 1) * l) for f in assignment.files_of_worker(w)]
+        assert sorted(files) == list(range(l * l))
+    for a, b in itertools.combinations(range(r * l), 2):
+        assert len(shared_files(assignment, a, b)) == (0 if a // l == b // l else 1)
+    for worker in range(r * l):
+        k, s = divmod(worker, l)
+        assert all(squares[k].grid[divmod(f, l)] == s for f in assignment.files_of_worker(worker))
 
 
 def test_invalid_parameters():

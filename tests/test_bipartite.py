@@ -20,8 +20,6 @@ def test_basic_properties():
     assert a.num_edges == 6
     assert a.computational_load == 2
     assert a.replication == 2
-    assert np.array_equal(a.worker_degrees, [2, 2, 2])
-    assert np.array_equal(a.file_degrees, [2, 2, 2])
 
 
 def test_biadjacency_is_a_copy():
@@ -35,8 +33,6 @@ def test_neighborhoods():
     a = small_assignment()
     assert a.files_of_worker(0) == (0, 1)
     assert a.workers_of_file(2) == (1, 2)
-    assert a.files_of_workers([0, 1]) == {0, 1, 2}
-    assert a.shared_files(0, 1) == {1}
 
 
 def test_file_copy_counts():
@@ -108,14 +104,6 @@ def test_from_worker_files_mapping_and_errors():
         BipartiteAssignment.from_worker_files([[0, 0], [1, 0]])
     with pytest.raises(ConfigurationError):
         BipartiteAssignment.from_worker_files([[0, 5]], num_files=2)
-
-
-def test_to_networkx_structure():
-    a = small_assignment()
-    g = a.to_networkx()
-    assert g.number_of_nodes() == 6
-    assert g.number_of_edges() == 6
-    assert g.has_edge(("w", 0), ("f", 1))
 
 
 def test_worker_file_table_matches_neighborhoods():

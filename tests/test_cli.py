@@ -287,7 +287,8 @@ def _draco_against_q2(data):
             lambda data: data["cluster"]["params"].update(
                 replication=4, require_odd_replication=False
             ),
-            "majority voting requires an odd replication factor (or r = 1), got r=4",
+            "scenario.cluster: majority voting requires an odd replication factor "
+            "(or r = 1), got r=4",
         ),
     ],
     ids=["draco-bound", "draco-on-mols", "detox-on-mols", "vanilla-on-mols",
@@ -296,8 +297,8 @@ def _draco_against_q2(data):
 def test_scenario_run_inapplicable_scheme_is_a_one_line_error(tmp_path, capsys, name, edit, expected):
     """A spec its pipeline kind cannot run (DRACO with r = 3 against q = 2,
     DETOX or DRACO off FRC, the baseline off l = r = 1 or with a vote block,
-    an even r) is refused when the spec is loaded or the pipeline is built,
-    not by an AggregationError out of round 0."""
+    an even r) is refused, naming its spec path, when the spec is loaded or
+    the pipeline is built, not by an AggregationError out of round 0."""
     data = get_scenario(name).to_dict()
     edit(data)
     path = tmp_path / "bad.json"

@@ -21,20 +21,17 @@ def test_sign_compressor_properties():
     g = gradient()
     out = SignCompressor()(g)
     # Reconstruction has the right signs and a single magnitude.
-    assert np.array_equal(np.sign(out.vector), np.sign(g))
-    magnitudes = np.unique(np.abs(out.vector))
+    assert np.array_equal(np.sign(out), np.sign(g))
+    magnitudes = np.unique(np.abs(out))
     assert magnitudes.size == 1
     assert magnitudes[0] == pytest.approx(np.abs(g).mean())
-    # Roughly 64x fewer bits than dense float64.
-    assert out.compression_ratio > 30
 
 
 def test_topk_keeps_largest_coordinates():
     g = np.array([0.1, -5.0, 0.2, 3.0, -0.05])
     out = TopKCompressor(fraction=0.4)(g)
-    assert np.count_nonzero(out.vector) == 2
-    assert out.vector[1] == -5.0 and out.vector[3] == 3.0
-    assert out.compression_ratio > 1.0
+    assert np.count_nonzero(out) == 2
+    assert out[1] == -5.0 and out[3] == 3.0
 
 
 def test_topk_fraction_validation():
@@ -46,7 +43,7 @@ def test_topk_fraction_validation():
 
 def test_topk_always_keeps_at_least_one():
     out = TopKCompressor(fraction=0.001)(gradient(dim=10))
-    assert np.count_nonzero(out.vector) == 1
+    assert np.count_nonzero(out) == 1
 
 
 def test_registry_holds_the_compressors_the_catalog_reaches():

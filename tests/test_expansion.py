@@ -2,12 +2,12 @@
 
 import itertools
 
+import numpy as np
 import pytest
 
-from repro.core.distortion import count_distorted
+from repro.core.distortion import distorted_files, max_distortion
 from repro.exceptions import ConfigurationError
 from repro.graphs.expansion import (
-    distortion_fraction_upper_bound,
     gamma_upper_bound,
     mols_epsilon_upper_bound,
     neighborhood_lower_bound,
@@ -34,8 +34,8 @@ def test_neighborhood_bound_is_valid_lower_bound(mols_assignment):
     for q in (2, 3):
         beta = neighborhood_lower_bound(q, 5, 3, 15, mu1)
         for subset in itertools.combinations(range(15), q):
-            neighborhood = mols_assignment.files_of_workers(subset)
-            assert len(neighborhood) >= beta - 1e-9
+            neighborhood = np.count_nonzero(mols_assignment.file_copy_counts(subset))
+            assert neighborhood >= beta - 1e-9
 
 
 def test_neighborhood_bound_validates_mu1():
@@ -73,17 +73,18 @@ def test_gamma_is_an_upper_bound_on_actual_distortion(mols_assignment):
     for q in (2, 3, 4):
         gamma = gamma_upper_bound(q, 5, 3, 15, mu1)
         worst = max(
-            count_distorted(mols_assignment, subset)
+            distorted_files(mols_assignment, subset).size
             for subset in itertools.combinations(range(15), q)
         )
         assert worst <= gamma + 1e-9
 
 
-def test_distortion_fraction_upper_bound_uses_graph_mu1(mols_assignment):
-    bound = distortion_fraction_upper_bound(mols_assignment, 3)
-    assert bound == pytest.approx(4.29 / 25, abs=0.001)
-    explicit = distortion_fraction_upper_bound(mols_assignment, 3, mu1=1 / 3)
-    assert bound == pytest.approx(explicit, abs=1e-9)
+def test_gamma_over_f_uses_graph_mu1(mols_assignment):
+    """The search's γ, from the graph's own µ₁, over f is Table 3's γ / f."""
+    result = max_distortion(mols_assignment, 3)
+    assert result.gamma / mols_assignment.num_files == pytest.approx(4.29 / 25, abs=0.001)
+    explicit = gamma_upper_bound(3, 5, 3, 15, 1 / 3)
+    assert result.gamma == pytest.approx(explicit, abs=1e-9)
 
 
 def test_closed_form_mols_bound_equals_gamma_over_f():

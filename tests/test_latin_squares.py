@@ -53,12 +53,30 @@ def test_from_linear_requires_prime_and_nonzero_alpha():
         LatinSquare.from_linear(5, 5)  # alpha reduces to zero mod 5
 
 
+@pytest.mark.parametrize("l", [1, 4, 9, 15, 25])
+def test_from_linear_refuses_composite_degree(l):
+    """Over Z_l with l composite, alpha*i + j is not a Latin square for every
+    non-zero alpha, so the construction takes prime degrees only."""
+    with pytest.raises(ConfigurationError, match="must be prime"):
+        LatinSquare.from_linear(l, 1)
+
+
+@pytest.mark.parametrize("l, alpha", [(3, 4), (5, 6), (5, -1), (7, 9), (7, -3), (11, 25)])
+def test_from_linear_reduces_alpha_mod_l(l, alpha):
+    """alpha is an element of GF(l): any integer stands for its residue."""
+    square = LatinSquare.from_linear(l, alpha)
+    assert square.alpha == alpha % l
+    assert np.array_equal(square.grid, LatinSquare.from_linear(l, alpha % l).grid)
+    i, j = np.indices((l, l))
+    assert np.array_equal(square.grid, (alpha * i + j) % l)
+
+
 def test_symbol_cells_count_and_content():
     square = LatinSquare.from_linear(5, 1)
     cells = square.symbol_cells(0)
     assert len(cells) == 5
     for i, j in cells:
-        assert square[i, j] == 0
+        assert square.grid[i, j] == 0
     # From the paper's Example 1: symbol 0 of L1 lies at these cells.
     assert set(cells) == {(0, 0), (1, 4), (2, 3), (3, 2), (4, 1)}
 

@@ -92,22 +92,27 @@ def two_groups_of_two():
     return BipartiteAssignment(H)
 
 
-@pytest.mark.parametrize(
-    "build, r",
-    [
-        (lambda: MOLSAssignment(load=5, replication=4, require_odd_replication=False).assignment, 4),
-        (two_groups_of_two, 2),
-    ],
-    ids=["mols-r4", "groups-of-two"],
-)
-def test_even_replication_is_refused(build, r):
-    """The one odd-r refusal, for every kind: at even r a file's copies can
-    split into two tied halves."""
-    with pytest.raises(
-        ConfigurationError,
-        match=rf"^majority voting requires an odd replication factor \(or r = 1\), got r={r}$",
-    ):
-        AggregationPipeline(build())
+def test_even_replication_votes_by_strict_majority():
+    """The pipeline votes any r by r' = r // 2 + 1 (scenarios refuse an even
+    r at build): a file whose two copies split 1-1 abstains."""
+    votes = corrupt(honest_votes(two_groups_of_two(), indexed_gradient), {0}, np.full(DIM, -9.0))
+    outcome = AggregationPipeline(two_groups_of_two(), MeanAggregator()).aggregate_tensor(votes)
+    assert outcome.counts.tolist() == [0, 2]
+    assert np.array_equal(outcome.aggregate, indexed_gradient(1))
+
+
+def test_even_mols_replication_abstains_on_a_two_two_split():
+    """At r = 4 the vote needs r' = 3 matching copies: the one file that two
+    Byzantines of different parallel classes share splits 2-2 and abstains,
+    while a file with a single Byzantine copy is still decided."""
+    assignment = MOLSAssignment(load=5, replication=4, require_odd_replication=False).assignment
+    (shared,) = set(assignment.files_of_worker(0)) & set(assignment.files_of_worker(5))
+    votes = corrupt(honest_votes(assignment, indexed_gradient), {0, 5}, np.full(DIM, -9.0))
+    outcome = AggregationPipeline(assignment, MeanAggregator()).aggregate_tensor(votes)
+    assert outcome.counts[shared] == 0
+    assert np.all(np.delete(outcome.counts, shared) >= 3)
+    decided = [i for i in range(assignment.num_files) if i != shared]
+    assert np.allclose(outcome.aggregate, np.mean(decided))
 
 
 def test_validates_votes(mols_assignment, ramanujan_case1):
@@ -249,7 +254,8 @@ REFUSED = {
             "mols-clean",
             cluster={"params": {"load": 5, "replication": 4, "require_odd_replication": False}},
         ),
-        "majority voting requires an odd replication factor (or r = 1), got r=4",
+        "scenario.cluster: majority voting requires an odd replication factor "
+        "(or r = 1), got r=4",
     ),
 }
 

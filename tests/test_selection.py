@@ -5,7 +5,7 @@ import pytest
 
 from repro.attacks.schedules import AdversarySchedule, ScheduledSelector
 from repro.attacks.selection import OmniscientSelector
-from repro.core.distortion import count_distorted, max_distortion
+from repro.core.distortion import distorted_files, max_distortion
 from repro.exceptions import AttackError
 from repro.graphs.bipartite import BipartiteAssignment
 
@@ -25,7 +25,7 @@ def test_omniscient_selector_achieves_worst_case(mols_assignment, rng):
         selector = OmniscientSelector(num_byzantine=q)
         chosen = selector.select(mols_assignment, 0, rng)
         optimum = max_distortion(mols_assignment, q).c_max
-        assert count_distorted(mols_assignment, chosen) == optimum
+        assert distorted_files(mols_assignment, chosen).size == optimum
 
 
 def test_omniscient_selector_is_stable_across_iterations(mols_assignment, rng):

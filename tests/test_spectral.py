@@ -10,10 +10,8 @@ from repro.graphs.spectral import (
     gram_spectrum,
     normalized_biadjacency,
     second_eigenvalue,
-    spectral_gap,
     spectrum_matches,
     theoretical_mols_spectrum,
-    theoretical_ramanujan_case2_spectrum,
 )
 
 
@@ -45,13 +43,10 @@ def test_ramanujan_case1_spectrum_matches_mols(ramanujan_case1):
 
 def test_ramanujan_case2_spectrum(ramanujan_case2):
     observed = gram_spectrum(ramanujan_case2.assignment)
-    expected = theoretical_ramanujan_case2_spectrum(r=5)
+    # Lemma 2 case 2 has K = r² workers: the MOLS form at l = r.
+    expected = theoretical_mols_spectrum(l=5, r=5)
     assert spectrum_matches(observed, expected, atol=1e-8)
     assert second_eigenvalue(ramanujan_case2.assignment) == pytest.approx(0.2, abs=1e-9)
-
-
-def test_spectral_gap(mols_assignment):
-    assert spectral_gap(mols_assignment) == pytest.approx(2.0 / 3.0, abs=1e-9)
 
 
 def test_mols_7_5_spectrum():

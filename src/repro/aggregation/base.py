@@ -44,9 +44,9 @@ class Aggregator(abc.ABC):
         ``num_byzantine=None`` asks about the rule as configured; a value asks
         what it would need at that ``q``.  The default is ``1``; Krum-family
         rules override this with their breakdown-point requirements (e.g.
-        Bulyan needs ``4q + 3`` votes).  The scenario runner compares it with
-        the rows a full round hands the rule, so an inapplicable
-        configuration is refused when it is built, not in round 0, and
+        Bulyan needs ``4q + 3`` votes).  The scenario runner's ``check()``
+        compares it with the rows a full round hands the rule, so an
+        inapplicable configuration is refused before any data, and
         :meth:`__call__` refuses fewer rows (a partial round) before the
         rule runs.
         """

@@ -13,9 +13,10 @@ from __future__ import annotations
 import numpy as np
 
 from repro.assignment.base import AssignmentScheme
+from repro.core.distortion import majority_threshold
 from repro.exceptions import ConfigurationError
 from repro.graphs.bipartite import BipartiteAssignment
-from repro.utils.validation import check_odd, check_positive_int
+from repro.utils.validation import check_positive_int
 
 __all__ = ["FRCAssignment"]
 
@@ -28,8 +29,9 @@ class FRCAssignment(AssignmentScheme):
     num_workers:
         Total number of workers ``K``; must be divisible by ``replication``.
     replication:
-        Group size ``r`` (each file is computed by all workers of one group);
-        odd so that in-group majority voting cannot tie.
+        Group size ``r`` (each file is computed by all workers of one group).
+        The graph has no vote, so any ``r`` builds; the scenario runner's
+        ``check()`` refuses an even ``r`` for a run.
     """
 
     scheme_name = "frc"
@@ -37,7 +39,6 @@ class FRCAssignment(AssignmentScheme):
     def __init__(self, num_workers: int, replication: int) -> None:
         self.num_workers_total = check_positive_int(num_workers, "num_workers K")
         self.replication_factor = check_positive_int(replication, "replication r")
-        check_odd(replication, "replication r")
         if num_workers % replication != 0:
             raise ConfigurationError(
                 f"FRC requires r | K, got K={num_workers}, r={replication}"
@@ -60,9 +61,11 @@ class FRCAssignment(AssignmentScheme):
     def worst_case_epsilon(q: int, num_workers: int, replication: int) -> float:
         """Closed-form worst-case distortion fraction of Section 5.3.1.
 
-        ``ε̂_FRC = floor(q / r') * r / K`` with ``r' = (r + 1) / 2``.
+        ``ε̂_FRC = floor(q / r') * r / K`` with the vote's
+        ``r' = majority_threshold(r)`` (``(r + 1) / 2`` for odd ``r``), at
+        most all ``K / r`` files.
         """
         if q < 0:
             raise ConfigurationError(f"q must be non-negative, got {q}")
-        r_prime = (replication + 1) // 2
-        return (q // r_prime) * replication / num_workers
+        groups = min(q // majority_threshold(replication), num_workers // replication)
+        return groups * replication / num_workers

@@ -21,7 +21,7 @@ from repro.assignment.base import AssignmentScheme
 from repro.exceptions import ConfigurationError
 from repro.fields.latin_squares import LatinSquare, mols_family
 from repro.graphs.bipartite import BipartiteAssignment
-from repro.utils.validation import check_odd, check_positive_int, check_prime
+from repro.utils.validation import check_positive_int, check_prime
 
 __all__ = ["MOLSAssignment"]
 
@@ -35,18 +35,14 @@ class MOLSAssignment(AssignmentScheme):
         Computational load ``l`` — prime degree of the Latin squares.  The
         scheme uses ``K = r*l`` workers and ``f = l²`` files.
     replication:
-        Replication factor ``r``; must be odd (for majority voting),
-        at least 3 and at most ``l - 1``.
-    require_odd_replication:
-        Majority voting needs an odd ``r``; set to False only for structural
-        studies of the graph itself.
+        Replication factor ``r``: at least 2 and at most ``l - 1``.  The
+        graph has no vote, so any such ``r`` builds; the scenario runner's
+        ``check()`` refuses an even ``r`` for a run.
     """
 
     scheme_name = "mols"
 
-    def __init__(
-        self, load: int, replication: int, require_odd_replication: bool = True
-    ) -> None:
+    def __init__(self, load: int, replication: int) -> None:
         self.load = check_prime(load, "load l")
         self.replication_factor = check_positive_int(replication, "replication r")
         if replication > load - 1:
@@ -57,8 +53,6 @@ class MOLSAssignment(AssignmentScheme):
             raise ConfigurationError(
                 f"redundancy requires r >= 2, got r={replication}"
             )
-        if require_odd_replication:
-            check_odd(replication, "replication r")
 
     # -- construction ---------------------------------------------------------
     def latin_squares(self) -> list[LatinSquare]:

@@ -67,25 +67,20 @@ class RamanujanAssignment(AssignmentScheme):
         Number of block columns (``m >= 2``).
     s:
         Prime block size.
-    require_odd_replication:
-        Majority voting needs an odd replication factor (``m`` in Case 1,
-        ``s`` in Case 2); set to False for purely structural studies.
+
+    The replication factor is ``m`` in Case 1 and ``s`` in Case 2.  The
+    graph has no vote, so an even one builds too; the scenario runner's
+    ``check()`` refuses an even ``r`` for a run.
     """
 
     scheme_name = "ramanujan"
 
-    def __init__(self, m: int, s: int, require_odd_replication: bool = True) -> None:
+    def __init__(self, m: int, s: int) -> None:
         self.m = check_positive_int(m, "m")
         self.s = check_prime(s, "s")
         if m < 2:
             raise ConfigurationError(f"the construction requires m >= 2, got m={m}")
         self.case = 1 if m < s else 2
-        replication = m if self.case == 1 else s
-        if require_odd_replication and replication % 2 == 0:
-            raise ConfigurationError(
-                f"replication r={replication} must be odd for majority voting; "
-                "pass require_odd_replication=False to build the graph anyway"
-            )
 
     def build(self) -> BipartiteAssignment:
         """Materialize the bipartite graph (rows = workers, columns = files)."""

@@ -112,6 +112,10 @@ class ScheduledSelector(ByzantineSelector):
         (worst-case set for that budget, cached per ``(assignment, q)``),
         ``"random"`` (fresh uniform draw from the round generator) or
         ``"rotating"`` (the schedule's contiguous window, modulo ``K``).
+
+    A rotating schedule goes with rotating selection and only with it, and
+    no schedule may reach ``q > K``: both are refused before any round by
+    :meth:`~repro.scenarios.runner.ScenarioRunner.check`.
     """
 
     def __init__(
@@ -123,15 +127,6 @@ class ScheduledSelector(ByzantineSelector):
             raise ConfigurationError(
                 f"unknown selection {selection!r}; expected 'omniscient', "
                 "'random' or 'rotating'"
-            )
-        if selection == "rotating" and schedule.kind != "rotating":
-            raise ConfigurationError(
-                "selection='rotating' requires a rotating schedule"
-            )
-        if schedule.kind == "rotating" and selection != "rotating":
-            raise ConfigurationError(
-                "a rotating schedule defines the compromised set itself; "
-                f"set selection='rotating' (got {selection!r})"
             )
         self.schedule = schedule
         self.selection = selection
@@ -145,8 +140,6 @@ class ScheduledSelector(ByzantineSelector):
     ) -> tuple[int, ...]:
         q = self.schedule.q_at(iteration)
         K = assignment.num_workers
-        if q > K:
-            raise AttackError(f"schedule requests q={q} > K={K} at t={iteration}")
         if q == 0:
             return ()
         if self.selection == "rotating":

@@ -31,6 +31,7 @@ from typing import Any, Mapping
 
 from repro.exceptions import ConfigurationError
 from repro.scenarios.catalog import get_scenario
+from repro.scenarios.runner import ScenarioRunner
 from repro.scenarios.schema import Schema, spec_field
 from repro.scenarios.spec import ScenarioSpec
 from repro.utils.rng import derive_seed
@@ -264,7 +265,9 @@ class CampaignSpec(Schema, where="campaign"):
 
         Expansion order is the cartesian product over axes sorted by path,
         each axis's values in declared order — identical on every call and
-        every machine.
+        every machine.  Each cell passes
+        :meth:`~repro.scenarios.runner.ScenarioRunner.check` here, so a cell
+        that cannot run is refused by name before any cell runs.
         """
         scenarios: list[CampaignScenario] = []
         names: set[str] = set()
@@ -286,6 +289,7 @@ class CampaignSpec(Schema, where="campaign"):
                 _apply_override(data, path, value)
             try:
                 spec = ScenarioSpec.from_dict(data)
+                ScenarioRunner(spec).check()
             except ConfigurationError as exc:
                 raise ConfigurationError(
                     f"campaign {self.name!r}: grid cell {name!r} does not form "

@@ -27,7 +27,7 @@ from repro.cluster.faults import (
 from repro.cluster.messages import TensorRoundResult
 from repro.cluster.timing import CostModel
 from repro.cluster.worker import WorkerPool
-from repro.core.distortion import distorted_files, majority_threshold
+from repro.core.distortion import distorted_files
 from repro.data.batching import RoundFiles
 from repro.exceptions import TrainingError
 from repro.graphs.bipartite import BipartiteAssignment
@@ -97,22 +97,6 @@ class TrainingCluster:
             runtime = AsyncRuntime(
                 deadline=max(timeouts, default=float("inf")),
                 cost_model=CostModel(0.0, 0.0, 0.0, 0.0),
-            )
-        if runtime.quorum is not None and runtime.quorum > assignment.replication:
-            raise TrainingError(
-                f"runtime quorum {runtime.quorum} exceeds the assignment's "
-                f"replication r={assignment.replication}: no file could close"
-            )
-        r_prime = majority_threshold(assignment.replication)
-        if runtime.groups is None and runtime.quorum is not None and runtime.quorum < r_prime:
-            raise TrainingError(
-                f"runtime quorum {runtime.quorum} is below the r'={r_prime} matching "
-                "copies the vote needs: no file could be decided"
-            )
-        if runtime.groups is not None and runtime.groups > assignment.num_workers:
-            raise TrainingError(
-                f"runtime groups {runtime.groups} exceed the assignment's "
-                f"K={assignment.num_workers} workers"
             )
         self.runtime = runtime
         self.assignment = assignment

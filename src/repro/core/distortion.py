@@ -40,8 +40,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.assignment.baseline import BaselineAssignment
-from repro.assignment.frc import FRCAssignment
 from repro.exceptions import ConfigurationError
 from repro.graphs.bipartite import BipartiteAssignment
 from repro.graphs.expansion import gamma_upper_bound
@@ -297,6 +295,9 @@ def distortion_comparison_table(
     ``ε̂`` for ByzShield, the baseline (``q / K``), the worst-case FRC fraction
     of Section 5.3.1 computed for the same ``K`` and ``r``, and the γ bound.
     """
+    # The schemes' closed forms import this module's r', so import them here.
+    from repro.assignment.baseline import BaselineAssignment
+    from repro.assignment.frc import FRCAssignment
     K = assignment.num_workers
     r = assignment.replication
     rows: list[dict[str, float]] = []

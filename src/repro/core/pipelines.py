@@ -22,8 +22,8 @@ over different assignments, which is why the paper compares them by
   the rule sees the ``K`` worker gradients.
 
 A scenario's ``pipeline.kind`` names which of these a run is; it only picks
-the build checks :meth:`~repro.scenarios.runner.ScenarioRunner._build_pipeline`
-runs before it builds this class.
+the refusals :meth:`~repro.scenarios.runner.ScenarioRunner.check` makes
+before it builds this class.
 """
 
 from __future__ import annotations
@@ -121,7 +121,7 @@ class AggregationPipeline:
         :meth:`aggregate_tensor` checks every round's slot layout against it.
         Any replication ``r`` votes by ``r' = r // 2 + 1``; at even ``r`` a
         file whose copies split into two tied halves abstains.  Scenarios
-        refuse an even ``r`` when the runner builds the pipeline.
+        refuse an even ``r`` in the runner's ``check()``.
     aggregator:
         Robust rule applied to the voted gradients (coordinate-wise median,
         the paper's choice, when ``None``; Bulyan, Multi-Krum, the mean, ...).

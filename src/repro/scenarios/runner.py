@@ -25,9 +25,10 @@ and obtain traces bit-identical to serial execution.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any, Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -46,7 +47,8 @@ from repro.cluster.faults import (
 )
 from repro.cluster.simulator import TrainingCluster
 from repro.cluster.worker import WorkerPool
-from repro.compression.compressors import create_compressor
+from repro.compression.compressors import Compressor, create_compressor
+from repro.core.distortion import majority_threshold
 from repro.core.pipelines import AggregationPipeline
 from repro.data.batching import build_file_partition
 # ``train_test_split`` is not called here: it is the oracle of the fused build
@@ -54,7 +56,7 @@ from repro.data.batching import build_file_partition
 # ``make_gaussian_mixture`` and ``build_file_partition`` on this module.
 from repro.data.datasets import Dataset, split_slots, train_test_split  # noqa: F401
 from repro.data.synthetic import make_gaussian_mixture, make_synthetic_images
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ConfigurationError, ReproError
 from repro.graphs.bipartite import BipartiteAssignment
 from repro.nn.models import build_mlp
 from repro.scenarios.spec import ScenarioSpec
@@ -154,13 +156,39 @@ def _create_fault_injector(kind: str, **params: Any) -> FaultInjector:
     return _FAULT_INJECTORS[kind](**params)
 
 
-def _create(what: str, factory: Callable[..., Any], name: str, /, **params: Any) -> Any:
-    """``factory(name, **params)`` on a spec section's free-form ``params``: a
-    keyword the named component does not take is a configuration error."""
+@contextlib.contextmanager
+def _section(where: str) -> Iterator[None]:
+    """Re-raise a library error from a constructor inside as the
+    :class:`ConfigurationError` of the spec path ``where``: the value it
+    refused came from that section, and the constructor does not know it."""
     try:
-        return factory(name, **params)
-    except TypeError as exc:
-        raise ConfigurationError(f"bad parameters for {what} {name!r}: {exc}") from exc
+        yield
+    except ReproError as exc:
+        raise ConfigurationError(f"{where}: {exc}") from exc
+
+
+def _create(where: str, what: str, factory: Callable[..., Any], name: str, params: dict) -> Any:
+    """``factory(name, **params)`` on a spec section's free-form ``params``:
+    a keyword the named component does not take, or a value it refuses, is
+    a configuration error naming the section's path ``where``."""
+    with _section(where):
+        try:
+            return factory(name, **params)
+        except TypeError as exc:
+            raise ConfigurationError(f"bad parameters for {what} {name!r}: {exc}") from exc
+
+
+class _Components(NamedTuple):
+    """What :meth:`ScenarioRunner.check` builds: the run but its data and model."""
+
+    assignment: BipartiteAssignment
+    pipeline: AggregationPipeline
+    attack: Attack | None
+    selector: ScheduledSelector | None
+    fault_injectors: tuple[FaultInjector, ...]
+    compressor: Compressor | None
+    runtime: AsyncRuntime | None
+    config: TrainingConfig
 
 
 class ScenarioRunner:
@@ -170,64 +198,124 @@ class ScenarioRunner:
         self.spec = spec
 
     # -- component assembly --------------------------------------------------
-    def _build_assignment(self) -> BipartiteAssignment:
-        section = self.spec.cluster
-        scheme = _create("scheme", create_scheme, section.scheme, **section.params)
-        return scheme.assignment
+    def check(self) -> _Components:
+        """Build every component the spec names but its data and model, and
+        refuse a spec that cannot run before any data exists.
 
-    def _build_pipeline(self, assignment: BipartiteAssignment) -> AggregationPipeline:
-        """Algorithm 1 over the spec's assignment, after its kind's checks.
-
-        Every kind builds the same :class:`AggregationPipeline`; ``kind``
-        only picks what is refused here: DETOX and DRACO need an FRC
-        assignment (one file per worker), DRACO needs ``r >= 2q + 1`` for
-        the schedule's largest ``q`` and always averages, and the baseline
-        needs ``l = r = 1``.  Every kind refuses an even ``r``: the paper's
-        schemes all vote over an odd number of copies.
+        The one applicability check: a spec section checks only its own
+        fields' values, and every condition relating two fields, two
+        sections, or a section and a built component is a row of the table
+        below, one :class:`ConfigurationError` starting with the dotted
+        ``scenario.`` path it names.  The schemes build any ``r``; the
+        even-``r`` row is the one odd-``r`` policy.  :meth:`build_trainer`
+        calls it first and uses what it built.
         """
-        section = self.spec.pipeline
+        spec, section = self.spec, self.spec.pipeline
+        kind, cluster, attack_spec = section.kind, spec.cluster, spec.attack
+        assignment = _create(
+            "scenario.cluster.params", "scheme", create_scheme, cluster.scheme, cluster.params
+        ).assignment
+        K, f = assignment.num_workers, assignment.num_files
         load, r = assignment.computational_load, assignment.replication
-        if section.kind in ("detox", "draco") and load != 1:
-            raise ConfigurationError(
-                f"scenario.cluster: the {section.kind!r} pipeline needs an FRC "
-                f"assignment (one file per worker), got load={load}"
+        if kind == "draco":  # DRACO averages, whatever aggregator it names
+            aggregator = MeanAggregator()
+        else:
+            aggregator = _create(
+                "scenario.pipeline.aggregator_params", "aggregator", create_aggregator,
+                section.aggregator, section.aggregator_params,
             )
-        if section.kind == "vanilla" and (load != 1 or r != 1):
-            raise ConfigurationError(
-                "scenario.cluster: the 'vanilla' pipeline needs the baseline "
-                f"assignment with l = r = 1, got l={load}, r={r}"
+        attack, selector, max_q = None, None, 0
+        if attack_spec is not None:
+            attack = _create(
+                "scenario.attack.params", "attack", create_attack,
+                attack_spec.name, attack_spec.params,
             )
-        if r > 1 and r % 2 == 0:
-            raise ConfigurationError(
-                "scenario.cluster: majority voting requires an odd replication "
-                f"factor (or r = 1), got r={r}"
-            )
-        if section.kind == "draco":
-            max_q = 0
-            if self.spec.attack is not None:
-                max_q = AdversarySchedule(**dataclasses.asdict(self.spec.attack.schedule)).max_q
-            if r < 2 * max_q + 1:
-                raise ConfigurationError(
-                    f"scenario.attack: DRACO requires r >= 2q+1, but r={r} and "
-                    f"the schedule reaches q={max_q}"
-                )
-            return AggregationPipeline(assignment, MeanAggregator(), section.block_size)
-        aggregator = _create(
-            "aggregator", create_aggregator, section.aggregator, **section.aggregator_params
+            with _section("scenario.attack.schedule"):
+                schedule = AdversarySchedule(**dataclasses.asdict(attack_spec.schedule))
+            selector = ScheduledSelector(schedule, selection=attack_spec.selection)
+            max_q = schedule.max_q
+        fault_injectors = tuple(
+            _create(f"scenario.faults[{i}].params", "fault", _create_fault_injector,
+                    fault.kind, fault.params)
+            for i, fault in enumerate(spec.faults)
         )
-        # The aggregator of a full round sees one row per file: the f voted
-        # files (ByzShield), the vote groups (DETOX: one file each) or the
-        # workers (vanilla: l = r = 1).  Partial async rounds can still fall
-        # short at run time; that stays the aggregator's AggregationError.
-        needed = aggregator.minimum_votes()
-        if needed > assignment.num_files:
-            raise ConfigurationError(
-                f"scenario.pipeline.aggregator_params: {section.aggregator!r} as "
-                f"configured needs at least {needed} votes, but "
-                f"a full round of the {section.kind!r} pipeline on this cluster "
-                f"reduces {assignment.num_files}"
+        compressor = None
+        if spec.compression is not None:
+            compressor = _create(
+                "scenario.compression.params", "compressor", create_compressor,
+                spec.compression.name, spec.compression.params,
             )
-        return AggregationPipeline(assignment, aggregator, section.block_size)
+        with _section("scenario.training"):
+            config = TrainingConfig(**dataclasses.asdict(spec.training), seed=spec.seed)
+
+        groups = None if spec.topology is None else spec.topology.groups
+        quorum, r_prime = spec.runtime.quorum, majority_threshold(r)
+        needed = aggregator.minimum_votes()
+        refusals = (
+            (kind in ("detox", "draco") and load != 1,
+             f"scenario.cluster: the {kind!r} pipeline needs an FRC assignment (one file "
+             f"per worker), got load={load}"),
+            (kind == "vanilla" and (load != 1 or r != 1),
+             "scenario.cluster: the 'vanilla' pipeline needs the baseline assignment with "
+             f"l = r = 1, got l={load}, r={r}"),
+            (kind == "vanilla" and section.block_size is not None,
+             "scenario.pipeline.block_size: the vanilla pipeline (r = 1) has no vote kernel "
+             "to stream; pass block_size to the robust aggregator instead (aggregator_params)"),
+            (r > 1 and r % 2 == 0,
+             "scenario.cluster: majority voting requires an odd replication factor "
+             f"(or r = 1), got r={r}"),
+            # A full round hands the aggregator one row per file: the f voted
+            # files, DETOX's vote groups or the baseline's workers.  A partial
+            # async round can still fall short: the aggregator's own error.
+            (needed > f,
+             f"scenario.pipeline.aggregator_params: {section.aggregator!r} as configured "
+             f"needs at least {needed} votes, but a full round of the {kind!r} pipeline "
+             f"on this cluster reduces {f}"),
+            (attack_spec is not None
+             and (attack_spec.selection == "rotating") != (attack_spec.schedule.kind == "rotating"),
+             "scenario.attack: a rotating schedule goes with selection='rotating' and only "
+             "with it (the schedule defines the compromised set itself)"),
+            (max_q > K,
+             f"scenario.attack.schedule: the schedule reaches q={max_q}, above the K={K} "
+             "workers"),
+            (kind == "draco" and r < 2 * max_q + 1,
+             f"scenario.attack: DRACO requires r >= 2q+1, but r={r} and the schedule "
+             f"reaches q={max_q}"),
+            # A topology only sets the event engine's quorum cells: without that
+            # engine, or with one copy per file (vanilla), it would do nothing.
+            (groups is not None and not spec.runtime.is_event,
+             "scenario.topology requires an event-driven runtime (set runtime.deadline "
+             "and/or runtime.quorum)"),
+            (groups is not None and kind == "vanilla",
+             "scenario.topology requires a voting pipeline (byzshield, detox or draco); "
+             "the vanilla pipeline has one copy per file"),
+            (quorum is not None and quorum > r,
+             f"scenario.runtime.quorum: runtime quorum {quorum} exceeds the assignment's "
+             f"replication r={r}: no file could close"),
+            (groups is None and quorum is not None and quorum < r_prime,
+             f"scenario.runtime.quorum: runtime quorum {quorum} is below the r'={r_prime} "
+             "matching copies the vote needs: no file could be decided"),
+            (groups is not None and groups > K,
+             f"scenario.topology.groups: runtime groups {groups} exceed the assignment's "
+             f"K={K} workers"),
+            (config.batch_size % f != 0,
+             f"scenario.training.batch_size: batch_size={config.batch_size} must be "
+             f"divisible by the number of files f={f}"),
+        )
+        for refused, message in refusals:
+            if refused:
+                raise ConfigurationError(message)
+
+        runtime = None
+        if spec.runtime.is_event:
+            deadline = spec.runtime.deadline
+            runtime = AsyncRuntime(
+                float("inf") if deadline is None else deadline, quorum=quorum, groups=groups
+            )
+        pipeline = AggregationPipeline(assignment, aggregator, section.block_size)
+        return _Components(
+            assignment, pipeline, attack, selector, fault_injectors, compressor, runtime, config
+        )
 
     def _build_datasets(self) -> tuple[Dataset, Dataset]:
         """Train and test as read-only views of one array, in the run's dtype.
@@ -292,19 +380,11 @@ class ScenarioRunner:
             min_per_shard=section.min_per_shard,
         )
 
-    def _build_adversary(self) -> tuple[Attack | None, ScheduledSelector | None]:
-        section = self.spec.attack
-        if section is None:
-            return None, None
-        attack = _create("attack", create_attack, section.name, **section.params)
-        schedule = AdversarySchedule(**dataclasses.asdict(section.schedule))
-        return attack, ScheduledSelector(schedule, selection=section.selection)
-
     def build_trainer(self) -> DistributedTrainer:
-        """Assemble a fresh trainer for this spec."""
+        """Assemble a fresh trainer for this spec: :meth:`check`, then the
+        data and the model."""
         spec = self.spec
-        assignment = self._build_assignment()
-        pipeline = self._build_pipeline(assignment)
+        parts = self.check()
         train_dataset, test_dataset = self._build_datasets()
         model = build_mlp(
             train_dataset.flat_feature_dim,
@@ -314,44 +394,24 @@ class ScenarioRunner:
             dtype=spec.dtype,
         )
         gradient_computer = ModelGradientComputer(model)
-        compressor = None
-        if spec.compression is not None:
-            compressor = _create(
-                "compressor", create_compressor, spec.compression.name, **spec.compression.params
-            )
-        pool = WorkerPool(assignment, gradient_computer, compressor=compressor)
-        attack, selector = self._build_adversary()
-        runtime = None
-        if spec.runtime.is_event:
-            runtime = AsyncRuntime(
-                deadline=(
-                    float("inf")
-                    if spec.runtime.deadline is None
-                    else spec.runtime.deadline
-                ),
-                quorum=spec.runtime.quorum,
-                groups=None if spec.topology is None else spec.topology.groups,
-            )
+        pool = WorkerPool(parts.assignment, gradient_computer, compressor=parts.compressor)
         cluster = TrainingCluster(
-            assignment=assignment,
+            assignment=parts.assignment,
             worker_pool=pool,
-            attack=attack,
-            selector=selector,
+            attack=parts.attack,
+            selector=parts.selector,
             seed=spec.seed,
-            fault_injectors=tuple(
-                _create("fault", _create_fault_injector, f.kind, **f.params) for f in spec.faults
-            ),
-            runtime=runtime,
+            fault_injectors=parts.fault_injectors,
+            runtime=parts.runtime,
         )
-        config = TrainingConfig(**dataclasses.asdict(spec.training), seed=spec.seed)
         return DistributedTrainer(
             cluster=cluster,
-            pipeline=pipeline,
+            pipeline=parts.pipeline,
             gradient_computer=gradient_computer,
             train_dataset=train_dataset,
             test_dataset=test_dataset,
-            config=config,
-            file_partition=self._build_file_partition(assignment, train_dataset),
+            config=parts.config,
+            file_partition=self._build_file_partition(parts.assignment, train_dataset),
         )
 
     # -- execution -----------------------------------------------------------

@@ -69,13 +69,13 @@ class PipelineSpec(Schema, where="pipeline"):
     Every kind runs the one :class:`~repro.core.pipelines.AggregationPipeline`
     (paper Algorithm 1: vote each file, reduce the winners).  ``kind`` is
     ``"byzshield"``, ``"detox"``, ``"draco"`` or ``"vanilla"`` and only picks
-    the checks the runner makes of the cluster and attack when it builds
-    the pipeline.  ``aggregator``/``aggregator_params`` name the registry
-    rule (ignored by DRACO, which always averages).  The vote is always on
-    exact content.  ``block_size`` streams the vote kernels in coordinate
-    blocks of that width (``None``, the default, leaves the width to the
-    kernels); the vanilla pipeline (``r = 1``) has no vote to stream and
-    refuses it.
+    the refusals of :meth:`~repro.scenarios.runner.ScenarioRunner.check`.
+    ``aggregator``/``aggregator_params`` name the registry rule (ignored by
+    DRACO, which always averages).  The vote is always on exact content.
+    ``block_size`` streams the vote kernels in coordinate blocks of that
+    width (``None``, the default, leaves the width to the kernels); the
+    vanilla pipeline (``r = 1``) has no vote to stream, so ``check()``
+    refuses one there.
     """
 
     kind: str = spec_field(str, pinned=True, default="byzshield")
@@ -93,12 +93,6 @@ class PipelineSpec(Schema, where="pipeline"):
             raise ConfigurationError(
                 f"block_size must be a positive integer or omitted, got "
                 f"{self.block_size}"
-            )
-        if self.kind == "vanilla" and self.block_size is not None:
-            raise ConfigurationError(
-                "scenario.pipeline.block_size: the vanilla pipeline (r = 1) has no "
-                "vote kernel to stream; pass block_size to the robust aggregator "
-                "instead (aggregator_params)"
             )
 
 
@@ -329,18 +323,6 @@ class ScenarioSpec(Schema, where="scenario"):
             raise ConfigurationError(
                 f"unsupported scenario dtype {self.dtype!r}; "
                 f"expected one of {sorted(SUPPORTED_DTYPES)}"
-            )
-        # A topology only sets the event engine's quorum cells: without that
-        # engine, or with one copy per file (vanilla), it would do nothing.
-        if self.topology is not None and not self.runtime.is_event:
-            raise ConfigurationError(
-                "scenario.topology requires an event-driven runtime "
-                "(set runtime.deadline and/or runtime.quorum)"
-            )
-        if self.topology is not None and self.pipeline.kind == "vanilla":
-            raise ConfigurationError(
-                "scenario.topology requires a voting pipeline (byzshield, "
-                "detox or draco); the vanilla pipeline has one copy per file"
             )
 
     @classmethod

@@ -35,7 +35,6 @@ from repro.data.batching import (
     partition_batch_into_files,
 )
 from repro.data.datasets import Dataset
-from repro.exceptions import ConfigurationError
 from repro.nn.metrics import evaluate_model
 from repro.nn.optim import SGD, StepDecaySchedule
 from repro.training.config import TrainingConfig
@@ -94,12 +93,6 @@ class DistributedTrainer:
         config: TrainingConfig,
         file_partition: "list[np.ndarray] | None" = None,
     ) -> None:
-        assignment = cluster.assignment
-        if config.batch_size % assignment.num_files != 0:
-            raise ConfigurationError(
-                f"batch_size={config.batch_size} must be divisible by the number "
-                f"of files f={assignment.num_files}"
-            )
         self.cluster = cluster
         self.pipeline = pipeline
         self.gradient_computer = gradient_computer
@@ -119,11 +112,6 @@ class DistributedTrainer:
             optimizer=optimizer,
         )
         if file_partition is not None:
-            if len(file_partition) != assignment.num_files:
-                raise ConfigurationError(
-                    f"file_partition has {len(file_partition)} shards but the "
-                    f"assignment has f={assignment.num_files} files"
-                )
             self.sampler = ShardedBatchSampler(
                 dataset=train_dataset,
                 batch_size=config.batch_size,

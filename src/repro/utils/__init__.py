@@ -7,7 +7,6 @@ from repro.utils.arrays import (
 from repro.utils.rng import as_generator, derive_seed
 from repro.utils.validation import (
     check_positive_int,
-    check_odd,
     check_prime,
     is_prime,
 )
@@ -16,7 +15,6 @@ __all__ = [
     "as_generator",
     "derive_seed",
     "check_positive_int",
-    "check_odd",
     "check_prime",
     "is_prime",
     "stack_vectors",

@@ -13,7 +13,6 @@ from repro.exceptions import ConfigurationError
 
 __all__ = [
     "check_positive_int",
-    "check_odd",
     "is_prime",
     "check_prime",
 ]
@@ -25,13 +24,6 @@ def check_positive_int(value: int, name: str) -> int:
         raise ConfigurationError(f"{name} must be an int, got {type(value).__name__}")
     if value <= 0:
         raise ConfigurationError(f"{name} must be positive, got {value}")
-    return value
-
-
-def check_odd(value: int, name: str) -> int:
-    """Validate that ``value`` is odd (majority voting requires odd r)."""
-    if value % 2 == 0:
-        raise ConfigurationError(f"{name} must be odd, got {value}")
     return value
 
 

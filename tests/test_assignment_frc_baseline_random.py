@@ -6,6 +6,7 @@ import pytest
 from repro.assignment.baseline import BaselineAssignment
 from repro.assignment.frc import FRCAssignment
 from repro.assignment.random_scheme import RandomAssignment
+from repro.core.distortion import max_distortion
 from repro.exceptions import ConfigurationError
 
 
@@ -32,8 +33,9 @@ def test_frc_groups_are_consecutive(frc_15_3):
 def test_frc_validation():
     with pytest.raises(ConfigurationError):
         FRCAssignment(num_workers=16, replication=3)  # not divisible
-    with pytest.raises(ConfigurationError):
-        FRCAssignment(num_workers=16, replication=4)  # even group size
+    # the graph has no vote: an even group size builds
+    a = FRCAssignment(num_workers=16, replication=4).assignment
+    assert (a.num_workers, a.num_files, a.computational_load, a.replication) == (16, 4, 1, 4)
 
 
 @pytest.mark.parametrize(
@@ -53,6 +55,18 @@ def test_frc_worst_case_epsilon_table4_column():
 def test_frc_worst_case_epsilon_negative_q():
     with pytest.raises(ConfigurationError):
         FRCAssignment.worst_case_epsilon(-1, 15, 3)
+
+
+@pytest.mark.parametrize("K, r", [(15, 3), (16, 4), (15, 5)])
+def test_frc_worst_case_epsilon_is_the_exact_search(K, r):
+    """The closed form uses the vote's r' (3 at r = 4, where (r + 1) // 2
+    would say 2 and count two Byzantine copies as deciding a group), and
+    never exceeds every file: it is the omniscient search's c_max / f at
+    every q <= K."""
+    assignment = FRCAssignment(num_workers=K, replication=r).assignment
+    for q in range(K + 1):
+        c_max = max_distortion(assignment, q).c_max
+        assert FRCAssignment.worst_case_epsilon(q, K, r) == c_max / assignment.num_files
 
 
 # --------------------------------------------------------------------------- #

@@ -99,14 +99,14 @@ def test_invalid_parameters():
     with pytest.raises(ConfigurationError):
         MOLSAssignment(load=5, replication=5)  # r > l - 1
     with pytest.raises(ConfigurationError):
-        MOLSAssignment(load=5, replication=4)  # even replication
-    with pytest.raises(ConfigurationError):
         MOLSAssignment(load=5, replication=1)  # no redundancy
 
 
-def test_even_replication_allowed_for_structural_studies():
-    scheme = MOLSAssignment(load=5, replication=4, require_odd_replication=False)
-    assert scheme.assignment.replication == 4
+def test_even_replication_builds():
+    """The graph has no vote: an even r builds (the runner's check refuses it
+    for a run)."""
+    a = MOLSAssignment(load=5, replication=4).assignment
+    assert (a.num_workers, a.num_files, a.computational_load, a.replication) == (20, 25, 5, 4)
 
 
 def test_larger_configuration_7_5():

@@ -71,15 +71,18 @@ def test_invalid_parameters():
         RamanujanAssignment(m=1, s=5)  # m must be >= 2
     with pytest.raises(ConfigurationError):
         RamanujanAssignment(m=3, s=4)  # s must be prime
-    with pytest.raises(ConfigurationError):
-        RamanujanAssignment(m=2, s=5)  # even replication (case 1, r = m = 2)
-    with pytest.raises(ConfigurationError):
-        RamanujanAssignment(m=5, s=2)  # even replication (case 2, r = s = 2)
 
 
-def test_even_replication_allowed_when_requested():
-    scheme = RamanujanAssignment(m=2, s=5, require_odd_replication=False)
-    assert scheme.assignment.replication == 2
+@pytest.mark.parametrize(
+    "m, s, expected",
+    [(2, 5, (10, 25, 5, 2)), (4, 5, (20, 25, 5, 4)), (5, 2, (4, 10, 5, 2))],
+    ids=["case1-r2", "case1-r4", "case2-r2"],
+)
+def test_even_replication_builds(m, s, expected):
+    """The graph has no vote: an even r (m in Case 1, s in Case 2) builds
+    with Eq. (6)'s (K, f, l, r); the runner's check refuses it for a run."""
+    a = RamanujanAssignment(m=m, s=s).assignment
+    assert (a.num_workers, a.num_files, a.computational_load, a.replication) == expected
 
 
 def test_biadjacency_validates_inputs():

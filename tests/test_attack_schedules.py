@@ -7,6 +7,14 @@ import pytest
 
 from repro.attacks.schedules import AdversarySchedule, ScheduledSelector
 from repro.exceptions import AttackError, ConfigurationError
+from repro.scenarios import ScenarioRunner, ScenarioSpec, get_scenario
+
+
+def with_attack(**attack):
+    """``mols-alie-omniscient`` with keys of its attack section replaced."""
+    data = get_scenario("mols-alie-omniscient").to_dict()
+    data["attack"].update(attack)
+    return ScenarioSpec.from_dict(data)
 
 
 class TestAdversarySchedule:
@@ -78,21 +86,15 @@ class TestScheduledSelector:
         # Same budgets later return identical (cached) sets.
         assert selector.select(mols_assignment, 2, rng) == second
 
-    def test_budget_above_K_raises(self, baseline_10):
-        schedule = AdversarySchedule(kind="static", q=99)
-        selector = ScheduledSelector(schedule, selection="random")
-        with pytest.raises(AttackError, match="q=99"):
-            selector.select(baseline_10.assignment, 0, np.random.default_rng(0))
-
     def test_rotating_selection_requires_rotating_schedule(self):
-        with pytest.raises(ConfigurationError, match="rotating"):
-            ScheduledSelector(AdversarySchedule(kind="static", q=2), selection="rotating")
+        with pytest.raises(ConfigurationError, match=r"^scenario\.attack: a rotating"):
+            ScenarioRunner(with_attack(selection="rotating", schedule={"q": 2})).check()
 
     def test_rotating_schedule_rejects_other_selections(self):
         """A rotating schedule defines the compromised set itself; pairing it
         with omniscient/random selection must fail loudly, not silently win."""
-        schedule = AdversarySchedule(kind="rotating", q=2)
-        with pytest.raises(ConfigurationError, match="selection='rotating'"):
-            ScheduledSelector(schedule, selection="omniscient")
-        with pytest.raises(ConfigurationError, match="selection='rotating'"):
-            ScheduledSelector(schedule, selection="random")
+        schedule = {"kind": "rotating", "q": 2}
+        for selection in ("omniscient", "random"):
+            spec = with_attack(selection=selection, schedule=schedule)
+            with pytest.raises(ConfigurationError, match="selection='rotating'"):
+                ScenarioRunner(spec).check()

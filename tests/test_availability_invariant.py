@@ -119,7 +119,7 @@ def _lost_copy_files(faults, assignment) -> set[int]:
 def _rounds(name):
     """``(assignment, round, predicted files)`` of every recorded round of
     golden ``name``, the prediction checked against its ``num_distorted``."""
-    assignment = ScenarioRunner(get_scenario(name))._build_assignment()
+    assignment = ScenarioRunner(get_scenario(name)).check().assignment
     for r in RunTrace.from_json_file(golden_path(name)).rounds:
         predicted = {int(i) for i in distorted_files(assignment, r.byzantine)} if r.q else set()
         assert len(predicted) == r.num_distorted

@@ -20,7 +20,7 @@ from repro.campaigns import (
     run_specs,
 )
 from repro.exceptions import ConfigurationError, ReproError
-from repro.scenarios import get_scenario
+from repro.scenarios import ScenarioRunner, get_scenario
 
 
 def mini_dict(**overrides):
@@ -261,6 +261,26 @@ class TestExpansion:
         campaign = CampaignSpec.from_dict(mini_dict(grid={"seed": [1, "x"]}))
         with pytest.raises(ConfigurationError, match="seed=x.*scenario.seed must be an integer"):
             campaign.expand()
+
+
+    def test_a_cell_that_cannot_run_is_refused_before_any_cell_runs(self, monkeypatch):
+        """DRACO at r = 3 takes q = 1 but not q = 2: expansion runs each cell's
+        ``ScenarioRunner.check`` and refuses the q = 2 cell by name, so the
+        q = 1 cell never runs either."""
+        ran = []
+        monkeypatch.setattr(ScenarioRunner, "run", lambda self: ran.append(self.spec.name))
+        campaign = CampaignSpec.from_dict({
+            "name": "c",
+            "base_scenario": "draco-constant-q1",
+            "grid": {"attack.schedule.q": [1, 2]},
+        })
+        message = (
+            r"^campaign 'c': grid cell 'c/q=2' does not form a valid scenario: "
+            r"scenario\.attack: DRACO requires r >= 2q\+1, but r=3 and the schedule reaches q=2$"
+        )
+        with pytest.raises(ConfigurationError, match=message):
+            CampaignExecutor(campaign).run()
+        assert ran == []
 
 
 class TestRunSpecs:

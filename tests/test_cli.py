@@ -9,6 +9,7 @@ import pytest
 
 from repro.cli import build_parser, main
 from repro.scenarios import get_scenario
+from repro.scenarios.runner import ScenarioRunner
 
 
 def test_list_command(capsys):
@@ -284,21 +285,75 @@ def _draco_against_q2(data):
         ),
         (
             "mols-clean",
-            lambda data: data["cluster"]["params"].update(
-                replication=4, require_odd_replication=False
-            ),
+            lambda data: data["cluster"]["params"].update(replication=4),
             "scenario.cluster: majority voting requires an odd replication factor "
             "(or r = 1), got r=4",
         ),
+        (
+            "mols-clean",
+            lambda data: data["cluster"]["params"].update(load=4),
+            "scenario.cluster.params: load l must be prime, got 4",
+        ),
+        (
+            "mols-async-quorum",
+            lambda data: data["runtime"].update(quorum=4),
+            "scenario.runtime.quorum: runtime quorum 4 exceeds the assignment's "
+            "replication r=3: no file could close",
+        ),
+        (
+            "ramanujan-hier-async-group-quorum",
+            lambda data: data.pop("topology"),
+            "scenario.runtime.quorum: runtime quorum 2 is below the r'=3 matching "
+            "copies the vote needs: no file could be decided",
+        ),
+        (
+            "ramanujan-hier-async-group-quorum",
+            lambda data: data["topology"].update(groups=26),
+            "scenario.topology.groups: runtime groups 26 exceed the assignment's "
+            "K=25 workers",
+        ),
+        (
+            "mols-clean",
+            lambda data: data["training"].update(batch_size=76),
+            "scenario.training.batch_size: batch_size=76 must be divisible by the "
+            "number of files f=25",
+        ),
+        (
+            "mols-alie-omniscient",
+            lambda data: data["attack"]["schedule"].update(q=16),
+            "scenario.attack.schedule: the schedule reaches q=16, above the K=15 workers",
+        ),
+        (
+            "ramanujan-alie-omniscient",
+            lambda data: data.update(topology={"groups": 5}),
+            "scenario.topology requires an event-driven runtime (set runtime.deadline "
+            "and/or runtime.quorum)",
+        ),
+        (
+            "vanilla-async-deadline-partial",
+            lambda data: data.update(topology={"groups": 2}),
+            "scenario.topology requires a voting pipeline (byzshield, detox or "
+            "draco); the vanilla pipeline has one copy per file",
+        ),
     ],
     ids=["draco-bound", "draco-on-mols", "detox-on-mols", "vanilla-on-mols",
-         "vanilla-block-size", "even-r"],
+         "vanilla-block-size", "even-r", "load-4", "quorum-above-r",
+         "quorum-below-r-prime", "groups-above-K", "batch-indivisible", "q-above-K",
+         "topology-sync", "topology-vanilla"],
 )
-def test_scenario_run_inapplicable_scheme_is_a_one_line_error(tmp_path, capsys, name, edit, expected):
-    """A spec its pipeline kind cannot run (DRACO with r = 3 against q = 2,
-    DETOX or DRACO off FRC, the baseline off l = r = 1 or with a vote block,
-    an even r) is refused, naming its spec path, when the spec is loaded or
-    the pipeline is built, not by an AggregationError out of round 0."""
+def test_scenario_run_inapplicable_scheme_is_a_one_line_error(
+    tmp_path, capsys, monkeypatch, name, edit, expected
+):
+    """A spec that cannot run (DRACO with r = 3 against q = 2, DETOX or DRACO
+    off FRC, the baseline off l = r = 1 or with a vote block, an even r, a
+    scheme parameter it refuses, a quorum or topology the cluster cannot
+    close, a batch that does not split into f files, q > K) is refused by
+    ``ScenarioRunner.check``, naming its spec path, before any data is
+    built: not by an error out of round 0."""
+    def no_data(self):
+        raise AssertionError("the data was built before the spec was refused")
+
+    monkeypatch.setattr(ScenarioRunner, "_build_datasets", no_data)
     data = get_scenario(name).to_dict()
     edit(data)
     path = tmp_path / "bad.json"

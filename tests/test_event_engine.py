@@ -33,9 +33,9 @@ from repro.cluster.timing import CostModel
 from repro.cluster.worker import WorkerPool
 from repro.core.pipelines import AggregationPipeline
 from repro.core.vote_tensor import VoteTensor
-from repro.exceptions import AggregationError, ConfigurationError, TrainingError
+from repro.exceptions import AggregationError, ConfigurationError
 from repro.scenarios.catalog import get_scenario
-from repro.scenarios.runner import run_scenario
+from repro.scenarios.runner import ScenarioRunner, run_scenario
 from repro.scenarios.spec import ScenarioSpec
 
 from cow_helpers import FixedSelector, cube_of, tensor_of
@@ -668,21 +668,32 @@ class TestClusterEventRound:
             clean.vote_tensor.read_slots(files, slots),
         )
 
-    def test_quorum_above_replication_rejected(self, mols_assignment):
-        with pytest.raises(TrainingError):
-            make_cluster(mols_assignment, runtime=AsyncRuntime(quorum=4))
+    def test_quorum_above_replication_rejected(self):
+        data = get_scenario("mols-async-quorum").to_dict()  # r = 3
+        data["runtime"]["quorum"] = 4
+        with pytest.raises(
+            ConfigurationError, match=r"^scenario\.runtime\.quorum: runtime quorum 4 exceeds"
+        ):
+            ScenarioRunner(ScenarioSpec.from_dict(data)).check()
 
-    def test_quorum_below_r_prime_rejected_without_groups(self, ramanujan_case2):
+    def test_quorum_below_r_prime_rejected_without_groups(self):
         """r = 5, r' = 3: a file that closes after two copies could never be
-        decided, so an ungrouped quorum of 2 is refused at build, by name.
-        With groups the quorum is per (file, group) cell and a file's cells
-        together accept more copies, so the same quorum builds."""
-        assignment = ramanujan_case2.assignment
-        with pytest.raises(TrainingError, match=r"quorum 2 is below the r'=3"):
-            make_cluster(assignment, runtime=AsyncRuntime(quorum=2))
-        make_cluster(assignment, runtime=AsyncRuntime(quorum=3))
-        grouped = make_cluster(assignment, runtime=AsyncRuntime(quorum=2, groups=3))
-        assert grouped.runtime.quorum == 2 and grouped.runtime.groups == 3
+        decided, so an ungrouped quorum of 2 is refused by the runner's
+        check, by name.  With groups the quorum is per (file, group) cell
+        and a file's cells together accept more copies, so the same quorum
+        builds."""
+        data = get_scenario("ramanujan-async-quorum-partial").to_dict()
+        data["runtime"]["quorum"] = 2
+        with pytest.raises(
+            ConfigurationError, match=r"^scenario\.runtime\.quorum: runtime quorum 2 is below the r'=3"
+        ):
+            ScenarioRunner(ScenarioSpec.from_dict(data)).check()
+        data["runtime"]["quorum"] = 3
+        ScenarioRunner(ScenarioSpec.from_dict(data)).check()
+        data["runtime"]["quorum"] = 2
+        data["topology"] = {"groups": 3}
+        runtime = ScenarioRunner(ScenarioSpec.from_dict(data)).check().runtime
+        assert runtime.quorum == 2 and runtime.groups == 3
 
 
 # --------------------------------------------------------------------------- #

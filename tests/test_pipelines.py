@@ -105,7 +105,7 @@ def test_even_mols_replication_abstains_on_a_two_two_split():
     """At r = 4 the vote needs r' = 3 matching copies: the one file that two
     Byzantines of different parallel classes share splits 2-2 and abstains,
     while a file with a single Byzantine copy is still decided."""
-    assignment = MOLSAssignment(load=5, replication=4, require_odd_replication=False).assignment
+    assignment = MOLSAssignment(load=5, replication=4).assignment
     (shared,) = set(assignment.files_of_worker(0)) & set(assignment.files_of_worker(5))
     votes = corrupt(honest_votes(assignment, indexed_gradient), {0, 5}, np.full(DIM, -9.0))
     outcome = AggregationPipeline(assignment, MeanAggregator()).aggregate_tensor(votes)
@@ -218,7 +218,13 @@ def edited(name, **sections):
     """The catalog scenario ``name`` with keys of its sections replaced."""
     data = get_scenario(name).to_dict()
     for section, edit in sections.items():
-        data[section] = {**data[section], **edit}
+        data[section] = {**data.get(section, {}), **edit}
+    return ScenarioSpec.from_dict(data)
+
+
+def without_topology(name):
+    data = get_scenario(name).to_dict()
+    del data["topology"]
     return ScenarioSpec.from_dict(data)
 
 
@@ -250,34 +256,72 @@ REFUSED = {
         "with l = r = 1, got l=5, r=3",
     ),
     "even-r": (
-        lambda: edited(
-            "mols-clean",
-            cluster={"params": {"load": 5, "replication": 4, "require_odd_replication": False}},
-        ),
+        lambda: edited("mols-clean", cluster={"params": {"load": 5, "replication": 4}}),
         "scenario.cluster: majority voting requires an odd replication factor "
         "(or r = 1), got r=4",
+    ),
+    "vanilla-block-size": (
+        lambda: edited("vanilla-median-alie", pipeline={"block_size": 8}),
+        "scenario.pipeline.block_size: the vanilla pipeline (r = 1) has no vote "
+        "kernel to stream; pass block_size to the robust aggregator instead "
+        "(aggregator_params)",
+    ),
+    "quorum-above-r": (
+        lambda: edited("mols-async-quorum", runtime={"quorum": 4}),
+        "scenario.runtime.quorum: runtime quorum 4 exceeds the assignment's "
+        "replication r=3: no file could close",
+    ),
+    "quorum-below-r-prime": (
+        lambda: without_topology("ramanujan-hier-async-group-quorum"),
+        "scenario.runtime.quorum: runtime quorum 2 is below the r'=3 matching "
+        "copies the vote needs: no file could be decided",
+    ),
+    "groups-above-K": (
+        lambda: edited("ramanujan-hier-async-group-quorum", topology={"groups": 26}),
+        "scenario.topology.groups: runtime groups 26 exceed the assignment's K=25 workers",
+    ),
+    "batch-indivisible": (
+        lambda: edited("mols-clean", training={"batch_size": 76}),
+        "scenario.training.batch_size: batch_size=76 must be divisible by the "
+        "number of files f=25",
+    ),
+    "q-above-K": (
+        lambda: edited("mols-alie-omniscient", attack={"schedule": {"q": 16}}),
+        "scenario.attack.schedule: the schedule reaches q=16, above the K=15 workers",
+    ),
+    "topology-sync": (
+        lambda: edited("ramanujan-alie-omniscient", topology={"groups": 5}),
+        "scenario.topology requires an event-driven runtime (set runtime.deadline "
+        "and/or runtime.quorum)",
+    ),
+    "topology-vanilla": (
+        lambda: edited("vanilla-async-deadline-partial", topology={"groups": 2}),
+        "scenario.topology requires a voting pipeline (byzshield, detox or "
+        "draco); the vanilla pipeline has one copy per file",
     ),
 }
 
 
 @pytest.mark.parametrize("case", sorted(REFUSED))
-def test_a_spec_the_kind_cannot_run_is_refused_at_build(case):
+def test_a_spec_the_kind_cannot_run_is_refused_at_build(case, monkeypatch):
+    """Each refusal is ``check()``'s, raised before any data is built."""
+    def no_data(self):
+        raise AssertionError("the data was built before the spec was refused")
+
+    monkeypatch.setattr(ScenarioRunner, "_build_datasets", no_data)
     build, message = REFUSED[case]
     with pytest.raises(ConfigurationError) as excinfo:
         ScenarioRunner(build()).build_trainer()
     assert str(excinfo.value) == message
 
 
-def test_vanilla_rejects_a_vote_block_size():
-    message = (
-        r"^scenario\.pipeline\.block_size: the vanilla pipeline \(r = 1\) has no "
-        r"vote kernel to stream"
-    )
-    with pytest.raises(ConfigurationError, match=message):
-        PipelineSpec(kind="vanilla", block_size=8)
-    with pytest.raises(ConfigurationError, match=message):
-        edited("vanilla-median-alie", pipeline={"block_size": 8})
+def test_a_vote_block_size_is_a_spec_field_of_every_kind():
+    """The spec section checks only its own value; the vanilla refusal is
+    ``check()``'s (``REFUSED["vanilla-block-size"]``)."""
+    assert PipelineSpec(kind="vanilla", block_size=8).block_size == 8
     assert PipelineSpec(kind="byzshield", block_size=8).block_size == 8
+    with pytest.raises(ConfigurationError, match="block_size must be a positive integer"):
+        PipelineSpec(kind="byzshield", block_size=0)
 
 
 def round_traces(spec):

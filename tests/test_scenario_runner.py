@@ -4,17 +4,21 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import pathlib
 import tracemalloc
 
 import numpy as np
 import pytest
 
 import repro.core.pipelines as pipelines_module
+import repro.scenarios.runner as runner_module
+from repro.campaigns import CampaignSpec
 from repro.exceptions import ConfigurationError, ReproError
 from repro.scenarios import (
     ScenarioSpec,
     get_scenario,
     run_scenario,
+    scenario_names,
 )
 from repro.scenarios.runner import ScenarioRunner
 from repro.scenarios.trace import RunTrace, TraceMismatch, hex_float
@@ -374,6 +378,33 @@ class TestValidation:
             run_scenario(ScenarioSpec.from_dict(data))
 
     @pytest.mark.parametrize(
+        "section, value, message",
+        [
+            ("cluster", {"scheme": "mols", "params": {"load": 4, "replication": 3}},
+             "scenario.cluster.params: load l must be prime, got 4"),
+            ("faults", [{"kind": "stragglers", "params": {"count": 1}},
+                        {"kind": "corruption", "params": {"probability": -1}}],
+             "scenario.faults[1].params: probability must be in [0, 1], got -1"),
+            ("compression", {"name": "topk", "params": {"fraction": 0}},
+             "scenario.compression.params: fraction must be in (0, 1], got 0"),
+            ("attack", {"name": "alie", "params": {"z": -1}, "schedule": {"q": 1}},
+             "scenario.attack.params: z must be a non-negative finite value, got -1"),
+            ("attack", {"name": "alie", "schedule": {"kind": "ramping", "q": 1}},
+             "scenario.attack.schedule: ramping schedule requires q_end"),
+            ("pipeline", {"aggregator": "trimmed_mean", "aggregator_params": {"trim": -1}},
+             "scenario.pipeline.aggregator_params: trim must be non-negative, got -1"),
+            ("training", {"batch_size": 0}, "scenario.training: batch_size must be positive, got 0"),
+        ],
+        ids=["scheme", "fault", "compressor", "attack", "schedule", "aggregator", "training"],
+    )
+    def test_a_value_a_constructor_refuses_names_its_section(self, section, value, message):
+        data = get_scenario("mols-clean").to_dict()
+        data[section] = value
+        with pytest.raises(ConfigurationError) as excinfo:
+            ScenarioRunner(ScenarioSpec.from_dict(data)).check()
+        assert str(excinfo.value) == message
+
+    @pytest.mark.parametrize(
         "base, pipeline, rows",
         [
             # ByzShield reduces the f = 25 voted files: Bulyan(6) needs 27
@@ -415,6 +446,45 @@ class TestValidation:
         data = get_scenario("vanilla-bulyan-alie").to_dict()
         data["pipeline"]["aggregator_params"] = {"num_byzantine": 3}  # 4q+3 = 15 = K
         run_scenario(ScenarioSpec.from_dict(data))
+
+
+REPO = pathlib.Path(__file__).resolve().parents[1]
+EXAMPLES = REPO / "examples"
+WORKLOADS = REPO / "benchmarks" / "e2e" / "workloads"
+RUNNABLE = (
+    [("catalog", name) for name in scenario_names()]
+    + [("example", path.name) for path in sorted(EXAMPLES.glob("*.json"))]
+    + [("e2e", path.name) for path in sorted(WORKLOADS.glob("*.json"))]
+)
+
+
+def runnable_specs(source, name):
+    """The specs a catalog name, an example file (a scenario, or a campaign's
+    every cell) or an e2e workload template (read only) stands for."""
+    if source == "catalog":
+        return [get_scenario(name)]
+    if source == "e2e":
+        return [ScenarioSpec.from_json_file(WORKLOADS / name)]
+    raw = json.loads((EXAMPLES / name).read_text())
+    if "grid" in raw:
+        return [cell.spec for cell in CampaignSpec.from_dict(raw).expand()]
+    return [ScenarioSpec.from_dict(raw)]
+
+
+@pytest.mark.parametrize("source, name", RUNNABLE, ids=[f"{s}:{n}" for s, n in RUNNABLE])
+def test_check_refuses_nothing_runnable_and_builds_no_data(source, name, monkeypatch):
+    """Every spec the project runs passes ``ScenarioRunner.check``, which
+    builds its components but neither its data nor its model."""
+    def built(*args, **kwargs):
+        raise AssertionError("check() built the data or the model")
+
+    monkeypatch.setattr(ScenarioRunner, "_build_datasets", built)
+    monkeypatch.setattr(runner_module, "build_mlp", built)
+    specs = runnable_specs(source, name)
+    assert specs
+    for spec in specs:
+        parts = ScenarioRunner(spec).check()
+        assert parts.config.batch_size % parts.assignment.num_files == 0
 
 
 def test_trace_out_creates_parent_directories(tmp_path):

@@ -12,7 +12,7 @@ from repro.cluster.events import LATE_KIND, AsyncRuntime, EventDrivenRound
 from repro.core.vote_tensor import VoteTensor
 from repro.exceptions import ConfigurationError, ReproError
 from repro.scenarios.catalog import get_scenario
-from repro.scenarios.runner import run_scenario
+from repro.scenarios.runner import ScenarioRunner, run_scenario
 from repro.scenarios.spec import ScenarioSpec
 
 
@@ -200,13 +200,13 @@ class TestTopologySpec:
         data = get_scenario("ramanujan-alie-omniscient").to_dict()
         data["topology"] = {"groups": 5}
         with pytest.raises(ConfigurationError, match=r"^scenario\.topology requires an event"):
-            ScenarioSpec.from_dict(data)
+            ScenarioRunner(ScenarioSpec.from_dict(data)).check()
 
     def test_vanilla_event_spec_with_topology_is_refused(self):
         data = get_scenario("vanilla-async-deadline-partial").to_dict()
         data["topology"] = {"groups": 2}
         with pytest.raises(ConfigurationError, match=r"^scenario\.topology requires a voting"):
-            ScenarioSpec.from_dict(data)
+            ScenarioRunner(ScenarioSpec.from_dict(data)).check()
 
     @pytest.mark.parametrize("key", ["q_group", "q_root"])
     def test_per_level_budgets_are_unknown_keys(self, key):

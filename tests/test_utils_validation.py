@@ -4,7 +4,6 @@ import pytest
 
 from repro.exceptions import ConfigurationError
 from repro.utils.validation import (
-    check_odd,
     check_positive_int,
     check_prime,
     is_prime,
@@ -19,12 +18,6 @@ def test_check_positive_int_accepts_positive():
 def test_check_positive_int_rejects(bad):
     with pytest.raises(ConfigurationError):
         check_positive_int(bad, "x")
-
-
-def test_check_odd():
-    assert check_odd(3, "r") == 3
-    with pytest.raises(ConfigurationError):
-        check_odd(4, "r")
 
 
 @pytest.mark.parametrize(

@@ -19,7 +19,7 @@ from repro.assignment.frc import FRCAssignment
 from repro.core.pipelines import AggregationPipeline
 from repro.core.vote_tensor import VoteTensor
 from repro.exceptions import ConfigurationError
-from repro.scenarios import ScenarioSpec, get_scenario, run_scenario
+from repro.scenarios import ScenarioRunner, ScenarioSpec, get_scenario, run_scenario
 
 
 class TestSingleFile:
@@ -120,17 +120,18 @@ class TestOverBudgetAdversary:
         assert len(result.trace.rounds) == 4
         assert all(r.num_distorted > 0 for r in result.trace.rounds)
 
-    def test_schedule_rejects_q_above_cluster_size(self):
+    @pytest.mark.parametrize(
+        "schedule",
+        [{"kind": "static", "q": 16}, {"kind": "ramping", "q": 0, "q_end": 16, "period": 99}],
+        ids=["static", "ramp-reaches-16-after-the-run"],
+    )
+    def test_schedule_rejects_q_above_cluster_size(self, schedule):
+        """The schedule's largest q, not round 0's, is checked against K = 15
+        before anything runs."""
         data = get_scenario("mols-clean").to_dict()
-        data["attack"] = {
-            "name": "constant",
-            "selection": "random",
-            "schedule": {"kind": "static", "q": 16},  # K = 15
-        }
-        from repro.exceptions import AttackError
-
-        with pytest.raises(AttackError, match="q=16"):
-            run_scenario(ScenarioSpec.from_dict(data))
+        data["attack"] = {"name": "constant", "selection": "random", "schedule": schedule}
+        with pytest.raises(ConfigurationError, match=r"^scenario\.attack\.schedule: .*q=16"):
+            ScenarioRunner(ScenarioSpec.from_dict(data)).check()
 
 
 class TestShapeValidation:

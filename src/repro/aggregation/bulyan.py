@@ -16,7 +16,6 @@ import numpy as np
 
 from repro.aggregation.base import Aggregator
 from repro.aggregation.krum import krum_scores_from_distances
-from repro.aggregation.majority import validate_block_size
 from repro.aggregation.median import coordinate_median
 from repro.core.vote_tensor import RowSelection
 from repro.exceptions import AggregationError
@@ -24,13 +23,13 @@ from repro.utils.arrays import pairwise_squared_distances, reduction_blocks
 
 __all__ = ["BulyanAggregator", "bulyan_selection"]
 
-#: Coordinates per block of both passes (distances and trimming) when the
-#: caller names no ``block_size``.  Per block the trim holds the ``(block,
-#: theta)`` selected lanes and at most two more blocks that size (their
-#: deviations and int64 order, or the order and the ``(beta, block)`` flat
-#: indices and kept values): about 0.24 MiB at n = 25, theta = 19.  Timed
-#: at n = 25, q = 3 on a selection with three patched files, min of 15 in
-#: each of three processes, 2-core Xeon: widths 256 / 512 / 1024 / 2048 /
+#: Coordinates per block of both passes (distances and trimming).  Per
+#: block the trim holds the ``(block, theta)`` selected lanes and at most
+#: two more blocks that size (their deviations and int64 order, or the
+#: order and the ``(beta, block)`` flat indices and kept values): about
+#: 0.24 MiB at n = 25, theta = 19.  Timed at n = 25, q = 3 on a selection
+#: with three patched files, min of 15 in each of three processes, 2-core
+#: Xeon: widths 256 / 512 / 1024 / 2048 /
 #: 4096 take 10.8-13.0 / 9.8-11.1 / 8.7-9.1 / 8.7-10.6 / 11.4-13.3 ms at
 #: d = 11k (the densifying 2048-wide kernel before them: 9.4-13.8).  512 is
 #: the widest whose trim stays below the adaptive-bulyan-noniid round's
@@ -119,29 +118,26 @@ class BulyanAggregator(Aggregator):
         Assumed number of Byzantine votes ``q``; the rule requires
         ``n >= 4q + 3`` candidates (any ``n >= 1`` when ``q = 0``, where it
         reduces to the mean).
-    block_size:
-        Coordinate-block width of the distance accumulation and of the
-        trimming loop; ``None`` (default) means :data:`_LANE_BLOCK`.  The
-        votes are read one transposed block at a time
-        (:meth:`RowSelection.lanes`), so the width only bounds the
-        O(n · block) lane workspace: median, deviation, argsort and take
-        are all per-coordinate, and each block's kept values are averaged
-        as one C-contiguous ``(beta, block)`` operand (at least 2 wide,
-        :func:`~repro.utils.arrays.reduction_blocks`), so every width gives
-        the same bits.  Block partial sums can shift a distance by an ulp,
-        never the ranking-based selection.
+
+    Both passes stream :data:`_LANE_BLOCK` coordinates at a time: the votes
+    are read one transposed block at a time (:meth:`RowSelection.lanes`),
+    so the width bounds the O(n · block) lane workspace.  The trim is
+    per-coordinate and averages each block's kept values as one
+    C-contiguous ``(beta, block)`` operand (at least 2 wide,
+    :func:`~repro.utils.arrays.reduction_blocks`), so every width trims one
+    selection to the same bits.  The selection ranks distances whose last
+    ulp does depend on the width.
     """
 
     aggregator_name = "bulyan"
     streams_lanes = True
 
-    def __init__(self, num_byzantine: int, block_size: int | None = None) -> None:
+    def __init__(self, num_byzantine: int) -> None:
         if num_byzantine < 0:
             raise AggregationError(
                 f"num_byzantine must be non-negative, got {num_byzantine}"
             )
         self.num_byzantine = int(num_byzantine)
-        self.block_size = validate_block_size(block_size)
 
     def minimum_votes(self, num_byzantine: int | None = None) -> int:
         q = self.num_byzantine if num_byzantine is None else num_byzantine
@@ -150,8 +146,7 @@ class BulyanAggregator(Aggregator):
     def _aggregate(self, votes: RowSelection) -> np.ndarray:
         n, d = votes.shape
         q = self.num_byzantine
-        width = self.block_size or _LANE_BLOCK
-        selected = bulyan_selection(votes, q, block_size=width)
+        selected = bulyan_selection(votes, q, block_size=_LANE_BLOCK)
         theta = len(selected)
         beta = theta - 2 * q
         # For each coordinate keep the beta values closest to the median.  A
@@ -159,11 +154,11 @@ class BulyanAggregator(Aggregator):
         # selection order, so the partition, the argsort and the take all run
         # along the fast axis.
         chosen_votes = votes.take(selected)
-        rows = min(d, max(width, 2) + 1)  # the widest block reduction_blocks yields
+        rows = min(d, max(_LANE_BLOCK, 2) + 1)  # the widest block reduction_blocks yields
         chosen = np.empty((rows, theta), dtype=votes.dtype)
         lane_starts = np.arange(rows) * theta  # flat index of each lane's first vote
         out = np.empty(d, dtype=votes.dtype)
-        for lo, hi in reduction_blocks(d, width):
+        for lo, hi in reduction_blocks(d, _LANE_BLOCK):
             lanes = chosen[: hi - lo]
             chosen_votes.lanes(lo, hi, lanes, clamp_non_finite=True)
             _trimmed_lane_mean(lanes, beta, lane_starts[: hi - lo], out[lo:hi])

@@ -13,7 +13,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.aggregation.base import Aggregator
-from repro.aggregation.majority import validate_block_size
 from repro.exceptions import AggregationError
 from repro.utils.arrays import pairwise_squared_distances
 
@@ -53,24 +52,16 @@ def krum_scores_from_distances(
     return ordered.sum(axis=1)
 
 
-def krum_scores(
-    matrix: np.ndarray, num_byzantine: int, block_size: int | None = None
-) -> np.ndarray:
-    """Krum score of each vote: sum of its ``n − q − 2`` smallest squared distances.
-
-    With ``block_size`` set, the pairwise distances accumulate over
-    coordinate blocks (O(n² + n · block) workspace); the block partial sums
-    can shift a distance by an ulp, but Krum only *ranks* the distances, so
-    the selected rows — and therefore the aggregate — do not move.
+def krum_scores(matrix: np.ndarray, num_byzantine: int) -> np.ndarray:
+    """Krum score of each vote: sum of its ``n − q − 2`` smallest squared
+    distances, from one Gram over the ``(n, d)`` matrix.
 
     Raises
     ------
     AggregationError
         If ``n < 2q + 3`` (the selection rule is then undefined).
     """
-    return krum_scores_from_distances(
-        pairwise_squared_distances(matrix, block_size=block_size), num_byzantine
-    )
+    return krum_scores_from_distances(pairwise_squared_distances(matrix), num_byzantine)
 
 
 class KrumAggregator(Aggregator):
@@ -80,27 +71,23 @@ class KrumAggregator(Aggregator):
     ----------
     num_byzantine:
         Assumed number of Byzantine votes ``q`` among the candidates.
-    block_size:
-        Optional coordinate-block width for the distance accumulation
-        (see :func:`krum_scores`); ``None`` keeps the monolithic pass.
     """
 
     aggregator_name = "krum"
 
-    def __init__(self, num_byzantine: int, block_size: int | None = None) -> None:
+    def __init__(self, num_byzantine: int) -> None:
         if num_byzantine < 0:
             raise AggregationError(
                 f"num_byzantine must be non-negative, got {num_byzantine}"
             )
         self.num_byzantine = int(num_byzantine)
-        self.block_size = validate_block_size(block_size)
 
     def minimum_votes(self, num_byzantine: int | None = None) -> int:
         q = self.num_byzantine if num_byzantine is None else num_byzantine
         return 2 * q + 3
 
     def _aggregate(self, matrix: np.ndarray) -> np.ndarray:
-        scores = krum_scores(matrix, self.num_byzantine, block_size=self.block_size)
+        scores = krum_scores(matrix, self.num_byzantine)
         return matrix[int(np.argmin(scores))].copy()
 
 
@@ -115,21 +102,11 @@ class MultiKrumAggregator(Aggregator):
         How many of the best-scored votes to average; the common choice
         (and the default) is ``n − q − 2`` computed at call time, which the
         AggregaThor implementation uses.
-    block_size:
-        Optional coordinate-block width for the distance accumulation
-        (see :func:`krum_scores`); the final average runs on the same
-        gathered ``(k, d)`` operand either way, so equal selections give
-        bit-identical aggregates.
     """
 
     aggregator_name = "multi_krum"
 
-    def __init__(
-        self,
-        num_byzantine: int,
-        multi_k: int | None = None,
-        block_size: int | None = None,
-    ) -> None:
+    def __init__(self, num_byzantine: int, multi_k: int | None = None) -> None:
         if num_byzantine < 0:
             raise AggregationError(
                 f"num_byzantine must be non-negative, got {num_byzantine}"
@@ -138,14 +115,13 @@ class MultiKrumAggregator(Aggregator):
             raise AggregationError(f"multi_k must be >= 1, got {multi_k}")
         self.num_byzantine = int(num_byzantine)
         self.multi_k = None if multi_k is None else int(multi_k)
-        self.block_size = validate_block_size(block_size)
 
     def minimum_votes(self, num_byzantine: int | None = None) -> int:
         q = self.num_byzantine if num_byzantine is None else num_byzantine
         return 2 * q + 3
 
     def _aggregate(self, matrix: np.ndarray) -> np.ndarray:
-        scores = krum_scores(matrix, self.num_byzantine, block_size=self.block_size)
+        scores = krum_scores(matrix, self.num_byzantine)
         n = matrix.shape[0]
         k = self.multi_k if self.multi_k is not None else max(1, n - self.num_byzantine - 2)
         k = min(k, n)

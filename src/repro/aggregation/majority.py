@@ -46,7 +46,7 @@ __all__ = [
 
 
 def validate_block_size(block_size: int | None) -> int | None:
-    """Single validation point for the coordinate-block width (all kernels)."""
+    """Single validation point for the vote's coordinate-block width."""
     if block_size is None:
         return None
     block_size = int(block_size)

@@ -11,8 +11,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.aggregation.base import Aggregator
-from repro.aggregation.majority import validate_block_size
-from repro.utils.arrays import block_ranges
 from repro.utils.validation import check_positive_int
 
 __all__ = ["MedianOfMeansAggregator"]
@@ -27,21 +25,12 @@ class MedianOfMeansAggregator(Aggregator):
         Number of buckets; the votes are dealt into buckets round-robin in
         their given order.  Values larger than the number of votes degrade
         gracefully to one vote per bucket.
-    block_size:
-        ``None`` (default) takes the median over all ``d`` coordinates at
-        once; a positive width streams the median's partition workspace in
-        O(groups · block) coordinate blocks.  The bucket means themselves
-        are computed exactly as in monolithic mode (same operands, same
-        reduction) because NumPy's mean tree is sensitive to operand width;
-        the median is a per-coordinate selection plus an elementwise
-        midpoint, so streaming it is bit-identical by construction.
     """
 
     aggregator_name = "median_of_means"
 
-    def __init__(self, num_groups: int, block_size: int | None = None) -> None:
+    def __init__(self, num_groups: int) -> None:
         self.num_groups = check_positive_int(num_groups, "num_groups")
-        self.block_size = validate_block_size(block_size)
 
     @staticmethod
     def _bucket_means(matrix: np.ndarray, groups: int) -> np.ndarray:
@@ -52,8 +41,7 @@ class MedianOfMeansAggregator(Aggregator):
         tree and perturbs the means in the last ulp (measured, not
         hypothetical — ``m = 8, d = 1`` already differs), which would break
         the recorded golden traces.  ``groups`` is tiny, so the loop costs
-        nothing; the heavy ``d`` axis streams through :meth:`_aggregate`'s
-        coordinate blocks instead.
+        nothing.
         """
         means = np.empty((groups, matrix.shape[1]), dtype=matrix.dtype)
         for g in range(groups):
@@ -61,12 +49,5 @@ class MedianOfMeansAggregator(Aggregator):
         return means
 
     def _aggregate(self, matrix: np.ndarray) -> np.ndarray:
-        n, d = matrix.shape
-        groups = min(self.num_groups, n)
-        means = self._bucket_means(matrix, groups)
-        if self.block_size is None or self.block_size >= d:
-            return np.median(means, axis=0)
-        out = np.empty(d, dtype=matrix.dtype)
-        for lo, hi in block_ranges(d, self.block_size):
-            out[lo:hi] = np.median(means[:, lo:hi], axis=0)
-        return out
+        groups = min(self.num_groups, matrix.shape[0])
+        return np.median(self._bucket_means(matrix, groups), axis=0)

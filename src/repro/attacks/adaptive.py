@@ -34,7 +34,7 @@ from repro.attacks.base import Attack, AttackContext
 from repro.core.backend import DEFAULT_DTYPE
 from repro.core.distortion import distorted_files
 from repro.exceptions import AttackError
-from repro.utils.arrays import GATHER_ELEMENTS, column_mean_std
+from repro.utils.arrays import GATHER_ELEMENTS, column_mean_std, pairwise_squared_distances
 
 __all__ = ["FangAdaptiveAttack", "MinMaxAttack", "MinSumAttack"]
 
@@ -83,13 +83,17 @@ def _distance_coefficients(
     return a, b, float(u @ u)
 
 
-def _pairwise_sq_distances(matrix: np.ndarray) -> np.ndarray:
-    """All pairwise squared distances of the rows, via the Gram matrix."""
-    gram = matrix @ matrix.T
-    sq = np.diag(gram)
-    pair = sq[:, None] + sq[None, :] - 2.0 * gram
-    np.maximum(pair, 0.0, out=pair)
-    return pair
+def _stealthy_pick(deviations: list[float], rtol: float) -> int:
+    """Index of the smallest λ whose deviation is within ``rtol`` of the best.
+
+    The ladder halves λ at every step, so that is the *largest* qualifying
+    index; when nothing deviates the last (smallest) step stays stealthy.
+    """
+    best = max(deviations)
+    if best <= 0.0:
+        return len(deviations) - 1
+    cutoff = (1.0 - rtol) * best
+    return max(i for i, dev in enumerate(deviations) if dev >= cutoff)
 
 
 class FangAdaptiveAttack(Attack):
@@ -170,7 +174,7 @@ class FangAdaptiveAttack(Attack):
         k = int(corrupted.size)
         # p(λ) = µ − λ·sign(µ);  ||p − g_j||² = a_j − 2λ·b_j + λ²·c.
         a, b, c = _distance_coefficients(honest, mu, sign)
-        pair = _pairwise_sq_distances(honest)
+        pair = pairwise_squared_distances(honest)
         q_eff = min(k, max(f - 3, 0))
         neighbors = max(1, f - q_eff - 2)
         corrupted_set = set(int(i) for i in corrupted)
@@ -248,7 +252,7 @@ class FangAdaptiveAttack(Attack):
             deviations.append(float((baseline - aggregated) @ sign))
             payloads.append(payload)
             lam /= 2.0
-        return self._pick_payload(deviations, payloads)
+        return payloads[_stealthy_pick(deviations, self.rtol)]
 
     def _median_payload(
         self,
@@ -311,23 +315,7 @@ class FangAdaptiveAttack(Attack):
             lams.append(lam)
             deviations.append(c0 + c1 * lam)
             lam /= 2.0
-        best = max(deviations)
-        if best <= 0.0:
-            chosen = self.num_steps - 1  # nothing deviates; stay stealthy
-        else:
-            cutoff = (1.0 - self.rtol) * best
-            chosen = max(i for i, dev in enumerate(deviations) if dev >= cutoff)
-        return base + lams[chosen] * delta
-
-    def _pick_payload(
-        self, deviations: list[float], payloads: list[np.ndarray]
-    ) -> np.ndarray:
-        best = max(deviations)
-        if best <= 0.0:
-            return payloads[-1]  # nothing deviates; stay stealthy
-        cutoff = (1.0 - self.rtol) * best
-        chosen = max(i for i, dev in enumerate(deviations) if dev >= cutoff)
-        return payloads[chosen]
+        return base + lams[_stealthy_pick(deviations, self.rtol)] * delta
 
     def _effective_trim(self, population: int, corrupted: int) -> int:
         if self.defense != "trimmed_mean":
@@ -453,7 +441,7 @@ class _OptimizedDeviationAttack(Attack):
         mu, u = self._mean_and_perturbation(honest)
         # p − g_i = (µ − g_i) + γ·u → ||p − g_i||² = a_i + 2γ·b_i + γ²·c.
         a, b, c = _distance_coefficients(honest, mu, u)
-        bound = self._bound(_pairwise_sq_distances(honest))
+        bound = self._bound(pairwise_squared_distances(honest))
         gamma = self.gamma_init
         step = self.gamma_init / 2.0
         gamma_accepted = 0.0

@@ -249,6 +249,9 @@ class ScenarioRunner:
             config = TrainingConfig(**dataclasses.asdict(spec.training), seed=spec.seed)
 
         groups = None if spec.topology is None else spec.topology.groups
+        # The train split holds exactly ``data.num_train`` rows (split_slots).
+        num_train, partition = spec.data.num_train, spec.data.partition
+        min_per_shard = None if partition is None else partition.min_per_shard
         quorum, r_prime = spec.runtime.quorum, majority_threshold(r)
         needed = aggregator.minimum_votes()
         refusals = (
@@ -260,7 +263,7 @@ class ScenarioRunner:
              f"l = r = 1, got l={load}, r={r}"),
             (kind == "vanilla" and section.block_size is not None,
              "scenario.pipeline.block_size: the vanilla pipeline (r = 1) has no vote kernel "
-             "to stream; pass block_size to the robust aggregator instead (aggregator_params)"),
+             "to stream"),
             (r > 1 and r % 2 == 0,
              "scenario.cluster: majority voting requires an odd replication factor "
              f"(or r = 1), got r={r}"),
@@ -301,6 +304,13 @@ class ScenarioRunner:
             (config.batch_size % f != 0,
              f"scenario.training.batch_size: batch_size={config.batch_size} must be "
              f"divisible by the number of files f={f}"),
+            # Non-IID shards wrap around within a batch; the IID sampler cannot.
+            (partition is None and config.batch_size > num_train,
+             f"scenario.training.batch_size: batch_size={config.batch_size} exceeds the "
+             f"{num_train} training samples"),
+            (min_per_shard is not None and min_per_shard * f > num_train,
+             f"scenario.data.partition.min_per_shard: {num_train} training samples cannot "
+             f"give each of f={f} shards at least {min_per_shard}"),
         )
         for refused, message in refusals:
             if refused:

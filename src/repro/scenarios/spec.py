@@ -73,9 +73,10 @@ class PipelineSpec(Schema, where="pipeline"):
     ``aggregator``/``aggregator_params`` name the registry rule (ignored by
     DRACO, which always averages).  The vote is always on exact content.
     ``block_size`` streams the vote kernels in coordinate blocks of that
-    width (``None``, the default, leaves the width to the kernels); the
-    vanilla pipeline (``r = 1``) has no vote to stream, so ``check()``
-    refuses one there.
+    width (``None``, the default, leaves the width to the kernels).  It is
+    the only width a spec sets: each robust rule's is a constant of its
+    kernel.  The vanilla pipeline (``r = 1``) has no vote to stream, so
+    ``check()`` refuses one there.
     """
 
     kind: str = spec_field(str, pinned=True, default="byzshield")

@@ -121,7 +121,10 @@ def column_mean_std(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if matrix.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got ndim={matrix.ndim}")
     n, d = matrix.shape
-    count = np.intp(n)
+    # NumPy divides by an integer count, which at float32 runs the float64
+    # loop through cast buffers; rounding that quotient to float32 gives the
+    # bits of dividing in float32, so the count takes the matrix's dtype.
+    count = matrix.dtype.type(n)
     mean = np.empty(d, dtype=matrix.dtype)
     std = np.empty(d, dtype=matrix.dtype)
     pairwise = d == 1 or abs(matrix.strides[0]) < abs(matrix.strides[1])
@@ -133,7 +136,7 @@ def column_mean_std(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     for lo, hi in reduction_blocks(d, width):
         block, block_mean, block_std = matrix[:, lo:hi], mean[lo:hi], std[lo:hi]
         np.add.reduce(block, axis=0, out=block_mean)
-        np.true_divide(block_mean, count, out=block_mean, casting="unsafe")
+        np.true_divide(block_mean, count, out=block_mean)
         if pairwise:
             deviation = scratch[:, : hi - lo]
             np.subtract(block, block_mean, out=deviation)
@@ -147,7 +150,7 @@ def column_mean_std(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
                 np.subtract(row, block_mean, out=deviation)
                 np.square(deviation, out=deviation)
                 np.add(block_std, deviation, out=block_std)
-        np.true_divide(block_std, count, out=block_std, casting="unsafe")
+        np.true_divide(block_std, count, out=block_std)
         np.sqrt(block_std, out=block_std)
     return mean, std
 
@@ -184,10 +187,9 @@ def pairwise_squared_distances(
     reused ``(block, n)`` buffer (``None``: :data:`LANE_BLOCK` wide), so its
     dense matrix never exists.  ``clamp_non_finite`` gives each block
     :func:`finite_stand_ins` first.  The block partial sums can differ from
-    the monolithic reduction in the last ulp; Krum-family consumers only
-    rank the distances, so their *selection* (and hence their output rows)
-    stays identical — the per-aggregator bit-identity property tests pin
-    this down.
+    the monolithic reduction in the last ulp, so a Krum-family ranking of
+    two nearly equal distances (or of a colluding payload's twins) can
+    depend on the width.
     """
     if hasattr(votes, "lanes"):  # a RowSelection (not imported: it imports this module)
         (n, d), dtype = votes.shape, votes.dtype

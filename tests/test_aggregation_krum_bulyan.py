@@ -154,10 +154,10 @@ def _clamped(matrix):
 
 def _reference_bulyan(matrix, q, block_size=None):
     """Bulyan as it stood before the distances were shared and the trimming
-    moved to contiguous lanes, kept verbatim: theta ``krum_scores`` calls on
-    the gathered sub-matrix, then ``np.median`` / ``argsort`` /
-    ``take_along_axis`` down axis 0 and one mean.  Returns the aggregate and
-    the selected row indices."""
+    moved to contiguous lanes, kept verbatim: theta Krum scorings of the
+    gathered sub-matrix (its distances ``block_size`` wide), then
+    ``np.median`` / ``argsort`` / ``take_along_axis`` down axis 0 and one
+    mean.  Returns the aggregate and the selected row indices."""
     n = matrix.shape[0]
     theta = n - 2 * q
     remaining = list(range(n))
@@ -165,7 +165,9 @@ def _reference_bulyan(matrix, q, block_size=None):
     while len(selected) < theta:
         sub = matrix[remaining]
         effective_q = min(q, max((len(remaining) - 3) // 2, 0))
-        scores = krum_scores(sub, effective_q, block_size=block_size)
+        scores = krum_scores_from_distances(
+            pairwise_squared_distances(sub, block_size=block_size), effective_q
+        )
         winner_local = int(np.argmin(scores))
         winner = remaining.pop(winner_local)
         selected.append(winner)
@@ -184,6 +186,15 @@ def _reference_trim(sel, q):
 
 REFERENCE_DIMS = [1, 2, 5, 63, 130, 5000]
 REFERENCE_BLOCKS = [None, 1, 7, 64]
+#: Bulyan's own lane block, which the width tests patch
+LANE_BLOCK = bulyan_module._LANE_BLOCK
+
+
+def _bulyan_at(monkeypatch, block_size, q):
+    """A ``BulyanAggregator(q)`` whose passes stream ``block_size``
+    coordinates (``None``: its default lane block)."""
+    monkeypatch.setattr(bulyan_module, "_LANE_BLOCK", block_size or LANE_BLOCK)
+    return BulyanAggregator(q)
 
 
 def _reference_case(rng, q, n, d, dtype, kind):
@@ -208,8 +219,8 @@ def _reference_case(rng, q, n, d, dtype, kind):
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
 @pytest.mark.parametrize("q", [1, 2, 3, 4, 5])
-def test_bulyan_is_bit_identical_to_the_kernel_it_replaced(q, dtype):
-    """``np.array_equal``, not ``allclose``: every block width gives the bits
+def test_bulyan_is_bit_identical_to_the_kernel_it_replaced(q, dtype, monkeypatch):
+    """``np.array_equal``, not ``allclose``: every lane block gives the bits
     of the monolithic reference, and the selection is the reference's at the
     same width.
 
@@ -235,7 +246,7 @@ def test_bulyan_is_bit_identical_to_the_kernel_it_replaced(q, dtype):
             # width 1 on a 5000-wide matrix is 5000 blocks per Krum call
             for block_size in REFERENCE_BLOCKS if d < 5000 else [None, 64]:
                 where = (kind, n, d, block_size)
-                result = BulyanAggregator(q, block_size=block_size)(matrix)
+                result = _bulyan_at(monkeypatch, block_size, q)(matrix)
                 assert result.dtype == expected.dtype, where
                 assert np.array_equal(result, expected), where
                 _, expected_selection = _reference_bulyan(clamped, q, block_size)
@@ -278,7 +289,7 @@ def _patched_selection(rng, q, n, d, dtype, abstained=False):
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
 @pytest.mark.parametrize("q", [1, 2, 3, 5])
-def test_bulyan_streams_a_selection_to_the_reference_bits(q, dtype):
+def test_bulyan_streams_a_selection_to_the_reference_bits(q, dtype, monkeypatch):
     """What a round hands Bulyan is the vote's ``RowSelection``, never a dense
     matrix: both passes read it through clamped lanes, and the trim reads
     only the theta rows it selected (``RowSelection.take``).  Every width
@@ -307,12 +318,12 @@ def test_bulyan_streams_a_selection_to_the_reference_bits(q, dtype):
                 expected, _ = _reference_bulyan(clamped, q)
                 for block_size in REFERENCE_BLOCKS if d < 5000 else [None, 64]:
                     where = (n, d, abstained, block_size)
-                    aggregator = BulyanAggregator(q, block_size=block_size)
+                    aggregator = _bulyan_at(monkeypatch, block_size, q)
                     result = aggregator(selection)
                     assert result.dtype == expected.dtype, where
                     if abstained:
                         assert np.array_equal(result, aggregator(clamped)), where
-                        width = block_size or bulyan_module._LANE_BLOCK
+                        width = bulyan_module._LANE_BLOCK
                         chosen = bulyan_selection(selection, q, block_size=width)
                         trimmed = _reference_trim(clamped[chosen], q)
                         assert np.array_equal(result, trimmed), where
@@ -356,7 +367,7 @@ def test_bulyan_scores_every_selection_step_when_q_is_positive(q, monkeypatch):
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
-def test_non_finite_rows_are_never_selected_while_they_number_at_most_q(dtype):
+def test_non_finite_rows_are_never_selected_while_they_number_at_most_q(dtype, monkeypatch):
     """A +-inf row is clamped to +-1e30, whose square overflows float32: its
     distances are inf/NaN, which must rank last — silently (tier-1 turns a
     RuntimeWarning from the aggregation package into an error) and at every
@@ -368,16 +379,13 @@ def test_non_finite_rows_are_never_selected_while_they_number_at_most_q(dtype):
         bad = rng.choice(n, size=bad_count, replace=False)
         votes[bad] = np.where(rng.random((bad_count, 1)) < 0.5, np.inf, -np.inf)
         votes[bad[0], 0] = np.nan
+        honest = np.delete(votes, bad, axis=0)
+        results = [KrumAggregator(q)(votes), MultiKrumAggregator(q)(votes)]
         for block_size in (None, 16):
             selection = bulyan_selection(_clamped(votes), q, block_size=block_size)
             assert not set(selection) & set(bad.tolist())
-            honest = np.delete(votes, bad, axis=0)
-            for aggregator in (
-                BulyanAggregator(q, block_size=block_size),
-                KrumAggregator(q, block_size=block_size),
-                MultiKrumAggregator(q, block_size=block_size),
-            ):
-                result = aggregator(votes)
-                assert np.all(np.isfinite(result))
-                assert np.all(result >= honest.min(axis=0))
-                assert np.all(result <= honest.max(axis=0))
+            results.append(_bulyan_at(monkeypatch, block_size, q)(votes))
+        for result in results:
+            assert np.all(np.isfinite(result))
+            assert np.all(result >= honest.min(axis=0))
+            assert np.all(result <= honest.max(axis=0))

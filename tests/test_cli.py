@@ -280,8 +280,13 @@ def _draco_against_q2(data):
             "vanilla-median-alie",
             lambda data: data["pipeline"].update(block_size=8),
             "scenario.pipeline.block_size: the vanilla pipeline (r = 1) has no vote "
-            "kernel to stream; pass block_size to the robust aggregator instead "
-            "(aggregator_params)",
+            "kernel to stream",
+        ),
+        (
+            "vanilla-fang-krum",
+            lambda data: data["pipeline"]["aggregator_params"].update(block_size=64),
+            "scenario.pipeline.aggregator_params: bad parameters for aggregator 'krum': "
+            "KrumAggregator.__init__() got an unexpected keyword argument 'block_size'",
         ),
         (
             "mols-clean",
@@ -319,6 +324,17 @@ def _draco_against_q2(data):
             "number of files f=25",
         ),
         (
+            "mols-clean",
+            lambda data: data["data"].update(num_train=50),
+            "scenario.training.batch_size: batch_size=75 exceeds the 50 training samples",
+        ),
+        (
+            "mols-alie-dirichlet03",
+            lambda data: data["data"]["partition"].update(min_per_shard=100),
+            "scenario.data.partition.min_per_shard: 300 training samples cannot give "
+            "each of f=25 shards at least 100",
+        ),
+        (
             "mols-alie-omniscient",
             lambda data: data["attack"]["schedule"].update(q=16),
             "scenario.attack.schedule: the schedule reaches q=16, above the K=15 workers",
@@ -337,17 +353,20 @@ def _draco_against_q2(data):
         ),
     ],
     ids=["draco-bound", "draco-on-mols", "detox-on-mols", "vanilla-on-mols",
-         "vanilla-block-size", "even-r", "load-4", "quorum-above-r",
-         "quorum-below-r-prime", "groups-above-K", "batch-indivisible", "q-above-K",
-         "topology-sync", "topology-vanilla"],
+         "vanilla-block-size", "aggregator-block-size", "even-r", "load-4",
+         "quorum-above-r", "quorum-below-r-prime", "groups-above-K", "batch-indivisible",
+         "batch-above-train", "shard-floor-above-train", "q-above-K", "topology-sync",
+         "topology-vanilla"],
 )
 def test_scenario_run_inapplicable_scheme_is_a_one_line_error(
     tmp_path, capsys, monkeypatch, name, edit, expected
 ):
     """A spec that cannot run (DRACO with r = 3 against q = 2, DETOX or DRACO
-    off FRC, the baseline off l = r = 1 or with a vote block, an even r, a
-    scheme parameter it refuses, a quorum or topology the cluster cannot
-    close, a batch that does not split into f files, q > K) is refused by
+    off FRC, the baseline off l = r = 1 or with a vote block, a robust rule
+    given a block width, an even r, a scheme parameter it refuses, a quorum
+    or topology the cluster cannot close, a batch that does not split into f
+    files or exceeds the training set, a shard floor the training set cannot
+    meet, q > K) is refused by
     ``ScenarioRunner.check``, naming its spec path, before any data is
     built: not by an error out of round 0."""
     def no_data(self):

@@ -361,10 +361,11 @@ class TestNoFullWidthTemporary:
     def test_alie_builds_its_payload_in_place(self, matrix, dtype, negative):
         """The payload is ``mean + direction * z * std`` bit for bit, built in
         the two vectors ``column_mean_std`` returned: beyond the payload it
-        holds one ``std`` vector and what the statistics hold while they run
-        (their scratch row, and at float32 NumPy's two 64 KiB cast buffers).
-        1.10 ``(d,)`` vectors measured at float64 and 1.30 at float32; both
-        took 2.00 while the expression made a product and a sum of its own."""
+        holds one ``std`` vector and the statistics' one scratch row, in the
+        matrix's dtype.  1.10 ``(d,)`` vectors measured in both dtypes.  At
+        float32 it took 1.30 while the statistics divided by an integer
+        count, through NumPy's two 64 KiB cast buffers, and both dtypes took
+        2.00 while the expression made a product and a sum of its own."""
         honest = matrix.astype(dtype)
         honest.setflags(write=False)
         assignment = RamanujanAssignment(m=5, s=5).assignment
@@ -376,6 +377,7 @@ class TestNoFullWidthTemporary:
         expected = honest.mean(axis=0) + direction * z * honest.std(axis=0)
         assert_same_bits(attack.payload(context), expected)
         statistics = transient_bytes(lambda: column_mean_std(honest))
+        assert statistics <= (_SCRATCH_ROW + 1) * np.dtype(dtype).itemsize
         budget = self.d * np.dtype(dtype).itemsize + statistics + PYTHON_OBJECTS
         assert transient_bytes(lambda: attack.payload(context)) <= budget
 

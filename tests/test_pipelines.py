@@ -263,8 +263,15 @@ REFUSED = {
     "vanilla-block-size": (
         lambda: edited("vanilla-median-alie", pipeline={"block_size": 8}),
         "scenario.pipeline.block_size: the vanilla pipeline (r = 1) has no vote "
-        "kernel to stream; pass block_size to the robust aggregator instead "
-        "(aggregator_params)",
+        "kernel to stream",
+    ),
+    "aggregator-block-size": (
+        lambda: edited(
+            "vanilla-fang-krum",
+            pipeline={"aggregator_params": {"num_byzantine": 2, "block_size": 64}},
+        ),
+        "scenario.pipeline.aggregator_params: bad parameters for aggregator 'krum': "
+        "KrumAggregator.__init__() got an unexpected keyword argument 'block_size'",
     ),
     "quorum-above-r": (
         lambda: edited("mols-async-quorum", runtime={"quorum": 4}),
@@ -284,6 +291,18 @@ REFUSED = {
         lambda: edited("mols-clean", training={"batch_size": 76}),
         "scenario.training.batch_size: batch_size=76 must be divisible by the "
         "number of files f=25",
+    ),
+    "batch-above-train": (
+        lambda: edited("mols-clean", data={"num_train": 50}),
+        "scenario.training.batch_size: batch_size=75 exceeds the 50 training samples",
+    ),
+    "shard-floor-above-train": (
+        lambda: edited(
+            "mols-alie-dirichlet03",
+            data={"partition": {"kind": "dirichlet", "alpha": 0.3, "min_per_shard": 100}},
+        ),
+        "scenario.data.partition.min_per_shard: 300 training samples cannot give "
+        "each of f=25 shards at least 100",
     ),
     "q-above-K": (
         lambda: edited("mols-alie-omniscient", attack={"schedule": {"q": 16}}),

@@ -57,7 +57,7 @@ from repro.core import (
 from repro.data import Dataset, make_gaussian_mixture, make_synthetic_images
 from repro.graphs import BipartiteAssignment, second_eigenvalue
 from repro.nn import SGD, Sequential, build_mlp
-from repro.training import DistributedTrainer, TrainingConfig
+from repro.training import DistributedTrainer
 
 __version__ = "1.0.0"
 
@@ -105,6 +105,5 @@ __all__ = [
     "build_mlp",
     "SGD",
     # training
-    "TrainingConfig",
     "DistributedTrainer",
 ]

@@ -1,24 +1,17 @@
 """Simulated PS/worker cluster.
 
 The paper runs on an MPI cluster of EC2 instances; offline we simulate the
-cluster in-process (see DESIGN.md).  The simulation preserves exactly the
-quantities the paper's claims are about — which worker returns which file
-gradient, which returns are Byzantine, what the PS aggregates — and adds an
-explicit cost model so the per-iteration time breakdown of Figure 12 can be
-reproduced.
+cluster in-process (see DESIGN.md).  This package holds what a round is
+timed and perturbed by: the event-driven collect (:mod:`~repro.cluster.events`),
+the benign fault models (:mod:`~repro.cluster.faults`) and the explicit cost
+model behind the per-iteration time breakdown of Figure 12
+(:mod:`~repro.cluster.timing`).  The round itself — workers, cluster and
+parameter server — is :mod:`repro.training.trainer`.
 """
 
-from repro.cluster.messages import TensorRoundResult
-from repro.cluster.server import ParameterServer
-from repro.cluster.simulator import TrainingCluster
 from repro.cluster.timing import CostModel, IterationTiming, estimate_iteration_timing
-from repro.cluster.worker import WorkerPool
 
 __all__ = [
-    "TensorRoundResult",
-    "WorkerPool",
-    "ParameterServer",
-    "TrainingCluster",
     "CostModel",
     "IterationTiming",
     "estimate_iteration_timing",

@@ -21,9 +21,10 @@ emit events, and a copy that never arrives abstains from the vote:
   still arrives, so it still votes.
 
 Every injector draws randomness only from the generator handed to
-:meth:`FaultInjector.inject`; the simulator derives one independent stream
-per injector per round (see ``TrainingCluster``), so enabling or re-ordering
-fault injectors never perturbs the attack's RNG stream, and identical seeds
+:meth:`FaultInjector.inject`; the round derives one independent stream per
+injector per round (see :class:`repro.training.trainer.TrainingCluster`), so
+enabling or re-ordering fault injectors never perturbs the attack's RNG
+stream, and identical seeds
 give bit-identical fault sequences.  Each injector's draws are a pure
 function of ``(seed, round, shape)`` — never of the realized fault history
 or of the tensor's copy-on-write override layout — so fault sequences are

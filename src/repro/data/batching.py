@@ -186,23 +186,26 @@ class FileRows:
 class BatchSampler:
     """Samples batches of indices from a dataset, deterministically per seed.
 
+    The sampler cycles through epoch permutations of the dataset (classic
+    SGD epochs).
+
     Parameters
     ----------
     dataset:
         The training dataset.
     batch_size:
         Batch size ``b``; must not exceed the dataset size.
+    num_files:
+        Number of files ``f`` :meth:`next_batch_files` splits a batch into;
+        must divide ``b`` (checked there, by :func:`partition_batch_into_files`).
     seed:
         Seed controlling the batch sequence.
-    with_replacement:
-        If True every batch is an independent uniform draw; otherwise the
-        sampler cycles through epoch permutations (classic SGD epochs).
     """
 
     dataset: Dataset
     batch_size: int
+    num_files: int
     seed: int | np.random.Generator | None = 0
-    with_replacement: bool = False
 
     def __post_init__(self) -> None:
         if self.batch_size < 1:
@@ -219,8 +222,6 @@ class BatchSampler:
     def next_batch(self) -> np.ndarray:
         """Indices of the next batch ``B_t``."""
         n = self.dataset.num_samples
-        if self.with_replacement:
-            return self._rng.integers(0, n, size=self.batch_size)
         if self._cursor + self.batch_size > n:
             self._permutation = self._rng.permutation(n)
             self._cursor = 0
@@ -228,9 +229,9 @@ class BatchSampler:
         self._cursor += self.batch_size
         return batch.copy()
 
-    def next_batch_files(self, num_files: int) -> list[np.ndarray]:
-        """Next batch already partitioned into ``num_files`` files."""
-        return partition_batch_into_files(self.next_batch(), num_files)
+    def next_batch_files(self) -> list[np.ndarray]:
+        """The next batch split into its ``num_files`` files."""
+        return partition_batch_into_files(self.next_batch(), self.num_files)
 
     def batch_data(self, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Materialize ``(inputs, labels)`` for a set of sample indices: the

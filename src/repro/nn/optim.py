@@ -116,7 +116,7 @@ class SGD:
 
         The result is a new array and ``params`` is never written, so a view
         of the old parameters (:meth:`ParameterServer.broadcast
-        <repro.cluster.server.ParameterServer.broadcast>`) keeps its values.
+        <repro.training.trainer.ParameterServer.broadcast>`) keeps its values.
         The step evaluates ``params - rate * (momentum * v + (gradient +
         weight_decay * params))`` with that expression's ufuncs, in its
         order and in the dtype each of them has there, but every

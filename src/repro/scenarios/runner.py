@@ -45,8 +45,6 @@ from repro.cluster.faults import (
     MessageCorruptionInjector,
     StragglerInjector,
 )
-from repro.cluster.simulator import TrainingCluster
-from repro.cluster.worker import WorkerPool
 from repro.compression.compressors import Compressor, create_compressor
 from repro.core.distortion import majority_threshold
 from repro.core.pipelines import AggregationPipeline
@@ -68,7 +66,6 @@ from repro.scenarios.trace import (
     format_version_for,
     hex_float,
 )
-from repro.training.config import TrainingConfig
 from repro.training.gradients import ModelGradientComputer
 from repro.training.trainer import DistributedTrainer
 from repro.utils.rng import derive_seed
@@ -188,7 +185,6 @@ class _Components(NamedTuple):
     fault_injectors: tuple[FaultInjector, ...]
     compressor: Compressor | None
     runtime: AsyncRuntime | None
-    config: TrainingConfig
 
 
 class ScenarioRunner:
@@ -212,6 +208,7 @@ class ScenarioRunner:
         """
         spec, section = self.spec, self.spec.pipeline
         kind, cluster, attack_spec = section.kind, spec.cluster, spec.attack
+        batch_size = spec.training.batch_size
         assignment = _create(
             "scenario.cluster.params", "scheme", create_scheme, cluster.scheme, cluster.params
         ).assignment
@@ -245,9 +242,6 @@ class ScenarioRunner:
                 "scenario.compression.params", "compressor", create_compressor,
                 spec.compression.name, spec.compression.params,
             )
-        with _section("scenario.training"):
-            config = TrainingConfig(**dataclasses.asdict(spec.training), seed=spec.seed)
-
         groups = None if spec.topology is None else spec.topology.groups
         # The train split holds exactly ``data.num_train`` rows (split_slots).
         num_train, partition = spec.data.num_train, spec.data.partition
@@ -301,12 +295,12 @@ class ScenarioRunner:
             (groups is not None and groups > K,
              f"scenario.topology.groups: runtime groups {groups} exceed the assignment's "
              f"K={K} workers"),
-            (config.batch_size % f != 0,
-             f"scenario.training.batch_size: batch_size={config.batch_size} must be "
+            (batch_size % f != 0,
+             f"scenario.training.batch_size: batch_size={batch_size} must be "
              f"divisible by the number of files f={f}"),
             # Non-IID shards wrap around within a batch; the IID sampler cannot.
-            (partition is None and config.batch_size > num_train,
-             f"scenario.training.batch_size: batch_size={config.batch_size} exceeds the "
+            (partition is None and batch_size > num_train,
+             f"scenario.training.batch_size: batch_size={batch_size} exceeds the "
              f"{num_train} training samples"),
             (min_per_shard is not None and min_per_shard * f > num_train,
              f"scenario.data.partition.min_per_shard: {num_train} training samples cannot "
@@ -324,7 +318,7 @@ class ScenarioRunner:
             )
         pipeline = AggregationPipeline(assignment, aggregator, section.block_size)
         return _Components(
-            assignment, pipeline, attack, selector, fault_injectors, compressor, runtime, config
+            assignment, pipeline, attack, selector, fault_injectors, compressor, runtime
         )
 
     def _build_datasets(self) -> tuple[Dataset, Dataset]:
@@ -403,24 +397,18 @@ class ScenarioRunner:
             seed=spec.seed,
             dtype=spec.dtype,
         )
-        gradient_computer = ModelGradientComputer(model)
-        pool = WorkerPool(parts.assignment, gradient_computer, compressor=parts.compressor)
-        cluster = TrainingCluster(
-            assignment=parts.assignment,
-            worker_pool=pool,
+        return DistributedTrainer(
+            parts.pipeline,
+            ModelGradientComputer(model),
+            train_dataset,
+            test_dataset,
+            spec.training,
+            seed=spec.seed,
             attack=parts.attack,
             selector=parts.selector,
-            seed=spec.seed,
             fault_injectors=parts.fault_injectors,
             runtime=parts.runtime,
-        )
-        return DistributedTrainer(
-            cluster=cluster,
-            pipeline=parts.pipeline,
-            gradient_computer=gradient_computer,
-            train_dataset=train_dataset,
-            test_dataset=test_dataset,
-            config=parts.config,
+            compressor=parts.compressor,
             file_partition=self._build_file_partition(parts.assignment, train_dataset),
         )
 

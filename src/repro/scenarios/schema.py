@@ -38,7 +38,9 @@ missing required keys and every type mismatch raise
 :class:`~repro.exceptions.ConfigurationError` naming the dotted location
 (``scenario.runtime.partial must be true or false, got str 'false'``,
 ``unknown key(s) ['scenario.pipeline.vote_tolerance']; ...``).
-``__post_init__`` validators run after the loader and own the value ranges.
+``__post_init__`` validators run after the loader and own the value ranges;
+the loader prefixes what one refuses with the section's dotted location
+(``scenario.pipeline: unknown pipeline kind 'foo'; ...``).
 """
 
 from __future__ import annotations
@@ -159,7 +161,13 @@ def _load(cls: type, data: Any, where: str) -> Any:
                 field.metadata["kind"], value, f"{where}.{field.name}", field.metadata["allow_inf"]
             )
         loaded[field.name] = value
-    return cls(**loaded)
+    try:
+        return cls(**loaded)
+    except ConfigurationError as exc:
+        # The section's own check: name its path, unless the message does.
+        if str(exc).startswith(where):
+            raise
+        raise ConfigurationError(f"{where}: {exc}") from exc
 
 
 def _emit_value(kind: Any, value: Any) -> Any:

@@ -165,7 +165,12 @@ class ModelSpec(Schema, where="model"):
 
 @dataclass(frozen=True)
 class TrainingSpec(Schema, where="training"):
-    """Optimization schedule of the run."""
+    """Optimization schedule of the run: global batch size ``b`` (a multiple
+    of ``f``), ``num_iterations`` synchronous SGD steps, the paper's
+    ``(x, y, z)`` learning-rate schedule (``learning_rate`` decayed by
+    ``lr_decay`` every ``lr_period`` iterations), momentum, an optional L2
+    ``weight_decay``, and a test evaluation every ``eval_every`` iterations
+    (and at the end)."""
 
     batch_size: int = spec_field(int, pinned=True, default=75)
     num_iterations: int = spec_field(int, pinned=True, default=4)
@@ -175,6 +180,30 @@ class TrainingSpec(Schema, where="training"):
     momentum: float = spec_field(float, pinned=True, default=0.9)
     weight_decay: float = spec_field(float, pinned=True, default=0.0)
     eval_every: int = spec_field(int, pinned=True, default=2)
+
+    def __post_init__(self) -> None:
+        if self.batch_size < 1:
+            raise ConfigurationError(f"batch_size must be positive, got {self.batch_size}")
+        if self.num_iterations < 1:
+            raise ConfigurationError(
+                f"num_iterations must be positive, got {self.num_iterations}"
+            )
+        if not self.learning_rate > 0:  # also NaN
+            raise ConfigurationError(
+                f"learning_rate must be positive, got {self.learning_rate}"
+            )
+        if not self.lr_decay > 0:
+            raise ConfigurationError(f"lr_decay must be positive, got {self.lr_decay}")
+        if self.lr_period < 1:
+            raise ConfigurationError(f"lr_period must be >= 1, got {self.lr_period}")
+        if not (0.0 <= self.momentum < 1.0):
+            raise ConfigurationError(f"momentum must be in [0, 1), got {self.momentum}")
+        if not self.weight_decay >= 0:
+            raise ConfigurationError(
+                f"weight_decay must be non-negative, got {self.weight_decay}"
+            )
+        if self.eval_every < 1:
+            raise ConfigurationError(f"eval_every must be >= 1, got {self.eval_every}")
 
 
 @dataclass(frozen=True)

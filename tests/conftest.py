@@ -10,8 +10,6 @@ from repro.assignment.frc import FRCAssignment
 from repro.assignment.mols import MOLSAssignment
 from repro.assignment.ramanujan import RamanujanAssignment
 from repro.attacks.selection import OmniscientSelector
-from repro.cluster.simulator import TrainingCluster
-from repro.cluster.worker import WorkerPool
 from repro.data.datasets import train_test_split
 from repro.data.synthetic import make_gaussian_mixture
 from repro.training.gradients import ModelGradientComputer
@@ -64,26 +62,19 @@ def small_classification_data():
 @pytest.fixture(scope="session")
 def assemble_trainer():
     """The object-level route, for a test that brings its own dataset or model:
-    the public ``DistributedTrainer(...)`` constructor, wired the way
-    ``ScenarioRunner.build_trainer`` wires it (omniscient adversary when ``q > 0``)."""
+    the public ``DistributedTrainer(...)`` constructor, the call
+    ``ScenarioRunner.build_trainer`` makes (omniscient adversary when ``q > 0``)."""
 
-    def assemble(pipeline, model, train_dataset, test_dataset, config, attack=None, q=0):
-        assignment = pipeline.assignment
-        computer = ModelGradientComputer(model)
-        cluster = TrainingCluster(
-            assignment=assignment,
-            worker_pool=WorkerPool(assignment, computer),
+    def assemble(pipeline, model, train_dataset, test_dataset, config, attack=None, q=0, seed=0):
+        return DistributedTrainer(
+            pipeline,
+            ModelGradientComputer(model),
+            train_dataset,
+            test_dataset,
+            config,
+            seed=seed,
             attack=attack,
             selector=OmniscientSelector(q) if q else None,
-            seed=config.seed,
-        )
-        return DistributedTrainer(
-            cluster=cluster,
-            pipeline=pipeline,
-            gradient_computer=computer,
-            train_dataset=train_dataset,
-            test_dataset=test_dataset,
-            config=config,
         )
 
     return assemble

@@ -17,7 +17,6 @@ import numpy as np
 import pytest
 
 from repro.assignment.mols import MOLSAssignment
-from repro.cluster import TrainingCluster, WorkerPool
 from repro.cluster.faults import StragglerInjector
 from repro.core.distortion import distorted_files
 from repro.core.pipelines import AggregationPipeline
@@ -26,7 +25,8 @@ from repro.scenarios import get_scenario, golden_path, run_scenario, scenario_na
 from repro.scenarios.runner import ScenarioRunner, _round_trace
 from repro.scenarios.spec import ScenarioSpec
 from repro.scenarios.trace import RunTrace
-from repro.training import ModelGradientComputer, TrainingConfig
+from repro.scenarios.spec import TrainingSpec
+from repro.training import ModelGradientComputer
 from repro.training.trainer import DistributedTrainer
 
 AVAILABILITY = ("straggler", "dropout", "late")
@@ -40,19 +40,19 @@ def test_two_abandoned_copies_of_a_file_do_not_out_vote_its_honest_one(
     so the file abstains: no row, nothing distorted, and the trace says so."""
     train, test = small_classification_data
     assignment = MOLSAssignment(load=5, replication=3).assignment
-    computer = ModelGradientComputer(build_mlp(train.flat_feature_dim, 4, hidden=(16,), seed=0))
-    cluster = TrainingCluster(
-        assignment,
-        WorkerPool(assignment, computer),
+    trainer = DistributedTrainer(
+        AggregationPipeline(assignment),
+        ModelGradientComputer(build_mlp(train.flat_feature_dim, 4, hidden=(16,), seed=0)),
+        train,
+        test,
+        TrainingSpec(batch_size=150, num_iterations=1),
         seed=3,  # the two abandoned workers share a file
         fault_injectors=(StragglerInjector(count=2, delay_model="fixed", delay=2.0, timeout=1.0),),
     )
-    config = TrainingConfig(batch_size=150, num_iterations=1)
-    trainer = DistributedTrainer(cluster, AggregationPipeline(assignment), computer, train, test, config)
 
     round_result, outcome = trainer.step(0)
     lost = (~round_result.accepted).sum(axis=1)
-    assert lost.max() == 2 and cluster.runtime.deadline == 1.0
+    assert lost.max() == 2 and trainer.cluster.runtime.deadline == 1.0
     (file,) = np.nonzero(lost == 2)[0]
     assert round_result.byzantine_workers == ()
     kept = np.delete(np.arange(assignment.num_files), file)

@@ -351,12 +351,35 @@ def _draco_against_q2(data):
             "scenario.topology requires a voting pipeline (byzshield, detox or "
             "draco); the vanilla pipeline has one copy per file",
         ),
+        # A section's own check names the section's path too.
+        (
+            "mols-clean",
+            lambda data: data["pipeline"].update(kind="foo"),
+            "scenario.pipeline: unknown pipeline kind 'foo'; expected byzshield, "
+            "detox, draco or vanilla",
+        ),
+        (
+            "mols-async-quorum",
+            lambda data: data["runtime"].update(quorum=0),
+            "scenario.runtime: runtime quorum must be >= 1, got 0",
+        ),
+        (
+            "ramanujan-hier-async-group-quorum",
+            lambda data: data["topology"].update(groups=0),
+            "scenario.topology: topology groups must be >= 1, got 0",
+        ),
+        (
+            "mols-clean",
+            lambda data: data["training"].update(batch_size=0),
+            "scenario.training: batch_size must be positive, got 0",
+        ),
     ],
     ids=["draco-bound", "draco-on-mols", "detox-on-mols", "vanilla-on-mols",
          "vanilla-block-size", "aggregator-block-size", "even-r", "load-4",
          "quorum-above-r", "quorum-below-r-prime", "groups-above-K", "batch-indivisible",
          "batch-above-train", "shard-floor-above-train", "q-above-K", "topology-sync",
-         "topology-vanilla"],
+         "topology-vanilla", "pipeline-kind", "runtime-quorum-0", "topology-groups-0",
+         "training-batch-0"],
 )
 def test_scenario_run_inapplicable_scheme_is_a_one_line_error(
     tmp_path, capsys, monkeypatch, name, edit, expected
@@ -368,7 +391,9 @@ def test_scenario_run_inapplicable_scheme_is_a_one_line_error(
     files or exceeds the training set, a shard floor the training set cannot
     meet, q > K) is refused by
     ``ScenarioRunner.check``, naming its spec path, before any data is
-    built: not by an error out of round 0."""
+    built: not by an error out of round 0.  A value a section's own check
+    refuses (an unknown pipeline kind, a quorum or group count below 1, a
+    batch size below 1) is refused as the spec loads, naming that section."""
     def no_data(self):
         raise AssertionError("the data was built before the spec was refused")
 

@@ -1,4 +1,8 @@
-"""Tests for the cluster simulation: worker pool, PS, round simulator, timing."""
+"""Tests for the round's stages: worker pool, PS, cluster round, timing.
+
+Every stage is built the one way, by the ``DistributedTrainer`` constructor;
+these tests drive the stage its trainer owns.
+"""
 
 import tracemalloc
 
@@ -11,14 +15,14 @@ from repro.assignment.mols import MOLSAssignment
 from repro.attacks.constant import ConstantAttack
 from repro.attacks.reversed_gradient import ReversedGradientAttack
 from repro.attacks.selection import OmniscientSelector
-from repro.cluster.server import ParameterServer
-from repro.cluster.simulator import TrainingCluster
 from repro.cluster.timing import CostModel, estimate_iteration_timing
-from repro.cluster.worker import WorkerPool
 from repro.core.pipelines import AggregationPipeline
 from repro.core.vote_tensor import VoteTensor
+from repro.data.batching import RoundFiles
+from repro.data.synthetic import make_gaussian_mixture
 from repro.exceptions import ConfigurationError, TrainingError
-from repro.nn.optim import SGD
+from repro.scenarios.spec import TrainingSpec
+from repro.training.trainer import DistributedTrainer
 
 from cow_helpers import FixedSelector, cube_of
 
@@ -36,38 +40,64 @@ def quadratic_gradient_fn(params, inputs, labels):
 
 def make_file_data(num_files, samples_per_file=2, seed=0):
     rng = np.random.default_rng(seed)
-    return {
+    return RoundFiles.coerce({
         i: (rng.standard_normal((samples_per_file, 4)), rng.integers(0, 2, samples_per_file))
         for i in range(num_files)
-    }
+    })
+
+
+class FileOracle:
+    """A test gradient oracle from a per-file ``fn(params, inputs, labels) ->
+    (gradient, loss)``: ``batched`` runs it file by file and stacks the rows."""
+
+    def __init__(self, fn=quadratic_gradient_fn, dim=DIM, initial=0.0):
+        self.fn, self.dim, self.initial = fn, dim, initial
+
+    def batched(self, params, files):
+        pairs = [self.fn(params, *files.file(i)) for i in range(len(files))]
+        return np.stack([gradient for gradient, _ in pairs]), np.array([loss for _, loss in pairs])
+
+    def initial_params(self):
+        return np.full(self.dim, self.initial)
+
+
+def build_trainer(assignment, oracle=None, pipeline=None, momentum=0.0, seed=0, **kwargs):
+    """A trainer over a stand-in dataset: these tests hand its stages their own
+    parameters and files."""
+    data = make_gaussian_mixture(num_samples=assignment.num_files, num_classes=2, dim=4, seed=0)
+    return DistributedTrainer(
+        pipeline or AggregationPipeline(assignment),
+        oracle or FileOracle(),
+        data,
+        data,
+        TrainingSpec(batch_size=assignment.num_files, learning_rate=0.5, momentum=momentum),
+        seed=seed,
+        **kwargs,
+    )
+
+
+def build_cluster(assignment, oracle=None, **kwargs):
+    return build_trainer(assignment, oracle, **kwargs).cluster
 
 
 # --------------------------------------------------------------------------- #
 # WorkerPool
 # --------------------------------------------------------------------------- #
-def test_worker_pool_computes_all_files(mols_assignment):
-    pool = WorkerPool(mols_assignment, quadratic_gradient_fn)
-    file_data = make_file_data(25)
-    gradients, losses = pool.compute_file_gradient_matrix(np.zeros(DIM), file_data)
-    assert gradients.shape == (25, DIM)
-    assert losses.shape == (25,)
-    assert np.all(np.isfinite(losses))
-
-
 def test_worker_pool_requires_complete_file_data(mols_assignment):
-    pool = WorkerPool(mols_assignment, quadratic_gradient_fn)
-    with pytest.raises(TrainingError):
-        pool.compute_file_gradient_matrix(np.zeros(DIM), make_file_data(24))
+    cluster = build_cluster(mols_assignment)
+    with pytest.raises(ConfigurationError, match="24 rows, assignment has 25 files"):
+        cluster.run_round_tensor(np.zeros(DIM), make_file_data(24), 0)
 
 
 def test_worker_pool_honest_returns_structure(mols_assignment):
-    pool = WorkerPool(mols_assignment, quadratic_gradient_fn)
+    pool = build_cluster(mols_assignment).worker_pool
     tensor, honest, losses = pool.honest_returns_tensor(
         np.zeros(DIM), make_file_data(25)
     )
     assert tensor.shape == (25, 3, DIM)
     assert tensor.num_overridden_slots == tensor.num_override_rows == 0
     assert losses.shape == (25,)
+    assert np.all(np.isfinite(losses))
     for file_index in range(25):
         assert tuple(tensor.workers[file_index]) == mols_assignment.workers_of_file(
             file_index
@@ -79,12 +109,12 @@ def test_worker_pool_honest_returns_structure(mols_assignment):
 def test_worker_pool_shared_vs_recomputed_identical(mols_assignment):
     """The pool computes each file once and shares it; every worker
     recomputing its own copy with the oracle returns the same bits."""
-    pool = WorkerPool(mols_assignment, quadratic_gradient_fn)
+    pool = build_cluster(mols_assignment).worker_pool
     data = make_file_data(25)
     tensor, _, _ = pool.honest_returns_tensor(np.ones(DIM), data)
     for i in range(25):
         for slot, worker in enumerate(mols_assignment.workers_of_file(i)):
-            recomputed, _ = quadratic_gradient_fn(np.ones(DIM), *data[i])
+            recomputed, _ = quadratic_gradient_fn(np.ones(DIM), *data.file(i))
             assert tensor.workers[i, slot] == worker
             assert np.array_equal(tensor.read_slots([i], [slot])[0], recomputed)
 
@@ -94,16 +124,16 @@ def test_worker_pool_shared_vs_recomputed_identical(mols_assignment):
 # --------------------------------------------------------------------------- #
 def test_parameter_server_update(mols_assignment):
     pipeline = AggregationPipeline(mols_assignment, aggregator=CoordinateWiseMedian())
-    server = ParameterServer(np.zeros(DIM), pipeline, SGD(0.5))
-    pool = WorkerPool(mols_assignment, quadratic_gradient_fn)
-    tensor, honest, _ = pool.honest_returns_tensor(
+    trainer = build_trainer(mols_assignment, pipeline=pipeline)
+    server = trainer.server
+    tensor, honest, _ = trainer.cluster.worker_pool.honest_returns_tensor(
         server.broadcast(), make_file_data(25)
     )
     gradient = server.update_tensor(tensor).aggregate
     expected = np.median(honest, axis=0)
     assert np.allclose(gradient, expected)
     assert np.allclose(server.params, -0.5 * expected)
-    assert server.iteration == 1
+    assert server.optimizer.iteration == 1
 
 
 def test_broadcast_is_a_read_only_view_that_outlives_the_step(mols_assignment):
@@ -113,7 +143,8 @@ def test_broadcast_is_a_read_only_view_that_outlives_the_step(mols_assignment):
     dim = 50_000
     pipeline = AggregationPipeline(mols_assignment, aggregator=CoordinateWiseMedian())
     initial = np.random.default_rng(4).standard_normal(dim)
-    server = ParameterServer(initial, pipeline, SGD(0.5, momentum=0.9))
+    oracle = FileOracle(dim=dim, initial=initial)
+    server = build_trainer(mols_assignment, oracle, pipeline=pipeline, momentum=0.9).server
     server.broadcast()
     tracemalloc.start()
     try:
@@ -136,21 +167,19 @@ def test_broadcast_is_a_read_only_view_that_outlives_the_step(mols_assignment):
     server.update_tensor(VoteTensor.from_honest(mols_assignment, honest))
     assert sent.tobytes() == initial.tobytes()
     assert not np.shares_memory(sent, server.broadcast())
-    assert server.iteration == 1
+    assert server.optimizer.iteration == 1
 
 
 def test_parameter_server_validation(mols_assignment):
-    pipeline = AggregationPipeline(mols_assignment)
-    with pytest.raises(TrainingError):
-        ParameterServer(np.zeros(0), pipeline, SGD(0.1))
+    with pytest.raises(TrainingError, match="initial parameter vector is empty"):
+        build_trainer(mols_assignment, FileOracle(dim=0))
 
 
 # --------------------------------------------------------------------------- #
 # TrainingCluster
 # --------------------------------------------------------------------------- #
 def test_cluster_round_without_attack(mols_assignment):
-    pool = WorkerPool(mols_assignment, quadratic_gradient_fn)
-    cluster = TrainingCluster(mols_assignment, pool)
+    cluster = build_cluster(mols_assignment)
     result = cluster.run_round_tensor(np.zeros(DIM), make_file_data(25), iteration=0)
     assert result.byzantine_workers == ()
     assert result.distorted_files == ()
@@ -162,13 +191,8 @@ def test_cluster_round_without_attack(mols_assignment):
 
 
 def test_cluster_round_with_attack_marks_byzantine_messages(mols_assignment):
-    pool = WorkerPool(mols_assignment, quadratic_gradient_fn)
-    cluster = TrainingCluster(
-        mols_assignment,
-        pool,
-        attack=ConstantAttack(value=-9.0),
-        selector=FixedSelector([0, 5]),
-        seed=0,
+    cluster = build_cluster(
+        mols_assignment, attack=ConstantAttack(value=-9.0), selector=FixedSelector([0, 5])
     )
     result = cluster.run_round_tensor(np.zeros(DIM), make_file_data(25), iteration=0)
     assert result.byzantine_workers == (0, 5)
@@ -186,13 +210,10 @@ def test_cluster_round_with_attack_marks_byzantine_messages(mols_assignment):
 
 
 def test_cluster_round_omniscient_matches_worst_case(mols_assignment):
-    pool = WorkerPool(mols_assignment, quadratic_gradient_fn)
-    cluster = TrainingCluster(
+    cluster = build_cluster(
         mols_assignment,
-        pool,
         attack=ReversedGradientAttack(),
         selector=OmniscientSelector(num_byzantine=3),
-        seed=0,
     )
     result = cluster.run_round_tensor(np.ones(DIM), make_file_data(25), iteration=0)
     assert len(result.distorted_files) == 3  # c_max for q=3 on this graph
@@ -201,13 +222,8 @@ def test_cluster_round_omniscient_matches_worst_case(mols_assignment):
 
 def test_cluster_round_deterministic_given_seed(mols_assignment):
     def build():
-        pool = WorkerPool(mols_assignment, quadratic_gradient_fn)
-        return TrainingCluster(
-            mols_assignment,
-            pool,
-            attack=ConstantAttack(),
-            selector=FixedSelector([0]),
-            seed=11,
+        return build_cluster(
+            mols_assignment, attack=ConstantAttack(), selector=FixedSelector([0]), seed=11
         )
 
     data = make_file_data(25)
@@ -217,11 +233,10 @@ def test_cluster_round_deterministic_given_seed(mols_assignment):
 
 
 def test_cluster_requires_attack_and_selector_together(mols_assignment):
-    pool = WorkerPool(mols_assignment, quadratic_gradient_fn)
     with pytest.raises(TrainingError):
-        TrainingCluster(mols_assignment, pool, attack=ConstantAttack(), selector=None)
+        build_cluster(mols_assignment, attack=ConstantAttack(), selector=None)
     with pytest.raises(TrainingError):
-        TrainingCluster(mols_assignment, pool, attack=None, selector=FixedSelector([0]))
+        build_cluster(mols_assignment, attack=None, selector=FixedSelector([0]))
 
 
 # --------------------------------------------------------------------------- #
@@ -269,6 +284,5 @@ def test_timing_unknown_aggregator_defaults():
 def test_cluster_seed_is_an_int(mols_assignment):
     """Every round and fault stream derives from ``(seed, round)``, so a live
     Generator (whose draws would depend on call order) is refused."""
-    pool = WorkerPool(mols_assignment, quadratic_gradient_fn)
     with pytest.raises(TypeError):
-        TrainingCluster(mols_assignment, pool, seed=np.random.default_rng(42))
+        build_cluster(mols_assignment, seed=np.random.default_rng(42))

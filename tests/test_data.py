@@ -119,31 +119,23 @@ def test_partition_batch_into_files_validation():
 
 def test_batch_sampler_epoch_coverage():
     data = make_gaussian_mixture(num_samples=40, num_classes=2, dim=3, seed=0)
-    sampler = BatchSampler(dataset=data, batch_size=10, seed=0)
+    sampler = BatchSampler(dataset=data, batch_size=10, num_files=2, seed=0)
     seen = np.concatenate([sampler.next_batch() for _ in range(4)])
     assert np.array_equal(np.sort(seen), np.arange(40))
 
 
 def test_batch_sampler_deterministic():
     data = make_gaussian_mixture(num_samples=40, num_classes=2, dim=3, seed=0)
-    a = BatchSampler(dataset=data, batch_size=8, seed=5)
-    b = BatchSampler(dataset=data, batch_size=8, seed=5)
+    a = BatchSampler(dataset=data, batch_size=8, num_files=2, seed=5)
+    b = BatchSampler(dataset=data, batch_size=8, num_files=2, seed=5)
     for _ in range(6):
         assert np.array_equal(a.next_batch(), b.next_batch())
 
 
-def test_batch_sampler_with_replacement():
-    data = make_gaussian_mixture(num_samples=30, num_classes=2, dim=3, seed=0)
-    sampler = BatchSampler(dataset=data, batch_size=10, seed=0, with_replacement=True)
-    batch = sampler.next_batch()
-    assert batch.size == 10
-    assert np.all((0 <= batch) & (batch < 30))
-
-
 def test_batch_sampler_files_and_data():
     data = make_gaussian_mixture(num_samples=40, num_classes=2, dim=3, seed=0)
-    sampler = BatchSampler(dataset=data, batch_size=12, seed=0)
-    files = sampler.next_batch_files(4)
+    sampler = BatchSampler(dataset=data, batch_size=12, num_files=4, seed=0)
+    files = sampler.next_batch_files()
     assert len(files) == 4
     inputs, labels = sampler.batch_data(files[0])
     assert inputs.shape == (3, 3)
@@ -153,6 +145,6 @@ def test_batch_sampler_files_and_data():
 def test_batch_sampler_validation():
     data = make_gaussian_mixture(num_samples=10, num_classes=2, dim=3, seed=0)
     with pytest.raises(DataError):
-        BatchSampler(dataset=data, batch_size=0)
+        BatchSampler(dataset=data, batch_size=0, num_files=1)
     with pytest.raises(DataError):
-        BatchSampler(dataset=data, batch_size=11)
+        BatchSampler(dataset=data, batch_size=11, num_files=1)

@@ -56,12 +56,11 @@ def test_readme_training_snippet_runs_scaled_down():
         DistributedTrainer,
         OmniscientSelector,
         RamanujanAssignment,
-        TrainingConfig,
         build_mlp,
         make_synthetic_images,
     )
-    from repro.cluster import TrainingCluster, WorkerPool
     from repro.data import train_test_split
+    from repro.scenarios import TrainingSpec
     from repro.training import ModelGradientComputer
 
     data = make_synthetic_images(num_samples=400, num_classes=10, flatten=True, seed=0)
@@ -69,11 +68,17 @@ def test_readme_training_snippet_runs_scaled_down():
     assignment = RamanujanAssignment(m=5, s=5).assignment
     model = build_mlp(train.flat_feature_dim, 10, hidden=(16,), seed=0)
     attack, selector = ALIEAttack(), OmniscientSelector(5)
-    config = TrainingConfig(batch_size=150, num_iterations=3, eval_every=3)
 
-    computer = ModelGradientComputer(model)
-    cluster = TrainingCluster(assignment, WorkerPool(assignment, computer), attack=attack, selector=selector)
-    trainer = DistributedTrainer(cluster, AggregationPipeline(assignment), computer, train, test, config)
+    trainer = DistributedTrainer(
+        AggregationPipeline(assignment),
+        ModelGradientComputer(model),
+        train,
+        test,
+        TrainingSpec(batch_size=150, num_iterations=3),
+        seed=0,
+        attack=attack,
+        selector=selector,
+    )
     records = [trainer.run_iteration(t) for t in range(trainer.config.num_iterations)]
     assert np.mean([r.distortion_fraction for r in records]) == pytest.approx(0.08)
     assert 0.0 <= trainer.evaluate()["accuracy"] <= 1.0

@@ -133,3 +133,33 @@ def test_peak_probe_names_the_stage_that_sets_the_peak():
     ):
         assert stages[stage][0] >= 1, stage
     assert max(inside for _, _, inside in stages.values()) == pytest.approx(peak, abs=1e-4)
+
+
+def test_trainer_session_reads_what_the_trainer_exposes():
+    """What the benchmark reads off a trainer outside ``instrument_trainer``:
+    the set-up stages ``patch_build_stages`` times, ``TrainerSession.failure``
+    (``run_iteration``'s record and ``server.params``), ``snapshot``
+    (``evaluate``) and the analytic split's ``server.params.size``."""
+    layers, Tracer = import_e2e_helpers()
+    sys.path.insert(0, str(E2E_DIR))
+    try:
+        import workloads
+    finally:
+        sys.path.remove(str(E2E_DIR))
+
+    tracer = Tracer()
+    layers.patch_build_stages(tracer)
+    try:
+        session = workloads.TrainerSession(workloads.Workload("adaptive-bulyan-noniid", 0), tracer)
+    finally:
+        tracer.restore()
+    session.op()
+
+    spans_of = Counter(span[0] for span in tracer.spans)
+    assert {"assignment", "data", "model"} <= set(spans_of)
+    assert session.failure() is None
+    digest, accuracy = session.snapshot()
+    assert len(digest) == 16 and int(digest, 16) >= 0
+    assert 0.0 <= accuracy <= 1.0
+    trainer = session.trainer
+    assert trainer.server.params.size == trainer.gradient_computer.model.num_parameters()

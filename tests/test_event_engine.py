@@ -28,9 +28,7 @@ from repro.cluster.faults import (
     MessageCorruptionInjector,
     StragglerInjector,
 )
-from repro.cluster.simulator import TrainingCluster
 from repro.cluster.timing import CostModel
-from repro.cluster.worker import WorkerPool
 from repro.core.pipelines import AggregationPipeline
 from repro.core.vote_tensor import VoteTensor
 from repro.exceptions import AggregationError, ConfigurationError
@@ -40,7 +38,7 @@ from repro.scenarios.spec import ScenarioSpec
 
 from cow_helpers import FixedSelector, cube_of, tensor_of
 from reference_vote import reference_vote
-from test_cluster import DIM, make_file_data, quadratic_gradient_fn
+from test_cluster import DIM, build_cluster, make_file_data
 
 COST = CostModel()
 
@@ -522,9 +520,8 @@ class TestAbstention:
 # Cluster integration: the synchronous round and cost-model event rounds
 # --------------------------------------------------------------------------- #
 def make_cluster(assignment, runtime=None, injectors=(), seed=0):
-    return TrainingCluster(
-        assignment=assignment,
-        worker_pool=WorkerPool(assignment, quadratic_gradient_fn),
+    return build_cluster(
+        assignment,
         attack=ConstantAttack(),
         selector=FixedSelector((0, 5)),
         seed=seed,

@@ -20,7 +20,7 @@ from hypothesis.extra.numpy import arrays
 
 import repro.nn.models as models
 from repro.compression.compressors import SignCompressor, TopKCompressor
-from repro.data.batching import BatchSampler, RoundFiles, partition_batch_into_files
+from repro.data.batching import BatchSampler, RoundFiles
 from repro.data.synthetic import make_gaussian_mixture
 from repro.exceptions import ConfigurationError, TrainingError
 from repro.nn.layers import Dense, Layer, ReLU
@@ -508,8 +508,8 @@ def test_each_chunk_is_one_gather_through_the_sampler(monkeypatch, partition):
     batch_data = trainer.sampler.batch_data
     gathers, chunks = record_gathers(trainer.sampler, model), record_chunks(model)
 
-    file_indices = trainer._next_file_indices()
-    files = trainer._file_data(file_indices)
+    files = trainer._next_files()
+    file_indices = list(files.indices)
     assert isinstance(files, RoundFiles) and files.shape == ROUND_SHAPE
     assert sum(inputs.shape[0] for inputs, _ in files) == 100  # counted from the indices
     assert gathers == []
@@ -550,13 +550,9 @@ def test_a_float32_run_trains_on_float32_data_and_keeps_its_gradients(monkeypatc
     float64_inputs = small_trainer().sampler.dataset.inputs
     assert inputs.tobytes() == float64_inputs.astype(np.float32).tobytes()
     chunk_budget(monkeypatch, computer.model, ROUND_SHAPE, 3)
-    file_indices = trainer._next_file_indices()
+    files = trainer._next_files()
     assert_rows_are_the_per_file_oracle(
-        computer,
-        trainer.server.broadcast(),
-        trainer._file_data(file_indices),
-        file_indices,
-        trainer.sampler.batch_data,
+        computer, trainer.server.broadcast(), files, files.indices, trainer.sampler.batch_data
     )
 
 
@@ -567,9 +563,9 @@ def test_a_float32_model_on_float64_data_keeps_its_gradients(monkeypatch):
     computer = small_trainer(dtype="float32").gradient_computer
     dataset = make_gaussian_mixture(350, num_classes=3, dim=8, seed=0)
     assert dataset.inputs.dtype == np.float64
-    sampler = BatchSampler(dataset, batch_size=100, seed=0)
+    sampler = BatchSampler(dataset, batch_size=100, num_files=ROUND_SHAPE[0], seed=0)
     chunk_budget(monkeypatch, computer.model, ROUND_SHAPE, 3)
-    file_indices = partition_batch_into_files(sampler.next_batch(), ROUND_SHAPE[0])
+    file_indices = sampler.next_batch_files()
     files = RoundFiles(
         np.stack(file_indices), (dataset.inputs, dataset.labels), sampler.batch_data
     )

@@ -10,16 +10,16 @@ from repro.attacks.alie import ALIEAttack
 from repro.attacks.constant import ConstantAttack
 from repro.attacks.reversed_gradient import ReversedGradientAttack
 from repro.attacks.selection import OmniscientSelector
-from repro.cluster.simulator import TrainingCluster
-from repro.cluster.worker import WorkerPool
 from repro.core.distortion import max_distortion
 from repro.assignment.baseline import BaselineAssignment
 from repro.core.pipelines import AggregationPipeline
+from repro.data.batching import RoundFiles
 from repro.data.datasets import train_test_split
 from repro.data.synthetic import make_gaussian_mixture
 from repro.nn.models import build_mlp
-from repro.training.config import TrainingConfig
+from repro.scenarios.spec import TrainingSpec
 from repro.training.gradients import ModelGradientComputer
+from repro.training.trainer import DistributedTrainer
 
 
 @pytest.fixture(scope="module")
@@ -30,8 +30,8 @@ def data():
     return train_test_split(dataset, test_fraction=0.25, seed=43)
 
 
-def make_config(iterations=25, batch=150, seed=0):
-    return TrainingConfig(
+def make_config(iterations=25, batch=150):
+    return TrainingSpec(
         batch_size=batch,
         num_iterations=iterations,
         learning_rate=0.1,
@@ -39,7 +39,6 @@ def make_config(iterations=25, batch=150, seed=0):
         lr_period=15,
         momentum=0.9,
         eval_every=5,
-        seed=seed,
     )
 
 
@@ -126,21 +125,26 @@ def test_realized_distortion_matches_static_analysis(data, assemble_trainer):
 def test_pipeline_output_matches_manual_computation(data):
     """One full round by hand: worker pool + attack + pipeline give the same
     result as running the trainer internals."""
-    train, _ = data
+    train, test = data
     assignment = RamanujanAssignment(m=5, s=5).assignment
     model = build_mlp(train.flat_feature_dim, train.num_classes, hidden=(8,), seed=1)
     computer = ModelGradientComputer(model)
-    pool = WorkerPool(assignment, computer)
-    selector = OmniscientSelector(num_byzantine=5)
-    cluster = TrainingCluster(
-        assignment, pool, attack=ConstantAttack(value=-3.0), selector=selector, seed=0
-    )
+    cluster = DistributedTrainer(
+        AggregationPipeline(assignment),
+        computer,
+        train,
+        test,
+        make_config(iterations=1, batch=100),
+        seed=0,
+        attack=ConstantAttack(value=-3.0),
+        selector=OmniscientSelector(num_byzantine=5),
+    ).cluster
     rng = np.random.default_rng(0)
     batch = rng.choice(train.num_samples, size=100, replace=False)
-    file_data = {
+    file_data = RoundFiles.coerce({
         i: (train.inputs[batch[i * 4 : (i + 1) * 4]], train.labels[batch[i * 4 : (i + 1) * 4]])
         for i in range(25)
-    }
+    })
     params = computer.initial_params()
     result = cluster.run_round_tensor(params, file_data, iteration=0)
 

@@ -318,7 +318,7 @@ def round_inputs(trainer, shift=0.0):
     """``(params, file_data)`` of the trainer's next round; ``shift`` moves
     the parameters so that round's gradients differ from the last one's."""
     params = trainer.server.broadcast() + shift
-    return params, trainer._file_data(trainer._next_file_indices())
+    return params, trainer._next_files()
 
 
 def address(array):

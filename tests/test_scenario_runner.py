@@ -484,7 +484,7 @@ def test_check_refuses_nothing_runnable_and_builds_no_data(source, name, monkeyp
     assert specs
     for spec in specs:
         parts = ScenarioRunner(spec).check()
-        assert parts.config.batch_size % parts.assignment.num_files == 0
+        assert spec.training.batch_size % parts.assignment.num_files == 0
 
 
 def test_trace_out_creates_parent_directories(tmp_path):

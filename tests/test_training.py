@@ -1,5 +1,5 @@
-"""Tests for the training harness: config, the run record's float views,
-gradient computer, trainer."""
+"""Tests for the training harness: the schedule's checks, the run record's
+float views, gradient computer, trainer."""
 
 import numpy as np
 import pytest
@@ -8,17 +8,16 @@ from repro.exceptions import ConfigurationError, ReproError, TrainingError
 from repro.nn.models import build_mlp
 from repro.scenarios.catalog import get_scenario
 from repro.scenarios.runner import ScenarioResult, ScenarioRunner
-from repro.scenarios.spec import ScenarioSpec
+from repro.scenarios.spec import ScenarioSpec, TrainingSpec
 from repro.scenarios.trace import EvaluationTrace, RoundTrace, RunTrace, hex_float
-from repro.training.config import TrainingConfig
 from repro.training.gradients import ModelGradientComputer
 
 
 # --------------------------------------------------------------------------- #
-# Config
+# The training schedule
 # --------------------------------------------------------------------------- #
 def test_config_defaults_valid():
-    config = TrainingConfig()
+    config = TrainingSpec()
     assert config.batch_size > 0
 
 
@@ -42,7 +41,7 @@ def test_config_defaults_valid():
 )
 def test_config_validation(kwargs):
     with pytest.raises(ConfigurationError):
-        TrainingConfig(**kwargs)
+        TrainingSpec(**kwargs)
 
 
 # --------------------------------------------------------------------------- #

@@ -23,13 +23,13 @@ from repro.assignment.mols import MOLSAssignment
 from repro.assignment.ramanujan import RamanujanAssignment
 from repro.attacks.registry import available_attacks, create_attack
 from repro.attacks.schedules import AdversarySchedule, ScheduledSelector
-from repro.cluster.simulator import TrainingCluster
-from repro.cluster.worker import WorkerPool
 from repro.core.pipelines import AggregationPipeline
 from repro.core.vote_tensor import VoteTensor
+from repro.data.batching import RoundFiles
 
 from cow_helpers import FixedSelector, cube_of, tensor_of
 from reference_vote import reference_vote
+from test_cluster import FileOracle, build_cluster
 
 DIM = 6
 
@@ -43,10 +43,10 @@ def gradient_fn(params, inputs, labels):
 
 def make_file_data(num_files, seed=0):
     rng = np.random.default_rng(seed)
-    return {
+    return RoundFiles.coerce({
         i: (rng.standard_normal((3, 4)), rng.integers(0, 3, 3))
         for i in range(num_files)
-    }
+    })
 
 
 SCHEMES = {
@@ -69,9 +69,8 @@ PIPELINES = {
 
 
 def simulate_round(assignment, attack, selector, seed=11):
-    pool = WorkerPool(assignment, gradient_fn)
-    cluster = TrainingCluster(
-        assignment, pool, attack=attack, selector=selector, seed=seed
+    cluster = build_cluster(
+        assignment, FileOracle(gradient_fn, DIM), attack=attack, selector=selector, seed=seed
     )
     data = make_file_data(assignment.num_files, seed=seed)
     return cluster.run_round_tensor(np.linspace(-1.0, 1.0, DIM), data, iteration=2)

@@ -43,6 +43,7 @@ from repro.cluster.events import AsyncRuntime, EventDrivenRound, UplinkSchedule
 from repro.cluster.timing import CostModel
 from repro.core.pipelines import AggregationPipeline
 from repro.core.vote_tensor import VoteTensor
+from repro.data.batching import RoundFiles
 from repro.data.datasets import split_slots
 from repro.data.synthetic import make_gaussian_mixture
 from repro.nn.models import build_mlp
@@ -142,9 +143,10 @@ def event_round_kernels() -> dict:
     }
 
 
-#: gradient-engine sweep — (model key, file count) pairs benchmarked for both
-#: engines.  The mlp point at f=25 (d≈11k, the paper's K=25 regime) carries
-#: the ≥3x acceptance gate (see benchmarks/test_bench_micro.py).
+#: gradient-engine sweep — (model key, file count) pairs benchmarked for the
+#: stacked pass and the per-file loop.  The mlp point at f=25 (d≈11k, the
+#: paper's K=25 regime) carries the ≥3x acceptance gate (see
+#: benchmarks/test_bench_micro.py).
 GRADIENT_SWEEP = (("mlp", 4), ("mlp", 25))
 
 
@@ -160,17 +162,34 @@ def _gradient_files(num_files, batch=8):
     ]
 
 
+def looped_gradients(computer, params, files, out):
+    """The per-file loop the stacked pass replaces: one parameter load, then
+    each file's plain forward/backward (``Sequential.loss_and_gradient``)
+    written into row ``i`` of ``out``, an ``(f, d)`` matrix."""
+    files = RoundFiles.coerce(files)
+    model = computer.model
+    model.set_flat_params(params)
+    losses = np.empty(len(files), dtype=model.dtype)
+    for i in range(len(files)):
+        value, out[i] = model.loss_and_gradient(*files.file(i), computer.loss)
+        losses[i] = float(value)
+    return out, losses
+
+
 def gradient_engine_kernels() -> dict:
     """Stacked vs looped per-file gradient kernels over the file-count sweep."""
     kernels = {}
     for model_key, num_files in GRADIENT_SWEEP:
         files = _gradient_files(num_files)
-        for engine in ("stacked", "looped"):
-            computer = ModelGradientComputer(_mlp(), engine=engine)
-            params = computer.initial_params()
-            kernels[f"gradient_engine_{engine}_{model_key}_f{num_files}"] = (
-                lambda c=computer, p=params, fs=files: c.batched(p, fs)
-            )
+        stacked, looped = ModelGradientComputer(_mlp()), ModelGradientComputer(_mlp())
+        params = stacked.initial_params()
+        out = np.empty((num_files, looped.dim), dtype=looped.model.dtype)
+        kernels[f"gradient_engine_stacked_{model_key}_f{num_files}"] = (
+            lambda c=stacked, p=params, fs=files: c.batched(p, fs)
+        )
+        kernels[f"gradient_engine_looped_{model_key}_f{num_files}"] = (
+            lambda c=looped, p=params, fs=files, o=out: looped_gradients(c, p, fs, o)
+        )
     # The compute-bound shape (``clean-compute-bound`` in benchmarks/e2e: 25
     # files of 256 samples), handed over already stacked as the trainer does;
     # its ratio to the GEMMs it is made of is gated in test_bench_micro.py.

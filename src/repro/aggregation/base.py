@@ -38,17 +38,16 @@ class Aggregator(abc.ABC):
     #: the other rules rank, trim or average whole rows of the dense matrix.
     streams_lanes: bool = False
 
-    def minimum_votes(self, num_byzantine: int | None = None) -> int:
-        """Smallest number of candidate gradients for which the rule is defined.
+    def minimum_votes(self) -> int:
+        """Smallest number of candidate gradients for which the rule, as
+        configured, is defined.
 
-        ``num_byzantine=None`` asks about the rule as configured; a value asks
-        what it would need at that ``q``.  The default is ``1``; Krum-family
-        rules override this with their breakdown-point requirements (e.g.
-        Bulyan needs ``4q + 3`` votes).  The scenario runner's ``check()``
-        compares it with the rows a full round hands the rule, so an
-        inapplicable configuration is refused before any data, and
-        :meth:`__call__` refuses fewer rows (a partial round) before the
-        rule runs.
+        The default is ``1``; Krum-family rules override this with their
+        breakdown-point requirements (e.g. Bulyan needs ``4q + 3`` votes).
+        The scenario runner's ``check()`` compares it with the rows a full
+        round hands the rule, so an inapplicable configuration is refused
+        before any data, and :meth:`__call__` refuses fewer rows (a partial
+        round) before the rule runs.
         """
         return 1
 

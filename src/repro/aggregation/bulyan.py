@@ -139,8 +139,8 @@ class BulyanAggregator(Aggregator):
             )
         self.num_byzantine = int(num_byzantine)
 
-    def minimum_votes(self, num_byzantine: int | None = None) -> int:
-        q = self.num_byzantine if num_byzantine is None else num_byzantine
+    def minimum_votes(self) -> int:
+        q = self.num_byzantine
         return 4 * q + 3 if q else 1
 
     def _aggregate(self, votes: RowSelection) -> np.ndarray:

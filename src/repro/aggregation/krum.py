@@ -82,9 +82,8 @@ class KrumAggregator(Aggregator):
             )
         self.num_byzantine = int(num_byzantine)
 
-    def minimum_votes(self, num_byzantine: int | None = None) -> int:
-        q = self.num_byzantine if num_byzantine is None else num_byzantine
-        return 2 * q + 3
+    def minimum_votes(self) -> int:
+        return 2 * self.num_byzantine + 3
 
     def _aggregate(self, matrix: np.ndarray) -> np.ndarray:
         scores = krum_scores(matrix, self.num_byzantine)
@@ -116,9 +115,8 @@ class MultiKrumAggregator(Aggregator):
         self.num_byzantine = int(num_byzantine)
         self.multi_k = None if multi_k is None else int(multi_k)
 
-    def minimum_votes(self, num_byzantine: int | None = None) -> int:
-        q = self.num_byzantine if num_byzantine is None else num_byzantine
-        return 2 * q + 3
+    def minimum_votes(self) -> int:
+        return 2 * self.num_byzantine + 3
 
     def _aggregate(self, matrix: np.ndarray) -> np.ndarray:
         scores = krum_scores(matrix, self.num_byzantine)

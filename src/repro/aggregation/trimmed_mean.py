@@ -34,9 +34,8 @@ class TrimmedMeanAggregator(Aggregator):
             raise AggregationError(f"trim must be non-negative, got {trim}")
         self.trim = int(trim)
 
-    def minimum_votes(self, num_byzantine: int | None = None) -> int:
-        trim = self.trim if num_byzantine is None else num_byzantine
-        return 2 * trim + 1
+    def minimum_votes(self) -> int:
+        return 2 * self.trim + 1
 
     def _aggregate(self, matrix: np.ndarray) -> np.ndarray:
         n = matrix.shape[0]

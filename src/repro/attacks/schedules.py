@@ -2,11 +2,11 @@
 
 The paper's experiments fix the Byzantine budget ``q`` for a whole run, but
 real deployments face adversaries that come and go: compromised machines get
-re-imaged, new ones fall, botnets grow.  An :class:`AdversarySchedule` maps
-the iteration index to that round's budget ``q_t`` (and, for the rotating
-adversary, to the concrete compromised set), and
-:class:`ScheduledSelector` adapts a schedule to the
-:class:`~repro.attacks.selection.ByzantineSelector` interface so the existing
+re-imaged, new ones fall, botnets grow.  A scenario's
+:class:`~repro.scenarios.spec.ScheduleSpec` maps the iteration index to that
+round's budget ``q_t`` (and, for the rotating adversary, to the concrete
+compromised set), and :class:`ScheduledSelector` adapts it to the
+:class:`~repro.attacks.selection.ByzantineSelector` interface so the
 simulator drives it unchanged.
 
 Three schedule kinds are provided:
@@ -23,106 +23,40 @@ passes in, so identical seeds give bit-identical schedules.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.attacks.selection import ByzantineSelector, OmniscientSelector
-from repro.exceptions import AttackError, ConfigurationError
+from repro.exceptions import ConfigurationError
 from repro.graphs.bipartite import BipartiteAssignment
 
-__all__ = ["AdversarySchedule", "ScheduledSelector"]
+if TYPE_CHECKING:  # pragma: no cover - the selector only reads the schedule
+    from repro.scenarios.spec import ScheduleSpec
 
-_KINDS = ("static", "ramping", "rotating")
-
-
-@dataclass(frozen=True)
-class AdversarySchedule:
-    """Declarative description of how the Byzantine budget evolves.
-
-    Attributes
-    ----------
-    kind:
-        ``"static"``, ``"ramping"`` or ``"rotating"``.
-    q:
-        The budget (``static`` / ``rotating``) or the ramp start (``ramping``
-        uses ``q`` as ``q_start`` when ``q_end`` is set).
-    q_end:
-        Final budget of a ramp (inclusive); ignored otherwise.
-    period:
-        Iterations between ramp steps / window rotations (>= 1).
-    stride:
-        Workers the rotating window advances by each period.
-    """
-
-    kind: str = "static"
-    q: int = 0
-    q_end: int | None = None
-    period: int = 1
-    stride: int = 1
-
-    def __post_init__(self) -> None:
-        if self.kind not in _KINDS:
-            raise ConfigurationError(
-                f"unknown schedule kind {self.kind!r}; expected one of {_KINDS}"
-            )
-        if self.q < 0:
-            raise ConfigurationError(f"q must be non-negative, got {self.q}")
-        if self.q_end is not None and self.q_end < 0:
-            raise ConfigurationError(f"q_end must be non-negative, got {self.q_end}")
-        if self.period < 1:
-            raise ConfigurationError(f"period must be >= 1, got {self.period}")
-        if self.stride < 1:
-            raise ConfigurationError(f"stride must be >= 1, got {self.stride}")
-        if self.kind == "ramping" and self.q_end is None:
-            raise ConfigurationError("ramping schedule requires q_end")
-
-    def q_at(self, iteration: int) -> int:
-        """Byzantine budget ``q_t`` of the given iteration."""
-        if iteration < 0:
-            raise AttackError(f"iteration must be non-negative, got {iteration}")
-        if self.kind != "ramping" or self.q_end is None:
-            return self.q
-        step = iteration // self.period
-        if self.q_end >= self.q:
-            return min(self.q + step, self.q_end)
-        return max(self.q - step, self.q_end)
-
-    def window_offset(self, iteration: int) -> int:
-        """Start of the rotating compromise window at the given iteration."""
-        return (iteration // self.period) * self.stride
-
-    @property
-    def max_q(self) -> int:
-        """Largest budget the schedule can ever request."""
-        if self.kind == "ramping" and self.q_end is not None:
-            return max(self.q, self.q_end)
-        return self.q
+__all__ = ["ScheduledSelector"]
 
 
 class ScheduledSelector(ByzantineSelector):
-    """Drives a :class:`ByzantineSelector` from an :class:`AdversarySchedule`.
+    """Drives a :class:`ByzantineSelector` from a scenario's schedule.
 
     Parameters
     ----------
     schedule:
-        The budget/rotation schedule.
+        The budget/rotation schedule (:class:`~repro.scenarios.spec.ScheduleSpec`).
     selection:
         How the ``q_t`` workers are picked each round: ``"omniscient"``
         (worst-case set for that budget, cached per ``(assignment, q)``),
         ``"random"`` (fresh uniform draw from the round generator) or
         ``"rotating"`` (the schedule's contiguous window, modulo ``K``).
 
-    A rotating schedule goes with rotating selection and only with it, and
-    no schedule may reach ``q > K``: both are refused before any round by
+    A rotating schedule goes with rotating selection and only with it, a
+    ramping schedule needs its ``q_end``, and no schedule may reach
+    ``q > K``: all are refused before any round by
     :meth:`~repro.scenarios.runner.ScenarioRunner.check`.
     """
 
-    def __init__(
-        self,
-        schedule: AdversarySchedule,
-        selection: str = "omniscient",
-    ) -> None:
+    def __init__(self, schedule: ScheduleSpec, selection: str) -> None:
         if selection not in ("omniscient", "random", "rotating"):
             raise ConfigurationError(
                 f"unknown selection {selection!r}; expected 'omniscient', "

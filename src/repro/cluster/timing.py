@@ -89,9 +89,7 @@ class IterationTiming:
         }
 
 
-def _aggregation_ops(
-    aggregator_name: str, num_votes: int, dim: int, num_byzantine: int
-) -> float:
+def _aggregation_ops(aggregator_name: str, num_votes: int, dim: int) -> float:
     """Elementary float operations of the second-stage aggregation."""
     n = max(int(num_votes), 1)
     if aggregator_name in ("mean", "signsgd"):
@@ -131,7 +129,8 @@ def estimate_iteration_timing(
         True for redundancy schemes (ByzShield, DETOX, DRACO) that majority
         vote the file copies before the robust stage.
     num_byzantine:
-        Declared ``q`` (only used by Krum-like cost formulas).
+        Declared ``q``.  The model ignores it: no cost formula depends on
+        ``q`` yet.
     cost_model:
         Cost coefficients; defaults to :class:`CostModel` defaults.
     """
@@ -160,7 +159,7 @@ def estimate_iteration_timing(
     else:
         second_stage_votes = K
     aggregation += (
-        _aggregation_ops(aggregator_name, second_stage_votes, model_dim, num_byzantine)
+        _aggregation_ops(aggregator_name, second_stage_votes, model_dim)
         * cm.aggregation_per_float_op
     )
     return IterationTiming(

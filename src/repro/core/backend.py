@@ -113,7 +113,7 @@ def ensure_float(array: object, dtype: object | None = None) -> np.ndarray:
     With an explicit ``dtype`` the array is converted to it.  Without one,
     ``float32``/``float64`` inputs are passed through unchanged (no copy, no
     promotion) and everything else — ints, bools, Python lists — is coerced
-    to :data:`DEFAULT_DTYPE`, matching the legacy hard-coded behavior.
+    to :data:`DEFAULT_DTYPE`.
     """
     if dtype is not None:
         return np.asarray(array, dtype=resolve_dtype(dtype))

@@ -68,21 +68,21 @@ class RoundFiles:
     """One round's ``f`` files as rows of a sample pool, gathered a chunk at a time.
 
     ``indices`` is the ``(f, n)`` matrix of row indices, file ``i`` in row
-    ``i``; ragged files, which only the looped gradient engine takes, are a
-    list of ``f`` index arrays instead.  ``pool`` is the ``(inputs, labels)``
-    pair those rows are drawn from (for a sampled round, the training set
-    itself), and ``gather`` maps flat row indices to their ``(inputs,
-    labels)``: a sampler's ``batch_data``, so every gather of a trained round
-    goes through it.  Nothing is gathered up front.  The stacked pass reads
-    :meth:`chunk` (files ``lo..hi`` in one gather) and drops each chunk with
-    its activations; the looped engine reads :meth:`file`.  Iterating yields
-    the ``f`` ``(inputs_i, labels_i)`` pairs as :class:`FileRows`: their
-    shapes cost nothing, and ``np.asarray`` gathers them.
+    ``i``: every file has the same ``n = b / f`` samples.  ``pool`` is the
+    ``(inputs, labels)`` pair those rows are drawn from (for a sampled
+    round, the training set itself), and ``gather`` maps flat row indices to
+    their ``(inputs, labels)``: a sampler's ``batch_data``, so every gather
+    of a trained round goes through it.  Nothing is gathered up front.  The
+    stacked pass reads :meth:`chunk` (files ``lo..hi`` in one gather) and
+    drops each chunk with its activations; :meth:`file` gathers one file
+    (the per-file reference).  Iterating yields the ``f`` ``(inputs_i,
+    labels_i)`` pairs as :class:`FileRows`: their shapes cost nothing, and
+    ``np.asarray`` gathers them.
     """
 
     def __init__(
         self,
-        indices: np.ndarray | list[np.ndarray],
+        indices: np.ndarray,
         pool: tuple[np.ndarray, np.ndarray],
         gather=None,
     ) -> None:
@@ -100,7 +100,8 @@ class RoundFiles:
         Takes a :class:`RoundFiles` (returned as is), a ``{file: (inputs,
         labels)}`` mapping over ``range(f)``, a sequence of ``(inputs,
         labels)`` pairs (pooled with one copy), or the two stacked arrays
-        ``(inputs, labels)`` as a tuple or list (pooled as they are).
+        ``(inputs, labels)`` as a tuple or list (pooled as they are).  Files
+        of unequal sizes are refused.
         """
         if isinstance(files, cls):
             return files
@@ -128,35 +129,29 @@ class RoundFiles:
             raise TrainingError("batched gradient computation needs >= 1 file")
         if min(sizes) == 0:
             raise TrainingError("cannot compute a gradient on an empty file")
-        rows = np.arange(sum(sizes))
-        if len(set(sizes)) == 1:
-            return cls(rows.reshape(len(sizes), sizes[0]), pool)
-        return cls(np.split(rows, np.cumsum(sizes)[:-1]), pool)
-
-    @property
-    def uniform(self) -> bool:
-        """Whether every file has the same number of samples (the stacked engine's input)."""
-        return isinstance(self.indices, np.ndarray)
+        if len(set(sizes)) != 1:
+            raise TrainingError(f"files must all have the same size, got sizes {sizes}")
+        return cls(np.arange(sum(sizes)).reshape(len(sizes), sizes[0]), pool)
 
     @property
     def shape(self) -> tuple[int, ...]:
-        """Shape of the uniform files' stacked inputs, ``(f, n, ...)``."""
+        """Shape of the files' stacked inputs, ``(f, n, ...)``."""
         return self.indices.shape + self.pool[0].shape[1:]
 
     @property
     def samples_per_file(self) -> np.ndarray:
         """``(f,)`` sample counts, read off the indices: nothing is gathered."""
-        return np.array([len(rows) for rows in self.indices])
+        return np.full(len(self), self.indices.shape[1])
 
     def chunk(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-        """Uniform files ``lo..hi-1`` in one gather: stacked ``(inputs, labels)``,
+        """Files ``lo..hi-1`` in one gather: stacked ``(inputs, labels)``,
         each ``(hi - lo, n, ...)``."""
         rows = self.indices[lo:hi]
         inputs, labels = self._gather(rows.ravel())
         return tuple(a.reshape(rows.shape + a.shape[1:]) for a in (inputs, labels))
 
     def file(self, index: int) -> tuple[np.ndarray, np.ndarray]:
-        """File ``index`` gathered: ``(inputs (n_i, ...), labels (n_i, ...))``."""
+        """File ``index`` gathered: ``(inputs (n, ...), labels (n, ...))``."""
         return self._gather(self.indices[index])
 
     def __len__(self) -> int:
@@ -176,7 +171,7 @@ class FileRows:
 
     def __init__(self, files: RoundFiles, index: int, part: int) -> None:
         self._files, self._index, self._part = files, index, part
-        self.shape = (len(files.indices[index]),) + files.pool[part].shape[1:]
+        self.shape = files.indices.shape[1:] + files.pool[part].shape[1:]
 
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
         return np.asarray(self._files.file(self._index)[self._part], dtype=dtype)

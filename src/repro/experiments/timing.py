@@ -22,7 +22,6 @@ __all__ = ["generate_figure12"]
 def generate_figure12(
     batch_size: int = 750,
     model_dim: int = 11_173_962,
-    num_byzantine: int = 3,
     cost_model: CostModel | None = None,
 ) -> list[dict[str, float]]:
     """Estimated per-iteration time breakdown for the paper's three schemes.
@@ -35,8 +34,8 @@ def generate_figure12(
         Number of model parameters; the default is ResNet-18's parameter
         count, matching the paper's workload even though our simulator trains
         a smaller stand-in model.
-    num_byzantine:
-        Byzantine budget (only affects Krum-like aggregation costs).
+    cost_model:
+        Cost coefficients; defaults to :class:`CostModel` defaults.
     """
     rows: list[dict[str, float]] = []
 
@@ -47,7 +46,6 @@ def generate_figure12(
         model_dim,
         aggregator_name="median",
         uses_majority_vote=False,
-        num_byzantine=num_byzantine,
         cost_model=cost_model,
     )
     rows.append({"scheme": "Median", **timing.as_dict()})
@@ -59,7 +57,6 @@ def generate_figure12(
         model_dim,
         aggregator_name="median",
         uses_majority_vote=True,
-        num_byzantine=num_byzantine,
         cost_model=cost_model,
     )
     rows.append({"scheme": "ByzShield", **timing.as_dict()})
@@ -71,7 +68,6 @@ def generate_figure12(
         model_dim,
         aggregator_name="median_of_means",
         uses_majority_vote=True,
-        num_byzantine=num_byzantine,
         cost_model=cost_model,
     )
     rows.append({"scheme": "DETOX-MoM", **timing.as_dict()})

@@ -30,18 +30,13 @@ class BipartiteAssignment:
         Zero-one matrix of shape ``(num_workers, num_files)``.
     name:
         Human-readable label of the generating scheme (e.g. ``"mols(l=5,r=3)"``).
-    validate_biregular:
-        If True (default) the constructor checks that all workers have the
-        same degree ``l`` (computational load) and all files the same degree
-        ``r`` (replication factor), which every scheme in the paper satisfies.
+
+    The constructor checks that all workers have the same degree ``l``
+    (computational load) and all files the same degree ``r`` (replication
+    factor), which every scheme in the paper satisfies.
     """
 
-    def __init__(
-        self,
-        biadjacency: np.ndarray,
-        name: str = "custom",
-        validate_biregular: bool = True,
-    ) -> None:
+    def __init__(self, biadjacency: np.ndarray, name: str = "custom") -> None:
         H = np.asarray(biadjacency)
         if H.ndim != 2:
             raise ConfigurationError(
@@ -61,19 +56,18 @@ class BipartiteAssignment:
             raise AssignmentError("every worker must be assigned at least one file")
         if np.any(file_degrees == 0):
             raise AssignmentError("every file must be assigned to at least one worker")
-        if validate_biregular:
-            if np.unique(worker_degrees).size != 1:
-                raise AssignmentError(
-                    "assignment is not left-regular: worker degrees "
-                    f"{sorted(set(int(d) for d in worker_degrees))}"
-                )
-            if np.unique(file_degrees).size != 1:
-                raise AssignmentError(
-                    "assignment is not right-regular: file degrees "
-                    f"{sorted(set(int(d) for d in file_degrees))}"
-                )
-        self._worker_degrees = worker_degrees.astype(np.int64)
-        self._file_degrees = file_degrees.astype(np.int64)
+        if np.unique(worker_degrees).size != 1:
+            raise AssignmentError(
+                "assignment is not left-regular: worker degrees "
+                f"{sorted(set(int(d) for d in worker_degrees))}"
+            )
+        if np.unique(file_degrees).size != 1:
+            raise AssignmentError(
+                "assignment is not right-regular: file degrees "
+                f"{sorted(set(int(d) for d in file_degrees))}"
+            )
+        self._load = int(worker_degrees[0])
+        self._replication = int(file_degrees[0])
 
         # Neighborhood caches as tuples for cheap repeated lookups.
         self._files_of_worker: list[tuple[int, ...]] = [
@@ -93,7 +87,6 @@ class BipartiteAssignment:
         worker_files: Sequence[Iterable[int]] | Mapping[int, Iterable[int]],
         num_files: int | None = None,
         name: str = "custom",
-        validate_biregular: bool = True,
     ) -> "BipartiteAssignment":
         """Build the graph from a per-worker list of file indices.
 
@@ -125,7 +118,7 @@ class BipartiteAssignment:
                         f"worker {j} lists file {i} more than once"
                     )
                 H[j, i] = 1
-        return cls(H, name=name, validate_biregular=validate_biregular)
+        return cls(H, name=name)
 
     # -- basic properties ----------------------------------------------------
     @property
@@ -150,19 +143,13 @@ class BipartiteAssignment:
 
     @property
     def computational_load(self) -> int:
-        """Per-worker load ``l`` (files per worker); requires left-regularity."""
-        degrees = np.unique(self._worker_degrees)
-        if degrees.size != 1:
-            raise AssignmentError("graph is not left-regular; load is undefined")
-        return int(degrees[0])
+        """Per-worker load ``l`` (files per worker)."""
+        return self._load
 
     @property
     def replication(self) -> int:
-        """Replication factor ``r`` (workers per file); requires right-regularity."""
-        degrees = np.unique(self._file_degrees)
-        if degrees.size != 1:
-            raise AssignmentError("graph is not right-regular; replication is undefined")
-        return int(degrees[0])
+        """Replication factor ``r`` (workers per file)."""
+        return self._replication
 
     # -- neighborhoods ------------------------------------------------------
     def files_of_worker(self, worker: int) -> tuple[int, ...]:
@@ -196,10 +183,10 @@ class BipartiteAssignment:
 
         Rows are in ascending worker order — the slot layout of the
         :class:`~repro.core.vote_tensor.VoteTensor` round representation.
-        Requires right-regularity; the result is cached and read-only.
+        The result is cached and read-only.
         """
         if self._worker_slot_matrix is None:
-            r = self.replication  # raises AssignmentError if not right-regular
+            r = self.replication
             matrix = np.empty((self.num_files, r), dtype=np.int64)
             for i, workers in enumerate(self._workers_of_file):
                 matrix[i] = workers

@@ -3,8 +3,8 @@
 This substrate replaces PyTorch in the reproduction (see DESIGN.md): it
 provides layers with explicit forward/backward passes, losses, models with
 flat parameter/gradient views (what the distributed simulator exchanges),
-an SGD-with-momentum optimizer and the learning-rate schedules used in the
-paper's appendix.
+an SGD-with-momentum optimizer and the step-decay learning-rate schedule of
+the paper's appendix.
 """
 
 from repro.nn.initializers import he_normal, zeros_init
@@ -12,7 +12,7 @@ from repro.nn.layers import Layer, Dense, ReLU
 from repro.nn.losses import Loss, SoftmaxCrossEntropy
 from repro.nn.metrics import top1_accuracy, cross_entropy_loss
 from repro.nn.models import Sequential, build_mlp
-from repro.nn.optim import SGD, LearningRateSchedule, StepDecaySchedule, ConstantSchedule
+from repro.nn.optim import SGD, StepDecaySchedule
 
 __all__ = [
     "he_normal",
@@ -25,9 +25,7 @@ __all__ = [
     "Sequential",
     "build_mlp",
     "SGD",
-    "LearningRateSchedule",
     "StepDecaySchedule",
-    "ConstantSchedule",
     "top1_accuracy",
     "cross_entropy_loss",
 ]

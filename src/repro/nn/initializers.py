@@ -23,20 +23,14 @@ __all__ = ["he_normal", "zeros_init"]
 def he_normal(
     shape: tuple[int, ...],
     rng: np.random.Generator,
-    fan_in: int | None = None,
+    fan_in: int,
     dtype: object | None = None,
 ) -> np.ndarray:
     """He normal initialization: N(0, 2/fan_in), suited to ReLU networks."""
-    if fan_in is None:
-        if len(shape) < 2:
-            fan_in = int(shape[0])
-        else:
-            receptive = int(np.prod(shape[2:])) if len(shape) > 2 else 1
-            fan_in = shape[1] * receptive
     std = np.sqrt(2.0 / fan_in)
     return (rng.standard_normal(shape) * std).astype(resolve_dtype(dtype))
 
 
 def zeros_init(shape: tuple[int, ...], dtype: object | None = None) -> np.ndarray:
-    """All-zeros initialization (biases, batch-norm shifts)."""
+    """All-zeros initialization (the biases)."""
     return np.zeros(shape, dtype=resolve_dtype(dtype))

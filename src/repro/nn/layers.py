@@ -43,7 +43,7 @@ what the plain path produces for file ``i``.  Stacked matmuls therefore keep
 the file axis as a gufunc loop dimension (one BLAS call per file with the same
 operand shapes as the plain path) instead of folding files into the GEMM
 ``m``-dimension.  The plain path (:meth:`Layer.forward` / :meth:`Layer.backward`)
-is the looped engine the stacked one is tested against.
+is the per-file reference the stacked one is tested against.
 """
 
 from __future__ import annotations
@@ -148,8 +148,6 @@ class Dense(Layer):
         Input and output widths.
     rng:
         Seed or generator for the He-normal weight initialization.
-    use_bias:
-        Include the additive bias term (default True).
     dtype:
         Working dtype of the parameters (see :mod:`repro.core.backend`);
         inputs are coerced to it on entry.
@@ -160,7 +158,6 @@ class Dense(Layer):
         in_features: int,
         out_features: int,
         rng: int | np.random.Generator | None = 0,
-        use_bias: bool = True,
         dtype: object | None = None,
     ) -> None:
         super().__init__()
@@ -169,13 +166,11 @@ class Dense(Layer):
         generator = as_generator(rng)
         self.in_features = int(in_features)
         self.out_features = int(out_features)
-        self.use_bias = bool(use_bias)
         self.dtype = resolve_dtype(dtype)
         self.params["W"] = he_normal(
             (in_features, out_features), generator, fan_in=in_features, dtype=self.dtype
         )
-        if use_bias:
-            self.params["b"] = zeros_init((out_features,), dtype=self.dtype)
+        self.params["b"] = zeros_init((out_features,), dtype=self.dtype)
         # No gradient arrays yet: the stacked engine writes into its own
         # workspace, and the plain path allocates them on first use.
         self._input: np.ndarray | None = None
@@ -188,8 +183,7 @@ class Dense(Layer):
             )
         self._input = x
         out = x @ self.params["W"]
-        if self.use_bias:
-            out += self.params["b"]
+        out += self.params["b"]
         return out
 
     def backward(self, grad_output: np.ndarray, input_gradient: bool = True) -> np.ndarray | None:
@@ -197,8 +191,7 @@ class Dense(Layer):
             raise ConfigurationError("backward called before forward on Dense layer")
         x = self._input
         self.grads["W"] = x.T @ grad_output
-        if self.use_bias:
-            self.grads["b"] = grad_output.sum(axis=0)
+        self.grads["b"] = grad_output.sum(axis=0)
         return grad_output @ self.params["W"].T if input_gradient else None
 
     def output_features(self, input_features: int) -> int:
@@ -215,8 +208,7 @@ class Dense(Layer):
         # (f, n, in) @ (in, out): one BLAS call per file slice, with the same
         # operand shapes as the plain path — keeps the results bit-identical.
         out = x @ self.params["W"]
-        if self.use_bias:
-            out += self.params["b"]
+        out += self.params["b"]
         return out
 
     def backward_per_file(
@@ -224,8 +216,7 @@ class Dense(Layer):
     ) -> np.ndarray | None:
         x = self._take_stacked()
         np.matmul(x.transpose(0, 2, 1), grad_output, out=grads_out["W"])
-        if self.use_bias:
-            np.sum(grad_output, axis=1, out=grads_out["b"])
+        np.sum(grad_output, axis=1, out=grads_out["b"])
         return grad_output @ self.params["W"].T if input_gradient else None
 
 

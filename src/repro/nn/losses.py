@@ -16,6 +16,10 @@ from repro.exceptions import ConfigurationError
 
 __all__ = ["Loss", "SoftmaxCrossEntropy", "softmax"]
 
+#: Added to the picked probability before its log, so a probability that
+#: underflows to zero gives a large finite loss instead of ``inf``.
+_EPSILON = 1e-12
+
 
 def softmax(logits: np.ndarray) -> np.ndarray:
     """Numerically stable softmax over the trailing (class) axis."""
@@ -64,9 +68,6 @@ class SoftmaxCrossEntropy(Loss):
     both).
     """
 
-    def __init__(self, epsilon: float = 1e-12) -> None:
-        self.epsilon = float(epsilon)
-
     def _log_picked_and_gradient(
         self, predictions: np.ndarray, targets: np.ndarray, stacked: bool
     ) -> tuple[np.ndarray, np.ndarray]:
@@ -87,7 +88,7 @@ class SoftmaxCrossEntropy(Loss):
             raise ConfigurationError("target labels out of range for the logits")
         grad = softmax(predictions)
         labels = (*np.indices(targets.shape, sparse=True), targets.astype(np.int64))
-        log_picked = np.log(grad[labels] + self.epsilon)
+        log_picked = np.log(grad[labels] + _EPSILON)
         grad[labels] -= 1.0
         grad /= targets.shape[-1]
         return log_picked, grad

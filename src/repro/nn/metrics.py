@@ -10,6 +10,9 @@ from repro.nn.models import Sequential
 
 __all__ = ["top1_accuracy", "cross_entropy_loss", "evaluate_model"]
 
+#: Samples per forward pass of :func:`evaluate_model`.
+_EVAL_BATCH = 256
+
 
 def top1_accuracy(logits: np.ndarray, labels: np.ndarray) -> float:
     """Fraction of rows whose arg-max logit matches the integer label."""
@@ -29,19 +32,17 @@ def cross_entropy_loss(logits: np.ndarray, labels: np.ndarray) -> float:
 
 
 def evaluate_model(
-    model: Sequential,
-    inputs: np.ndarray,
-    labels: np.ndarray,
-    batch_size: int = 256,
+    model: Sequential, inputs: np.ndarray, labels: np.ndarray
 ) -> dict[str, float]:
-    """Evaluate accuracy and loss over a dataset in mini-batches."""
+    """Evaluate accuracy and loss over a dataset in mini-batches of 256
+    samples (:data:`_EVAL_BATCH`)."""
     n = inputs.shape[0]
     if n == 0:
         raise ConfigurationError("cannot evaluate on an empty dataset")
     correct = 0.0
     total_loss = 0.0
-    for start in range(0, n, batch_size):
-        stop = min(start + batch_size, n)
+    for start in range(0, n, _EVAL_BATCH):
+        stop = min(start + _EVAL_BATCH, n)
         logits = model.forward(inputs[start:stop])
         batch_labels = labels[start:stop]
         correct += top1_accuracy(logits, batch_labels) * (stop - start)

@@ -203,7 +203,7 @@ class Sequential:
         Parameters
         ----------
         files:
-            The round's uniform files (:class:`~repro.data.batching.RoundFiles`):
+            The round's files (:class:`~repro.data.batching.RoundFiles`):
             ``files.shape`` is the stacked inputs' ``(f, n, ...)`` and
             ``files.chunk(lo, hi)`` gathers files ``lo..hi-1`` as stacked
             inputs and targets — file ``i``'s batch in slice ``i``.

@@ -1,4 +1,4 @@
-"""Optimizer and learning-rate schedules.
+"""Optimizer and learning-rate schedule.
 
 The paper trains with mini-batch SGD with momentum 0.9 and a step-decay
 learning-rate schedule denoted ``(x, y, z)``: start at ``x`` and multiply by
@@ -9,39 +9,15 @@ is how the parameter server performs Algorithm 1's line 17.
 
 from __future__ import annotations
 
-import abc
-
 import numpy as np
 
 from repro.core.backend import ensure_float
 from repro.exceptions import ConfigurationError
 
-__all__ = ["LearningRateSchedule", "ConstantSchedule", "StepDecaySchedule", "SGD"]
+__all__ = ["StepDecaySchedule", "SGD"]
 
 
-class LearningRateSchedule(abc.ABC):
-    """Iteration-indexed learning rate ``η_t``."""
-
-    @abc.abstractmethod
-    def rate(self, iteration: int) -> float:
-        """Learning rate at (zero-based) iteration ``iteration``."""
-
-
-class ConstantSchedule(LearningRateSchedule):
-    """A fixed learning rate."""
-
-    def __init__(self, learning_rate: float) -> None:
-        if learning_rate <= 0:
-            raise ConfigurationError(
-                f"learning_rate must be positive, got {learning_rate}"
-            )
-        self.learning_rate = float(learning_rate)
-
-    def rate(self, iteration: int) -> float:
-        return self.learning_rate
-
-
-class StepDecaySchedule(LearningRateSchedule):
+class StepDecaySchedule:
     """The paper's ``(x, y, z)`` schedule: ``η_t = x * y**(t // z)``.
 
     Parameters
@@ -66,6 +42,7 @@ class StepDecaySchedule(LearningRateSchedule):
         self.period = int(period)
 
     def rate(self, iteration: int) -> float:
+        """Learning rate at (zero-based) iteration ``iteration``."""
         if iteration < 0:
             raise ConfigurationError(f"iteration must be non-negative, got {iteration}")
         return self.initial * self.decay ** (iteration // self.period)
@@ -80,7 +57,7 @@ class SGD:
     Parameters
     ----------
     schedule:
-        Learning-rate schedule; a bare float is promoted to a constant rate.
+        The ``(x, y, z)`` learning-rate schedule.
     momentum:
         Classical momentum coefficient (0 disables the velocity buffer).
     weight_decay:
@@ -89,12 +66,10 @@ class SGD:
 
     def __init__(
         self,
-        schedule: LearningRateSchedule | float,
+        schedule: StepDecaySchedule,
         momentum: float = 0.0,
         weight_decay: float = 0.0,
     ) -> None:
-        if isinstance(schedule, (int, float)):
-            schedule = ConstantSchedule(float(schedule))
         self.schedule = schedule
         if not (0.0 <= momentum < 1.0):
             raise ConfigurationError(f"momentum must be in [0, 1), got {momentum}")

@@ -37,7 +37,7 @@ from repro.aggregation.registry import create_aggregator
 from repro.assignment.registry import create_scheme
 from repro.attacks.base import Attack
 from repro.attacks.registry import create_attack
-from repro.attacks.schedules import AdversarySchedule, ScheduledSelector
+from repro.attacks.schedules import ScheduledSelector
 from repro.cluster.events import AsyncRuntime
 from repro.cluster.faults import (
     DropoutInjector,
@@ -227,10 +227,8 @@ class ScenarioRunner:
                 "scenario.attack.params", "attack", create_attack,
                 attack_spec.name, attack_spec.params,
             )
-            with _section("scenario.attack.schedule"):
-                schedule = AdversarySchedule(**dataclasses.asdict(attack_spec.schedule))
-            selector = ScheduledSelector(schedule, selection=attack_spec.selection)
-            max_q = schedule.max_q
+            selector = ScheduledSelector(attack_spec.schedule, attack_spec.selection)
+            max_q = attack_spec.schedule.max_q
         fault_injectors = tuple(
             _create(f"scenario.faults[{i}].params", "fault", _create_fault_injector,
                     fault.kind, fault.params)
@@ -272,6 +270,9 @@ class ScenarioRunner:
              and (attack_spec.selection == "rotating") != (attack_spec.schedule.kind == "rotating"),
              "scenario.attack: a rotating schedule goes with selection='rotating' and only "
              "with it (the schedule defines the compromised set itself)"),
+            (attack_spec is not None and attack_spec.schedule.kind == "ramping"
+             and attack_spec.schedule.q_end is None,
+             "scenario.attack.schedule: ramping schedule requires q_end"),
             (max_q > K,
              f"scenario.attack.schedule: the schedule reaches q={max_q}, above the K={K} "
              "workers"),

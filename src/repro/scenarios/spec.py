@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro.core.backend import SUPPORTED_DTYPES
-from repro.exceptions import ConfigurationError
+from repro.exceptions import AttackError, ConfigurationError
 from repro.scenarios.schema import Schema, spec_field
 
 __all__ = [
@@ -208,13 +208,67 @@ class TrainingSpec(Schema, where="training"):
 
 @dataclass(frozen=True)
 class ScheduleSpec(Schema, where="schedule"):
-    """Adversary schedule (see :class:`repro.attacks.schedules.AdversarySchedule`)."""
+    """How the Byzantine budget evolves over the run (driven by
+    :class:`~repro.attacks.schedules.ScheduledSelector`).
+
+    Attributes
+    ----------
+    kind:
+        ``"static"``, ``"ramping"`` or ``"rotating"``.
+    q:
+        The budget (``static`` / ``rotating``) or the ramp start (``ramping``).
+    q_end:
+        Final budget of a ramp (inclusive), which a ramping schedule needs
+        (:meth:`~repro.scenarios.runner.ScenarioRunner.check`); ignored
+        otherwise.
+    period:
+        Iterations between ramp steps / window rotations (>= 1).
+    stride:
+        Workers the rotating window advances by each period.
+    """
 
     kind: str = spec_field(str, pinned=True, default="static")
     q: int = spec_field(int, pinned=True, default=0)
     q_end: int | None = spec_field(int, default=None)
     period: int = spec_field(int, default=1)
     stride: int = spec_field(int, default=1)
+
+    def __post_init__(self) -> None:
+        if self.kind not in ("static", "ramping", "rotating"):
+            raise ConfigurationError(
+                f"unknown schedule kind {self.kind!r}; expected static, ramping "
+                "or rotating"
+            )
+        if self.q < 0:
+            raise ConfigurationError(f"q must be non-negative, got {self.q}")
+        if self.q_end is not None and self.q_end < 0:
+            raise ConfigurationError(f"q_end must be non-negative, got {self.q_end}")
+        if self.period < 1:
+            raise ConfigurationError(f"period must be >= 1, got {self.period}")
+        if self.stride < 1:
+            raise ConfigurationError(f"stride must be >= 1, got {self.stride}")
+
+    def q_at(self, iteration: int) -> int:
+        """Byzantine budget ``q_t`` of the given iteration."""
+        if iteration < 0:
+            raise AttackError(f"iteration must be non-negative, got {iteration}")
+        if self.kind != "ramping" or self.q_end is None:
+            return self.q
+        step = iteration // self.period
+        if self.q_end >= self.q:
+            return min(self.q + step, self.q_end)
+        return max(self.q - step, self.q_end)
+
+    def window_offset(self, iteration: int) -> int:
+        """Start of the rotating compromise window at the given iteration."""
+        return (iteration // self.period) * self.stride
+
+    @property
+    def max_q(self) -> int:
+        """Largest budget the schedule can ever request."""
+        if self.kind == "ramping" and self.q_end is not None:
+            return max(self.q, self.q_end)
+        return self.q
 
 
 @dataclass(frozen=True)

@@ -216,11 +216,9 @@ class RunTrace(Schema, where="trace"):
         _, accuracies = self.accuracy_series()
         return float(accuracies.max()) if accuracies.size else float("nan")
 
-    def mean_accuracy(self, last_k: int | None = None) -> float:
-        """Mean of the evaluated accuracies (optionally only the last ``last_k``)."""
+    def mean_accuracy(self) -> float:
+        """Mean of the evaluated accuracies (NaN if never evaluated)."""
         _, accuracies = self.accuracy_series()
-        if last_k is not None:
-            accuracies = accuracies[-last_k:]
         return float(accuracies.mean()) if accuracies.size else float("nan")
 
     # -- serialization -------------------------------------------------------

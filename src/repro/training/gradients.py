@@ -7,13 +7,14 @@ runs a forward/backward pass and extracts the flat gradient — the in-process
 analogue of broadcasting ``w_t`` to a worker and having it compute its file
 gradients.
 
-:meth:`ModelGradientComputer.batched` is the round's hot entry point: with
-the default ``engine="stacked"`` it computes all ``f`` file gradients in one
-stacked pass through the model (leading file axis, per-file parameter
-gradients written into one ``(f, d)`` workspace) and falls back to ``f``
-sequential passes for ragged files.  Either
-way the ``(f, d)`` matrix it returns is the previous call's whenever nothing
-else still references that one (see :meth:`ModelGradientComputer.batched`).
+:meth:`ModelGradientComputer.batched` is the round's hot entry point: it
+computes all ``f`` file gradients in one stacked pass through the model
+(leading file axis, per-file parameter gradients written into one ``(f, d)``
+workspace), and the matrix it returns is the previous call's whenever
+nothing else still references that one (see
+:meth:`ModelGradientComputer.batched`).  :meth:`ModelGradientComputer.__call__`,
+one file through the model's plain path, is the reference every stacked row
+is tested against.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import numpy as np
 
 from repro.data.batching import RoundFiles
 from repro.exceptions import TrainingError
-from repro.nn.losses import Loss, SoftmaxCrossEntropy
+from repro.nn.losses import SoftmaxCrossEntropy
 from repro.nn.models import Sequential
 
 __all__ = ["ModelGradientComputer"]
@@ -38,33 +39,12 @@ class ModelGradientComputer:
     model:
         The shared model instance (its parameters are overwritten on every
         call, which is safe because all callers pass explicit parameters).
-    loss:
-        Training loss; defaults to softmax cross entropy.
-    engine:
-        Per-file engine used by :meth:`batched`: ``"stacked"`` (default)
-        computes all file gradients in one pass through the model's per-file
-        path whenever the files are uniform, silently falling back to the
-        looped path otherwise; ``"looped"`` always runs ``f`` sequential
-        passes — the oracle the stacked engine is tested against.  Both
-        engines are bit-identical and both write into the recycled matrix of
-        :meth:`batched`.
+        The loss is softmax cross entropy.
     """
 
-    ENGINES = ("stacked", "looped")
-
-    def __init__(
-        self, model: Sequential, loss: Loss | None = None, engine: str = "stacked"
-    ) -> None:
-        if engine not in self.ENGINES:
-            raise TrainingError(
-                f"unknown gradient engine {engine!r}; expected one of {self.ENGINES}"
-            )
+    def __init__(self, model: Sequential) -> None:
         self.model = model
-        self.loss = loss if loss is not None else SoftmaxCrossEntropy()
-        self.engine = engine
-        #: engine actually used by the most recent :meth:`batched` call
-        #: ("stacked" or "looped"); informational, for tests and tracing.
-        self.last_engine: str | None = None
+        self.loss = SoftmaxCrossEntropy()
         #: the ``(f, d)`` matrix :meth:`batched` last returned, and what
         #: ``sys.getrefcount`` reads for it when only this object holds it
         self._matrix: np.ndarray | None = None
@@ -96,16 +76,18 @@ class ModelGradientComputer:
         files:
             The round's :class:`~repro.data.batching.RoundFiles` (its samples
             gathered a chunk at a time, never the whole batch at once), or
-            what its ``coerce`` takes: a sequence of ``(inputs, labels)``
-            pairs, or the two stacked arrays.
+            what its ``coerce`` takes: a sequence of equal-size ``(inputs,
+            labels)`` pairs, or the two stacked arrays.
 
         Returns
         -------
         gradients, losses:
             ``(f, d)`` gradient matrix in the model's working dtype (one
-            contiguous allocation) and the ``(f,)`` per-file mean losses.
-            Each row is bit-identical to what :meth:`__call__` returns for
-            that file.
+            contiguous allocation) and the ``(f,)`` per-file mean losses,
+            from the model's stacked per-file pass
+            (:meth:`Sequential.per_file_loss_and_gradients`, which walks the
+            files in chunks).  Each row is bit-identical to what
+            :meth:`__call__` returns for that file.
 
         Notes
         -----
@@ -116,32 +98,15 @@ class ModelGradientComputer:
         was when this object alone held it — a view, a held round result or a
         ``VoteTensor`` each keep the count up.  A caller that holds on
         to a round therefore keeps its data and the next call allocates, as
-        every call used to.  Both engines follow this rule.
-
-        With ``engine="stacked"`` the call runs the model's stacked
-        per-file path (:meth:`Sequential.per_file_loss_and_gradients`, which
-        walks the files in chunks) when every file has the same number of
-        samples; ragged files fall back to the looped path, which gathers one
-        file at a time.
-        :attr:`last_engine` records which one ran.
+        every call used to.
         """
         files = RoundFiles.coerce(files)
         self.model.set_flat_params(params)
-        gradients = self._round_matrix(len(files))
-        if self.engine == "stacked" and files.uniform:
-            # Every layer writes its per-file gradients straight into views
-            # of the round's matrix.
-            losses, _ = self.model.per_file_loss_and_gradients(
-                files, self.loss, out=gradients
-            )
-            self.last_engine = "stacked"
-            return gradients, losses
-        losses = np.empty(len(files), dtype=self.model.dtype)
-        for i in range(len(files)):
-            value, gradient = self.model.loss_and_gradient(*files.file(i), self.loss)
-            gradients[i] = gradient
-            losses[i] = float(value)
-        self.last_engine = "looped"
+        # Every layer writes its per-file gradients straight into views of
+        # the round's matrix.
+        losses, gradients = self.model.per_file_loss_and_gradients(
+            files, self.loss, out=self._round_matrix(len(files))
+        )
         return gradients, losses
 
     def _round_matrix(self, num_files: int) -> np.ndarray:

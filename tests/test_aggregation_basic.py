@@ -107,7 +107,7 @@ def test_trimmed_mean_requires_enough_votes():
         TrimmedMeanAggregator(trim=2)(np.zeros((4, 3)))
     with pytest.raises(AggregationError):
         TrimmedMeanAggregator(trim=-1)
-    assert TrimmedMeanAggregator(trim=2).minimum_votes(2) == 5
+    assert TrimmedMeanAggregator(trim=2).minimum_votes() == 5
 
 
 def test_trimmed_mean_is_robust():

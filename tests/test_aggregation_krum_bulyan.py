@@ -55,7 +55,7 @@ def test_krum_selects_an_honest_vote():
 
 def test_krum_minimum_votes():
     assert KrumAggregator(num_byzantine=3).minimum_votes() == 9
-    assert KrumAggregator(num_byzantine=3).minimum_votes(1) == 5
+    assert KrumAggregator(num_byzantine=1).minimum_votes() == 5
     with pytest.raises(AggregationError):
         KrumAggregator(num_byzantine=-1)
 

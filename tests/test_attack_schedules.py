@@ -5,9 +5,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.attacks.schedules import AdversarySchedule, ScheduledSelector
+from repro.attacks.schedules import ScheduledSelector
 from repro.exceptions import AttackError, ConfigurationError
 from repro.scenarios import ScenarioRunner, ScenarioSpec, get_scenario
+from repro.scenarios.spec import ScheduleSpec
 
 
 def with_attack(**attack):
@@ -17,42 +18,58 @@ def with_attack(**attack):
     return ScenarioSpec.from_dict(data)
 
 
-class TestAdversarySchedule:
+class TestScheduleSpec:
     def test_static_is_constant(self):
-        schedule = AdversarySchedule(kind="static", q=3)
+        schedule = ScheduleSpec(kind="static", q=3)
         assert [schedule.q_at(t) for t in range(5)] == [3, 3, 3, 3, 3]
         assert schedule.max_q == 3
 
     def test_ramping_up(self):
-        schedule = AdversarySchedule(kind="ramping", q=0, q_end=4, period=2)
+        schedule = ScheduleSpec(kind="ramping", q=0, q_end=4, period=2)
         assert [schedule.q_at(t) for t in range(10)] == [0, 0, 1, 1, 2, 2, 3, 3, 4, 4]
         assert schedule.max_q == 4
 
     def test_ramping_down(self):
-        schedule = AdversarySchedule(kind="ramping", q=3, q_end=1, period=1)
+        schedule = ScheduleSpec(kind="ramping", q=3, q_end=1, period=1)
         assert [schedule.q_at(t) for t in range(5)] == [3, 2, 1, 1, 1]
         assert schedule.max_q == 3
 
     def test_ramping_requires_q_end(self):
-        with pytest.raises(ConfigurationError, match="q_end"):
-            AdversarySchedule(kind="ramping", q=2)
+        """Two fields together: a row of ``check()``, not the section's own check."""
+        spec = with_attack(schedule={"kind": "ramping", "q": 2})
+        with pytest.raises(
+            ConfigurationError, match=r"^scenario\.attack\.schedule: ramping schedule requires q_end$"
+        ):
+            ScenarioRunner(spec).check()
 
     def test_rotating_window_offset(self):
-        schedule = AdversarySchedule(kind="rotating", q=3, period=2, stride=4)
+        schedule = ScheduleSpec(kind="rotating", q=3, period=2, stride=4)
         assert [schedule.window_offset(t) for t in range(6)] == [0, 0, 4, 4, 8, 8]
 
-    def test_rejects_unknown_kind(self):
-        with pytest.raises(ConfigurationError, match="schedule kind"):
-            AdversarySchedule(kind="chaotic", q=1)
+    @pytest.mark.parametrize(
+        "schedule, message",
+        [
+            ({"kind": "chaotic", "q": 1}, "unknown schedule kind 'chaotic'"),
+            ({"q": -1}, "q must be non-negative, got -1"),
+            ({"kind": "ramping", "q": 1, "q_end": -2}, "q_end must be non-negative, got -2"),
+            ({"q": 1, "period": 0}, "period must be >= 1, got 0"),
+            ({"kind": "rotating", "q": 1, "stride": 0}, "stride must be >= 1, got 0"),
+        ],
+        ids=["kind", "q", "q_end", "period", "stride"],
+    )
+    def test_rejects_a_bad_value_at_load(self, schedule, message):
+        with pytest.raises(ConfigurationError) as excinfo:
+            with_attack(schedule=schedule)
+        assert str(excinfo.value).startswith(f"scenario.attack.schedule: {message}")
 
     def test_rejects_negative_iteration(self):
         with pytest.raises(AttackError, match="non-negative"):
-            AdversarySchedule(kind="static", q=1).q_at(-1)
+            ScheduleSpec(kind="static", q=1).q_at(-1)
 
 
 class TestScheduledSelector:
     def test_rotating_selection_wraps_modulo_K(self, mols_assignment):
-        schedule = AdversarySchedule(kind="rotating", q=3, period=1, stride=7)
+        schedule = ScheduleSpec(kind="rotating", q=3, period=1, stride=7)
         selector = ScheduledSelector(schedule, selection="rotating")
         rng = np.random.default_rng(0)
         assert mols_assignment.num_workers == 15
@@ -62,14 +79,14 @@ class TestScheduledSelector:
         assert selector.select(mols_assignment, 2, rng) == (0, 1, 14)
 
     def test_zero_budget_rounds_select_nobody(self, mols_assignment):
-        schedule = AdversarySchedule(kind="ramping", q=0, q_end=2, period=2)
+        schedule = ScheduleSpec(kind="ramping", q=0, q_end=2, period=2)
         selector = ScheduledSelector(schedule, selection="random")
         rng = np.random.default_rng(0)
         assert selector.select(mols_assignment, 0, rng) == ()
         assert len(selector.select(mols_assignment, 2, rng)) == 1
 
     def test_random_selection_is_deterministic_per_rng(self, mols_assignment):
-        schedule = AdversarySchedule(kind="static", q=4)
+        schedule = ScheduleSpec(kind="static", q=4)
         selector = ScheduledSelector(schedule, selection="random")
         one = selector.select(mols_assignment, 0, np.random.default_rng(5))
         two = selector.select(mols_assignment, 0, np.random.default_rng(5))
@@ -77,7 +94,7 @@ class TestScheduledSelector:
         assert len(one) == 4
 
     def test_omniscient_caches_per_budget(self, mols_assignment):
-        schedule = AdversarySchedule(kind="ramping", q=1, q_end=2, period=1)
+        schedule = ScheduleSpec(kind="ramping", q=1, q_end=2, period=1)
         selector = ScheduledSelector(schedule, selection="omniscient")
         rng = np.random.default_rng(0)
         first = selector.select(mols_assignment, 0, rng)

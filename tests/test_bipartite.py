@@ -74,16 +74,14 @@ def test_rejects_isolated_workers_or_files():
     with pytest.raises(AssignmentError):
         BipartiteAssignment(np.array([[1, 1], [0, 0]]))
     with pytest.raises(AssignmentError):
-        BipartiteAssignment(np.array([[1, 0], [1, 0]]), validate_biregular=False)
+        BipartiteAssignment(np.array([[1, 0], [1, 0]]))
 
 
-def test_irregular_graph_rejected_unless_allowed():
-    H = np.array([[1, 1, 1], [1, 0, 0], [0, 1, 1]])
-    with pytest.raises(AssignmentError):
-        BipartiteAssignment(H)
-    a = BipartiteAssignment(H, validate_biregular=False)
-    with pytest.raises(AssignmentError):
-        _ = a.computational_load
+def test_irregular_graph_rejected():
+    with pytest.raises(AssignmentError, match="not left-regular"):
+        BipartiteAssignment(np.array([[1, 1, 1], [1, 0, 0], [0, 1, 1]]))
+    with pytest.raises(AssignmentError, match="not right-regular"):
+        BipartiteAssignment(np.array([[1, 1, 0], [1, 0, 1]]))
 
 
 def test_from_worker_files_round_trip():

@@ -340,6 +340,11 @@ def _draco_against_q2(data):
             "scenario.attack.schedule: the schedule reaches q=16, above the K=15 workers",
         ),
         (
+            "mols-alie-omniscient",
+            lambda data: data["attack"]["schedule"].update(kind="ramping"),
+            "scenario.attack.schedule: ramping schedule requires q_end",
+        ),
+        (
             "ramanujan-alie-omniscient",
             lambda data: data.update(topology={"groups": 5}),
             "scenario.topology requires an event-driven runtime (set runtime.deadline "
@@ -377,7 +382,8 @@ def _draco_against_q2(data):
     ids=["draco-bound", "draco-on-mols", "detox-on-mols", "vanilla-on-mols",
          "vanilla-block-size", "aggregator-block-size", "even-r", "load-4",
          "quorum-above-r", "quorum-below-r-prime", "groups-above-K", "batch-indivisible",
-         "batch-above-train", "shard-floor-above-train", "q-above-K", "topology-sync",
+         "batch-above-train", "shard-floor-above-train", "q-above-K", "ramping-without-q-end",
+         "topology-sync",
          "topology-vanilla", "pipeline-kind", "runtime-quorum-0", "topology-groups-0",
          "training-batch-0"],
 )
@@ -389,7 +395,7 @@ def test_scenario_run_inapplicable_scheme_is_a_one_line_error(
     given a block width, an even r, a scheme parameter it refuses, a quorum
     or topology the cluster cannot close, a batch that does not split into f
     files or exceeds the training set, a shard floor the training set cannot
-    meet, q > K) is refused by
+    meet, q > K, a ramp without its end) is refused by
     ``ScenarioRunner.check``, naming its spec path, before any data is
     built: not by an error out of round 0.  A value a section's own check
     refuses (an unknown pipeline kind, a quorum or group count below 1, a

@@ -18,8 +18,9 @@ import pytest
 
 from repro.attacks.base import AttackContext, byzantine_write_order
 from repro.attacks.registry import available_attacks, create_attack
-from repro.attacks.schedules import AdversarySchedule, ScheduledSelector
+from repro.attacks.schedules import ScheduledSelector
 from repro.core.vote_tensor import VoteTensor
+from repro.scenarios.spec import ScheduleSpec
 from repro.utils.rng import derive_seed
 
 from cow_helpers import cube_of
@@ -28,24 +29,24 @@ DIM = 8
 ROUNDS = 4
 
 # Every valid (selection, schedule) pairing: rotating selection and rotating
-# schedules require each other (enforced both ways by ScheduledSelector).
+# schedules require each other (refused both ways by ScenarioRunner.check).
 COMBOS = [
-    ("omniscient-static", "omniscient", AdversarySchedule(kind="static", q=3)),
+    ("omniscient-static", "omniscient", ScheduleSpec(kind="static", q=3)),
     (
         "omniscient-ramping",
         "omniscient",
-        AdversarySchedule(kind="ramping", q=0, q_end=4, period=1),
+        ScheduleSpec(kind="ramping", q=0, q_end=4, period=1),
     ),
-    ("random-static", "random", AdversarySchedule(kind="static", q=3)),
+    ("random-static", "random", ScheduleSpec(kind="static", q=3)),
     (
         "random-ramping",
         "random",
-        AdversarySchedule(kind="ramping", q=1, q_end=3, period=2),
+        ScheduleSpec(kind="ramping", q=1, q_end=3, period=2),
     ),
     (
         "rotating-rotating",
         "rotating",
-        AdversarySchedule(kind="rotating", q=3, period=1, stride=2),
+        ScheduleSpec(kind="rotating", q=3, period=1, stride=2),
     ),
 ]
 

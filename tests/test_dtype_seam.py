@@ -16,7 +16,7 @@ from repro.aggregation.majority import majority_vote_votetensor
 from repro.core.vote_tensor import VoteTensor
 from repro.exceptions import ConfigurationError
 from repro.nn.models import build_mlp
-from repro.nn.optim import SGD
+from repro.nn.optim import SGD, StepDecaySchedule
 from repro.scenarios.runner import run_scenario
 from repro.scenarios.spec import ScenarioSpec
 from repro.training.gradients import ModelGradientComputer
@@ -104,7 +104,7 @@ def test_gradient_engine_emits_model_dtype():
 
 
 def test_sgd_step_preserves_dtype():
-    opt = SGD(0.1, momentum=0.9)
+    opt = SGD(StepDecaySchedule(0.1, 1.0, 1), momentum=0.9)
     for dtype in (np.float32, np.float64):
         params = np.ones(5, dtype=dtype)
         gradient = np.full(5, 0.5, dtype=dtype)

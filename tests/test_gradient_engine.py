@@ -1,12 +1,12 @@
-"""Equivalence properties of the stacked per-file gradient engine.
+"""Equivalence properties of the stacked per-file gradient pass.
 
-The stacked engine (`Sequential.per_file_loss_and_gradients`, dispatched by
+The stacked pass (`Sequential.per_file_loss_and_gradients`, run by
 ``ModelGradientComputer.batched``) must be a pure execution-layout change:
 for every MLP shape and every file count, its per-file losses and gradients
-have to be *bit-identical* to the looped engine (the oracle) — and ragged
-files must silently fall back to the looped path.  The 24 golden traces (tests/test_golden_traces.py) pin the same
-contract end to end; these tests pin it at the engine level with diagnosable
-granularity.
+have to be *bit-identical* to the per-file reference — ``__call__`` (the
+model's plain ``loss_and_gradient``) on each file in turn.  The golden
+traces (tests/test_golden_traces.py) pin the same contract end to end; these
+tests pin it at the pass level with diagnosable granularity.
 """
 
 import copy
@@ -49,25 +49,26 @@ def make_files(num_files, batch=6, seed=0):
     ]
 
 
-def both_engines(model_fn):
-    looped = ModelGradientComputer(model_fn(), engine="looped")
-    stacked = ModelGradientComputer(model_fn(), engine="stacked")
-    return looped, stacked
+def looped(model, params, files):
+    """The per-file reference: ``__call__`` on each file of ``files`` (pairs)
+    in turn, on a copy of ``model``, as one ``(f, d)`` matrix and the losses
+    in the model's dtype."""
+    oracle = ModelGradientComputer(copy.deepcopy(model))
+    rows = [oracle(params, np.asarray(x), np.asarray(y)) for x, y in files]
+    gradients = np.stack([gradient for gradient, _ in rows])
+    return gradients, np.array([value for _, value in rows], dtype=model.dtype)
 
 
 @pytest.mark.parametrize("num_files", FILE_COUNTS)
 @pytest.mark.parametrize("model_name", sorted(MODELS))
 def test_stacked_engine_bit_identical(model_name, num_files):
-    model_fn = MODELS[model_name]
-    looped, stacked = both_engines(model_fn)
-    params = looped.initial_params()
+    stacked = ModelGradientComputer(MODELS[model_name]())
+    params = stacked.initial_params()
     files = make_files(num_files)
 
-    loop_grads, loop_losses = looped.batched(params, files)
+    loop_grads, loop_losses = looped(stacked.model, params, files)
     stack_grads, stack_losses = stacked.batched(params, files)
 
-    assert looped.last_engine == "looped"
-    assert stacked.last_engine == "stacked"
     assert stack_grads.dtype == np.float64 and stack_grads.shape == loop_grads.shape
     assert np.array_equal(loop_grads, stack_grads)
     assert np.array_equal(loop_losses, stack_losses)
@@ -81,31 +82,14 @@ def test_stacked_rows_match_single_file_oracle(model_name):
     params = computer.initial_params()
     files = make_files(4)
     grads, losses = computer.batched(params, files)
-    assert computer.last_engine == "stacked"
     for i, (inputs, labels) in enumerate(files):
         gradient, loss = computer(params, inputs, labels)
         assert np.array_equal(grads[i], gradient)
         assert losses[i] == loss
 
 
-def test_ragged_files_fall_back_to_looped():
-    model_fn = MODELS["mlp"]
-    looped, stacked = both_engines(model_fn)
-    params = looped.initial_params()
-    files = make_files(4)
-    # Odd-size last file: shapes are no longer uniform.
-    rng = np.random.default_rng(9)
-    files[-1] = (rng.standard_normal((3, 30)), rng.integers(0, 5, 3))
-
-    loop_grads, loop_losses = looped.batched(params, files)
-    stack_grads, stack_losses = stacked.batched(params, files)
-    assert stacked.last_engine == "looped"
-    assert np.array_equal(loop_grads, stack_grads)
-    assert np.array_equal(loop_losses, stack_losses)
-
-
 def test_stacked_pair_input_uses_stacked_engine():
-    """The (stacked inputs, stacked labels) calling form hits the fast path."""
+    """The (stacked inputs, stacked labels) calling form gives the pairs' bits."""
     model_fn = MODELS["mlp"]
     computer = ModelGradientComputer(model_fn())
     params = computer.initial_params()
@@ -113,7 +97,6 @@ def test_stacked_pair_input_uses_stacked_engine():
     stacked_inputs = np.stack([inputs for inputs, _ in files])
     stacked_labels = np.stack([labels for _, labels in files])
     grads_pair, losses_pair = computer.batched(params, (stacked_inputs, stacked_labels))
-    assert computer.last_engine == "stacked"
     grads_list, losses_list = computer.batched(params, files)
     assert np.array_equal(grads_pair, grads_list)
     assert np.array_equal(losses_pair, losses_list)
@@ -141,21 +124,6 @@ def test_per_file_workspace_is_written_in_place():
         model.per_file_loss_and_gradients(
             files, loss, out=np.empty((3, model.num_parameters()), dtype=np.float32)
         )
-
-
-def test_batched_rejects_empty_files_both_engines():
-    for engine in ("stacked", "looped"):
-        computer = ModelGradientComputer(MODELS["mlp"](), engine=engine)
-        params = computer.initial_params()
-        files = make_files(2)
-        files[1] = (np.empty((0, 30)), np.empty(0, dtype=np.int64))
-        with pytest.raises(TrainingError, match="empty file"):
-            computer.batched(params, files)
-
-
-def test_unknown_engine_rejected():
-    with pytest.raises(TrainingError, match="unknown gradient engine"):
-        ModelGradientComputer(MODELS["mlp"](), engine="warp")
 
 
 def test_cross_entropy_per_file_matches_looped():
@@ -235,11 +203,6 @@ def first_layer_models(dtype):
     """Models by where their first parameterised layer sits and what it is."""
     return {
         "dense": build_mlp(30, 5, hidden=(16,), seed=3, dtype=dtype),
-        "dense_no_bias": Sequential([
-            Dense(30, 16, rng=1, use_bias=False, dtype=dtype),
-            ReLU(),
-            Dense(16, 5, rng=2, dtype=dtype),
-        ]),
         "relu_then_dense": Sequential([
             ReLU(),
             Dense(30, 16, rng=1, dtype=dtype),
@@ -250,6 +213,13 @@ def first_layer_models(dtype):
         "dense_only": build_mlp(30, 5, hidden=(), seed=3, dtype=dtype),
         # two inner Dense layers each hand their input gradient down
         "dense_deep": build_mlp(30, 5, hidden=(16, 8), seed=3, dtype=dtype),
+        # the last layer is an activation: the loss gradient enters through a ReLU
+        "relu_before_loss": Sequential([
+            Dense(30, 16, rng=1, dtype=dtype),
+            ReLU(),
+            Dense(16, 5, rng=2, dtype=dtype),
+            ReLU(),
+        ]),
     }
 
 
@@ -264,22 +234,14 @@ def test_stacked_looped_and_call_agree_byte_for_byte(first, num_files, dtype, ba
         (rng.standard_normal((batch, 30)).astype(dtype), rng.integers(0, 5, batch))
         for _ in range(num_files)
     ]
-    loss = SoftmaxCrossEntropy()
-    stacked = ModelGradientComputer(model, loss, engine="stacked")
-    looped = ModelGradientComputer(copy.deepcopy(model), loss, engine="looped")
-    oracle = ModelGradientComputer(copy.deepcopy(model), loss)
+    stacked = ModelGradientComputer(model)
     params = stacked.initial_params()
 
     stack_grads, stack_losses = stacked.batched(params, files)
-    loop_grads, loop_losses = looped.batched(params, files)
-    assert (stacked.last_engine, looped.last_engine) == ("stacked", "looped")
+    loop_grads, loop_losses = looped(model, params, files)
     assert stack_grads.dtype == stack_losses.dtype == np.dtype(dtype)
     assert stack_grads.tobytes() == loop_grads.tobytes()
     assert stack_losses.tobytes() == loop_losses.tobytes()
-    for i, (inputs, labels) in enumerate(files):
-        gradient, value = oracle(params, inputs, labels)
-        assert gradient.tobytes() == stack_grads[i].tobytes()
-        assert np.asarray(value, dtype=dtype).tobytes() == stack_losses[i].tobytes()
 
 
 def record_backward_returns(model, method):
@@ -300,15 +262,20 @@ def record_backward_returns(model, method):
 def test_backward_stops_at_the_first_parameterised_layer(engine, method):
     """ReLU -> Dense -> ReLU -> Dense: the first Dense makes no ``grad @ W.T``
     (it returns no input gradient), the ReLU in front of it is not run
-    backward, and the inner Dense still hands its input gradient down."""
+    backward, and the inner Dense still hands its input gradient down — in
+    the stacked pass and in the per-file reference (``__call__`` per file)."""
     model = Sequential([ReLU(), Dense(30, 16, rng=1), ReLU(), Dense(16, 5, rng=2)])
-    computer = ModelGradientComputer(model, engine=engine)
+    computer = ModelGradientComputer(model)
     returned = record_backward_returns(model, method)
-    computer.batched(computer.initial_params(), make_files(3))
-    assert computer.last_engine == engine
+    params, files = computer.initial_params(), make_files(3)
+    if engine == "stacked":
+        computer.batched(params, files)
+    else:
+        for inputs, labels in files:
+            computer(params, inputs, labels)
     assert sorted(returned) == [1, 2, 3]
     assert returned[1] is None
-    # the looped engine's last call saw one file of 6 samples, the stacked one all 3
+    # the reference's last call saw one file of 6 samples, the stacked pass all 3
     assert returned[2].shape == returned[3].shape == ((6, 16) if engine == "looped" else (3, 6, 16))
 
 
@@ -380,13 +347,11 @@ def test_any_chunk_width_matches_the_looped_engine_bit_for_bit(monkeypatch, widt
     y = rng.integers(0, 5, (25, 6))
     chunk_budget(monkeypatch, model, x.shape, width)
     stacked = ModelGradientComputer(model)
-    looped = ModelGradientComputer(copy.deepcopy(model), engine="looped")
     params = stacked.initial_params()
+    loop_grads, loop_losses = looped(model, params, list(zip(x, y)))
     chunks = count_chunks(model)
 
     stack_grads, stack_losses = stacked.batched(params, (x, y))
-    loop_grads, loop_losses = looped.batched(params, list(zip(x, y)))
-    assert stacked.last_engine == "stacked"
     assert chunks == [min(width, 25 - lo) for lo in range(0, 25, width)]
     assert stack_grads.dtype == stack_losses.dtype == np.dtype(dtype)
     assert bits(stack_grads).tobytes() == bits(loop_grads).tobytes()
@@ -514,7 +479,6 @@ def test_each_chunk_is_one_gather_through_the_sampler(monkeypatch, partition):
     assert sum(inputs.shape[0] for inputs, _ in files) == 100  # counted from the indices
     assert gathers == []
     trainer.cluster.run_round_tensor(trainer.server.broadcast(), files, 0)
-    assert trainer.gradient_computer.last_engine == "stacked"
 
     assert [indices.size for indices, _ in gathers] == CHUNK_SAMPLES
     assert all(inside for _, inside in gathers)
@@ -530,7 +494,7 @@ def assert_rows_are_the_per_file_oracle(computer, params, files, file_indices, b
     file on the file's samples cast to the model's dtype, byte for byte."""
     oracle = ModelGradientComputer(copy.deepcopy(computer.model))
     gradients, losses = computer.batched(params, files)
-    assert computer.last_engine == "stacked" and gradients.dtype == np.float32
+    assert gradients.dtype == np.float32
     for i, indices in enumerate(file_indices):
         inputs, labels = batch_data(indices)
         gradient, value = oracle(params, inputs.astype(np.float32), labels)
@@ -601,13 +565,12 @@ def test_coerce_takes_every_calling_form_and_keeps_round_files_as_is():
     # a *list* of the two stacked arrays used to be taken for two files
     for form in (files, [inputs, labels], dict(enumerate(pairs)), iter(pairs)):
         gradients, losses = computer.batched(params, form)
-        assert computer.last_engine == "stacked"
         assert np.array_equal(gradients, expected) and np.array_equal(losses, expected_losses)
 
-    ragged = RoundFiles.coerce(pairs[:2] + [(inputs[0, :2], labels[0, :2])])
-    assert not ragged.uniform and len(ragged) == 3
-    assert ragged.samples_per_file.tolist() == [x.shape[0] for x, _ in ragged] == [6, 6, 2]
-    for (x, y), (rows_x, rows_y) in zip(pairs[:2], ragged):
+    pooled = RoundFiles.coerce(pairs)
+    assert len(pooled) == 3
+    assert pooled.samples_per_file.tolist() == [x.shape[0] for x, _ in pooled] == [6, 6, 6]
+    for (x, y), (rows_x, rows_y) in zip(pairs, pooled):
         assert np.array_equal(np.asarray(rows_x), x) and np.array_equal(np.asarray(rows_y), y)
 
 
@@ -622,10 +585,14 @@ def test_coerce_takes_every_calling_form_and_keeps_round_files_as_is():
         ([np.zeros((2, 4, 30)), np.zeros(2, dtype=int)], r"labels \(f, n, \.\.\.\)"),
         ((np.zeros(30), np.zeros(30, dtype=int)), r"inputs \(f, n, \.\.\.\)"),
         ({0: (np.zeros((4, 30)), np.zeros(4)), 2: (np.zeros((4, 30)), np.zeros(4))}, r"range\(2\)"),
+        (
+            [(np.zeros((4, 30)), np.zeros(4)), (np.zeros((2, 30)), np.zeros(2))],
+            r"files must all have the same size, got sizes \[4, 2\]",
+        ),
     ],
     ids=[
         "no-files", "no-stacked-files", "stacked-empty", "pair-empty", "leading-axes",
-        "labels-1d", "inputs-1d", "dict-keys",
+        "labels-1d", "inputs-1d", "dict-keys", "unequal-sizes",
     ],
 )
 def test_coerce_names_what_it_was_given(files, message):

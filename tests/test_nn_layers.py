@@ -66,14 +66,6 @@ def test_dense_gradients_match_numerical():
     assert np.allclose(layer.grads["b"], numerical_param_gradient(layer, x, "b"), atol=1e-5)
 
 
-def test_dense_without_bias():
-    layer = Dense(3, 2, rng=0, use_bias=False)
-    assert "b" not in layer.params
-    layer.forward(np.ones((1, 3)))
-    layer.backward(np.ones((1, 2)))
-    assert "b" not in layer.grads
-
-
 def test_dense_input_validation():
     layer = Dense(3, 2, rng=0)
     with pytest.raises(ConfigurationError):

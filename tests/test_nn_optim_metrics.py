@@ -1,28 +1,21 @@
-"""Tests for the SGD optimizer, learning-rate schedules and metrics."""
+"""Tests for the SGD optimizer, the learning-rate schedule and metrics."""
 
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import repro.nn.metrics as metrics_module
 from repro.exceptions import ConfigurationError
 from repro.nn.losses import SoftmaxCrossEntropy
 from repro.nn.metrics import cross_entropy_loss, evaluate_model, top1_accuracy
 from repro.nn.models import build_mlp
-from repro.nn.optim import SGD, ConstantSchedule, StepDecaySchedule
+from repro.nn.optim import SGD, StepDecaySchedule
 
 
 # --------------------------------------------------------------------------- #
-# Schedules
+# Schedule
 # --------------------------------------------------------------------------- #
-def test_constant_schedule():
-    schedule = ConstantSchedule(0.1)
-    assert schedule.rate(0) == 0.1
-    assert schedule.rate(1000) == 0.1
-    with pytest.raises(ConfigurationError):
-        ConstantSchedule(0.0)
-
-
 def test_step_decay_schedule_matches_paper_notation():
     # (x, y, z) = (0.05, 0.96, 15): start at 0.05, multiply by 0.96 every 15 iters.
     schedule = StepDecaySchedule(0.05, 0.96, 15)
@@ -47,7 +40,7 @@ def test_step_decay_validation():
 # SGD
 # --------------------------------------------------------------------------- #
 def test_sgd_plain_step():
-    optimizer = SGD(0.1)
+    optimizer = SGD(StepDecaySchedule(0.1, 1.0, 1))
     params = np.array([1.0, -2.0])
     gradient = np.array([1.0, 1.0])
     updated = optimizer.step_vector(params, gradient)
@@ -56,7 +49,7 @@ def test_sgd_plain_step():
 
 
 def test_sgd_momentum_accumulates():
-    optimizer = SGD(0.1, momentum=0.9)
+    optimizer = SGD(StepDecaySchedule(0.1, 1.0, 1), momentum=0.9)
     params = np.zeros(1)
     gradient = np.ones(1)
     first = optimizer.step_vector(params, gradient)
@@ -67,7 +60,7 @@ def test_sgd_momentum_accumulates():
 
 
 def test_sgd_weight_decay():
-    optimizer = SGD(0.1, weight_decay=0.5)
+    optimizer = SGD(StepDecaySchedule(0.1, 1.0, 1), weight_decay=0.5)
     updated = optimizer.step_vector(np.array([2.0]), np.array([0.0]))
     assert updated[0] == pytest.approx(2.0 - 0.1 * 1.0)
 
@@ -134,7 +127,7 @@ def test_sgd_step_allocates_one_parameter_vector(dtype):
     """Weight decay and momentum on: the step's peak is its result, one
     parameter-sized vector (measured 1.001; four while it evaluated the
     expression as written, one temporary per operation)."""
-    optimizer = SGD(0.1, momentum=0.9, weight_decay=0.01)
+    optimizer = SGD(StepDecaySchedule(0.1, 1.0, 1), momentum=0.9, weight_decay=0.01)
     rng = np.random.default_rng(0)
     params, gradient = rng.standard_normal((2, 100_000)).astype(dtype)
     params = optimizer.step_vector(params, gradient)  # the velocity exists from here on
@@ -151,11 +144,11 @@ def test_sgd_step_allocates_one_parameter_vector(dtype):
 
 def test_sgd_validation():
     with pytest.raises(ConfigurationError):
-        SGD(0.1, momentum=1.5)
+        SGD(StepDecaySchedule(0.1, 1.0, 1), momentum=1.5)
     with pytest.raises(ConfigurationError):
-        SGD(0.1, weight_decay=-1.0)
+        SGD(StepDecaySchedule(0.1, 1.0, 1), weight_decay=-1.0)
     with pytest.raises(ConfigurationError):
-        SGD(0.1).step_vector(np.zeros(3), np.zeros(2))
+        SGD(StepDecaySchedule(0.1, 1.0, 1)).step_vector(np.zeros(3), np.zeros(2))
 
 
 def test_sgd_steps_reduce_loss():
@@ -164,7 +157,7 @@ def test_sgd_steps_reduce_loss():
     rng = np.random.default_rng(0)
     x = rng.standard_normal((64, 8))
     y = rng.integers(0, 3, size=64)
-    optimizer = SGD(0.5, momentum=0.9)
+    optimizer = SGD(StepDecaySchedule(0.5, 1.0, 1), momentum=0.9)
     initial, _ = model.loss_and_gradient(x, y, loss)
     for _ in range(30):
         value, gradient = model.loss_and_gradient(x, y, loss)
@@ -192,11 +185,17 @@ def test_cross_entropy_loss_metric_matches_loss_class():
     )
 
 
-def test_evaluate_model_batches(small_classification_data):
+def test_evaluate_model_batches(small_classification_data, monkeypatch):
+    """150 test samples in batches of 32 (the last one short) score what one
+    pass over all of them does."""
     train, test = small_classification_data
     model = build_mlp(train.flat_feature_dim, train.num_classes, hidden=(16,), seed=0)
-    metrics = evaluate_model(model, test.inputs, test.labels, batch_size=32)
+    whole = evaluate_model(model, test.inputs, test.labels)
+    monkeypatch.setattr(metrics_module, "_EVAL_BATCH", 32)
+    metrics = evaluate_model(model, test.inputs, test.labels)
     assert 0.0 <= metrics["accuracy"] <= 1.0
     assert metrics["loss"] > 0.0
+    assert metrics["accuracy"] == pytest.approx(whole["accuracy"])
+    assert metrics["loss"] == pytest.approx(whole["loss"])
     with pytest.raises(ConfigurationError):
         evaluate_model(model, test.inputs[:0], test.labels[:0])

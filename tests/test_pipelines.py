@@ -308,6 +308,10 @@ REFUSED = {
         lambda: edited("mols-alie-omniscient", attack={"schedule": {"q": 16}}),
         "scenario.attack.schedule: the schedule reaches q=16, above the K=15 workers",
     ),
+    "ramping-without-q-end": (
+        lambda: edited("mols-alie-omniscient", attack={"schedule": {"kind": "ramping", "q": 2}}),
+        "scenario.attack.schedule: ramping schedule requires q_end",
+    ),
     "topology-sync": (
         lambda: edited("ramanujan-alie-omniscient", topology={"groups": 5}),
         "scenario.topology requires an event-driven runtime (set runtime.deadline "

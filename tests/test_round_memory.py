@@ -434,20 +434,18 @@ def test_held_attack_context_view_keeps_its_values(trainer):
     assert not np.shares_memory(attack.seen[0], attack.seen[1])
 
 
-@pytest.mark.parametrize("engine", ModelGradientComputer.ENGINES)
-def test_change_of_shape_or_dtype_allocates_afresh(engine):
-    """Both engines recycle, and neither hands a matrix of the last call's
-    shape or dtype to a call that needs another: every result equals a new
-    computer's, bit for bit."""
+def test_change_of_shape_or_dtype_allocates_afresh():
+    """The computer recycles its matrix, and never hands one of the last
+    call's shape or dtype to a call that needs another: every result equals
+    a new computer's, bit for bit."""
     rng = np.random.default_rng(0)
     files = [(rng.standard_normal((4, 6)), rng.integers(0, 3, 4)) for _ in range(4)]
-    computer = ModelGradientComputer(build_mlp(6, 3, hidden=(5,), seed=0), engine=engine)
+    computer = ModelGradientComputer(build_mlp(6, 3, hidden=(5,), seed=0))
 
     def fresh_and_recycled(files):
         params = computer.initial_params()
-        expected, _ = ModelGradientComputer(computer.model, engine=engine).batched(params, files)
+        expected, _ = ModelGradientComputer(computer.model).batched(params, files)
         gradients, _ = computer.batched(params, files)
-        assert computer.last_engine == engine
         assert gradients.dtype == expected.dtype and np.array_equal(gradients, expected)
         return address(gradients)
 

@@ -3,16 +3,17 @@
 import numpy as np
 import pytest
 
-from repro.attacks.schedules import AdversarySchedule, ScheduledSelector
+from repro.attacks.schedules import ScheduledSelector
 from repro.attacks.selection import OmniscientSelector
 from repro.core.distortion import distorted_files, max_distortion
 from repro.exceptions import AttackError
 from repro.graphs.bipartite import BipartiteAssignment
+from repro.scenarios.spec import ScheduleSpec
 
 
 def test_random_selection_size_and_range(mols_assignment, rng):
     """The DETOX/DRACO adversary: a fresh uniform draw of q distinct workers."""
-    selector = ScheduledSelector(AdversarySchedule(q=4), selection="random")
+    selector = ScheduledSelector(ScheduleSpec(q=4), selection="random")
     chosen = selector.select(mols_assignment, 0, rng)
     assert len(chosen) == 4
     assert len(set(chosen)) == 4

@@ -75,7 +75,6 @@ def test_trace_series_and_summary():
     assert trace.final_accuracy == 0.7
     assert trace.best_accuracy == 0.7
     assert trace.mean_accuracy() == pytest.approx(0.6)
-    assert trace.mean_accuracy(last_k=1) == pytest.approx(0.7)
     assert np.array_equal(trace.train_losses, [1.0, 0.8, 0.6])
     result = ScenarioResult(spec=get_scenario("mols-clean"), trace=trace, num_files=10)
     assert np.array_equal(result.predicted_distortion, [0.1, 0.1, 0.2])
@@ -92,7 +91,6 @@ def test_trace_without_evaluations():
     assert np.isnan(trace.final_accuracy)
     assert np.isnan(trace.best_accuracy)
     assert np.isnan(trace.mean_accuracy())
-    assert np.isnan(trace.mean_accuracy(last_k=1))
     empty = ScenarioResult(
         spec=get_scenario("mols-clean"), trace=RunTrace(scenario="test", spec_digest=""), num_files=10
     )

@@ -22,10 +22,11 @@ from repro.assignment.frc import FRCAssignment
 from repro.assignment.mols import MOLSAssignment
 from repro.assignment.ramanujan import RamanujanAssignment
 from repro.attacks.registry import available_attacks, create_attack
-from repro.attacks.schedules import AdversarySchedule, ScheduledSelector
+from repro.attacks.schedules import ScheduledSelector
 from repro.core.pipelines import AggregationPipeline
 from repro.core.vote_tensor import VoteTensor
 from repro.data.batching import RoundFiles
+from repro.scenarios.spec import ScheduleSpec
 
 from cow_helpers import FixedSelector, cube_of, tensor_of
 from reference_vote import reference_vote
@@ -171,7 +172,7 @@ def test_round_identical_under_random_selection(scheme):
         result = simulate_round(
             assignment,
             create_attack("gaussian_noise", sigma=3.0),
-            ScheduledSelector(AdversarySchedule(q=2), selection="random"),
+            ScheduledSelector(ScheduleSpec(q=2), selection="random"),
             seed=seed,
         )
         return result.byzantine_workers, cube_of(result.vote_tensor)

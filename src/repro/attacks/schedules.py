@@ -28,7 +28,6 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.attacks.selection import ByzantineSelector, OmniscientSelector
-from repro.exceptions import ConfigurationError
 from repro.graphs.bipartite import BipartiteAssignment
 
 if TYPE_CHECKING:  # pragma: no cover - the selector only reads the schedule
@@ -50,18 +49,14 @@ class ScheduledSelector(ByzantineSelector):
         ``"random"`` (fresh uniform draw from the round generator) or
         ``"rotating"`` (the schedule's contiguous window, modulo ``K``).
 
-    A rotating schedule goes with rotating selection and only with it, a
-    ramping schedule needs its ``q_end``, and no schedule may reach
-    ``q > K``: all are refused before any round by
-    :meth:`~repro.scenarios.runner.ScenarioRunner.check`.
+    Any other selection is refused when the spec loads
+    (:class:`~repro.scenarios.spec.AttackSpec`).  A rotating schedule goes
+    with rotating selection and only with it, a ramping schedule needs its
+    ``q_end``, and no schedule may reach ``q > K``: all are refused before
+    any round by :meth:`~repro.scenarios.runner.ScenarioRunner.check`.
     """
 
     def __init__(self, schedule: ScheduleSpec, selection: str) -> None:
-        if selection not in ("omniscient", "random", "rotating"):
-            raise ConfigurationError(
-                f"unknown selection {selection!r}; expected 'omniscient', "
-                "'random' or 'rotating'"
-            )
         self.schedule = schedule
         self.selection = selection
         self._omniscient: dict[int, OmniscientSelector] = {}

@@ -71,7 +71,8 @@ class RoundFiles:
     ``i``: every file has the same ``n = b / f`` samples.  ``pool`` is the
     ``(inputs, labels)`` pair those rows are drawn from (for a sampled
     round, the training set itself), and ``gather`` maps flat row indices to
-    their ``(inputs, labels)``: a sampler's ``batch_data``, so every gather
+    a fresh copy of their ``(inputs, labels)`` (the stacked pass overwrites
+    a chunk's inputs): a sampler's ``batch_data``, so every gather
     of a trained round goes through it.  Nothing is gathered up front.  The
     stacked pass reads :meth:`chunk` (files ``lo..hi`` in one gather) and
     drops each chunk with its activations; :meth:`file` gathers one file

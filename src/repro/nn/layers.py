@@ -25,13 +25,17 @@ axis — ``(f, batch, features)`` — so one pass through the stack computes all
   preallocated ``(f, d)`` workspace — see
   :meth:`repro.nn.models.Sequential.per_file_loss_and_gradients`).
 
-Ownership: no forward pass writes into its input (the caller's batch), but
-``backward_per_file`` may write into
-``grad_output`` — the pass produced it (the loss, or the layer above).  What
-``forward_per_file`` keeps for the backward pass is the activations of every
-file it was handed (one chunk of the round's files, see
-:meth:`repro.nn.models.Sequential.per_file_loss_and_gradients`): it lives in
-``_stacked`` and ``backward_per_file`` releases it
+Ownership: the stacked pass owns every array it hands between layers,
+including the chunk of inputs it gathers itself (a fresh copy of the round's
+rows), so each activation is written once and then overwritten where it
+stands: ``ReLU.forward_per_file`` rectifies its input in place,
+``Dense.backward_per_file`` writes its input gradient into the input it has
+just read for its weight gradient, and ``ReLU.backward_per_file`` masks
+``grad_output`` in place.  The plain path never writes into its input (the
+caller's batch).  What ``forward_per_file`` keeps for the backward pass is
+the activations of every file it was handed (one chunk of the round's
+files, see :meth:`repro.nn.models.Sequential.per_file_loss_and_gradients`):
+it lives in ``_stacked`` and ``backward_per_file`` releases it
 (:meth:`Layer.release_per_file` when the pass raised in between).
 
 The first layer that owns parameters is called with ``input_gradient=False``
@@ -217,13 +221,15 @@ class Dense(Layer):
         x = self._take_stacked()
         np.matmul(x.transpose(0, 2, 1), grad_output, out=grads_out["W"])
         np.sum(grad_output, axis=1, out=grads_out["b"])
-        return grad_output @ self.params["W"].T if input_gradient else None
+        # x is read for the last time above: the input gradient takes its place.
+        return np.matmul(grad_output, self.params["W"].T, out=x) if input_gradient else None
 
 
-def _rectify(x: np.ndarray) -> np.ndarray:
-    """``np.where(x > 0, x, 0.0)`` bit for bit (new array), several times faster: ``fmax``
-    may answer ``-0.0`` for a zero, and adding ``+0.0`` changes that and nothing else."""
-    out = np.fmax(x, 0.0)
+def _rectify(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``np.where(x > 0, x, 0.0)`` bit for bit (into ``out``, a new array by default),
+    several times faster: ``fmax`` may answer ``-0.0`` for a zero, and adding ``+0.0``
+    changes that and nothing else."""
+    out = np.fmax(x, 0.0, out=out)
     out += 0.0
     return out
 
@@ -244,10 +250,10 @@ class ReLU(Layer):
             raise ConfigurationError("backward called before forward on ReLU layer")
         return grad_output * self._mask
 
-    # Elementwise, so the plain rules apply — in place on the pass's own gradient.
+    # Elementwise, so the plain rules apply, in place on the pass's own arrays.
     def forward_per_file(self, x: np.ndarray) -> np.ndarray:
         self._stacked = x > 0
-        return _rectify(x)
+        return _rectify(x, out=x)
 
     def backward_per_file(
         self, grad_output: np.ndarray, grads_out: dict[str, np.ndarray]

@@ -25,16 +25,19 @@ if TYPE_CHECKING:  # pragma: no cover - the model reads only the files' shape an
 
 __all__ = ["Sequential", "build_mlp"]
 
-#: Bytes of activations one chunk of the stacked per-file pass may hold
-#: (:meth:`Sequential._files_per_chunk` costs a file as every layer's output
-#: for its samples).  Each chunk's samples are gathered per chunk, just before
-#: its pass, so the pass also holds one chunk's inputs, which this budget does
-#: not count.  Timed at ``clean-compute-bound``'s pass (25 files of 256
-#: samples, 100-64-64-10, float64; 2-core Xeon, one BLAS thread), median of 40
-#: interleaved, in each of 6 processes: 1 / 2 / 3 / 4 / 5 / 8 / 25 files a
-#: chunk read 10.3 / 9.4 / 9.1 / 9.0 / 8.8 / 10.0 / 12.9 ms.  2 MiB is three
-#: files there, the smallest chunk within 5 % of the fastest; a batch of 8
-#: samples a file (every other e2e workload) is one chunk.
+#: Bytes one chunk of the stacked per-file pass may hold: its gathered
+#: samples and every layer's output for them, as
+#: :meth:`Sequential._files_per_chunk` costs a file.  The pass writes each
+#: activation once (see :mod:`repro.nn.layers`), so a chunk holds less than
+#: that cost.  Timed at ``clean-compute-bound``'s pass (25 files of 256
+#: samples, 100-64-64-10, float64; 2-core Xeon, one BLAS thread), median of
+#: 40 interleaved, in each of 6 processes that first freed a 20 MiB array
+#: (which raises glibc's mmap and trim thresholds; without it three files
+#: read 22-32 % slower than two): 1 / 2 / 3 files a chunk read 18.4 / 16.9 /
+#: 16.6 ms (median over the processes) and held 0.57 / 1.08 / 1.62 MiB.
+#: Per process, one file was 6-13 % slower than two and three 1-4 % faster.
+#: 2 MiB is two files there; a batch of 8 samples a file (every other e2e
+#: workload) is one chunk.
 _CHUNK_BYTES = 2 * 1024 * 1024
 
 
@@ -180,7 +183,8 @@ class Sequential:
         return views
 
     def forward_per_file(self, x: np.ndarray) -> np.ndarray:
-        """Stacked forward pass over ``(f, n, ...)`` inputs."""
+        """Stacked forward pass over ``(f, n, ...)`` inputs, which the pass owns
+        from here on (a leading ``ReLU`` rectifies them in place)."""
         out = x
         for layer in self.layers:
             out = layer.forward_per_file(out)
@@ -239,12 +243,13 @@ class Sequential:
     def _files_per_chunk(self, shape: tuple[int, ...]) -> int:
         """Files per chunk of the stacked pass over inputs of ``shape``.
 
-        One file's activations are costed as every layer's output for its
-        ``n`` samples, once: ``n * sum(output widths) * itemsize``.  As many
+        One file is costed as everything its chunk holds for it: its ``n``
+        gathered samples and every layer's output for them, once each,
+        ``n * (input width + sum(output widths)) * itemsize``.  As many
         files as fit in :data:`_CHUNK_BYTES` share a chunk, and at least one.
         """
         width = int(np.prod(shape[2:], dtype=np.int64))
-        per_sample = 0
+        per_sample = width
         for layer in self.layers:
             width = layer.output_features(width)
             per_sample += width

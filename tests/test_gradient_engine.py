@@ -189,14 +189,28 @@ def activations(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(x=activations())
-def test_rectifier_equals_where_bit_for_bit_and_spares_its_input(x):
+def test_plain_rectifier_equals_where_bit_for_bit_and_spares_its_input(x):
     reference = bits(np.where(x > 0, x, 0.0))
     before = bits(x).copy()
-    for forward in (ReLU().forward, ReLU().forward_per_file):
-        out = forward(x)
-        assert out.dtype == x.dtype and not np.shares_memory(out, x)
-        assert np.array_equal(bits(out), reference)
-        assert np.array_equal(bits(x), before)
+    out = ReLU().forward(x)
+    assert out.dtype == x.dtype and not np.shares_memory(out, x)
+    assert np.array_equal(bits(out), reference)
+    assert np.array_equal(bits(x), before)
+
+
+@settings(max_examples=200, deadline=None)
+@given(x=activations())
+def test_stacked_rectifier_returns_its_input_rectified_as_where_does(x):
+    """The stacked pass owns the arrays it hands between layers, so its
+    rectifier writes in place: the same bits as ``np.where``, and the same
+    mask for the backward pass as the plain path's."""
+    reference = bits(np.where(x > 0, x, 0.0))
+    mask = x > 0
+    layer = ReLU()
+    out = layer.forward_per_file(x)
+    assert out is x
+    assert np.array_equal(bits(out), reference)
+    assert np.array_equal(layer._stacked, mask)
 
 
 def first_layer_models(dtype):
@@ -242,6 +256,23 @@ def test_stacked_looped_and_call_agree_byte_for_byte(first, num_files, dtype, ba
     assert stack_grads.dtype == stack_losses.dtype == np.dtype(dtype)
     assert stack_grads.tobytes() == loop_grads.tobytes()
     assert stack_losses.tobytes() == loop_losses.tobytes()
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+@pytest.mark.parametrize("first", sorted(first_layer_models("float64")))
+def test_the_callers_stacked_arrays_keep_their_bits(first, dtype):
+    """The stacked pass overwrites the chunks it gathers, never the arrays
+    they were gathered from: ``relu_then_dense`` rectifies its first chunk in
+    place, and every inner ``Dense`` writes its input gradient over its input."""
+    model = first_layer_models(dtype)[first]
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal((4, 6, 30)).astype(dtype)
+    y = rng.integers(0, 5, (4, 6))
+    x_before, y_before = x.copy(), y.copy()
+    computer = ModelGradientComputer(model)
+    computer.batched(computer.initial_params(), (x, y))
+    assert bits(x).tobytes() == bits(x_before).tobytes()
+    assert y.tobytes() == y_before.tobytes()
 
 
 def record_backward_returns(model, method):
@@ -315,8 +346,9 @@ def test_no_stacked_activation_outlives_the_pass(first):
 # --------------------------------------------------------------------------- #
 def chunk_budget(monkeypatch, model, shape, width):
     """Set the chunk budget so inputs of ``shape`` run ``width`` files a chunk:
-    one file costs every layer's output for its ``n`` samples, once."""
-    features, per_sample = shape[2], 0
+    one file costs its ``n`` gathered samples and every layer's output for
+    them, once each."""
+    features = per_sample = shape[2]
     for layer in model.layers:
         features = layer.out_features if isinstance(layer, Dense) else features
         per_sample += features

@@ -208,17 +208,20 @@ def test_adaptive_bulyan_round_peaks_under_seven_rows():
     assert peak < 7 * row_bytes, peak / row_bytes
 
 
-def test_stacked_pass_holds_one_chunk_of_activations():
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_stacked_pass_holds_one_chunk_of_activations(dtype):
     """``clean-compute-bound``'s pass (25 files of 256 samples, 100 -> 64 ->
-    64 -> 10): measured 1.93 MiB above its start at three files a chunk, of
-    which 0.59 MiB is the chunk's own gathered samples; 1.34 MiB while the
-    pass read views of a batch gathered before it, and 11.1 MiB while all 25
-    files' activations were alive at once."""
-    model = build_mlp(100, 10, hidden=(64, 64), seed=0)
+    64 -> 10) holds no more than its chunk budget above its start.  Measured
+    1.08 MiB in float64 (two files a chunk, 0.39 MiB of them the chunk's own
+    gathered samples) and 1.43 MiB in float32 (five files).  While the budget
+    left the gathered samples out and every activation took a new array, it
+    measured 1.93 MiB (three files) and 2.37 MiB (seven files); 11.1 MiB in
+    float64 while all 25 files' activations were alive at once."""
+    model = build_mlp(100, 10, hidden=(64, 64), seed=0, dtype=dtype)
     rng = np.random.default_rng(0)
-    x, y = rng.standard_normal((25, 256, 100)), rng.integers(0, 10, (25, 256))
-    files = RoundFiles.coerce((x, y))
-    out = np.empty((25, model.num_parameters()))
+    x = rng.standard_normal((25, 256, 100)).astype(dtype)
+    files = RoundFiles.coerce((x, rng.integers(0, 10, (25, 256))))
+    out = np.empty((25, model.num_parameters()), dtype=dtype)
     loss = SoftmaxCrossEntropy()
     tracemalloc.start()
     try:
@@ -227,16 +230,19 @@ def test_stacked_pass_holds_one_chunk_of_activations():
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
-    assert peak <= models._CHUNK_BYTES + (1 << 20), peak / (1 << 20)
+    assert peak <= models._CHUNK_BYTES, peak / (1 << 20)
 
 
 def test_compute_bound_round_holds_one_chunk_not_the_batch():
     """``clean-compute-bound``'s round (MOLS K = 15, f = 25, batch 6400, 100
     -> 64 -> 64 -> 10, no attack) on 8,000 training rows instead of 20,000.
-    Its steady-state peak above its start measured 2.13 MiB: one chunk of
-    three files, its 0.59 MiB of gathered samples and its activations, plus
-    the batch's indices and the round's small vectors.  It measured 6.42 MiB
-    while the trainer gathered the whole 4.9 MiB batch before the pass."""
+    Its steady-state peak above its start measured 1.20 MiB: one chunk of
+    two files, its 0.39 MiB of gathered samples and its activations, plus
+    the batch's indices and the round's small vectors, all within one chunk
+    budget.  It measured 2.04 MiB while the budget left the gathered samples
+    out (three files a chunk) and every activation took a new array, and
+    6.42 MiB while the trainer gathered the whole 4.9 MiB batch before the
+    pass."""
     spec = ScenarioSpec.from_dict({
         "name": "round-memory-compute-bound",
         "cluster": {"scheme": "mols", "params": {"load": 5, "replication": 3}},
@@ -258,9 +264,6 @@ def test_compute_bound_round_holds_one_chunk_not_the_batch():
         },
     })
     trainer = ScenarioRunner(spec).build_trainer()
-    model = trainer.gradient_computer.model
-    shape = (25, 256, 100)
-    chunk_inputs = model._files_per_chunk(shape) * 256 * 100 * model.dtype.itemsize
     trainer.run_iteration(0)
     trainer.run_iteration(1)
     tracemalloc.start()
@@ -271,7 +274,7 @@ def test_compute_bound_round_holds_one_chunk_not_the_batch():
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
-    assert peak < models._CHUNK_BYTES + chunk_inputs + (1 << 20), peak / (1 << 20)
+    assert peak < models._CHUNK_BYTES, peak / (1 << 20)
 
 
 # --------------------------------------------------------------------------- #

@@ -67,7 +67,9 @@ _HASH_WEIGHTS: dict[int, np.ndarray] = {}
 
 def _gather_width(block_size: int | None, count: int) -> int:
     """``block_size`` (``None``: :data:`~repro.utils.arrays.LANE_BLOCK`),
-    narrowed so ``count`` rows of it hold at most :data:`GATHER_ELEMENTS`."""
+    narrowed so ``count`` gathered rows of it hold at most
+    :data:`GATHER_ELEMENTS` (a comparison gathers two sides, so it passes
+    twice its row count)."""
     return max(1, min(block_size or LANE_BLOCK, GATHER_ELEMENTS // max(1, count)))
 
 
@@ -89,16 +91,16 @@ def _accumulate_hashes(gather_block, count: int, d: int, block_size: int | None)
     partial sums are *exactly* — not just approximately — equal to one
     full-width einsum, so every width gives the same hashes.  Blocks are
     ``block_size`` wide (``None``: :data:`~repro.utils.arrays.LANE_BLOCK`)
-    but never hold more than :data:`GATHER_ELEMENTS`, so the gathered
-    block and its uint64 widening stay within 256 KiB each.
+    but never hold more than :data:`GATHER_ELEMENTS`, so the gathered block
+    stays within 256 KiB (128 KiB as a float32 round's uint32 bits).  That
+    block goes to ``einsum`` as it is: against the uint64 weights NumPy
+    widens it through its 64 KiB iterator buffer, and the uint64 products
+    and sums are the same modulo 2**64 as those of a widened copy.
     """
     weights = _hash_weights(d)
     hashes = np.zeros(count, dtype=np.uint64)
     for lo, hi in block_ranges(d, _gather_width(block_size, count)):
-        # dropped before the next gather: one block is alive at a time
-        bits = gather_block(lo, hi).astype(np.uint64, copy=False)
-        hashes += np.einsum("mb,b->m", bits, weights[lo:hi])
-        del bits
+        hashes += np.einsum("mb,b->m", gather_block(lo, hi), weights[lo:hi])
     return hashes
 
 
@@ -107,15 +109,17 @@ def _rows_equal(gather_a, gather_b, count: int, d: int, block_size: int | None) 
 
     ``gather_a`` / ``gather_b`` return the two sides' ``(count, hi - lo)``
     bit blocks, ``block_size`` wide (``None``:
-    :data:`~repro.utils.arrays.LANE_BLOCK`) but never holding more than
-    :data:`GATHER_ELEMENTS`: each gathered block stays within 256 KiB
-    whatever ``count``.  The sweep stops after the first block that leaves
-    no row equal: every row is then already proven unequal, which is how a
-    crafted payload (it differs from the honest rows at once) costs one
-    block instead of ``d`` coordinates.
+    :data:`~repro.utils.arrays.LANE_BLOCK`) but narrowed so that both sides
+    together hold at most :data:`GATHER_ELEMENTS`: the two gathered blocks
+    stay within 256 KiB, their bool image within 16 KiB, whatever
+    ``count``.  The sweep stops after the first block that leaves no row
+    equal: every row is then already proven unequal, which is how a crafted
+    payload (it differs from the honest rows at once) costs one block
+    instead of ``d`` coordinates, so only rows that stay equal pay for the
+    narrower blocks.
     """
     equal = np.ones(count, dtype=bool)
-    for lo, hi in block_ranges(d, _gather_width(block_size, count)):
+    for lo, hi in block_ranges(d, _gather_width(block_size, 2 * count)):
         equal &= (gather_a(lo, hi) == gather_b(lo, hi)).all(axis=1)
         if not equal.any():
             break
@@ -155,8 +159,9 @@ def override_content_ids(tensor, block_size: int | None = None) -> np.ndarray:
     ``tobytes()`` keys, so a collision can cost time but never a wrong
     label.  The comparison, the hashes and the verification
     stream coordinate blocks of width ``block_size`` (``None``:
-    :data:`~repro.utils.arrays.LANE_BLOCK`), narrowed so that a gathered
-    block stays within 256 KiB (:data:`GATHER_ELEMENTS`) however many
+    :data:`~repro.utils.arrays.LANE_BLOCK`), narrowed so that what one
+    block gathers — both sides of a comparison, or the rows hashed — stays
+    within :data:`GATHER_ELEMENTS` elements (256 KiB as uint64) however many
     distinct pairs there are, and every width gives the same ids.
     """
     f, r, d = tensor.shape

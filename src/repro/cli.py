@@ -26,6 +26,8 @@ writes machine-readable CSV.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import os
 import pathlib
 import sys
 from typing import Callable, Sequence
@@ -442,6 +444,22 @@ def _run_campaign_cmd(args: argparse.Namespace) -> str:
     return campaign_report(result)
 
 
+@contextlib.contextmanager
+def quiet_closed_stdout():
+    """A reader that stops early (``repro ... | head``) is not an error.
+
+    Python's SIGPIPE recipe: stdout is flushed inside the block, so a closed
+    pipe raises ``BrokenPipeError`` here rather than in the interpreter's
+    shutdown flush (a warning on stderr and exit status 120), and stdout then
+    points at ``os.devnull`` so what is left has nowhere to fail.
+    """
+    try:
+        yield
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
     parser = build_parser()
@@ -469,10 +487,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    try:
+    with quiet_closed_stdout():
         print(output)
-    except BrokenPipeError:  # e.g. `repro ... | head`; not an error
-        sys.stderr.close()  # suppress the interpreter's shutdown warning
     return 0
 
 

@@ -58,6 +58,18 @@ from repro.utils.arrays import finite_stand_ins
 
 __all__ = ["VoteTensor", "RowSelection"]
 
+#: coordinates per row gather of :meth:`RowSelection.lanes` on a selection
+#: that leaves base rows out: Bulyan's 512-wide blocks (``take()`` of its
+#: selected rows) are gathered whole, as before, and the median's 1024-wide
+#: lanes in two ``(n, 512)`` slices, 48 KiB at float32 with 24 rows where the
+#: whole block took 96 KiB.  Per 11,274-wide sweep, min of 60 interleaved,
+#: 2-core Xeon, whole-block gather against these slices: 0.14-0.16 ms both
+#: on float32 lanes 1024 wide with one or three of 25 rows out, 0.19 vs
+#: 0.20 ms on Bulyan's float64 ``take()`` of 19 scattered rows.  256-wide
+#: slices (24 KiB) took 0.17-0.18 and 0.21 ms, and copying runs of
+#: consecutive rows 0.13, 0.22 and 0.50 ms.
+_GATHER_COLUMNS = 512
+
 
 class RowSelection:
     """A read-only ``(n, d)`` matrix held as a shared base plus ``k`` row references.
@@ -177,15 +189,22 @@ class RowSelection:
         """Fill ``out`` — ``(hi - lo, n)`` — with coordinates ``[lo, hi)`` transposed.
 
         A coordinate's ``n`` votes become adjacent: one strided copy of the
-        base block (of its selected rows), then ``k`` column writes straight
-        from the store's rows, so nothing but ``out`` is written, however
-        many files a stored row wins.  ``clamp_non_finite`` then gives the
-        block, in ``out``, the stand-ins of
+        base block, then ``k`` column writes straight from the store's rows,
+        so nothing but ``out`` is written, however many files a stored row
+        wins.  A selection that leaves base rows out (abstaining files,
+        :meth:`take`) gathers its rows :data:`_GATHER_COLUMNS` coordinates at
+        a time, so the one temporary is at most an ``(n, _GATHER_COLUMNS)``
+        slice, not a copy of a wider ``(n, hi - lo)`` block.  ``clamp_non_finite`` then
+        gives the block, in ``out``, the stand-ins of
         :func:`~repro.utils.arrays.finite_stand_ins` — the one place a
         streaming rule's lanes are clamped.
         """
-        block = self.base[:, lo:hi]
-        np.copyto(out, (block if self.rows is None else block[self.rows]).T)
+        if self.rows is None:
+            np.copyto(out, self.base[:, lo:hi].T)
+        else:
+            for a in range(lo, hi, _GATHER_COLUMNS):
+                b = min(a + _GATHER_COLUMNS, hi)
+                np.copyto(out[a - lo : b - lo], self.base[self.rows, a:b].T)
         for file, row in self._patches:
             out[:, file] = self.store[row, lo:hi]
         if clamp_non_finite:

@@ -38,12 +38,13 @@ __all__ = [
 #: (``median._LANE_BLOCK``, ``bulyan._LANE_BLOCK``).
 LANE_BLOCK = 4096
 
-#: elements of one gathered block of the kernels whose row count varies
-#: (the vote's row comparison and hashes, the min-max coefficients): 256 KiB
-#: as uint64 or float64, whatever the row count or ``block_size``.  Narrower
-#: blocks cost time: a full sweep takes ``rows · d / GATHER_ELEMENTS``
-#: steps, and at 64 KiB hashing 100 rows of 94k coordinates took 1.4–2× as
-#: long as at this budget (EXPERIMENTS.md)
+#: elements one block gathers in the kernels whose row count varies (the
+#: vote's row comparison, both sides together, and its hashes; the min-max
+#: coefficients): 256 KiB as uint64 or float64, 128 KiB as a float32 round's
+#: uint32 bits, whatever the row count or ``block_size``.  The hashes take
+#: those bits unwidened.  Narrower blocks cost time: a full sweep takes
+#: ``rows · d / GATHER_ELEMENTS`` steps, and at 64 KiB hashing 100 rows of
+#: 94k coordinates took 1.4–2× as long as at this budget (EXPERIMENTS.md)
 GATHER_ELEMENTS = 1 << 15
 
 #: coordinates of :func:`column_mean_std`'s one scratch row (128 KiB as

@@ -3,7 +3,10 @@
 import csv
 import io
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -121,6 +124,26 @@ def test_error_exit_code(capsys):
         ["distortion", "--scheme", "frc", "--num-workers", "16", "--replication", "3", "--q", "2"]
     ) == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["list"], ["table", "table3"]])
+def test_a_reader_that_stops_early_is_not_an_error(command):
+    """``repro list | head``: a pipe that closes before the output is written
+    ends the command with status 0 and nothing on stderr.  Without
+    ``PYTHONUNBUFFERED`` stdout holds the whole table until a flush, which
+    ``main`` makes itself rather than leave to the interpreter's shutdown
+    (a warning and status 120)."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    process = subprocess.Popen(
+        [sys.executable, "-m", "repro.cli", *command],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    process.stdout.close()
+    stderr = process.stderr.read()
+    assert process.wait() == 0
+    assert stderr == b""
 
 
 def test_parser_requires_command():

@@ -8,6 +8,7 @@ Renaming or removing one of them would otherwise surface only when the
 benchmark gate runs; these tests fail tier-1 instead.
 """
 
+import os
 import pathlib
 import subprocess
 import sys
@@ -130,9 +131,28 @@ def test_peak_probe_names_the_stage_that_sets_the_peak():
         "aggregation.robust",
         "kernel.column_mean_std",
         "kernel.bulyan_selection",
+        "kernel.override_content_ids",
+        "kernel.RowSelection.lanes",
     ):
         assert stages[stage][0] >= 1, stage
     assert max(inside for _, _, inside in stages.values()) == pytest.approx(peak, abs=1e-4)
+
+
+def test_peak_probe_exits_quietly_into_a_closed_pipe():
+    """``peak_stages.py ... | head``: a reader that stops early ends the tool
+    with status 0 and nothing on stderr, not a ``BrokenPipeError``.  Run
+    without ``PYTHONUNBUFFERED``, as a pipe is written by default: the whole
+    table sits in stdout's buffer until it is flushed."""
+    tool = pathlib.Path(__file__).resolve().parents[1] / "tools" / "peak_stages.py"
+    process = subprocess.Popen(
+        [sys.executable, str(tool), "adaptive-bulyan-noniid", "--rounds", "1"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env={k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"},
+    )
+    process.stdout.close()  # closed before the tool writes its first line
+    stderr = process.stderr.read()
+    assert process.wait() == 0
+    assert stderr == b""
 
 
 def test_trainer_session_reads_what_the_trainer_exposes():

@@ -18,10 +18,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import repro.aggregation.majority as majority_module
+import repro.aggregation.median as median_module
+import repro.core.pipelines as pipelines_module
 import repro.nn.models as models
 from repro.attacks.alie import ALIEAttack
 from repro.cluster.faults import FaultContext, MessageCorruptionInjector
-from repro.core.vote_tensor import VoteTensor
+from repro.core.vote_tensor import _GATHER_COLUMNS, VoteTensor
 from repro.data.batching import RoundFiles
 from repro.nn.losses import SoftmaxCrossEntropy
 from repro.nn.models import build_mlp
@@ -30,6 +33,7 @@ from repro.scenarios.spec import ScenarioSpec
 from repro.scenarios.trace import RunTrace
 from repro.training.gradients import ModelGradientComputer
 from repro.training.trainer import DistributedTrainer
+from repro.utils.arrays import GATHER_ELEMENTS
 
 from cow_helpers import cube_of
 
@@ -206,6 +210,109 @@ def test_adaptive_bulyan_round_peaks_under_seven_rows():
     assert row_bytes == 11_274 * 8
     peak = steady_round_peak(trainer)
     assert peak < 7 * row_bytes, peak / row_bytes
+
+
+def cells_spec():
+    """``async-hier-cells-traced`` of ``benchmarks/e2e`` on 1,000 training
+    rows: Ramanujan K = 25 (f = 25, r = 5), ByzShield + median with a
+    4096-wide vote, omniscient ALIE q = 2, exponential stragglers against a
+    0.6 deadline in 5 groups, noise corruption, d = 11,274 float32."""
+    return ScenarioSpec.from_dict({
+        "name": "round-memory-cells",
+        "cluster": {"scheme": "ramanujan", "params": {"m": 5, "s": 5}},
+        "pipeline": {"kind": "byzshield", "aggregator": "median", "block_size": 4096},
+        "data": {
+            "kind": "gaussian",
+            "dim": 100,
+            "num_classes": 10,
+            "num_train": 1000,
+            "num_test": 200,
+        },
+        "model": {"hidden": [64, 64]},
+        "training": {"batch_size": 200, "num_iterations": 6, "eval_every": 6},
+        "attack": {
+            "name": "alie",
+            "selection": "omniscient",
+            "schedule": {"kind": "static", "q": 2},
+        },
+        "faults": [
+            {
+                "kind": "stragglers",
+                "params": {"count": 5, "delay_model": "exponential", "delay": 0.5},
+            },
+            {"kind": "corruption", "params": {"probability": 0.05, "mode": "noise"}},
+        ],
+        "runtime": {"deadline": 0.6, "quorum": 3},
+        "topology": {"groups": 5},
+        "dtype": "float32",
+    })
+
+
+def test_cells_round_vote_and_median_hold_one_block(monkeypatch):
+    """Every round of the cells run, measured at the vote and the median:
+    what each allocates above its entry.  The vote holds one gathered block
+    of uint32 bits (``GATHER_ELEMENTS``, both sides of a comparison
+    together) beside the 64 KiB buffer NumPy widens it through for the
+    hashes: at most 199 KiB measured against a bound of 208 KiB.  The
+    median over ``n`` decided files holds its ``(1024, n)`` lane buffer, the
+    even-``n`` pair, its ``(d,)`` result and one ``(n, 512)`` slice of the
+    kept rows (or, later, the buffer's ``isfinite`` image): 174 KiB
+    measured in the round where four files abstained (n = 21), against a
+    bound of 186 KiB.  They measured 389 KiB (each hashed block widened to
+    a uint64 copy, each side of a comparison a budget of its own) and
+    216 KiB (the kept rows of a whole lane block gathered before the
+    transpose).  The first vote also builds the ``(d,)`` uint64 hash
+    weights and keeps them for every later vote: the run is made twice,
+    from an empty weight cache, where the first vote is bounded with
+    ``8 d`` more (270 KiB measured against 296 KiB), and again with the
+    weights built, where every round has the bounds above."""
+    def measured(original, record):
+        def call(*args, **kwargs):
+            tracemalloc.start()
+            try:
+                result = original(*args, **kwargs)
+                record(args, result, tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            return result
+
+        return call
+
+    votes, medians = [], []
+    monkeypatch.setattr(
+        pipelines_module,
+        "majority_vote_votetensor",
+        measured(
+            pipelines_module.majority_vote_votetensor,
+            lambda args, vote, peak: votes.append((int((vote.counts == 0).sum()), peak)),
+        ),
+    )
+    monkeypatch.setattr(
+        median_module,
+        "coordinate_median",
+        measured(
+            median_module.coordinate_median,
+            lambda args, out, peak: medians.append((args[0].shape[0], peak)),
+        ),
+    )
+    d, itemsize = 11_274, 4  # float32
+    small_objects = 16 << 10
+    vote_bound = GATHER_ELEMENTS * itemsize + (64 << 10) + small_objects
+    monkeypatch.setattr(majority_module, "_HASH_WEIGHTS", {})
+    ScenarioRunner(cells_spec()).run()
+    assert votes[0][1] <= vote_bound + 8 * d, votes
+    votes.clear()
+    medians.clear()
+    ScenarioRunner(cells_spec()).run()
+    assert len(votes) == len(medians) == 6
+    assert any(abstained for abstained, _ in votes)
+    assert max(peak for _, peak in votes) <= vote_bound, votes
+    block = median_module._LANE_BLOCK
+    for n, peak in medians:
+        pair = block * 2 * itemsize if n % 2 == 0 else 0
+        slice_or_image = max(n * _GATHER_COLUMNS * itemsize, block * n)
+        bound = block * n * itemsize + pair + d * itemsize + slice_or_image + small_objects
+        assert peak <= bound, (n, peak, bound)
 
 
 @pytest.mark.parametrize("dtype", ["float32", "float64"])

@@ -38,9 +38,12 @@ from spans import Tracer  # noqa: E402
 from workloads import WORKLOAD_NAMES, Workload  # noqa: E402
 
 import repro.aggregation.bulyan as bulyan_module  # noqa: E402
+import repro.aggregation.majority as majority_module  # noqa: E402
 import repro.aggregation.median as median_module  # noqa: E402
 import repro.attacks.adaptive as adaptive_module  # noqa: E402
 import repro.attacks.alie as alie_module  # noqa: E402
+from repro.cli import quiet_closed_stdout  # noqa: E402
+from repro.core.vote_tensor import RowSelection  # noqa: E402
 from repro.scenarios.runner import ScenarioRunner  # noqa: E402
 
 _MIB = float(1 << 20)
@@ -49,6 +52,8 @@ _MIB = float(1 << 20)
 #: ``(owner, attribute, stage)``
 KERNELS = (
     (ScenarioRunner, "build_trainer", "scenarios.build_trainer"),
+    (majority_module, "override_content_ids", "kernel.override_content_ids"),
+    (RowSelection, "lanes", "kernel.RowSelection.lanes"),
     (bulyan_module, "bulyan_selection", "kernel.bulyan_selection"),
     (bulyan_module, "coordinate_median", "kernel.coordinate_median"),
     (median_module, "coordinate_median", "kernel.coordinate_median"),
@@ -169,4 +174,7 @@ def main(argv: "list[str] | None" = None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    status = 0  # also when the reader stops early (``| head``)
+    with quiet_closed_stdout():
+        status = main()
+    sys.exit(status)

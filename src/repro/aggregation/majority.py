@@ -60,9 +60,10 @@ def validate_block_size(block_size: int | None) -> int | None:
 # --------------------------------------------------------------------------- #
 # Streaming payload comparison
 # --------------------------------------------------------------------------- #
-#: cache of per-dimension positional hash weights (odd, so they are units
-#: modulo 2**64 and single-coordinate differences always change the hash)
-_HASH_WEIGHTS: dict[int, np.ndarray] = {}
+#: the positional hash weights (odd, so they are units modulo 2**64 and
+#: single-coordinate differences always change the hash): one vector, as
+#: wide as the widest row hashed so far; a narrower row reads its prefix
+_HASH_WEIGHTS = np.empty(0, dtype=np.uint64)
 
 
 def _gather_width(block_size: int | None, count: int) -> int:
@@ -74,12 +75,14 @@ def _gather_width(block_size: int | None, count: int) -> int:
 
 
 def _hash_weights(d: int) -> np.ndarray:
-    weights = _HASH_WEIGHTS.get(d)
-    if weights is None:
+    """The first ``d`` weights.  The draw is prefix-stable (the first ``d``
+    of a wider draw are a draw of ``d``), so a prefix is what a draw of
+    width ``d`` gives, and only the widest vector is kept."""
+    global _HASH_WEIGHTS
+    if _HASH_WEIGHTS.size < d:
         rng = as_generator(0xB125_517D)
-        weights = rng.integers(1, 2**63, size=d, dtype=np.uint64) | np.uint64(1)
-        _HASH_WEIGHTS[d] = weights
-    return weights
+        _HASH_WEIGHTS = rng.integers(1, 2**63, size=d, dtype=np.uint64) | np.uint64(1)
+    return _HASH_WEIGHTS[:d]
 
 
 def _accumulate_hashes(gather_block, count: int, d: int, block_size: int | None) -> np.ndarray:

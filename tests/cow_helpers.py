@@ -3,13 +3,15 @@
 The library builds a :class:`~repro.core.vote_tensor.VoteTensor` one way
 (``from_honest``) and never materialises its ``(f, r, d)`` cube.  Tests that
 state a round as a plain cube, or compare one against a reference, convert
-at the boundary with :func:`tensor_of` and :func:`cube_of`.
+at the boundary with :func:`tensor_of` and :func:`cube_of`, and hand an
+attack its view of the round with :func:`attack_context`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.attacks.base import AttackContext
 from repro.attacks.selection import ByzantineSelector
 from repro.core.backend import bit_view_dtype
 from repro.core.vote_tensor import VoteTensor
@@ -68,6 +70,18 @@ def cube_of(tensor: VoteTensor) -> np.ndarray:
     f, r, d = tensor.shape
     files, slots = np.repeat(np.arange(f), r), np.tile(np.arange(r), f)
     return tensor.read_slots(files, slots).reshape(f, r, d)
+
+
+def attack_context(assignment, byzantine, honest, iteration=0, seed=0) -> AttackContext:
+    """The adversary's view of a round of ``honest`` rows; its stream is
+    ``np.random.default_rng(seed)`` (a generator passes through)."""
+    return AttackContext(
+        assignment=assignment,
+        byzantine_workers=tuple(int(w) for w in byzantine),
+        honest_matrix=honest,
+        iteration=iteration,
+        rng=np.random.default_rng(seed),
+    )
 
 
 class FixedSelector(ByzantineSelector):

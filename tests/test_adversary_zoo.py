@@ -17,16 +17,15 @@ from repro.attacks.adaptive import (
     MinSumAttack,
     _corrupted_file_indices,
 )
-from repro.attacks.base import Attack, AttackContext
+from repro.attacks.base import Attack
 from repro.attacks.inner_product import InnerProductManipulationAttack
 from repro.attacks.registry import available_attacks, create_attack, register_attack
 from repro.attacks.sign_flip import SignFlipAttack
 from repro.core.distortion import distorted_files
-from repro.core.vote_tensor import VoteTensor
 from repro.exceptions import AttackError, ConfigurationError
 from repro.utils.arrays import GATHER_ELEMENTS
 
-from cow_helpers import cube_of
+from cow_helpers import attack_context
 
 DIM = 9
 
@@ -34,13 +33,7 @@ DIM = 9
 def make_context(assignment, byzantine, seed=0):
     rng = np.random.default_rng(seed)
     honest = rng.standard_normal((assignment.num_files, DIM))
-    return AttackContext(
-        assignment=assignment,
-        byzantine_workers=tuple(byzantine),
-        honest_matrix=honest,
-        iteration=0,
-        rng=np.random.default_rng(seed + 1),
-    )
+    return attack_context(assignment, byzantine, honest, seed=seed + 1)
 
 
 # --------------------------------------------------------------------------- #
@@ -76,11 +69,7 @@ def test_sign_flip_opposes_mean_sign(mols_assignment):
 
 def test_sign_flip_zero_mean_coordinate_pushes_negative(mols_assignment):
     honest = np.zeros((mols_assignment.num_files, DIM))
-    context = AttackContext(
-        assignment=mols_assignment,
-        byzantine_workers=(0,),
-        honest_matrix=honest,
-    )
+    context = attack_context(mols_assignment, (0,), honest)
     assert np.all(SignFlipAttack().payload(context) == -1.0)
 
 
@@ -239,11 +228,7 @@ def test_min_sum_respects_total_bound(mols_assignment):
 
 def test_min_max_zero_mean_unit_direction(mols_assignment):
     honest = np.zeros((mols_assignment.num_files, DIM))
-    context = AttackContext(
-        assignment=mols_assignment,
-        byzantine_workers=(0,),
-        honest_matrix=honest,
-    )
+    context = attack_context(mols_assignment, (0,), honest)
     # must not divide by zero
     assert np.all(np.isfinite(MinMaxAttack(direction="unit").payload(context)))
 
@@ -291,67 +276,13 @@ def test_row_chunked_coefficients_keep_the_payload(attack, dtype, ramanujan_case
             honest = rng.standard_normal((assignment.num_files, d)) * scales
             honest += rng.standard_normal(d)  # a shared mean, as gradients have
             byzantine = rng.choice(assignment.num_workers, size=int(rng.integers(1, 8)))
-            context = AttackContext(
-                assignment=assignment,
-                byzantine_workers=tuple(sorted(set(byzantine.tolist()))),
-                honest_matrix=honest.astype(dtype),
-            )
+            context = attack_context(assignment, sorted(set(byzantine)), honest.astype(dtype))
             chunked = attack.payload(context)
             with monkeypatch.context() as patch:
                 patch.setattr(adaptive, "_distance_coefficients", _unchunked_coefficients)
                 whole = attack.payload(context)
             assert chunked.dtype == whole.dtype
             assert np.array_equal(chunked, whole), (d, context.byzantine_workers)
-
-
-# --------------------------------------------------------------------------- #
-# apply_tensor vs a per-(worker, file) scatter of the payload — every new family
-# --------------------------------------------------------------------------- #
-NEW_FAMILIES = [
-    ("inner_product", {}),
-    ("sign_flip", {}),
-    ("fang", {"defense": "median"}),
-    ("fang", {"defense": "trimmed_mean"}),
-    ("fang", {"defense": "mean"}),
-    ("fang", {"defense": "krum"}),
-    ("min_max", {"direction": "unit"}),
-    ("min_max", {"direction": "sign"}),
-    ("min_sum", {"direction": "std"}),
-]
-
-
-@pytest.mark.parametrize("name,params", NEW_FAMILIES)
-def test_dict_adapter_matches_apply_tensor(mols_assignment, name, params):
-    """The mask-driven vectorized write equals a ``{(worker, file): payload}``
-    dict scattered edge by edge into a plain cube (the test's own adapter)."""
-    byzantine = (0, 3, 7, 11)
-    honest = np.random.default_rng(13).standard_normal(
-        (mols_assignment.num_files, DIM)
-    )
-
-    def context():
-        return AttackContext(
-            assignment=mols_assignment,
-            byzantine_workers=byzantine,
-            honest_matrix=honest,
-            iteration=1,
-            rng=np.random.default_rng(21),
-        )
-
-    tensor_path = VoteTensor.from_honest(mols_assignment, honest)
-    dict_path = np.repeat(honest[:, None, :], mols_assignment.replication, axis=1)
-    tensor_path.mark_byzantine(byzantine)
-    create_attack(name, **params).apply_tensor(context(), tensor_path)
-    payload = create_attack(name, **params).payload(context())
-    crafted = {
-        (worker, file): payload
-        for worker in byzantine
-        for file in mols_assignment.files_of_worker(worker)
-    }
-    for (worker, file), vector in crafted.items():
-        dict_path[file, mols_assignment.workers_of_file(file).index(worker)] = vector
-    assert tensor_path.num_override_rows == 1  # one colluding vector, stored once
-    assert np.array_equal(cube_of(tensor_path), dict_path)
 
 
 # --------------------------------------------------------------------------- #

@@ -16,6 +16,9 @@ from repro.core.vote_tensor import RowSelection
 from repro.exceptions import AggregationError
 from repro.utils.arrays import pairwise_squared_distances
 
+from reference_round import bulyan_trim
+from reference_round import clamped as clamp
+
 
 def clustered_votes(num_honest=10, num_byzantine=2, dim=6, offset=50.0, seed=0):
     rng = np.random.default_rng(seed)
@@ -147,17 +150,12 @@ def test_krum_identical_votes():
 # -- the rewritten kernel against the one it replaced ---------------------------
 
 
-def _clamped(matrix):
-    """What ``Aggregator.__call__`` hands ``_aggregate`` for non-finite input."""
-    return np.nan_to_num(matrix, nan=0.0, posinf=1e30, neginf=-1e30)
-
-
 def _reference_bulyan(matrix, q, block_size=None):
     """Bulyan as it stood before the distances were shared and the trimming
-    moved to contiguous lanes, kept verbatim: theta Krum scorings of the
-    gathered sub-matrix (its distances ``block_size`` wide), then
-    ``np.median`` / ``argsort`` / ``take_along_axis`` down axis 0 and one
-    mean.  Returns the aggregate and the selected row indices."""
+    moved to contiguous lanes: theta Krum scorings of the gathered
+    sub-matrix (its distances ``block_size`` wide), then the reference
+    round's trim (``np.median`` / ``argsort`` / ``take_along_axis`` down axis
+    0 and one mean).  Returns the aggregate and the selected row indices."""
     n = matrix.shape[0]
     theta = n - 2 * q
     remaining = list(range(n))
@@ -171,17 +169,7 @@ def _reference_bulyan(matrix, q, block_size=None):
         winner_local = int(np.argmin(scores))
         winner = remaining.pop(winner_local)
         selected.append(winner)
-    return _reference_trim(matrix[selected], q), selected
-
-
-def _reference_trim(sel, q):
-    """The reference's trim of its selected rows, in the order they were picked."""
-    beta = sel.shape[0] - 2 * q
-    median = np.median(sel, axis=0)
-    deviation = np.abs(sel - median)
-    order = np.argsort(deviation, axis=0)[:beta]
-    closest = np.take_along_axis(sel, order, axis=0)
-    return closest.mean(axis=0)
+    return bulyan_trim(matrix[selected], q), selected
 
 
 REFERENCE_DIMS = [1, 2, 5, 63, 130, 5000]
@@ -240,7 +228,7 @@ def test_bulyan_is_bit_identical_to_the_kernel_it_replaced(q, dtype, monkeypatch
             matrix = _reference_case(rng, q, n, d, dtype, kind)
             if kind == "view":
                 assert not matrix.flags.c_contiguous
-            clamped = _clamped(matrix)
+            clamped = clamp(matrix)
             distinct = len(np.unique(clamped, axis=0)) == n
             expected, _ = _reference_bulyan(clamped, q)
             # width 1 on a 5000-wide matrix is 5000 blocks per Krum call
@@ -314,7 +302,7 @@ def test_bulyan_streams_a_selection_to_the_reference_bits(q, dtype, monkeypatch)
         for n in (4 * q + 3, 4 * q + 8):
             for d in SELECTION_DIMS:
                 selection = _patched_selection(rng, q, n, d, dtype, abstained)
-                clamped = _clamped(selection.densified())
+                clamped = clamp(selection.densified())
                 expected, _ = _reference_bulyan(clamped, q)
                 for block_size in REFERENCE_BLOCKS if d < 5000 else [None, 64]:
                     where = (n, d, abstained, block_size)
@@ -325,7 +313,7 @@ def test_bulyan_streams_a_selection_to_the_reference_bits(q, dtype, monkeypatch)
                         assert np.array_equal(result, aggregator(clamped)), where
                         width = bulyan_module._LANE_BLOCK
                         chosen = bulyan_selection(selection, q, block_size=width)
-                        trimmed = _reference_trim(clamped[chosen], q)
+                        trimmed = bulyan_trim(clamped[chosen], q)
                         assert np.array_equal(result, trimmed), where
                         continue
                     assert np.array_equal(result, expected), where
@@ -382,7 +370,7 @@ def test_non_finite_rows_are_never_selected_while_they_number_at_most_q(dtype, m
         honest = np.delete(votes, bad, axis=0)
         results = [KrumAggregator(q)(votes), MultiKrumAggregator(q)(votes)]
         for block_size in (None, 16):
-            selection = bulyan_selection(_clamped(votes), q, block_size=block_size)
+            selection = bulyan_selection(clamp(votes), q, block_size=block_size)
             assert not set(selection) & set(bad.tolist())
             results.append(_bulyan_at(monkeypatch, block_size, q)(votes))
         for result in results:

@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from repro.attacks.alie import ALIEAttack, alie_z_max
-from repro.attacks.base import Attack, AttackContext
+from repro.attacks.base import Attack
 from repro.attacks.constant import ConstantAttack
 from repro.attacks.noise import GaussianNoiseAttack, UniformRandomAttack
 from repro.attacks.reversed_gradient import ReversedGradientAttack
 from repro.core.vote_tensor import VoteTensor
 from repro.exceptions import AttackError, ConfigurationError
 
+from cow_helpers import attack_context
 
 DIM = 6
 
@@ -18,13 +19,7 @@ DIM = 6
 def make_context(assignment, byzantine, seed=0, gradient_scale=1.0):
     rng = np.random.default_rng(seed)
     honest = gradient_scale * rng.standard_normal((assignment.num_files, DIM))
-    return AttackContext(
-        assignment=assignment,
-        byzantine_workers=tuple(byzantine),
-        honest_matrix=honest,
-        iteration=0,
-        rng=np.random.default_rng(seed + 1),
-    )
+    return attack_context(assignment, byzantine, honest, seed=seed + 1)
 
 
 def attacked(attack, context):

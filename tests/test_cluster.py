@@ -1,7 +1,8 @@
 """Tests for the round's stages: worker pool, PS, cluster round, timing.
 
 Every stage is built the one way, by the ``DistributedTrainer`` constructor;
-these tests drive the stage its trainer owns.
+these tests drive the stage its trainer owns.  What each stage computes is
+compared with the reference round on every golden (``test_reference_round.py``).
 """
 
 import tracemalloc
@@ -106,36 +107,9 @@ def test_worker_pool_honest_returns_structure(mols_assignment):
     assert np.array_equal(cube_of(tensor), np.repeat(honest[:, None, :], 3, axis=1))
 
 
-def test_worker_pool_shared_vs_recomputed_identical(mols_assignment):
-    """The pool computes each file once and shares it; every worker
-    recomputing its own copy with the oracle returns the same bits."""
-    pool = build_cluster(mols_assignment).worker_pool
-    data = make_file_data(25)
-    tensor, _, _ = pool.honest_returns_tensor(np.ones(DIM), data)
-    for i in range(25):
-        for slot, worker in enumerate(mols_assignment.workers_of_file(i)):
-            recomputed, _ = quadratic_gradient_fn(np.ones(DIM), *data.file(i))
-            assert tensor.workers[i, slot] == worker
-            assert np.array_equal(tensor.read_slots([i], [slot])[0], recomputed)
-
-
 # --------------------------------------------------------------------------- #
 # ParameterServer
 # --------------------------------------------------------------------------- #
-def test_parameter_server_update(mols_assignment):
-    pipeline = AggregationPipeline(mols_assignment, aggregator=CoordinateWiseMedian())
-    trainer = build_trainer(mols_assignment, pipeline=pipeline)
-    server = trainer.server
-    tensor, honest, _ = trainer.cluster.worker_pool.honest_returns_tensor(
-        server.broadcast(), make_file_data(25)
-    )
-    gradient = server.update_tensor(tensor).aggregate
-    expected = np.median(honest, axis=0)
-    assert np.allclose(gradient, expected)
-    assert np.allclose(server.params, -0.5 * expected)
-    assert server.optimizer.iteration == 1
-
-
 def test_broadcast_is_a_read_only_view_that_outlives_the_step(mols_assignment):
     """``broadcast()`` allocates no parameter vector: it is a read-only view
     of ``w_t``, and the step that follows replaces ``w_t`` instead of
@@ -190,25 +164,6 @@ def test_cluster_round_without_attack(mols_assignment):
     assert np.isfinite(result.mean_file_loss)
 
 
-def test_cluster_round_with_attack_marks_byzantine_messages(mols_assignment):
-    cluster = build_cluster(
-        mols_assignment, attack=ConstantAttack(value=-9.0), selector=FixedSelector([0, 5])
-    )
-    result = cluster.run_round_tensor(np.zeros(DIM), make_file_data(25), iteration=0)
-    assert result.byzantine_workers == (0, 5)
-    # Workers 0 and 5 share exactly file 0: its majority flips.
-    assert result.distorted_files == (0,)
-    assert result.distortion_fraction == pytest.approx(1 / 25)
-    tensor = result.vote_tensor
-    assert np.array_equal(tensor.byzantine_mask, np.isin(tensor.workers, [0, 5]))
-    files, slots = np.nonzero(tensor.byzantine_mask)
-    assert files.size == 10  # 2 workers x 5 files each
-    assert np.all(tensor.read_slots(files, slots) == -9.0)
-    # every other message still carries the honest gradient
-    files, slots = np.nonzero(~tensor.byzantine_mask)
-    assert np.array_equal(tensor.read_slots(files, slots), result.honest_matrix[files])
-
-
 def test_cluster_round_omniscient_matches_worst_case(mols_assignment):
     cluster = build_cluster(
         mols_assignment,
@@ -218,18 +173,6 @@ def test_cluster_round_omniscient_matches_worst_case(mols_assignment):
     result = cluster.run_round_tensor(np.ones(DIM), make_file_data(25), iteration=0)
     assert len(result.distorted_files) == 3  # c_max for q=3 on this graph
     assert result.distortion_fraction == pytest.approx(0.12)
-
-
-def test_cluster_round_deterministic_given_seed(mols_assignment):
-    def build():
-        return build_cluster(
-            mols_assignment, attack=ConstantAttack(), selector=FixedSelector([0]), seed=11
-        )
-
-    data = make_file_data(25)
-    a = build().run_round_tensor(np.zeros(DIM), data, iteration=2)
-    b = build().run_round_tensor(np.zeros(DIM), data, iteration=2)
-    assert np.array_equal(cube_of(a.vote_tensor), cube_of(b.vote_tensor))
 
 
 def test_cluster_requires_attack_and_selector_together(mols_assignment):

@@ -2,12 +2,13 @@
 
 :meth:`VoteTensor.from_honest` builds the round as one shared ``(f, d)``
 base plus per-(file, slot) payload rows instead of the ``(f, r, d)`` cube.
-These tests pin the contract that makes that safe: for every pipeline,
-registered attack and fault injector, the tensor reads **bit-identically**
-to a plain numpy cube put through the same writes, its aggregate does not
-depend on how the cube is stored, the ``q = 0`` fast path never copies
-a single replica, and a stored payload row is never written again (the
-store is read-only outside the slot API).
+These tests pin the contract that makes that safe at the slot API: the
+tensor reads **bit-identically** to a plain numpy cube put through the same
+writes, its aggregate does not depend on how the cube is stored, the
+``q = 0`` fast path never copies a single replica, and a stored payload row
+is never written again (the store is read-only outside the slot API).  Whole
+rounds — every attack and fault injector of the catalog on a cube built by
+copying — are the reference round's (``test_reference_round.py``).
 """
 
 import tracemalloc
@@ -23,18 +24,12 @@ from repro.assignment.baseline import BaselineAssignment
 from repro.assignment.frc import FRCAssignment
 from repro.assignment.mols import MOLSAssignment
 from repro.assignment.ramanujan import RamanujanAssignment
-from repro.attacks.base import AttackContext
 from repro.attacks.registry import available_attacks, create_attack
-from repro.cluster.faults import (
-    DropoutInjector,
-    FaultContext,
-    MessageCorruptionInjector,
-    StragglerInjector,
-)
 from repro.core.pipelines import AggregationPipeline
 from repro.core.vote_tensor import VoteTensor
 
-from cow_helpers import LAYOUTS, cube_of, tensor_of
+from cow_helpers import LAYOUTS, attack_context, cube_of, tensor_of
+from reference_round import byzantine_rows
 from reference_vote import reference_vote
 
 DIM = 7
@@ -62,42 +57,18 @@ def pipeline_for(case):
     return AggregationPipeline(SCHEMES[scheme](), rule())
 
 
-def honest_matrix_for(assignment, seed=0):
-    rng = np.random.default_rng(seed)
-    return rng.standard_normal((assignment.num_files, DIM))
-
-
 def make_pair(assignment, seed=0):
     """A tensor of an honest round and the plain ``(f, r, d)`` cube it stands for."""
-    matrix = honest_matrix_for(assignment, seed)
+    rng = np.random.default_rng(seed)
+    matrix = rng.standard_normal((assignment.num_files, DIM))
     tensor = VoteTensor.from_honest(assignment, matrix)
     cube = np.repeat(matrix[:, None, :], tensor.replication, axis=1)
     return tensor, cube, matrix
 
 
-def make_context(assignment, matrix, byzantine, seed=0):
-    return AttackContext(
-        assignment=assignment,
-        byzantine_workers=tuple(byzantine),
-        honest_matrix=matrix,
-        iteration=1,
-        rng=np.random.default_rng(seed),
-    )
-
-
 def assert_reads_as(tensor, cube):
     """The tensor's slots are the cube's, bit for bit."""
     assert cube_of(tensor).tobytes() == cube.tobytes()
-
-
-def assert_layout_free(tensor, pipeline):
-    """The pipeline aggregates the tensor exactly as the same cube stored the
-    other way — slot 0 as the base, every other differing slot its own row."""
-    rebuilt = tensor_of(cube_of(tensor), pipeline.assignment)
-    assert np.array_equal(
-        pipeline.aggregate_tensor(tensor).aggregate,
-        pipeline.aggregate_tensor(rebuilt).aggregate,
-    )
 
 
 # --------------------------------------------------------------------------- #
@@ -112,7 +83,9 @@ def test_q0_round_never_materializes(case):
     assert outcome.winners.files.size == 0
     assert np.shares_memory(outcome.winners.base, matrix)
     assert lazy.num_overridden_slots == lazy.num_override_rows == 0
-    assert_layout_free(lazy, pipeline)
+    # the same cube stored the other way (slot 0 as the base) aggregates alike
+    rebuilt = tensor_of(cube_of(lazy), pipeline.assignment)
+    assert np.array_equal(outcome.aggregate, pipeline.aggregate_tensor(rebuilt).aggregate)
     assert_reads_as(lazy, cube)
 
 
@@ -120,130 +93,14 @@ def test_q0_attack_application_stays_lazy(mols_assignment):
     lazy, _, matrix = make_pair(mols_assignment)
     for name in available_attacks():
         attack = create_attack(name)
-        context = make_context(mols_assignment, matrix, byzantine=())
+        context = attack_context(mols_assignment, (), matrix, 1)
         attack.apply_tensor(context, lazy)
     assert lazy.num_overridden_slots == lazy.num_override_rows == 0
 
 
 # --------------------------------------------------------------------------- #
-# COW vs materialized: every registered attack, every scheme
+# Vectorized noise attacks vs the reference round's per-slot writer
 # --------------------------------------------------------------------------- #
-@pytest.mark.parametrize("case", sorted(PIPELINES))
-@pytest.mark.parametrize("attack_name", available_attacks())
-def test_cow_matches_materialized_under_attack(case, attack_name):
-    pipeline = pipeline_for(case)
-    assignment = pipeline.assignment
-    lazy, cube, matrix = make_pair(assignment, seed=3)
-    byzantine = (0, min(5, assignment.num_workers - 1))
-    lazy.mark_byzantine(byzantine)
-    create_attack(attack_name).apply_tensor(
-        make_context(assignment, matrix, byzantine, seed=11), lazy
-    )
-    # the attack wrote the Byzantine slots and nothing else
-    written = cube_of(lazy)
-    honest = ~lazy.byzantine_mask
-    assert written[honest].tobytes() == cube[honest].tobytes()
-    assert lazy.num_overridden_slots == int(lazy.byzantine_mask.sum())
-    assert_layout_free(lazy, pipeline)
-
-
-# --------------------------------------------------------------------------- #
-# COW vs materialized: fault injectors
-# --------------------------------------------------------------------------- #
-INJECTORS = {
-    "straggler_timeout": lambda: StragglerInjector(
-        count=4, delay_model="exponential", delay=2.0, timeout=1.0
-    ),
-    "dropout": lambda: DropoutInjector(probability=0.4, down_for=2),
-    "corruption_zero": lambda: MessageCorruptionInjector(probability=0.3, mode="zero"),
-    "corruption_scale": lambda: MessageCorruptionInjector(
-        probability=0.3, mode="scale", factor=5.0
-    ),
-    "corruption_noise": lambda: MessageCorruptionInjector(
-        probability=0.3, mode="noise", factor=2.0
-    ),
-}
-
-
-def apply_events(cube, workers, injector, events, seed):
-    """The numpy model of one injection: ``events`` applied to a plain cube.
-
-    Only corruption writes: a corrupted message is zeroed, scaled, or gets
-    the noise rows the injector drew after its hit mask (replayed from
-    ``seed``).  A dropped worker's slots keep their payload; its copies
-    never arrive, which is the event engine's business."""
-    cube = cube.copy()
-    corrupted = [
-        (event.file, int(np.searchsorted(workers[event.file], event.worker)))
-        for event in events
-        if event.kind == "corruption"
-    ]
-    if corrupted:
-        files, slots = np.array(corrupted).T
-        if injector.mode == "zero":
-            cube[files, slots] = 0.0
-        elif injector.mode == "scale":
-            cube[files, slots] *= injector.factor
-        else:
-            rng = np.random.default_rng(seed)
-            rng.random(workers.shape)
-            cube[files, slots] += rng.standard_normal((files.size, cube.shape[2])) * injector.factor
-    return cube
-
-
-def inject(tensor, cube, assignment, injector_name, seed, iteration=2):
-    """Run one injector on the tensor; return the cube model after it."""
-    injector = INJECTORS[injector_name]()
-    context = FaultContext(
-        assignment=assignment, iteration=iteration, rng=np.random.default_rng(seed)
-    )
-    events = injector.inject(tensor, context)
-    return apply_events(cube, tensor.workers, injector, events, seed), events
-
-
-@pytest.mark.parametrize("injector_name", sorted(INJECTORS))
-def test_cow_matches_materialized_under_faults(mols_assignment, injector_name):
-    lazy, cube, _ = make_pair(mols_assignment, seed=5)
-    cube, events = inject(lazy, cube, mols_assignment, injector_name, seed=7)
-    assert events
-    assert_reads_as(lazy, cube)
-
-
-def test_cow_matches_materialized_attack_then_faults(mols_assignment):
-    """The full hot-path sequence: attack writes, then every injector."""
-    lazy, _, matrix = make_pair(mols_assignment, seed=9)
-    byzantine = (1, 4, 8)
-    lazy.mark_byzantine(byzantine)
-    create_attack("gaussian_noise", sigma=3.0).apply_tensor(
-        context=make_context(mols_assignment, matrix, byzantine, seed=13), tensor=lazy
-    )
-    cube = cube_of(lazy)
-    for injector_name in sorted(INJECTORS):
-        cube, _ = inject(lazy, cube, mols_assignment, injector_name, seed=17, iteration=0)
-    assert_reads_as(lazy, cube)
-    assert_layout_free(lazy, AggregationPipeline(mols_assignment))
-
-
-# --------------------------------------------------------------------------- #
-# Vectorized noise attacks vs a per-slot scalar writer
-# --------------------------------------------------------------------------- #
-def scalar_adapter(attack, context, cube):
-    """Per-slot reference writer: one ``(d,)`` draw and one cube write per
-    (worker, file), workers in context order, files in assignment order."""
-    for worker in context.byzantine_workers:
-        for file in context.assignment.files_of_worker(worker):
-            if attack.attack_name == "uniform_random":
-                vector = context.rng.uniform(
-                    -attack.magnitude, attack.magnitude, size=cube.shape[2]
-                )
-            else:
-                vector = context.rng.standard_normal(cube.shape[2]) * attack.sigma
-                if attack.around_true_gradient:
-                    vector = vector + context.honest_matrix[file]
-            slot = context.assignment.workers_of_file(file).index(worker)
-            cube[file, slot] = vector
-
-
 @pytest.mark.parametrize(
     "attack_factory",
     [
@@ -254,19 +111,23 @@ def scalar_adapter(attack, context, cube):
     ids=["gaussian", "gaussian_around_true", "uniform"],
 )
 @pytest.mark.parametrize("scheme", sorted(SCHEMES))
-def test_vectorized_noise_attacks_match_adapter(scheme, attack_factory):
-    """One stacked (m, d) draw must consume the RNG stream exactly as the
-    scalar adapter's m successive (d,) draws do — bit-identical payloads."""
+def test_vectorized_noise_attacks_match_the_reference(scheme, attack_factory):
+    """The tensor's per-slot payloads are the reference round's: one row per
+    (worker, file), workers in context order (not sorted), files in
+    assignment order, and the round's stream is left where the reference
+    leaves it."""
     assignment = SCHEMES[scheme]()
-    byzantine = (0, 2, min(6, assignment.num_workers - 1))
+    byzantine = (min(6, assignment.num_workers - 1), 0, 2)
     lazy, cube, matrix = make_pair(assignment, seed=21)
     attack = attack_factory()
     lazy.mark_byzantine(byzantine)
-    # vectorized write on the tensor
-    attack.apply_tensor(make_context(assignment, matrix, byzantine, seed=23), lazy)
-    # per-slot scalar draws on the plain cube
-    scalar_adapter(attack, make_context(assignment, matrix, byzantine, seed=23), cube)
+    engine = attack_context(assignment, byzantine, matrix, 1, seed=23)
+    attack.apply_tensor(engine, lazy)
+    reference = attack_context(assignment, byzantine, matrix, 1, seed=23)
+    for (i, k), row in byzantine_rows(attack, reference, lazy.workers, matrix, DIM).items():
+        cube[i, k] = row
     assert_reads_as(lazy, cube)
+    assert engine.rng.random() == reference.rng.random()
 
 
 # --------------------------------------------------------------------------- #
@@ -346,12 +207,58 @@ def test_float32_round_stays_float32_through_cow(mols_assignment):
     assert cube_of(lazy).dtype == np.float32
 
 
+def test_kernel_matches_reference_on_random_tensors():
+    rng = np.random.default_rng(42)
+    for trial in range(150):
+        f, r, d = rng.integers(1, 7), rng.integers(1, 7), rng.integers(1, 9)
+        values = rng.integers(-2, 3, (f, r, d)).astype(np.float64)
+        if trial % 2 == 0:  # plant replicated-copy structure
+            values[:, 1:] = values[:, :1]
+            for _ in range(rng.integers(0, 5)):
+                i, a, b = rng.integers(f), rng.integers(r), rng.integers(r)
+                values[i, a] = values[i, b] + rng.integers(0, 2)
+        selection, counts, _, _ = majority_vote_votetensor(tensor_of(values))
+        ref_w, ref_c = reference_vote(values)
+        assert np.array_equal(selection.densified(), ref_w), trial
+        assert counts.tolist() == ref_c.tolist(), trial
+
+
+def test_kernel_survives_hash_collisions(monkeypatch):
+    """Degenerate hash weights force every slot into one hash bucket; the
+    verification step must detect it and fall back without changing results."""
+    d = 5
+    monkeypatch.setattr(majority_module, "_HASH_WEIGHTS", np.zeros(d, dtype=np.uint64))
+    rng = np.random.default_rng(3)
+    for _ in range(60):
+        f, r = rng.integers(1, 6), rng.integers(2, 7)
+        values = rng.integers(-1, 2, (f, r, d)).astype(np.float64)
+        selection, counts, _, _ = majority_vote_votetensor(tensor_of(values))
+        ref_w, ref_c = reference_vote(values)
+        assert np.array_equal(selection.densified(), ref_w)
+        assert counts.tolist() == ref_c.tolist()
+
+
+def test_kernel_byte_equality_semantics():
+    """NaN payloads with equal bits count as equal; -0.0 and +0.0 do not."""
+    values = np.zeros((1, 3, 2))
+    values[0, 0] = np.nan
+    values[0, 1] = np.nan
+    values[0, 2] = 1.0
+    winners, counts, _, _ = majority_vote_votetensor(tensor_of(values))
+    assert counts[0] == 2 and np.isnan(winners.densified()[0]).all()
+
+    values = np.zeros((1, 3, 1))
+    values[0, 0] = -0.0
+    values[0, 1] = 0.0
+    values[0, 2] = -0.0
+    winners, counts, _, _ = majority_vote_votetensor(tensor_of(values))
+    assert counts[0] == 2 and np.signbit(winners.densified()[0, 0])
+
+
 def test_lazy_majority_survives_hash_collisions(monkeypatch, mols_assignment):
     """Degenerate hash weights throw every override into one bucket; the
     collision fallback must still match the reference vote bit-for-bit."""
-    monkeypatch.setitem(
-        majority_module._HASH_WEIGHTS, DIM, np.zeros(DIM, dtype=np.uint64)
-    )
+    monkeypatch.setattr(majority_module, "_HASH_WEIGHTS", np.zeros(DIM, dtype=np.uint64))
     f = mols_assignment.num_files
     rng = np.random.default_rng(11)
     for _ in range(40):
@@ -584,7 +491,7 @@ def test_forced_hash_collision_with_shared_and_distinct_rows(
 ):
     """All hashes equal: rows sharing storage, distinct rows with equal bytes
     and distinct rows with different bytes must still be classed exactly."""
-    monkeypatch.setitem(majority_module._HASH_WEIGHTS, DIM, np.zeros(DIM, dtype=np.uint64))
+    monkeypatch.setattr(majority_module, "_HASH_WEIGHTS", np.zeros(DIM, dtype=np.uint64))
     lazy, _, _ = make_pair(mols_assignment, seed=13)
     a, b = np.full(DIM, 1.5), np.full(DIM, -2.5)
     lazy.write_slots([0, 0, 1], [0, 1, 0], a)  # one shared row, colliding slots share it

@@ -25,7 +25,6 @@ from repro.aggregation.median import CoordinateWiseMedian
 from repro.aggregation.trimmed_mean import TrimmedMeanAggregator
 from repro.assignment.mols import MOLSAssignment
 from repro.attacks.alie import ALIEAttack
-from repro.attacks.base import AttackContext
 from repro.attacks.constant import ConstantAttack
 from repro.attacks.noise import GaussianNoiseAttack, UniformRandomAttack
 from repro.attacks.reversed_gradient import ReversedGradientAttack
@@ -33,6 +32,8 @@ from repro.attacks.selection import OmniscientSelector
 from repro.core.pipelines import AggregationPipeline
 from repro.core.vote_tensor import VoteTensor
 from repro.utils.rng import as_generator
+
+from cow_helpers import attack_context
 
 DIM = 12
 ASSIGNMENT = MOLSAssignment(load=5, replication=3).assignment
@@ -67,14 +68,7 @@ def attacked_votes(attack, q: int, seed: int = 0):
     byzantine = selector.select(ASSIGNMENT, 0, rng)
     tensor = VoteTensor.from_honest(ASSIGNMENT, honest)
     tensor.mark_byzantine(byzantine)
-    context = AttackContext(
-        assignment=ASSIGNMENT,
-        byzantine_workers=byzantine,
-        honest_matrix=honest,
-        iteration=0,
-        rng=rng,
-    )
-    attack.apply_tensor(context, tensor)
+    attack.apply_tensor(attack_context(ASSIGNMENT, byzantine, honest, seed=rng), tensor)
     return tensor, honest
 
 

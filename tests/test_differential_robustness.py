@@ -16,14 +16,14 @@ whether the tensor already carries overrides from earlier writers.
 import numpy as np
 import pytest
 
-from repro.attacks.base import AttackContext, byzantine_write_order
+from repro.attacks.base import byzantine_write_order
 from repro.attacks.registry import available_attacks, create_attack
 from repro.attacks.schedules import ScheduledSelector
 from repro.core.vote_tensor import VoteTensor
 from repro.scenarios.spec import ScheduleSpec
 from repro.utils.rng import derive_seed
 
-from cow_helpers import cube_of
+from cow_helpers import attack_context, cube_of
 
 DIM = 8
 ROUNDS = 4
@@ -56,16 +56,6 @@ def honest_matrix(assignment, seed=17):
     return rng.standard_normal((assignment.num_files, DIM))
 
 
-def make_context(assignment, byzantine, honest, iteration=0, rng_seed=0):
-    return AttackContext(
-        assignment=assignment,
-        byzantine_workers=tuple(int(w) for w in byzantine),
-        honest_matrix=honest,
-        iteration=iteration,
-        rng=np.random.default_rng(rng_seed),
-    )
-
-
 @pytest.mark.parametrize("attack_name", available_attacks())
 @pytest.mark.parametrize(
     "selection,schedule",
@@ -87,7 +77,7 @@ def test_honest_cells_survive_every_attack(
         lazy = VoteTensor.from_honest(assignment, honest)
         lazy.mark_byzantine(byzantine)
         create_attack(attack_name).apply_tensor(
-            make_context(assignment, byzantine, honest, iteration, round_seed), lazy
+            attack_context(assignment, byzantine, honest, iteration, round_seed), lazy
         )
         mask = lazy.byzantine_mask
         # Honest cells: bit-identical to the no-attack replication.
@@ -105,7 +95,7 @@ def test_schedule_q_zero_rounds_write_nothing(mols_assignment, attack_name):
     honest = honest_matrix(mols_assignment)
     tensor = VoteTensor.from_honest(mols_assignment, honest)
     create_attack(attack_name).apply_tensor(
-        make_context(mols_assignment, (), honest), tensor
+        attack_context(mols_assignment, (), honest), tensor
     )
     assert tensor.num_overridden_slots == tensor.num_override_rows == 0
 
@@ -126,42 +116,12 @@ def test_stochastic_draws_independent_of_byzantine_layout(
     for byzantine in ((0, 1, 2), (4, 7, 11)):
         tensor = VoteTensor.from_honest(mols_assignment, honest)
         tensor.mark_byzantine(byzantine)
-        context = make_context(mols_assignment, byzantine, honest, rng_seed=99)
+        context = attack_context(mols_assignment, byzantine, honest, seed=99)
         create_attack(attack_name).apply_tensor(context, tensor)
         files, slots = byzantine_write_order(context, tensor)
         payloads.append(tensor.read_slots(files, slots))
     assert payloads[0].shape == payloads[1].shape
     assert np.array_equal(payloads[0], payloads[1])
-
-
-@pytest.mark.parametrize("attack_name", STOCHASTIC)
-def test_stochastic_stream_consumption_matches_dict_path(
-    mols_assignment, attack_name
-):
-    # The reference is one scalar (d,) draw per (worker, file) key: the
-    # stacked (m, d) draw must hand slot j of byzantine_write_order (worker,
-    # then file) the j-th successive draw of the round's stream, and leave
-    # the generator right after the m-th.
-    honest = honest_matrix(mols_assignment)
-    byzantine = (9, 0, 5)  # context order, not sorted order
-    tensor = VoteTensor.from_honest(mols_assignment, honest)
-    tensor.mark_byzantine(byzantine)
-    context = make_context(mols_assignment, byzantine, honest, rng_seed=7)
-    attack = create_attack(attack_name)
-    attack.apply_tensor(context, tensor)
-    scalar = np.random.default_rng(7)
-    for worker in byzantine:
-        for file in mols_assignment.files_of_worker(worker):
-            if attack_name == "gaussian_noise":
-                expected = scalar.standard_normal(DIM) * attack.sigma
-            else:
-                expected = scalar.uniform(-attack.magnitude, attack.magnitude, size=DIM)
-            slot = mols_assignment.workers_of_file(file).index(worker)
-            got = tensor.read_slots([file], [slot])[0]
-            assert np.array_equal(got, expected), (worker, file)
-    assert np.array_equal(
-        context.rng.standard_normal(4), scalar.standard_normal(4)
-    )
 
 
 @pytest.mark.parametrize("attack_name", DETERMINISTIC)
@@ -170,7 +130,7 @@ def test_deterministic_attacks_never_touch_rng(mols_assignment, attack_name):
     byzantine = (0, 5, 9)
     tensor = VoteTensor.from_honest(mols_assignment, honest)
     tensor.mark_byzantine(byzantine)
-    context = make_context(mols_assignment, byzantine, honest, rng_seed=31)
+    context = attack_context(mols_assignment, byzantine, honest, seed=31)
     create_attack(attack_name).apply_tensor(context, tensor)
     untouched = np.random.default_rng(31)
     assert np.array_equal(
@@ -196,9 +156,9 @@ def test_payloads_unaffected_by_preexisting_overrides(
     fresh.mark_byzantine(byzantine)
     touched.mark_byzantine(byzantine)
     create_attack(attack_name).apply_tensor(
-        make_context(mols_assignment, byzantine, honest, rng_seed=5), fresh
+        attack_context(mols_assignment, byzantine, honest, seed=5), fresh
     )
     create_attack(attack_name).apply_tensor(
-        make_context(mols_assignment, byzantine, honest, rng_seed=5), touched
+        attack_context(mols_assignment, byzantine, honest, seed=5), touched
     )
     assert np.array_equal(cube_of(fresh), cube_of(touched))

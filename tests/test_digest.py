@@ -1,24 +1,23 @@
 """``array_digest`` against dense oracles.
 
 A plain array's digest is *defined* over ``repr(shape)``, a dtype tag
-unless it is float64, and the C-order bytes of its own float width.  Two
-oracles state it: for float64 and everything hashed as float64 (ints,
-bools, lists, big-endian floats), the five lines that computed every digest
-in trace format v2 — copy to float64, copy to ``bytes``, hash — kept
-verbatim; for float32, the same lines over the native float32 bytes with
-the tag (trace format v3).  The shipped version must agree with them bit
-for bit on every kind of input while never building those copies.
+unless it is float64, and the C-order bytes of its own float width.  The
+oracle, ``plain_digest`` in ``reference_round.py``, states it as the lines
+that computed every digest in trace format v2 — copy to float64 (float32
+to native float32 with the v3 tag), copy to ``bytes``, hash.  The shipped
+version must agree with it bit for bit on every kind of input while never
+building those copies.
 
 A round's vote tensor and winners digest from the vote's content ids.
-Their oracle is a reference encoder written from the definition: build the
-``(f, r, d)`` cube, class its rows by ``tobytes()`` against each file's
-honest base row and against each other, and hash header, shape, tag, ids,
-base rows and the distinct rows in the cube's own width.  The shipped
+Their oracle is the reference round's encoder (``reference_round.py``),
+written from the definition: build the ``(f, r, d)`` cube, class its rows
+by ``tobytes()`` against each file's honest base row and against each
+other, and hash header, shape, tag, ids, base rows and the distinct rows in
+the cube's own width.  The shipped
 digest reads the same parts off the vote's content ids and the
 copy-on-write store, never building the cube.
 """
 
-import hashlib
 import json
 
 import numpy as np
@@ -31,7 +30,6 @@ from repro.assignment.frc import FRCAssignment
 from repro.assignment.mols import MOLSAssignment
 from repro.assignment.ramanujan import RamanujanAssignment
 from repro.aggregation.majority import majority_vote_votetensor
-from repro.attacks.base import AttackContext
 from repro.attacks.registry import available_attacks, create_attack
 from repro.cluster.faults import (
     DropoutInjector,
@@ -39,37 +37,16 @@ from repro.cluster.faults import (
     MessageCorruptionInjector,
     StragglerInjector,
 )
-from repro.aggregation.mean import MeanAggregator
-from repro.core.pipelines import AggregationPipeline
 from repro.core.vote_tensor import RowSelection, VoteTensor
 from repro.exceptions import ConfigurationError
 from repro.scenarios.golden import golden_path, replay_golden
 from repro.scenarios.trace import RunTrace, TraceMismatch
 from repro.utils.digest import array_digest
 
-from cow_helpers import LAYOUTS, cube_of, tensor_of
-from reference_vote import reference_vote
-
-
-def oracle_digest(array):
-    """``array_digest`` as it stood before it streamed (kept verbatim): the
-    v2 definition, still that of everything but float32."""
-    payload = np.ascontiguousarray(array, dtype=np.float64)
-    hasher = hashlib.sha256()
-    hasher.update(repr(payload.shape).encode())
-    hasher.update(payload.tobytes())
-    return hasher.hexdigest()[:16]
-
-
-def native_oracle_digest(array):
-    """The float32 definition: the oracle's lines over float32 bytes, with
-    the dtype tag after the shape."""
-    payload = np.ascontiguousarray(array, dtype=np.float32)
-    hasher = hashlib.sha256()
-    hasher.update(repr(payload.shape).encode())
-    hasher.update(b"float32")
-    hasher.update(payload.tobytes())
-    return hasher.hexdigest()[:16]
+from cow_helpers import LAYOUTS, attack_context, cube_of, tensor_of
+from reference_round import content_ids, plain_digest
+from reference_round import votes_digest as reference_votes_digest
+from reference_round import winners_digest as reference_winners_digest
 
 
 # --------------------------------------------------------------------------- #
@@ -119,10 +96,7 @@ PLAIN_CASES = dict(_plain_cases())
 
 @pytest.mark.parametrize("case", sorted(PLAIN_CASES))
 def test_plain_array_digest_matches_the_oracle(case):
-    array = PLAIN_CASES[case]
-    native = case.startswith("float32-")  # big-endian float32 included
-    oracle = native_oracle_digest if native else oracle_digest
-    assert array_digest(array) == oracle(array)
+    assert array_digest(PLAIN_CASES[case]) == plain_digest(PLAIN_CASES[case])
 
 
 @pytest.mark.parametrize(
@@ -145,48 +119,6 @@ def test_shape_is_part_of_the_digest():
 # --------------------------------------------------------------------------- #
 # Vote tensors and winners against the reference encoder
 # --------------------------------------------------------------------------- #
-def reference_ids(base, cube):
-    """The canonical ``(f, r)`` content ids by definition, and the row of
-    each nonzero id: ``tobytes()`` classes, 0 = bit-equal to the file's base
-    row, the other classes numbered 1, 2, ... by first appearance in C order."""
-    f, r, _ = cube.shape
-    ids = np.zeros((f, r), dtype=np.int64)
-    classes: dict[bytes, int] = {}
-    rows = []
-    for i in range(f):
-        for k in range(r):
-            key = cube[i, k].tobytes()
-            if key == base[i].tobytes():
-                continue
-            if key not in classes:
-                classes[key] = len(classes) + 1
-                rows.append(cube[i, k])
-            ids[i, k] = classes[key]
-    return ids, rows
-
-
-def reference_votes_digest(base, cube):
-    """v2 for a float64 cube; for a float32 one (v3) the dtype tag follows
-    the shape and the rows are hashed as their native float32 bytes."""
-    ids, rows = reference_ids(base, cube)
-    hasher = hashlib.sha256(b"repro trace v2 votes")
-    hasher.update(repr(cube.shape).encode())
-    if cube.dtype == np.float32:
-        hasher.update(b"float32")
-    hasher.update(ids.tobytes())
-    hasher.update(np.ascontiguousarray(base).tobytes())
-    for row in rows:
-        hasher.update(row.tobytes())
-    return hasher.hexdigest()[:16]
-
-
-def reference_winners_digest(shape, refs):
-    hasher = hashlib.sha256(b"repro trace v2 winners")
-    hasher.update(repr(tuple(shape)).encode())
-    hasher.update(np.asarray(refs, dtype=np.int64).tobytes())
-    return hasher.hexdigest()[:16]
-
-
 def votes_digest(tensor, block_size=None):
     """What the run loop records: the digest over the vote's own ids."""
     return array_digest(tensor, majority_vote_votetensor(tensor, block_size).content_ids)
@@ -264,14 +196,7 @@ def test_votes_digest_matches_the_reference_encoder_on_the_dense_cube(
     tensor = VoteTensor.from_honest(assignment, honest)
     tensor.mark_byzantine(byzantine)
     create_attack(attack_name).apply_tensor(
-        AttackContext(
-            assignment=assignment,
-            byzantine_workers=byzantine,
-            honest_matrix=honest,
-            iteration=seed % 5,
-            rng=np.random.default_rng(seed + 1),
-        ),
-        tensor,
+        attack_context(assignment, byzantine, honest, seed % 5, seed + 1), tensor
     )
     for name in injectors:
         INJECTORS[name]().inject(
@@ -289,7 +214,7 @@ def test_votes_digest_matches_the_reference_encoder_on_the_dense_cube(
     rows = tensor.num_override_rows
 
     ids = majority_vote_votetensor(tensor).content_ids
-    assert np.array_equal(ids, reference_ids(honest, cube)[0])
+    assert np.array_equal(ids, content_ids(honest, cube)[0])
     assert array_digest(tensor, ids) == reference_votes_digest(honest, cube)
     assert tensor.num_override_rows == rows  # observation wrote nothing
     assert tensor.nbytes == cube.nbytes
@@ -339,7 +264,7 @@ def test_every_layout_of_one_cube_digests_as_the_reference(case, dtype):
     for block_size in (1, 2, 4096):  # classing streams blocks; the ids do not move
         assert votes_digest(tensor, block_size) == digests["per-slot"]
     if case == "signed-zeros":
-        assert reference_ids(base, cube)[0][1].tolist() == [1, 0, 0]  # -0.0 is not +0.0
+        assert content_ids(base, cube)[0][1].tolist() == [1, 0, 0]  # -0.0 is not +0.0
 
 
 def _flip(row, rng):
@@ -356,7 +281,7 @@ def test_one_bit_or_one_moved_payload_changes_the_digest(case, dtype):
     base, cube = _case(case, dtype)
     original = votes_digest(tensor_of(cube, base=base))
     rng = np.random.default_rng(0)
-    ids = reference_ids(base, cube)[0]
+    ids = content_ids(base, cube)[0]
     seen = {original}
     for i in range(base.shape[0]):
         flipped = base.copy()
@@ -383,57 +308,6 @@ def test_one_bit_or_one_moved_payload_changes_the_digest(case, dtype):
             assert votes_digest(tensor_of(moved, base=base)) not in seen
             moves += 1
     assert moves == 2
-
-
-#: ``(pipeline, some copies missing)`` per path through which the winners leave the vote
-PATHS = {
-    "flat": (lambda: AggregationPipeline(SCHEMES["ramanujan"]), False),
-    "flat-missing": (lambda: AggregationPipeline(SCHEMES["ramanujan"], block_size=3), True),
-    "vanilla": (lambda: AggregationPipeline(SCHEMES["baseline"], MeanAggregator()), False),
-    "vanilla-missing": (lambda: AggregationPipeline(SCHEMES["baseline"], MeanAggregator()), True),
-}
-
-
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("path", sorted(PATHS))
-def test_winner_references_name_the_rows_the_reducer_saw(path, dtype):
-    """Each densified winner is the cube row its ``(file, id)`` names: the
-    file's base row (0) or the first slot holding that id; a file the
-    reference vote leaves undecided (nobody returned it, or fewer than r' of
-    its arrived copies agree) has no winner; and the winners digest is the
-    reference's."""
-    make, missing = PATHS[path]
-    pipeline = make()
-    assignment = pipeline.assignment
-    rng = np.random.default_rng(5)
-    honest = rng.standard_normal((assignment.num_files, 6)).astype(dtype)
-    tensor = VoteTensor.from_honest(assignment, honest)
-    workers = tensor.workers
-    majority = assignment.replication // 2 + 1
-    tensor.write_slots([0] * majority, range(majority), np.full(6, -2.0, dtype=dtype))
-    tensor.write_slots([1, 4], [0, 0], rng.standard_normal((2, 6)).astype(dtype))
-    tensor.zero_slots([2], [workers.shape[1] - 1])
-    arrived = None
-    if missing:
-        arrived = rng.random(workers.shape) < 0.7
-        arrived[3] = False  # nobody returned file 3 in time
-        arrived[0] = True
-    cube = cube_of(tensor)
-
-    outcome = pipeline.aggregate_tensor(tensor, arrived)
-    ids, refs = outcome.content_ids, outcome.winner_refs
-    assert np.array_equal(ids, reference_ids(honest, cube)[0])
-    winners = outcome.winners.densified()
-    assert refs.dtype == np.int64 and refs.shape == (winners.shape[0], 2)
-    for row, (file, cid) in zip(winners, refs):
-        expected = honest[file] if cid == 0 else cube[ids == cid][0]
-        assert cid in ids[file]  # one of the file's own copies
-        assert row.tobytes() == expected.tobytes()
-    assert refs[:, 0].tolist() == np.flatnonzero(reference_vote(cube, arrived)[1]).tolist()
-    if path.startswith("flat"):
-        assert (refs[:, 1] != 0).any()
-    assert array_digest(outcome.winners, refs) == reference_winners_digest(winners.shape, refs)
-    assert array_digest(tensor, ids) == reference_votes_digest(honest, cube)
 
 
 def test_a_vote_digests_only_from_its_canonical_ids():

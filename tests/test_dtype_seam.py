@@ -22,7 +22,6 @@ from repro.scenarios.spec import ScenarioSpec
 from repro.training.gradients import ModelGradientComputer
 
 from cow_helpers import tensor_of
-from reference_vote import reference_vote
 
 
 def scenario_dict(dtype=None, name="dtype-seam"):
@@ -117,21 +116,6 @@ def test_sgd_step_preserves_dtype():
 # --------------------------------------------------------------------------- #
 # Majority kernel on float32 payloads
 # --------------------------------------------------------------------------- #
-def test_majority_kernel_float32_matches_reference():
-    rng = np.random.default_rng(8)
-    for trial in range(60):
-        f, r, d = rng.integers(1, 6), rng.integers(1, 6), rng.integers(1, 8)
-        values = rng.integers(-2, 3, (f, r, d)).astype(np.float32)
-        if trial % 2 == 0:
-            values[:, 1:] = values[:, :1]
-        selection, counts, _, _ = majority_vote_votetensor(tensor_of(values))
-        winners = selection.densified()
-        assert winners.dtype == np.float32
-        ref_w, ref_c = reference_vote(values)
-        assert winners.tobytes() == ref_w.tobytes(), trial
-        assert counts.tolist() == ref_c.tolist()
-
-
 def test_majority_kernel_float32_bit_semantics():
     """Exact voting compares uint32 bit patterns on float32 payloads."""
     values = np.zeros((1, 3, 1), dtype=np.float32)

@@ -2,14 +2,12 @@
 
 from __future__ import annotations
 
-import heapq
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from repro.aggregation.majority import majority_vote_votetensor
-from repro.aggregation.median import CoordinateWiseMedian
 from repro.assignment.baseline import BaselineAssignment
 from repro.assignment.frc import FRCAssignment
 from repro.assignment.mols import MOLSAssignment
@@ -17,17 +15,11 @@ from repro.assignment.ramanujan import RamanujanAssignment
 from repro.attacks.constant import ConstantAttack
 from repro.cluster.events import (
     LATE_KIND,
-    AsyncRoundOutcome,
     AsyncRuntime,
     EventDrivenRound,
     UplinkSchedule,
 )
-from repro.cluster.faults import (
-    DropoutInjector,
-    FaultEvent,
-    MessageCorruptionInjector,
-    StragglerInjector,
-)
+from repro.cluster.faults import DropoutInjector, StragglerInjector
 from repro.cluster.timing import CostModel
 from repro.core.pipelines import AggregationPipeline
 from repro.core.vote_tensor import VoteTensor
@@ -37,6 +29,7 @@ from repro.scenarios.runner import ScenarioRunner, run_scenario
 from repro.scenarios.spec import ScenarioSpec
 
 from cow_helpers import FixedSelector, cube_of, tensor_of
+from reference_round import reference_arrivals, reference_collect
 from reference_vote import reference_vote
 from test_cluster import DIM, build_cluster, make_file_data
 
@@ -86,61 +79,13 @@ class TestAsyncRuntime:
 
 
 # --------------------------------------------------------------------------- #
-# Arrival schedules
+# Arrival schedules (their values: the reference loops, further below)
 # --------------------------------------------------------------------------- #
-def arrival_times(assignment, dim, samples, delays=None, cost=COST):
-    if delays is None:
-        delays = np.zeros(assignment.num_workers)
-    return UplinkSchedule(assignment).arrival_times(cost, dim, samples, delays)
-
-
-class TestArrivalTimes:
-    def test_single_file_workers(self, baseline_10):
-        """r=1, one file per worker: compute + one message cost, exactly."""
-        assignment = baseline_10.assignment
-        samples = np.arange(1, assignment.num_files + 1, dtype=np.float64)
-        dim = 50
-        arrivals = arrival_times(assignment, dim, samples)
-        assert arrivals.shape == (assignment.num_files, 1)
-        per_message = dim * COST.network_per_float + COST.network_latency_per_message
-        for w in range(assignment.num_workers):
-            (i,) = baseline_10.assignment.files_of_worker(w)
-            expected = (
-                samples[i] * dim * COST.compute_per_sample_per_param + per_message
-            )
-            assert arrivals[i, 0] == pytest.approx(expected)
-
-    def test_serialized_uplink_orders_a_workers_messages(self, mols_assignment):
-        """Worker w's rank-th file arrives (rank+1) message-costs after compute."""
-        dim = 10
-        samples = np.full(mols_assignment.num_files, 3.0)
-        arrivals = arrival_times(mols_assignment, dim, samples)
-        workers = mols_assignment.worker_slot_matrix()
-        per_message = dim * COST.network_per_float + COST.network_latency_per_message
-        w = 0
-        files = mols_assignment.files_of_worker(w)
-        compute = samples[list(files)].sum() * dim * COST.compute_per_sample_per_param
-        for rank, i in enumerate(files):
-            k = int(np.searchsorted(workers[i], w))
-            assert arrivals[i, k] == pytest.approx(compute + (rank + 1) * per_message)
-
-    def test_rejects_wrong_samples_shape(self, mols_assignment):
-        with pytest.raises(ConfigurationError):
-            arrival_times(mols_assignment, 10, np.ones(mols_assignment.num_files - 1))
-
-    def test_delay_shift_and_crash(self, mols_assignment):
-        samples = np.full(mols_assignment.num_files, 2.0)
-        base = arrival_times(mols_assignment, 10, samples)
-        delays = np.zeros(mols_assignment.num_workers)
-        delays[3], delays[7] = 0.5, np.inf
-        perturbed = arrival_times(mols_assignment, 10, samples, delays)
-        workers = mols_assignment.worker_slot_matrix()
-        np.testing.assert_array_equal(
-            perturbed[workers == 3], base[workers == 3] + 0.5
+def test_arrival_times_reject_wrong_samples_shape(mols_assignment):
+    with pytest.raises(ConfigurationError):
+        UplinkSchedule(mols_assignment).arrival_times(
+            COST, 10, np.ones(mols_assignment.num_files - 1), np.zeros(mols_assignment.num_workers)
         )
-        assert np.all(np.isinf(perturbed[workers == 7]))
-        untouched = ~np.isin(workers, (3, 7))
-        np.testing.assert_array_equal(perturbed[untouched], base[untouched])
 
 
 # --------------------------------------------------------------------------- #
@@ -243,104 +188,8 @@ class TestEventLoop:
 
 
 # --------------------------------------------------------------------------- #
-# The array kernels against the message-by-message loops they replaced
+# The array kernels against the message-by-message loops of the reference round
 # --------------------------------------------------------------------------- #
-# The engine as first written, message by message: `loop_arrival_times`
-# walks the workers with one `searchsorted` per message and applies fault
-# delays one worker at a time; `heap_collect` pops a heap of
-# `(time, file * r + slot)` keys and accepts or rejects each message in turn.
-def loop_arrival_times(assignment, cost_model, dim, samples, extra_delay=None, never_arrives=()):
-    """``(f, r)`` arrivals: worker compute, a serialized uplink, then faults."""
-    per_message = dim * cost_model.network_per_float + cost_model.network_latency_per_message
-    workers = assignment.worker_slot_matrix()
-    arrivals = np.empty(workers.shape, dtype=np.float64)
-    for w in range(assignment.num_workers):
-        files = assignment.files_of_worker(w)
-        compute = float(samples[list(files)].sum()) * dim * cost_model.compute_per_sample_per_param
-        for rank, i in enumerate(files):
-            k = int(np.searchsorted(workers[i], w))
-            arrivals[i, k] = compute + (rank + 1) * per_message
-    for worker, delay in (extra_delay or {}).items():
-        arrivals[workers == worker] += delay
-    for worker in never_arrives:
-        arrivals[workers == worker] = np.inf
-    return arrivals
-
-
-def heap_collect(runtime: AsyncRuntime, tensor, arrivals) -> AsyncRoundOutcome:
-    """One round's deadline / quorum close, one heap pop per sent message."""
-    f, r = arrivals.shape
-    quorum = runtime.quorum if runtime.quorum is not None else r
-    deadline = runtime.deadline
-    num_groups = runtime.groups
-    if num_groups is None:
-        num_groups = 1
-        cell_of = np.broadcast_to(np.arange(f, dtype=np.int64)[:, None], (f, r))
-        cell_quorum = np.full(f, quorum, dtype=np.int64)
-    else:
-        members = np.array_split(np.arange(int(tensor.workers.max()) + 1), num_groups)
-        group_of = np.repeat(np.arange(num_groups), [m.size for m in members])
-        cell_of = np.arange(f, dtype=np.int64)[:, None] * num_groups + group_of[tensor.workers]
-        cell_quorum = np.minimum(quorum, np.bincount(cell_of.ravel(), minlength=f * num_groups))
-    open_cells = np.bincount(np.unique(cell_of), minlength=cell_quorum.size).astype(bool)
-    cells_left = np.full(f, 0, dtype=np.int64)
-    np.add.at(cells_left, np.unique(cell_of) // num_groups, 1)
-
-    heap = [
-        (float(arrivals[i, k]), i * r + k, i, k)
-        for i in range(f)
-        for k in range(r)
-        if np.isfinite(arrivals[i, k])
-    ]
-    heapq.heapify(heap)
-    counts = np.zeros(cell_quorum.size, dtype=np.int64)
-    accepted = np.zeros((f, r), dtype=bool)
-    close_times = np.full(f, np.inf)
-    cell_close_times = np.full(cell_quorum.size, np.inf)
-    late: list[FaultEvent] = []
-    last_accept = 0.0
-    deadline_cut = False
-    while heap:
-        time, _, i, k = heapq.heappop(heap)
-        cell = int(cell_of[i, k])
-        if time >= deadline or counts[cell] >= cell_quorum[cell]:
-            deadline_cut = deadline_cut or time >= deadline
-            late.append(
-                FaultEvent(
-                    kind=LATE_KIND, worker=int(tensor.workers[i, k]), file=i,
-                    slot=k, delay=float(time), dropped=True,
-                )
-            )
-            continue
-        accepted[i, k] = True
-        counts[cell] += 1
-        last_accept = time
-        if counts[cell] == cell_quorum[cell]:
-            cell_close_times[cell] = time
-            cells_left[i] -= 1
-            if cells_left[i] == 0:
-                close_times[i] = time
-
-    all_closed = bool((counts >= cell_quorum)[open_cells].all())
-    if all_closed:
-        round_time = float(close_times.max())
-    elif np.isfinite(deadline):
-        round_time = float(deadline)
-    else:
-        round_time = last_accept
-    return AsyncRoundOutcome(
-        arrivals=arrivals,
-        accepted=accepted,
-        round_time=round_time,
-        file_close_times=close_times,
-        deadline_fired=deadline_cut or (not all_closed and np.isfinite(deadline)),
-        late_events=tuple(late),
-        group_close_times=(
-            None if runtime.groups is None else cell_close_times.reshape(f, num_groups)
-        ),
-    )
-
-
 ORACLE_ASSIGNMENTS = {
     "mols": lambda: MOLSAssignment(load=5, replication=3).assignment,  # K=15, f=25, r=3
     "mols-l7": lambda: MOLSAssignment(load=7, replication=5).assignment,  # K=35, f=49, r=5
@@ -361,8 +210,8 @@ def test_arrivals_and_collect_match_the_loops_bit_for_bit(scheme):
     """Random rounds: integer sample counts, zero and default cost models,
     straggler delays on a coarse grid (ties) or not, crashed workers, and
     every deadline / quorum / group setting — arrivals, accepted mask, close
-    times, round time and late events are the loops' bits, and no slot is
-    written."""
+    times, round time and late events are the reference loops' bits, and no
+    slot is written."""
     assignment = ORACLE_ASSIGNMENTS[scheme]()
     workers = assignment.worker_slot_matrix()
     f, r = workers.shape
@@ -377,14 +226,12 @@ def test_arrivals_and_collect_match_the_loops_bit_for_bit(scheme):
         delay = rng.exponential(0.02, stragglers.size)
         if trial % 3 == 0:
             delay = np.round(delay / 0.01) * 0.01
-        extra = {int(w): float(d) for w, d in zip(stragglers, delay)}
-        crashed = {int(w) for w in rng.choice(K, size=int(rng.integers(0, 3)), replace=False)}
         delays = np.zeros(K)
-        for w, d in extra.items():
-            delays[w] += d
-        delays[list(crashed)] = np.inf
+        delays[stragglers] = delay
+        crashed = rng.choice(K, size=int(rng.integers(0, 3)), replace=False)
+        delays[crashed] = np.inf
         arrivals = UplinkSchedule(assignment).arrival_times(cost, dim, samples, delays)
-        expected = loop_arrival_times(assignment, cost, dim, samples, extra, crashed)
+        expected = reference_arrivals(assignment, cost, dim, samples, delays)
         np.testing.assert_array_equal(bits(arrivals), bits(expected))
 
         # A deadline that is some message's arrival time tests the exclusive cut.
@@ -398,24 +245,30 @@ def test_arrivals_and_collect_match_the_loops_bit_for_bit(scheme):
         honest = rng.standard_normal((f, 3))
         tensor = VoteTensor.from_honest(assignment, honest)
         got = EventDrivenRound(runtime).collect(tensor, arrivals)
-        want = heap_collect(runtime, tensor, arrivals)
-        np.testing.assert_array_equal(got.accepted, want.accepted)
-        np.testing.assert_array_equal(bits(got.file_close_times), bits(want.file_close_times))
-        if want.group_close_times is None:
+        accepted, late, file_close, group_close, round_time = reference_collect(
+            workers, arrivals, runtime.quorum, runtime.groups, runtime.deadline
+        )
+        np.testing.assert_array_equal(got.accepted, accepted)
+        np.testing.assert_array_equal(bits(got.file_close_times), bits(file_close))
+        if group_close is None:
             assert got.group_close_times is None
         else:
-            np.testing.assert_array_equal(bits(got.group_close_times), bits(want.group_close_times))
-        assert bits(got.round_time) == bits(want.round_time)
-        assert got.deadline_fired == want.deadline_fired
-        assert got.late_events == want.late_events
+            np.testing.assert_array_equal(bits(got.group_close_times), bits(group_close))
+        assert bits(got.round_time) == bits(round_time)
+        cut = any(arrivals[i, k] >= runtime.deadline for i, k in late)
+        closed = bool(np.isfinite(file_close).all())
+        assert got.deadline_fired == (cut or (not closed and np.isfinite(runtime.deadline)))
+        assert [(e.kind, e.worker, e.file, e.slot, e.delay, e.dropped) for e in got.late_events] == [
+            (LATE_KIND, workers[i, k], i, k, arrivals[i, k], True) for i, k in late
+        ]
         assert all(type(e.delay) is float for e in got.late_events)
         assert tensor.num_override_rows == 0
         seen |= {
             name for name, hit in [
-                ("late", bool(want.late_events)),
-                ("cut", want.deadline_fired),
+                ("late", bool(late)),
+                ("cut", got.deadline_fired),
                 ("unsent", not np.isfinite(arrivals).all()),
-                ("closed", np.isfinite(want.file_close_times).all()),
+                ("closed", closed),
             ] if hit
         }
     assert seen == {"late", "cut", "unsent", "closed"}  # every branch was taken
@@ -496,19 +349,6 @@ class TestAbstention:
             scratch = masked_peak - unmasked_peak  # the winners hold no row
             assert scratch < block
 
-    def test_vanilla_drops_unarrived_rows(self, baseline_10):
-        assignment = baseline_10.assignment
-        tensor = VoteTensor.from_honest(
-            assignment, np.arange(assignment.num_files, dtype=np.float64)[:, None]
-            + np.zeros(3)
-        )
-        pipeline = AggregationPipeline(assignment, CoordinateWiseMedian())
-        arrived = np.ones((assignment.num_files, 1), dtype=bool)
-        arrived[::2] = False
-        rows = pipeline.aggregate_tensor(tensor, arrived).winners
-        assert rows.shape == (assignment.num_files // 2, 3)
-        np.testing.assert_array_equal(rows.densified()[:, 0], np.arange(1, 10, 2))
-
     def test_rejects_bad_mask_shape(self, frc_3):
         tensor = one_file_tensor(frc_3)
         pipeline = AggregationPipeline(frc_3)
@@ -528,13 +368,6 @@ def make_cluster(assignment, runtime=None, injectors=(), seed=0):
         fault_injectors=injectors,
         runtime=runtime,
     )
-
-
-ALL_INJECTORS = lambda: (  # noqa: E731 - fresh (stateful) injectors per call
-    StragglerInjector(count=3, delay_model="exponential", delay=0.5, timeout=1.0),
-    DropoutInjector(probability=0.1, down_for=2),
-    MessageCorruptionInjector(probability=0.05, mode="noise", factor=1.0),
-)
 
 
 class TestClusterEventRound:

@@ -186,28 +186,6 @@ class TestDropout:
 
 
 class TestCorruption:
-    def test_zero_mode(self, tensor, mols_assignment):
-        injector = MessageCorruptionInjector(probability=1.0, mode="zero")
-        events = injector.inject(tensor, make_context(mols_assignment))
-        assert np.all(cube_of(tensor) == 0.0)
-        assert len(events) == tensor.num_files * tensor.replication
-
-    def test_scale_mode(self, tensor, mols_assignment):
-        before = cube_of(tensor)
-        injector = MessageCorruptionInjector(probability=1.0, mode="scale", factor=10.0)
-        injector.inject(tensor, make_context(mols_assignment))
-        np.testing.assert_allclose(cube_of(tensor), before * 10.0)
-
-    def test_noise_mode_changes_only_hit_messages(self, tensor, mols_assignment):
-        before = cube_of(tensor)
-        injector = MessageCorruptionInjector(probability=0.2, mode="noise", factor=1.0)
-        events = injector.inject(tensor, make_context(mols_assignment))
-        changed = {(e.file, int(np.searchsorted(tensor.workers[e.file], e.worker))) for e in events}
-        for i in range(tensor.num_files):
-            for k in range(tensor.replication):
-                same = np.array_equal(cube_of(tensor)[i, k], before[i, k])
-                assert same != ((i, k) in changed)
-
     def test_zero_probability_is_a_noop(self, tensor, mols_assignment):
         before = cube_of(tensor)
         injector = MessageCorruptionInjector(probability=0.0)

@@ -74,20 +74,6 @@ def test_stacked_engine_bit_identical(model_name, num_files):
     assert np.array_equal(loop_losses, stack_losses)
 
 
-@pytest.mark.parametrize("model_name", sorted(MODELS))
-def test_stacked_rows_match_single_file_oracle(model_name):
-    """Every stacked row equals what the per-file ``__call__`` oracle returns."""
-    model_fn = MODELS[model_name]
-    computer = ModelGradientComputer(model_fn())
-    params = computer.initial_params()
-    files = make_files(4)
-    grads, losses = computer.batched(params, files)
-    for i, (inputs, labels) in enumerate(files):
-        gradient, loss = computer(params, inputs, labels)
-        assert np.array_equal(grads[i], gradient)
-        assert losses[i] == loss
-
-
 def test_stacked_pair_input_uses_stacked_engine():
     """The (stacked inputs, stacked labels) calling form gives the pairs' bits."""
     model_fn = MODELS["mlp"]

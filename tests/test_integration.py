@@ -5,21 +5,16 @@ import pytest
 
 from repro.aggregation.median import CoordinateWiseMedian
 from repro.assignment.mols import MOLSAssignment
-from repro.assignment.ramanujan import RamanujanAssignment
 from repro.attacks.alie import ALIEAttack
 from repro.attacks.constant import ConstantAttack
 from repro.attacks.reversed_gradient import ReversedGradientAttack
-from repro.attacks.selection import OmniscientSelector
 from repro.core.distortion import max_distortion
 from repro.assignment.baseline import BaselineAssignment
 from repro.core.pipelines import AggregationPipeline
-from repro.data.batching import RoundFiles
 from repro.data.datasets import train_test_split
 from repro.data.synthetic import make_gaussian_mixture
 from repro.nn.models import build_mlp
 from repro.scenarios.spec import TrainingSpec
-from repro.training.gradients import ModelGradientComputer
-from repro.training.trainer import DistributedTrainer
 
 
 @pytest.fixture(scope="module")
@@ -120,51 +115,6 @@ def test_realized_distortion_matches_static_analysis(data, assemble_trainer):
     records = run_rounds(trainer)
     predicted = max_distortion(MOLSAssignment(load=5, replication=3).assignment, q).epsilon
     assert np.allclose([r.distortion_fraction for r in records], predicted)
-
-
-def test_pipeline_output_matches_manual_computation(data):
-    """One full round by hand: worker pool + attack + pipeline give the same
-    result as running the trainer internals."""
-    train, test = data
-    assignment = RamanujanAssignment(m=5, s=5).assignment
-    model = build_mlp(train.flat_feature_dim, train.num_classes, hidden=(8,), seed=1)
-    computer = ModelGradientComputer(model)
-    cluster = DistributedTrainer(
-        AggregationPipeline(assignment),
-        computer,
-        train,
-        test,
-        make_config(iterations=1, batch=100),
-        seed=0,
-        attack=ConstantAttack(value=-3.0),
-        selector=OmniscientSelector(num_byzantine=5),
-    ).cluster
-    rng = np.random.default_rng(0)
-    batch = rng.choice(train.num_samples, size=100, replace=False)
-    file_data = RoundFiles.coerce({
-        i: (train.inputs[batch[i * 4 : (i + 1) * 4]], train.labels[batch[i * 4 : (i + 1) * 4]])
-        for i in range(25)
-    })
-    params = computer.initial_params()
-    result = cluster.run_round_tensor(params, file_data, iteration=0)
-
-    pipeline = AggregationPipeline(assignment)
-    aggregated = pipeline.aggregate_tensor(result.vote_tensor).aggregate
-
-    # Manual recomputation: honest gradients, corrupt the files with a
-    # Byzantine majority, take the coordinate-wise median.
-    voted = []
-    threshold = (assignment.replication + 1) // 2
-    byz = set(result.byzantine_workers)
-    for i in range(25):
-        copies = assignment.workers_of_file(i)
-        byz_copies = sum(1 for w in copies if w in byz)
-        if byz_copies >= threshold:
-            voted.append(np.full(params.size, -3.0))
-        else:
-            voted.append(result.honest_matrix[i])
-    expected = np.median(np.vstack(voted), axis=0)
-    assert np.allclose(aggregated, expected)
 
 
 def test_different_aggregators_all_train(data, assemble_trainer):

@@ -37,6 +37,7 @@ from repro.core.vote_tensor import _GATHER_COLUMNS, RowSelection, VoteTensor
 from repro.utils.arrays import _SCRATCH_ROW, GATHER_ELEMENTS, LANE_BLOCK, column_mean_std
 
 from cow_helpers import cube_of
+from reference_round import content_ids
 from reference_vote import reference_vote
 
 ROWS = (1, 2, 5, 9, 24, 25)
@@ -185,17 +186,6 @@ def negative_zero_at(index):
     return make
 
 
-def byte_labels(cube):
-    """``labels[i, k]``: the smallest slot of file ``i`` holding slot ``k``'s
-    bytes — of an ``(f, r, d)`` cube, or of the ``(f, r)`` content ids."""
-    labels = np.zeros(cube.shape[:2], dtype=np.int64)
-    for i, copies in enumerate(cube):
-        seen: dict[bytes, int] = {}
-        for k, copy in enumerate(copies):
-            labels[i, k] = seen.setdefault(copy.tobytes(), k)
-    return labels
-
-
 @pytest.mark.parametrize("dtype", DTYPES)
 @pytest.mark.parametrize("block_size", BLOCK_SIZES)
 @pytest.mark.parametrize("dim", (1, 6, 15, LANE_BLOCK + 1, 2 * LANE_BLOCK + 5))
@@ -226,7 +216,7 @@ def test_override_ids_match_the_dense_oracle(dim, block_size, dtype):
     cube = cube_of(tensor)
 
     ids = override_content_ids(tensor, block_size)
-    assert np.array_equal(byte_labels(ids), byte_labels(cube))
+    assert np.array_equal(ids, content_ids(base, cube)[0])
     # the equal rows are classed with the base, every other override is not
     overridden = np.array([row is not None for row in payload_rows])
     equal = np.array([0, 5])
@@ -278,6 +268,23 @@ def test_early_exit_still_finds_a_row_that_differs_last(block_size):
     assert not _rows_equal(
         _row_bits(bits, rows), _row_bits(~bits, rows), 4, dim, block_size
     ).any()
+
+
+def test_hash_weights_are_one_vector_grown_to_the_widest_row(monkeypatch):
+    """A width's weights are a fresh draw of that width (so every hash and
+    id keeps its bits), and after votes at two widths only the wider
+    vector is held."""
+    monkeypatch.setattr(majority, "_HASH_WEIGHTS", np.empty(0, dtype=np.uint64))
+    for d in (94_218, 11_274, 7):
+        drawn = np.random.default_rng(0xB125_517D).integers(1, 2**63, size=d, dtype=np.uint64)
+        assert np.array_equal(_hash_weights(d), drawn | np.uint64(1))
+    monkeypatch.setattr(majority, "_HASH_WEIGHTS", np.empty(0, dtype=np.uint64))
+    assignment = MOLSAssignment(load=5, replication=3).assignment
+    for d, held in ((9, 9), (40, 40), (9, 40)):
+        tensor = VoteTensor.from_honest(assignment, np.zeros((assignment.num_files, d)))
+        tensor.write_slots([0, 1], [0, 0], np.ones((2, d)))
+        majority_vote_votetensor(tensor)
+        assert majority._HASH_WEIGHTS.shape == (held,)
 
 
 def test_vote_kernels_read_only_read_only_rows(monkeypatch):
@@ -553,7 +560,7 @@ class TestNoFullWidthTemporary:
     def test_ids_of_a_round_with_many_distinct_pairs(self, block_size):
         """A round with 70 distinct (payload, file) pairs — a row shared by
         every file, late-differing rows and copies of the base — classes as
-        the full-width ``tobytes()`` oracle at every width."""
+        the reference round's ``tobytes()`` ids at every width."""
         assignment = RamanujanAssignment(m=5, s=5).assignment
         f, d = assignment.num_files, 2 * LANE_BLOCK + 3
         rng = np.random.default_rng(12)
@@ -569,5 +576,5 @@ class TestNoFullWidthTemporary:
         assert np.unique(rows * f + files_written).size >= 64
         cube = cube_of(tensor)
         ids = override_content_ids(tensor, block_size)
-        assert np.array_equal(byte_labels(ids), byte_labels(cube))
+        assert np.array_equal(ids, content_ids(base, cube)[0])
         assert np.array_equal(ids, override_content_ids(tensor, d))

@@ -22,7 +22,6 @@ from repro.scenarios.runner import ScenarioRunner, run_scenario
 from repro.scenarios.spec import PipelineSpec, ScenarioSpec
 
 from cow_helpers import cube_of
-from reference_vote import reference_vote
 
 
 DIM = 4
@@ -55,17 +54,6 @@ def corrupt(tensor, byzantine_workers, payload):
 # --------------------------------------------------------------------------- #
 # Vote + robust rule over an expander (ByzShield)
 # --------------------------------------------------------------------------- #
-def test_no_attack_equals_median_of_true_gradients(mols_assignment):
-    votes = honest_votes(mols_assignment, indexed_gradient)
-    pipeline = AggregationPipeline(mols_assignment)
-    assert isinstance(pipeline.aggregator, CoordinateWiseMedian)
-    result = pipeline.aggregate_tensor(votes).aggregate
-    expected = np.median(
-        np.vstack([indexed_gradient(i) for i in range(25)]), axis=0
-    )
-    assert np.allclose(result, expected)
-
-
 def test_vote_corrects_minority_corruption(mols_assignment):
     """With q < r' no file majority can be corrupted: output is attack-free."""
     votes = honest_votes(mols_assignment, constant_gradient(1.0))
@@ -130,17 +118,12 @@ def test_validates_votes(mols_assignment, ramanujan_case1):
         pipeline.aggregate_tensor(other)
 
 
-def test_custom_aggregator(mols_assignment):
-    votes = honest_votes(mols_assignment, indexed_gradient)
-    pipeline = AggregationPipeline(mols_assignment, aggregator=MeanAggregator())
-    assert np.allclose(pipeline.aggregate_tensor(votes).aggregate, np.mean(range(25)))
-
-
 def test_the_aggregator_is_looked_up_every_round(mols_assignment):
     """The e2e harness swaps ``pipeline.aggregator`` for a timing shim on
     the instance: the next round must call the replacement."""
     votes = honest_votes(mols_assignment, indexed_gradient)
     pipeline = AggregationPipeline(mols_assignment)
+    assert isinstance(pipeline.aggregator, CoordinateWiseMedian)  # the default
     seen = []
     pipeline.aggregator = lambda winners: seen.append(winners.shape) or np.zeros(DIM)
     assert np.array_equal(pipeline.aggregate_tensor(votes).aggregate, np.zeros(DIM))
@@ -150,14 +133,6 @@ def test_the_aggregator_is_looked_up_every_round(mols_assignment):
 # --------------------------------------------------------------------------- #
 # Over an FRC assignment (DETOX, DRACO)
 # --------------------------------------------------------------------------- #
-def test_frc_majority_then_robust(frc_15_3):
-    assignment = frc_15_3.assignment
-    votes = honest_votes(assignment, indexed_gradient)
-    pipeline = AggregationPipeline(assignment, aggregator=CoordinateWiseMedian())
-    result = pipeline.aggregate_tensor(votes).aggregate
-    assert np.allclose(result, np.median(np.arange(5)))
-
-
 def test_frc_group_corruption(frc_15_3):
     assignment = frc_15_3.assignment
     votes = honest_votes(assignment, constant_gradient(1.0))
@@ -191,14 +166,6 @@ def test_frc_mean_recovers_exactly_when_bound_satisfied(frc_15_3):
 # --------------------------------------------------------------------------- #
 # r = 1 (the baseline)
 # --------------------------------------------------------------------------- #
-def test_r1_applies_aggregator_to_worker_gradients(baseline_10):
-    assignment = baseline_10.assignment
-    votes = honest_votes(assignment, indexed_gradient)
-    pipeline = AggregationPipeline(assignment, aggregator=CoordinateWiseMedian())
-    result = pipeline.aggregate_tensor(votes).aggregate
-    assert np.allclose(result, np.median(np.arange(10)))
-
-
 def test_r1_mean_is_vulnerable(baseline_10):
     assignment = baseline_10.assignment
     votes = honest_votes(assignment, constant_gradient(1.0))
@@ -374,7 +341,8 @@ def test_draco_is_byzshield_with_the_mean_whatever_it_names(named):
 
 
 # --------------------------------------------------------------------------- #
-# RoundOutcome: both halves of the round's one vote
+# RoundOutcome: both halves of the round's one vote (the reference round
+# checks every golden round's winners and aggregate, test_reference_round.py)
 # --------------------------------------------------------------------------- #
 OUTCOME_PIPELINES = {
     "byzshield": ("mols_5_3", CoordinateWiseMedian),
@@ -382,37 +350,6 @@ OUTCOME_PIPELINES = {
     "draco": ("frc_15_3", MeanAggregator),
     "vanilla": ("baseline_10", MeanAggregator),
 }
-
-
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("partial", [False, True], ids=["all-arrived", "some-missing"])
-@pytest.mark.parametrize("kind", sorted(OUTCOME_PIPELINES))
-def test_outcome_is_the_post_vote_matrix_and_its_reduction(request, kind, partial, dtype):
-    scheme_fixture, rule = OUTCOME_PIPELINES[kind]
-    assignment = request.getfixturevalue(scheme_fixture).assignment
-    pipeline = AggregationPipeline(assignment, rule())
-    rng = np.random.default_rng(5)
-    votes = VoteTensor.from_honest(
-        assignment, rng.standard_normal((assignment.num_files, DIM)).astype(dtype)
-    )
-    corrupt(votes, {0}, np.full(DIM, -50.0))
-    arrived = None
-    if partial:
-        arrived = rng.random(votes.workers.shape) < 0.6
-        arrived[0] = False  # a file nobody returned in time
-        arrived[1] = True
-
-    outcome = pipeline.aggregate_tensor(votes, arrived)
-    # each file's reference vote over its arrived copies, in file order; a
-    # file without r' equal arrived copies abstains and has no row.  At
-    # r = 1 (vanilla) these are the arrived workers' own returns.
-    expected, counts = reference_vote(cube_of(votes), arrived)
-    assert outcome.counts.tolist() == counts.tolist()
-    assert outcome.winners.dtype == expected.dtype
-    assert outcome.winners.shape == expected.shape
-    assert outcome.winners.densified().tobytes() == expected.tobytes()
-    assert np.array_equal(outcome.aggregate, pipeline.aggregator(expected))
-    assert outcome.aggregate.shape == (DIM,)
 
 
 @pytest.mark.parametrize("kind", sorted(OUTCOME_PIPELINES))

@@ -11,25 +11,19 @@ from repro.aggregation.geometric_median import geometric_median
 from repro.aggregation.majority import majority_vote_votetensor
 from repro.aggregation.median import CoordinateWiseMedian
 from repro.aggregation.trimmed_mean import TrimmedMeanAggregator
-from repro.assignment.frc import FRCAssignment
 from repro.assignment.mols import MOLSAssignment
 from repro.assignment.ramanujan import RamanujanAssignment
 from repro.assignment.random_scheme import RandomAssignment
-from repro.attacks.base import AttackContext
-from repro.attacks.registry import available_attacks, create_attack
 from repro.core.distortion import (
     distorted_files,
     majority_threshold,
     max_distortion,
 )
-from repro.core.pipelines import AggregationPipeline
-from repro.core.vote_tensor import VoteTensor
 from repro.fields.latin_squares import LatinSquare, are_orthogonal
 from repro.graphs.expansion import gamma_upper_bound, neighborhood_lower_bound
 from repro.graphs.spectral import second_eigenvalue
 
-from cow_helpers import cube_of, tensor_of
-from reference_vote import reference_vote
+from cow_helpers import tensor_of
 from test_distortion import reference_exhaustive
 
 SUPPRESS = [HealthCheck.too_slow]
@@ -250,59 +244,3 @@ def test_majority_vote_returns_most_frequent(num_votes, dim, winner_count, seed)
     if winner_count > num_votes - winner_count:
         assert np.array_equal(winners.densified()[0], winner)
         assert counts[0] == winner_count
-
-
-# --------------------------------------------------------------------------- #
-# The vote stage vs the pure-Python reference votes
-# --------------------------------------------------------------------------- #
-VOTING_SETUPS = {
-    "mols": MOLSAssignment(load=5, replication=3).assignment,
-    "ramanujan": RamanujanAssignment(m=3, s=5).assignment,
-    "frc": FRCAssignment(num_workers=15, replication=3).assignment,
-}
-
-
-@settings(deadline=None, max_examples=120, suppress_health_check=SUPPRESS)
-@given(
-    scheme=st.sampled_from(sorted(VOTING_SETUPS)),
-    attack_name=st.sampled_from(available_attacks()),
-    q=st.integers(0, 15),
-    dim=st.integers(1, 6),
-    rebuilt=st.booleans(),
-    block_size=st.one_of(st.none(), st.integers(1, 4)),
-    seed=st.integers(0, 10_000),
-)
-def test_post_vote_matrix_matches_reference_vote(
-    scheme, attack_name, q, dim, rebuilt, block_size, seed
-):
-    """The goldens were recorded from the vectorized vote itself; this is its
-    independent check.  Whatever the scheme, attack, q, storage layout or
-    block size, the post-vote matrix ``aggregate_tensor``
-    returns as its ``winners`` must equal the single-file reference vote
-    applied to each file's materialized copies — row for row, bit for bit."""
-    assignment = VOTING_SETUPS[scheme]
-    rng = np.random.default_rng(seed)
-    honest = rng.standard_normal((assignment.num_files, dim))
-    byzantine = tuple(
-        int(w) for w in rng.choice(assignment.num_workers, size=q, replace=False)
-    )
-    tensor = VoteTensor.from_honest(assignment, honest)
-    tensor.mark_byzantine(byzantine)
-    context = AttackContext(
-        assignment=assignment,
-        byzantine_workers=byzantine,
-        honest_matrix=honest,
-        iteration=seed % 7,
-        rng=np.random.default_rng(seed + 1),
-    )
-    create_attack(attack_name).apply_tensor(context, tensor)
-    cube = cube_of(tensor)
-    if rebuilt:
-        tensor = tensor_of(cube, assignment)
-
-    pipeline = AggregationPipeline(assignment, block_size=block_size)
-    outcome = pipeline.aggregate_tensor(tensor)
-    expected, counts = reference_vote(cube)
-    assert outcome.counts.tolist() == counts.tolist()
-    assert np.array_equal(outcome.winners.densified(), expected)
-

@@ -298,7 +298,7 @@ def test_cells_round_vote_and_median_hold_one_block(monkeypatch):
     d, itemsize = 11_274, 4  # float32
     small_objects = 16 << 10
     vote_bound = GATHER_ELEMENTS * itemsize + (64 << 10) + small_objects
-    monkeypatch.setattr(majority_module, "_HASH_WEIGHTS", {})
+    monkeypatch.setattr(majority_module, "_HASH_WEIGHTS", np.empty(0, dtype=np.uint64))
     ScenarioRunner(cells_spec()).run()
     assert votes[0][1] <= vote_bound + 8 * d, votes
     votes.clear()

@@ -22,22 +22,18 @@ from repro.aggregation.majority import (
 from repro.aggregation.mean import MeanAggregator
 from repro.aggregation.median import CoordinateWiseMedian, coordinate_median
 from repro.aggregation.registry import available_aggregators, create_aggregator
-from repro.assignment.baseline import BaselineAssignment
 from repro.assignment.ramanujan import RamanujanAssignment
-from repro.cluster.events import AsyncRuntime, EventDrivenRound
 from repro.core.pipelines import AggregationPipeline
 from repro.core.vote_tensor import RowSelection, VoteTensor
 from repro.exceptions import ConfigurationError
 from repro.utils.arrays import LANE_BLOCK
 from repro.utils.digest import array_digest
 
-from cow_helpers import cube_of, tensor_of
+from cow_helpers import tensor_of
 from reference_vote import reference_vote
 
 RAMANUJAN = RamanujanAssignment(m=5, s=5).assignment  # K = f = 25, r = 5
-BASELINE = BaselineAssignment(num_workers=10).assignment
 DIM = 37
-BLOCK_SIZES = (None, 1, 7, 4096)
 DTYPES = (np.float32, np.float64)
 
 
@@ -76,76 +72,6 @@ def assert_stands_for(selection, dense):
     for array in (selection.base, selection.store):
         with pytest.raises(ValueError):
             array[...] = 0.0
-
-
-def masks(kind, shape, seed=3):
-    rng = np.random.default_rng(seed)
-    if kind == "all-arrived":
-        return None
-    arrived = rng.random(shape) < 0.6
-    if kind == "stragglers":  # nobody complete
-        arrived[np.arange(shape[0]), rng.integers(shape[1], size=shape[0])] = False
-    else:
-        arrived[5] = True
-    arrived[3] = False  # a file nobody returned in time
-    return arrived
-
-
-@pytest.mark.parametrize("dtype", DTYPES)
-@pytest.mark.parametrize("block_size", BLOCK_SIZES)
-@pytest.mark.parametrize("source", ["attacked", "rebuilt"])
-@pytest.mark.parametrize("arrival", ["all-arrived", "partial", "stragglers"])
-def test_winners_equal_the_reference_vote(arrival, source, block_size, dtype):
-    """``attacked``: the round as the attack left it, honest base plus
-    payload rows; ``rebuilt``: the same cube through ``tensor_of``, whose
-    base is each file's slot 0 — Byzantine where slot 0 is."""
-    tensor, honest = attacked_round(RAMANUJAN, dtype)
-    cube = cube_of(tensor)
-    if source == "rebuilt":
-        tensor = tensor_of(cube, RAMANUJAN)
-    pipeline = AggregationPipeline(RAMANUJAN, block_size=block_size)
-    arrived = masks(arrival, tensor.workers.shape)
-    expected, counts = reference_vote(cube, arrived)
-
-    outcome = pipeline.aggregate_tensor(tensor, arrived)
-    selection = outcome.winners
-    assert_stands_for(selection, expected)
-    assert outcome.counts.tolist() == counts.tolist()
-    if arrival == "all-arrived":
-        # only winners that are not base rows are copied: for the attacked
-        # round the flipped files (7 among them) and file 2, whose override
-        # equals its base; for the rebuilt one the winners outside slot 0
-        decided = np.flatnonzero(counts)
-        flipped = np.flatnonzero((expected != honest[decided]).any(axis=1))  # rows
-        assert 7 in decided[flipped] and counts[0] == 0
-        assert selection.files.size < tensor.num_files // 2
-        if source == "attacked":
-            assert set(flipped.tolist()) <= set(selection.files.tolist())
-            assert selection.files.size <= flipped.size + 1
-    assert np.array_equal(outcome.aggregate, np.median(expected, axis=0))
-
-
-@pytest.mark.parametrize("dtype", DTYPES)
-@pytest.mark.parametrize("block_size", [None, 7])
-@pytest.mark.parametrize("source", ["attacked", "rebuilt"])
-@pytest.mark.parametrize("quorum", [1, 2, 3])
-@pytest.mark.parametrize("groups", [None, 3, 5, 25])
-def test_group_cell_masks_vote_like_the_reference(groups, quorum, source, block_size, dtype):
-    """Worker groups only decide which copies the event engine accepts: the
-    vote over a per-(file, group) quorum mask is the reference vote over
-    exactly the accepted copies.  RAMANUJAN's 25 workers split into
-    uneven groups (9/8/8), groups of five, or one worker per group."""
-    tensor, _ = attacked_round(RAMANUJAN, dtype)
-    if source == "rebuilt":
-        tensor = tensor_of(cube_of(tensor), RAMANUJAN)
-    rng = np.random.default_rng(quorum)
-    arrivals = rng.exponential(0.3, tensor.workers.shape)
-    arrivals[3] = np.inf  # a file nobody returned
-    runtime = AsyncRuntime(quorum=quorum, groups=groups)
-    accepted = EventDrivenRound(runtime).collect(tensor, arrivals).accepted
-    expected, _ = reference_vote(cube_of(tensor), accepted)
-    pipeline = AggregationPipeline(RAMANUJAN, block_size=block_size)
-    assert_stands_for(pipeline.aggregate_tensor(tensor, accepted).winners, expected)
 
 
 #: the bit pattern of the default quiet NaN, per working dtype
@@ -204,25 +130,6 @@ def test_incomplete_file_votes_over_its_arrived_copies(case, dtype):
     selection, got, _, _ = majority_vote_votetensor(tensor_of(cube), arrived=arrived)
     assert selection.densified().tobytes() == expected.tobytes()
     assert got.tolist() == counts.tolist()
-
-
-@pytest.mark.parametrize("dtype", DTYPES)
-@pytest.mark.parametrize("source", ["attacked", "rebuilt"])
-@pytest.mark.parametrize("arrival", ["all-arrived", "partial"])
-def test_vanilla_rows_equal_the_arrived_returns(arrival, source, dtype):
-    rng = np.random.default_rng(1)
-    honest = rng.standard_normal((BASELINE.num_files, DIM)).astype(dtype)
-    tensor = VoteTensor.from_honest(BASELINE, honest)
-    tensor.write_slots([1, 4], [0, 0], np.full(DIM, 9.0, dtype=dtype))
-    cube = cube_of(tensor)
-    if source == "rebuilt":
-        tensor = tensor_of(cube, BASELINE)
-    arrived = masks(arrival, tensor.workers.shape)
-    expected = cube[:, 0] if arrived is None else cube[arrived[:, 0], 0]
-    pipeline = AggregationPipeline(BASELINE, MeanAggregator())
-    outcome = pipeline.aggregate_tensor(tensor, arrived)
-    assert_stands_for(outcome.winners, expected)
-    assert np.array_equal(outcome.aggregate, MeanAggregator()(expected))
 
 
 def test_honest_round_copies_no_row():

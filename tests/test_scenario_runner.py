@@ -22,7 +22,6 @@ from repro.scenarios import (
 )
 from repro.scenarios.runner import ScenarioRunner
 from repro.scenarios.trace import RunTrace, TraceMismatch, hex_float
-from repro.training.trainer import DistributedTrainer
 
 
 def run_named(name):
@@ -148,44 +147,6 @@ class TestObserverStaysOffTheDataPath:
         result = ScenarioRunner(spec).run()
         assert len(result.trace.rounds) == spec.training.num_iterations
         assert len(calls) == spec.training.num_iterations
-
-    @pytest.mark.parametrize(
-        "name",
-        [
-            "mols-clean",
-            "mols-alie-all-faults",
-            "mols-async-quorum",
-            "mols-uniform-trimmed-mean",
-            "ramanujan-hier-async-group-quorum",
-            "vanilla-async-deadline-partial",
-            "vanilla-multikrum-revgrad-dropout",
-        ],
-    )
-    def test_realised_distortion_is_what_the_winners_show(self, monkeypatch, name):
-        """``realised_distorted`` lists the files whose post-vote row is not
-        bit-equal to their honest row — checked on the densified winners of
-        each step the run loop takes — whatever the graph predicted, and
-        ``abstained`` the files that got no winner."""
-        seen = []
-        step = DistributedTrainer.step
-
-        def densifying_step(trainer, iteration):
-            round_result, outcome = step(trainer, iteration)
-            honest = round_result.vote_tensor.base_rows()
-            rows = zip(outcome.winner_refs[:, 0].tolist(), outcome.winners.densified())
-            seen.append(tuple(f for f, row in rows if row.tobytes() != honest[f].tobytes()))
-            files = set(outcome.winner_refs[:, 0].tolist())
-            unseen.append(tuple(f for f in range(honest.shape[0]) if f not in files))
-            return round_result, outcome
-
-        unseen = []
-        monkeypatch.setattr(DistributedTrainer, "step", densifying_step)
-        trace = run_scenario(get_scenario(name)).trace
-        assert [r.realised_distorted for r in trace.rounds] == seen
-        assert [r.abstained for r in trace.rounds] == unseen
-        if name == "mols-uniform-trimmed-mean":
-            # independent noise does not collude: its predicted files abstain
-            assert all(len(r.realised_distorted) < r.num_distorted for r in trace.rounds)
 
     def test_evaluations_follow_the_eval_schedule(self):
         """Every ``eval_every``-th round and the last are evaluated: the same

@@ -6,8 +6,6 @@ import numpy as np
 import pytest
 
 from repro.assignment.frc import FRCAssignment
-from repro.assignment.mols import MOLSAssignment
-from repro.assignment.ramanujan import RamanujanAssignment
 from repro.cluster.events import LATE_KIND, AsyncRuntime, EventDrivenRound
 from repro.core.vote_tensor import VoteTensor
 from repro.exceptions import ConfigurationError, ReproError
@@ -106,90 +104,6 @@ class TestGroupQuorumCells:
     def test_rejects_a_non_positive_group_count(self):
         with pytest.raises(ConfigurationError, match="groups"):
             AsyncRuntime(groups=0)
-
-
-def reference_collect(workers, arrivals, quorum, groups, deadline):
-    """The event loop written out copy by copy: the oracle of ``collect``.
-
-    Copies are visited in ``(time, file, slot)`` order.  Group ``g`` of ``G``
-    holds the next ``K // G`` workers, plus one for the first ``K % G``
-    groups; a (file, group) cell needs ``min(quorum, its copies)`` arrivals.
-    Returns ``(accepted, late (file, slot) list, file close times, group
-    close times or None, round time)``.
-    """
-    f, r = workers.shape
-    num_workers = int(workers.max()) + 1
-    num_groups = 1 if groups is None else groups
-    group_of = []
-    for g in range(num_groups):
-        group_of += [g] * (num_workers // num_groups + (g < num_workers % num_groups))
-    cell = {(i, k): (i, group_of[workers[i, k]]) for i in range(f) for k in range(r)}
-    need = {}
-    for key in cell.values():
-        need[key] = need.get(key, 0) + 1
-    need = {key: min(r if quorum is None else quorum, n) for key, n in need.items()}
-    count = dict.fromkeys(need, 0)
-    accepted = np.zeros((f, r), dtype=bool)
-    late = []
-    group_close = np.full((f, num_groups), np.inf)
-    file_close = np.full(f, np.inf)
-    last_accept = 0.0
-    order = sorted((arrivals[i, k], i, k) for i in range(f) for k in range(r) if np.isfinite(arrivals[i, k]))
-    for time, i, k in order:
-        key = cell[i, k]
-        if time >= deadline or count[key] >= need[key]:
-            late.append((i, k))
-            continue
-        accepted[i, k] = True
-        count[key] += 1
-        last_accept = time
-        if count[key] == need[key]:
-            group_close[key] = time
-            if all(count[c] >= need[c] for c in need if c[0] == i):
-                file_close[i] = time
-    if all(count[c] >= need[c] for c in need):
-        round_time = float(file_close.max())
-    elif np.isfinite(deadline):
-        round_time = deadline
-    else:
-        round_time = last_accept
-    return accepted, late, file_close, None if groups is None else group_close, round_time
-
-
-ORACLE_SCHEMES = {
-    "mols": lambda: MOLSAssignment(load=5, replication=3).assignment,  # K=15, f=25, r=3
-    "ramanujan": lambda: RamanujanAssignment(m=5, s=5).assignment,  # K=25, f=25, r=5
-    "frc": lambda: FRCAssignment(num_workers=15, replication=3).assignment,  # K=15, f=5, r=3
-}
-
-
-@pytest.mark.parametrize("deadline", [np.inf, 0.4], ids=["no-deadline", "deadline"])
-@pytest.mark.parametrize("quorum", [None, 1, 2, 3])
-@pytest.mark.parametrize("groups", [None, 1, 2, 4, 7])
-@pytest.mark.parametrize("scheme", sorted(ORACLE_SCHEMES))
-def test_collect_matches_the_copy_by_copy_oracle(scheme, groups, quorum, deadline):
-    """Random arrival schedules with ties (times on a 0.05 s grid) and
-    copies that never arrive: the engine accepts, rejects, closes and times
-    exactly what the oracle does, and writes no copy."""
-    assignment = ORACLE_SCHEMES[scheme]()
-    rng = np.random.default_rng(sum(map(ord, f"{scheme}-{groups}-{quorum}-{deadline}")))
-    for _ in range(3):
-        tensor, _ = one_round(assignment)
-        arrivals = np.round(rng.exponential(0.3, tensor.workers.shape) / 0.05) * 0.05
-        arrivals[rng.random(arrivals.shape) < 0.1] = np.inf
-        accepted, late, file_close, group_close, round_time = reference_collect(
-            tensor.workers, arrivals, quorum, groups, deadline
-        )
-        out = collect(tensor, arrivals, quorum=quorum, groups=groups, deadline=deadline)
-        assert np.array_equal(out.accepted, accepted)
-        assert [(e.file, e.slot) for e in out.late_events] == late
-        assert np.array_equal(out.file_close_times, file_close)
-        if group_close is None:
-            assert out.group_close_times is None
-        else:
-            assert np.array_equal(out.group_close_times, group_close)
-        assert out.round_time == round_time
-        assert tensor.num_override_rows == 0
 
 
 class TestTopologySpec:

@@ -90,21 +90,6 @@ def test_from_honest_is_the_only_constructor(mols_assignment):
 # --------------------------------------------------------------------------- #
 # Batched gradient computation
 # --------------------------------------------------------------------------- #
-def test_batched_gradients_match_per_file_calls(rng):
-    model = build_mlp(6, 3, hidden=(8,), seed=0)
-    computer = ModelGradientComputer(model)
-    params = computer.initial_params()
-    files = [
-        (rng.standard_normal((4, 6)), rng.integers(0, 3, 4)) for _ in range(5)
-    ]
-    stacked_grads, stacked_losses = computer.batched(params, files)
-    assert stacked_grads.shape == (5, computer.dim)
-    for i, (x, y) in enumerate(files):
-        gradient, loss = computer(params, x, y)
-        assert np.array_equal(stacked_grads[i], gradient)
-        assert stacked_losses[i] == loss
-
-
 def test_batched_accepts_stacked_arrays(rng):
     model = build_mlp(6, 3, hidden=(8,), seed=0)
     computer = ModelGradientComputer(model)

@@ -16,23 +16,25 @@ from repro.exceptions import AggregationError
 
 __all__ = ["GeometricMedianAggregator", "geometric_median"]
 
+#: Weiszfeld iterations before the last iterate is returned unconverged
+_MAX_ITERATIONS = 200
+#: convergence: a step of at most this times ``1 + ||estimate||``
+_TOLERANCE = 1e-10
+#: floor of a row's distance, so an iterate on a data point divides by it
+_SMOOTHING = 1e-12
 
-def geometric_median(
-    matrix: np.ndarray,
-    max_iterations: int = 200,
-    tolerance: float = 1e-10,
-    smoothing: float = 1e-12,
-) -> np.ndarray:
+
+def geometric_median(matrix: np.ndarray) -> np.ndarray:
     """Weiszfeld fixed-point iteration for the geometric median of the rows."""
     matrix = ensure_float(matrix)
     if matrix.ndim != 2 or matrix.shape[0] == 0:
         raise AggregationError("geometric median needs a non-empty (n, d) matrix")
     estimate = matrix.mean(axis=0)
-    for _ in range(max_iterations):
+    for _ in range(_MAX_ITERATIONS):
         distances = np.linalg.norm(matrix - estimate, axis=1)
-        weights = 1.0 / np.maximum(distances, smoothing)
+        weights = 1.0 / np.maximum(distances, _SMOOTHING)
         new_estimate = (weights[:, None] * matrix).sum(axis=0) / weights.sum()
-        if np.linalg.norm(new_estimate - estimate) <= tolerance * (
+        if np.linalg.norm(new_estimate - estimate) <= _TOLERANCE * (
             1.0 + np.linalg.norm(estimate)
         ):
             return new_estimate
@@ -41,25 +43,9 @@ def geometric_median(
 
 
 class GeometricMedianAggregator(Aggregator):
-    """Geometric median of the votes (1/2 breakdown point, rotation invariant).
-
-    Parameters
-    ----------
-    max_iterations, tolerance:
-        Weiszfeld iteration controls.
-    """
+    """Geometric median of the votes (1/2 breakdown point, rotation invariant)."""
 
     aggregator_name = "geometric_median"
 
-    def __init__(self, max_iterations: int = 200, tolerance: float = 1e-10) -> None:
-        if max_iterations < 1:
-            raise AggregationError(
-                f"max_iterations must be >= 1, got {max_iterations}"
-            )
-        self.max_iterations = int(max_iterations)
-        self.tolerance = float(tolerance)
-
     def _aggregate(self, matrix: np.ndarray) -> np.ndarray:
-        return geometric_median(
-            matrix, max_iterations=self.max_iterations, tolerance=self.tolerance
-        )
+        return geometric_median(matrix)

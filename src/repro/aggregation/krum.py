@@ -91,37 +91,29 @@ class KrumAggregator(Aggregator):
 
 
 class MultiKrumAggregator(Aggregator):
-    """Average of the ``multi_k`` best-scored votes.
+    """Average of the ``n − q − 2`` best-scored votes (at least one), the
+    count the AggregaThor implementation uses.
 
     Parameters
     ----------
     num_byzantine:
         Assumed number of Byzantine votes ``q``.
-    multi_k:
-        How many of the best-scored votes to average; the common choice
-        (and the default) is ``n − q − 2`` computed at call time, which the
-        AggregaThor implementation uses.
     """
 
     aggregator_name = "multi_krum"
 
-    def __init__(self, num_byzantine: int, multi_k: int | None = None) -> None:
+    def __init__(self, num_byzantine: int) -> None:
         if num_byzantine < 0:
             raise AggregationError(
                 f"num_byzantine must be non-negative, got {num_byzantine}"
             )
-        if multi_k is not None and multi_k < 1:
-            raise AggregationError(f"multi_k must be >= 1, got {multi_k}")
         self.num_byzantine = int(num_byzantine)
-        self.multi_k = None if multi_k is None else int(multi_k)
 
     def minimum_votes(self) -> int:
         return 2 * self.num_byzantine + 3
 
     def _aggregate(self, matrix: np.ndarray) -> np.ndarray:
         scores = krum_scores(matrix, self.num_byzantine)
-        n = matrix.shape[0]
-        k = self.multi_k if self.multi_k is not None else max(1, n - self.num_byzantine - 2)
-        k = min(k, n)
+        k = max(1, matrix.shape[0] - self.num_byzantine - 2)
         selected = np.argsort(scores)[:k]
         return matrix[selected].mean(axis=0)

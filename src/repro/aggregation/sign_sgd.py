@@ -1,10 +1,10 @@
 """signSGD with coordinate-wise majority vote (Bernstein et al., 2019).
 
 Workers transmit only the sign of each gradient coordinate; the PS outputs the
-majority sign per coordinate, optionally scaled by a fixed magnitude.  The
-model update then moves every parameter by ``±scale`` regardless of gradient
-magnitude, which is why the paper pairs this defense with the *constant*
-attack (sign flips alone rarely flip a coordinate's majority).
+majority sign per coordinate.  The model update then moves every parameter
+by ``±learning_rate`` regardless of gradient magnitude, which is why the
+paper pairs this defense with the *constant* attack (sign flips alone rarely
+flip a coordinate's majority).
 """
 
 from __future__ import annotations
@@ -12,29 +12,15 @@ from __future__ import annotations
 import numpy as np
 
 from repro.aggregation.base import Aggregator
-from repro.exceptions import AggregationError
 
 __all__ = ["SignSGDMajorityAggregator"]
 
 
 class SignSGDMajorityAggregator(Aggregator):
-    """Coordinate-wise majority of gradient signs.
-
-    Parameters
-    ----------
-    scale:
-        Magnitude given to the output signs (the effective per-coordinate step
-        is ``learning_rate * scale``).
-    """
+    """Coordinate-wise majority of gradient signs."""
 
     aggregator_name = "signsgd"
 
-    def __init__(self, scale: float = 1.0) -> None:
-        if not np.isfinite(scale) or scale <= 0:
-            raise AggregationError(f"scale must be positive and finite, got {scale}")
-        self.scale = float(scale)
-
     def _aggregate(self, matrix: np.ndarray) -> np.ndarray:
         signs = np.sign(matrix)
-        vote = np.sign(signs.sum(axis=0))
-        return self.scale * vote
+        return np.sign(signs.sum(axis=0))

@@ -19,9 +19,15 @@ from repro.utils.validation import check_positive_int
 
 __all__ = ["RandomAssignment"]
 
+#: redraws of the configuration-model sampler before it gives up
+_MAX_ATTEMPTS = 2000
+
 
 class RandomAssignment(AssignmentScheme):
     """Uniformly random biregular placement with given load and replication.
+
+    The configuration-model sampler rejects placements that give a worker two
+    copies of the same file and redraws at most :data:`_MAX_ATTEMPTS` times.
 
     Parameters
     ----------
@@ -33,9 +39,6 @@ class RandomAssignment(AssignmentScheme):
         Copies per file ``r``.
     seed:
         Seed (or generator) controlling the random placement.
-    max_attempts:
-        The configuration-model sampler rejects placements that give a worker
-        two copies of the same file; this bounds the number of redraws.
     """
 
     scheme_name = "random"
@@ -46,7 +49,6 @@ class RandomAssignment(AssignmentScheme):
         num_files: int,
         replication: int,
         seed: int | np.random.Generator | None = 0,
-        max_attempts: int = 2000,
     ) -> None:
         self.num_workers_total = check_positive_int(num_workers, "num_workers K")
         self.num_files_total = check_positive_int(num_files, "num_files f")
@@ -63,7 +65,6 @@ class RandomAssignment(AssignmentScheme):
                 f"load l={self.load} exceeds the number of files f={num_files}"
             )
         self._rng = as_generator(seed)
-        self.max_attempts = check_positive_int(max_attempts, "max_attempts")
 
     def build(self) -> BipartiteAssignment:
         """Sample a biregular graph via the configuration model with rejection."""
@@ -74,7 +75,7 @@ class RandomAssignment(AssignmentScheme):
             self.load,
         )
         file_stubs = np.repeat(np.arange(f), r)
-        for _ in range(self.max_attempts):
+        for _ in range(_MAX_ATTEMPTS):
             perm = self._rng.permutation(file_stubs)
             H = np.zeros((K, f), dtype=np.int8)
             ok = True
@@ -90,5 +91,5 @@ class RandomAssignment(AssignmentScheme):
                 )
         raise AssignmentError(
             "failed to sample a simple biregular assignment within "
-            f"{self.max_attempts} attempts; the parameters may be too tight"
+            f"{_MAX_ATTEMPTS} attempts; the parameters may be too tight"
         )

@@ -38,6 +38,17 @@ from repro.utils.arrays import GATHER_ELEMENTS, column_mean_std, pairwise_square
 
 __all__ = ["FangAdaptiveAttack", "MinMaxAttack", "MinSumAttack"]
 
+#: Fang's largest perturbation scale λ: its ladder is ``λ · 2^{-i}``
+#: (coordinate defenses), its Krum search halves from it
+_LAMBDA_INIT = 10.0
+#: min-max/min-sum's first γ; the bisection steps by ``γ/2, γ/4, …``
+_GAMMA_INIT = 10.0
+#: ladder, halving and bisection steps of every search here
+_NUM_STEPS = 10
+#: Fang's coordinate defenses pick the smallest λ whose deviation is within
+#: this relative distance of the best seen: near-maximal damage, maximal stealth
+_RTOL = 0.05
+
 
 def _corrupted_file_indices(context: AttackContext) -> np.ndarray:
     """Files whose post-vote gradient the adversary controls.
@@ -83,8 +94,8 @@ def _distance_coefficients(
     return a, b, float(u @ u)
 
 
-def _stealthy_pick(deviations: list[float], rtol: float) -> int:
-    """Index of the smallest λ whose deviation is within ``rtol`` of the best.
+def _stealthy_pick(deviations: list[float]) -> int:
+    """Index of the smallest λ whose deviation is within :data:`_RTOL` of the best.
 
     The ladder halves λ at every step, so that is the *largest* qualifying
     index; when nothing deviates the last (smallest) step stays stealthy.
@@ -92,7 +103,7 @@ def _stealthy_pick(deviations: list[float], rtol: float) -> int:
     best = max(deviations)
     if best <= 0.0:
         return len(deviations) - 1
-    cutoff = (1.0 - rtol) * best
+    cutoff = (1.0 - _RTOL) * best
     return max(i for i, dev in enumerate(deviations) if dev >= cutoff)
 
 
@@ -104,51 +115,24 @@ class FangAdaptiveAttack(Attack):
     defense:
         The robust rule the PS is assumed to run: ``"median"``,
         ``"trimmed_mean"``, ``"mean"`` or ``"krum"``.
-    lambda_init:
-        Largest perturbation scale tried; the search walks the geometric
-        ladder ``λ_init · 2^{-i}`` (coordinate defenses) or halves from it
-        (Krum).
-    num_steps:
-        Number of ladder / halving steps.
     trim:
         Trim width the simulated trimmed mean uses; ``None`` (default)
         assumes the defense trims exactly the corrupted file count.
-    rtol:
-        Coordinate defenses pick the *smallest* λ whose deviation is within
-        ``rtol`` of the best seen — near-maximal damage at maximal stealth.
     """
 
     attack_name = "fang"
 
     DEFENSES = ("median", "trimmed_mean", "mean", "krum")
 
-    def __init__(
-        self,
-        defense: str = "median",
-        lambda_init: float = 10.0,
-        num_steps: int = 10,
-        trim: int | None = None,
-        rtol: float = 0.05,
-    ) -> None:
+    def __init__(self, defense: str = "median", trim: int | None = None) -> None:
         if defense not in self.DEFENSES:
             raise AttackError(
                 f"unknown defense {defense!r}; expected one of {self.DEFENSES}"
             )
-        if not np.isfinite(lambda_init) or lambda_init <= 0:
-            raise AttackError(
-                f"lambda_init must be positive and finite, got {lambda_init}"
-            )
-        if num_steps < 1:
-            raise AttackError(f"num_steps must be >= 1, got {num_steps}")
         if trim is not None and trim < 0:
             raise AttackError(f"trim must be non-negative, got {trim}")
-        if not 0.0 <= rtol < 1.0:
-            raise AttackError(f"rtol must be in [0, 1), got {rtol}")
         self.defense = defense
-        self.lambda_init = float(lambda_init)
-        self.num_steps = int(num_steps)
         self.trim = None if trim is None else int(trim)
-        self.rtol = float(rtol)
 
     def payload(self, context: AttackContext) -> np.ndarray:
         honest = np.asarray(context.stacked_honest_gradients(), dtype=DEFAULT_DTYPE)
@@ -178,9 +162,9 @@ class FangAdaptiveAttack(Attack):
         q_eff = min(k, max(f - 3, 0))
         neighbors = max(1, f - q_eff - 2)
         corrupted_set = set(int(i) for i in corrupted)
-        lam = self.lambda_init
+        lam = _LAMBDA_INIT
         accepted: float | None = None
-        for _ in range(self.num_steps):
+        for _ in range(_NUM_STEPS):
             if self._krum_selects_corrupted(
                 lam, a, b, c, pair, corrupted, corrupted_set, neighbors
             ):
@@ -243,8 +227,8 @@ class FangAdaptiveAttack(Attack):
         # per-coordinate insertion position is analytic — no O(n·d)
         # comparison per step.
         position = np.where(negative, 0, sorted_ref.shape[0]).astype(np.int64)
-        lam = self.lambda_init
-        for _ in range(self.num_steps):
+        lam = _LAMBDA_INIT
+        for _ in range(_NUM_STEPS):
             payload = np.where(negative, low - lam * spread, high + lam * spread)
             aggregated = self._defense_with_insertion(
                 sorted_ref, prefix, payload, f, k, trim, position=position
@@ -252,7 +236,7 @@ class FangAdaptiveAttack(Attack):
             deviations.append(float((baseline - aggregated) @ sign))
             payloads.append(payload)
             lam /= 2.0
-        return payloads[_stealthy_pick(deviations, self.rtol)]
+        return payloads[_stealthy_pick(deviations)]
 
     def _median_payload(
         self,
@@ -310,12 +294,12 @@ class FangAdaptiveAttack(Attack):
             c1 -= 0.5 * float(np.where(sel, sign * delta, 0.0).sum())
         lams: list[float] = []
         deviations: list[float] = []
-        lam = self.lambda_init
-        for _ in range(self.num_steps):
+        lam = _LAMBDA_INIT
+        for _ in range(_NUM_STEPS):
             lams.append(lam)
             deviations.append(c0 + c1 * lam)
             lam /= 2.0
-        return base + lams[_stealthy_pick(deviations, self.rtol)] * delta
+        return base + lams[_stealthy_pick(deviations)] * delta
 
     def _effective_trim(self, population: int, corrupted: int) -> int:
         if self.defense != "trimmed_mean":
@@ -396,25 +380,12 @@ class _OptimizedDeviationAttack(Attack):
 
     DIRECTIONS = ("unit", "sign", "std")
 
-    def __init__(
-        self,
-        direction: str = "unit",
-        gamma_init: float = 10.0,
-        num_steps: int = 10,
-    ) -> None:
+    def __init__(self, direction: str = "unit") -> None:
         if direction not in self.DIRECTIONS:
             raise AttackError(
                 f"unknown direction {direction!r}; expected one of {self.DIRECTIONS}"
             )
-        if not np.isfinite(gamma_init) or gamma_init <= 0:
-            raise AttackError(
-                f"gamma_init must be positive and finite, got {gamma_init}"
-            )
-        if num_steps < 1:
-            raise AttackError(f"num_steps must be >= 1, got {num_steps}")
         self.direction = direction
-        self.gamma_init = float(gamma_init)
-        self.num_steps = int(num_steps)
 
     def _mean_and_perturbation(self, honest: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         if self.direction == "std":
@@ -442,10 +413,10 @@ class _OptimizedDeviationAttack(Attack):
         # p − g_i = (µ − g_i) + γ·u → ||p − g_i||² = a_i + 2γ·b_i + γ²·c.
         a, b, c = _distance_coefficients(honest, mu, u)
         bound = self._bound(pairwise_squared_distances(honest))
-        gamma = self.gamma_init
-        step = self.gamma_init / 2.0
+        gamma = _GAMMA_INIT
+        step = _GAMMA_INIT / 2.0
         gamma_accepted = 0.0
-        for _ in range(self.num_steps):
+        for _ in range(_NUM_STEPS):
             if self._accepts(gamma, a, b, c, bound):
                 gamma_accepted = gamma
                 gamma += step

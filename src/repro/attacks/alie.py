@@ -57,7 +57,8 @@ def alie_z_max(num_voters: int, num_byzantine: int) -> float:
 
 
 class ALIEAttack(Attack):
-    """Collusive mean-shift attack using honest gradient statistics.
+    """Collusive mean-shift attack using honest gradient statistics: the
+    crafted vector is ``µ − z·σ``.
 
     Parameters
     ----------
@@ -70,18 +71,14 @@ class ALIEAttack(Attack):
         gradients, at most ``c_max`` of them distorted) is an open question
         in ROADMAP.md (item 4); until it is settled the calibration stays on
         ``(K, q)``.
-    negative_direction:
-        If True (default) the crafted vector is ``µ − z·σ``; otherwise
-        ``µ + z·σ``.
     """
 
     attack_name = "alie"
 
-    def __init__(self, z: float | None = None, negative_direction: bool = True) -> None:
+    def __init__(self, z: float | None = None) -> None:
         if z is not None and (not np.isfinite(z) or z < 0):
             raise AttackError(f"z must be a non-negative finite value, got {z}")
         self.z = None if z is None else float(z)
-        self.negative_direction = bool(negative_direction)
 
     def payload(self, context: AttackContext) -> np.ndarray:
         mean, std = column_mean_std(context.stacked_honest_gradients())
@@ -92,8 +89,7 @@ class ALIEAttack(Attack):
             # vote population the aggregator sees (f files, <= c_max of them
             # distorted) is the open question of ROADMAP.md item 4.
             z = alie_z_max(context.assignment.num_workers, context.num_byzantine)
-        direction = -1.0 if self.negative_direction else 1.0
-        # ``mean + direction * z * std`` ufunc for ufunc, in the two vectors
-        # the statistics returned instead of a third.
-        np.multiply(direction * z, std, out=std)
+        # ``mean + (-z) * std`` ufunc for ufunc, in the two vectors the
+        # statistics returned instead of a third.
+        np.multiply(-z, std, out=std)
         return np.add(mean, std, out=mean)

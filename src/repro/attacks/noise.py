@@ -18,24 +18,20 @@ __all__ = ["GaussianNoiseAttack", "UniformRandomAttack"]
 
 
 class GaussianNoiseAttack(Attack):
-    """Return ``g + N(0, σ²)`` noise with a configurable (possibly huge) σ.
+    """Return pure ``N(0, σ²)`` noise with a configurable (possibly huge) σ.
 
     Parameters
     ----------
     sigma:
         Noise standard deviation.
-    around_true_gradient:
-        If True the noise is added to the true gradient (harder to detect);
-        otherwise pure noise is returned.
     """
 
     attack_name = "gaussian_noise"
 
-    def __init__(self, sigma: float = 10.0, around_true_gradient: bool = False) -> None:
+    def __init__(self, sigma: float = 10.0) -> None:
         if not np.isfinite(sigma) or sigma <= 0:
             raise AttackError(f"sigma must be positive and finite, got {sigma}")
         self.sigma = float(sigma)
-        self.around_true_gradient = bool(around_true_gradient)
 
     def apply_tensor(self, context: AttackContext, tensor) -> None:
         # One stacked (m, d) draw, row j going to the j-th slot of
@@ -44,8 +40,6 @@ class GaussianNoiseAttack(Attack):
             return
         files, slots = byzantine_write_order(context, tensor)
         payload = context.rng.standard_normal((files.size, tensor.dim)) * self.sigma
-        if self.around_true_gradient:
-            payload += context.stacked_honest_gradients()[files]
         tensor.write_slots(files, slots, payload)
 
 

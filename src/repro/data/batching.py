@@ -254,28 +254,26 @@ def _apportion(proportions: np.ndarray, total: int) -> np.ndarray:
     return counts
 
 
-def _rebalanced(shards: list[np.ndarray], min_per_shard: int) -> list[np.ndarray]:
-    """Move samples from the largest shards until every shard has the floor.
+def _rebalanced(shards: list[np.ndarray]) -> list[np.ndarray]:
+    """Give every empty shard one sample, so each file has data to compute a
+    gradient from.
 
-    Deterministic: the deficient shards are filled in index order, each time
-    taking the last sample of the currently largest shard (ties broken by
-    lowest shard index).  Raises :class:`DataError` when there are not
-    enough samples for every shard to reach ``min_per_shard``.
+    Deterministic: the empty shards are filled in index order, each taking
+    the last sample of the currently largest shard (ties broken by lowest
+    shard index).  Raises :class:`DataError` when there are fewer samples
+    than shards.
 
-    While a shard is short of the floor the total puts the largest one above
-    it, so a donor is never a shard that received: each shard ends as a
-    prefix of its array plus the samples it was given.
+    While a shard is empty the total puts the largest one above one sample,
+    so a donor is never a shard that received: each shard ends as a prefix
+    of its array plus the sample it was given.
     """
     total = sum(shard.size for shard in shards)
-    if total < min_per_shard * len(shards):
-        raise DataError(
-            f"{total} samples cannot give each of {len(shards)} shards "
-            f"at least {min_per_shard}"
-        )
+    if total < len(shards):
+        raise DataError(f"{total} samples cannot give each of {len(shards)} shards a sample")
     sizes = np.asarray([shard.size for shard in shards], dtype=np.int64)
     received: list[list[int]] = [[] for _ in shards]
     for index in range(len(shards)):
-        while sizes[index] < min_per_shard:
+        if sizes[index] == 0:
             donor = int(np.argmax(sizes))
             sizes[donor] -= 1
             received[index].append(int(shards[donor][sizes[donor]]))
@@ -286,21 +284,15 @@ def _rebalanced(shards: list[np.ndarray], min_per_shard: int) -> list[np.ndarray
     ]
 
 
-def _check_partition_args(num_shards: int, alpha: float, min_per_shard: int) -> None:
+def _check_partition_args(num_shards: int, alpha: float) -> None:
     if num_shards < 1:
         raise DataError(f"num_shards must be positive, got {num_shards}")
     if not np.isfinite(alpha) or alpha <= 0:
         raise DataError(f"alpha must be positive and finite, got {alpha}")
-    if min_per_shard < 0:
-        raise DataError(f"min_per_shard must be non-negative, got {min_per_shard}")
 
 
 def dirichlet_label_partition(
-    labels: np.ndarray,
-    num_shards: int,
-    alpha: float,
-    seed: int = 0,
-    min_per_shard: int = 1,
+    labels: np.ndarray, num_shards: int, alpha: float, seed: int = 0
 ) -> list[np.ndarray]:
     """Dirichlet label-skew shards (Hsu et al., 2019).
 
@@ -312,12 +304,12 @@ def dirichlet_label_partition(
     ``(labels, num_shards, alpha, seed)``.
 
     Returns sorted, disjoint index arrays covering every sample exactly
-    once; shards are topped up to ``min_per_shard`` samples from the
-    largest shards (degenerate draws would otherwise leave a file with no
-    data to compute a gradient from).
+    once; an empty shard is given one sample from the largest shard
+    (degenerate draws would otherwise leave a file with no data to compute
+    a gradient from).
     """
     labels = np.asarray(labels).ravel()
-    _check_partition_args(num_shards, alpha, min_per_shard)
+    _check_partition_args(num_shards, alpha)
     parts: list[list[np.ndarray]] = [[_NO_SAMPLES] for _ in range(num_shards)]
     for cls in np.unique(labels):
         class_rng = as_generator(derive_seed(seed, "dirichlet", int(cls)))
@@ -326,15 +318,11 @@ def dirichlet_label_partition(
         counts = _apportion(class_rng.dirichlet(np.full(num_shards, alpha)), indices.size)
         for shard_parts, part in zip(parts, np.split(indices, np.cumsum(counts)[:-1])):
             shard_parts.append(part)
-    return _rebalanced([np.concatenate(p) for p in parts], min_per_shard)
+    return _rebalanced([np.concatenate(p) for p in parts])
 
 
 def quantity_skew_partition(
-    num_samples: int,
-    num_shards: int,
-    alpha: float,
-    seed: int = 0,
-    min_per_shard: int = 1,
+    num_samples: int, num_shards: int, alpha: float, seed: int = 0
 ) -> list[np.ndarray]:
     """Quantity-skew shards: Dirichlet-distributed shard *sizes*, IID labels.
 
@@ -345,11 +333,11 @@ def quantity_skew_partition(
     """
     if num_samples < 1:
         raise DataError(f"num_samples must be positive, got {num_samples}")
-    _check_partition_args(num_shards, alpha, min_per_shard)
+    _check_partition_args(num_shards, alpha)
     rng = as_generator(derive_seed(seed, "quantity_skew"))
     counts = _apportion(rng.dirichlet(np.full(num_shards, alpha)), num_samples)
     permutation = rng.permutation(num_samples)
-    return _rebalanced(np.split(permutation, np.cumsum(counts)[:-1]), min_per_shard)
+    return _rebalanced(np.split(permutation, np.cumsum(counts)[:-1]))
 
 
 def partition_digest(shards: list[np.ndarray]) -> str:
@@ -374,17 +362,12 @@ def build_file_partition(
     kind: str,
     alpha: float = 0.5,
     seed: int = 0,
-    min_per_shard: int = 1,
 ) -> list[np.ndarray]:
     """One shard of ``dataset`` per file, by partition ``kind``."""
     if kind == "dirichlet":
-        return dirichlet_label_partition(
-            dataset.labels, num_files, alpha, seed=seed, min_per_shard=min_per_shard
-        )
+        return dirichlet_label_partition(dataset.labels, num_files, alpha, seed=seed)
     if kind == "quantity_skew":
-        return quantity_skew_partition(
-            dataset.num_samples, num_files, alpha, seed=seed, min_per_shard=min_per_shard
-        )
+        return quantity_skew_partition(dataset.num_samples, num_files, alpha, seed=seed)
     raise DataError(
         f"unknown partition kind {kind!r}; expected one of {PARTITION_KINDS}"
     )

@@ -49,7 +49,7 @@ class StepDecaySchedule:
 
 
 class SGD:
-    """Stochastic gradient descent with momentum and optional weight decay.
+    """Stochastic gradient descent with momentum and no L2 term.
 
     The optimizer operates on flat vectors so it can be driven either by a
     model (local training) or by the parameter server (distributed training).
@@ -60,25 +60,13 @@ class SGD:
         The ``(x, y, z)`` learning-rate schedule.
     momentum:
         Classical momentum coefficient (0 disables the velocity buffer).
-    weight_decay:
-        L2 penalty added to the gradient as ``weight_decay * w``.
     """
 
-    def __init__(
-        self,
-        schedule: StepDecaySchedule,
-        momentum: float = 0.0,
-        weight_decay: float = 0.0,
-    ) -> None:
+    def __init__(self, schedule: StepDecaySchedule, momentum: float = 0.0) -> None:
         self.schedule = schedule
         if not (0.0 <= momentum < 1.0):
             raise ConfigurationError(f"momentum must be in [0, 1), got {momentum}")
-        if weight_decay < 0:
-            raise ConfigurationError(
-                f"weight_decay must be non-negative, got {weight_decay}"
-            )
         self.momentum = float(momentum)
-        self.weight_decay = float(weight_decay)
         self._velocity: np.ndarray | None = None
         self.iteration = 0
 
@@ -92,11 +80,10 @@ class SGD:
         The result is a new array and ``params`` is never written, so a view
         of the old parameters (:meth:`ParameterServer.broadcast
         <repro.training.trainer.ParameterServer.broadcast>`) keeps its values.
-        The step evaluates ``params - rate * (momentum * v + (gradient +
-        weight_decay * params))`` with that expression's ufuncs, in its
-        order and in the dtype each of them has there, but every
-        intermediate goes into the one new buffer it returns and the
-        velocity is updated in place: the expression's bits, one
+        The step evaluates ``params - rate * (momentum * v + gradient)`` with
+        that expression's ufuncs, in its order and in the dtype each of them
+        has there, but the step goes into the one new buffer it returns and
+        the velocity is updated in place: the expression's bits, one
         parameter-sized allocation.
         """
         params = ensure_float(params)
@@ -115,18 +102,12 @@ class SGD:
         # the buffer it writes has the result's (widest) dtype.
         operands = (params, gradient) if velocity is None else (params, gradient, velocity)
         step = np.empty(params.shape, dtype=np.result_type(*operands))
-        direction_dtype = gradient.dtype
-        if self.weight_decay:
-            direction_dtype = np.result_type(gradient, params)
-            np.multiply(self.weight_decay, params, out=step)
-            gradient = np.add(gradient, step, out=step, dtype=direction_dtype)
         if velocity is not None:
-            scaled = np.result_type(velocity, direction_dtype)
+            scaled = np.result_type(velocity, gradient)
             out = velocity if velocity.dtype == scaled else np.empty(params.shape, dtype=scaled)
             np.multiply(self.momentum, velocity, out=out)
             self._velocity = gradient = np.add(out, gradient, out=out, dtype=scaled)
-            direction_dtype = scaled
         rate = self.schedule.rate(self.iteration)
         self.iteration += 1
-        np.multiply(rate, gradient, out=step, dtype=direction_dtype)
+        np.multiply(rate, gradient, out=step, dtype=gradient.dtype)
         return np.subtract(params, step, out=step)

@@ -366,6 +366,18 @@ def _catalog() -> dict[str, dict[str, Any]]:
             description="DETOX groups close at quorum 2 under churn, 0.45s deadline backstop",
         ),
         _spec(
+            "mols-deadline-edge-lr-decay",
+            _MOLS,
+            _BYZSHIELD_MEDIAN,
+            faults=[{"kind": "stragglers",
+                     "params": {"count": 2, "delay_model": "fixed", "delay": 0.25}}],
+            # A straggler's third message arrives at exactly this time, so the
+            # (exclusive) deadline rejects it; the schedule decays after round 1.
+            runtime={"deadline": 0.256011592},
+            training={"batch_size": 75, "num_iterations": 4, "eval_every": 2, "lr_period": 2},
+            description="Straggler copies arriving exactly at the deadline are late; the LR decays every 2 rounds",
+        ),
+        _spec(
             "vanilla-async-deadline-partial",
             _BASELINE,
             {"kind": "vanilla", "aggregator": "median"},

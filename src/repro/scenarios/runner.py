@@ -243,7 +243,6 @@ class ScenarioRunner:
         groups = None if spec.topology is None else spec.topology.groups
         # The train split holds exactly ``data.num_train`` rows (split_slots).
         num_train, partition = spec.data.num_train, spec.data.partition
-        min_per_shard = None if partition is None else partition.min_per_shard
         quorum, r_prime = spec.runtime.quorum, majority_threshold(r)
         needed = aggregator.minimum_votes()
         refusals = (
@@ -303,9 +302,9 @@ class ScenarioRunner:
             (partition is None and batch_size > num_train,
              f"scenario.training.batch_size: batch_size={batch_size} exceeds the "
              f"{num_train} training samples"),
-            (min_per_shard is not None and min_per_shard * f > num_train,
-             f"scenario.data.partition.min_per_shard: {num_train} training samples cannot "
-             f"give each of f={f} shards at least {min_per_shard}"),
+            (partition is not None and f > num_train,
+             f"scenario.data.partition: {num_train} training samples cannot give each "
+             f"of f={f} shards a sample"),
         )
         for refused, message in refusals:
             if refused:
@@ -382,7 +381,6 @@ class ScenarioRunner:
             section.kind,
             alpha=section.alpha,
             seed=derive_seed(self.spec.seed, "partition", section.kind),
-            min_per_shard=section.min_per_shard,
         )
 
     def build_trainer(self) -> DistributedTrainer:

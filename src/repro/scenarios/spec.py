@@ -103,13 +103,12 @@ class PartitionSpec(Schema, where="partition"):
 
     ``kind`` is ``"dirichlet"`` (label skew, Hsu et al. 2019) or
     ``"quantity_skew"`` (Dirichlet shard sizes); ``alpha`` is the Dirichlet
-    concentration (small = strong skew) and ``min_per_shard`` the floor
-    every file's shard is topped up to.
+    concentration (small = strong skew).  Every file's shard is topped up to
+    at least one sample.
     """
 
     kind: str = spec_field(str, pinned=True, default="dirichlet")
     alpha: float = spec_field(float, pinned=True, default=0.5)
-    min_per_shard: int = spec_field(int, default=1)
 
     def __post_init__(self) -> None:
         if self.kind not in ("dirichlet", "quantity_skew"):
@@ -120,11 +119,6 @@ class PartitionSpec(Schema, where="partition"):
         if not self.alpha > 0:  # also NaN
             raise ConfigurationError(
                 f"partition alpha must be positive, got {self.alpha}"
-            )
-        if self.min_per_shard < 0:
-            raise ConfigurationError(
-                f"partition min_per_shard must be non-negative, got "
-                f"{self.min_per_shard}"
             )
 
 
@@ -168,9 +162,9 @@ class TrainingSpec(Schema, where="training"):
     """Optimization schedule of the run: global batch size ``b`` (a multiple
     of ``f``), ``num_iterations`` synchronous SGD steps, the paper's
     ``(x, y, z)`` learning-rate schedule (``learning_rate`` decayed by
-    ``lr_decay`` every ``lr_period`` iterations), momentum, an optional L2
-    ``weight_decay``, and a test evaluation every ``eval_every`` iterations
-    (and at the end)."""
+    ``lr_decay`` every ``lr_period`` iterations), momentum with no L2 term,
+    and a test evaluation every ``eval_every`` iterations (and at the
+    end)."""
 
     batch_size: int = spec_field(int, pinned=True, default=75)
     num_iterations: int = spec_field(int, pinned=True, default=4)
@@ -178,7 +172,6 @@ class TrainingSpec(Schema, where="training"):
     lr_decay: float = spec_field(float, pinned=True, default=0.96)
     lr_period: int = spec_field(int, pinned=True, default=15)
     momentum: float = spec_field(float, pinned=True, default=0.9)
-    weight_decay: float = spec_field(float, pinned=True, default=0.0)
     eval_every: int = spec_field(int, pinned=True, default=2)
 
     def __post_init__(self) -> None:
@@ -198,10 +191,6 @@ class TrainingSpec(Schema, where="training"):
             raise ConfigurationError(f"lr_period must be >= 1, got {self.lr_period}")
         if not (0.0 <= self.momentum < 1.0):
             raise ConfigurationError(f"momentum must be in [0, 1), got {self.momentum}")
-        if not self.weight_decay >= 0:
-            raise ConfigurationError(
-                f"weight_decay must be non-negative, got {self.weight_decay}"
-            )
         if self.eval_every < 1:
             raise ConfigurationError(f"eval_every must be >= 1, got {self.eval_every}")
 

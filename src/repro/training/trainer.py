@@ -400,7 +400,7 @@ class DistributedTrainer:
         self.server = ParameterServer(
             gradient_computer.initial_params(),
             pipeline,
-            SGD(schedule, momentum=config.momentum, weight_decay=config.weight_decay),
+            SGD(schedule, momentum=config.momentum),
         )
         if file_partition is not None:
             self.sampler = ShardedBatchSampler(

@@ -223,13 +223,12 @@ def robust_rule(aggregator, winners):
         groups = min(aggregator.num_groups, n)
         return np.median(np.stack([w[g::groups].mean(axis=0) for g in range(groups)]), axis=0)
     if name == "signsgd":
-        return aggregator.scale * np.sign(np.sign(w).sum(axis=0))
+        return np.sign(np.sign(w).sum(axis=0))
     q = aggregator.num_byzantine
     if name == "krum":
         return w[_krum_pick(w, q)[0]].copy()
     if name == "multi_krum":
-        k = min(aggregator.multi_k or max(1, n - q - 2), n)
-        return w[np.argsort(_krum_pick(w, q)[1])[:k]].mean(axis=0)
+        return w[np.argsort(_krum_pick(w, q)[1])[: max(1, n - q - 2)]].mean(axis=0)
     assert name == "bulyan", name
     remaining, picked = list(range(n)), []
     while len(picked) < n - 2 * q:
@@ -254,8 +253,6 @@ def byzantine_rows(attack, context, workers, honest, d):
     order = [(i, list(workers[i]).index(w)) for w in byz for i in context.assignment.files_of_worker(w)]
     if attack.attack_name == "gaussian_noise":
         rows = context.rng.standard_normal((len(order), d)) * attack.sigma
-        if attack.around_true_gradient:
-            rows += honest[[i for i, _ in order]]
     else:
         rows = context.rng.uniform(-attack.magnitude, attack.magnitude, size=(len(order), d))
     return dict(zip(order, rows))
@@ -271,7 +268,7 @@ def reference_rounds(spec):
     workers = np.array([assignment.workers_of_file(i) for i in range(assignment.num_files)])
     f, r = workers.shape
     schedule = StepDecaySchedule(config.learning_rate, config.lr_decay, config.lr_period)
-    optimizer = SGD(schedule, momentum=config.momentum, weight_decay=config.weight_decay)
+    optimizer = SGD(schedule, momentum=config.momentum)
     params = compute.initial_params().ravel().copy()
     down: dict[int, int] = {}
     for t in range(config.num_iterations):

@@ -187,13 +187,7 @@ def test_fang_validation():
     with pytest.raises(AttackError):
         FangAdaptiveAttack(defense="bulyan")
     with pytest.raises(AttackError):
-        FangAdaptiveAttack(lambda_init=0.0)
-    with pytest.raises(AttackError):
-        FangAdaptiveAttack(num_steps=0)
-    with pytest.raises(AttackError):
         FangAdaptiveAttack(trim=-1)
-    with pytest.raises(AttackError):
-        FangAdaptiveAttack(rtol=1.0)
 
 
 # --------------------------------------------------------------------------- #
@@ -236,10 +230,6 @@ def test_min_max_zero_mean_unit_direction(mols_assignment):
 def test_optimized_deviation_validation():
     with pytest.raises(AttackError):
         MinMaxAttack(direction="sideways")
-    with pytest.raises(AttackError):
-        MinSumAttack(gamma_init=-1.0)
-    with pytest.raises(AttackError):
-        MinSumAttack(num_steps=0)
 
 
 def _unchunked_coefficients(honest, mu, u):

@@ -69,14 +69,6 @@ def test_multi_krum_averages_honest_votes():
     assert np.linalg.norm(result - honest.mean(axis=0)) < 0.5
 
 
-def test_multi_krum_explicit_k():
-    votes, honest = clustered_votes()
-    result = MultiKrumAggregator(num_byzantine=2, multi_k=3)(votes)
-    assert np.linalg.norm(result - honest.mean(axis=0)) < 0.5
-    with pytest.raises(AggregationError):
-        MultiKrumAggregator(num_byzantine=1, multi_k=0)
-
-
 def test_multi_krum_insufficient_votes():
     votes, _ = clustered_votes(num_honest=4, num_byzantine=1)
     with pytest.raises(AggregationError):

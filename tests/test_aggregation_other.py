@@ -35,8 +35,6 @@ def test_geometric_median_single_point():
 def test_geometric_median_validation():
     with pytest.raises(AggregationError):
         geometric_median(np.zeros((0, 3)))
-    with pytest.raises(AggregationError):
-        GeometricMedianAggregator(max_iterations=0)
 
 
 # --------------------------------------------------------------------------- #
@@ -48,19 +46,9 @@ def test_signsgd_majority_of_signs():
     assert np.allclose(result, [1.0, -1.0, 1.0])
 
 
-def test_signsgd_scale():
-    votes = np.array([[2.0], [3.0]])
-    assert SignSGDMajorityAggregator(scale=0.1)(votes)[0] == pytest.approx(0.1)
-
-
 def test_signsgd_tied_signs_give_zero():
     votes = np.array([[1.0], [-1.0]])
     assert SignSGDMajorityAggregator()(votes)[0] == 0.0
-
-
-def test_signsgd_invalid_scale():
-    with pytest.raises(AggregationError):
-        SignSGDMajorityAggregator(scale=0.0)
 
 
 # --------------------------------------------------------------------------- #

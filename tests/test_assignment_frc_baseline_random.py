@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
+from repro.assignment import random_scheme
 from repro.assignment.baseline import BaselineAssignment
 from repro.assignment.frc import FRCAssignment
 from repro.assignment.random_scheme import RandomAssignment
 from repro.core.distortion import max_distortion
-from repro.exceptions import ConfigurationError
+from repro.exceptions import AssignmentError, ConfigurationError
 
 
 # --------------------------------------------------------------------------- #
@@ -117,4 +118,10 @@ def test_random_assignment_load_exceeding_files_rejected():
     # A single worker would have to hold every copy of every file, giving it
     # duplicate copies of the same file; the constructor rejects this upfront.
     with pytest.raises(ConfigurationError):
-        RandomAssignment(num_workers=1, num_files=2, replication=2, max_attempts=3)
+        RandomAssignment(num_workers=1, num_files=2, replication=2)
+
+
+def test_random_assignment_gives_up_after_its_attempts(monkeypatch):
+    monkeypatch.setattr(random_scheme, "_MAX_ATTEMPTS", 0)
+    with pytest.raises(AssignmentError, match="within 0 attempts"):
+        RandomAssignment(num_workers=15, num_files=25, replication=3).build()

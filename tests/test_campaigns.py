@@ -135,15 +135,15 @@ class TestDigestStability:
     def test_campaign_digest_is_pinned(self):
         """The digest names the result directory; this value changing means
         every existing store is orphaned — bump deliberately."""
-        assert CampaignSpec.from_dict(mini_dict()).digest() == "f931ec4ec93d0a27"
+        assert CampaignSpec.from_dict(mini_dict()).digest() == "faa553cbed694075"
 
     def test_expanded_seeds_and_digests_are_pinned(self):
         expanded = CampaignSpec.from_dict(mini_dict()).expand()
         assert [(s.spec.name, s.spec.seed, s.spec.digest()) for s in expanded] == [
-            ("mini/q=0,aggregator=median", 1429249486629000889, "8e496c2ca4cc38db"),
-            ("mini/q=0,aggregator=mean", 6616726963829021013, "60c31818d805b143"),
-            ("mini/q=2,aggregator=median", 1349824509233761446, "190649e9c082940e"),
-            ("mini/q=2,aggregator=mean", 920690088119628389, "e03b72c56efb835a"),
+            ("mini/q=0,aggregator=median", 1429249486629000889, "66ab5f248149e6dc"),
+            ("mini/q=0,aggregator=mean", 6616726963829021013, "c206c563df2c1ce1"),
+            ("mini/q=2,aggregator=median", 1349824509233761446, "6fb7c3ce41fb25dd"),
+            ("mini/q=2,aggregator=mean", 920690088119628389, "53d59334136d1b73"),
         ]
 
     def test_digest_changes_with_grid_content(self):

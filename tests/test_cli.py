@@ -234,12 +234,22 @@ def test_scenario_run_malformed_spec_file_is_a_one_line_error(tmp_path, capsys, 
         ("pipeline", {"vote_tolerance": 0.0}, "['scenario.pipeline.vote_tolerance']"),
         ("pipeline", {"aggregator": "auror"}, "unknown aggregator 'auror'; available: ['bulyan',"),
         ("compression", {"name": "randomk"}, "unknown compressor 'randomk'; available: ['sign', 'topk']"),
+        ("training", {"weight_decay": 0.0}, "['scenario.training.weight_decay']"),
+        ("data", {"partition": {"min_per_shard": 1}}, "['scenario.data.partition.min_per_shard']"),
+        (
+            "attack",
+            {"name": "alie", "params": {"negative_direction": True}},
+            "scenario.attack.params: bad parameters for attack 'alie': ALIEAttack.__init__() "
+            "got an unexpected keyword argument 'negative_direction'",
+        ),
     ],
-    ids=["vote-tolerance", "auror", "randomk"],
+    ids=["vote-tolerance", "auror", "randomk", "weight-decay", "min-per-shard",
+         "negative-direction"],
 )
 def test_scenario_run_removed_names_fail_loudly(tmp_path, capsys, section, edit, expected):
-    """A spec written for a field or registry entry that no longer exists
-    exits 1 with one line naming the dotted path or the names that do."""
+    """A spec written for a field, registry entry or component parameter that
+    no longer exists exits 1 with one line naming the dotted path or the
+    names that do."""
     data = get_scenario("mols-clean").to_dict()
     data[section] = {**data.get(section, {}), **edit}
     path = tmp_path / "removed.json"
@@ -353,9 +363,9 @@ def _draco_against_q2(data):
         ),
         (
             "mols-alie-dirichlet03",
-            lambda data: data["data"]["partition"].update(min_per_shard=100),
-            "scenario.data.partition.min_per_shard: 300 training samples cannot give "
-            "each of f=25 shards at least 100",
+            lambda data: data["data"].update(num_train=20),
+            "scenario.data.partition: 20 training samples cannot give each of f=25 "
+            "shards a sample",
         ),
         (
             "mols-alie-omniscient",
@@ -405,7 +415,7 @@ def _draco_against_q2(data):
     ids=["draco-bound", "draco-on-mols", "detox-on-mols", "vanilla-on-mols",
          "vanilla-block-size", "aggregator-block-size", "even-r", "load-4",
          "quorum-above-r", "quorum-below-r-prime", "groups-above-K", "batch-indivisible",
-         "batch-above-train", "shard-floor-above-train", "q-above-K", "ramping-without-q-end",
+         "batch-above-train", "partition-above-train", "q-above-K", "ramping-without-q-end",
          "topology-sync",
          "topology-vanilla", "pipeline-kind", "runtime-quorum-0", "topology-groups-0",
          "training-batch-0"],
@@ -417,8 +427,8 @@ def test_scenario_run_inapplicable_scheme_is_a_one_line_error(
     off FRC, the baseline off l = r = 1 or with a vote block, a robust rule
     given a block width, an even r, a scheme parameter it refuses, a quorum
     or topology the cluster cannot close, a batch that does not split into f
-    files or exceeds the training set, a shard floor the training set cannot
-    meet, q > K, a ramp without its end) is refused by
+    files or exceeds the training set, more shards than training samples,
+    q > K, a ramp without its end) is refused by
     ``ScenarioRunner.check``, naming its spec path, before any data is
     built: not by an error out of round 0.  A value a section's own check
     refuses (an unknown pipeline kind, a quorum or group count below 1, a

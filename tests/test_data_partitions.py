@@ -90,10 +90,10 @@ def test_partition_determinism_across_processes():
     assert out.stdout.split() == [DIRICHLET_DIGEST, QSKEW_DIGEST]
 
 
-def _reference_rebalanced(shards, min_per_shard):
+def _reference_rebalanced(shards):
     sizes = np.asarray([len(shard) for shard in shards], dtype=np.int64)
     for index in range(len(shards)):
-        while sizes[index] < min_per_shard:
+        while sizes[index] < 1:
             donor = int(np.argmax(sizes))
             shards[index].append(shards[donor].pop())
             sizes[donor] -= 1
@@ -101,7 +101,7 @@ def _reference_rebalanced(shards, min_per_shard):
     return [np.sort(np.asarray(shard, dtype=np.int64)) for shard in shards]
 
 
-def _reference_dirichlet(labels, num_shards, alpha, seed, min_per_shard):
+def _reference_dirichlet(labels, num_shards, alpha, seed):
     """The per-sample dealing the slice-based partitions must reproduce."""
     from repro.data.batching import _apportion
     from repro.utils.rng import as_generator, derive_seed
@@ -116,10 +116,10 @@ def _reference_dirichlet(labels, num_shards, alpha, seed, min_per_shard):
         for shard, count in zip(shards, counts):
             shard.extend(int(i) for i in indices[start : start + count])
             start += count
-    return _reference_rebalanced(shards, min_per_shard)
+    return _reference_rebalanced(shards)
 
 
-def _reference_quantity_skew(num_samples, num_shards, alpha, seed, min_per_shard):
+def _reference_quantity_skew(num_samples, num_shards, alpha, seed):
     from repro.data.batching import _apportion
     from repro.utils.rng import as_generator, derive_seed
 
@@ -130,34 +130,30 @@ def _reference_quantity_skew(num_samples, num_shards, alpha, seed, min_per_shard
     for count in counts:
         shards.append([int(i) for i in permutation[start : start + count]])
         start += count
-    return _reference_rebalanced(shards, min_per_shard)
+    return _reference_rebalanced(shards)
 
 
 @pytest.mark.parametrize("alpha", [0.01, 0.3, 5.0])
-@pytest.mark.parametrize("num_shards, min_per_shard", [(1, 1), (7, 1), (25, 4), (40, 10)])
-def test_partitions_equal_the_per_sample_dealing(alpha, num_shards, min_per_shard):
-    """Small alphas leave shards empty, so the floor moves many samples."""
+@pytest.mark.parametrize("num_shards", [1, 7, 25, 40])
+def test_partitions_equal_the_per_sample_dealing(alpha, num_shards):
+    """Small alphas leave shards empty, so the floor of one sample moves
+    samples between shards."""
     labels = np.random.default_rng(num_shards).integers(0, 5, 400)
     for seed in range(4):
         pairs = [
             (
-                dirichlet_label_partition(labels, num_shards, alpha, seed, min_per_shard),
-                _reference_dirichlet(labels, num_shards, alpha, seed, min_per_shard),
+                dirichlet_label_partition(labels, num_shards, alpha, seed),
+                _reference_dirichlet(labels, num_shards, alpha, seed),
             ),
             (
-                quantity_skew_partition(400, num_shards, alpha, seed, min_per_shard),
-                _reference_quantity_skew(400, num_shards, alpha, seed, min_per_shard),
+                quantity_skew_partition(400, num_shards, alpha, seed),
+                _reference_quantity_skew(400, num_shards, alpha, seed),
             ),
         ]
         for shards, expected in pairs:
             assert len(shards) == len(expected)
             for shard, want in zip(shards, expected):
                 assert shard.dtype == np.int64 and np.array_equal(shard, want)
-
-
-def test_no_labels_deal_empty_int64_shards():
-    shards = dirichlet_label_partition(np.zeros(0, dtype=np.int64), 3, 0.5, min_per_shard=0)
-    assert [(s.dtype, s.size) for s in shards] == [(np.dtype(np.int64), 0)] * 3
 
 
 def test_partition_seed_and_alpha_sensitivity():
@@ -179,18 +175,16 @@ def test_quantity_skew_is_label_agnostic():
 # --------------------------------------------------------------------------- #
 def test_empty_shard_rebalance_kicks_in():
     # alpha so small that some shard would get 0 samples of a 10-sample
-    # class pool; min_per_shard must still be honored.
-    shards = dirichlet_label_partition(
-        np.zeros(10, dtype=np.int64), 10, 0.01, seed=0, min_per_shard=1
-    )
+    # class pool; every shard must still get one.
+    shards = dirichlet_label_partition(np.zeros(10, dtype=np.int64), 10, 0.01, seed=0)
     assert all(s.size == 1 for s in shards)
 
 
-def test_partition_too_small_for_min_per_shard_raises():
+def test_partition_with_more_shards_than_samples_raises():
     with pytest.raises(DataError):
-        dirichlet_label_partition(np.arange(5) % 2, 10, 0.5, min_per_shard=1)
+        dirichlet_label_partition(np.arange(5) % 2, 10, 0.5)
     with pytest.raises(DataError):
-        quantity_skew_partition(5, 10, 0.5, min_per_shard=1)
+        quantity_skew_partition(5, 10, 0.5)
 
 
 def test_partition_argument_validation():
@@ -198,8 +192,6 @@ def test_partition_argument_validation():
         dirichlet_label_partition(LABELS, 0, 0.5)
     with pytest.raises(DataError):
         dirichlet_label_partition(LABELS, 5, 0.0)
-    with pytest.raises(DataError):
-        dirichlet_label_partition(LABELS, 5, 0.5, min_per_shard=-1)
     with pytest.raises(DataError):
         quantity_skew_partition(0, 5, 0.5)
     dataset = make_gaussian_mixture(num_samples=60, num_classes=4, dim=5, seed=7)

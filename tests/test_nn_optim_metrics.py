@@ -59,12 +59,6 @@ def test_sgd_momentum_accumulates():
     assert second[0] == pytest.approx(-0.29)
 
 
-def test_sgd_weight_decay():
-    optimizer = SGD(StepDecaySchedule(0.1, 1.0, 1), weight_decay=0.5)
-    updated = optimizer.step_vector(np.array([2.0]), np.array([0.0]))
-    assert updated[0] == pytest.approx(2.0 - 0.1 * 1.0)
-
-
 def test_sgd_schedule_is_followed():
     optimizer = SGD(StepDecaySchedule(1.0, 0.5, 1))
     params = np.zeros(1)
@@ -75,8 +69,6 @@ def test_sgd_schedule_is_followed():
 
 def reference_step(optimizer, params, gradient):
     """The step as one expression, each operation its own temporary."""
-    if optimizer.weight_decay:
-        gradient = gradient + optimizer.weight_decay * params
     if optimizer.momentum:
         if optimizer._velocity is None or optimizer._velocity.shape != params.shape:
             optimizer._velocity = np.zeros_like(params)
@@ -87,7 +79,6 @@ def reference_step(optimizer, params, gradient):
     return params - rate * gradient
 
 
-@pytest.mark.parametrize("weight_decay", [0.0, 0.013])
 @pytest.mark.parametrize("momentum", [0.0, 0.9])
 @pytest.mark.parametrize(
     "dtypes",
@@ -99,12 +90,12 @@ def reference_step(optimizer, params, gradient):
         ((np.float64, np.float64), (np.float32, np.float32), (np.float32, np.float64)),
     ],
 )
-def test_sgd_step_is_the_expression_bit_for_bit(dtypes, momentum, weight_decay):
+def test_sgd_step_is_the_expression_bit_for_bit(dtypes, momentum):
     """One new buffer and an in-place velocity give the expression's bits, its
     dtype and its velocity, and never write the caller's parameters."""
     schedule = StepDecaySchedule(0.137, 0.5, 2)
-    optimizer = SGD(schedule, momentum=momentum, weight_decay=weight_decay)
-    reference = SGD(schedule, momentum=momentum, weight_decay=weight_decay)
+    optimizer = SGD(schedule, momentum=momentum)
+    reference = SGD(schedule, momentum=momentum)
     rng = np.random.default_rng(3)
     params = rng.standard_normal(101)
     for param_dtype, gradient_dtype in dtypes:
@@ -124,10 +115,9 @@ def test_sgd_step_is_the_expression_bit_for_bit(dtypes, momentum, weight_decay):
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_sgd_step_allocates_one_parameter_vector(dtype):
-    """Weight decay and momentum on: the step's peak is its result, one
-    parameter-sized vector (measured 1.001; four while it evaluated the
-    expression as written, one temporary per operation)."""
-    optimizer = SGD(StepDecaySchedule(0.1, 1.0, 1), momentum=0.9, weight_decay=0.01)
+    """Momentum on: the step's peak is its result, one parameter-sized vector
+    (measured 1.001), not one temporary per operation of the expression."""
+    optimizer = SGD(StepDecaySchedule(0.1, 1.0, 1), momentum=0.9)
     rng = np.random.default_rng(0)
     params, gradient = rng.standard_normal((2, 100_000)).astype(dtype)
     params = optimizer.step_vector(params, gradient)  # the velocity exists from here on
@@ -145,8 +135,6 @@ def test_sgd_step_allocates_one_parameter_vector(dtype):
 def test_sgd_validation():
     with pytest.raises(ConfigurationError):
         SGD(StepDecaySchedule(0.1, 1.0, 1), momentum=1.5)
-    with pytest.raises(ConfigurationError):
-        SGD(StepDecaySchedule(0.1, 1.0, 1), weight_decay=-1.0)
     with pytest.raises(ConfigurationError):
         SGD(StepDecaySchedule(0.1, 1.0, 1)).step_vector(np.zeros(3), np.zeros(2))
 

@@ -263,13 +263,10 @@ REFUSED = {
         lambda: edited("mols-clean", data={"num_train": 50}),
         "scenario.training.batch_size: batch_size=75 exceeds the 50 training samples",
     ),
-    "shard-floor-above-train": (
-        lambda: edited(
-            "mols-alie-dirichlet03",
-            data={"partition": {"kind": "dirichlet", "alpha": 0.3, "min_per_shard": 100}},
-        ),
-        "scenario.data.partition.min_per_shard: 300 training samples cannot give "
-        "each of f=25 shards at least 100",
+    "partition-above-train": (
+        lambda: edited("mols-alie-dirichlet03", data={"num_train": 20}),
+        "scenario.data.partition: 20 training samples cannot give each of f=25 shards "
+        "a sample",
     ),
     "q-above-K": (
         lambda: edited("mols-alie-omniscient", attack={"schedule": {"q": 16}}),
@@ -303,6 +300,59 @@ def test_a_spec_the_kind_cannot_run_is_refused_at_build(case, monkeypatch):
     with pytest.raises(ConfigurationError) as excinfo:
         ScenarioRunner(build()).build_trainer()
     assert str(excinfo.value) == message
+
+
+@pytest.mark.parametrize(
+    "name, sections, where, component",
+    [
+        ("mols-alie-omniscient", {"attack": {"params": {"negative_direction": False}}},
+         "attack", "alie"),
+        ("mols-noise-dropout", {"attack": {"params": {"around_true_gradient": True}}},
+         "attack", "gaussian_noise"),
+        ("mols-fang-median", {"attack": {"params": {"lambda_init": 1.0}}}, "attack", "fang"),
+        ("mols-fang-median", {"attack": {"params": {"num_steps": 30}}}, "attack", "fang"),
+        ("mols-fang-median", {"attack": {"params": {"rtol": 1e-5}}}, "attack", "fang"),
+        ("mols-minmax-unit", {"attack": {"params": {"gamma_init": 10.0}}}, "attack", "min_max"),
+        ("ramanujan-minsum-std", {"attack": {"params": {"num_steps": 30}}}, "attack", "min_sum"),
+        ("ramanujan-uniform-signsgd", {"pipeline": {"aggregator_params": {"scale": 1.0}}},
+         "aggregator", "signsgd"),
+        ("vanilla-multikrum-revgrad-dropout",
+         {"pipeline": {"aggregator_params": {"num_byzantine": 2, "multi_k": 3}}},
+         "aggregator", "multi_krum"),
+        ("mols-clean",
+         {"pipeline": {"aggregator": "geometric_median",
+                       "aggregator_params": {"max_iterations": 100}}},
+         "aggregator", "geometric_median"),
+        ("mols-clean",
+         {"pipeline": {"aggregator": "geometric_median", "aggregator_params": {"tolerance": 1e-8}}},
+         "aggregator", "geometric_median"),
+        ("mols-clean",
+         {"cluster": {"scheme": "random", "params": {"num_workers": 15, "num_files": 25,
+                                                     "replication": 3, "max_attempts": 5}}},
+         "scheme", "random"),
+    ],
+    ids=["alie-negative_direction", "noise-around_true_gradient", "fang-lambda_init",
+         "fang-num_steps", "fang-rtol", "min_max-gamma_init", "min_sum-num_steps",
+         "signsgd-scale", "multi_krum-multi_k", "geometric_median-max_iterations",
+         "geometric_median-tolerance", "random-max_attempts"],
+)
+def test_a_removed_component_parameter_is_refused_at_its_section(
+    name, sections, where, component, monkeypatch
+):
+    """A parameter that became its component's constant is refused by
+    ``check()`` under its section's ``params`` path, before any data is
+    built: a spec that still sets it does not run on the constant silently."""
+    def no_data(self):
+        raise AssertionError("the data was built before the spec was refused")
+
+    monkeypatch.setattr(ScenarioRunner, "_build_datasets", no_data)
+    path = {"attack": "attack.params", "aggregator": "pipeline.aggregator_params",
+            "scheme": "cluster.params"}[where]
+    with pytest.raises(ConfigurationError) as excinfo:
+        ScenarioRunner(edited(name, **sections)).build_trainer()
+    assert str(excinfo.value).startswith(
+        f"scenario.{path}: bad parameters for {where} {component!r}: "
+    )
 
 
 def test_a_vote_block_size_is_a_spec_field_of_every_kind():

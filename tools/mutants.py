@@ -108,8 +108,8 @@ MUTANTS = (
         "alie-sign",
         "ALIE's direction is flipped",
         "src/repro/attacks/alie.py",
-        "direction = -1.0 if self.negative_direction else 1.0",
-        "direction = 1.0 if self.negative_direction else -1.0",
+        "np.multiply(-z, std, out=std)",
+        "np.multiply(z, std, out=std)",
     ),
     Mutant(
         "median-lower-middle",

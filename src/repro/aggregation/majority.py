@@ -66,6 +66,12 @@ def validate_block_size(block_size: int | None) -> int | None:
 _HASH_WEIGHTS = np.empty(0, dtype=np.uint64)
 
 
+#: coordinates of the first block :func:`_rows_equal` compares: a payload
+#: that differs from the row it is compared with differs here, so most
+#: comparisons end after gathering 64 coordinates of each row
+_PROBE_COLUMNS = 64
+
+
 def _gather_width(block_size: int | None, count: int) -> int:
     """``block_size`` (``None``: :data:`~repro.utils.arrays.LANE_BLOCK`),
     narrowed so ``count`` gathered rows of it hold at most
@@ -81,7 +87,9 @@ def _hash_weights(d: int) -> np.ndarray:
     global _HASH_WEIGHTS
     if _HASH_WEIGHTS.size < d:
         rng = as_generator(0xB125_517D)
-        _HASH_WEIGHTS = rng.integers(1, 2**63, size=d, dtype=np.uint64) | np.uint64(1)
+        weights = rng.integers(1, 2**63, size=d, dtype=np.uint64)
+        weights |= np.uint64(1)
+        _HASH_WEIGHTS = weights
     return _HASH_WEIGHTS[:d]
 
 
@@ -115,28 +123,34 @@ def _rows_equal(gather_a, gather_b, count: int, d: int, block_size: int | None) 
     :data:`~repro.utils.arrays.LANE_BLOCK`) but narrowed so that both sides
     together hold at most :data:`GATHER_ELEMENTS`: the two gathered blocks
     stay within 256 KiB, their bool image within 16 KiB, whatever
-    ``count``.  The sweep stops after the first block that leaves no row
-    equal: every row is then already proven unequal, which is how a crafted
-    payload (it differs from the honest rows at once) costs one block
-    instead of ``d`` coordinates, so only rows that stay equal pay for the
-    narrower blocks.
+    ``count``.  The sweep opens with a :data:`_PROBE_COLUMNS`-wide block
+    and stops after the first block that leaves no row equal: every row is
+    then already proven unequal, which is how a crafted or noisy payload (it
+    differs from the honest rows at once) costs the probe instead of ``d``
+    coordinates or a full gather, so only rows that stay equal pay for the
+    wider blocks.
     """
-    equal = np.ones(count, dtype=bool)
-    for lo, hi in block_ranges(d, _gather_width(block_size, 2 * count)):
-        equal &= (gather_a(lo, hi) == gather_b(lo, hi)).all(axis=1)
+    probe = min(d, _PROBE_COLUMNS)
+    equal = (gather_a(0, probe) == gather_b(0, probe)).all(axis=1)
+    for lo, hi in block_ranges(d - probe, _gather_width(block_size, 2 * count)):
         if not equal.any():
             break
+        equal &= (gather_a(probe + lo, probe + hi) == gather_b(probe + lo, probe + hi)).all(axis=1)
     return equal
 
 
 def _row_bits(bits: np.ndarray, rows: np.ndarray):
     """Block gatherer over ``bits[rows]`` for the streaming helpers.
 
-    When every index names the same row (the colluding adversary: one
-    payload against many files) the gatherer returns that row as a
-    ``(1, width)`` view, which broadcasts in :func:`_rows_equal` instead of
-    being copied once per comparison.
+    Two index patterns are served by views, never gathered: every row of
+    ``bits`` in order (the hashes of a round whose every stored payload
+    differs from its base) is ``bits``' own column block, and one row named
+    by every index (the colluding adversary: one payload against many
+    files) is that row as a ``(1, width)`` view, which broadcasts in
+    :func:`_rows_equal` instead of being copied once per comparison.
     """
+    if rows.size == bits.shape[0] and np.array_equal(rows, np.arange(rows.size)):
+        return lambda lo, hi: bits[:, lo:hi]
     if rows.size > 1 and (rows == rows[0]).all():
         rows = slice(int(rows[0]), int(rows[0]) + 1)
     # Columns first, then plain row indexing: the mixed ``[rows, lo:hi]``

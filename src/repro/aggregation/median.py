@@ -32,17 +32,22 @@ def coordinate_median(
 ) -> np.ndarray:
     """Per-column median of ``(n, d)`` votes, on contiguous lanes.
 
-    ``np.median``'s own recipe — the middle rank(s), then ``np.mean`` over
-    them (which also maps a -0.0 median to +0.0) — so the result is
-    bit-identical to ``np.median(matrix, axis=0)``.  Each coordinate block is
-    transposed into one reused ``(_LANE_BLOCK, n)`` buffer
-    (:meth:`RowSelection.lanes`; a plain matrix is a selection with nothing
-    patched), so a coordinate's ``n`` votes are adjacent instead of a row
-    stride apart and neither a ``(d, n)`` copy nor the dense matrix of a
-    selection exists.  It is partitioned at the one rank ``n // 2``: for an
-    even ``n`` (an abstaining file leaves one) the lower middle is the
-    largest vote below it, a column loop of ``np.maximum`` into a
-    ``(block, 2)`` pair — a second rank would cost the partition 4-5x.
+    ``np.median``'s own recipe — the middle rank(s), then ``np.mean``'s sum
+    from +0.0 (which also maps a -0.0 median to +0.0) and division — so the
+    result is bit-identical to ``np.median(matrix, axis=0)``.  Each
+    coordinate block is transposed into one reused ``(_LANE_BLOCK, f)``
+    buffer with a lane per row of the selection's base
+    (:meth:`RowSelection.lanes` with ``pad``; a plain matrix is a selection
+    with nothing patched), so a coordinate's votes are adjacent instead of a
+    row stride apart and neither a ``(d, n)`` copy, the dense matrix of a
+    selection nor a gathered slice of its rows exists.  The ``m = f - n``
+    rows the selection leaves out (abstaining files) read ``-inf``, below
+    every vote, so the lanes are partitioned at the one rank ``n // 2 + m``:
+    for an even ``n`` (an abstaining file leaves one) the lower middle is
+    the largest lane value below it, a column loop of ``np.maximum`` into a
+    ``(block, 2)`` pair — a second rank would cost the partition 4-5x.  A
+    selection leaving out more rows than it keeps would pay for their lanes;
+    the vote's leaves out at most the files that abstained.
     ``np.median``'s extra NaN probe rank is dropped: the votes must be
     finite, or ``clamp_non_finite`` set — each block is then tested in the
     buffer and given :meth:`Aggregator.__call__`'s substitutions (NaN -> 0,
@@ -51,13 +56,17 @@ def coordinate_median(
     """
     votes = RowSelection.of(votes)
     n, d = votes.shape
-    k = n // 2
+    # One lane per base row: the m rows the selection leaves out read -inf,
+    # below every (clamped or finite) vote, so rank k + m is the votes' rank k.
+    width = votes.base.shape[0]
+    k = n // 2 + width - n
     out = np.empty(d, dtype=votes.dtype)
-    buffer = np.empty((min(d, _LANE_BLOCK), n), dtype=votes.dtype)
+    buffer = np.empty((min(d, _LANE_BLOCK), width), dtype=votes.dtype)
     pair = np.empty((min(d, _LANE_BLOCK), 2), dtype=votes.dtype) if n % 2 == 0 else None
+    two = votes.dtype.type(2)
     for lo, hi in block_ranges(d, _LANE_BLOCK):
         lanes = buffer[: hi - lo]
-        votes.lanes(lo, hi, lanes, clamp_non_finite)
+        votes.lanes(lo, hi, lanes, clamp_non_finite, pad=-np.inf)
         lanes.partition(k, axis=1)
         middle = lanes[:, k : k + 1]
         if pair is not None:
@@ -65,7 +74,13 @@ def coordinate_median(
             middle[:] = lanes[:, k - 1 : k + 1]
             for j in range(k - 1):
                 np.maximum(middle[:, 0], lanes[:, j], out=middle[:, 0])
-        np.mean(middle, axis=1, out=out[lo:hi])
+        # ``np.mean``'s recipe: the sum from +0.0, then the division, by a
+        # count in the votes' dtype (``np.mean``'s integer count divides a
+        # float32 block through float64 cast buffers, to the same bits).
+        total = out[lo:hi]
+        np.add.reduce(middle, axis=1, out=total)
+        if pair is not None:
+            np.true_divide(total, two, out=total)
     return out
 
 

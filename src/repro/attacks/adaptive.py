@@ -257,18 +257,23 @@ class FangAdaptiveAttack(Attack):
         """
         f = honest.shape[0]
         k = int(corrupted.size)
+        # The sorted honest copy is read once, for the baseline: it is freed
+        # before the reference's sorted copy is built, so one (d, n) copy
+        # is alive at a time.
+        hon = np.array(honest.T, order="C")
+        hon.sort(axis=1)
+        mid_low, mid_high = (f - 1) // 2, f // 2
+        baseline = 0.5 * (hon[:, mid_low] + hon[:, mid_high])
+        del hon
         uncorrupted = np.setdiff1d(np.arange(f), corrupted)
         reference = honest[uncorrupted] if uncorrupted.size else honest
         ref = np.array(reference.T, order="C")  # (d, n_ref), always a copy: sorted in place
+        del reference
         ref.sort(axis=1)
         n_ref = ref.shape[1]
         low = np.ascontiguousarray(ref[:, 0])
         high = np.ascontiguousarray(ref[:, -1])
         spread = np.maximum(high - low, 1e-12)
-        hon = np.array(honest.T, order="C")
-        hon.sort(axis=1)
-        mid_low, mid_high = (f - 1) // 2, f // 2
-        baseline = 0.5 * (hon[:, mid_low] + hon[:, mid_high])
         negative = mu >= 0.0
         position = np.where(negative, 0, n_ref).astype(np.int64)
         base = np.where(negative, low, high)

@@ -49,6 +49,7 @@ from repro.core.backend import CLOCK_DTYPE, DRAW_DTYPE
 from repro.core.vote_tensor import VoteTensor
 from repro.exceptions import ConfigurationError
 from repro.graphs.bipartite import BipartiteAssignment
+from repro.utils.arrays import LANE_BLOCK, block_ranges
 
 __all__ = [
     "FaultContext",
@@ -326,16 +327,20 @@ class MessageCorruptionInjector(FaultInjector):
         elif self.mode == "scale":
             tensor.scale_slots(files, slots, self.factor)
         else:
-            # One float64 row of scratch, drawn into slot by slot: the rows
-            # of the stream are those of one (m, d) draw.  noise + read
-            # rounds as read + noise (IEEE addition commutes), and the slot's
-            # store row rounds the float64 sum to the working dtype once.
-            noise = np.empty(d, dtype=DRAW_DTYPE)
+            # Each slot's store row is filled in place, LANE_BLOCK coordinates
+            # at a time, from one float64 block of scratch: the blocks of the
+            # stream, in order, are the rows of one (m, d) draw.  noise + read
+            # rounds as read + noise (IEEE addition commutes), and the store
+            # row rounds the float64 sum to the working dtype once.
+            noise = np.empty(min(d, LANE_BLOCK), dtype=DRAW_DTYPE)
 
-            def noisy(current: np.ndarray) -> np.ndarray:
-                context.rng.standard_normal(out=noise)
-                np.multiply(noise, self.factor, out=noise)
-                return np.add(noise, current, out=noise)
+            def noisy(current: np.ndarray, row: np.ndarray) -> None:
+                for lo, hi in block_ranges(d, noise.size):
+                    block = noise[: hi - lo]
+                    context.rng.standard_normal(out=block)
+                    np.multiply(block, self.factor, out=block)
+                    np.add(block, current[lo:hi], out=block)
+                    row[lo:hi] = block
 
             tensor.fill_slots(files, slots, noisy)
         # Attribution: each corrupted (file, slot) message records its sender

@@ -60,13 +60,14 @@ __all__ = ["VoteTensor", "RowSelection"]
 
 #: coordinates per row gather of :meth:`RowSelection.lanes` on a selection
 #: that leaves base rows out: Bulyan's 512-wide blocks (``take()`` of its
-#: selected rows) are gathered whole, as before, and the median's 1024-wide
-#: lanes in two ``(n, 512)`` slices, 48 KiB at float32 with 24 rows where the
-#: whole block took 96 KiB.  Per 11,274-wide sweep, min of 60 interleaved,
-#: 2-core Xeon, whole-block gather against these slices: 0.14-0.16 ms both
-#: on float32 lanes 1024 wide with one or three of 25 rows out, 0.19 vs
-#: 0.20 ms on Bulyan's float64 ``take()`` of 19 scattered rows.  256-wide
-#: slices (24 KiB) took 0.17-0.18 and 0.21 ms, and copying runs of
+#: selected rows) are gathered whole, as before, and wider lanes in
+#: ``(n, 512)`` slices, 48 KiB at float32 with 24 rows where a 1024-wide
+#: block took 96 KiB.  The median's lanes, timed below, now read every base
+#: row (``pad``) and gather nothing.  Per 11,274-wide sweep, min of 60
+#: interleaved, 2-core Xeon, whole-block gather against these slices:
+#: 0.14-0.16 ms both on float32 lanes 1024 wide with one or three of 25 rows
+#: out, 0.19 vs 0.20 ms on Bulyan's float64 ``take()`` of 19 scattered rows.
+#: 256-wide slices (24 KiB) took 0.17-0.18 and 0.21 ms, and copying runs of
 #: consecutive rows 0.13, 0.22 and 0.50 ms.
 _GATHER_COLUMNS = 512
 
@@ -184,7 +185,12 @@ class RowSelection:
         )
 
     def lanes(
-        self, lo: int, hi: int, out: np.ndarray, clamp_non_finite: bool = False
+        self,
+        lo: int,
+        hi: int,
+        out: np.ndarray,
+        clamp_non_finite: bool = False,
+        pad: float | None = None,
     ) -> None:
         """Fill ``out`` — ``(hi - lo, n)`` — with coordinates ``[lo, hi)`` transposed.
 
@@ -198,17 +204,28 @@ class RowSelection:
         gives the block, in ``out``, the stand-ins of
         :func:`~repro.utils.arrays.finite_stand_ins` — the one place a
         streaming rule's lanes are clamped.
+
+        With ``pad``, ``out`` has one lane per *base* row instead,
+        ``(hi - lo, len(base))``, for a kernel that does not read the votes'
+        order: the whole base block is one strided copy with no gather, each
+        vote sits in its base row's lane, and the lanes of the base rows the
+        selection leaves out read ``pad`` (after the clamp).
         """
-        if self.rows is None:
+        if self.rows is None or pad is not None:
             np.copyto(out, self.base[:, lo:hi].T)
         else:
             for a in range(lo, hi, _GATHER_COLUMNS):
                 b = min(a + _GATHER_COLUMNS, hi)
                 np.copyto(out[a - lo : b - lo], self.base[self.rows, a:b].T)
+        lane_of = self.rows if pad is not None and self.rows is not None else None
         for file, row in self._patches:
-            out[:, file] = self.store[row, lo:hi]
+            out[:, file if lane_of is None else lane_of[file]] = self.store[row, lo:hi]
         if clamp_non_finite:
             finite_stand_ins(out, copy=False)
+        if lane_of is not None:
+            left_out = np.ones(self.base.shape[0], dtype=bool)
+            left_out[lane_of] = False
+            out[:, left_out] = pad
 
     def densified(self) -> np.ndarray:
         """The read-only ``(n, d)`` matrix: the base itself when nothing is
@@ -369,16 +386,18 @@ class VoteTensor:
         self._slot_map[files, slots] = ids
 
     def fill_slots(
-        self, files, slots, fill: Callable[[np.ndarray], np.ndarray]
+        self, files, slots, fill: Callable[[np.ndarray, np.ndarray], None]
     ) -> None:
         """Rewrite the given (file, slot) votes one at a time, each into a fresh row.
 
-        ``fill(current)`` is called once per pair, in the given order, with
-        the pair's payload before this call as a read-only ``(d,)`` view,
-        and returns its new payload, which is rounded once into the pair's
-        own row.  The scratch a per-slot rewrite holds is then whatever
-        ``fill`` holds — one row — not an ``(m, d)`` matrix beside the rows
-        it stores.
+        ``fill(current, row)`` is called once per pair, in the given order,
+        with the pair's payload before this call as a read-only ``(d,)``
+        view and the pair's own fresh store row, a writable ``(d,)`` view in
+        the working dtype that ``fill`` must write in full; what it returns
+        is ignored.  The scratch a per-slot rewrite holds is then whatever
+        ``fill`` holds while it writes the row in place — a block, for the
+        noise corruption — not a new payload row, nor an ``(m, d)`` matrix
+        beside the rows it stores.
         """
         files = np.asarray(files, dtype=np.int64).ravel()
         slots = np.asarray(slots, dtype=np.int64).ravel()
@@ -389,7 +408,7 @@ class VoteTensor:
             for file, row, into in zip(files, current, ids):
                 source = self._store[row] if row >= 0 else self._base[file]
                 source.setflags(write=False)  # a view of a writable store
-                self._store[into] = fill(source)
+                fill(source, self._store[into])
         self._slot_map[files, slots] = ids
 
     def read_slots(self, files, slots) -> np.ndarray:

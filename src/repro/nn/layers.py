@@ -32,11 +32,16 @@ stands: ``ReLU.forward_per_file`` rectifies its input in place,
 ``Dense.backward_per_file`` writes its input gradient into the input it has
 just read for its weight gradient, and ``ReLU.backward_per_file`` masks
 ``grad_output`` in place.  The plain path never writes into its input (the
-caller's batch).  What ``forward_per_file`` keeps for the backward pass is
-the activations of every file it was handed (one chunk of the round's
-files, see :meth:`repro.nn.models.Sequential.per_file_loss_and_gradients`):
-it lives in ``_stacked`` and ``backward_per_file`` releases it
-(:meth:`Layer.release_per_file` when the pass raised in between).
+caller's batch).
+
+A layer keeps one cache: what its last forward pass, plain or stacked, left
+for the backward pass (``Dense`` its input, ``ReLU`` its mask; for the
+stacked pass, those of every file it was handed, one chunk of the round's
+files, see :meth:`repro.nn.models.Sequential.per_file_loss_and_gradients`).
+The backward pass takes it, and :meth:`Layer.release` drops it where no
+backward pass follows: an evaluation, a layer in front of the first one
+with parameters, or a pass that raised in between
+(:meth:`repro.nn.models.Sequential.release`).
 
 The first layer that owns parameters is called with ``input_gradient=False``
 (both paths): it returns ``None`` instead of an input gradient nobody reads,
@@ -70,8 +75,8 @@ class Layer(abc.ABC):
     def __init__(self) -> None:
         self.params: dict[str, np.ndarray] = {}
         self.grads: dict[str, np.ndarray] = {}
-        #: what ``forward_per_file`` keeps for ``backward_per_file``
-        self._stacked = None
+        #: what the last forward pass keeps for the backward pass
+        self._cache = None
 
     @abc.abstractmethod
     def forward(self, x: np.ndarray) -> np.ndarray:
@@ -101,16 +106,18 @@ class Layer(abc.ABC):
         layer must write in full.
         """
 
-    def _take_stacked(self):
-        """The stacked forward pass's cache, handed over and released."""
-        cache, self._stacked = self._stacked, None
+    def _take_cache(self):
+        """The last forward pass's cache, handed over and released."""
+        cache, self._cache = self._cache, None
         if cache is None:
-            raise ConfigurationError("backward_per_file called before forward_per_file")
+            raise ConfigurationError(
+                f"backward called before forward on {type(self).__name__} layer"
+            )
         return cache
 
-    def release_per_file(self) -> None:
-        """Drop what a stacked forward pass left behind (see module docs)."""
-        self._stacked = None
+    def release(self) -> None:
+        """Drop what a forward pass left for a backward pass (see module docs)."""
+        self._cache = None
 
     def output_features(self, input_features: int) -> int:
         """Features per sample of this layer's output for ``input_features``
@@ -177,7 +184,6 @@ class Dense(Layer):
         self.params["b"] = zeros_init((out_features,), dtype=self.dtype)
         # No gradient arrays yet: the stacked engine writes into its own
         # workspace, and the plain path allocates them on first use.
-        self._input: np.ndarray | None = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=self.dtype)
@@ -185,15 +191,13 @@ class Dense(Layer):
             raise ConfigurationError(
                 f"Dense expected input of shape (batch, {self.in_features}), got {x.shape}"
             )
-        self._input = x
+        self._cache = x
         out = x @ self.params["W"]
         out += self.params["b"]
         return out
 
     def backward(self, grad_output: np.ndarray, input_gradient: bool = True) -> np.ndarray | None:
-        if self._input is None:
-            raise ConfigurationError("backward called before forward on Dense layer")
-        x = self._input
+        x = self._take_cache()
         self.grads["W"] = x.T @ grad_output
         self.grads["b"] = grad_output.sum(axis=0)
         return grad_output @ self.params["W"].T if input_gradient else None
@@ -208,7 +212,7 @@ class Dense(Layer):
                 f"Dense expected stacked input (f, batch, {self.in_features}), "
                 f"got {x.shape}"
             )
-        self._stacked = x
+        self._cache = x
         # (f, n, in) @ (in, out): one BLAS call per file slice, with the same
         # operand shapes as the plain path — keeps the results bit-identical.
         out = x @ self.params["W"]
@@ -218,7 +222,7 @@ class Dense(Layer):
     def backward_per_file(
         self, grad_output: np.ndarray, grads_out: dict[str, np.ndarray], input_gradient: bool = True
     ) -> np.ndarray | None:
-        x = self._take_stacked()
+        x = self._take_cache()
         np.matmul(x.transpose(0, 2, 1), grad_output, out=grads_out["W"])
         np.sum(grad_output, axis=1, out=grads_out["b"])
         # x is read for the last time above: the input gradient takes its place.
@@ -237,25 +241,19 @@ def _rectify(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 class ReLU(Layer):
     """Rectified linear unit ``max(x, 0)``."""
 
-    def __init__(self) -> None:
-        super().__init__()
-        self._mask: np.ndarray | None = None
-
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._mask = x > 0
+        self._cache = x > 0
         return _rectify(x)
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        if self._mask is None:
-            raise ConfigurationError("backward called before forward on ReLU layer")
-        return grad_output * self._mask
+        return grad_output * self._take_cache()
 
     # Elementwise, so the plain rules apply, in place on the pass's own arrays.
     def forward_per_file(self, x: np.ndarray) -> np.ndarray:
-        self._stacked = x > 0
+        self._cache = x > 0
         return _rectify(x, out=x)
 
     def backward_per_file(
         self, grad_output: np.ndarray, grads_out: dict[str, np.ndarray]
     ) -> np.ndarray:
-        return np.multiply(grad_output, self._take_stacked(), out=grad_output)
+        return np.multiply(grad_output, self._take_cache(), out=grad_output)

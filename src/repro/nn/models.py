@@ -72,11 +72,18 @@ class Sequential:
 
     # -- forward / backward ------------------------------------------------
     def forward(self, x: np.ndarray) -> np.ndarray:
-        """Run the forward pass through every layer."""
+        """Run the forward pass through every layer.  Each layer keeps its
+        cache for a backward pass until :meth:`release`."""
         out = x
         for layer in self.layers:
             out = layer.forward(out)
         return out
+
+    def release(self) -> None:
+        """Drop every layer's cache (:meth:`Layer.release`): a caller that
+        runs no backward pass, or whose pass raised, calls it in a ``finally``."""
+        for layer in self.layers:
+            layer.release()
 
     # -- parameter plumbing ----------------------------------------------------
     def parameter_arrays(self) -> list[np.ndarray]:
@@ -146,13 +153,16 @@ class Sequential:
         """Mean loss on ``(x, y)`` and the flat parameter gradient (backward stops at the
         first layer that owns parameters: nothing reads an input gradient beyond it)."""
         self.zero_grads()
-        predictions = self.forward(x)
-        value, grad = loss.value_and_gradient(predictions, y)
         first = self._first_parameterised()
-        for layer in reversed(self.layers[first + 1 :]):
-            grad = layer.backward(grad)
-        if first < len(self.layers):
-            self.layers[first].backward(grad, input_gradient=False)
+        try:
+            predictions = self.forward(x)
+            value, grad = loss.value_and_gradient(predictions, y)
+            for layer in reversed(self.layers[first + 1 :]):
+                grad = layer.backward(grad)
+            if first < len(self.layers):
+                self.layers[first].backward(grad, input_gradient=False)
+        finally:  # the layers in front of ``first`` keep caches no backward pass takes
+            self.release()
         return value, self.flat_gradient()
 
     def _first_parameterised(self) -> int:
@@ -270,8 +280,7 @@ class Sequential:
             if first < len(self.layers):
                 self.layers[first].backward_per_file(grad, views[first], input_gradient=False)
         finally:  # a pass that raised must not leave its activations on the layers
-            for layer in self.layers:
-                layer.release_per_file()
+            self.release()
         return losses
 
     def __repr__(self) -> str:  # pragma: no cover - trivial

@@ -361,7 +361,7 @@ MUTATORS = {
     "scale_slots": (lambda t, f, s: t.scale_slots(f, s, -3.0), lambda rows: rows * -3.0),
     "zero_slots": (lambda t, f, s: t.zero_slots(f, s), lambda rows: 0.0),
     "fill_slots": (
-        lambda t, f, s: t.fill_slots(f, s, lambda row: row * 2.0 + 1.0),
+        lambda t, f, s: t.fill_slots(f, s, lambda row, into: np.copyto(into, row * 2.0 + 1.0)),
         lambda rows: rows * 2.0 + 1.0,
     ),
 }
@@ -409,17 +409,18 @@ def test_stored_rows_are_write_once(mols_assignment, mutator, layout, dtype):
 
 @pytest.mark.parametrize("source", ["base", "store"])
 def test_fill_slots_hands_its_callback_read_only_payloads(mols_assignment, source):
-    """While ``fill_slots`` fills its fresh rows the store is writable, but
-    the payload it hands ``fill`` is not — whether it lives in the store or
-    the base — and the store is read-only again afterwards."""
+    """While ``fill_slots`` fills its fresh rows the store is writable, and
+    so is the fresh row it hands ``fill``, but the payload it hands beside
+    it is not — whether it lives in the store or the base — and the store
+    is read-only again afterwards."""
     honest = np.random.default_rng(4).standard_normal((mols_assignment.num_files, DIM))
     tensor = VoteTensor.from_honest(mols_assignment, honest)
     tensor.write_slots([0], [0], np.full(DIM, 2.0))
     slot = 0 if source == "store" else 1
 
-    def vandal(row):
+    def vandal(row, into):
+        into[:] = row
         row[0] = 1.0
-        return row
 
     with pytest.raises(ValueError, match="read-only"):
         tensor.fill_slots([0], [slot], vandal)

@@ -204,7 +204,10 @@ def test_exhaustive_returns_the_lexicographically_first_maximiser(
 def test_exhaustive_scratch_stays_under_two_mib(scheme, params, q):
     """The block budget bounds the search's scratch whatever ``(K, q)`` is (one
     unchunked pass over all C(25, 4) sets took 8.5 MiB and made a q = 4
-    campaign cell peak 3.8 MiB above a q = 3 one)."""
+    campaign cell peak 3.8 MiB above a q = 3 one).  The last level builds
+    only the counter plane it reads: 0.47 / 0.49 / 0.54 MiB measured on
+    these three, bounded at 0.6 MiB; 0.72 / 0.74 / 0.81 MiB while it built
+    all ``r'`` planes."""
     assignment = create_scheme(scheme, **params).assignment
     tracemalloc.start()
     try:
@@ -212,7 +215,7 @@ def test_exhaustive_scratch_stays_under_two_mib(scheme, params, q):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2 << 20
+    assert peak < 0.6 * (1 << 20), peak / (1 << 20)
 
 
 def test_q_out_of_range(mols_assignment):

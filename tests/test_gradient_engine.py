@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import repro.nn.metrics as metrics_module
 import repro.nn.models as models
 from repro.compression.compressors import SignCompressor, TopKCompressor
 from repro.data.batching import BatchSampler, RoundFiles
@@ -25,6 +26,7 @@ from repro.data.synthetic import make_gaussian_mixture
 from repro.exceptions import ConfigurationError, TrainingError
 from repro.nn.layers import Dense, Layer, ReLU
 from repro.nn.losses import SoftmaxCrossEntropy
+from repro.nn.metrics import cross_entropy_loss, evaluate_model, top1_accuracy
 from repro.nn.models import Sequential, build_mlp
 from repro.scenarios.runner import ScenarioRunner
 from repro.scenarios.spec import ScenarioSpec
@@ -196,7 +198,7 @@ def test_stacked_rectifier_returns_its_input_rectified_as_where_does(x):
     out = layer.forward_per_file(x)
     assert out is x
     assert np.array_equal(bits(out), reference)
-    assert np.array_equal(layer._stacked, mask)
+    assert np.array_equal(layer._cache, mask)
 
 
 def first_layer_models(dtype):
@@ -401,7 +403,49 @@ def test_a_loss_raising_in_the_second_chunk_leaves_no_activations(monkeypatch, f
             RoundFiles.coerce((x, np.zeros((7, 5), dtype=np.int64))), loss
         )
     assert loss.calls == 2
-    assert [layer._stacked for layer in model.layers] == [None] * len(model.layers)
+    assert [layer._cache for layer in model.layers] == [None] * len(model.layers)
+
+
+class FailingPlainLoss(SoftmaxCrossEntropy):
+    """Cross entropy whose plain (one-batch) gradient raises."""
+
+    def value_and_gradient(self, predictions, targets):
+        raise ConfigurationError("the loss failed on purpose")
+
+
+@pytest.mark.parametrize("first", sorted(first_layer_models("float64")))
+def test_evaluation_and_the_plain_gradient_leave_no_cache(monkeypatch, first):
+    """``evaluate_model`` runs no backward pass, and ``loss_and_gradient``'s
+    stops at the first layer with parameters, so each drops what its forward
+    pass left on the layers (a leading ``ReLU``'s mask too), as does a plain
+    pass that raised; and what they return does not move: the metrics are
+    those of the same batches scored by hand, and the gradient is the
+    stacked pass's, bit for bit."""
+    model = first_layer_models("float64")[first]
+    rng = np.random.default_rng(5)
+    x, y = rng.standard_normal((300, 30)), rng.integers(0, 5, 300)
+    monkeypatch.setattr(metrics_module, "_EVAL_BATCH", 128)
+    metrics = evaluate_model(model, x, y)
+    assert [layer._cache for layer in model.layers] == [None] * len(model.layers)
+    correct = total = 0.0
+    for lo in range(0, 300, 128):
+        logits, labels = model.forward(x[lo : lo + 128]), y[lo : lo + 128]
+        correct += top1_accuracy(logits, labels) * labels.size
+        total += cross_entropy_loss(logits, labels) * labels.size
+    model.release()
+    assert metrics == {"accuracy": correct / 300, "loss": total / 300}
+
+    loss = SoftmaxCrossEntropy()
+    value, gradient = model.loss_and_gradient(x[:16], y[:16], loss)
+    assert [layer._cache for layer in model.layers] == [None] * len(model.layers)
+    losses, stacked = model.per_file_loss_and_gradients(
+        RoundFiles.coerce((x[None, :16], y[None, :16])), loss
+    )
+    assert bits(losses[0]) == bits(np.float64(value))
+    assert np.array_equal(bits(stacked[0]), bits(gradient))
+    with pytest.raises(ConfigurationError, match="on purpose"):
+        model.loss_and_gradient(x[:16], y[:16], FailingPlainLoss())
+    assert [layer._cache for layer in model.layers] == [None] * len(model.layers)
 
 
 def test_targets_must_cover_every_file():

@@ -348,9 +348,11 @@ class TestNoFullWidthTemporary:
         return np.random.default_rng(0).standard_normal((self.n, self.d))
 
     def test_coordinate_median(self, matrix):
-        """Clamped, as a round runs it: its own ``(block, n)`` lane buffer
-        and that buffer's ``isfinite`` image, 223 KiB measured.  It took
-        0.88 MiB while the median's blocks were ``LANE_BLOCK`` wide."""
+        """Clamped, as a round runs it: its own ``(block, n)`` lane buffer,
+        200 KiB measured, and room for that buffer's ``isfinite`` image,
+        which it built for every block (223 KiB) until a finite sum over
+        the block stood in for it.  It took 0.88 MiB while the median's
+        blocks were ``LANE_BLOCK`` wide."""
         lanes = self.n * (MEDIAN_BLOCK + 1)
         buffer_and_image = lanes * 8 + lanes
         clamped = transient_bytes(lambda: coordinate_median(matrix, clamp_non_finite=True))
@@ -467,13 +469,18 @@ class TestNoFullWidthTemporary:
     @pytest.mark.parametrize("dtype", DTYPES)
     def test_lanes_of_a_selection_with_abstentions(self, abstaining, dtype):
         """Every lane block of the sweep beside ``out`` holds one
-        ``(n, _GATHER_COLUMNS)`` slice of the kept rows, and the median over
-        those lanes is ``np.median`` of the densified matrix bit for bit.
+        ``(n, _GATHER_COLUMNS)`` slice of the kept rows, and the median of
+        the selection is ``np.median`` of the densified matrix bit for bit.
         With one file abstained the lanes measured 48 KiB (float32) and
-        96 KiB (float64) beyond ``out``, the median 152 and 304 KiB with its
-        lane buffer, pair and ``isfinite`` image.  They measured 96 and
-        192 KiB, and 200 and 400 KiB, while each lane block was copied out
-        of a gathered ``(n, 1024)`` block, two slices wide."""
+        96 KiB (float64) beyond ``out``.  The median reads a lane per base
+        row (``pad``, the abstained files' at -inf) and gathers no slice:
+        109 and 217 KiB with its ``(1024, 25)`` lane buffer and pair, where
+        the gathered slices and the ``isfinite`` image (and, at float32,
+        ``np.mean``'s float64 cast buffers) took it to 152 and 304 KiB.  The
+        lanes measured
+        96 and 192 KiB, and the median 200 and 400 KiB, while each lane
+        block was copied out of a gathered ``(n, 1024)`` block, two slices
+        wide."""
         base, kept, store = abstaining
         selection = RowSelection(
             base.astype(dtype), np.array([2, 9]), np.array([0, 0]), store.astype(dtype), kept

@@ -24,7 +24,7 @@ import repro.core.pipelines as pipelines_module
 import repro.nn.models as models
 from repro.attacks.alie import ALIEAttack
 from repro.cluster.faults import FaultContext, MessageCorruptionInjector
-from repro.core.vote_tensor import _GATHER_COLUMNS, VoteTensor
+from repro.core.vote_tensor import VoteTensor
 from repro.data.batching import RoundFiles
 from repro.nn.losses import SoftmaxCrossEntropy
 from repro.nn.models import build_mlp
@@ -33,7 +33,7 @@ from repro.scenarios.spec import ScenarioSpec
 from repro.scenarios.trace import RunTrace
 from repro.training.gradients import ModelGradientComputer
 from repro.training.trainer import DistributedTrainer
-from repro.utils.arrays import GATHER_ELEMENTS
+from repro.utils.arrays import LANE_BLOCK
 
 from cow_helpers import cube_of
 
@@ -212,11 +212,12 @@ def test_adaptive_bulyan_round_peaks_under_seven_rows():
     assert peak < 7 * row_bytes, peak / row_bytes
 
 
-def cells_spec():
+def cells_spec(eval_every=6):
     """``async-hier-cells-traced`` of ``benchmarks/e2e`` on 1,000 training
     rows: Ramanujan K = 25 (f = 25, r = 5), ByzShield + median with a
     4096-wide vote, omniscient ALIE q = 2, exponential stragglers against a
-    0.6 deadline in 5 groups, noise corruption, d = 11,274 float32."""
+    0.6 deadline in 5 groups, noise corruption, d = 11,274 float32; six
+    rounds, evaluated every ``eval_every``-th and after the last."""
     return ScenarioSpec.from_dict({
         "name": "round-memory-cells",
         "cluster": {"scheme": "ramanujan", "params": {"m": 5, "s": 5}},
@@ -229,7 +230,7 @@ def cells_spec():
             "num_test": 200,
         },
         "model": {"hidden": [64, 64]},
-        "training": {"batch_size": 200, "num_iterations": 6, "eval_every": 6},
+        "training": {"batch_size": 200, "num_iterations": 6, "eval_every": eval_every},
         "attack": {
             "name": "alie",
             "selection": "omniscient",
@@ -250,22 +251,24 @@ def cells_spec():
 
 def test_cells_round_vote_and_median_hold_one_block(monkeypatch):
     """Every round of the cells run, measured at the vote and the median:
-    what each allocates above its entry.  The vote holds one gathered block
-    of uint32 bits (``GATHER_ELEMENTS``, both sides of a comparison
-    together) beside the 64 KiB buffer NumPy widens it through for the
-    hashes: at most 199 KiB measured against a bound of 208 KiB.  The
-    median over ``n`` decided files holds its ``(1024, n)`` lane buffer, the
-    even-``n`` pair, its ``(d,)`` result and one ``(n, 512)`` slice of the
-    kept rows (or, later, the buffer's ``isfinite`` image): 174 KiB
-    measured in the round where four files abstained (n = 21), against a
-    bound of 186 KiB.  They measured 389 KiB (each hashed block widened to
-    a uint64 copy, each side of a comparison a budget of its own) and
-    216 KiB (the kept rows of a whole lane block gathered before the
-    transpose).  The first vote also builds the ``(d,)`` uint64 hash
-    weights and keeps them for every later vote: the run is made twice,
-    from an empty weight cache, where the first vote is bounded with
-    ``8 d`` more (270 KiB measured against 296 KiB), and again with the
-    weights built, where every round has the bounds above."""
+    what each allocates above its entry.  The vote's comparisons end after
+    their 64-coordinate probe (every stored payload differs from its base
+    at once), and its hashes read the whole store in order as a view of its
+    uint32 bits, so what it holds is the 64 KiB buffer NumPy widens them
+    through: at most 70.6 KiB measured against a bound of 80 KiB.  The
+    median over ``n`` decided files holds its ``(1024, f)`` lane buffer (one
+    lane per file, an abstaining file's lanes at -inf), the even-``n`` pair
+    and its ``(d,)`` result: 148.0 KiB (n = 25) and 148.8 KiB in the round
+    where four files abstained (n = 21), against bounds of 160 and 168 KiB.
+    They measured 199 KiB (a gathered block of uint32 bits on either side
+    of the comparisons and in the hashes) and 171.0 / 174.5 KiB (the
+    ``(n, 512)`` gather slices of the kept rows, the ``isfinite`` image and
+    ``np.mean``'s float64 cast buffers).  The first vote also builds the
+    ``(d,)`` uint64 hash weights and keeps them for every later vote: the
+    run is made twice, from an empty weight cache, where the first vote is
+    bounded with ``8 d`` more (150 KiB measured, 270 KiB while the weights
+    were built in two arrays), and again with the weights built, where
+    every round has the bounds above."""
     def measured(original, record):
         def call(*args, **kwargs):
             tracemalloc.start()
@@ -295,9 +298,9 @@ def test_cells_round_vote_and_median_hold_one_block(monkeypatch):
             lambda args, out, peak: medians.append((args[0].shape[0], peak)),
         ),
     )
-    d, itemsize = 11_274, 4  # float32
+    f, d, itemsize = 25, 11_274, 4  # float32
     small_objects = 16 << 10
-    vote_bound = GATHER_ELEMENTS * itemsize + (64 << 10) + small_objects
+    vote_bound = (64 << 10) + small_objects
     monkeypatch.setattr(majority_module, "_HASH_WEIGHTS", np.empty(0, dtype=np.uint64))
     ScenarioRunner(cells_spec()).run()
     assert votes[0][1] <= vote_bound + 8 * d, votes
@@ -310,9 +313,40 @@ def test_cells_round_vote_and_median_hold_one_block(monkeypatch):
     block = median_module._LANE_BLOCK
     for n, peak in medians:
         pair = block * 2 * itemsize if n % 2 == 0 else 0
-        slice_or_image = max(n * _GATHER_COLUMNS * itemsize, block * n)
-        bound = block * n * itemsize + pair + d * itemsize + slice_or_image + small_objects
+        bound = block * f * itemsize + pair + d * itemsize + small_objects
         assert peak <= bound, (n, peak, bound)
+
+
+def test_cells_run_holds_no_activation_after_an_evaluation(monkeypatch):
+    """The cells run evaluated every second round: at the start of every
+    round after the first evaluation, and after the run, no layer of the
+    model holds a cache.  ``evaluate_model`` runs the caching forward pass
+    and no backward pass, so until it released the layers, every round
+    after an evaluation carried the last test batch's ``ReLU`` masks and
+    ``Dense`` inputs (0.14 MiB of the benchmark's cells)."""
+    evaluations, held = [], []
+    step, evaluate = DistributedTrainer.step, DistributedTrainer.evaluate
+
+    def caches(trainer):
+        return [layer._cache for layer in trainer.gradient_computer.model.layers]
+
+    def checked_step(trainer, at):
+        if evaluations:
+            held.append(caches(trainer))
+        return step(trainer, at)
+
+    def checked_evaluate(trainer):
+        metrics = evaluate(trainer)
+        evaluations.append(metrics)
+        held.append(caches(trainer))
+        return metrics
+
+    monkeypatch.setattr(DistributedTrainer, "step", checked_step)
+    monkeypatch.setattr(DistributedTrainer, "evaluate", checked_evaluate)
+    result = ScenarioRunner(cells_spec(eval_every=2)).run()
+    assert len(evaluations) == len(result.trace.evaluations) == 3
+    assert len(held) == 3 + 4  # after each evaluation, and rounds 2 to 5
+    assert all(cache is None for caches_then in held for cache in caches_then)
 
 
 @pytest.mark.parametrize("dtype", ["float32", "float64"])
@@ -389,18 +423,20 @@ def test_compute_bound_round_holds_one_chunk_not_the_batch():
 # --------------------------------------------------------------------------- #
 @pytest.mark.parametrize("probability", [0.2, 0.6])
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_noise_corruption_streams_one_draw_row(ramanujan_case2, dtype, probability):
+def test_noise_corruption_streams_one_draw_block(ramanujan_case2, dtype, probability):
     """Corrupting ``m`` slots with noise grows the store once to its ``m``
-    rows and fills them slot by slot from one float64 row of scratch: drawn
-    into, scaled, the slot's read added in place and rounded once into its
-    row.  Above what it keeps (the stored rows and the returned events) it
-    holds one draw row and, for a float32 read, the buffer NumPy widens the
-    read through as it adds it: 8192 float64 elements, 64 KiB.  8 KiB more
-    covers the per-slot index arrays and Python objects, which vary by a few
-    KiB with what ran before in the process.  Measured 11.2–11.3 (float32)
-    and 8.1 (float64) bytes per coordinate of one row, whatever ``m``.  The
-    ``(m, d)`` float64 draw and the ``(m, d)`` read it replaced held 12 and
-    16 bytes per corrupted coordinate."""
+    rows and fills each slot's row in place, ``LANE_BLOCK`` coordinates at a
+    time, from one float64 block of scratch: drawn into, scaled, the slot's
+    read added in place and rounded once into its row.  Above what it keeps
+    (the stored rows and the returned events) it holds one draw block and,
+    for a float32 read, the buffer NumPy widens the block's read through as
+    it adds it, one float64 block more.  8 KiB more covers the per-slot
+    index arrays and Python objects, which vary by a few KiB with what ran
+    before in the process.  Measured 60.7-62.9 KiB (float32) and 34.5 KiB
+    (float64) at d = 20,000, whatever ``m``.  While the injector drew a
+    float64 row of scratch and handed it back to be stored, it held 217-219
+    and 159 KiB; the ``(m, d)`` float64 draw and the ``(m, d)`` read before
+    that held 12 and 16 bytes per corrupted coordinate."""
     assignment = ramanujan_case2.assignment
     f, d = assignment.num_files, 20_000
     honest = np.random.default_rng(0).standard_normal((f, d)).astype(dtype)
@@ -418,7 +454,9 @@ def test_noise_corruption_streams_one_draw_row(ramanujan_case2, dtype, probabili
     assert m > 1 and tensor.num_override_rows == m
     # what stays is the stored rows and the returned events
     assert m * d * np.dtype(dtype).itemsize <= kept
-    assert peak - kept <= d * 8 + (64 << 10) + (8 << 10), (peak - kept) / d
+    block = LANE_BLOCK * 8
+    widening = block if dtype is np.float32 else 0
+    assert peak - kept <= block + widening + (8 << 10), (peak - kept) / 1024
 
 
 # --------------------------------------------------------------------------- #

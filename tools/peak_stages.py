@@ -11,9 +11,11 @@ benchmark's per-layer table shims, plus the trainer build and a few robust
 kernels, is wrapped in a shim that records, per stage, the memory held at
 its entry and the highest peak reached inside it (children included), in
 MiB.  The table is sorted by that peak, so its first row is what sets the
-workload's peak and the rows below it are the next floors.  The shims
-themselves hold ≈ 0.025 MiB, so the peak reads that much above
-``run.py``'s.  The workload templates are only read.
+workload's peak and the rows below it are the next floors.  The test-set
+evaluation (``nn.evaluate``) and the omniscient search
+(``kernel.max_distortion``, inside ``attacks.selection``) have rows of their
+own.  The shims themselves hold ≈ 0.025 MiB, so the peak reads that much
+above ``run.py``'s.  The workload templates are only read.
 """
 
 from __future__ import annotations
@@ -42,6 +44,8 @@ import repro.aggregation.majority as majority_module  # noqa: E402
 import repro.aggregation.median as median_module  # noqa: E402
 import repro.attacks.adaptive as adaptive_module  # noqa: E402
 import repro.attacks.alie as alie_module  # noqa: E402
+import repro.attacks.selection as selection_module  # noqa: E402
+import repro.training.trainer as trainer_module  # noqa: E402
 from repro.cli import quiet_closed_stdout  # noqa: E402
 from repro.core.vote_tensor import RowSelection  # noqa: E402
 from repro.scenarios.runner import ScenarioRunner  # noqa: E402
@@ -52,6 +56,8 @@ _MIB = float(1 << 20)
 #: ``(owner, attribute, stage)``
 KERNELS = (
     (ScenarioRunner, "build_trainer", "scenarios.build_trainer"),
+    (trainer_module, "evaluate_model", "nn.evaluate"),
+    (selection_module, "max_distortion", "kernel.max_distortion"),
     (majority_module, "override_content_ids", "kernel.override_content_ids"),
     (RowSelection, "lanes", "kernel.RowSelection.lanes"),
     (bulyan_module, "bulyan_selection", "kernel.bulyan_selection"),

@@ -66,9 +66,10 @@ def validate_block_size(block_size: int | None) -> int | None:
 _HASH_WEIGHTS = np.empty(0, dtype=np.uint64)
 
 
-#: coordinates of the first block :func:`_rows_equal` compares: a payload
-#: that differs from the row it is compared with differs here, so most
-#: comparisons end after gathering 64 coordinates of each row
+#: coordinates of the first block :func:`_rows_equal` compares (narrower
+#: when ``block_size`` or the gather budget is): a payload that differs from
+#: the row it is compared with differs here, so most comparisons end after
+#: gathering 64 coordinates of each row
 _PROBE_COLUMNS = 64
 
 
@@ -123,16 +124,17 @@ def _rows_equal(gather_a, gather_b, count: int, d: int, block_size: int | None) 
     :data:`~repro.utils.arrays.LANE_BLOCK`) but narrowed so that both sides
     together hold at most :data:`GATHER_ELEMENTS`: the two gathered blocks
     stay within 256 KiB, their bool image within 16 KiB, whatever
-    ``count``.  The sweep opens with a :data:`_PROBE_COLUMNS`-wide block
-    and stops after the first block that leaves no row equal: every row is
-    then already proven unequal, which is how a crafted or noisy payload (it
-    differs from the honest rows at once) costs the probe instead of ``d``
-    coordinates or a full gather, so only rows that stay equal pay for the
-    wider blocks.
+    ``count``.  The sweep opens with a probe block at most
+    :data:`_PROBE_COLUMNS` wide, within the same budget, and stops after
+    the first block that leaves no row equal: every row is then already
+    proven unequal, which is how a crafted or noisy payload (it differs from
+    the honest rows at once) costs the probe instead of ``d`` coordinates or
+    a full gather, so only rows that stay equal pay for the wider blocks.
     """
-    probe = min(d, _PROBE_COLUMNS)
+    width = _gather_width(block_size, 2 * count)
+    probe = min(d, _PROBE_COLUMNS, width)
     equal = (gather_a(0, probe) == gather_b(0, probe)).all(axis=1)
-    for lo, hi in block_ranges(d - probe, _gather_width(block_size, 2 * count)):
+    for lo, hi in block_ranges(d - probe, width):
         if not equal.any():
             break
         equal &= (gather_a(probe + lo, probe + hi) == gather_b(probe + lo, probe + hi)).all(axis=1)

@@ -37,8 +37,8 @@ def coordinate_median(
     result is bit-identical to ``np.median(matrix, axis=0)``.  Each
     coordinate block is transposed into one reused ``(_LANE_BLOCK, f)``
     buffer with a lane per row of the selection's base
-    (:meth:`RowSelection.lanes` with ``pad``; a plain matrix is a selection
-    with nothing patched), so a coordinate's votes are adjacent instead of a
+    (:meth:`RowSelection.lanes` with ``per_base_row``; a plain matrix is a
+    selection with nothing patched), so a coordinate's votes are adjacent instead of a
     row stride apart and neither a ``(d, n)`` copy, the dense matrix of a
     selection nor a gathered slice of its rows exists.  The ``m = f - n``
     rows the selection leaves out (abstaining files) read ``-inf``, below
@@ -66,7 +66,7 @@ def coordinate_median(
     two = votes.dtype.type(2)
     for lo, hi in block_ranges(d, _LANE_BLOCK):
         lanes = buffer[: hi - lo]
-        votes.lanes(lo, hi, lanes, clamp_non_finite, pad=-np.inf)
+        votes.lanes(lo, hi, lanes, clamp_non_finite, per_base_row=True)
         lanes.partition(k, axis=1)
         middle = lanes[:, k : k + 1]
         if pair is not None:

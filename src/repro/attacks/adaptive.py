@@ -94,6 +94,29 @@ def _distance_coefficients(
     return a, b, float(u @ u)
 
 
+def _rank_of_union(a: np.ndarray, b: np.ndarray, rank: int) -> np.ndarray:
+    """Per row, the ``rank``-th smallest (from 0) of ``a``'s and ``b``'s
+    values together, each sorted along axis 1, without sorting them together.
+
+    Taking ``rank + 1`` values as prefixes of the two rows, the larger of
+    the two prefixes' last values is at least the wanted one, and equal to
+    it for the split the sorted union makes: so it is the smallest over the
+    splits.  The result is one of the values, the sorted union's entry (but
+    for which of -0.0 and +0.0 a tie between them yields).
+    """
+    na, nb = a.shape[1], b.shape[1]
+    out = None
+    for t in range(max(0, rank + 1 - na), min(nb, rank + 1) + 1):  # t values from b
+        if t == 0:
+            cut = a[:, rank]
+        elif t == rank + 1:
+            cut = b[:, rank]
+        else:
+            cut = np.maximum(a[:, rank - t], b[:, t - 1])
+        out = cut.copy() if out is None else np.minimum(out, cut, out=out)
+    return out
+
+
 def _stealthy_pick(deviations: list[float]) -> int:
     """Index of the smallest λ whose deviation is within :data:`_RTOL` of the best.
 
@@ -250,26 +273,31 @@ class FangAdaptiveAttack(Attack):
         Bit-identical to the generic `_coordinate_payload` + insertion
         evaluation, but restructured for speed: sorts run on contiguous
         transposed copies (the strided axis-0 sort is cache-hostile at
-        d ≈ 11k), the baseline median comes from the already-sorted rows,
-        and the per-coordinate three-way insertion selection — which does
-        not depend on λ, only on where the payload lands relative to the
-        reference envelope — is precomputed once outside the ladder.
+        d ≈ 11k), and the per-coordinate three-way insertion selection —
+        which does not depend on λ, only on where the payload lands relative
+        to the reference envelope — is precomputed once outside the ladder.
+        The baseline median of all ``f`` honest rows is read off the sorted
+        reference and the sorted rows it leaves out (:func:`_rank_of_union`),
+        so the only ``(d, n)`` copy is the reference's.  It enters the
+        ladder only through ``sign @ baseline``, where a zero's sign can
+        change only the sign of a zero sum, which the ladder's comparisons
+        do not tell apart.
         """
         f = honest.shape[0]
         k = int(corrupted.size)
-        # The sorted honest copy is read once, for the baseline: it is freed
-        # before the reference's sorted copy is built, so one (d, n) copy
-        # is alive at a time.
-        hon = np.array(honest.T, order="C")
-        hon.sort(axis=1)
-        mid_low, mid_high = (f - 1) // 2, f // 2
-        baseline = 0.5 * (hon[:, mid_low] + hon[:, mid_high])
-        del hon
         uncorrupted = np.setdiff1d(np.arange(f), corrupted)
         reference = honest[uncorrupted] if uncorrupted.size else honest
         ref = np.array(reference.T, order="C")  # (d, n_ref), always a copy: sorted in place
         del reference
         ref.sort(axis=1)
+        left_out = np.setdiff1d(np.arange(f), uncorrupted) if uncorrupted.size else uncorrupted
+        rest = np.array(honest[left_out].T, order="C")
+        rest.sort(axis=1)
+        mid_low, mid_high = (f - 1) // 2, f // 2
+        at_low = _rank_of_union(ref, rest, mid_low)
+        at_high = at_low if mid_high == mid_low else _rank_of_union(ref, rest, mid_high)
+        baseline = 0.5 * (at_low + at_high)
+        del rest, at_low, at_high
         n_ref = ref.shape[1]
         low = np.ascontiguousarray(ref[:, 0])
         high = np.ascontiguousarray(ref[:, -1])

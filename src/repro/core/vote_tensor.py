@@ -63,8 +63,8 @@ __all__ = ["VoteTensor", "RowSelection"]
 #: selected rows) are gathered whole, as before, and wider lanes in
 #: ``(n, 512)`` slices, 48 KiB at float32 with 24 rows where a 1024-wide
 #: block took 96 KiB.  The median's lanes, timed below, now read every base
-#: row (``pad``) and gather nothing.  Per 11,274-wide sweep, min of 60
-#: interleaved, 2-core Xeon, whole-block gather against these slices:
+#: row (``per_base_row``) and gather nothing.  Per 11,274-wide sweep, min of
+#: 60 interleaved, 2-core Xeon, whole-block gather against these slices:
 #: 0.14-0.16 ms both on float32 lanes 1024 wide with one or three of 25 rows
 #: out, 0.19 vs 0.20 ms on Bulyan's float64 ``take()`` of 19 scattered rows.
 #: 256-wide slices (24 KiB) took 0.17-0.18 and 0.21 ms, and copying runs of
@@ -190,7 +190,7 @@ class RowSelection:
         hi: int,
         out: np.ndarray,
         clamp_non_finite: bool = False,
-        pad: float | None = None,
+        per_base_row: bool = False,
     ) -> None:
         """Fill ``out`` — ``(hi - lo, n)`` — with coordinates ``[lo, hi)`` transposed.
 
@@ -205,19 +205,21 @@ class RowSelection:
         :func:`~repro.utils.arrays.finite_stand_ins` — the one place a
         streaming rule's lanes are clamped.
 
-        With ``pad``, ``out`` has one lane per *base* row instead,
+        With ``per_base_row``, ``out`` has one lane per *base* row instead,
         ``(hi - lo, len(base))``, for a kernel that does not read the votes'
         order: the whole base block is one strided copy with no gather, each
         vote sits in its base row's lane, and the lanes of the base rows the
-        selection leaves out read ``pad`` (after the clamp).
+        selection leaves out read ``-inf`` (after the clamp), below every
+        vote, so the votes' rank ``k`` is the lanes' rank ``k + m`` for
+        ``m`` rows left out.
         """
-        if self.rows is None or pad is not None:
+        if self.rows is None or per_base_row:
             np.copyto(out, self.base[:, lo:hi].T)
         else:
             for a in range(lo, hi, _GATHER_COLUMNS):
                 b = min(a + _GATHER_COLUMNS, hi)
                 np.copyto(out[a - lo : b - lo], self.base[self.rows, a:b].T)
-        lane_of = self.rows if pad is not None and self.rows is not None else None
+        lane_of = self.rows if per_base_row else None
         for file, row in self._patches:
             out[:, file if lane_of is None else lane_of[file]] = self.store[row, lo:hi]
         if clamp_non_finite:
@@ -225,7 +227,7 @@ class RowSelection:
         if lane_of is not None:
             left_out = np.ones(self.base.shape[0], dtype=bool)
             left_out[lane_of] = False
-            out[:, left_out] = pad
+            out[:, left_out] = -np.inf
 
     def densified(self) -> np.ndarray:
         """The read-only ``(n, d)`` matrix: the base itself when nothing is

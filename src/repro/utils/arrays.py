@@ -91,23 +91,19 @@ def finite_stand_ins(values: np.ndarray, copy: bool) -> np.ndarray:
 
     NaN -> 0 and +-inf -> +-1e30, as :meth:`Aggregator.__call__
     <repro.aggregation.base.Aggregator.__call__>` promises every rule.  The
-    values are tested first: finite ones (every honest block) are returned
-    as they are.  The test is a sum over the block first, which is finite
-    only if every entry is (NaN and +-inf propagate), and builds no image of
-    the block: the sum of squares, one BLAS dot, where the block is
-    C-contiguous (a lane buffer, a densified matrix), else the plain sum.
-    Only a sum that is not finite (a non-finite entry, or finite entries
-    whose sum overflows) is followed by the entrywise test.  ``copy=False``
-    writes the stand-ins into ``values`` (a lane buffer), ``copy=True`` into
-    a copy.  Each entry is replaced on its own, so clamping block by block
-    gives the bits of clamping the whole matrix.
+    ``(rows, columns)`` values are tested first: finite ones (every honest
+    block) are returned as they are.  The test is a sum over the block,
+    which is finite only if every entry is (NaN and +-inf propagate), and
+    builds no image of the block; ``einsum``'s sum takes half the time of
+    ``ndarray.sum`` on a lane buffer and buffers no strided block.  Only a
+    sum that is not finite (a non-finite entry, or finite entries whose sum
+    overflows) is followed by the entrywise test.  ``copy=False`` writes the
+    stand-ins into ``values`` (a lane buffer), ``copy=True`` into a copy.
+    Each entry is replaced on its own, so clamping block by block gives the
+    bits of clamping the whole matrix.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        if values.flags.c_contiguous:
-            flat = values.reshape(-1)
-            total = np.dot(flat, flat)
-        else:
-            total = values.sum()
+        total = np.einsum("ij->", values)
     if np.isfinite(total) or np.isfinite(values).all():
         return values
     return np.nan_to_num(values, copy=copy, nan=0.0, posinf=1e30, neginf=-1e30)

@@ -175,6 +175,23 @@ def test_fang_krum_payload_is_selected(mols_assignment):
     assert int(np.argmin(scores)) in set(int(i) for i in corrupted)
 
 
+@pytest.mark.parametrize("left_out", [0, 1, 5, 12, 13])
+def test_rank_of_union_is_the_sorted_union_entry(left_out):
+    """Fang's median baseline reads every rank of the honest rows off two
+    sorted sets: each equals the full sort's entry, ties, signed zeros and
+    an empty set included."""
+    rng = np.random.default_rng(left_out)
+    values = rng.choice([-2.0, -1.0, -0.0, 0.0, 0.5, 3.0], size=(13, 40))
+    values[:, :20] = rng.standard_normal((13, 20))
+    kept = values[left_out:].T.copy()
+    rest = values[:left_out].T.copy()
+    kept.sort(axis=1)
+    rest.sort(axis=1)
+    full = np.sort(values.T, axis=1)
+    for rank in range(values.shape[0]):
+        assert np.array_equal(adaptive._rank_of_union(kept, rest, rank), full[:, rank])
+
+
 def test_fang_q0_prepare_is_safe(mols_assignment):
     context = make_context(mols_assignment, ())
     assert np.array_equal(

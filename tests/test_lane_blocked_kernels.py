@@ -473,14 +473,13 @@ class TestNoFullWidthTemporary:
         the selection is ``np.median`` of the densified matrix bit for bit.
         With one file abstained the lanes measured 48 KiB (float32) and
         96 KiB (float64) beyond ``out``.  The median reads a lane per base
-        row (``pad``, the abstained files' at -inf) and gathers no slice:
-        109 and 217 KiB with its ``(1024, 25)`` lane buffer and pair, where
-        the gathered slices and the ``isfinite`` image (and, at float32,
-        ``np.mean``'s float64 cast buffers) took it to 152 and 304 KiB.  The
-        lanes measured
-        96 and 192 KiB, and the median 200 and 400 KiB, while each lane
-        block was copied out of a gathered ``(n, 1024)`` block, two slices
-        wide."""
+        row (``per_base_row``, the abstained files' at -inf) and gathers no
+        slice: 109 and 217 KiB with its ``(1024, 25)`` lane buffer and pair,
+        where the gathered slices and the ``isfinite`` image (and, at
+        float32, ``np.mean``'s float64 cast buffers) took it to 152 and
+        304 KiB.  The lanes measured 96 and 192 KiB, and the median 200 and
+        400 KiB, while each lane block was copied out of a gathered
+        ``(n, 1024)`` block, two slices wide."""
         base, kept, store = abstaining
         selection = RowSelection(
             base.astype(dtype), np.array([2, 9]), np.array([0, 0]), store.astype(dtype), kept
@@ -512,7 +511,9 @@ class TestNoFullWidthTemporary:
     # as uint64), whatever ``block_size``; the hashes take a float32 round's
     # uint32 bits unwidened.  A cell round compares ~70 (payload, file)
     # pairs, which at width 4096 gathered 1.09 MiB a side; hashing 24
-    # float32 rows widened 0.75 MiB to uint64.
+    # float32 rows widened 0.75 MiB to uint64.  The rows are gathered in
+    # reverse, since the whole store in order is read through views (its
+    # own test below) and would gather nothing.
     pairs, live, wide = 70, 24, 3 * LANE_BLOCK + 1
     gather = GATHER_ELEMENTS * 8
 
@@ -522,25 +523,29 @@ class TestNoFullWidthTemporary:
         rng = np.random.default_rng(11)
         return rng.integers(0, 2**63, size=(self.pairs, self.wide), dtype=np.uint64)
 
+    @pytest.mark.parametrize("count, width", [(pairs, wide), (1000, 3 * 64 + 5)])
     @pytest.mark.parametrize("block_size", BLOCK_SIZES)
-    def test_rows_equal_over_many_distinct_pairs(self, bits, block_size):
+    def test_rows_equal_over_many_distinct_pairs(self, count, width, block_size):
         """All pairs equal (no early exit) but two, which differ late: the
         answer is the full-width comparison's, and the sweep holds two
         gathered blocks that share one ``GATHER_ELEMENTS`` budget and their
         bool image: 272 KiB at most, where one 4096-wide block of 70 uint64
         rows alone is 2.2 MiB.  It measured 544 KiB while each side had a
-        budget of its own."""
+        budget of its own.  The opening probe block is narrowed to the same
+        budget: 1,000 pairs gathered 1 MiB while it was 64 coordinates wide
+        whatever the row count."""
+        bits = np.random.default_rng(11).integers(0, 2**63, size=(count, width), dtype=np.uint64)
         other = bits.copy()
         other[3, -1] ^= 1
-        other[40, self.wide // 2] ^= 1
-        rows = np.arange(self.pairs)
+        other[40, width // 2] ^= 1
+        rows = np.arange(count)[::-1]
 
         def compare():
             return _rows_equal(
-                _row_bits(bits, rows), _row_bits(other, rows), self.pairs, self.wide, block_size
+                _row_bits(bits, rows), _row_bits(other, rows), count, width, block_size
             )
 
-        assert np.array_equal(compare(), (bits == other).all(axis=1))
+        assert np.array_equal(compare(), (bits == other).all(axis=1)[rows])
         assert transient_bytes(compare) <= self.gather + GATHER_ELEMENTS // 2
 
     @pytest.mark.parametrize("block_size", BLOCK_SIZES)
@@ -550,8 +555,10 @@ class TestNoFullWidthTemporary:
         NumPy's 64 KiB iterator buffer.  It measured 384 KiB while each
         block was widened to a uint64 copy first."""
         float32_bits = np.ascontiguousarray(bits[: self.live], dtype=np.uint32)
-        rows = np.arange(self.live)
-        full = np.einsum("mb,b->m", float32_bits.astype(np.uint64), _hash_weights(self.wide))
+        rows = np.arange(self.live)[::-1]
+        full = np.einsum(
+            "mb,b->m", float32_bits[rows].astype(np.uint64), _hash_weights(self.wide)
+        )
 
         def hashes():
             return _accumulate_hashes(
@@ -560,6 +567,33 @@ class TestNoFullWidthTemporary:
 
         assert np.array_equal(hashes(), full)
         assert transient_bytes(hashes) <= GATHER_ELEMENTS * 4 + (64 << 10)
+
+    @pytest.mark.parametrize("block_size", BLOCK_SIZES)
+    def test_the_whole_store_in_order_is_read_through_views(self, bits, block_size):
+        """Rows naming every row of the store in order gather nothing: the
+        comparison holds its bool image and NumPy's two 64 KiB iterator
+        buffers (144 KiB, 142 KiB measured), the hashes that one buffer
+        (63 KiB measured), where the gathered blocks took 269 and 191 KiB."""
+        other = bits.copy()
+        other[3, -1] ^= 1
+        rows = np.arange(self.pairs)
+        float32_bits = np.ascontiguousarray(bits[: self.live], dtype=np.uint32)
+
+        def compare():
+            return _rows_equal(
+                _row_bits(bits, rows), _row_bits(other, rows), self.pairs, self.wide, block_size
+            )
+
+        def hashes():
+            return _accumulate_hashes(
+                _row_bits(float32_bits, rows[: self.live]), self.live, self.wide, block_size
+            )
+
+        full = np.einsum("mb,b->m", float32_bits.astype(np.uint64), _hash_weights(self.wide))
+        assert np.array_equal(compare(), (bits == other).all(axis=1))
+        assert np.array_equal(hashes(), full)
+        assert transient_bytes(compare) <= 2 * (64 << 10) + GATHER_ELEMENTS // 2
+        assert transient_bytes(hashes) <= 64 << 10
 
     @pytest.mark.parametrize("block_size", BLOCK_SIZES)
     def test_ids_of_a_round_with_many_distinct_pairs(self, block_size):

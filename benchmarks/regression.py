@@ -1,38 +1,46 @@
-"""Benchmark regression harness for the aggregation hot paths.
+"""Kernel timings of the round's hot paths, and their A/B against a git ref.
 
-Runs the micro kernels that dominate the round data path, writes a
-``benchmarks/results/BENCH_<date>.json`` snapshot (best-of-N seconds and
-ops/second per kernel) and compares against the most recent previous
-snapshot with a configurable tolerance — failing loudly when a kernel got
-slower.  This seeds the repo's performance trajectory: every PR that touches
-the round engine should leave a snapshot behind.
+Times the micro kernels that dominate the round data path (each the minimum
+of N ``time.perf_counter`` runs, robust to background load) and prints them
+with the headline ratios and the adaptive-attack cost gate.
 
 Usage::
 
-    PYTHONPATH=src python benchmarks/regression.py             # full run + compare
-    PYTHONPATH=src python benchmarks/regression.py --smoke     # quick CI sanity run
-    PYTHONPATH=src python benchmarks/regression.py --check     # compare vs committed
-                                                               # baseline, write nothing
-    PYTHONPATH=src python benchmarks/regression.py --tolerance 0.5 --no-fail
+    PYTHONPATH=src python benchmarks/regression.py                # full run, gated
+    PYTHONPATH=src python benchmarks/regression.py --smoke        # quick sanity run
+    PYTHONPATH=src python benchmarks/regression.py --check HEAD^  # A/B vs the parent
 
-Timing protocol: every kernel is repeated ``--rounds`` times and the *minimum*
-wall time is reported (robust to background load), so snapshots from the same
-machine are comparable.
+``--check REF`` compares two trees on the same machine in the same minute.
+Side A is ``REF``'s ``src/``, extracted with ``git archive`` into a temporary
+directory (nothing is left in ``.git``); side B is this tree's ``src/``,
+uncommitted edits included.  This file runs as a child process on each side
+(``PYTHONPATH=<side>/src``), in :data:`PAIRS` alternating pairs, and each
+child reports every kernel's minimum of :data:`ROUNDS` timings.  Each
+kernel's runs on the two sides go through ``benchmarks/e2e/compare.py``'s
+``classify`` with the bound :data:`BOUND`: *improved*, *unchanged*,
+*regressed*, or *unresolved* when the spread exceeds the bound and neither
+side beats the other on every run.  The adaptive-attack gate is applied to
+B's medians.  Exit status: 1 on a regressed kernel or a gate violation, 2
+when the check cannot run (an unknown ref, a side that cannot import or run
+the harness, a kernel on one side only), 0 otherwise.
 """
 
 from __future__ import annotations
 
 import argparse
-import datetime
+import io
 import json
+import os
 import pathlib
+import statistics
+import subprocess
 import sys
+import tarfile
+import tempfile
 import time
 import tracemalloc
 
 import numpy as np
-
-sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from repro.aggregation.bulyan import BulyanAggregator
 from repro.aggregation.krum import MultiKrumAggregator
@@ -50,7 +58,20 @@ from repro.nn.models import build_mlp
 from repro.training.gradients import ModelGradientComputer
 from repro.utils.digest import array_digest
 
-RESULTS_DIR = pathlib.Path(__file__).parent / "results"
+from e2e.compare import classify
+
+BENCH_DIR = pathlib.Path(__file__).resolve().parent
+REPO = BENCH_DIR.parent
+
+#: timings per kernel in one run (each run reports their minimum)
+ROUNDS = 30
+#: alternating A/B child runs of ``--check``
+PAIRS = 10
+#: fractional change (and spread) beyond which ``--check`` calls a kernel
+#: improved or regressed (or unresolved): on a 2-core host two A/A runs
+#: spread at most 3.2 % per kernel with medians within 2 %, and a planted
+#: median defect slowed the kernels that reach the median by 11-71 %
+BOUND = 0.10
 
 
 def replication_round_kernels() -> dict:
@@ -261,14 +282,14 @@ def adaptive_attack_kernels() -> dict:
 ADAPTIVE_VS_CONSTANT_LIMIT = 3.0
 
 
-def adaptive_attack_gate(results: dict) -> list:
+def adaptive_attack_gate(times: dict) -> list:
     """Adaptive rounds vs the constant baseline; return the violations."""
-    baseline = results["adaptive_attack_constant_round_f25_r5_d11k"]["min_s"]
+    baseline = times["adaptive_attack_constant_round_f25_r5_d11k"]
     violations = []
-    for name, entry in results.items():
+    for name, seconds in times.items():
         if not name.startswith("adaptive_attack_") or "constant" in name:
             continue
-        ratio = entry["min_s"] / baseline
+        ratio = seconds / baseline
         marker = ""
         if ratio > ADAPTIVE_VS_CONSTANT_LIMIT:
             marker = f"  <-- exceeds {ADAPTIVE_VS_CONSTANT_LIMIT:.2f}x limit"
@@ -321,9 +342,9 @@ def build_kernels() -> dict:
     return kernels
 
 
-#: kernels whose ``tracemalloc`` peak above their start is recorded beside
-#: their time (``peak_mib``): the stacked pass at the compute-bound shape holds
-#: one chunk of files' activations, not the whole batch's.
+#: kernels whose ``tracemalloc`` peak above their start is printed beside
+#: their time by a full or smoke run: the stacked pass at the compute-bound
+#: shape holds one chunk of files' activations, not the whole batch's.
 PEAK_KERNELS = ("gradient_engine_stacked_mlp_f25_n256", "gaussian_dataset_build_21k_d100")
 
 
@@ -348,141 +369,131 @@ def time_kernel(fn, rounds: int) -> float:
     return best
 
 
-def previous_snapshot(current: pathlib.Path | None = None) -> pathlib.Path | None:
-    snapshots = sorted(
-        p for p in RESULTS_DIR.glob("BENCH_*.json") if p != current
-    )
-    return snapshots[-1] if snapshots else None
-
-
-def fresh_snapshot_path(date: str) -> pathlib.Path:
-    """BENCH_<date>.json, suffixed ``_rNN`` when same-day snapshots exist.
-
-    The zero-padded suffix sorts after the unsuffixed name and in run order,
-    so :func:`previous_snapshot` still picks the latest snapshot as the
-    comparison baseline instead of overwriting it.
-    """
-    path = RESULTS_DIR / f"BENCH_{date}.json"
-    run = 2
-    while path.exists():
-        path = RESULTS_DIR / f"BENCH_{date}_r{run:02d}.json"
-        run += 1
-    return path
-
-
-def compare_to_baseline(results: dict, baseline_path: pathlib.Path, tolerance: float) -> list:
-    """Print per-kernel deltas vs a snapshot; return the regressed kernels."""
-    baseline = json.loads(baseline_path.read_text())["kernels"]
-    print(f"comparing against {baseline_path.name} (tolerance {tolerance:.0%})")
-    regressions = []
-    for name, entry in results.items():
-        if name not in baseline:
-            continue
-        before, after = baseline[name]["min_s"], entry["min_s"]
-        change = after / before - 1.0
-        marker = ""
-        if change > tolerance:
-            marker = "  <-- REGRESSION"
-            regressions.append((name, change))
-        print(f"{name:48s} {change:+7.1%}{marker}")
-    return regressions
-
-
-def report_speedups(results: dict) -> None:
-    """Print the headline ratios of the snapshot."""
-    cow = results["replication_cow_round_f25_r5_d11k"]["min_s"]
-    cow32 = results["dtype_float32_cow_round_f25_r5_d11k"]["min_s"]
+def report_speedups(times: dict) -> None:
+    """Print the headline ratios of one run's kernel times."""
+    cow = times["replication_cow_round_f25_r5_d11k"]
+    cow32 = times["dtype_float32_cow_round_f25_r5_d11k"]
     print(f"\nfloat32 round speedup vs float64 (copy-on-write, f=25, r=5): {cow / cow32:.2f}x")
     for model_key, num_files in GRADIENT_SWEEP:
-        stacked = results[f"gradient_engine_stacked_{model_key}_f{num_files}"]["min_s"]
-        looped = results[f"gradient_engine_looped_{model_key}_f{num_files}"]["min_s"]
+        stacked = times[f"gradient_engine_stacked_{model_key}_f{num_files}"]
+        looped = times[f"gradient_engine_looped_{model_key}_f{num_files}"]
         print(
             f"stacked gradient engine speedup vs looped ({model_key}, f={num_files}): "
             f"{looped / stacked:.2f}x"
         )
 
 
+class CheckError(Exception):
+    """``--check`` cannot produce a verdict; the message names the side."""
+
+
+def child_times(src: str) -> None:
+    """One side's run of ``--check``: every kernel's best time, one JSON line."""
+    import repro
+
+    if not pathlib.Path(repro.__file__).resolve().is_relative_to(src):
+        raise SystemExit(f"repro was imported from {repro.__file__}, not from {src}")
+    print(json.dumps({name: time_kernel(fn, ROUNDS) for name, fn in build_kernels().items()}))
+
+
+def side_times(side: str, root: pathlib.Path) -> dict:
+    """Run this file as a child on ``root/src``; ``{kernel: seconds}``."""
+    src = str((root / "src").resolve())
+    code = (
+        f"import sys; sys.path.insert(0, {str(BENCH_DIR)!r}); "
+        f"import regression; regression.child_times({src!r})"
+    )
+    child = subprocess.run(
+        [sys.executable, "-c", code],
+        cwd=root,
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+    )
+    if child.returncode != 0:
+        raise CheckError(f"side {side} cannot run the harness:\n{child.stderr.strip()}")
+    return json.loads(child.stdout.splitlines()[-1])
+
+
+def extract_src(ref: str, into: str) -> None:
+    """``ref``'s ``src/`` under ``into``, by ``git archive``."""
+    archive = subprocess.run(["git", "archive", ref, "src"], cwd=REPO, capture_output=True)
+    if archive.returncode != 0:
+        raise CheckError(f"side A ({ref}): {archive.stderr.decode().strip()}")
+    with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
+        tar.extractall(into, filter="data")
+
+
+def verdicts(times_a: dict, times_b: dict) -> tuple[list, int]:
+    """Rows of ``classify`` over each kernel's runs, and the exit status.
+
+    ``times_a`` and ``times_b`` map a kernel to its runs' seconds on side A
+    (the ref) and side B (this tree).  The status is 1 when a row regressed.
+    """
+    missing = sorted(times_a.keys() ^ times_b.keys())
+    if missing:
+        side = "B" if missing[0] in times_a else "A"
+        raise CheckError(f"side {side} has no kernel {missing[0]}")
+    rows = [
+        {"kernel": kernel, **classify(times_a[kernel], times_b[kernel], "lower", BOUND)}
+        for kernel in times_a
+    ]
+    return rows, int(any(row["verdict"] == "regressed" for row in rows))
+
+
+def check(ref: str) -> int:
+    """A/B of this tree's ``src/`` against ``ref``'s; see the module docstring."""
+    times = {"A": {}, "B": {}}
+    try:
+        with tempfile.TemporaryDirectory() as tmp:
+            extract_src(ref, tmp)
+            for _ in range(PAIRS):
+                for side, root in (("A", pathlib.Path(tmp)), ("B", REPO)):
+                    for kernel, seconds in side_times(side, root).items():
+                        times[side].setdefault(kernel, []).append(seconds)
+        rows, status = verdicts(times["A"], times["B"])
+    except CheckError as error:
+        print(f"--check {ref} cannot run: {error}", file=sys.stderr)
+        return 2
+    print(f"A = {ref}, B = this tree; {PAIRS} pairs, min of {ROUNDS} timings, bound {BOUND:.0%}")
+    print(f"{'kernel':48s} {'A ms':>9s} {'B ms':>9s} {'change':>8s} {'spread':>7s}  verdict")
+    for row in rows:
+        print(
+            f"{row['kernel']:48s} {row['median_a'] * 1e3:9.3f} {row['median_b'] * 1e3:9.3f} "
+            f"{row['worse']:+8.1%} {row['spread']:7.1%}  {row['verdict']}"
+        )
+    violations = adaptive_attack_gate({k: statistics.median(t) for k, t in times["B"].items()})
+    if status:
+        print(f"\n{sum(row['verdict'] == 'regressed' for row in rows)} kernel(s) regressed")
+    if violations:
+        print(f"\n{len(violations)} adaptive attack round(s) over the cost limit")
+    return 1 if status or violations else 0
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--rounds", type=int, default=30, help="timing repetitions per kernel"
+    parser = argparse.ArgumentParser(
+        description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
     )
-    parser.add_argument(
-        "--tolerance",
-        type=float,
-        default=0.35,
-        help="allowed fractional slowdown vs the previous snapshot",
+    mode = parser.add_mutually_exclusive_group()
+    mode.add_argument(
+        "--smoke", action="store_true", help="quick sanity run: 3 timings a kernel, no gate"
     )
-    parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help="quick sanity run: few rounds, no snapshot written, no comparison",
-    )
-    parser.add_argument(
-        "--check",
-        action="store_true",
-        help="compare against the committed baseline snapshot without writing "
-        "a new one (the CI regression gate)",
-    )
-    parser.add_argument(
-        "--no-fail",
-        action="store_true",
-        help="report regressions but exit 0 anyway",
-    )
-    parser.add_argument(
-        "--output", type=pathlib.Path, default=None, help="snapshot path override"
+    mode.add_argument(
+        "--check", metavar="REF", help="A/B of this tree's src/ against REF's (the CI gate)"
     )
     args = parser.parse_args(argv)
+    if args.check is not None:
+        return check(args.check)
 
-    rounds = 3 if args.smoke else args.rounds
-    kernels = build_kernels()
-    results = {}
-    for name, fn in kernels.items():
-        best = time_kernel(fn, rounds)
-        results[name] = {"min_s": best, "ops_per_s": 1.0 / best}
-        peak = ""
-        if name in PEAK_KERNELS:
-            results[name]["peak_mib"] = peak_mib(fn)
-            peak = f"   peak {results[name]['peak_mib']:7.2f} MiB"
+    times = {}
+    for name, fn in build_kernels().items():
+        times[name] = best = time_kernel(fn, 3 if args.smoke else ROUNDS)
+        peak = f"   peak {peak_mib(fn):7.2f} MiB" if name in PEAK_KERNELS else ""
         print(f"{name:48s} {best * 1e3:9.3f} ms   {1.0 / best:10.1f} ops/s{peak}")
-
-    report_speedups(results)
-    gate_violations = adaptive_attack_gate(results)
-
-    if args.smoke:
-        return 0
-
-    if gate_violations and not args.no_fail:
-        print(f"\n{len(gate_violations)} adaptive attack round(s) over the cost limit")
-        return 1
-
-    if args.check:
-        baseline_path = previous_snapshot()
-        if baseline_path is None:
-            print("no committed snapshot to check against")
-            return 0
-        regressions = compare_to_baseline(results, baseline_path, args.tolerance)
-        if regressions and not args.no_fail:
-            print(f"\n{len(regressions)} kernel(s) regressed beyond tolerance")
-            return 1
-        return 0
-
-    RESULTS_DIR.mkdir(parents=True, exist_ok=True)
-    date = datetime.date.today().isoformat()
-    output = args.output or fresh_snapshot_path(date)
-    baseline_path = previous_snapshot(output)
-    output.write_text(
-        json.dumps({"date": date, "rounds": rounds, "kernels": results}, indent=2)
-        + "\n"
-    )
-    print(f"wrote {output}")
-
-    if baseline_path is None:
-        print("no previous snapshot; baseline established")
-        return 0
-    regressions = compare_to_baseline(results, baseline_path, args.tolerance)
-    if regressions and not args.no_fail:
-        print(f"\n{len(regressions)} kernel(s) regressed beyond tolerance")
+    report_speedups(times)
+    violations = adaptive_attack_gate(times)
+    if violations and not args.smoke:
+        print(f"\n{len(violations)} adaptive attack round(s) over the cost limit")
         return 1
     return 0
 

@@ -9,7 +9,9 @@ Public surface:
   JSON-facing dataclass is declared in (one strict loader, one emitter);
 * :class:`~repro.scenarios.runner.ScenarioRunner` /
   :func:`~repro.scenarios.runner.run_scenario` — execute a spec through the
-  VoteTensor fast path and record a bit-exact trace;
+  VoteTensor fast path and record a bit-exact trace, checking each round
+  against the paper's guarantee
+  (:func:`~repro.scenarios.trace.unexplained_files`);
 * :mod:`~repro.scenarios.catalog` — the named scenario matrix;
 * :mod:`~repro.scenarios.golden` — golden-trace capture and replay.
 """
@@ -39,10 +41,12 @@ from repro.scenarios.spec import (
 )
 from repro.scenarios.trace import (
     EvaluationTrace,
+    GuaranteeViolation,
     RoundTrace,
     RunTrace,
     TraceMismatch,
     array_digest,
+    unexplained_files,
 )
 
 __all__ = [
@@ -67,6 +71,8 @@ __all__ = [
     "RoundTrace",
     "RunTrace",
     "TraceMismatch",
+    "GuaranteeViolation",
+    "unexplained_files",
     "array_digest",
     "all_scenarios",
     "get_scenario",

@@ -60,11 +60,13 @@ from repro.nn.models import build_mlp
 from repro.scenarios.spec import ScenarioSpec
 from repro.scenarios.trace import (
     EvaluationTrace,
+    GuaranteeViolation,
     RoundTrace,
     RunTrace,
     array_digest,
     format_version_for,
     hex_float,
+    unexplained_files,
 )
 from repro.training.gradients import ModelGradientComputer
 from repro.training.trainer import DistributedTrainer
@@ -422,7 +424,11 @@ class ScenarioRunner:
         trace before the next one starts: the vote tensor and the winners of
         the round's one vote from the content ids and winner references that
         vote computed (neither is densified), the aggregate as the PS
-        returned it and the parameters after the step.  Every
+        returned it and the parameters after the step.  Each recorded round
+        is checked against the paper's guarantee
+        (:func:`~repro.scenarios.trace.unexplained_files`): a file the graph
+        and the round's faults do not explain raises
+        :class:`~repro.scenarios.trace.GuaranteeViolation`.  Every
         ``eval_every``-th round and the last are evaluated on the test set.
         Two calls with the same spec are bit-identical, in any process.
         """
@@ -433,10 +439,25 @@ class ScenarioRunner:
         )
         trainer = self.build_trainer()
         config = trainer.config
+        assignment = trainer.cluster.assignment
         for iteration in range(config.num_iterations):
             # The round's result and outcome live only for this call: the
             # next step reuses their gradient matrix once nothing holds it.
-            trace.append(_round_trace(iteration, *trainer.step(iteration), trainer.server))
+            round_trace = _round_trace(iteration, *trainer.step(iteration), trainer.server)
+            trace.append(round_trace)
+            realised, abstained = unexplained_files(round_trace, assignment)
+            failed = [
+                f"files {list(files)} {why}"
+                for files, why in (
+                    (realised, "realised outside the graph's prediction with no corrupted copy"),
+                    (abstained, "abstained with no Byzantine, lost or corrupted copy"),
+                )
+                if files
+            ]
+            if failed:
+                raise GuaranteeViolation(
+                    f"scenario {self.spec.name!r} round {iteration}: " + "; ".join(failed)
+                )
             if (iteration + 1) % config.eval_every == 0 or iteration == config.num_iterations - 1:
                 metrics = trainer.evaluate()
                 trace.evaluations.append(

@@ -30,6 +30,11 @@ format (v1 traces carry none) is refused by name when loaded; a replayed
 run whose format is not its golden's (a float32 golden recorded as v2)
 fails on the format, before any round is compared — never as a digest
 mismatch.
+
+:func:`unexplained_files` is the one accounting of the paper's guarantee
+over a round's trace: the files whose vote outcome neither the graph's
+prediction nor the round's faults explain.  The runner calls it on every
+round it records.
 """
 
 from __future__ import annotations
@@ -43,7 +48,9 @@ from typing import Any, Mapping
 import numpy as np
 
 from repro.core.backend import DEFAULT_DTYPE, resolve_dtype
+from repro.core.distortion import distorted_files
 from repro.exceptions import ConfigurationError, ReproError
+from repro.graphs.bipartite import BipartiteAssignment
 from repro.scenarios.schema import Schema, spec_field
 from repro.utils.digest import array_digest
 
@@ -58,6 +65,8 @@ __all__ = [
     "RoundTrace",
     "RunTrace",
     "TraceMismatch",
+    "GuaranteeViolation",
+    "unexplained_files",
 ]
 
 #: the trace format of a float64 run: digests of float64 bytes
@@ -80,6 +89,10 @@ def _unhex(text: str) -> float:
 
 class TraceMismatch(ReproError):
     """A replayed run diverged from its golden trace."""
+
+
+class GuaranteeViolation(ReproError):
+    """A round's vote outcome is not explained by the graph or its faults."""
 
 
 def format_version_for(dtype: object = None) -> int:
@@ -147,6 +160,46 @@ class RoundTrace(Schema, where="round"):
     @property
     def round_time(self) -> float:
         return _unhex(self.round_time_hex)
+
+
+def unexplained_files(
+    round_trace: RoundTrace, assignment: BipartiteAssignment
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """``(realised, abstained)``: the files of a round nothing explains.
+
+    ``realised`` lists the files the vote let through distorted although the
+    graph did not predict them (fewer than r' of their copies Byzantine) and
+    no copy of theirs was corrupted in flight: ``zero`` and ``scale``
+    corruption write identical bytes into every corrupted copy of a file, so
+    r' of them form a class that can win.  ``abstained`` lists the files the
+    vote left undecided although none of their copies was Byzantine, lost
+    (its worker dropped, or the message ``late``) or corrupted.  Both are
+    empty on every round of a correct engine.  The prediction is recomputed
+    with :func:`~repro.core.distortion.distorted_files`; a trace whose
+    ``num_distorted`` is not its size raises :class:`GuaranteeViolation`.
+    """
+    predicted = set(distorted_files(assignment, round_trace.byzantine).tolist())
+    if len(predicted) != round_trace.num_distorted:
+        raise GuaranteeViolation(
+            f"round {round_trace.iteration}: num_distorted {round_trace.num_distorted} "
+            f"!= the {len(predicted)} files the graph predicts"
+        )
+    corrupted: set[int] = set()
+    lost: set[int] = set()
+    for fault in round_trace.faults:
+        if fault["kind"] == "corruption":
+            corrupted.add(fault["file"])
+        elif fault["kind"] == "late":
+            lost.add(fault["file"])
+        elif fault["dropped"]:
+            lost.update(assignment.files_of_worker(fault["worker"]))
+    touched = {i for w in round_trace.byzantine for i in assignment.files_of_worker(w)}
+    forged = predicted | corrupted
+    undecidable = touched | lost | corrupted
+    return (
+        tuple(i for i in round_trace.realised_distorted if i not in forged),
+        tuple(i for i in round_trace.abstained if i not in undecidable),
+    )
 
 
 @dataclass(frozen=True)

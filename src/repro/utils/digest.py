@@ -30,9 +30,8 @@ distinct row is hashed once, never once per slot:
   bit-identical — whatever the storage layout, shared or per-slot writes or
   ``block_size``;
 * winners: a header, ``repr((n, d))`` and the ``(n, 2)`` int64
-  ``(file, content id)`` table of the post-vote rows (id ``-1``: the zero
-  row of a file with no arrived copy).  The bytes behind each reference
-  are pinned by the votes digest of the same round.
+  ``(file, content id)`` table of the post-vote rows.  The bytes behind
+  each reference are pinned by the votes digest of the same round.
 
 A float64 run's digests are therefore those of trace format v2 byte for
 byte; a float32 run's are trace format v3

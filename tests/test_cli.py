@@ -10,6 +10,7 @@ import sys
 
 import pytest
 
+import repro.aggregation.majority as majority
 from repro.cli import build_parser, main
 from repro.scenarios import get_scenario
 from repro.scenarios.runner import ScenarioRunner
@@ -198,6 +199,20 @@ def test_scenario_run_requires_target(capsys):
 def test_scenario_run_unknown_name_fails_cleanly(capsys):
     assert main(["scenario", "run", "no-such-scenario"]) == 1
     assert "unknown scenario" in capsys.readouterr().err
+
+
+def test_a_vote_that_breaks_the_guarantee_stops_the_run_in_one_line(monkeypatch, capsys):
+    """A vote decided by r // 2 matching copies (one short of r') lets an
+    unpredicted file through: the run names the round and the file."""
+    monkeypatch.setattr(majority, "majority_threshold", lambda r: r // 2)
+    assert main(["scenario", "run", "detox-async-deadline-quorum"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line == (
+        "error: scenario 'detox-async-deadline-quorum' round 0: files [1] realised outside "
+        "the graph's prediction with no corrupted copy"
+    )
 
 
 @pytest.mark.parametrize(

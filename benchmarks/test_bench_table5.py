@@ -2,8 +2,8 @@
 
 Every row is exact: the prefix-tree search of ``core/distortion.py`` scores all
 C(35, q) Byzantine sets, up to C(35, 13) ≈ 1.5·10⁹ at the last row (about
-135 s for the whole table on a 2-core x86 machine; see EXPERIMENTS.md), and
-reproduces every published c_max.
+50 s for the whole table on a 2-core x86 machine; EXPERIMENTS.md,
+"Distortion tables"), and reproduces every published c_max.
 """
 
 import pytest

@@ -35,7 +35,7 @@ __all__ = ["BulyanAggregator", "bulyan_selection"]
 #: the widest whose trim stays below the adaptive-bulyan-noniid round's
 #: min-max payload stage and gradient pass (6.83 and 6.82 MiB with the
 #: stage shims of ``tools/peak_stages.py``): 1024 puts the round's peak at
-#: 6.95 and 2048 at 7.41 (EXPERIMENTS.md).
+#: 6.95 and 2048 at 7.41 (EXPERIMENTS.md, "Kernel widths and budgets").
 _LANE_BLOCK = 512
 
 

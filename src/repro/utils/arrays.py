@@ -44,7 +44,8 @@ LANE_BLOCK = 4096
 #: uint32 bits, whatever the row count or ``block_size``.  The hashes take
 #: those bits unwidened.  Narrower blocks cost time: a full sweep takes
 #: ``rows · d / GATHER_ELEMENTS`` steps, and at 64 KiB hashing 100 rows of
-#: 94k coordinates took 1.4–2× as long as at this budget (EXPERIMENTS.md)
+#: 94k coordinates took 1.4–2× as long as at this budget (EXPERIMENTS.md,
+#: "Kernel widths and budgets")
 GATHER_ELEMENTS = 1 << 15
 
 #: coordinates of :func:`column_mean_std`'s one scratch row (128 KiB as

@@ -100,6 +100,9 @@ def test_documentation_files_exist_and_mention_key_sections():
         assert table in experiments
     for figure in ("Figure 5", "Figure 12"):
         assert figure in experiments
+    # one section per claim as it stands; the per-change logs live in git
+    # history and CHANGES.md
+    assert len(experiments.splitlines()) <= 1500
 
 
 @pytest.mark.parametrize(
@@ -142,6 +145,18 @@ def test_api_reference_is_fresh():
 def test_doc_links_and_anchors_resolve():
     result = _run_tool("tools/check_doc_links.py")
     assert result.returncode == 0, result.stderr
+
+
+def test_a_dead_section_citation_fails_the_link_check(tmp_path):
+    cited = "EXPERIMENTS" + ".md"
+    live = tmp_path / "live.py"
+    live.write_text(f'# ({cited}, "Distortion\n# tables")\n')
+    dead = tmp_path / "dead.py"
+    dead.write_text(f'# ({cited}, "A section\n# nobody wrote")\n')
+    assert _run_tool("tools/check_doc_links.py", str(live)).returncode == 0
+    result = _run_tool("tools/check_doc_links.py", str(dead))
+    assert result.returncode == 1
+    assert "dead.py:1: citation EXPERIMENTS.md, 'A section nobody wrote'" in result.stderr
 
 
 def test_benchmarks_cover_every_table_and_figure():

@@ -168,9 +168,10 @@ def test_figure_scenarios_tiny_histories_match_parent_fixture(figure_id):
     """The fixture's series were recorded with the pre-spec ``run_accuracy_figure``
     (its own builders, one shared dataset per figure), except the three
     "ByzShield, q=9" curves of fig6–fig8, re-recorded when the omniscient set
-    became the exact search's (EXPERIMENTS.md); every float of every record
-    must still be the same bits.  The digest beside each series names an
-    edit to a figure's definition before it shows up as a moved accuracy."""
+    became the exact search's (EXPERIMENTS.md, "Distortion tables"); every
+    float of every record must still be the same bits.  The digest beside
+    each series names an edit to a figure's definition before it shows up as
+    a moved accuracy."""
     expected = json.loads(FIGURE_FIXTURE.read_text())[figure_id]
     specs = figure_scenarios(figure_id, scale="tiny", seed=0)
     results = run_accuracy_figure(figure_id, scale="tiny", seed=0)

@@ -2,7 +2,7 @@
 
 Times the micro kernels that dominate the round data path (each the minimum
 of N ``time.perf_counter`` runs, robust to background load) and prints them
-with the headline ratios and the adaptive-attack cost gate.
+with the float32 round's speedup and the adaptive-attack cost gate.
 
 Usage::
 
@@ -51,7 +51,6 @@ from repro.cluster.events import AsyncRuntime, EventDrivenRound, UplinkSchedule
 from repro.cluster.timing import CostModel
 from repro.core.pipelines import AggregationPipeline
 from repro.core.vote_tensor import VoteTensor
-from repro.data.batching import RoundFiles
 from repro.data.datasets import split_slots
 from repro.data.synthetic import make_gaussian_mixture
 from repro.nn.models import build_mlp
@@ -165,8 +164,8 @@ def event_round_kernels() -> dict:
 
 
 #: gradient-engine sweep — (model key, file count) pairs benchmarked for the
-#: stacked pass and the per-file loop.  The mlp point at f=25 (d≈11k, the
-#: paper's K=25 regime) carries the ≥3x acceptance gate (see
+#: stacked pass.  The mlp point at f=25 (d≈11k, the paper's K=25 regime)
+#: also carries the ≥3x gate against the per-file reference loop (see
 #: benchmarks/test_bench_micro.py).
 GRADIENT_SWEEP = (("mlp", 4), ("mlp", 25))
 
@@ -183,33 +182,14 @@ def _gradient_files(num_files, batch=8):
     ]
 
 
-def looped_gradients(computer, params, files, out):
-    """The per-file loop the stacked pass replaces: one parameter load, then
-    each file's plain forward/backward (``Sequential.loss_and_gradient``)
-    written into row ``i`` of ``out``, an ``(f, d)`` matrix."""
-    files = RoundFiles.coerce(files)
-    model = computer.model
-    model.set_flat_params(params)
-    losses = np.empty(len(files), dtype=model.dtype)
-    for i in range(len(files)):
-        value, out[i] = model.loss_and_gradient(*files.file(i), computer.loss)
-        losses[i] = float(value)
-    return out, losses
-
-
 def gradient_engine_kernels() -> dict:
-    """Stacked vs looped per-file gradient kernels over the file-count sweep."""
+    """Stacked per-file gradient kernels over the file-count sweep."""
     kernels = {}
     for model_key, num_files in GRADIENT_SWEEP:
         files = _gradient_files(num_files)
-        stacked, looped = ModelGradientComputer(_mlp()), ModelGradientComputer(_mlp())
-        params = stacked.initial_params()
-        out = np.empty((num_files, looped.dim), dtype=looped.model.dtype)
+        stacked = ModelGradientComputer(_mlp())
         kernels[f"gradient_engine_stacked_{model_key}_f{num_files}"] = (
-            lambda c=stacked, p=params, fs=files: c.batched(p, fs)
-        )
-        kernels[f"gradient_engine_looped_{model_key}_f{num_files}"] = (
-            lambda c=looped, p=params, fs=files, o=out: looped_gradients(c, p, fs, o)
+            lambda c=stacked, p=stacked.initial_params(), fs=files: c.batched(p, fs)
         )
     # The compute-bound shape (``clean-compute-bound`` in benchmarks/e2e: 25
     # files of 256 samples), handed over already stacked as the trainer does;
@@ -370,17 +350,10 @@ def time_kernel(fn, rounds: int) -> float:
 
 
 def report_speedups(times: dict) -> None:
-    """Print the headline ratios of one run's kernel times."""
+    """Print the float32 copy-on-write round's speedup over float64."""
     cow = times["replication_cow_round_f25_r5_d11k"]
     cow32 = times["dtype_float32_cow_round_f25_r5_d11k"]
     print(f"\nfloat32 round speedup vs float64 (copy-on-write, f=25, r=5): {cow / cow32:.2f}x")
-    for model_key, num_files in GRADIENT_SWEEP:
-        stacked = times[f"gradient_engine_stacked_{model_key}_f{num_files}"]
-        looped = times[f"gradient_engine_looped_{model_key}_f{num_files}"]
-        print(
-            f"stacked gradient engine speedup vs looped ({model_key}, f={num_files}): "
-            f"{looped / stacked:.2f}x"
-        )
 
 
 class CheckError(Exception):

@@ -27,8 +27,10 @@ from repro.graphs.bipartite import BipartiteAssignment
 from repro.nn.models import build_mlp
 from repro.training.gradients import ModelGradientComputer
 
+from cow_helpers import stored_rows
+from reference_gradient import looped_gradients, mlp_layers
 from reference_vote import reference_majority
-from regression import BOUND, CheckError, looped_gradients, main, verdicts
+from regression import BOUND, CheckError, main, verdicts
 
 RNG = np.random.default_rng(0)
 VOTES_25 = RNG.standard_normal((25, 20_000))
@@ -158,22 +160,18 @@ def test_bulyan_costs_at_most_three_times_its_two_stages_at_paper_scale():
 
 def test_stacked_gradient_engine_speedup_at_paper_scale():
     """Acceptance gate: the stacked per-file gradient pass is >= 3x the
-    per-file loop it replaces (``regression.looped_gradients``: one parameter
-    load, then each file's plain forward/backward into its row) at (f=25,
-    mlp, d~=11k) — the paper's K=25 regime with small equal-size batch
-    slices.  Interleaved min-of-N timing with retries, mirroring the
-    majority-vote gate above."""
-    def make_model():
-        return build_mlp(100, 10, hidden=(64, 64), seed=0)
-
+    per-file loop it replaces (``reference_gradient.looped_gradients``: the
+    weights read once, then each file's plain numpy forward/backward into its
+    row) at (f=25, mlp, d~=11k) — the paper's K=25 regime with small
+    equal-size batch slices.  Interleaved min-of-N timing with retries,
+    mirroring the majority-vote gate above."""
+    layers = mlp_layers(100, 10, (64, 64))
     rng = np.random.default_rng(11)
     files = [(rng.standard_normal((8, 100)), rng.integers(0, 10, 8)) for _ in range(25)]
-    looped = ModelGradientComputer(make_model())
-    stacked = ModelGradientComputer(make_model())
-    params = looped.initial_params()
-    out = np.empty((25, looped.dim), dtype=looped.model.dtype)
+    stacked = ModelGradientComputer(build_mlp(100, 10, hidden=(64, 64), seed=0))
+    params = stacked.initial_params()
 
-    loop_grads, loop_losses = looped_gradients(looped, params, files, out)
+    loop_grads, loop_losses = looped_gradients(layers, params, files)
     stack_grads, stack_losses = stacked.batched(params, files)
     assert np.array_equal(loop_grads, stack_grads)
     assert np.array_equal(loop_losses, stack_losses)
@@ -185,7 +183,7 @@ def test_stacked_gradient_engine_speedup_at_paper_scale():
             stacked.batched(params, files)
             stacked_times.append(time.perf_counter() - start)
             start = time.perf_counter()
-            looped_gradients(looped, params, files, out)
+            looped_gradients(layers, params, files)
             looped_times.append(time.perf_counter() - start)
         return min(looped_times) / min(stacked_times)
 
@@ -225,7 +223,7 @@ def test_colluding_vote_costs_less_than_a_copy_of_the_base():
     )
     attack = ALIEAttack()
     attack.apply_tensor(context, tensor)
-    assert int(tensor.byzantine_mask.sum()) == 25 and tensor.num_override_rows == 1
+    assert int(tensor.byzantine_mask.sum()) == 25 and stored_rows(tensor) == 1
     winners, counts, _, _ = majority_vote_votetensor(tensor)
     winners = winners.densified()
     for i, (winner, count) in enumerate(reference_majority_all_files(tensor)):

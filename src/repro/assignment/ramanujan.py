@@ -26,21 +26,7 @@ from repro.exceptions import ConfigurationError
 from repro.graphs.bipartite import BipartiteAssignment
 from repro.utils.validation import check_positive_int, check_prime
 
-__all__ = ["RamanujanAssignment", "ramanujan_biadjacency", "cyclic_shift_matrix"]
-
-
-def cyclic_shift_matrix(s: int) -> np.ndarray:
-    """The ``s x s`` cyclic-shift permutation matrix ``P`` of paper Step 2.
-
-    With 1-indexed entries the paper sets ``P[i, j] = 1`` iff
-    ``j ≡ i − 1 (mod s)``; 0-indexed this is a one in column ``(i − 1) mod s``
-    of each row ``i``.  Its ``k``-th power shifts by ``k``.
-    """
-    check_positive_int(s, "s")
-    P = np.zeros((s, s), dtype=np.int8)
-    rows = np.arange(s)
-    P[rows, (rows - 1) % s] = 1
-    return P
+__all__ = ["RamanujanAssignment", "ramanujan_biadjacency"]
 
 
 def ramanujan_biadjacency(m: int, s: int) -> np.ndarray:
@@ -90,20 +76,3 @@ class RamanujanAssignment(AssignmentScheme):
             H, name=f"ramanujan(m={self.m},s={self.s},case={self.case})"
         )
 
-    # -- parameters of Eq. (6) -------------------------------------------------
-    @property
-    def expected_parameters(self) -> dict[str, int]:
-        """``(K, f, l, r)`` per paper Eq. (6)."""
-        if self.case == 1:
-            return {
-                "num_workers": self.m * self.s,
-                "num_files": self.s * self.s,
-                "load": self.s,
-                "replication": self.m,
-            }
-        return {
-            "num_workers": self.s * self.s,
-            "num_files": self.m * self.s,
-            "load": self.m,
-            "replication": self.s,
-        }

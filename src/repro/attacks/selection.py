@@ -55,8 +55,8 @@ class OmniscientSelector(ByzantineSelector):
         if num_byzantine < 0:
             raise AttackError(f"num_byzantine must be non-negative, got {num_byzantine}")
         self.num_byzantine = int(num_byzantine)
-        # keyed on the graph itself: two graphs whose hashes collide still
-        # compare unequal and get a set each
+        # keyed on the graph object: a scheme builds its graph once, and two
+        # graph objects get a set each
         self._cache: dict[BipartiteAssignment, tuple[int, ...]] = {}
 
     def select(

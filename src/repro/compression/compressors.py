@@ -4,7 +4,9 @@ Each compressor maps a flat gradient to the dense vector the receiver
 reconstructs from its compressed form.  Decompression happens eagerly (the
 simulator works on dense vectors), and no wire size is modelled.  The round
 path calls :meth:`Compressor.compress_matrix` on the whole ``(f, d)``
-gradient matrix; the per-row :meth:`Compressor.compress` is its reference.
+gradient matrix; each row is what compressing that file's gradient alone
+gives (the per-row reference is ``reference_compress`` in
+``tests/reference_gradient.py``).
 """
 
 from __future__ import annotations
@@ -33,20 +35,9 @@ class Compressor(abc.ABC):
     compressor_name: str = "abstract"
 
     @abc.abstractmethod
-    def compress(self, gradient: np.ndarray) -> np.ndarray:
-        """Compress a flat gradient and return the reconstructed vector."""
-
-    def __call__(self, gradient: np.ndarray) -> np.ndarray:
-        gradient = ensure_float(gradient).ravel()
-        if gradient.size == 0:
-            raise ConfigurationError("cannot compress an empty gradient")
-        return self.compress(gradient)
-
-    @abc.abstractmethod
     def compress_matrix(self, matrix: np.ndarray) -> np.ndarray:
         """Decompressed reconstructions of all rows of an ``(f, d)`` matrix,
-        in one vectorized call; row ``i`` is bit-identical to
-        ``self(matrix[i])``."""
+        in one vectorized call; row ``i`` depends on ``matrix[i]`` alone."""
 
     @staticmethod
     def _check_matrix(matrix: np.ndarray) -> np.ndarray:
@@ -68,10 +59,6 @@ class SignCompressor(Compressor):
     """
 
     compressor_name = "sign"
-
-    def compress(self, gradient: np.ndarray) -> np.ndarray:
-        scale = float(np.mean(np.abs(gradient)))
-        return scale * np.sign(gradient)
 
     def compress_matrix(self, matrix: np.ndarray) -> np.ndarray:
         matrix = self._check_matrix(matrix)
@@ -99,18 +86,11 @@ class TopKCompressor(Compressor):
     def _k(self, dim: int) -> int:
         return max(1, int(round(self.fraction * dim)))
 
-    def compress(self, gradient: np.ndarray) -> np.ndarray:
-        k = self._k(gradient.size)
-        keep = np.argsort(np.abs(gradient))[-k:]
-        vector = np.zeros_like(gradient)
-        vector[keep] = gradient[keep]
-        return vector
-
     def compress_matrix(self, matrix: np.ndarray) -> np.ndarray:
         matrix = self._check_matrix(matrix)
         k = self._k(matrix.shape[1])
-        # Row-wise argsort uses the same sort as the 1-D path, so the kept
-        # index sets (ties included) match the per-row calls exactly.
+        # Row-wise argsort uses the same sort as a 1-D one, so the kept
+        # index sets (ties included) match a per-row argsort exactly.
         keep = np.argsort(np.abs(matrix), axis=1)[:, -k:]
         rows = np.arange(matrix.shape[0])[:, None]
         out = np.zeros_like(matrix)

@@ -324,20 +324,11 @@ class VoteTensor:
         """How many (file, slot) pairs read a written payload, not the base.
 
         The ``q = 0`` fast path keeps it at zero for the whole round.  Slots
-        that share one stored row each count; see :attr:`num_override_rows`
-        for what is actually allocated.
+        that share one stored row each count once; the payload store holds
+        each written row once (a row orphaned by a later write to its slot
+        stays in the store).
         """
         return int((self._slot_map >= 0).sum())
-
-    @property
-    def num_override_rows(self) -> int:
-        """Payload rows allocated by writes.
-
-        A payload shared by ``m`` slots is one row; rows orphaned by a later
-        write to the same slot still count — they stay allocated.  The store
-        holds exactly these rows: its length is this count.
-        """
-        return self._store.shape[0]
 
     # -- slot access ---------------------------------------------------------
     @contextlib.contextmanager
@@ -494,4 +485,4 @@ class VoteTensor:
 
     def __repr__(self) -> str:  # pragma: no cover - trivial
         f, r, d = self.shape
-        return f"VoteTensor(f={f}, r={r}, d={d}, payload_rows={self.num_override_rows})"
+        return f"VoteTensor(f={f}, r={r}, d={d}, payload_rows={self._store.shape[0]})"

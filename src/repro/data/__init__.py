@@ -12,7 +12,6 @@ from repro.data.batching import (
     build_file_partition,
     dirichlet_label_partition,
     partition_batch_into_files,
-    partition_digest,
     quantity_skew_partition,
 )
 from repro.data.datasets import Dataset, split_slots, train_test_split
@@ -29,6 +28,5 @@ __all__ = [
     "build_file_partition",
     "dirichlet_label_partition",
     "partition_batch_into_files",
-    "partition_digest",
     "quantity_skew_partition",
 ]

@@ -16,7 +16,6 @@ processes (pinned in the test suite).
 
 from __future__ import annotations
 
-import hashlib
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
 
@@ -33,7 +32,6 @@ __all__ = [
     "partition_batch_into_files",
     "dirichlet_label_partition",
     "quantity_skew_partition",
-    "partition_digest",
     "build_file_partition",
     "ShardedBatchSampler",
     "PARTITION_KINDS",
@@ -71,28 +69,25 @@ class RoundFiles:
     ``i``: every file has the same ``n = b / f`` samples.  ``pool`` is the
     ``(inputs, labels)`` pair those rows are drawn from (for a sampled
     round, the training set itself), and ``gather`` maps flat row indices to
-    a fresh copy of their ``(inputs, labels)`` (the stacked pass overwrites
-    a chunk's inputs): a sampler's ``batch_data``, so every gather
-    of a trained round goes through it.  Nothing is gathered up front.  The
+    their ``(inputs, labels)``, which the stacked pass only reads: a
+    sampler's ``batch_data`` (a fancy-index copy), so every gather of a
+    trained round goes through it.  :meth:`coerce` gives its pools a gather
+    by slices, which copies nothing.  Nothing is gathered up front.  The
     stacked pass reads :meth:`chunk` (files ``lo..hi`` in one gather) and
-    drops each chunk with its activations; :meth:`file` gathers one file
-    (the per-file reference).  Iterating yields the ``f`` ``(inputs_i,
-    labels_i)`` pairs as :class:`FileRows`: their shapes cost nothing, and
-    ``np.asarray`` gathers them.
+    drops each chunk with its activations.  Iterating yields the ``f``
+    ``(inputs_i, labels_i)`` pairs as :class:`FileRows`, which hold only
+    their shapes.
     """
 
-    def __init__(
-        self,
-        indices: np.ndarray,
-        pool: tuple[np.ndarray, np.ndarray],
-        gather=None,
-    ) -> None:
-        self.indices, self.pool = indices, pool
-        self._gather = gather if gather is not None else self._take
+    def __init__(self, indices: np.ndarray, pool: tuple[np.ndarray, np.ndarray], gather) -> None:
+        self.indices, self.pool, self._gather = indices, pool, gather
 
-    def _take(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        inputs, labels = self.pool
-        return inputs[rows], labels[rows]
+    def _run(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The gather of a pool that holds the files' rows in file order, as
+        :meth:`coerce` builds it: a chunk's rows are one run, read as a
+        slice of the pool."""
+        (inputs, labels), start, stop = self.pool, rows[0], rows[-1] + 1
+        return inputs[start:stop], labels[start:stop]
 
     @classmethod
     def coerce(cls, files) -> "RoundFiles":
@@ -102,7 +97,8 @@ class RoundFiles:
         labels)}`` mapping over ``range(f)``, a sequence of ``(inputs,
         labels)`` pairs (pooled with one copy), or the two stacked arrays
         ``(inputs, labels)`` as a tuple or list (pooled as they are).  Files
-        of unequal sizes are refused.
+        of unequal sizes are refused.  Either pool holds the files' rows in
+        file order, so a chunk is gathered as one slice.
         """
         if isinstance(files, cls):
             return files
@@ -123,16 +119,17 @@ class RoundFiles:
             sizes = [inputs.shape[1]] * inputs.shape[0]
             pool = tuple(a.reshape((-1,) + a.shape[2:]) for a in (inputs, labels))
         else:
-            pairs = [(np.asarray(x), np.asarray(y)) for x, y in files]
-            sizes = [x.shape[0] for x, _ in pairs]
-            pool = tuple(np.concatenate(part) for part in zip(*pairs))
+            sizes = [len(x) for x, _ in files]
+            pool = tuple(np.concatenate(part) for part in zip(*files))
         if not sizes:
             raise TrainingError("batched gradient computation needs >= 1 file")
         if min(sizes) == 0:
             raise TrainingError("cannot compute a gradient on an empty file")
         if len(set(sizes)) != 1:
             raise TrainingError(f"files must all have the same size, got sizes {sizes}")
-        return cls(np.arange(sum(sizes)).reshape(len(sizes), sizes[0]), pool)
+        files = cls(np.arange(sum(sizes)).reshape(len(sizes), sizes[0]), pool, None)
+        files._gather = files._run
+        return files
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -149,33 +146,26 @@ class RoundFiles:
         each ``(hi - lo, n, ...)``."""
         rows = self.indices[lo:hi]
         inputs, labels = self._gather(rows.ravel())
-        return tuple(a.reshape(rows.shape + a.shape[1:]) for a in (inputs, labels))
-
-    def file(self, index: int) -> tuple[np.ndarray, np.ndarray]:
-        """File ``index`` gathered: ``(inputs (n, ...), labels (n, ...))``."""
-        return self._gather(self.indices[index])
+        shape = rows.shape
+        return inputs.reshape(shape + inputs.shape[1:]), labels.reshape(shape + labels.shape[1:])
 
     def __len__(self) -> int:
         return len(self.indices)
 
     def __iter__(self) -> Iterator[tuple[FileRows, FileRows]]:
-        return ((FileRows(self, i, 0), FileRows(self, i, 1)) for i in range(len(self)))
+        return ((FileRows(self, 0), FileRows(self, 1)) for _ in range(len(self)))
 
 
 class FileRows:
-    """One file's inputs (``part`` 0) or labels (1), gathered only when read.
+    """The shape of one file's inputs (``part`` 0) or labels (1).
 
     ``shape`` comes from the indices and the pool, so counting a round's
-    samples by iterating it gathers nothing.  ``np.asarray`` gathers the
-    file (:meth:`RoundFiles.file`).
+    samples by iterating it gathers nothing; a file's values are read with
+    :meth:`RoundFiles.chunk`.
     """
 
-    def __init__(self, files: RoundFiles, index: int, part: int) -> None:
-        self._files, self._index, self._part = files, index, part
+    def __init__(self, files: RoundFiles, part: int) -> None:
         self.shape = files.indices.shape[1:] + files.pool[part].shape[1:]
-
-    def __array__(self, dtype=None, copy=None) -> np.ndarray:
-        return np.asarray(self._files.file(self._index)[self._part], dtype=dtype)
 
 
 @dataclass
@@ -338,22 +328,6 @@ def quantity_skew_partition(
     counts = _apportion(rng.dirichlet(np.full(num_shards, alpha)), num_samples)
     permutation = rng.permutation(num_samples)
     return _rebalanced(np.split(permutation, np.cumsum(counts)[:-1]))
-
-
-def partition_digest(shards: list[np.ndarray]) -> str:
-    """Content digest of a partition (sha256 over sizes and index bytes).
-
-    Stable across processes and platforms for the same shards; the non-IID
-    determinism tests pin these digests so any drift in the partition
-    functions is caught immediately.
-    """
-    digest = hashlib.sha256()
-    digest.update(len(shards).to_bytes(8, "little"))
-    for shard in shards:
-        arr = np.ascontiguousarray(np.asarray(shard, dtype=np.int64))
-        digest.update(arr.size.to_bytes(8, "little"))
-        digest.update(arr.tobytes())
-    return digest.hexdigest()
 
 
 def build_file_partition(

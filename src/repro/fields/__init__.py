@@ -8,14 +8,12 @@ families of mutually orthogonal Latin squares (MOLS).
 
 from repro.fields.latin_squares import (
     LatinSquare,
-    are_orthogonal,
     mols_family,
     is_latin_square,
 )
 
 __all__ = [
     "LatinSquare",
-    "are_orthogonal",
     "mols_family",
     "is_latin_square",
 ]

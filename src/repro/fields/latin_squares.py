@@ -18,7 +18,7 @@ import numpy as np
 from repro.exceptions import ConfigurationError
 from repro.utils.validation import check_positive_int, check_prime
 
-__all__ = ["LatinSquare", "are_orthogonal", "mols_family", "is_latin_square"]
+__all__ = ["LatinSquare", "mols_family", "is_latin_square"]
 
 
 def is_latin_square(grid: np.ndarray) -> bool:
@@ -102,21 +102,6 @@ class LatinSquare:
 
     def __repr__(self) -> str:  # pragma: no cover - trivial
         return f"LatinSquare(degree={self.degree}, alpha={self.alpha})"
-
-
-def are_orthogonal(a: LatinSquare, b: LatinSquare) -> bool:
-    """Return True if two Latin squares of equal degree are orthogonal.
-
-    Orthogonality (paper Definition 2) means that the ``l**2`` ordered pairs
-    ``(a[i, j], b[i, j])`` are all distinct.
-    """
-    if a.degree != b.degree:
-        raise ConfigurationError(
-            f"cannot compare squares of degree {a.degree} and {b.degree}"
-        )
-    l = a.degree
-    pairs = a.grid.astype(np.int64) * l + b.grid.astype(np.int64)
-    return np.unique(pairs).size == l * l
 
 
 def mols_family(l: int, count: int) -> list[LatinSquare]:

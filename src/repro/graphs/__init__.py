@@ -13,13 +13,11 @@ from repro.graphs.expansion import (
     neighborhood_lower_bound,
     gamma_upper_bound,
     mols_epsilon_upper_bound,
-    ramanujan_case2_epsilon_upper_bound,
 )
 from repro.graphs.spectral import (
     normalized_biadjacency,
     gram_spectrum,
     second_eigenvalue,
-    theoretical_mols_spectrum,
 )
 
 __all__ = [
@@ -27,9 +25,7 @@ __all__ = [
     "normalized_biadjacency",
     "gram_spectrum",
     "second_eigenvalue",
-    "theoretical_mols_spectrum",
     "neighborhood_lower_bound",
     "gamma_upper_bound",
     "mols_epsilon_upper_bound",
-    "ramanujan_case2_epsilon_upper_bound",
 ]

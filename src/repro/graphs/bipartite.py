@@ -69,14 +69,10 @@ class BipartiteAssignment:
         self._load = int(worker_degrees[0])
         self._replication = int(file_degrees[0])
 
-        # Neighborhood caches as tuples for cheap repeated lookups.
+        # Neighborhood cache as tuples for cheap repeated lookups.
         self._files_of_worker: list[tuple[int, ...]] = [
             tuple(int(i) for i in np.nonzero(self._H[j])[0])
             for j in range(self.num_workers)
-        ]
-        self._workers_of_file: list[tuple[int, ...]] = [
-            tuple(int(j) for j in np.nonzero(self._H[:, i])[0])
-            for i in range(self.num_files)
         ]
         self._worker_slot_matrix: np.ndarray | None = None
 
@@ -137,11 +133,6 @@ class BipartiteAssignment:
         return int(self._H.shape[1])
 
     @property
-    def num_edges(self) -> int:
-        """Total number of assignment edges ``|E| = K*l = f*r``."""
-        return int(self._H.sum())
-
-    @property
     def computational_load(self) -> int:
         """Per-worker load ``l`` (files per worker)."""
         return self._load
@@ -156,11 +147,6 @@ class BipartiteAssignment:
         """Files assigned to ``worker`` — the paper's ``N(U_j)``."""
         self._check_worker(worker)
         return self._files_of_worker[worker]
-
-    def workers_of_file(self, file: int) -> tuple[int, ...]:
-        """Workers holding ``file`` — the paper's ``N(B_{t,i})``."""
-        self._check_file(file)
-        return self._workers_of_file[file]
 
     def file_copy_counts(self, workers: Iterable[int]) -> np.ndarray:
         """For each file, the number of copies held inside ``workers``.
@@ -179,17 +165,17 @@ class BipartiteAssignment:
         return self._H[idx].sum(axis=0).astype(np.int64)
 
     def worker_slot_matrix(self) -> np.ndarray:
-        """The ``(f, r)`` matrix whose row ``i`` lists ``workers_of_file(i)``.
+        """The ``(f, r)`` matrix whose row ``i`` lists the workers holding
+        file ``i`` — the paper's ``N(B_{t,i})``.
 
         Rows are in ascending worker order — the slot layout of the
         :class:`~repro.core.vote_tensor.VoteTensor` round representation.
         The result is cached and read-only.
         """
         if self._worker_slot_matrix is None:
-            r = self.replication
-            matrix = np.empty((self.num_files, r), dtype=np.int64)
-            for i, workers in enumerate(self._workers_of_file):
-                matrix[i] = workers
+            # nonzero walks H^T row by row: each file's workers, ascending
+            workers = np.nonzero(self._H.T)[1].astype(np.int64)
+            matrix = workers.reshape(self.num_files, self.replication)
             matrix.setflags(write=False)
             self._worker_slot_matrix = matrix
         return self._worker_slot_matrix
@@ -205,22 +191,8 @@ class BipartiteAssignment:
                 f"worker index {worker} out of range [0, {self.num_workers})"
             )
 
-    def _check_file(self, file: int) -> None:
-        if not (0 <= int(file) < self.num_files):
-            raise ConfigurationError(
-                f"file index {file} out of range [0, {self.num_files})"
-            )
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, BipartiteAssignment) and np.array_equal(
-            self._H, other._H
-        )
-
-    def __hash__(self) -> int:
-        return hash((self._H.shape, self._H.tobytes()))
-
     def __repr__(self) -> str:  # pragma: no cover - trivial
         return (
             f"BipartiteAssignment(name={self.name!r}, K={self.num_workers}, "
-            f"f={self.num_files}, edges={self.num_edges})"
+            f"f={self.num_files}, edges={int(self._H.sum())})"
         )

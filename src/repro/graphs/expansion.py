@@ -8,8 +8,9 @@ Implements the chain of results in paper Sections 3 and 5.1:
   ``|N(S)| >= β`` processed collectively by ``q`` Byzantine workers.
 * **Claim 1**: the number of files whose majority can be corrupted is at most
   ``γ = (q*l − β) / (r' − 1)`` with ``r' = (r+1)/2``.
-* **Section 5.1.1 / 5.1.2**: closed-form upper bounds on the distortion
-  fraction ``ε̂ = c_max / f`` for the MOLS and Ramanujan Case 2 schemes.
+* **Section 5.1.1**: the closed-form upper bound on the distortion fraction
+  ``ε̂ = c_max / f`` of the MOLS scheme (the tests hold Section 5.1.2's
+  Ramanujan Case 2 form, and check it against ``γ / f``).
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ __all__ = [
     "neighborhood_lower_bound",
     "gamma_upper_bound",
     "mols_epsilon_upper_bound",
-    "ramanujan_case2_epsilon_upper_bound",
 ]
 
 
@@ -97,16 +97,3 @@ def mols_epsilon_upper_bound(q: int, l: int, r: int) -> float:
     denominator = 1.0 + (r - 1.0) * q / (r * l)
     return numerator / denominator
 
-
-def ramanujan_case2_epsilon_upper_bound(q: int, r: int) -> float:
-    """Closed-form bound of Section 5.1.2 for Ramanujan Case 2 (``K = r²``, ``f = r l``).
-
-    ``ε̂ <= (2 q² / r²) / (r + (r − 1) q / r)``.
-    """
-    if q == 0:
-        return 0.0
-    if q < 0:
-        raise ConfigurationError(f"q must be non-negative, got {q}")
-    numerator = 2.0 * q * q / (r * r)
-    denominator = r + (r - 1.0) * q / r
-    return numerator / denominator

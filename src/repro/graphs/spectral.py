@@ -12,8 +12,8 @@ The paper's Lemma 2 gives closed forms for the constructions used:
 * Ramanujan Case 2 (``K = r²``): spectrum ``{(1, 1), (1/r, r(r-1)),
   (0, r-1)}``, the same form at ``l = r``.
 
-This module computes the spectrum numerically for arbitrary assignments and
-provides the closed forms for cross-checking.
+This module computes the spectrum numerically for arbitrary assignments; the
+tests check it against those closed forms.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ __all__ = [
     "normalized_biadjacency",
     "gram_spectrum",
     "second_eigenvalue",
-    "theoretical_mols_spectrum",
 ]
 
 
@@ -68,31 +67,3 @@ def second_eigenvalue(assignment: BipartiteAssignment) -> float:
         )
     return float(eigenvalues[1])
 
-
-def theoretical_mols_spectrum(l: int, r: int) -> list[tuple[float, int]]:
-    """Closed-form spectrum of ``(A Aᵀ)`` for MOLS and both Ramanujan cases.
-
-    Returns ``[(eigenvalue, multiplicity), ...]`` sorted by decreasing
-    eigenvalue: ``{(1, 1), (1/r, r(l-1)), (0, r-1)}`` (paper Lemma 2).
-    ``l`` enters only through ``K = r l``, the number of eigenvalues.
-    Ramanujan Case 2 has ``K = r²`` workers, so its spectrum
-    ``{(1, 1), (1/r, r(r-1)), (0, r-1)}`` is this one at ``l = r`` (not at
-    its load ``m``).
-    """
-    return [(1.0, 1), (1.0 / r, r * (l - 1)), (0.0, r - 1)]
-
-
-def spectrum_matches(
-    observed: np.ndarray,
-    expected: list[tuple[float, int]],
-    atol: float = 1e-8,
-) -> bool:
-    """Check that an observed eigenvalue array matches a (value, multiplicity) spec."""
-    expanded = np.concatenate(
-        [np.full(mult, value, dtype=DEFAULT_DTYPE) for value, mult in expected]
-    )
-    expanded = np.sort(expanded)[::-1]
-    observed = np.sort(np.asarray(observed, dtype=DEFAULT_DTYPE))[::-1]
-    if observed.size != expanded.size:
-        return False
-    return bool(np.allclose(observed, expanded, atol=atol))

@@ -1,22 +1,21 @@
-"""Neural-network layers with explicit forward/backward passes.
+"""Neural-network layers: a pure forward pass and the stacked per-file pass.
 
-Every layer stores its learnable parameters in ``self.params`` and the
-gradients of the last backward pass in ``self.grads`` (same keys).  The
-forward pass caches whatever the backward pass needs; layers are therefore
-stateful within one forward/backward round trip, exactly as a worker uses
-them when computing its file gradients.
+Every layer stores its learnable parameters in ``self.params``.  Inputs are
+``(batch, features)``.  The substrate is the multi-layer perceptron every
+scenario builds (:func:`repro.nn.models.build_mlp`): :class:`Dense` and
+:class:`ReLU`.
 
-Inputs are ``(batch, features)``.  The substrate is the multi-layer
-perceptron every scenario builds (:func:`repro.nn.models.build_mlp`):
-:class:`Dense` and :class:`ReLU`.
+:meth:`Layer.forward` is the plain forward pass, for evaluation: it keeps
+nothing and never writes into its input (the caller's batch).  Gradients
+have one path, the stacked one below.
 
 Per-file stacked path
 ---------------------
 
 Workers compute ``f`` independent file gradients per round.  Every layer
-also implements a *stacked* path operating on inputs with a leading file
-axis — ``(f, batch, features)`` — so one pass through the stack computes all
-``f`` forward/backward sweeps at once:
+implements a *stacked* path operating on inputs with a leading file axis —
+``(f, batch, features)`` — so one pass through the stack computes all ``f``
+forward/backward sweeps at once:
 
 * :meth:`Layer.forward_per_file` maps ``(f, n, ...)`` to ``(f, n, ...)``;
 * :meth:`Layer.backward_per_file` maps the stacked output gradient back to the
@@ -25,34 +24,35 @@ axis — ``(f, batch, features)`` — so one pass through the stack computes all
   preallocated ``(f, d)`` workspace — see
   :meth:`repro.nn.models.Sequential.per_file_loss_and_gradients`).
 
-Ownership: the stacked pass owns every array it hands between layers,
-including the chunk of inputs it gathers itself (a fresh copy of the round's
-rows), so each activation is written once and then overwritten where it
-stands: ``ReLU.forward_per_file`` rectifies its input in place,
+Ownership: the stacked pass owns every array it hands between layers, so
+each activation is written once and then overwritten where it stands:
+``ReLU.forward_per_file`` rectifies its input in place,
 ``Dense.backward_per_file`` writes its input gradient into the input it has
 just read for its weight gradient, and ``ReLU.backward_per_file`` masks
-``grad_output`` in place.  The plain path never writes into its input (the
-caller's batch).
+``grad_output`` in place.  The chunk of inputs the pass reads may be the
+caller's (a view of a coerced round's pool): the first parameterised layer
+only reads its input, and a layer in front of it, which would rectify the
+chunk in place, is handed a copy
+(:meth:`repro.nn.models.Sequential.per_file_loss_and_gradients`).
 
-A layer keeps one cache: what its last forward pass, plain or stacked, left
-for the backward pass (``Dense`` its input, ``ReLU`` its mask; for the
-stacked pass, those of every file it was handed, one chunk of the round's
-files, see :meth:`repro.nn.models.Sequential.per_file_loss_and_gradients`).
-The backward pass takes it, and :meth:`Layer.release` drops it where no
-backward pass follows: an evaluation, a layer in front of the first one
-with parameters, or a pass that raised in between
-(:meth:`repro.nn.models.Sequential.release`).
+A layer keeps one cache: what its last stacked forward pass left for the
+backward pass (``Dense`` its input, ``ReLU`` its mask, for every file of the
+chunk it was handed, see
+:meth:`repro.nn.models.Sequential.per_file_loss_and_gradients`).  The
+backward pass takes it, and :meth:`Layer.release` drops it where no backward
+pass follows: a layer in front of the first one with parameters, or a pass
+that raised in between (:meth:`repro.nn.models.Sequential.release`).
 
-The first layer that owns parameters is called with ``input_gradient=False``
-(both paths): it returns ``None`` instead of an input gradient nobody reads,
-and the layers in front of it are not run backward at all.
+The first layer that owns parameters is called with ``input_gradient=False``:
+it returns ``None`` instead of an input gradient nobody reads, and the layers
+in front of it are not run backward at all.
 
 The contract is *bit-identity*: slice ``i`` of every stacked result must equal
-what the plain path produces for file ``i``.  Stacked matmuls therefore keep
-the file axis as a gufunc loop dimension (one BLAS call per file with the same
-operand shapes as the plain path) instead of folding files into the GEMM
-``m``-dimension.  The plain path (:meth:`Layer.forward` / :meth:`Layer.backward`)
-is the per-file reference the stacked one is tested against.
+what one file's plain forward/backward in the same op order produces.  Stacked
+matmuls therefore keep the file axis as a gufunc loop dimension (one BLAS call
+per file with the operand shapes of a single file) instead of folding files
+into the GEMM ``m``-dimension.  The per-file reference the stacked pass is
+tested against is a plain numpy MLP of the tests (``tests/reference_gradient.py``).
 """
 
 from __future__ import annotations
@@ -74,21 +74,12 @@ class Layer(abc.ABC):
 
     def __init__(self) -> None:
         self.params: dict[str, np.ndarray] = {}
-        self.grads: dict[str, np.ndarray] = {}
-        #: what the last forward pass keeps for the backward pass
+        #: what the last stacked forward pass keeps for the backward pass
         self._cache = None
 
     @abc.abstractmethod
     def forward(self, x: np.ndarray) -> np.ndarray:
-        """Compute the layer output for input ``x``."""
-
-    @abc.abstractmethod
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        """Backpropagate ``dL/d(output)`` and return ``dL/d(input)``.
-
-        Parameter gradients are accumulated into ``self.grads``.  A layer with
-        parameters also takes ``input_gradient=False`` and then returns ``None``.
-        """
+        """The layer output for input ``x``, keeping nothing (see module docs)."""
 
     # -- stacked per-file path ---------------------------------------------
     @abc.abstractmethod
@@ -107,7 +98,7 @@ class Layer(abc.ABC):
         """
 
     def _take_cache(self):
-        """The last forward pass's cache, handed over and released."""
+        """The last stacked forward pass's cache, handed over and released."""
         cache, self._cache = self._cache, None
         if cache is None:
             raise ConfigurationError(
@@ -116,7 +107,7 @@ class Layer(abc.ABC):
         return cache
 
     def release(self) -> None:
-        """Drop what a forward pass left for a backward pass (see module docs)."""
+        """Drop what a stacked forward pass left for a backward pass (see module docs)."""
         self._cache = None
 
     def output_features(self, input_features: int) -> int:
@@ -129,18 +120,6 @@ class Layer(abc.ABC):
     def parameter_items(self) -> list[tuple[str, np.ndarray]]:
         """Deterministically ordered ``(name, array)`` pairs of learnable params."""
         return [(k, self.params[k]) for k in sorted(self.params)]
-
-    def gradient_items(self) -> list[tuple[str, np.ndarray]]:
-        """Gradients in the same order as :meth:`parameter_items` (zeros
-        before the first plain backward pass)."""
-        if self.grads.keys() != self.params.keys():
-            self.zero_grads()
-        return [(k, self.grads[k]) for k in sorted(self.params)]
-
-    def zero_grads(self) -> None:
-        """Reset all parameter gradients to zero arrays of the right shape."""
-        for key, value in self.params.items():
-            self.grads[key] = np.zeros_like(value)
 
     def num_parameters(self) -> int:
         """Total number of scalar parameters in the layer."""
@@ -182,8 +161,6 @@ class Dense(Layer):
             (in_features, out_features), generator, fan_in=in_features, dtype=self.dtype
         )
         self.params["b"] = zeros_init((out_features,), dtype=self.dtype)
-        # No gradient arrays yet: the stacked engine writes into its own
-        # workspace, and the plain path allocates them on first use.
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=self.dtype)
@@ -191,16 +168,9 @@ class Dense(Layer):
             raise ConfigurationError(
                 f"Dense expected input of shape (batch, {self.in_features}), got {x.shape}"
             )
-        self._cache = x
         out = x @ self.params["W"]
         out += self.params["b"]
         return out
-
-    def backward(self, grad_output: np.ndarray, input_gradient: bool = True) -> np.ndarray | None:
-        x = self._take_cache()
-        self.grads["W"] = x.T @ grad_output
-        self.grads["b"] = grad_output.sum(axis=0)
-        return grad_output @ self.params["W"].T if input_gradient else None
 
     def output_features(self, input_features: int) -> int:
         return self.out_features
@@ -214,7 +184,7 @@ class Dense(Layer):
             )
         self._cache = x
         # (f, n, in) @ (in, out): one BLAS call per file slice, with the same
-        # operand shapes as the plain path — keeps the results bit-identical.
+        # operand shapes as one file's — keeps the results bit-identical.
         out = x @ self.params["W"]
         out += self.params["b"]
         return out
@@ -224,7 +194,7 @@ class Dense(Layer):
     ) -> np.ndarray | None:
         x = self._take_cache()
         np.matmul(x.transpose(0, 2, 1), grad_output, out=grads_out["W"])
-        np.sum(grad_output, axis=1, out=grads_out["b"])
+        np.add.reduce(grad_output, axis=1, out=grads_out["b"])  # np.sum without its wrapper
         # x is read for the last time above: the input gradient takes its place.
         return np.matmul(grad_output, self.params["W"].T, out=x) if input_gradient else None
 
@@ -242,13 +212,9 @@ class ReLU(Layer):
     """Rectified linear unit ``max(x, 0)``."""
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._cache = x > 0
         return _rectify(x)
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        return grad_output * self._take_cache()
-
-    # Elementwise, so the plain rules apply, in place on the pass's own arrays.
+    # Elementwise, so the stacked pass rectifies in place, on its own arrays.
     def forward_per_file(self, x: np.ndarray) -> np.ndarray:
         self._cache = x > 0
         return _rectify(x, out=x)

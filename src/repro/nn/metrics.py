@@ -35,20 +35,17 @@ def evaluate_model(
     model: Sequential, inputs: np.ndarray, labels: np.ndarray
 ) -> dict[str, float]:
     """Evaluate accuracy and loss over a dataset in mini-batches of 256
-    samples (:data:`_EVAL_BATCH`).  No backward pass follows, so the model
-    drops the last batch's caches before returning (:meth:`Sequential.release`)."""
+    samples (:data:`_EVAL_BATCH`), by the model's plain forward pass, which
+    leaves nothing on the layers."""
     n = inputs.shape[0]
     if n == 0:
         raise ConfigurationError("cannot evaluate on an empty dataset")
     correct = 0.0
     total_loss = 0.0
-    try:
-        for start in range(0, n, _EVAL_BATCH):
-            stop = min(start + _EVAL_BATCH, n)
-            logits = model.forward(inputs[start:stop])
-            batch_labels = labels[start:stop]
-            correct += top1_accuracy(logits, batch_labels) * (stop - start)
-            total_loss += cross_entropy_loss(logits, batch_labels) * (stop - start)
-    finally:
-        model.release()
+    for start in range(0, n, _EVAL_BATCH):
+        stop = min(start + _EVAL_BATCH, n)
+        logits = model.forward(inputs[start:stop])
+        batch_labels = labels[start:stop]
+        correct += top1_accuracy(logits, batch_labels) * (stop - start)
+        total_loss += cross_entropy_loss(logits, batch_labels) * (stop - start)
     return {"accuracy": correct / n, "loss": total_loss / n}

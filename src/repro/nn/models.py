@@ -1,14 +1,18 @@
 """Models: a Sequential container and the MLP every scenario trains.
 
-The distributed simulator exchanges gradients as flat vectors, so the
-container exposes :meth:`Sequential.get_flat_params`,
-:meth:`Sequential.set_flat_params` and :meth:`Sequential.flat_gradient`.
-The layers hold no parameters of their own once a vector is bound: each
+The distributed simulator exchanges parameters and gradients as flat
+vectors.  The container binds its parameters to one
+(:meth:`Sequential.set_flat_params`; :meth:`Sequential.get_flat_params`
+copies them out), and computes gradients one way: all ``f`` files of a
+round at once, each file's flat gradient written into its row of one
+``(f, d)`` matrix (:meth:`Sequential.per_file_loss_and_gradients`).  The
+layers hold no parameters of their own once a vector is bound: each
 parameter array is a view of the vector the model was last given.
 """
 
 from __future__ import annotations
 
+import math
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -57,52 +61,50 @@ class Sequential:
             raise ConfigurationError("a model needs at least one layer")
         self.layers = list(layers)
         self.name = str(name)
+        #: every parameter's ``(layer index, name, shape, start, stop)`` in the
+        #: flat vector, in :meth:`parameter_arrays` order: a layer's parameter
+        #: shapes are fixed when it is built, so the layout is read once
+        self._layout: list[tuple[int, str, tuple[int, ...], int, int]] = []
+        start = 0
+        for index, layer in enumerate(self.layers):
+            for key, array in layer.parameter_items():
+                self._layout.append((index, key, array.shape, start, start + array.size))
+                start += array.size
+        #: the model's working dtype: its first parameter's (mixed-dtype stacks
+        #: are not built), the backend default for a parameterless model
+        self.dtype: np.dtype = next(
+            (a.dtype for layer in self.layers for _, a in layer.parameter_items()), DEFAULT_DTYPE
+        )
+        #: the first layer that owns parameters (``len(layers)`` when none
+        #: does): the backward pass stops there, as nothing reads an input
+        #: gradient beyond it
+        self._first = next(
+            (i for i, layer in enumerate(self.layers) if layer.params), len(self.layers)
+        )
 
-    @property
-    def dtype(self) -> np.dtype:
-        """The model's working dtype, read off the first parameter array.
-
-        Parameterless models report the backend default.  Mixed-dtype stacks
-        are not supported by the builders, so one probe suffices.
-        """
-        for layer in self.layers:
-            for _, array in layer.parameter_items():
-                return array.dtype
-        return DEFAULT_DTYPE
-
-    # -- forward / backward ------------------------------------------------
+    # -- forward -----------------------------------------------------------
     def forward(self, x: np.ndarray) -> np.ndarray:
-        """Run the forward pass through every layer.  Each layer keeps its
-        cache for a backward pass until :meth:`release`."""
+        """Run the plain forward pass through every layer; it keeps nothing."""
         out = x
         for layer in self.layers:
             out = layer.forward(out)
         return out
 
     def release(self) -> None:
-        """Drop every layer's cache (:meth:`Layer.release`): a caller that
-        runs no backward pass, or whose pass raised, calls it in a ``finally``."""
+        """Drop every layer's cache (:meth:`Layer.release`): the stacked pass
+        calls it in a ``finally``, for the layers no backward pass reaches and
+        for a pass that raised."""
         for layer in self.layers:
             layer.release()
 
     # -- parameter plumbing ----------------------------------------------------
     def parameter_arrays(self) -> list[np.ndarray]:
         """All parameter arrays in deterministic (layer, name) order."""
-        arrays: list[np.ndarray] = []
-        for layer in self.layers:
-            arrays.extend(array for _, array in layer.parameter_items())
-        return arrays
-
-    def gradient_arrays(self) -> list[np.ndarray]:
-        """All gradient arrays in the same order as :meth:`parameter_arrays`."""
-        arrays: list[np.ndarray] = []
-        for layer in self.layers:
-            arrays.extend(array for _, array in layer.gradient_items())
-        return arrays
+        return [self.layers[index].params[name] for index, name, *_ in self._layout]
 
     def num_parameters(self) -> int:
         """Total scalar parameter count ``d``."""
-        return int(sum(array.size for array in self.parameter_arrays()))
+        return self._layout[-1][4] if self._layout else 0
 
     def get_flat_params(self) -> np.ndarray:
         """Copy of all parameters as a single flat vector (model dtype)."""
@@ -127,69 +129,22 @@ class Sequential:
             raise ConfigurationError(
                 f"flat parameter vector has {flat.size} entries, model needs {expected}"
             )
-        offset = 0
-        for layer in self.layers:
-            for name, array in layer.parameter_items():
-                size = array.size
-                layer.params[name] = flat[offset : offset + size].reshape(array.shape)
-                offset += size
-
-    def flat_gradient(self) -> np.ndarray:
-        """Current gradients as a single flat vector (after a backward pass)."""
-        arrays = self.gradient_arrays()
-        if not arrays:
-            return np.zeros(0, dtype=DEFAULT_DTYPE)
-        return np.concatenate([a.ravel() for a in arrays])
-
-    def zero_grads(self) -> None:
-        """Reset every layer's gradients."""
-        for layer in self.layers:
-            layer.zero_grads()
-
-    # -- convenience ----------------------------------------------------------
-    def loss_and_gradient(
-        self, x: np.ndarray, y: np.ndarray, loss: Loss
-    ) -> tuple[float, np.ndarray]:
-        """Mean loss on ``(x, y)`` and the flat parameter gradient (backward stops at the
-        first layer that owns parameters: nothing reads an input gradient beyond it)."""
-        self.zero_grads()
-        first = self._first_parameterised()
-        try:
-            predictions = self.forward(x)
-            value, grad = loss.value_and_gradient(predictions, y)
-            for layer in reversed(self.layers[first + 1 :]):
-                grad = layer.backward(grad)
-            if first < len(self.layers):
-                self.layers[first].backward(grad, input_gradient=False)
-        finally:  # the layers in front of ``first`` keep caches no backward pass takes
-            self.release()
-        return value, self.flat_gradient()
-
-    def _first_parameterised(self) -> int:
-        """Index of the first layer that owns parameters (``len(layers)`` when none does)."""
-        return next((i for i, layer in enumerate(self.layers) if layer.params), len(self.layers))
+        for index, name, shape, start, stop in self._layout:
+            self.layers[index].params[name] = flat[start:stop].reshape(shape)
 
     # -- stacked per-file path -------------------------------------------------
     def _per_file_gradient_views(self, workspace: np.ndarray) -> list[dict[str, np.ndarray]]:
         """Per-layer views into a ``(f, d)`` workspace, one per parameter.
 
         View ``[layer][name]`` has shape ``(f, *param.shape)`` and aliases the
-        columns the parameter's flat gradient occupies, so layers write their
-        per-file gradients straight into the workspace — no per-file
-        ``flat_gradient`` concatenation.
+        columns the parameter's flat gradient occupies (the order of
+        :meth:`parameter_arrays`), so layers write their per-file gradients
+        straight into the workspace — no per-file concatenation.
         """
         f = workspace.shape[0]
-        views: list[dict[str, np.ndarray]] = []
-        offset = 0
-        for layer in self.layers:
-            layer_views: dict[str, np.ndarray] = {}
-            for name, array in layer.parameter_items():
-                size = array.size
-                layer_views[name] = workspace[:, offset : offset + size].reshape(
-                    (f,) + array.shape
-                )
-                offset += size
-            views.append(layer_views)
+        views: list[dict[str, np.ndarray]] = [{} for _ in self.layers]
+        for index, name, shape, start, stop in self._layout:
+            views[index][name] = workspace[:, start:stop].reshape((f, *shape))
         return views
 
     def forward_per_file(self, x: np.ndarray) -> np.ndarray:
@@ -232,7 +187,8 @@ class Sequential:
         -------
         losses, gradients:
             ``(f,)`` per-file mean losses and the ``(f, d)`` gradient matrix;
-            row ``i`` is bit-identical to ``loss_and_gradient`` on file ``i``.
+            row ``i`` is file ``i``'s, bit for bit what one file's plain
+            forward and backward in the same op order gives.
         """
         dtype = self.dtype
         f, d = len(files), self.num_parameters()
@@ -244,9 +200,14 @@ class Sequential:
                 f"({f}, {d}), got {out.dtype} {out.shape}"
             )
         losses = np.empty(f, dtype=dtype)
+        # The pass reads a chunk and writes only the arrays it made, except
+        # that a layer in front of the first parameterised one rectifies its
+        # input in place: that chunk is copied, as it may be the caller's.
+        copy = True if self._first else None
         for lo, hi in block_ranges(f, self._files_per_chunk(files.shape)):
             x, y = files.chunk(lo, hi)
-            losses[lo:hi] = self._stacked_pass(np.asarray(x, dtype=dtype), y, loss, out[lo:hi])
+            x = np.array(x, dtype=dtype, copy=copy)
+            losses[lo:hi] = self._stacked_pass(x, y, loss, out[lo:hi])
             del x, y
         return losses, out
 
@@ -258,7 +219,7 @@ class Sequential:
         ``n * (input width + sum(output widths)) * itemsize``.  As many
         files as fit in :data:`_CHUNK_BYTES` share a chunk, and at least one.
         """
-        width = int(np.prod(shape[2:], dtype=np.int64))
+        width = math.prod(shape[2:])
         per_sample = width
         for layer in self.layers:
             width = layer.output_features(width)
@@ -270,8 +231,7 @@ class Sequential:
         self, x: np.ndarray, y: np.ndarray, loss: Loss, out: np.ndarray
     ) -> np.ndarray:
         """Forward, loss and backward over one chunk of files, gradients into ``out``."""
-        views = self._per_file_gradient_views(out)
-        first = self._first_parameterised()
+        views, first = self._per_file_gradient_views(out), self._first
         try:
             predictions = self.forward_per_file(x)
             losses, grad = loss.per_file_value_and_gradient(predictions, y)

@@ -1,20 +1,18 @@
 """Gradient oracle wrapping a model and a loss.
 
-Workers (and the PS, for evaluation) need a function mapping
-``(flat parameters, inputs, labels)`` to ``(flat gradient, loss)``.  The
-computer temporarily loads the parameters into the shared model instance,
-runs a forward/backward pass and extracts the flat gradient — the in-process
-analogue of broadcasting ``w_t`` to a worker and having it compute its file
-gradients.
+Workers need a function mapping ``(flat parameters, a round's files)`` to
+``(per-file gradients, losses)``.  The computer loads the parameters into
+the shared model instance and runs the model's one gradient pass — the
+in-process analogue of broadcasting ``w_t`` to the workers and having each
+compute its file gradients.
 
-:meth:`ModelGradientComputer.batched` is the round's hot entry point: it
+:meth:`ModelGradientComputer.batched` is the round's entry point: it
 computes all ``f`` file gradients in one stacked pass through the model
 (leading file axis, per-file parameter gradients written into one ``(f, d)``
 workspace), and the matrix it returns is the previous call's whenever
 nothing else still references that one (see
-:meth:`ModelGradientComputer.batched`).  :meth:`ModelGradientComputer.__call__`,
-one file through the model's plain path, is the reference every stacked row
-is tested against.
+:meth:`ModelGradientComputer.batched`).  Every row is tested, bit for bit,
+against a plain per-file numpy MLP (``tests/reference_gradient.py``).
 """
 
 from __future__ import annotations
@@ -24,7 +22,6 @@ import sys
 import numpy as np
 
 from repro.data.batching import RoundFiles
-from repro.exceptions import TrainingError
 from repro.nn.losses import SoftmaxCrossEntropy
 from repro.nn.models import Sequential
 
@@ -55,24 +52,14 @@ class ModelGradientComputer:
         """Dimensionality ``d`` of the flat gradient."""
         return self.model.num_parameters()
 
-    def __call__(
-        self, params: np.ndarray, inputs: np.ndarray, labels: np.ndarray
-    ) -> tuple[np.ndarray, float]:
-        """Gradient and loss of the model at ``params`` on ``(inputs, labels)``."""
-        if inputs.shape[0] == 0:
-            raise TrainingError("cannot compute a gradient on an empty file")
-        self.model.set_flat_params(params)
-        value, gradient = self.model.loss_and_gradient(inputs, labels, self.loss)
-        return gradient, value
-
     def batched(self, params: np.ndarray, files) -> tuple[np.ndarray, np.ndarray]:
         """Per-file gradients stacked along a leading axis.
 
         Parameters
         ----------
         params:
-            Flat parameter vector, loaded into the model **once** for the
-            whole call (per-file ``__call__`` reloads it every time).
+            Flat parameter vector, loaded into the model once for the
+            whole call.
         files:
             The round's :class:`~repro.data.batching.RoundFiles` (its samples
             gathered a chunk at a time, never the whole batch at once), or
@@ -86,8 +73,7 @@ class ModelGradientComputer:
             contiguous allocation) and the ``(f,)`` per-file mean losses,
             from the model's stacked per-file pass
             (:meth:`Sequential.per_file_loss_and_gradients`, which walks the
-            files in chunks).  Each row is bit-identical to what
-            :meth:`__call__` returns for that file.
+            files in chunks).
 
         Notes
         -----

@@ -3,8 +3,9 @@
 The library builds a :class:`~repro.core.vote_tensor.VoteTensor` one way
 (``from_honest``) and never materialises its ``(f, r, d)`` cube.  Tests that
 state a round as a plain cube, or compare one against a reference, convert
-at the boundary with :func:`tensor_of` and :func:`cube_of`, and hand an
-attack its view of the round with :func:`attack_context`.
+at the boundary with :func:`tensor_of` and :func:`cube_of`, hand an
+attack its view of the round with :func:`attack_context`, and count what a
+round allocated for its payloads with :func:`stored_rows`.
 """
 
 from __future__ import annotations
@@ -70,6 +71,13 @@ def cube_of(tensor: VoteTensor) -> np.ndarray:
     f, r, d = tensor.shape
     files, slots = np.repeat(np.arange(f), r), np.tile(np.arange(r), f)
     return tensor.read_slots(files, slots).reshape(f, r, d)
+
+
+def stored_rows(tensor: VoteTensor) -> int:
+    """Payload rows the tensor's writes allocated: a payload shared by ``m``
+    slots is one row, and a row orphaned by a later write to its slot still
+    counts (the store keeps it)."""
+    return tensor._store.shape[0]
 
 
 def attack_context(assignment, byzantine, honest, iteration=0, seed=0) -> AttackContext:

@@ -2,8 +2,8 @@
 
 One round, in the order of ``training/trainer.py``:
 
-1. every file's gradient from the per-file path
-   (``ModelGradientComputer.__call__``), compressed per file;
+1. every file's gradient from ``reference_gradient.py`` (one file through a
+   plain numpy MLP), compressed per file;
 2. the ``(f, r, d)`` cube, each honest copy a copy of its file's row;
 3. the Byzantine slots written from the attack's ``payload(context)``
    (the per-slot attacks are written out in :func:`byzantine_rows`);
@@ -16,8 +16,9 @@ One round, in the order of ``training/trainer.py``:
 No ``VoteTensor``, ``RowSelection``, payload store or lane blocking is used.
 The scenario's components (data, model, sampler, attack, selector, fault
 parameters) are built by ``ScenarioRunner.build_trainer``; the reference
-reads them and never calls the trainer's round.  Each round yields the
-fields of a ``RoundTrace``, digested here from their definitions.
+reads them and never calls the trainer's round or the model's gradient
+pass.  Each round yields the fields of a ``RoundTrace``, digested here from
+their definitions.
 """
 
 from __future__ import annotations
@@ -32,6 +33,8 @@ from repro.nn.optim import SGD, StepDecaySchedule
 from repro.scenarios.runner import ScenarioRunner
 from repro.utils.rng import as_generator, derive_seed
 
+from paper_oracles import workers_of_file
+from reference_gradient import looped_gradients, mlp_layers, reference_compress
 from reference_vote import reference_majority
 
 
@@ -86,7 +89,7 @@ def reference_arrivals(assignment, cost, d, samples, delay):
         mine = sorted(assignment.files_of_worker(w))
         busy = float(sum(samples[i] for i in mine)) * d * cost.compute_per_sample_per_param
         for position, i in enumerate(mine, start=1):
-            slot = assignment.workers_of_file(i).index(w)
+            slot = workers_of_file(assignment, i).index(w)
             arrivals[i, slot] = busy + position * per_message + delay[w]
     return arrivals
 
@@ -264,22 +267,24 @@ def reference_rounds(spec):
     trainer = ScenarioRunner(spec).build_trainer()
     cluster, config, sampler = trainer.cluster, trainer.config, trainer.sampler
     assignment, runtime = cluster.assignment, cluster.runtime
-    compute, compressor = cluster.worker_pool.gradient_computer, cluster.worker_pool.compressor
-    workers = np.array([assignment.workers_of_file(i) for i in range(assignment.num_files)])
+    compressor = cluster.worker_pool.compressor
+    layers = mlp_layers(sampler.dataset.flat_feature_dim, spec.data.num_classes, spec.model.hidden)
+    workers = np.array([workers_of_file(assignment, i) for i in range(assignment.num_files)])
     f, r = workers.shape
     schedule = StepDecaySchedule(config.learning_rate, config.lr_decay, config.lr_period)
     optimizer = SGD(schedule, momentum=config.momentum)
-    params = compute.initial_params().ravel().copy()
+    params = cluster.worker_pool.gradient_computer.initial_params().ravel().copy()
     down: dict[int, int] = {}
     for t in range(config.num_iterations):
         # 1. per-file gradients at a read-only w_t, and the rows the workers send
         broadcast = params.copy()
         broadcast.setflags(write=False)
         files = sampler.next_batch_files()
-        pairs = [compute(broadcast, *sampler.batch_data(indices)) for indices in files]
-        honest = np.stack([np.array(gradient) for gradient, _ in pairs])
+        honest, losses = looped_gradients(layers, broadcast, [sampler.batch_data(i) for i in files])
         d = honest.shape[1]
-        sent = honest if compressor is None else np.stack([compressor(g) for g in honest])
+        sent = honest if compressor is None else np.stack(
+            [reference_compress(compressor, g) for g in honest]
+        )
         # 2. the cube, by copying
         cube = np.empty((f, r, d), dtype=honest.dtype)
         for i, k in np.ndindex(f, r):
@@ -316,8 +321,6 @@ def reference_rounds(spec):
         aggregator = trainer.pipeline.aggregator
         aggregate = robust_rule(aggregator, winners) if rows else np.zeros(d, dtype=cube.dtype)
         params = optimizer.step_vector(params, aggregate)
-        # the batched pass stores each file's loss in the working dtype
-        losses = np.asarray([loss for _, loss in pairs], dtype=honest.dtype)
         yield {
             "iteration": t,
             "mean_loss_hex": float(np.mean(losses)).hex(),

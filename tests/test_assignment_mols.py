@@ -7,6 +7,8 @@ import pytest
 from repro.assignment.mols import MOLSAssignment
 from repro.exceptions import ConfigurationError
 
+from paper_oracles import workers_of_file
+
 
 def test_dimensions(mols_5_3, mols_assignment):
     assert mols_assignment.num_workers == 15
@@ -60,7 +62,7 @@ def test_different_parallel_class_workers_share_exactly_one_file(mols_assignment
 
 
 def test_every_file_replicated_r_times(mols_assignment):
-    assert [len(mols_assignment.workers_of_file(i)) for i in range(25)] == [3] * 25
+    assert [len(workers_of_file(mols_assignment, i)) for i in range(25)] == [3] * 25
 
 
 def test_worker_stores_the_cells_of_its_symbol(mols_5_3, mols_assignment):

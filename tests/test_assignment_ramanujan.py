@@ -3,12 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.assignment.ramanujan import (
-    RamanujanAssignment,
-    cyclic_shift_matrix,
-    ramanujan_biadjacency,
-)
+from repro.assignment.ramanujan import RamanujanAssignment, ramanujan_biadjacency
 from repro.exceptions import ConfigurationError
+
+from paper_oracles import cyclic_shift_matrix, ramanujan_parameters
 
 
 def test_cyclic_shift_matrix_is_permutation():
@@ -37,7 +35,7 @@ def test_biadjacency_block_structure():
 
 
 def test_case1_parameters(ramanujan_case1):
-    params = ramanujan_case1.expected_parameters
+    params = ramanujan_parameters(ramanujan_case1.m, ramanujan_case1.s)
     assignment = ramanujan_case1.assignment
     assert ramanujan_case1.case == 1
     assert assignment.num_workers == params["num_workers"] == 15
@@ -47,7 +45,7 @@ def test_case1_parameters(ramanujan_case1):
 
 
 def test_case2_parameters(ramanujan_case2):
-    params = ramanujan_case2.expected_parameters
+    params = ramanujan_parameters(ramanujan_case2.m, ramanujan_case2.s)
     assignment = ramanujan_case2.assignment
     assert ramanujan_case2.case == 2
     assert assignment.num_workers == params["num_workers"] == 25

@@ -11,7 +11,7 @@ from repro.attacks.reversed_gradient import ReversedGradientAttack
 from repro.core.vote_tensor import VoteTensor
 from repro.exceptions import AttackError, ConfigurationError
 
-from cow_helpers import attack_context
+from cow_helpers import attack_context, stored_rows
 
 DIM = 6
 
@@ -122,7 +122,7 @@ def test_alie_all_payloads_identical_collusion(mols_assignment):
     payloads = tensor.read_slots(files, slots)
     assert files.size == 15
     assert np.array_equal(payloads, np.tile(attack.payload(context), (15, 1)))
-    assert tensor.num_override_rows == 1  # one colluding vector, stored once
+    assert stored_rows(tensor) == 1  # one colluding vector, stored once
 
 
 def test_alie_invalid_z():

@@ -39,6 +39,8 @@ from repro.scenarios.trace import (
 from repro.training import ModelGradientComputer
 from repro.training.trainer import DistributedTrainer
 
+from paper_oracles import workers_of_file
+
 AVAILABILITY = ("straggler", "dropout", "late")
 
 
@@ -170,7 +172,7 @@ def _round(byzantine=(), realised=(), abstained=(), faults=(), num_distorted=Non
 
 def _pair_sharing(file):
     """Two workers holding ``file``: r' = 2 Byzantine copies predict it."""
-    return MOLS.workers_of_file(file)[:2]
+    return workers_of_file(MOLS, file)[:2]
 
 
 def _untouched(*workers):
@@ -199,7 +201,7 @@ def test_an_unpredicted_realised_file_is_named():
     """A lost copy does not explain it: losing a copy cannot forge a class."""
     byzantine = _pair_sharing(3)
     stray = _untouched(*byzantine)
-    late = FaultEvent(kind="late", worker=MOLS.workers_of_file(stray)[0], file=stray, slot=0,
+    late = FaultEvent(kind="late", worker=workers_of_file(MOLS, stray)[0], file=stray, slot=0,
                       dropped=True)
     found = unexplained_files(_round(byzantine, realised=(3, stray), faults=[late]), MOLS)
     assert found == ((stray,), ())
@@ -210,9 +212,9 @@ def test_an_abstained_file_with_no_lost_byzantine_or_corrupted_copy_is_named():
     dropped = next(w for w in range(MOLS.num_workers) if w not in byzantine)
     lost = MOLS.files_of_worker(dropped)[0]
     late_file = _untouched(*byzantine, dropped)
-    late = FaultEvent(kind="late", worker=MOLS.workers_of_file(late_file)[0], file=late_file,
+    late = FaultEvent(kind="late", worker=workers_of_file(MOLS, late_file)[0], file=late_file,
                       slot=0, dropped=True)
-    stray = _untouched(*byzantine, dropped, *MOLS.workers_of_file(late_file))
+    stray = _untouched(*byzantine, dropped, *workers_of_file(MOLS, late_file))
     faults = [FaultEvent(kind="dropout", worker=dropped, dropped=True), late]
     explained = (3, lost, late_file)
     trace = _round(byzantine, abstained=sorted(explained + (stray,)), faults=faults)

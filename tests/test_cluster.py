@@ -25,7 +25,8 @@ from repro.exceptions import ConfigurationError, TrainingError
 from repro.scenarios.spec import TrainingSpec
 from repro.training.trainer import DistributedTrainer
 
-from cow_helpers import FixedSelector, cube_of
+from cow_helpers import FixedSelector, cube_of, stored_rows
+from paper_oracles import workers_of_file
 
 
 DIM = 3
@@ -55,7 +56,8 @@ class FileOracle:
         self.fn, self.dim, self.initial = fn, dim, initial
 
     def batched(self, params, files):
-        pairs = [self.fn(params, *files.file(i)) for i in range(len(files))]
+        chunks = (files.chunk(i, i + 1) for i in range(len(files)))
+        pairs = [self.fn(params, x[0], y[0]) for x, y in chunks]
         return np.stack([gradient for gradient, _ in pairs]), np.array([loss for _, loss in pairs])
 
     def initial_params(self):
@@ -96,13 +98,11 @@ def test_worker_pool_honest_returns_structure(mols_assignment):
         np.zeros(DIM), make_file_data(25)
     )
     assert tensor.shape == (25, 3, DIM)
-    assert tensor.num_overridden_slots == tensor.num_override_rows == 0
+    assert tensor.num_overridden_slots == stored_rows(tensor) == 0
     assert losses.shape == (25,)
     assert np.all(np.isfinite(losses))
     for file_index in range(25):
-        assert tuple(tensor.workers[file_index]) == mols_assignment.workers_of_file(
-            file_index
-        )
+        assert tuple(tensor.workers[file_index]) == workers_of_file(mols_assignment, file_index)
     # every assigned worker returns a bit-identical copy of the file's gradient
     assert np.array_equal(cube_of(tensor), np.repeat(honest[:, None, :], 3, axis=1))
 

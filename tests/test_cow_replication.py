@@ -28,7 +28,7 @@ from repro.attacks.registry import available_attacks, create_attack
 from repro.core.pipelines import AggregationPipeline
 from repro.core.vote_tensor import VoteTensor
 
-from cow_helpers import LAYOUTS, attack_context, cube_of, tensor_of
+from cow_helpers import LAYOUTS, attack_context, cube_of, stored_rows, tensor_of
 from reference_round import byzantine_rows
 from reference_vote import reference_vote
 
@@ -82,7 +82,7 @@ def test_q0_round_never_materializes(case):
     # a clean round's winners are the honest base itself, no row copied
     assert outcome.winners.files.size == 0
     assert np.shares_memory(outcome.winners.base, matrix)
-    assert lazy.num_overridden_slots == lazy.num_override_rows == 0
+    assert lazy.num_overridden_slots == stored_rows(lazy) == 0
     # the same cube stored the other way (slot 0 as the base) aggregates alike
     rebuilt = tensor_of(cube_of(lazy), pipeline.assignment)
     assert np.array_equal(outcome.aggregate, pipeline.aggregate_tensor(rebuilt).aggregate)
@@ -95,7 +95,7 @@ def test_q0_attack_application_stays_lazy(mols_assignment):
         attack = create_attack(name)
         context = attack_context(mols_assignment, (), matrix, 1)
         attack.apply_tensor(context, lazy)
-    assert lazy.num_overridden_slots == lazy.num_override_rows == 0
+    assert lazy.num_overridden_slots == stored_rows(lazy) == 0
 
 
 # --------------------------------------------------------------------------- #
@@ -283,16 +283,16 @@ def test_shared_payload_allocates_one_row(mols_assignment):
     lazy.write_slots(files, slots, payload)
     cube[files, slots] = payload
     assert lazy.num_overridden_slots == 4  # slots, not rows
-    assert lazy.num_override_rows == 1
+    assert stored_rows(lazy) == 1
     _, _, row_ids, rows = lazy.override_table()
     assert row_ids.tolist() == [0, 0, 0, 0]
     assert rows.nbytes == DIM * 8 and not rows.flags.writeable
     assert_reads_as(lazy, cube)
     # a scalar fill is one row too; an (m, d) matrix is one row per slot
     lazy.zero_slots([5, 6], [0, 0])
-    assert lazy.num_override_rows == 2
+    assert stored_rows(lazy) == 2
     lazy.write_slots([7, 8], [0, 0], np.ones((2, DIM)))
-    assert lazy.num_override_rows == 4
+    assert stored_rows(lazy) == 4
     assert lazy.num_overridden_slots == 8
 
 
@@ -311,7 +311,7 @@ def test_first_shared_write_reserves_one_row_not_eight(mols_assignment):
     finally:
         tracemalloc.stop()
     assert allocated < 2 * dim * 8
-    assert lazy.num_override_rows == 1
+    assert stored_rows(lazy) == 1
 
 
 def test_the_store_holds_exactly_the_rows_written(mols_assignment):
@@ -320,12 +320,12 @@ def test_the_store_holds_exactly_the_rows_written(mols_assignment):
     rng = np.random.default_rng(12)
     lazy, cube, _ = make_pair(mols_assignment, seed=12)
     r = lazy.replication
-    assert lazy._store.shape == (0, DIM) and lazy.num_override_rows == 0
+    assert lazy._store.shape == (0, DIM) and stored_rows(lazy) == 0
     rows = rng.standard_normal((64, DIM))
     for k, row in enumerate(rows):
         lazy.write_slots([k // r], [k % r], row)
         cube[k // r, k % r] = row
-        assert lazy._store.shape == (k + 1, DIM) and lazy.num_override_rows == k + 1
+        assert lazy._store.shape == (k + 1, DIM) and stored_rows(lazy) == k + 1
     assert_reads_as(lazy, cube)
     files, slots = np.divmod(np.arange(64), r)
     assert np.array_equal(lazy.read_slots(files, slots), rows)
@@ -338,13 +338,13 @@ def test_the_store_holds_exactly_the_rows_written(mols_assignment):
         (two, 1, lambda: lazy.zero_slots(*two), lambda c: 0.0),
     ]
     for touched, added, write, model in writes:
-        held = lazy.num_override_rows
+        held = stored_rows(lazy)
         table = lazy.override_table()[3]
         before = table.copy()
         write()
         cube[touched] = model(cube[touched])
         assert lazy._store.shape == (held + added, DIM)
-        assert lazy.num_override_rows == held + added
+        assert stored_rows(lazy) == held + added
         assert table.tobytes() == before.tobytes()  # a view of the old store keeps its bytes
     assert_reads_as(lazy, cube)
 
@@ -474,7 +474,7 @@ def test_separately_written_equal_rows_land_in_one_class(mols_assignment):
     lazy.zero_slots([3], [0])
     lazy.zero_slots([3], [2])  # a second, separately stored all-zero row
     lazy.write_slots([6], [1], matrix[6])  # an override equal to its base
-    assert lazy.num_override_rows == 3
+    assert stored_rows(lazy) == 3
     cid = override_content_ids(lazy)
     assert cid[3, 0] == cid[3, 2] != 0
     assert cid[3, 1] == 0 and not cid[6].any()

@@ -7,6 +7,8 @@ pinned digests below are the cross-process contract: they may only change
 with an explicit scenario-digest migration.
 """
 
+import hashlib
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -19,11 +21,23 @@ from repro.data.batching import (
     ShardedBatchSampler,
     build_file_partition,
     dirichlet_label_partition,
-    partition_digest,
     quantity_skew_partition,
 )
 from repro.data.synthetic import make_gaussian_mixture
 from repro.exceptions import DataError
+
+
+def partition_digest(shards):
+    """Content digest of a partition: sha256 over the shard count, then each
+    shard's size and int64 index bytes."""
+    digest = hashlib.sha256()
+    digest.update(len(shards).to_bytes(8, "little"))
+    for shard in shards:
+        arr = np.ascontiguousarray(np.asarray(shard, dtype=np.int64))
+        digest.update(arr.size.to_bytes(8, "little"))
+        digest.update(arr.tobytes())
+    return digest.hexdigest()
+
 
 LABELS = np.arange(600) % 4
 
@@ -71,13 +85,14 @@ def test_partition_digests_are_pinned():
 
 
 def test_partition_determinism_across_processes():
+    """Another interpreter, with another hash seed, deals the same shards."""
     script = (
-        "import numpy as np;"
-        "from repro.data.batching import dirichlet_label_partition,"
-        " quantity_skew_partition, partition_digest;"
+        "import json; import numpy as np;"
+        "from repro.data.batching import dirichlet_label_partition, quantity_skew_partition;"
         "labels = np.arange(600) % 4;"
-        "print(partition_digest(dirichlet_label_partition(labels, 15, 0.3, seed=42)));"
-        "print(partition_digest(quantity_skew_partition(600, 15, 0.5, seed=42)))"
+        "print(json.dumps([[s.tolist() for s in p] for p in ("
+        "dirichlet_label_partition(labels, 15, 0.3, seed=42),"
+        " quantity_skew_partition(600, 15, 0.5, seed=42))]))"
     )
     src = str(Path(__file__).resolve().parent.parent / "src")
     out = subprocess.run(
@@ -87,7 +102,8 @@ def test_partition_determinism_across_processes():
         check=True,
         env={"PYTHONPATH": src, "PYTHONHASHSEED": "1"},
     )
-    assert out.stdout.split() == [DIRICHLET_DIGEST, QSKEW_DIGEST]
+    digests = [partition_digest(shards) for shards in json.loads(out.stdout)]
+    assert digests == [DIRICHLET_DIGEST, QSKEW_DIGEST]
 
 
 def _reference_rebalanced(shards):

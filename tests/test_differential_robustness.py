@@ -23,7 +23,7 @@ from repro.core.vote_tensor import VoteTensor
 from repro.scenarios.spec import ScheduleSpec
 from repro.utils.rng import derive_seed
 
-from cow_helpers import attack_context, cube_of
+from cow_helpers import attack_context, cube_of, stored_rows
 
 DIM = 8
 ROUNDS = 4
@@ -97,7 +97,7 @@ def test_schedule_q_zero_rounds_write_nothing(mols_assignment, attack_name):
     create_attack(attack_name).apply_tensor(
         attack_context(mols_assignment, (), honest), tensor
     )
-    assert tensor.num_overridden_slots == tensor.num_override_rows == 0
+    assert tensor.num_overridden_slots == stored_rows(tensor) == 0
 
 
 STOCHASTIC = ["gaussian_noise", "uniform_random"]

@@ -43,7 +43,7 @@ from repro.scenarios.golden import golden_path, replay_golden
 from repro.scenarios.trace import RunTrace, TraceMismatch
 from repro.utils.digest import array_digest
 
-from cow_helpers import LAYOUTS, attack_context, cube_of, tensor_of
+from cow_helpers import LAYOUTS, attack_context, cube_of, stored_rows, tensor_of
 from reference_round import content_ids, plain_digest
 from reference_round import votes_digest as reference_votes_digest
 from reference_round import winners_digest as reference_winners_digest
@@ -211,12 +211,12 @@ def test_votes_digest_matches_the_reference_encoder_on_the_dense_cube(
     cube = cube_of(tensor)
     if layout != "as-written":
         tensor = tensor_of(cube, assignment, base=honest, layout=layout)
-    rows = tensor.num_override_rows
+    rows = stored_rows(tensor)
 
     ids = majority_vote_votetensor(tensor).content_ids
     assert np.array_equal(ids, content_ids(honest, cube)[0])
     assert array_digest(tensor, ids) == reference_votes_digest(honest, cube)
-    assert tensor.num_override_rows == rows  # observation wrote nothing
+    assert stored_rows(tensor) == rows  # observation wrote nothing
     assert tensor.nbytes == cube.nbytes
 
 

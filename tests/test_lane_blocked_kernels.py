@@ -36,7 +36,7 @@ from repro.attacks.base import AttackContext
 from repro.core.vote_tensor import _GATHER_COLUMNS, RowSelection, VoteTensor
 from repro.utils.arrays import _SCRATCH_ROW, GATHER_ELEMENTS, LANE_BLOCK, column_mean_std
 
-from cow_helpers import cube_of
+from cow_helpers import cube_of, stored_rows
 from reference_round import content_ids
 from reference_vote import reference_vote
 
@@ -242,7 +242,7 @@ def test_equal_bit_nan_payloads_are_one_class(block_size):
     payload[-1] = np.nan
     tensor = VoteTensor.from_honest(assignment, base)
     tensor.write_slots([4, 4], [0, 2], np.stack([payload, payload]))
-    assert tensor.num_override_rows == 2
+    assert stored_rows(tensor) == 2
     ids = override_content_ids(tensor, block_size)
     assert ids[4, 0] == ids[4, 2] != 0
     winners, counts, _, _ = majority_vote_votetensor(tensor, block_size=block_size)

@@ -4,12 +4,9 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ConfigurationError
-from repro.fields.latin_squares import (
-    LatinSquare,
-    are_orthogonal,
-    is_latin_square,
-    mols_family,
-)
+from repro.fields.latin_squares import LatinSquare, is_latin_square, mols_family
+
+from paper_oracles import are_orthogonal
 
 
 def test_is_latin_square_detects_valid_and_invalid():
@@ -100,7 +97,7 @@ def test_square_not_orthogonal_with_itself():
 
 
 def test_are_orthogonal_requires_equal_degree():
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ValueError, match="degree 5 and 7"):
         are_orthogonal(LatinSquare.from_linear(5, 1), LatinSquare.from_linear(7, 1))
 
 

@@ -1,4 +1,5 @@
-"""Tests for the NN layers, including numerical gradient checks."""
+"""Tests for the NN layers, including numerical gradient checks of the
+stacked rules on one file against the pure plain forward pass."""
 
 import numpy as np
 import pytest
@@ -23,9 +24,13 @@ def numerical_input_gradient(layer, x, epsilon=1e-6):
     return grad
 
 
-def analytic_input_gradient(layer, x):
-    out = layer.forward(x.copy())
-    return layer.backward(np.ones_like(out))
+def analytic_gradients(layer, x):
+    """The stacked rule on ``x`` as a file of one: the input gradient of
+    ``sum(layer(x))`` and each parameter's gradient."""
+    out = layer.forward_per_file(x[None].copy())
+    grads = {key: np.empty((1,) + value.shape) for key, value in layer.params.items()}
+    grad_input = layer.backward_per_file(np.ones_like(out), grads)
+    return grad_input[0], {key: value[0] for key, value in grads.items()}
 
 
 def numerical_param_gradient(layer, x, key, epsilon=1e-6):
@@ -59,11 +64,11 @@ def test_dense_gradients_match_numerical():
     rng = np.random.default_rng(0)
     layer = Dense(4, 3, rng=1)
     x = rng.standard_normal((5, 4))
-    analytic = analytic_input_gradient(layer, x)
+    analytic, grads = analytic_gradients(layer, x)
     numeric = numerical_input_gradient(layer, x)
     assert np.allclose(analytic, numeric, atol=1e-5)
-    assert np.allclose(layer.grads["W"], numerical_param_gradient(layer, x, "W"), atol=1e-5)
-    assert np.allclose(layer.grads["b"], numerical_param_gradient(layer, x, "b"), atol=1e-5)
+    assert np.allclose(grads["W"], numerical_param_gradient(layer, x, "W"), atol=1e-5)
+    assert np.allclose(grads["b"], numerical_param_gradient(layer, x, "b"), atol=1e-5)
 
 
 def test_dense_input_validation():
@@ -73,8 +78,9 @@ def test_dense_input_validation():
     with pytest.raises(ConfigurationError):
         Dense(0, 2)
     fresh = Dense(3, 2, rng=0)
+    grads = {"W": np.empty((1, 3, 2)), "b": np.empty((1, 2))}
     with pytest.raises(ConfigurationError):
-        fresh.backward(np.ones((1, 2)))
+        fresh.backward_per_file(np.ones((1, 1, 2)), grads)
 
 
 def test_dense_num_parameters():
@@ -89,8 +95,15 @@ def test_relu_forward_backward():
     x = np.array([[-1.0, 2.0], [3.0, -4.0]])
     out = layer.forward(x)
     assert np.allclose(out, [[0.0, 2.0], [3.0, 0.0]])
-    grad = layer.backward(np.ones_like(x))
+    grad, _ = analytic_gradients(layer, x)
     assert np.allclose(grad, [[0.0, 1.0], [1.0, 0.0]])
+
+
+@pytest.mark.parametrize("layer", [Dense(2, 3, rng=0), ReLU()], ids=["dense", "relu"])
+def test_plain_forward_keeps_nothing(layer):
+    """Only the stacked pass leaves a cache, for its backward pass."""
+    layer.forward(np.array([[-1.0, 2.0], [3.0, -4.0]]))
+    assert layer._cache is None
 
 
 def test_relu_gradient_matches_numerical():
@@ -98,13 +111,13 @@ def test_relu_gradient_matches_numerical():
     layer = ReLU()
     x = rng.standard_normal((3, 4))  # no coordinate within epsilon of the kink
     assert np.allclose(
-        analytic_input_gradient(layer, x), numerical_input_gradient(layer, x), atol=1e-6
+        analytic_gradients(layer, x)[0], numerical_input_gradient(layer, x), atol=1e-6
     )
 
 
 def test_backward_before_forward_raises():
     with pytest.raises(ConfigurationError):
-        ReLU().backward(np.ones((1, 2)))
+        ReLU().backward_per_file(np.ones((1, 1, 2)), {})
 
 
 def test_every_layer_has_a_stacked_rule():
@@ -114,9 +127,6 @@ def test_every_layer_has_a_stacked_rule():
     class PlainOnly(Layer):
         def forward(self, x):
             return x
-
-        def backward(self, grad_output):
-            return grad_output
 
     with pytest.raises(TypeError, match="forward_per_file"):
         PlainOnly()

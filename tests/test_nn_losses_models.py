@@ -5,10 +5,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from repro.data.batching import RoundFiles
 from repro.exceptions import ConfigurationError
 from repro.nn.layers import Dense, ReLU
 from repro.nn.losses import SoftmaxCrossEntropy, softmax
 from repro.nn.models import Sequential, build_mlp
+
+from reference_gradient import RELU, looped_gradients
 
 
 # --------------------------------------------------------------------------- #
@@ -43,7 +46,7 @@ def test_cross_entropy_gradient_matches_numerical():
     logits = rng.standard_normal((4, 5))
     labels = rng.integers(0, 5, size=4)
     loss = SoftmaxCrossEntropy()
-    analytic = loss.gradient(logits.copy(), labels)
+    analytic = loss.per_file_value_and_gradient(logits[None].copy(), labels[None])[1][0]
     numeric = np.zeros_like(logits)
     epsilon = 1e-6
     for i in range(logits.shape[0]):
@@ -143,25 +146,36 @@ def test_set_flat_params_binds_the_vector():
     assert narrow.get_flat_params().tobytes() == flat.astype(np.float32).tobytes()
 
 
+def one_file_loss_and_gradient(model, x, y):
+    """The model's stacked pass on ``(x, y)`` as a round of one file."""
+    losses, gradients = model.per_file_loss_and_gradients(
+        RoundFiles.coerce((x[None], y[None])), SoftmaxCrossEntropy()
+    )
+    return losses[0], gradients[0]
+
+
 def test_loss_and_gradient_shapes():
     model = make_tiny_model()
-    loss = SoftmaxCrossEntropy()
     x = np.random.default_rng(0).standard_normal((6, 4))
     y = np.random.default_rng(1).integers(0, 3, size=6)
-    value, gradient = model.loss_and_gradient(x, y, loss)
+    value, gradient = one_file_loss_and_gradient(model, x, y)
     assert np.isfinite(value)
     assert gradient.shape == (model.num_parameters(),)
     assert np.any(gradient != 0.0)
 
 
 def test_model_gradient_matches_numerical():
+    """The stacked pass's gradient and the reference's (the same bits) are the
+    finite differences of the plain forward pass's loss."""
     model = make_tiny_model()
     loss = SoftmaxCrossEntropy()
     rng = np.random.default_rng(2)
     x = rng.standard_normal((5, 4))
     y = rng.integers(0, 3, size=5)
-    _, analytic = model.loss_and_gradient(x, y, loss)
+    _, analytic = one_file_loss_and_gradient(model, x, y)
     params = model.get_flat_params()
+    reference = looped_gradients([(4, 8), RELU, (8, 3)], params, [(x, y)])[0]
+    assert reference.tobytes() == analytic.tobytes()
     numeric = np.zeros_like(params)
     epsilon = 1e-6
     for idx in range(0, params.size, 7):  # spot-check every 7th parameter
@@ -178,30 +192,18 @@ def test_model_gradient_matches_numerical():
     assert np.allclose(analytic[mask], numeric[mask], atol=1e-5)
 
 
-def test_zero_grads():
+def test_layers_hold_no_gradient_state():
+    """The stacked pass writes every gradient into its caller's workspace:
+    a layer has no gradient arrays, before or after a pass, and two passes
+    on one model give what a fresh model gives, bit for bit."""
     model = make_tiny_model()
-    loss = SoftmaxCrossEntropy()
-    model.loss_and_gradient(np.ones((2, 4)), np.array([0, 1]), loss)
-    model.zero_grads()
-    assert np.all(model.flat_gradient() == 0.0)
-
-
-def test_plain_path_allocates_gradients_on_first_use():
-    """A fresh layer holds no gradient arrays (the stacked engine writes its
-    own workspace); the plain path's ``loss_and_gradient`` allocates them and
-    returns what a model whose layers were built with zeroed gradients does."""
-    model = make_tiny_model()
-    eager = make_tiny_model()
-    eager.zero_grads()  # what every Dense layer did when it was built
-    assert all(layer.grads == {} for layer in model.layers)
-    loss = SoftmaxCrossEntropy()
     rng = np.random.default_rng(6)
     for _ in range(2):
         x, y = rng.standard_normal((5, 4)), rng.integers(0, 3, size=5)
-        value, gradient = model.loss_and_gradient(x, y, loss)
-        expected_value, expected = eager.loss_and_gradient(x, y, loss)
+        value, gradient = one_file_loss_and_gradient(model, x, y)
+        expected_value, expected = one_file_loss_and_gradient(make_tiny_model(), x, y)
         assert value == expected_value and gradient.tobytes() == expected.tobytes()
-    assert np.all(make_tiny_model().flat_gradient() == 0.0)  # read before any pass
+    assert all(not hasattr(layer, "grads") for layer in model.layers)
 
 
 # --------------------------------------------------------------------------- #

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import repro.nn.metrics as metrics_module
+from repro.data.batching import RoundFiles
 from repro.exceptions import ConfigurationError
 from repro.nn.losses import SoftmaxCrossEntropy
 from repro.nn.metrics import cross_entropy_loss, evaluate_model, top1_accuracy
@@ -146,11 +147,12 @@ def test_sgd_steps_reduce_loss():
     x = rng.standard_normal((64, 8))
     y = rng.integers(0, 3, size=64)
     optimizer = SGD(StepDecaySchedule(0.5, 1.0, 1), momentum=0.9)
-    initial, _ = model.loss_and_gradient(x, y, loss)
+    batch = RoundFiles.coerce((x[None], y[None]))  # the whole set as one file
+    initial = loss.value(model.forward(x), y)
     for _ in range(30):
-        value, gradient = model.loss_and_gradient(x, y, loss)
-        model.set_flat_params(optimizer.step_vector(model.get_flat_params(), gradient))
-    final, _ = model.loss_and_gradient(x, y, loss)
+        _, gradients = model.per_file_loss_and_gradients(batch, loss)
+        model.set_flat_params(optimizer.step_vector(model.get_flat_params(), gradients[0]))
+    final = loss.value(model.forward(x), y)
     assert final < initial * 0.7
 
 

@@ -19,11 +19,12 @@ from repro.core.distortion import (
     majority_threshold,
     max_distortion,
 )
-from repro.fields.latin_squares import LatinSquare, are_orthogonal
+from repro.fields.latin_squares import LatinSquare
 from repro.graphs.expansion import gamma_upper_bound, neighborhood_lower_bound
 from repro.graphs.spectral import second_eigenvalue
 
 from cow_helpers import tensor_of
+from paper_oracles import are_orthogonal, num_edges, ramanujan_parameters
 from test_distortion import reference_exhaustive
 
 SUPPRESS = [HealthCheck.too_slow]
@@ -62,7 +63,7 @@ def test_mols_assignment_structural_invariants(l, r):
     assignment = MOLSAssignment(load=l, replication=r).assignment
     assert assignment.num_workers == r * l
     assert assignment.num_files == l * l
-    assert assignment.num_edges == r * l * l
+    assert num_edges(assignment) == r * l * l
     # Biregularity: both degrees are defined (the graph checks it) and equal l, r.
     assert assignment.computational_load == l
     assert assignment.replication == r
@@ -77,7 +78,7 @@ def test_ramanujan_assignment_matches_eq6(m, s):
     if replication % 2 == 0:
         return
     assignment = RamanujanAssignment(m=m, s=s).assignment
-    expected = RamanujanAssignment(m=m, s=s).expected_parameters
+    expected = ramanujan_parameters(m, s)
     assert assignment.num_workers == expected["num_workers"]
     assert assignment.num_files == expected["num_files"]
     assert assignment.computational_load == expected["load"]

@@ -35,7 +35,7 @@ from repro.training.gradients import ModelGradientComputer
 from repro.training.trainer import DistributedTrainer
 from repro.utils.arrays import LANE_BLOCK
 
-from cow_helpers import cube_of
+from cow_helpers import cube_of, stored_rows
 
 
 def headline_spec(hidden=(128, 48), num_iterations=4, q=5):
@@ -451,7 +451,7 @@ def test_noise_corruption_streams_one_draw_block(ramanujan_case2, dtype, probabi
     finally:
         tracemalloc.stop()
     m = len(events)
-    assert m > 1 and tensor.num_override_rows == m
+    assert m > 1 and stored_rows(tensor) == m
     # what stays is the stored rows and the returned events
     assert m * d * np.dtype(dtype).itemsize <= kept
     block = LANE_BLOCK * 8

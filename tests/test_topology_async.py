@@ -13,6 +13,8 @@ from repro.scenarios.catalog import get_scenario
 from repro.scenarios.runner import ScenarioRunner, run_scenario
 from repro.scenarios.spec import ScenarioSpec
 
+from cow_helpers import stored_rows
+
 
 @pytest.fixture(scope="module")
 def frc_6():
@@ -77,7 +79,7 @@ class TestGroupQuorumCells:
         out = collect(tensor, [[0.1, 0.2, 0.3], [0.1, 0.2, 0.3]], groups=2, quorum=2)
         assert [(e.file, e.slot) for e in out.late_events] == [(0, 2), (1, 2)]
         # the late copy is not accepted, so it abstains; nothing is written
-        assert not out.accepted[0, 2] and tensor.num_override_rows == 0
+        assert not out.accepted[0, 2] and stored_rows(tensor) == 0
         assert np.array_equal(tensor.read_slots(np.array([0]), np.array([2]))[0],
                               honest[0])
 

@@ -112,11 +112,11 @@ def test_gradient_computer(small_classification_data):
     model = build_mlp(train.flat_feature_dim, train.num_classes, hidden=(8,), seed=0)
     computer = ModelGradientComputer(model)
     params = computer.initial_params()
-    gradient, loss = computer(params, train.inputs[:16], train.labels[:16])
-    assert gradient.shape == (computer.dim,)
-    assert np.isfinite(loss)
-    with pytest.raises(TrainingError):
-        computer(params, train.inputs[:0], train.labels[:0])
+    gradients, losses = computer.batched(params, (train.inputs[None, :16], train.labels[None, :16]))
+    assert gradients.shape == (1, computer.dim)
+    assert np.all(np.isfinite(losses))
+    with pytest.raises(TrainingError, match="empty file"):
+        computer.batched(params, (train.inputs[None, :0], train.labels[None, :0]))
 
 
 # --------------------------------------------------------------------------- #

@@ -8,7 +8,8 @@ from repro.exceptions import ConfigurationError, TrainingError
 from repro.nn.models import build_mlp
 from repro.training.gradients import ModelGradientComputer
 
-from cow_helpers import cube_of
+from cow_helpers import cube_of, stored_rows
+from paper_oracles import workers_of_file
 
 
 def honest_matrix(num_files, dim, seed=0):
@@ -27,14 +28,14 @@ def test_from_honest_broadcasts_rows(mols_assignment):
         for k in range(3):
             assert np.array_equal(cube[i, k], matrix[i])
     assert not tensor.byzantine_mask.any()
-    assert tensor.num_overridden_slots == tensor.num_override_rows == 0
+    assert tensor.num_overridden_slots == stored_rows(tensor) == 0
 
 
 def test_worker_slot_matrix_rows_are_sorted_neighborhoods(mols_assignment):
     slots = mols_assignment.worker_slot_matrix()
     assert slots.shape == (25, 3)
     for i in range(25):
-        assert tuple(slots[i]) == mols_assignment.workers_of_file(i)
+        assert tuple(slots[i]) == workers_of_file(mols_assignment, i)
     # cached and read-only
     assert mols_assignment.worker_slot_matrix() is slots
     with pytest.raises(ValueError):
@@ -65,7 +66,7 @@ def test_write_slots_rejects_wrong_payload_shapes(ramanujan_case1):
         assert np.all(tensor.read_slots(files, slots) == good)
     assert tensor.num_overridden_slots == 3
     # three shared payloads and one per-slot matrix
-    assert tensor.num_override_rows == 3 + 3
+    assert stored_rows(tensor) == 3 + 3
 
 
 def test_mark_byzantine(mols_assignment):

@@ -8,7 +8,7 @@ Every mutant in :data:`MUTANTS` is one text patch of one file under
 replacement.  For each mutant the tree (without ``.git``) is copied into a
 temporary directory, the patch is applied to the copy — never to the
 working tree — and one pytest process runs the selection there (default
-``tests``, the tier-1 suite).  Mutants run one after another, after one run
+:data:`TIER1`, the tier-1 suite).  Mutants run one after another, after one run
 of the selection on an unmutated copy: a test that already fails there
 would count as catching every mutant, so the tool stops with status 2.
 
@@ -35,6 +35,15 @@ from dataclasses import dataclass
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 _FAILED = re.compile(r"^(?:FAILED|ERROR) (\S+)")
+
+#: the default selection: every tier-1 test file, the reference round's
+#: replay first, so ``pytest -x`` stops a mutant it catches in seconds (pytest
+#: collects a path given with its directory in directory order, hence the files)
+TIER1 = ["tests/test_reference_round.py"] + sorted(
+    str(path.relative_to(ROOT))
+    for path in (ROOT / "tests").glob("test_*.py")
+    if path.name != "test_reference_round.py"
+)
 
 
 @dataclass(frozen=True)
@@ -153,6 +162,13 @@ MUTANTS = (
         "np.isin(self.workers, byz)",
         "np.isin(self.workers, byz + 1)",
     ),
+    Mutant(
+        "relu-unmasked",
+        "the stacked ReLU's backward pass lets every gradient through",
+        "src/repro/nn/layers.py",
+        "return np.multiply(grad_output, self._take_cache(), out=grad_output)",
+        "self._take_cache()\n        return grad_output",
+    ),
 )
 
 
@@ -190,8 +206,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--check", action="store_true",
                         help="stop each run at its first failure; exit 1 if a mutant survives")
-    parser.add_argument("selection", nargs="*", default=["tests"],
-                        help="pytest arguments (after --), default: tests")
+    parser.add_argument("selection", nargs="*", default=TIER1,
+                        help="pytest arguments (after --), default: every tests/test_*.py")
     args = parser.parse_args(argv)
     failed = run_mutant(None, args.selection, first_only=args.check)
     if failed:

@@ -3,8 +3,9 @@
 Runs every entry point in this process under ``sys.setprofile``, records
 each ``repro`` code object that is entered, and lists the named functions
 that never were.  A def on that list is reached by nothing a user can run:
-it is either a test oracle, a candidate for deletion, or proof that an
-entry point is missing from :func:`_steps`.
+it is either a candidate for deletion (a test oracle among them: oracles
+live in ``tests/``), or proof that an entry point is missing from
+:func:`_steps`.
 
 The entry points: ``repro list``, every ``table`` (one with ``--csv``),
 ``bounds``, ``distortion`` on all five schemes, the three ablations,
@@ -24,9 +25,11 @@ first.  No ``coverage`` install is needed.
 
 It is also a gate, so dead code cannot regrow: every public def it finds
 unreached must be listed in ``tools/reachability_kept.txt`` (one ``path
-qualname  # verdict`` line each: test oracle, interface, ``repr()`` only,
-benchmark attach point, ...), and every def listed there must still exist.
-Otherwise it names each offender on stderr and exits 1.
+qualname  # verdict`` line each: interface, ``repr()`` only, benchmark
+attach point, ...), and every def listed there must still exist.  No verdict
+may say "test oracle": an oracle that lives in the engine's classes shares
+their layout and state with what it checks, so such a line is refused before
+any entry point runs.  Otherwise it names each offender on stderr and exits 1.
 """
 
 from __future__ import annotations
@@ -118,6 +121,15 @@ def _kept() -> set[tuple[str, str]]:
     return {(path, qualname) for path, qualname in filter(None, entries)}
 
 
+def _oracle_lines() -> list[tuple[int, str]]:
+    """``(line number, line)`` of every kept def whose verdict says "test oracle"."""
+    return [
+        (number, line)
+        for number, line in enumerate(KEPT.read_text().splitlines(), start=1)
+        if line.partition("#")[0].strip() and "test oracle" in line.partition("#")[2]
+    ]
+
+
 def unreached_defs(steps, src: pathlib.Path = SRC, root: pathlib.Path = ROOT):
     """Run ``steps`` under the profiler and return the defs under ``src`` that
     none of them entered (``path``/``line``/``def``/``public`` dicts, public
@@ -167,6 +179,13 @@ def main(argv: "list[str] | None" = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--json", type=pathlib.Path, help="also write the list as JSON")
     args = parser.parse_args(argv)
+    listed = KEPT.relative_to(ROOT)
+    oracles = _oracle_lines()
+    for number, line in oracles:
+        print(f"error: {listed}:{number} keeps a test oracle in src/ ({line.strip()}): "
+              "move it into tests/", file=sys.stderr)
+    if oracles:
+        return 1
 
     with tempfile.TemporaryDirectory() as workdir:
         unreached, existing = unreached_defs(_steps(workdir))
@@ -178,7 +197,6 @@ def main(argv: "list[str] | None" = None) -> int:
         args.json.write_text(json.dumps(unreached, indent=1))
 
     kept = _kept()
-    listed = KEPT.relative_to(ROOT)
     unlisted = [u for u in unreached if u["public"] and (u["path"], u["def"]) not in kept]
     for u in unlisted:
         print(f"error: {u['path']}:{u['line']} {u['def']} is public and unreached: "

@@ -1,4 +1,4 @@
-"""Kernel timings of the round's hot paths, and their A/B against a git ref.
+"""Kernel timings of the round's hot paths, and the A/B of kernels and workloads against a git ref.
 
 Times the micro kernels that dominate the round data path (each the minimum
 of N ``time.perf_counter`` runs, robust to background load) and prints them
@@ -6,23 +6,40 @@ with the float32 round's speedup and the adaptive-attack cost gate.
 
 Usage::
 
-    PYTHONPATH=src python benchmarks/regression.py                # full run, gated
     PYTHONPATH=src python benchmarks/regression.py --smoke        # quick sanity run
     PYTHONPATH=src python benchmarks/regression.py --check HEAD^  # A/B vs the parent
 
-``--check REF`` compares two trees on the same machine in the same minute.
+``--check REF`` compares two trees on the same machine in the same minutes.
 Side A is ``REF``'s ``src/``, extracted with ``git archive`` into a temporary
-directory (nothing is left in ``.git``); side B is this tree's ``src/``,
-uncommitted edits included.  This file runs as a child process on each side
-(``PYTHONPATH=<side>/src``), in :data:`PAIRS` alternating pairs, and each
-child reports every kernel's minimum of :data:`ROUNDS` timings.  Each
-kernel's runs on the two sides go through ``benchmarks/e2e/compare.py``'s
-``classify`` with the bound :data:`BOUND`: *improved*, *unchanged*,
-*regressed*, or *unresolved* when the spread exceeds the bound and neither
-side beats the other on every run.  The adaptive-attack gate is applied to
-B's medians.  Exit status: 1 on a regressed kernel or a gate violation, 2
-when the check cannot run (an unknown ref, a side that cannot import or run
-the harness, a kernel on one side only), 0 otherwise.
+directory beside a copy of this tree's ``benchmarks/e2e/`` and
+``BENCHMARK.json`` (nothing is left in ``.git``); side B is this tree,
+uncommitted edits included.  Both sides run as child processes in
+:data:`PAIRS` alternating pairs, one seed per pair, the same on both sides
+and derived from ``REF``'s commit id.  In each pair, this file runs on each
+side (``PYTHONPATH=<side>/src``) and reports every kernel's minimum of
+:data:`ROUNDS` timings, then every workload of ``BENCHMARK.json`` runs on
+each side through the benchmark's own command, ``benchmarks/e2e/run.py
+--workload W --seed S --seconds SECONDS --trace 0``.
+
+The verdicts are *improved*, *unchanged* or *regressed*:
+
+* kernels and the time rows (``round_ms_p50``, ``rounds_per_s``,
+  ``setup_s``) go through ``benchmarks/e2e/compare.py``'s ``classify``, at
+  :data:`BOUND` for a kernel and at the metric's ``BENCHMARK.json`` bound
+  for a row; it reads *unresolved* when the spread exceeds the bound and
+  neither side beats the other on every run;
+* the rows in :data:`EXACT_ROWS` repeat exactly per seed, so they are
+  judged on the median of the per-seed changes against the same bound
+  (:func:`paired`), never *unresolved*;
+* ``spec_digest`` and ``final_params_digest`` must be equal at every seed;
+  each seed where one differs is named;
+* more failed ops on side B than on side A is a regressed row.
+
+The adaptive-attack gate is applied to B's kernel medians.  Exit status: 1
+on a regressed row, a differing digest or a gate violation, 2 when the
+check cannot run (an unknown ref, a side that cannot import or run the
+harness, a kernel on one side only, a workload run that leaves no result),
+0 otherwise.
 """
 
 from __future__ import annotations
@@ -32,6 +49,7 @@ import io
 import json
 import os
 import pathlib
+import shutil
 import statistics
 import subprocess
 import sys
@@ -57,15 +75,21 @@ from repro.nn.models import build_mlp
 from repro.training.gradients import ModelGradientComputer
 from repro.utils.digest import array_digest
 
-from e2e.compare import classify
+from e2e.compare import classify, collect, compare
 
 BENCH_DIR = pathlib.Path(__file__).resolve().parent
 REPO = BENCH_DIR.parent
 
+BENCHMARK = json.loads((REPO / "BENCHMARK.json").read_text())
+
 #: timings per kernel in one run (each run reports their minimum)
 ROUNDS = 30
-#: alternating A/B child runs of ``--check``
+#: alternating A/B pairs of ``--check``, each at its own seed
 PAIRS = 10
+#: measured seconds of each workload run of ``--check`` (``run.py --seconds``)
+SECONDS = 1
+#: end-to-end rows that repeat exactly per seed, judged by :func:`paired`
+EXACT_ROWS = ("peak_alloc_mb", "final_accuracy")
 #: fractional change (and spread) beyond which ``--check`` calls a kernel
 #: improved or regressed (or unresolved): on a 2-core host two A/A runs
 #: spread at most 3.2 % per kernel with medians within 2 %, and a planted
@@ -212,7 +236,7 @@ def adaptive_attack_kernels() -> dict:
     the paper's fixed-payload baseline; the others are the adaptive zoo,
     whose closed-form searches (Fang's λ ladder, min-max's γ bisection) must
     stay within :data:`ADAPTIVE_VS_CONSTANT_LIMIT` of the constant round — the
-    gate :func:`adaptive_attack_gate` enforces on every non-smoke run.
+    gate :func:`adaptive_attack_gate` enforces on side B of every ``--check``.
     """
     from repro.attacks.base import AttackContext
     from repro.attacks.registry import create_attack
@@ -323,7 +347,7 @@ def build_kernels() -> dict:
 
 
 #: kernels whose ``tracemalloc`` peak above their start is printed beside
-#: their time by a full or smoke run: the stacked pass at the compute-bound
+#: their time by a smoke run: the stacked pass at the compute-bound
 #: shape holds one chunk of files' activations, not the whole batch's.
 PEAK_KERNELS = ("gradient_engine_stacked_mlp_f25_n256", "gaussian_dataset_build_21k_d100")
 
@@ -360,6 +384,11 @@ class CheckError(Exception):
     """``--check`` cannot produce a verdict; the message names the side."""
 
 
+def run_child(argv: list, root: pathlib.Path, env: "dict | None" = None):
+    """One child process of ``--check``, run in ``root``; its output captured."""
+    return subprocess.run(argv, cwd=root, env=env, capture_output=True, text=True)
+
+
 def child_times(src: str) -> None:
     """One side's run of ``--check``: every kernel's best time, one JSON line."""
     import repro
@@ -376,25 +405,65 @@ def side_times(side: str, root: pathlib.Path) -> dict:
         f"import sys; sys.path.insert(0, {str(BENCH_DIR)!r}); "
         f"import regression; regression.child_times({src!r})"
     )
-    child = subprocess.run(
-        [sys.executable, "-c", code],
-        cwd=root,
-        env={**os.environ, "PYTHONPATH": src},
-        capture_output=True,
-        text=True,
-    )
+    child = run_child([sys.executable, "-c", code], root, {**os.environ, "PYTHONPATH": src})
     if child.returncode != 0:
         raise CheckError(f"side {side} cannot run the harness:\n{child.stderr.strip()}")
     return json.loads(child.stdout.splitlines()[-1])
 
 
-def extract_src(ref: str, into: str) -> None:
-    """``ref``'s ``src/`` under ``into``, by ``git archive``."""
-    archive = subprocess.run(["git", "archive", ref, "src"], cwd=REPO, capture_output=True)
+def side_run(side: str, root: pathlib.Path, workload: str, seed: int, out: pathlib.Path) -> dict:
+    """One untraced ``run.py`` child on ``root``: the run its result records.
+
+    ``run.py`` exits 1 and still writes its result when an op or a check
+    fails; that run is judged like any other.  Only a missing result stops
+    the check."""
+    script = BENCHMARK["command"][1:]
+    child = run_child(
+        [sys.executable, *script, "--workload", workload, "--seed", str(seed),
+         "--seconds", str(SECONDS), "--trace", "0", "--out", str(out)],
+        root,
+    )
+    if not out.is_file():
+        raise CheckError(
+            f"side {side} left no result for {workload} at seed {seed}:\n{child.stderr.strip()}"
+        )
+    result = json.loads(out.read_text())
+    return {**result["runs"][0], "environment": result["environment"]}
+
+
+def resolve(ref: str) -> str:
+    """``ref``'s full commit id."""
+    done = subprocess.run(
+        ["git", "rev-parse", "--verify", f"{ref}^{{commit}}"],
+        cwd=REPO, capture_output=True, text=True,
+    )
+    if done.returncode != 0:
+        raise CheckError(f"side A ({ref}): {done.stderr.strip()}")
+    return done.stdout.strip()
+
+
+def check_seeds(commit: str) -> list:
+    """The seeds of one ``--check``, one per pair: fresh for each ref."""
+    base = int(commit[:6], 16)
+    return [base + pair for pair in range(PAIRS)]
+
+
+def extract_side_a(commit: str, into: pathlib.Path) -> None:
+    """Side A's tree: ``commit``'s ``src/`` (by ``git archive``) beside a copy
+    of this tree's ``benchmarks/e2e/`` and ``BENCHMARK.json``.
+
+    ``run.py`` puts the ``src/`` two levels above it first on ``sys.path``,
+    so each side needs its own copy of the harness."""
+    archive = subprocess.run(["git", "archive", commit, "src"], cwd=REPO, capture_output=True)
     if archive.returncode != 0:
-        raise CheckError(f"side A ({ref}): {archive.stderr.decode().strip()}")
+        raise CheckError(f"side A ({commit}): {archive.stderr.decode().strip()}")
     with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
         tar.extractall(into, filter="data")
+    shutil.copytree(
+        BENCH_DIR / "e2e", into / "benchmarks" / "e2e",
+        ignore=shutil.ignore_patterns("__pycache__"),
+    )
+    shutil.copy(REPO / "BENCHMARK.json", into)
 
 
 def verdicts(times_a: dict, times_b: dict) -> tuple[list, int]:
@@ -414,45 +483,135 @@ def verdicts(times_a: dict, times_b: dict) -> tuple[list, int]:
     return rows, int(any(row["verdict"] == "regressed" for row in rows))
 
 
+def paired(a: list, b: list, better: str, bound: float) -> dict:
+    """Verdict for a row that repeats exactly per seed; ``a[i]`` and ``b[i]``
+    ran at the same seed.
+
+    The change is the median of the per-seed changes, so a spread across
+    seeds wider than ``bound`` leaves nothing unresolved; ``spread`` is the
+    range of the per-seed changes."""
+    sign = 1.0 if better == "lower" else -1.0
+    changes = [sign * (y - x) / (abs(x) or 1.0) for x, y in zip(a, b)]
+    worse = statistics.median(changes)
+    if worse > bound:
+        verdict = "regressed"
+    elif worse < -bound:
+        verdict = "improved"
+    else:
+        verdict = "unchanged"
+    return {
+        "median_a": statistics.median(a), "median_b": statistics.median(b),
+        "worse": worse, "spread": max(changes) - min(changes), "verdict": verdict,
+        "changes": changes,
+    }
+
+
+def workload_verdicts(runs_a: list, runs_b: list) -> tuple[list, list, int]:
+    """Rows per (workload, end-to-end metric), the differing digests, and the exit status.
+
+    ``runs_a[i]`` and ``runs_b[i]`` are ``run.py``'s runs of one workload at
+    one seed on side A and side B.  The rows are ``compare.py``'s (time rows
+    by ``classify``, and more failed ops on B is a regressed row), with the
+    rows in :data:`EXACT_ROWS` judged again by :func:`paired`.  The status is
+    1 when a row regressed or a digest differs."""
+    rows = compare({"runs": runs_a}, {"runs": runs_b}, BENCHMARK)
+    side_a, side_b = collect({"runs": runs_a}), collect({"runs": runs_b})
+    exact = {m["name"]: m for m in BENCHMARK["end_to_end"] if m["name"] in EXACT_ROWS}
+    for row in rows:
+        metric = exact.get(row["metric"])
+        if metric is not None:
+            a, b = (side[row["workload"]]["values"][metric["name"]] for side in (side_a, side_b))
+            row.update(paired(a, b, metric["better"], metric["bound"]))
+    differing = [
+        f"{run_a['workload']} seed {run_a['seed']}: {key} A {digest_a} B {digest_b}"
+        for run_a, run_b in zip(runs_a, runs_b)
+        for key, digest_a, digest_b in (
+            ("spec_digest", run_a["spec_digest"], run_b["spec_digest"]),
+            ("final_params_digest", run_a["detail"]["final_params_digest"],
+             run_b["detail"]["final_params_digest"]),
+        )
+        if digest_a != digest_b
+    ]
+    status = int(bool(differing) or any(row["verdict"] == "regressed" for row in rows))
+    return rows, differing, status
+
+
 def check(ref: str) -> int:
-    """A/B of this tree's ``src/`` against ``ref``'s; see the module docstring."""
+    """A/B of this tree against ``ref``, kernels and workloads; see the module docstring."""
+    started = time.perf_counter()
     times = {"A": {}, "B": {}}
+    runs = {"A": [], "B": []}
     try:
+        commit = resolve(ref)
+        seeds = check_seeds(commit)
         with tempfile.TemporaryDirectory() as tmp:
-            extract_src(ref, tmp)
-            for _ in range(PAIRS):
-                for side, root in (("A", pathlib.Path(tmp)), ("B", REPO)):
+            side_a = pathlib.Path(tmp) / "A"
+            extract_side_a(commit, side_a)
+            sides = (("A", side_a), ("B", REPO))
+            for seed in seeds:
+                for side, root in sides:
                     for kernel, seconds in side_times(side, root).items():
                         times[side].setdefault(kernel, []).append(seconds)
-        rows, status = verdicts(times["A"], times["B"])
+                for workload in (w["name"] for w in BENCHMARK["workloads"]):
+                    for side, root in sides:
+                        out = pathlib.Path(tmp) / f"{side}-{workload}-{seed}.json"
+                        runs[side].append(side_run(side, root, workload, seed, out))
+        rows, kernel_status = verdicts(times["A"], times["B"])
+        workload_rows, differing, workload_status = workload_verdicts(runs["A"], runs["B"])
     except CheckError as error:
         print(f"--check {ref} cannot run: {error}", file=sys.stderr)
         return 2
-    print(f"A = {ref}, B = this tree; {PAIRS} pairs, min of {ROUNDS} timings, bound {BOUND:.0%}")
+    host = runs["B"][0]["environment"]
+    print(f"A = {ref} ({commit}), B = this tree ({host['git_commit']} and its uncommitted edits)")
+    print(f"host: {json.dumps({k: v for k, v in host.items() if k != 'git_commit'})}")
+    print(f"\nkernels: {PAIRS} pairs, min of {ROUNDS} timings, bound {BOUND:.0%}")
     print(f"{'kernel':48s} {'A ms':>9s} {'B ms':>9s} {'change':>8s} {'spread':>7s}  verdict")
     for row in rows:
         print(
             f"{row['kernel']:48s} {row['median_a'] * 1e3:9.3f} {row['median_b'] * 1e3:9.3f} "
             f"{row['worse']:+8.1%} {row['spread']:7.1%}  {row['verdict']}"
         )
+    print(
+        f"\nworkloads: run.py --seconds {SECONDS:g} --trace 0 at seeds {seeds[0]}-{seeds[-1]}; "
+        f"{', '.join(EXACT_ROWS)} paired per seed"
+    )
+    print(
+        f"{'workload':26s} {'metric':16s} {'A median':>12s} {'B median':>12s} "
+        f"{'change':>8s} {'spread':>7s} {'bound':>6s}  verdict"
+    )
+    for row in workload_rows:
+        print(
+            f"{row['workload']:26s} {row['metric']:16s} {row['median_a']:12.5f} "
+            f"{row['median_b']:12.5f} {row['worse']:+8.2%} {row['spread']:7.2%} "
+            f"{row['bound']:6.0%}  {row['verdict']}"
+        )
+        if "changes" in row and row["verdict"] != "unchanged":
+            print(f"{'':43s} per seed: {' '.join(f'{c:+.2%}' for c in row['changes'])}")
+    for line in differing or [f"digests equal on all {len(seeds)} seeds of every workload"]:
+        print(line)
     violations = adaptive_attack_gate({k: statistics.median(t) for k, t in times["B"].items()})
-    if status:
-        print(f"\n{sum(row['verdict'] == 'regressed' for row in rows)} kernel(s) regressed")
+    regressed = sum(row["verdict"] == "regressed" for row in rows + workload_rows)
+    if regressed:
+        print(f"\n{regressed} row(s) regressed")
+    if differing:
+        print(f"\n{len(differing)} digest(s) differ")
     if violations:
         print(f"\n{len(violations)} adaptive attack round(s) over the cost limit")
-    return 1 if status or violations else 0
+    print(f"\nwall time {time.perf_counter() - started:.0f} s")
+    return 1 if kernel_status or workload_status or violations else 0
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
     )
-    mode = parser.add_mutually_exclusive_group()
+    mode = parser.add_mutually_exclusive_group(required=True)
     mode.add_argument(
         "--smoke", action="store_true", help="quick sanity run: 3 timings a kernel, no gate"
     )
     mode.add_argument(
-        "--check", metavar="REF", help="A/B of this tree's src/ against REF's (the CI gate)"
+        "--check", metavar="REF",
+        help="A/B of this tree against REF: kernels and workloads (the CI gate)",
     )
     args = parser.parse_args(argv)
     if args.check is not None:
@@ -460,14 +619,11 @@ def main(argv=None) -> int:
 
     times = {}
     for name, fn in build_kernels().items():
-        times[name] = best = time_kernel(fn, 3 if args.smoke else ROUNDS)
+        times[name] = best = time_kernel(fn, 3)
         peak = f"   peak {peak_mib(fn):7.2f} MiB" if name in PEAK_KERNELS else ""
         print(f"{name:48s} {best * 1e3:9.3f} ms   {1.0 / best:10.1f} ops/s{peak}")
     report_speedups(times)
-    violations = adaptive_attack_gate(times)
-    if violations and not args.smoke:
-        print(f"\n{len(violations)} adaptive attack round(s) over the cost limit")
-        return 1
+    adaptive_attack_gate(times)
     return 0
 
 

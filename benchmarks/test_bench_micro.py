@@ -7,6 +7,7 @@ construction — show up in the benchmark report.
 """
 
 import os
+import subprocess
 import time
 
 import numpy as np
@@ -27,10 +28,12 @@ from repro.graphs.bipartite import BipartiteAssignment
 from repro.nn.models import build_mlp
 from repro.training.gradients import ModelGradientComputer
 
+import regression
 from cow_helpers import stored_rows
+from e2e.compare import classify
 from reference_gradient import looped_gradients, mlp_layers
 from reference_vote import reference_majority
-from regression import BOUND, CheckError, main, verdicts
+from regression import BOUND, CheckError, main, paired, verdicts, workload_verdicts
 
 RNG = np.random.default_rng(0)
 VOTES_25 = RNG.standard_normal((25, 20_000))
@@ -479,6 +482,89 @@ def test_kernel_verdicts_from_synthetic_runs():
     del times_b["noisy"]
     with pytest.raises(CheckError, match="^side B has no kernel noisy$"):
         verdicts(times_a, times_b)
+
+
+def synthetic_runs(peaks, failed=0, workload="sync-alie-wide"):
+    """``run.py``'s untraced runs of one workload, one per seed, with the given peaks."""
+    return [
+        {
+            "workload": workload,
+            "seed": 100 + i,
+            "trace": 0,
+            "spec_digest": "s0",
+            "failed": failed,
+            "metrics": {
+                "round_ms_p50": {"value": 10.0},
+                "rounds_per_s": {"value": 100.0},
+                "setup_s": {"value": 0.05},
+                "peak_alloc_mb": {"value": peak},
+                "final_accuracy": {"value": 1.0},
+            },
+            "detail": {"final_params_digest": "d0"},
+        }
+        for i, peak in enumerate(peaks)
+    ]
+
+
+def test_exact_rows_get_a_paired_verdict():
+    """A peak that falls 4.75 % at every seed, across seeds that spread 3.06 %
+    (wider than the 3 % bound), reads *improved* paired per seed; ``classify``
+    over the same runs reads it *unresolved*."""
+    peaks = [3.70, 3.74, 3.76, 3.79, 3.80, 3.81, 3.83, 3.86, 3.906, 3.95]
+    lower = [0.9525 * peak for peak in peaks]
+    assert classify(peaks, lower, "lower", 0.03)["spread"] == pytest.approx(0.0306, abs=1e-4)
+    assert classify(peaks, lower, "lower", 0.03)["verdict"] == "unresolved"
+    assert paired(peaks, lower, "lower", 0.03)["verdict"] == "improved"
+    assert paired(peaks, lower, "lower", 0.03)["worse"] == pytest.approx(-0.0475)
+    assert paired(lower, peaks, "lower", 0.03)["verdict"] == "regressed"
+    assert paired(peaks, peaks, "lower", 0.03)["verdict"] == "unchanged"
+
+    cells = "async-hier-cells-traced"
+    rows, differing, status = workload_verdicts(
+        synthetic_runs(peaks, workload=cells), synthetic_runs(lower, workload=cells)
+    )
+    verdict = {row["metric"]: row["verdict"] for row in rows}
+    assert verdict["peak_alloc_mb"] == "improved"
+    assert {verdict[m] for m in verdict if m != "peak_alloc_mb"} == {"unchanged"}
+    assert (differing, status) == ([], 0)
+
+
+def test_a_differing_digest_is_named_and_fails_the_check():
+    """A ``final_params_digest`` that differs at one seed is named with its
+    workload and seed, and the status is 1 with every row unchanged."""
+    runs_b = synthetic_runs([4.0] * 3)
+    runs_b[1]["detail"]["final_params_digest"] = "d1"
+    rows, differing, status = workload_verdicts(synthetic_runs([4.0] * 3), runs_b)
+    assert {row["verdict"] for row in rows} == {"unchanged"}
+    assert differing == ["sync-alie-wide seed 101: final_params_digest A d0 B d1"]
+    assert status == 1
+
+
+def test_more_failed_ops_on_side_b_regress():
+    """Side B failing an op that side A did not is a regressed row, status 1."""
+    rows, differing, status = workload_verdicts(
+        synthetic_runs([4.0] * 3), synthetic_runs([4.0] * 3, failed=1)
+    )
+    failed = next(row for row in rows if row["metric"] == "failed_ops")
+    assert (failed["median_a"], failed["median_b"], failed["verdict"]) == (0, 3, "regressed")
+    assert (differing, status) == ([], 1)
+
+
+def test_a_side_that_leaves_no_result_cannot_pass(monkeypatch, capsys):
+    """``--check`` exits 2, naming the side, the workload and the seed, when a
+    workload run leaves no result: here side A's ``run.py`` finds no
+    ``src/repro``, as at a ref that predates it."""
+
+    def child(argv, root, env=None):
+        if "-c" in argv:  # the kernel harness: one JSON line
+            return subprocess.CompletedProcess(argv, 0, '{"k": 0.001}\n', "")
+        return subprocess.CompletedProcess(argv, 1, "", "run.py: no src/repro")
+
+    monkeypatch.setattr(regression, "run_child", child)
+    assert main(["--check", "HEAD"]) == 2
+    err = capsys.readouterr().err
+    assert "side A left no result for sync-alie-wide at seed" in err
+    assert err.rstrip().endswith("run.py: no src/repro")
 
 
 def test_check_against_an_unknown_ref_cannot_pass(capsys):

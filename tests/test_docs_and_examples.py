@@ -10,6 +10,7 @@ from __future__ import annotations
 import ast
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -157,6 +158,30 @@ def test_a_dead_section_citation_fails_the_link_check(tmp_path):
     result = _run_tool("tools/check_doc_links.py", str(dead))
     assert result.returncode == 1
     assert "dead.py:1: citation EXPERIMENTS.md, 'A section nobody wrote'" in result.stderr
+
+
+def test_ci_test_ids_name_a_class_or_def():
+    """Every ``tests/<file>.py::<name>[::<name>]`` node id in the CI workflow
+    names a class or def of that file, read by ``ast`` with nothing
+    collected.  pytest exits 4 on an id it cannot find, and the steps after
+    that one never run."""
+    ci = (REPO_ROOT / ".github" / "workflows" / "ci.yml").read_text()
+    node_ids = re.findall(r"(tests/[\w/]+\.py)((?:::\w+)+)", ci)
+    assert node_ids
+    missing = []
+    for path, names in node_ids:
+        file = REPO_ROOT / path
+        scope = ast.parse(file.read_text()).body if file.is_file() else []
+        for name in names.split("::")[1:]:
+            found = [
+                node for node in scope
+                if isinstance(node, (ast.ClassDef, ast.FunctionDef)) and node.name == name
+            ]
+            if not found:
+                missing.append(path + names)
+                break
+            scope = found[0].body
+    assert not missing, missing
 
 
 def test_benchmarks_cover_every_table_and_figure():

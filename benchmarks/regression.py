@@ -234,9 +234,10 @@ def adaptive_attack_kernels() -> dict:
     honest gradients, Byzantine slot marking, the attack's vectorized
     ``apply_tensor`` write, then the ByzShield aggregate.  ``constant`` is
     the paper's fixed-payload baseline; the others are the adaptive zoo,
-    whose closed-form searches (Fang's λ ladder, min-max's γ bisection) must
-    stay within :data:`ADAPTIVE_VS_CONSTANT_LIMIT` of the constant round — the
-    gate :func:`adaptive_attack_gate` enforces on side B of every ``--check``.
+    whose closed-form searches (Fang's λ ladder against each of its three
+    simulated defenses, min-max's γ bisection) must stay within
+    :data:`ADAPTIVE_VS_CONSTANT_LIMIT` of the constant round — the gate
+    :func:`adaptive_attack_gate` enforces on side B of every ``--check``.
     """
     from repro.attacks.base import AttackContext
     from repro.attacks.registry import create_attack
@@ -265,6 +266,8 @@ def adaptive_attack_kernels() -> dict:
         "inner_product": create_attack("inner_product"),
         "sign_flip": create_attack("sign_flip"),
         "fang_median": create_attack("fang", defense="median"),
+        "fang_trimmed_mean": create_attack("fang", defense="trimmed_mean"),
+        "fang_krum": create_attack("fang", defense="krum"),
         "min_max_unit": create_attack("min_max", direction="unit"),
         "min_sum_std": create_attack("min_sum", direction="std"),
     }
@@ -298,7 +301,7 @@ def adaptive_attack_gate(times: dict) -> list:
         if ratio > ADAPTIVE_VS_CONSTANT_LIMIT:
             marker = f"  <-- exceeds {ADAPTIVE_VS_CONSTANT_LIMIT:.2f}x limit"
             violations.append((name, ratio))
-        print(f"adaptive round cost vs constant: {name:48s} {ratio:5.2f}x{marker}")
+        print(f"adaptive round cost vs constant: {name:52s} {ratio:5.2f}x{marker}")
     return violations
 
 
@@ -565,10 +568,10 @@ def check(ref: str) -> int:
     print(f"A = {ref} ({commit}), B = this tree ({host['git_commit']} and its uncommitted edits)")
     print(f"host: {json.dumps({k: v for k, v in host.items() if k != 'git_commit'})}")
     print(f"\nkernels: {PAIRS} pairs, min of {ROUNDS} timings, bound {BOUND:.0%}")
-    print(f"{'kernel':48s} {'A ms':>9s} {'B ms':>9s} {'change':>8s} {'spread':>7s}  verdict")
+    print(f"{'kernel':52s} {'A ms':>9s} {'B ms':>9s} {'change':>8s} {'spread':>7s}  verdict")
     for row in rows:
         print(
-            f"{row['kernel']:48s} {row['median_a'] * 1e3:9.3f} {row['median_b'] * 1e3:9.3f} "
+            f"{row['kernel']:52s} {row['median_a'] * 1e3:9.3f} {row['median_b'] * 1e3:9.3f} "
             f"{row['worse']:+8.1%} {row['spread']:7.1%}  {row['verdict']}"
         )
     print(
@@ -621,7 +624,7 @@ def main(argv=None) -> int:
     for name, fn in build_kernels().items():
         times[name] = best = time_kernel(fn, 3)
         peak = f"   peak {peak_mib(fn):7.2f} MiB" if name in PEAK_KERNELS else ""
-        print(f"{name:48s} {best * 1e3:9.3f} ms   {1.0 / best:10.1f} ops/s{peak}")
+        print(f"{name:52s} {best * 1e3:9.3f} ms   {1.0 / best:10.1f} ops/s{peak}")
     report_speedups(times)
     adaptive_attack_gate(times)
     return 0

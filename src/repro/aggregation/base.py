@@ -9,7 +9,7 @@ import numpy as np
 from repro.core.backend import ensure_float
 from repro.core.vote_tensor import RowSelection
 from repro.exceptions import AggregationError
-from repro.utils.arrays import finite_stand_ins, stack_vectors
+from repro.utils.arrays import finite_stand_ins
 
 __all__ = ["Aggregator"]
 
@@ -18,10 +18,10 @@ class Aggregator(abc.ABC):
     """A rule turning ``n`` candidate gradients into one.
 
     Subclasses implement :meth:`_aggregate` on a validated ``(n, d)`` float
-    matrix; :meth:`__call__` handles input normalization (lists of vectors
-    and the vote's :class:`~repro.core.vote_tensor.RowSelection` are
-    accepted) and sanity checks.  ``float32``/``float64`` inputs keep their
-    dtype through the rule; everything else is coerced to the backend default.
+    matrix; :meth:`__call__` handles input normalization (the matrix itself
+    or the vote's :class:`~repro.core.vote_tensor.RowSelection`) and sanity
+    checks.  ``float32``/``float64`` inputs keep their dtype through the
+    rule; everything else is coerced to the backend default.
     The matrix is read-only on every path — it may be the round's shared
     honest gradients — so a rule that writes into it fails with NumPy's
     ``ValueError`` instead of corrupting the next reader.
@@ -52,9 +52,9 @@ class Aggregator(abc.ABC):
         return 1
 
     def __call__(self, votes) -> np.ndarray:
-        """Aggregate ``votes``: an ``(n, d)`` matrix, a sequence of ``(d,)``
-        vectors, or the :class:`~repro.core.vote_tensor.RowSelection` a
-        pipeline's vote returned.
+        """Aggregate ``votes``: an ``(n, d)`` matrix or the
+        :class:`~repro.core.vote_tensor.RowSelection` a pipeline's vote
+        returned.
 
         Byzantine workers may send NaN/Inf; robust rules must not crash, so
         non-finite entries are replaced by finite stand-ins the robust
@@ -72,10 +72,9 @@ class Aggregator(abc.ABC):
                 )
             selection = RowSelection(ensure_float(votes))
         else:
-            try:
-                selection = RowSelection(stack_vectors(votes))
-            except ValueError as exc:
-                raise AggregationError(str(exc)) from exc
+            raise AggregationError(
+                f"votes must be an (n, d) matrix or a RowSelection, got {type(votes).__name__}"
+            )
         n = selection.shape[0]
         if n == 0:
             raise AggregationError("cannot aggregate zero votes")

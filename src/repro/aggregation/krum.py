@@ -31,7 +31,9 @@ def krum_scores_from_distances(
 
     The one scoring body of the Krum family: Krum and Multi-Krum reach it
     through :func:`krum_scores`, Bulyan calls it once per selection step on
-    the ``remaining x remaining`` sub-block of a single distance matrix.
+    the ``remaining x remaining`` sub-block of a single distance matrix, and
+    the Fang attack (:class:`~repro.attacks.adaptive.FangAdaptiveAttack`)
+    scores each candidate payload of its Krum search with it.
 
     Raises
     ------

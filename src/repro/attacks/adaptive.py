@@ -7,7 +7,7 @@ perturbation against it, instead of sending a fixed collusive payload:
 * :class:`FangAdaptiveAttack` — the "local model poisoning" framework of
   Fang et al.: craft a payload linear in a scale ``λ`` and search for the
   value that maximally deviates the simulated defense (median / trimmed
-  mean / mean) or that Krum still selects (largest λ accepted by a halving
+  mean) or that Krum still selects (largest λ accepted by a halving
   search).
 * :class:`MinMaxAttack` / :class:`MinSumAttack` — the AGR-agnostic attacks
   of Shejwalkar & Houmansadr: push ``µ + γ·u`` as far as possible while the
@@ -17,19 +17,22 @@ perturbation against it, instead of sending a fixed collusive payload:
 The population the adversary reasons about is the paper's post-voting one:
 ``f`` per-file gradients of which the *distorted* files (majority of copies
 Byzantine, :func:`repro.core.distortion.distorted_files`) carry the payload.
-Every search step is evaluated in closed form — payloads are linear in the
-search scalar, so squared distances are quadratics with precomputed
-coefficients, the median under insertion is a ``searchsorted`` lookup into
-presorted honest values and the trimmed mean a prefix-sum expression.  That
-keeps a full adaptive round within a small factor of a constant-attack
-round (gated in ``benchmarks/regression.py``), and makes every attack here
-fully deterministic: no RNG is consumed.
+Every search step is evaluated in closed form.  A coordinate defense is a
+weighted window of order statistics, and Fang's payloads sit outside the
+honest envelope, so its deviation is ``C0 + C1·λ`` with both read off the
+honest rows sorted once.  The distance searches' payloads are
+linear in the search scalar, so squared distances are quadratics with
+precomputed coefficients; Fang scores its Krum candidates with the Krum
+family's own scorer.  That keeps a full adaptive round within a small
+factor of a constant-attack round (gated in ``benchmarks/regression.py``),
+and makes every attack here fully deterministic: no RNG is consumed.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.aggregation.krum import krum_scores_from_distances
 from repro.attacks.base import Attack, AttackContext
 from repro.core.backend import DEFAULT_DTYPE
 from repro.core.distortion import distorted_files
@@ -137,7 +140,7 @@ class FangAdaptiveAttack(Attack):
     ----------
     defense:
         The robust rule the PS is assumed to run: ``"median"``,
-        ``"trimmed_mean"``, ``"mean"`` or ``"krum"``.
+        ``"trimmed_mean"`` or ``"krum"``.
     trim:
         Trim width the simulated trimmed mean uses; ``None`` (default)
         assumes the defense trims exactly the corrupted file count.
@@ -145,7 +148,7 @@ class FangAdaptiveAttack(Attack):
 
     attack_name = "fang"
 
-    DEFENSES = ("median", "trimmed_mean", "mean", "krum")
+    DEFENSES = ("median", "trimmed_mean", "krum")
 
     def __init__(self, defense: str = "median", trim: int | None = None) -> None:
         if defense not in self.DEFENSES:
@@ -166,9 +169,9 @@ class FangAdaptiveAttack(Attack):
         sign = np.where(mu >= 0.0, 1.0, -1.0)
         if self.defense == "krum":
             return self._krum_payload(honest, corrupted, mu, sign)
-        return self._coordinate_payload(honest, corrupted, mu, sign)
-
-    # -- Krum: halving search for the largest λ whose payload is selected --
+        c0, c1, base, delta = self._deviation_line(honest, corrupted, mu, sign)
+        lams = [_LAMBDA_INIT / 2.0**i for i in range(_NUM_STEPS)]
+        return base + lams[_stealthy_pick([c0 + c1 * lam for lam in lams])] * delta
 
     def _krum_payload(
         self,
@@ -177,114 +180,67 @@ class FangAdaptiveAttack(Attack):
         mu: np.ndarray,
         sign: np.ndarray,
     ) -> np.ndarray:
+        """The largest λ of the halving search whose payload Krum selects.
+
+        Candidates are scored by the Krum family's own
+        :func:`~repro.aggregation.krum.krum_scores_from_distances`, with
+        Bulyan's clamp ``q = min(k, (f − 3) // 2)`` on the ``k`` corrupted
+        files so the rule is defined; fewer than three files raise its
+        :class:`~repro.exceptions.AggregationError`.
+        """
         f = honest.shape[0]
-        k = int(corrupted.size)
+        q = max(0, min(int(corrupted.size), (f - 3) // 2))
         # p(λ) = µ − λ·sign(µ);  ||p − g_j||² = a_j − 2λ·b_j + λ²·c.
         a, b, c = _distance_coefficients(honest, mu, sign)
-        pair = pairwise_squared_distances(honest)
-        q_eff = min(k, max(f - 3, 0))
-        neighbors = max(1, f - q_eff - 2)
+        distances = pairwise_squared_distances(honest)
         corrupted_set = set(int(i) for i in corrupted)
         lam = _LAMBDA_INIT
-        accepted: float | None = None
         for _ in range(_NUM_STEPS):
-            if self._krum_selects_corrupted(
-                lam, a, b, c, pair, corrupted, corrupted_set, neighbors
-            ):
-                accepted = lam
+            to_payload = a - 2.0 * lam * b + lam * lam * c
+            distances[corrupted, :] = to_payload[None, :]
+            distances[:, corrupted] = to_payload[:, None]
+            distances[np.ix_(corrupted, corrupted)] = 0.0
+            if int(np.argmin(krum_scores_from_distances(distances, q))) in corrupted_set:
                 break
             lam /= 2.0
-        if accepted is None:
-            accepted = lam
-        return mu - accepted * sign
+        return mu - lam * sign
 
-    def _krum_selects_corrupted(
-        self,
-        lam: float,
-        a: np.ndarray,
-        b: np.ndarray,
-        c: float,
-        pair: np.ndarray,
-        corrupted: np.ndarray,
-        corrupted_set: set[int],
-        neighbors: int,
-    ) -> bool:
-        to_payload = a - 2.0 * lam * b + lam * lam * c
-        distances = pair.copy()
-        distances[corrupted, :] = to_payload[None, :]
-        distances[:, corrupted] = to_payload[:, None]
-        distances[np.ix_(corrupted, corrupted)] = 0.0
-        np.fill_diagonal(distances, np.inf)
-        distances.partition(neighbors - 1, axis=1)
-        scores = distances[:, :neighbors].sum(axis=1)
-        return int(np.argmin(scores)) in corrupted_set
-
-    # -- Coordinate defenses: λ ladder over extremes-based payloads --
-
-    def _coordinate_payload(
+    def _deviation_line(
         self,
         honest: np.ndarray,
         corrupted: np.ndarray,
         mu: np.ndarray,
         sign: np.ndarray,
-    ) -> np.ndarray:
-        if self.defense == "median":
-            return self._median_payload(honest, corrupted, mu, sign)
-        f = honest.shape[0]
-        k = int(corrupted.size)
-        uncorrupted = np.setdiff1d(np.arange(f), corrupted)
-        reference = honest[uncorrupted] if uncorrupted.size else honest
-        sorted_ref = np.sort(reference, axis=0)
-        prefix = np.vstack(
-            [np.zeros((1, sorted_ref.shape[1])), np.cumsum(sorted_ref, axis=0)]
-        )
-        low, high = sorted_ref[0], sorted_ref[-1]
-        spread = np.maximum(high - low, 1e-12)
-        trim = self._effective_trim(f, k)
-        baseline = self._simulate_defense(honest, np.sort(honest, axis=0), trim)
-        negative = mu >= 0.0  # push below the honest minimum where µ_i ≥ 0
-        deviations: list[float] = []
-        payloads: list[np.ndarray] = []
-        # The ladder's payloads sit strictly outside the reference envelope
-        # (below the min where µ_i >= 0, above the max elsewhere), so the
-        # per-coordinate insertion position is analytic — no O(n·d)
-        # comparison per step.
-        position = np.where(negative, 0, sorted_ref.shape[0]).astype(np.int64)
-        lam = _LAMBDA_INIT
-        for _ in range(_NUM_STEPS):
-            payload = np.where(negative, low - lam * spread, high + lam * spread)
-            aggregated = self._defense_with_insertion(
-                sorted_ref, prefix, payload, f, k, trim, position=position
-            )
-            deviations.append(float((baseline - aggregated) @ sign))
-            payloads.append(payload)
-            lam /= 2.0
-        return payloads[_stealthy_pick(deviations)]
+    ) -> tuple[float, float, np.ndarray, np.ndarray]:
+        """``(C0, C1, base, delta)``: the payload ``base + λ·delta`` moves
+        the simulated coordinate defense by ``C0 + C1·λ`` along ``−sign``.
 
-    def _median_payload(
-        self,
-        honest: np.ndarray,
-        corrupted: np.ndarray,
-        mu: np.ndarray,
-        sign: np.ndarray,
-    ) -> np.ndarray:
-        """Median-defense ladder, specialized for the round hot path.
+        The defense is a weighted window of order statistics of the
+        population whose corrupted rows carry the payload: ranks
+        ``(f − 1) // 2`` and ``f // 2`` at ½ each for the median, ranks
+        ``[trim, f − trim)`` at ``1 / (f − 2·trim)`` for the trimmed mean.
+        Every payload of the ladder lies outside the envelope of the
+        uncorrupted rows (below their minimum where µ_i ≥ 0, above their
+        maximum elsewhere), so per coordinate a window rank ``j`` holds the
+        payload or an uncorrupted row's value that no λ moves: the deviation
+        is linear in λ, and two O(d) reductions per window rank replace the
+        whole ladder.
 
-        Bit-identical to the generic `_coordinate_payload` + insertion
-        evaluation, but restructured for speed: sorts run on contiguous
-        transposed copies (the strided axis-0 sort is cache-hostile at
-        d ≈ 11k), and the per-coordinate three-way insertion selection —
-        which does not depend on λ, only on where the payload lands relative
-        to the reference envelope — is precomputed once outside the ladder.
-        The baseline median of all ``f`` honest rows is read off the sorted
-        reference and the sorted rows it leaves out (:func:`_rank_of_union`),
-        so the only ``(d, n)`` copy is the reference's.  It enters the
-        ladder only through ``sign @ baseline``, where a zero's sign can
-        change only the sign of a zero sum, which the ladder's comparisons
-        do not tell apart.
+        Sorts run on contiguous transposed copies (the strided axis-0 sort
+        is cache-hostile at d ≈ 11k).  The baseline, the defense over all
+        ``f`` honest rows, is read off the sorted reference and the sorted
+        rows it leaves out (:func:`_rank_of_union`), so the only ``(d, n)``
+        copy is the reference's.  It enters only through ``sign @
+        baseline``, where a zero's sign can change only the sign of a zero
+        sum, which the ladder's comparisons do not tell apart.
         """
         f = honest.shape[0]
         k = int(corrupted.size)
+        if self.defense == "median":
+            window = [((f - 1) // 2, 0.5), (f // 2, 0.5)]
+        else:
+            trim = min(k if self.trim is None else self.trim, (f - 1) // 2)
+            window = [(j, 1.0 / (f - 2 * trim)) for j in range(trim, f - trim)]
         uncorrupted = np.setdiff1d(np.arange(f), corrupted)
         reference = honest[uncorrupted] if uncorrupted.size else honest
         ref = np.array(reference.T, order="C")  # (d, n_ref), always a copy: sorted in place
@@ -293,11 +249,10 @@ class FangAdaptiveAttack(Attack):
         left_out = np.setdiff1d(np.arange(f), uncorrupted) if uncorrupted.size else uncorrupted
         rest = np.array(honest[left_out].T, order="C")
         rest.sort(axis=1)
-        mid_low, mid_high = (f - 1) // 2, f // 2
-        at_low = _rank_of_union(ref, rest, mid_low)
-        at_high = at_low if mid_high == mid_low else _rank_of_union(ref, rest, mid_high)
-        baseline = 0.5 * (at_low + at_high)
-        del rest, at_low, at_high
+        baseline = np.zeros(ref.shape[0], dtype=ref.dtype)
+        for j, weight in window:
+            baseline += weight * _rank_of_union(ref, rest, j)
+        del rest
         n_ref = ref.shape[1]
         low = np.ascontiguousarray(ref[:, 0])
         high = np.ascontiguousarray(ref[:, -1])
@@ -306,100 +261,18 @@ class FangAdaptiveAttack(Attack):
         position = np.where(negative, 0, n_ref).astype(np.int64)
         base = np.where(negative, low, high)
         delta = np.where(negative, -spread, spread)
-
-        def stat_parts(mid: int) -> tuple[np.ndarray, np.ndarray]:
-            from_low = ref[:, min(mid, n_ref - 1)]
-            from_high = ref[:, int(np.clip(mid - k, 0, n_ref - 1))]
-            sel_low = mid < position
-            sel_payload = ~sel_low & (mid < position + k)
-            return sel_payload, np.where(sel_low, from_low, from_high)
-
-        parts = [stat_parts(mid_low)]
-        parts.append(parts[0] if mid_high == mid_low else stat_parts(mid_high))
-        # With the selection fixed, the simulated median is
-        # 0.5·Σᵢ where(selᵢ, base + λ·delta, fixedᵢ), so the deviation is
-        # *linear* in λ: dev(λ) = C0 + C1·λ.  Two O(d) reductions replace
-        # the whole per-step ladder; only the chosen payload is built.
+        push = sign * delta
         c0 = float(sign @ baseline)
         c1 = 0.0
-        for sel, fixed in parts:
-            c0 -= 0.5 * float(sign @ np.where(sel, base, fixed))
-            c1 -= 0.5 * float(np.where(sel, sign * delta, 0.0).sum())
-        lams: list[float] = []
-        deviations: list[float] = []
-        lam = _LAMBDA_INIT
-        for _ in range(_NUM_STEPS):
-            lams.append(lam)
-            deviations.append(c0 + c1 * lam)
-            lam /= 2.0
-        return base + lams[_stealthy_pick(deviations)] * delta
-
-    def _effective_trim(self, population: int, corrupted: int) -> int:
-        if self.defense != "trimmed_mean":
-            return 0
-        trim = corrupted if self.trim is None else self.trim
-        return min(trim, (population - 1) // 2)
-
-    def _simulate_defense(
-        self, rows: np.ndarray, sorted_rows: np.ndarray, trim: int
-    ) -> np.ndarray:
-        n = rows.shape[0]
-        if self.defense == "mean":
-            return rows.mean(axis=0)
-        if self.defense == "median":
-            return np.median(rows, axis=0)
-        return sorted_rows[trim : n - trim].mean(axis=0)
-
-    def _defense_with_insertion(
-        self,
-        sorted_ref: np.ndarray,
-        prefix: np.ndarray,
-        payload: np.ndarray,
-        n: int,
-        k: int,
-        trim: int,
-        position: np.ndarray | None = None,
-    ) -> np.ndarray:
-        """Defense over ``sorted_ref`` plus ``k`` copies of ``payload``.
-
-        Never materializes the combined population: the insertion position
-        per coordinate plus either order statistics (median) or prefix sums
-        (trimmed mean / mean) give the aggregate in O(d·log n).  Callers
-        that know where the payload lands (the λ ladder always lands outside
-        the reference envelope) pass ``position`` to skip the comparison.
-        """
-        n_ref = sorted_ref.shape[0]
-        if self.defense == "mean":
-            return (prefix[-1] + k * payload) / n
-        if position is None:
-            position = (sorted_ref < payload[None, :]).sum(axis=0)
-        if self.defense == "median":
-            mid_low, mid_high = (n - 1) // 2, n // 2
-
-            def order_stat(i: int) -> np.ndarray:
-                from_low = sorted_ref[min(i, n_ref - 1)]
-                from_high = sorted_ref[np.clip(i - k, 0, n_ref - 1)]
-                return np.where(
-                    i < position,
-                    from_low,
-                    np.where(i < position + k, payload, from_high),
-                )
-
-            return 0.5 * (order_stat(mid_low) + order_stat(mid_high))
-        # Trimmed mean: sum combined order statistics in [trim, n − trim).
-        lo, hi = trim, n - trim
-
-        def prefix_at(index: np.ndarray) -> np.ndarray:
-            return np.take_along_axis(prefix, index[None, :], axis=0)[0]
-
-        first_hi = np.minimum(position, hi)
-        first = prefix_at(first_hi) - prefix_at(np.minimum(lo, first_hi))
-        second_lo = np.minimum(np.maximum(position, lo - k), n_ref)
-        second_hi = np.minimum(np.maximum(position, hi - k), n_ref)
-        second_lo = np.minimum(second_lo, second_hi)
-        second = prefix_at(second_hi) - prefix_at(second_lo)
-        count = np.clip(np.minimum(position + k, hi) - np.maximum(position, lo), 0, k)
-        return (first + second + count * payload) / (n - 2 * trim)
+        for j, weight in window:
+            below = j < position
+            at_payload = ~below & (j < position + k)
+            fixed = np.where(
+                below, ref[:, min(j, n_ref - 1)], ref[:, int(np.clip(j - k, 0, n_ref - 1))]
+            )
+            c0 -= weight * float(sign @ np.where(at_payload, base, fixed))
+            c1 -= weight * float(np.where(at_payload, push, 0.0).sum())
+        return c0, c1, base, delta
 
 
 class _OptimizedDeviationAttack(Attack):

@@ -1,9 +1,6 @@
 """Shared utilities: seeding, validation and array helpers."""
 
-from repro.utils.arrays import (
-    stack_vectors,
-    pairwise_squared_distances,
-)
+from repro.utils.arrays import pairwise_squared_distances
 from repro.utils.rng import as_generator, derive_seed
 from repro.utils.validation import (
     check_positive_int,
@@ -17,6 +14,5 @@ __all__ = [
     "check_positive_int",
     "check_prime",
     "is_prime",
-    "stack_vectors",
     "pairwise_squared_distances",
 ]

@@ -1,23 +1,20 @@
 """Array helpers shared by the aggregators, the attacks, the model and the data.
 
 Gradients travel through the system as flat float vectors; these helpers
-stack them into matrices, walk a matrix in coordinate blocks, and provide
-the vectorized column statistics and the distance computation the attacks
-and the Krum family use.  All helpers preserve the supported working dtypes
+walk a matrix of them in coordinate blocks, and provide the vectorized
+column statistics and the distance computation the attacks and the Krum
+family use.  All helpers preserve the supported working dtypes
 (``float32``/``float64``) instead of promoting to ``float64`` — see
 :mod:`repro.core.backend` — and coerce anything else to the backend default.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 from repro.core.backend import ensure_float
 
 __all__ = [
-    "stack_vectors",
     "pairwise_squared_distances",
     "block_ranges",
     "reduction_blocks",
@@ -162,21 +159,6 @@ def column_mean_std(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         np.true_divide(block_std, count, out=block_std)
         np.sqrt(block_std, out=block_std)
     return mean, std
-
-
-def stack_vectors(vectors: Sequence[np.ndarray]) -> np.ndarray:
-    """Stack 1-D vectors into an ``(n, d)`` float matrix with validation."""
-    if len(vectors) == 0:
-        raise ValueError("cannot stack an empty sequence of vectors")
-    mats = [ensure_float(v).ravel() for v in vectors]
-    d = mats[0].size
-    for i, m in enumerate(mats):
-        if m.size != d:
-            raise ValueError(
-                f"vector {i} has dimension {m.size}, expected {d} (all votes "
-                "must have identical dimensionality)"
-            )
-    return np.vstack(mats)
 
 
 def pairwise_squared_distances(

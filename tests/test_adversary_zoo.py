@@ -1,10 +1,11 @@
 """Tests for the adaptive adversary zoo and the attack registry contract.
 
 Covers the collusive inner-product / sign-flip payloads, the Fang
-aggregator-aware search (every simulated defense), the AGR-agnostic
-min-max / min-sum bisection, the vectorized ``apply_tensor`` write checked
-against an edge-by-edge scatter for every family, and the registry's
-sorted-names / one-class-per-name guarantees.
+aggregator-aware search (every simulated defense, checked against the
+aggregator it simulates), the AGR-agnostic min-max / min-sum bisection, the
+vectorized ``apply_tensor`` write checked against an edge-by-edge scatter
+for every family, and the registry's sorted-names / one-class-per-name
+guarantees.
 """
 
 import numpy as np
@@ -17,12 +18,16 @@ from repro.attacks.adaptive import (
     MinSumAttack,
     _corrupted_file_indices,
 )
+from repro.aggregation.krum import KrumAggregator
+from repro.aggregation.median import CoordinateWiseMedian
+from repro.aggregation.trimmed_mean import TrimmedMeanAggregator
+from repro.assignment.baseline import BaselineAssignment
 from repro.attacks.base import Attack
 from repro.attacks.inner_product import InnerProductManipulationAttack
 from repro.attacks.registry import available_attacks, create_attack, register_attack
 from repro.attacks.sign_flip import SignFlipAttack
 from repro.core.distortion import distorted_files
-from repro.exceptions import AttackError, ConfigurationError
+from repro.exceptions import AggregationError, AttackError, ConfigurationError
 from repro.utils.arrays import GATHER_ELEMENTS
 
 from cow_helpers import attack_context
@@ -115,64 +120,80 @@ def test_fang_deviates_simulated_defense(mols_assignment, defense):
     else:
         trim = min(corrupted.size, (honest.shape[0] - 1) // 2)
         aggregate = {
-            "median": lambda m: np.median(m, axis=0),
-            "trimmed_mean": lambda m: np.sort(m, axis=0)[
-                trim : m.shape[0] - trim
-            ].mean(axis=0),
-            "mean": lambda m: m.mean(axis=0),
+            "median": CoordinateWiseMedian(),
+            "trimmed_mean": TrimmedMeanAggregator(trim),
         }[defense]
         sign = np.where(honest.mean(axis=0) >= 0.0, 1.0, -1.0)
         deviation = float((aggregate(honest) - aggregate(population)) @ sign)
         assert deviation > 0
 
 
-def test_fang_insertion_median_matches_dense_simulation(mols_assignment):
-    # The searchsorted/prefix-sum closed forms must agree with literally
-    # rebuilding the corrupted population and aggregating it.
-    context = make_context(mols_assignment, (0, 1, 2, 3), seed=3)
+@pytest.mark.parametrize("byzantine", [(0, 1, 2, 3), (0, 1)])
+@pytest.mark.parametrize(
+    "defense, trim",
+    [("median", None), ("trimmed_mean", 0), ("trimmed_mean", 1), ("trimmed_mean", 3)],
+)
+def test_fang_deviation_line_matches_dense_simulation(mols_assignment, defense, trim, byzantine):
+    """At every λ of the ladder, the closed form's ``C0 + C1·λ`` is the
+    deviation the aggregator itself shows on the corrupted population (20
+    corrupted files of 25, then 10)."""
+    context = make_context(mols_assignment, byzantine, seed=3)
     honest = context.stacked_honest_gradients()
     corrupted = _corrupted_file_indices(context)
-    uncorrupted = np.setdiff1d(np.arange(honest.shape[0]), corrupted)
-    reference = honest[uncorrupted]
-    sorted_ref = np.sort(reference, axis=0)
-    prefix = np.vstack(
-        [np.zeros((1, DIM)), np.cumsum(sorted_ref, axis=0)]
+    mu = honest.mean(axis=0)
+    sign = np.where(mu >= 0.0, 1.0, -1.0)
+    attack = FangAdaptiveAttack(defense=defense, trim=trim)
+    c0, c1, base, delta = attack._deviation_line(honest, corrupted, mu, sign)
+    rule = CoordinateWiseMedian() if defense == "median" else TrimmedMeanAggregator(trim)
+    baseline = rule(honest)
+    lams = [adaptive._LAMBDA_INIT / 2.0**i for i in range(adaptive._NUM_STEPS)]
+    for lam in lams:
+        population = np.array(honest, copy=True)
+        population[corrupted] = base + lam * delta
+        dense = float((baseline - rule(population)) @ sign)
+        np.testing.assert_allclose(c0 + c1 * lam, dense, rtol=1e-12, atol=1e-12)
+    assert np.array_equal(
+        attack.payload(context),
+        base + lams[adaptive._stealthy_pick([c0 + c1 * lam for lam in lams])] * delta,
     )
-    payload = honest.min(axis=0) - 1.7
-    population = np.array(honest, copy=True)
-    population[corrupted] = payload
-    n, k = honest.shape[0], corrupted.size
-    clamped = min(k, (n - 1) // 2)
-    for defense, trim in (("median", 0), ("trimmed_mean", clamped), ("mean", 0)):
-        attack = FangAdaptiveAttack(defense=defense)
-        closed = attack._defense_with_insertion(
-            sorted_ref, prefix, payload, n, k, trim
-        )
-        dense = {
-            "median": lambda: np.median(population, axis=0),
-            "trimmed_mean": lambda: np.sort(population, axis=0)[
-                trim : n - trim
-            ].mean(axis=0),
-            "mean": lambda: population.mean(axis=0),
-        }[defense]()
-        np.testing.assert_allclose(closed, dense, rtol=1e-12, atol=1e-12)
 
 
-def test_fang_krum_payload_is_selected(mols_assignment):
-    context = make_context(mols_assignment, (0, 1, 2, 3), seed=5)
+def _krum_population(assignment, byzantine, seed):
+    context = make_context(assignment, byzantine, seed=seed)
     honest = context.stacked_honest_gradients()
     corrupted = _corrupted_file_indices(context)
     payload = FangAdaptiveAttack(defense="krum").payload(context)
     population = np.array(honest, copy=True)
     population[corrupted] = payload
-    # Re-run a reference Krum over the corrupted population.
-    f = population.shape[0]
-    sq = np.einsum("ij,ij->i", population, population)
-    distances = sq[:, None] + sq[None, :] - 2.0 * population @ population.T
-    np.fill_diagonal(distances, np.inf)
-    neighbors = max(1, f - min(corrupted.size, f - 3) - 2)
-    scores = np.sort(distances, axis=1)[:, :neighbors].sum(axis=1)
-    assert int(np.argmin(scores)) in set(int(i) for i in corrupted)
+    return population, corrupted, payload
+
+
+def test_fang_krum_payload_is_selected(mols_assignment):
+    population, corrupted, payload = _krum_population(mols_assignment, (0, 1), seed=5)
+    assert corrupted.size <= (population.shape[0] - 3) // 2
+    assert np.array_equal(KrumAggregator(corrupted.size)(population), payload)
+
+
+def test_fang_krum_clamps_its_q_like_bulyan(baseline_10):
+    """Four corrupted files of ten, more than Krum tolerates: the search
+    scores with Bulyan's ``q = (f − 3) // 2 = 3``, and Krum under that q
+    picks the payload (a count of ``f − k − 2`` neighbours accepted another
+    λ here)."""
+    assignment = baseline_10.assignment
+    honest = 0.2 * np.random.default_rng(1).standard_normal((assignment.num_files, DIM))
+    context = attack_context(assignment, (0, 1, 2, 3), honest)
+    payload = FangAdaptiveAttack(defense="krum").payload(context)
+    population = np.array(honest, copy=True)
+    population[:4] = payload
+    assert _corrupted_file_indices(context).tolist() == [0, 1, 2, 3]
+    assert np.array_equal(KrumAggregator(3)(population), payload)
+
+
+def test_fang_krum_over_fewer_than_three_files_is_an_aggregation_error():
+    assignment = BaselineAssignment(num_workers=2).assignment
+    context = make_context(assignment, (0,))
+    with pytest.raises(AggregationError, match="Krum requires at least 2q\\+3=3 votes, got 2"):
+        FangAdaptiveAttack(defense="krum").payload(context)
 
 
 @pytest.mark.parametrize("left_out", [0, 1, 5, 12, 13])
@@ -203,6 +224,9 @@ def test_fang_q0_prepare_is_safe(mols_assignment):
 def test_fang_validation():
     with pytest.raises(AttackError):
         FangAdaptiveAttack(defense="bulyan")
+    # trimmed_mean with trim=0 is the mean; it has no name of its own
+    with pytest.raises(AttackError, match="'median', 'trimmed_mean', 'krum'"):
+        FangAdaptiveAttack(defense="mean")
     with pytest.raises(AttackError):
         FangAdaptiveAttack(trim=-1)
 

@@ -65,9 +65,11 @@ def test_median_is_robust_to_single_outlier():
     assert np.linalg.norm(result - np.median(honest, axis=0)) < 1.0
 
 
-def test_median_accepts_list_of_vectors():
-    result = CoordinateWiseMedian()([np.array([1.0, 5.0]), np.array([3.0, 1.0]), np.array([2.0, 3.0])])
-    assert np.allclose(result, [2.0, 3.0])
+def test_aggregator_takes_a_matrix_not_a_list_of_vectors():
+    vectors = [np.array([1.0, 5.0]), np.array([3.0, 1.0]), np.array([2.0, 3.0])]
+    assert np.allclose(CoordinateWiseMedian()(np.stack(vectors)), [2.0, 3.0])
+    with pytest.raises(AggregationError, match="got list"):
+        CoordinateWiseMedian()(vectors)
 
 
 def test_aggregator_rejects_bad_shapes():

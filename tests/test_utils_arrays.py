@@ -3,23 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.utils.arrays import pairwise_squared_distances, stack_vectors
-
-
-def test_stack_vectors_shapes():
-    stacked = stack_vectors([np.zeros(4), np.ones(4), 2 * np.ones(4)])
-    assert stacked.shape == (3, 4)
-    assert np.allclose(stacked[2], 2.0)
-
-
-def test_stack_vectors_dimension_mismatch():
-    with pytest.raises(ValueError):
-        stack_vectors([np.zeros(3), np.zeros(4)])
-
-
-def test_stack_vectors_empty():
-    with pytest.raises(ValueError):
-        stack_vectors([])
+from repro.utils.arrays import pairwise_squared_distances
 
 
 def test_pairwise_squared_distances_matches_naive():

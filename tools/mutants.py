@@ -169,6 +169,13 @@ MUTANTS = (
         "return np.multiply(grad_output, self._take_cache(), out=grad_output)",
         "self._take_cache()\n        return grad_output",
     ),
+    Mutant(
+        "fang-window",
+        "Fang's closed form holds the payload one rank past its block",
+        "src/repro/attacks/adaptive.py",
+        "at_payload = ~below & (j < position + k)",
+        "at_payload = ~below & (j <= position + k)",
+    ),
 )
 
 
